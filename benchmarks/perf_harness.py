@@ -158,12 +158,13 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
         return fresh
 
     # Throughput is over the dense decode table the op materializes
-    # (sym + len arrays, 2**max_len entries each) so mb_per_s is real
-    # and the baseline gate covers this op.
+    # (sym + len arrays, 2**longest_code entries each — what the decoder
+    # really builds, not 2**max_len) so mb_per_s is real and the baseline
+    # gate covers this op.
     built = table_build()
     table_nbytes = built._table_sym.nbytes + built._table_len.nbytes
     ops["huffman_table_build"] = op_entry(
-        time_op(table_build, max(repeats, 10)), 1 << codec.max_len, table_nbytes
+        time_op(table_build, max(repeats, 10)), built._table_sym.size, table_nbytes
     )
 
     # Chunked decode windows: force the over-limit path (one window per
@@ -266,7 +267,58 @@ def _sz_ops(scale: int, repeats: int) -> dict:
     ops["sz_predict"] = op_entry(
         time_op(lambda: lorenzo_forward(lattice), repeats), field.size, field.nbytes
     )
+    ops.update(_brick_decode_ops(scale, repeats))
     return ops
+
+
+def _brick_decode_ops(scale: int, repeats: int) -> dict:
+    """Many small streams: batched lockstep decode vs one call per stream.
+
+    The bricked layouts (read service, ingest) store a level as hundreds
+    of 16^3 SZ streams.  ``*_many_*`` decodes them through
+    ``decompress_many`` (lockstep batches), ``*_loop_*`` through one
+    ``decompress`` per stream — the same kernel as a batch of one, so the
+    pair measures exactly what batching buys.  Both run over every brick
+    of the field (512 at scale 4, 27 at smoke scale) and over 27 bricks,
+    one cold ROI read's worth.
+    """
+    from repro.sim.nyx import generate_field
+    from repro.sz import SZCompressor
+
+    n = max(512 // scale, 48)
+    field = generate_field("baryon_density", n, seed=42)
+    codec = SZCompressor()
+    eb_abs = 1e-3 * float(field.max() - field.min())
+    brick = 16
+    blobs = [
+        codec.compress(
+            np.ascontiguousarray(field[x : x + brick, y : y + brick, z : z + brick]),
+            eb_abs,
+            "abs",
+        )
+        for x in range(0, n, brick)
+        for y in range(0, n, brick)
+        for z in range(0, n, brick)
+    ]
+    for many, one in zip(codec.decompress_many(blobs[:27]), blobs[:27]):
+        assert np.array_equal(many, codec.decompress(one))
+
+    def pair(suffix: str, subset: list) -> dict:
+        n_values = len(subset) * brick**3
+        return {
+            f"sz_decompress_many_bricks{suffix}": op_entry(
+                time_op(lambda: codec.decompress_many(subset), repeats),
+                n_values,
+                n_values * 4,
+            ),
+            f"sz_decompress_loop_bricks{suffix}": op_entry(
+                time_op(lambda: [codec.decompress(blob) for blob in subset], repeats),
+                n_values,
+                n_values * 4,
+            ),
+        }
+
+    return {**pair("", blobs), **pair("_27", blobs[:27])}
 
 
 def _shared_tables_ops(scale: int, repeats: int) -> dict:
@@ -430,7 +482,10 @@ GROUP_OPS = {
     ),
     "blocks": ("gather_blocks", "scatter_blocks", "block_counts"),
     "sz": tuple(f"sz_{op}_{p}" for op in ("compress", "decompress") for p in ("interp", "lorenzo"))
-    + ("sz_quantize", "sz_predict"),
+    + ("sz_quantize", "sz_predict")
+    + tuple(
+        f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
+    ),
     "shared_tables": ("tac_compress_per_stream", "tac_compress_shared_tables"),
     "codecs": tuple(
         f"{c}_{op}" for c in ("tac", "1d", "zmesh", "3d") for op in ("compress", "decompress")

@@ -13,7 +13,10 @@ TAC and all baselines:
   :class:`~repro.core.container.LazyCompressedDataset` is free);
 * an executor **runs** the plan: :func:`execute_plan` decodes units
   serially or across a thread pool (``decode_workers``, bit-identical to
-  serial — units are pure and results merge by unit key);
+  serial — units are pure and results merge by unit key); units that are
+  exactly one SZ stream are fetched and decoded in lockstep batches
+  (:func:`decode_jobs`), so a level of hundreds of small bricks costs a
+  few decode passes, not hundreds;
 * the codec **assembles**: per-level postprocessing (scatter, crop,
   masking) consumes the unit results deterministically.
 
@@ -27,13 +30,16 @@ blocks intersect the ROI).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.amr.hierarchy import AMRLevel
+from repro.sz.compressor import BATCH_VALUES, SharedTableResolver, SZCompressor
 from repro.utils.validation import check_positive_int
 
 
@@ -56,20 +62,34 @@ class DecodeUnit:
     decode:
         Pure closure performing the decode; must not share mutable state
         with other units (that is what makes parallel execution
-        bit-identical to serial).
+        bit-identical to serial).  ``None`` for an SZ-stream unit, which
+        declares ``sz_blob`` instead.
     box:
         Half-open ``((x0, x1), (y0, y1), (z0, z1))`` region of the unit's
         level that this unit covers, in level-grid cells, or ``None``
         when the unit serves the whole level (monolithic streams, layout
         records).  Units with a box are prunable by ROI intersection:
         a region read drops every unit whose box misses the ROI.
+    sz_blob, sz_tables:
+        Set when the unit's result is exactly one SZ stream's array: a
+        getter for the stream's bytes and its shared-table resolver (or
+        ``None``).  :func:`execute_plan` decodes such units in lockstep
+        batches (:meth:`repro.sz.compressor.SZCompressor.decompress_many`).
+    sz_shape:
+        The stream's decoded shape when the blob's metadata tells it (a
+        brick, a padded grid), else ``None``.  Only a scheduling hint:
+        streams declaring the same shape are fetched and decoded by the
+        same work item, up to the batch budget; one without is its own.
     """
 
     key: str
     level: int
     part_names: tuple[str, ...]
-    decode: Callable[[], object]
+    decode: Callable[[], object] | None
     box: tuple[tuple[int, int], ...] | None = None
+    sz_blob: Callable[[], bytes] | None = None
+    sz_tables: SharedTableResolver | None = None
+    sz_shape: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -117,8 +137,104 @@ class DecompressionPlan:
         )
 
 
-#: Sentinel marking a unit whose decode failed under error collection.
-_DECODE_FAILED = object()
+#: Decoding reads every parameter from the stream, so one default-configured
+#: compressor serves the SZ-stream units of every codec.
+_SZ_DECODER = SZCompressor()
+
+
+def _closure_job(key: str, decode: Callable[[], object], errors: dict | None) -> dict:
+    try:
+        return {key: decode()}
+    except Exception as exc:
+        if errors is None:
+            raise
+        errors[key] = exc
+        return {}
+
+
+def _stream_job(units: list[DecodeUnit], errors: dict | None) -> dict:
+    """Fetch and decode SZ-stream ``units`` together.
+
+    The blobs are fetched here, on the thread that decodes them, so I/O
+    and integrity checks of one work item overlap the decode of another
+    and only this item's compressed bytes are resident.  A fetch failure
+    stays that unit's alone, and a failing batch attributes the failure
+    to the stream that caused it.
+
+    An item of one stream goes through ``decompress``, the batch-of-one
+    entry point — same kernel; it is the call per-stream instrumentation
+    (``timings=``, tacbench's ``sz.decompress`` span) hooks, so streams
+    too large to have batch-mates stay attributed.
+    """
+    if len(units) == 1:
+        (unit,) = units
+        assert unit.sz_blob is not None
+        fetch, tables = unit.sz_blob, unit.sz_tables
+        return _closure_job(
+            unit.key, lambda: _SZ_DECODER.decompress(fetch(), shared_tables=tables), errors
+        )
+    fetched: list[DecodeUnit] = []
+    blobs: list[bytes] = []
+    for unit in units:
+        assert unit.sz_blob is not None
+        try:
+            blobs.append(unit.sz_blob())
+        except Exception as exc:
+            if errors is None:
+                raise
+            errors[unit.key] = exc
+        else:
+            fetched.append(unit)
+    failed: dict[int, Exception] = {}
+    try:
+        arrays = _SZ_DECODER.decompress_many(
+            blobs,
+            shared_tables=[unit.sz_tables for unit in fetched],
+            errors=None if errors is None else failed,
+        )
+    except Exception as exc:
+        # Not stream damage (that is attributed per stream): the whole
+        # item failed, and every member reports why.
+        if errors is None:
+            raise
+        errors.update({unit.key: exc for unit in fetched})
+        return {}
+    if errors is not None:
+        errors.update({fetched[index].key: exc for index, exc in failed.items()})
+    return {
+        unit.key: values for unit, values in zip(fetched, arrays) if values is not None
+    }
+
+
+def decode_jobs(
+    units: Sequence[DecodeUnit], errors: dict | None = None
+) -> list[tuple[list[DecodeUnit], Callable[[], dict]]]:
+    """Independent work items covering ``units``: ``(members, run)`` pairs.
+
+    ``run()`` returns ``{key: decoded}`` for its members; with ``errors``
+    given, a member whose fetch or decode raises is recorded there and
+    left out instead.  A closure unit is one item.  SZ-stream units that
+    declare the same ``sz_shape`` share an item up to
+    :data:`~repro.sz.compressor.BATCH_VALUES` decoded values — the batch,
+    not the brick, is what ``decode_workers`` and the read service's
+    decode pool parallelise over.
+    """
+    jobs: list[tuple[list[DecodeUnit], Callable[[], dict]]] = []
+    open_items: dict[tuple[int, ...], list[DecodeUnit]] = {}
+    for unit in units:
+        if unit.decode is not None:
+            jobs.append(([unit], partial(_closure_job, unit.key, unit.decode, errors)))
+            continue
+        shape = unit.sz_shape
+        if shape is None:
+            jobs.append(([unit], partial(_stream_job, [unit], errors)))
+            continue
+        members = open_items.get(shape)
+        if members is None or (len(members) + 1) * math.prod(shape) > BATCH_VALUES:
+            members = open_items[shape] = []
+            jobs.append((members, partial(_stream_job, members, errors)))
+        members.append(unit)
+    return jobs
 
 
 def execute_plan(
@@ -129,20 +245,21 @@ def execute_plan(
 ) -> dict[str, object]:
     """Run every unit and return ``{unit.key: decoded}``.
 
-    ``decode_workers > 1`` decodes units concurrently in a thread pool
-    (the hot loops release the GIL inside NumPy/zlib).  Units are pure and
-    results are keyed, so the outcome is identical to the serial path
-    regardless of completion order.
+    ``decode_workers > 1`` decodes concurrently in a thread pool (the hot
+    loops release the GIL inside NumPy/zlib).  The work items are units
+    with a ``decode`` closure and *batches* of SZ-stream units, not single
+    streams.  Units are pure and results are keyed, so the outcome is
+    identical to the serial path regardless of completion order.
 
     ``preloaded`` is the cache seam: units whose key it already holds are
     neither fetched nor decoded — their stored result is carried into the
     output — so a decoded-brick cache can satisfy part of a plan and pay
     I/O + decode only for the misses.
 
-    ``errors`` is the degraded-read seam: when given, a unit whose decode
-    raises is recorded there (``unit.key → exception``) and omitted from
-    the results instead of aborting the whole plan.  When ``None`` (the
-    default) the first failure propagates, as ever.
+    ``errors`` is the degraded-read seam: when given, a unit whose fetch or
+    decode raises is recorded there (``unit.key → exception``) and omitted
+    from the results instead of aborting the whole plan.  When ``None``
+    (the default) the first failure propagates, as ever.
     """
     decode_workers = check_positive_int(decode_workers, name="decode_workers")
     units = plan.units
@@ -151,27 +268,14 @@ def execute_plan(
         results = {u.key: preloaded[u.key] for u in units if u.key in preloaded}
         units = [unit for unit in units if unit.key not in preloaded]
 
-    def run(unit):
-        if errors is None:
-            return unit.decode()
-        try:
-            return unit.decode()
-        except Exception as exc:
-            errors[unit.key] = exc
-            return _DECODE_FAILED
-
-    if decode_workers > 1 and len(units) > 1:
+    jobs = [run for _members, run in decode_jobs(units, errors)]
+    if decode_workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=decode_workers) as pool:
-            decoded = list(pool.map(run, units))
+            decoded = list(pool.map(lambda run: run(), jobs))
     else:
-        decoded = [run(unit) for unit in units]
-    results.update(
-        {
-            unit.key: result
-            for unit, result in zip(units, decoded)
-            if result is not _DECODE_FAILED
-        }
-    )
+        decoded = [run() for run in jobs]
+    for part in decoded:
+        results.update(part)
     return results
 
 

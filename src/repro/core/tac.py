@@ -40,6 +40,7 @@ from repro.core.gsp import (
     DEFAULT_BRICK_SIZE,
     BrickTable,
     brick_boxes,
+    bricks_in_box,
     gsp_pad,
     serialize_brick_table,
     zero_fill,
@@ -56,7 +57,6 @@ from repro.core.plan import (
     DecodeUnit,
     DecompressionPlan,
     PlanExecutorMixin,
-    boxes_intersect,
     execute_plan,
     normalize_region,
     region_slices,
@@ -472,22 +472,11 @@ class TACCompressor(PlanExecutorMixin):
             if strategy == "empty":
                 continue
             resolver = self._table_resolver(comp, level_meta)
-            extra = (resolver.part_name,) if resolver is not None else ()
             if strategy in (Strategy.GSP.value, Strategy.ZF.value):
                 bricks = level_meta.get("bricks")
                 if not bricks:
                     # Legacy format 1: the level is one monolithic stream.
-                    name = f"L{idx}/grid"
-                    units.append(
-                        DecodeUnit(
-                            key=name,
-                            level=idx,
-                            part_names=(name,) + extra,
-                            decode=lambda name=name, r=resolver: self.codec.decompress(
-                                comp.parts[name], shared_tables=r
-                            ),
-                        )
-                    )
+                    units.append(self._stream_unit(comp, idx, f"L{idx}/grid", resolver))
                     continue
                 # Format 2: one independent unit per brick, tagged with
                 # the level-space box it covers.
@@ -504,22 +493,43 @@ class TACCompressor(PlanExecutorMixin):
                     decode=lambda name=layout_name: deserialize_layout(comp.parts[name]),
                 )
             )
-            for group_idx in range(level_meta["n_groups"]):
-                name = f"L{idx}/g{group_idx}"
-                units.append(
-                    DecodeUnit(
-                        key=name,
-                        level=idx,
-                        part_names=(name,) + extra,
-                        decode=lambda name=name, r=resolver: self.codec.decompress(
-                            comp.parts[name], shared_tables=r
-                        ),
-                    )
-                )
+            units.extend(
+                self._stream_unit(comp, idx, f"L{idx}/g{group_idx}", resolver)
+                for group_idx in range(level_meta["n_groups"])
+            )
         return DecompressionPlan(units)
 
+    def _stream_unit(
+        self,
+        comp,
+        idx: int,
+        name: str,
+        resolver: SharedTableResolver | None,
+        box=None,
+        shape: tuple[int, ...] | None = None,
+    ) -> DecodeUnit:
+        """The unit decoding part ``name``, one SZ stream of level ``idx``
+        (of decoded ``shape``, where the metadata tells it).
+
+        Shared-table levels append the ``L<idx>/table`` part to every
+        stream's ``part_names`` (prefetch/ROI accounting dedups the repeat
+        name); the units of one plan share one memoized resolver, so the
+        table part is fetched once however many streams reference it.
+        """
+        extra = (resolver.part_name,) if resolver is not None else ()
+        return DecodeUnit(
+            key=name,
+            level=idx,
+            part_names=(name,) + extra,
+            decode=None,
+            box=box,
+            sz_blob=lambda: comp.parts[name],
+            sz_tables=resolver,
+            sz_shape=shape,
+        )
+
     def _brick_units(
-        self, comp, idx: int, level_meta: dict
+        self, comp, idx: int, level_meta: dict, brick_indices=None
     ) -> list[tuple[tuple[tuple[int, int], ...], DecodeUnit]]:
         """``(padded-grid box, DecodeUnit)`` per brick of a format-2 level.
 
@@ -528,33 +538,28 @@ class TACCompressor(PlanExecutorMixin):
         so the two read paths cannot drift apart.  Each unit's ``box`` is
         the brick's padded-grid box *clipped to the level extents*: a
         brick wholly inside the block padding covers nothing visible and
-        is prunable by any ROI.
-
-        Shared-table levels append the ``L<idx>/table`` part to every
-        brick's ``part_names`` (prefetch/ROI accounting dedups the repeat
-        name), and every decode closure shares one memoized resolver, so
-        an ROI read fetches the table part once plus only touched bricks.
+        is prunable by any ROI.  ``brick_indices`` restricts the result to
+        those flat brick indices (ascending), e.g. the bricks an ROI
+        touches per :func:`repro.core.gsp.bricks_in_box`.
         """
         shape = tuple(comp.meta["shapes"][idx])
-        padded_shape = tuple(level_meta["padded_shape"])
+        boxes = brick_boxes(tuple(level_meta["padded_shape"]), level_meta["bricks"]["size"])
         resolver = self._table_resolver(comp, level_meta)
-        extra = (resolver.part_name,) if resolver is not None else ()
+        if brick_indices is None:
+            brick_indices = range(len(boxes))
         out = []
-        for brick_idx, bbox in enumerate(
-            brick_boxes(padded_shape, level_meta["bricks"]["size"])
-        ):
-            name = f"L{idx}/b{brick_idx}"
+        for brick_idx in brick_indices:
+            bbox = boxes[brick_idx]
             clipped = tuple(
                 (min(lo, dim), min(hi, dim)) for (lo, hi), dim in zip(bbox, shape)
             )
-            unit = DecodeUnit(
-                key=name,
-                level=idx,
-                part_names=(name,) + extra,
-                decode=lambda name=name, r=resolver: self.codec.decompress(
-                    comp.parts[name], shared_tables=r
-                ),
-                box=clipped,
+            unit = self._stream_unit(
+                comp,
+                idx,
+                f"L{idx}/b{brick_idx}",
+                resolver,
+                clipped,
+                tuple(hi - lo for lo, hi in bbox),
             )
             out.append((bbox, unit))
         return out
@@ -704,17 +709,9 @@ class TACCompressor(PlanExecutorMixin):
             for group_idx, group_shape in enumerate(shapes)
             if selected[group_shape].size
         ]
-        extra = (resolver.part_name,) if resolver is not None else ()
         plan = DecompressionPlan(
             [
-                DecodeUnit(
-                    key=f"L{level}/g{group_idx}",
-                    level=level,
-                    part_names=(f"L{level}/g{group_idx}",) + extra,
-                    decode=lambda name=f"L{level}/g{group_idx}", r=resolver: (
-                        self.codec.decompress(comp.parts[name], shared_tables=r)
-                    ),
-                )
+                self._stream_unit(comp, level, f"L{level}/g{group_idx}", resolver)
                 for group_idx, _shape in needed
             ]
         )
@@ -747,17 +744,16 @@ class TACCompressor(PlanExecutorMixin):
         decoded cell count is that bounding box's volume, never the
         level's.
         """
-        hit = [
-            (bbox, unit)
-            for bbox, unit in self._brick_units(comp, level, level_meta)
-            if boxes_intersect(unit.box, box)
-        ]
+        size = int(level_meta["bricks"]["size"])
+        padded_shape = tuple(level_meta["padded_shape"])
+        # The ROI lies inside the level extents, so the bricks its box
+        # touches are exactly those whose clipped boxes intersect it.
+        touched = bricks_in_box(padded_shape, size, box).tolist()
+        hit = self._brick_units(comp, level, level_meta, touched)
         results = execute_plan(
             DecompressionPlan([unit for _bbox, unit in hit]), decode_workers
         )
         # Brick-aligned bounding box of the ROI, clipped to the padded grid.
-        size = int(level_meta["bricks"]["size"])
-        padded_shape = tuple(level_meta["padded_shape"])
         lo = tuple((b_lo // size) * size for b_lo, _hi in box)
         hi = tuple(
             min(-(-b_hi // size) * size, dim)

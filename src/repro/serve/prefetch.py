@@ -11,9 +11,11 @@ them as a pipeline:
    into one ranged read);
 2. each window is fetched on a dedicated I/O pool and staged into the
    entry's :class:`~repro.core.container.LazyPartStore`;
-3. the moment the last window a unit depends on lands, the unit's decode
-   is submitted to the decode pool — so bricks decode while later
-   windows are still in flight, overlapping network with CPU.
+3. whenever windows land, every unit whose parts are now all staged is
+   handed to the decode pool as the plan's work items
+   (:func:`repro.core.plan.decode_jobs`): the bricks of a window share
+   lockstep SZ decode batches, one pool task per batch, not per brick —
+   while later windows are still in flight, overlapping network with CPU.
 
 Units already satisfied by a decoded-brick cache are skipped entirely
 (``preloaded``), and eager in-memory ``parts`` dicts degrade to a plain
@@ -25,12 +27,12 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_right
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 
 from repro.core.container import coalesce_spans
-from repro.core.plan import DecompressionPlan, execute_plan
+from repro.core.plan import DecompressionPlan, decode_jobs, execute_plan
 
 #: Default fetch-window gap: parts closer than this many bytes merge into
 #: one ranged read.  4 KiB bridges part-index padding without dragging in
@@ -242,12 +244,12 @@ class PrefetchPipeline:
                     stats.last_fetch_end = now
             return names
 
-        def decode(unit):
+        def decode(run) -> dict:
             now = time.perf_counter()
             with time_lock:
                 if stats.first_decode_start is None:
                     stats.first_decode_start = now
-            return unit.decode()
+            return run()
 
         fetch_futures = {
             self._io_pool.submit(fetch, names): idx
@@ -261,18 +263,31 @@ class PrefetchPipeline:
             for unit in pending
         }
         failed = stats.unit_errors
-        decode_futures = {}
+        submitted: set[str] = set()
+        # (members, errors of this job's landing, future) per decode job.
+        decode_futures: list[tuple[list, dict | None, Future]] = []
 
-        def submit_ready(unit) -> None:
-            if (
-                not waiting[unit.key]
-                and unit.key not in decode_futures
-                and unit.key not in failed
-            ):
-                decode_futures[unit.key] = self._decode_pool.submit(decode, unit)
+        def submit_ready(units) -> None:
+            """Hand the decode pool every unit of ``units`` that is ready
+            now (all its windows landed, not yet submitted or failed), as
+            the plan's work items: closure units one by one, SZ streams in
+            batches — each its own future."""
+            ready = []
+            for unit in units:
+                if (
+                    not waiting[unit.key]
+                    and unit.key not in submitted
+                    and unit.key not in failed
+                ):
+                    submitted.add(unit.key)
+                    ready.append(unit)
+            errors: dict | None = {} if allow_partial else None
+            for members, run in decode_jobs(ready, errors):
+                decode_futures.append(
+                    (members, errors, self._decode_pool.submit(decode, run))
+                )
 
-        for unit in pending:
-            submit_ready(unit)
+        submit_ready(pending)
         by_window: dict[int, list] = {}
         for unit in pending:
             for idx in waiting[unit.key]:
@@ -299,7 +314,7 @@ class PrefetchPipeline:
             return DeadlineExceeded(
                 f"request deadline of {deadline.seconds:.3f}s expired with "
                 f"{len(in_flight)} fetch window(s) outstanding and "
-                f"{len(decode_futures)} decode(s) submitted"
+                f"{len(submitted)} decode(s) submitted"
             )
 
         in_flight = set(fetch_futures)
@@ -318,9 +333,10 @@ class PrefetchPipeline:
                     if not allow_partial:
                         raise deadline_error()
                     for key, waits in waiting.items():
-                        if waits and key not in decode_futures:
+                        if waits and key not in submitted:
                             failed.setdefault(key, deadline_error())
                     break
+                landed: list = []
                 for future in done:
                     idx = fetch_futures[future]
                     try:
@@ -336,7 +352,7 @@ class PrefetchPipeline:
                                 # bad ones, so its window effectively
                                 # landed.
                                 waiting[unit.key].discard(idx)
-                                submit_ready(unit)
+                                landed.append(unit)
                             else:
                                 failed.setdefault(unit.key, exc)
                         continue
@@ -348,25 +364,27 @@ class PrefetchPipeline:
                     for unit in by_window.get(idx, ()):
                         waiting[unit.key].discard(idx)
                         if expired:
-                            if unit.key not in decode_futures:
+                            if unit.key not in submitted:
                                 failed.setdefault(unit.key, deadline_error())
                         else:
-                            submit_ready(unit)
-            for key, future in decode_futures.items():
+                            landed.append(unit)
+                submit_ready(landed)
+            for members, errors, future in decode_futures:
                 timeout = None if deadline is None else max(0.0, deadline.remaining())
                 try:
-                    results[key] = future.result(timeout=timeout)
+                    results.update(future.result(timeout=timeout))
                 except _FuturesTimeout:
                     stats.deadline_hit = True
                     if not future.cancel():
                         future.add_done_callback(reap_decode_straggler)
                     if not allow_partial:
                         raise deadline_error() from None
-                    failed.setdefault(key, deadline_error())
-                except Exception as exc:
-                    if not allow_partial:
-                        raise
-                    failed.setdefault(key, exc)
+                    for unit in members:
+                        failed.setdefault(unit.key, deadline_error())
+                    continue
+                for unit in members:
+                    if errors and unit.key in errors:
+                        failed.setdefault(unit.key, errors[unit.key])
         except Exception:
             # A failed fetch or decode abandons the request: drop anything
             # staged for it so the entry's store does not accrete payloads

@@ -81,18 +81,20 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     return packed.tobytes() + b"\x00" * _PEEK_PAD, total_bits
 
 
-def as_peekable(buffer: bytes | np.ndarray) -> np.ndarray:
-    """Return a ``uint8`` copy of ``buffer`` with the 4-byte gather guard.
+def as_peekable(*buffers: bytes | np.ndarray) -> np.ndarray:
+    """Return a ``uint8`` copy of ``buffers``, concatenated, with the gather guard.
 
     Padding is appended unconditionally: :func:`peek_bits` gathers four
     consecutive bytes at any in-range offset, so the final payload byte
     always needs :data:`_PEEK_PAD` bytes of slack after it.
     """
-    if isinstance(buffer, (bytes, bytearray)):
-        arr = np.frombuffer(buffer, dtype=np.uint8)
-    else:
-        arr = np.asarray(buffer, dtype=np.uint8)
-    return np.concatenate([arr, np.zeros(_PEEK_PAD, dtype=np.uint8)])
+    arrays = [
+        np.frombuffer(buffer, dtype=np.uint8)
+        if isinstance(buffer, (bytes, bytearray))
+        else np.asarray(buffer, dtype=np.uint8)
+        for buffer in buffers
+    ]
+    return np.concatenate(arrays + [np.zeros(_PEEK_PAD, dtype=np.uint8)])
 
 
 #: Above this payload size (bytes) :func:`window_words` is skipped and the

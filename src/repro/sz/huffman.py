@@ -5,10 +5,11 @@ codes.  This module reproduces it with two HPC-minded twists that make a
 pure-NumPy implementation fast:
 
 1. **Length-limited canonical codes.**  Code lengths are capped at
-   ``max_len`` (default 16) so decoding can use a single dense
-   ``2**max_len``-entry lookup table instead of walking a tree bit by bit.
-   Overlong Huffman depths (very skewed histograms) are repaired with a
-   Kraft-sum fix-up, the same strategy zlib uses.
+   ``max_len`` (default 16) so decoding can use a single dense lookup
+   table — ``2**longest_code`` entries, at most ``2**max_len`` — instead
+   of walking a tree bit by bit.  Overlong Huffman depths (very skewed
+   histograms) are repaired with a Kraft-sum fix-up, the same strategy
+   zlib uses.
 
 2. **Lockstep block decoding.**  Variable-length decoding is sequential by
    nature; we break the sequential chain by recording the *bit offset of
@@ -17,6 +18,16 @@ pure-NumPy implementation fast:
    per block as a whole-array gather — turning an O(n) Python loop into
    O(block_size) rounds of vectorized work over ``n/block_size`` lanes.
    With ``block_size ~ sqrt(n)`` both factors stay small.
+
+3. **Lanes from many streams share the rounds.**  The fixed cost of a
+   round (a handful of NumPy calls) does not depend on the lane count, so
+   a 4096-symbol stream — 64 lanes × 64 rounds — is almost pure call
+   overhead.  :func:`decode_many` therefore decodes a *set* of streams
+   with the same symbol count and block size in one schedule: their
+   payloads sit behind one bit window, their decode tables are
+   concatenated, every lane carries its stream's table base and peek
+   shift, and all lanes of all streams advance in the same rounds.
+   :meth:`HuffmanCodec.decode` is the batch of one.
 
 The offsets cost 8 bytes per block (< 0.5% overhead for the default block
 size) and are accounted for in the compressed size.
@@ -38,13 +49,17 @@ from repro.sz.bitstream import (
     window_words,
 )
 
-#: Default cap on codeword length; the decode table is ``2**DEFAULT_MAX_LEN``
-#: entries (65536 at 16 → ~768 KB of int32/int64 tables).
+#: Default cap on codeword length.  The decode table has ``2**longest_code``
+#: entries of 12 bytes (int32 symbol + int64 length), so the cap bounds it
+#: at 65536 entries (768 KB); the 16³-brick streams of a bricked level
+#: have 8–13-bit longest codes (12 typically), i.e. 48 KB tables.
 DEFAULT_MAX_LEN = 16
 
-#: Bound on the decoder-codec LRU cache (:meth:`HuffmanCodec.cached`).  At
-#: the default ``max_len=16`` each cached codec holds ~768 KB of decode
-#: tables, so the cache tops out around 24 MB.
+#: Bound on the decoder-codec LRU cache (:meth:`HuffmanCodec.cached`).  A
+#: cached codec holds its code lengths (1 byte per alphabet symbol, 8 KB at
+#: the default radius) plus its ``2**longest_code``-entry decode table, so
+#: the cache tops out at 32 × (8 KB + 768 KB) ≈ 25 MB when every code
+#: reaches ``max_len=16`` and stays near 2 MB on brick streams.
 DECODE_CACHE_SIZE = 32
 
 #: Bounds on the adaptive decode block size.
@@ -211,16 +226,33 @@ class HuffmanCodec:
         self.lengths = np.asarray(code_lengths, dtype=np.uint8)
         if self.lengths.ndim != 1:
             raise ValueError("code_lengths must be one-dimensional")
-        present = np.flatnonzero(self.lengths)
-        self.max_len = int(max_len if max_len is not None else (self.lengths.max() if present.size else 1))
-        if present.size and int(self.lengths[present].max()) > self.max_len:
+        present = np.nonzero(self.lengths != 0)[0]
+        plens = self.lengths[present].astype(np.int64)
+        longest = int(plens.max()) if present.size else 0
+        self.max_len = int(max_len if max_len is not None else max(longest, 1))
+        if longest > self.max_len:
             raise ValueError("code length exceeds declared max_len")
-        kraft = float(np.sum(np.ldexp(1.0, -self.lengths[present].astype(np.int64)))) if present.size else 0.0
+        kraft = float(np.sum(np.ldexp(1.0, -plens)))
         if kraft > 1.0 + 1e-12:
             raise ValueError(f"code lengths violate the Kraft inequality (sum={kraft})")
-        self.codes = canonical_codes(self.lengths)
+        #: Longest code present: decode peeks this many bits, so the dense
+        #: table has ``2**table_bits`` entries however high ``max_len`` is.
+        self.table_bits = max(longest, 1)
+        # Canonical order (by length, ties by symbol): ``present`` ascends,
+        # so a stable sort on the lengths alone yields it.
+        order = np.argsort(plens, kind="stable")
+        self._canon_syms = present[order]
+        self._canon_lens = plens[order]
+        self._codes: np.ndarray | None = None
         self._table_sym: np.ndarray | None = None
         self._table_len: np.ndarray | None = None
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Canonical codewords per symbol (built on first use: encode only)."""
+        if self._codes is None:
+            self._codes = canonical_codes(self.lengths)
+        return self._codes
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -278,7 +310,7 @@ class HuffmanCodec:
 
     # -- decode ----------------------------------------------------------
     def _build_table(self) -> None:
-        """Materialize the dense ``2**max_len`` peek → (symbol, len) table.
+        """Materialize the dense ``2**table_bits`` peek → (symbol, len) table.
 
         Canonical codes occupy a single contiguous run of code space
         starting at 0 (each code's ``[lo, hi)`` table interval abuts the
@@ -286,175 +318,243 @@ class HuffmanCodec:
         per-symbol Python loop.  Any unassigned slack past the Kraft sum
         stays zero (length 0 marks undecodable space).
         """
-        size = 1 << self.max_len
+        width = self.table_bits
+        size = 1 << width
         table_sym = np.zeros(size, dtype=np.int32)
         # int64 lengths so ``positions += lens`` in decode needs no cast.
         table_len = np.zeros(size, dtype=np.int64)
-        present = np.flatnonzero(self.lengths)
-        if present.size:
-            plens = self.lengths[present].astype(np.int64)
-            order = np.lexsort((present, plens))
-            syms = present[order]
-            lens_sorted = plens[order]
-            spans = np.int64(1) << (self.max_len - lens_sorted)
-            used = int(spans.sum())
-            table_sym[:used] = np.repeat(syms.astype(np.int32), spans)
-            table_len[:used] = np.repeat(lens_sorted, spans)
+        spans = np.int64(1) << (width - self._canon_lens)
+        used = int(spans.sum())
+        table_sym[:used] = np.repeat(self._canon_syms.astype(np.int32), spans)
+        table_len[:used] = np.repeat(self._canon_lens, spans)
         self._table_sym = table_sym
         self._table_len = table_len
 
     def decode(self, encoded: HuffmanEncoded) -> np.ndarray:
         """Decode a stream produced by :meth:`encode` back to symbols."""
-        n = encoded.n_symbols
-        out_dtype = np.int32
-        if n == 0:
-            return np.zeros(0, dtype=out_dtype)
-        if self._table_sym is None:
-            self._build_table()
-        buf = as_peekable(encoded.payload)
-        block = encoded.block_size
-        n_blocks = encoded.block_offsets.size
-        expected_blocks = -(-n // block)
-        if n_blocks != expected_blocks:
-            raise ValueError("block offset table does not match symbol count")
-        tail = n - block * (n_blocks - 1)  # symbols in the (ragged) last block
-        offsets = encoded.block_offsets.astype(np.int64)
-        # Round-major layout: each round writes one contiguous row (a
-        # strided column write is ~40% slower per np.take); the stitch at
-        # the end transposes back to block-major stream order.
-        out = np.empty((block, n_blocks), dtype=out_dtype)
-        width = self.max_len
-        # One big-endian 32-bit window per byte offset: each round's peek
-        # is a single gather plus two shifts.  Payloads too large to
-        # window in one array are decoded in contiguous lane chunks, each
-        # with a window over its own byte span, so snapshot-scale streams
-        # keep the one-gather fast path.  Widths over 24 bits cannot use
-        # the 32-bit window (phase 7 + width must fit); that path falls
-        # back to 4-byte-gather peeks and raises peek_bits' width error,
-        # as decode always has.
-        limit = bitstream.WINDOW_WORDS_LIMIT
-        n_chunks = -(-buf.size // max(limit, 1))
-        if width > 24:
-            self._decode_span(buf, None, offsets.copy(), out, 0, n_blocks, tail)
-        elif buf.size <= limit:
-            self._decode_span(
-                buf, window_words(buf), offsets.copy(), out, 0, n_blocks, tail
-            )
-        elif n_blocks // n_chunks >= _MIN_CHUNK_LANES:
-            self._decode_chunked(buf, encoded.total_bits, offsets, out, tail, limit)
+        return decode_many([self], [encoded])[0]
+
+
+@dataclass(frozen=True)
+class _LaneTables:
+    """Decode tables of a lane span: one table, or several concatenated.
+
+    ``base`` and ``down`` (the ``32 - table_bits`` peek shift) are scalars
+    when every lane decodes under the same table and per-lane arrays when
+    the span mixes streams with different codes.
+    """
+
+    sym: np.ndarray
+    len: np.ndarray
+    base: np.ndarray | None
+    down: np.ndarray | np.uint32
+
+
+def decode_many(codecs, streams) -> np.ndarray:
+    """Decode streams of equal symbol count and block size in one pass.
+
+    ``codecs[i]`` decodes ``streams[i]``; the same codec object may serve
+    several streams (shared-table levels) and then contributes its table
+    once.  Returns an ``(n_streams, n_symbols)`` int32 array.  All lanes
+    of all streams advance in the same ``block_size`` lockstep rounds, so
+    the per-round call overhead is paid once per batch, not per stream.
+    """
+    n_streams = len(streams)
+    n, block = streams[0].n_symbols, streams[0].block_size
+    if any(e.n_symbols != n or e.block_size != block for e in streams):
+        raise ValueError("streams of one decode batch must share n_symbols and block_size")
+    if n == 0:
+        return np.zeros((n_streams, 0), dtype=np.int32)
+    if block < 1:
+        raise ValueError("block_size must be positive")
+    n_blocks = -(-n // block)
+    if any(e.block_offsets.size != n_blocks for e in streams):
+        raise ValueError("block offset table does not match symbol count")
+    if max(codec.table_bits for codec in codecs) > 24:
+        # Phase 7 + width must fit the 32-bit window (and peek_bits' gather).
+        raise ValueError("peek width must be in [1, 24]")
+    limit = bitstream.WINDOW_WORDS_LIMIT
+    if n_streams > 1 and sum(len(e.payload) for e in streams) + 4 > limit:
+        # Only single streams get the chunked-window treatment.
+        return np.concatenate([decode_many([c], [e]) for c, e in zip(codecs, streams)])
+
+    # Every lane is one block.  The ragged last block of each stream (if
+    # any) goes to the end of the lane order, so that after ``tail``
+    # rounds the active set shrinks to a contiguous prefix.
+    tail = n - block * (n_blocks - 1)
+    n_tail = n_streams if tail < block else 0
+    full = n_blocks - 1 if n_tail else n_blocks  # whole blocks per stream
+
+    def per_lane(per_stream) -> np.ndarray:
+        values = np.asarray(per_stream)
+        lanes = np.repeat(values, full)
+        return np.concatenate([lanes, values]) if n_tail else lanes
+
+    tables: dict[int, HuffmanCodec] = {id(codec): codec for codec in codecs}
+    for codec in tables.values():
+        if codec._table_sym is None:
+            codec._build_table()
+    if len(tables) == 1:
+        only = codecs[0]
+        lane_tables = _LaneTables(
+            only._table_sym, only._table_len, None, np.uint32(32 - only.table_bits)
+        )
+    else:
+        sizes = [codec._table_sym.size for codec in tables.values()]
+        base_of = dict(zip(tables, np.cumsum([0] + sizes[:-1]).tolist()))
+        lane_tables = _LaneTables(
+            np.concatenate([codec._table_sym for codec in tables.values()]),
+            np.concatenate([codec._table_len for codec in tables.values()]),
+            per_lane([base_of[id(codec)] for codec in codecs]).astype(np.uint32),
+            per_lane([32 - codec.table_bits for codec in codecs]).astype(np.uint32),
+        )
+
+    buf = as_peekable(*(e.payload for e in streams))
+    offsets = np.stack([e.block_offsets for e in streams]).astype(np.int64)
+    starts = np.cumsum([0] + [len(e.payload) for e in streams[:-1]])
+    offsets += (starts * 8)[:, None]
+    positions = (
+        np.concatenate([offsets[:, :-1].ravel(), offsets[:, -1]])
+        if n_tail else offsets.ravel()
+    )
+    # Round-major layout: each round writes one contiguous row (a
+    # strided column write is ~40% slower per np.take); the stitch at
+    # the end transposes back to block-major stream order.
+    out = np.empty((block, positions.size), dtype=np.int32)
+    # One big-endian 32-bit window per byte offset: each round's peek
+    # is a single gather plus two shifts.  A single stream too large to
+    # window in one array is decoded in contiguous lane chunks, each
+    # with a window over its own byte span, so snapshot-scale streams
+    # keep the one-gather fast path.
+    if buf.size <= limit:
+        _decode_span(
+            buf, window_words(buf), positions, out, 0, positions.size, tail, n_tail, lane_tables
+        )
+    elif n_blocks // -(-buf.size // max(limit, 1)) >= _MIN_CHUNK_LANES:
+        _decode_chunked(buf, streams[0].total_bits, positions, out, tail, limit, lane_tables)
+    else:
+        # Too few lanes per chunk for the chunked windows to pay off —
+        # the whole-stream 4-gather peek keeps a single round schedule.
+        _decode_span(buf, None, positions, out, 0, n_blocks, tail, n_tail, lane_tables)
+    # Stitch rounds back into block-major stream order, trimming the
+    # ragged tails (the transpose's reshape is the single copy).
+    n_full = n_streams * full
+    symbols = out[:, :n_full].T.reshape(n_streams, full * block)
+    if n_tail:
+        symbols = np.concatenate([symbols, out[:tail, n_full:].T], axis=1)
+    return symbols
+
+
+def _decode_chunked(
+    buf: np.ndarray,
+    total_bits: int,
+    offsets: np.ndarray,
+    out: np.ndarray,
+    tail: int,
+    limit: int,
+    tables: _LaneTables,
+) -> None:
+    """Windowed decode in lane chunks for one over-limit payload.
+
+    Blocks are contiguous in the bit stream, so a contiguous lane
+    span ``[i, j)`` only touches payload bytes between its first
+    block's start and its last block's end — both known from the
+    block-offset table before any decoding.  Each chunk builds a
+    32-bit window over just its byte span (positions rebased to the
+    slice), bounding window memory by ``limit`` while every round
+    stays a single gather.  A single block whose own span exceeds the
+    limit (pathological block sizes) degrades to 4-byte-gather peeks
+    for that chunk alone.
+    """
+    n_blocks = offsets.size
+    block = out.shape[0]
+    ends = np.empty(n_blocks, dtype=np.int64)
+    ends[:-1] = offsets[1:]
+    ends[-1] = total_bits
+    start = 0
+    while start < n_blocks:
+        lo_byte = int(offsets[start]) >> 3
+        # Largest j with the span's window (end byte + 4-byte gather
+        # slack, rebased to lo_byte) within the limit.
+        j = int(np.searchsorted(ends, (lo_byte + limit - 4) * 8, side="right"))
+        j = min(max(j, start + 1), n_blocks)
+        ragged = int(j == n_blocks and tail < block)
+        positions = offsets[start:j].copy()
+        hi_byte = (int(ends[j - 1]) + 7) >> 3
+        if j == start + 1 and hi_byte + 4 - lo_byte > limit:
+            words = None
         else:
-            # Too few lanes per chunk for the chunked windows to pay off —
-            # the whole-stream 4-gather peek keeps a single round schedule.
-            self._decode_span(buf, None, offsets.copy(), out, 0, n_blocks, tail)
-        # Stitch rounds back into block-major stream order, trimming the
-        # ragged tail (the transpose's reshape is the single copy).
-        if tail == block:
-            return out.T.reshape(-1)
-        head = out[:, :-1].T.reshape(-1)
-        return np.concatenate([head, out[:tail, -1]])
+            words = window_words(buf[lo_byte : hi_byte + 4])
+            positions -= lo_byte << 3
+        _decode_span(buf, words, positions, out, start, j - start, tail, ragged, tables)
+        start = j
 
-    def _decode_chunked(
-        self,
-        buf: np.ndarray,
-        total_bits: int,
-        offsets: np.ndarray,
-        out: np.ndarray,
-        tail: int,
-        limit: int,
-    ) -> None:
-        """Windowed decode in lane chunks for over-limit payloads.
 
-        Blocks are contiguous in the bit stream, so a contiguous lane
-        span ``[i, j)`` only touches payload bytes between its first
-        block's start and its last block's end — both known from the
-        block-offset table before any decoding.  Each chunk builds a
-        32-bit window over just its byte span (positions rebased to the
-        slice), bounding window memory by ``limit`` while every round
-        stays a single gather.  A single block whose own span exceeds the
-        limit (pathological block sizes) degrades to 4-byte-gather peeks
-        for that chunk alone.
-        """
-        n_blocks = offsets.size
-        block = out.shape[0]
-        ends = np.empty(n_blocks, dtype=np.int64)
-        ends[:-1] = offsets[1:]
-        ends[-1] = total_bits
-        start = 0
-        while start < n_blocks:
-            lo_byte = int(offsets[start]) >> 3
-            # Largest j with the span's window (end byte + 4-byte gather
-            # slack, rebased to lo_byte) within the limit.
-            j = int(np.searchsorted(ends, (lo_byte + limit - 4) * 8, side="right"))
-            j = min(max(j, start + 1), n_blocks)
-            span_tail = tail if j == n_blocks else block
-            positions = offsets[start:j].copy()
-            hi_byte = (int(ends[j - 1]) + 7) >> 3
-            if j == start + 1 and hi_byte + 4 - lo_byte > limit:
-                self._decode_span(buf, None, positions, out, start, j - start, span_tail)
-            else:
-                words = window_words(buf[lo_byte : hi_byte + 4])
-                positions -= lo_byte << 3
-                self._decode_span(buf, words, positions, out, start, j - start, span_tail)
-            start = j
+def _decode_span(
+    buf: np.ndarray,
+    words: np.ndarray | None,
+    positions: np.ndarray,
+    out: np.ndarray,
+    lane0: int,
+    m0: int,
+    tail_rounds: int,
+    n_tail: int,
+    tables: _LaneTables,
+) -> None:
+    """Lockstep rounds over the contiguous lane span ``[lane0, lane0+m0)``.
 
-    def _decode_span(
-        self,
-        buf: np.ndarray,
-        words: np.ndarray | None,
-        positions: np.ndarray,
-        out: np.ndarray,
-        lane0: int,
-        m0: int,
-        tail_rounds: int,
-    ) -> None:
-        """Lockstep rounds over the contiguous lane span ``[lane0, lane0+m0)``.
-
-        Every active lane decodes one symbol per round via whole-array
-        gathers.  The schedule is known up front: all lanes run for
-        ``tail_rounds`` rounds, then the span's last lane drops out (it is
-        the stream's ragged final block) and the remaining contiguous
-        prefix runs to the full block length — no per-round active-set
-        scan.  Spans that do not contain the ragged block pass
-        ``tail_rounds == block`` and never shrink.  ``positions`` must be
-        rebased to ``words``' byte origin when a sliced window is used.
-        """
-        table_sym, table_len = self._table_sym, self._table_len
-        block = out.shape[0]
-        width = self.max_len
-        down = np.uint32(32 - width)
-        # Reused per-round scratch (views shrink with the active lane set).
-        byte_idx = np.empty(m0, dtype=np.int64)
-        peeks = np.empty(m0, dtype=np.uint32)
-        phase = np.empty(m0, dtype=np.uint32)
-        lens = np.empty(m0, dtype=np.int64)
-        m = m0
-        pos_v = positions
-        bidx_v, peek_v, ph_v, lens_v = byte_idx, peeks, phase, lens
-        for r in range(block):
-            if r == tail_rounds:  # only reachable when tail_rounds < block
-                if m == 1:
-                    break
-                m -= 1
-                pos_v = positions[:m]
-                bidx_v, peek_v = byte_idx[:m], peeks[:m]
-                ph_v, lens_v = phase[:m], lens[:m]
-            np.right_shift(pos_v, 3, out=bidx_v)
-            np.bitwise_and(pos_v, 7, out=ph_v, casting="unsafe")
-            if words is not None:
-                # mode="clip" clamps like peek_bits: corrupt/oversized
-                # offsets read the window's final words (and fail the
-                # unassigned-space check below on the zero padding)
-                # instead of raising IndexError.
-                np.take(words, bidx_v, out=peek_v, mode="clip")
-                np.left_shift(peek_v, ph_v, out=peek_v)
-                np.right_shift(peek_v, down, out=peek_v)
-            else:
-                peek_v[...] = peek_bits(buf, pos_v, width)
-            np.take(table_len, peek_v, out=lens_v)
-            if not int(lens_v.min()):
-                raise ValueError("corrupt Huffman stream (unassigned code space)")
-            np.take(table_sym, peek_v, out=out[r, lane0 : lane0 + m])
-            pos_v += lens_v
+    Every active lane decodes one symbol per round via whole-array
+    gathers.  The schedule is known up front: all lanes run for
+    ``tail_rounds`` rounds, then the span's last ``n_tail`` lanes drop
+    out (the ragged final blocks of its streams) and the remaining
+    contiguous prefix runs to the full block length — no per-round
+    active-set scan.  Spans without ragged blocks pass ``n_tail == 0``
+    and never shrink.  ``positions`` (advanced in place) must be rebased
+    to ``words``' byte origin when a sliced window is used; ``words is
+    None`` peeks ``buf`` with 4-byte gathers and needs a single table.
+    """
+    table_sym, table_len = tables.sym, tables.len
+    base, down = tables.base, tables.down
+    per_lane = base is not None
+    block = out.shape[0]
+    # Reused per-round scratch (views shrink with the active lane set).
+    byte_idx = np.empty(m0, dtype=np.int64)
+    peeks = np.empty(m0, dtype=np.uint32)
+    phase = np.empty(m0, dtype=np.uint32)
+    lens = np.empty(m0, dtype=np.int64)
+    m = m0
+    pos_v = positions
+    bidx_v, peek_v, ph_v, lens_v = byte_idx, peeks, phase, lens
+    base_v, down_v = base, down
+    for r in range(block):
+        if r == tail_rounds and n_tail:
+            if m == n_tail:
+                break
+            m -= n_tail
+            pos_v = positions[:m]
+            bidx_v, peek_v = byte_idx[:m], peeks[:m]
+            ph_v, lens_v = phase[:m], lens[:m]
+            if per_lane:
+                base_v, down_v = base[:m], down[:m]
+        np.right_shift(pos_v, 3, out=bidx_v)
+        np.bitwise_and(pos_v, 7, out=ph_v, casting="unsafe")
+        if words is not None:
+            # mode="clip" clamps like peek_bits: corrupt/oversized
+            # offsets read the window's final words (and fail the
+            # unassigned-space check below on the zero padding)
+            # instead of raising IndexError.
+            np.take(words, bidx_v, out=peek_v, mode="clip")
+            np.left_shift(peek_v, ph_v, out=peek_v)
+            np.right_shift(peek_v, down_v, out=peek_v)
+            if per_lane:
+                np.add(peek_v, base_v, out=peek_v)
+        else:
+            peek_v[...] = peek_bits(buf, pos_v, 32 - int(down))
+        np.take(table_len, peek_v, out=lens_v)
+        if not int(lens_v.min()):
+            raise ValueError("corrupt Huffman stream (unassigned code space)")
+        np.take(table_sym, peek_v, out=out[r, lane0 : lane0 + m])
+        pos_v += lens_v
 
 
 class SharedHuffmanTable:

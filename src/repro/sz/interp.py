@@ -151,55 +151,74 @@ def interp_compress(data: np.ndarray, abs_eb: float) -> np.ndarray:
     return np.concatenate(codes)
 
 
-def interp_decompress(codes: np.ndarray, abs_eb: float, shape: tuple[int, ...]) -> np.ndarray:
-    """Reconstruct the array from :func:`interp_compress` codes."""
-    abs_eb = check_error_bound(abs_eb)
+def interp_decompress(codes: np.ndarray, abs_eb, shape: tuple[int, ...]) -> np.ndarray:
+    """Reconstruct the array from :func:`interp_compress` codes.
+
+    A 2-D ``codes`` array is a batch of same-shape streams, one per row,
+    with ``abs_eb`` the matching sequence of bounds; the result then has
+    a leading stream axis.  The traversal runs once for the whole batch
+    and every float operation stays elementwise (each stream's pitch
+    broadcasts down its row), so row ``i`` is bit-identical to decoding
+    ``codes[i]`` on its own.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    batched = codes.ndim == 2
+    ebs = np.atleast_1d(np.asarray(abs_eb, dtype=np.float64))
+    for eb in ebs:
+        check_error_bound(float(eb))
     shape = tuple(int(dim) for dim in shape)
     ndim = len(shape)
     if ndim not in (1, 2, 3, 4):
         raise ValueError(f"interpolation predictor supports 1-4D, got {ndim}D")
+    if not batched:
+        codes = codes.reshape(1, -1)
+    n_streams = codes.shape[0]
+    if ebs.size != n_streams:
+        raise ValueError(f"expected {n_streams} error bounds, got {ebs.size}")
     size = int(np.prod(shape)) if shape else 0
     if size == 0:
-        return np.zeros(shape, dtype=np.float64)
-    codes = np.asarray(codes, dtype=np.int64).ravel()
-    if codes.size != size:
-        raise ValueError(f"expected {size} codes for shape {shape}, got {codes.size}")
-    spatial_axes = range(1, ndim) if ndim == 4 else range(ndim)
-    pitch = 2.0 * abs_eb
-    n_levels = _levels_for(shape, spatial_axes)
+        recon = np.zeros((n_streams,) + shape, dtype=np.float64)
+        return recon if batched else recon[0]
+    if codes.shape[1] != size:
+        raise ValueError(f"expected {size} codes for shape {shape}, got {codes.shape[1]}")
+    # Axis 0 is the stream axis from here on; a 4D stream's own leading
+    # axis (its stacked sub-blocks) is the next one and is not spatial.
+    full = (n_streams,) + shape
+    spatial_axes = range(2, ndim + 1) if ndim == 4 else range(1, ndim + 1)
+    pitch = (2.0 * ebs).reshape((n_streams,) + (1,) * ndim)
+    n_levels = _levels_for(full, spatial_axes)
     stride = 1 << n_levels
 
-    recon = np.zeros(shape, dtype=np.float64)
+    recon = np.zeros(full, dtype=np.float64)
     cursor = 0
 
-    anchor_ix: list[slice] = [slice(None)] * ndim
+    anchor_ix: list[slice] = [slice(None)] * (ndim + 1)
     for ax in spatial_axes:
         anchor_ix[ax] = slice(0, None, stride)
     anchor_ix = tuple(anchor_ix)
     anchor_shape = recon[anchor_ix].shape
-    n_anchor = int(np.prod(anchor_shape))
-    lattice = np.cumsum(codes[cursor : cursor + n_anchor])
+    n_anchor = int(np.prod(anchor_shape[1:]))
+    lattice = np.cumsum(codes[:, cursor : cursor + n_anchor], axis=1)
     cursor += n_anchor
-    recon[anchor_ix] = (lattice.astype(np.float64) * pitch).reshape(anchor_shape)
+    recon[anchor_ix] = lattice.astype(np.float64).reshape(anchor_shape) * pitch
 
     for m in range(n_levels, 0, -1):
         s = 1 << m
         h = s >> 1
         for axis in spatial_axes:
-            plan = _pass_slices(shape, spatial_axes, axis, s, h)
+            plan = _pass_slices(full, spatial_axes, axis, s, h)
             if plan is None:
                 continue
             new_ix, left_ix, right_ix = plan
             pred = _predict(recon, new_ix, left_ix, right_ix, axis)
-            n_new = int(np.prod(pred.shape))
-            resid = codes[cursor : cursor + n_new].reshape(pred.shape)
-            cursor += n_new
+            n_new = int(np.prod(pred.shape[1:]))
             # Dequantize into one scratch buffer and accumulate onto the
             # owned prediction in place (same float ops, fewer temporaries).
-            scratch = resid.astype(np.float64)
+            scratch = codes[:, cursor : cursor + n_new].astype(np.float64).reshape(pred.shape)
+            cursor += n_new
             scratch *= pitch
             pred += scratch
             recon[new_ix] = pred
-    if cursor != codes.size:
+    if cursor != size:
         raise ValueError("code stream length mismatch (corrupt stream)")
-    return recon
+    return recon if batched else recon[0]

@@ -130,12 +130,23 @@ def pack_meta(
 
 
 def unpack_meta(raw: bytes) -> dict:
-    """Parse SEC_META back into a parameter dict."""
+    """Parse SEC_META back into a parameter dict.
+
+    Rejects records no writer produces (wrong length, zero block size, a
+    code-length cap outside the decoder's ``[2, 24]``) with ``ValueError``.
+    """
+    layout = "<IBBIQQQ"
+    if len(raw) != struct.calcsize(layout):
+        raise ValueError(f"malformed codec-parameter record ({len(raw)} bytes)")
     radius, max_len, pred_code, block_size, total_bits, n_symbols, n_outliers = struct.unpack(
-        "<IBBIQQQ", raw
+        layout, raw
     )
     if pred_code not in _CODE_PREDICTORS:
         raise ValueError(f"unknown predictor code {pred_code}")
+    if block_size < 1:
+        raise ValueError("codec-parameter record has block_size 0")
+    if not 2 <= max_len <= 24:
+        raise ValueError(f"codec-parameter record has max_len {max_len} outside [2, 24]")
     return {
         "radius": radius,
         "max_len": max_len,

@@ -188,3 +188,22 @@ def golden_timestep_series(steps: int = 3, n: int = 8) -> list:
             )
         )
     return series
+
+
+def reserialize_stream(blob: bytes, replace: dict) -> bytes:
+    """An SZ stream re-serialised with some sections swapped out.
+
+    ``replace`` maps a section tag to its new raw bytes (stored with the
+    raw lossless codec) or to ``None`` to drop the section — how the
+    hostile-input tests build a well-framed stream around one bad record.
+    """
+    from repro.sz import lossless, stream
+
+    parsed = stream.parse(blob)
+    sections = []
+    for tag, (codec, payload) in parsed.sections.items():
+        if tag not in replace:
+            sections.append((tag, codec, payload))
+        elif replace[tag] is not None:
+            sections.append((tag, lossless.CODEC_RAW, replace[tag]))
+    return stream.serialize(parsed.header, sections)

@@ -30,7 +30,8 @@ from repro.serve import (
     breaking_opener,
     retrying_opener,
 )
-from tests.helpers import two_level_dataset
+from repro.sz import stream
+from tests.helpers import reserialize_stream, two_level_dataset
 
 KEY = "toy/tac"
 #: Level 1 of the toy dataset is brick-chunked (8 bricks of 4³); level 0
@@ -231,6 +232,37 @@ class TestDegradedReads:
             assert elapsed < 1.5
             assert stats.degraded and stats.errors
             assert {row["kind"] for row in stats.errors} == {"timeout"}
+
+    def test_two_undecodable_bricks_in_one_batch_fill_exactly_their_boxes(
+        self, tmp_path, baseline
+    ):
+        # The damage is inside the SZ streams (code lengths that violate
+        # Kraft) and was archived as such, so every CRC passes and the
+        # failure surfaces in the lockstep decode of the batch all eight
+        # bricks share.  It must land on the two bad bricks alone.
+        tac = TACCompressor(brick_size=4)
+        comp = tac.compress(two_level_dataset(n=16, seed=5), 1e-3, mode="abs")
+        bad = ["L1/b2", "L1/b5"]
+        for name in bad:
+            comp.parts[name] = reserialize_stream(
+                comp.parts[name], {stream.SEC_CODE_LENGTHS: bytes([1]) * 8193}
+            )
+        archive = BatchArchive()
+        archive.add(KEY, comp)
+        archive.save_sharded(tmp_path / "bad.rpbt", shard_size=4096)
+        with ArchiveReader(tmp_path / "bad.rpbt", cache_bytes=0, fill_value=-1.0) as reader:
+            lvl, stats = reader.read_level(KEY, BRICK_LEVEL, degraded=True)
+            assert [row["unit"] for row in stats.errors] == bad
+            assert {row["kind"] for row in stats.errors} == {"io"}
+            assert all("Kraft" in row["error"] for row in stats.errors)
+            filled = np.zeros(lvl.data.shape, dtype=bool)
+            for row in stats.errors:
+                filled[tuple(slice(lo, hi) for lo, hi in row["box"])] = True
+            assert filled.sum() == 2 * 4**3
+            assert np.all(lvl.data[filled] == -1.0)
+            np.testing.assert_array_equal(lvl.data[~filled], baseline[~filled])
+            with pytest.raises(ValueError, match="Kraft"):
+                reader.read_level(KEY, BRICK_LEVEL)
 
     def test_boxless_unit_failure_still_raises(self, head, spans):
         # Level 0 is group-coded: its units carry no box, so there is no

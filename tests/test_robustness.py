@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.baselines.zmesh import level_traversal_keys, zmesh_order
 from repro.core.container import CompressedDataset
 from repro.core.tac import TACCompressor
-from tests.helpers import two_level_dataset
+from repro.sz import stream
+from repro.sz.compressor import SZCompressor
+from tests.helpers import reserialize_stream, smooth_cube, two_level_dataset
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,50 @@ class TestFailureInjection:
         with pytest.raises(ValueError, match="tile the domain"):
             recon = tac.decompress(partial)
             recon.validate()
+
+
+class TestHostileStreamMeta:
+    """A well-framed SZ stream around one bad ``SEC_META`` record.
+
+    The parser contract is ``ValueError`` only: before the record was
+    validated, ``block_size == 0`` surfaced as ``ZeroDivisionError`` from
+    the block-count arithmetic and a short record as ``struct.error``.
+    """
+
+    @pytest.fixture(scope="class")
+    def good(self):
+        codec = SZCompressor()
+        blob = codec.compress(smooth_cube(8), 1e-3, "abs")
+        meta = stream.unpack_meta(stream.parse(blob).section(stream.SEC_META)[1])
+        return codec, blob, meta
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("block_size", 0, "block_size"),
+            ("max_len", 0, "max_len"),
+            ("max_len", 1, "max_len"),
+            ("max_len", 25, "max_len"),
+        ],
+    )
+    def test_out_of_range_field_is_a_value_error(self, good, field, value, match):
+        codec, blob, meta = good
+        record = stream.pack_meta(**{**meta, field: value})
+        with pytest.raises(ValueError, match=match):
+            codec.decompress(reserialize_stream(blob, {stream.SEC_META: record}))
+
+    @pytest.mark.parametrize("keep", [0, 5, 33, 35])
+    def test_wrong_length_record_is_a_value_error(self, good, keep):
+        codec, blob, meta = good
+        record = (stream.pack_meta(**meta) + b"\0")[:keep]
+        assert len(record) != len(stream.pack_meta(**meta))
+        with pytest.raises(ValueError, match="codec-parameter record"):
+            codec.decompress(reserialize_stream(blob, {stream.SEC_META: record}))
+
+    def test_good_record_still_round_trips(self, good):
+        codec, blob, meta = good
+        same = reserialize_stream(blob, {stream.SEC_META: stream.pack_meta(**meta)})
+        assert np.array_equal(codec.decompress(same), codec.decompress(blob))
 
 
 class TestZMeshProperties:

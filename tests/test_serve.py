@@ -41,12 +41,14 @@ from repro.baselines.zmesh import ZMeshCompressor
 from repro.engine import LazyBatchArchive, ShardedArchiveWriter, default_shard_opener
 from repro.serve import (
     ArchiveReader,
+    DeadlineExceeded,
     DecodedBrickCache,
     FetchStats,
     PrefetchPipeline,
     RetryPolicy,
     retrying_opener,
 )
+from repro.sz.compressor import SZCompressor
 from tests.helpers import two_level_dataset
 
 EB = 1e-3
@@ -753,6 +755,53 @@ class TestPrefetchPipeline:
         assert len(results) == 4
         assert stats.n_fetches == 4
         assert stats.overlapped(), "decode never overlapped in-flight fetches"
+
+    def test_each_stream_batch_is_its_own_decode_task(self):
+        """A landing's SZ streams go to the decode pool batch by batch —
+        fetched on the pool threads — and a deadline fails only the batch
+        still running."""
+        sz = SZCompressor()
+        rng = np.random.default_rng(7)
+        blobs = {
+            "fast0": sz.compress(rng.random((8, 8, 8)), 1e-3),
+            "fast1": sz.compress(rng.random((8, 8, 8)), 1e-3),
+            "slow0": sz.compress(rng.random((4, 4, 4)), 1e-3),
+            "slow1": sz.compress(rng.random((4, 4, 4)), 1e-3),
+        }
+        index, offset = {}, 0
+        for name, blob in blobs.items():
+            index[name] = (offset, len(blob))
+            offset += len(blob)
+        store = LazyPartStore(CountingSource(b"".join(blobs.values())), index)
+        fetch_threads = []
+
+        def getter(name):
+            def fetch():
+                fetch_threads.append(threading.current_thread().name)
+                if name.startswith("slow"):
+                    time.sleep(0.6)
+                return store[name]
+
+            return fetch
+
+        units = [
+            DecodeUnit(
+                name, 0, (name,), None, sz_blob=getter(name),
+                sz_shape=(8, 8, 8) if name.startswith("fast") else (4, 4, 4),
+            )
+            for name in blobs
+        ]
+        with PrefetchPipeline(io_workers=1, decode_workers=2) as pipeline:
+            results, stats = pipeline.execute(
+                store, units, deadline=0.3, allow_partial=True
+            )
+        assert all(name.startswith("serve-decode") for name in fetch_threads)
+        assert set(results) == {"fast0", "fast1"}
+        np.testing.assert_array_equal(results["fast1"], sz.decompress(blobs["fast1"]))
+        assert set(stats.unit_errors) == {"slow0", "slow1"}
+        assert all(
+            isinstance(exc, DeadlineExceeded) for exc in stats.unit_errors.values()
+        )
 
     def test_failed_fetch_discards_staged(self):
         src = CountingSource(bytes(512), fail_first=0)

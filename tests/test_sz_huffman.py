@@ -9,6 +9,7 @@ from repro.sz.huffman import (
     DECODE_CACHE_SIZE,
     HuffmanCodec,
     canonical_codes,
+    decode_many,
     decode_table_cache_clear,
     decode_table_cache_info,
     default_block_size,
@@ -476,3 +477,77 @@ class TestDecodeCacheThreadSafety:
         after = HuffmanCodec.cached(enc_codec.lengths, enc_codec.max_len)
         assert before is not after  # cleared entry really was dropped
         assert np.array_equal(before.decode(encoded), after.decode(encoded))
+
+
+class TestDecodeMany:
+    """Lanes of many streams share the lockstep rounds."""
+
+    @staticmethod
+    def _streams(rng, n, block, alphabets):
+        codecs, encoded, symbols = [], [], []
+        for alphabet in alphabets:
+            weights = 1.0 / np.arange(1, alphabet + 1) ** 1.5
+            syms = rng.choice(alphabet, size=n, p=weights / weights.sum())
+            codec = HuffmanCodec.from_symbols(syms, alphabet_size=alphabet)
+            codecs.append(codec)
+            encoded.append(codec.encode(syms, block_size=block))
+            symbols.append(syms)
+        return codecs, encoded, np.stack(symbols)
+
+    @pytest.mark.parametrize("n, block", [(4096, 64), (4100, 64), (63, 64), (1000, 7)])
+    def test_mixed_tables_match_single_decodes(self, rng, n, block):
+        # Alphabets from 2 to 600 symbols: table widths from 1 bit upward.
+        codecs, encoded, symbols = self._streams(rng, n, block, [2, 600, 9, 64, 3])
+        assert len({codec.table_bits for codec in codecs}) > 2
+        out = decode_many(codecs, encoded)
+        assert out.dtype == np.int32 and out.shape == symbols.shape
+        assert np.array_equal(out, symbols)
+        for row, codec, stream in zip(out, codecs, encoded):
+            assert np.array_equal(row, codec.decode(stream))
+
+    def test_one_codec_object_serves_every_stream(self, rng):
+        syms = rng.integers(0, 40, size=(6, 900))
+        codec = HuffmanCodec.from_symbols(syms.ravel(), alphabet_size=40)
+        encoded = [codec.encode(row, block_size=32) for row in syms]
+        assert np.array_equal(decode_many([codec] * 6, encoded), syms)
+
+    def test_over_limit_batch_decodes_stream_by_stream(self, rng, monkeypatch):
+        from repro.sz import bitstream
+
+        codecs, encoded, symbols = self._streams(rng, 3000, 16, [30, 200, 30])
+        monkeypatch.setattr(bitstream, "WINDOW_WORDS_LIMIT", len(encoded[0].payload) + 8)
+        assert np.array_equal(decode_many(codecs, encoded), symbols)
+
+    def test_rejects_mixed_geometry(self, rng):
+        codecs, encoded, _ = self._streams(rng, 500, 16, [8, 8])
+        other = codecs[0].encode(rng.integers(0, 2, size=400), block_size=16)
+        with pytest.raises(ValueError, match="share n_symbols"):
+            decode_many(codecs, [encoded[0], other])
+
+    def test_corrupt_lane_fails_the_pass(self, rng):
+        codec = HuffmanCodec(np.array([3, 3, 3, 3, 3], dtype=np.uint8))
+        good = [codec.encode(rng.integers(0, 5, size=640), block_size=64) for _ in range(3)]
+        bad = good[1].__class__(
+            payload=b"\xff" * len(good[1].payload),
+            total_bits=good[1].total_bits,
+            block_offsets=good[1].block_offsets,
+            n_symbols=good[1].n_symbols,
+            block_size=good[1].block_size,
+        )
+        with pytest.raises(ValueError, match="unassigned"):
+            decode_many([codec] * 3, [good[0], bad, good[2]])
+
+    def test_table_is_as_wide_as_the_longest_code(self):
+        lengths = huffman_code_lengths(np.array([50, 30, 10, 5, 5]), max_len=16)
+        codec = HuffmanCodec(lengths, max_len=16)
+        assert codec.table_bits == int(lengths.max()) < 16
+        codec._build_table()
+        assert codec._table_sym.size == codec._table_len.size == 1 << codec.table_bits
+        assert HuffmanCodec(np.zeros(4, dtype=np.uint8)).table_bits == 1
+
+    def test_overlong_peek_width_is_rejected(self):
+        lengths = np.array([1] + list(range(2, 26)) + [25], dtype=np.uint8)
+        codec = HuffmanCodec(lengths, max_len=25)
+        encoded = codec.encode(np.array([0, 1, 0]))
+        with pytest.raises(ValueError, match="peek width"):
+            codec.decode(encoded)

@@ -93,3 +93,35 @@ class TestInterpRoundTrip:
         data = rng.standard_normal(shape) * rng.uniform(0.1, 100)
         recon = roundtrip(data, eb)
         assert np.max(np.abs(recon - data)) <= eb * (1 + 1e-9)
+
+
+class TestBatchedDecompress:
+    """A leading stream axis: row ``i`` ≡ decoding ``codes[i]`` alone."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (17,), (5, 9), (8, 8, 8), (13, 6, 21), (3, 4, 4, 4)]
+    )
+    def test_rows_are_bit_identical_to_single_decodes(self, shape, rng):
+        ebs = [1e-3, 2.5e-2, 7e-5, 1e-3]
+        codes = np.stack(
+            [interp_compress(rng.standard_normal(shape) * 10, eb) for eb in ebs]
+        )
+        batch = interp_decompress(codes, ebs, shape)
+        assert batch.shape == (len(ebs),) + shape
+        for row, eb, got in zip(codes, ebs, batch):
+            assert np.array_equal(got, interp_decompress(row, eb, shape))
+
+    def test_one_row_batch_keeps_its_axis(self, rng):
+        codes = interp_compress(rng.standard_normal((6, 6)), 1e-2)
+        batch = interp_decompress(codes[None], [1e-2], (6, 6))
+        assert batch.shape == (1, 6, 6)
+        assert np.array_equal(batch[0], interp_decompress(codes, 1e-2, (6, 6)))
+
+    def test_rejects_mismatched_bounds_and_bad_rows(self):
+        codes = np.zeros((3, 4), dtype=np.int64)
+        with pytest.raises(ValueError, match="error bounds"):
+            interp_decompress(codes, [1e-3, 1e-3], (2, 2))
+        with pytest.raises(ValueError, match="expected 9 codes"):
+            interp_decompress(codes, [1e-3] * 3, (3, 3))
+        with pytest.raises(ValueError):
+            interp_decompress(codes, [1e-3, 0.0, 1e-3], (2, 2))
