@@ -167,6 +167,20 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
         time_op(table_build, max(repeats, 10)), built._table_sym.size, table_nbytes
     )
 
+    # The encoder's table build, on a brick-like histogram: ~150 present
+    # symbols clustered round the zero residual in the 8193-symbol
+    # alphabet (a 16^3 brick at a tight bound).  Heavy ties in the tail
+    # counts, as real bricks have.
+    from repro.sz.huffman import huffman_code_lengths
+
+    residuals = np.rint(np.random.default_rng(2).standard_normal(4096) * 24).astype(np.int64)
+    brick_counts = np.bincount(residuals + 4096, minlength=8193)
+    ops["huffman_code_lengths"] = op_entry(
+        time_op(lambda: huffman_code_lengths(brick_counts), max(repeats, 50)),
+        int(np.count_nonzero(brick_counts)),
+        brick_counts.nbytes,
+    )
+
     # Chunked decode windows: force the over-limit path (one window per
     # contiguous lane chunk) so the big-payload fast path — previously a
     # 4-gather peek fallback — is tracked alongside the single-window
@@ -267,20 +281,22 @@ def _sz_ops(scale: int, repeats: int) -> dict:
     ops["sz_predict"] = op_entry(
         time_op(lambda: lorenzo_forward(lattice), repeats), field.size, field.nbytes
     )
-    ops.update(_brick_decode_ops(scale, repeats))
+    ops.update(_brick_ops(scale, repeats))
     return ops
 
 
-def _brick_decode_ops(scale: int, repeats: int) -> dict:
-    """Many small streams: batched lockstep decode vs one call per stream.
+def _brick_ops(scale: int, repeats: int) -> dict:
+    """Many small streams: batched passes vs one call per stream.
 
     The bricked layouts (read service, ingest) store a level as hundreds
-    of 16^3 SZ streams.  ``*_many_*`` decodes them through
-    ``decompress_many`` (lockstep batches), ``*_loop_*`` through one
-    ``decompress`` per stream — the same kernel as a batch of one, so the
-    pair measures exactly what batching buys.  Both run over every brick
-    of the field (512 at scale 4, 27 at smoke scale) and over 27 bricks,
-    one cold ROI read's worth.
+    of 16^3 SZ streams.  ``*_many_*`` runs them through ``compress_many``
+    / ``decompress_many`` (one predict/entropy pass per batch),
+    ``*_loop_*`` through one ``compress`` / ``decompress`` per stream —
+    the same kernels as a batch of one, so each pair measures exactly what
+    batching buys.  All run over every brick of the field (512 at scale 4,
+    27 at smoke scale); decode also over 27 bricks, one cold ROI read's
+    worth.  The bricks are non-contiguous views of the field, as TAC
+    hands them over.
     """
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor
@@ -290,20 +306,22 @@ def _brick_decode_ops(scale: int, repeats: int) -> dict:
     codec = SZCompressor()
     eb_abs = 1e-3 * float(field.max() - field.min())
     brick = 16
-    blobs = [
-        codec.compress(
-            np.ascontiguousarray(field[x : x + brick, y : y + brick, z : z + brick]),
-            eb_abs,
-            "abs",
-        )
+    bricks = [
+        field[x : x + brick, y : y + brick, z : z + brick]
         for x in range(0, n, brick)
         for y in range(0, n, brick)
         for z in range(0, n, brick)
     ]
+
+    def compress_loop():
+        return [codec.compress(b, eb_abs, "abs") for b in bricks]
+
+    blobs = compress_loop()
+    assert codec.compress_many(bricks, eb_abs, "abs") == blobs
     for many, one in zip(codec.decompress_many(blobs[:27]), blobs[:27]):
         assert np.array_equal(many, codec.decompress(one))
 
-    def pair(suffix: str, subset: list) -> dict:
+    def decode_pair(suffix: str, subset: list) -> dict:
         n_values = len(subset) * brick**3
         return {
             f"sz_decompress_many_bricks{suffix}": op_entry(
@@ -318,7 +336,19 @@ def _brick_decode_ops(scale: int, repeats: int) -> dict:
             ),
         }
 
-    return {**pair("", blobs), **pair("_27", blobs[:27])}
+    n_values = len(bricks) * brick**3
+    return {
+        "sz_compress_many_bricks": op_entry(
+            time_op(lambda: codec.compress_many(bricks, eb_abs, "abs"), repeats),
+            n_values,
+            n_values * 4,
+        ),
+        "sz_compress_loop_bricks": op_entry(
+            time_op(compress_loop, repeats), n_values, n_values * 4
+        ),
+        **decode_pair("", blobs),
+        **decode_pair("_27", blobs[:27]),
+    }
 
 
 def _shared_tables_ops(scale: int, repeats: int) -> dict:
@@ -342,25 +372,29 @@ def _shared_tables_ops(scale: int, repeats: int) -> dict:
     codec = SZCompressor()
     eb_abs = 1e-3 * float(field.max() - field.min())
     brick = 8
-    prepared = [
-        codec.prepare(np.ascontiguousarray(field[x : x + brick, y : y + brick, z : z + brick]), eb_abs, "abs")
-        for x in range(0, n, brick)
-        for y in range(0, n, brick)
-        for z in range(0, n, brick)
-    ]
+    prepared = codec.prepare_many(
+        [
+            field[x : x + brick, y : y + brick, z : z + brick]
+            for x in range(0, n, brick)
+            for y in range(0, n, brick)
+            for z in range(0, n, brick)
+        ],
+        eb_abs,
+        "abs",
+    )
     assert all(p.counts is not None for p in prepared), "bricks must entropy-code"
     max_len = codec.config.max_code_len
 
+    # The two calls TAC's ``_encode_streams`` makes, one per mode.
     def encode_per_stream():
-        return [codec.encode_prepared(p) for p in prepared]
+        return codec.encode_prepared_many(prepared)
 
     def encode_shared():
         total = prepared[0].counts.copy()
         for p in prepared[1:]:
             total += p.counts
         shared = SharedHuffmanTable.from_counts(total, max_len=max_len)
-        blobs = [codec.encode_prepared(p, shared=shared) for p in prepared]
-        return shared.serialize(), blobs
+        return shared.serialize(), codec.encode_prepared_many(prepared, shared=shared)
 
     # Both modes must reconstruct identically (decode depends only on the
     # symbol stream, not on which table coded it).
@@ -478,11 +512,13 @@ GROUP_OPS = {
         "huffman_decode",
         "huffman_decode_ragged",
         "huffman_table_build",
+        "huffman_code_lengths",
         "huffman_decode_chunked_window",
     ),
     "blocks": ("gather_blocks", "scatter_blocks", "block_counts"),
     "sz": tuple(f"sz_{op}_{p}" for op in ("compress", "decompress") for p in ("interp", "lorenzo"))
     + ("sz_quantize", "sz_predict")
+    + tuple(f"sz_compress_{how}_bricks" for how in ("many", "loop"))
     + tuple(
         f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
     ),

@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_comp.add_argument(
         "--profile", action="store_true",
-        help="print the per-stage timing breakdown (predict/encode/lossless/...)",
+        help="print the codec's stage timings (preprocess / compress)",
     )
 
     p_dec = sub.add_parser("decompress", help="restore an AMR .npz from an archive")

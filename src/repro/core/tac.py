@@ -403,17 +403,15 @@ class TACCompressor(PlanExecutorMixin):
         entropy coding the table part is omitted entirely.
         """
         cfg = self.config
-        if not cfg.shared_tables:
-            with timed(timings, "compress"):
-                for name, arr in items:
-                    parts[name] = self.codec.compress(arr, eb_abs, mode="abs")
-            return
+        names = [name for name, _arr in items]
+        arrays = [arr for _name, arr in items]
         with timed(timings, "compress"):
-            prepared = [
-                (name, self.codec.prepare(arr, eb_abs, mode="abs")) for name, arr in items
-            ]
+            if not cfg.shared_tables:
+                parts.update(zip(names, self.codec.compress_many(arrays, eb_abs, mode="abs")))
+                return
+            prepared = self.codec.prepare_many(arrays, eb_abs, mode="abs")
             total = None
-            for _name, prep in prepared:
+            for prep in prepared:
                 if prep.counts is not None:
                     total = prep.counts.copy() if total is None else total + prep.counts
             shared = None
@@ -427,8 +425,7 @@ class TACCompressor(PlanExecutorMixin):
                     "id": shared.table_id,
                     "alphabet": shared.alphabet,
                 }
-            for name, prep in prepared:
-                parts[name] = self.codec.encode_prepared(prep, shared=shared)
+            parts.update(zip(names, self.codec.encode_prepared_many(prepared, shared=shared)))
 
     # ------------------------------------------------------------------
     # decompression (plan/execute split)

@@ -25,7 +25,9 @@ import numpy as np
 _PEEK_PAD = 4
 
 
-def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
+def pack_codes(
+    codes: np.ndarray, lengths: np.ndarray
+) -> tuple[bytes, int] | tuple[list[bytes], list[int]]:
     """Concatenate MSB-aligned codewords into a packed byte string.
 
     Parameters
@@ -33,6 +35,7 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     codes:
         ``uint32``/``uint64`` array; the lowest ``lengths[i]`` bits of
         ``codes[i]`` form the codeword (most significant code bit first).
+        A 2-D array is a batch of streams, one per row.
     lengths:
         Per-codeword bit lengths (``> 0`` for every emitted symbol).
 
@@ -40,14 +43,25 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     -------
     (buffer, total_bits):
         ``buffer`` is the packed stream plus :data:`_PEEK_PAD` zero bytes of
-        slack; ``total_bits`` is the exact number of payload bits.
+        slack; ``total_bits`` is the exact number of payload bits.  For 2-D
+        input both are lists with one entry per row, and row ``i``'s entry
+        equals ``pack_codes(codes[i], lengths[i])``.
     """
     codes = np.asarray(codes, dtype=np.uint64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if codes.shape != lengths.shape:
         raise ValueError("codes and lengths must have identical shapes")
+    if codes.ndim == 2:
+        return _pack_rows(codes, lengths)
+    buffers, total_bits = _pack_rows(codes[None], lengths[None])
+    return buffers[0], total_bits[0]
+
+
+def _pack_rows(codes: np.ndarray, lengths: np.ndarray) -> tuple[list[bytes], list[int]]:
+    """Pack every row of a 2-D code array in one flat pass."""
+    n_rows = codes.shape[0]
     if codes.size == 0:
-        return b"\x00" * _PEEK_PAD, 0
+        return [b"\x00" * _PEEK_PAD] * n_rows, [0] * n_rows
     if lengths.min() <= 0:
         raise ValueError("all codeword lengths must be positive")
     max_len = int(lengths.max())
@@ -56,29 +70,40 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         # and far exceeds any length-limited Huffman code we build.
         raise ValueError(f"codeword length {max_len} exceeds supported maximum 57")
 
+    row_bits = lengths.sum(axis=1)
+    if n_rows > 1:
+        # Every row starts on a byte boundary: a pseudo-code of zero bits
+        # (possibly none) closes each row's last byte.  A lone row needs
+        # none — np.packbits zero-pads the final partial byte itself.
+        pad = (-row_bits) % 8
+        lengths = np.concatenate([lengths, pad[:, None]], axis=1)
+        codes = np.concatenate([codes, np.zeros((n_rows, 1), dtype=codes.dtype)], axis=1)
+    lengths = lengths.ravel()
     ends = np.cumsum(lengths)
     total_bits = int(ends[-1])
 
     # One flat pass over the output bits: global bit position ``p`` belongs
     # to the symbol whose codeword covers it, and its in-codeword shift from
     # the LSB is ``ends[sym] - 1 - p``.  ``np.repeat`` expands the per-symbol
-    # quantities to bit granularity, so the whole stream packs in a handful
+    # quantities to bit granularity, so the whole batch packs in a handful
     # of whole-array operations — O(total_bits), independent of ``max_len``
-    # (the old per-bit-plane loop cost O(n_symbols * max_len)).  int32
-    # arithmetic halves the bandwidth of the two big repeats whenever both
-    # the codes and the bit offsets fit (always, for length-limited codes
-    # on streams under 2**31 bits).
+    # and of the row count.  int32 arithmetic halves the bandwidth of the
+    # two big repeats whenever both the codes and the bit offsets fit
+    # (always, for length-limited codes on batches under 2**31 bits).
     dtype = np.int32 if (max_len <= 31 and total_bits <= np.iinfo(np.int32).max) else np.int64
     shifts = np.repeat(ends.astype(dtype, copy=False), lengths)
     shifts -= 1
     shifts -= np.arange(total_bits, dtype=dtype)
-    bitvals = np.repeat(codes.astype(dtype), lengths)
+    bitvals = np.repeat(codes.ravel().astype(dtype), lengths)
     bitvals >>= shifts
     bitvals &= 1
-    # np.packbits zero-pads the final partial byte, matching the explicit
-    # zero bit array this replaces.
-    packed = np.packbits(bitvals.astype(np.uint8))
-    return packed.tobytes() + b"\x00" * _PEEK_PAD, total_bits
+    packed = np.packbits(bitvals.astype(np.uint8)).tobytes()
+    tail = b"\x00" * _PEEK_PAD
+    stops = np.cumsum((row_bits + 7) >> 3).tolist()
+    return (
+        [packed[start:stop] + tail for start, stop in zip([0] + stops, stops)],
+        row_bits.tolist(),
+    )
 
 
 def as_peekable(*buffers: bytes | np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ that regime is ``eb`` plus a small number of ULPs (pinned by
 
 from __future__ import annotations
 
+import math
 import threading
 import zlib
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ from repro.sz.huffman import (
     HuffmanEncoded,
     SharedHuffmanTable,
     decode_many,
+    encode_many,
 )
 from repro.sz.interp import interp_compress, interp_decompress
 from repro.sz.predictor import SUPPORTED_NDIM, lorenzo_forward, lorenzo_inverse
@@ -78,7 +80,8 @@ class SZConfig:
     zlib_level:
         DEFLATE effort for the lossless back end (0 disables it).
     block_size:
-        Huffman decode block length; ``None`` picks ``~sqrt(n)``.
+        Huffman decode block length, an integer ``>= 1``; ``None`` picks
+        ``~sqrt(n)``.
     """
 
     predictor: str = "interp"
@@ -99,6 +102,11 @@ class SZConfig:
                 f"alphabet 2*radius+1={2 * self.radius + 1} cannot fit in "
                 f"max_code_len={self.max_code_len} bits"
             )
+        block = self.block_size
+        if block is not None and (
+            isinstance(block, bool) or not isinstance(block, (int, np.integer)) or block < 1
+        ):
+            raise ValueError(f"block_size must be None or an integer >= 1, got {block!r}")
 
 
 @dataclass
@@ -142,7 +150,7 @@ _SECTION_LABELS = {
 class PreparedStream:
     """A stream that has run predict/quantize but not yet entropy coding.
 
-    Produced by :meth:`SZCompressor.prepare` so a caller can histogram many
+    Produced by :meth:`SZCompressor.prepare_many` so a caller can histogram many
     streams before committing to a code table (shared-table mode).  When the
     pipeline short-circuits (empty array, ``eb == 0`` lossless fallback) the
     finished ``blob`` is stored instead and ``counts`` is ``None`` — such
@@ -194,13 +202,15 @@ class SharedTableResolver:
         return table
 
 
-#: Decoded values one lockstep batch may hold (64 bricks of 16³).  Below it
-#: the per-round call overhead is spread over too few lanes; above it the
-#: batch's window, symbol and reconstruction arrays (≈ 30 bytes per value)
-#: fall out of cache and the gathers slow down again.  Measured on 512 ×
-#: 16³ streams: batches of 8 / 16 / 32 / 64 / 128 / 256 / 512 decode in
-#: about 190 / 165 / 135 / 135 / 135 / 160 / 185 ms.  A single stream
-#: larger than this is a batch of its own.
+#: Values one batch may hold (64 bricks of 16³), on either side: the
+#: streams one lockstep decode pass reconstructs, the arrays one encode
+#: pass predicts and packs.  Below it the per-call overhead is spread over
+#: too few lanes; above it the batch's window, symbol and reconstruction
+#: arrays (≈ 30 bytes per value) fall out of cache and the gathers slow
+#: down again.  Measured on 512 × 16³ streams: batches of 8 / 16 / 32 / 64 /
+#: 128 / 256 / 512 decode in about 190 / 165 / 135 / 135 / 135 / 160 /
+#: 185 ms and encode (eb 1e-4 rel) in about 280 / 255 / 255 / 265 / 300 /
+#: 300 / 310 ms.  A single stream larger than this is a batch of its own.
 BATCH_VALUES = 1 << 18
 
 
@@ -209,6 +219,24 @@ BATCH_VALUES = 1 << 18
 #: Anything else — a ``MemoryError`` on a batch's working set, a bug — is not
 #: a property of one stream and propagates.
 STREAM_DAMAGE = (ValueError, zlib.error)
+
+
+def _batches(keys: Sequence, sizes: Sequence[int]) -> list[list[int]]:
+    """Indices of equal ``keys`` grouped into batches, in first-seen order.
+
+    A batch holds at most :data:`BATCH_VALUES` values (``sizes[i]`` per
+    member, equal within a key) but always at least one member; members
+    keep their order within a batch.
+    """
+    batches: list[list[int]] = []
+    open_batches: dict = {}
+    for index, (key, size) in enumerate(zip(keys, sizes)):
+        batch = open_batches.get(key)
+        if batch is None or (len(batch) + 1) * size > BATCH_VALUES:
+            batch = open_batches[key] = []
+            batches.append(batch)
+        batch.append(index)
+    return batches
 
 
 @dataclass
@@ -273,14 +301,15 @@ def stream_batches(
         shared_tables = [shared_tables] * len(blobs)
     if len(shared_tables) != len(blobs):
         raise ValueError("need one shared-table resolver (or None) per blob")
-    batches: list[StreamBatch] = []
-    open_batches: dict[tuple, StreamBatch] = {}
+    members: list[_Member] = []
+    keys: list[tuple] = []
     for index, (blob, tables) in enumerate(zip(blobs, shared_tables)):
         try:
             parsed = stream.parse(blob)
             header = parsed.header
             if header.flags & (stream.FLAG_EMPTY | stream.FLAG_LOSSLESS_FALLBACK):
-                batches.append(StreamBatch([_Member(index, parsed, None, tables)]))
+                members.append(_Member(index, parsed, None, tables))
+                keys.append((index,))  # a batch of its own
                 continue
             meta = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
         except STREAM_DAMAGE as exc:
@@ -288,20 +317,19 @@ def stream_batches(
                 raise
             errors[index] = exc
             continue
-        key = (
-            header.shape,
-            header.dtype,
-            meta["predictor"],
-            meta["n_symbols"],
-            meta["block_size"],
-            meta["radius"],
+        members.append(_Member(index, parsed, meta, tables))
+        keys.append(
+            (
+                header.shape,
+                header.dtype,
+                meta["predictor"],
+                meta["n_symbols"],
+                meta["block_size"],
+                meta["radius"],
+            )
         )
-        batch = open_batches.get(key)
-        if batch is None or (len(batch.members) + 1) * meta["n_symbols"] > BATCH_VALUES:
-            batch = open_batches[key] = StreamBatch([])
-            batches.append(batch)
-        batch.members.append(_Member(index, parsed, meta, tables))
-    return batches
+    sizes = [member.meta["n_symbols"] if member.meta else 0 for member in members]
+    return [StreamBatch([members[i] for i in batch]) for batch in _batches(keys, sizes)]
 
 
 def _decode_members(members: list[_Member], timings: TimingRecord | None) -> list[np.ndarray]:
@@ -446,31 +474,53 @@ class SZCompressor:
         """Compress and also return byte-level accounting."""
         mode = ErrorMode(mode)
         timings = TimingRecord()
-        arr = ensure_ndarray(data, name="data")
-        check_finite(arr, name="data")
-        if arr.ndim not in SUPPORTED_NDIM and arr.size:
-            raise ValueError(f"supported dimensionalities are {SUPPORTED_NDIM}, got {arr.ndim}")
-        eb_user = check_error_bound(error_bound, allow_zero=True)
-
-        header = stream.StreamHeader(
-            mode=mode.value, dtype=arr.dtype, shape=arr.shape, eb_user=eb_user, eb_abs=0.0
-        )
-
+        arr, header = self._open(data, error_bound, mode)
         if arr.size == 0:
-            header.flags |= stream.FLAG_EMPTY
-            blob = stream.serialize(header, [])
-            return blob, self._stats(arr, blob, header, {}, 0, timings)
-
+            return self._compress_empty(arr, header, timings)
         if mode is ErrorMode.PW_REL:
-            return self._compress_pw_rel(arr, eb_user, header, timings)
-
-        eb_abs = resolve_error_bound(arr, eb_user, mode)
-        header.eb_abs = eb_abs
-        if eb_abs == 0.0:
+            return self._compress_pw_rel(arr, header, timings)
+        header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
+        if header.eb_abs == 0.0:
             return self._compress_lossless(arr, header, timings)
-        sections, n_outliers = self._encode_lattice(arr, eb_abs, timings)
+        sections, n_outliers = self._encode_lattice(arr, header.eb_abs, timings)
         blob = stream.serialize(header, sections)
         return blob, self._stats(arr, blob, header, dict((t, len(p)) for t, _c, p in sections), n_outliers, timings)
+
+    def compress_many(
+        self,
+        arrays: Sequence,
+        error_bound: float,
+        mode: ErrorMode | str = ErrorMode.ABS,
+        timings: TimingRecord | None = None,
+    ) -> list[bytes]:
+        """Compress every array; ``result[i]`` is ``compress(arrays[i], ...)``.
+
+        Arrays of one shape and dtype are predicted, histogrammed and
+        entropy-coded together, up to :data:`BATCH_VALUES` values per pass
+        — byte-identical to one call per array, at a fraction of the fixed
+        cost when the arrays are small.  A group of one (and every
+        ``pw_rel`` stream) goes through :meth:`compress_with_stats`.  Any
+        array that :meth:`compress` would reject raises the same error
+        here, and nothing is returned.
+        """
+        mode = ErrorMode(mode)
+        arrays = list(arrays)
+        keys = [(np.shape(arr), getattr(arr, "dtype", None)) for arr in arrays]
+        out: list = [None] * len(arrays)
+        for batch in _batches(keys, [math.prod(shape) for shape, _dtype in keys]):
+            if len(batch) == 1 or mode is ErrorMode.PW_REL:
+                for index in batch:
+                    out[index], stats = self.compress_with_stats(arrays[index], error_bound, mode)
+                    if timings is not None:
+                        for span, seconds in stats.timings.spans.items():
+                            timings.add(span, seconds)
+                continue
+            # One batch at a time through both phases keeps the working
+            # set (symbols plus a histogram per member) to a single batch.
+            prepared = self.prepare_many([arrays[i] for i in batch], error_bound, mode, timings)
+            for index, blob in zip(batch, self.encode_prepared_many(prepared, timings=timings)):
+                out[index] = blob
+        return out
 
     # -- shared-table mode ----------------------------------------------
     def prepare(
@@ -480,34 +530,53 @@ class SZCompressor:
         mode: ErrorMode | str = ErrorMode.ABS,
         timings: TimingRecord | None = None,
     ) -> PreparedStream:
+        """:meth:`prepare_many` for a single array."""
+        return self.prepare_many([data], error_bound, mode, timings)[0]
+
+    def prepare_many(
+        self,
+        arrays: Sequence,
+        error_bound: float,
+        mode: ErrorMode | str = ErrorMode.ABS,
+        timings: TimingRecord | None = None,
+    ) -> list[PreparedStream]:
         """Run the pipeline up to (but not including) entropy coding.
 
-        Returns a :class:`PreparedStream` whose ``counts`` can be summed
-        across streams to build one shared code table; finish each stream
-        with :meth:`encode_prepared`.  ``pw_rel`` mode is not supported
-        (its sections interleave with the lattice sections).
+        Returns one :class:`PreparedStream` per array; their ``counts`` can
+        be summed across streams to build one shared code table, and
+        :meth:`encode_prepared_many` finishes them.  Arrays of one shape
+        and dtype share a predict/histogram pass (see :meth:`compress_many`).
+        ``pw_rel`` mode is not supported (its sections interleave with the
+        lattice sections).
         """
         mode = ErrorMode(mode)
         if mode is ErrorMode.PW_REL:
             raise ValueError("shared-table preparation does not support pw_rel mode")
-        arr = ensure_ndarray(data, name="data")
-        check_finite(arr, name="data")
-        if arr.ndim not in SUPPORTED_NDIM and arr.size:
-            raise ValueError(f"supported dimensionalities are {SUPPORTED_NDIM}, got {arr.ndim}")
-        eb_user = check_error_bound(error_bound, allow_zero=True)
-        header = stream.StreamHeader(
-            mode=mode.value, dtype=arr.dtype, shape=arr.shape, eb_user=eb_user, eb_abs=0.0
-        )
-        if arr.size == 0:
-            header.flags |= stream.FLAG_EMPTY
-            return PreparedStream(header=header, blob=stream.serialize(header, []))
-        eb_abs = resolve_error_bound(arr, eb_user, mode)
-        header.eb_abs = eb_abs
-        if eb_abs == 0.0:
-            blob, _stats = self._compress_lossless(arr, header, timings or TimingRecord())
-            return PreparedStream(header=header, blob=blob)
-        symbols, outliers, counts = self._prepare_symbols(arr, eb_abs, timings or TimingRecord())
-        return PreparedStream(header=header, symbols=symbols, outliers=outliers, counts=counts)
+        timings = timings if timings is not None else TimingRecord()
+        out: list[PreparedStream] = []
+        slots: list[int] = []  # streams that reach the lattice pipeline ...
+        arrs: list[np.ndarray] = []  # ... and their arrays
+        for data in arrays:
+            arr, header = self._open(data, error_bound, mode)
+            out.append(PreparedStream(header=header))
+            if arr.size == 0:
+                out[-1].blob = self._compress_empty(arr, header, timings)[0]
+                continue
+            header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
+            if header.eb_abs == 0.0:
+                out[-1].blob = self._compress_lossless(arr, header, timings)[0]
+                continue
+            slots.append(len(out) - 1)
+            arrs.append(arr)
+        keys = [(arr.shape, arr.dtype) for arr in arrs]
+        for batch in _batches(keys, [arr.size for arr in arrs]):
+            members = [out[slots[i]] for i in batch]
+            rows = self._prepare_symbols(
+                [arrs[i] for i in batch], [m.header.eb_abs for m in members], timings
+            )
+            for member, symbols, outliers, counts in zip(members, *rows):
+                member.symbols, member.outliers, member.counts = symbols, outliers, counts
+        return out
 
     def encode_prepared(
         self,
@@ -515,33 +584,80 @@ class SZCompressor:
         shared: SharedHuffmanTable | None = None,
         timings: TimingRecord | None = None,
     ) -> bytes:
-        """Entropy-code a :class:`PreparedStream` into a finished blob.
+        """:meth:`encode_prepared_many` for a single stream."""
+        return self.encode_prepared_many([prepared], shared, timings)[0]
 
-        With ``shared`` the stream is encoded under the shared code and
+    def encode_prepared_many(
+        self,
+        prepared: Sequence[PreparedStream],
+        shared: SharedHuffmanTable | None = None,
+        timings: TimingRecord | None = None,
+    ) -> list[bytes]:
+        """Entropy-code :class:`PreparedStream` objects into finished blobs.
+
+        With ``shared`` every stream is encoded under the shared code and
         carries a ``SEC_TABLE_REF`` instead of its own ``SEC_CODE_LENGTHS``;
-        without it this is byte-identical to the normal :meth:`compress`
-        path for the same input.
+        without it the blobs are byte-identical to the normal
+        :meth:`compress` path for the same inputs.  Streams of one symbol
+        count share a gather/bit-pack pass.
         """
-        if prepared.blob is not None:
-            return prepared.blob
         timings = timings if timings is not None else TimingRecord()
-        sections, _n_outliers = self._encode_symbols(
-            prepared.symbols, prepared.outliers, prepared.counts, timings, shared=shared
-        )
-        return stream.serialize(prepared.header, sections)
+        out = [p.blob for p in prepared]
+        todo = [slot for slot, blob in enumerate(out) if blob is None]
+        sizes = [prepared[slot].symbols.size for slot in todo]
+        for batch in _batches(sizes, sizes):
+            slots = [todo[i] for i in batch]
+            members = [prepared[slot] for slot in slots]
+            symbols = (
+                members[0].symbols[None]
+                if len(members) == 1
+                else np.stack([p.symbols for p in members])
+            )
+            sections = self._encode_symbols(
+                symbols,
+                [p.outliers for p in members],
+                [p.counts for p in members],
+                timings,
+                shared=shared,
+            )
+            for slot, member, secs in zip(slots, members, sections):
+                out[slot] = stream.serialize(member.header, secs)
+        return out
 
     # -- pipelines -------------------------------------------------------
-    def _prepare_symbols(self, arr: np.ndarray, eb_abs: float, timings: TimingRecord):
-        """Steps 2–3 plus symbol mapping; returns (symbols, outliers, counts)."""
+    def _open(
+        self, data, error_bound: float, mode: ErrorMode
+    ) -> tuple[np.ndarray, stream.StreamHeader]:
+        """Every per-stream input check, and the stream's header-to-be."""
+        arr = ensure_ndarray(data, name="data")
+        check_finite(arr, name="data")
+        if arr.ndim not in SUPPORTED_NDIM and arr.size:
+            raise ValueError(f"supported dimensionalities are {SUPPORTED_NDIM}, got {arr.ndim}")
+        eb_user = check_error_bound(error_bound, allow_zero=True)
+        return arr, stream.StreamHeader(
+            mode=mode.value, dtype=arr.dtype, shape=arr.shape, eb_user=eb_user, eb_abs=0.0
+        )
+
+    def _prepare_symbols(self, arrs: list[np.ndarray], ebs: list[float], timings: TimingRecord):
+        """Steps 2–3 plus symbol mapping for same-shape arrays.
+
+        Returns ``(symbols, outliers, counts)``: an ``(n_streams, size)``
+        symbol array, each stream's escape-coded residuals in stream order,
+        and an ``(n_streams, alphabet)`` histogram.
+        """
         cfg = self.config
+        n_streams = len(arrs)
         if cfg.predictor == "interp":
             with timed(timings, "predict"):
-                residuals = interp_compress(arr, eb_abs)
+                # A single (possibly large) stream is only viewed, not copied.
+                stacked = arrs[0][None] if n_streams == 1 else np.stack(arrs, dtype=np.float64)
+                residuals = interp_compress(stacked, ebs)
         else:
             with timed(timings, "quantize"):
-                lattice = quantize(arr, eb_abs)
+                lattices = [quantize(arr, eb) for arr, eb in zip(arrs, ebs)]
             with timed(timings, "predict"):
-                residuals = lorenzo_forward(lattice).ravel()
+                rows = [lorenzo_forward(lattice).reshape(1, -1) for lattice in lattices]
+                residuals = rows[0] if n_streams == 1 else np.concatenate(rows)
         with timed(timings, "encode"):
             radius = cfg.radius
             escape = 2 * radius
@@ -553,35 +669,48 @@ class SZCompressor:
             out_of_range = symbols < 0
             out_of_range |= symbols >= escape
             positions = np.flatnonzero(out_of_range)
-            outliers = symbols[positions] - radius
-            symbols[positions] = escape
-            counts = np.bincount(symbols, minlength=escape + 1)
-        return symbols, outliers, counts
+            flat = symbols.reshape(-1)
+            values = flat[positions] - radius
+            flat[positions] = escape
+            size = symbols.shape[1]
+            bounds = np.searchsorted(positions, np.arange(n_streams + 1) * size).tolist()
+            outliers = [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            # One histogram for the batch: row ``i`` counts into its own
+            # ``escape + 1`` bins at offset ``i * (escape + 1)``.
+            alphabet = escape + 1
+            if n_streams > 1:
+                flat = (symbols + np.arange(0, n_streams * alphabet, alphabet)[:, None]).reshape(-1)
+            counts = np.bincount(flat, minlength=n_streams * alphabet)
+        return symbols, outliers, counts.reshape(n_streams, alphabet)
 
     def _encode_symbols(
         self,
         symbols: np.ndarray,
-        outliers: np.ndarray,
-        counts: np.ndarray,
+        outliers: list[np.ndarray],
+        counts: Sequence[np.ndarray],
         timings: TimingRecord,
         shared: SharedHuffmanTable | None = None,
-    ):
-        """Steps 4–5: entropy coding + lossless back end; returns sections."""
+    ) -> list[list[tuple[int, int, bytes]]]:
+        """Steps 4–5 for the rows of ``symbols``: entropy coding + lossless
+        back end; returns each stream's sections."""
         cfg = self.config
         with timed(timings, "encode"):
             if shared is not None:
-                codec = shared.codec
+                codecs = [shared.codec] * len(outliers)
             else:
-                codec = HuffmanCodec.from_counts(counts, max_len=cfg.max_code_len)
-            encoded = codec.encode(symbols, block_size=cfg.block_size)
+                codecs = [HuffmanCodec.from_counts(row, max_len=cfg.max_code_len) for row in counts]
+            encoded = encode_many(codecs, symbols, block_size=cfg.block_size)
         with timed(timings, "lossless"):
-            sections = self._payload_sections(codec, encoded, outliers, shared=shared)
-        return sections, int(outliers.size)
+            return [
+                self._payload_sections(codec, enc, outl, shared=shared)
+                for codec, enc, outl in zip(codecs, encoded, outliers)
+            ]
 
     def _encode_lattice(self, arr: np.ndarray, eb_abs: float, timings: TimingRecord):
         """Steps 2–5 for a plain (abs-bounded) array; returns sections."""
-        symbols, outliers, counts = self._prepare_symbols(arr, eb_abs, timings)
-        return self._encode_symbols(symbols, outliers, counts, timings)
+        symbols, outliers, counts = self._prepare_symbols([arr], [eb_abs], timings)
+        sections = self._encode_symbols(symbols, outliers, counts, timings)[0]
+        return sections, int(outliers[0].size)
 
     def _payload_sections(
         self,
@@ -599,8 +728,9 @@ class SZCompressor:
             c, p = lossless.compress_bytes(codec.lengths.tobytes(), level=max(level, 1))
             sections.append((stream.SEC_CODE_LENGTHS, c, p))
         # Offsets are monotone; delta encoding makes them byte-cheap.
-        deltas = np.diff(encoded.block_offsets, prepend=0)
-        c, p = lossless.pack_int_array(deltas.astype(np.int64), level=max(level, 1))
+        deltas = encoded.block_offsets.astype(np.int64)
+        deltas[1:] -= encoded.block_offsets[:-1]
+        c, p = lossless.pack_int_array(deltas, level=max(level, 1))
         sections.append((stream.SEC_BLOCK_OFFSETS, c, p))
         if level > 0:
             c, p = lossless.compress_bytes(encoded.payload, level=level)
@@ -622,6 +752,12 @@ class SZCompressor:
         sections.append((stream.SEC_META, lossless.CODEC_RAW, meta))
         return sections
 
+    def _compress_empty(self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord):
+        """Zero-size array: a header and no sections."""
+        header.flags |= stream.FLAG_EMPTY
+        blob = stream.serialize(header, [])
+        return blob, self._stats(arr, blob, header, {}, 0, timings)
+
     def _compress_lossless(self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord):
         """eb == 0 (or zero value range in rel mode): store verbatim + DEFLATE."""
         header.flags |= stream.FLAG_LOSSLESS_FALLBACK
@@ -632,8 +768,9 @@ class SZCompressor:
         blob = stream.serialize(header, [(stream.SEC_RAW, codec, payload)])
         return blob, self._stats(arr, blob, header, {stream.SEC_RAW: len(payload)}, 0, timings)
 
-    def _compress_pw_rel(self, arr: np.ndarray, eb_user: float, header: stream.StreamHeader, timings: TimingRecord):
+    def _compress_pw_rel(self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord):
         """Point-wise relative bound via the standard log-space reduction."""
+        eb_user = header.eb_user
         if eb_user <= 0:
             return self._compress_lossless(arr, header, timings)
         if eb_user >= 1.0:

@@ -1,8 +1,8 @@
 """Canonical length-limited Huffman coding with vectorized block decode.
 
 SZ's third stage is "a customized Huffman coding" over the quantization
-codes.  This module reproduces it with two HPC-minded twists that make a
-pure-NumPy implementation fast:
+codes.  This module reproduces it with a few HPC-minded twists that make
+a pure-NumPy implementation fast:
 
 1. **Length-limited canonical codes.**  Code lengths are capped at
    ``max_len`` (default 16) so decoding can use a single dense lookup
@@ -29,13 +29,33 @@ pure-NumPy implementation fast:
    shift, and all lanes of all streams advance in the same rounds.
    :meth:`HuffmanCodec.decode` is the batch of one.
 
+4. **Rows of many streams share the encode passes.**  The encoder has
+   the mirror-image problem: per stream it gathers lengths and codewords,
+   bit-packs them and takes a prefix sum, each a few NumPy calls whose
+   fixed cost dwarfs 4096 symbols of work.  :func:`encode_many` encodes
+   the rows of a 2-D symbol array at once — lengths and codewords come
+   from the stacked per-stream tables (``table[row, symbol]``), all rows
+   go through one bit-pack (each starting on a byte boundary) and one
+   row-wise ``cumsum`` yields every block offset.
+   :meth:`HuffmanCodec.encode` is the batch of one.
+
+5. **An exact O(n) table build.**  What cannot be shared between streams
+   is the code itself, so the build is made cheap instead: after one
+   stable argsort of the present counts, :func:`huffman_code_lengths`
+   runs the two-queue merge, which pops nodes in the same
+   ``(count, tie)`` order as a binary heap would (see
+   :func:`_tree_depths` for the argument), hence builds the same tree
+   and the same lengths as the heap version it replaced — kept in
+   ``tests/helpers.py`` as the reference of a property test — without
+   the ~2n heap operations on tuples.
+
 The offsets cost 8 bytes per block (< 0.5% overhead for the default block
 size) and are accounted for in the compressed size.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,7 +97,7 @@ def default_block_size(n_symbols: int) -> int:
     """Balanced block size: rounds ~ lanes ~ sqrt(n), clamped to sane bounds."""
     if n_symbols <= 0:
         return _MIN_BLOCK
-    return int(np.clip(int(np.sqrt(n_symbols)), _MIN_BLOCK, _MAX_BLOCK))
+    return min(max(math.isqrt(n_symbols), _MIN_BLOCK), _MAX_BLOCK)
 
 
 def huffman_code_lengths(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
@@ -96,53 +116,76 @@ def huffman_code_lengths(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> 
     ``uint8`` array of code lengths (0 for absent symbols) satisfying the
     Kraft inequality ``sum(2**-len) <= 1``.
     """
+    return _code_lengths(counts, max_len)[0]
+
+
+def _code_lengths(counts: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`huffman_code_lengths` plus the present-symbol indices it found
+    (the one scan of the alphabet an encoder-side table build makes)."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1:
         raise ValueError("counts must be one-dimensional")
     if counts.size and counts.min() < 0:
         raise ValueError("symbol counts must be non-negative")
-    present = np.flatnonzero(counts)
+    present = np.flatnonzero(counts != 0)  # the bool scan is ~5x the integer one
     lengths = np.zeros(counts.size, dtype=np.uint8)
     n_present = present.size
-    if n_present == 0:
-        return lengths
     if n_present == 1:
         lengths[present[0]] = 1
-        return lengths
-    if n_present > (1 << max_len):
+    elif n_present > (1 << max_len):
         raise ValueError(
             f"alphabet of {n_present} present symbols cannot fit in "
             f"max_len={max_len} bits"
         )
+    elif n_present:
+        lengths[present] = _limit_lengths(_tree_depths(counts[present]), max_len)
+    return lengths, present
 
-    # Standard Huffman tree over present symbols via a heap; the tie-break
-    # index keeps the heap comparisons on ints only (deterministic output).
-    heap: list[tuple[int, int, object]] = [
-        (int(counts[s]), i, int(s)) for i, s in enumerate(present)
-    ]
-    heapq.heapify(heap)
-    next_tie = n_present
-    while len(heap) > 1:
-        c1, _, n1 = heapq.heappop(heap)
-        c2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (c1 + c2, next_tie, (n1, n2)))
-        next_tie += 1
-    # Depth-first traversal to read leaf depths (iterative: trees for skewed
-    # histograms can be ~n deep, beyond Python's recursion limit).
-    depth_of: dict[int, int] = {}
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, tuple):
-            stack.append((node[0], depth + 1))
-            stack.append((node[1], depth + 1))
-        else:
-            depth_of[node] = max(depth, 1)
 
-    raw = np.array([depth_of[int(s)] for s in present], dtype=np.int64)
-    raw = _limit_lengths(raw, max_len)
-    lengths[present] = raw.astype(np.uint8)
-    return lengths
+def _tree_depths(weights: np.ndarray) -> np.ndarray:
+    """Leaf depths of the Huffman tree over ``weights`` (two or more, all > 0).
+
+    The tree is the one a binary heap on ``(weight, tie)`` builds when leaf
+    ``i`` carries tie ``i`` and the k-th merged node tie ``n + k`` — the
+    order that makes the lengths deterministic — but it is found with the
+    two-queue merge instead.  Leaves wait in one queue, stably sorted by
+    weight (so by ``(weight, tie)``); merged nodes join a second queue as
+    they are created.  Every merge joins the two lightest nodes left, so
+    merged weights never decrease and the second queue is sorted by
+    ``(weight, tie)`` too, with no sorting.  The heap's next pop is then
+    the lighter of the two queue heads, and on equal weights the leaf,
+    whose tie is below every merged node's.  Same pops, same tree, same
+    depths — in O(n) after the one argsort.
+    """
+    order = np.argsort(weights, kind="stable")
+    n = order.size
+    # Python ints (merged weights cannot wrap); an infinite sentinel ends
+    # each queue so the merge loop needs no bounds checks.
+    leaf = weights[order].tolist() + [math.inf]
+    merged = [math.inf] * n
+    parent = [0] * (2 * n - 1)  # nodes: leaves 0..n-1 in queue order, then merges
+    i = j = 0  # queue heads
+    for k in range(n - 1):
+        node = n + k
+        weight = 0
+        for _ in range(2):
+            if leaf[i] <= merged[j]:
+                weight += leaf[i]
+                parent[i] = node
+                i += 1
+            else:
+                weight += merged[j]
+                parent[n + j] = node
+                j += 1
+        merged[k] = weight
+    # A parent is created after its children, so one backward sweep from
+    # the root (the last node) reaches every merged node after its parent.
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, n - 1, -1):
+        depth[node] = depth[parent[node]] + 1
+    depths = np.empty(n, dtype=np.int64)
+    depths[order] = [depth[p] + 1 for p in parent[:n]]
+    return depths
 
 
 def _limit_lengths(raw: np.ndarray, max_len: int) -> np.ndarray:
@@ -175,25 +218,32 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     absent symbols (length 0) are 0 and must not be emitted.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    codes = np.zeros(lengths.size, dtype=np.uint32)
-    present = np.flatnonzero(lengths)
-    if present.size == 0:
+    present = np.flatnonzero(lengths != 0)
+    plens = lengths[present]
+    # ``present`` ascends, so a stable sort on the lengths alone yields
+    # the canonical order.
+    order = np.argsort(plens, kind="stable")
+    return _assign_codes(lengths.size, present[order], plens[order])
+
+
+def _assign_codes(alphabet: int, canon_syms: np.ndarray, canon_lens: np.ndarray) -> np.ndarray:
+    """Canonical codewords for symbols already in canonical order."""
+    codes = np.zeros(alphabet, dtype=np.uint32)
+    if canon_syms.size == 0:
         return codes
-    order = present[np.lexsort((present, lengths[present]))]
-    sorted_lens = lengths[order]
-    max_len = int(sorted_lens[-1])
-    hist = np.bincount(sorted_lens, minlength=max_len + 1)
+    max_len = int(canon_lens[-1])
+    hist = np.bincount(canon_lens, minlength=max_len + 1)
     # First canonical code per length via the standard recurrence
     # ``first[L] = (first[L-1] + hist[L-1]) << 1`` — O(max_len), not O(n).
     first = np.zeros(max_len + 1, dtype=np.int64)
     code = 0
-    for length in range(1, max_len + 1):
-        code = (code + int(hist[length - 1])) << 1
+    for length, n_shorter in enumerate(hist[:-1].tolist(), start=1):
+        code = (code + n_shorter) << 1
         first[length] = code
     # Within a length group codes are consecutive; the rank of each symbol
     # inside its group is its sorted position minus the group's start.
-    group_start = np.concatenate(([0], np.cumsum(hist)))[sorted_lens]
-    codes[order] = (first[sorted_lens] + np.arange(order.size) - group_start).astype(
+    group_start = np.concatenate(([0], np.cumsum(hist)))[canon_lens]
+    codes[canon_syms] = (first[canon_lens] + np.arange(canon_syms.size) - group_start).astype(
         np.uint32
     )
     return codes
@@ -223,11 +273,16 @@ class HuffmanCodec:
     """
 
     def __init__(self, code_lengths: np.ndarray, *, max_len: int | None = None):
-        self.lengths = np.asarray(code_lengths, dtype=np.uint8)
-        if self.lengths.ndim != 1:
+        lengths = np.asarray(code_lengths, dtype=np.uint8)
+        if lengths.ndim != 1:
             raise ValueError("code_lengths must be one-dimensional")
-        present = np.nonzero(self.lengths != 0)[0]
-        plens = self.lengths[present].astype(np.int64)
+        self._init(lengths, np.flatnonzero(lengths != 0), max_len)
+
+    def _init(self, lengths: np.ndarray, present: np.ndarray, max_len: int | None) -> None:
+        """Validate and index the code; ``present`` is ``flatnonzero(lengths)``
+        (:meth:`from_counts` already holds it from the histogram scan)."""
+        self.lengths = lengths
+        plens = lengths[present].astype(np.int64)
         longest = int(plens.max()) if present.size else 0
         self.max_len = int(max_len if max_len is not None else max(longest, 1))
         if longest > self.max_len:
@@ -251,14 +306,16 @@ class HuffmanCodec:
     def codes(self) -> np.ndarray:
         """Canonical codewords per symbol (built on first use: encode only)."""
         if self._codes is None:
-            self._codes = canonical_codes(self.lengths)
+            self._codes = _assign_codes(self.lengths.size, self._canon_syms, self._canon_lens)
         return self._codes
 
     # -- construction --------------------------------------------------
     @classmethod
     def from_counts(cls, counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> "HuffmanCodec":
         """Build an optimal (length-limited) code for the given histogram."""
-        return cls(huffman_code_lengths(counts, max_len=max_len), max_len=max_len)
+        codec = cls.__new__(cls)
+        codec._init(*_code_lengths(counts, max_len), max_len)
+        return codec
 
     @classmethod
     def from_symbols(cls, symbols: np.ndarray, alphabet_size: int, max_len: int = DEFAULT_MAX_LEN) -> "HuffmanCodec":
@@ -290,23 +347,8 @@ class HuffmanCodec:
     # -- encode ----------------------------------------------------------
     def encode(self, symbols: np.ndarray, block_size: int | None = None) -> HuffmanEncoded:
         """Encode ``symbols`` (ints in ``[0, alphabet)``) into a bit stream."""
-        symbols = np.asarray(symbols, dtype=np.int64).ravel()
-        n = symbols.size
-        if n and (symbols.min() < 0 or symbols.max() >= self.lengths.size):
-            raise ValueError("symbol out of alphabet range")
-        block = int(block_size) if block_size else default_block_size(n)
-        if block <= 0:
-            raise ValueError("block_size must be positive")
-        if n == 0:
-            return HuffmanEncoded(b"", 0, np.zeros(0, dtype=np.int64), 0, block)
-        sym_lengths = self.lengths[symbols].astype(np.int64)
-        if sym_lengths.min() == 0:
-            raise ValueError("attempted to encode a symbol with no codeword")
-        payload, total_bits = pack_codes(self.codes[symbols], sym_lengths)
-        ends = np.cumsum(sym_lengths)
-        starts = ends - sym_lengths
-        block_offsets = starts[::block].astype(np.int64)
-        return HuffmanEncoded(payload, total_bits, block_offsets, n, block)
+        symbols = np.asarray(symbols, dtype=np.int64).reshape(1, -1)
+        return encode_many([self], symbols, block_size)[0]
 
     # -- decode ----------------------------------------------------------
     def _build_table(self) -> None:
@@ -333,6 +375,52 @@ class HuffmanCodec:
     def decode(self, encoded: HuffmanEncoded) -> np.ndarray:
         """Decode a stream produced by :meth:`encode` back to symbols."""
         return decode_many([self], [encoded])[0]
+
+
+def encode_many(codecs, symbols: np.ndarray, block_size: int | None = None) -> list[HuffmanEncoded]:
+    """Encode the rows of a 2-D symbol array in one pass.
+
+    ``codecs[i]`` encodes ``symbols[i]``; the same codec object may serve
+    several rows (shared-table levels).  Code lengths and codewords are
+    gathered through the stacked per-codec tables (``table[row, symbol]``),
+    all rows are bit-packed together and the block offsets come from one
+    row-wise ``cumsum``, so ``result[i]`` equals
+    ``codecs[i].encode(symbols[i], block_size)`` — :meth:`HuffmanCodec.encode`
+    is the batch of one.
+    """
+    symbols = np.asarray(symbols, dtype=np.int64)
+    if symbols.ndim != 2 or symbols.shape[0] != len(codecs):
+        raise ValueError("need a 2-D symbol array with one row per codec")
+    n_streams, n = symbols.shape
+    alphabet = codecs[0].lengths.size
+    if any(codec.lengths.size != alphabet for codec in codecs):
+        raise ValueError("codecs of one encode batch must share an alphabet size")
+    if n and (symbols.min() < 0 or symbols.max() >= alphabet):
+        raise ValueError("symbol out of alphabet range")
+    block = int(block_size) if block_size else default_block_size(n)
+    if block <= 0:
+        raise ValueError("block_size must be positive")
+    if n == 0:
+        return [HuffmanEncoded(b"", 0, np.zeros(0, dtype=np.int64), 0, block)] * n_streams
+    tables = {id(codec): codec for codec in codecs}
+    if len(tables) == 1:
+        index, length_table, code_table = symbols, codecs[0].lengths, codecs[0].codes
+    else:
+        base_of = dict(zip(tables, range(0, len(tables) * alphabet, alphabet)))
+        index = symbols + np.array([base_of[id(codec)] for codec in codecs])[:, None]
+        length_table = np.concatenate([codec.lengths for codec in tables.values()])
+        code_table = np.concatenate([codec.codes for codec in tables.values()])
+    sym_lengths = length_table[index].astype(np.int64)
+    if sym_lengths.min() == 0:
+        raise ValueError("attempted to encode a symbol with no codeword")
+    payloads, total_bits = pack_codes(code_table[index], sym_lengths)
+    starts = np.cumsum(sym_lengths, axis=1)
+    starts -= sym_lengths
+    block_offsets = np.ascontiguousarray(starts[:, ::block])
+    return [
+        HuffmanEncoded(payload, bits, offsets, n, block)
+        for payload, bits, offsets in zip(payloads, total_bits, block_offsets)
+    ]
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,8 @@ predictions consume earlier reconstructions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.utils.validation import check_error_bound
@@ -92,63 +94,93 @@ def _predict(recon: np.ndarray, new_ix, left_ix, right_ix, axis: int) -> np.ndar
     return pred
 
 
-def interp_compress(data: np.ndarray, abs_eb: float) -> np.ndarray:
+def _traversal(full: tuple[int, ...], ndim: int):
+    """``(anchor index, passes)`` for a batch of ``ndim``-D streams.
+
+    ``full`` is the batch shape — axis 0 is the stream axis, a 4D stream's
+    own leading axis (its stacked sub-blocks) is the next one, and neither
+    is spatial.  Each pass is ``(new, left, right, axis)`` in the order
+    both directions visit them.
+    """
+    spatial_axes = range(2, ndim + 1) if ndim == 4 else range(1, ndim + 1)
+    n_levels = _levels_for(full, spatial_axes)
+    anchor_ix: list[slice] = [slice(None)] * (ndim + 1)
+    for ax in spatial_axes:
+        anchor_ix[ax] = slice(0, None, 1 << n_levels)
+    passes = []
+    for m in range(n_levels, 0, -1):
+        s = 1 << m
+        for axis in spatial_axes:
+            plan = _pass_slices(full, spatial_axes, axis, s, s >> 1)
+            if plan is not None:
+                passes.append(plan + (axis,))
+    return tuple(anchor_ix), passes
+
+
+def _check_ndim(ndim: int) -> None:
+    if ndim not in (1, 2, 3, 4):
+        raise ValueError(f"interpolation predictor supports 1-4D, got {ndim}D")
+
+
+def interp_compress(data: np.ndarray, abs_eb) -> np.ndarray:
     """Quantization-code stream for ``data`` under absolute bound ``abs_eb``.
 
     The returned int64 stream concatenates anchor delta codes and per-pass
     residual codes in traversal order; :func:`interp_decompress` consumes
     the same order.
+
+    With ``abs_eb`` a sequence, ``data`` is a batch of same-shape streams
+    along a leading stream axis, one bound per stream, and the result has
+    one row of codes per stream.  The traversal runs once for the whole
+    batch and every float operation stays elementwise (each stream's pitch
+    broadcasts down its row, anchors are delta-coded within their row), so
+    row ``i`` is bit-identical to compressing ``data[i]`` on its own.
     """
-    abs_eb = check_error_bound(abs_eb)
+    batched = np.ndim(abs_eb) == 1
+    ebs = [check_error_bound(float(eb)) for eb in np.atleast_1d(abs_eb)]
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim not in (1, 2, 3, 4):
-        raise ValueError(f"interpolation predictor supports 1-4D, got {arr.ndim}D")
-    spatial_axes = range(1, arr.ndim) if arr.ndim == 4 else range(arr.ndim)
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    pitch = 2.0 * abs_eb
-    peak = float(np.max(np.abs(arr))) / pitch if arr.size else 0.0
-    if peak > float(2**62):
-        raise ValueError(
-            f"error bound {abs_eb:g} is too small for data of magnitude "
-            f"{peak * pitch:g}; lattice index would overflow int64"
-        )
-    n_levels = _levels_for(arr.shape, spatial_axes)
-    stride = 1 << n_levels
-
+    if not batched:
+        arr = arr[None]
+    ndim = arr.ndim - 1
+    _check_ndim(ndim)
+    n_streams = arr.shape[0]
+    if len(ebs) != n_streams:
+        raise ValueError(f"expected {n_streams} error bounds, got {len(ebs)}")
+    codes = np.empty((n_streams, math.prod(arr.shape[1:])), dtype=np.int64)
+    if codes.size == 0:
+        return codes if batched else codes[0]
+    pitches = [2.0 * eb for eb in ebs]
+    peaks = np.abs(arr).reshape(n_streams, -1).max(axis=1).tolist()
+    for eb, pitch, peak in zip(ebs, pitches, peaks):
+        if peak / pitch > float(2**62):
+            raise ValueError(
+                f"error bound {eb:g} is too small for data of magnitude "
+                f"{peak / pitch * pitch:g}; lattice index would overflow int64"
+            )
+    pitch = np.array(pitches).reshape((n_streams,) + (1,) * ndim)
+    anchor_ix, passes = _traversal(arr.shape, ndim)
     recon = np.zeros_like(arr)
-    codes: list[np.ndarray] = []
 
-    # Anchors: lattice-quantize, delta-code flat.
-    anchor_ix: list[slice] = [slice(None)] * arr.ndim
-    for ax in spatial_axes:
-        anchor_ix[ax] = slice(0, None, stride)
-    anchor_ix = tuple(anchor_ix)
+    # Anchors: lattice-quantize, delta-code flat within each stream.
     lattice = np.rint(arr[anchor_ix] / pitch).astype(np.int64)
-    deltas = np.diff(lattice.ravel(), prepend=np.int64(0))
-    codes.append(deltas)
+    cursor = lattice.size // n_streams
+    codes[:, :cursor] = np.diff(lattice.reshape(n_streams, -1), prepend=np.int64(0), axis=1)
     recon[anchor_ix] = lattice.astype(np.float64) * pitch
 
-    for m in range(n_levels, 0, -1):
-        s = 1 << m
-        h = s >> 1
-        for axis in spatial_axes:
-            plan = _pass_slices(arr.shape, spatial_axes, axis, s, h)
-            if plan is None:
-                continue
-            new_ix, left_ix, right_ix = plan
-            pred = _predict(recon, new_ix, left_ix, right_ix, axis)
-            # One scratch buffer carries diff → code → dequantized residual;
-            # `pred` is then reused in place as the reconstruction values.
-            scratch = arr[new_ix] - pred
-            scratch /= pitch
-            np.rint(scratch, out=scratch)
-            resid = scratch.astype(np.int64)
-            codes.append(resid.ravel())
-            scratch *= pitch
-            pred += scratch
-            recon[new_ix] = pred
-    return np.concatenate(codes)
+    for new_ix, left_ix, right_ix, axis in passes:
+        pred = _predict(recon, new_ix, left_ix, right_ix, axis)
+        # One scratch buffer carries diff → code → dequantized residual;
+        # `pred` is then reused in place as the reconstruction values.
+        scratch = arr[new_ix] - pred
+        scratch /= pitch
+        np.rint(scratch, out=scratch)
+        n_new = scratch.size // n_streams
+        codes[:, cursor : cursor + n_new] = scratch.reshape(n_streams, -1)
+        cursor += n_new
+        scratch *= pitch
+        pred += scratch
+        recon[new_ix] = pred
+    return codes if batched else codes[0]
 
 
 def interp_decompress(codes: np.ndarray, abs_eb, shape: tuple[int, ...]) -> np.ndarray:
@@ -168,8 +200,7 @@ def interp_decompress(codes: np.ndarray, abs_eb, shape: tuple[int, ...]) -> np.n
         check_error_bound(float(eb))
     shape = tuple(int(dim) for dim in shape)
     ndim = len(shape)
-    if ndim not in (1, 2, 3, 4):
-        raise ValueError(f"interpolation predictor supports 1-4D, got {ndim}D")
+    _check_ndim(ndim)
     if not batched:
         codes = codes.reshape(1, -1)
     n_streams = codes.shape[0]
@@ -181,44 +212,26 @@ def interp_decompress(codes: np.ndarray, abs_eb, shape: tuple[int, ...]) -> np.n
         return recon if batched else recon[0]
     if codes.shape[1] != size:
         raise ValueError(f"expected {size} codes for shape {shape}, got {codes.shape[1]}")
-    # Axis 0 is the stream axis from here on; a 4D stream's own leading
-    # axis (its stacked sub-blocks) is the next one and is not spatial.
     full = (n_streams,) + shape
-    spatial_axes = range(2, ndim + 1) if ndim == 4 else range(1, ndim + 1)
     pitch = (2.0 * ebs).reshape((n_streams,) + (1,) * ndim)
-    n_levels = _levels_for(full, spatial_axes)
-    stride = 1 << n_levels
+    anchor_ix, passes = _traversal(full, ndim)
 
     recon = np.zeros(full, dtype=np.float64)
-    cursor = 0
-
-    anchor_ix: list[slice] = [slice(None)] * (ndim + 1)
-    for ax in spatial_axes:
-        anchor_ix[ax] = slice(0, None, stride)
-    anchor_ix = tuple(anchor_ix)
     anchor_shape = recon[anchor_ix].shape
-    n_anchor = int(np.prod(anchor_shape[1:]))
-    lattice = np.cumsum(codes[:, cursor : cursor + n_anchor], axis=1)
-    cursor += n_anchor
+    cursor = int(np.prod(anchor_shape[1:]))
+    lattice = np.cumsum(codes[:, :cursor], axis=1)
     recon[anchor_ix] = lattice.astype(np.float64).reshape(anchor_shape) * pitch
 
-    for m in range(n_levels, 0, -1):
-        s = 1 << m
-        h = s >> 1
-        for axis in spatial_axes:
-            plan = _pass_slices(full, spatial_axes, axis, s, h)
-            if plan is None:
-                continue
-            new_ix, left_ix, right_ix = plan
-            pred = _predict(recon, new_ix, left_ix, right_ix, axis)
-            n_new = int(np.prod(pred.shape[1:]))
-            # Dequantize into one scratch buffer and accumulate onto the
-            # owned prediction in place (same float ops, fewer temporaries).
-            scratch = codes[:, cursor : cursor + n_new].astype(np.float64).reshape(pred.shape)
-            cursor += n_new
-            scratch *= pitch
-            pred += scratch
-            recon[new_ix] = pred
+    for new_ix, left_ix, right_ix, axis in passes:
+        pred = _predict(recon, new_ix, left_ix, right_ix, axis)
+        n_new = int(np.prod(pred.shape[1:]))
+        # Dequantize into one scratch buffer and accumulate onto the
+        # owned prediction in place (same float ops, fewer temporaries).
+        scratch = codes[:, cursor : cursor + n_new].astype(np.float64).reshape(pred.shape)
+        cursor += n_new
+        scratch *= pitch
+        pred += scratch
+        recon[new_ix] = pred
     if cursor != size:
         raise ValueError("code stream length mismatch (corrupt stream)")
     return recon if batched else recon[0]

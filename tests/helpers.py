@@ -207,3 +207,46 @@ def reserialize_stream(blob: bytes, replace: dict) -> bytes:
         elif replace[tag] is not None:
             sections.append((tag, lossless.CODEC_RAW, replace[tag]))
     return stream.serialize(parsed.header, sections)
+
+
+def heap_code_lengths(counts, max_len: int = 16) -> np.ndarray:
+    """Reference Huffman code lengths: the binary-heap tree build.
+
+    This is the builder ``repro.sz.huffman.huffman_code_lengths`` used
+    until the two-queue merge replaced it; it stays here as the reference
+    the property tests hold the merge to (same tree, so same lengths, on
+    every histogram).  Heap entries are ``(count, tie, node)`` with leaf
+    ties the present-symbol index and merged-node ties the creation order.
+    """
+    import heapq
+
+    from repro.sz.huffman import _limit_lengths
+
+    counts = np.asarray(counts, dtype=np.int64)
+    present = np.flatnonzero(counts)
+    lengths = np.zeros(counts.size, dtype=np.uint8)
+    if present.size == 0:
+        return lengths
+    if present.size == 1:
+        lengths[present[0]] = 1
+        return lengths
+    heap = [(int(counts[s]), i, int(s)) for i, s in enumerate(present)]
+    heapq.heapify(heap)
+    next_tie = present.size
+    while len(heap) > 1:
+        c1, _, n1 = heapq.heappop(heap)
+        c2, _, n2 = heapq.heappop(heap)
+        heapq.heappush(heap, (c1 + c2, next_tie, (n1, n2)))
+        next_tie += 1
+    depth_of: dict[int, int] = {}
+    stack = [(heap[0][2], 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, tuple):
+            stack.append((node[0], depth + 1))
+            stack.append((node[1], depth + 1))
+        else:
+            depth_of[node] = max(depth, 1)
+    raw = np.array([depth_of[int(s)] for s in present], dtype=np.int64)
+    lengths[present] = _limit_lengths(raw, max_len)
+    return lengths

@@ -52,6 +52,52 @@ class TestPackCodes:
         assert len(buf) == 5
 
 
+class TestPackRows:
+    """2-D input: row ``i`` packs to exactly ``pack_codes(row i)``."""
+
+    @staticmethod
+    def random_rows(rng, n_rows, n_cols, max_len=16):
+        lengths = rng.integers(1, max_len + 1, size=(n_rows, n_cols))
+        codes = rng.integers(0, 1 << 62, size=(n_rows, n_cols)) & ((1 << lengths) - 1)
+        return codes.astype(np.uint64), lengths
+
+    @pytest.mark.parametrize("shape", [(1, 50), (7, 33), (64, 257), (3, 1)])
+    def test_rows_equal_single_packs(self, shape, rng):
+        codes, lengths = self.random_rows(rng, *shape)
+        buffers, totals = pack_codes(codes, lengths)
+        assert len(buffers) == len(totals) == shape[0]
+        for row in range(shape[0]):
+            assert (buffers[row], totals[row]) == pack_codes(codes[row], lengths[row])
+
+    def test_rows_ending_on_a_byte_boundary(self, rng):
+        # Bit totals 16, 8, 24, 7: the aligned rows take no pad bits and the
+        # ragged last row leans on packbits' own zero fill.
+        lengths = np.array([[8, 4, 4], [2, 3, 3], [9, 9, 6], [1, 2, 4]])
+        codes = (rng.integers(0, 1 << 20, size=lengths.shape) & ((1 << lengths) - 1)).astype(
+            np.uint64
+        )
+        buffers, totals = pack_codes(codes, lengths)
+        assert totals == [16, 8, 24, 7]
+        assert [len(b) for b in buffers] == [2 + 4, 1 + 4, 3 + 4, 1 + 4]
+        for row in range(4):
+            assert (buffers[row], totals[row]) == pack_codes(codes[row], lengths[row])
+
+    def test_wide_codes_take_the_int64_path(self, rng):
+        codes, lengths = self.random_rows(rng, 5, 40, max_len=40)
+        buffers, totals = pack_codes(codes, lengths)
+        for row in range(5):
+            assert (buffers[row], totals[row]) == pack_codes(codes[row], lengths[row])
+
+    def test_empty_rows(self):
+        buffers, totals = pack_codes(np.zeros((3, 0), np.uint64), np.zeros((3, 0), np.int64))
+        assert totals == [0, 0, 0]
+        assert buffers == [pack_codes(np.zeros(0, np.uint64), np.zeros(0, np.int64))[0]] * 3
+
+    def test_rejects_zero_length_in_any_row(self):
+        with pytest.raises(ValueError, match="positive"):
+            pack_codes(np.ones((2, 2), np.uint64), np.array([[1, 2], [0, 3]]))
+
+
 class TestPeekBits:
     def test_peek_first_bits(self):
         buf, _ = pack_codes(np.array([0b10110011], dtype=np.uint64), np.array([8]))

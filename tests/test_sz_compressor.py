@@ -32,6 +32,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="alphabet"):
             SZConfig(radius=2**20, max_code_len=16)
 
+    @pytest.mark.parametrize("bad", [-5, 0, 2.5, True, "64"])
+    def test_rejects_bad_block_size_at_construction(self, bad):
+        with pytest.raises(ValueError, match="block_size"):
+            SZConfig(block_size=bad)
+
+    @pytest.mark.parametrize("block", [None, 1, 100, np.int64(64)])
+    def test_accepts_block_size(self, block):
+        codec = SZCompressor(block_size=block)
+        data = smooth_cube(8)
+        assert_error_bounded(data, codec.decompress(codec.compress(data, 1e-3)), 1e-3)
+
     def test_kwargs_init(self):
         codec = SZCompressor(radius=128, zlib_level=0)
         assert codec.config.radius == 128

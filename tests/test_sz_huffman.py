@@ -13,8 +13,10 @@ from repro.sz.huffman import (
     decode_table_cache_clear,
     decode_table_cache_info,
     default_block_size,
+    encode_many,
     huffman_code_lengths,
 )
+from tests.helpers import heap_code_lengths
 
 
 def kraft_sum(lengths: np.ndarray) -> float:
@@ -329,6 +331,104 @@ class TestDecodeTableCache:
         assert decode_table_cache_info().currsize == DECODE_CACHE_SIZE
 
 
+class TestTwoQueueBuild:
+    """The two-queue merge builds the heap's tree: equal lengths, always."""
+
+    @given(
+        counts=st.lists(st.integers(0, 6), min_size=1, max_size=300),
+        max_len=st.sampled_from([9, 12, 16]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_heavy_ties(self, counts, max_len):
+        counts = np.array(counts)
+        assert np.array_equal(
+            huffman_code_lengths(counts, max_len), heap_code_lengths(counts, max_len)
+        )
+
+    @given(
+        exponents=st.lists(st.integers(0, 50), min_size=2, max_size=120),
+        max_len=st.sampled_from([9, 12, 16]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_skewed_counts_that_force_the_length_limit(self, exponents, max_len):
+        counts = np.array([1 << e for e in exponents], dtype=np.int64)
+        got = huffman_code_lengths(counts, max_len)
+        assert np.array_equal(got, heap_code_lengths(counts, max_len))
+        assert got.max() <= max_len and kraft_sum(got) <= 1.0 + 1e-12
+
+    def test_fibonacci_counts_exceed_the_limit_before_repair(self):
+        counts = np.array([1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377])
+        for max_len in (5, 9):
+            got = huffman_code_lengths(counts, max_len)
+            assert np.array_equal(got, heap_code_lengths(counts, max_len))
+        assert huffman_code_lengths(counts, 5).max() == 5  # unlimited depth is 13
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 512])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_all_equal_counts(self, n, count):
+        counts = np.full(n, count)
+        assert np.array_equal(huffman_code_lengths(counts, 9), heap_code_lengths(counts, 9))
+
+    def test_single_present_symbol(self):
+        counts = np.array([0, 0, 9, 0])
+        assert huffman_code_lengths(counts).tolist() == heap_code_lengths(counts).tolist()
+
+    def test_alphabet_exactly_fills_the_code_space(self, rng):
+        max_len = 6
+        counts = rng.integers(1, 1000, size=1 << max_len)
+        got = huffman_code_lengths(counts, max_len)
+        assert np.array_equal(got, heap_code_lengths(counts, max_len))
+        assert got.tolist() == [max_len] * (1 << max_len)
+
+    def test_brick_like_histograms(self, rng):
+        for _ in range(50):
+            residuals = np.rint(rng.standard_normal(4096) * rng.uniform(0.3, 40)).astype(np.int64)
+            counts = np.bincount(np.clip(residuals + 4096, 0, 8192), minlength=8193)
+            assert np.array_equal(huffman_code_lengths(counts), heap_code_lengths(counts))
+
+    def test_weights_beyond_int64_do_not_wrap(self):
+        counts = np.full(4, 2**62, dtype=np.int64)
+        assert huffman_code_lengths(counts).tolist() == [2, 2, 2, 2]
+
+
+class TestEncodeMany:
+    """Rows of one pass ≡ one ``encode`` per row."""
+
+    @pytest.mark.parametrize("block_size", [None, 1, 64, 100])
+    def test_rows_equal_single_encodes(self, block_size, rng):
+        rows = [np.clip(rng.geometric(p, size=1000) - 1, 0, 40) for p in (0.2, 0.5, 0.8, 0.05)]
+        codecs = [HuffmanCodec.from_symbols(row, alphabet_size=41) for row in rows]
+        batch = encode_many(codecs, np.stack(rows), block_size)
+        for codec, row, got in zip(codecs, rows, batch):
+            want = codec.encode(row, block_size)
+            assert (got.payload, got.total_bits, got.n_symbols, got.block_size) == (
+                want.payload, want.total_bits, want.n_symbols, want.block_size
+            )
+            assert np.array_equal(got.block_offsets, want.block_offsets)
+            assert np.array_equal(codec.decode(got), row)
+
+    def test_one_codec_serving_every_row(self, rng):
+        rows = rng.integers(0, 9, size=(5, 300))
+        codec = HuffmanCodec.from_symbols(rows.ravel(), alphabet_size=9)
+        for row, got in zip(rows, encode_many([codec] * 5, rows)):
+            assert got.payload == codec.encode(row).payload
+
+    def test_member_checks(self):
+        codec = HuffmanCodec(np.array([1, 1, 0], dtype=np.uint8))
+        ok = np.array([[0, 1, 0], [1, 1, 0]])
+        assert len(encode_many([codec, codec], ok)) == 2
+        with pytest.raises(ValueError, match="no codeword"):
+            encode_many([codec, codec], np.array([[0, 1, 0], [1, 2, 0]]))
+        with pytest.raises(ValueError, match="out of alphabet range"):
+            encode_many([codec, codec], np.array([[0, 1, 0], [1, 3, 0]]))
+        with pytest.raises(ValueError, match="one row per codec"):
+            encode_many([codec], ok)
+        with pytest.raises(ValueError, match="alphabet size"):
+            encode_many([codec, HuffmanCodec(np.array([1, 1], dtype=np.uint8))], ok)
+        empty = encode_many([codec, codec], np.zeros((2, 0), dtype=np.int64))
+        assert [e.n_symbols for e in empty] == [0, 0]
+
+
 class TestBlockSizeHeuristic:
     def test_scales_with_sqrt(self):
         assert default_block_size(0) == 64
@@ -338,6 +438,12 @@ class TestBlockSizeHeuristic:
     def test_bounds(self):
         assert default_block_size(1) == 64
         assert default_block_size(2**40) == 8192
+
+    def test_equals_the_float_sqrt_rule_it_replaced(self):
+        sizes = list(range(0, 5000)) + [k * k + d for k in range(60, 8200, 7) for d in (-1, 0, 1)]
+        for n in sizes:
+            want = int(np.clip(int(np.sqrt(n)), 64, 8192)) if n > 0 else 64
+            assert default_block_size(n) == want
 
 
 class TestChunkedWindowDecode:

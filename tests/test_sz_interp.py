@@ -95,6 +95,55 @@ class TestInterpRoundTrip:
         assert np.max(np.abs(recon - data)) <= eb * (1 + 1e-9)
 
 
+class TestBatchedCompress:
+    """A leading stream axis: row ``i`` ≡ the codes of ``data[i]`` alone."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (17,), (5, 9), (8, 8, 8), (13, 6, 21), (7, 7, 7), (3, 4, 4, 4), (5, 9, 3, 6)]
+    )
+    def test_rows_are_identical_to_single_compresses(self, shape, rng):
+        ebs = [1e-3, 2.5e-2, 7e-5, 1e-3]
+        data = rng.standard_normal((len(ebs),) + shape) * 10
+        batch = interp_compress(data, ebs)
+        assert batch.shape == (len(ebs), int(np.prod(shape)))
+        assert batch.dtype == np.int64
+        for row, eb, got in zip(data, ebs, batch):
+            assert np.array_equal(got, interp_compress(row, eb))
+
+    def test_float32_rows(self, rng):
+        data = (rng.standard_normal((3, 9, 10, 11)) * 100).astype(np.float32)
+        batch = interp_compress(data, [1e-2] * 3)
+        for row, got in zip(data, batch):
+            assert np.array_equal(got, interp_compress(row, 1e-2))
+
+    def test_one_row_batch_keeps_its_axis(self, rng):
+        data = rng.standard_normal((6, 6))
+        batch = interp_compress(data[None], [1e-2])
+        assert batch.shape == (1, 36)
+        assert np.array_equal(batch[0], interp_compress(data, 1e-2))
+
+    def test_empty_streams(self):
+        assert interp_compress(np.zeros((3, 0, 4)), [1e-3] * 3).shape == (3, 0)
+
+    def test_rejects_mismatched_bounds_and_rank(self):
+        with pytest.raises(ValueError, match="error bounds"):
+            interp_compress(np.zeros((3, 2, 2)), [1e-3, 1e-3])
+        with pytest.raises(ValueError, match="1-4D"):
+            interp_compress(np.zeros((2,) * 6), [1e-3, 1e-3])
+        with pytest.raises(ValueError, match="error bound"):
+            interp_compress(np.zeros((2, 4)), [1e-3, 0.0])
+
+    def test_overflow_check_stays_per_stream(self):
+        data = np.array([[1.0, 2.0], [1e30, 1.0], [3.0, 4.0]])
+        with pytest.raises(ValueError) as batch:
+            interp_compress(data, [1e-3, 1e-3, 1e-3])
+        with pytest.raises(ValueError) as single:
+            interp_compress(data[1], 1e-3)
+        assert str(batch.value) == str(single.value)
+        # The same magnitudes under a bound that fits them are fine.
+        assert interp_compress(data, [1e-3, 1e20, 1e-3]).shape == (3, 2)
+
+
 class TestBatchedDecompress:
     """A leading stream axis: row ``i`` ≡ decoding ``codes[i]`` alone."""
 
