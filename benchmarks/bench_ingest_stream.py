@@ -1,12 +1,8 @@
-"""Streamed-ingest gate: throughput, bounded memory, delta ratio.
+"""Streamed-ingest gate: bounded memory, delta ratio.
 
 The CI gate for the in-situ ingest pipeline (``repro.ingest``):
 
-* **throughput** — a streamed :class:`~repro.ingest.IngestSession` over a
-  prebuilt snapshot series must reach >= 70% of the eager session's
-  MB/s on the same series (chunked presentation and the closed-loop
-  delta decode must not cost the pipeline its batch-path speed);
-* **memory** — the streamed session's tracemalloc peak must stay under
+* **memory** — the session's tracemalloc peak must stay under
   2x the peak of merely *draining* ``compress_iter`` on the largest
   snapshot (the codec's own working set, measured in-process — a
   self-calibrating bound, since the compressor working set, not the
@@ -44,10 +40,7 @@ from repro.core.tac import TACCompressor
 from repro.ingest import IngestConfig, IngestSession
 from repro.sim.timesteps import make_timestep_series
 
-#: Streamed session throughput must reach this fraction of the eager path.
-MIN_THROUGHPUT_FRACTION = 0.70
-
-#: Streamed session peak memory vs the codec's own compress_iter peak.
+#: Session peak memory vs the codec's own compress_iter peak.
 MAX_PEAK_FACTOR = 2.0
 
 STEPS = 4
@@ -74,32 +67,9 @@ def run_gate(scale: int) -> dict:
     series_bytes = sum(ds.original_bytes() for ds in series)
     workdir = Path(tempfile.mkdtemp(prefix="ingest_gate_"))
     try:
-        # -- throughput: streamed vs eager session over the same series --
         cfg = dict(error_bound=1e-4, mode="rel", keyframe_interval=STEPS)
         stream_bytes, stream_wall = _session_bytes(
-            workdir / "stream.rpbt", IngestConfig(streaming=True, **cfg), series
-        )
-        eager_bytes, eager_wall = _session_bytes(
-            workdir / "eager.rpbt", IngestConfig(streaming=False, **cfg), series
-        )
-        # Same payloads either way (the wire framing differs: deferred-head
-        # v5 streamed vs v4 eager) — compare the per-entry manifests.
-        from repro.engine.archive import LazyBatchArchive
-
-        manifests = []
-        for name in ("stream.rpbt", "eager.rpbt"):
-            with LazyBatchArchive.open(workdir / name) as archive:
-                manifests.append(
-                    [
-                        (row["key"], row["compressed_bytes"])
-                        for row in archive.manifest()
-                    ]
-                )
-        assert manifests[0] == manifests[1], "streamed archive diverged from eager"
-        fraction = eager_wall / stream_wall
-        assert fraction >= MIN_THROUGHPUT_FRACTION, (
-            f"streamed session at {fraction:.2f}x eager throughput; the gate "
-            f"requires >= {MIN_THROUGHPUT_FRACTION}x"
+            workdir / "stream.rpbt", IngestConfig(**cfg), series
         )
 
         # -- memory: session peak vs the codec's own working set --
@@ -111,15 +81,13 @@ def run_gate(scale: int) -> dict:
         tracemalloc.stop()
 
         tracemalloc.start()
-        with IngestSession(
-            workdir / "mem.rpbt", IngestConfig(streaming=True, **cfg)
-        ) as session:
+        with IngestSession(workdir / "mem.rpbt", IngestConfig(**cfg)) as session:
             session.extend(series)
         _, session_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         peak_factor = session_peak / codec_peak
         assert peak_factor < MAX_PEAK_FACTOR, (
-            f"streamed session peaks at {peak_factor:.2f}x the codec's own "
+            f"session peaks at {peak_factor:.2f}x the codec's own "
             f"compress_iter peak; the gate requires < {MAX_PEAK_FACTOR}x"
         )
 
@@ -146,13 +114,6 @@ def run_gate(scale: int) -> dict:
             "mb_per_s": round(series_bytes / 1e6 / stream_wall, 3),
             "archive_bytes": stream_bytes,
         },
-        "eager": {
-            "wall_seconds": round(eager_wall, 6),
-            "mb_per_s": round(series_bytes / 1e6 / eager_wall, 3),
-            "archive_bytes": eager_bytes,
-        },
-        "throughput_fraction": round(fraction, 3),
-        "min_throughput_fraction": MIN_THROUGHPUT_FRACTION,
         "codec_peak_bytes": codec_peak,
         "session_peak_bytes": session_peak,
         "peak_factor": round(peak_factor, 3),
@@ -173,9 +134,7 @@ def _summarize(stats: dict) -> str:
     return (
         f"== ingest_stream gate (Run1_Z10, scale {stats['scale']}, "
         f"{stats['steps']} steps) ==\n"
-        f"throughput : {stats['stream']['mb_per_s']} MB/s streamed vs "
-        f"{stats['eager']['mb_per_s']} MB/s eager "
-        f"({stats['throughput_fraction']}x, gate {stats['min_throughput_fraction']}x)\n"
+        f"throughput : {stats['stream']['mb_per_s']} MB/s (reported, not gated)\n"
         f"memory     : session peak {stats['session_peak_bytes']} B = "
         f"{stats['peak_factor']}x codec peak (gate {stats['max_peak_factor']}x)\n"
         f"delta      : {stats['stream']['archive_bytes']} B vs "
@@ -190,7 +149,6 @@ def bench_ingest_stream_gate(benchmark, results_dir):
 
     stats = benchmark.pedantic(run_gate, args=(SCALE,), rounds=1, iterations=1)
     _write_stats(stats)
-    benchmark.extra_info["throughput_fraction"] = stats["throughput_fraction"]
     benchmark.extra_info["peak_factor"] = stats["peak_factor"]
     print("\n" + _summarize(stats))
 

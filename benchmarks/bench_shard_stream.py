@@ -20,6 +20,7 @@ import pytest
 
 from benchmarks.conftest import SCALE
 from repro.engine import CompressionEngine, CompressionJob, LazyBatchArchive
+from repro.ingest import IngestSession
 from repro.sim.datasets import make_dataset
 from repro.sim.nyx import NYX_FIELDS
 
@@ -95,7 +96,7 @@ def bench_shard_stream_write(benchmark, batch_jobs, results_dir, tmp_path):
 
 
 def bench_shard_stream_engine(benchmark, batch_jobs, results_dir, tmp_path):
-    """End-to-end ``run_to_shards`` vs monolithic archive wall time."""
+    """End-to-end ``IngestSession`` vs monolithic archive wall time."""
     import time
 
     def compare():
@@ -105,12 +106,14 @@ def bench_shard_stream_engine(benchmark, batch_jobs, results_dir, tmp_path):
         archive.save(mono)
         t_mono = time.perf_counter() - t0
         t0 = time.perf_counter()
-        sharded = CompressionEngine(max_workers=2).run_to_shards(
-            batch_jobs, tmp_path / "streamed.rpbt"
-        )
+        with IngestSession(
+            tmp_path / "streamed.rpbt", error_bound=1e-4, max_inflight=4, workers=2
+        ) as session:
+            keys = [session.submit(job.dataset, key=job.label) for job in batch_jobs]
         t_stream = time.perf_counter() - t0
-        with LazyBatchArchive.open(sharded.head_path) as lazy:
-            for key in archive.keys():
+        assert sorted(keys) == sorted(archive.keys())
+        with LazyBatchArchive.open(session.report.head_path) as lazy:
+            for key in keys:
                 entry = lazy.entry(key)
                 for name, payload in archive.get(key).parts.items():
                     assert entry.parts[name] == payload
@@ -120,7 +123,7 @@ def bench_shard_stream_engine(benchmark, batch_jobs, results_dir, tmp_path):
     text = (
         f"== shard_stream: monolithic vs streamed write (scale {SCALE}) ==\n"
         f"monolithic: {t_mono:.3f}s (compress + save)\n"
-        f"streamed  : {t_stream:.3f}s (run_to_shards, bounded memory)\n"
+        f"streamed  : {t_stream:.3f}s (IngestSession, bounded memory)\n"
         f"overhead  : {t_stream / t_mono if t_mono else 1:.2f}x "
         f"(outputs entry-identical)\n"
     )

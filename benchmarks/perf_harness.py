@@ -494,6 +494,35 @@ def _ingest_ops(scale: int, repeats: int) -> dict:
     }
 
 
+def _container_ops(scale: int, repeats: int) -> dict:
+    """Container framing round trip on a many-part blob.
+
+    A ``brick_size=16`` TAC blob of Run1_Z3 (518+ parts at scale 4) is
+    where the part index, not the payload copy, is the framing cost:
+    one ``to_bytes`` + ``from_bytes`` + ``LazyCompressedDataset.open``.
+    """
+    from repro.core.container import CompressedDataset, LazyCompressedDataset
+    from repro.core.tac import TACCompressor
+    from repro.sim.datasets import make_dataset
+
+    dataset = make_dataset("Run1_Z3", scale=scale)
+    comp = TACCompressor(brick_size=16).compress(dataset, 1e-4, "rel")
+
+    def roundtrip():
+        blob = comp.to_bytes()
+        back = CompressedDataset.from_bytes(blob)
+        with LazyCompressedDataset.open(blob) as lazy:
+            assert len(lazy.parts) == len(back.parts)
+        return blob
+
+    blob = roundtrip()
+    return {
+        "container_roundtrip_bricked": op_entry(
+            time_op(roundtrip, max(repeats, 10)), len(comp.parts), len(blob)
+        ),
+    }
+
+
 OP_GROUPS = {
     "huffman": _huffman_ops,
     "blocks": _blocks_ops,
@@ -501,6 +530,7 @@ OP_GROUPS = {
     "shared_tables": _shared_tables_ops,
     "codecs": _codec_ops,
     "ingest": _ingest_ops,
+    "container": _container_ops,
 }
 
 
@@ -527,6 +557,7 @@ GROUP_OPS = {
         f"{c}_{op}" for c in ("tac", "1d", "zmesh", "3d") for op in ("compress", "decompress")
     ) + ("tac_preprocess",),
     "ingest": ("tac_compress_iter", "ingest_session_delta"),
+    "container": ("container_roundtrip_bricked",),
 }
 
 

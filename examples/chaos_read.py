@@ -10,7 +10,7 @@ part-name glob, probability, call budget) and ``faulty_opener`` wraps
 any shard opener so the same plan drives unit tests, benchmarks, and
 ``repro serve --chaos``.
 
-This example compresses a dataset into a sharded v4 archive (per-part
+This example compresses a dataset into a sharded archive (per-part
 CRC-32s in every entry), injects 5% transient ``OSError``s plus one
 bit-flipped brick, and reads through the damage with
 ``ArchiveReader(degraded=True)``: transients are retried away, the
@@ -25,25 +25,22 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 
-from repro import CompressionEngine, CompressionJob, make_dataset
+from repro import make_dataset
 from repro.engine import default_shard_opener
 from repro.faults import FaultPlan, FaultRule, archive_part_spans, faulty_opener
+from repro.ingest import IngestSession
 from repro.serve import ArchiveReader, RetryPolicy
 
 FILL = -1.0
 
 
 def main(scale: int = 8) -> None:
-    job = CompressionJob(
-        make_dataset("Run1_Z10", scale=scale, field="baryon_density"),
-        codec="tac",
-        error_bound=1e-4,
-        label="Run1_Z10/baryon_density",
-    )
+    dataset = make_dataset("Run1_Z10", scale=scale, field="baryon_density")
 
     with TemporaryDirectory() as tmp:
         head = Path(tmp) / "snapshot.rpbt"
-        CompressionEngine().run_to_shards([job], head, shard_size=256 * 1024)
+        with IngestSession(head, error_bound=1e-4, shard_size=256 * 1024) as session:
+            session.extend([dataset])
 
         # Part spans let the plan aim faults at named parts instead of
         # raw byte offsets.  Pick the first brick part as the victim.

@@ -19,28 +19,21 @@ import sys
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
-from repro import CompressionEngine, CompressionJob, make_dataset
+from repro import make_dataset
+from repro.ingest import IngestSession
 from repro.serve import ArchiveReader, RetryPolicy
 from repro.sim import NYX_FIELDS
 
 
 def main(scale: int = 8) -> None:
     fields = NYX_FIELDS[:2]
-    jobs = [
-        CompressionJob(
-            make_dataset("Run1_Z10", scale=scale, field=field),
-            codec="tac",
-            error_bound=1e-4,
-            label=f"Run1_Z10/{field}",
-        )
-        for field in fields
-    ]
-
     with TemporaryDirectory() as tmp:
         head = Path(tmp) / "snapshot.rpbt"
-        CompressionEngine(max_workers=2).run_to_shards(
-            jobs, head, shard_size=256 * 1024, run="Run1_Z10"
-        )
+        with IngestSession(
+            head, error_bound=1e-4, shard_size=256 * 1024, max_inflight=4, workers=2,
+            meta={"run": "Run1_Z10"},
+        ) as session:
+            session.extend(make_dataset("Run1_Z10", scale=scale, field=f) for f in fields)
 
         # -- a pool of overlapping ROIs on the finest level ------------
         with ArchiveReader(

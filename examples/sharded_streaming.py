@@ -4,9 +4,9 @@ Run:  python examples/sharded_streaming.py [scale]
 
 A snapshot-scale batch should never need the whole compressed dump in
 memory at once, and one monolithic archive file is the wrong shape for
-object storage.  ``CompressionEngine.run_to_shards`` streams each job's
-output into payload shards the moment it finishes (entries are released
-as they reach disk), and the resulting ``.rpbt`` head file is
+object storage.  ``IngestSession`` streams each snapshot's output into
+payload shards level by level (parts are released as they reach disk),
+and the resulting ``.rpbt`` head file is
 manifest-only: you can inspect a petabyte batch — or read one entry —
 without touching the shards you don't need.
 """
@@ -17,23 +17,16 @@ import tracemalloc
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
-from repro import CompressionEngine, CompressionJob, LazyBatchArchive, make_dataset
+from repro import LazyBatchArchive, make_dataset
 from repro.engine import codec_for_method
+from repro.ingest import IngestSession
 from repro.sim import NYX_FIELDS
 
 
 def main(scale: int = 8) -> None:
     fields = NYX_FIELDS[:4]
-    jobs = [
-        CompressionJob(
-            make_dataset("Run1_Z2", scale=scale, field=field),
-            codec="tac",
-            error_bound=1e-4,
-            label=f"Run1_Z2/{field}",
-        )
-        for field in fields
-    ]
-    print(f"batch: {len(jobs)} jobs ({', '.join(fields)})")
+    datasets = [make_dataset("Run1_Z2", scale=scale, field=f) for f in fields]
+    print(f"batch: {len(datasets)} snapshots ({', '.join(fields)})")
 
     with TemporaryDirectory() as tmp:
         head = Path(tmp) / "snapshot.rpbt"
@@ -41,19 +34,20 @@ def main(scale: int = 8) -> None:
         # -- streamed sharded write (bounded memory) -------------------
         tracemalloc.start()
         t0 = time.perf_counter()
-        sharded = CompressionEngine(max_workers=2).run_to_shards(
-            jobs, head, shard_size=64 * 1024, run="Run1_Z2"
-        )
+        with IngestSession(
+            head, error_bound=1e-4, shard_size=64 * 1024, meta={"run": "Run1_Z2"}
+        ) as session:
+            keys = session.extend(datasets)
         wall = time.perf_counter() - t0
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
-        report = sharded.report
+        report = session.report.write
         print(f"wrote    : head {head.name} + {len(report.shard_paths)} shard(s)")
         for path in report.shard_paths:
             print(f"           {path.name}  {path.stat().st_size} B")
         print(f"wall     : {wall:.3f}s, peak traced memory {peak / 2**20:.1f} MiB")
-        print(f"ratio    : {sharded.ratio():.2f}x over {report.n_entries} entries")
+        print(f"ratio    : {session.report.ratio():.2f}x over {report.n_entries} entries")
 
         # -- manifest from the head alone ------------------------------
         # The payload shards are not opened: a batch is inspectable from
@@ -64,7 +58,7 @@ def main(scale: int = 8) -> None:
                 print(f"           {row['key']:32s} {row['compressed_bytes']:>9d} B")
 
         # -- partial read: one entry, one shard ------------------------
-        key = f"Run1_Z2/{fields[0]}"
+        key = keys[0]
         with LazyBatchArchive.open(head, mmap=True, verify_shards=True) as archive:
             entry = archive.entry(key)
             codec = codec_for_method(entry.method)

@@ -242,11 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="encoder threads when --max-inflight > 1",
     )
-    p_ing.add_argument(
-        "--eager", action="store_true",
-        help="whole-entry container writes instead of per-level streamed "
-             "(deferred-head) entries",
-    )
 
     p_srv = sub.add_parser(
         "serve",
@@ -730,9 +725,7 @@ def cmd_batch(args) -> int:
     )
     if args.stream or args.shard_size is not None:
         return _batch_streamed(args, jobs)
-    # The internal entry point: the CLI is a supported front-end, its
-    # stderr should not carry the Python-API deprecation notice.
-    batch = engine._run(jobs)
+    batch = engine.run(jobs)
     for row in batch.summary_rows():
         if row["error"] is None:
             print(f"  {row['label']:40s} ratio {row['ratio']:>8.2f}x  "
@@ -759,8 +752,7 @@ def _batch_streamed(args, jobs) -> int:
     """``repro batch --stream/--shard-size``: bounded-memory sharded write.
 
     Routed through :class:`repro.ingest.IngestSession` — the same
-    pipeline behind ``repro ingest`` — in its eager (whole-entry) mode,
-    so the archive bytes match what this flag always produced.
+    pipeline behind ``repro ingest``.
     """
     from repro.engine import DEFAULT_SHARD_SIZE
     from repro.engine.engine import CompressionEngine as _Engine
@@ -774,14 +766,12 @@ def _batch_streamed(args, jobs) -> int:
         )
     shard_size = args.shard_size if args.shard_size is not None else DEFAULT_SHARD_SIZE
     labels = _Engine._unique_labels(jobs)
-    walls: dict[str, float] = {}
     pipelined = args.workers > 1 and len(jobs) > 1
     config = IngestConfig(
         codec=args.method,
         error_bound=args.eb,
         mode=args.mode,
         shard_size=shard_size,
-        streaming=False,
         max_inflight=2 * args.workers if pipelined else 1,
         workers=args.workers,
         level_workers=args.level_workers,
@@ -791,21 +781,22 @@ def _batch_streamed(args, jobs) -> int:
         config,
         meta={"tool": "repro batch", "method": args.method, "eb": args.eb,
               "mode": args.mode},
-        on_written=lambda key, _comp, wall: walls.__setitem__(key, wall),
     )
     try:
         with session:
-            for label, job in zip(labels, jobs):
-                session.submit(job.dataset, key=label,
-                               codec_options=job.codec_options)
+            keys = [
+                session.submit(job.dataset, key=label, codec_options=job.codec_options)
+                for label, job in zip(labels, jobs)
+            ]
     except IngestError as exc:
         print(f"error: {exc}; no archive written", file=sys.stderr)
         return 1
     report = session.report
     rows = {row["key"]: row for row in report.manifest()}
-    for label in labels:
-        print(f"  {label:40s} {rows[label]['compressed_bytes']:>10d} B  "
-              f"{walls[label]:.3f}s")
+    walls = {entry["key"]: entry["wall_seconds"] for entry in report.entries}
+    for key in keys:
+        print(f"  {key:40s} {rows[key]['compressed_bytes']:>10d} B  "
+              f"{walls[key]:.3f}s")
     write = report.write
     for path in write.shard_paths:
         print(f"  shard {path.name}: {path.stat().st_size} bytes")
@@ -852,7 +843,6 @@ def cmd_ingest(args) -> int:
         keyframe_interval=args.keyframe_interval,
         max_inflight=args.max_inflight,
         workers=args.workers,
-        streaming=not args.eager,
     )
     session = IngestSession(
         args.output,

@@ -12,52 +12,35 @@ and compression accounting is identical everywhere:
   value, exactly as in Figs. 14–15);
 * ``to_bytes``/``from_bytes`` give a stable on-disk form.
 
-Three wire versions coexist:
+Five wire versions are readable, one is written:
 
-* **version 1** — JSON header listing part names, then length-prefixed
-  payloads.  Reading part *k* requires walking the prefixes of parts
-  ``0..k-1``.
-* **version 2** (default for new blobs) — the header carries a full part
-  index (``name → offset/length`` relative to the payload region), so any
-  part is reachable with one seek.  This is what makes
-  :class:`LazyCompressedDataset` — open a blob without materializing any
-  payload, serve parts on demand — cheap, and it is the substrate for the
-  partial-decompression API (``decompress_level`` / ``decompress_region``
-  on every codec).
-* **version 3** (the streaming layout) — the part index moves *behind*
-  the payloads and the fixed-width header carries its offset/length,
-  patched in after the last part is written.  That is what lets
-  :class:`StreamingContainerWriter` emit parts one at a time straight to
-  a file: nothing about the index has to be known up front, so peak
-  writer memory is bounded by the largest single part, not the dataset.
-  Readers (eager and lazy) treat v3 identically to v2 once the index is
-  located.
-* **version 4** (the integrity layout, default for streamed blobs) — v3
-  plus a CRC-32 per part, recorded as a fourth element of each index
-  row.  Eager reads verify every part at parse time; lazy reads verify
-  each part the moment its bytes arrive, so a flipped bit in one 64³
-  brick names that brick (:class:`PartIntegrityError`) instead of
-  poisoning whole-shard verification or decoding garbage.
-* **version 5** (the deferred-head layout, written by the in-situ ingest
-  path) — v4 with the JSON head moved *behind* the payloads, immediately
-  before the tail index, and the fixed-width header's ``head_len`` slot
-  patched at close alongside the index slot.  v3/v4 must know the full
-  metadata before the first payload byte, which forces a level-wise
-  compressor to finish the whole entry first; v5 lets
-  :class:`StreamingContainerWriter` stream parts as each AMR level is
-  compressed and seal the per-level metadata afterwards
-  (:meth:`StreamingContainerWriter.set_meta`), so peak writer memory is
-  one level's parts, not one entry's.  Readers locate the head at
-  ``index_off - head_len`` and treat everything else exactly like v4
-  (same CRC rows, same lazy part index).
+* **version 1** — JSON head listing part names, then length-prefixed
+  payloads (the index is recovered by walking the prefixes).
+* **version 2** — the head carries a part index (``name → offset/length``
+  relative to the payload region), so any part is one seek away.
+* **version 3** — the part index moves *behind* the payloads; a
+  fixed-width slot after the header records where it is.
+* **version 4** — v3 plus a CRC-32 per part, a fourth element of each
+  index row, checked the moment a part's bytes arrive
+  (:class:`PartIntegrityError` names the damaged part).
+* **version 5** (the one written) — v4 with the JSON head moved behind
+  the payloads too, immediately before the tail index.  Nothing has to be
+  known before the first payload byte, so :class:`StreamingContainerWriter`
+  streams parts as each AMR level is compressed and seals the per-level
+  metadata at :meth:`~StreamingContainerWriter.close`: peak writer memory
+  is one level's parts, not one entry's.  ``to_bytes`` is the same writer
+  over a ``BytesIO``.
 
-All versions deserialize through :meth:`CompressedDataset.from_bytes`
-and re-serialize byte-for-byte (a blob remembers its version), so stored
-version-1 archives, including the golden fixtures, stay valid forever.
+Every version is parsed by :func:`_read_layout` — head and part index,
+no payload — which both :meth:`CompressedDataset.from_bytes` and
+:class:`LazyCompressedDataset` sit on, so stored v1–v4 blobs, including
+the golden fixtures, stay readable forever.  Re-serializing one migrates
+it to v5; a v5 blob re-serializes byte-for-byte.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import mmap as _mmap_module
 import struct
@@ -72,21 +55,16 @@ import numpy as np
 from repro.utils.timer import TimingRecord
 
 _MAGIC = b"RPAM"
-#: Wire version written by default for new blobs.
-CONTAINER_VERSION = 2
-#: Wire version written by :class:`StreamingContainerWriter` (index-at-tail
-#: with per-part CRC-32 integrity rows).
-STREAMING_CONTAINER_VERSION = 4
-#: Wire version whose head is deferred to the tail (metadata sealed after
-#: the payloads), written by the per-level ingest stream path.
-DEFERRED_META_CONTAINER_VERSION = 5
+#: The one wire version written: head and part index (with per-part
+#: CRC-32 rows) both sealed behind the payloads.  v1-v4 are read-only.
+CONTAINER_VERSION = 5
 _SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
 #: Index-at-tail layouts (fixed-width index slot after ``_HEAD``).
 _TAIL_INDEX_VERSIONS = (3, 4, 5)
 #: Versions whose index rows carry a per-part CRC-32.
 _CRC_VERSIONS = (4, 5)
 _HEAD = struct.Struct("<BQ")
-#: v3/v4 extension after ``_HEAD``: index offset (relative to the blob
+#: v3+ extension after ``_HEAD``: index offset (relative to the blob
 #: start) and index length, zero-filled by the streaming writer until
 #: ``close()``.
 _V3_INDEX = struct.Struct("<QQ")
@@ -229,9 +207,6 @@ class CompressedDataset:
     original_bytes: int = 0
     n_values: int = 0
     timings: TimingRecord = field(default_factory=TimingRecord)
-    #: Wire version used by :meth:`to_bytes`; ``from_bytes`` preserves the
-    #: stored blob's version so round-trips are byte-stable.
-    container_version: int = CONTAINER_VERSION
 
     # -- accounting -------------------------------------------------------
     def compressed_bytes(self, include_masks: bool = True) -> int:
@@ -260,134 +235,21 @@ class CompressedDataset:
 
     # -- serialization ------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Stable binary serialization in :attr:`container_version` format."""
-        if self.container_version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported container version {self.container_version}")
-        record = _head_record(
-            self.method, self.dataset_name, self.meta, self.original_bytes, self.n_values
-        )
-        index = []
-        offset = 0
-        for name, payload in self.parts.items():
-            row = [name, offset, len(payload)]
-            if self.container_version in _CRC_VERSIONS:
-                row.append(zlib.crc32(payload))
-            index.append(row)
-            offset += len(payload)
-        if self.container_version == 1:
-            record["part_names"] = list(self.parts)
-        elif self.container_version == 2:
-            record["part_index"] = index
-        head = json.dumps(record, sort_keys=True).encode("utf-8")
-        out = bytearray()
-        out += _MAGIC
-        out += _HEAD.pack(self.container_version, len(head))
-        if self.container_version == DEFERRED_META_CONTAINER_VERSION:
-            # Deferred head: payloads first, then head + index at the
-            # tail — byte-identical to what the streaming writer patches
-            # in after the last level's parts.
-            index_blob = json.dumps(index, sort_keys=True).encode("utf-8")
-            payload_base = 4 + _HEAD.size + _V3_INDEX.size
-            out += _V3_INDEX.pack(payload_base + offset + len(head), len(index_blob))
-            for payload in self.parts.values():
-                out += payload
-            out += head
-            out += index_blob
-            return bytes(out)
-        if self.container_version in _TAIL_INDEX_VERSIONS:
-            # Index-at-tail: the fixed-width slot mirrors what the
-            # streaming writer patches in after the last part.
-            index_blob = json.dumps(index, sort_keys=True).encode("utf-8")
-            payload_base = 4 + _HEAD.size + _V3_INDEX.size + len(head)
-            out += _V3_INDEX.pack(payload_base + offset, len(index_blob))
-            out += head
-            for payload in self.parts.values():
-                out += payload
-            out += index_blob
-            return bytes(out)
-        out += head
-        for name in self.parts:
-            payload = self.parts[name]
-            if self.container_version == 1:
-                out += _LEN.pack(len(payload))
-            out += payload
-        return bytes(out)
+        """Stable binary serialization (container v5, the streaming
+        writer's bytes for the same parts and metadata)."""
+        sink = io.BytesIO()
+        stream_dataset(self, sink)
+        return sink.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CompressedDataset":
-        view = memoryview(blob)
-        if bytes(view[:4]) != _MAGIC:
-            raise ValueError("not a CompressedDataset blob")
-        version, head_len = _HEAD.unpack_from(view, 4)
-        if version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported container version {version}")
-        offset = 4 + _HEAD.size
-        if version in _TAIL_INDEX_VERSIONS:
-            index_off, index_len = _V3_INDEX.unpack_from(view, offset)
-            offset += _V3_INDEX.size
-        if version == DEFERRED_META_CONTAINER_VERSION:
-            # Deferred head: payloads start right after the index slot and
-            # the head sits at the tail, immediately before the index.
-            payload_limit = index_off - head_len
-            if payload_limit < offset:
-                raise ValueError("deferred head overlaps the payload region (corrupt blob)")
-            head = json.loads(bytes(view[payload_limit:index_off]).decode("utf-8"))
-        else:
-            head = json.loads(bytes(view[offset : offset + head_len]).decode("utf-8"))
-            offset += head_len
-            payload_limit = index_off if version in _TAIL_INDEX_VERSIONS else None
-        parts: dict[str, bytes] = {}
-        if version == 1:
-            for name in head["part_names"]:
-                (length,) = _LEN.unpack_from(view, offset)
-                offset += _LEN.size
-                parts[name] = bytes(view[offset : offset + length])
-                offset += length
-        elif version in _TAIL_INDEX_VERSIONS:
-            if index_off + index_len != len(view):
-                raise ValueError("trailing bytes after the tail part index")
-            payload_base = offset
-            part_index = json.loads(bytes(view[index_off : index_off + index_len]).decode("utf-8"))
-            for row in part_index:
-                name, part_off, length = row[0], row[1], row[2]
-                lo = payload_base + part_off
-                if part_off < 0 or lo + length > payload_limit:
-                    raise ValueError(
-                        f"part {name!r} extends past the payload region (corrupt blob)"
-                    )
-                payload = bytes(view[lo : lo + length])
-                if version in _CRC_VERSIONS:
-                    actual = zlib.crc32(payload)
-                    if actual != row[3]:
-                        raise PartIntegrityError(
-                            f"part {name!r} of entry {head['dataset_name']!r} failed "
-                            f"its CRC-32 ({actual:#010x} != recorded {row[3]:#010x}); "
-                            "the stored bytes are corrupt",
-                            entry=head["dataset_name"],
-                            level=part_level(name),
-                            part=name,
-                            expected=row[3],
-                            actual=actual,
-                        )
-                parts[name] = payload
-            offset = len(view)
-        else:
-            payload_base = offset
-            for name, part_off, length in head["part_index"]:
-                lo = payload_base + part_off
-                parts[name] = bytes(view[lo : lo + length])
-                offset = max(offset, lo + length)
-        if offset != len(view):
-            raise ValueError("trailing bytes after last part")
-        return cls(
-            method=head["method"],
-            dataset_name=head["dataset_name"],
-            parts=parts,
-            meta=head["meta"],
-            original_bytes=head["original_bytes"],
-            n_values=head["n_values"],
-            container_version=version,
-        )
+        """Parse a blob of any supported version, verifying every part
+        that carries a CRC-32 (v4/v5)."""
+        src = _BytesSource(blob)
+        try:
+            return LazyCompressedDataset._parse(src, 0, length=len(blob)).materialize()
+        finally:
+            src.close()
 
 
 # ----------------------------------------------------------------------
@@ -441,6 +303,20 @@ class StreamingCompression:
         self._final_meta = final_meta
         self._level_meta: list[dict] = []
         self._exhausted = False
+
+    @classmethod
+    def from_dataset(cls, comp) -> "StreamingCompression":
+        """A finished dataset (eager or lazy view) as one opaque chunk —
+        how codecs without a level-wise ``compress_iter`` reach the
+        streaming writer.  A lazy ``comp`` is still read part by part."""
+        return cls(
+            method=comp.method,
+            dataset_name=comp.dataset_name,
+            original_bytes=comp.original_bytes,
+            n_values=comp.n_values,
+            chunks=[LevelChunk(level=None, meta=None, parts=comp.parts)],
+            final_meta=comp.meta,
+        )
 
     def __iter__(self) -> "StreamingCompression":
         return self
@@ -824,6 +700,89 @@ class LazyPartStore(Mapping):
             self.bytes_read = 0
 
 
+def read_fixed_header(src, base: int, magic: bytes, kind: str) -> tuple[int, int]:
+    """``(version, head_len)`` of the ``magic | u8 | u64`` header at ``base``.
+
+    Containers and batch archives share the shape.  Input that is not a
+    ``kind`` blob — wrong magic, or too short to hold the header — raises
+    the same ``ValueError``; a source I/O failure stays what it is.
+    """
+    try:
+        prefix = src.read_at(base, 4 + _HEAD.size)
+    except ContainerIOError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"not a {kind} blob (shorter than its fixed header)") from exc
+    if prefix[:4] != magic:
+        raise ValueError(f"not a {kind} blob")
+    return _HEAD.unpack_from(prefix, 4)
+
+
+def _read_layout(src, base: int, length: int | None = None):
+    """Parse the head and part index of the container at ``base``.
+
+    The one place a container's framing is decoded, whatever its version
+    and whatever ``read_at`` source it lives in; reads no payload.
+    Returns ``(version, head, spans, crcs)``: the JSON head record, ``name
+    → (absolute offset, length)`` per part in wire order, and ``name →
+    CRC-32`` (empty before v4).  ``length`` is the container's byte
+    length when the caller knows it (a whole in-memory blob, an archive
+    entry): the container must then end exactly at ``base + length`` — no
+    part or index reaching past it, no trailing bytes before it.
+    """
+    version, head_len = read_fixed_header(src, base, _MAGIC, "CompressedDataset")
+    if version not in _SUPPORTED_VERSIONS:
+        raise ValueError(f"unsupported container version {version}")
+    cursor = base + 4 + _HEAD.size
+    stop = limit = None if length is None else base + length
+    if version in _TAIL_INDEX_VERSIONS:
+        # Index-at-tail: one extra bounded read locates every part.
+        index_off, index_len = _V3_INDEX.unpack(src.read_at(cursor, _V3_INDEX.size))
+        cursor += _V3_INDEX.size
+        end = base + index_off + index_len
+        if stop is not None and end > stop:
+            raise ValueError("tail part index extends past the container (truncated blob)")
+        rows = json.loads(src.read_at(base + index_off, index_len).decode("utf-8"))
+        limit = base + index_off
+    if version == 5:
+        # Deferred head: payloads follow the index slot directly; the
+        # head sits at the tail, immediately before the part index.
+        payload_base = cursor
+        limit -= head_len
+        if limit < payload_base:
+            raise ValueError("deferred head overlaps the payload region (corrupt blob)")
+        head = json.loads(src.read_at(limit, head_len).decode("utf-8"))
+    else:
+        head = json.loads(src.read_at(cursor, head_len).decode("utf-8"))
+        payload_base = cursor + head_len
+    if version == 1:
+        # No index on the wire: walk the length prefixes (8 bytes per
+        # part — cheap even over a file) to build one.
+        rows = []
+        offset = 0
+        for name in head["part_names"]:
+            (part_len,) = _LEN.unpack(src.read_at(payload_base + offset, _LEN.size))
+            rows.append((name, offset + _LEN.size, part_len))
+            offset += _LEN.size + part_len
+    elif version == 2:
+        rows = head["part_index"]
+    spans: dict[str, tuple[int, int]] = {}
+    crcs: dict[str, int] = {}
+    for row in rows:
+        name, part_off, part_len = row[0], row[1], row[2]
+        lo = payload_base + part_off
+        if part_off < 0 or part_len < 0 or (limit is not None and lo + part_len > limit):
+            raise ValueError(f"part {name!r} extends past the payload region (corrupt blob)")
+        spans[name] = (lo, part_len)
+        if version in _CRC_VERSIONS:
+            crcs[name] = row[3]
+    if version not in _TAIL_INDEX_VERSIONS:
+        end = max((lo + n for lo, n in spans.values()), default=payload_base)
+    if stop is not None and end != stop:
+        raise ValueError("trailing bytes after the end of the container")
+    return version, head, spans, crcs
+
+
 class LazyCompressedDataset:
     """A :class:`CompressedDataset` view that never materializes parts.
 
@@ -860,57 +819,11 @@ class LazyCompressedDataset:
         return cls._parse(make_source(source, mmap=mmap), offset)
 
     @classmethod
-    def _parse(cls, src, base: int, owns_source: bool = True) -> "LazyCompressedDataset":
-        prefix = src.read_at(base, 4 + _HEAD.size)
-        if prefix[:4] != _MAGIC:
-            raise ValueError("not a CompressedDataset blob")
-        version, head_len = _HEAD.unpack_from(prefix, 4)
-        if version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported container version {version}")
-        head_off = base + 4 + _HEAD.size
-        if version in _TAIL_INDEX_VERSIONS:
-            index_off, index_len = _V3_INDEX.unpack(src.read_at(head_off, _V3_INDEX.size))
-            head_off += _V3_INDEX.size
-        if version == DEFERRED_META_CONTAINER_VERSION:
-            # Deferred head: payloads follow the index slot directly; the
-            # head sits at the tail, immediately before the part index.
-            payload_base = head_off
-            payload_limit = base + index_off - head_len
-            if payload_limit < payload_base:
-                raise ValueError("deferred head overlaps the payload region (corrupt blob)")
-            head = json.loads(src.read_at(payload_limit, head_len).decode("utf-8"))
-        else:
-            head = json.loads(src.read_at(head_off, head_len).decode("utf-8"))
-            payload_base = head_off + head_len
-            payload_limit = (
-                base + index_off if version in _TAIL_INDEX_VERSIONS else None
-            )
-        index: dict[str, tuple[int, int]] = {}
-        crcs: dict[str, int] = {}
-        if version == 1:
-            # No index on the wire: walk the length prefixes (8 bytes per
-            # part — cheap even over a file) to build one.
-            offset = payload_base
-            for name in head["part_names"]:
-                (length,) = _LEN.unpack(src.read_at(offset, _LEN.size))
-                index[name] = (offset + _LEN.size, length)
-                offset += _LEN.size + length
-        elif version in _TAIL_INDEX_VERSIONS:
-            # Index-at-tail: one extra bounded read locates every part.
-            part_index = json.loads(src.read_at(base + index_off, index_len).decode("utf-8"))
-            for row in part_index:
-                name, part_off, length = row[0], row[1], row[2]
-                if part_off < 0 or payload_base + part_off + length > payload_limit:
-                    raise ValueError(
-                        f"part {name!r} extends past the payload region (corrupt blob)"
-                    )
-                index[name] = (payload_base + part_off, length)
-                if version in _CRC_VERSIONS:
-                    crcs[name] = row[3]
-        else:
-            for name, part_off, length in head["part_index"]:
-                index[name] = (payload_base + part_off, length)
-        parts = LazyPartStore(src, index, crcs=crcs, entry=head["dataset_name"])
+    def _parse(
+        cls, src, base: int, owns_source: bool = True, length: int | None = None
+    ) -> "LazyCompressedDataset":
+        version, head, spans, crcs = _read_layout(src, base, length)
+        parts = LazyPartStore(src, spans, crcs=crcs, entry=head["dataset_name"])
         return cls(head, parts, version, src, owns_source=owns_source)
 
     # -- CompressedDataset surface ----------------------------------------
@@ -943,7 +856,6 @@ class LazyCompressedDataset:
             meta=self.meta,
             original_bytes=self.original_bytes,
             n_values=self.n_values,
-            container_version=self.container_version,
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -965,36 +877,24 @@ class LazyCompressedDataset:
 # streaming writing
 # ----------------------------------------------------------------------
 class StreamingContainerWriter:
-    """Write a tail-indexed container part-by-part with bounded memory.
+    """Write a container (v5) part by part with bounded memory.
 
-    ``CompressedDataset.to_bytes`` materializes header + every payload in
-    one buffer — fine for experiment-sized blobs, quadratically painful
-    for snapshot-scale dumps.  This writer emits the fixed-width tail
-    header immediately (index offset zero-filled), streams each part to
-    the sink the moment it is added, and on :meth:`close` appends the
-    part index and patches the header slot — so peak memory is one part,
-    never the dataset, and the resulting bytes are **identical** to
-    ``to_bytes()`` with the same ``container_version``.
-
-    The default version is 4, which records a CRC-32 per part in the
-    index (computed incrementally as each payload streams through, so
-    the memory bound is unchanged); pass ``container_version=3`` to
-    reproduce the legacy integrity-free layout byte-for-byte.
-
-    Version 5 defers the JSON head to the tail: the fixed-width header
-    is written with a zero ``head_len``, payloads stream immediately,
-    and :meth:`close` appends head + index and patches both slots.
-    That is the in-situ seam — a level-wise compressor can stream each
-    level's parts as they are produced and only then seal the per-level
-    metadata via :meth:`set_meta`, which v3/v4 (head before payloads)
-    structurally cannot.  Bytes are identical to ``to_bytes()`` at
-    ``container_version=5`` for the same final metadata.
+    The only container writer.  The fixed-width header goes out first
+    with its ``head_len`` and index slot zero-filled, each part streams
+    to the sink the moment it is added (its CRC-32 recorded on the way
+    through, the payload not retained), and :meth:`close` appends the
+    JSON head and the part index and patches both slots — so peak memory
+    is one part, never the dataset, and nothing has to be known before
+    the first payload byte.  That is the in-situ seam: a level-wise
+    compressor streams each level's parts as they are produced and only
+    then seals the per-level metadata via :meth:`set_meta`.
 
     The sink may be a path (opened/closed by the writer) or a seekable
     binary file positioned where the blob should start — which is how
     :class:`~repro.engine.archive.ShardedArchiveWriter` streams whole
-    entries into payload shards: all recorded offsets are relative to
-    the blob's own base, so a v3 blob is position-independent.
+    entries into payload shards, and ``to_bytes`` into a ``BytesIO``: all
+    recorded offsets are relative to the blob's own base, so a blob is
+    position-independent.
     """
 
     def __init__(
@@ -1006,14 +906,7 @@ class StreamingContainerWriter:
         meta: dict | None = None,
         original_bytes: int = 0,
         n_values: int = 0,
-        container_version: int = STREAMING_CONTAINER_VERSION,
     ):
-        if container_version not in _TAIL_INDEX_VERSIONS:
-            raise ValueError(
-                f"streaming writes need a tail-indexed container version "
-                f"{_TAIL_INDEX_VERSIONS}, got {container_version}"
-            )
-        self.container_version = int(container_version)
         if isinstance(sink, (str, Path)):
             self._fh = open(sink, "wb")
             self._owns = True
@@ -1029,22 +922,9 @@ class StreamingContainerWriter:
             self._meta = dict(meta or {})
             self._original_bytes = original_bytes
             self._n_values = n_values
-            self._deferred_head = container_version == DEFERRED_META_CONTAINER_VERSION
-            self._fh.write(_MAGIC)
-            if self._deferred_head:
-                # head_len stays zero until close() seals the metadata.
-                self._fh.write(_HEAD.pack(self.container_version, 0))
-                self._patch_at = self._base + 4
-                self._fh.write(_V3_INDEX.pack(0, 0))
-                self._payload_base = 4 + _HEAD.size + _V3_INDEX.size
-            else:
-                record = _head_record(method, dataset_name, self._meta, original_bytes, n_values)
-                head = json.dumps(record, sort_keys=True).encode("utf-8")
-                self._fh.write(_HEAD.pack(self.container_version, len(head)))
-                self._patch_at = self._base + 4 + _HEAD.size
-                self._fh.write(_V3_INDEX.pack(0, 0))
-                self._fh.write(head)
-                self._payload_base = 4 + _HEAD.size + _V3_INDEX.size + len(head)
+            # head_len and the index slot stay zero until close() seals
+            # them, which marks an abandoned blob unreadable.
+            self._fh.write(_MAGIC + _HEAD.pack(CONTAINER_VERSION, 0) + _V3_INDEX.pack(0, 0))
         except BaseException:
             # A failed head write (bad tell on a pipe-like sink, ENOSPC)
             # must not leak the handle this writer opened: the caller
@@ -1070,10 +950,7 @@ class StreamingContainerWriter:
             raise ValueError(f"duplicate part name {name!r}")
         payload = bytes(payload) if not isinstance(payload, bytes) else payload
         self._fh.write(payload)
-        row = [name, self._offset, len(payload)]
-        if self.container_version in _CRC_VERSIONS:
-            row.append(zlib.crc32(payload))
-        self._index.append(row)
+        self._index.append([name, self._offset, len(payload), zlib.crc32(payload)])
         self._offset += len(payload)
         self._names.add(name)
         self.largest_part = max(self.largest_part, len(payload))
@@ -1094,23 +971,11 @@ class StreamingContainerWriter:
         original_bytes: int | None = None,
         n_values: int | None = None,
     ) -> None:
-        """Seal the header record before :meth:`close` (version 5 only).
-
-        The deferred-head layout exists so metadata that is only known
-        after the payloads — per-level records from a streaming
-        compressor — can still land in the head.  v3/v4 blobs write
-        their head before the first payload, so late metadata would be
-        silently dropped; rejecting it here keeps that a loud error.
-        """
+        """Seal the header record before :meth:`close`: metadata that is
+        only known after the payloads — per-level records from a
+        streaming compressor — still lands in the head."""
         if self._closed:
             raise ValueError("writer is closed")
-        if not self._deferred_head:
-            raise ValueError(
-                "set_meta requires the deferred-head layout (container "
-                f"version {DEFERRED_META_CONTAINER_VERSION}); this writer "
-                f"is version {self.container_version}, whose head is "
-                "already on the wire"
-            )
         if meta is not None:
             self._meta = dict(meta)
         if original_bytes is not None:
@@ -1129,31 +994,24 @@ class StreamingContainerWriter:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> int:
-        """Write the part index, patch the header, and return the total
-        blob length.  Idempotent only in the sense that calling twice is
-        an error — a closed blob is final."""
+        """Append head + part index, patch the header slots, and return
+        the total blob length.  Calling twice is an error — a closed blob
+        is final."""
         if self._closed:
             raise ValueError("writer is already closed")
+        record = _head_record(
+            self._method, self._dataset_name, self._meta,
+            self._original_bytes, self._n_values,
+        )
+        head = json.dumps(record, sort_keys=True).encode("utf-8")
         index_blob = json.dumps(self._index, sort_keys=True).encode("utf-8")
-        if self._deferred_head:
-            record = _head_record(
-                self._method, self._dataset_name, self._meta,
-                self._original_bytes, self._n_values,
-            )
-            head = json.dumps(record, sort_keys=True).encode("utf-8")
-            index_off = self._payload_base + self._offset + len(head)
-            self._fh.write(head)
-            self._fh.write(index_blob)
-            end = self._fh.tell()
-            self._fh.seek(self._patch_at)
-            self._fh.write(_HEAD.pack(self.container_version, len(head)))
-            self._fh.write(_V3_INDEX.pack(index_off, len(index_blob)))
-        else:
-            index_off = self._payload_base + self._offset
-            self._fh.write(index_blob)
-            end = self._fh.tell()
-            self._fh.seek(self._patch_at)
-            self._fh.write(_V3_INDEX.pack(index_off, len(index_blob)))
+        index_off = 4 + _HEAD.size + _V3_INDEX.size + self._offset + len(head)
+        self._fh.write(head)
+        self._fh.write(index_blob)
+        end = self._fh.tell()
+        self._fh.seek(self._base + 4)
+        self._fh.write(_HEAD.pack(CONTAINER_VERSION, len(head)))
+        self._fh.write(_V3_INDEX.pack(index_off, len(index_blob)))
         self._fh.seek(end)
         self._closed = True
         self.total_bytes = index_off + len(index_blob)
@@ -1178,7 +1036,7 @@ class StreamingContainerWriter:
             self.close()
 
 
-def stream_dataset(comp, sink, *, container_version: int = STREAMING_CONTAINER_VERSION) -> int:
+def stream_dataset(comp, sink) -> int:
     """Serialize an existing :class:`CompressedDataset` (or lazy view)
     through :class:`StreamingContainerWriter`, one part at a time.
 
@@ -1192,7 +1050,6 @@ def stream_dataset(comp, sink, *, container_version: int = STREAMING_CONTAINER_V
         meta=comp.meta,
         original_bytes=comp.original_bytes,
         n_values=comp.n_values,
-        container_version=container_version,
     )
     with writer:
         for name in comp.parts:

@@ -162,18 +162,49 @@ class TACCompressor(PlanExecutorMixin):
         timings: TimingRecord | None = None,
         level_workers: int = 1,
     ) -> CompressedDataset:
-        """Compress a dataset level by level under ``error_bound``.
+        """Compress a dataset level by level under ``error_bound``:
+        :meth:`compress_iter` collected into one eager dataset.
 
         ``mode="rel"`` resolves the bound against the dataset's global value
         range (shared with all baselines); ``per_level_scale`` multiplies
         the resolved absolute bound per level (finest first).
+        """
+        timings = timings if timings is not None else TimingRecord()
+        out = self.compress_iter(
+            dataset, error_bound, mode, per_level_scale,
+            timings=timings, level_workers=level_workers,
+        ).collect()
+        out.timings = timings
+        return out
+
+    def compress_iter(
+        self,
+        dataset: AMRDataset,
+        error_bound: float,
+        mode: str = "rel",
+        per_level_scale=None,
+        timings: TimingRecord | None = None,
+        level_workers: int = 1,
+    ) -> StreamingCompression:
+        """Compress level by level, yielding each level's parts as produced.
+
+        Returns a :class:`repro.core.container.StreamingCompression`: the
+        entry header fields are available immediately, iterating yields one
+        :class:`LevelChunk` per level (finest first), and ``.meta`` becomes
+        available once the stream is exhausted.  A container writer
+        consuming the chunks therefore holds at most one level's parts in
+        memory and its output is byte-identical to
+        ``compress(...).to_bytes()``.
 
         ``level_workers > 1`` compresses the levels concurrently in a
         thread pool (the paper's level-wise decomposition makes them
         independent, and the hot loops release the GIL inside NumPy/zlib).
         Each level produces its parts and metadata in isolation and the
-        results are merged in level order, so the output is bit-identical
-        to the serial path.
+        chunks are yielded in level order, so the output is bit-identical
+        to the serial path — at the cost of the one-level memory bound.
+
+        The §4.4 baseline delegation has no level-wise decomposition; that
+        regime compresses eagerly and yields the whole entry as one chunk.
         """
         timings = timings if timings is not None else TimingRecord()
         level_workers = check_positive_int(level_workers, name="level_workers")
@@ -190,76 +221,7 @@ class TACCompressor(PlanExecutorMixin):
             out = delegate.compress(dataset, error_bound, mode, timings=timings)
             out.method = self.method_name
             out.meta["delegated"] = "baseline_3d"
-            return out
-
-        base_eb = resolve_global_eb(dataset, error_bound, mode)
-        scales = _resolve_scales(per_level_scale, dataset.n_levels)
-        out = CompressedDataset(
-            method=self.method_name,
-            dataset_name=dataset.name,
-            original_bytes=dataset.original_bytes(),
-            n_values=dataset.total_points(),
-            timings=timings,
-        )
-        def level_task(lvl: AMRLevel) -> tuple[dict, dict, TimingRecord]:
-            return self._level_task(lvl, base_eb * scales[lvl.level])
-
-        if level_workers > 1 and dataset.n_levels > 1:
-            with ThreadPoolExecutor(max_workers=level_workers) as pool:
-                outputs = list(pool.map(level_task, dataset.levels))
-        else:
-            outputs = [level_task(lvl) for lvl in dataset.levels]
-
-        level_meta = []
-        for meta_lvl, parts, record in outputs:
-            level_meta.append(meta_lvl)
-            out.parts.update(parts)
-            for span, seconds in record.spans.items():
-                timings.add(span, seconds)
-        out.meta = {
-            "name": dataset.name,
-            "field": dataset.field,
-            "ratio": dataset.ratio,
-            "box_size": dataset.box_size,
-            "shapes": [list(lvl.shape) for lvl in dataset.levels],
-            "levels": level_meta,
-        }
-        return out
-
-    def compress_iter(
-        self,
-        dataset: AMRDataset,
-        error_bound: float,
-        mode: str = "rel",
-        per_level_scale=None,
-        timings: TimingRecord | None = None,
-    ) -> StreamingCompression:
-        """Compress level by level, yielding each level's parts as produced.
-
-        Returns a :class:`repro.core.container.StreamingCompression`: the
-        entry header fields are available immediately, iterating yields one
-        :class:`LevelChunk` per level (finest first, same part order as
-        :meth:`compress`), and ``.meta`` becomes available once the stream
-        is exhausted.  A deferred-head container writer consuming the
-        chunks therefore holds at most one level's parts in memory and its
-        output is byte-identical to ``compress(...).to_bytes()`` at the
-        deferred-head wire version.
-
-        The §4.4 baseline delegation has no level-wise decomposition; that
-        regime falls back to an eager compress wrapped as a single chunk.
-        """
-        timings = timings if timings is not None else TimingRecord()
-        cfg = self.config
-        if cfg.adaptive_baseline and dataset.finest_density() >= cfg.t2:
-            out = self.compress(dataset, error_bound, mode, per_level_scale, timings=timings)
-            return StreamingCompression(
-                method=out.method,
-                dataset_name=out.dataset_name,
-                original_bytes=out.original_bytes,
-                n_values=out.n_values,
-                chunks=[LevelChunk(level=None, meta=None, parts=dict(out.parts))],
-                final_meta=out.meta,
-            )
+            return StreamingCompression.from_dataset(out)
         base_eb = resolve_global_eb(dataset, error_bound, mode)
         scales = _resolve_scales(per_level_scale, dataset.n_levels)
         base_meta = {
@@ -270,12 +232,21 @@ class TACCompressor(PlanExecutorMixin):
             "shapes": [list(lvl.shape) for lvl in dataset.levels],
         }
 
-        def produce():
-            for lvl in dataset.levels:
-                meta, parts, record = self._level_task(lvl, base_eb * scales[lvl.level])
+        def level_task(lvl: AMRLevel) -> tuple[dict, dict, TimingRecord]:
+            return self._level_task(lvl, base_eb * scales[lvl.level])
+
+        def chunks(outputs):
+            for lvl, (meta, parts, record) in zip(dataset.levels, outputs):
                 for span, seconds in record.spans.items():
                     timings.add(span, seconds)
                 yield LevelChunk(level=lvl.level, meta=meta, parts=parts)
+
+        def produce():
+            if level_workers > 1 and dataset.n_levels > 1:
+                with ThreadPoolExecutor(max_workers=level_workers) as pool:
+                    yield from chunks(pool.map(level_task, dataset.levels))
+            else:
+                yield from chunks(map(level_task, dataset.levels))
 
         return StreamingCompression(
             method=self.method_name,
@@ -289,9 +260,7 @@ class TACCompressor(PlanExecutorMixin):
     def _level_task(self, lvl: AMRLevel, eb_abs: float) -> tuple[dict, dict, TimingRecord]:
         """One level's complete output: ``(meta, parts, timings)``.
 
-        The single source of per-level part production — ``compress`` and
-        ``compress_iter`` both route through it, so their part names,
-        order, and bytes cannot drift apart.
+        The single source of per-level part production.
         """
         parts: dict[str, bytes] = {}
         record = TimingRecord()

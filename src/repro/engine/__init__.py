@@ -24,7 +24,6 @@ from repro.engine.engine import (
     CompressionEngine,
     CompressionJob,
     JobResult,
-    ShardedBatchResult,
 )
 from repro.engine.registry import (
     Codec,
@@ -57,7 +56,6 @@ __all__ = [
     "LazyBatchArchive",
     "PartialCodec",
     "ShardedArchiveWriter",
-    "ShardedBatchResult",
     "ShardedWriteReport",
     "all_specs",
     "codec_for_method",

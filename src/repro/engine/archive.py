@@ -12,16 +12,15 @@ Wire format (all integers little-endian)::
 
     b"RPBT" | u8 version | u64 head_len | JSON head | entry blobs
 
-Version 1 length-prefixes each entry blob; version 2 (default for new
-monolithic archives) instead records an entry index (``key →
-offset/length`` relative to the payload region) in the head, so one entry
-is reachable with a single seek.  :class:`LazyBatchArchive` builds on
-that for true random access: open a file or buffer, read the head, and
-serve any entry as a
+Version 1 (read-only) length-prefixes each entry blob; version 2 (what
+:meth:`BatchArchive.to_bytes` writes) instead records an entry index
+(``key → offset/length`` relative to the payload region) in the head, so
+one entry is reachable with a single seek.  :class:`LazyBatchArchive`
+builds on that for true random access: open a file or buffer, read the
+head, and serve any entry as a
 :class:`~repro.core.container.LazyCompressedDataset` without parsing its
 siblings.  Keys are sorted on serialization, so equal archives serialize
-to equal bytes and ``from_bytes → to_bytes`` is byte-stable in both
-versions — the property the golden-format regression tests pin down.
+to equal bytes.
 
 **Version 3 is the sharded layout**: the ``RPBT`` file becomes a
 manifest-only *head shard* — JSON head, zero payload bytes — whose entry
@@ -47,18 +46,18 @@ from pathlib import Path
 
 from repro.amr.hierarchy import AMRDataset
 from repro.core.container import (
-    DEFERRED_META_CONTAINER_VERSION,
-    STREAMING_CONTAINER_VERSION,
     CompressedDataset,
     ContainerIOError,
     LazyCompressedDataset,
+    StreamingCompression,
     StreamingContainerWriter,
     make_source,
+    read_fixed_header,
 )
 from repro.engine import registry
 
 _MAGIC = b"RPBT"
-#: Wire version written by default for new monolithic archives.
+#: Wire version written for monolithic archives.
 ARCHIVE_VERSION = 2
 #: Wire version of sharded (head + payload shards) archives.
 SHARDED_ARCHIVE_VERSION = 3
@@ -102,8 +101,8 @@ class BatchArchive:
     meta:
         Free-form JSON-able batch metadata (pipeline provenance etc.).
     version:
-        Wire version used by :meth:`to_bytes`; ``from_bytes`` preserves
-        the stored version so round-trips stay byte-stable.
+        Wire version the archive was read from (:meth:`to_bytes` always
+        writes :data:`ARCHIVE_VERSION`).
     """
 
     entries: dict[str, CompressedDataset] = field(default_factory=dict)
@@ -191,73 +190,38 @@ class BatchArchive:
 
     # -- serialization -----------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Serialize; equal archives yield equal bytes (keys are sorted)."""
-        if self.version == SHARDED_ARCHIVE_VERSION:
-            raise ValueError(
-                "version 3 is the sharded layout; write it with "
-                "ShardedArchiveWriter / save_sharded, not to_bytes"
-            )
-        if self.version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported batch-archive version {self.version}")
+        """Serialize as a monolithic (v2) archive; equal archives yield
+        equal bytes (keys are sorted)."""
         keys = sorted(self.entries)
         blobs = [self.entries[key].to_bytes() for key in keys]
-        record: dict = {
-            "version": self.version,
+        index = {}
+        offset = 0
+        for key, blob in zip(keys, blobs):
+            index[key] = [offset, len(blob)]
+            offset += len(blob)
+        record = {
+            "version": ARCHIVE_VERSION,
             "keys": keys,
             "meta": self.meta,
             "manifest": self.manifest(),
+            "index": index,
         }
-        if self.version == 2:
-            index = {}
-            offset = 0
-            for key, blob in zip(keys, blobs):
-                index[key] = [offset, len(blob)]
-                offset += len(blob)
-            record["index"] = index
         head = json.dumps(record, sort_keys=True).encode("utf-8")
-        out = bytearray()
-        out += _MAGIC
-        out += _HEAD.pack(self.version, len(head))
-        out += head
-        for blob in blobs:
-            if self.version == 1:
-                out += _LEN.pack(len(blob))
-            out += blob
-        return bytes(out)
+        return b"".join([_MAGIC, _HEAD.pack(ARCHIVE_VERSION, len(head)), head, *blobs])
+
+    @classmethod
+    def _materialized(cls, lazy: "LazyBatchArchive") -> "BatchArchive":
+        archive = cls(meta=dict(lazy.meta), version=lazy.version)
+        for key in lazy.keys():
+            archive.add(key, lazy.entry(key).materialize())
+        return archive
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "BatchArchive":
-        view = memoryview(blob)
-        if bytes(view[:4]) != _MAGIC:
-            raise ValueError("not a BatchArchive blob")
-        version, head_len = _HEAD.unpack_from(view, 4)
-        if version not in _SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported batch-archive version {version}")
-        offset = 4 + _HEAD.size
-        head = json.loads(bytes(view[offset : offset + head_len]).decode("utf-8"))
-        offset += head_len
-        if version == 3:
-            raise ValueError(
-                "this is a sharded (v3) archive head whose payloads live in "
-                "external shard files; open it from its path with "
-                "BatchArchive.load or LazyBatchArchive.open"
-            )
-        archive = cls(meta=head.get("meta", {}), version=version)
-        if version == 1:
-            for key in head["keys"]:
-                (length,) = _LEN.unpack_from(view, offset)
-                offset += _LEN.size
-                archive.add(key, CompressedDataset.from_bytes(bytes(view[offset : offset + length])))
-                offset += length
-        else:
-            payload_base = offset
-            for key in head["keys"]:
-                entry_off, length = head["index"][key]
-                lo = payload_base + entry_off
-                archive.add(key, CompressedDataset.from_bytes(bytes(view[lo : lo + length])))
-                offset = max(offset, lo + length)
-        if offset != len(view):
-            raise ValueError("trailing bytes after last archive entry")
+        with LazyBatchArchive.open(blob) as lazy:
+            archive = cls._materialized(lazy)
+            if lazy.payload_end != len(blob):
+                raise ValueError("trailing bytes after last archive entry")
         return archive
 
     # -- file helpers ------------------------------------------------------
@@ -269,27 +233,16 @@ class BatchArchive:
         return len(data)
 
     def save_sharded(
-        self,
-        path,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        *,
-        container_version: int = STREAMING_CONTAINER_VERSION,
+        self, path, shard_size: int = DEFAULT_SHARD_SIZE
     ) -> "ShardedWriteReport":
         """Write this archive as a v3 head shard plus payload shards.
 
         Entries are streamed in sorted-key order (mirroring
         :meth:`to_bytes` determinism: equal archives produce byte-equal
-        shard sets).  ``container_version`` picks the per-entry blob
-        layout inside the shards (4 = per-part CRC-32s, the default;
-        3 = the legacy integrity-free layout).  Returns the writer's
-        report (head path, shard paths, sizes).
+        shard sets).  Returns the writer's report (head path, shard
+        paths, sizes).
         """
-        with ShardedArchiveWriter(
-            path,
-            shard_size=shard_size,
-            meta=self.meta,
-            container_version=container_version,
-        ) as writer:
+        with ShardedArchiveWriter(path, shard_size=shard_size, meta=self.meta) as writer:
             for key in sorted(self.entries):
                 writer.add_entry(key, self.entries[key])
         return writer.report
@@ -302,10 +255,7 @@ class BatchArchive:
             blob = fh.read()
         if blob[4:5] == bytes([SHARDED_ARCHIVE_VERSION]) and blob[:4] == _MAGIC:
             with LazyBatchArchive.open(path) as lazy:
-                archive = cls(meta=dict(lazy.meta), version=ARCHIVE_VERSION)
-                for key in lazy.keys():
-                    archive.add(key, lazy.entry(key).materialize())
-                return archive
+                return cls._materialized(lazy)
         return cls.from_bytes(blob)
 
 
@@ -359,13 +309,11 @@ class ShardedArchiveWriter:
         *,
         shard_size: int = DEFAULT_SHARD_SIZE,
         meta: dict | None = None,
-        container_version: int = STREAMING_CONTAINER_VERSION,
     ):
         if shard_size <= 0:
             raise ValueError(f"shard_size must be positive, got {shard_size}")
         self._head_path = Path(head_path)
         self._shard_size = int(shard_size)
-        self._container_version = int(container_version)
         self._meta = dict(meta or {})
         self._dir = self._head_path.parent
         self._index: dict[str, list[int]] = {}
@@ -421,55 +369,20 @@ class ShardedArchiveWriter:
             self._open_shard()
         return self._shard_offset
 
-    def _record_entry(
-        self, key: str, start: int, length: int, writer, method, dataset_name,
-        original_bytes, n_values,
-    ) -> None:
-        self._shard_offset = start + length
-        self._index[key] = [len(self._shard_paths) - 1, start, length]
-        self._manifest[key] = {
-            "key": key,
-            "method": method,
-            "dataset": dataset_name,
-            "original_bytes": original_bytes,
-            "compressed_bytes": writer.bytes_written,
-            "n_values": n_values,
-            "n_parts": writer.n_parts,
-        }
-
     def add_entry(self, key: str, comp) -> None:
-        """Stream one compressed dataset (eager or lazy view) into the
+        """Stream one finished dataset (eager or lazy view) into the
         current payload shard; the payload bytes are not retained."""
-        start = self._begin_entry(key)
-        writer = StreamingContainerWriter(
-            self._fh,
-            comp.method,
-            comp.dataset_name,
-            meta=comp.meta,
-            original_bytes=comp.original_bytes,
-            n_values=comp.n_values,
-            container_version=self._container_version,
-        )
-        for name in comp.parts:
-            writer.add_part(name, comp.parts[name])
-        length = writer.close()
-        self._record_entry(
-            key, start, length, writer,
-            comp.method, comp.dataset_name, comp.original_bytes, comp.n_values,
-        )
+        self.add_entry_stream(key, StreamingCompression.from_dataset(comp))
 
     def add_entry_stream(self, key: str, stream) -> None:
         """Drain a :class:`~repro.core.container.StreamingCompression` into
         the current payload shard, one level chunk at a time.
 
-        The entry is written at the deferred-head wire version
-        (:data:`~repro.core.container.DEFERRED_META_CONTAINER_VERSION`):
-        each chunk's parts go to disk as they arrive and are not retained,
-        so peak memory is one *level's* parts, not the entry's — and the
-        entry metadata (only final once the stream is exhausted) is sealed
-        into the head at the tail.  The resulting bytes are identical to
-        ``add_entry`` with the eagerly-compressed dataset at the same wire
-        version.
+        Each chunk's parts go to disk as they arrive and are not
+        retained, so peak memory is one *level's* parts, not the entry's
+        — and the entry metadata (only final once the stream is
+        exhausted) is sealed into the head at the tail.  The resulting
+        bytes are identical to ``to_bytes()`` of the collected dataset.
         """
         start = self._begin_entry(key)
         writer = StreamingContainerWriter(
@@ -478,17 +391,23 @@ class ShardedArchiveWriter:
             stream.dataset_name,
             original_bytes=stream.original_bytes,
             n_values=stream.n_values,
-            container_version=DEFERRED_META_CONTAINER_VERSION,
         )
         for chunk in stream:
             for name, payload in chunk.parts.items():
                 writer.add_part(name, payload)
         writer.set_meta(stream.meta)
         length = writer.close()
-        self._record_entry(
-            key, start, length, writer,
-            stream.method, stream.dataset_name, stream.original_bytes, stream.n_values,
-        )
+        self._shard_offset = start + length
+        self._index[key] = [len(self._shard_paths) - 1, start, length]
+        self._manifest[key] = {
+            "key": key,
+            "method": stream.method,
+            "dataset": stream.dataset_name,
+            "original_bytes": stream.original_bytes,
+            "compressed_bytes": writer.bytes_written,
+            "n_values": stream.n_values,
+            "n_parts": writer.n_parts,
+        }
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> ShardedWriteReport:
@@ -695,6 +614,10 @@ class LazyBatchArchive:
     read-only, giving lock-free concurrent part reads.
     """
 
+    #: Offset one past the last entry of a monolithic archive — what a
+    #: complete blob's length equals (``None`` for sharded heads).
+    payload_end: int | None = None
+
     def __init__(
         self,
         source,
@@ -749,10 +672,7 @@ class LazyBatchArchive:
     def _parse_head(
         cls, src, source, mmap: bool, shard_opener, verify_shards: bool
     ) -> "LazyBatchArchive":
-        prefix = src.read_at(0, 4 + _HEAD.size)
-        if prefix[:4] != _MAGIC:
-            raise ValueError("not a BatchArchive blob")
-        version, head_len = _HEAD.unpack_from(prefix, 4)
+        version, head_len = read_fixed_header(src, 0, _MAGIC, "BatchArchive")
         if version not in _SUPPORTED_VERSIONS:
             raise ValueError(f"unsupported batch-archive version {version}")
         head_off = 4 + _HEAD.size
@@ -766,12 +686,16 @@ class LazyBatchArchive:
                 (length,) = _LEN.unpack(src.read_at(offset, _LEN.size))
                 index[key] = (offset + _LEN.size, length)
                 offset += _LEN.size + length
-            return cls(src, head, index)
-        if version == 2:
+        elif version == 2:
             for key in head["keys"]:
                 entry_off, length = head["index"][key]
                 index[key] = (payload_base + entry_off, length)
-            return cls(src, head, index)
+        if version != SHARDED_ARCHIVE_VERSION:
+            archive = cls(src, head, index)
+            archive.payload_end = max(
+                (lo + n for lo, n in index.values()), default=payload_base
+            )
+            return archive
         # v3: manifest-only head; entries live in payload shards.
         label = getattr(src, "label", "<memory>")
         if shard_opener is None:
@@ -868,11 +792,12 @@ class LazyBatchArchive:
             raise KeyError(f"no entry {key!r}; archive holds {self.keys()}")
         loc = self._index[key]
         if self.is_sharded:
-            shard_idx, offset, _length = loc
+            shard_idx, offset, length = loc
             src = self._shards.source(shard_idx, key)
-            return LazyCompressedDataset._parse(src, offset, owns_source=False)
-        offset, _length = loc
-        return LazyCompressedDataset._parse(self._source, offset, owns_source=False)
+        else:
+            offset, length = loc
+            src = self._source
+        return LazyCompressedDataset._parse(src, offset, owns_source=False, length=length)
 
     def decompress(
         self, key: str, structure: AMRDataset | None = None, decode_workers: int = 1

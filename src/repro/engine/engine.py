@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import copy
 import time
-import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,11 +34,7 @@ from repro.amr.hierarchy import AMRDataset
 from repro.amr.io import load_dataset
 from repro.core.container import CompressedDataset
 from repro.engine import registry
-from repro.engine.archive import (
-    DEFAULT_SHARD_SIZE,
-    BatchArchive,
-    ShardedWriteReport,
-)
+from repro.engine.archive import BatchArchive
 from repro.engine.registry import supports_kwarg
 from repro.utils.timer import TimingRecord
 from repro.utils.validation import check_positive_int
@@ -186,53 +181,6 @@ class BatchResult:
         return rows
 
 
-@dataclass
-class ShardedBatchResult:
-    """Outcome of a streamed batch write: job results + what hit disk.
-
-    Payloads are (by default) already released — accounting comes from
-    the write :attr:`report` and, for per-entry detail, from the head
-    shard's manifest, which is readable without touching a payload
-    shard.
-    """
-
-    results: list[JobResult]
-    report: ShardedWriteReport
-    wall_seconds: float = 0.0
-    max_workers: int = 1
-    executor: str = "thread"
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    @property
-    def head_path(self):
-        return self.report.head_path
-
-    @property
-    def shard_paths(self):
-        return self.report.shard_paths
-
-    def manifest(self) -> list[dict]:
-        """Per-entry manifest rows, read back from the head shard alone
-        (cached — the head is immutable once written)."""
-        if getattr(self, "_manifest_rows", None) is None:
-            from repro.engine.archive import LazyBatchArchive
-
-            with LazyBatchArchive.open(self.report.head_path) as archive:
-                self._manifest_rows = archive.manifest()
-        return self._manifest_rows
-
-    def ratio(self) -> float:
-        rows = self.manifest()
-        original = sum(row["original_bytes"] for row in rows)
-        compressed = sum(row["compressed_bytes"] for row in rows)
-        return original / compressed if compressed else float("inf")
-
-
 def _execute_job(job: CompressionJob, level_workers: int) -> tuple[CompressedDataset, float]:
     """Run one job to completion (top-level so process pools can pickle it)."""
     # Jobs are often built from one shared options dict; hand the factory
@@ -291,28 +239,15 @@ class CompressionEngine:
 
     # ------------------------------------------------------------------
     def run(self, jobs: Iterable[CompressionJob], raise_errors: bool = False) -> BatchResult:
-        """Execute every job and return results in submission order.
-
-        .. deprecated::
-            ``run`` remains for in-memory batch results, but new code
-            should go through :class:`repro.ingest.IngestSession`, which
-            adds bounded-memory streamed writes and temporal delta
-            coding behind the same per-entry overrides.
+        """Execute every job and return results in submission order
+        (in memory; :class:`repro.ingest.IngestSession` is the
+        bounded-memory path to a sharded archive).
 
         With ``raise_errors=False`` (default) a failing job is reported in
         its :class:`JobResult` and the rest of the batch completes; with
         ``raise_errors=True`` the first failure re-raises after the batch
         finishes (never mid-flight, so no sibling work is wasted).
         """
-        warnings.warn(
-            "CompressionEngine.run is deprecated; use repro.ingest.IngestSession "
-            "(session.submit(...) / session.close()) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run(jobs, raise_errors)
-
-    def _run(self, jobs: Iterable[CompressionJob], raise_errors: bool = False) -> BatchResult:
         jobs = list(jobs)
         labels = self._unique_labels(jobs)
         results = [
@@ -340,91 +275,7 @@ class CompressionEngine:
 
     def run_to_archive(self, jobs: Iterable[CompressionJob], **meta) -> BatchArchive:
         """``run`` + pack into one :class:`BatchArchive` (all jobs must succeed)."""
-        return self._run(jobs).to_archive(**meta)
-
-    def run_to_shards(
-        self,
-        jobs: Iterable[CompressionJob],
-        head_path,
-        *,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        keep_payloads: bool = False,
-        **meta,
-    ) -> "ShardedBatchResult":
-        """Compress a batch straight into a sharded (v3) archive.
-
-        .. deprecated::
-            A thin shim over :class:`repro.ingest.IngestSession`, kept
-            for its result shape.  New code should open a session
-            directly — the ingest pipeline adds per-level streamed
-            container writes and temporal delta coding this entry point
-            never will.  (The session's pipeline is thread-based; an
-            ``executor="process"`` engine still gets correct — and
-            byte-identical — output through the shim, just on threads.)
-
-        The streaming counterpart of :meth:`run_to_archive`: entries
-        land in submission order with bounded in-flight depth, each
-        entry's payloads released as soon as they hit disk.  All jobs
-        must succeed: a failure aborts the write, removes every file
-        already written, and raises (chained), so a crashed batch never
-        leaves a half-archive behind.  ``keep_payloads=True`` retains
-        each ``JobResult.compressed`` for callers that want both the
-        files and the in-memory batch (tests, small batches).
-        """
-        warnings.warn(
-            "CompressionEngine.run_to_shards is deprecated; use "
-            "repro.ingest.IngestSession (session.submit(...) / session.close()) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.ingest import IngestConfig, IngestSession
-
-        jobs = list(jobs)
-        labels = self._unique_labels(jobs)
-        results = [
-            JobResult(label=labels[i], codec=job.codec, index=i)
-            for i, job in enumerate(jobs)
-        ]
-        by_label = {result.label: result for result in results}
-
-        def on_written(key, comp, wall_seconds):
-            result = by_label[key]
-            if keep_payloads:
-                result.compressed = comp
-            result.wall_seconds = wall_seconds
-
-        pipelined = self.max_workers > 1 and len(jobs) > 1
-        config = IngestConfig(
-            shard_size=shard_size,
-            streaming=False,  # the established eager per-entry container bytes
-            max_inflight=2 * self.max_workers if pipelined else 1,
-            workers=self.max_workers,
-            level_workers=self.level_workers,
-        )
-        start = time.perf_counter()
-        session = IngestSession(head_path, config, meta=dict(meta), on_written=on_written)
-        try:
-            for i, job in enumerate(jobs):
-                session.submit(
-                    job.dataset,
-                    key=labels[i],
-                    codec=job.codec,
-                    error_bound=job.error_bound,
-                    mode=job.mode,
-                    per_level_scale=job.per_level_scale,
-                    codec_options=job.codec_options,
-                )
-            report = session.close().write
-        except BaseException:
-            session.abort()
-            raise
-        return ShardedBatchResult(
-            results=results,
-            report=report,
-            wall_seconds=time.perf_counter() - start,
-            max_workers=self.max_workers,
-            executor=self.executor,
-        )
+        return self.run(jobs).to_archive(**meta)
 
     # ------------------------------------------------------------------
     def _make_pool(self) -> Executor:

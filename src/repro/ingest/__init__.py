@@ -1,9 +1,8 @@
 """In-situ ingest pipeline: one front-end from snapshot stream to archive.
 
-:class:`IngestSession` is the single write-side entry point — it subsumes
-the batch (``CompressionEngine.run``), streaming (``run_to_shards``), and
-CLI paths, adds per-level streamed container writes (bounded memory) and
-temporal delta coding across timesteps.  :mod:`repro.ingest.delta` holds
+:class:`IngestSession` is the single entry point to a sharded archive:
+per-level streamed container writes (bounded memory) and temporal delta
+coding across timesteps.  :mod:`repro.ingest.delta` holds
 the read-side helpers that reconstruct delta-coded timesteps through the
 read service.
 """

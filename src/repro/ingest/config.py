@@ -1,8 +1,6 @@
 """Typed configuration for the in-situ ingest pipeline.
 
-One dataclass carries every knob the old entry points scattered across
-``CompressionEngine`` constructor arguments, ``run_to_shards`` keywords,
-and raw ``codec_options`` dicts.  Validation happens at construction:
+One dataclass carries every knob of a session.  Validation happens at construction:
 codec options are checked against the registered codec's schema
 (:func:`repro.engine.registry.validate_codec_options`) and deep-copied,
 so a bad key fails before the first snapshot is submitted — not deep
@@ -43,22 +41,16 @@ class IngestConfig:
         change forces a keyframe regardless.
     max_inflight:
         Snapshots allowed in flight at once.  ``1`` runs the pipeline
-        synchronously on the caller's thread — with ``streaming`` on,
-        that is the strict one-level memory bound.  ``> 1`` overlaps
+        synchronously on the caller's thread — the strict one-level
+        memory bound.  ``> 1`` overlaps
         snapshot production with encode/write at the cost of buffering
         up to that many encoded entries.
     workers:
         Encoder thread-pool width (effective when ``max_inflight > 1``;
         independent chains encode concurrently, one chain stays serial).
     level_workers:
-        Within-entry level parallelism for codecs that support it (only
-        used on the eager path — the streaming path is level-sequential
-        by construction).
-    streaming:
-        ``True`` writes per-level deferred-head (v5) entries via the
-        codec's ``compress_iter`` when it has one; ``False`` compresses
-        eagerly and writes the established v4 entries (the byte-stable
-        path the deprecated ``run_to_shards`` shim uses).
+        Within-entry level parallelism for codecs that support it
+        (bit-identical output; ``> 1`` gives up the one-level bound).
     """
 
     codec: str = "tac"
@@ -71,7 +63,6 @@ class IngestConfig:
     max_inflight: int = 1
     workers: int = 1
     level_workers: int = 1
-    streaming: bool = True
 
     def __post_init__(self):
         check_positive_int(self.shard_size, name="shard_size")

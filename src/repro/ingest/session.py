@@ -1,8 +1,7 @@
 """The one ingest front-end: submit snapshots, get a sharded archive.
 
-:class:`IngestSession` subsumes the batch (``CompressionEngine.run``),
-streaming (``run_to_shards``), and CLI entry points behind a single
-surface::
+:class:`IngestSession` is the one way to a sharded archive — for the
+Python API and the CLI alike::
 
     with IngestSession("out.rpbt", IngestConfig(keyframe_interval=4)) as s:
         for snapshot in make_timestep_series("Run1_Z10", steps=16):
@@ -22,12 +21,12 @@ manifest are deterministic for a given submission sequence.
 
 Memory
 ------
-``max_inflight=1`` (default) runs synchronously: with ``streaming`` on,
-each entry's parts flow level-by-level from ``compress_iter`` straight
-into a deferred-head (v5) container entry, so the writer-side peak is
-one *level's* parts, never one entry's.  ``max_inflight > 1`` overlaps
-snapshot production, encode, and shard write across timesteps, buffering
-at most ``max_inflight`` encoded entries.
+``max_inflight=1`` (default) runs synchronously: each entry's parts flow
+level-by-level from ``compress_iter`` straight into its container entry,
+so the writer-side peak is one *level's* parts, never one entry's.
+``max_inflight > 1`` overlaps snapshot production, encode, and shard
+write across timesteps, buffering at most ``max_inflight`` encoded
+entries.
 
 Failure
 -------
@@ -135,8 +134,7 @@ class _Entry:
     index: int
     codec: str
     temporal: dict | None
-    stream: object | None = None  # StreamingCompression-like (v5 write)
-    comp: CompressedDataset | None = None  # eager dataset (v4 write)
+    stream: object | None = None  # StreamingCompression-like
     assembler: object | None = None  # pending closed-loop decode (sync mode)
     chain: _Chain | None = None
     is_keyframe: bool = True
@@ -216,8 +214,6 @@ class _TemporalStream:
 
     def __next__(self):
         chunk = next(self._inner)
-        if self._delta and chunk.meta is not None:
-            chunk.meta["temporal"] = "delta"
         if self._assembler is not None:
             self._assembler.add_chunk(self, chunk)
         return chunk
@@ -231,6 +227,9 @@ class _TemporalStream:
         meta = dict(self._inner.meta)
         if self._temporal is not None:
             meta["temporal"] = self._temporal
+        if self._delta:
+            for level_meta in meta.get("levels", []):
+                level_meta["temporal"] = "delta"
         return meta
 
 
@@ -246,11 +245,6 @@ class IngestSession:
         (``IngestSession(path, keyframe_interval=4)``) — not both.
     meta:
         Archive-level metadata recorded in the head.
-    on_written:
-        Optional observer ``(key, comp_or_None, wall_seconds)`` called
-        after each entry hits the shard — ``comp`` is the eager payload
-        on the non-streaming path, ``None`` on the streaming path.  The
-        deprecated engine shims use it to keep their result shape.
     """
 
     def __init__(
@@ -259,7 +253,6 @@ class IngestSession:
         config: IngestConfig | None = None,
         *,
         meta: dict | None = None,
-        on_written=None,
         **overrides,
     ):
         if config is not None and overrides:
@@ -269,7 +262,6 @@ class IngestSession:
             head_path, shard_size=self.config.shard_size, meta=dict(meta or {})
         )
         try:
-            self._on_written = on_written
             self._chains: dict[tuple, _Chain] = {}
             self._keys: set[str] = set()
             self._pending: deque = deque()  # (Future[_Entry], key, index)
@@ -494,42 +486,32 @@ class IngestSession:
             key=key, index=index, codec=codec_name, temporal=temporal,
             chain=chain, is_keyframe=is_keyframe, track_rec=track_rec,
         )
-        if self.config.streaming and hasattr(codec, "compress_iter"):
-            inner = codec.compress_iter(source, use_eb, use_mode, **kwargs)
-            assembler = _RecAssembler(codec, dataset) if track_rec else None
-            stream = _TemporalStream(inner, temporal, assembler, delta=not is_keyframe)
-            if self._pool is not None:
-                # Pipelined mode: do the encode work *here*, in the
-                # worker, trading the one-level bound for overlap.
-                chunks = list(stream)
-                meta = stream.meta
-                self._finish_rec(entry, assembler, stream)
-                stream = StreamingCompression(
-                    method=stream.method,
-                    dataset_name=stream.dataset_name,
-                    original_bytes=stream.original_bytes,
-                    n_values=stream.n_values,
-                    chunks=chunks,
-                    final_meta=meta,
-                )
-            else:
-                entry.assembler = assembler
-            entry.stream = stream
+        level_wise = hasattr(codec, "compress_iter")
+        encode = codec.compress_iter if level_wise else codec.compress
+        if self.config.level_workers > 1 and supports_kwarg(encode, "level_workers"):
+            kwargs["level_workers"] = self.config.level_workers
+        inner = encode(source, use_eb, mode=use_mode, **kwargs)
+        if not level_wise:
+            inner = StreamingCompression.from_dataset(inner)
+        assembler = _RecAssembler(codec, dataset) if track_rec else None
+        stream = _TemporalStream(inner, temporal, assembler, delta=not is_keyframe)
+        if self._pool is not None:
+            # Pipelined mode: do the encode work *here*, in the
+            # worker, trading the one-level bound for overlap.
+            chunks = list(stream)
+            meta = stream.meta
+            self._finish_rec(entry, assembler, stream)
+            stream = StreamingCompression(
+                method=stream.method,
+                dataset_name=stream.dataset_name,
+                original_bytes=stream.original_bytes,
+                n_values=stream.n_values,
+                chunks=chunks,
+                final_meta=meta,
+            )
         else:
-            if self.config.level_workers > 1 and supports_kwarg(
-                codec.compress, "level_workers"
-            ):
-                kwargs["level_workers"] = self.config.level_workers
-            comp = codec.compress(source, use_eb, mode=use_mode, **kwargs)
-            if temporal is not None:
-                comp.meta["temporal"] = temporal
-                if not is_keyframe:
-                    for level_meta in comp.meta.get("levels", []):
-                        level_meta["temporal"] = "delta"
-            if track_rec:
-                decoded = codec.decompress(comp, structure=dataset)
-                chain.rec = decoded if is_keyframe else accumulate(chain.rec, decoded)
-            entry.comp = comp
+            entry.assembler = assembler
+        entry.stream = stream
         entry.wall_seconds = time.perf_counter() - start
         return entry
 
@@ -543,21 +525,15 @@ class IngestSession:
 
     # -- write (caller side) -----------------------------------------------
     def _write(self, entry: _Entry) -> None:
-        # In sync streaming mode the encode work happens *here*, as the
-        # writer drains the chunk stream — fold it into the entry's wall.
+        # In sync mode the encode work happens *here*, as the writer
+        # drains the chunk stream — fold it into the entry's wall.
         start = time.perf_counter()
-        if entry.stream is not None:
-            self._writer.add_entry_stream(entry.key, entry.stream)
-            # Sync mode decodes during the drain above; seal the rec now.
-            self._finish_rec(entry, entry.assembler, entry.stream)
-            entry.assembler = None
-        else:
-            self._writer.add_entry(entry.key, entry.comp)
-        entry.wall_seconds += time.perf_counter() - start
-        if self._on_written is not None:
-            self._on_written(entry.key, entry.comp, entry.wall_seconds)
-        entry.comp = None
+        self._writer.add_entry_stream(entry.key, entry.stream)
+        # Sync mode decodes during the drain above; seal the rec now.
+        self._finish_rec(entry, entry.assembler, entry.stream)
+        entry.assembler = None
         entry.stream = None
+        entry.wall_seconds += time.perf_counter() - start
         self._entries.append(
             {
                 "key": entry.key,

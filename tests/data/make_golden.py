@@ -1,33 +1,31 @@
-"""Regenerate the golden batch-archive fixtures (both wire versions).
+"""Regenerate the golden fixtures the code can still write byte-exactly.
 
 Run from the repo root::
 
     PYTHONPATH=src:. python tests/data/make_golden.py
 
-Writes, for each container version, the archive bytes the regression test
-pins and a JSON record of the expected manifest plus per-entry
-decompressed-value statistics:
+The library writes one container version (v5) and keeps readers for every
+older one, so the fixtures split in two:
 
-* ``golden_batch.rpbt`` / ``golden_batch.json`` — version 1 (the original
-  length-prefixed layout; proves old stored archives stay readable);
-* ``golden_batch_v2.rpbt`` / ``golden_batch_v2.json`` — version 2 (part-
-  and entry-indexed layout used for lazy/partial reads);
-* ``golden_batch_v3.rpbt`` + ``golden_batch_v3.shard-NNNN.rpsh`` /
-  ``golden_batch_v3.json`` — version 3 (sharded streaming layout: a
-  manifest-only head whose index points into payload shards, written by
-  ``ShardedArchiveWriter``; the shard size is chosen so the four entries
-  span two shards);
-* ``golden_batch_v4.rpbt`` + ``golden_batch_v4.shard-NNNN.rpsh`` /
-  ``golden_batch_v4.json`` — the same sharded construction with container
-  v4 entry blobs (per-part CRC-32s in each tail index), plus
-  ``golden_entry_v4.rpam``, the ``golden/tac`` entry written eagerly by
-  ``CompressedDataset.to_bytes`` at ``container_version=4`` — pinning the
-  integrity layout through *both* writers.
+**Regenerated here** (the writer must reproduce them byte for byte —
+``tests/test_golden_format.py`` replays both constructions):
 
-All versions differ only in framing: identical codecs, identical payload
-bytes.  Only regenerate when a container version is *intentionally*
-bumped — the whole point of the fixtures is that accidental format drift
-fails ``tests/test_golden_format.py``.
+* ``golden_entry_v5.rpam`` / ``golden_entry_v5.json`` — the ``golden/tac``
+  entry of the frozen v2 archive, re-serialized by
+  ``CompressedDataset.to_bytes`` (same payload bytes as the fixture it
+  came from, v5 framing);
+* ``golden_ingest_delta.rpbt`` + shards / ``golden_ingest_delta.json`` —
+  a 3-step temporal-delta series through ``IngestSession``.
+
+**Frozen** (written by retired writers; never regenerated — they are the
+proof that stored archives stay readable, and only their *read* side is
+tested): ``golden_batch.rpbt`` (archive v1 / container v1),
+``golden_batch_v2.rpbt`` (v2 / v2), ``golden_batch_v3.rpbt`` + shards
+(sharded, container v3), ``golden_batch_v4.rpbt`` + shards and
+``golden_entry_v4.rpam`` (container v4), and the v2-framed
+``golden_gsp_{legacy,bricks,shared}.rpbt`` — whose *part* bytes (GSP
+grid, brick table, shared Huffman table) stay writer-pinned by
+``TestGoldenGSPFormats::test_writer_regenerates_fixture_parts``.
 """
 
 from __future__ import annotations
@@ -38,180 +36,29 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.tac import TACCompressor
-from repro.engine import BatchArchive, CompressionEngine, CompressionJob
-from tests.helpers import golden_dataset, golden_gsp_dataset
+from repro.engine import BatchArchive
 
 HERE = Path(__file__).parent
 EB = 1e-3
 MODE = "abs"
-CODECS = ("tac", "1d", "zmesh", "3d")
-#: Forces the four golden entries across two payload shards.
+#: Forces the ingest fixture's three entries across two payload shards.
 V3_SHARD_SIZE = 2048
-#: Brick edge of the bricked GSP fixture: 16^3 padded level -> 4^3 bricks.
-GSP_BRICK_SIZE = 4
-#: ROI pinned by the GSP fixtures' partial-read expectations (1/8 domain).
-GSP_ROI = (slice(0, 8), slice(0, 8), slice(0, 8))
 
 
-def build_archive(container_version: int) -> bytes:
-    ds = golden_dataset()
-    jobs = [
-        CompressionJob(ds, codec=c, error_bound=EB, mode=MODE, label=f"golden/{c}")
-        for c in CODECS
-    ]
-    archive = CompressionEngine().run_to_archive(jobs, fixture="golden", eb=EB, mode=MODE)
-    archive.version = container_version
-    for comp in archive.entries.values():
-        comp.container_version = container_version
-    return archive.to_bytes()
-
-
-def expectations(blob: bytes) -> dict:
-    # Record from the canonical (serialized) form, whose entries are
-    # key-sorted.
-    archive = BatchArchive.from_bytes(blob)
-    expected: dict = {
-        "sha256": hashlib.sha256(blob).hexdigest(),
-        "n_bytes": len(blob),
-        "eb": EB,
-        "mode": MODE,
-        "keys": archive.keys(),
-        "manifest": archive.manifest(),
-        "decompressed": {},
-    }
-    for key in archive.keys():
-        restored = archive.decompress(key)
-        expected["decompressed"][key] = [
-            {
-                "level": lvl.level,
-                "n_points": lvl.n_points(),
-                "sum": float(lvl.values().sum(dtype=np.float64)),
-                "min": float(lvl.values().min()) if lvl.n_points() else 0.0,
-                "max": float(lvl.values().max()) if lvl.n_points() else 0.0,
-            }
-            for lvl in restored.levels
-        ]
-    return expected
-
-
-def sharded_expectations(blob_v2: bytes, stem: str, container_version: int) -> dict:
-    """Write one sharded fixture from the v2 archive's entries and record it.
-
-    Deriving the shards from the *stored v2 bytes* (not a fresh
-    compression) pins the writer itself: the regression test replays
-    exactly this construction from the checked-in v2 fixture and asserts
-    byte-equal head + shards.  ``container_version`` picks the per-entry
-    blob layout (3 = legacy, 4 = per-part CRCs).
-    """
-    archive = BatchArchive.from_bytes(blob_v2)
-    head_path = HERE / f"{stem}.rpbt"
-    report = archive.save_sharded(
-        head_path, shard_size=V3_SHARD_SIZE, container_version=container_version
-    )
-    expected: dict = {
-        "eb": EB,
-        "mode": MODE,
-        "shard_size": V3_SHARD_SIZE,
-        "container_version": container_version,
-        "keys": archive.keys(),
-        "head": {
-            "name": head_path.name,
-            "n_bytes": head_path.stat().st_size,
-            "sha256": hashlib.sha256(head_path.read_bytes()).hexdigest(),
-        },
-        "shards": [
-            {
-                "name": path.name,
-                "n_bytes": path.stat().st_size,
-                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-            }
-            for path in report.shard_paths
-        ],
-    }
-    return expected
-
-
-def eager_v4_expectations(blob_v2: bytes) -> dict:
-    """Write the eager-writer v4 container fixture and record it.
-
-    One entry (``golden/tac``) from the v2 archive, re-serialized by
-    ``CompressedDataset.to_bytes`` at ``container_version=4`` — same
-    payload bytes as the fixture it came from, new integrity framing.
-    """
-    from repro.core.container import CompressedDataset
-
-    comp = BatchArchive.from_bytes(blob_v2).get("golden/tac")
-    comp.container_version = 4
+def entry_v5_expectations() -> dict:
+    """Write the v5 container fixture and record it."""
+    comp = BatchArchive.from_bytes((HERE / "golden_batch_v2.rpbt").read_bytes()).get("golden/tac")
     blob = comp.to_bytes()
-    path = HERE / "golden_entry_v4.rpam"
+    path = HERE / "golden_entry_v5.rpam"
     path.write_bytes(blob)
     return {
         "name": path.name,
         "key": "golden/tac",
+        "source": "golden_batch_v2.rpbt",
+        "container_version": blob[4],
         "n_bytes": len(blob),
         "sha256": hashlib.sha256(blob).hexdigest(),
     }
-
-
-def gsp_expectations() -> dict:
-    """Write and record the GSP strategy-format fixtures.
-
-    Three blobs over the analytic :func:`tests.helpers.golden_gsp_dataset`
-    (fine level ~70% dense -> GSP, coarse -> OpST):
-
-    * ``golden_gsp_legacy.rpbt`` — ``brick_size=None``: the strategy
-      format 1 single-stream layout every pre-brick blob used (one
-      ``L0/grid`` part).  Pins that the legacy write path still produces
-      the exact pre-brick bytes and that such blobs stay readable.
-    * ``golden_gsp_bricks.rpbt`` — ``brick_size=GSP_BRICK_SIZE``:
-      strategy format 2 (brick table part + one part per brick).
-    * ``golden_gsp_shared.rpbt`` — bricks plus ``shared_tables=True``:
-      one Huffman table per level (``L<idx>/table`` part) and per-stream
-      ``SEC_TABLE_REF`` sections.  Pins the shared-table wire format.
-
-    The JSON records sha256/bytes, per-level decode stats, and the
-    values of a pinned 1/8-domain ROI read on the GSP level, so the
-    partial-read output itself is golden-pinned for every format.
-    """
-    ds = golden_gsp_dataset()
-    expected: dict = {"eb": EB, "mode": MODE, "brick_size": GSP_BRICK_SIZE,
-                      "roi": [[s.start, s.stop] for s in GSP_ROI], "blobs": {}}
-    variants = {
-        "golden_gsp_legacy": TACCompressor(brick_size=None),
-        "golden_gsp_bricks": TACCompressor(brick_size=GSP_BRICK_SIZE),
-        "golden_gsp_shared": TACCompressor(
-            brick_size=GSP_BRICK_SIZE, shared_tables=True
-        ),
-    }
-    for stem, tac in variants.items():
-        comp = tac.compress(ds, EB, mode=MODE)
-        blob = comp.to_bytes()
-        (HERE / f"{stem}.rpbt").write_bytes(blob)
-        roi = tac.decompress_region(comp, 0, GSP_ROI)
-        record = {
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "n_bytes": len(blob),
-            "strategies": [m["strategy"] for m in comp.meta["levels"]],
-            "levels": [
-                {
-                    "level": lvl.level,
-                    "n_points": lvl.n_points(),
-                    "sum": float(lvl.values().sum(dtype=np.float64)),
-                }
-                for lvl in tac.decompress(comp).levels
-            ],
-            "roi_sum": float(roi.sum(dtype=np.float64)),
-            "roi_nonzero": int(np.count_nonzero(roi)),
-        }
-        bricks = comp.meta["levels"][0].get("bricks")
-        if bricks:
-            record["bricks"] = bricks
-        shared = comp.meta["levels"][0].get("shared_table")
-        if shared:
-            record["shared_table"] = shared
-        expected["blobs"][stem] = record
-    return expected
 
 
 #: Keyframe cadence of the ingest fixture: 3 steps -> kf, delta, kf.
@@ -289,24 +136,9 @@ def ingest_expectations() -> dict:
 
 
 def main() -> None:
-    blobs = {}
-    for version, stem in ((1, "golden_batch"), (2, "golden_batch_v2")):
-        blob = build_archive(version)
-        blobs[version] = blob
-        (HERE / f"{stem}.rpbt").write_bytes(blob)
-        expected = expectations(blob)
-        (HERE / f"{stem}.json").write_text(json.dumps(expected, indent=2) + "\n")
-        print(f"wrote {stem}.rpbt ({len(blob)} bytes) and {stem}.json")
-    for stem, container_version in (("golden_batch_v3", 3), ("golden_batch_v4", 4)):
-        expected = sharded_expectations(blobs[2], stem, container_version)
-        if container_version == 4:
-            expected["eager_entry"] = eager_v4_expectations(blobs[2])
-        (HERE / f"{stem}.json").write_text(json.dumps(expected, indent=2) + "\n")
-        names = [rec["name"] for rec in expected["shards"]]
-        print(f"wrote {stem}.rpbt + {names} and {stem}.json")
-    expected = gsp_expectations()
-    (HERE / "golden_gsp.json").write_text(json.dumps(expected, indent=2) + "\n")
-    print(f"wrote {list(expected['blobs'])} fixtures and golden_gsp.json")
+    expected = entry_v5_expectations()
+    (HERE / "golden_entry_v5.json").write_text(json.dumps(expected, indent=2) + "\n")
+    print(f"wrote {expected['name']} ({expected['n_bytes']} bytes) and golden_entry_v5.json")
     expected = ingest_expectations()
     (HERE / "golden_ingest_delta.json").write_text(json.dumps(expected, indent=2) + "\n")
     names = [rec["name"] for rec in expected["shards"]]

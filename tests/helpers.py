@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+
 import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
@@ -250,3 +254,52 @@ def heap_code_lengths(counts, max_len: int = 16) -> np.ndarray:
     raw = np.array([depth_of[int(s)] for s in present], dtype=np.int64)
     lengths[present] = _limit_lengths(raw, max_len)
     return lengths
+
+
+def legacy_container_bytes(comp, version: int) -> bytes:
+    """Reference encoder for the read-only container versions 1-4 (the
+    retired ``to_bytes`` body): reader tests build their inputs with it,
+    the committed golden fixtures pin the same layouts byte-exactly."""
+    assert version in (1, 2, 3, 4), version
+    record = {
+        "method": comp.method,
+        "dataset_name": comp.dataset_name,
+        "meta": comp.meta,
+        "original_bytes": comp.original_bytes,
+        "n_values": comp.n_values,
+    }
+    index = []
+    offset = 0
+    for name, payload in comp.parts.items():
+        crc = [zlib.crc32(payload)] if version == 4 else []
+        index.append([name, offset, len(payload), *crc])
+        offset += len(payload)
+    if version == 1:
+        record["part_names"] = list(comp.parts)
+    elif version == 2:
+        record["part_index"] = index
+    head = json.dumps(record, sort_keys=True).encode("utf-8")
+    out = bytearray(b"RPAM" + struct.pack("<BQ", version, len(head)))
+    index_blob = json.dumps(index, sort_keys=True).encode("utf-8") if version >= 3 else b""
+    if version >= 3:
+        out += struct.pack("<QQ", len(out) + 16 + len(head) + offset, len(index_blob))
+    out += head
+    for payload in comp.parts.values():
+        out += struct.pack("<Q", len(payload)) if version == 1 else b""
+        out += payload
+    return bytes(out + index_blob)
+
+
+def legacy_archive_bytes(blobs: dict, version: int, meta: dict | None = None) -> bytes:
+    """Monolithic batch archive (v1 length-prefixed / v2 indexed) around
+    already-serialized entry blobs of any container version."""
+    keys = sorted(blobs)
+    record = {"version": version, "keys": keys, "meta": meta or {}, "manifest": []}
+    if version == 2:
+        sizes = [len(blobs[key]) for key in keys]
+        record["index"] = {k: [sum(sizes[:i]), sizes[i]] for i, k in enumerate(keys)}
+    head = json.dumps(record, sort_keys=True).encode("utf-8")
+    out = b"RPBT" + struct.pack("<BQ", version, len(head)) + head
+    for key in keys:
+        out += (struct.pack("<Q", len(blobs[key])) if version == 1 else b"") + blobs[key]
+    return out

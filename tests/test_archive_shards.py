@@ -43,6 +43,7 @@ from repro.engine import (
     LazyBatchArchive,
     ShardedArchiveWriter,
 )
+from repro.ingest import IngestConfig, IngestError, IngestSession
 from tests.helpers import two_level_dataset
 
 
@@ -303,27 +304,15 @@ class TestStreamingWriterMemory:
         assert len(lazy.parts) == n_parts
         lazy.close()
 
-    @pytest.mark.parametrize("version", [3, 4])
-    def test_streamed_bytes_equal_eager(self, tmp_path, compressed_batch, version):
+    def test_streamed_bytes_equal_eager(self, tmp_path, compressed_batch):
         comp = compressed_batch.get("toy/tac")
-        eager = CompressedDataset.from_bytes(comp.to_bytes())
-        eager.container_version = version
         path = tmp_path / "entry.rpam"
-        total = stream_dataset(comp, path, container_version=version)
-        assert path.read_bytes() == eager.to_bytes()
+        total = stream_dataset(comp, path)
+        assert path.read_bytes() == comp.to_bytes()
         assert total == path.stat().st_size
-
-    def test_streaming_default_is_v4(self, tmp_path, compressed_batch):
-        comp = compressed_batch.get("toy/tac")
-        path = tmp_path / "entry.rpam"
-        stream_dataset(comp, path)
         with LazyCompressedDataset.open(path) as lazy:
-            assert lazy.container_version == 4
+            assert lazy.container_version == 5
             assert lazy.parts.verifies_integrity
-
-    def test_streaming_writer_rejects_non_tail_version(self, tmp_path):
-        with pytest.raises(ValueError, match="tail-indexed"):
-            StreamingContainerWriter(tmp_path / "x.rpam", "tac", "x", container_version=2)
 
     def test_writer_rejects_duplicates_and_use_after_close(self, tmp_path):
         writer = StreamingContainerWriter(tmp_path / "x.rpam", "tac", "x")
@@ -395,8 +384,8 @@ class TestMmapSource:
                 make_source(fh, mmap=True)
 
 
-class TestEngineStreamedBatch:
-    def test_run_to_shards_matches_run_to_archive(self, tmp_path):
+class TestSessionStreamedBatch:
+    def test_session_matches_run_to_archive(self, tmp_path):
         datasets = [two_level_dataset(n=16, fine_fraction=0.25, seed=s) for s in range(3)]
         jobs = [
             CompressionJob(ds, codec="tac", error_bound=1e-3, label=f"f{i}/tac")
@@ -404,12 +393,12 @@ class TestEngineStreamedBatch:
         ]
         reference = CompressionEngine(max_workers=1).run_to_archive(jobs, batch="ref")
         head = tmp_path / "streamed.rpbt"
-        sharded = CompressionEngine(max_workers=3).run_to_shards(
-            jobs, head, shard_size=1, batch="ref"
-        )
-        assert sharded.report.n_entries == len(jobs)
-        assert len(sharded.shard_paths) == len(jobs)
-        assert all(r.ok and r.compressed is None for r in sharded)
+        config = IngestConfig(error_bound=1e-3, shard_size=1, max_inflight=6, workers=3)
+        with IngestSession(head, config, meta={"batch": "ref"}) as session:
+            for job in jobs:
+                session.submit(job.dataset, key=job.label)
+        assert session.report.n_entries == len(jobs)
+        assert len(session.report.write.shard_paths) == len(jobs)
         with LazyBatchArchive.open(head, verify_shards=True) as lazy:
             assert lazy.meta == {"batch": "ref"}
             for key in reference.keys():
@@ -417,15 +406,14 @@ class TestEngineStreamedBatch:
                 for name, payload in reference.get(key).parts.items():
                     assert entry.parts[name] == payload
 
-    def test_failed_job_aborts_and_cleans_up(self, tmp_path):
+    def test_failed_entry_aborts_and_cleans_up(self, tmp_path):
         good = two_level_dataset(n=16, fine_fraction=0.25, seed=0)
-        jobs = [
-            CompressionJob(good, codec="tac", error_bound=1e-3, label="good/tac"),
-            CompressionJob(str(tmp_path / "missing.npz"), codec="tac", label="bad/tac"),
-        ]
         head = tmp_path / "doomed.rpbt"
-        with pytest.raises(RuntimeError, match="bad/tac"):
-            CompressionEngine(max_workers=2).run_to_shards(jobs, head, shard_size=1)
+        config = IngestConfig(error_bound=1e-3, shard_size=1, max_inflight=4, workers=2)
+        with pytest.raises(IngestError, match="bad/tac"):
+            with IngestSession(head, config) as session:
+                session.submit(good, key="good/tac")
+                session.submit(str(tmp_path / "missing.npz"), key="bad/tac")
         leftovers = sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".npz")
         assert leftovers == [], f"half-written archive left behind: {leftovers}"
 
@@ -434,27 +422,28 @@ class TestEngineStreamedBatch:
         the previously written archive."""
         ds = two_level_dataset(n=16, fine_fraction=0.25, seed=2)
         head = tmp_path / "arch.rpbt"
-        CompressionEngine().run_to_shards(
-            [CompressionJob(ds, codec="1d", error_bound=1e-3, label="a/1d")], head
-        )
+        with IngestSession(head, codec="1d", error_bound=1e-3) as session:
+            session.submit(ds, key="a/1d")
         before = head.read_bytes()
-        bad = [CompressionJob(str(tmp_path / "missing.npz"), codec="1d", label="bad/1d")]
-        with pytest.raises(RuntimeError, match="bad/1d"):
-            CompressionEngine().run_to_shards(bad, head)
+        with pytest.raises(IngestError, match="bad/1d"):
+            with IngestSession(head, codec="1d") as session:
+                session.submit(str(tmp_path / "missing.npz"), key="bad/1d")
         assert head.read_bytes() == before
         with LazyBatchArchive.open(head) as lazy:
             assert lazy.decompress("a/1d").n_levels == 2
 
-    def test_keep_payloads_retains_results(self, tmp_path):
-        ds = two_level_dataset(n=16, fine_fraction=0.25, seed=1)
-        jobs = [CompressionJob(ds, codec="1d", error_bound=1e-3, label="f/1d")]
-        sharded = CompressionEngine().run_to_shards(
-            jobs, tmp_path / "kept.rpbt", keep_payloads=True
-        )
-        assert sharded.results[0].compressed is not None
-        rows = sharded.manifest()
-        assert rows[0]["key"] == "f/1d"
-        assert sharded.ratio() > 1.0
+
+class _FailingSink:
+    """Seekable sink whose first write fails (ENOSPC on the header)."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        raise OSError("no space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
 
 
 class TestStreamingWriterInitFailure:
@@ -463,35 +452,22 @@ class TestStreamingWriterInitFailure:
         writer itself opened — the caller never gets an object to close."""
         import builtins
 
-        import repro.core.container as container_mod
-
         opened = []
         real_open = builtins.open
 
         def spy_open(*args, **kwargs):
             fh = real_open(*args, **kwargs)
             opened.append(fh)
-            return fh
+            return _FailingSink(fh)
 
         monkeypatch.setattr(builtins, "open", spy_open)
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("head record failed")
-
-        monkeypatch.setattr(container_mod, "_head_record", boom)
-        with pytest.raises(RuntimeError, match="head record failed"):
-            container_mod.StreamingContainerWriter(tmp_path / "x.rpam", "tac", "d")
+        with pytest.raises(OSError, match="no space left"):
+            StreamingContainerWriter(tmp_path / "x.rpam", "tac", "d")
         assert opened, "writer never opened its sink"
         assert all(fh.closed for fh in opened), "sink handle leaked on init failure"
 
-    def test_borrowed_handle_stays_open_on_init_failure(self, tmp_path, monkeypatch):
-        import repro.core.container as container_mod
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("head record failed")
-
-        monkeypatch.setattr(container_mod, "_head_record", boom)
+    def test_borrowed_handle_stays_open_on_init_failure(self, tmp_path):
         with open(tmp_path / "x.rpam", "wb") as fh:
-            with pytest.raises(RuntimeError, match="head record failed"):
-                container_mod.StreamingContainerWriter(fh, "tac", "d")
+            with pytest.raises(OSError, match="no space left"):
+                StreamingContainerWriter(_FailingSink(fh), "tac", "d")
             assert not fh.closed, "writer closed a handle it does not own"

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ class TestInspectCommand:
         capsys.readouterr()
         assert main(["inspect", str(archive)]) == 0
         out = capsys.readouterr().out
-        assert "container v2" in out
+        assert "container v5" in out
         assert "strategy" in out
         assert "mask/L0" in out
 
@@ -461,18 +462,10 @@ class TestScrubCommand:
         assert any(not row["ok"] for row in report["shards"])
         assert any(row["bad"] for row in report["entries"])
 
-    def test_scrub_v3_archive_notes_missing_part_crcs(
-        self, dataset_file, tmp_path, capsys
-    ):
-        from repro.core.tac import TACCompressor
-        from repro.engine.archive import BatchArchive
-
-        dataset = load_dataset(dataset_file)
-        comp = TACCompressor().compress(dataset, 1e-3, mode="rel")
-        archive = BatchArchive()
-        archive.add("d/tac", comp)
-        head = tmp_path / "v3.rpbt"
-        archive.save_sharded(head, container_version=3)
+    def test_scrub_v3_archive_notes_missing_part_crcs(self, capsys):
+        # Entries without per-part CRCs (container v1-v3) are no longer
+        # written; the frozen v3 fixture is the input.
+        head = Path(__file__).parent / "data" / "golden_batch_v3.rpbt"
         assert main(["scrub", str(head)]) == 0
         assert "no per-part CRCs" in capsys.readouterr().out
 

@@ -1,12 +1,11 @@
-"""Container v2/v3 + lazy-reader unit tests.
+"""Container + lazy-reader unit tests.
 
 Contracts under test:
 
-* v2 blobs round-trip (``to_bytes → from_bytes → to_bytes`` byte-stable)
-  and v1 writing is still available (``container_version=1``), also
-  byte-stable — mixed-version batch archives included;
-* v3 (index-at-tail, the streaming layout) round-trips byte-stably too,
-  eager and lazy, standalone and embedded in an archive;
+* ``to_bytes`` writes v5 and ``to_bytes → from_bytes → to_bytes`` is
+  byte-stable; v1–v4 blobs (built by the test-only reference encoder
+  ``tests.helpers.legacy_container_bytes``) parse to the same parts and
+  re-serialize as v5 — mixed-version batch archives included;
 * :class:`LazyCompressedDataset` opens bytes, files, and archive members
   without reading any payload, serves parts on demand, and logs every
   fetch (the accounting partial-decode proofs rely on);
@@ -30,7 +29,7 @@ from repro.core.container import (
     pack_mask,
 )
 from repro.engine import BatchArchive, LazyBatchArchive
-from tests.helpers import two_level_dataset
+from tests.helpers import legacy_archive_bytes, legacy_container_bytes, two_level_dataset
 
 
 @pytest.fixture(scope="module")
@@ -49,45 +48,24 @@ def sample() -> CompressedDataset:
 
 
 class TestContainerV2:
-    def test_v2_roundtrip_byte_stable(self, sample):
+    def test_roundtrip_byte_stable(self, sample):
         blob = sample.to_bytes()
+        assert blob[4] == 5
         back = CompressedDataset.from_bytes(blob)
-        assert back.container_version == 2
         assert back.parts == sample.parts
         assert back.meta == sample.meta
         assert back.to_bytes() == blob
 
-    def test_v1_still_writable_and_byte_stable(self, sample):
-        sample_v1 = CompressedDataset(
-            method=sample.method,
-            dataset_name=sample.dataset_name,
-            parts=dict(sample.parts),
-            meta=sample.meta,
-            original_bytes=sample.original_bytes,
-            n_values=sample.n_values,
-            container_version=1,
-        )
-        blob = sample_v1.to_bytes()
-        back = CompressedDataset.from_bytes(blob)
-        assert back.container_version == 1
+    def test_old_blob_migrates_to_v5_on_reserialize(self, sample):
+        back = CompressedDataset.from_bytes(legacy_container_bytes(sample, 2))
         assert back.parts == sample.parts
-        assert back.to_bytes() == blob
-
-    def test_versions_carry_identical_parts(self, sample):
-        v2 = sample.to_bytes()
-        sample_v1 = CompressedDataset.from_bytes(v2)
-        sample_v1.container_version = 1
-        v1 = sample_v1.to_bytes()
-        assert v1 != v2
-        assert CompressedDataset.from_bytes(v1).parts == CompressedDataset.from_bytes(v2).parts
+        assert back.to_bytes() == sample.to_bytes()
 
     def test_unknown_version_rejected(self, sample):
         blob = bytearray(sample.to_bytes())
         blob[4] = 99
         with pytest.raises(ValueError, match="unsupported container version"):
             CompressedDataset.from_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="unsupported container version"):
-            CompressedDataset(method="x", dataset_name="y", container_version=7).to_bytes()
 
     def test_trailing_bytes_rejected(self, sample):
         with pytest.raises(ValueError, match="trailing"):
@@ -96,51 +74,33 @@ class TestContainerV2:
     def test_foreign_blob_rejected(self):
         with pytest.raises(ValueError, match="not a CompressedDataset"):
             CompressedDataset.from_bytes(b"JUNKJUNKJUNKJUNK")
+        with pytest.raises(ValueError, match="not a CompressedDataset"):
+            CompressedDataset.from_bytes(b"RPAM\x05")  # shorter than the header
 
 
 class TestContainerV3:
-    def test_v3_roundtrip_byte_stable(self, sample):
-        comp = CompressedDataset.from_bytes(sample.to_bytes())
-        comp.container_version = 3
-        blob = comp.to_bytes()
-        back = CompressedDataset.from_bytes(blob)
-        assert back.container_version == 3
-        assert back.parts == sample.parts
-        assert back.meta == sample.meta
-        assert back.to_bytes() == blob
-
     def test_all_versions_carry_identical_parts(self, sample):
-        blobs = {}
-        for version in (1, 2, 3):
-            comp = CompressedDataset.from_bytes(sample.to_bytes())
-            comp.container_version = version
-            blobs[version] = comp.to_bytes()
+        blobs = {v: legacy_container_bytes(sample, v) for v in (1, 2, 3)}
         assert len(set(blobs.values())) == 3  # framing differs
         parsed = {v: CompressedDataset.from_bytes(b).parts for v, b in blobs.items()}
-        assert parsed[1] == parsed[2] == parsed[3]
+        assert parsed[1] == parsed[2] == parsed[3] == sample.parts
 
     def test_v3_trailing_bytes_rejected(self, sample):
-        comp = CompressedDataset.from_bytes(sample.to_bytes())
-        comp.container_version = 3
         with pytest.raises(ValueError, match="trailing"):
-            CompressedDataset.from_bytes(comp.to_bytes() + b"extra")
+            CompressedDataset.from_bytes(legacy_container_bytes(sample, 3) + b"extra")
 
     def test_v3_truncated_blob_fails_at_open(self, sample):
         """The tail index is the last thing written: a truncated v3 blob
         cannot even open, rather than serving a partial part set."""
-        comp = CompressedDataset.from_bytes(sample.to_bytes())
-        comp.container_version = 3
         with pytest.raises(ValueError):
-            LazyCompressedDataset.open(comp.to_bytes()[:-10]).parts["mask/L0"]
+            LazyCompressedDataset.open(legacy_container_bytes(sample, 3)[:-10]).parts["mask/L0"]
 
     def test_v3_overstated_part_length_rejected(self, sample):
         """A tampered tail index whose part overlaps the index region must
         fail loudly, not serve a silently truncated payload."""
         import struct
 
-        comp = CompressedDataset.from_bytes(sample.to_bytes())
-        comp.container_version = 3
-        blob = bytearray(comp.to_bytes())
+        blob = bytearray(legacy_container_bytes(sample, 3))
         index_off, index_len = struct.unpack_from("<QQ", blob, 13)
         import json
 
@@ -154,22 +114,6 @@ class TestContainerV3:
         with pytest.raises(ValueError, match="payload region"):
             LazyCompressedDataset.open(bytes(tampered))
 
-    def test_v3_entries_inside_batch_archive(self, sample):
-        archive = BatchArchive(meta={"mixed": True})
-        v3_entry = CompressedDataset.from_bytes(sample.to_bytes())
-        v3_entry.container_version = 3
-        archive.add("toy/v3", v3_entry)
-        archive.add("toy/v2", CompressedDataset.from_bytes(sample.to_bytes()))
-        blob = archive.to_bytes()
-        back = BatchArchive.from_bytes(blob)
-        assert back.get("toy/v3").container_version == 3
-        assert back.get("toy/v2").container_version == 2
-        assert back.to_bytes() == blob
-        with LazyBatchArchive.open(blob) as lazy:
-            entry = lazy.entry("toy/v3")
-            assert entry.container_version == 3
-            assert entry.parts["L0/g0"] == sample.parts["L0/g0"]
-
 
 class TestContainerIOErrors:
     def test_missing_file_names_path(self, tmp_path):
@@ -181,7 +125,9 @@ class TestContainerIOErrors:
 
     def test_part_read_failure_names_part_and_source(self, sample, tmp_path):
         path = tmp_path / "cut.rpam"
-        path.write_bytes(sample.to_bytes()[:-5])
+        # v2 keeps its index up front, so a cut tail opens and the *part*
+        # read fails (a v5 blob, index at the tail, fails at open).
+        path.write_bytes(legacy_container_bytes(sample, 2)[:-5])
         lazy = LazyCompressedDataset.open(path)
         with pytest.raises(ContainerIOError) as excinfo:
             lazy.parts["mask/L0"]
@@ -196,9 +142,7 @@ class TestContainerIOErrors:
 class TestLazyCompressedDataset:
     @pytest.fixture(scope="class", params=[1, 2, 3], ids=["v1", "v2", "v3"])
     def blob(self, request, sample):
-        comp = CompressedDataset.from_bytes(sample.to_bytes())
-        comp.container_version = request.param
-        return comp.to_bytes()
+        return legacy_container_bytes(sample, request.param)
 
     def test_header_without_payload_reads(self, blob, sample):
         lazy = LazyCompressedDataset.open(blob)
@@ -229,7 +173,7 @@ class TestLazyCompressedDataset:
         eager = CompressedDataset.from_bytes(blob)
         materialized = lazy.materialize()
         assert materialized.parts == eager.parts
-        assert materialized.to_bytes() == blob
+        assert materialized.to_bytes() == eager.to_bytes()
 
     def test_open_from_file_and_fileobj(self, blob, tmp_path):
         path = tmp_path / "blob.rpam"
@@ -277,36 +221,52 @@ class TestArchiveVersions:
         assert back.version == 2
         assert back.to_bytes() == blob
 
-    def test_v1_roundtrip_byte_stable(self, archive):
-        archive_v1 = BatchArchive.from_bytes(archive.to_bytes())
-        archive_v1.version = 1
-        for comp in archive_v1.entries.values():
-            comp.container_version = 1
-        blob = archive_v1.to_bytes()
+    def test_v1_archive_reads_and_migrates(self, archive):
+        blob = legacy_archive_bytes(
+            {key: legacy_container_bytes(comp, 1) for key, comp in archive.entries.items()},
+            1,
+            archive.meta,
+        )
         back = BatchArchive.from_bytes(blob)
-        assert back.version == 1
-        assert back.to_bytes() == blob
+        assert back.version == 1  # what was read
+        assert {k: c.parts for k, c in back.entries.items()} == {
+            k: c.parts for k, c in archive.entries.items()
+        }
+        assert back.to_bytes() == archive.to_bytes()  # re-serializes as v2 / v5
 
-    def test_mixed_entry_versions_roundtrip(self, archive):
-        mixed = BatchArchive.from_bytes(archive.to_bytes())
-        mixed.get("toy/1d").container_version = 1
-        blob = mixed.to_bytes()
+    def test_mixed_entry_versions(self, archive):
+        tac = archive.get("toy/tac")
+        blobs = {
+            "toy/tac": legacy_container_bytes(tac, 1),
+            "toy/1d": legacy_container_bytes(archive.get("toy/1d"), 3),
+            "toy/v5": tac.to_bytes(),
+        }
+        blob = legacy_archive_bytes(blobs, 2)
         back = BatchArchive.from_bytes(blob)
-        assert back.get("toy/1d").container_version == 1
-        assert back.get("toy/tac").container_version == 2
-        assert back.to_bytes() == blob
+        with LazyBatchArchive.open(blob) as lazy:
+            versions = {key: lazy.entry(key).container_version for key in lazy.keys()}
+            assert versions == {"toy/tac": 1, "toy/1d": 3, "toy/v5": 5}
+            for key in lazy.keys():
+                assert lazy.entry(key).materialize().parts == back.get(key).parts
+        assert back.get("toy/v5").parts == back.get("toy/tac").parts
+        with pytest.raises(ValueError, match="trailing"):
+            BatchArchive.from_bytes(blob + b"x")
 
     def test_lazy_open_both_versions(self, archive):
         for version in (1, 2):
-            eager = BatchArchive.from_bytes(archive.to_bytes())
-            eager.version = version
-            for comp in eager.entries.values():
-                comp.container_version = version
-            blob = eager.to_bytes()
+            blob = legacy_archive_bytes(
+                {
+                    key: legacy_container_bytes(comp, version)
+                    for key, comp in archive.entries.items()
+                },
+                version,
+            )
+            eager = BatchArchive.from_bytes(blob)
             with LazyBatchArchive.open(blob) as lazy:
                 assert lazy.version == version
                 assert sorted(lazy.keys()) == sorted(eager.keys())
                 entry = lazy.entry("toy/tac")
+                assert entry.container_version == version
                 assert entry.part_sizes() == eager.get("toy/tac").part_sizes()
                 restored = lazy.decompress("toy/tac")
                 reference = eager.decompress("toy/tac")

@@ -8,8 +8,9 @@ codecs (``tests/data/make_golden.py`` regenerates them).  The assertions
 pin the container contract future refactors must keep:
 
 * the bytes parse (no silent format break for existing stored archives);
-* parse → re-serialize reproduces the identical bytes — for *both*
-  versions (a blob remembers the version it was stored in);
+* parse → re-serialize *migrates* to the one written format (archive v2,
+  container v5) with identical parts and metadata, and that form is
+  byte-stable from then on;
 * the manifest matches what was recorded at fixture-creation time;
 * every entry still decompresses to the recorded values and honours the
   recorded error bound against the analytically regenerated original;
@@ -20,10 +21,14 @@ pin the container contract future refactors must keep:
 ``tests/data/golden_batch_v3.rpbt`` plus its two
 ``golden_batch_v3.shard-NNNN.rpsh`` files pin wire version 3, the
 sharded streaming layout: the head is manifest-only, entries live in the
-payload shards, and the fixture is *derived from the v2 fixture's
-entries* through ``ShardedArchiveWriter`` — so the regression test can
-replay that exact construction and assert byte-equal output, pinning
-the streaming write path itself, not just the read path.
+payload shards (container v3 blobs; ``golden_batch_v4`` holds v4 ones).
+
+The fixtures for container v1–v4 are *frozen*: their writers are retired
+(``tests/data/golden_inventory.json`` → ``_retired_writers``), so only
+their read side is tested.  The write path is pinned by
+``golden_entry_v5.rpam`` (both ``to_bytes`` and a file-backed
+``StreamingContainerWriter`` must regenerate it) and by the
+``golden_ingest_delta`` session replay.
 
 If a format change is intentional, bump the container version, keep
 readers for every older version, and only then regenerate the fixtures.
@@ -74,15 +79,25 @@ class TestGoldenFormat:
         assert is_batch_archive(golden_blob)
         assert not is_batch_archive(b"PK\x03\x04whatever")
 
-    def test_wire_version_preserved(self, golden_blob, fixture_version):
-        archive = BatchArchive.from_bytes(golden_blob)
-        assert archive.version == fixture_version
-        for comp in archive.entries.values():
-            assert comp.container_version == fixture_version
+    def test_stored_wire_versions_reported(self, golden_blob, fixture_version):
+        assert BatchArchive.from_bytes(golden_blob).version == fixture_version
+        with LazyBatchArchive.open(golden_blob) as lazy:
+            assert lazy.version == fixture_version
+            for key in lazy.keys():
+                assert lazy.entry(key).container_version == fixture_version
 
-    def test_deserialization_is_byte_stable(self, golden_blob):
+    def test_reserialization_migrates_then_is_byte_stable(self, golden_blob):
         archive = BatchArchive.from_bytes(golden_blob)
-        assert archive.to_bytes() == golden_blob
+        migrated = archive.to_bytes()
+        back = BatchArchive.from_bytes(migrated)
+        assert back.version == 2
+        assert back.manifest() == archive.manifest()
+        for key in archive.keys():
+            assert back.get(key).parts == archive.get(key).parts
+            assert back.get(key).meta == archive.get(key).meta
+        with LazyBatchArchive.open(migrated) as lazy:
+            assert {lazy.entry(key).container_version for key in lazy.keys()} == {5}
+        assert back.to_bytes() == migrated
 
     def test_manifest_matches_record(self, golden_blob, expected):
         archive = BatchArchive.from_bytes(golden_blob)
@@ -234,24 +249,6 @@ class TestGoldenShardedV3:
                         orig.values(), back.values(), expected_v3["eb"]
                     )
 
-    def test_streaming_writer_regenerates_fixture_bytes(
-        self, expected_v3, head_path, tmp_path
-    ):
-        """Replaying the fixture construction (v2 entries through
-        ShardedArchiveWriter) reproduces the checked-in bytes exactly —
-        the write path, not just the read path, is golden-pinned."""
-        archive = BatchArchive.from_bytes((DATA / "golden_batch_v2.rpbt").read_bytes())
-        head = tmp_path / "golden_batch_v3.rpbt"
-        report = archive.save_sharded(
-            head, shard_size=expected_v3["shard_size"], container_version=3
-        )
-        assert head.read_bytes() == head_path.read_bytes()
-        assert [p.name for p in report.shard_paths] == [
-            rec["name"] for rec in expected_v3["shards"]
-        ]
-        for path, record in zip(report.shard_paths, expected_v3["shards"]):
-            assert path.read_bytes() == (DATA / record["name"]).read_bytes()
-
     def test_eager_load_materializes_from_shards(self, head_path):
         eager = BatchArchive.load(head_path)
         v2 = BatchArchive.from_bytes((DATA / "golden_batch_v2.rpbt").read_bytes())
@@ -262,10 +259,9 @@ class TestGoldenShardedV3:
 
 class TestGoldenContainerV4:
     """The integrity fixtures: container v4 (per-part CRC-32s in the
-    tail index) is pinned through both writers — ``ShardedArchiveWriter``
-    streaming the shard set, ``CompressedDataset.to_bytes`` the eager
-    ``.rpam`` blob — and carries the same payload bytes as the v2 fixture
-    it derives from."""
+    tail index) — a sharded set and one eager ``.rpam`` blob, frozen
+    outputs of the retired v4 writers — stay readable, verify every part,
+    and carry the same payload bytes as the v2 fixture they derive from."""
 
     @pytest.fixture(scope="class")
     def expected_v4(self) -> dict:
@@ -310,39 +306,17 @@ class TestGoldenContainerV4:
                 for name in reference.parts:
                     assert entry.parts[name] == reference.parts[name]
 
-    def test_streaming_writer_regenerates_fixture_bytes(
-        self, expected_v4, head_path, tmp_path
-    ):
-        archive = BatchArchive.from_bytes((DATA / "golden_batch_v2.rpbt").read_bytes())
-        head = tmp_path / "golden_batch_v4.rpbt"
-        # v4 is the streaming default: no explicit container_version.
-        report = archive.save_sharded(head, shard_size=expected_v4["shard_size"])
-        assert head.read_bytes() == head_path.read_bytes()
-        assert [p.name for p in report.shard_paths] == [
-            rec["name"] for rec in expected_v4["shards"]
-        ]
-        for path, record in zip(report.shard_paths, expected_v4["shards"]):
-            assert path.read_bytes() == (DATA / record["name"]).read_bytes()
-
-    def test_eager_writer_regenerates_fixture_bytes(self, expected_v4):
-        eager = expected_v4["eager_entry"]
-        comp = BatchArchive.from_bytes(
-            (DATA / "golden_batch_v2.rpbt").read_bytes()
-        ).get(eager["key"])
-        comp.container_version = 4
-        assert comp.to_bytes() == (DATA / eager["name"]).read_bytes()
-
-    def test_eager_v4_blob_round_trips(self, expected_v4):
+    def test_eager_v4_blob_reads_and_migrates(self, expected_v4):
         from repro.core.container import CompressedDataset, LazyCompressedDataset
 
         blob = (DATA / expected_v4["eager_entry"]["name"]).read_bytes()
         comp = CompressedDataset.from_bytes(blob)
-        assert comp.container_version == 4
-        assert comp.to_bytes() == blob
         with LazyCompressedDataset.open(blob) as lazy:
+            assert lazy.container_version == 4
             assert lazy.parts.verifies_integrity
             for name in comp.parts:
                 assert lazy.parts[name] == comp.parts[name]
+        assert comp.to_bytes() == (DATA / "golden_entry_v5.rpam").read_bytes()
 
     def test_flipped_payload_bit_raises_part_integrity_error(self, expected_v4):
         from repro.core.container import LazyCompressedDataset, PartIntegrityError
@@ -357,19 +331,80 @@ class TestGoldenContainerV4:
                 lazy.parts[name]
 
 
+class TestGoldenContainerV5:
+    """The one written container version: ``golden_entry_v5.rpam`` is
+    ``to_bytes()`` of the v2 fixture's ``golden/tac`` entry, and both
+    faces of the writer must regenerate it byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def expected_v5(self) -> dict:
+        return json.loads((DATA / "golden_entry_v5.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def source_entry(self, expected_v5):
+        blob = (DATA / expected_v5["source"]).read_bytes()
+        return BatchArchive.from_bytes(blob).get(expected_v5["key"])
+
+    def test_fixture_integrity(self, expected_v5):
+        blob = (DATA / expected_v5["name"]).read_bytes()
+        assert len(blob) == expected_v5["n_bytes"]
+        assert hashlib.sha256(blob).hexdigest() == expected_v5["sha256"]
+        assert blob[4] == expected_v5["container_version"] == 5
+
+    def test_to_bytes_regenerates_fixture_bytes(self, expected_v5, source_entry):
+        assert source_entry.to_bytes() == (DATA / expected_v5["name"]).read_bytes()
+
+    def test_streaming_writer_on_a_file_regenerates_fixture_bytes(
+        self, expected_v5, source_entry, tmp_path
+    ):
+        from repro.core.container import StreamingContainerWriter
+
+        path = tmp_path / "entry.rpam"
+        with StreamingContainerWriter(
+            path, source_entry.method, source_entry.dataset_name,
+            original_bytes=source_entry.original_bytes, n_values=source_entry.n_values,
+        ) as writer:
+            writer.add_parts(source_entry.parts.items())
+            writer.set_meta(source_entry.meta)  # sealed after the payloads
+        assert path.read_bytes() == (DATA / expected_v5["name"]).read_bytes()
+
+    def test_round_trip_is_byte_stable_and_verified(self, expected_v5, source_entry):
+        from repro.core.container import CompressedDataset, LazyCompressedDataset
+
+        blob = (DATA / expected_v5["name"]).read_bytes()
+        comp = CompressedDataset.from_bytes(blob)
+        assert comp.parts == source_entry.parts
+        assert comp.meta == source_entry.meta
+        assert comp.to_bytes() == blob
+        with LazyCompressedDataset.open(blob) as lazy:
+            assert lazy.container_version == 5
+            assert lazy.parts.verifies_integrity
+
+    def test_flipped_payload_bit_raises_from_eager_parse(self, expected_v5):
+        """What the v2 → v5 default buys: an eager parse now notices."""
+        from repro.core.container import CompressedDataset, PartIntegrityError
+
+        blob = bytearray((DATA / expected_v5["name"]).read_bytes())
+        blob[4 + 9 + 16 + 3] ^= 0x01  # inside the first payload
+        with pytest.raises(PartIntegrityError, match="CRC-32"):
+            CompressedDataset.from_bytes(bytes(blob))
+
+
 class TestGoldenGSPFormats:
     """Both GSP strategy formats are golden-pinned.
 
     ``golden_gsp_legacy.rpbt`` is the single-stream layout (strategy
     format 1, one ``L0/grid`` part) every blob used before brick chunking
-    existed — its bytes were captured with the pre-brick writer and the
-    ``brick_size=None`` path must keep reproducing them exactly.
+    existed — its part bytes were captured with the pre-brick writer and
+    the ``brick_size=None`` path must keep reproducing them exactly.
     ``golden_gsp_bricks.rpbt`` pins strategy format 2 (brick table part +
     one part per brick), and ``golden_gsp_shared.rpbt`` pins the
     shared-table mode on top of it (one ``L<idx>/table`` part per level,
     ``SEC_TABLE_REF`` sections in every stream).  The JSON also records a
     1/8-domain ROI read on the GSP level, so the partial-read *values*
-    are pinned for every format, not just the wire bytes.
+    are pinned for every format, not just the wire bytes.  The blobs are
+    v2-framed and frozen; the *parts* inside (GSP grid, brick table, RPHT
+    table) stay writer-pinned.
     """
 
     STEMS = ["golden_gsp_legacy", "golden_gsp_bricks", "golden_gsp_shared"]
@@ -388,27 +423,34 @@ class TestGoldenGSPFormats:
         return TACCompressor(brick_size=brick, shared_tables=stem.endswith("shared"))
 
     @pytest.mark.parametrize("stem", STEMS)
-    def test_fixture_integrity_and_byte_stability(self, stem, expected_gsp):
-        from repro.core.container import CompressedDataset
-
+    def test_fixture_integrity(self, stem, expected_gsp):
         blob = self._blob(stem)
         record = expected_gsp["blobs"][stem]
         assert len(blob) == record["n_bytes"]
         assert hashlib.sha256(blob).hexdigest() == record["sha256"]
-        assert CompressedDataset.from_bytes(blob).to_bytes() == blob
 
     @pytest.mark.parametrize("stem", STEMS)
-    def test_writer_regenerates_fixture_bytes(self, stem, expected_gsp):
-        """Re-compressing the analytic dataset reproduces the checked-in
-        bytes — for the legacy stem this proves the ``brick_size=None``
-        escape still writes the exact pre-brick format."""
+    def test_writer_regenerates_fixture_parts(self, stem, expected_gsp):
+        """Re-compressing the analytic dataset reproduces every part of
+        the checked-in blob, in order, plus its metadata — for the legacy
+        stem this proves the ``brick_size=None`` escape still writes the
+        exact pre-brick part format.  (Only the container framing around
+        the parts moved on from the fixture's v2.)"""
+        from repro.core.container import CompressedDataset
         from tests.helpers import golden_gsp_dataset
 
         tac = self._codec(stem, expected_gsp)
-        blob = tac.compress(
+        comp = tac.compress(
             golden_gsp_dataset(), expected_gsp["eb"], mode=expected_gsp["mode"]
-        ).to_bytes()
-        assert blob == self._blob(stem)
+        )
+        stored = CompressedDataset.from_bytes(self._blob(stem))
+        assert list(comp.parts) == list(stored.parts)
+        for name in stored.parts:
+            assert comp.parts[name] == stored.parts[name], name
+        assert comp.meta == stored.meta
+        assert (comp.method, comp.original_bytes, comp.n_values) == (
+            stored.method, stored.original_bytes, stored.n_values
+        )
 
     @pytest.mark.parametrize("stem", STEMS)
     def test_decode_matches_recorded_stats_and_bound(self, stem, expected_gsp):

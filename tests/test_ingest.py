@@ -12,9 +12,9 @@ The load-bearing invariants:
   honors the chain keyframe's absolute bound with no error accumulation,
   and ROI reads of a delta chain are bit-identical to slicing the full
   reconstruction;
-* :class:`IngestSession` subsumes the old entry points — the deprecated
-  shims still work (and say so), codec options can no longer leak between
-  jobs by reference, and failures abort the session cleanly.
+* :class:`IngestSession` is the one path to a sharded archive — codec
+  options cannot leak between jobs by reference, and failures abort the
+  session cleanly.
 """
 
 from __future__ import annotations
@@ -96,14 +96,15 @@ class TestCompressIterParity:
         brick=st.sampled_from([None, 8]),
         shared=st.booleans(),
         seed=st.integers(min_value=0, max_value=3),
+        level_workers=st.sampled_from([1, 2]),
     )
-    def test_chunked_output_is_byte_identical(self, brick, shared, seed):
+    def test_chunked_output_is_byte_identical(self, brick, shared, seed, level_workers):
         ds = two_level_dataset(n=16, fine_fraction=0.3, seed=seed)
         options = {"shared_tables": shared}
         if brick is not None:
             options["brick_size"] = brick
         eager = TACCompressor(**options).compress(ds, EB)
-        stream = TACCompressor(**options).compress_iter(ds, EB)
+        stream = TACCompressor(**options).compress_iter(ds, EB, level_workers=level_workers)
         streamed = stream.collect()
         assert list(streamed.parts) == list(eager.parts)
         for name in eager.parts:
@@ -117,24 +118,41 @@ class TestCompressIterParity:
         levels = [c.level for c in TACCompressor().compress_iter(ds, EB)]
         assert levels == [0, 1]
 
-    def test_session_streamed_matches_eager_entries(self, tmp_path):
+    def test_session_level_workers_match_serial_entries(self, tmp_path):
         series = timestep_series(3)
         heads = {}
-        for label, streaming in (("stream", True), ("eager", False)):
-            head = tmp_path / f"{label}.rpbt"
+        for level_workers in (1, 2):
+            head = tmp_path / f"lw{level_workers}.rpbt"
             cfg = IngestConfig(
-                error_bound=EB, keyframe_interval=2, streaming=streaming
+                error_bound=EB, keyframe_interval=2, level_workers=level_workers
             )
             with IngestSession(head, cfg) as session:
                 session.extend(series)
-            heads[label] = archive_entries(head)
-        assert heads["stream"].keys() == heads["eager"].keys()
-        for key in heads["eager"]:
-            s_parts, s_meta = heads["stream"][key]
-            e_parts, e_meta = heads["eager"][key]
-            assert list(s_parts) == list(e_parts)
-            assert s_parts == e_parts
-            assert s_meta == e_meta
+            heads[level_workers] = archive_entries(head)
+        assert heads[1].keys() == heads[2].keys()
+        for key in heads[1]:
+            s_parts, s_meta = heads[1][key]
+            p_parts, p_meta = heads[2][key]
+            assert list(s_parts) == list(p_parts)
+            assert s_parts == p_parts
+            assert s_meta == p_meta
+
+    def test_opaque_codec_entries_match_compress(self, tmp_path):
+        """A codec without ``compress_iter`` reaches the same writer as one
+        opaque chunk — parts and metadata are what ``compress`` returned,
+        delta stamps included."""
+        from repro.engine import get_codec
+
+        series = timestep_series(2)
+        head = tmp_path / "opaque.rpbt"
+        with IngestSession(head, codec="1d", error_bound=EB, keyframe_interval=2) as session:
+            keys = session.extend(series)
+        entries = archive_entries(head)
+        reference = get_codec("1d").compress(series[0], EB)
+        parts, meta = entries[keys[0]]
+        assert parts == reference.parts
+        assert meta == {**reference.meta, "temporal": {"mode": "keyframe", "step": 0}}
+        assert entries[keys[1]][1]["temporal"]["mode"] == "delta"
 
     def test_async_pipeline_matches_sync(self, tmp_path):
         series = timestep_series(4)
@@ -429,7 +447,7 @@ class TestCodecOptionsSafety:
                 )
                 for i in range(3)
             ]
-            batch = CompressionEngine(max_workers=1)._run(jobs)
+            batch = CompressionEngine(max_workers=1).run(jobs)
             assert all(res.error is None for res in batch.results)
             # The caller's dict came through unmutated...
             assert shared == {"knobs": ["a", "b"]}
@@ -457,49 +475,6 @@ class TestCodecOptionsSafety:
         assert schema is not None
         assert "brick_size" in schema and "shared_tables" in schema
         assert schema["brick_size"]["default"] == 64
-
-
-# ----------------------------------------------------------------------
-# deprecation shims
-# ----------------------------------------------------------------------
-class TestDeprecationShims:
-    @pytest.fixture()
-    def jobs(self):
-        return [
-            CompressionJob(
-                two_level_dataset(n=16, seed=s), codec="tac",
-                error_bound=EB, label=f"f{s}",
-            )
-            for s in range(2)
-        ]
-
-    def test_run_warns(self, jobs):
-        engine = CompressionEngine()
-        with pytest.warns(DeprecationWarning, match="IngestSession"):
-            batch = engine.run(jobs)
-        assert len(batch.results) == 2
-
-    def test_run_to_shards_warns_and_matches_session(self, jobs, tmp_path):
-        engine = CompressionEngine()
-        with pytest.warns(DeprecationWarning, match="IngestSession"):
-            sharded = engine.run_to_shards(
-                jobs, tmp_path / "shim.rpbt", keep_payloads=True
-            )
-        assert [res.label for res in sharded] == ["f0", "f1"]
-        assert all(res.compressed is not None for res in sharded)
-        assert sharded.wall_seconds > 0
-        entries = archive_entries(tmp_path / "shim.rpbt")
-        assert set(entries) == {"f0", "f1"}
-        assert all("temporal" not in meta for _parts, meta in entries.values())
-
-    def test_run_to_archive_is_quiet(self, jobs):
-        import warnings
-
-        engine = CompressionEngine()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            archive = engine.run_to_archive(jobs)
-        assert len(archive.entries) == 2
 
 
 class TestSessionInitFailure:

@@ -6,6 +6,8 @@ These tests corrupt, truncate, and drop pieces of real archives and assert
 that every path raises instead of fabricating values.
 """
 
+import json
+import struct
 import zlib
 
 import numpy as np
@@ -14,11 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.zmesh import level_traversal_keys, zmesh_order
-from repro.core.container import CompressedDataset
+from repro.core.container import CompressedDataset, LazyCompressedDataset
 from repro.core.tac import TACCompressor
+from repro.engine import BatchArchive, LazyBatchArchive
 from repro.sz import stream
 from repro.sz.compressor import SZCompressor
-from tests.helpers import reserialize_stream, smooth_cube, two_level_dataset
+from tests.helpers import (
+    legacy_archive_bytes,
+    legacy_container_bytes,
+    reserialize_stream,
+    smooth_cube,
+    two_level_dataset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +192,72 @@ class TestEndToEndProperties:
         twice = CompressedDataset.from_bytes(once.to_bytes())
         assert once.parts == twice.parts
         assert once.meta == twice.meta
+
+
+def _v2_with_row(comp, row) -> bytes:
+    """A v2 blob of ``comp`` whose first part-index row is ``row``."""
+    blob = legacy_container_bytes(comp, 2)
+    (head_len,) = struct.unpack_from("<Q", blob, 5)
+    head = json.loads(blob[13 : 13 + head_len])
+    head["part_index"][0] = row
+    new_head = json.dumps(head, sort_keys=True).encode("utf-8")
+    return blob[:4] + struct.pack("<BQ", 2, len(new_head)) + new_head + blob[13 + head_len :]
+
+
+def _v1_with_first_length(comp, length: int) -> bytes:
+    """A v1 blob of ``comp`` whose first length prefix is ``length``."""
+    blob = bytearray(legacy_container_bytes(comp, 1))
+    (head_len,) = struct.unpack_from("<Q", blob, 5)
+    struct.pack_into("<Q", blob, 13 + head_len, length)
+    return bytes(blob)
+
+
+class TestPartIndexBounds:
+    """v1/v2 part rows are bounds-checked like v3-v5 rows always were: a
+    corrupt row raises at open — eagerly and lazily, the same exception
+    class — instead of serving bytes of the JSON head or of a neighbour."""
+
+    TOY = CompressedDataset(
+        method="tac", dataset_name="toy", parts={"a": b"AAAA", "b": b"BBBBBB"}
+    )
+    NEIGHBOUR = CompressedDataset(method="tac", dataset_name="next", parts={"n": b"N" * 64})
+
+    CASES = {
+        "v2-offset-into-head": lambda toy: _v2_with_row(toy, ["a", -6, 4]),
+        "v2-offset-before-blob": lambda toy: _v2_with_row(toy, ["a", -10_000, 4]),
+        "v2-length-past-entry": lambda toy: _v2_with_row(toy, ["a", 0, 40]),
+        "v2-negative-length": lambda toy: _v2_with_row(toy, ["a", 4, -4]),
+        "v1-length-past-entry": lambda toy: _v1_with_first_length(toy, 40),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_corrupt_row_rejected_by_eager_and_lazy(self, case):
+        bad = self.CASES[case](self.TOY)
+        with pytest.raises(ValueError) as eager:
+            CompressedDataset.from_bytes(bad)
+        # Lazily, as an archive entry followed by a neighbour the
+        # overstated rows would otherwise reach into.
+        archive = legacy_archive_bytes(
+            {"a/bad": bad, "b/next": legacy_container_bytes(self.NEIGHBOUR, 2)}, 2
+        )
+        with LazyBatchArchive.open(archive) as lazy:
+            assert lazy.entry("b/next").parts["n"] == b"N" * 64
+            with pytest.raises(ValueError) as lazily:
+                lazy.entry("a/bad")
+        assert type(eager.value) is type(lazily.value) is ValueError
+        with pytest.raises(ValueError):
+            BatchArchive.from_bytes(archive)
+
+    @pytest.mark.parametrize("case", ["v2-offset-into-head", "v2-offset-before-blob"])
+    def test_negative_offset_rejected_without_a_known_length(self, case):
+        """A standalone lazy open has no entry length to bound rows with,
+        but never serves bytes from before the payload region."""
+        with pytest.raises(ValueError, match="payload region"):
+            LazyCompressedDataset.open(self.CASES[case](self.TOY))
+
+    def test_good_rows_still_read(self):
+        for version in (1, 2):
+            blob = legacy_container_bytes(self.TOY, version)
+            assert CompressedDataset.from_bytes(blob).parts == self.TOY.parts
+            with LazyCompressedDataset.open(blob) as lazy:
+                assert dict(lazy.parts.items()) == self.TOY.parts
