@@ -18,9 +18,15 @@ from repro.core.container import (
     CompressedDataset,
     pack_mask,
     resolve_global_eb,
-    unpack_mask,
 )
-from repro.core.plan import DecodeUnit, DecompressionPlan, PlanExecutorMixin, execute_plan
+from repro.core.plan import (
+    DecodeUnit,
+    DecompressionPlan,
+    PlanExecutorMixin,
+    level_mask,
+    mask_units,
+    region_slices,
+)
 from repro.sz.compressor import SZCompressor, SZConfig
 from repro.utils.timer import TimingRecord, timed
 
@@ -70,46 +76,29 @@ class Naive1DCompressor(PlanExecutorMixin):
         out.meta = _dataset_meta(dataset, level_ebs)
         return out
 
-    def build_decode_plan(self, comp: CompressedDataset, levels=None) -> DecompressionPlan:
-        """One decode unit per level's 1D value stream."""
+    def build_decode_plan(
+        self, comp: CompressedDataset, levels=None, box=None
+    ) -> DecompressionPlan:
+        """One decode unit per level's 1D value stream (plus its mask); a
+        1D stream has no geometry, so ``box`` prunes nothing."""
         n_levels = len(comp.meta["shapes"])
-        indices = range(n_levels) if levels is None else sorted(set(levels))
-        units = [
-            DecodeUnit(
-                key=f"L{idx}/values",
-                level=idx,
-                part_names=(f"L{idx}/values",),
-                decode=lambda name=f"L{idx}/values": self.codec.decompress(comp.parts[name]),
+        units = []
+        for idx in range(n_levels) if levels is None else sorted(set(levels)):
+            name = f"L{idx}/values"
+            units.append(
+                DecodeUnit(
+                    key=name,
+                    level=idx,
+                    part_names=(name,),
+                    decode=lambda name=name: self.codec.decompress(comp.parts[name]),
+                )
             )
-            for idx in indices
-        ]
+            units.extend(mask_units(comp, idx))
         return DecompressionPlan(units)
 
-    def _assemble_level(self, comp, idx: int, results: dict, structure) -> AMRLevel:
-        shape = tuple(comp.meta["shapes"][idx])
-        mask = _level_mask(comp, structure, idx, shape)
-        values = results[f"L{idx}/values"]
-        data = np.zeros(shape, dtype=values.dtype)
-        data[mask] = values
-        return AMRLevel(data=data, mask=mask, level=idx)
-
-    def decompress(
-        self,
-        comp: CompressedDataset,
-        structure: AMRDataset | None = None,
-        timings: TimingRecord | None = None,
-        decode_workers: int = 1,
-    ) -> AMRDataset:
-        """Rebuild the dataset; masks come from the blob or ``structure``."""
-        meta = comp.meta
-        plan = self.build_decode_plan(comp)
-        with timed(timings, "decompress"):
-            results = execute_plan(plan, decode_workers)
-        levels = [
-            self._assemble_level(comp, idx, results, structure)
-            for idx in range(len(meta["shapes"]))
-        ]
-        return _rebuild(meta, levels)
+    def assemble(self, comp, level: int, results: dict, structure, box) -> AMRLevel:
+        mask = level_mask(results, structure, level)
+        return _scattered(mask, results[f"L{level}/values"], level, box)
 
 
 def _resolve_scales(per_level_scale, n_levels: int) -> list[float]:
@@ -124,6 +113,15 @@ def _resolve_scales(per_level_scale, n_levels: int) -> list[float]:
     return scales
 
 
+def _scattered(mask: np.ndarray, values: np.ndarray, level: int, box) -> AMRLevel:
+    """``box`` of the level whose stored ``values`` (C scan order of the
+    valid cells) sit where ``mask`` is set."""
+    data = np.zeros(mask.shape, dtype=values.dtype)
+    data[mask] = values
+    slices = region_slices(box)
+    return AMRLevel(data=data[slices], mask=mask[slices], level=level)
+
+
 def _dataset_meta(dataset: AMRDataset, level_ebs: list[float]) -> dict:
     return {
         "name": dataset.name,
@@ -133,25 +131,3 @@ def _dataset_meta(dataset: AMRDataset, level_ebs: list[float]) -> dict:
         "shapes": [list(lvl.shape) for lvl in dataset.levels],
         "level_ebs": level_ebs,
     }
-
-
-def _level_mask(comp: CompressedDataset, structure, idx: int, shape) -> np.ndarray:
-    key = f"{MASK_PREFIX}L{idx}"
-    if key in comp.parts:
-        return unpack_mask(comp.parts[key], shape)
-    if structure is None:
-        raise ValueError(
-            "masks were not stored in the blob; pass the original dataset "
-            "as `structure` to supply the AMR layout"
-        )
-    return structure.levels[idx].mask
-
-
-def _rebuild(meta: dict, levels) -> AMRDataset:
-    return AMRDataset(
-        levels=levels,
-        name=meta["name"],
-        field=meta["field"],
-        ratio=meta["ratio"],
-        box_size=meta["box_size"],
-    )

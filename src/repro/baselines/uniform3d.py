@@ -20,14 +20,21 @@ import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.amr.upsample import downsample_mean
-from repro.baselines.naive1d import _dataset_meta, _level_mask, _rebuild
+from repro.baselines.naive1d import _dataset_meta
 from repro.core.container import (
     MASK_PREFIX,
     CompressedDataset,
     pack_mask,
     resolve_global_eb,
 )
-from repro.core.plan import DecodeUnit, DecompressionPlan, PlanExecutorMixin, execute_plan
+from repro.core.plan import (
+    DecodeUnit,
+    DecompressionPlan,
+    PlanExecutorMixin,
+    level_mask,
+    mask_units,
+    region_slices,
+)
 from repro.sz.compressor import SZCompressor, SZConfig
 from repro.utils.timer import TimingRecord, timed
 
@@ -76,58 +83,46 @@ class Uniform3DCompressor(PlanExecutorMixin):
         out.meta = meta
         return out
 
-    def build_decode_plan(self, comp: CompressedDataset, levels=None) -> DecompressionPlan:
-        """One unit: the merged uniform grid (every level derives from it)."""
+    def build_decode_plan(
+        self, comp: CompressedDataset, levels=None, box=None
+    ) -> DecompressionPlan:
+        """One unit: the merged uniform grid (every level and every box
+        derives from it), plus the requested levels' masks."""
+        indices = range(len(comp.meta["shapes"])) if levels is None else levels
+        uniform = DecodeUnit(
+            key="uniform",
+            level=-1,
+            part_names=("uniform",),
+            decode=lambda: self.codec.decompress(comp.parts["uniform"]),
+        )
         return DecompressionPlan(
-            [
-                DecodeUnit(
-                    key="uniform",
-                    level=-1,
-                    part_names=("uniform",),
-                    decode=lambda: self.codec.decompress(comp.parts["uniform"]),
-                )
-            ]
+            [uniform, *(unit for idx in indices for unit in mask_units(comp, idx))]
         )
 
-    def _assemble_level(self, comp, idx: int, results: dict, structure) -> AMRLevel:
-        """Down-average the uniform grid to one level (same chain as full)."""
-        shape = tuple(comp.meta["shapes"][idx])
-        mask = _level_mask(comp, structure, idx, shape)
-        current = results["uniform"]
-        for _ in range(idx):
-            current = downsample_mean(current, comp.meta["ratio"])
-        data = np.where(mask, current, current.dtype.type(0))
-        return AMRLevel(data=data, mask=mask, level=idx)
-
-    def decompress(
-        self,
-        comp: CompressedDataset,
-        structure: AMRDataset | None = None,
-        timings: TimingRecord | None = None,
-        decode_workers: int = 1,
-    ) -> AMRDataset:
-        """Rebuild per-level data by block-averaging the uniform grid.
+    def assemble(self, comp, level: int, results: dict, structure, box) -> AMRLevel:
+        """Block-average the uniform grid down to one level, then cut ``box``.
 
         A coarse value was replicated into its ``8**level`` children before
         compression; averaging the reconstructed children recovers a value
         within the same error bound (a mean of values each within ``eb`` of
         the same original is within ``eb``).
         """
-        meta = comp.meta
-        shapes = [tuple(s) for s in meta["shapes"]]
-        with timed(timings, "decompress"):
-            results = execute_plan(self.build_decode_plan(comp), decode_workers)
-        with timed(timings, "postprocess"):
-            levels = []
-            ratio = meta["ratio"]
-            current = results["uniform"]
-            for idx, shape in enumerate(shapes):
-                mask = _level_mask(comp, structure, idx, shape)
-                if idx > 0:
-                    current = downsample_mean(current, ratio)
-                data = np.where(mask, current, current.dtype.type(0))
-                levels.append(AMRLevel(data=data, mask=mask, level=idx))
-        return _rebuild(meta, levels)
+        slices = region_slices(box)
+        mask = level_mask(results, structure, level)[slices]
+        window = self._grid(comp, results, level)[slices]
+        data = np.where(mask, window, window.dtype.type(0))
+        return AMRLevel(data=data, mask=mask, level=level)
+
+    def _grid(self, comp, results: dict, level: int) -> np.ndarray:
+        """The uniform grid averaged down to ``level`` — from the next finer
+        level's, kept in ``results`` so a read derives each level once."""
+        if level == 0:
+            return results["uniform"]
+        key = f"uniform/L{level}"
+        if key not in results:
+            finer = self._grid(comp, results, level - 1)
+            results[key] = downsample_mean(finer, comp.meta["ratio"])
+        return results[key]
 
     def decompress_uniform(self, comp: CompressedDataset) -> np.ndarray:
         """The merged uniform grid itself (the post-analysis view)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
-from repro.baselines.naive1d import _dataset_meta, _level_mask, _rebuild
+from repro.baselines.naive1d import _dataset_meta, _scattered
 from repro.core.container import (
     MASK_PREFIX,
     CompressedDataset,
@@ -34,8 +34,8 @@ from repro.core.plan import (
     DecodeUnit,
     DecompressionPlan,
     PlanExecutorMixin,
-    check_level_indices,
-    execute_plan,
+    level_mask,
+    mask_units,
 )
 from repro.sz.compressor import SZCompressor, SZConfig
 from repro.utils.timer import TimingRecord, timed
@@ -71,12 +71,13 @@ def level_traversal_keys(mask: np.ndarray, level: int, n_levels: int) -> np.ndar
 def zmesh_order(dataset: AMRDataset) -> np.ndarray:
     """Permutation applying the zMesh traversal to the concatenation of
     all levels' values (finest-first concatenation order)."""
-    keys = [
-        level_traversal_keys(lvl.mask, lvl.level, dataset.n_levels)
-        for lvl in dataset.levels
-    ]
-    all_keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-    return np.argsort(all_keys, kind="stable")
+    return _order([lvl.mask for lvl in dataset.levels])
+
+
+def _order(masks: list[np.ndarray]) -> np.ndarray:
+    """:func:`zmesh_order` from the level masks alone (finest first)."""
+    keys = [level_traversal_keys(mask, idx, len(masks)) for idx, mask in enumerate(masks)]
+    return np.argsort(np.concatenate(keys), kind="stable")
 
 
 class ZMeshCompressor(PlanExecutorMixin):
@@ -123,62 +124,35 @@ class ZMeshCompressor(PlanExecutorMixin):
         out.meta = _dataset_meta(dataset, [eb_abs] * dataset.n_levels)
         return out
 
-    def build_decode_plan(self, comp: CompressedDataset, levels=None) -> DecompressionPlan:
-        """One unit: the interleaved stream (all levels share it).
+    def build_decode_plan(
+        self, comp: CompressedDataset, levels=None, box=None
+    ) -> DecompressionPlan:
+        """The interleaved stream and every level's mask, whatever the
+        levels or the box.
 
         zMesh is inherently monolithic — every level's values are woven
-        into one spatial traversal — so any level subset still decodes the
-        whole stream; partial reads only skip the *other levels'*
-        scatter/unpermute postprocessing.
+        into one spatial traversal, whose order is a function of *all* the
+        masks — so any read needs all of it.
         """
-        return DecompressionPlan(
-            [
-                DecodeUnit(
-                    key="stream",
-                    level=-1,
-                    part_names=("stream",),
-                    decode=lambda: self.codec.decompress(comp.parts["stream"]),
-                )
-            ]
+        stream = DecodeUnit(
+            key="stream",
+            level=-1,
+            part_names=("stream",),
+            decode=None,
+            sz_blob=lambda: comp.parts["stream"],
         )
+        masks = [u for idx in range(len(comp.meta["shapes"])) for u in mask_units(comp, idx)]
+        return DecompressionPlan([stream, *masks])
 
-    def decompress_levels(
-        self, comp, levels, structure=None, decode_workers: int = 1
-    ) -> list:
-        """Level subset via a full decode (the stream is indivisible)."""
-        indices = check_level_indices(levels, len(comp.meta["shapes"]))
-        full = self.decompress(comp, structure=structure, decode_workers=decode_workers)
-        return [full.levels[idx] for idx in indices]
-
-    def decompress(
-        self,
-        comp: CompressedDataset,
-        structure: AMRDataset | None = None,
-        timings: TimingRecord | None = None,
-        decode_workers: int = 1,
-    ) -> AMRDataset:
-        meta = comp.meta
-        shapes = [tuple(s) for s in meta["shapes"]]
-        masks = [_level_mask(comp, structure, idx, shape) for idx, shape in enumerate(shapes)]
-        with timed(timings, "decompress"):
-            results = execute_plan(self.build_decode_plan(comp), decode_workers)
-            reordered = results["stream"]
-        with timed(timings, "postprocess"):
-            # Rebuild the permutation from the masks and invert it.
-            levels_stub = [
-                AMRLevel(data=np.zeros(shape, dtype=reordered.dtype), mask=mask, level=idx)
-                for idx, (shape, mask) in enumerate(zip(shapes, masks))
-            ]
-            stub = _rebuild(meta, levels_stub)
-            order = zmesh_order(stub)
-            values = np.empty_like(reordered)
-            values[order] = reordered
-            levels = []
-            start = 0
-            for idx, (shape, mask) in enumerate(zip(shapes, masks)):
-                count = int(mask.sum())
-                data = np.zeros(shape, dtype=reordered.dtype)
-                data[mask] = values[start : start + count]
-                start += count
-                levels.append(AMRLevel(data=data, mask=mask, level=idx))
-        return _rebuild(meta, levels)
+    def assemble(self, comp, level: int, results: dict, structure, box) -> AMRLevel:
+        """Invert the traversal once per read (kept in ``results``): each
+        level's ``(mask, stored values)``; a level is then a scatter and a
+        slice."""
+        if "levels" not in results:
+            n_levels = len(comp.meta["shapes"])
+            masks = [level_mask(results, structure, idx) for idx in range(n_levels)]
+            values = np.empty_like(results["stream"])
+            values[_order(masks)] = results["stream"]
+            ends = np.cumsum([np.count_nonzero(mask) for mask in masks])
+            results["levels"] = list(zip(masks, np.split(values, ends[:-1])))
+        return _scattered(*results["levels"][level], level, box)

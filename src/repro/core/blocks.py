@@ -159,12 +159,14 @@ class BlockExtraction:
         stacked: np.ndarray,
         out: np.ndarray,
         indices=None,
+        offset=(0, 0, 0),
     ) -> None:
         """Scatter one group's sub-blocks (optionally a subset) into ``out``.
 
-        ``indices`` restricts the scatter to selected blocks — the
-        region-of-interest decode path uses this to place only the blocks
-        intersecting an ROI.
+        ``indices`` restricts the scatter to selected blocks and ``offset``
+        is the padded-grid cell ``out[0, 0, 0]`` stands for — a box read
+        places only the blocks meeting the box, in a window just large
+        enough to hold them.
 
         Small sub-blocks sharing an orientation are scattered together
         through one batched fancy-indexed assignment (sub-blocks are
@@ -174,7 +176,7 @@ class BlockExtraction:
         mixed orientations need more than one batch; NaST/OpST cube groups
         always take the single identity-perm pass.
         """
-        origin = np.asarray(self.coords[shape], dtype=np.int64)
+        origin = np.asarray(self.coords[shape], dtype=np.int64) - np.asarray(offset)
         perm_ids = np.asarray(self.perms[shape])
         if indices is None:
             selected = np.arange(stacked.shape[0], dtype=np.int64)

@@ -141,10 +141,11 @@ def pack_mask(mask: np.ndarray, level: int = 1) -> bytes:
 def unpack_mask(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
     """Invert :func:`pack_mask` for a known shape."""
     size = int(np.prod(shape))
-    bits = np.unpackbits(np.frombuffer(zlib.decompress(payload), dtype=np.uint8))
-    if bits.size < size:
+    packed = np.frombuffer(zlib.decompress(payload), dtype=np.uint8)
+    if 8 * packed.size < size:
         raise ValueError("mask payload shorter than the declared shape")
-    return bits[:size].astype(bool).reshape(shape)
+    # The unpacked 0/1 bytes are the mask: viewed, not copied.
+    return np.unpackbits(packed, count=size).view(bool).reshape(shape)
 
 
 def collapse_part_sizes(
@@ -196,29 +197,20 @@ def _head_record(method, dataset_name, meta, original_bytes, n_values) -> dict:
     }
 
 
-@dataclass
-class CompressedDataset:
-    """Every compressor's output: named parts + metadata + accounting."""
+class _SizeAccounting:
+    """Stored-size accounting over a dataset's ``part_sizes()``,
+    ``original_bytes`` and ``n_values`` — the one implementation behind
+    the eager and the lazy dataset."""
 
-    method: str
-    dataset_name: str
-    parts: dict[str, bytes] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-    original_bytes: int = 0
-    n_values: int = 0
-    timings: TimingRecord = field(default_factory=TimingRecord)
-
-    # -- accounting -------------------------------------------------------
     def compressed_bytes(self, include_masks: bool = True) -> int:
         """Total stored bytes; masks can be excluded for paper-style ratios
         (the AMR grid structure is simulation metadata every method and even
         uncompressed storage must keep)."""
-        total = 0
-        for name, payload in self.parts.items():
-            if not include_masks and name.startswith(MASK_PREFIX):
-                continue
-            total += len(payload)
-        return total
+        return sum(
+            size
+            for name, size in self.part_sizes().items()
+            if include_masks or not name.startswith(MASK_PREFIX)
+        )
 
     def ratio(self, include_masks: bool = True) -> float:
         compressed = self.compressed_bytes(include_masks)
@@ -229,6 +221,19 @@ class CompressedDataset:
         if not self.n_values:
             return 0.0
         return 8.0 * self.compressed_bytes(include_masks) / self.n_values
+
+
+@dataclass
+class CompressedDataset(_SizeAccounting):
+    """Every compressor's output: named parts + metadata + accounting."""
+
+    method: str
+    dataset_name: str
+    parts: dict[str, bytes] = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)
+    original_bytes: int = 0
+    n_values: int = 0
+    timings: TimingRecord = field(default_factory=TimingRecord)
 
     def part_sizes(self) -> dict[str, int]:
         return {name: len(payload) for name, payload in self.parts.items()}
@@ -783,7 +788,7 @@ def _read_layout(src, base: int, length: int | None = None):
     return version, head, spans, crcs
 
 
-class LazyCompressedDataset:
+class LazyCompressedDataset(_SizeAccounting):
     """A :class:`CompressedDataset` view that never materializes parts.
 
     Opens a blob from bytes, a file path, a seekable file object, or (via
@@ -829,23 +834,6 @@ class LazyCompressedDataset:
     # -- CompressedDataset surface ----------------------------------------
     def part_sizes(self) -> dict[str, int]:
         return self.parts.sizes()
-
-    def compressed_bytes(self, include_masks: bool = True) -> int:
-        total = 0
-        for name, size in self.parts.sizes().items():
-            if not include_masks and name.startswith(MASK_PREFIX):
-                continue
-            total += size
-        return total
-
-    def ratio(self, include_masks: bool = True) -> float:
-        compressed = self.compressed_bytes(include_masks)
-        return self.original_bytes / compressed if compressed else float("inf")
-
-    def bit_rate(self, include_masks: bool = True) -> float:
-        if not self.n_values:
-            return 0.0
-        return 8.0 * self.compressed_bytes(include_masks) / self.n_values
 
     def materialize(self) -> CompressedDataset:
         """Read every part and return an eager :class:`CompressedDataset`."""

@@ -238,10 +238,6 @@ class BrickTable:
         """Half-open padded-grid box of every brick, flat C order."""
         return brick_boxes(self.padded_shape, self.brick_size)
 
-    def bricks_in_box(self, box) -> np.ndarray:
-        """Flat indices of the bricks intersecting a half-open box."""
-        return bricks_in_box(self.padded_shape, self.brick_size, box)
-
 
 def brick_boxes(
     padded_shape: tuple[int, int, int], brick_size: int
@@ -255,12 +251,13 @@ def brick_boxes(
     return [(sx, sy, sz) for sx in spans[0] for sy in spans[1] for sz in spans[2]]
 
 
-def bricks_in_box(
+def bricks_touching(
     padded_shape: tuple[int, int, int],
     brick_size: int,
     box: tuple[tuple[int, int], ...],
-) -> np.ndarray:
-    """Flat C-order indices of the bricks a half-open box intersects.
+) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """``(flat C-order index, half-open padded-grid box)`` of every brick a
+    half-open box intersects.
 
     The brick grid is regular, so this is arithmetic on the box bounds —
     no table walk, no payload access: the per-axis brick index range is
@@ -268,15 +265,19 @@ def bricks_in_box(
     """
     brick_size = check_positive_int(brick_size, name="brick_size")
     grid = tuple(-(-dim // brick_size) for dim in padded_shape)
-    ranges = []
-    for (lo, hi), n in zip(box, grid):
-        i0 = max(int(lo) // brick_size, 0)
-        i1 = min(-(-int(hi) // brick_size), n)
-        if i1 <= i0:
-            return np.zeros(0, dtype=np.int64)
-        ranges.append(np.arange(i0, i1, dtype=np.int64))
-    ix, iy, iz = np.meshgrid(*ranges, indexing="ij")
-    return ((ix * grid[1] + iy) * grid[2] + iz).ravel()
+    spans = [
+        [
+            (c, (c * brick_size, min((c + 1) * brick_size, dim)))
+            for c in range(max(int(lo) // brick_size, 0), min(-(-int(hi) // brick_size), n))
+        ]
+        for (lo, hi), dim, n in zip(box, padded_shape, grid)
+    ]
+    return [
+        ((i * grid[1] + j) * grid[2] + k, (sx, sy, sz))
+        for i, sx in spans[0]
+        for j, sy in spans[1]
+        for k, sz in spans[2]
+    ]
 
 
 def serialize_brick_table(table: BrickTable) -> bytes:

@@ -1,31 +1,36 @@
 """Plan/execute split for the decompression read path.
 
 TAC's level-wise decomposition makes the *read* side as decomposable as
-the write side: every SZ payload in a blob (a GSP grid, one group of
-stacked sub-blocks, one level's 1D stream) decodes independently.  This
-module turns that observation into an explicit two-phase API shared by
-TAC and all baselines:
+the write side: every SZ payload in a blob (one brick of a GSP grid, one
+group of stacked sub-blocks, one level's 1D stream) decodes
+independently.  Every read — a whole dataset, some levels, one level, a
+box of one level, straight from a codec or through the read service —
+is the same three steps, and a codec supplies exactly two of them:
 
-* a codec **plans**: :meth:`~PlanExecutorMixin.build_decode_plan`
+* the codec **plans**: :meth:`~PlanExecutorMixin.build_decode_plan`
   enumerates :class:`DecodeUnit`\\ s — pure, independent decode closures
-  tagged with the parts they read and the level they serve — from the
-  blob's *metadata only* (no payload access, so planning over a
-  :class:`~repro.core.container.LazyCompressedDataset` is free);
+  tagged with the parts they read and the level they serve — *already
+  pruned to the requested box*: bricks by index arithmetic, monolithic
+  streams not at all.  Planning reads metadata only, never a payload:
+  block-strategy groups are pruned by the level's layout record, itself a
+  unit, so their plan has a second stage
+  (:attr:`DecompressionPlan.refine`) that runs once the layout is decoded.
+  A level's stored mask is one more unit;
 * an executor **runs** the plan: :func:`execute_plan` decodes units
   serially or across a thread pool (``decode_workers``, bit-identical to
   serial — units are pure and results merge by unit key); units that are
   exactly one SZ stream are fetched and decoded in lockstep batches
   (:func:`decode_jobs`), so a level of hundreds of small bricks costs a
-  few decode passes, not hundreds;
-* the codec **assembles**: per-level postprocessing (scatter, crop,
-  masking) consumes the unit results deterministically.
+  few decode passes, not hundreds.  The read service substitutes its
+  cache + prefetch pipeline for this step and nothing else;
+* the codec **assembles**: :meth:`~PlanExecutorMixin.assemble` stitches
+  the unit results into exactly ``data[box]`` (and its mask), touching
+  only the window the box covers.
 
-On top of the split, :class:`PlanExecutorMixin` derives the partial-read
-API every codec exposes: ``decompress_level`` / ``decompress_levels``
-(decode only the requested levels' units) and ``decompress_region``
-(default: decode one level, slice — codecs with finer-grained layouts,
-like TAC's block strategies, override it to decode only the groups whose
-blocks intersect the ROI).
+:class:`PlanExecutorMixin` derives ``decompress`` / ``decompress_levels``
+/ ``decompress_level`` / ``decompress_region`` from that hook pair — a
+level read is the box that covers the level — and no codec overrides any
+of the four.
 """
 
 from __future__ import annotations
@@ -38,8 +43,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.amr.hierarchy import AMRLevel
+from repro.amr.hierarchy import AMRDataset, AMRLevel
+from repro.core.container import MASK_PREFIX, unpack_mask
 from repro.sz.compressor import BATCH_VALUES, SharedTableResolver, SZCompressor
+from repro.utils.timer import TimingRecord, timed
 from repro.utils.validation import check_positive_int
 
 
@@ -68,8 +75,8 @@ class DecodeUnit:
         Half-open ``((x0, x1), (y0, y1), (z0, z1))`` region of the unit's
         level that this unit covers, in level-grid cells, or ``None``
         when the unit serves the whole level (monolithic streams, layout
-        records).  Units with a box are prunable by ROI intersection:
-        a region read drops every unit whose box misses the ROI.
+        records, masks).  A unit with a box is the only kind a degraded
+        read may replace by fill values; a box-less one is load-bearing.
     sz_blob, sz_tables:
         Set when the unit's result is exactly one SZ stream's array: a
         getter for the stream's bytes and its shared-table resolver (or
@@ -94,9 +101,16 @@ class DecodeUnit:
 
 @dataclass
 class DecompressionPlan:
-    """An ordered set of independent decode units for (part of) a blob."""
+    """An ordered set of independent decode units for (part of) a blob.
+
+    ``refine``, when set, makes the plan two-stage: which further units the
+    box needs depends on a decoded record among ``units`` (a group level's
+    layout decides which groups meet the box), so an executor runs
+    ``units``, then the units ``refine(results)`` returns.
+    """
 
     units: list[DecodeUnit]
+    refine: Callable[[dict], list[DecodeUnit]] | None = None
 
     def __len__(self) -> int:
         return len(self.units)
@@ -108,33 +122,6 @@ class DecompressionPlan:
     def part_names(self) -> list[str]:
         """Every blob part the plan will read, in unit order."""
         return [name for unit in self.units for name in unit.part_names]
-
-    def for_levels(self, levels: Sequence[int]) -> "DecompressionPlan":
-        """Sub-plan containing only units serving ``levels``.
-
-        Units tagged ``level == -1`` serve every level and are always
-        kept — a concrete subset of a monolithic blob (3D baseline,
-        zMesh) still needs its shared stream.
-        """
-        wanted = set(levels)
-        return DecompressionPlan(
-            [u for u in self.units if u.level in wanted or u.level == -1]
-        )
-
-    def for_region(self, box: tuple[tuple[int, int], ...]) -> "DecompressionPlan":
-        """Sub-plan containing only units whose box intersects ``box``.
-
-        Units without geometry (``box is None``) serve the whole level
-        and are always kept, so a plan over monolithic streams passes
-        through unchanged — pruning only ever removes units that declare
-        a region they cover (e.g. one brick of a chunked GSP grid).
-        """
-        return DecompressionPlan(
-            [
-                u for u in self.units
-                if u.box is None or boxes_intersect(u.box, box)
-            ]
-        )
 
 
 #: Decoding reads every parameter from the stream, so one default-configured
@@ -338,49 +325,136 @@ def normalize_region(region, shape) -> tuple[tuple[int, int], ...]:
     return tuple(box)
 
 
-def boxes_intersect(
-    a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]
-) -> bool:
-    """Whether two half-open axis-aligned boxes overlap on every axis."""
-    return all(lo_a < hi_b and lo_b < hi_a for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b))
+def region_slices(box: tuple[tuple[int, int], ...], origin=(0, 0, 0)) -> tuple[slice, ...]:
+    """Concrete bounds → slice tuple, for indexing an array whose first
+    cell is the level's cell ``origin`` (default: a full-level array)."""
+    return tuple(slice(lo - off, hi - off) for (lo, hi), off in zip(box, origin))
 
 
-def region_slices(box: tuple[tuple[int, int], ...]) -> tuple[slice, ...]:
-    """Concrete bounds → slice tuple (for indexing full-level arrays)."""
-    return tuple(slice(lo, hi) for lo, hi in box)
+def level_box(shape) -> tuple[tuple[int, int], ...]:
+    """The box that covers a whole level of ``shape``."""
+    return tuple((0, int(dim)) for dim in shape)
+
+
+def mask_units(comp, idx: int) -> list[DecodeUnit]:
+    """Level ``idx``'s stored mask as a plan unit: box-less, so it is
+    load-bearing like a layout record.  Empty when the blob stores no
+    masks (the caller's ``structure`` supplies them then)."""
+    name = f"{MASK_PREFIX}L{idx}"
+    if name not in comp.parts:
+        return []
+    shape = tuple(comp.meta["shapes"][idx])
+    return [
+        DecodeUnit(
+            key=name,
+            level=idx,
+            part_names=(name,),
+            decode=lambda: unpack_mask(comp.parts[name], shape),
+        )
+    ]
+
+
+def level_mask(results: dict, structure, idx: int) -> np.ndarray:
+    """Level ``idx``'s mask: the blob's (a :func:`mask_units` result), else
+    ``structure``'s."""
+    mask = results.get(f"{MASK_PREFIX}L{idx}")
+    if mask is not None:
+        return mask
+    if structure is None:
+        raise ValueError(
+            "masks were not stored in the blob; pass the original dataset "
+            "as `structure` to supply the AMR layout"
+        )
+    return structure.levels[idx].mask
 
 
 class PlanExecutorMixin:
-    """Partial-decompression API derived from a codec's plan/assemble pair.
+    """The whole decompression API, derived from a codec's hook pair.
 
-    A codec opts in by implementing :meth:`build_decode_plan` (metadata →
-    units, optionally restricted to a level subset) and
-    :meth:`_assemble_level` (unit results → one :class:`AMRLevel`), and
-    inherits ``decompress_level`` / ``decompress_levels`` /
-    ``decompress_region`` with parallel-decode support.  Results are
-    bit-identical to slicing a full ``decompress`` — the assembly code is
-    the same; only the set of decoded units shrinks.
+    A codec implements :meth:`build_decode_plan` (metadata → the units a
+    box of some levels needs) and :meth:`assemble` (unit results → that
+    box of one level) and inherits ``decompress`` / ``decompress_levels``
+    / ``decompress_level`` / ``decompress_region``; all four run the same
+    plan → execute → assemble sequence, so a partial read is bit-identical
+    to slicing a full one — only the set of decoded units shrinks.
     """
 
     # -- hooks -------------------------------------------------------------
-    def build_decode_plan(self, comp, levels: Sequence[int] | None = None) -> DecompressionPlan:
+    def build_decode_plan(
+        self, comp, levels: Sequence[int] | None = None, box=None
+    ) -> DecompressionPlan:
+        """Units needed to assemble ``box`` of ``levels`` (default: all),
+        from the blob's metadata alone.
+
+        ``box`` — half-open level-grid bounds, meaningful for a single
+        level — prunes the plan to the units covering it; ``None`` is the
+        whole level.
+        """
         raise NotImplementedError
 
-    def _assemble_level(self, comp, idx: int, results: dict, structure) -> AMRLevel:
+    def assemble(self, comp, level: int, results: dict, structure, box) -> AMRLevel:
+        """``data[box]`` and ``mask[box]`` of one level from unit results.
+
+        Units missing from ``results`` (a degraded read's casualties)
+        leave their cells zero.  ``structure`` supplies the masks a blob
+        does not store.  ``results`` belongs to the read: a codec may keep
+        what several levels' assemblies share in it.
+        """
         raise NotImplementedError
 
-    def _n_levels(self, comp) -> int:
-        return len(comp.meta["shapes"])
+    def codec_for(self, comp):
+        """The codec whose hooks read ``comp`` — ``self``, unless the blob
+        records that another codec wrote it (TAC's §4.4 delegation)."""
+        return self
 
     # -- derived API -------------------------------------------------------
+    def _read(
+        self, comp, levels, region, structure, decode_workers: int,
+        timings: TimingRecord | None = None,
+    ) -> list[AMRLevel]:
+        codec = self.codec_for(comp)
+        shapes = [tuple(shape) for shape in comp.meta["shapes"]]
+        indices = check_level_indices(levels, len(shapes))
+        box = None if region is None else normalize_region(region, shapes[indices[0]])
+        plan = codec.build_decode_plan(comp, levels=indices, box=box)
+        with timed(timings, "decompress"):
+            results = execute_plan(plan, decode_workers)
+            if plan.refine is not None:
+                more = DecompressionPlan(plan.refine(results))
+                results.update(execute_plan(more, decode_workers))
+        with timed(timings, "postprocess"):
+            return [
+                codec.assemble(comp, idx, results, structure, box or level_box(shapes[idx]))
+                for idx in indices
+            ]
+
+    def decompress(
+        self,
+        comp,
+        structure: AMRDataset | None = None,
+        timings: TimingRecord | None = None,
+        decode_workers: int = 1,
+    ) -> AMRDataset:
+        """Rebuild the dataset: every level's units in one plan execution
+        (``decode_workers > 1`` decodes them concurrently), assembled in
+        level order.  Masks come from the blob or ``structure``."""
+        meta = comp.meta
+        levels = self._read(
+            comp, range(len(meta["shapes"])), None, structure, decode_workers, timings
+        )
+        return AMRDataset(
+            levels=levels,
+            name=meta["name"],
+            field=meta["field"],
+            ratio=meta["ratio"],
+            box_size=meta["box_size"],
+        )
+
     def decompress_levels(
         self, comp, levels: Sequence[int], structure=None, decode_workers: int = 1
     ) -> list[AMRLevel]:
         """Decode and assemble only ``levels`` (order preserved)."""
-        indices = check_level_indices(levels, self._n_levels(comp))
-        plan = self.build_decode_plan(comp, levels=indices)
-        results = execute_plan(plan, decode_workers)
-        return [self._assemble_level(comp, idx, results, structure) for idx in indices]
+        return self._read(comp, levels, None, structure, decode_workers)
 
     def decompress_level(
         self, comp, level: int, structure=None, decode_workers: int = 1
@@ -393,30 +467,12 @@ class PlanExecutorMixin:
     ) -> np.ndarray:
         """One level's data restricted to ``region`` (masked-out cells zero).
 
-        Identical to ``decompress(comp).levels[level].data[region]``.  The
-        level's plan is pruned by per-unit ROI intersection before any
-        payload is decoded: units that declare a covered ``box`` missing
-        the ROI are dropped, so codecs with region-indexed layouts (one
-        unit per brick of a chunked GSP grid) decode only what the ROI
-        touches.  Units without geometry are always decoded, so
-        monolithic-stream codecs degrade to decode-the-level-and-slice.
-        Codecs whose finer selection needs payload metadata (TAC's block
-        strategies consult the layout record) override this instead.
+        Identical to ``decompress(comp).levels[level].data[region]``, but
+        only the units the box needs are fetched and decoded: the bricks
+        it touches, the groups with a block inside it; a monolithic
+        stream decodes whole and is sliced.
         """
-        (idx,) = check_level_indices([level], self._n_levels(comp))
-        plan = self.build_decode_plan(comp, levels=[idx])
-        if any(unit.box is not None for unit in plan.units):
-            shape = tuple(comp.meta["shapes"][idx])
-            box = normalize_region(region, shape)
-            results = execute_plan(plan.for_region(box), decode_workers)
-            lvl = self._assemble_level(comp, idx, results, structure)
-        else:
-            # No unit geometry to prune by — decode the level and slice.
-            # This also serves codecs that override ``decompress_levels``
-            # wholesale instead of implementing ``_assemble_level``.
-            lvl = self.decompress_level(comp, idx, structure, decode_workers)
-            box = normalize_region(region, lvl.shape)
-        return np.ascontiguousarray(lvl.data[region_slices(box)])
+        return self._read(comp, [level], region, structure, decode_workers)[0].data
 
 
 def check_level_indices(levels: Sequence[int], n_levels: int) -> list[int]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,19 +34,18 @@ from repro.core.container import (
     StreamingCompression,
     pack_mask,
     resolve_global_eb,
-    unpack_mask,
 )
 from repro.core.density import DEFAULT_T1, DEFAULT_T2, Strategy, select_strategy
 from repro.core.gsp import (
     DEFAULT_BRICK_SIZE,
     BrickTable,
-    brick_boxes,
-    bricks_in_box,
+    bricks_touching,
     gsp_pad,
     serialize_brick_table,
     zero_fill,
 )
 from repro.core.layout import (
+    block_extents,
     blocks_in_region,
     deserialize_layout,
     layout_shapes,
@@ -57,8 +57,9 @@ from repro.core.plan import (
     DecodeUnit,
     DecompressionPlan,
     PlanExecutorMixin,
-    execute_plan,
-    normalize_region,
+    level_box,
+    level_mask,
+    mask_units,
     region_slices,
 )
 from repro.sz.compressor import SharedTableResolver, SZCompressor, SZConfig
@@ -397,73 +398,69 @@ class TACCompressor(PlanExecutorMixin):
             parts.update(zip(names, self.codec.encode_prepared_many(prepared, shared=shared)))
 
     # ------------------------------------------------------------------
-    # decompression (plan/execute split)
+    # decompression: the plan/assemble hook pair (see repro.core.plan)
     # ------------------------------------------------------------------
-    def _table_resolver(self, comp, level_meta: dict) -> SharedTableResolver | None:
-        """The level's shared-table resolver, if it was written in that mode.
-
-        One resolver per plan/read call: it memoizes the parsed table under
-        a lock, so however many units (or decode workers) a level has, the
-        ``L<idx>/table`` part is fetched and parsed exactly once.
-        """
-        info = level_meta.get("shared_table")
-        if not info:
-            return None
-        return SharedTableResolver(comp.parts, info["part"])
-
-    def _delegate(self, comp: CompressedDataset):
-        """The §4.4 fallback's reader, if this blob was delegated to it."""
+    def codec_for(self, comp: CompressedDataset):
+        """The §4.4 fallback's reader when the blob was delegated to it."""
         if comp.meta.get("delegated") != "baseline_3d":
-            return None
+            return self
         from repro.baselines.uniform3d import Uniform3DCompressor
 
         return Uniform3DCompressor(sz=self.config.sz, store_masks=self.config.store_masks)
 
-    def build_decode_plan(self, comp: CompressedDataset, levels=None) -> DecompressionPlan:
-        """Independent decode units for (a level subset of) a TAC blob.
+    def build_decode_plan(
+        self, comp: CompressedDataset, levels=None, box=None
+    ) -> DecompressionPlan:
+        """Independent decode units for ``box`` of ``levels`` of a TAC blob.
 
-        Planning reads only the blob's metadata: one unit per GSP/ZF grid,
-        one per block-strategy group payload, one per layout record.
+        One unit per brick of a format-2 GSP/ZF grid the box touches (index
+        arithmetic), one per block-strategy group, one per layout record,
+        legacy grid and stored mask — all from the metadata alone.  Which
+        groups have a block inside a box only the level's layout tells, so
+        with a box the group units are the plan's second stage (``refine``),
+        planned once the layout unit has decoded.
         """
-        delegate = self._delegate(comp)
-        if delegate is not None:
-            return delegate.build_decode_plan(comp, levels=levels)
         wanted = None if levels is None else set(levels)
         units: list[DecodeUnit] = []
+        staged = []
         for level_meta in comp.meta["levels"]:
             idx = level_meta["level"]
             if wanted is not None and idx not in wanted:
                 continue
+            units.extend(mask_units(comp, idx))
             strategy = level_meta["strategy"]
             if strategy == "empty":
                 continue
-            resolver = self._table_resolver(comp, level_meta)
-            if strategy in (Strategy.GSP.value, Strategy.ZF.value):
-                bricks = level_meta.get("bricks")
-                if not bricks:
-                    # Legacy format 1: the level is one monolithic stream.
-                    units.append(self._stream_unit(comp, idx, f"L{idx}/grid", resolver))
-                    continue
-                # Format 2: one independent unit per brick, tagged with
-                # the level-space box it covers.
-                units.extend(
-                    unit for _bbox, unit in self._brick_units(comp, idx, level_meta)
+            info = level_meta.get("shared_table")
+            # One memoizing resolver per level and plan: however many units
+            # (or decode workers) share the table part, it is fetched and
+            # parsed once.
+            resolver = SharedTableResolver(comp.parts, info["part"]) if info else None
+            if strategy not in (Strategy.GSP.value, Strategy.ZF.value):
+                layout_name = f"L{idx}/layout"
+                units.append(
+                    DecodeUnit(
+                        key=layout_name,
+                        level=idx,
+                        part_names=(layout_name,),
+                        decode=lambda name=layout_name: deserialize_layout(comp.parts[name]),
+                    )
                 )
-                continue
-            layout_name = f"L{idx}/layout"
-            units.append(
-                DecodeUnit(
-                    key=layout_name,
-                    level=idx,
-                    part_names=(layout_name,),
-                    decode=lambda name=layout_name: deserialize_layout(comp.parts[name]),
-                )
-            )
-            units.extend(
-                self._stream_unit(comp, idx, f"L{idx}/g{group_idx}", resolver)
-                for group_idx in range(level_meta["n_groups"])
-            )
-        return DecompressionPlan(units)
+                if box is None:
+                    units.extend(
+                        self._stream_unit(comp, idx, f"L{idx}/g{g}", resolver)
+                        for g in range(level_meta["n_groups"])
+                    )
+                else:
+                    staged.append(partial(self._group_units, comp, idx, resolver, box))
+            elif level_meta.get("bricks"):
+                units.extend(self._brick_units(comp, idx, level_meta, resolver, box))
+            else:
+                # Legacy format 1: the level is one monolithic stream.
+                units.append(self._stream_unit(comp, idx, f"L{idx}/grid", resolver))
+        if not staged:
+            return DecompressionPlan(units)
+        return DecompressionPlan(units, lambda results: [u for s in staged for u in s(results)])
 
     def _stream_unit(
         self,
@@ -479,8 +476,7 @@ class TACCompressor(PlanExecutorMixin):
 
         Shared-table levels append the ``L<idx>/table`` part to every
         stream's ``part_names`` (prefetch/ROI accounting dedups the repeat
-        name); the units of one plan share one memoized resolver, so the
-        table part is fetched once however many streams reference it.
+        name).
         """
         extra = (resolver.part_name,) if resolver is not None else ()
         return DecodeUnit(
@@ -494,85 +490,52 @@ class TACCompressor(PlanExecutorMixin):
             sz_shape=shape,
         )
 
-    def _brick_units(
-        self, comp, idx: int, level_meta: dict, brick_indices=None
-    ) -> list[tuple[tuple[tuple[int, int], ...], DecodeUnit]]:
-        """``(padded-grid box, DecodeUnit)`` per brick of a format-2 level.
+    def _brick_units(self, comp, idx: int, level_meta: dict, resolver, box) -> list[DecodeUnit]:
+        """One unit per brick of a format-2 level that ``box`` touches.
 
-        The single source of brick part naming, decode closures, and unit
-        geometry — both the level plan and the ROI fast path consume it,
-        so the two read paths cannot drift apart.  Each unit's ``box`` is
-        the brick's padded-grid box *clipped to the level extents*: a
-        brick wholly inside the block padding covers nothing visible and
-        is prunable by any ROI.  ``brick_indices`` restricts the result to
-        those flat brick indices (ascending), e.g. the bricks an ROI
-        touches per :func:`repro.core.gsp.bricks_in_box`.
+        Each unit's ``box`` is the brick's padded-grid box *clipped to the
+        level extents* — what a degraded read fills when the brick is lost.
+        A brick wholly inside the block padding covers nothing visible, so
+        no box inside the level (the whole level included) selects it.
+        The serialized ``L<idx>/bricks`` table part is wire
+        self-description, not a read dependency.
         """
         shape = tuple(comp.meta["shapes"][idx])
-        boxes = brick_boxes(tuple(level_meta["padded_shape"]), level_meta["bricks"]["size"])
-        resolver = self._table_resolver(comp, level_meta)
-        if brick_indices is None:
-            brick_indices = range(len(boxes))
-        out = []
-        for brick_idx in brick_indices:
-            bbox = boxes[brick_idx]
+        units = []
+        for brick_idx, bbox in _touched_bricks(level_meta, box or level_box(shape)):
             clipped = tuple(
                 (min(lo, dim), min(hi, dim)) for (lo, hi), dim in zip(bbox, shape)
             )
-            unit = self._stream_unit(
-                comp,
-                idx,
-                f"L{idx}/b{brick_idx}",
-                resolver,
-                clipped,
-                tuple(hi - lo for lo, hi in bbox),
+            units.append(
+                self._stream_unit(
+                    comp, idx, f"L{idx}/b{brick_idx}", resolver, clipped,
+                    tuple(hi - lo for lo, hi in bbox),
+                )
             )
-            out.append((bbox, unit))
-        return out
+        return units
 
-    def decompress(
-        self,
-        comp: CompressedDataset,
-        structure: AMRDataset | None = None,
-        timings: TimingRecord | None = None,
-        decode_workers: int = 1,
-    ) -> AMRDataset:
-        """Rebuild the AMR dataset from a TAC blob.
-
-        ``decode_workers > 1`` decodes the plan's units (levels, and the
-        per-group payloads inside block-strategy levels) concurrently;
-        assembly stays in level order, so the output is bit-identical to
-        the serial path.
-        """
-        delegate = self._delegate(comp)
-        if delegate is not None:
-            return delegate.decompress(
-                comp, structure=structure, timings=timings, decode_workers=decode_workers
+    def _group_units(self, comp, idx: int, resolver, box, results: dict) -> list[DecodeUnit]:
+        """The group streams of level ``idx`` with a block inside ``box``,
+        given the level's decoded layout in ``results``."""
+        extraction = results[f"L{idx}/layout"]
+        units = [
+            self._stream_unit(comp, idx, f"L{idx}/g{group_idx}", resolver)
+            for group_idx, shape in enumerate(layout_shapes(extraction))
+            if blocks_in_region(extraction, shape, box).size
+        ]
+        if not units:
+            # All zeros — in the dtype a full decode gives them, which only
+            # a stream header records (peeked, never decoded).
+            first = f"L{idx}/g0"
+            units.append(
+                DecodeUnit(
+                    key=f"L{idx}/dtype",
+                    level=idx,
+                    part_names=(first,),
+                    decode=lambda: peek_header(comp.parts[first]).dtype,
+                )
             )
-        meta = comp.meta
-        plan = self.build_decode_plan(comp)
-        with timed(timings, "decompress"):
-            results = execute_plan(plan, decode_workers)
-        with timed(timings, "postprocess"):
-            levels = [
-                self._assemble_level(comp, level_meta["level"], results, structure)
-                for level_meta in meta["levels"]
-            ]
-        return AMRDataset(
-            levels=levels,
-            name=meta["name"],
-            field=meta["field"],
-            ratio=meta["ratio"],
-            box_size=meta["box_size"],
-        )
-
-    def decompress_levels(
-        self, comp, levels, structure=None, decode_workers: int = 1
-    ) -> list[AMRLevel]:
-        delegate = self._delegate(comp)
-        if delegate is not None:
-            return delegate.decompress_levels(comp, levels, structure, decode_workers)
-        return super().decompress_levels(comp, levels, structure, decode_workers)
+        return units
 
     def _level_meta(self, comp: CompressedDataset, idx: int) -> dict:
         for level_meta in comp.meta["levels"]:
@@ -580,172 +543,26 @@ class TACCompressor(PlanExecutorMixin):
                 return level_meta
         raise ValueError(f"blob holds no metadata for level {idx}")
 
-    def _assemble_level(self, comp, idx: int, results: dict, structure) -> AMRLevel:
-        """Unit results → one reconstructed level (shared by all read paths)."""
-        level_meta = self._level_meta(comp, idx)
-        shape = tuple(comp.meta["shapes"][idx])
-        mask = self._level_mask(comp, structure, idx, shape)
-        strategy = level_meta["strategy"]
-        if strategy == "empty":
-            data = np.zeros(shape, dtype=np.float32)
-        elif strategy in (Strategy.GSP.value, Strategy.ZF.value):
-            bricks = level_meta.get("bricks")
-            if bricks:
-                padded = self._reassemble_bricks(level_meta, idx, results)
-            else:
-                padded = results[f"L{idx}/grid"]
-            cropped = padded[: shape[0], : shape[1], : shape[2]]
-            data = np.where(mask, cropped, cropped.dtype.type(0))
-        else:
-            extraction = results[f"L{idx}/layout"]
-            for group_idx, group_shape in enumerate(layout_shapes(extraction)):
-                extraction.groups[group_shape] = results[f"L{idx}/g{group_idx}"]
-            restored = extraction.crop(extraction.reassemble())
-            data = np.where(mask, restored, restored.dtype.type(0))
-        return AMRLevel(data=data, mask=mask, level=idx)
+    def assemble(self, comp, level: int, results: dict, structure, box) -> AMRLevel:
+        """Unit results → ``box`` of one reconstructed level.
 
-    @staticmethod
-    def _reassemble_bricks(level_meta: dict, idx: int, results: dict) -> np.ndarray:
-        """Stitch decoded bricks back into the (zero-filled) padded grid.
-
-        Tolerates missing brick results — a plan pruned by ROI intersection
-        simply leaves the untouched bricks at zero, which the region read
-        then never looks at.  A brick *part* missing from the blob still
-        fails loudly inside its decode unit.
+        Only the window the box covers is ever allocated: the bounding box
+        of the bricks, or of the blocks, that meet it.
         """
-        bricks = level_meta["bricks"]
-        padded_shape = tuple(level_meta["padded_shape"])
-        padded = None
-        for brick_idx, bbox in enumerate(brick_boxes(padded_shape, bricks["size"])):
-            decoded = results.get(f"L{idx}/b{brick_idx}")
-            if decoded is None:
-                continue
-            if padded is None:
-                padded = np.zeros(padded_shape, dtype=decoded.dtype)
-            padded[region_slices(bbox)] = decoded
-        if padded is None:  # every brick pruned (ROI missed the level)
-            padded = np.zeros(padded_shape, dtype=np.float32)
-        return padded
-
-    def decompress_region(
-        self, comp, level: int, region, structure=None, decode_workers: int = 1
-    ) -> np.ndarray:
-        """One level's ROI, decoding only the payloads that cover it.
-
-        Identical to ``decompress(comp).levels[level].data[region]``.  For
-        block strategies (OpST/AKDTree/NaST) only the group streams with a
-        block intersecting the ROI are decoded — the layout record alone
-        (≪ the payloads) decides which.  Brick-chunked GSP/ZF levels
-        (strategy format 2) decode only the bricks the ROI touches, so
-        the decoded cell count is the brick-aligned ROI volume; legacy
-        single-stream GSP/ZF levels (format 1) decode their one grid and
-        slice it.
-        """
-        delegate = self._delegate(comp)
-        if delegate is not None:
-            return delegate.decompress_region(comp, level, region, structure, decode_workers)
         level_meta = self._level_meta(comp, level)
-        shape = tuple(comp.meta["shapes"][level])
-        box = normalize_region(region, shape)
         slices = region_slices(box)
+        mask = level_mask(results, structure, level)[slices]
         strategy = level_meta["strategy"]
         if strategy == "empty":
-            return np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.float32)
-        mask = self._level_mask(comp, structure, level, shape)
-        region_mask = mask[slices]
-        resolver = self._table_resolver(comp, level_meta)
-        if strategy in (Strategy.GSP.value, Strategy.ZF.value):
-            if level_meta.get("bricks"):
-                return self._decompress_region_bricks(
-                    comp, level, level_meta, box, region_mask, decode_workers
-                )
-            padded = self.codec.decompress(
-                comp.parts[f"L{level}/grid"], shared_tables=resolver
-            )
-            sliced = padded[: shape[0], : shape[1], : shape[2]][slices]
-            return np.where(region_mask, sliced, sliced.dtype.type(0))
-        extraction = deserialize_layout(comp.parts[f"L{level}/layout"])
-        shapes = layout_shapes(extraction)
-        selected = {
-            group_shape: blocks_in_region(extraction, group_shape, box)
-            for group_shape in shapes
-        }
-        needed = [
-            (group_idx, group_shape)
-            for group_idx, group_shape in enumerate(shapes)
-            if selected[group_shape].size
-        ]
-        plan = DecompressionPlan(
-            [
-                self._stream_unit(comp, level, f"L{level}/g{group_idx}", resolver)
-                for group_idx, _shape in needed
-            ]
-        )
-        results = execute_plan(plan, decode_workers)
-        if needed:
-            dtype = results[f"L{level}/g{needed[0][0]}"].dtype
+            window = np.zeros(mask.shape, dtype=np.float32)
+        elif strategy not in (Strategy.GSP.value, Strategy.ZF.value):
+            window = _stitch_groups(level, results, box)
+        elif level_meta.get("bricks"):
+            window = _stitch_bricks(level_meta, level, results, box)
         else:
-            # ROI intersects no block: the result is all zeros, but its
-            # dtype must still match a full decompress — peek it from the
-            # first group's stream header (no payload decode).
-            dtype = peek_header(comp.parts[f"L{level}/g0"]).dtype
-        out = np.zeros(extraction.padded_shape, dtype=dtype)
-        for group_idx, group_shape in needed:
-            stacked = results[f"L{level}/g{group_idx}"]
-            extraction.scatter_group(group_shape, stacked, out, indices=selected[group_shape])
-        sliced = extraction.crop(out)[slices]
-        return np.where(region_mask, sliced, sliced.dtype.type(0))
-
-    def _decompress_region_bricks(
-        self, comp, level: int, level_meta: dict, box, region_mask: np.ndarray,
-        decode_workers: int,
-    ) -> np.ndarray:
-        """ROI read over a brick-chunked GSP/ZF level (strategy format 2).
-
-        Decodes exactly the bricks whose (clipped) boxes intersect the
-        ROI — the same units, keys, and geometry the level plan uses
-        (:meth:`_brick_units`); the serialized ``L<idx>/bricks`` table
-        part is wire self-description, not a read dependency — and
-        assembles them into the ROI's brick-aligned bounding box, so the
-        decoded cell count is that bounding box's volume, never the
-        level's.
-        """
-        size = int(level_meta["bricks"]["size"])
-        padded_shape = tuple(level_meta["padded_shape"])
-        # The ROI lies inside the level extents, so the bricks its box
-        # touches are exactly those whose clipped boxes intersect it.
-        touched = bricks_in_box(padded_shape, size, box).tolist()
-        hit = self._brick_units(comp, level, level_meta, touched)
-        results = execute_plan(
-            DecompressionPlan([unit for _bbox, unit in hit]), decode_workers
-        )
-        # Brick-aligned bounding box of the ROI, clipped to the padded grid.
-        lo = tuple((b_lo // size) * size for b_lo, _hi in box)
-        hi = tuple(
-            min(-(-b_hi // size) * size, dim)
-            for (_lo, b_hi), dim in zip(box, padded_shape)
-        )
-        first = results[hit[0][1].key]
-        out = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=first.dtype)
-        for bbox, unit in hit:
-            target = tuple(
-                slice(b_lo - off, b_hi - off) for (b_lo, b_hi), off in zip(bbox, lo)
-            )
-            out[target] = results[unit.key]
-        sliced = out[tuple(slice(b_lo - off, b_hi - off) for (b_lo, b_hi), off in zip(box, lo))]
-        return np.where(region_mask, sliced, sliced.dtype.type(0))
-
-    @staticmethod
-    def _level_mask(comp: CompressedDataset, structure, idx: int, shape) -> np.ndarray:
-        key = f"{MASK_PREFIX}L{idx}"
-        if key in comp.parts:
-            return unpack_mask(comp.parts[key], shape)
-        if structure is None:
-            raise ValueError(
-                "masks were not stored in the blob; pass the original dataset "
-                "as `structure` to supply the AMR layout"
-            )
-        return structure.levels[idx].mask
+            window = results[f"L{level}/grid"][slices]
+        data = np.where(mask, window, window.dtype.type(0))
+        return AMRLevel(data=data, mask=mask, level=level)
 
     # ------------------------------------------------------------------
     # analysis helpers
@@ -775,6 +592,62 @@ class TACCompressor(PlanExecutorMixin):
                 }[strategy]
                 result = extract(data, lvl.mask, block)
         return result, record.get("preprocess")
+
+
+def _touched_bricks(level_meta: dict, box):
+    """``(flat index, padded-grid box)`` of every brick of a format-2 level
+    that ``box`` touches."""
+    return bricks_touching(
+        tuple(level_meta["padded_shape"]), int(level_meta["bricks"]["size"]), box
+    )
+
+
+def _stitch_bricks(level_meta: dict, idx: int, results: dict, box) -> np.ndarray:
+    """Stitch the decoded bricks ``box`` touches into its brick-aligned
+    bounding window and return the window's ``box`` part.
+
+    Bricks absent from ``results`` (a degraded read's casualties) leave
+    zeros; a brick *part* missing from the blob already failed loudly
+    inside its decode unit.
+    """
+    size = int(level_meta["bricks"]["size"])
+    lo = tuple((b_lo // size) * size for b_lo, _hi in box)
+    hi = tuple(
+        min(-(-b_hi // size) * size, dim)
+        for (_lo, b_hi), dim in zip(box, level_meta["padded_shape"])
+    )
+    window = None
+    for brick_idx, bbox in _touched_bricks(level_meta, box):
+        decoded = results.get(f"L{idx}/b{brick_idx}")
+        if decoded is None:
+            continue
+        if window is None:
+            window = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=decoded.dtype)
+        window[region_slices(bbox, lo)] = decoded
+    if window is None:  # every touched brick lost
+        window = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=np.float32)
+    return window[region_slices(box, lo)]
+
+
+def _stitch_groups(idx: int, results: dict, box) -> np.ndarray:
+    """Scatter the blocks meeting ``box`` into their bounding window and
+    return the window's ``box`` part (a block may overhang the box)."""
+    extraction = results[f"L{idx}/layout"]
+    lo = np.array([b[0] for b in box], dtype=np.int64)
+    hi = np.array([b[1] for b in box], dtype=np.int64)
+    hits = []
+    for group_idx, shape in enumerate(layout_shapes(extraction)):
+        selected = blocks_in_region(extraction, shape, box)
+        if selected.size:
+            origins = extraction.coords[shape][selected].astype(np.int64)
+            lo = np.minimum(lo, origins.min(axis=0))
+            hi = np.maximum(hi, (origins + block_extents(extraction, shape)[selected]).max(axis=0))
+            hits.append((shape, selected, results[f"L{idx}/g{group_idx}"]))
+    dtype = hits[0][2].dtype if hits else results[f"L{idx}/dtype"]
+    window = np.zeros(tuple(hi - lo), dtype=dtype)
+    for shape, selected, stacked in hits:
+        extraction.scatter_group(shape, stacked, window, indices=selected, offset=lo)
+    return window[region_slices(box, lo)]
 
 
 def _resolve_scales(per_level_scale, n_levels: int) -> list[float]:

@@ -51,16 +51,26 @@ class Codec(Protocol):
 
 @runtime_checkable
 class PartialCodec(Codec, Protocol):
-    """Codecs whose read path supports the plan/execute partial API.
+    """Codecs whose read path is the plan/assemble hook pair.
 
-    All built-ins qualify (they derive it from
-    :class:`repro.core.plan.PlanExecutorMixin`); downstream codecs opt in
-    by exposing the same surface.  Consumers (the CLI's ``extract``, lazy
-    archives) feature-detect with :func:`supports_partial_decode` instead
-    of assuming it.
+    A codec writes two hooks — ``build_decode_plan`` (the decode units a
+    box of some levels needs, already pruned to the box) and ``assemble``
+    (unit results → exactly that box of one level) — plus ``codec_for``
+    (the codec whose hooks read a given blob: itself, unless the blob
+    records a delegation).  :class:`repro.core.plan.PlanExecutorMixin`
+    derives ``decompress`` and the three partial reads from the pair, and
+    the read service (:class:`repro.serve.ArchiveReader`) drives the same
+    pair with its cache and prefetch pipeline in between.  All built-ins
+    qualify; consumers (the CLI's ``extract``, lazy archives)
+    feature-detect with :func:`supports_partial_decode` instead of
+    assuming it.
     """
 
-    def build_decode_plan(self, comp: CompressedDataset, levels=None): ...
+    def build_decode_plan(self, comp: CompressedDataset, levels=None, box=None): ...
+
+    def assemble(self, comp: CompressedDataset, level: int, results: dict, structure, box): ...
+
+    def codec_for(self, comp: CompressedDataset): ...
 
     def decompress_level(
         self, comp: CompressedDataset, level: int, structure=None, decode_workers: int = 1

@@ -1,7 +1,8 @@
 """Prefetching executor: pipeline part fetches ahead of brick decode.
 
-``DecompressionPlan.part_names()`` enumerates a request's full I/O set
-before any payload is touched, and every decode unit is pure — so fetch
+``DecompressionPlan.part_names()`` enumerates the I/O set of a plan (of
+each stage, when it has two) before any payload is touched, and every
+decode unit is pure — so fetch
 and decode are independent stages that a serial read needlessly runs in
 lockstep (fetch brick, decode brick, fetch next...).  This module runs
 them as a pipeline:
@@ -124,23 +125,36 @@ class _WindowPlan:
     unit_windows: dict[str, set[int]] = field(default_factory=dict)
 
 
-def _plan_windows(spans: dict, units, max_gap: int) -> _WindowPlan:
-    needed: dict[str, tuple[int, int]] = {}
-    for unit in units:
-        for name in unit.part_names:
-            if name in spans:
-                needed[name] = spans[name]
+def _plan_windows(spans: dict, units, max_gap: int, isolate: bool = False) -> _WindowPlan:
+    """Coalesce the parts ``units`` read into fetch windows.
+
+    ``isolate`` gives the parts of box-less (load-bearing) units windows of
+    their own: a degraded request may lose a window of bricks, and must
+    not lose the mask or layout that happens to be stored next to them.
+    """
     plan = _WindowPlan()
-    if not needed:
-        return plan
-    plan.windows = coalesce_spans(list(needed.values()), max_gap)
-    window_los = [lo for lo, _length in plan.windows]
-    plan.window_names = [[] for _ in plan.windows]
     name_window: dict[str, int] = {}
-    for name, (offset, _length) in needed.items():
-        idx = bisect_right(window_los, offset) - 1
-        plan.window_names[idx].append(name)
-        name_window[name] = idx
+    groups = [units]
+    if isolate:
+        groups = [[u for u in units if u.box is None], [u for u in units if u.box is not None]]
+    for group in groups:
+        needed = {
+            name: spans[name]
+            for unit in group
+            for name in unit.part_names
+            if name in spans and name not in name_window
+        }
+        if not needed:
+            continue
+        windows = coalesce_spans(list(needed.values()), max_gap)
+        window_los = [lo for lo, _length in windows]
+        first = len(plan.windows)
+        plan.windows += windows
+        plan.window_names += [[] for _ in windows]
+        for name, (offset, _length) in needed.items():
+            idx = first + bisect_right(window_los, offset) - 1
+            plan.window_names[idx].append(name)
+            name_window[name] = idx
     for unit in units:
         plan.unit_windows[unit.key] = {
             name_window[name] for name in unit.part_names if name in name_window
@@ -187,6 +201,7 @@ class PrefetchPipeline:
         *,
         deadline: "Deadline | float | None" = None,
         allow_partial: bool = False,
+        stats: PipelineStats | None = None,
     ) -> tuple[dict, PipelineStats]:
         """Fetch + decode ``units`` and return ``({key: decoded}, stats)``.
 
@@ -209,29 +224,32 @@ class PrefetchPipeline:
         ``bad_parts`` attribute (CRC failures during prefetch stage the
         *good* parts before raising) only fails the units that actually
         touch a bad part.
+
+        ``stats`` continues an earlier call's accounting (the second stage
+        of a two-stage plan is part of the same request).
         """
         if self._closed:
             raise RuntimeError("pipeline is closed")
         deadline = Deadline.coerce(deadline)
-        stats = PipelineStats()
+        stats = stats if stats is not None else PipelineStats()
         results: dict = {}
         if preloaded:
             results.update(
                 {u.key: preloaded[u.key] for u in units if u.key in preloaded}
             )
-            stats.n_preloaded = len(results)
+            stats.n_preloaded += len(results)
         pending = [u for u in units if u.key not in results]
         if not pending:
             return results, stats
-        stats.n_decoded = len(pending)
+        stats.n_decoded += len(pending)
         if not (hasattr(parts, "spans") and hasattr(parts, "prefetch")):
             plan = DecompressionPlan(list(pending))
             errors = stats.unit_errors if allow_partial else None
             results.update(execute_plan(plan, self._decode_workers, errors=errors))
             return results, stats
 
-        window_plan = _plan_windows(parts.spans(), pending, self.max_gap)
-        stats.n_parts = sum(len(names) for names in window_plan.window_names)
+        window_plan = _plan_windows(parts.spans(), pending, self.max_gap, allow_partial)
+        stats.n_parts += sum(len(names) for names in window_plan.window_names)
         time_lock = threading.Lock()
 
         def fetch(names: list[str]):

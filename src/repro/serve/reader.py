@@ -6,11 +6,14 @@ and the decoded-brick LRU, and serves any number of concurrent
 ``read_region`` / ``read_level`` requests while amortizing everything
 amortizable:
 
-* the archive head is parsed once, each entry's lazy view and codec are
-  resolved once, and each level's decompression plan is built once;
+* the archive head is parsed once and each entry's lazy view and codec
+  are resolved once;
+* every request — a box of a level, or the level itself, which is the box
+  that covers it — is the codec's own plan for that box, so only the units
+  the box needs are looked up, fetched, decoded and stitched;
 * every request consults the decoded-brick cache *before any part
   fetch* — an overlapping ROI pays I/O and SZ decode only for the bricks
-  no earlier request touched;
+  (and the mask) no earlier request touched;
 * misses are fetched through coalesced ranged reads pipelined ahead of
   decode (:class:`~repro.serve.prefetch.PrefetchPipeline`), and the
   shard opener retries transient failures with backoff
@@ -33,10 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.container import MASK_PREFIX, PartIntegrityError
-from repro.core.plan import normalize_region, region_slices
+from repro.core.container import PartIntegrityError
+from repro.core.plan import check_level_indices, level_box, normalize_region, region_slices
 from repro.engine import LazyBatchArchive, codec_for_method, default_shard_opener
-from repro.engine.archive import _entry_decompress  # registry-routed full decode
 from repro.serve.breaker import CircuitBreaker, breaking_opener
 from repro.serve.cache import DecodedBrickCache
 from repro.serve.opener import FetchStats, RetryPolicy, retrying_opener
@@ -105,27 +107,6 @@ class _EntryState:
 
     comp: object
     codec: object
-    plans: dict[int, object] = field(default_factory=dict)
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-    def plan(self, level: int):
-        with self.lock:
-            plan = self.plans.get(level)
-            if plan is None:
-                plan = self.codec.build_decode_plan(self.comp, levels=[level])
-                self.plans[level] = plan
-            return plan
-
-
-def _has_assemble(codec) -> bool:
-    """Whether the codec implements the per-level assembly hook (the
-    cached read path); monolithic-stream codecs that override
-    ``decompress_levels`` wholesale (zMesh) fall back to their own
-    region reader."""
-    from repro.core.plan import PlanExecutorMixin
-
-    impl = getattr(type(codec), "_assemble_level", None)
-    return impl is not None and impl is not PlanExecutorMixin._assemble_level
 
 
 class ArchiveReader:
@@ -267,36 +248,10 @@ class ArchiveReader:
             state = self._entries.get(key)
             if state is None:
                 comp = self._archive.entry(key)
-                codec = codec_for_method(comp.method)
-                delegate = getattr(codec, "_delegate", None)
-                if delegate is not None:
-                    resolved = delegate(comp)
-                    if resolved is not None:
-                        codec = resolved
+                codec = codec_for_method(comp.method).codec_for(comp)
                 state = _EntryState(comp=comp, codec=codec)
                 self._entries[key] = state
             return state
-
-    def _prefetch_mask(self, comp, level: int, degraded: bool = False) -> int:
-        """Stage the level's packed mask alongside the payload windows so
-        assembly's mask read is accounted I/O, not a surprise fetch.
-
-        In degraded mode a failed prefetch is swallowed: assembly reads
-        the mask directly, and only *that* failure (the mask really is
-        unreadable, not just flaky) fails the request — the mask is
-        structural, there is no partial answer without it.
-        """
-        name = f"{MASK_PREFIX}L{level}"
-        parts = comp.parts
-        if not hasattr(parts, "prefetch") or name not in parts:
-            return 0
-        try:
-            _reads, nbytes = parts.prefetch([name])
-        except Exception:
-            if not degraded:
-                raise
-            return 0
-        return nbytes
 
     def _record(self, stats: RequestStats) -> RequestStats:
         with self._stats_lock:
@@ -312,22 +267,33 @@ class ArchiveReader:
         state: _EntryState,
         level: int,
         plan_units,
+        pstats: PipelineStats,
         deadline: Deadline | None = None,
         allow_partial: bool = False,
-    ) -> tuple[dict, PipelineStats]:
+    ) -> dict:
+        """Results of ``plan_units``: cache hits first, the misses through
+        the pipeline (accounted in ``pstats``) and into the cache.  Raises
+        the first failure degradation cannot paper over: only units with a
+        level-space ``box`` (bricks) can be replaced by fill values;
+        layouts, masks, grid streams and any other box-less unit are
+        load-bearing for the whole level."""
         preloaded = {}
         if self.cache is not None:
             for unit in plan_units:
                 hit = self.cache.get((key, level, unit.key))
                 if hit is not None:
                     preloaded[unit.key] = hit
-        results, pstats = self._pipeline.execute(
+        results, _ = self._pipeline.execute(
             state.comp.parts,
             plan_units,
             preloaded,
             deadline=deadline,
             allow_partial=allow_partial,
+            stats=pstats,
         )
+        for unit in plan_units:
+            if unit.box is None and unit.key in pstats.unit_errors:
+                raise pstats.unit_errors[unit.key]
         if self.cache is not None:
             for unit in plan_units:
                 # Failed units of a degraded request are absent from the
@@ -335,32 +301,23 @@ class ArchiveReader:
                 # hold fill values, not data).
                 if unit.key not in preloaded and unit.key in results:
                     decoded = results[unit.key]
-                    # Only immutable-by-convention arrays are shareable
-                    # across requests; layout records are mutated during
-                    # assembly and must stay request-private.
+                    # Only arrays are shared across requests (decoded
+                    # bricks, groups, the unpacked mask), and a whole-level
+                    # read hands the mask out as is: freeze them.
                     if isinstance(decoded, np.ndarray):
+                        decoded.setflags(write=False)
                         self.cache.put((key, level, unit.key), decoded)
-        return results, pstats
-
-    def _check_degradable(self, plan_units, unit_errors: dict) -> None:
-        """Re-raise the first failure degradation cannot paper over.
-
-        Only units with a level-space ``box`` (bricks) can be replaced by
-        fill values; layouts, shared tables, grid streams, and any other
-        box-less unit are load-bearing for the whole level.
-        """
-        boxes = {u.key: u.box for u in plan_units}
-        for ukey in sorted(unit_errors):
-            if boxes.get(ukey) is None:
-                raise unit_errors[ukey]
+        return results
 
     def _degrade_fill(
-        self, data: np.ndarray, origin, request_box, plan_units, unit_errors: dict
+        self, data: np.ndarray, request_box, plan_units, unit_errors: dict
     ) -> list[dict]:
-        """Write ``fill_value`` into every failed unit's box and return
-        the structured error report (one row per failed unit, boxes in
-        level space, clipped to the request)."""
+        """Write ``fill_value`` into every failed unit's box of ``data``
+        (the level's ``request_box``) and return the structured error
+        report (one row per failed unit, boxes in level space, clipped to
+        the request)."""
         boxes = {u.key: u.box for u in plan_units}
+        origin = [lo for lo, _hi in request_box]
         report = []
         for ukey in sorted(unit_errors):
             exc = unit_errors[ukey]
@@ -368,12 +325,7 @@ class ArchiveReader:
                 (max(ulo, blo), min(uhi, bhi))
                 for (ulo, uhi), (blo, bhi) in zip(boxes[ukey], request_box)
             )
-            if any(lo >= hi for lo, hi in clipped):
-                continue  # pruned brick: nothing of it was requested
-            slices = tuple(
-                slice(lo - off, hi - off) for (lo, hi), off in zip(clipped, origin)
-            )
-            data[slices] = self.fill_value
+            data[region_slices(clipped, origin)] = self.fill_value
             report.append(
                 {
                     "unit": ukey,
@@ -392,118 +344,46 @@ class ArchiveReader:
         return Deadline.coerce(deadline), bool(degraded)
 
     # -- serving -----------------------------------------------------------
-    def read_region(
-        self, key: str, level: int, region, *, deadline=None, degraded=None
-    ) -> tuple[np.ndarray, RequestStats]:
-        """One entry-level ROI plus its request accounting.
+    def _serve(self, key: str, level: int, region, deadline, degraded):
+        """One box of one level — ``region=None`` is the box that covers
+        the level — as ``(AMRLevel over the box, RequestStats)``.
 
-        Bit-identical to ``codec.decompress_region`` on the same blob;
-        the decoded-brick cache is consulted per plan unit before any
-        part fetch, and only units whose box intersects the ROI are
-        decoded at all.
-
-        ``deadline`` (seconds) and ``degraded`` override the reader's
-        defaults per request.  A degraded request never fails on a bad
-        *brick*: the brick's box is served as ``fill_value`` and reported
-        in ``stats.errors`` — fault-free re-reads of the same ROI are
-        bit-identical to the non-degraded path.
+        The single read path: the codec's plan for the box, the decoded-
+        brick cache consulted per unit before any fetch, the misses
+        through the prefetch pipeline, the codec's assembly of exactly the
+        box, then fill values over a degraded request's lost bricks.
         """
         t0 = time.perf_counter()
         deadline, degraded = self._resolve_modes(deadline, degraded)
         state = self._entry(key)
         comp, codec = state.comp, state.codec
-        shape = tuple(comp.meta["shapes"][level])
-        box = normalize_region(region, shape)
-        if not _has_assemble(codec):
-            # Monolithic-stream codec: its own region reader, uncached.
-            data = codec.decompress_region(
-                comp, level, region, decode_workers=self._decode_workers
+        shapes = comp.meta["shapes"]
+        (level,) = check_level_indices([level], len(shapes))
+        shape = tuple(shapes[level])
+        box = None if region is None else normalize_region(region, shape)
+        request_box = box or level_box(shape)
+        plan = codec.build_decode_plan(comp, levels=[level], box=box)
+        units, pstats = plan.units, PipelineStats()
+        results = self._execute_cached(key, state, level, units, pstats, deadline, degraded)
+        if plan.refine is not None:
+            # Second stage (the groups the decoded layout puts in the box):
+            # same request, same deadline, same accounting.
+            more = plan.refine(results)
+            results.update(
+                self._execute_cached(key, state, level, more, pstats, deadline, degraded)
             )
-            seconds = time.perf_counter() - t0
-            return data, self._record(
-                RequestStats(
-                    key, level, box, seconds, 0, int(data.nbytes), 0, 0, 0, 0, False
-                )
-            )
-        plan = state.plan(level)
-        if any(unit.box is not None for unit in plan.units):
-            plan = plan.for_region(box)
-        mask_bytes = self._prefetch_mask(comp, level, degraded)
-        results, pstats = self._execute_cached(
-            key, state, level, plan.units, deadline=deadline, allow_partial=degraded
-        )
-        if pstats.unit_errors:
-            self._check_degradable(plan.units, pstats.unit_errors)
-        lvl = codec._assemble_level(comp, level, results, None)
-        data = np.ascontiguousarray(lvl.data[region_slices(box)])
+            units = units + more
+        lvl = codec.assemble(comp, level, results, None, request_box)
         errors = []
         if pstats.unit_errors:
-            origin = tuple(lo for lo, _hi in box)
-            errors = self._degrade_fill(
-                data, origin, box, plan.units, pstats.unit_errors
-            )
-        seconds = time.perf_counter() - t0
-        return data, self._record(
-            RequestStats(
-                key=key,
-                level=level,
-                box=box,
-                seconds=seconds,
-                bytes_fetched=pstats.bytes_fetched + mask_bytes,
-                bytes_served=int(data.nbytes),
-                cache_hits=pstats.n_preloaded,
-                cache_misses=pstats.n_decoded,
-                n_parts_fetched=pstats.n_parts,
-                n_fetches=pstats.n_fetches,
-                overlapped=pstats.overlapped(),
-                degraded=degraded,
-                errors=errors,
-            )
-        )
-
-    def read_level(self, key: str, level: int, *, deadline=None, degraded=None):
-        """One whole reconstructed level plus its request accounting.
-
-        ``deadline``/``degraded`` behave exactly as in
-        :meth:`read_region` (the request box is the whole level).
-        """
-        t0 = time.perf_counter()
-        deadline, degraded = self._resolve_modes(deadline, degraded)
-        state = self._entry(key)
-        comp, codec = state.comp, state.codec
-        if not _has_assemble(codec):
-            lvl = codec.decompress_level(
-                comp, level, decode_workers=self._decode_workers
-            )
-            seconds = time.perf_counter() - t0
-            return lvl, self._record(
-                RequestStats(
-                    key, level, None, seconds, 0, int(lvl.data.nbytes), 0, 0, 0, 0, False
-                )
-            )
-        plan = state.plan(level)
-        mask_bytes = self._prefetch_mask(comp, level, degraded)
-        results, pstats = self._execute_cached(
-            key, state, level, plan.units, deadline=deadline, allow_partial=degraded
-        )
-        if pstats.unit_errors:
-            self._check_degradable(plan.units, pstats.unit_errors)
-        lvl = codec._assemble_level(comp, level, results, None)
-        errors = []
-        if pstats.unit_errors:
-            shape = tuple(comp.meta["shapes"][level])
-            full_box = tuple((0, dim) for dim in shape)
-            errors = self._degrade_fill(
-                lvl.data, (0,) * len(shape), full_box, plan.units, pstats.unit_errors
-            )
-        seconds = time.perf_counter() - t0
+            errors = self._degrade_fill(lvl.data, request_box, units, pstats.unit_errors)
         return lvl, self._record(
             RequestStats(
                 key=key,
                 level=level,
-                box=None,
-                seconds=seconds,
-                bytes_fetched=pstats.bytes_fetched + mask_bytes,
+                box=box,
+                seconds=time.perf_counter() - t0,
+                bytes_fetched=pstats.bytes_fetched,
                 bytes_served=int(lvl.data.nbytes),
                 cache_hits=pstats.n_preloaded,
                 cache_misses=pstats.n_decoded,
@@ -515,12 +395,37 @@ class ArchiveReader:
             )
         )
 
+    def read_region(
+        self, key: str, level: int, region, *, deadline=None, degraded=None
+    ) -> tuple[np.ndarray, RequestStats]:
+        """One entry-level ROI plus its request accounting.
+
+        Bit-identical to ``codec.decompress_region`` on the same blob —
+        it is the same plan and the same assembly; the decoded-brick
+        cache is consulted per plan unit before any part fetch, and only
+        the units the ROI needs are planned at all.
+
+        ``deadline`` (seconds) and ``degraded`` override the reader's
+        defaults per request.  A degraded request never fails on a bad
+        *brick*: the brick's box is served as ``fill_value`` and reported
+        in ``stats.errors`` — fault-free re-reads of the same ROI are
+        bit-identical to the non-degraded path.
+        """
+        lvl, stats = self._serve(key, level, region, deadline, degraded)
+        return lvl.data, stats
+
+    def read_level(self, key: str, level: int, *, deadline=None, degraded=None):
+        """One whole reconstructed level plus its request accounting.
+
+        ``deadline``/``degraded`` behave exactly as in
+        :meth:`read_region` (the request box is the whole level).
+        """
+        return self._serve(key, level, None, deadline, degraded)
+
     def decompress(self, key: str):
-        """Full-entry restore (registry-routed; no brick caching)."""
+        """Full-entry restore (no brick caching)."""
         state = self._entry(key)
-        return _entry_decompress(
-            state.comp, state.comp.method, None, self._decode_workers
-        )
+        return state.codec.decompress(state.comp, decode_workers=self._decode_workers)
 
     # -- concurrent front-end ----------------------------------------------
     def submit(self, key: str, level: int, region=None, *, deadline=None, degraded=None):

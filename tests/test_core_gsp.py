@@ -8,7 +8,7 @@ import zlib
 from repro.core.gsp import (
     BrickTable,
     brick_boxes,
-    bricks_in_box,
+    bricks_touching,
     deserialize_brick_table,
     gsp_pad,
     serialize_brick_table,
@@ -187,26 +187,26 @@ class TestBrickGeometry:
         assert boxes[1] == ((0, 4), (0, 4), (4, 8))  # z fastest
         assert boxes[2] == ((0, 4), (4, 8), (0, 4))
 
-    def test_bricks_in_box_matches_geometry(self):
+    def test_bricks_touching_matches_geometry(self):
         shape = (12, 12, 12)
         boxes = brick_boxes(shape, 4)
         roi = ((2, 6), (0, 4), (5, 12))
-        hit = set(bricks_in_box(shape, 4, roi).tolist())
+        hit = dict(bricks_touching(shape, 4, roi))
         expected = {
-            i for i, box in enumerate(boxes)
+            i: box for i, box in enumerate(boxes)
             if all(lo < r_hi and r_lo < hi for (lo, hi), (r_lo, r_hi) in zip(box, roi))
         }
-        assert hit == expected
+        assert hit == expected  # the same bricks, each with its own box
         assert hit  # the ROI really intersects something
 
-    def test_bricks_in_box_empty_intersection(self):
+    def test_bricks_touching_empty_intersection(self):
         # A box entirely outside the grid (clipped away) hits nothing.
-        assert bricks_in_box((8, 8, 8), 4, ((8, 9), (0, 8), (0, 8))).size == 0
+        assert bricks_touching((8, 8, 8), 4, ((8, 9), (0, 8), (0, 8))) == []
 
     def test_eighth_domain_roi_touches_eighth_of_bricks(self):
         shape = (16, 16, 16)
-        hit = bricks_in_box(shape, 4, ((0, 8), (0, 8), (0, 8)))
-        assert hit.size == 8  # 2^3 of the 4^3 bricks
+        hit = bricks_touching(shape, 4, ((0, 8), (0, 8), (0, 8)))
+        assert len(hit) == 8  # 2^3 of the 4^3 bricks
 
     def test_table_roundtrip(self):
         table = BrickTable(padded_shape=(20, 16, 12), orig_shape=(18, 15, 12), brick_size=8)
@@ -230,4 +230,4 @@ class TestBrickGeometry:
         with pytest.raises(ValueError, match="positive"):
             brick_boxes((8, 8, 8), 0)
         with pytest.raises(ValueError, match="positive"):
-            bricks_in_box((8, 8, 8), -2, ((0, 4), (0, 4), (0, 4)))
+            bricks_touching((8, 8, 8), -2, ((0, 4), (0, 4), (0, 4)))

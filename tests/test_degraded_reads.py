@@ -14,9 +14,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import ContainerIOError, PartIntegrityError
 from repro.core.tac import TACCompressor
-from repro.engine import default_shard_opener
+from repro.engine import default_shard_opener, get_codec
 from repro.engine.archive import BatchArchive, LazyBatchArchive
 from repro.faults import FaultPlan, FaultRule, archive_part_spans, faulty_opener
 from repro.serve import (
@@ -31,12 +32,33 @@ from repro.serve import (
     retrying_opener,
 )
 from repro.sz import stream
-from tests.helpers import reserialize_stream, two_level_dataset
+from tests.helpers import reserialize_stream, smooth_cube, two_level_dataset
 
 KEY = "toy/tac"
 #: Level 1 of the toy dataset is brick-chunked (8 bricks of 4³); level 0
 #: is group-coded, whose units are box-less and therefore undegradable.
 BRICK_LEVEL = 1
+#: Entries of the other codecs the one serving path must treat alike: a
+#: monolithic stream, and a TAC blob the §4.4 rule delegated to the 3D
+#: baseline.  ``(key, level, the entry's one payload part)``.
+ZMESH = ("toy/zmesh", 1, "toy/zmesh/stream")
+DELEGATED = ("toy/hybrid", 0, "toy/hybrid/uniform")
+ENTRIES = [
+    pytest.param(KEY, BRICK_LEVEL, "*/L1/b0", id="tac-bricks"),
+    pytest.param(*ZMESH, id="zmesh"),
+    pytest.param(*DELEGATED, id="delegated"),
+]
+
+
+def dense_dataset(n: int = 16) -> AMRDataset:
+    return AMRDataset(
+        levels=[
+            AMRLevel(data=smooth_cube(n, seed=6), mask=np.ones((n,) * 3, dtype=bool), level=0),
+            AMRLevel(data=np.zeros((n // 2,) * 3, dtype=np.float32),
+                     mask=np.zeros((n // 2,) * 3, dtype=bool), level=1),
+        ],
+        name="dense",
+    )
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +67,12 @@ def shard_dir(tmp_path_factory):
     comp = tac.compress(two_level_dataset(n=16, seed=5), 1e-3, mode="abs")
     archive = BatchArchive()
     archive.add(KEY, comp)
+    archive.add(
+        ZMESH[0], get_codec("zmesh").compress(two_level_dataset(n=16, seed=5), 1e-3, mode="abs")
+    )
+    delegated = get_codec("tac-hybrid").compress(dense_dataset(), 1e-3, mode="abs")
+    assert delegated.meta["delegated"] == "baseline_3d"
+    archive.add(DELEGATED[0], delegated)
     root = tmp_path_factory.mktemp("degraded")
     archive.save_sharded(root / "arch.rpbt", shard_size=4096)
     return root
@@ -113,16 +141,34 @@ class TestDeadline:
 
 
 class TestDeadlineEnforcement:
-    def test_stalled_window_raises_in_bounded_time(self, head, spans):
+    @pytest.mark.parametrize("key, level, part", ENTRIES)
+    def test_stalled_window_raises_in_bounded_time(self, head, spans, key, level, part):
         reader, _plan = chaos_reader(
-            head, spans, [FaultRule("latency", match="*/L1/b0", delay=2.0, times=1)]
+            head, spans, [FaultRule("latency", match=part, delay=1.0, times=2)]
+        )
+        with reader:
+            for read in (
+                lambda: reader.read_level(key, level, deadline=0.1),
+                lambda: reader.read_region(key, level, ((0, 3),) * 3, deadline=0.1),
+            ):
+                t0 = time.perf_counter()
+                with pytest.raises(DeadlineExceeded, match="deadline"):
+                    read()
+                # bounded by the deadline, not the 1s stall
+                assert time.perf_counter() - t0 < 0.8
+
+    def test_stalled_layout_read_raises_in_bounded_time(self, head, spans):
+        # Pruning level 0's groups to a box needs its layout record: the
+        # first stage of the plan, fetched under the deadline like any
+        # unit — and load-bearing, so degraded mode raises too.
+        reader, _plan = chaos_reader(
+            head, spans, [FaultRule("latency", match="*/L0/layout", delay=1.0, times=1)]
         )
         with reader:
             t0 = time.perf_counter()
             with pytest.raises(DeadlineExceeded, match="deadline"):
-                reader.read_level(KEY, BRICK_LEVEL, deadline=0.15)
-            elapsed = time.perf_counter() - t0
-        assert elapsed < 1.5  # bounded by the deadline, not the 2s stall
+                reader.read_region(KEY, 0, ((0, 3),) * 3, deadline=0.1, degraded=True)
+            assert time.perf_counter() - t0 < 0.8
 
     def test_default_deadline_applies_to_every_request(self, head, spans):
         reader, _plan = chaos_reader(
@@ -134,6 +180,26 @@ class TestDeadlineEnforcement:
         with reader:
             with pytest.raises(DeadlineExceeded):
                 reader.read_level(KEY, BRICK_LEVEL)
+
+    def test_warm_read_needs_no_io_slot(self, head, spans, baseline):
+        # Planning reads metadata only, so a request whose units are all
+        # cached never queues behind another request's stalled fetch.
+        reader, _plan = chaos_reader(
+            head,
+            spans,
+            [FaultRule("latency", match="*/L1/b0", delay=1.0, times=1)],
+            cache_bytes=1 << 20,
+            io_workers=1,
+        )
+        with reader:
+            far = ((4, 8),) * 3
+            reader.read_region(KEY, BRICK_LEVEL, far)
+            stalled = reader.submit(KEY, BRICK_LEVEL, ((0, 4),) * 3)
+            time.sleep(0.05)  # the one I/O worker is now inside the stall
+            data, stats = reader.read_region(KEY, BRICK_LEVEL, far, deadline=0.2)
+            assert stats.cache_misses == 0 and stats.n_fetches == 0
+            np.testing.assert_array_equal(data, baseline[4:8, 4:8, 4:8])
+            stalled.result()
 
     def test_no_deadline_waits_out_the_stall(self, head, spans, baseline):
         reader, _plan = chaos_reader(
@@ -233,6 +299,26 @@ class TestDegradedReads:
             assert stats.degraded and stats.errors
             assert {row["kind"] for row in stats.errors} == {"timeout"}
 
+    def test_stalled_brick_window_does_not_take_the_cold_mask_down(self, head, spans):
+        # The level's mask is load-bearing and stored next to its bricks;
+        # a degraded request fetches it in a window of its own, so a cold
+        # ROI whose brick window stalls still gets timeout fill.
+        reader, _plan = chaos_reader(
+            head,
+            spans,
+            [FaultRule("latency", match="*/L1/b1", delay=2.0, times=1)],
+            fill_value=-1.0,
+        )
+        with reader:
+            t0 = time.perf_counter()
+            data, stats = reader.read_region(
+                KEY, BRICK_LEVEL, ((0, 8), (0, 3), (0, 8)), deadline=0.15, degraded=True
+            )
+            assert time.perf_counter() - t0 < 1.5
+            assert data.shape == (8, 3, 8)
+            assert {row["kind"] for row in stats.errors} == {"timeout"}
+            assert "L1/b1" in {row["unit"] for row in stats.errors}
+
     def test_two_undecodable_bricks_in_one_batch_fill_exactly_their_boxes(
         self, tmp_path, baseline
     ):
@@ -264,22 +350,44 @@ class TestDegradedReads:
             with pytest.raises(ValueError, match="Kraft"):
                 reader.read_level(KEY, BRICK_LEVEL)
 
-    def test_boxless_unit_failure_still_raises(self, head, spans):
-        # Level 0 is group-coded: its units carry no box, so there is no
-        # partial answer — degraded mode must re-raise, not fabricate.
-        reader, _plan = chaos_reader(
-            head, spans, [FaultRule("bitflip", match="*/L0/g0", times=1)]
-        )
-        with reader:
-            with pytest.raises(PartIntegrityError):
-                reader.read_level(KEY, 0, degraded=True)
+    @pytest.mark.parametrize(
+        "key, level, part",
+        [
+            # Level 0 is group-coded: its units carry no box, so there is
+            # no partial answer — degraded mode must re-raise, not fabricate.
+            pytest.param(KEY, 0, "*/L0/g0", id="group"),
+            pytest.param(KEY, 0, "*/L0/layout", id="layout"),
+            pytest.param(KEY, BRICK_LEVEL, "*/mask/L1", id="mask"),
+            pytest.param(*ZMESH, id="zmesh"),
+            pytest.param(*DELEGATED, id="delegated"),
+        ],
+    )
+    def test_boxless_unit_failure_still_raises(self, head, spans, key, level, part):
+        for read in (
+            lambda r: r.read_level(key, level, degraded=True),
+            lambda r: r.read_region(key, level, ((0, 3),) * 3, degraded=True),
+        ):
+            # Persistent damage: a transient flip can be spent on a window
+            # that over-reads the part without anyone consuming it.
+            reader, _plan = chaos_reader(head, spans, [FaultRule("bitflip", match=part)])
+            with reader:
+                with pytest.raises(PartIntegrityError):
+                    read(reader)
 
-    def test_clean_degraded_read_is_exact(self, head, spans, baseline):
+    @pytest.mark.parametrize("key, level, part", ENTRIES)
+    def test_clean_degraded_read_is_exact(self, head, spans, key, level, part):
+        with LazyBatchArchive.open(head) as lazy:
+            expected = lazy.decompress(key).levels[level].data
         reader, _plan = chaos_reader(head, spans, [], degraded=True)
         with reader:
-            lvl, stats = reader.read_level(KEY, BRICK_LEVEL)
-        assert stats.degraded and stats.errors == []
-        np.testing.assert_array_equal(lvl.data, baseline)
+            lvl, stats = reader.read_level(key, level)
+            roi, roi_stats = reader.read_region(key, level, ((1, 6), (0, 5), (2, 7)))
+        np.testing.assert_array_equal(lvl.data, expected)
+        np.testing.assert_array_equal(roi, expected[1:6, 0:5, 2:7])
+        for st in (stats, roi_stats):
+            # Every codec is served — and accounted — by the one path.
+            assert st.degraded and st.errors == []
+            assert st.bytes_fetched > 0 and st.n_fetches > 0 and st.cache_misses > 0
 
 
 # ---------------------------------------------------------------------------

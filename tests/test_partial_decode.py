@@ -13,10 +13,17 @@ The acceptance bar for the random-access refactor:
   block-strategy groups entirely;
 * the ``store_masks=False`` + ``structure=`` path round-trips for TAC
   and every registry baseline (previously only the mask-stored path was
-  exercised end-to-end).
+  exercised end-to-end);
+* there is one read path: every codec × strategy × box × reader (the
+  codec over eager or lazy parts, ``ArchiveReader`` cold, warm, degraded)
+  returns the same bits and fetches the same parts
+  (:class:`TestOneReadPath`).
 """
 
 from __future__ import annotations
+
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,9 +33,10 @@ from repro.core.container import MASK_PREFIX, LazyCompressedDataset
 from repro.core.density import Strategy
 from repro.core.gsp import brick_boxes, deserialize_brick_table
 from repro.core.layout import blocks_in_region, deserialize_layout, layout_shapes
-from repro.core.plan import DecompressionPlan, PlanExecutorMixin, normalize_region
+from repro.core.plan import PlanExecutorMixin, normalize_region
 from repro.core.tac import TACCompressor
-from repro.engine import get_codec, supports_partial_decode
+from repro.engine import BatchArchive, codec_names, get_codec, supports_partial_decode
+from repro.serve import ArchiveReader
 from tests.helpers import smooth_cube, two_level_dataset
 
 EB = 1e-3
@@ -59,18 +67,6 @@ def _assert_levels_equal(a: AMRLevel, b: AMRLevel):
 # TAC: every strategy
 # ----------------------------------------------------------------------
 class TestTACPartialDecode:
-    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
-    def test_level_and_region_bit_identical(self, dataset, strategy):
-        tac = TACCompressor(force_strategy=strategy)
-        comp = tac.compress(dataset, EB, mode="abs")
-        full = tac.decompress(comp)
-        for idx in range(dataset.n_levels):
-            lvl = tac.decompress_level(comp, idx)
-            _assert_levels_equal(full.levels[idx], lvl)
-            region = tac.decompress_region(comp, idx, REGION)
-            expected = full.levels[idx].data[REGION]
-            assert np.array_equal(region, expected)
-
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
     def test_parallel_decode_bit_identical(self, dataset, strategy):
         tac = TACCompressor(force_strategy=strategy)
@@ -131,21 +127,19 @@ class TestTACPartialDecode:
         assert plan.levels() == [0, 1]
         sub = tac.build_decode_plan(comp, levels=[0])
         assert sub.levels() == [0]
-        assert all(name.startswith("L0/") for name in sub.part_names())
-        assert isinstance(plan.for_levels([1]), DecompressionPlan)
-        assert plan.for_levels([1]).levels() == [1]
+        assert all(
+            name.startswith("L0/") or name == f"{MASK_PREFIX}L0"
+            for name in sub.part_names()
+        )
 
-    def test_for_levels_keeps_shared_units(self, dataset):
+    def test_level_subset_keeps_shared_units(self, dataset):
         """Monolithic codecs tag their single unit level=-1 (serves all
-        levels); a concrete subset must keep it."""
-        for name in ("3d", "zmesh"):
+        levels); the plan of a concrete subset must keep it."""
+        for name, shared in (("3d", "uniform"), ("zmesh", "stream")):
             codec = get_codec(name)
             comp = codec.compress(dataset, EB, mode="abs")
-            plan = codec.build_decode_plan(comp)
-            assert plan.levels() == [-1]
-            sub = plan.for_levels([0])
-            assert len(sub) == 1
-            assert sub.part_names() == plan.part_names()
+            sub = codec.build_decode_plan(comp, levels=[0])
+            assert [u.level for u in sub.units if u.key == shared] == [-1]
 
 
 # ----------------------------------------------------------------------
@@ -161,18 +155,6 @@ class TestGSPBrickPartialDecode:
         return tac, tac.compress(dataset, EB, mode="abs")
 
     @pytest.mark.parametrize("strategy", [Strategy.GSP, Strategy.ZF], ids=lambda s: s.value)
-    def test_multi_brick_bit_identity(self, dataset, strategy):
-        tac, comp = self._compressed(dataset, strategy)
-        assert comp.meta["levels"][0]["bricks"]["n"] == 64  # 16^3 at 4^3 bricks
-        assert comp.meta["levels"][0]["strategy_format"] == 2
-        full = tac.decompress(comp)
-        for idx in range(dataset.n_levels):
-            lvl = tac.decompress_level(comp, idx)
-            _assert_levels_equal(full.levels[idx], lvl)
-            region = tac.decompress_region(comp, idx, REGION)
-            assert np.array_equal(region, full.levels[idx].data[REGION])
-
-    @pytest.mark.parametrize("strategy", [Strategy.GSP, Strategy.ZF], ids=lambda s: s.value)
     def test_parallel_brick_decode_bit_identical(self, dataset, strategy):
         tac, comp = self._compressed(dataset, strategy)
         serial = tac.decompress(comp)
@@ -186,14 +168,21 @@ class TestGSPBrickPartialDecode:
 
     def test_brick_plan_units_carry_boxes(self, dataset):
         tac, comp = self._compressed(dataset, Strategy.GSP)
+        assert comp.meta["levels"][0]["bricks"]["n"] == 64  # 16^3 at 4^3 bricks
+        assert comp.meta["levels"][0]["strategy_format"] == 2
         plan = tac.build_decode_plan(comp, levels=[0])
         brick_units = [u for u in plan.units if u.key.startswith("L0/b")]
         assert len(brick_units) == 64
         assert all(u.box is not None for u in brick_units)
-        # Pruning by the ROI keeps exactly the intersecting bricks.
+        # A plan for an ROI holds exactly the bricks the ROI touches.
         box = normalize_region(REGION, (16, 16, 16))
-        pruned = plan.for_region(box)
-        assert 0 < len(pruned) < len(plan)
+        pruned = tac.build_decode_plan(comp, levels=[0], box=box)
+        touched = {
+            u.key for u in brick_units
+            if all(lo < b_hi and b_lo < hi for (lo, hi), (b_lo, b_hi) in zip(u.box, box))
+        }
+        assert {u.key for u in pruned.units if u.box is not None} == touched
+        assert 0 < len(touched) < 64
 
     def test_legacy_single_stream_layout_still_written_and_read(self, dataset):
         tac = TACCompressor(force_strategy=Strategy.GSP, brick_size=None)
@@ -274,10 +263,10 @@ class TestGSPBrickPartialDecode:
         assert 0 < decoded_cells <= aligned_volume
         assert decoded_cells < int(np.prod(table.padded_shape))
 
-    def test_generic_mixin_region_path_prunes_brick_units(self, dataset):
-        """`PlanExecutorMixin.decompress_region` (the default every codec
-        inherits) must prune prunable units itself — not materialize the
-        level — when unit geometry is available."""
+    def test_mixin_region_read_is_the_codecs_region_read(self, dataset):
+        """`PlanExecutorMixin.decompress_region` is the only region reader:
+        no codec overrides it, and it decodes just the touched brick."""
+        assert "decompress_region" not in vars(TACCompressor)
         tac, comp = self._compressed(dataset, Strategy.GSP)
         lazy = LazyCompressedDataset.open(comp.to_bytes())
         roi = (slice(0, 4), slice(0, 4), slice(0, 4))  # exactly one brick
@@ -302,9 +291,9 @@ class TestGSPBrickPartialDecode:
         tac = TACCompressor(force_strategy=Strategy.ZF, unit_block=12, brick_size=4)
         comp = tac.compress(ds, EB, mode="abs")
         plan = tac.build_decode_plan(comp)
-        full_box = ((0, n), (0, n), (0, n))
-        kept = plan.for_region(full_box)
-        assert len(kept) < len(plan)  # pad-only bricks dropped even for a full ROI
+        bricks = [u for u in plan.units if u.box is not None]
+        # pad-only bricks are not planned even for the whole level
+        assert 0 < len(bricks) < comp.meta["levels"][0]["bricks"]["n"]
         region = tac.decompress_region(comp, 0, tuple(slice(0, n) for _ in range(3)))
         assert np.array_equal(region, tac.decompress(comp).levels[0].data)
 
@@ -422,6 +411,12 @@ class TestAccessAccounting:
         assert sum(1 for count in hits.values() if count) == 1
 
         lazy = LazyCompressedDataset.open(blob)
+        # Planning reads no payload: the groups are the plan's second
+        # stage, chosen by the decoded layout.
+        plan = tac.build_decode_plan(lazy, levels=[0], box=box)
+        assert lazy.parts.accessed() == set()
+        assert {u.key for u in plan.units} == {"L0/layout", f"{MASK_PREFIX}L0"}
+        assert len(plan.refine({"L0/layout": extraction})) == 1
         roi = tac.decompress_region(lazy, 0, region)
         payloads = {
             name for name in lazy.parts.accessed()
@@ -474,8 +469,7 @@ class TestRegistryPartialDecode:
         parallel = codec.decompress(comp, decode_workers=4)
         for a, b in zip(full.levels, parallel.levels):
             _assert_levels_equal(a, b)
-        for idx in range(dataset.n_levels):
-            lvl = codec.decompress_level(comp, idx)
+        for idx, lvl in enumerate(codec.decompress_levels(comp, range(dataset.n_levels))):
             _assert_levels_equal(full.levels[idx], lvl)
             region = codec.decompress_region(comp, idx, REGION, decode_workers=2)
             assert np.array_equal(region, full.levels[idx].data[REGION])
@@ -502,8 +496,8 @@ class TestRegistryPartialDecode:
         _assert_levels_equal(full.levels[0], lvl)
         region = hybrid.decompress_region(comp, 0, REGION)
         assert np.array_equal(region, full.levels[0].data[REGION])
-        plan = hybrid.build_decode_plan(comp)
-        assert plan.part_names() == ["uniform"]
+        plan = hybrid.codec_for(comp).build_decode_plan(comp)
+        assert plan.part_names() == ["uniform", f"{MASK_PREFIX}L0", f"{MASK_PREFIX}L1"]
 
     def test_lazy_single_level_reads_fewer_parts_1d(self, dataset):
         codec = get_codec("1d")
@@ -559,3 +553,209 @@ class TestStructureSuppliedMasks:
         )
         for a, b in zip(reference.levels, restored.levels):
             _assert_levels_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# one read path: codec × strategy × box × reader
+# ----------------------------------------------------------------------
+def clustered_dataset() -> AMRDataset:
+    """16³ fine level storing an 6×8×8 slab at the origin and one 4³ cube
+    in the far corner — with 4-cell unit blocks: blocks half inside the
+    slab (cells 6-7 along x are padding), two block shapes, and empty
+    space no block covers."""
+    refined = np.zeros((8, 8, 8), dtype=bool)
+    refined[0:3, 0:4, 0:4] = True
+    refined[6:8, 6:8, 6:8] = True
+    fine_mask = np.repeat(np.repeat(np.repeat(refined, 2, 0), 2, 1), 2, 2)
+    return AMRDataset(
+        levels=[
+            AMRLevel(data=np.where(fine_mask, smooth_cube(16, seed=11), np.float32(0)),
+                     mask=fine_mask, level=0),
+            AMRLevel(data=np.where(~refined, smooth_cube(8, seed=12), np.float32(0)),
+                     mask=~refined, level=1),
+        ],
+        name="clustered",
+    )
+
+
+def dense_dataset() -> AMRDataset:
+    """Fully refined: a dense 16³ finest level over an *empty* coarse one
+    (what the §4.4 rule hands to the 3D baseline)."""
+    return AMRDataset(
+        levels=[
+            AMRLevel(data=smooth_cube(16, seed=13), mask=np.ones((16,) * 3, dtype=bool), level=0),
+            AMRLevel(data=np.zeros((8,) * 3, dtype=np.float32),
+                     mask=np.zeros((8,) * 3, dtype=bool), level=1),
+        ],
+        name="dense",
+    )
+
+
+def _tac(strategy: Strategy, **kwargs):
+    return lambda: TACCompressor(force_strategy=strategy, unit_block=4, **kwargs)
+
+
+#: name → (codec factory, dataset factory, registry name it exercises)
+READ_CASES = {
+    "gsp-bricks": (_tac(Strategy.GSP, brick_size=4), clustered_dataset, "tac"),
+    "zf-bricks": (_tac(Strategy.ZF, brick_size=4), clustered_dataset, "tac"),
+    "gsp-format1-grid": (_tac(Strategy.GSP, brick_size=None), clustered_dataset, "tac"),
+    "opst": (_tac(Strategy.OPST), clustered_dataset, "tac"),
+    "akdtree": (_tac(Strategy.AKDTREE), clustered_dataset, "tac"),
+    "nast": (_tac(Strategy.NAST), clustered_dataset, "tac"),
+    "empty-level": (TACCompressor, dense_dataset, "tac"),
+    "delegate": (lambda: get_codec("tac-hybrid"), dense_dataset, "tac-hybrid"),
+    "1d": (lambda: get_codec("1d"), clustered_dataset, "1d"),
+    "zmesh": (lambda: get_codec("zmesh"), clustered_dataset, "zmesh"),
+    "3d": (lambda: get_codec("3d"), clustered_dataset, "3d"),
+}
+
+#: Boxes on the 16³ level of :func:`clustered_dataset` (halved on the 8³ one).
+READ_BOXES = {
+    "whole-level": ((0, 16), (0, 16), (0, 16)),
+    "brick-aligned": ((0, 8), (0, 4), (4, 8)),
+    "unaligned": ((1, 7), (2, 9), (3, 6)),
+    "only-block-padding": ((6, 8), (0, 8), (0, 8)),
+    "no-block": ((8, 12), (0, 4), (12, 16)),
+}
+ENTRY = "run/rho"
+
+
+def _payloads(names) -> set:
+    return {name for name in names if not name.startswith(MASK_PREFIX)}
+
+
+class TestOneReadPath:
+    """Every reader is the same plan and the same assembly: same bits as
+    the slice of the full decode, same parts fetched."""
+
+    @staticmethod
+    def _build(name: str, root) -> SimpleNamespace:
+        make_codec, make_dataset, _name = READ_CASES[name]
+        codec = make_codec()
+        comp = codec.compress(make_dataset(), EB, mode="abs")
+        archive = BatchArchive()
+        archive.add(ENTRY, comp)
+        archive.save_sharded(root / "archive.rpbt")
+        return SimpleNamespace(
+            name=name, codec=codec, comp=comp, blob=comp.to_bytes(),
+            head=root / "archive.rpbt", full=codec.decompress(comp),
+        )
+
+    @pytest.fixture(scope="class", params=sorted(READ_CASES))
+    def case(self, request, tmp_path_factory):
+        return self._build(request.param, tmp_path_factory.mktemp(request.param))
+
+    def test_cases_cover_every_registered_codec(self):
+        assert {name for _c, _d, name in READ_CASES.values()} == set(codec_names())
+
+    def test_case_premises(self, case):
+        levels = {lm["level"]: lm for lm in case.comp.meta.get("levels", [])}
+        if case.name == "delegate":
+            assert case.comp.meta["delegated"] == "baseline_3d"
+        if case.name == "empty-level":
+            assert levels[1]["strategy"] == "empty"
+        if case.name == "gsp-format1-grid":
+            assert "L0/grid" in case.comp.parts and "bricks" not in levels[0]
+        if case.name in ("opst", "akdtree"):
+            assert levels[0]["n_groups"] >= 2
+
+    @pytest.mark.parametrize("box_name", READ_BOXES)
+    def test_every_reader_returns_the_slice_of_the_full_decode(self, case, box_name):
+        for level, full in enumerate(case.full.levels):
+            scale = 16 // full.shape[0]
+            box = tuple((lo // scale, hi // scale) for lo, hi in READ_BOXES[box_name])
+            expected = full.data[tuple(slice(lo, hi) for lo, hi in box)]
+
+            def check(data):
+                assert data.dtype == expected.dtype
+                assert np.array_equal(data, expected)
+
+            check(case.codec.decompress_region(case.comp, level, box))
+            lazy = LazyCompressedDataset.open(case.blob)
+            check(case.codec.decompress_region(lazy, level, box))
+            with ArchiveReader(case.head) as reader:
+                cold, cold_stats = reader.read_region(ENTRY, level, box)
+                served = reader._entry(ENTRY).comp.parts.accessed()
+                warm, warm_stats = reader.read_region(ENTRY, level, box)
+                degraded, degraded_stats = reader.read_region(ENTRY, level, box, degraded=True)
+            check(cold)
+            check(warm)
+            check(degraded)
+            # The reader ran the codec's plan: same parts, nothing more.
+            assert served == lazy.parts.accessed()
+            assert cold_stats.cache_hits == 0 and cold_stats.cache_misses > 0
+            assert warm_stats.cache_misses <= cold_stats.cache_misses
+            assert degraded_stats.degraded and degraded_stats.errors == []
+
+    def test_whole_level_box_is_the_level_read(self, case):
+        for level, full in enumerate(case.full.levels):
+            _assert_levels_equal(full, case.codec.decompress_level(case.comp, level))
+            with ArchiveReader(case.head) as reader:
+                _assert_levels_equal(full, reader.read_level(ENTRY, level)[0])
+                _assert_levels_equal(full, reader.read_level(ENTRY, level)[0])  # warm
+
+    @pytest.mark.parametrize("name", ["opst", "akdtree", "nast"])
+    def test_block_strategy_roi_through_the_reader_decodes_only_its_groups(
+        self, name, tmp_path
+    ):
+        case = self._build(name, tmp_path)
+        n_groups = case.comp.meta["levels"][0]["n_groups"]
+        with ArchiveReader(case.head, cache_bytes=0) as reader:
+            parts = reader._entry(ENTRY).comp.parts
+
+            def groups_read(box_name):
+                parts.reset_access_log()
+                data, _stats = reader.read_region(ENTRY, 0, READ_BOXES[box_name])
+                return data, {n for n in parts.accessed() if n.startswith("L0/g")}
+
+            _data, groups = groups_read("brick-aligned")
+            assert 0 < len(groups) and (len(groups) < n_groups or n_groups == 1)
+            # Cells 6-7 along x lie in stored blocks but outside the mask.
+            data, groups = groups_read("only-block-padding")
+            assert groups and not data.any()
+            # Nothing to decode: only the first stream's header is peeked.
+            _data, groups = groups_read("no-block")
+            assert _payloads(parts.accessed()) == {"L0/layout", "L0/g0"}
+
+    def test_bogus_level_is_one_value_error_everywhere(self, case):
+        n_levels = len(case.full.levels)
+        box = READ_BOXES["brick-aligned"]
+        with ArchiveReader(case.head) as reader:
+            for read in (
+                lambda: case.codec.decompress_level(case.comp, n_levels),
+                lambda: case.codec.decompress_region(case.comp, n_levels, box),
+                lambda: reader.read_level(ENTRY, n_levels),
+                lambda: reader.read_region(ENTRY, n_levels, box),
+                lambda: reader.read_region(ENTRY, -1, box),
+            ):
+                with pytest.raises(ValueError, match=r"level indices \[-?\d\] out of range"):
+                    read()
+
+
+def test_warm_roi_read_allocates_the_window_not_the_level(tmp_path):
+    """A warm 32³ ROI of a 128³ bricked level stitches 27 cached bricks:
+    its peak is a few windows (< 2 MB), not the level's padded grid, its
+    mask and a level-sized ``np.where`` (≈ 18 MB before)."""
+    n = 128
+    ds = AMRDataset(
+        levels=[AMRLevel(data=smooth_cube(n, seed=1), mask=np.ones((n,) * 3, dtype=bool), level=0)],
+        name="big",
+    )
+    tac = TACCompressor(force_strategy=Strategy.ZF, brick_size=16)
+    comp = tac.compress(ds, 1e-2, mode="abs")
+    archive = BatchArchive()
+    archive.add(ENTRY, comp)
+    archive.save_sharded(tmp_path / "big.rpbt")
+    roi = ((40, 72), (41, 73), (42, 74))
+    with ArchiveReader(tmp_path / "big.rpbt") as reader:
+        reader.read_region(ENTRY, 0, roi)
+        tracemalloc.start()
+        try:
+            data, stats = reader.read_region(ENTRY, 0, roi)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+    assert stats.cache_misses == 0 and stats.cache_hits == 27 + 1  # bricks + mask
+    assert np.array_equal(data, tac.decompress(comp).levels[0].data[40:72, 41:73, 42:74])

@@ -16,7 +16,7 @@ Plus contracts for the serving stack built on top: span coalescing,
 prefetch staging, the ``execute_plan`` preload seam, the decoded-brick
 LRU, retrying openers, the prefetch pipeline, and the ``ArchiveReader``
 front-end (bit-identical to direct decode, cache hits on repeats,
-correct under concurrency, graceful fallback for monolithic codecs).
+correct under concurrency, monolithic codecs through the same path).
 """
 
 from __future__ import annotations
@@ -936,9 +936,10 @@ class TestArchiveReader:
             np.testing.assert_array_equal(data, codec.decompress_region(comp, 1, roi))
             assert reader.fetch_stats.snapshot()["read_retries"] >= 1
 
-    def test_monolithic_codec_falls_back(self, tmp_path):
-        """Codecs without per-level assembly (zMesh's single interleaved
-        stream) are served through their own region reader, uncached."""
+    def test_monolithic_codec_is_served_and_accounted_like_any_other(self, tmp_path):
+        """zMesh's single interleaved stream is one box-less unit of the
+        same serving path: fetched through the pipeline, accounted, and
+        cached like a brick — a repeat fetches nothing."""
         codec = ZMeshCompressor()
         ds = two_level_dataset(seed=5)
         comp = codec.compress(ds, EB)
@@ -948,7 +949,12 @@ class TestArchiveReader:
         with ArchiveReader(head) as reader:
             data, stats = reader.read_region("k", 1, roi)
             np.testing.assert_array_equal(data, codec.decompress_region(comp, 1, roi))
-            assert stats.cache_hits == 0 and stats.cache_misses == 0
+            assert stats.cache_hits == 0 and stats.cache_misses == len(comp.parts)
+            assert stats.bytes_fetched >= len(comp.parts["stream"])
+            assert stats.n_fetches >= 1 and stats.n_parts_fetched == len(comp.parts)
+            data, stats = reader.read_region("k", 1, roi)
+            np.testing.assert_array_equal(data, codec.decompress_region(comp, 1, roi))
+            assert stats.cache_hits == len(comp.parts) and stats.bytes_fetched == 0
 
     def test_closed_reader_rejects_requests(self, tmp_path, tac_blob):
         codec, comp = tac_blob
