@@ -443,6 +443,29 @@ def _codec_ops(scale: int, repeats: int) -> dict:
     return ops
 
 
+def _preprocess_ops(scale: int, repeats: int) -> dict:
+    """The two pre-process calls of a TAC compress of Run1_Z3, in isolation:
+    ``gsp_pad`` on the dense finest level (L0), ``opst_extract`` on the
+    sparse coarse one (L1) — the paper's Fig. 13 quantity per strategy,
+    with the arguments ``TACCompressor._compress_level`` passes."""
+    from repro.core.gsp import gsp_pad
+    from repro.core.opst import opst_extract
+    from repro.core.tac import default_unit_block
+    from repro.sim.datasets import make_dataset
+
+    dense, sparse = make_dataset("Run1_Z3", scale=scale).levels[:2]
+    ops = {}
+    for name, fn, lvl in (("gsp_pad", gsp_pad, dense), ("opst_extract", opst_extract, sparse)):
+        data = lvl.masked_data()
+        block = default_unit_block(lvl.n)
+        ops[name] = op_entry(
+            time_op(lambda: fn(data, lvl.mask, block), repeats),
+            lvl.n_points(),
+            lvl.n_points() * data.dtype.itemsize,
+        )
+    return ops
+
+
 def _ingest_ops(scale: int, repeats: int) -> dict:
     """Streamed ingest hot paths: ``compress_iter`` and a delta session.
 
@@ -529,6 +552,7 @@ OP_GROUPS = {
     "sz": _sz_ops,
     "shared_tables": _shared_tables_ops,
     "codecs": _codec_ops,
+    "preprocess": _preprocess_ops,
     "ingest": _ingest_ops,
     "container": _container_ops,
 }
@@ -556,6 +580,7 @@ GROUP_OPS = {
     "codecs": tuple(
         f"{c}_{op}" for c in ("tac", "1d", "zmesh", "3d") for op in ("compress", "decompress")
     ) + ("tac_preprocess",),
+    "preprocess": ("gsp_pad", "opst_extract"),
     "ingest": ("tac_compress_iter", "ingest_session_delta"),
     "container": ("container_roundtrip_bricked",),
 }
