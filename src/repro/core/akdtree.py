@@ -28,14 +28,12 @@ import numpy as np
 
 from repro.core.blocks import (
     BlockExtraction,
-    block_occupancy,
     box_count,
     canonical_orientation,
+    collect_blocks,
     gather_blocks,
     integral_image,
-    pad_to_blocks,
 )
-from repro.utils.validation import check_positive_int
 
 
 def _next_pow2(value: int) -> int:
@@ -142,11 +140,9 @@ def _choose_axis(table: np.ndarray, origin, shape) -> int:
 
 def akdtree_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockExtraction:
     """Full AKDTree pre-process: plan full leaves and gather them by shape."""
-    block_size = check_positive_int(block_size, name="block_size")
-    if data.shape != mask.shape:
-        raise ValueError("data and mask shapes differ")
-    padded = pad_to_blocks(np.asarray(data), block_size)
-    occ = block_occupancy(mask, block_size)
+    blocks = collect_blocks(data, mask, block_size)
+    block_size = blocks.block_size
+    padded, occ = blocks.data, blocks.occ
     leaves = akdtree_plan(occ)
     # The k-d grid may be padded beyond the data grid; leaves are clipped by
     # construction (padding blocks are empty, and empty leaves are dropped),
@@ -158,9 +154,7 @@ def akdtree_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> Bloc
         grown = np.zeros(grid_shape, dtype=padded.dtype)
         grown[: padded.shape[0], : padded.shape[1], : padded.shape[2]] = padded
         padded = grown
-    extraction = BlockExtraction(
-        padded_shape=padded.shape, orig_shape=data.shape, block_size=block_size
-    )
+    extraction = blocks.extraction(padded.shape)
     if not leaves:
         return extraction
     grouped: dict[tuple[int, int, int], list[tuple[tuple[int, int, int], int]]] = {}

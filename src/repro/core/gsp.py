@@ -11,9 +11,15 @@ neighbour's first ``avg_layers`` boundary slices, and blocks reached by
 several neighbours average the contributions (Alg. 3's ``pad/2``, ``pad/3``
 overlap rule, realized here by sum/count accumulation).
 
-Everything is vectorized per face direction: face-slab means for *all*
-blocks at once via a 6D reshape, neighbour selection via shifted occupancy
-masks, and slab writes via up-sampled per-block value grids.
+Everything but the final write happens on the unit-block grid (the block
+pre-collection of TAC+, arXiv 2301.01901): occupancy comes from the
+level's pre-collection, each face direction gathers the boundary slabs of
+just the occupied blocks that face an empty one and reduces them to one
+mean per block, and the sums and counts of what reaches an empty block are
+``(nbx, nby, nbz)`` arrays.  With the default full-block ``pad_layers``
+every cell of an empty block receives the same value, so the result is one
+broadcast write into the recipient blocks, in the level's dtype; only a
+thinner ``pad_layers`` needs its accumulators at cell resolution.
 
 ``zero_fill`` (ZF) is kept as the reference the paper compares against in
 Fig. 12.
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.blocks import block_occupancy, pad_to_blocks
+from repro.core.blocks import collect_blocks, pad_to_blocks
 from repro.utils.validation import check_positive_int
 
 #: The six axis-aligned face directions (axis, sign).
@@ -57,29 +63,46 @@ class GSPResult:
         return target[:ox, :oy, :oz]
 
 
-def _face_slab_means(
-    values: np.ndarray, weights: np.ndarray, block: int, avg_layers: int
-) -> dict[tuple[int, int], np.ndarray]:
-    """Mean of each block's boundary slab for all six faces, valid cells only.
+def _block_view(arr: np.ndarray, block: int) -> np.ndarray:
+    """``(nbx, block, nby, block, nbz, block)`` view of a block-padded grid."""
+    nx, ny, nz = arr.shape
+    return arr.reshape(nx // block, block, ny // block, block, nz // block, block)
 
-    Returns ``{(axis, sign): (nbx, nby, nbz) float64}``; blocks whose slab
-    contains no valid cell get NaN (callers must skip them).
+
+def _cells(coords, spans) -> tuple:
+    """Index into a :func:`_block_view`: the in-block cell ranges ``spans``
+    (one slice per axis) of the blocks at ``coords`` (one index array per
+    axis).  Indexing with it gives ``(len(coords[0]), *extents)``."""
+    return (coords[0], spans[0], coords[1], spans[1], coords[2], spans[2])
+
+
+def _slab(axis: int, sign: int, layers: int, block: int) -> list[slice]:
+    """In-block ranges of the ``layers``-thick slab at face ``(axis, sign)``."""
+    spans = [slice(None)] * 3
+    spans[axis] = slice(0, layers) if sign < 0 else slice(block - layers, block)
+    return spans
+
+
+def _slab_means(values6, valid6, coords, spans) -> np.ndarray:
+    """Mean over the valid cells of slab ``spans`` of each block at
+    ``coords``, in float64; NaN where the slab holds no valid cell.
+
+    The sum runs in the order NumPy reduces the same slab of a whole
+    ``(nbx, ·, nby, ·, nbz, ·)`` grid over its in-block axes — pairwise
+    along each contiguous row, the row sums then added one at a time in C
+    order — so the means, and with them the padded grid and every blob made
+    from it, do not depend on which blocks were gathered.  A row is the
+    last in-block axis, extended over the in-block axes before it for as
+    long as the block axis in between has extent 1.
     """
-    nb = tuple(dim // block for dim in values.shape)
-    v6 = values.reshape(nb[0], block, nb[1], block, nb[2], block)
-    w6 = weights.reshape(nb[0], block, nb[1], block, nb[2], block)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for axis, sign in _FACES:
-        inner_axis = 2 * axis + 1
-        slab = slice(0, avg_layers) if sign < 0 else slice(block - avg_layers, block)
-        index: list[slice] = [slice(None)] * 6
-        index[inner_axis] = slab
-        reduce_axes = (1, 3, 5)
-        num = (v6[tuple(index)] * w6[tuple(index)]).sum(axis=reduce_axes, dtype=np.float64)
-        den = w6[tuple(index)].sum(axis=reduce_axes, dtype=np.float64)
-        with np.errstate(invalid="ignore"):
-            out[(axis, sign)] = num / den
-    return out
+    valid = valid6[_cells(coords, spans)]
+    values = np.where(valid, values6[_cells(coords, spans)], 0).astype(np.float64)
+    n_blocks, lx, ly, lz = values.shape
+    _nbx, _, nby, _, nbz, _ = values6.shape
+    row = lz * (ly if nbz == 1 else 1) * (lx if nbz == 1 and nby == 1 else 1)
+    rows = values.reshape(n_blocks, -1, row).sum(axis=2)
+    with np.errstate(invalid="ignore"):
+        return np.add.accumulate(rows, axis=1)[:, -1] / valid.sum(axis=(1, 2, 3))
 
 
 def gsp_pad(
@@ -95,7 +118,9 @@ def gsp_pad(
     Parameters
     ----------
     data, mask:
-        Level values (zero outside ``mask``) and validity mask.
+        Level values, zero outside ``mask`` (what
+        :meth:`~repro.amr.hierarchy.AMRLevel.masked_data` returns: cells no
+        ghost reaches are copied through as given), and validity mask.
     block_size:
         Unit block edge (Alg. 3 operates block-wise).
     pad_layers:
@@ -106,80 +131,65 @@ def gsp_pad(
         Number of neighbour boundary slices ``y`` averaged into the pad
         value.
     """
-    block_size = check_positive_int(block_size, name="block_size")
     avg_layers = check_positive_int(avg_layers, name="avg_layers")
-    if data.shape != mask.shape:
-        raise ValueError("data and mask shapes differ")
+    blocks = collect_blocks(data, mask, block_size)
+    block_size = blocks.block_size
     avg_layers = min(avg_layers, block_size)
     x_layers = block_size if pad_layers is None else min(int(pad_layers), block_size)
     if x_layers <= 0:
         raise ValueError("pad_layers must be positive")
 
-    values = pad_to_blocks(np.where(mask, data, data.dtype.type(0)), block_size)
-    weights = pad_to_blocks(np.asarray(mask, dtype=np.float64), block_size)
-    occ = block_occupancy(mask, block_size)
+    occ = blocks.occ
     nb = occ.shape
-    n = values.shape
-
-    slab_means = _face_slab_means(values, weights, block_size, avg_layers)
-
-    accum = np.zeros(n, dtype=np.float64)
-    count = np.zeros(n, dtype=np.int32)
-
+    padded = np.array(blocks.data) if blocks.data is data else blocks.data
+    padded6 = _block_view(padded, block_size)
+    valid6 = _block_view(blocks.mask, block_size)
+    # Sums and counts of the ghost values reaching each empty block: one
+    # entry per block when every face fills the whole block, else per cell.
+    res = 1 if x_layers == block_size else block_size
+    total = np.zeros((nb[0], res, nb[1], res, nb[2], res), dtype=np.float64)
+    count = np.zeros(total.shape, dtype=np.int32)
     for axis, sign in _FACES:
         # Empty blocks whose (axis, sign) neighbour is non-empty.
-        neighbour_occ = np.zeros(nb, dtype=bool)
-        src: list[slice] = [slice(None)] * 3
-        dst: list[slice] = [slice(None)] * 3
-        if sign > 0:
-            dst[axis] = slice(0, nb[axis] - 1)
-            src[axis] = slice(1, nb[axis])
-        else:
-            dst[axis] = slice(1, nb[axis])
-            src[axis] = slice(0, nb[axis] - 1)
-        neighbour_occ[tuple(dst)] = occ[tuple(src)]
-        recipients = ~occ & neighbour_occ
-        if not recipients.any():
+        here: list[slice] = [slice(None)] * 3
+        there: list[slice] = [slice(None)] * 3
+        here[axis] = slice(0, nb[axis] - 1) if sign > 0 else slice(1, nb[axis])
+        there[axis] = slice(1, nb[axis]) if sign > 0 else slice(0, nb[axis] - 1)
+        recipients = list(np.nonzero(~occ[tuple(here)] & occ[tuple(there)]))
+        if not recipients[0].size:
             continue
-        # Ghost value per recipient block = neighbour's facing slab mean.
-        neighbour_face = (axis, -sign)  # the neighbour's face adjacent to us
-        means = slab_means[neighbour_face]
-        ghost_block = np.zeros(nb, dtype=np.float64)
-        ghost_block[tuple(dst)] = means[tuple(src)]
-        valid_block = np.zeros(nb, dtype=bool)
-        valid_block[tuple(dst)] = np.isfinite(means[tuple(src)])
-        recipients &= valid_block
-        if not recipients.any():
-            continue
-        # Write each recipient block's facing slab (thickness x_layers)
-        # through one batched fancy-indexed accumulate — only recipient
-        # cells are touched, instead of expanding whole block grids to cell
-        # resolution.  Recipient blocks are distinct within a face, so the
-        # slab cells are disjoint and a plain ``+=`` is exact.
-        bx, by, bz = (idx.astype(np.int64) for idx in np.nonzero(recipients))
-        vals = ghost_block[recipients]
-        if sign > 0:  # neighbour is at higher index: pad the block's top slab
-            slab = np.arange(block_size - x_layers, block_size, dtype=np.int64)
-        else:
-            slab = np.arange(0, x_layers, dtype=np.int64)
-        full = np.arange(block_size, dtype=np.int64)
-        spans = [full, full, full]
-        spans[axis] = slab
-        ix = (bx[:, None] * block_size + spans[0])[:, :, None, None]
-        iy = (by[:, None] * block_size + spans[1])[:, None, :, None]
-        iz = (bz[:, None] * block_size + spans[2])[:, None, None, :]
-        accum[ix, iy, iz] += vals[:, None, None, None]
-        count[ix, iy, iz] += 1
+        neighbours = list(recipients)
+        recipients[axis] = recipients[axis] + (sign < 0)
+        neighbours[axis] = neighbours[axis] + (sign > 0)
+        # Ghost value = mean of the neighbour's slab facing us.
+        means = _slab_means(
+            padded6, valid6, neighbours, _slab(axis, -sign, avg_layers, block_size)
+        )
+        reached = np.isfinite(means)
+        # Recipient blocks are distinct within a face, so a plain fancy
+        # ``+=`` is exact.
+        cells = _cells(
+            [idx[reached] for idx in recipients],
+            _slab(axis, sign, x_layers, block_size) if res > 1 else [slice(None)] * 3,
+        )
+        total[cells] += means[reached, None, None, None]
+        count[cells] += 1
 
-    pad_mask = count > 0
-    padded = values.astype(np.float64)
-    padded[pad_mask] = accum[pad_mask] / count[pad_mask]
+    hit = count > 0
+    ghosts = (total[hit] / count[hit]).astype(data.dtype)
+    if res == 1:
+        bx, _, by, _, bz, _ = np.nonzero(hit)
+        padded6[bx, :, by, :, bz, :] = ghosts[:, None, None, None]
+        pad_mask = hit.reshape(nb).repeat(block_size, 0).repeat(block_size, 1).repeat(block_size, 2)
+    else:
+        pad_mask = hit.reshape(padded.shape)
+        padded[pad_mask] = ghosts
     return GSPResult(
-        padded=padded.astype(data.dtype),
+        padded=padded,
         pad_mask=pad_mask,
         orig_shape=data.shape,
         block_size=block_size,
-        n_padded_blocks=int((~occ & block_occupancy(pad_mask, block_size)).sum()),
+        n_padded_blocks=int(hit.any(axis=(1, 3, 5)).sum()),
     )
 
 

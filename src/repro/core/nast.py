@@ -11,13 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocks import (
-    BlockExtraction,
-    block_occupancy,
-    gather_blocks,
-    pad_to_blocks,
-)
-from repro.utils.validation import check_positive_int
+from repro.core.blocks import BlockExtraction, collect_blocks, gather_blocks
 
 
 def nast_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockExtraction:
@@ -32,20 +26,14 @@ def nast_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockEx
     block_size:
         Unit block edge length in cells.
     """
-    block_size = check_positive_int(block_size, name="block_size")
-    if data.shape != mask.shape:
-        raise ValueError("data and mask shapes differ")
-    padded = pad_to_blocks(np.asarray(data), block_size)
-    occ = block_occupancy(mask, block_size)
-    extraction = BlockExtraction(
-        padded_shape=padded.shape, orig_shape=data.shape, block_size=block_size
-    )
-    origins_blocks = np.argwhere(occ)
+    blocks = collect_blocks(data, mask, block_size)
+    extraction = blocks.extraction()
+    origins_blocks = np.argwhere(blocks.occ)
     if origins_blocks.size == 0:
         return extraction
-    origins = (origins_blocks * block_size).astype(np.int32)
-    shape = (block_size, block_size, block_size)
-    extraction.groups[shape] = gather_blocks(padded, origins, shape)
+    origins = (origins_blocks * blocks.block_size).astype(np.int32)
+    shape = (blocks.block_size,) * 3
+    extraction.groups[shape] = gather_blocks(blocks.data, origins, shape)
     extraction.coords[shape] = origins
     extraction.perms[shape] = np.zeros(origins.shape[0], dtype=np.uint8)
     return extraction

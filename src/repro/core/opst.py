@@ -23,9 +23,11 @@ avoid it at medium densities.
 Implementation notes (NumPy idioms): the DP is evaluated as an incremental
 erosion — a cube of edge ``s`` is full iff its occupancy box-sum equals
 ``s³``, an O(1) integral-image query — giving ``BS`` in ``maxSide``
-whole-array passes instead of a per-cell Python recurrence; the bounded
-re-computation after each extraction re-runs the same vectorized query on
-just the affected index window.
+whole-array passes instead of a per-cell Python recurrence.  The bounded
+update after an extraction needs no recount at all: occupancy only ever
+shrinks, so the new ``BS`` of an anchor is its old one capped by how far
+the anchor lies beyond the extracted cube — one ``minimum`` over the
+affected index window.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ import numpy as np
 
 from repro.core.blocks import (
     BlockExtraction,
-    block_occupancy,
+    collect_blocks,
     gather_blocks,
     integral_image,
-    pad_to_blocks,
 )
-from repro.utils.validation import check_positive_int
 
 
 def compute_bs(occ: np.ndarray, max_side: int | None = None) -> np.ndarray:
@@ -90,51 +90,6 @@ def _box(table, x0, y0, z0, x1, y1, z1):
     )
 
 
-def _recompute_window(bs, occ, lo, hi, cap) -> None:
-    """Re-run the BS erosion for anchors in the window ``[lo, hi)``.
-
-    Only anchors at indices >= the extraction origin and within ``cap``
-    (the paper's ``maxSide``) of it can change, so the window is bounded
-    regardless of grid size.  The box queries only reach ``cap`` blocks
-    before the window, so a *local* integral image over that support
-    region replaces the full-grid rebuild the caller used to pay for
-    after every extraction.
-    """
-    xs = np.arange(lo[0], hi[0])
-    ys = np.arange(lo[1], hi[1])
-    zs = np.arange(lo[2], hi[2])
-    if xs.size == 0 or ys.size == 0 or zs.size == 0:
-        return
-    window_occ = occ[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
-    new_bs = window_occ.astype(np.int32)
-    # Support region of every query box: anchors' far corners lie in
-    # (lo, hi]; near corners reach back at most cap-1 blocks.
-    base = tuple(max(lo[d] + 1 - cap, 0) for d in range(3))
-    table = integral_image(
-        occ[base[0] : hi[0], base[1] : hi[1], base[2] : hi[2]]
-    )
-    x1 = xs[:, None, None] + 1 - base[0]
-    y1 = ys[None, :, None] + 1 - base[1]
-    z1 = zs[None, None, :] + 1 - base[2]
-    for s in range(2, cap + 1):
-        x0 = x1 - s
-        y0 = y1 - s
-        z0 = z1 - s
-        # Global-coordinate validity: the box must start inside the grid.
-        valid = (x0 >= -base[0]) & (y0 >= -base[1]) & (z0 >= -base[2])
-        if not valid.any():
-            break
-        counts = _box(table, np.maximum(x0, 0), np.maximum(y0, 0), np.maximum(z0, 0), x1, y1, z1)
-        full = valid & (counts == s**3)
-        if not full.any():
-            # No s-cube in the window is full, so no larger cube can be
-            # (every full (s+1)-cube contains a full s-cube at the same
-            # far corner) — the erosion is done.
-            break
-        new_bs[full] = s
-    bs[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = new_bs
-
-
 def opst_plan(occ: np.ndarray) -> list[tuple[tuple[int, int, int], int]]:
     """Run Alg. 1 on an occupancy grid; return ``(origin_block, size)`` cubes.
 
@@ -142,19 +97,21 @@ def opst_plan(occ: np.ndarray) -> list[tuple[tuple[int, int, int], int]]:
     unit blocks.  The returned cubes are disjoint and cover every occupied
     block exactly once.
     """
-    occ = np.asarray(occ, dtype=bool).copy()
     bs = compute_bs(occ)
     max_side = int(bs.max(initial=0))
     if max_side == 0:
         return []
-    nb = occ.shape
+    nb = bs.shape
     bs_flat = bs.ravel()  # C-order view: cheap per-anchor size lookup
     stride_x = nb[1] * nb[2]
+    # reach[max_side - size:][i]: how far the i-th anchor of an update
+    # window lies beyond the far corner of a size-``size`` extraction.
+    reach = np.maximum(np.arange(1 - max_side, max_side, dtype=bs.dtype), 0)
     cubes: list[tuple[tuple[int, int, int], int]] = []
-    # Reverse scan order (Alg. 1 line 11, bottom-right-rear first).  The
-    # sorted anchor list is refreshed lazily: anchors whose BS was zeroed by
-    # a previous extraction are skipped on visit.
-    for flat in range(occ.size - 1, -1, -1):
+    # Reverse scan order (Alg. 1 line 11, bottom-right-rear first) over the
+    # anchors that start with BS >= 1 — extractions only ever lower BS, so
+    # no other anchor can come to hold a cube; one zeroed since is skipped.
+    for flat in np.flatnonzero(bs_flat)[::-1].tolist():
         size = int(bs_flat[flat])
         if size < 1:
             continue
@@ -162,42 +119,47 @@ def opst_plan(occ: np.ndarray) -> list[tuple[tuple[int, int, int], int]]:
         y, z = divmod(rem, nb[2])
         origin = (x - size + 1, y - size + 1, z - size + 1)
         cubes.append((origin, size))
-        occ[origin[0] : x + 1, origin[1] : y + 1, origin[2] : z + 1] = False
-        bs[origin[0] : x + 1, origin[1] : y + 1, origin[2] : z + 1] = 0
-        # Bounded partial update (Alg. 1's updateBs): anchors whose cube
-        # could overlap the removed region.  The window recompute builds
-        # its own local integral image, so no full-grid refresh is needed.
-        lo = origin
-        hi = (
-            min(origin[0] + size + max_side - 1, nb[0]),
-            min(origin[1] + size + max_side - 1, nb[1]),
-            min(origin[2] + size + max_side - 1, nb[2]),
+        # Bounded partial update (Alg. 1's updateBs).  BS was exact, so
+        # every cube up to BS at an anchor was full; one is not any more
+        # iff it overlaps the extraction, i.e. iff it is larger than the
+        # anchor's Chebyshev reach beyond the extraction's far corner —
+        # the new BS is the smaller of the two, no recount needed.  Only
+        # anchors at or after the origin on every axis and within
+        # ``max_side`` of it can overlap, and those past the far corner
+        # along x were visited (and zeroed) earlier in the scan — which for
+        # a unit cube, most extractions on real levels, leaves nothing.
+        if size == 1:
+            bs_flat[flat] = 0
+            continue
+        window = bs[
+            origin[0] : x + 1,
+            origin[1] : origin[1] + size + max_side - 1,
+            origin[2] : origin[2] + size + max_side - 1,
+        ]
+        beyond = reach[max_side - size :]
+        np.minimum(
+            window,
+            np.maximum(beyond[: window.shape[1], None], beyond[None, : window.shape[2]]),
+            out=window,
         )
-        _recompute_window(bs, occ, lo, hi, max_side)
     return cubes
 
 
 def opst_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockExtraction:
     """Full OpST pre-process: plan maximal cubes and gather them by size."""
-    block_size = check_positive_int(block_size, name="block_size")
-    if data.shape != mask.shape:
-        raise ValueError("data and mask shapes differ")
-    padded = pad_to_blocks(np.asarray(data), block_size)
-    occ = block_occupancy(mask, block_size)
-    extraction = BlockExtraction(
-        padded_shape=padded.shape, orig_shape=data.shape, block_size=block_size
-    )
-    cubes = opst_plan(occ)
+    blocks = collect_blocks(data, mask, block_size)
+    extraction = blocks.extraction()
+    cubes = opst_plan(blocks.occ)
     if not cubes:
         return extraction
     by_size: dict[int, list[tuple[int, int, int]]] = {}
     for origin, size in cubes:
         by_size.setdefault(size, []).append(origin)
     for size, origins_blocks in sorted(by_size.items()):
-        edge = size * block_size
+        edge = size * blocks.block_size
         shape = (edge, edge, edge)
-        origins = (np.asarray(origins_blocks, dtype=np.int64) * block_size).astype(np.int32)
-        extraction.groups[shape] = gather_blocks(padded, origins, shape)
+        origins = (np.asarray(origins_blocks, dtype=np.int64) * blocks.block_size).astype(np.int32)
+        extraction.groups[shape] = gather_blocks(blocks.data, origins, shape)
         extraction.coords[shape] = origins
         extraction.perms[shape] = np.zeros(origins.shape[0], dtype=np.uint8)
     return extraction

@@ -1,0 +1,172 @@
+"""Cell-resolution reference implementations of the TAC pre-processes.
+
+``gsp_pad_cells`` and ``opst_plan_full`` are the implementations
+``repro.core.gsp.gsp_pad`` and ``repro.core.opst.opst_plan`` had before
+they moved onto the unit-block grid, kept verbatim as oracles: the fast
+versions must reproduce them bit for bit (``test_preprocess_oracles.py``),
+which is what keeps blobs, goldens and compression ratios where they are.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.blocks import integral_image, pad_to_blocks
+from repro.core.gsp import GSPResult
+from repro.core.opst import compute_bs
+
+_FACES = [(axis, sign) for axis in range(3) for sign in (+1, -1)]
+
+
+def _occupancy(mask: np.ndarray, block: int) -> np.ndarray:
+    padded = pad_to_blocks(np.asarray(mask, dtype=bool), block)
+    nb = [dim // block for dim in padded.shape]
+    return padded.reshape(nb[0], block, nb[1], block, nb[2], block).any(axis=(1, 3, 5))
+
+
+def _face_slab_means(values, weights, block, avg_layers):
+    """Mean of each block's boundary slab for all six faces, valid cells
+    only: ``{(axis, sign): (nbx, nby, nbz) float64}``, NaN where a slab
+    holds no valid cell."""
+    nb = tuple(dim // block for dim in values.shape)
+    v6 = values.reshape(nb[0], block, nb[1], block, nb[2], block)
+    w6 = weights.reshape(nb[0], block, nb[1], block, nb[2], block)
+    out = {}
+    for axis, sign in _FACES:
+        slab = slice(0, avg_layers) if sign < 0 else slice(block - avg_layers, block)
+        index = [slice(None)] * 6
+        index[2 * axis + 1] = slab
+        num = (v6[tuple(index)] * w6[tuple(index)]).sum(axis=(1, 3, 5), dtype=np.float64)
+        den = w6[tuple(index)].sum(axis=(1, 3, 5), dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            out[(axis, sign)] = num / den
+    return out
+
+
+def gsp_pad_cells(data, mask, block_size, *, pad_layers=None, avg_layers=2) -> GSPResult:
+    """Ghost-shell padding with cell-resolution accumulators."""
+    avg_layers = min(avg_layers, block_size)
+    x_layers = block_size if pad_layers is None else min(int(pad_layers), block_size)
+    values = pad_to_blocks(np.where(mask, data, data.dtype.type(0)), block_size)
+    weights = pad_to_blocks(np.asarray(mask, dtype=np.float64), block_size)
+    occ = _occupancy(mask, block_size)
+    nb = occ.shape
+    n = values.shape
+    slab_means = _face_slab_means(values, weights, block_size, avg_layers)
+    accum = np.zeros(n, dtype=np.float64)
+    count = np.zeros(n, dtype=np.int32)
+    for axis, sign in _FACES:
+        neighbour_occ = np.zeros(nb, dtype=bool)
+        src = [slice(None)] * 3
+        dst = [slice(None)] * 3
+        if sign > 0:
+            dst[axis] = slice(0, nb[axis] - 1)
+            src[axis] = slice(1, nb[axis])
+        else:
+            dst[axis] = slice(1, nb[axis])
+            src[axis] = slice(0, nb[axis] - 1)
+        neighbour_occ[tuple(dst)] = occ[tuple(src)]
+        recipients = ~occ & neighbour_occ
+        if not recipients.any():
+            continue
+        means = slab_means[(axis, -sign)]
+        ghost_block = np.zeros(nb, dtype=np.float64)
+        ghost_block[tuple(dst)] = means[tuple(src)]
+        valid_block = np.zeros(nb, dtype=bool)
+        valid_block[tuple(dst)] = np.isfinite(means[tuple(src)])
+        recipients &= valid_block
+        if not recipients.any():
+            continue
+        bx, by, bz = (idx.astype(np.int64) for idx in np.nonzero(recipients))
+        vals = ghost_block[recipients]
+        if sign > 0:
+            slab = np.arange(block_size - x_layers, block_size, dtype=np.int64)
+        else:
+            slab = np.arange(0, x_layers, dtype=np.int64)
+        full = np.arange(block_size, dtype=np.int64)
+        spans = [full, full, full]
+        spans[axis] = slab
+        ix = (bx[:, None] * block_size + spans[0])[:, :, None, None]
+        iy = (by[:, None] * block_size + spans[1])[:, None, :, None]
+        iz = (bz[:, None] * block_size + spans[2])[:, None, None, :]
+        accum[ix, iy, iz] += vals[:, None, None, None]
+        count[ix, iy, iz] += 1
+    pad_mask = count > 0
+    padded = values.astype(np.float64)
+    padded[pad_mask] = accum[pad_mask] / count[pad_mask]
+    return GSPResult(
+        padded=padded.astype(data.dtype),
+        pad_mask=pad_mask,
+        orig_shape=data.shape,
+        block_size=block_size,
+        n_padded_blocks=int((~occ & _occupancy(pad_mask, block_size)).sum()),
+    )
+
+
+def _box(table, x0, y0, z0, x1, y1, z1):
+    return (
+        table[x1, y1, z1]
+        - table[x0, y1, z1]
+        - table[x1, y0, z1]
+        - table[x1, y1, z0]
+        + table[x0, y0, z1]
+        + table[x0, y1, z0]
+        + table[x1, y0, z0]
+        - table[x0, y0, z0]
+    )
+
+
+def _recompute_window(bs, occ, lo, hi, cap) -> None:
+    """Re-run the BS erosion for the anchors in ``[lo, hi)`` from a local
+    integral image over their support region."""
+    xs = np.arange(lo[0], hi[0])
+    ys = np.arange(lo[1], hi[1])
+    zs = np.arange(lo[2], hi[2])
+    if xs.size == 0 or ys.size == 0 or zs.size == 0:
+        return
+    new_bs = occ[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]].astype(np.int32)
+    base = tuple(max(lo[d] + 1 - cap, 0) for d in range(3))
+    table = integral_image(occ[base[0] : hi[0], base[1] : hi[1], base[2] : hi[2]])
+    x1 = xs[:, None, None] + 1 - base[0]
+    y1 = ys[None, :, None] + 1 - base[1]
+    z1 = zs[None, None, :] + 1 - base[2]
+    for s in range(2, cap + 1):
+        x0 = x1 - s
+        y0 = y1 - s
+        z0 = z1 - s
+        valid = (x0 >= -base[0]) & (y0 >= -base[1]) & (z0 >= -base[2])
+        if not valid.any():
+            break
+        counts = _box(table, np.maximum(x0, 0), np.maximum(y0, 0), np.maximum(z0, 0), x1, y1, z1)
+        full = valid & (counts == s**3)
+        if not full.any():
+            break
+        new_bs[full] = s
+    bs[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = new_bs
+
+
+def opst_plan_full(occ: np.ndarray) -> list[tuple[tuple[int, int, int], int]]:
+    """Alg. 1 visiting every anchor and re-eroding the whole ``maxSide``
+    window from the occupancy grid after each extraction."""
+    occ = np.asarray(occ, dtype=bool).copy()
+    bs = compute_bs(occ)
+    max_side = int(bs.max(initial=0))
+    if max_side == 0:
+        return []
+    nb = occ.shape
+    bs_flat = bs.ravel()
+    stride_x = nb[1] * nb[2]
+    cubes = []
+    for flat in range(occ.size - 1, -1, -1):
+        size = int(bs_flat[flat])
+        if size < 1:
+            continue
+        x, rem = divmod(flat, stride_x)
+        y, z = divmod(rem, nb[2])
+        origin = (x - size + 1, y - size + 1, z - size + 1)
+        cubes.append((origin, size))
+        occ[origin[0] : x + 1, origin[1] : y + 1, origin[2] : z + 1] = False
+        bs[origin[0] : x + 1, origin[1] : y + 1, origin[2] : z + 1] = 0
+        hi = tuple(min(origin[d] + size + max_side - 1, nb[d]) for d in range(3))
+        _recompute_window(bs, occ, origin, hi, max_side)
+    return cubes
