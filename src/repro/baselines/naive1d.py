@@ -23,6 +23,7 @@ from repro.core.plan import (
     DecodeUnit,
     DecompressionPlan,
     PlanExecutorMixin,
+    level_box,
     level_mask,
     mask_units,
     region_slices,
@@ -97,7 +98,7 @@ class Naive1DCompressor(PlanExecutorMixin):
         return DecompressionPlan(units)
 
     def assemble(self, comp, level: int, results: dict, structure, box) -> AMRLevel:
-        mask = level_mask(results, structure, level)
+        mask = level_mask(comp, results, structure, level, level_box(comp.meta["shapes"][level]))
         return _scattered(mask, results[f"L{level}/values"], level, box)
 
 

@@ -107,9 +107,8 @@ class Uniform3DCompressor(PlanExecutorMixin):
         within the same error bound (a mean of values each within ``eb`` of
         the same original is within ``eb``).
         """
-        slices = region_slices(box)
-        mask = level_mask(results, structure, level)[slices]
-        window = self._grid(comp, results, level)[slices]
+        mask = level_mask(comp, results, structure, level, box)
+        window = self._grid(comp, results, level)[region_slices(box)]
         data = np.where(mask, window, window.dtype.type(0))
         return AMRLevel(data=data, mask=mask, level=level)
 

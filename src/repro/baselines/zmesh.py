@@ -34,6 +34,7 @@ from repro.core.plan import (
     DecodeUnit,
     DecompressionPlan,
     PlanExecutorMixin,
+    level_box,
     level_mask,
     mask_units,
 )
@@ -149,8 +150,10 @@ class ZMeshCompressor(PlanExecutorMixin):
         level's ``(mask, stored values)``; a level is then a scatter and a
         slice."""
         if "levels" not in results:
-            n_levels = len(comp.meta["shapes"])
-            masks = [level_mask(results, structure, idx) for idx in range(n_levels)]
+            masks = [
+                level_mask(comp, results, structure, idx, level_box(shape))
+                for idx, shape in enumerate(comp.meta["shapes"])
+            ]
             values = np.empty_like(results["stream"])
             values[_order(masks)] = results["stream"]
             ends = np.cumsum([np.count_nonzero(mask) for mask in masks])

@@ -138,14 +138,38 @@ def pack_mask(mask: np.ndarray, level: int = 1) -> bytes:
     return zlib.compress(np.packbits(np.asarray(mask, dtype=bool).ravel()).tobytes(), level)
 
 
-def unpack_mask(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    """Invert :func:`pack_mask` for a known shape."""
-    size = int(np.prod(shape))
+def inflate_mask(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """The packed bits of a :func:`pack_mask` payload (read-only uint8, C
+    scan order, most significant bit first), checked to cover ``shape``."""
     packed = np.frombuffer(zlib.decompress(payload), dtype=np.uint8)
-    if 8 * packed.size < size:
+    if 8 * packed.size < int(np.prod(shape)):
         raise ValueError("mask payload shorter than the declared shape")
+    return packed
+
+
+def unpack_mask_box(packed: np.ndarray, shape: tuple[int, int, int], box) -> np.ndarray:
+    """``mask[box]`` from the packed bits of a 3D mask of ``shape``.
+
+    Only what the box needs is unpacked: when rows are whole bytes
+    (``nz % 8 == 0``) the bytes its rows touch, otherwise the bit run of
+    its x-range — the whole mask when the box covers the level.
+    """
+    nx, ny, nz = shape
+    (x0, x1), (y0, y1), (z0, z1) = box
+    if nz % 8 == 0:
+        rows = packed[: nx * ny * nz // 8].reshape(nx, ny, nz // 8)
+        first = z0 // 8
+        bits = np.unpackbits(rows[x0:x1, y0:y1, first : -(-z1 // 8)], axis=2)
+        return bits[:, :, z0 - 8 * first : z1 - 8 * first].view(bool)
+    lo, hi = x0 * ny * nz, x1 * ny * nz
+    bits = np.unpackbits(packed[lo // 8 : -(-hi // 8)], count=lo % 8 + hi - lo)[lo % 8 :]
     # The unpacked 0/1 bytes are the mask: viewed, not copied.
-    return np.unpackbits(packed, count=size).view(bool).reshape(shape)
+    return bits.reshape(x1 - x0, ny, nz)[:, y0:y1, z0:z1].view(bool)
+
+
+def unpack_mask(payload: bytes, shape: tuple[int, int, int]) -> np.ndarray:
+    """Invert :func:`pack_mask` for a known shape."""
+    return unpack_mask_box(inflate_mask(payload, shape), shape, tuple((0, dim) for dim in shape))
 
 
 def collapse_part_sizes(

@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
-from repro.core.container import MASK_PREFIX, unpack_mask
+from repro.core.container import MASK_PREFIX, inflate_mask, unpack_mask_box
 from repro.sz.compressor import BATCH_VALUES, SharedTableResolver, SZCompressor
 from repro.utils.timer import TimingRecord, timed
 from repro.utils.validation import check_positive_int
@@ -338,8 +338,10 @@ def level_box(shape) -> tuple[tuple[int, int], ...]:
 
 def mask_units(comp, idx: int) -> list[DecodeUnit]:
     """Level ``idx``'s stored mask as a plan unit: box-less, so it is
-    load-bearing like a layout record.  Empty when the blob stores no
-    masks (the caller's ``structure`` supplies them then)."""
+    load-bearing like a layout record.  Its result is the mask's *packed*
+    bits — an eighth of the mask, which is what a caching reader then
+    holds — for :func:`level_mask` to unpack a box of.  Empty when the blob
+    stores no masks (the caller's ``structure`` supplies them then)."""
     name = f"{MASK_PREFIX}L{idx}"
     if name not in comp.parts:
         return []
@@ -349,23 +351,23 @@ def mask_units(comp, idx: int) -> list[DecodeUnit]:
             key=name,
             level=idx,
             part_names=(name,),
-            decode=lambda: unpack_mask(comp.parts[name], shape),
+            decode=lambda: inflate_mask(comp.parts[name], shape),
         )
     ]
 
 
-def level_mask(results: dict, structure, idx: int) -> np.ndarray:
-    """Level ``idx``'s mask: the blob's (a :func:`mask_units` result), else
-    ``structure``'s."""
-    mask = results.get(f"{MASK_PREFIX}L{idx}")
-    if mask is not None:
-        return mask
+def level_mask(comp, results: dict, structure, idx: int, box) -> np.ndarray:
+    """``box`` of level ``idx``'s mask: the blob's (unpacked from a
+    :func:`mask_units` result), else ``structure``'s."""
+    packed = results.get(f"{MASK_PREFIX}L{idx}")
+    if packed is not None:
+        return unpack_mask_box(packed, tuple(comp.meta["shapes"][idx]), box)
     if structure is None:
         raise ValueError(
             "masks were not stored in the blob; pass the original dataset "
             "as `structure` to supply the AMR layout"
         )
-    return structure.levels[idx].mask
+    return structure.levels[idx].mask[region_slices(box)]
 
 
 class PlanExecutorMixin:

@@ -550,17 +550,19 @@ class TACCompressor(PlanExecutorMixin):
         of the bricks, or of the blocks, that meet it.
         """
         level_meta = self._level_meta(comp, level)
-        slices = region_slices(box)
-        mask = level_mask(results, structure, level)[slices]
         strategy = level_meta["strategy"]
         if strategy == "empty":
-            window = np.zeros(mask.shape, dtype=np.float32)
+            window = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.float32)
         elif strategy not in (Strategy.GSP.value, Strategy.ZF.value):
             window = _stitch_groups(level, results, box)
         elif level_meta.get("bricks"):
             window = _stitch_bricks(level_meta, level, results, box)
         else:
-            window = results[f"L{level}/grid"][slices]
+            window = results[f"L{level}/grid"][region_slices(box)]
+        # A box cut out of a larger bounding window is copied, which lets
+        # the window go before the mask is unpacked next to it.
+        window = np.ascontiguousarray(window)
+        mask = level_mask(comp, results, structure, level, box)
         data = np.where(mask, window, window.dtype.type(0))
         return AMRLevel(data=data, mask=mask, level=level)
 

@@ -12,11 +12,14 @@ them as a pipeline:
    into one ranged read);
 2. each window is fetched on a dedicated I/O pool and staged into the
    entry's :class:`~repro.core.container.LazyPartStore`;
-3. whenever windows land, every unit whose parts are now all staged is
-   handed to the decode pool as the plan's work items
-   (:func:`repro.core.plan.decode_jobs`): the bricks of a window share
-   lockstep SZ decode batches, one pool task per batch, not per brick —
-   while later windows are still in flight, overlapping network with CPU.
+3. the units are cut into the plan's work items
+   (:func:`repro.core.plan.decode_jobs`) once, before anything lands: a
+   closure unit each, SZ streams in lockstep decode batches.  An item
+   goes to the decode pool — one task per batch, not per brick — when the
+   last window holding a part of its members has landed, while the
+   windows of later items are still in flight, overlapping network with
+   CPU.  Which streams decode together is therefore a property of the
+   plan, not of the order fetches happen to complete in.
 
 Units already satisfied by a decoded-brick cache are skipped entirely
 (``preloaded``), and eager in-memory ``parts`` dicts degrade to a plain
@@ -244,8 +247,12 @@ class PrefetchPipeline:
         stats.n_decoded += len(pending)
         if not (hasattr(parts, "spans") and hasattr(parts, "prefetch")):
             plan = DecompressionPlan(list(pending))
-            errors = stats.unit_errors if allow_partial else None
-            results.update(execute_plan(plan, self._decode_workers, errors=errors))
+            results.update(
+                execute_plan(
+                    plan, self._decode_workers,
+                    errors=stats.unit_errors if allow_partial else None,
+                )
+            )
             return results, stats
 
         window_plan = _plan_windows(parts.spans(), pending, self.max_gap, allow_partial)
@@ -274,42 +281,39 @@ class PrefetchPipeline:
             for idx, names in enumerate(window_plan.window_names)
             if names
         }
-        # Units whose parts live in no window (eager sibling parts, empty
-        # part lists) are ready immediately.
-        waiting = {
-            unit.key: set(window_plan.unit_windows.get(unit.key, ()))
-            for unit in pending
-        }
         failed = stats.unit_errors
-        submitted: set[str] = set()
-        # (members, errors of this job's landing, future) per decode job.
-        decode_futures: list[tuple[list, dict | None, Future]] = []
+        errors = {} if allow_partial else None
+        # The work items are the plan's, fixed before any window lands:
+        # closure units one by one, SZ streams in batches.  Each waits for
+        # the windows of its own members (none when every part is an eager
+        # sibling or the part list is empty) and is then one decode task —
+        # so how many lockstep passes a request costs, and what they
+        # allocate, does not depend on the order fetches complete in.
+        items = decode_jobs(pending, errors)
+        waiting = [
+            {idx for unit in members for idx in window_plan.unit_windows.get(unit.key, ())}
+            for members, _run in items
+        ]
+        by_window: dict[int, list[int]] = {}
+        for item, windows in enumerate(waiting):
+            for idx in windows:
+                by_window.setdefault(idx, []).append(item)
+        unsubmitted = set(range(len(items)))
+        decode_futures: list[tuple[list, Future]] = []
 
-        def submit_ready(units) -> None:
-            """Hand the decode pool every unit of ``units`` that is ready
-            now (all its windows landed, not yet submitted or failed), as
-            the plan's work items: closure units one by one, SZ streams in
-            batches — each its own future."""
-            ready = []
-            for unit in units:
-                if (
-                    not waiting[unit.key]
-                    and unit.key not in submitted
-                    and unit.key not in failed
-                ):
-                    submitted.add(unit.key)
-                    ready.append(unit)
-            errors: dict | None = {} if allow_partial else None
-            for members, run in decode_jobs(ready, errors):
-                decode_futures.append(
-                    (members, errors, self._decode_pool.submit(decode, run))
-                )
+        def submit(item: int) -> None:
+            """Hand ``item`` to the decode pool; members that failed while it
+            waited (their window was lost) are left out."""
+            unsubmitted.discard(item)
+            members, run = items[item]
+            alive = [unit for unit in members if unit.key not in failed]
+            jobs = [(members, run)] if len(alive) == len(members) else decode_jobs(alive, errors)
+            for members, run in jobs:
+                decode_futures.append((members, self._decode_pool.submit(decode, run)))
 
-        submit_ready(pending)
-        by_window: dict[int, list] = {}
-        for unit in pending:
-            for idx in waiting[unit.key]:
-                by_window.setdefault(idx, []).append(unit)
+        for item, windows in enumerate(waiting):
+            if not windows:
+                submit(item)
 
         def reap_fetch_straggler(future) -> None:
             # Runs on the I/O pool when a cancelled-but-already-running
@@ -329,10 +333,11 @@ class PrefetchPipeline:
                 stats.n_stragglers += 1
 
         def deadline_error() -> DeadlineExceeded:
+            n_submitted = len(pending) - sum(len(items[item][0]) for item in unsubmitted)
             return DeadlineExceeded(
                 f"request deadline of {deadline.seconds:.3f}s expired with "
                 f"{len(in_flight)} fetch window(s) outstanding and "
-                f"{len(submitted)} decode(s) submitted"
+                f"{n_submitted} decode(s) submitted"
             )
 
         in_flight = set(fetch_futures)
@@ -342,19 +347,6 @@ class PrefetchPipeline:
                 done, in_flight = wait(
                     in_flight, timeout=timeout, return_when=FIRST_COMPLETED
                 )
-                if not done:
-                    # Deadline expired waiting on a stalled fetch.
-                    stats.deadline_hit = True
-                    for future in in_flight:
-                        if not future.cancel():
-                            future.add_done_callback(reap_fetch_straggler)
-                    if not allow_partial:
-                        raise deadline_error()
-                    for key, waits in waiting.items():
-                        if waits and key not in submitted:
-                            failed.setdefault(key, deadline_error())
-                    break
-                landed: list = []
                 for future in done:
                     idx = fetch_futures[future]
                     try:
@@ -362,32 +354,36 @@ class PrefetchPipeline:
                     except Exception as exc:
                         if not allow_partial:
                             raise
-                        bad = getattr(exc, "bad_parts", None)
-                        for unit in by_window.get(idx, ()):
-                            if bad and not (set(unit.part_names) & set(bad)):
-                                # Prefetch staged every good part before
-                                # raising: this unit touches none of the
-                                # bad ones, so its window effectively
-                                # landed.
-                                waiting[unit.key].discard(idx)
-                                landed.append(unit)
-                            else:
-                                failed.setdefault(unit.key, exc)
-                        continue
-                    expired = deadline is not None and deadline.expired()
-                    if expired:
-                        stats.deadline_hit = True
-                        if not allow_partial:
-                            raise deadline_error()
-                    for unit in by_window.get(idx, ()):
-                        waiting[unit.key].discard(idx)
-                        if expired:
-                            if unit.key not in submitted:
-                                failed.setdefault(unit.key, deadline_error())
-                        else:
-                            landed.append(unit)
-                submit_ready(landed)
-            for members, errors, future in decode_futures:
+                        # Prefetch staged every good part before raising:
+                        # a unit touching none of the bad ones has, in
+                        # effect, landed.
+                        bad = set(getattr(exc, "bad_parts", None) or ())
+                        for item in by_window.get(idx, ()):
+                            for unit in items[item][0]:
+                                if idx in window_plan.unit_windows.get(unit.key, ()) and (
+                                    not bad or bad & set(unit.part_names)
+                                ):
+                                    failed.setdefault(unit.key, exc)
+                if deadline is not None and (not done or deadline.expired()):
+                    # The budget is gone — waiting on a stalled fetch, or as
+                    # a window landed.  Nothing more is submitted.
+                    stats.deadline_hit = True
+                    for future in in_flight:
+                        if not future.cancel():
+                            future.add_done_callback(reap_fetch_straggler)
+                    if not allow_partial:
+                        raise deadline_error()
+                    for item in unsubmitted:
+                        for unit in items[item][0]:
+                            failed.setdefault(unit.key, deadline_error())
+                    break
+                for future in done:
+                    idx = fetch_futures[future]
+                    for item in by_window.get(idx, ()):
+                        waiting[item].discard(idx)
+                        if not waiting[item]:
+                            submit(item)
+            for members, future in decode_futures:
                 timeout = None if deadline is None else max(0.0, deadline.remaining())
                 try:
                     results.update(future.result(timeout=timeout))

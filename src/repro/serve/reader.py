@@ -302,8 +302,8 @@ class ArchiveReader:
                 if unit.key not in preloaded and unit.key in results:
                     decoded = results[unit.key]
                     # Only arrays are shared across requests (decoded
-                    # bricks, groups, the unpacked mask), and a whole-level
-                    # read hands the mask out as is: freeze them.
+                    # bricks, groups, the mask's packed bits), and an
+                    # assembly may hand one out as is: freeze them.
                     if isinstance(decoded, np.ndarray):
                         decoded.setflags(write=False)
                         self.cache.put((key, level, unit.key), decoded)
