@@ -41,6 +41,7 @@ from repro.core.container import (
     LazyCompressedDataset,
     collapse_part_sizes,
 )
+from repro.core.plan import check_level_indices, normalize_region
 from repro.engine import (
     CompressionEngine,
     CompressionJob,
@@ -587,15 +588,23 @@ def cmd_extract(args) -> int:
         )
         return 2
 
-    if args.region is not None:
-        if not args.level or len(args.level) != 1:
-            print("error: --region needs exactly one --level", file=sys.stderr)
-            return 2
-        try:
+    if args.region is not None and (not args.level or len(args.level) != 1):
+        print("error: --region needs exactly one --level", file=sys.stderr)
+        return 2
+    # A level or region the entry does not have is a usage error, told
+    # before anything is decoded (the read path would raise the same).
+    shapes = entry.meta["shapes"]
+    try:
+        if args.level is not None:
+            check_level_indices(args.level, len(shapes))
+        if args.region is not None:
             region = _parse_region(args.region)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            normalize_region(region, shapes[args.level[0]])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.region is not None:
         level = args.level[0]
         data = codec.decompress_region(entry, level, region, decode_workers=args.workers)
         np.savez_compressed(args.output, data=data, level=np.int64(level))

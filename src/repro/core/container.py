@@ -845,7 +845,14 @@ class LazyCompressedDataset(_SizeAccounting):
         ``mmap=True`` serves parts through a lock-free memory mapping
         (path sources only).
         """
-        return cls._parse(make_source(source, mmap=mmap), offset)
+        src = make_source(source, mmap=mmap)
+        try:
+            return cls._parse(src, offset)
+        except Exception:
+            # A blob that does not parse never becomes a dataset, so nobody
+            # else can close the source opened for it.
+            src.close()
+            raise
 
     @classmethod
     def _parse(

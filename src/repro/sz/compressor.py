@@ -433,6 +433,7 @@ def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
                     raise ValueError("outlier count mismatch (corrupt stream)")
                 residuals[row, positions] = outliers
         ebs = [member.parsed.header.eb_abs for member in members]
+        del symbols  # not needed by the reconstruction, whose peak is this function's
         if meta["predictor"] == "interp":
             return interp_decompress(residuals, ebs, shape)
         return [

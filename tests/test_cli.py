@@ -307,6 +307,27 @@ class TestExtractCommand:
         ]) == 2
         assert "region" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "request_args, told",
+        [
+            (["--level", "7"], "level indices [7] out of range"),
+            (["--level", "0", "--level", "-1"], "level indices [-1] out of range"),
+            (["--level", "0", "--region", "200:300,0:4,0:4"], "empty region on axis 0"),
+            (["--level", "1", "--region", "0:4,6:2,0:4"], "empty region on axis 1"),
+            (["--level", "9", "--region", "0:4,0:4,0:4"], "level indices [9] out of range"),
+        ],
+    )
+    def test_extract_of_a_level_or_region_the_entry_lacks_is_a_usage_error(
+        self, archive, tmp_path, capsys, request_args, told
+    ):
+        """``error: ...`` and exit 2, not a ValueError traceback — and
+        nothing written."""
+        out = tmp_path / "x.npz"
+        assert main(["extract", str(archive), "-o", str(out), *request_args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and told in captured.err
+        assert "Traceback" not in captured.err and not out.exists()
+
     def test_decompress_with_workers_matches_serial(self, archive, tmp_path):
         serial = tmp_path / "s.npz"
         parallel = tmp_path / "p.npz"

@@ -254,6 +254,45 @@ class TestRL002:
         )
         assert run_rules(tmp_path, ["RL002"]) == []
 
+    def test_fires_on_inline_acquisition_handed_to_a_fallible_call(self, tmp_path):
+        """The ``LazyCompressedDataset.open`` leak: the source is opened in
+        the argument list, so when the parse raises nobody holds it."""
+        write(
+            tmp_path,
+            "container.py",
+            """
+            class Lazy:
+                @classmethod
+                def open(cls, path, offset=0):
+                    return cls._parse(make_source(path), offset)
+            """,
+        )
+        findings = run_rules(tmp_path, ["RL002"])
+        assert rule_lines(findings, "RL002") == [4]
+        assert "make_source" in findings[0].message and "cls._parse" in findings[0].message
+
+    def test_inline_acquisition_adopted_by_a_wrapper_or_context_is_clean(self, tmp_path):
+        write(
+            tmp_path,
+            "sources.py",
+            """
+            from contextlib import ExitStack, closing
+
+            def wrap(path, opener, plan):
+                return ThrottledSource(opener(path), plan)
+
+            def chain(base, plan):
+                return faulty_opener(default_shard_opener(base), plan)
+
+            def read(path):
+                with ExitStack() as stack:
+                    fh = stack.enter_context(open(path, "rb"))
+                    with closing(make_source(path)) as src:
+                        return fh.read(), src.read_at(0, 4)
+            """,
+        )
+        assert run_rules(tmp_path, ["RL002"]) == []
+
     def test_init_acquisition_with_later_call_fires(self, tmp_path):
         """__init__ is stricter: the caller never sees a partially built
         object, so any fallible later step must be try-wrapped."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -495,9 +496,9 @@ class TestRetryingOpener:
 class TestOpenClosesSourceOnFailure:
     """LazyBatchArchive.open must not leak the source when parsing fails."""
 
-    def _tracking_make_source(self, monkeypatch):
+    def _tracking_make_source(self, monkeypatch, module=archive_mod):
         opened: list[object] = []
-        real = archive_mod.make_source
+        real = module.make_source
 
         def tracked(source, *, mmap=False):
             src = real(source, mmap=mmap)
@@ -511,7 +512,7 @@ class TestOpenClosesSourceOnFailure:
             src.close = close
             return src
 
-        monkeypatch.setattr(archive_mod, "make_source", tracked)
+        monkeypatch.setattr(module, "make_source", tracked)
         return opened
 
     def _assert_all_closed(self, opened):
@@ -553,6 +554,24 @@ class TestOpenClosesSourceOnFailure:
         opened = self._tracking_make_source(monkeypatch)
         with pytest.raises(ValueError, match="shard_opener"):
             LazyBatchArchive.open(head_path.read_bytes())
+        self._assert_all_closed(opened)
+
+    @pytest.mark.parametrize("damage", ["magic", "truncated"])
+    def test_lazy_dataset_open_of_a_file_that_does_not_parse(
+        self, monkeypatch, tmp_path, tac_blob, damage
+    ):
+        """``LazyCompressedDataset.open(path)`` opened the file inline in
+        ``_parse``'s argument list, so a blob that failed to parse kept its
+        handle open with nobody to close it."""
+        import repro.core.container as container_mod
+
+        _codec, comp = tac_blob
+        blob = comp.to_bytes()
+        path = tmp_path / "bad.tac"
+        path.write_bytes(b"XXXX" + blob[4:] if damage == "magic" else blob[:40])
+        opened = self._tracking_make_source(monkeypatch, container_mod)
+        with pytest.raises((ValueError, ContainerIOError)):
+            container_mod.LazyCompressedDataset.open(path)
         self._assert_all_closed(opened)
 
     def test_successful_open_keeps_source(self, monkeypatch, tmp_path, tac_blob):
@@ -802,6 +821,106 @@ class TestPrefetchPipeline:
         assert all(
             isinstance(exc, DeadlineExceeded) for exc in stats.unit_errors.values()
         )
+
+    @staticmethod
+    def _windowed_streams(per_window: int = 3, n_windows: int = 4):
+        """SZ brick streams laid out in ``n_windows`` runs separated by gaps
+        (one fetch window each at ``max_gap=0``), their units, and the
+        offset of every window."""
+        sz = SZCompressor()
+        rng = np.random.default_rng(11)
+        arrays = {f"b{i}": rng.random((8, 8, 8)) for i in range(per_window * n_windows)}
+        payload, index, starts = b"", {}, []
+        for i, (name, arr) in enumerate(arrays.items()):
+            if i % per_window == 0:
+                payload += bytes(64)
+                starts.append(len(payload))
+            blob = sz.compress(arr, 1e-3)
+            index[name] = (len(payload), len(blob))
+            payload += blob
+        return sz, arrays, payload, index, starts
+
+    def test_work_items_come_from_the_plan_not_from_landing_order(self, monkeypatch):
+        """Windows landing in any order, any distance apart: the streams
+        are cut into the same decode batches, once, before anything lands,
+        and the results are bit-identical."""
+        import repro.serve.prefetch as prefetch_mod
+        from repro.core.plan import decode_jobs
+
+        sz, arrays, payload, index, starts = self._windowed_streams()
+
+        class ShuffledSource(CountingSource):
+            """Delays each window by its rank in this trial's shuffle."""
+
+            def __init__(self, payload, order):
+                super().__init__(payload)
+                self.rank = {start: order.index(i) for i, start in enumerate(starts)}
+
+            def read_at(self, offset, length):
+                time.sleep(0.01 * self.rank[offset])
+                return super().read_at(offset, length)
+
+        planned, ran = [], []
+
+        def recording_jobs(units, errors=None):
+            jobs = decode_jobs(units, errors)
+            planned.append([[u.key for u in members] for members, _run in jobs])
+
+            def recorded(members, run):
+                ran.append([u.key for u in members])
+                return run()
+
+            return [(members, partial(recorded, members, run)) for members, run in jobs]
+
+        monkeypatch.setattr(prefetch_mod, "decode_jobs", recording_jobs)
+        expected = None
+        for seed in range(4):
+            order = list(np.random.default_rng(seed).permutation(len(starts)))
+            store = LazyPartStore(ShuffledSource(payload, order), index)
+            units = [
+                DecodeUnit(
+                    name, 0, (name,), None,
+                    sz_blob=lambda name=name: store[name], sz_shape=(8, 8, 8),
+                )
+                for name in arrays
+            ]
+            if expected is None:
+                expected = [[u.key for u in members] for members, _run in decode_jobs(units)]
+                assert [len(item) for item in expected] == [len(arrays)]  # one batch
+            planned.clear(), ran.clear()
+            with PrefetchPipeline(io_workers=4, decode_workers=2, max_gap=0) as pipeline:
+                results, stats = pipeline.execute(store, units)
+            assert stats.n_fetches == len(starts)
+            assert planned == [expected] and ran == expected
+            for name, arr in arrays.items():
+                np.testing.assert_array_equal(results[name], sz.decompress(sz.compress(arr, 1e-3)))
+
+    def test_item_with_a_lost_window_decodes_its_surviving_members(self):
+        sz, arrays, payload, index, starts = self._windowed_streams()
+
+        class OneBadWindow(CountingSource):
+            def read_at(self, offset, length):
+                if offset == starts[1]:
+                    raise OSError("window lost")
+                return super().read_at(offset, length)
+
+        store = LazyPartStore(OneBadWindow(payload), index)
+        units = [
+            DecodeUnit(
+                name, 0, (name,), None, box=((0, 8),) * 3,
+                sz_blob=lambda name=name: store[name], sz_shape=(8, 8, 8),
+            )
+            for name in arrays
+        ]
+        with PrefetchPipeline(io_workers=4, decode_workers=2, max_gap=0) as pipeline:
+            results, stats = pipeline.execute(store, units, allow_partial=True)
+        lost = {"b3", "b4", "b5"}
+        assert set(stats.unit_errors) == lost
+        assert set(results) == set(arrays) - lost
+        np.testing.assert_array_equal(
+            results["b6"], sz.decompress(sz.compress(arrays["b6"], 1e-3))
+        )
+        assert store._staged == {}
 
     def test_failed_fetch_discards_staged(self):
         src = CountingSource(bytes(512), fail_first=0)

@@ -19,6 +19,13 @@ Acquisition spellings recognized (the repo's opener seams): the builtin
 ``opener(...)`` callables, ``make_source``, and ``*Writer`` / ``*Source``
 constructors.
 
+An acquisition written *inline* as an argument — ``parse(make_source(p))``
+— has no name at all: when the receiving call raises, nothing can close
+it (the ``LazyCompressedDataset.open`` leak).  That is flagged unless the
+receiver is itself an acquisition spelling (a ``*Source`` / ``*Writer`` /
+``*_opener`` wrapper adopts what it is given) or a context adopter
+(``enter_context``, ``closing``).
+
 Safe shapes (never flagged): ``with <acquire>(...) as x``, a value later
 used as a ``with`` context, ``return <acquire>(...)`` directly, and the
 try/except-close idiom::
@@ -52,6 +59,8 @@ _ACQUIRE_TAIL = re.compile(
 )
 #: Calls on the owned value (or session/self) that release or transfer it.
 _RELEASE_METHODS = {"close", "abort", "release", "shutdown", "detach", "__exit__"}
+#: Calls that take over an unnamed resource passed inline and close it.
+_CONTEXT_ADOPTERS = {"enter_context", "closing"}
 
 
 def _is_acquire_call(node: ast.AST) -> bool:
@@ -225,6 +234,7 @@ class LeakOnRaise(Rule):
         yield from visit(module.tree)
 
     def _check_function(self, module, func, context) -> Iterable[Finding]:
+        yield from self._check_inline_acquisitions(module, func, context)
         acquisitions = self._acquisitions(func)
         if not acquisitions:
             return
@@ -233,6 +243,28 @@ class LeakOnRaise(Rule):
             if acq.var in analysis.with_contexts:
                 continue  # managed by a with statement
             yield from self._check_acquisition(module, func, context, acq, analysis)
+
+    def _check_inline_acquisitions(self, module, func, context) -> Iterable[Finding]:
+        for node in walk_scope(func):
+            if not isinstance(node, ast.Call) or _is_acquire_call(node):
+                continue
+            receiver = call_name(node) or "<call>"
+            if receiver.rsplit(".", 1)[-1] in _CONTEXT_ADOPTERS:
+                continue
+            for arg in list(node.args) + [kw.value for kw in node.keywords]:
+                if _is_acquire_call(arg):
+                    yield Finding(
+                        rule=self.rule_id,
+                        path=module.relpath,
+                        line=arg.lineno,
+                        col=arg.col_offset,
+                        message=(
+                            f"'{call_name(arg)}(...)' is acquired inline as an argument "
+                            f"of '{receiver}': if that call raises, the unnamed resource "
+                            f"leaks; bind it to a name and close it on failure"
+                        ),
+                        context=context,
+                    )
 
     def _acquisitions(self, func) -> list[_Acquisition]:
         in_init = func.name == "__init__"
