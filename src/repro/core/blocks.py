@@ -88,20 +88,15 @@ class LevelBlocks:
     (GSP, NaST, OpST, AKDTree) starts from, made in one pass per level.
 
     ``data`` and ``mask`` are zero-padded to whole unit blocks (the arrays
-    passed in, not copies, when the level already is), ``counts`` holds
-    the valid cells of every block.
+    passed in, not copies, when the level already is); ``occ`` is the
+    occupancy grid, True where a block holds any valid cell.
     """
 
     block_size: int
     orig_shape: tuple[int, int, int]
     data: np.ndarray
     mask: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def occ(self) -> np.ndarray:
-        """Occupancy grid: True where a block holds any valid cell."""
-        return self.counts > 0
+    occ: np.ndarray
 
     def extraction(self, padded_shape: tuple[int, int, int] | None = None) -> "BlockExtraction":
         """An empty extraction over this level's (default: padded) grid."""
@@ -113,7 +108,8 @@ class LevelBlocks:
 
 
 def collect_blocks(data: np.ndarray, mask: np.ndarray, block_size: int) -> LevelBlocks:
-    """Pre-collect a level: pad to whole unit blocks, count valid cells."""
+    """Pre-collect a level: pad to whole unit blocks, count the valid cells
+    of each, derive occupancy."""
     block_size = check_positive_int(block_size, name="block_size")
     if data.shape != mask.shape:
         raise ValueError("data and mask shapes differ")
@@ -123,7 +119,7 @@ def collect_blocks(data: np.ndarray, mask: np.ndarray, block_size: int) -> Level
         orig_shape=data.shape,
         data=pad_to_blocks(np.asarray(data), block_size),
         mask=mask,
-        counts=block_counts(mask, block_size),
+        occ=block_occupancy(mask, block_size),
     )
 
 

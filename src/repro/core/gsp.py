@@ -95,8 +95,9 @@ def _slab_means(values6, valid6, coords, spans) -> np.ndarray:
     last in-block axis, extended over the in-block axes before it for as
     long as the block axis in between has extent 1.
     """
-    valid = valid6[_cells(coords, spans)]
-    values = np.where(valid, values6[_cells(coords, spans)], 0).astype(np.float64)
+    cells = _cells(coords, spans)
+    valid = valid6[cells]
+    values = np.where(valid, values6[cells], 0).astype(np.float64)
     n_blocks, lx, ly, lz = values.shape
     _nbx, _, nby, _, nbz, _ = values6.shape
     row = lz * (ly if nbz == 1 else 1) * (lx if nbz == 1 and nby == 1 else 1)
@@ -141,7 +142,9 @@ def gsp_pad(
 
     occ = blocks.occ
     nb = occ.shape
-    padded = np.array(blocks.data) if blocks.data is data else blocks.data
+    # The result is written through its block view, so it must own a C-ordered
+    # buffer: zero-padding made one, a level that needed none is copied.
+    padded = np.array(data, order="C") if blocks.data is data else blocks.data
     padded6 = _block_view(padded, block_size)
     valid6 = _block_view(blocks.mask, block_size)
     # Sums and counts of the ghost values reaching each empty block: one

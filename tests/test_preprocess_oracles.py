@@ -95,6 +95,13 @@ class TestGSPAgainstCellResolution:
         assert fast.pad_mask[:4, 4:, :4].any()  # the y-neighbour did
         assert np.isfinite(fast.padded).all()
 
+    def test_memory_layout_of_the_input_does_not_matter(self):
+        data, mask = level((16, 16, 16), 4, np.float64, 0, ragged=True)
+        expected = gsp_pad(data, mask, 4)
+        for view in (np.asfortranarray(data), np.repeat(data, 2, axis=2)[:, :, ::2]):
+            assert not view.flags.c_contiguous
+            assert_same_padding(gsp_pad(view, mask, 4), expected)
+
     def test_result_does_not_alias_the_input(self):
         data, mask = level((16, 16, 16), 4, np.float32, 0)
         before = data.copy()
