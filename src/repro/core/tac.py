@@ -547,7 +547,8 @@ class TACCompressor(PlanExecutorMixin):
         """Unit results → ``box`` of one reconstructed level.
 
         Only the window the box covers is ever allocated: the bounding box
-        of the bricks, or of the blocks, that meet it.
+        of the bricks, or of the blocks, that meet it — and a box that is
+        its whole window is returned in that buffer.
         """
         level_meta = self._level_meta(comp, level)
         strategy = level_meta["strategy"]
@@ -558,12 +559,15 @@ class TACCompressor(PlanExecutorMixin):
         elif level_meta.get("bricks"):
             window = _stitch_bricks(level_meta, level, results, box)
         else:
-            window = results[f"L{level}/grid"][region_slices(box)]
-        # A box cut out of a larger bounding window is copied, which lets
-        # the window go before the mask is unpacked next to it.
-        window = np.ascontiguousarray(window)
+            # The decoded grid stays the read's (a cache may hold it).
+            window = results[f"L{level}/grid"][region_slices(box)].copy()
+        # The window is this call's own: a box cut out of a larger bounding
+        # window is copied, which lets that go before the mask is unpacked
+        # next to it, and the cells outside the mask are zeroed in place.
+        data = np.ascontiguousarray(window)
+        del window
         mask = level_mask(comp, results, structure, level, box)
-        data = np.where(mask, window, window.dtype.type(0))
+        np.putmask(data, ~mask, 0)
         return AMRLevel(data=data, mask=mask, level=level)
 
     # ------------------------------------------------------------------

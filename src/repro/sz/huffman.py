@@ -362,13 +362,16 @@ class HuffmanCodec:
         """
         width = self.table_bits
         size = 1 << width
-        table_sym = np.zeros(size, dtype=np.int32)
-        # int64 lengths so ``positions += lens`` in decode needs no cast.
-        table_len = np.zeros(size, dtype=np.int64)
+        # Stored in the narrowest types that hold them (3 bytes an entry for
+        # the usual 8193-symbol alphabet): a decoder cache of per-brick
+        # tables outlives every read.  ``decode_many`` widens the tables of
+        # one pass to the types its gathers and ``positions += lens`` want.
+        table_sym = np.zeros(size, dtype=np.min_scalar_type(max(self.lengths.size - 1, 0)))
+        table_len = np.zeros(size, dtype=np.uint8)
         spans = np.int64(1) << (width - self._canon_lens)
         used = int(spans.sum())
-        table_sym[:used] = np.repeat(self._canon_syms.astype(np.int32), spans)
-        table_len[:used] = np.repeat(self._canon_lens, spans)
+        table_sym[:used] = np.repeat(self._canon_syms.astype(table_sym.dtype), spans)
+        table_len[:used] = np.repeat(self._canon_lens.astype(np.uint8), spans)
         self._table_sym = table_sym
         self._table_len = table_len
 
@@ -482,17 +485,18 @@ def decode_many(codecs, streams) -> np.ndarray:
     for codec in tables.values():
         if codec._table_sym is None:
             codec._build_table()
+    # The pass's own copy of the tables: concatenated, and widened to int32
+    # symbols (the output's type) and int64 lengths (the positions').
+    syms = np.concatenate([codec._table_sym for codec in tables.values()], dtype=np.int32)
+    lens = np.concatenate([codec._table_len for codec in tables.values()], dtype=np.int64)
     if len(tables) == 1:
-        only = codecs[0]
-        lane_tables = _LaneTables(
-            only._table_sym, only._table_len, None, np.uint32(32 - only.table_bits)
-        )
+        lane_tables = _LaneTables(syms, lens, None, np.uint32(32 - codecs[0].table_bits))
     else:
         sizes = [codec._table_sym.size for codec in tables.values()]
         base_of = dict(zip(tables, np.cumsum([0] + sizes[:-1]).tolist()))
         lane_tables = _LaneTables(
-            np.concatenate([codec._table_sym for codec in tables.values()]),
-            np.concatenate([codec._table_len for codec in tables.values()]),
+            syms,
+            lens,
             per_lane([base_of[id(codec)] for codec in codecs]).astype(np.uint32),
             per_lane([32 - codec.table_bits for codec in codecs]).astype(np.uint32),
         )
