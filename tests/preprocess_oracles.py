@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.blocks import integral_image, pad_to_blocks
 from repro.core.gsp import GSPResult
-from repro.core.opst import compute_bs
+from repro.core.opst import _box, compute_bs  # the integral-image query, unchanged
 
 _FACES = [(axis, sign) for axis in range(3) for sign in (+1, -1)]
 
@@ -100,19 +100,6 @@ def gsp_pad_cells(data, mask, block_size, *, pad_layers=None, avg_layers=2) -> G
         orig_shape=data.shape,
         block_size=block_size,
         n_padded_blocks=int((~occ & _occupancy(pad_mask, block_size)).sum()),
-    )
-
-
-def _box(table, x0, y0, z0, x1, y1, z1):
-    return (
-        table[x1, y1, z1]
-        - table[x0, y1, z1]
-        - table[x1, y0, z1]
-        - table[x1, y1, z0]
-        + table[x0, y0, z1]
-        + table[x0, y1, z0]
-        + table[x1, y0, z0]
-        - table[x0, y0, z0]
     )
 
 

@@ -22,6 +22,8 @@ The acceptance bar for the random-access refactor:
 
 from __future__ import annotations
 
+import random
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -29,13 +31,26 @@ import numpy as np
 import pytest
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
-from repro.core.container import MASK_PREFIX, LazyCompressedDataset
+from repro.core.container import (
+    MASK_PREFIX,
+    LazyCompressedDataset,
+    inflate_mask,
+    pack_mask,
+    unpack_mask,
+    unpack_mask_box,
+)
 from repro.core.density import Strategy
 from repro.core.gsp import brick_boxes, deserialize_brick_table
 from repro.core.layout import blocks_in_region, deserialize_layout, layout_shapes
-from repro.core.plan import PlanExecutorMixin, normalize_region
+from repro.core.plan import PlanExecutorMixin, level_mask, normalize_region
 from repro.core.tac import TACCompressor
-from repro.engine import BatchArchive, codec_names, get_codec, supports_partial_decode
+from repro.engine import (
+    BatchArchive,
+    codec_names,
+    default_shard_opener,
+    get_codec,
+    supports_partial_decode,
+)
 from repro.serve import ArchiveReader
 from tests.helpers import smooth_cube, two_level_dataset
 
@@ -766,11 +781,6 @@ def test_cold_roi_read_peak_repeats_whatever_order_the_windows_land_in(tmp_path)
     with shard reads delayed in a different shuffled order on every repeat
     the bytes are identical and the ``tracemalloc`` peaks agree within 3 %
     (batches re-formed per landing event spread them by 10-70 %)."""
-    import random
-    import time
-
-    from repro.engine import default_shard_opener
-
     n = 64
     ds = AMRDataset(
         levels=[AMRLevel(data=smooth_cube(n, seed=2), mask=np.ones((n,) * 3, dtype=bool), level=0)],
@@ -837,9 +847,6 @@ class TestLevelMaskBox:
 
     @pytest.mark.parametrize("shape", sorted(BOXES))
     def test_box_is_the_slice_of_the_full_unpack(self, shape):
-        from repro.core.container import inflate_mask, pack_mask, unpack_mask, unpack_mask_box
-        from repro.core.plan import level_mask
-
         mask = np.random.default_rng(sum(shape)).random(shape) < 0.4
         payload = pack_mask(mask)
         assert np.array_equal(unpack_mask(payload, shape), mask)
@@ -856,8 +863,6 @@ class TestLevelMaskBox:
             assert np.array_equal(level_mask(comp, {}, structure, 0, box), mask[slices])
 
     def test_aligned_rows_unpack_only_the_box(self):
-        from repro.core.container import inflate_mask, pack_mask, unpack_mask_box
-
         shape = (128, 128, 128)
         packed = inflate_mask(pack_mask(np.ones(shape, dtype=bool)), shape)
         tracemalloc.start()
