@@ -1,19 +1,11 @@
 """Fig. 13 — pre-process time of OpST vs AKDTree across densities."""
 
-import numpy as np
-
 from benchmarks.conftest import run_experiment
 from repro.experiments import fig13
 
 
 def bench_fig13_preprocess_time(benchmark, report):
     result = run_experiment(benchmark, fig13.run, report)
-    rows = result.rows
-    opst = np.array([r["opst_seconds"] for r in rows])
-    akd = np.array([r["akdtree_seconds"] for r in rows])
-    # Paper shape: OpST cost grows from low to mid/high density while
-    # AKDTree stays flat and cheap.
-    benchmark.extra_info["opst_growth"] = round(float(opst[3:].mean() / opst[0]), 2)
-    benchmark.extra_info["akd_over_opst"] = round(float(akd.max() / opst.max()), 3)
-    assert opst[3:].mean() > 1.3 * opst[0], "OpST time should grow with density"
-    assert akd.max() < opst.max(), "AKDTree should stay below OpST's peak"
+    violations, deviations = fig13.check(result)
+    benchmark.extra_info["deviations"] = sorted(deviations)
+    assert not violations, violations

@@ -66,19 +66,29 @@ def op_entry(seconds: float, n_values: int, nbytes: int | None = None) -> dict:
     }
 
 
+def _load(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except (ValueError, OSError):
+        return {}
+
+
 def merge_write(results: dict, path: Path | str = DEFAULT_OUTPUT, **meta) -> Path:
     """Merge op entries into the JSON trajectory file (create if absent).
 
     Existing entries for other ops are preserved, so the CLI suite and the
-    pytest emitters can each contribute their slice of the trajectory.
+    pytest emitters can each contribute their slice of the trajectory.  A
+    file holds one scale's numbers: rows measured at a ``scale`` other than
+    the file's ``_meta.scale`` go to
+    ``benchmarks/results/<stem>.scale<N>.json`` instead.
     """
     path = Path(path)
-    existing: dict = {}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except (ValueError, OSError):
-            existing = {}
+    existing = _load(path)
+    scale = meta.get("scale")
+    if scale is not None and existing.get(META_KEY, {}).get("scale", scale) != scale:
+        path = REPO_ROOT / "benchmarks" / "results" / f"{path.stem}.scale{scale}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        existing = _load(path)
     existing_meta = existing.get(META_KEY, {})
     existing.update(results)
     existing_meta.update(
@@ -351,70 +361,6 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     }
 
 
-def _shared_tables_ops(scale: int, repeats: int) -> dict:
-    """Per-stream vs shared-table entropy coding over one level's bricks.
-
-    The workload isolates the encode stage the shared-table mode targets:
-    the field is pre-chunked into 8^3 bricks and each brick is *prepared*
-    (predict + histogram) once, outside the timers, because that stage is
-    identical in both modes.  The per-stream op then pays one length-limited
-    table build per brick; the shared op pays one level-wide build plus the
-    table part serialization — the honest end-to-end cost of each mode's
-    entropy stage.
-    """
-    from repro.sim.nyx import generate_field
-    from repro.sz import SZCompressor
-    from repro.sz.compressor import SharedTableResolver
-    from repro.sz.huffman import SharedHuffmanTable
-
-    n = max(512 // scale, 32)
-    field = generate_field("baryon_density", n, seed=42)
-    codec = SZCompressor()
-    eb_abs = 1e-3 * float(field.max() - field.min())
-    brick = 8
-    prepared = codec.prepare_many(
-        [
-            field[x : x + brick, y : y + brick, z : z + brick]
-            for x in range(0, n, brick)
-            for y in range(0, n, brick)
-            for z in range(0, n, brick)
-        ],
-        eb_abs,
-        "abs",
-    )
-    assert all(p.counts is not None for p in prepared), "bricks must entropy-code"
-    max_len = codec.config.max_code_len
-
-    # The two calls TAC's ``_encode_streams`` makes, one per mode.
-    def encode_per_stream():
-        return codec.encode_prepared_many(prepared)
-
-    def encode_shared():
-        total = prepared[0].counts.copy()
-        for p in prepared[1:]:
-            total += p.counts
-        shared = SharedHuffmanTable.from_counts(total, max_len=max_len)
-        return shared.serialize(), codec.encode_prepared_many(prepared, shared=shared)
-
-    # Both modes must reconstruct identically (decode depends only on the
-    # symbol stream, not on which table coded it).
-    table_part, shared_blobs = encode_shared()
-    resolver = SharedTableResolver({"table": table_part}, "table")
-    per_blobs = encode_per_stream()
-    for sb, pb in zip(shared_blobs[:2], per_blobs[:2]):
-        assert np.array_equal(
-            codec.decompress(sb, shared_tables=resolver), codec.decompress(pb)
-        )
-    return {
-        "tac_compress_per_stream": op_entry(
-            time_op(encode_per_stream, repeats), field.size, field.nbytes
-        ),
-        "tac_compress_shared_tables": op_entry(
-            time_op(encode_shared, repeats), field.size, field.nbytes
-        ),
-    }
-
-
 def _codec_ops(scale: int, repeats: int) -> dict:
     """Compress / decompress / preprocess per registered paper codec."""
     from repro.engine.registry import get_codec
@@ -550,7 +496,6 @@ OP_GROUPS = {
     "huffman": _huffman_ops,
     "blocks": _blocks_ops,
     "sz": _sz_ops,
-    "shared_tables": _shared_tables_ops,
     "codecs": _codec_ops,
     "preprocess": _preprocess_ops,
     "ingest": _ingest_ops,
@@ -576,7 +521,6 @@ GROUP_OPS = {
     + tuple(
         f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
     ),
-    "shared_tables": ("tac_compress_per_stream", "tac_compress_shared_tables"),
     "codecs": tuple(
         f"{c}_{op}" for c in ("tac", "1d", "zmesh", "3d") for op in ("compress", "decompress")
     ) + ("tac_preprocess",),

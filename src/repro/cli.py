@@ -99,13 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--brick-size", type=int, default=None, metavar="N",
         help="edge of the independently-compressed bricks GSP/ZF levels are "
              "chunked into (TAC; ROI reads then decode only touched bricks); "
-             "0 writes the legacy single-stream layout, default 64",
-    )
-    p_comp.add_argument(
-        "--shared-tables", action="store_true",
-        help="encode each TAC level's streams under one shared Huffman table "
-             "(stored once per level; faster encode, smaller archives on "
-             "brick-chunked levels)",
+             "an edge at least the level's gives one stream, default 64",
     )
     p_comp.add_argument(
         "--profile", action="store_true",
@@ -175,10 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--level-workers", type=int, default=1,
         help="parallel AMR levels inside each TAC job",
-    )
-    p_batch.add_argument(
-        "--shared-tables", action="store_true",
-        help="encode each TAC level's streams under one shared Huffman table",
     )
     p_batch.add_argument(
         "--profile", action="store_true",
@@ -375,26 +365,14 @@ def _parse_cache_size(text: str) -> int:
     return _parse_size(text)
 
 
-def _build_codec(
-    method: str,
-    predictor: str = "interp",
-    brick_size: int | None = None,
-    shared_tables: bool = False,
-):
-    """A fresh codec from the registry, honouring CLI codec overrides.
-
-    ``brick_size`` follows the flag convention: ``None`` keeps the codec's
-    default, ``0`` disables bricking (legacy single-stream GSP/ZF levels),
-    a positive value sets the brick edge.  ``shared_tables`` switches TAC
-    to the one-Huffman-table-per-level encode mode.
-    """
+def _build_codec(method: str, predictor: str = "interp", brick_size: int | None = None):
+    """A fresh codec from the registry, honouring CLI codec overrides
+    (``brick_size=None`` keeps the codec's default brick edge)."""
     options: dict = {}
     if predictor != "interp":
         options["sz"] = SZConfig(predictor=predictor)
     if brick_size is not None:
-        options["brick_size"] = None if brick_size == 0 else brick_size
-    if shared_tables:
-        options["shared_tables"] = True
+        options["brick_size"] = brick_size
     return get_codec(method, **options)
 
 
@@ -474,19 +452,21 @@ def _print_profile(record, indent: str = "") -> None:
 def cmd_compress(args) -> int:
     # Flag validation precedes the dataset load — a typo must error
     # instantly, not after reading a multi-GB snapshot.
-    if args.brick_size is not None and args.brick_size < 0:
-        print("error: --brick-size must be >= 0 (0 disables bricking)", file=sys.stderr)
+    if args.brick_size is not None and args.brick_size <= 0:
+        print(
+            "error: --brick-size must be >= 1 (the single-stream layout that 0 "
+            "selected is retired; an edge at least the level's gives one stream)",
+            file=sys.stderr,
+        )
         return 2
     dataset = load_dataset(args.path)
     try:
-        compressor = _build_codec(
-            args.method, args.predictor, args.brick_size, args.shared_tables
-        )
+        compressor = _build_codec(args.method, args.predictor, args.brick_size)
     except TypeError:
         # A codec whose factory takes no `sz` config / `brick_size` knob.
         print(
             f"error: codec {args.method!r} does not accept the requested "
-            "--predictor/--brick-size/--shared-tables overrides",
+            "--predictor/--brick-size overrides",
             file=sys.stderr,
         )
         return 2
@@ -716,7 +696,6 @@ def cmd_batch(args) -> int:
         # process pools ship a filename instead of pickled levels.  Only
         # the cheap metadata record is read up front, for the label.
         field = peek_meta(path)["field"]
-        codec_options = {"shared_tables": True} if args.shared_tables else {}
         jobs.append(
             CompressionJob(
                 dataset=path,
@@ -724,7 +703,6 @@ def cmd_batch(args) -> int:
                 error_bound=args.eb,
                 mode=args.mode,
                 label=f"{path.stem}/{field}/{args.method}",
-                codec_options=codec_options,
             )
         )
     engine = CompressionEngine(

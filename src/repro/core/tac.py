@@ -63,7 +63,6 @@ from repro.core.plan import (
     region_slices,
 )
 from repro.sz.compressor import SharedTableResolver, SZCompressor, SZConfig
-from repro.sz.huffman import SharedHuffmanTable
 from repro.sz.stream import peek_header
 from repro.utils.timer import TimingRecord, timed
 from repro.utils.validation import check_positive_int
@@ -102,19 +101,11 @@ class TACConfig:
         Edge (cells) of the independently-compressed bricks a GSP/ZF
         padded grid is chunked into (strategy format 2: one container
         part + one decode unit per brick, so ROI reads decode only the
-        bricks they touch).  ``None`` writes the legacy single-stream
-        layout (format 1, one ``L<idx>/grid`` part) — what every blob
-        stored before the brick format existed; those blobs stay
-        readable either way.
+        bricks they touch).  An edge at least the padded grid's gives
+        one stream.  Blobs stored before the brick format existed (format
+        1, one ``L<idx>/grid`` part) stay readable.
     store_masks:
         Include packed validity masks in the output parts.
-    shared_tables:
-        Encode all of a level's streams under one shared Huffman table
-        (histogrammed level-wide, stored once as an ``L<idx>/table`` part)
-        instead of one table per stream.  Cuts encode time and table bytes
-        on many-stream levels (brick-chunked especially); decode resolves
-        each stream's ``SEC_TABLE_REF`` through the level part.  Off by
-        default — per-stream blobs are byte-identical to earlier writers.
     sz:
         Configuration of the underlying SZ codec.
     """
@@ -126,16 +117,19 @@ class TACConfig:
     force_strategy: Strategy | None = None
     pad_layers: int | None = None
     avg_layers: int = 2
-    brick_size: int | None = DEFAULT_BRICK_SIZE
+    brick_size: int = DEFAULT_BRICK_SIZE
     store_masks: bool = True
-    shared_tables: bool = False
     sz: SZConfig = field(default_factory=SZConfig)
 
     def __post_init__(self):
         if self.unit_block is not None:
             check_positive_int(self.unit_block, name="unit_block")
-        if self.brick_size is not None:
-            check_positive_int(self.brick_size, name="brick_size")
+        if self.brick_size is None:
+            raise ValueError(
+                "brick_size=None (the single-stream format-1 writer) is retired; "
+                "a brick_size at least the level's edge gives one stream per level"
+            )
+        check_positive_int(self.brick_size, name="brick_size")
         if not 0.0 < self.t1 <= self.t2 <= 1.0:
             raise ValueError(f"need 0 < t1 <= t2 <= 1, got t1={self.t1}, t2={self.t2}")
 
@@ -288,114 +282,60 @@ class TACCompressor(PlanExecutorMixin):
         block = cfg.unit_block or default_unit_block(lvl.n)
         meta["strategy"] = strategy.value
         meta["unit_block"] = block
-        data = lvl.masked_data()
-
+        result = self._preprocess(lvl, strategy, block, timings)
         if strategy in (Strategy.GSP, Strategy.ZF):
-            with timed(timings, "preprocess"):
-                if strategy is Strategy.GSP:
-                    result = gsp_pad(
-                        data, lvl.mask, block,
-                        pad_layers=cfg.pad_layers, avg_layers=cfg.avg_layers,
-                    )
-                else:
-                    result = zero_fill(data, lvl.mask, block)
-            meta["padded_shape"] = list(result.padded.shape)
-            orig_shape = data.shape
-            del data  # the padded grid supersedes the masked copy
-            if cfg.brick_size is None:
-                # Legacy single-stream layout (strategy format 1).
-                self._encode_streams(
-                    [(f"L{lvl.level}/grid", result.padded)], eb_abs, lvl.level,
-                    parts, timings, meta,
-                )
-                return meta
             # Strategy format 2: chunk the padded grid into independently
             # compressed bricks — one part per brick plus the brick table,
             # so an ROI read decodes only the bricks it touches.
             table = BrickTable(
                 padded_shape=result.padded.shape,
-                orig_shape=orig_shape,
+                orig_shape=lvl.shape,
                 brick_size=cfg.brick_size,
             )
             parts[f"L{lvl.level}/bricks"] = serialize_brick_table(table)
-            self._encode_streams(
-                [
-                    (f"L{lvl.level}/b{brick_idx}", result.padded[region_slices(box)])
-                    for brick_idx, box in enumerate(table.boxes())
-                ],
-                eb_abs, lvl.level, parts, timings, meta,
-            )
+            streams = {
+                f"L{lvl.level}/b{brick_idx}": result.padded[region_slices(box)]
+                for brick_idx, box in enumerate(table.boxes())
+            }
+            meta["padded_shape"] = list(result.padded.shape)
             meta["strategy_format"] = 2
             meta["bricks"] = {
                 "size": cfg.brick_size,
                 "grid": list(table.grid()),
                 "n": table.n_bricks(),
             }
-            return meta
-
-        extract = {
-            Strategy.OPST: opst_extract,
-            Strategy.AKDTREE: akdtree_extract,
-            Strategy.NAST: nast_extract,
-        }[strategy]
-        with timed(timings, "preprocess"):
-            extraction = extract(data, lvl.mask, block)
-        del data  # the extracted groups supersede the masked copy
-        parts[f"L{lvl.level}/layout"] = serialize_layout(extraction)
-        self._encode_streams(
-            [
-                (f"L{lvl.level}/g{group_idx}", extraction.groups[shape])
-                for group_idx, shape in enumerate(layout_shapes(extraction))
-            ],
-            eb_abs, lvl.level, parts, timings, meta,
-        )
-        meta["n_blocks"] = extraction.n_blocks()
-        meta["n_groups"] = len(extraction.groups)
+        else:
+            parts[f"L{lvl.level}/layout"] = serialize_layout(result)
+            streams = {
+                f"L{lvl.level}/g{group_idx}": result.groups[shape]
+                for group_idx, shape in enumerate(layout_shapes(result))
+            }
+            meta["n_blocks"] = result.n_blocks()
+            meta["n_groups"] = len(result.groups)
+        with timed(timings, "compress"):
+            blobs = self.codec.compress_many(list(streams.values()), eb_abs, mode="abs")
+        parts.update(zip(streams, blobs))
         return meta
 
-    def _encode_streams(
-        self,
-        items: list[tuple[str, np.ndarray]],
-        eb_abs: float,
-        idx: int,
-        parts: dict[str, bytes],
-        timings: TimingRecord,
-        meta: dict,
-    ) -> None:
-        """Entropy-code one level's streams into ``parts``.
-
-        Per-stream mode (default) compresses each array independently —
-        byte-identical to what earlier writers produced.  Shared-table mode
-        histograms every stream first, builds one level-wide code, stores
-        it once as ``L<idx>/table``, and encodes each stream against it
-        with a ``SEC_TABLE_REF``.  Streams that short-circuit (empty,
-        lossless fallback) contribute no counts; if *no* stream needs
-        entropy coding the table part is omitted entirely.
-        """
+    def _preprocess(self, lvl: AMRLevel, strategy: Strategy, block: int, timings: TimingRecord):
+        """The strategy's dense arrays for one level — the padded grid of
+        GSP/ZF, the shape groups of OpST/AKDTree/NaST — timed as
+        ``"preprocess"``; the masked copy they are cut from dies here."""
         cfg = self.config
-        names = [name for name, _arr in items]
-        arrays = [arr for _name, arr in items]
-        with timed(timings, "compress"):
-            if not cfg.shared_tables:
-                parts.update(zip(names, self.codec.compress_many(arrays, eb_abs, mode="abs")))
-                return
-            prepared = self.codec.prepare_many(arrays, eb_abs, mode="abs")
-            total = None
-            for prep in prepared:
-                if prep.counts is not None:
-                    total = prep.counts.copy() if total is None else total + prep.counts
-            shared = None
-            if total is not None:
-                shared = SharedHuffmanTable.from_counts(total, max_len=cfg.sz.max_code_len)
-                parts[f"L{idx}/table"] = shared.serialize(
-                    zlib_level=max(cfg.sz.zlib_level, 1)
+        data = lvl.masked_data()
+        with timed(timings, "preprocess"):
+            if strategy is Strategy.GSP:
+                return gsp_pad(
+                    data, lvl.mask, block, pad_layers=cfg.pad_layers, avg_layers=cfg.avg_layers
                 )
-                meta["shared_table"] = {
-                    "part": f"L{idx}/table",
-                    "id": shared.table_id,
-                    "alphabet": shared.alphabet,
-                }
-            parts.update(zip(names, self.codec.encode_prepared_many(prepared, shared=shared)))
+            if strategy is Strategy.ZF:
+                return zero_fill(data, lvl.mask, block)
+            extract = {
+                Strategy.OPST: opst_extract,
+                Strategy.AKDTREE: akdtree_extract,
+                Strategy.NAST: nast_extract,
+            }[strategy]
+            return extract(data, lvl.mask, block)
 
     # ------------------------------------------------------------------
     # decompression: the plan/assemble hook pair (see repro.core.plan)
@@ -580,23 +520,8 @@ class TACCompressor(PlanExecutorMixin):
         extraction/padding artifact.
         """
         block = block or self.config.unit_block or default_unit_block(lvl.n)
-        data = lvl.masked_data()
         record = TimingRecord()
-        with timed(record, "preprocess"):
-            if strategy is Strategy.GSP:
-                result: object = gsp_pad(
-                    data, lvl.mask, block,
-                    pad_layers=self.config.pad_layers, avg_layers=self.config.avg_layers,
-                )
-            elif strategy is Strategy.ZF:
-                result = zero_fill(data, lvl.mask, block)
-            else:
-                extract = {
-                    Strategy.OPST: opst_extract,
-                    Strategy.AKDTREE: akdtree_extract,
-                    Strategy.NAST: nast_extract,
-                }[strategy]
-                result = extract(data, lvl.mask, block)
+        result = self._preprocess(lvl, strategy, block, record)
         return result, record.get("preprocess")
 
 

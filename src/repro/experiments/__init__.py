@@ -2,7 +2,8 @@
 
 Each module exposes ``run(scale=...) -> ExperimentResult``; the benchmark
 harness under ``benchmarks/`` prints these results next to the paper's
-claims, and EXPERIMENTS.md records a full pass.
+claims and writes each pass to ``benchmarks/results/<experiment>.txt``
+(README, "Tests and benchmarks").
 """
 
 from repro.experiments import (

@@ -1,8 +1,9 @@
 """Shared infrastructure for the per-figure/table experiment modules.
 
 Every experiment module exposes ``run(scale=...) -> ExperimentResult`` with
-plain-dict rows, so the same code feeds the pytest-benchmark harness, the
-EXPERIMENTS.md generator, and interactive use.  Dataset synthesis is cached
+plain-dict rows, so the same code feeds the pytest-benchmark harness (which
+writes ``benchmarks/results/<experiment>.txt``), ``repro experiments`` and
+interactive use.  Dataset synthesis is cached
 per (name, scale, field) because several experiments share inputs.
 
 The global ``REPRO_SCALE`` environment variable overrides the default grid

@@ -46,7 +46,7 @@ def run(scale: int | None = None, reference_eb: float = DEFAULT_REFERENCE_EB) ->
             "TAC(1:1) ~ 3D baseline; TAC(3:1) clearly lower P(k) error at "
             "the same compression ratio.  [Repro: both TAC variants beat the "
             "baseline; the 3:1-vs-1:1 sub-ordering does not transfer to the "
-            "synthetic substrate — see EXPERIMENTS.md]"
+            "synthetic substrate — see benchmarks/results/fig19.txt]"
         ),
     )
 

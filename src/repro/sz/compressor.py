@@ -48,7 +48,6 @@ from repro.sz.huffman import (
     DEFAULT_MAX_LEN,
     HuffmanCodec,
     HuffmanEncoded,
-    SharedHuffmanTable,
     decode_many,
     encode_many,
 )
@@ -146,24 +145,6 @@ _SECTION_LABELS = {
 }
 
 
-@dataclass
-class PreparedStream:
-    """A stream that has run predict/quantize but not yet entropy coding.
-
-    Produced by :meth:`SZCompressor.prepare_many` so a caller can histogram many
-    streams before committing to a code table (shared-table mode).  When the
-    pipeline short-circuits (empty array, ``eb == 0`` lossless fallback) the
-    finished ``blob`` is stored instead and ``counts`` is ``None`` — such
-    streams contribute nothing to a shared histogram.
-    """
-
-    header: stream.StreamHeader
-    symbols: np.ndarray | None = None
-    outliers: np.ndarray | None = None
-    counts: np.ndarray | None = None
-    blob: bytes | None = None
-
-
 class SharedTableResolver:
     """Resolves ``SEC_TABLE_REF`` sections against a level's table part.
 
@@ -187,7 +168,13 @@ class SharedTableResolver:
         """The parsed shared table (fetching the part on first use)."""
         with self._lock:
             if self._table is None:
-                self._table = stream.unpack_shared_table(self._parts[self._part_name])
+                try:
+                    part = self._parts[self._part_name]
+                except KeyError:
+                    raise ValueError(
+                        f"blob holds no shared-table part {self._part_name!r}"
+                    ) from None
+                self._table = stream.unpack_shared_table(part)
             return self._table
 
     def resolve(self, ref: dict) -> dict:
@@ -508,121 +495,39 @@ class SZCompressor:
         arrays = list(arrays)
         keys = [(np.shape(arr), getattr(arr, "dtype", None)) for arr in arrays]
         out: list = [None] * len(arrays)
+        record = timings if timings is not None else TimingRecord()
         for batch in _batches(keys, [math.prod(shape) for shape, _dtype in keys]):
             if len(batch) == 1 or mode is ErrorMode.PW_REL:
                 for index in batch:
                     out[index], stats = self.compress_with_stats(arrays[index], error_bound, mode)
-                    if timings is not None:
-                        for span, seconds in stats.timings.spans.items():
-                            timings.add(span, seconds)
+                    for span, seconds in stats.timings.spans.items():
+                        record.add(span, seconds)
                 continue
-            # One batch at a time through both phases keeps the working
-            # set (symbols plus a histogram per member) to a single batch.
-            prepared = self.prepare_many([arrays[i] for i in batch], error_bound, mode, timings)
-            for index, blob in zip(batch, self.encode_prepared_many(prepared, timings=timings)):
-                out[index] = blob
-        return out
-
-    # -- shared-table mode ----------------------------------------------
-    def prepare(
-        self,
-        data,
-        error_bound: float,
-        mode: ErrorMode | str = ErrorMode.ABS,
-        timings: TimingRecord | None = None,
-    ) -> PreparedStream:
-        """:meth:`prepare_many` for a single array."""
-        return self.prepare_many([data], error_bound, mode, timings)[0]
-
-    def prepare_many(
-        self,
-        arrays: Sequence,
-        error_bound: float,
-        mode: ErrorMode | str = ErrorMode.ABS,
-        timings: TimingRecord | None = None,
-    ) -> list[PreparedStream]:
-        """Run the pipeline up to (but not including) entropy coding.
-
-        Returns one :class:`PreparedStream` per array; their ``counts`` can
-        be summed across streams to build one shared code table, and
-        :meth:`encode_prepared_many` finishes them.  Arrays of one shape
-        and dtype share a predict/histogram pass (see :meth:`compress_many`).
-        ``pw_rel`` mode is not supported (its sections interleave with the
-        lattice sections).
-        """
-        mode = ErrorMode(mode)
-        if mode is ErrorMode.PW_REL:
-            raise ValueError("shared-table preparation does not support pw_rel mode")
-        timings = timings if timings is not None else TimingRecord()
-        out: list[PreparedStream] = []
-        slots: list[int] = []  # streams that reach the lattice pipeline ...
-        arrs: list[np.ndarray] = []  # ... and their arrays
-        for data in arrays:
-            arr, header = self._open(data, error_bound, mode)
-            out.append(PreparedStream(header=header))
-            if arr.size == 0:
-                out[-1].blob = self._compress_empty(arr, header, timings)[0]
-                continue
-            header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
-            if header.eb_abs == 0.0:
-                out[-1].blob = self._compress_lossless(arr, header, timings)[0]
-                continue
-            slots.append(len(out) - 1)
-            arrs.append(arr)
-        keys = [(arr.shape, arr.dtype) for arr in arrs]
-        for batch in _batches(keys, [arr.size for arr in arrs]):
-            members = [out[slots[i]] for i in batch]
-            rows = self._prepare_symbols(
-                [arrs[i] for i in batch], [m.header.eb_abs for m in members], timings
-            )
-            for member, symbols, outliers, counts in zip(members, *rows):
-                member.symbols, member.outliers, member.counts = symbols, outliers, counts
-        return out
-
-    def encode_prepared(
-        self,
-        prepared: PreparedStream,
-        shared: SharedHuffmanTable | None = None,
-        timings: TimingRecord | None = None,
-    ) -> bytes:
-        """:meth:`encode_prepared_many` for a single stream."""
-        return self.encode_prepared_many([prepared], shared, timings)[0]
-
-    def encode_prepared_many(
-        self,
-        prepared: Sequence[PreparedStream],
-        shared: SharedHuffmanTable | None = None,
-        timings: TimingRecord | None = None,
-    ) -> list[bytes]:
-        """Entropy-code :class:`PreparedStream` objects into finished blobs.
-
-        With ``shared`` every stream is encoded under the shared code and
-        carries a ``SEC_TABLE_REF`` instead of its own ``SEC_CODE_LENGTHS``;
-        without it the blobs are byte-identical to the normal
-        :meth:`compress` path for the same inputs.  Streams of one symbol
-        count share a gather/bit-pack pass.
-        """
-        timings = timings if timings is not None else TimingRecord()
-        out = [p.blob for p in prepared]
-        todo = [slot for slot, blob in enumerate(out) if blob is None]
-        sizes = [prepared[slot].symbols.size for slot in todo]
-        for batch in _batches(sizes, sizes):
-            slots = [todo[i] for i in batch]
-            members = [prepared[slot] for slot in slots]
-            symbols = (
-                members[0].symbols[None]
-                if len(members) == 1
-                else np.stack([p.symbols for p in members])
-            )
-            sections = self._encode_symbols(
-                symbols,
-                [p.outliers for p in members],
-                [p.counts for p in members],
-                timings,
-                shared=shared,
-            )
-            for slot, member, secs in zip(slots, members, sections):
-                out[slot] = stream.serialize(member.header, secs)
+            # One batch at a time keeps the working set (symbols plus a
+            # histogram per member) to a single batch.
+            slots: list[int] = []  # members that reach the lattice pipeline,
+            arrs: list[np.ndarray] = []  # their arrays ...
+            headers: list[stream.StreamHeader] = []  # ... and headers
+            for index in batch:
+                arr, header = self._open(arrays[index], error_bound, mode)
+                if arr.size == 0:
+                    out[index] = self._compress_empty(arr, header, record)[0]
+                    continue
+                header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
+                if header.eb_abs == 0.0:
+                    out[index] = self._compress_lossless(arr, header, record)[0]
+                    continue
+                slots.append(index)
+                arrs.append(arr)
+                headers.append(header)
+            # Array-likes of one raw key may open to different dtypes.
+            opened = [(arr.shape, arr.dtype) for arr in arrs]
+            for group in _batches(opened, [arr.size for arr in arrs]):
+                rows = self._prepare_symbols(
+                    [arrs[i] for i in group], [headers[i].eb_abs for i in group], record
+                )
+                for i, sections in zip(group, self._encode_symbols(*rows, record)):
+                    out[slots[i]] = stream.serialize(headers[i], sections)
         return out
 
     # -- pipelines -------------------------------------------------------
@@ -690,20 +595,16 @@ class SZCompressor:
         outliers: list[np.ndarray],
         counts: Sequence[np.ndarray],
         timings: TimingRecord,
-        shared: SharedHuffmanTable | None = None,
     ) -> list[list[tuple[int, int, bytes]]]:
         """Steps 4–5 for the rows of ``symbols``: entropy coding + lossless
         back end; returns each stream's sections."""
         cfg = self.config
         with timed(timings, "encode"):
-            if shared is not None:
-                codecs = [shared.codec] * len(outliers)
-            else:
-                codecs = [HuffmanCodec.from_counts(row, max_len=cfg.max_code_len) for row in counts]
+            codecs = [HuffmanCodec.from_counts(row, max_len=cfg.max_code_len) for row in counts]
             encoded = encode_many(codecs, symbols, block_size=cfg.block_size)
         with timed(timings, "lossless"):
             return [
-                self._payload_sections(codec, enc, outl, shared=shared)
+                self._payload_sections(codec, enc, outl)
                 for codec, enc, outl in zip(codecs, encoded, outliers)
             ]
 
@@ -713,21 +614,10 @@ class SZCompressor:
         sections = self._encode_symbols(symbols, outliers, counts, timings)[0]
         return sections, int(outliers[0].size)
 
-    def _payload_sections(
-        self,
-        codec: HuffmanCodec,
-        encoded: HuffmanEncoded,
-        outliers: np.ndarray,
-        shared: SharedHuffmanTable | None = None,
-    ):
+    def _payload_sections(self, codec: HuffmanCodec, encoded: HuffmanEncoded, outliers: np.ndarray):
         level = self.config.zlib_level
-        sections: list[tuple[int, int, bytes]] = []
-        if shared is not None:
-            ref = stream.pack_table_ref(shared.table_id, shared.alphabet)
-            sections.append((stream.SEC_TABLE_REF, lossless.CODEC_RAW, ref))
-        else:
-            c, p = lossless.compress_bytes(codec.lengths.tobytes(), level=max(level, 1))
-            sections.append((stream.SEC_CODE_LENGTHS, c, p))
+        c, p = lossless.compress_bytes(codec.lengths.tobytes(), level=max(level, 1))
+        sections: list[tuple[int, int, bytes]] = [(stream.SEC_CODE_LENGTHS, c, p)]
         # Offsets are monotone; delta encoding makes them byte-cheap.
         deltas = encoded.block_offsets.astype(np.int64)
         deltas[1:] -= encoded.block_offsets[:-1]

@@ -649,42 +649,6 @@ def _decode_span(
         pos_v += lens_v
 
 
-class SharedHuffmanTable:
-    """One canonical code shared by every stream of a TAC level.
-
-    Built from the *summed* symbol histogram of all the level's streams, so
-    each stream encodes under a code whose support covers its symbols by
-    construction.  Carries the content id (:func:`repro.sz.stream.shared_table_id`)
-    that streams embed in their ``SEC_TABLE_REF`` so decode can verify it is
-    resolving against the table the stream was written with.
-    """
-
-    def __init__(self, codec: HuffmanCodec):
-        self.codec = codec
-        self.lengths_bytes = np.ascontiguousarray(codec.lengths, dtype=np.uint8).tobytes()
-        # Local import: stream.py has no back-edge into huffman.py.
-        from repro.sz import stream as _stream
-
-        self.table_id = _stream.shared_table_id(self.lengths_bytes)
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> "SharedHuffmanTable":
-        """Build the shared code from a level-wide symbol histogram."""
-        return cls(HuffmanCodec.from_counts(counts, max_len=max_len))
-
-    @property
-    def alphabet(self) -> int:
-        return int(self.codec.lengths.size)
-
-    def serialize(self, *, zlib_level: int = 1) -> bytes:
-        """The standalone container part holding this table's code lengths."""
-        from repro.sz import stream as _stream
-
-        return _stream.pack_shared_table(
-            self.codec.lengths, self.codec.max_len, zlib_level=zlib_level
-        )
-
-
 @lru_cache(maxsize=DECODE_CACHE_SIZE)
 def _cached_decoder(lengths_bytes: bytes, max_len: int) -> HuffmanCodec:
     codec = HuffmanCodec(np.frombuffer(lengths_bytes, dtype=np.uint8), max_len=max_len)

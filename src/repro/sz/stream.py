@@ -42,9 +42,9 @@ SEC_ZERO_MASK = 7      # pw_rel: packed x==0 bits
 SEC_META = 8           # codec parameters: radius u32, max_len u8, predictor
                        # u8, block u32, total_bits u64, n_symbols u64,
                        # n_outliers u64
-SEC_TABLE_REF = 9      # shared-table mode: reference to a level-shared
-                       # Huffman table (table_id u32, alphabet u32) stored
-                       # once as a container part instead of per-stream
+SEC_TABLE_REF = 9      # read-only: reference to a level-shared Huffman
+                       # table (table_id u32, alphabet u32) stored once as
+                       # a container part instead of per-stream
                        # SEC_CODE_LENGTHS
 
 # dtype codes.
@@ -245,16 +245,15 @@ def parse(blob: bytes) -> Stream:
 
 
 # ---------------------------------------------------------------------------
-# Shared Huffman tables (SEC_TABLE_REF + the level table container part).
-#
-# In shared-table mode every stream of a TAC level is encoded under one
-# canonical code built from the level-wide symbol histogram.  The code
-# lengths are stored once, in their own container part, and each stream
-# carries only a fixed-size reference: the table's checksum id plus the
-# alphabet size, so a decode against the wrong (or corrupted) table fails
-# loudly instead of producing garbage.  Streams written this way require a
-# resolver at decode time; per-stream blobs are unchanged and old archives
-# read forever.
+# Shared Huffman tables (SEC_TABLE_REF + the level table container part):
+# a read-only format.  Its writer encoded every stream of a TAC level
+# under one canonical code built from the level-wide symbol histogram.
+# The code lengths are stored once, in their own container part, and each
+# stream carries only a fixed-size reference: the table's checksum id plus
+# the alphabet size, so a decode against the wrong (or corrupted) table
+# fails loudly instead of producing garbage.  Such streams need a resolver
+# at decode time; stored archives read forever (the reference writer lives
+# in ``tests/helpers.py``).
 
 TABLE_MAGIC = b"RPHT"
 TABLE_VERSION = 1
@@ -269,11 +268,6 @@ def shared_table_id(lengths_bytes: bytes) -> int:
     return zlib.crc32(lengths_bytes) & 0xFFFFFFFF
 
 
-def pack_table_ref(table_id: int, alphabet: int) -> bytes:
-    """Serialize a SEC_TABLE_REF payload."""
-    return struct.pack(_TABLE_REF_FMT, table_id, alphabet)
-
-
 def unpack_table_ref(raw: bytes) -> dict:
     """Parse a SEC_TABLE_REF payload back into ``{table_id, alphabet}``."""
     if len(raw) != struct.calcsize(_TABLE_REF_FMT):
@@ -282,32 +276,13 @@ def unpack_table_ref(raw: bytes) -> dict:
     return {"table_id": int(table_id), "alphabet": int(alphabet)}
 
 
-def pack_shared_table(code_lengths: np.ndarray, max_len: int, *, zlib_level: int = 1) -> bytes:
-    """Serialize a level-shared Huffman table as a standalone container part.
+def unpack_shared_table(blob: bytes) -> dict:
+    """Parse and verify a shared-table part.
 
     Layout (little-endian)::
 
         magic b"RPHT" | version u8 | max_len u8 | alphabet u32 | table_id u32
         codec u8 | length u64 | code-length bytes (raw or DEFLATE)
-    """
-    lengths = np.ascontiguousarray(code_lengths, dtype=np.uint8)
-    raw = lengths.tobytes()
-    codec, payload = lossless.compress_bytes(raw, level=zlib_level)
-    head = struct.pack(
-        _TABLE_HEAD_FMT,
-        TABLE_MAGIC,
-        TABLE_VERSION,
-        int(max_len),
-        lengths.size,
-        shared_table_id(raw),
-        codec,
-        len(payload),
-    )
-    return head + payload
-
-
-def unpack_shared_table(blob: bytes) -> dict:
-    """Parse and verify a shared-table part written by :func:`pack_shared_table`.
 
     Returns ``{code_lengths, max_len, table_id, alphabet}``; raises
     ``ValueError`` on bad magic, unknown version, or checksum mismatch.

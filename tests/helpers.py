@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import re
 import struct
 import zlib
 
@@ -303,3 +306,89 @@ def legacy_archive_bytes(blobs: dict, version: int, meta: dict | None = None) ->
     for key in keys:
         out += (struct.pack("<Q", len(blobs[key])) if version == 1 else b"") + blobs[key]
     return out
+
+
+def rpht_table(code_lengths, max_len: int, zlib_level: int = 1) -> bytes:
+    """Reference writer of an ``RPHT`` shared-Huffman-table part (the
+    retired ``pack_shared_table``): ``<4sBBIIBQ`` head + code lengths."""
+    from repro.sz import lossless
+
+    raw = np.ascontiguousarray(code_lengths, dtype=np.uint8).tobytes()
+    codec, payload = lossless.compress_bytes(raw, level=zlib_level)
+    head = ("<4sBBIIBQ", b"RPHT", 1, max_len, len(raw), zlib.crc32(raw), codec, len(payload))
+    return struct.pack(*head) + payload
+
+
+def shared_table_streams(blobs: list, zlib_level: int = 1):
+    """Reference writer of the retired shared-table level: per-stream SZ
+    ``blobs`` re-coded under one Huffman table built from their summed
+    symbol histogram.  Returns ``(table part, blobs, {id, alphabet})``:
+    each lattice stream trades its ``SEC_CODE_LENGTHS`` for a
+    ``SEC_TABLE_REF``; empty and lossless-fallback streams pass through
+    (``table part`` is ``None`` when there is nothing else)."""
+    from repro.sz import lossless, stream
+    from repro.sz.huffman import HuffmanCodec, HuffmanEncoded
+
+    lattice = {}
+    for slot, blob in enumerate(blobs):
+        parsed = stream.parse(blob)
+        if stream.SEC_META not in parsed.sections:
+            continue
+        meta = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
+        lengths = lossless.decompress_bytes(*parsed.section(stream.SEC_CODE_LENGTHS))
+        n_blocks = -(-meta["n_symbols"] // meta["block_size"])
+        offsets = lossless.unpack_int_array(
+            *parsed.section(stream.SEC_BLOCK_OFFSETS), np.int64, n_blocks
+        ).cumsum()
+        payload = lossless.decompress_bytes(*parsed.section(stream.SEC_PAYLOAD))
+        encoded = HuffmanEncoded(
+            payload, meta["total_bits"], offsets, meta["n_symbols"], meta["block_size"]
+        )
+        own = HuffmanCodec.cached(np.frombuffer(lengths, dtype=np.uint8), meta["max_len"])
+        lattice[slot] = parsed, meta, own.decode(encoded)
+    if not lattice:
+        return None, list(blobs), None
+    alphabet = 2 * meta["radius"] + 1
+    counts = sum(np.bincount(syms, minlength=alphabet) for _p, _m, syms in lattice.values())
+    code = HuffmanCodec.from_counts(counts, max_len=meta["max_len"])
+    info = {"id": zlib.crc32(code.lengths.tobytes()), "alphabet": alphabet}
+    out = list(blobs)
+    for slot, (parsed, meta, symbols) in lattice.items():
+        enc = code.encode(symbols, meta["block_size"])
+        deltas = np.diff(enc.block_offsets, prepend=0)
+        sections = [
+            (stream.SEC_TABLE_REF, lossless.CODEC_RAW, struct.pack("<II", *info.values())),
+            (stream.SEC_BLOCK_OFFSETS, *lossless.pack_int_array(deltas, level=max(zlib_level, 1))),
+            (stream.SEC_PAYLOAD, *lossless.compress_bytes(enc.payload, level=zlib_level)),
+        ]
+        if stream.SEC_OUTLIERS in parsed.sections:
+            sections.append((stream.SEC_OUTLIERS, *parsed.section(stream.SEC_OUTLIERS)))
+        meta = stream.pack_meta(**{**meta, "total_bits": enc.total_bits})
+        sections.append((stream.SEC_META, lossless.CODEC_RAW, meta))
+        out[slot] = stream.serialize(parsed.header, sections)
+    return rpht_table(code.lengths, code.max_len, max(zlib_level, 1)), out, info
+
+
+def retired_tac_layout(comp, *, shared: bool = False, format1: bool = False, zlib_level: int = 1):
+    """A TAC blob rewritten into a layout only readers still know —
+    ``shared``: every level's streams under one ``L<idx>/table`` part
+    (:func:`shared_table_streams`); ``format1``: a one-brick GSP/ZF level
+    as the single ``L<idx>/grid`` stream, brick table and brick meta gone."""
+    meta = copy.deepcopy(comp.meta)
+    items = list(comp.parts.items())
+    for level in meta["levels"]:
+        idx = level["level"]
+        if format1 and level.get("bricks"):
+            assert level.pop("bricks")["n"] == 1 and level.pop("strategy_format") == 2
+            grid = {f"L{idx}/b0": f"L{idx}/grid"}
+            items = [(grid.get(n, n), p) for n, p in items if n != f"L{idx}/bricks"]
+        stream_name = rf"L{idx}/(b\d+|g\d+|grid)"
+        slots = [i for i, (n, _p) in enumerate(items) if re.fullmatch(stream_name, n)]
+        if shared and slots:
+            table, blobs, info = shared_table_streams([items[i][1] for i in slots], zlib_level)
+            if table is not None:
+                for i, blob in zip(slots, blobs):
+                    items[i] = items[i][0], blob
+                items.insert(slots[0], (f"L{idx}/table", table))
+                level["shared_table"] = {"part": f"L{idx}/table", **info}
+    return dataclasses.replace(comp, parts=dict(items), meta=meta)

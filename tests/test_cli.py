@@ -87,6 +87,27 @@ class TestCompressDecompress:
             "--method", "tac-hybrid",
         ]) == 0
 
+    @pytest.mark.parametrize("size", ["0", "-4"])
+    def test_retired_brick_size_spelling_fails_before_the_dataset_loads(
+        self, size, tmp_path, capsys
+    ):
+        """``--brick-size 0`` selected the retired single-stream writer:
+        one ``error:`` line, exit 2 — and no attempt to read the input."""
+        code = main([
+            "compress", str(tmp_path / "never-read.npz"), "-o", str(tmp_path / "x.tac"),
+            "--brick-size", size,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "x.tac").exists()
+        assert err.startswith("error: --brick-size") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["compress", "batch"])
+    def test_shared_tables_flag_is_gone(self, verb, dataset_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, str(dataset_file), "-o", str(tmp_path / "x"), "--shared-tables"])
+        assert exit_info.value.code == 2
+        assert "--shared-tables" in capsys.readouterr().err
+
     def test_decompress_garbage_fails_cleanly(self, tmp_path):
         bad = tmp_path / "bad.tac"
         bad.write_bytes(b"junk")

@@ -38,7 +38,9 @@ class TestConfig:
         from repro.core.gsp import DEFAULT_BRICK_SIZE
 
         assert TACConfig().brick_size == DEFAULT_BRICK_SIZE
-        assert TACConfig(brick_size=None).brick_size is None  # legacy layout
+        # The retired single-stream spelling names its replacement.
+        with pytest.raises(ValueError, match="at least the level's edge"):
+            TACConfig(brick_size=None)
         with pytest.raises(ValueError, match="brick_size"):
             TACConfig(brick_size=0)
         with pytest.raises(ValueError, match="brick_size"):

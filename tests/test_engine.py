@@ -65,27 +65,29 @@ class TestRegistry:
     def test_brick_size_flows_through_job_codec_options(self):
         """Engine plumbing for the GSP brick knob: a job's codec_options
         reach the TAC factory, and the resulting archive entry carries the
-        bricked (or legacy) wire layout accordingly."""
+        brick layout accordingly — an edge at least the level's is the one
+        stream the retired ``brick_size=None`` spelling used to select, and
+        that spelling fails its own job, naming the replacement."""
         from repro.core.density import Strategy
         from tests.helpers import golden_gsp_dataset
 
         ds = golden_gsp_dataset()
-        jobs = [
-            CompressionJob(
-                ds, codec="tac", error_bound=1e-3, mode="abs", label="bricked",
-                codec_options={"brick_size": 4, "force_strategy": Strategy.GSP},
-            ),
-            CompressionJob(
-                ds, codec="tac", error_bound=1e-3, mode="abs", label="legacy",
-                codec_options={"brick_size": None, "force_strategy": Strategy.GSP},
-            ),
-        ]
-        batch = CompressionEngine(max_workers=2).run(jobs, raise_errors=True)
-        bricked, legacy = (r.compressed for r in batch)
-        assert bricked.meta["levels"][0]["bricks"]["size"] == 4
-        assert any(name.startswith("L0/b") for name in bricked.parts)
-        assert "bricks" not in legacy.meta["levels"][0]
-        assert "L0/grid" in legacy.parts
+
+        def job(label, brick_size):
+            return CompressionJob(
+                ds, codec="tac", error_bound=1e-3, mode="abs", label=label,
+                codec_options={"brick_size": brick_size, "force_strategy": Strategy.GSP},
+            )
+
+        batch = CompressionEngine(max_workers=2).run(
+            [job("bricked", 4), job("one-stream", 16), job("legacy", None)]
+        )
+        bricked, one_stream, legacy = batch
+        assert bricked.compressed.meta["levels"][0]["bricks"]["size"] == 4
+        assert any(name.startswith("L0/b") for name in bricked.compressed.parts)
+        assert one_stream.compressed.meta["levels"][0]["bricks"]["n"] == 1
+        assert "L0/b0" in one_stream.compressed.parts
+        assert legacy.compressed is None and "at least the level's edge" in str(legacy.error)
 
     def test_method_resolution_prefers_plain_tac(self):
         codec = codec_for_method("tac")

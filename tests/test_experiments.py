@@ -74,6 +74,35 @@ class TestPaperExperimentsRun:
         # All rows share one grid: density is the only variable.
         assert len({r["grid"] for r in res.rows}) == 1
 
+    def test_fig13_claims_hold_or_are_recorded_deviations(self):
+        from repro.experiments import fig13
+
+        res = fig13.run(scale=SCALE, repeats=3, densities=(0.1, 0.5, 0.9))
+        violations, deviations = fig13.check(res)
+        assert violations == []
+        assert set(deviations) == {"akdtree_below_opst_peak"}
+        assert "deviation akdtree_below_opst_peak: AKDTree peaks at" in res.notes
+
+    def test_fig13_check_fails_a_flat_opst_and_a_deviation_that_stopped_deviating(self):
+        from repro.experiments import fig13
+        from repro.experiments.common import ExperimentResult
+
+        def rows(opst, akd):
+            return ExperimentResult(
+                experiment="fig13", title="",
+                rows=[
+                    {"density": d, "opst_seconds": o, "akdtree_seconds": a}
+                    for d, o, a in zip((0.1, 0.5, 0.9), opst, akd)
+                ],
+            )
+
+        violations, deviations = fig13.check(rows((1.0, 1.1, 1.2), (3.0, 3.0, 3.0)))
+        assert len(violations) == 1 and "grow with density" in violations[0]
+        assert set(deviations) == {"akdtree_below_opst_peak"}
+        violations, deviations = fig13.check(rows((1.0, 2.0, 4.0), (3.0, 3.0, 3.0)))
+        assert len(violations) == 1 and "no longer deviates" in violations[0]
+        assert deviations == {}
+
     def test_fig14_rows_complete(self):
         res = PAPER_EXPERIMENTS["fig14"](scale=SCALE, error_bounds=(1e-3,), datasets=("Run1_Z10",))
         row = res.rows[0]

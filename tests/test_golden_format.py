@@ -395,12 +395,13 @@ class TestGoldenGSPFormats:
 
     ``golden_gsp_legacy.rpbt`` is the single-stream layout (strategy
     format 1, one ``L0/grid`` part) every blob used before brick chunking
-    existed — its part bytes were captured with the pre-brick writer and
-    the ``brick_size=None`` path must keep reproducing them exactly.
-    ``golden_gsp_bricks.rpbt`` pins strategy format 2 (brick table part +
-    one part per brick), and ``golden_gsp_shared.rpbt`` pins the
-    shared-table mode on top of it (one ``L<idx>/table`` part per level,
-    ``SEC_TABLE_REF`` sections in every stream).  The JSON also records a
+    existed, ``golden_gsp_bricks.rpbt`` pins strategy format 2 (brick
+    table part + one part per brick), and ``golden_gsp_shared.rpbt`` pins
+    the shared-table layout on top of it (one ``L<idx>/table`` part per
+    level, ``SEC_TABLE_REF`` sections in every stream).  The library
+    writes format 2 only; the format-1 and shared-table writers live on
+    as references in ``tests/helpers.py::retired_tac_layout``, which
+    reproduces those two fixtures byte for byte.  The JSON also records a
     1/8-domain ROI read on the GSP level, so the partial-read *values*
     are pinned for every format, not just the wire bytes.  The blobs are
     v2-framed and frozen; the *parts* inside (GSP grid, brick table, RPHT
@@ -417,10 +418,12 @@ class TestGoldenGSPFormats:
         return (DATA / f"{stem}.rpbt").read_bytes()
 
     def _codec(self, stem: str, expected_gsp):
+        """The writer configuration behind ``stem`` (readers take theirs
+        from the blob): the legacy level is one brick of format 2."""
         from repro.core.tac import TACCompressor
 
-        brick = None if stem.endswith("legacy") else expected_gsp["brick_size"]
-        return TACCompressor(brick_size=brick, shared_tables=stem.endswith("shared"))
+        brick = 16 if stem.endswith("legacy") else expected_gsp["brick_size"]
+        return TACCompressor(brick_size=brick)
 
     @pytest.mark.parametrize("stem", STEMS)
     def test_fixture_integrity(self, stem, expected_gsp):
@@ -432,16 +435,18 @@ class TestGoldenGSPFormats:
     @pytest.mark.parametrize("stem", STEMS)
     def test_writer_regenerates_fixture_parts(self, stem, expected_gsp):
         """Re-compressing the analytic dataset reproduces every part of
-        the checked-in blob, in order, plus its metadata — for the legacy
-        stem this proves the ``brick_size=None`` escape still writes the
-        exact pre-brick part format.  (Only the container framing around
-        the parts moved on from the fixture's v2.)"""
+        the checked-in blob, in order, plus its metadata — the two retired
+        layouts through their reference writers, so every fixture stays
+        reproducible offline.  (Only the container framing around the
+        parts moved on from the fixture's v2.)"""
         from repro.core.container import CompressedDataset
-        from tests.helpers import golden_gsp_dataset
+        from tests.helpers import golden_gsp_dataset, retired_tac_layout
 
         tac = self._codec(stem, expected_gsp)
-        comp = tac.compress(
-            golden_gsp_dataset(), expected_gsp["eb"], mode=expected_gsp["mode"]
+        comp = retired_tac_layout(
+            tac.compress(golden_gsp_dataset(), expected_gsp["eb"], mode=expected_gsp["mode"]),
+            shared=stem.endswith("shared"),
+            format1=stem.endswith("legacy"),
         )
         stored = CompressedDataset.from_bytes(self._blob(stem))
         assert list(comp.parts) == list(stored.parts)

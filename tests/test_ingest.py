@@ -94,15 +94,12 @@ class TestCompressIterParity:
     @settings(max_examples=6, deadline=None)
     @given(
         brick=st.sampled_from([None, 8]),
-        shared=st.booleans(),
         seed=st.integers(min_value=0, max_value=3),
         level_workers=st.sampled_from([1, 2]),
     )
-    def test_chunked_output_is_byte_identical(self, brick, shared, seed, level_workers):
+    def test_chunked_output_is_byte_identical(self, brick, seed, level_workers):
         ds = two_level_dataset(n=16, fine_fraction=0.3, seed=seed)
-        options = {"shared_tables": shared}
-        if brick is not None:
-            options["brick_size"] = brick
+        options = {} if brick is None else {"brick_size": brick}
         eager = TACCompressor(**options).compress(ds, EB)
         stream = TACCompressor(**options).compress_iter(ds, EB, level_workers=level_workers)
         streamed = stream.collect()
@@ -473,8 +470,13 @@ class TestCodecOptionsSafety:
     def test_tac_schema_is_enumerable(self):
         schema = config_schema("tac")
         assert schema is not None
-        assert "brick_size" in schema and "shared_tables" in schema
-        assert schema["brick_size"]["default"] == 64
+        assert "brick_size" in schema and schema["brick_size"]["default"] == 64
+
+    def test_retired_writer_options_fail_at_construction(self):
+        """The shared-table writer is gone: its option is an unknown key
+        here, not a failure inside a worker."""
+        with pytest.raises(ValueError, match="shared_tables"):
+            IngestConfig(codec_options={"shared_tables": True})
 
 
 class TestSessionInitFailure:

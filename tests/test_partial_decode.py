@@ -52,7 +52,7 @@ from repro.engine import (
     supports_partial_decode,
 )
 from repro.serve import ArchiveReader
-from tests.helpers import smooth_cube, two_level_dataset
+from tests.helpers import retired_tac_layout, smooth_cube, two_level_dataset
 
 EB = 1e-3
 
@@ -199,9 +199,9 @@ class TestGSPBrickPartialDecode:
         assert {u.key for u in pruned.units if u.box is not None} == touched
         assert 0 < len(touched) < 64
 
-    def test_legacy_single_stream_layout_still_written_and_read(self, dataset):
-        tac = TACCompressor(force_strategy=Strategy.GSP, brick_size=None)
-        comp = tac.compress(dataset, EB, mode="abs")
+    def test_legacy_single_stream_layout_still_read(self, dataset):
+        tac = TACCompressor(force_strategy=Strategy.GSP, brick_size=16)
+        comp = retired_tac_layout(tac.compress(dataset, EB, mode="abs"), format1=True)
         assert "L0/grid" in comp.parts
         assert not any(name.startswith("L0/b") for name in comp.parts)
         assert "bricks" not in comp.meta["levels"][0]
@@ -614,7 +614,8 @@ def _tac(strategy: Strategy, **kwargs):
 READ_CASES = {
     "gsp-bricks": (_tac(Strategy.GSP, brick_size=4), clustered_dataset, "tac"),
     "zf-bricks": (_tac(Strategy.ZF, brick_size=4), clustered_dataset, "tac"),
-    "gsp-format1-grid": (_tac(Strategy.GSP, brick_size=None), clustered_dataset, "tac"),
+    "gsp-shared-bricks": (_tac(Strategy.GSP, brick_size=4), clustered_dataset, "tac"),
+    "gsp-format1-grid": (_tac(Strategy.GSP, brick_size=16), clustered_dataset, "tac"),
     "opst": (_tac(Strategy.OPST), clustered_dataset, "tac"),
     "akdtree": (_tac(Strategy.AKDTREE), clustered_dataset, "tac"),
     "nast": (_tac(Strategy.NAST), clustered_dataset, "tac"),
@@ -624,6 +625,9 @@ READ_CASES = {
     "zmesh": (lambda: get_codec("zmesh"), clustered_dataset, "zmesh"),
     "3d": (lambda: get_codec("3d"), clustered_dataset, "3d"),
 }
+
+#: Cases whose blob is rewritten into a layout only readers still know.
+RETIRED_LAYOUTS = {"gsp-shared-bricks": {"shared": True}, "gsp-format1-grid": {"format1": True}}
 
 #: Boxes on the 16³ level of :func:`clustered_dataset` (halved on the 8³ one).
 READ_BOXES = {
@@ -649,6 +653,8 @@ class TestOneReadPath:
         make_codec, make_dataset, _name = READ_CASES[name]
         codec = make_codec()
         comp = codec.compress(make_dataset(), EB, mode="abs")
+        if name in RETIRED_LAYOUTS:
+            comp = retired_tac_layout(comp, **RETIRED_LAYOUTS[name])
         archive = BatchArchive()
         archive.add(ENTRY, comp)
         archive.save_sharded(root / "archive.rpbt")
@@ -672,6 +678,9 @@ class TestOneReadPath:
             assert levels[1]["strategy"] == "empty"
         if case.name == "gsp-format1-grid":
             assert "L0/grid" in case.comp.parts and "bricks" not in levels[0]
+        if case.name == "gsp-shared-bricks":
+            assert {"L0/table", "L1/table"} < set(case.comp.parts)
+            assert levels[0]["bricks"]["n"] == 64 and "shared_table" in levels[1]
         if case.name in ("opst", "akdtree"):
             assert levels[0]["n_groups"] >= 2
 

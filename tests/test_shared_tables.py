@@ -1,40 +1,54 @@
-"""Shared-histogram Huffman mode: wire format, TAC integration, serving.
+"""Shared-histogram Huffman blobs: a read-only format (writer retired).
 
 One code table per TAC level (``L<idx>/table`` container part), referenced
-by every stream through a fixed-size ``SEC_TABLE_REF`` section.  The tests
-pin the three layers:
+by every stream through a fixed-size ``SEC_TABLE_REF`` section.  Inputs
+come from the reference writers in ``tests/helpers.py`` and the frozen
+``golden_gsp_shared.rpbt``.  The tests pin the three layers:
 
 * the standalone table part format (``RPHT``) and the reference section
-  round-trip and fail loudly on corruption;
-* TAC writes/reads the mode end-to-end — bit-identical reconstruction
-  against per-stream mode, deterministic bytes under ``level_workers``,
-  pruned ROI reads fetch only the table plus the touched bricks, and the
-  table part is resolved exactly once no matter how many decode workers
-  share it;
+  parse and fail loudly on corruption;
+* TAC reads such blobs end-to-end — bit-identical reconstruction against
+  the per-stream blob of the same data, pruned ROI reads fetch only the
+  table plus the touched bricks, the table part is resolved exactly once
+  no matter how many decode workers share it, and a damaged table or
+  reference costs a degraded read exactly its level's streams;
 * the serving layer (:class:`repro.serve.reader.ArchiveReader`) resolves
   the cached table concurrently without tearing.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.container import (
     MASK_PREFIX,
+    CompressedDataset,
+    ContainerIOError,
     LazyCompressedDataset,
     collapse_part_sizes,
 )
 from repro.core.tac import TACCompressor
+from repro.engine import BatchArchive
 from repro.sz import stream
 from repro.sz.compressor import SharedTableResolver, SZCompressor
-from repro.sz.huffman import SharedHuffmanTable
-from tests.helpers import golden_gsp_dataset
+from repro.sz.huffman import HuffmanCodec
+from tests.helpers import (
+    golden_gsp_dataset,
+    reserialize_stream,
+    retired_tac_layout,
+    rpht_table,
+    shared_table_streams,
+)
 
 EB = 1e-3
 ROI = (slice(0, 8), slice(0, 8), slice(0, 8))
+GOLDEN = Path(__file__).parent / "data" / "golden_gsp_shared.rpbt"
 
 
 @pytest.fixture(scope="module")
@@ -44,15 +58,14 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def shared_comp(dataset):
-    return TACCompressor(brick_size=4, shared_tables=True).compress(
-        dataset, EB, mode="abs"
+    return retired_tac_layout(
+        TACCompressor(brick_size=4).compress(dataset, EB, mode="abs"), shared=True
     )
 
 
 class TestTableWireFormat:
     def test_table_ref_round_trip(self):
-        raw = stream.pack_table_ref(0xDEADBEEF, 8193)
-        assert len(raw) == 8
+        raw = struct.pack("<II", 0xDEADBEEF, 8193)
         assert stream.unpack_table_ref(raw) == {
             "table_id": 0xDEADBEEF,
             "alphabet": 8193,
@@ -64,7 +77,7 @@ class TestTableWireFormat:
 
     def test_shared_table_round_trip(self):
         lengths = np.array([0, 3, 3, 2, 2, 4, 4, 0, 1], dtype=np.uint8)
-        blob = stream.pack_shared_table(lengths, max_len=4)
+        blob = rpht_table(lengths, max_len=4)
         table = stream.unpack_shared_table(blob)
         assert np.array_equal(table["code_lengths"], lengths)
         assert table["max_len"] == 4
@@ -72,18 +85,18 @@ class TestTableWireFormat:
         assert table["table_id"] == stream.shared_table_id(lengths.tobytes())
 
     def test_shared_table_rejects_bad_magic(self):
-        blob = stream.pack_shared_table(np.ones(4, dtype=np.uint8), max_len=1)
+        blob = rpht_table(np.ones(4, dtype=np.uint8), max_len=1)
         with pytest.raises(ValueError, match="bad magic"):
             stream.unpack_shared_table(b"XXXX" + blob[4:])
 
     def test_shared_table_rejects_bad_version(self):
-        blob = stream.pack_shared_table(np.ones(4, dtype=np.uint8), max_len=1)
+        blob = rpht_table(np.ones(4, dtype=np.uint8), max_len=1)
         bad = blob[:4] + bytes([stream.TABLE_VERSION + 1]) + blob[5:]
         with pytest.raises(ValueError, match="unsupported shared-table version"):
             stream.unpack_shared_table(bad)
 
     def test_shared_table_rejects_truncation(self):
-        blob = stream.pack_shared_table(np.ones(64, dtype=np.uint8), max_len=1)
+        blob = rpht_table(np.ones(64, dtype=np.uint8), max_len=1)
         with pytest.raises(ValueError, match="truncated"):
             stream.unpack_shared_table(blob[:-1])
         with pytest.raises(ValueError, match="too short"):
@@ -93,81 +106,60 @@ class TestTableWireFormat:
         # Flip a bit in the stored (raw-codec) length bytes: the CRC in
         # the header no longer matches.
         lengths = np.arange(1, 9, dtype=np.uint8)
-        blob = bytearray(stream.pack_shared_table(lengths, max_len=8))
+        blob = bytearray(rpht_table(lengths, max_len=8))
         blob[-1] ^= 0x01
         with pytest.raises(ValueError, match="checksum mismatch"):
             stream.unpack_shared_table(bytes(blob))
 
     def test_resolver_validates_reference(self):
-        table = SharedHuffmanTable.from_counts(np.array([5, 3, 2, 1, 1]))
-        resolver = SharedTableResolver({"t": table.serialize()}, "t")
-        good = {"table_id": table.table_id, "alphabet": table.alphabet}
-        assert np.array_equal(
-            resolver.resolve(good)["code_lengths"], table.codec.lengths
-        )
+        lengths = HuffmanCodec.from_counts(np.array([5, 3, 2, 1, 1])).lengths
+        resolver = SharedTableResolver({"t": rpht_table(lengths, max_len=16)}, "t")
+        table_id = stream.shared_table_id(lengths.tobytes())
+        good = {"table_id": table_id, "alphabet": lengths.size}
+        assert np.array_equal(resolver.resolve(good)["code_lengths"], lengths)
         with pytest.raises(ValueError, match="table id"):
-            resolver.resolve({"table_id": table.table_id ^ 1, "alphabet": table.alphabet})
+            resolver.resolve({"table_id": table_id ^ 1, "alphabet": lengths.size})
         with pytest.raises(ValueError, match="alphabet"):
-            resolver.resolve({"table_id": table.table_id, "alphabet": table.alphabet + 1})
+            resolver.resolve({"table_id": table_id, "alphabet": lengths.size + 1})
 
 
-class TestSZSharedEncode:
+class TestSZSharedStreams:
     def _streams(self):
         rng = np.random.default_rng(7)
         base = rng.normal(size=(6, 512)).astype(np.float64)
         # Correlated streams: the regime where one table fits all.
         return [np.cumsum(row).reshape(8, 8, 8) for row in base]
 
-    def test_encode_prepared_matches_compress(self):
-        sz = SZCompressor()
-        for arr in self._streams():
-            prepared = sz.prepare(arr, 1e-3)
-            assert sz.encode_prepared(prepared) == sz.compress(arr, 1e-3)
-
     def test_shared_streams_decode_identically(self):
         sz = SZCompressor()
-        arrays = self._streams()
-        prepared = [sz.prepare(a, 1e-3) for a in arrays]
-        total = np.zeros(max(p.counts.size for p in prepared), dtype=np.int64)
-        for p in prepared:
-            total[: p.counts.size] += p.counts
-        shared = SharedHuffmanTable.from_counts(total)
-        resolver = SharedTableResolver({"t": shared.serialize()}, "t")
-        for arr, prep in zip(arrays, prepared):
-            blob = sz.encode_prepared(prep, shared=shared)
+        private = [sz.compress(arr, 1e-3) for arr in self._streams()]
+        table, shared, _info = shared_table_streams(private)
+        resolver = SharedTableResolver({"t": table}, "t")
+        for blob, own in zip(shared, private):
             sizes = stream.parse(blob).section_sizes()
             assert stream.SEC_CODE_LENGTHS not in sizes
             assert sizes[stream.SEC_TABLE_REF] == 8
-            out_shared = sz.decompress(blob, shared_tables=resolver)
-            out_per = sz.decompress(sz.compress(arr, 1e-3))
-            assert np.array_equal(out_shared, out_per)
+            assert np.array_equal(
+                sz.decompress(blob, shared_tables=resolver), sz.decompress(own)
+            )
 
     def test_shared_blob_without_resolver_fails_loudly(self):
         sz = SZCompressor()
-        arr = self._streams()[0]
-        prep = sz.prepare(arr, 1e-3)
-        shared = SharedHuffmanTable.from_counts(prep.counts)
-        blob = sz.encode_prepared(prep, shared=shared)
+        _table, (blob,), _info = shared_table_streams([sz.compress(self._streams()[0], 1e-3)])
         with pytest.raises(ValueError, match="no shared-table resolver"):
             sz.decompress(blob)
-
-    def test_prepare_rejects_pw_rel(self):
-        with pytest.raises(ValueError, match="pw_rel"):
-            SZCompressor().prepare(np.ones((4, 4, 4)), 1e-3, mode="pw_rel")
 
 
 class TestTACSharedMode:
     def test_bit_identical_to_per_stream_decode(self, dataset, shared_comp):
         per = TACCompressor(brick_size=4)
         out_per = per.decompress(per.compress(dataset, EB, mode="abs"))
-        out_shared = TACCompressor(brick_size=4, shared_tables=True).decompress(
-            shared_comp
-        )
+        out_shared = per.decompress(shared_comp)
         for a, b in zip(out_per.levels, out_shared.levels):
             assert np.array_equal(a.data, b.data)
             assert np.array_equal(a.mask, b.mask)
 
-    def test_writes_one_table_part_per_entropy_level(self, shared_comp):
+    def test_one_table_part_per_entropy_level(self, shared_comp):
         tables = [n for n in shared_comp.parts if n.endswith("/table")]
         metas = [m for m in shared_comp.meta["levels"] if "shared_table" in m]
         assert tables and len(tables) == len(metas)
@@ -177,14 +169,8 @@ class TestTACSharedMode:
             assert table["table_id"] == info["id"]
             assert table["alphabet"] == info["alphabet"]
 
-    def test_level_workers_bytes_match_serial(self, dataset):
-        tac = TACCompressor(brick_size=4, shared_tables=True)
-        serial = tac.compress(dataset, EB, mode="abs", level_workers=1)
-        threaded = tac.compress(dataset, EB, mode="abs", level_workers=4)
-        assert serial.to_bytes() == threaded.to_bytes()
-
     def test_decode_workers_match_serial(self, shared_comp):
-        tac = TACCompressor(brick_size=4, shared_tables=True)
+        tac = TACCompressor(brick_size=4)
         serial = tac.decompress(shared_comp, decode_workers=1)
         threaded = tac.decompress(shared_comp, decode_workers=4)
         for a, b in zip(serial.levels, threaded.levels):
@@ -196,14 +182,12 @@ class TestTACSharedMode:
         restored = TACCompressor().decompress(
             LazyCompressedDataset.open(shared_comp.to_bytes())
         )
-        reference = TACCompressor(brick_size=4, shared_tables=True).decompress(
-            shared_comp
-        )
+        reference = TACCompressor(brick_size=4).decompress(shared_comp)
         for a, b in zip(restored.levels, reference.levels):
             assert np.array_equal(a.data, b.data)
 
     def test_roi_fetches_table_plus_touched_bricks_only(self, shared_comp):
-        tac = TACCompressor(brick_size=4, shared_tables=True)
+        tac = TACCompressor(brick_size=4)
         lazy = LazyCompressedDataset.open(shared_comp.to_bytes())
         region = tac.decompress_region(lazy, 0, ROI, decode_workers=4)
         full = tac.decompress(shared_comp)
@@ -232,20 +216,78 @@ class TestTACSharedMode:
         assert "L0/table" in labels
 
 
+def _rewrite_refs(parts: dict, table_id_xor: int = 0, alphabet_add: int = 0) -> None:
+    """Point every L0 brick's ``SEC_TABLE_REF`` at a table L0 does not hold."""
+    for name in [n for n in parts if n.startswith("L0/b") and n != "L0/bricks"]:
+        ref = stream.unpack_table_ref(stream.parse(parts[name]).section(stream.SEC_TABLE_REF)[1])
+        bad = struct.pack("<II", ref["table_id"] ^ table_id_xor, ref["alphabet"] + alphabet_add)
+        parts[name] = reserialize_stream(parts[name], {stream.SEC_TABLE_REF: bad})
+
+
+#: mutation of the frozen blob's parts → what the reader says about it
+DAMAGE = {
+    "wrong-table-id": (lambda parts: _rewrite_refs(parts, table_id_xor=1), "table id"),
+    "wrong-alphabet": (lambda parts: _rewrite_refs(parts, alphabet_add=1), "alphabet"),
+    "missing-table": (lambda parts: parts.pop("L0/table"), "L0/table"),
+    "truncated-table": (
+        lambda parts: parts.update({"L0/table": parts["L0/table"][:-1]}), "truncated",
+    ),
+    "bad-magic-table": (
+        lambda parts: parts.update({"L0/table": b"XXXX" + parts["L0/table"][4:]}), "bad magic",
+    ),
+}
+
+
+class TestDamagedSharedTable:
+    """A shared level whose table or references are damaged fails loudly
+    on an eager decode and costs a degraded read exactly that level's
+    bricks — the other level (its own table intact) still decodes."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return CompressedDataset.from_bytes(GOLDEN.read_bytes())
+
+    @pytest.fixture(params=sorted(DAMAGE))
+    def damaged(self, request, golden):
+        mutate, message = DAMAGE[request.param]
+        parts = dict(golden.parts)
+        mutate(parts)
+        return dataclasses.replace(golden, parts=parts), message
+
+    def test_eager_decompress_raises(self, damaged):
+        comp, message = damaged
+        with pytest.raises((ValueError, ContainerIOError), match=message):
+            TACCompressor().decompress(comp)
+        with pytest.raises((ValueError, ContainerIOError), match=message):
+            TACCompressor().decompress(LazyCompressedDataset.open(comp.to_bytes()))
+
+    def test_degraded_read_loses_exactly_the_levels_bricks(self, damaged, golden, tmp_path):
+        from repro.serve.reader import ArchiveReader
+
+        comp, message = damaged
+        archive = BatchArchive()
+        archive.add("gsp/shared", comp)
+        archive.save_sharded(tmp_path / "damaged.rpbt")
+        intact = TACCompressor().decompress(golden)
+        n_bricks = golden.meta["levels"][0]["bricks"]["n"]
+        with ArchiveReader(tmp_path / "damaged.rpbt", degraded=True, fill_value=-7.0) as reader:
+            lost, stats = reader.read_level("gsp/shared", 0)
+            other, other_stats = reader.read_level("gsp/shared", 1)
+        assert sorted(row["unit"] for row in stats.errors) == sorted(
+            f"L0/b{i}" for i in range(n_bricks)
+        )
+        assert all(message in row["error"] for row in stats.errors)
+        assert np.array_equal(lost.mask, intact.levels[0].mask)
+        assert np.all(lost.data[lost.mask] == -7.0)
+        assert other_stats.errors == []
+        assert np.array_equal(other.data, intact.levels[1].data)
+
+
 class TestServeSharedTables:
     @pytest.fixture(scope="class")
-    def archive_path(self, tmp_path_factory):
-        from repro.engine import CompressionEngine, CompressionJob
-
-        job = CompressionJob(
-            golden_gsp_dataset(),
-            codec="tac",
-            error_bound=EB,
-            mode="abs",
-            label="gsp/shared",
-            codec_options={"shared_tables": True, "brick_size": 4},
-        )
-        archive = CompressionEngine().run_to_archive([job])
+    def archive_path(self, tmp_path_factory, shared_comp):
+        archive = BatchArchive()
+        archive.add("gsp/shared", shared_comp)
         path = tmp_path_factory.mktemp("serve") / "shared.rpbt"
         path.write_bytes(archive.to_bytes())
         return path
@@ -256,7 +298,7 @@ class TestServeSharedTables:
         serial single-codec reference."""
         from repro.serve.reader import ArchiveReader
 
-        tac = TACCompressor(brick_size=4, shared_tables=True)
+        tac = TACCompressor(brick_size=4)
         blob = archive_path.read_bytes()
         rois = [
             (slice(x, x + 8), slice(y, y + 8), slice(0, 16))
@@ -264,8 +306,6 @@ class TestServeSharedTables:
         ]
         reference = {}
         for i, roi in enumerate(rois):
-            from repro.engine import BatchArchive
-
             comp = BatchArchive.from_bytes(blob).get("gsp/shared")
             reference[i] = tac.decompress_region(comp, 0, roi)
 
@@ -297,20 +337,10 @@ class TestServeSharedTables:
 
 
 class TestCLISharedTables:
-    def test_compress_inspect_decompress(self, tmp_path, capsys):
+    def test_inspect_and_decompress_the_frozen_blob(self, tmp_path, capsys):
         from repro.cli import main
 
-        ds = tmp_path / "ds.npz"
-        archive = tmp_path / "ds.tac"
-        out = tmp_path / "back.npz"
-        assert main(["make", "Run1_Z10", "-o", str(ds), "--scale", "8"]) == 0
-        assert main([
-            "compress", str(ds), "-o", str(archive),
-            "--eb", "1e-3", "--method", "tac",
-            "--brick-size", "4", "--shared-tables",
-        ]) == 0
-        capsys.readouterr()
-        assert main(["inspect", str(archive)]) == 0
+        assert main(["inspect", str(GOLDEN)]) == 0
         shown = capsys.readouterr().out
-        assert "shared table 0x" in shown
-        assert main(["decompress", str(archive), "-o", str(out)]) == 0
+        assert "shared table 0x" in shown and "L*/table" in shown
+        assert main(["decompress", str(GOLDEN), "-o", str(tmp_path / "back.npz")]) == 0

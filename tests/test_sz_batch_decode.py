@@ -19,9 +19,8 @@ from repro.sz.compressor import (
     SZCompressor,
     stream_batches,
 )
-from repro.sz.huffman import SharedHuffmanTable
 from repro.utils.timer import TimingRecord
-from tests.helpers import reserialize_stream, smooth_cube
+from tests.helpers import reserialize_stream, shared_table_streams, smooth_cube
 
 CODEC = SZCompressor()
 
@@ -114,12 +113,9 @@ class TestEquivalence:
 class TestSharedTables:
     @pytest.fixture()
     def level(self):
-        arrays = fields((16, 16, 16), 6, np.float32)
-        prepared = [CODEC.prepare(arr, 1e-3, "abs") for arr in arrays]
-        table = SharedHuffmanTable.from_counts(sum(p.counts for p in prepared))
-        parts = {"L0/table": table.serialize()}
-        blobs = [CODEC.encode_prepared(p, shared=table) for p in prepared]
-        return blobs, SharedTableResolver(parts, "L0/table")
+        private = [CODEC.compress(arr, 1e-3, "abs") for arr in fields((16, 16, 16), 6, np.float32)]
+        table, blobs, _info = shared_table_streams(private)
+        return blobs, SharedTableResolver({"L0/table": table}, "L0/table")
 
     def test_lanes_share_one_table(self, level):
         blobs, resolver = level

@@ -1,9 +1,9 @@
 """Batched encode: ``compress_many`` ≡ one ``compress`` per array.
 
-The batch kernels are the only encode path (``compress``, ``prepare`` and
-``encode_prepared`` are batches of one), so these tests pin that a stream's
-bytes do not depend on what it was batched with — over every stream kind —
-and that a bad member raises what ``compress`` raises for it.
+The batch kernels are the only encode path (``compress`` is the batch of
+one), so these tests pin that a stream's bytes do not depend on what it was
+batched with — over every stream kind — and that a bad member raises what
+``compress`` raises for it.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.core.gsp import gsp_pad
 from repro.core.tac import TACCompressor
 from repro.sz import compressor as sz_compressor
 from repro.sz.compressor import SZCompressor
-from repro.sz.huffman import SharedHuffmanTable
 from repro.utils.timer import TimingRecord
 from tests.helpers import smooth_cube, two_level_dataset
 from tests.test_sz_batch_decode import fields
@@ -124,6 +123,12 @@ class TestEquivalence:
         assert_same_blobs(CODEC, arrays, 1e-2, "pw_rel")
         assert set(passes) == {1}  # pw_rel streams never share a pass
 
+    def test_shapes_dtypes_empty_and_constant_members_in_one_rel_call(self):
+        arrays = fields((16, 16, 16), 6, np.float32) + fields((9, 7, 5), 3, np.float64, seed=1)
+        arrays.insert(2, np.zeros((0, 3), np.float32))
+        arrays.insert(4, np.full((16, 16, 16), 7.0, np.float32))
+        assert_same_blobs(CODEC, arrays, 1e-3, "rel")
+
     def test_value_budget_splits_batches(self, monkeypatch, passes):
         arrays = fields((16, 16, 16), 70, np.float32)
         blobs = CODEC.compress_many(arrays, 1e-3, "abs")
@@ -165,34 +170,6 @@ class TestEquivalence:
         assert set(lone.spans) == set(one.spans)
 
 
-class TestSharedTables:
-    def test_two_phase_batch_equals_per_stream_calls(self):
-        arrays = fields((16, 16, 16), 6, np.float32) + fields((9, 7, 5), 3, np.float64, seed=1)
-        arrays.insert(2, np.zeros((0, 3), np.float32))
-        arrays.insert(4, np.full((16, 16, 16), 7.0, np.float32))
-        single = [CODEC.prepare(arr, 1e-3, "rel") for arr in arrays]
-        batched = CODEC.prepare_many(arrays, 1e-3, "rel")
-        for one, many in zip(single, batched):
-            assert (one.blob is None) == (many.blob is None)
-            if one.blob is None:
-                assert np.array_equal(one.symbols, many.symbols)
-                assert np.array_equal(one.outliers, many.outliers)
-                assert np.array_equal(one.counts, many.counts)
-        table = SharedHuffmanTable.from_counts(
-            sum(p.counts for p in batched if p.counts is not None)
-        )
-        assert CODEC.encode_prepared_many(batched, shared=table) == [
-            CODEC.encode_prepared(p, shared=table) for p in single
-        ]
-        assert CODEC.encode_prepared_many(batched) == [
-            CODEC.compress(arr, 1e-3, "rel") for arr in arrays
-        ]
-
-    def test_prepare_many_rejects_pw_rel(self):
-        with pytest.raises(ValueError, match="pw_rel"):
-            CODEC.prepare_many(fields((4, 4, 4), 2, np.float32), 1e-3, "pw_rel")
-
-
 class TestBadMembers:
     @pytest.mark.parametrize(
         "spoil",
@@ -209,9 +186,6 @@ class TestBadMembers:
         with pytest.raises(ValueError) as batch:
             CODEC.compress_many(arrays, 1e-3, "abs")
         assert str(batch.value) == str(single.value)
-        with pytest.raises(ValueError) as two_phase:
-            CODEC.prepare_many(arrays, 1e-3, "abs")
-        assert str(two_phase.value) == str(single.value)
 
     def test_unsupported_ndim_member(self):
         good = [np.ones((2,) * 5) * k for k in range(2)]  # 5-D, batched together
@@ -241,10 +215,9 @@ class TestBadMembers:
 
 
 class TestTAC:
-    @pytest.mark.parametrize("shared_tables", [False, True])
-    def test_level_workers_bytes_equal_serial(self, shared_tables):
+    def test_level_workers_bytes_equal_serial(self):
         dataset = two_level_dataset(n=32, fine_fraction=0.8)
-        codec = TACCompressor(brick_size=16, shared_tables=shared_tables)
+        codec = TACCompressor(brick_size=16)
         serial = codec.compress(dataset, 1e-3).to_bytes()
         assert codec.compress(dataset, 1e-3, level_workers=2).to_bytes() == serial
 
