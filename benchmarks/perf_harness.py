@@ -306,7 +306,10 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     batching buys.  All run over every brick of the field (512 at scale 4,
     27 at smoke scale); decode also over 27 bricks, one cold ROI read's
     worth.  The bricks are non-contiguous views of the field, as TAC
-    hands them over.
+    hands them over.  ``sz_compress_many_bricks_recon`` is the same batched
+    encode with ``recon=`` destinations aliasing the sources (bricks of a
+    copy of the field, as an ingest session's encoder passes them): what
+    handing out the encoder's own reconstruction costs on top.
     """
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor
@@ -316,12 +319,16 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     codec = SZCompressor()
     eb_abs = 1e-3 * float(field.max() - field.min())
     brick = 16
-    bricks = [
-        field[x : x + brick, y : y + brick, z : z + brick]
-        for x in range(0, n, brick)
-        for y in range(0, n, brick)
-        for z in range(0, n, brick)
-    ]
+
+    def cut(grid):
+        return [
+            grid[x : x + brick, y : y + brick, z : z + brick]
+            for x in range(0, n, brick)
+            for y in range(0, n, brick)
+            for z in range(0, n, brick)
+        ]
+
+    bricks = cut(field)
 
     def compress_loop():
         return [codec.compress(b, eb_abs, "abs") for b in bricks]
@@ -346,12 +353,28 @@ def _brick_ops(scale: int, repeats: int) -> dict:
             ),
         }
 
+    scratch = field.copy()
+    own = cut(scratch)
+
+    def compress_recon():
+        # Every run starts from the field again: the destinations are the
+        # sources, so one run leaves its reconstruction behind in them.
+        np.copyto(scratch, field)
+        return codec.compress_many(own, eb_abs, "abs", recon=own)
+
+    assert compress_recon() == blobs
+    for rec, one in zip(own[:27], blobs[:27]):
+        assert np.array_equal(rec, codec.decompress(one))
+
     n_values = len(bricks) * brick**3
     return {
         "sz_compress_many_bricks": op_entry(
             time_op(lambda: codec.compress_many(bricks, eb_abs, "abs"), repeats),
             n_values,
             n_values * 4,
+        ),
+        "sz_compress_many_bricks_recon": op_entry(
+            time_op(compress_recon, repeats), n_values, n_values * 4
         ),
         "sz_compress_loop_bricks": op_entry(
             time_op(compress_loop, repeats), n_values, n_values * 4
@@ -420,7 +443,8 @@ def _ingest_ops(scale: int, repeats: int) -> dict:
     comparable (chunked presentation must not cost throughput).
     ``ingest_session_delta`` times a short end-to-end temporal-delta
     session — generate-free (the series is prebuilt), so the number is
-    compress + closed-loop decode + streamed shard write.
+    residual + compress (the encoder hands out the reconstruction the next
+    residual needs; nothing is decoded) + accumulate + streamed shard write.
     """
     import shutil
     import tempfile
@@ -518,6 +542,7 @@ GROUP_OPS = {
     "sz": tuple(f"sz_{op}_{p}" for op in ("compress", "decompress") for p in ("interp", "lorenzo"))
     + ("sz_quantize", "sz_predict")
     + tuple(f"sz_compress_{how}_bricks" for how in ("many", "loop"))
+    + ("sz_compress_many_bricks_recon",)
     + tuple(
         f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
     ),

@@ -356,10 +356,17 @@ def _undo_log_transform(parsed: stream.Stream, values: np.ndarray) -> np.ndarray
     zeros = np.unpackbits(
         np.frombuffer(lossless.decompress_bytes(codec, payload), dtype=np.uint8)
     )[:n].astype(bool)
-    mags = np.exp(values.ravel())
+    return _from_log_space(values, signs, zeros).reshape(header.shape).astype(header.dtype)
+
+
+def _from_log_space(logs: np.ndarray, signs: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Flat float64 values from reconstructed log-magnitudes and the flat
+    sign / exact-zero masks — the one expression both the decoder and the
+    encoder's ``recon=`` hand-out evaluate."""
+    mags = np.exp(logs.ravel())
     out = np.where(signs, -mags, mags)
     out[zeros] = 0.0
-    return out.reshape(header.shape).astype(header.dtype)
+    return out
 
 
 def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
@@ -429,6 +436,29 @@ def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
         ]
 
 
+def _check_destination(dest, shape: tuple[int, ...], dtype) -> None:
+    """A ``recon=`` destination must be an array of the stream's shape and
+    storage dtype (float32 / float64 inputs keep theirs, anything else is
+    stored as float64)."""
+    stored = np.dtype(dtype if dtype in (np.float32, np.float64) else np.float64)
+    if not isinstance(dest, np.ndarray) or dest.shape != shape or dest.dtype != stored:
+        got = (
+            f"{dest.dtype} array of shape {dest.shape}"
+            if isinstance(dest, np.ndarray)
+            else type(dest).__name__
+        )
+        raise ValueError(
+            f"recon destination must be a {stored} array of shape {shape}, got {got}"
+        )
+
+
+def _hand_out(dests: Sequence[np.ndarray], values: Sequence[np.ndarray]) -> None:
+    """Round each float64 reconstruction into its destination's dtype.  A
+    function of its own so no view of ``values`` outlives the hand-out."""
+    for dest, row in zip(dests, values):
+        dest[...] = row
+
+
 class SZCompressor:
     """Reusable error-bounded compressor.
 
@@ -457,20 +487,34 @@ class SZCompressor:
         return blob
 
     def compress_with_stats(
-        self, data, error_bound: float, mode: ErrorMode | str = ErrorMode.ABS
+        self,
+        data,
+        error_bound: float,
+        mode: ErrorMode | str = ErrorMode.ABS,
+        recon: np.ndarray | None = None,
     ) -> tuple[bytes, CompressionStats]:
-        """Compress and also return byte-level accounting."""
+        """Compress and also return byte-level accounting.
+
+        ``recon`` is a destination array of the stream's shape and dtype,
+        filled with exactly what ``decompress(blob)`` returns — the
+        reconstruction the closed-loop predictor computed anyway, so no
+        decode runs.  It may be ``data`` itself (written only after the
+        predictor has consumed the input); a destination of the wrong shape
+        or dtype raises ``ValueError`` before anything is encoded.
+        """
         mode = ErrorMode(mode)
         timings = TimingRecord()
         arr, header = self._open(data, error_bound, mode)
+        if recon is not None:
+            _check_destination(recon, arr.shape, arr.dtype)
         if arr.size == 0:
             return self._compress_empty(arr, header, timings)
         if mode is ErrorMode.PW_REL:
-            return self._compress_pw_rel(arr, header, timings)
+            return self._compress_pw_rel(arr, header, timings, recon)
         header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
         if header.eb_abs == 0.0:
-            return self._compress_lossless(arr, header, timings)
-        sections, n_outliers = self._encode_lattice(arr, header.eb_abs, timings)
+            return self._compress_lossless(arr, header, timings, recon)
+        sections, n_outliers = self._encode_lattice(arr, header.eb_abs, timings, recon)
         blob = stream.serialize(header, sections)
         return blob, self._stats(arr, blob, header, dict((t, len(p)) for t, _c, p in sections), n_outliers, timings)
 
@@ -480,6 +524,7 @@ class SZCompressor:
         error_bound: float,
         mode: ErrorMode | str = ErrorMode.ABS,
         timings: TimingRecord | None = None,
+        recon: Sequence[np.ndarray] | None = None,
     ) -> list[bytes]:
         """Compress every array; ``result[i]`` is ``compress(arrays[i], ...)``.
 
@@ -490,16 +535,37 @@ class SZCompressor:
         ``pw_rel`` stream) goes through :meth:`compress_with_stats`.  Any
         array that :meth:`compress` would reject raises the same error
         here, and nothing is returned.
+
+        ``recon`` is one destination array per input (see
+        :meth:`compress_with_stats`): ``recon[i]`` ends up bit-identical to
+        ``decompress(result[i])`` without a decode, and the blobs are the
+        same bytes either way.  ``recon[i]`` may be ``arrays[i]`` itself —
+        a member's destination is written only after its batch's predict
+        stage has consumed the batch's inputs — but must not overlap any
+        other input.  Every destination is checked before anything is
+        encoded.
         """
         mode = ErrorMode(mode)
         arrays = list(arrays)
         keys = [(np.shape(arr), getattr(arr, "dtype", None)) for arr in arrays]
+        if recon is None:
+            dests: list = [None] * len(arrays)
+        else:
+            dests = list(recon)
+            if len(dests) != len(arrays):
+                raise ValueError(
+                    f"need one recon destination per array: {len(arrays)} arrays, {len(dests)} given"
+                )
+            for arr, dest in zip(arrays, dests):
+                _check_destination(dest, np.shape(arr), np.asarray(arr).dtype)
         out: list = [None] * len(arrays)
         record = timings if timings is not None else TimingRecord()
         for batch in _batches(keys, [math.prod(shape) for shape, _dtype in keys]):
             if len(batch) == 1 or mode is ErrorMode.PW_REL:
                 for index in batch:
-                    out[index], stats = self.compress_with_stats(arrays[index], error_bound, mode)
+                    out[index], stats = self.compress_with_stats(
+                        arrays[index], error_bound, mode, dests[index]
+                    )
                     for span, seconds in stats.timings.spans.items():
                         record.add(span, seconds)
                 continue
@@ -515,7 +581,7 @@ class SZCompressor:
                     continue
                 header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
                 if header.eb_abs == 0.0:
-                    out[index] = self._compress_lossless(arr, header, record)[0]
+                    out[index] = self._compress_lossless(arr, header, record, dests[index])[0]
                     continue
                 slots.append(index)
                 arrs.append(arr)
@@ -524,7 +590,10 @@ class SZCompressor:
             opened = [(arr.shape, arr.dtype) for arr in arrs]
             for group in _batches(opened, [arr.size for arr in arrs]):
                 rows = self._prepare_symbols(
-                    [arrs[i] for i in group], [headers[i].eb_abs for i in group], record
+                    [arrs[i] for i in group],
+                    [headers[i].eb_abs for i in group],
+                    record,
+                    None if recon is None else [dests[slots[i]] for i in group],
                 )
                 for i, sections in zip(group, self._encode_symbols(*rows, record)):
                     out[slots[i]] = stream.serialize(headers[i], sections)
@@ -544,12 +613,22 @@ class SZCompressor:
             mode=mode.value, dtype=arr.dtype, shape=arr.shape, eb_user=eb_user, eb_abs=0.0
         )
 
-    def _prepare_symbols(self, arrs: list[np.ndarray], ebs: list[float], timings: TimingRecord):
+    def _prepare_symbols(
+        self,
+        arrs: list[np.ndarray],
+        ebs: list[float],
+        timings: TimingRecord,
+        recon: Sequence[np.ndarray] | None = None,
+    ):
         """Steps 2–3 plus symbol mapping for same-shape arrays.
 
         Returns ``(symbols, outliers, counts)``: an ``(n_streams, size)``
         symbol array, each stream's escape-coded residuals in stream order,
         and an ``(n_streams, alphabet)`` histogram.
+
+        ``recon`` (one destination per array) receives the predictor's own
+        reconstructions once it has consumed every input; the float64
+        working copy is gone again before the symbols are mapped.
         """
         cfg = self.config
         n_streams = len(arrs)
@@ -557,10 +636,20 @@ class SZCompressor:
             with timed(timings, "predict"):
                 # A single (possibly large) stream is only viewed, not copied.
                 stacked = arrs[0][None] if n_streams == 1 else np.stack(arrs, dtype=np.float64)
-                residuals = interp_compress(stacked, ebs)
+                if recon is None:
+                    residuals = interp_compress(stacked, ebs)
+                else:
+                    residuals, values = interp_compress(stacked, ebs, want_recon=True)
+                    _hand_out(recon, values)
+                    del values
         else:
             with timed(timings, "quantize"):
                 lattices = [quantize(arr, eb) for arr, eb in zip(arrs, ebs)]
+                if recon is not None:
+                    _hand_out(
+                        recon,
+                        (dequantize(lattice, eb) for lattice, eb in zip(lattices, ebs)),
+                    )
             with timed(timings, "predict"):
                 rows = [lorenzo_forward(lattice).reshape(1, -1) for lattice in lattices]
                 residuals = rows[0] if n_streams == 1 else np.concatenate(rows)
@@ -608,9 +697,13 @@ class SZCompressor:
                 for codec, enc, outl in zip(codecs, encoded, outliers)
             ]
 
-    def _encode_lattice(self, arr: np.ndarray, eb_abs: float, timings: TimingRecord):
+    def _encode_lattice(
+        self, arr: np.ndarray, eb_abs: float, timings: TimingRecord, recon: np.ndarray | None = None
+    ):
         """Steps 2–5 for a plain (abs-bounded) array; returns sections."""
-        symbols, outliers, counts = self._prepare_symbols([arr], [eb_abs], timings)
+        symbols, outliers, counts = self._prepare_symbols(
+            [arr], [eb_abs], timings, None if recon is None else [recon]
+        )
         sections = self._encode_symbols(symbols, outliers, counts, timings)[0]
         return sections, int(outliers[0].size)
 
@@ -649,9 +742,13 @@ class SZCompressor:
         blob = stream.serialize(header, [])
         return blob, self._stats(arr, blob, header, {}, 0, timings)
 
-    def _compress_lossless(self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord):
+    def _compress_lossless(
+        self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord, recon=None
+    ):
         """eb == 0 (or zero value range in rel mode): store verbatim + DEFLATE."""
         header.flags |= stream.FLAG_LOSSLESS_FALLBACK
+        if recon is not None:
+            recon[...] = arr
         with timed(timings, "lossless"):
             codec, payload = lossless.compress_bytes(
                 arr.tobytes(), level=max(self.config.zlib_level, 1)
@@ -659,11 +756,13 @@ class SZCompressor:
         blob = stream.serialize(header, [(stream.SEC_RAW, codec, payload)])
         return blob, self._stats(arr, blob, header, {stream.SEC_RAW: len(payload)}, 0, timings)
 
-    def _compress_pw_rel(self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord):
+    def _compress_pw_rel(
+        self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord, recon=None
+    ):
         """Point-wise relative bound via the standard log-space reduction."""
         eb_user = header.eb_user
         if eb_user <= 0:
-            return self._compress_lossless(arr, header, timings)
+            return self._compress_lossless(arr, header, timings, recon)
         if eb_user >= 1.0:
             raise ValueError("pw_rel error bound must be < 1 (100% relative error)")
         with timed(timings, "transform"):
@@ -674,7 +773,13 @@ class SZCompressor:
             logs = np.where(zero_mask, 0.0, np.log(np.where(zero_mask, 1.0, mags)))
         eb_abs = float(np.log1p(eb_user))
         header.eb_abs = eb_abs
-        sections, n_outliers = self._encode_lattice(logs, eb_abs, timings)
+        log_recon = None if recon is None else np.empty_like(logs)
+        sections, n_outliers = self._encode_lattice(logs, eb_abs, timings, log_recon)
+        if recon is not None:
+            with timed(timings, "transform"):
+                recon[...] = _from_log_space(
+                    log_recon, signs.ravel(), zero_mask.ravel()
+                ).reshape(arr.shape)
         level = max(self.config.zlib_level, 1)
         c, p = lossless.compress_bytes(np.packbits(signs.ravel()).tobytes(), level=level)
         sections.append((stream.SEC_SIGNS, c, p))

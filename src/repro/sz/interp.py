@@ -122,7 +122,7 @@ def _check_ndim(ndim: int) -> None:
         raise ValueError(f"interpolation predictor supports 1-4D, got {ndim}D")
 
 
-def interp_compress(data: np.ndarray, abs_eb) -> np.ndarray:
+def interp_compress(data: np.ndarray, abs_eb, want_recon: bool = False):
     """Quantization-code stream for ``data`` under absolute bound ``abs_eb``.
 
     The returned int64 stream concatenates anchor delta codes and per-pass
@@ -135,6 +135,12 @@ def interp_compress(data: np.ndarray, abs_eb) -> np.ndarray:
     batch and every float operation stays elementwise (each stream's pitch
     broadcasts down its row, anchors are delta-coded within their row), so
     row ``i`` is bit-identical to compressing ``data[i]`` on its own.
+
+    ``want_recon=True`` returns ``(codes, recon)``: the float64
+    reconstruction the traversal filled pass by pass (later predictions
+    consume earlier reconstructions), which is what
+    :func:`interp_decompress` rebuilds from ``codes`` — same expressions,
+    same order, so the two are bit-identical.
     """
     batched = np.ndim(abs_eb) == 1
     ebs = [check_error_bound(float(eb)) for eb in np.atleast_1d(abs_eb)]
@@ -148,7 +154,10 @@ def interp_compress(data: np.ndarray, abs_eb) -> np.ndarray:
         raise ValueError(f"expected {n_streams} error bounds, got {len(ebs)}")
     codes = np.empty((n_streams, math.prod(arr.shape[1:])), dtype=np.int64)
     if codes.size == 0:
-        return codes if batched else codes[0]
+        recon = np.zeros_like(arr)
+        if not batched:
+            codes, recon = codes[0], recon[0]
+        return (codes, recon) if want_recon else codes
     pitches = [2.0 * eb for eb in ebs]
     peaks = np.abs(arr).reshape(n_streams, -1).max(axis=1).tolist()
     for eb, pitch, peak in zip(ebs, pitches, peaks):
@@ -180,7 +189,9 @@ def interp_compress(data: np.ndarray, abs_eb) -> np.ndarray:
         scratch *= pitch
         pred += scratch
         recon[new_ix] = pred
-    return codes if batched else codes[0]
+    if not batched:
+        codes, recon = codes[0], recon[0]
+    return (codes, recon) if want_recon else codes
 
 
 def interp_decompress(codes: np.ndarray, abs_eb, shape: tuple[int, ...]) -> np.ndarray:
