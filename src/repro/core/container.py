@@ -52,6 +52,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.amr.hierarchy import AMRLevel
 from repro.utils.timer import TimingRecord
 
 _MAGIC = b"RPAM"
@@ -290,12 +291,15 @@ class LevelChunk:
 
     ``level``/``meta`` are ``None`` for opaque chunks (e.g. the §4.4
     baseline delegation, which emits the whole entry as one group).
-    Part order inside ``parts`` is the wire order.
+    Part order inside ``parts`` is the wire order.  ``rec`` is the level
+    these parts decode to, when the compressor was asked for it
+    (``compress_iter(want_recon=True)``); it is never written anywhere.
     """
 
     level: int | None
     meta: dict | None
     parts: dict[str, bytes]
+    rec: AMRLevel | None = None
 
     def nbytes(self) -> int:
         return sum(len(p) for p in self.parts.values())

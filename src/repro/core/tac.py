@@ -180,6 +180,7 @@ class TACCompressor(PlanExecutorMixin):
         per_level_scale=None,
         timings: TimingRecord | None = None,
         level_workers: int = 1,
+        want_recon: bool = False,
     ) -> StreamingCompression:
         """Compress level by level, yielding each level's parts as produced.
 
@@ -198,8 +199,15 @@ class TACCompressor(PlanExecutorMixin):
         chunks are yielded in level order, so the output is bit-identical
         to the serial path — at the cost of the one-level memory bound.
 
+        ``want_recon=True`` sets each chunk's ``rec`` to the level a reader
+        will decode from its parts, bit for bit — built from the
+        reconstruction the SZ encoder computed anyway (its predictor is
+        closed-loop), by the same stitch → crop → mask code the reader
+        runs, so nothing is decoded.
+
         The §4.4 baseline delegation has no level-wise decomposition; that
-        regime compresses eagerly and yields the whole entry as one chunk.
+        regime compresses eagerly and yields the whole entry as one chunk
+        (without a ``rec``).
         """
         timings = timings if timings is not None else TimingRecord()
         level_workers = check_positive_int(level_workers, name="level_workers")
@@ -227,14 +235,14 @@ class TACCompressor(PlanExecutorMixin):
             "shapes": [list(lvl.shape) for lvl in dataset.levels],
         }
 
-        def level_task(lvl: AMRLevel) -> tuple[dict, dict, TimingRecord]:
-            return self._level_task(lvl, base_eb * scales[lvl.level])
+        def level_task(lvl: AMRLevel):
+            return self._level_task(lvl, base_eb * scales[lvl.level], want_recon)
 
         def chunks(outputs):
-            for lvl, (meta, parts, record) in zip(dataset.levels, outputs):
+            for lvl, (meta, parts, record, rec) in zip(dataset.levels, outputs):
                 for span, seconds in record.spans.items():
                     timings.add(span, seconds)
-                yield LevelChunk(level=lvl.level, meta=meta, parts=parts)
+                yield LevelChunk(level=lvl.level, meta=meta, parts=parts, rec=rec)
 
         def produce():
             if level_workers > 1 and dataset.n_levels > 1:
@@ -252,21 +260,30 @@ class TACCompressor(PlanExecutorMixin):
             base_meta=base_meta,
         )
 
-    def _level_task(self, lvl: AMRLevel, eb_abs: float) -> tuple[dict, dict, TimingRecord]:
-        """One level's complete output: ``(meta, parts, timings)``.
+    def _level_task(
+        self, lvl: AMRLevel, eb_abs: float, want_recon: bool = False
+    ) -> tuple[dict, dict, TimingRecord, AMRLevel | None]:
+        """One level's complete output: ``(meta, parts, timings, rec)``.
 
         The single source of per-level part production.
         """
         parts: dict[str, bytes] = {}
         record = TimingRecord()
-        meta = self._compress_level(lvl, eb_abs, parts, record)
+        meta, rec = self._compress_level(lvl, eb_abs, parts, record, want_recon)
         if self.config.store_masks:
             parts[f"{MASK_PREFIX}L{lvl.level}"] = pack_mask(lvl.mask)
-        return meta, parts, record
+        return meta, parts, record, rec
 
     def _compress_level(
-        self, lvl: AMRLevel, eb_abs: float, parts: dict[str, bytes], timings: TimingRecord
-    ) -> dict:
+        self,
+        lvl: AMRLevel,
+        eb_abs: float,
+        parts: dict[str, bytes],
+        timings: TimingRecord,
+        want_recon: bool,
+    ) -> tuple[dict, AMRLevel | None]:
+        """Fill ``parts`` with the level's payloads; returns its metadata
+        and, with ``want_recon``, the level those payloads decode to."""
         cfg = self.config
         density = lvl.density()
         meta: dict = {
@@ -277,12 +294,13 @@ class TACCompressor(PlanExecutorMixin):
         }
         if lvl.n_points() == 0:
             meta["strategy"] = "empty"
-            return meta
+            return meta, _encoder_rec(lvl, meta, {}) if want_recon else None
         strategy = cfg.force_strategy or select_strategy(density, cfg.t1, cfg.t2)
         block = cfg.unit_block or default_unit_block(lvl.n)
         meta["strategy"] = strategy.value
         meta["unit_block"] = block
         result = self._preprocess(lvl, strategy, block, timings)
+        layout = {}  # the decoded layout record a reader's assembly works from
         if strategy in (Strategy.GSP, Strategy.ZF):
             # Strategy format 2: chunk the padded grid into independently
             # compressed bricks — one part per brick plus the brick table,
@@ -306,16 +324,25 @@ class TACCompressor(PlanExecutorMixin):
             }
         else:
             parts[f"L{lvl.level}/layout"] = serialize_layout(result)
+            layout = {f"L{lvl.level}/layout": result}
             streams = {
                 f"L{lvl.level}/g{group_idx}": result.groups[shape]
                 for group_idx, shape in enumerate(layout_shapes(result))
             }
             meta["n_blocks"] = result.n_blocks()
             meta["n_groups"] = len(result.groups)
+        arrays = list(streams.values())
         with timed(timings, "compress"):
-            blobs = self.codec.compress_many(list(streams.values()), eb_abs, mode="abs")
+            # The strategy's arrays are this call's own (cut from the masked
+            # copy), so each is its own destination: the reconstruction
+            # replaces the input in place and no level-sized buffer is added.
+            blobs = self.codec.compress_many(
+                arrays, eb_abs, mode="abs", recon=arrays if want_recon else None
+            )
         parts.update(zip(streams, blobs))
-        return meta
+        if not want_recon:
+            return meta, None
+        return meta, _encoder_rec(lvl, meta, {**layout, **streams})
 
     def _preprocess(self, lvl: AMRLevel, strategy: Strategy, block: int, timings: TimingRecord):
         """The strategy's dense arrays for one level — the padded grid of
@@ -490,25 +517,12 @@ class TACCompressor(PlanExecutorMixin):
         of the bricks, or of the blocks, that meet it — and a box that is
         its whole window is returned in that buffer.
         """
-        level_meta = self._level_meta(comp, level)
-        strategy = level_meta["strategy"]
-        if strategy == "empty":
-            window = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.float32)
-        elif strategy not in (Strategy.GSP.value, Strategy.ZF.value):
-            window = _stitch_groups(level, results, box)
-        elif level_meta.get("bricks"):
-            window = _stitch_bricks(level_meta, level, results, box)
-        else:
-            # The decoded grid stays the read's (a cache may hold it).
-            window = results[f"L{level}/grid"][region_slices(box)].copy()
-        # The window is this call's own: a box cut out of a larger bounding
-        # window is copied, which lets that go before the mask is unpacked
-        # next to it, and the cells outside the mask are zeroed in place.
-        data = np.ascontiguousarray(window)
-        del window
-        mask = level_mask(comp, results, structure, level, box)
-        np.putmask(data, ~mask, 0)
-        return AMRLevel(data=data, mask=mask, level=level)
+        return _assemble_box(
+            self._level_meta(comp, level),
+            results,
+            box,
+            lambda: level_mask(comp, results, structure, level, box),
+        )
 
     # ------------------------------------------------------------------
     # analysis helpers
@@ -523,6 +537,45 @@ class TACCompressor(PlanExecutorMixin):
         record = TimingRecord()
         result = self._preprocess(lvl, strategy, block, record)
         return result, record.get("preprocess")
+
+
+def _assemble_box(level_meta: dict, results: dict, box, mask_of_box) -> AMRLevel:
+    """Stitch → crop → mask: ``box`` of the level ``level_meta`` describes,
+    from its decoded streams in ``results``.
+
+    The one assembly of a TAC level — the reader's, and the encoder's when
+    it hands out its own reconstruction (``results`` then holds the arrays
+    the SZ encoder reconstructed in place).  ``mask_of_box()`` is called
+    only once the stitched window has been copied and dropped, so the mask
+    is never unpacked next to it.
+    """
+    level = level_meta["level"]
+    strategy = level_meta["strategy"]
+    if strategy == "empty":
+        window = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.float32)
+    elif strategy not in (Strategy.GSP.value, Strategy.ZF.value):
+        window = _stitch_groups(level, results, box)
+    elif level_meta.get("bricks"):
+        window = _stitch_bricks(level_meta, level, results, box)
+    else:
+        # The decoded grid stays the read's (a cache may hold it).
+        window = results[f"L{level}/grid"][region_slices(box)].copy()
+    # The window is this call's own: a box cut out of a larger bounding
+    # window is copied, which lets that go before the mask is fetched, and
+    # the cells outside the mask are zeroed in place.
+    data = np.ascontiguousarray(window)
+    del window
+    mask = mask_of_box()
+    np.putmask(data, ~mask, 0)
+    return AMRLevel(data=data, mask=mask, level=level)
+
+
+def _encoder_rec(lvl: AMRLevel, level_meta: dict, results: dict) -> AMRLevel:
+    """The level a reader decodes from the parts just written for ``lvl``:
+    ``results`` maps each stream's part name to the array the SZ encoder
+    reconstructed in place — where a reader's decode units put the decoded
+    ones — and a block strategy's layout name to the extraction itself."""
+    return _assemble_box(level_meta, results, level_box(lvl.shape), lambda: lvl.mask)
 
 
 def _touched_bricks(level_meta: dict, box):

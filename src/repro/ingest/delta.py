@@ -15,7 +15,12 @@ The ingest session exploits that per (name, field) chain:
   reconstructed timestep within the keyframe's absolute bound —
   ``rec_t = rec_{t−1} + dec(res_t)`` and ``res_t = cur_t − rec_{t−1}``,
   so ``|rec_t − cur_t| = |dec(res_t) − res_t| ≤ eb`` with **no error
-  accumulation** along the chain.
+  accumulation** along the chain.  On the write side ``dec(res_t)`` is
+  not a decode: the session takes the encoder's own reconstruction
+  (``compress_iter(want_recon=True)`` — the SZ predictor works from it,
+  and the level is assembled by the reader's code), which equals the
+  reader's decode bit for bit, so the loop is closed on exactly the
+  values a reader will sum (``tests/test_encoder_rec.py``).
 * Residuals are encoded under the absolute bound resolved at the chain's
   keyframe (``mode="abs"``), so a ``rel`` bound keeps meaning "relative
   to the data's range", not the residual's.

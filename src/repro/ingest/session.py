@@ -19,6 +19,16 @@ in global submission order — into a
 :class:`~repro.engine.archive.ShardedArchiveWriter`, so shard layout and
 manifest are deterministic for a given submission sequence.
 
+Temporal loop
+-------------
+A delta step encodes ``cur_t − rec_{t−1}`` (:mod:`repro.ingest.delta`).
+``rec`` is what a reader will decode, and the session gets it without
+decoding: an error-bounded predictor already computes its reconstruction
+(it predicts from it), so ``compress_iter(want_recon=True)`` hands each
+level's out (``LevelChunk.rec``) bit-identical to the decode of the parts
+written.  Encoders without ``want_recon`` have the finished entry decoded
+whole instead.  A step followed by a forced keyframe tracks nothing.
+
 Memory
 ------
 ``max_inflight=1`` (default) runs synchronously: each entry's parts flow
@@ -46,7 +56,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
-from repro.amr.hierarchy import AMRDataset, AMRLevel
+from repro.amr.hierarchy import AMRDataset
 from repro.amr.io import load_dataset
 from repro.core.container import (
     CompressedDataset,
@@ -135,75 +145,27 @@ class _Entry:
     codec: str
     temporal: dict | None
     stream: object | None = None  # StreamingCompression-like
-    assembler: object | None = None  # pending closed-loop decode (sync mode)
     chain: _Chain | None = None
     is_keyframe: bool = True
-    track_rec: bool = False
     wall_seconds: float = 0.0
 
 
-class _RecAssembler:
-    """Closed-loop decode of an entry from its chunks as they stream by.
+class _TemporalStream:
+    """Chunk-stream adapter: stamps temporal metadata, collects the rec loop.
 
-    Level chunks decode independently (a pseudo single-level container
-    keeps the memory bound at one level); opaque chunks (the §4.4
-    delegation) collect and decode whole at :meth:`finish`.
+    With ``track`` (the codec and the submitted dataset), each chunk's
+    ``rec`` — the encoder's own reconstruction of that level — is detached
+    as the chunk streams by; chunks of an encoder that hands none out have
+    their parts collected instead, for one whole-entry decode at the end.
     """
 
-    def __init__(self, codec, structure: AMRDataset):
-        self._codec = codec
-        self._structure = structure
-        self._base_meta = {
-            "name": structure.name,
-            "field": structure.field,
-            "ratio": structure.ratio,
-            "box_size": structure.box_size,
-            "shapes": [list(lvl.shape) for lvl in structure.levels],
-        }
-        self._levels: dict[int, AMRLevel] = {}
-        self._opaque: dict[str, bytes] = {}
-
-    def add_chunk(self, stream, chunk) -> None:
-        if chunk.level is None:
-            self._opaque.update(chunk.parts)
-            return
-        pseudo = CompressedDataset(
-            method=stream.method,
-            dataset_name=stream.dataset_name,
-            parts=dict(chunk.parts),
-            meta={**self._base_meta, "levels": [chunk.meta]},
-        )
-        self._levels[chunk.level] = self._codec.decompress_level(
-            pseudo, chunk.level, structure=self._structure
-        )
-
-    def finish(self, stream) -> AMRDataset:
-        if self._opaque:
-            comp = CompressedDataset(
-                method=stream.method,
-                dataset_name=stream.dataset_name,
-                parts=self._opaque,
-                meta=stream.meta,
-            )
-            return self._codec.decompress(comp, structure=self._structure)
-        levels = [self._levels[idx] for idx in sorted(self._levels)]
-        return AMRDataset(
-            levels=levels,
-            name=self._structure.name,
-            field=self._structure.field,
-            ratio=self._structure.ratio,
-            box_size=self._structure.box_size,
-        )
-
-
-class _TemporalStream:
-    """Chunk-stream adapter: stamps temporal metadata, feeds the rec loop."""
-
-    def __init__(self, inner, temporal: dict | None, assembler, *, delta: bool):
+    def __init__(self, inner, temporal: dict | None, *, delta: bool, track=None):
         self._inner = inner
         self._temporal = temporal
-        self._assembler = assembler
         self._delta = delta
+        self._track = track
+        self._levels: list = []
+        self._parts: dict[str, bytes] = {}
         self.method = inner.method
         self.dataset_name = inner.dataset_name
         self.original_bytes = inner.original_bytes
@@ -214,9 +176,35 @@ class _TemporalStream:
 
     def __next__(self):
         chunk = next(self._inner)
-        if self._assembler is not None:
-            self._assembler.add_chunk(self, chunk)
+        if self._track is not None:
+            if chunk.rec is None:
+                self._parts.update(chunk.parts)
+            else:
+                self._levels.append(chunk.rec)
+                chunk.rec = None
         return chunk
+
+    def reconstruction(self) -> AMRDataset | None:
+        """What a reader decodes from the exhausted stream's entry
+        (``None`` when not tracking)."""
+        if self._track is None:
+            return None
+        codec, structure = self._track
+        if self._parts:
+            comp = CompressedDataset(
+                method=self.method,
+                dataset_name=self.dataset_name,
+                parts=self._parts,
+                meta=self.meta,
+            )
+            return codec.decompress(comp, structure=structure)
+        return AMRDataset(
+            levels=self._levels,
+            name=structure.name,
+            field=structure.field,
+            ratio=structure.ratio,
+            box_size=structure.box_size,
+        )
 
     @property
     def exhausted(self) -> bool:
@@ -450,7 +438,10 @@ class IngestSession:
         chain.last_key = key
         if is_keyframe:
             chain.keyframe_key = key
-        return key, chain, is_keyframe, temporal, delta_on
+        # The reconstruction is only for the next step's residual: a step
+        # whose successor is a forced keyframe needs none.
+        track_rec = delta_on and chain.since_keyframe + 1 < cfg.keyframe_interval
+        return key, chain, is_keyframe, temporal, track_rec
 
     def _check_key(self, key: str) -> None:
         if not key:
@@ -478,29 +469,35 @@ class IngestSession:
         else:
             source = residual_dataset(dataset, chain.rec)
             use_eb, use_mode = chain.eb_abs, "abs"
+        if chain is not None and not track_rec:
+            chain.rec = None  # nobody will read it: stop pinning a level set
         kwargs: dict = {}
         if pls is not None:
             kwargs["per_level_scale"] = pls
 
         entry = _Entry(
             key=key, index=index, codec=codec_name, temporal=temporal,
-            chain=chain, is_keyframe=is_keyframe, track_rec=track_rec,
+            chain=chain, is_keyframe=is_keyframe,
         )
         level_wise = hasattr(codec, "compress_iter")
         encode = codec.compress_iter if level_wise else codec.compress
         if self.config.level_workers > 1 and supports_kwarg(encode, "level_workers"):
             kwargs["level_workers"] = self.config.level_workers
+        if track_rec and supports_kwarg(encode, "want_recon"):
+            kwargs["want_recon"] = True
         inner = encode(source, use_eb, mode=use_mode, **kwargs)
         if not level_wise:
             inner = StreamingCompression.from_dataset(inner)
-        assembler = _RecAssembler(codec, dataset) if track_rec else None
-        stream = _TemporalStream(inner, temporal, assembler, delta=not is_keyframe)
+        stream = _TemporalStream(
+            inner, temporal, delta=not is_keyframe,
+            track=(codec, dataset) if track_rec else None,
+        )
         if self._pool is not None:
             # Pipelined mode: do the encode work *here*, in the
             # worker, trading the one-level bound for overlap.
             chunks = list(stream)
             meta = stream.meta
-            self._finish_rec(entry, assembler, stream)
+            self._finish_rec(entry, stream)
             stream = StreamingCompression(
                 method=stream.method,
                 dataset_name=stream.dataset_name,
@@ -509,19 +506,16 @@ class IngestSession:
                 chunks=chunks,
                 final_meta=meta,
             )
-        else:
-            entry.assembler = assembler
         entry.stream = stream
         entry.wall_seconds = time.perf_counter() - start
         return entry
 
-    def _finish_rec(self, entry_or_none, assembler, stream) -> None:
-        if assembler is None:
-            return
-        entry = entry_or_none
-        decoded = assembler.finish(stream)
-        chain = entry.chain
-        chain.rec = decoded if entry.is_keyframe else accumulate(chain.rec, decoded)
+    def _finish_rec(self, entry: _Entry, stream: _TemporalStream) -> None:
+        """Advance the chain's running reconstruction past ``entry``."""
+        rec = stream.reconstruction()
+        if rec is not None:
+            chain = entry.chain
+            chain.rec = rec if entry.is_keyframe else accumulate(chain.rec, rec)
 
     # -- write (caller side) -----------------------------------------------
     def _write(self, entry: _Entry) -> None:
@@ -529,9 +523,9 @@ class IngestSession:
         # drains the chunk stream — fold it into the entry's wall.
         start = time.perf_counter()
         self._writer.add_entry_stream(entry.key, entry.stream)
-        # Sync mode decodes during the drain above; seal the rec now.
-        self._finish_rec(entry, entry.assembler, entry.stream)
-        entry.assembler = None
+        if self._pool is None:
+            # Sync mode encoded during the drain above; seal the rec now.
+            self._finish_rec(entry, entry.stream)
         entry.stream = None
         entry.wall_seconds += time.perf_counter() - start
         self._entries.append(

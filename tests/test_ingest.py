@@ -255,6 +255,32 @@ class TestTemporalDelta:
                         want.data[mask], lvl.data[mask], eb_abs
                     )
 
+    def test_no_reconstruction_for_a_step_before_a_forced_keyframe(
+        self, tmp_path, monkeypatch
+    ):
+        """The running reconstruction exists for the next residual only: a
+        step whose successor must be a keyframe asks the encoder for none
+        and the chain stops holding one."""
+        asked = []
+        real = TACCompressor.compress_iter
+
+        def spy(self, dataset, *args, want_recon=False, **kwargs):
+            asked.append(want_recon)
+            return real(self, dataset, *args, want_recon=want_recon, **kwargs)
+
+        monkeypatch.setattr(TACCompressor, "compress_iter", spy)
+        held = []
+        cfg = IngestConfig(error_bound=EB, keyframe_interval=2)
+        with IngestSession(tmp_path / "kf2.rpbt", cfg) as session:
+            for snapshot in timestep_series(4):
+                session.submit(snapshot)
+                (chain,) = session._chains.values()
+                held.append(chain.rec is not None)
+        modes = [row["temporal"]["mode"] for row in session.report.entries]
+        assert modes == ["keyframe", "delta", "keyframe", "delta"]
+        assert asked == [True, False, True, False]
+        assert held == asked
+
     def test_temporal_chain_walk(self, delta_archive):
         head, keys, _series, _report = delta_archive
         with ArchiveReader(head) as reader:
