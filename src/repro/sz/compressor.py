@@ -441,14 +441,12 @@ def _check_destination(dest, shape: tuple[int, ...], dtype) -> None:
     storage dtype (float32 / float64 inputs keep theirs, anything else is
     stored as float64)."""
     stored = np.dtype(dtype if dtype in (np.float32, np.float64) else np.float64)
-    if not isinstance(dest, np.ndarray) or dest.shape != shape or dest.dtype != stored:
-        got = (
-            f"{dest.dtype} array of shape {dest.shape}"
-            if isinstance(dest, np.ndarray)
-            else type(dest).__name__
-        )
+    if not isinstance(dest, np.ndarray):
+        raise ValueError(f"recon destination must be an ndarray, got {type(dest).__name__}")
+    if dest.shape != shape or dest.dtype != stored:
         raise ValueError(
-            f"recon destination must be a {stored} array of shape {shape}, got {got}"
+            f"recon destination must be a {stored} array of shape {shape}, "
+            f"got {dest.dtype} of shape {dest.shape}"
         )
 
 
@@ -548,14 +546,12 @@ class SZCompressor:
         mode = ErrorMode(mode)
         arrays = list(arrays)
         keys = [(np.shape(arr), getattr(arr, "dtype", None)) for arr in arrays]
-        if recon is None:
-            dests: list = [None] * len(arrays)
-        else:
-            dests = list(recon)
-            if len(dests) != len(arrays):
-                raise ValueError(
-                    f"need one recon destination per array: {len(arrays)} arrays, {len(dests)} given"
-                )
+        dests = [None] * len(arrays) if recon is None else list(recon)
+        if len(dests) != len(arrays):
+            raise ValueError(
+                f"need one recon destination per array: {len(arrays)} arrays, {len(dests)} given"
+            )
+        if recon is not None:
             for arr, dest in zip(arrays, dests):
                 _check_destination(dest, np.shape(arr), np.asarray(arr).dtype)
         out: list = [None] * len(arrays)
