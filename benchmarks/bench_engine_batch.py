@@ -1,11 +1,11 @@
-"""Batch-engine smoke benchmark: serial vs parallel wall time.
+"""Session batch smoke benchmark: 1 vs 4 encoder workers.
 
 Not a paper figure — measures the scaling seam built on TAC's level-wise
-decomposition: a 4-field synthetic snapshot batch through
-:class:`repro.engine.CompressionEngine` with 1 vs 4 workers.  The engine
-contract says the parallel path must be *bit-identical* to the serial
-path, so this bench asserts that too: any speedup that changes bytes is
-a bug, not a win.
+decomposition: a 4-field synthetic snapshot batch through one
+:class:`repro.ingest.IngestSession` with 1 worker (synchronous) vs 4
+workers x 2 level-workers (pipelined).  The session contract says the
+pipelined path must write *byte-identical* entries, so this bench asserts
+that too: any speedup that changes bytes is a bug, not a win.
 """
 
 import os
@@ -14,7 +14,8 @@ import time
 import pytest
 
 from benchmarks.conftest import SCALE
-from repro.engine import CompressionEngine, CompressionJob
+from repro.engine import LazyBatchArchive
+from repro.ingest import IngestSession
 from repro.sim.datasets import make_dataset
 from repro.sim.nyx import NYX_FIELDS
 
@@ -23,42 +24,56 @@ BATCH_FIELDS = tuple(NYX_FIELDS[:4])
 
 
 @pytest.fixture(scope="module")
-def batch_jobs():
-    return [
-        CompressionJob(
-            make_dataset("Run1_Z2", scale=SCALE, field=field),
-            codec="tac",
-            error_bound=1e-4,
-            label=f"Run1_Z2/{field}",
-        )
-        for field in BATCH_FIELDS
-    ]
+def batch_fields():
+    return [make_dataset("Run1_Z2", scale=SCALE, field=field) for field in BATCH_FIELDS]
+
+
+def run_session(head, datasets, workers: int, level_workers: int = 1):
+    """Each field its own entry (one chain each, so they encode concurrently)."""
+    with IngestSession(
+        head, error_bound=1e-4, workers=workers, level_workers=level_workers,
+        max_inflight=2 * workers if workers > 1 else 1,
+    ) as session:
+        session.extend(datasets)
+    return session.report
+
+
+def entry_bytes(head) -> dict[str, dict[str, bytes]]:
+    out = {}
+    with LazyBatchArchive.open(head) as archive:
+        for key in archive.keys():
+            entry = archive.entry(key)
+            out[key] = {name: entry.parts[name] for name in entry.parts}
+    return out
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def bench_engine_batch(benchmark, batch_jobs, workers):
-    engine = CompressionEngine(max_workers=workers)
-    batch = benchmark.pedantic(engine.run, args=(batch_jobs,), rounds=1, iterations=1)
-    assert all(r.ok for r in batch)
+def bench_engine_batch(benchmark, batch_fields, workers, tmp_path):
+    report = benchmark.pedantic(
+        run_session, args=(tmp_path / "batch.rpbt", batch_fields, workers),
+        rounds=1, iterations=1,
+    )
+    assert report.n_entries == len(batch_fields)
     benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["jobs"] = len(batch_jobs)
-    benchmark.extra_info["ratio"] = round(batch.to_archive().ratio(), 2)
+    benchmark.extra_info["jobs"] = len(batch_fields)
+    benchmark.extra_info["ratio"] = round(report.ratio(), 2)
 
 
-def bench_engine_serial_vs_parallel(benchmark, batch_jobs, results_dir):
+def bench_engine_serial_vs_parallel(benchmark, batch_fields, results_dir, tmp_path):
     """One record with both wall times, the speedup, and the identity check."""
 
     def compare():
         t0 = time.perf_counter()
-        serial = CompressionEngine(max_workers=1).run(batch_jobs)
+        serial = run_session(tmp_path / "serial.rpbt", batch_fields, workers=1)
         t_serial = time.perf_counter() - t0
         t0 = time.perf_counter()
-        parallel = CompressionEngine(max_workers=4, level_workers=2).run(batch_jobs)
+        parallel = run_session(
+            tmp_path / "parallel.rpbt", batch_fields, workers=4, level_workers=2
+        )
         t_parallel = time.perf_counter() - t0
-        for a, b in zip(serial, parallel):
-            assert a.compressed.to_bytes() == b.compressed.to_bytes(), (
-                f"parallel output diverged for {a.label}"
-            )
+        assert entry_bytes(serial.head_path) == entry_bytes(parallel.head_path), (
+            "pipelined session wrote different entry bytes"
+        )
         return t_serial, t_parallel
 
     t_serial, t_parallel = benchmark.pedantic(compare, rounds=1, iterations=1)
@@ -67,15 +82,15 @@ def bench_engine_serial_vs_parallel(benchmark, batch_jobs, results_dir):
     benchmark.extra_info["parallel_s"] = round(t_parallel, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     text = (
-        f"== engine_batch: serial vs parallel (4 fields, scale {SCALE}) ==\n"
+        f"== engine_batch: session workers 1 vs 4 (4 fields, scale {SCALE}) ==\n"
         f"serial  : {t_serial:.3f}s\n"
         f"parallel: {t_parallel:.3f}s (4 workers x 2 level-workers)\n"
-        f"speedup : {speedup:.2f}x (outputs bit-identical)\n"
+        f"speedup : {speedup:.2f}x (entries byte-identical)\n"
     )
     print("\n" + text)
     (results_dir / "engine_batch.txt").write_text(text)
     # Acceptance: measurably faster than serial — on a node with cores to
-    # spare AND enough per-job work that pool overhead cannot dominate
+    # spare AND enough per-entry work that pool overhead cannot dominate
     # (sub-second scale-8 batches can measure ~0.95x from overhead alone).
     # A single-core box can only interleave, so assert there only that
     # parallelism costs nothing catastrophic.

@@ -1,4 +1,4 @@
-"""Streamed-ingest gate: bounded memory, delta ratio.
+"""Streamed-ingest gate: bounded memory, delta ratio, masks stored once.
 
 The CI gate for the in-situ ingest pipeline (``repro.ingest``):
 
@@ -10,7 +10,11 @@ The CI gate for the in-situ ingest pipeline (``repro.ingest``):
   entries would blow well past it;
 * **ratio** — with ``keyframe_interval=steps`` the temporal-delta
   archive must be smaller than the keyframe-only archive of the same
-  series.
+  series;
+* **multi-field step** — the six Nyx fields of one step through
+  ``submit_step`` store each level's mask once: the archive must be
+  smaller than the same fields submitted one by one, and any one field
+  must decode on its own.
 
 Stats land in ``benchmarks/results/ingest_stream_stats.json`` (uploaded
 as a CI artifact), and the shared perf-harness ops
@@ -37,7 +41,10 @@ except ImportError:
     from perf_harness import _ingest_ops, merge_write
 
 from repro.core.tac import TACCompressor
+from repro.engine import LazyBatchArchive
 from repro.ingest import IngestConfig, IngestSession
+from repro.sim.datasets import make_dataset
+from repro.sim.nyx import NYX_FIELDS
 from repro.sim.timesteps import make_timestep_series
 
 #: Session peak memory vs the codec's own compress_iter peak.
@@ -48,16 +55,43 @@ STEPS = 4
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def _session_bytes(head: Path, cfg: IngestConfig, series) -> tuple[int, float]:
-    """Write ``series`` through one session; (archive bytes, wall seconds)."""
+def _session_bytes(head: Path, cfg: IngestConfig, series, step=None) -> tuple[int, float]:
+    """Write ``series`` (and the multi-field ``step``, if given) through
+    one session; (archive bytes, wall seconds)."""
     start = time.perf_counter()
     with IngestSession(head, cfg) as session:
         session.extend(series)
+        if step is not None:
+            session.submit_step(step)
     wall = time.perf_counter() - start
     total = head.stat().st_size + sum(
         p.stat().st_size for p in session.report.write.shard_paths
     )
     return total, wall
+
+
+def _step_gate(workdir: Path, scale: int) -> dict:
+    """Six fields, one structure: masks once beats masks six times."""
+    fields = {f: make_dataset("Run1_Z10", scale=scale, field=f) for f in NYX_FIELDS}
+    cfg = IngestConfig(error_bound=1e-4, mode="rel")
+    step_bytes, _ = _session_bytes(workdir / "step.rpbt", cfg, [], step=fields)
+    each_bytes, _ = _session_bytes(
+        workdir / "each.rpbt", cfg, [fields[f] for f in sorted(fields)]
+    )
+    assert step_bytes < each_bytes, (
+        f"six-field step ({step_bytes} B) not smaller than its fields one by "
+        f"one ({each_bytes} B)"
+    )
+    with LazyBatchArchive.open(workdir / "step.rpbt") as archive:
+        assert len(archive) == len(NYX_FIELDS)
+        one = archive.decompress(f"Run1_Z10/{NYX_FIELDS[-1]}/t0000")
+    assert one.field == NYX_FIELDS[-1] and one.n_levels == fields[NYX_FIELDS[-1]].n_levels
+    return {
+        "fields": len(fields),
+        "step_bytes": step_bytes,
+        "one_by_one_bytes": each_bytes,
+        "mask_saving": round(1.0 - step_bytes / each_bytes, 4),
+    }
 
 
 def run_gate(scale: int) -> dict:
@@ -101,6 +135,7 @@ def run_gate(scale: int) -> dict:
             f"delta archive ({stream_bytes} B) not smaller than keyframe-only "
             f"({kf_bytes} B)"
         )
+        step = _step_gate(workdir, scale)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -120,6 +155,7 @@ def run_gate(scale: int) -> dict:
         "max_peak_factor": MAX_PEAK_FACTOR,
         "keyframe_only_bytes": kf_bytes,
         "delta_saving": round(1.0 - stream_bytes / kf_bytes, 4),
+        "step": step,
     }
 
 
@@ -139,7 +175,10 @@ def _summarize(stats: dict) -> str:
         f"{stats['peak_factor']}x codec peak (gate {stats['max_peak_factor']}x)\n"
         f"delta      : {stats['stream']['archive_bytes']} B vs "
         f"{stats['keyframe_only_bytes']} B keyframe-only "
-        f"({stats['delta_saving']:.1%} saved)"
+        f"({stats['delta_saving']:.1%} saved)\n"
+        f"step       : {stats['step']['fields']} fields, masks once: "
+        f"{stats['step']['step_bytes']} B vs {stats['step']['one_by_one_bytes']} B "
+        f"one by one ({stats['step']['mask_saving']:.1%} saved)"
     )
 
 

@@ -19,7 +19,7 @@ import tracemalloc
 import pytest
 
 from benchmarks.conftest import SCALE
-from repro.engine import CompressionEngine, CompressionJob, LazyBatchArchive
+from repro.engine import BatchArchive, LazyBatchArchive, get_codec
 from repro.ingest import IngestSession
 from repro.sim.datasets import make_dataset
 from repro.sim.nyx import NYX_FIELDS
@@ -29,25 +29,25 @@ BATCH_FIELDS = tuple(NYX_FIELDS[:3])
 
 @pytest.fixture(scope="module")
 def batch_jobs():
-    return [
-        CompressionJob(
-            make_dataset("Run1_Z2", scale=SCALE, field=field),
-            codec="tac",
-            error_bound=1e-4,
-            label=f"Run1_Z2/{field}",
-        )
+    """``label -> dataset`` for three fields of one snapshot."""
+    return {
+        f"Run1_Z2/{field}": make_dataset("Run1_Z2", scale=SCALE, field=field)
         for field in BATCH_FIELDS
-    ]
+    }
+
+
+def compress_batch(batch_jobs) -> BatchArchive:
+    archive = BatchArchive()
+    for label, dataset in batch_jobs.items():
+        archive.add(label, get_codec("tac").compress(dataset, 1e-4))
+    return archive
 
 
 def bench_shard_stream_write(benchmark, batch_jobs, results_dir, tmp_path):
     """Streamed sharded write of a precompressed batch: memory + identity."""
-    batch = CompressionEngine(max_workers=1).run(batch_jobs)
-    assert all(r.ok for r in batch)
+    batch = compress_batch(batch_jobs)
     largest_part = max(
-        len(payload)
-        for result in batch
-        for payload in result.compressed.parts.values()
+        len(payload) for comp in batch.entries.values() for payload in comp.parts.values()
     )
 
     from repro.engine import ShardedArchiveWriter
@@ -60,8 +60,8 @@ def bench_shard_stream_write(benchmark, batch_jobs, results_dir, tmp_path):
             path.unlink()
         tracemalloc.start()
         with ShardedArchiveWriter(head, shard_size=shard_size) as writer:
-            for result in batch:
-                writer.add_entry(result.label, result.compressed)
+            for label, comp in batch.entries.items():
+                writer.add_entry(label, comp)
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return writer.report, peak
@@ -77,10 +77,10 @@ def bench_shard_stream_write(benchmark, batch_jobs, results_dir, tmp_path):
     )
 
     with LazyBatchArchive.open(head, verify_shards=True) as lazy:
-        for result in batch:
-            entry = lazy.entry(result.label)
-            for name, payload in result.compressed.parts.items():
-                assert entry.parts[name] == payload, f"diverged: {result.label}/{name}"
+        for label, comp in batch.entries.items():
+            entry = lazy.entry(label)
+            for name, payload in comp.parts.items():
+                assert entry.parts[name] == payload, f"diverged: {label}/{name}"
         manifest = {
             "scale": SCALE,
             "largest_part_bytes": largest_part,
@@ -101,7 +101,7 @@ def bench_shard_stream_engine(benchmark, batch_jobs, results_dir, tmp_path):
 
     def compare():
         t0 = time.perf_counter()
-        archive = CompressionEngine(max_workers=2).run_to_archive(batch_jobs)
+        archive = compress_batch(batch_jobs)
         mono = tmp_path / "mono.rpbt"
         archive.save(mono)
         t_mono = time.perf_counter() - t0
@@ -109,7 +109,7 @@ def bench_shard_stream_engine(benchmark, batch_jobs, results_dir, tmp_path):
         with IngestSession(
             tmp_path / "streamed.rpbt", error_bound=1e-4, max_inflight=4, workers=2
         ) as session:
-            keys = [session.submit(job.dataset, key=job.label) for job in batch_jobs]
+            keys = [session.submit(ds, key=label) for label, ds in batch_jobs.items()]
         t_stream = time.perf_counter() - t0
         assert sorted(keys) == sorted(archive.keys())
         with LazyBatchArchive.open(session.report.head_path) as lazy:

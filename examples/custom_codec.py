@@ -12,13 +12,14 @@ any 1D–4D float array.  This example shows:
   original in hand;
 * writing a custom dataset-level codec and registering it into
   :mod:`repro.engine.registry`, which makes it usable everywhere codecs
-  are looked up by name — ``get_codec``, the batch engine, archive
+  are looked up by name — ``get_codec``, ``IngestSession``, archive
   decompression, and the CLI.
 """
 
 import tempfile
 import zlib
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 
@@ -26,8 +27,7 @@ from repro import (
     AMRDataset,
     AMRLevel,
     CompressedDataset,
-    CompressionEngine,
-    CompressionJob,
+    LazyBatchArchive,
     SZCompressor,
     SZConfig,
     TACCompressor,
@@ -36,6 +36,7 @@ from repro import (
     register_codec,
 )
 from repro.core.container import MASK_PREFIX, pack_mask, unpack_mask
+from repro.ingest import IngestSession
 
 
 def demo_error_modes() -> None:
@@ -100,8 +101,8 @@ class LosslessZlibCodec:
     Satisfying the :class:`repro.engine.Codec` protocol takes exactly the
     two methods below plus a ``method_name``; the ``@register_codec``
     decorator is the whole integration.  After it runs, the codec is
-    resolvable by name (``get_codec("lossless-zlib")``), usable in
-    :class:`repro.engine.CompressionEngine` jobs, and archives it writes
+    resolvable by name (``get_codec("lossless-zlib")``), usable as an
+    :class:`repro.ingest.IngestSession` ``codec=``, and archives it writes
     decompress through the registry automatically.
     """
 
@@ -146,25 +147,29 @@ def demo_registry_extension() -> None:
     print("\n=== registering a custom codec ===")
     dataset = make_dataset("Run1_Z10", scale=16)
 
-    # By-name lookup works immediately, including inside the batch engine.
+    # By-name lookup works immediately, including inside an ingest session.
     codec = get_codec("lossless-zlib")
     exact = codec.compress(dataset, error_bound=0.0)
     print(f"  lossless-zlib alone : ratio {exact.ratio():.2f}x (bit-exact)")
 
-    jobs = [
-        CompressionJob(dataset, codec=name, error_bound=1e-3, label=name)
-        for name in ("tac", "lossless-zlib")
-    ]
-    batch = CompressionEngine(max_workers=2).run(jobs)
-    for result in batch:
-        print(f"  engine[{result.label:13s}]: ratio {result.compressed.ratio():.2f}x")
+    with TemporaryDirectory() as tmp:
+        head = Path(tmp) / "mixed.rpbt"
+        with IngestSession(head, error_bound=1e-3, max_inflight=4, workers=2) as session:
+            keys = [
+                session.submit(dataset, key=name, codec=name)
+                for name in ("tac", "lossless-zlib")
+            ]
+        rows = {row["key"]: row for row in session.report.manifest()}
+        for key in keys:
+            ratio = rows[key]["original_bytes"] / rows[key]["compressed_bytes"]
+            print(f"  session[{key:13s}]: ratio {ratio:.2f}x")
 
-    # Archives written by the custom codec are self-describing: the
-    # registry routes decompression by the recorded method name.
-    archive = batch.to_archive()
-    restored = archive.decompress("lossless-zlib")
+        # Archives written by the custom codec are self-describing: the
+        # registry routes decompression by the recorded method name.
+        with LazyBatchArchive.open(head) as archive:
+            restored = archive.decompress("lossless-zlib")
     assert np.array_equal(restored.finest.data, dataset.finest.data)
-    print("  lossless entry restored bit-exact from the batch archive")
+    print("  lossless entry restored bit-exact from the sharded archive")
 
 
 if __name__ == "__main__":

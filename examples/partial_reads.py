@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import (
-    CompressionEngine,
-    CompressionJob,
+    BatchArchive,
     LazyBatchArchive,
     LazyCompressedDataset,
     get_codec,
@@ -30,17 +29,10 @@ from repro import (
 
 def main() -> None:
     # -- build a two-field batch archive --------------------------------
-    fields = ("baryon_density", "temperature")
-    jobs = [
-        CompressionJob(
-            make_dataset("Run1_Z2", scale=8, field=field),
-            codec="tac",
-            error_bound=1e-4,
-            label=f"Run1_Z2/{field}",
-        )
-        for field in fields
-    ]
-    archive = CompressionEngine(max_workers=2).run_to_archive(jobs)
+    archive = BatchArchive()
+    for field in ("baryon_density", "temperature"):
+        dataset = make_dataset("Run1_Z2", scale=8, field=field)
+        archive.add(f"Run1_Z2/{field}", get_codec("tac").compress(dataset, 1e-4))
     path = Path(tempfile.mkdtemp()) / "run1_z2.rpbt"
     size = archive.save(path)
     print(f"archive: {len(archive)} entries, {size} bytes -> {path}")

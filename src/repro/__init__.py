@@ -11,8 +11,10 @@ Compression for Three-Dimensional Adaptive Mesh Refinement Simulations"
 * :mod:`repro.sim` — synthetic Nyx cosmology data hitting Table 1's
   level densities.
 * :mod:`repro.baselines` — the 1D, zMesh, and 3D comparison baselines.
-* :mod:`repro.engine` — the codec registry, the parallel batch engine,
-  and the multi-entry batch archive.
+* :mod:`repro.engine` — the codec registry and the multi-entry batch
+  archive (monolithic and sharded).
+* :mod:`repro.ingest` — :class:`~repro.ingest.IngestSession`, the one way
+  from many snapshots, fields or timesteps to one sharded archive.
 * :mod:`repro.analysis` — PSNR/rate-distortion plus the cosmology-specific
   power-spectrum and halo-finder metrics.
 * :mod:`repro.experiments` — one module per paper table/figure.
@@ -33,15 +35,12 @@ from repro.baselines import Naive1DCompressor, Uniform3DCompressor, ZMeshCompres
 from repro.core import (
     CompressedDataset,
     LazyCompressedDataset,
-    SnapshotCompressor,
     Strategy,
     TACCompressor,
     TACConfig,
 )
 from repro.engine import (
     BatchArchive,
-    CompressionEngine,
-    CompressionJob,
     LazyBatchArchive,
     ShardedArchiveWriter,
     get_codec,
@@ -59,7 +58,6 @@ __all__ = [
     "CompressedDataset",
     "LazyCompressedDataset",
     "LazyBatchArchive",
-    "SnapshotCompressor",
     "SZCompressor",
     "SZConfig",
     "AMRDataset",
@@ -68,8 +66,6 @@ __all__ = [
     "ZMeshCompressor",
     "Uniform3DCompressor",
     "BatchArchive",
-    "CompressionEngine",
-    "CompressionJob",
     "ShardedArchiveWriter",
     "get_codec",
     "register_codec",

@@ -8,7 +8,7 @@ Commands
 ``decompress``  restore an AMR ``.npz`` from a compressed/batch archive
 ``extract``     partial decompression: one entry, level subset, or ROI
 ``inspect``     per-part breakdown of a blob/archive (no payload decode)
-``batch``       compress many ``.npz`` files into one batch archive
+``batch``       compress many ``.npz`` files into one sharded archive
 ``ingest``      stream a snapshot series into a sharded archive (in-situ)
 ``serve``       drive concurrent ROI reads through the read service
 ``scrub``       re-read and CRC-check every stored part, bounded memory
@@ -18,8 +18,9 @@ Commands
 Codec selection is routed through :mod:`repro.engine.registry` — the CLI
 holds no name→compressor tables of its own, so codecs registered by
 downstream code are immediately usable here.  Single-dataset archives use
-:meth:`repro.core.container.CompressedDataset.to_bytes`; ``batch``
-produces the :class:`repro.engine.archive.BatchArchive` container.  The
+:meth:`repro.core.container.CompressedDataset.to_bytes`; ``batch`` and
+``ingest`` drive one :class:`repro.ingest.IngestSession` (``batch`` is
+``ingest`` without temporal deltas) and write a sharded archive.  The
 read-side verbs (``decompress``/``extract``/``inspect``) go through the
 lazy readers, so a batch archive's entries are located by index — one
 entry is served without parsing its siblings — and ``inspect`` never
@@ -43,8 +44,7 @@ from repro.core.container import (
 )
 from repro.core.plan import check_level_indices, normalize_region
 from repro.engine import (
-    CompressionEngine,
-    CompressionJob,
+    DEFAULT_SHARD_SIZE,
     LazyBatchArchive,
     all_specs,
     codec_for_method,
@@ -54,6 +54,7 @@ from repro.engine import (
     decode_kwargs,
     supports_partial_decode,
 )
+from repro.engine.archive import STRUCTURE_META_KEY, with_structure
 from repro.sim.datasets import TABLE1, make_dataset
 from repro.sz.compressor import SZConfig
 
@@ -156,33 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
              "pass/fail (exit 1 on any failure)",
     )
 
-    p_batch = sub.add_parser("batch", help="compress many .npz files into one archive")
-    p_batch.add_argument("inputs", nargs="+", type=Path, help="AMR .npz files")
-    p_batch.add_argument("-o", "--output", required=True, type=Path)
-    p_batch.add_argument("--eb", type=float, default=1e-4, help="error bound")
-    p_batch.add_argument("--mode", choices=["rel", "abs"], default="rel")
-    p_batch.add_argument("--method", choices=method_choices, default="tac")
-    p_batch.add_argument("--workers", type=int, default=1, help="parallel jobs")
-    p_batch.add_argument(
-        "--executor", choices=["thread", "process"], default="thread"
+    p_batch = sub.add_parser(
+        "batch", help="compress many .npz files into one sharded archive"
     )
+    p_batch.add_argument("inputs", nargs="+", type=Path, help="AMR .npz files")
+    _add_session_arguments(p_batch, method_choices)
     p_batch.add_argument(
         "--level-workers", type=int, default=1,
-        help="parallel AMR levels inside each TAC job",
-    )
-    p_batch.add_argument(
-        "--profile", action="store_true",
-        help="print the per-stage timing breakdown aggregated over all jobs",
-    )
-    p_batch.add_argument(
-        "--stream", action="store_true",
-        help="stream results into a sharded (v3) archive as jobs finish "
-             "(bounded memory; implies --shard-size with its default)",
-    )
-    p_batch.add_argument(
-        "--shard-size", type=_parse_size, default=None, metavar="SIZE",
-        help="payload-shard roll-over size for the streamed write, e.g. "
-             "64M, 512K, or plain bytes (implies --stream)",
+        help="parallel AMR levels inside each TAC entry",
     )
 
     p_ing = sub.add_parser(
@@ -194,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "inputs", nargs="*", type=Path,
         help="AMR .npz snapshots in chronological order (omit with --sim)",
     )
-    p_ing.add_argument("-o", "--output", required=True, type=Path)
+    _add_session_arguments(p_ing, method_choices)
     p_ing.add_argument(
         "--sim", default=None, metavar="NAME", choices=sorted(TABLE1),
         help="synthesize a Table 1 timestep series instead of reading files",
@@ -212,26 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-evaluate the refinement criterion every N steps (--sim; "
              "0 freezes the AMR hierarchy at step 0)",
     )
-    p_ing.add_argument("--eb", type=float, default=1e-4, help="error bound")
-    p_ing.add_argument("--mode", choices=["rel", "abs"], default="rel")
-    p_ing.add_argument("--method", choices=method_choices, default="tac")
     p_ing.add_argument(
         "--keyframe-interval", type=int, default=1, metavar="K",
         help="temporal delta cadence: K>1 stores closed-loop residuals "
              "between keyframes (1 = every snapshot independent)",
     )
     p_ing.add_argument(
-        "--shard-size", type=_parse_size, default=None, metavar="SIZE",
-        help="payload-shard roll-over size, e.g. 64M, 512K, or plain bytes",
-    )
-    p_ing.add_argument(
         "--max-inflight", type=int, default=1,
         help="snapshots in flight at once (1 = synchronous, strict "
              "one-level memory bound; >1 overlaps encode and write)",
-    )
-    p_ing.add_argument(
-        "--workers", type=int, default=1,
-        help="encoder threads when --max-inflight > 1",
     )
 
     p_srv = sub.add_parser(
@@ -340,6 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--list", action="store_true", help="list available experiments")
 
     return parser
+
+
+def _add_session_arguments(parser, method_choices) -> None:
+    """What ``batch`` and ``ingest`` share: both drive one IngestSession."""
+    parser.add_argument("-o", "--output", required=True, type=Path)
+    parser.add_argument("--eb", type=float, default=1e-4, help="error bound")
+    parser.add_argument("--mode", choices=["rel", "abs"], default="rel")
+    parser.add_argument("--method", choices=method_choices, default="tac")
+    parser.add_argument(
+        "--shard-size", type=_parse_size, default=DEFAULT_SHARD_SIZE, metavar="SIZE",
+        help="payload-shard roll-over size, e.g. 64M, 512K, or plain bytes",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="encoder threads (ingest: when --max-inflight > 1)",
+    )
 
 
 def _parse_size(text: str) -> int:
@@ -507,7 +494,7 @@ def _open_lazy_entry(path: Path, key: str | None):
             key = archive.keys()[0]
         if key not in archive:
             return None, f"no entry {key!r}; archive holds {archive.keys()}"
-        return archive.entry(key), None
+        return with_structure(archive.entry(key), key, archive.entry), None
     if key is not None:
         return None, "--key only applies to batch archives"
     return LazyCompressedDataset.open(path), None
@@ -612,6 +599,8 @@ def cmd_extract(args) -> int:
 def _print_entry_breakdown(entry, indent: str = "") -> None:
     print(f"{indent}method      : {entry.method} (container v{entry.container_version})")
     print(f"{indent}dataset     : {entry.dataset_name}")
+    if STRUCTURE_META_KEY in entry.meta:
+        print(f"{indent}structure -> {entry.meta[STRUCTURE_META_KEY]}")
     print(f"{indent}stored      : {entry.n_values} values, "
           f"{entry.original_bytes} -> {entry.compressed_bytes()} B "
           f"(ratio {entry.ratio():.2f}x)")
@@ -685,120 +674,81 @@ def _check_no_payload_reads(entry) -> None:
         )
 
 
-def cmd_batch(args) -> int:
-    missing = [str(p) for p in args.inputs if not p.is_file()]
-    if missing:
-        print(f"error: input file(s) not found: {missing}", file=sys.stderr)
-        return 2
-    jobs = []
-    for path in args.inputs:
-        # Jobs carry paths, not arrays: workers load in parallel and
-        # process pools ship a filename instead of pickled levels.  Only
-        # the cheap metadata record is read up front, for the label.
-        field = peek_meta(path)["field"]
-        jobs.append(
-            CompressionJob(
-                dataset=path,
-                codec=args.method,
-                error_bound=args.eb,
-                mode=args.mode,
-                label=f"{path.stem}/{field}/{args.method}",
-            )
-        )
-    engine = CompressionEngine(
-        max_workers=args.workers,
-        executor=args.executor,
-        level_workers=args.level_workers,
-    )
-    if args.stream or args.shard_size is not None:
-        return _batch_streamed(args, jobs)
-    batch = engine.run(jobs)
-    for row in batch.summary_rows():
-        if row["error"] is None:
-            print(f"  {row['label']:40s} ratio {row['ratio']:>8.2f}x  "
-                  f"{row['bytes']:>10d} B  {row['seconds']:.3f}s")
-        else:
-            print(f"  {row['label']:40s} FAILED: {row['error']}")
-    if batch.failures:
-        print(f"error: {len(batch.failures)}/{len(batch)} jobs failed; "
-              "no archive written", file=sys.stderr)
-        return 1
-    if args.profile:
-        _print_profile(batch.timings())
-    archive = batch.to_archive(
-        tool="repro batch", method=args.method, eb=args.eb, mode=args.mode
-    )
-    size = archive.save(args.output)
-    print(f"wrote {args.output}: {len(archive)} entries, {size} bytes, "
-          f"ratio {archive.ratio():.2f}x, wall {batch.wall_seconds:.3f}s "
-          f"({args.workers} worker(s))")
-    return 0
+def _unique_labels(labels: list[str]) -> list[str]:
+    """Suffix repeats ``#1``, ``#2``, ... so archive keys stay unique."""
+    seen: dict[str, int] = {}
+    out = []
+    for label in labels:
+        count = seen.get(label, 0)
+        seen[label] = count + 1
+        out.append(label if count == 0 else f"{label}#{count}")
+    return out
 
 
-def _batch_streamed(args, jobs) -> int:
-    """``repro batch --stream/--shard-size``: bounded-memory sharded write.
-
-    Routed through :class:`repro.ingest.IngestSession` — the same
-    pipeline behind ``repro ingest``.
-    """
-    from repro.engine import DEFAULT_SHARD_SIZE
-    from repro.engine.engine import CompressionEngine as _Engine
+def _run_session(args, tool: str, submissions, **config) -> int:
+    """Drive one IngestSession over ``(dataset or path, key or None)``
+    pairs and print what it wrote — the body of ``batch`` and ``ingest``."""
     from repro.ingest import IngestConfig, IngestError, IngestSession
 
-    if args.profile:
-        print(
-            "note: --profile is unavailable with --stream (payloads are "
-            "released as they reach disk)",
-            file=sys.stderr,
-        )
-    shard_size = args.shard_size if args.shard_size is not None else DEFAULT_SHARD_SIZE
-    labels = _Engine._unique_labels(jobs)
-    pipelined = args.workers > 1 and len(jobs) > 1
-    config = IngestConfig(
-        codec=args.method,
-        error_bound=args.eb,
-        mode=args.mode,
-        shard_size=shard_size,
-        max_inflight=2 * args.workers if pipelined else 1,
-        workers=args.workers,
-        level_workers=args.level_workers,
-    )
     session = IngestSession(
         args.output,
-        config,
-        meta={"tool": "repro batch", "method": args.method, "eb": args.eb,
-              "mode": args.mode},
+        IngestConfig(
+            codec=args.method, error_bound=args.eb, mode=args.mode,
+            shard_size=args.shard_size, workers=args.workers, **config,
+        ),
+        meta={"tool": tool, "method": args.method, "eb": args.eb, "mode": args.mode},
     )
     try:
         with session:
-            keys = [
-                session.submit(job.dataset, key=label, codec_options=job.codec_options)
-                for label, job in zip(labels, jobs)
-            ]
+            keys = [session.submit(dataset, key=key) for dataset, key in submissions]
     except IngestError as exc:
         print(f"error: {exc}; no archive written", file=sys.stderr)
         return 1
     report = session.report
     rows = {row["key"]: row for row in report.manifest()}
-    walls = {entry["key"]: entry["wall_seconds"] for entry in report.entries}
+    entries = {entry["key"]: entry for entry in report.entries}
     for key in keys:
-        print(f"  {key:40s} {rows[key]['compressed_bytes']:>10d} B  "
-              f"{walls[key]:.3f}s")
+        temporal = entries[key]["temporal"]
+        kind = temporal["mode"] if temporal else "keyframe"
+        print(f"  {key:40s} {kind:8s} {rows[key]['compressed_bytes']:>10d} B  "
+              f"{entries[key]['wall_seconds']:.3f}s")
     write = report.write
     for path in write.shard_paths:
         print(f"  shard {path.name}: {path.stat().st_size} bytes")
     print(f"wrote {write.head_path} (head) + {len(write.shard_paths)} payload "
-          f"shard(s): {write.n_entries} entries, {write.total_bytes()} bytes, "
-          f"ratio {report.ratio():.2f}x, wall {report.wall_seconds:.3f}s "
-          f"({args.workers} worker(s))")
+          f"shard(s): {report.n_entries} entries "
+          f"({report.n_keyframes} keyframe(s), {report.n_deltas} delta(s)), "
+          f"{write.total_bytes()} bytes, ratio {report.ratio():.2f}x, "
+          f"wall {report.wall_seconds:.3f}s ({args.workers} worker(s))")
     return 0
+
+
+def _missing_inputs(paths) -> bool:
+    missing = [str(p) for p in paths if not p.is_file()]
+    if missing:
+        print(f"error: input file(s) not found: {missing}", file=sys.stderr)
+    return bool(missing)
+
+
+def cmd_batch(args) -> int:
+    """``repro batch``: ``ingest`` without deltas — every file its own entry."""
+    if _missing_inputs(args.inputs):
+        return 2
+    # Submissions carry paths, not arrays: workers load in parallel.  Only
+    # the cheap metadata record is read up front, for the label.
+    labels = _unique_labels(
+        [f"{path.stem}/{peek_meta(path)['field']}/{args.method}" for path in args.inputs]
+    )
+    pipelined = args.workers > 1 and len(args.inputs) > 1
+    return _run_session(
+        args, "repro batch", zip(args.inputs, labels),
+        max_inflight=2 * args.workers if pipelined else 1,
+        level_workers=args.level_workers,
+    )
 
 
 def cmd_ingest(args) -> int:
     """``repro ingest``: snapshot series → sharded archive via IngestSession."""
-    from repro.engine import DEFAULT_SHARD_SIZE
-    from repro.ingest import IngestConfig, IngestError, IngestSession
-
     if args.sim is None and not args.inputs:
         print("error: give snapshot files or --sim NAME", file=sys.stderr)
         return 2
@@ -814,52 +764,16 @@ def cmd_ingest(args) -> int:
             refresh_every=args.refresh_every,
         )
     else:
-        missing = [str(p) for p in args.inputs if not p.is_file()]
-        if missing:
-            print(f"error: input file(s) not found: {missing}", file=sys.stderr)
+        if _missing_inputs(args.inputs):
             return 2
         # Load lazily, one snapshot per submit: in-memory submissions join
         # their (name, field) chain, so file series delta-code too — and
         # peak memory stays one snapshot, not the series.
         snapshots = (load_dataset(path) for path in args.inputs)
-    config = IngestConfig(
-        codec=args.method,
-        error_bound=args.eb,
-        mode=args.mode,
-        shard_size=args.shard_size if args.shard_size is not None else DEFAULT_SHARD_SIZE,
-        keyframe_interval=args.keyframe_interval,
-        max_inflight=args.max_inflight,
-        workers=args.workers,
+    return _run_session(
+        args, "repro ingest", ((snapshot, None) for snapshot in snapshots),
+        keyframe_interval=args.keyframe_interval, max_inflight=args.max_inflight,
     )
-    session = IngestSession(
-        args.output,
-        config,
-        meta={"tool": "repro ingest", "method": args.method, "eb": args.eb,
-              "mode": args.mode},
-    )
-    try:
-        with session:
-            session.extend(snapshots)
-    except IngestError as exc:
-        print(f"error: {exc}; no archive written", file=sys.stderr)
-        return 1
-    report = session.report
-    rows = {row["key"]: row for row in report.manifest()}
-    for entry in report.entries:
-        temporal = entry["temporal"]
-        kind = temporal["mode"] if temporal else "keyframe"
-        print(f"  {entry['key']:40s} {kind:8s} "
-              f"{rows[entry['key']]['compressed_bytes']:>10d} B  "
-              f"{entry['wall_seconds']:.3f}s")
-    write = report.write
-    for path in write.shard_paths:
-        print(f"  shard {path.name}: {path.stat().st_size} bytes")
-    print(f"wrote {write.head_path} (head) + {len(write.shard_paths)} payload "
-          f"shard(s): {report.n_entries} entries "
-          f"({report.n_keyframes} keyframe(s), {report.n_deltas} delta(s)), "
-          f"{write.total_bytes()} bytes, ratio {report.ratio():.2f}x, "
-          f"wall {report.wall_seconds:.3f}s")
-    return 0
 
 
 def _scrub_entry(key: str, entry) -> dict:
@@ -907,7 +821,14 @@ def cmd_scrub(args) -> int:
             # byte early on does not hide later damage.
             shard_rows = archive.verify_shards()
             for key in keys:
-                entry_rows.append(_scrub_entry(key, archive.entry(key)))
+                entry = archive.entry(key)
+                row = _scrub_entry(key, entry)
+                try:
+                    with_structure(entry, key, archive.entry)
+                except ContainerIOError as exc:
+                    # A reference nobody can follow loses the entry's masks.
+                    row["bad"].append({"part": STRUCTURE_META_KEY, "error": str(exc)})
+                entry_rows.append(row)
     else:
         if args.key is not None:
             print("error: --key only applies to batch archives", file=sys.stderr)

@@ -33,14 +33,11 @@ from repro.core.plan import (
     normalize_region,
 )
 from repro.core.opst import compute_bs, opst_extract, opst_plan, opst_restore
-from repro.core.snapshot import SnapshotCompressor, snapshot_savings
 from repro.core.tac import TACCompressor, TACConfig, default_unit_block
 
 __all__ = [
     "TACCompressor",
     "TACConfig",
-    "SnapshotCompressor",
-    "snapshot_savings",
     "Strategy",
     "CompressedDataset",
     "ContainerIOError",

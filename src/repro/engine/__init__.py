@@ -1,13 +1,13 @@
-"""Batch-compression engine: codec registry, parallel engine, batch archive.
-
-The architectural seam for scaling this reproduction into a service:
+"""Codec registry and batch archive.
 
 * :mod:`repro.engine.registry` — every dataset-level compressor behind
   one ``Codec`` protocol with ``register()`` / ``get_codec(name)``;
-* :mod:`repro.engine.engine` — ``CompressionEngine`` fans (snapshot ×
-  field × codec) jobs over thread/process pools, deterministically;
 * :mod:`repro.engine.archive` — ``BatchArchive`` packs many compressed
-  datasets into one manifest-carrying container.
+  datasets into one manifest-carrying container; the sharded writer and
+  the lazy reader live there too.
+
+Many datasets become one archive through
+:class:`repro.ingest.IngestSession`.
 """
 
 from repro.engine.archive import (
@@ -18,12 +18,6 @@ from repro.engine.archive import (
     ShardedWriteReport,
     default_shard_opener,
     is_batch_archive,
-)
-from repro.engine.engine import (
-    BatchResult,
-    CompressionEngine,
-    CompressionJob,
-    JobResult,
 )
 from repro.engine.registry import (
     Codec,
@@ -46,13 +40,9 @@ register_codec = register
 
 __all__ = [
     "BatchArchive",
-    "BatchResult",
     "Codec",
     "CodecSpec",
-    "CompressionEngine",
-    "CompressionJob",
     "DEFAULT_SHARD_SIZE",
-    "JobResult",
     "LazyBatchArchive",
     "PartialCodec",
     "ShardedArchiveWriter",

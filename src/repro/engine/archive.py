@@ -4,9 +4,9 @@ A production pipeline compresses whole snapshots — several fields, often
 several timesteps — and wants one artifact per batch, not a directory of
 loose blobs.  :class:`BatchArchive` packs any number of
 :class:`~repro.core.container.CompressedDataset` entries (each the output
-of any registry codec, or of the snapshot compressor) behind a JSON
-manifest that records per-entry method, sizes, and accounting, so an
-archive can be inspected without decoding a single payload.
+of any registry codec) behind a JSON manifest that records per-entry
+method, sizes, and accounting, so an archive can be inspected without
+decoding a single payload.
 
 Wire format (all integers little-endian)::
 
@@ -37,15 +37,19 @@ garbage.
 
 from __future__ import annotations
 
+import copy
 import json
+import os
 import struct
 import threading
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.amr.hierarchy import AMRDataset
 from repro.core.container import (
+    MASK_PREFIX,
     CompressedDataset,
     ContainerIOError,
     LazyCompressedDataset,
@@ -67,6 +71,76 @@ _LEN = struct.Struct("<Q")
 
 #: Default payload-shard roll-over size (bytes) for sharded writes.
 DEFAULT_SHARD_SIZE = 64 * 1024 * 1024
+
+
+#: Entry-meta key of a mask-less entry (one field of a multi-field ingest
+#: step): the key of the archive entry whose ``mask/`` parts it reads.
+STRUCTURE_META_KEY = "structure"
+
+
+class _SharedMaskParts(Mapping):
+    """An entry's own parts plus the ``mask/`` parts of its structure
+    holder — what the entry's codec plans and decodes against."""
+
+    def __init__(self, own, holder):
+        self.own, self.holder = own, holder
+        self._masks = [name for name in holder if name.startswith(MASK_PREFIX)]
+
+    def __getitem__(self, name: str) -> bytes:
+        if name in self.own:
+            return self.own[name]
+        if name in self._masks:
+            return self.holder[name]
+        raise KeyError(name)
+
+    def __contains__(self, name) -> bool:  # Mapping's default would fetch
+        return name in self.own or name in self._masks
+
+    def __iter__(self):
+        return iter([*self.own, *self._masks])
+
+    def __len__(self) -> int:
+        return len(self.own) + len(self._masks)
+
+    # -- the lazy store's accounting, over both stores ---------------------
+    def sizes(self) -> dict[str, int]:
+        held = self.holder.sizes()
+        return {**self.own.sizes(), **{name: held[name] for name in self._masks}}
+
+    def accessed(self) -> set[str]:
+        return self.own.accessed() | self.holder.accessed()
+
+    @property
+    def bytes_read(self) -> int:
+        return self.own.bytes_read + self.holder.bytes_read
+
+
+def with_structure(entry, key: str, lookup):
+    """``entry`` as its codec reads it — the one place a ``structure``
+    reference is resolved.
+
+    An entry without the reference (every single-field write) is returned
+    as is.  One that names a holder comes back as a shallow copy whose
+    ``parts`` also serve the holder's ``mask/`` parts, so plans, full
+    decodes and partial reads find the masks where they always do;
+    ``lookup(holder_key)`` supplies the holder entry (``KeyError`` when
+    the archive has none).
+    """
+    holder_key = entry.meta.get(STRUCTURE_META_KEY)
+    if holder_key is None:
+        return entry
+    try:
+        holder = lookup(holder_key)
+    except KeyError:
+        holder = None
+    if holder is None or not any(name.startswith(MASK_PREFIX) for name in holder.parts):
+        raise ContainerIOError(
+            f"entry {key!r} reads its masks from entry {holder_key!r}, which "
+            + ("stores none" if holder is not None else "the archive does not hold")
+        )
+    view = copy.copy(entry)
+    view.parts = _SharedMaskParts(entry.parts, holder.parts)
+    return view
 
 
 def _entry_decompress(comp, method: str, structure, decode_workers: int) -> AMRDataset:
@@ -263,6 +337,11 @@ def _shard_name(head_path: Path, idx: int) -> str:
     return f"{head_path.stem}.shard-{idx:04d}.rpsh"
 
 
+def _staged(path: Path) -> Path:
+    """Where a writer keeps ``path``'s bytes until ``close()`` publishes them."""
+    return path.with_name(path.name + ".tmp")
+
+
 def _file_crc32(path, chunk: int = 1 << 18) -> int:
     """CRC-32 of a file, read in bounded chunks (never the whole file)."""
     crc = 0
@@ -298,9 +377,11 @@ class ShardedArchiveWriter:
     plus the entry's (already materialized) part dict — never the batch.
     A new shard starts whenever the current one has reached
     ``shard_size`` (an entry is never split across shards, so shards can
-    exceed it by one entry).  ``close()`` writes the manifest-only head;
-    an exception inside the ``with`` block aborts and removes every file
-    written, so a crashed batch leaves no half-archive behind.
+    exceed it by one entry).  Shards and head are staged under temporary
+    sibling names (``<name>.tmp``) and ``close()`` publishes them with
+    ``os.replace`` — shards first, the manifest-only head last — so an
+    archive already at ``head_path`` stays whole until then; an exception
+    inside the ``with`` block aborts and removes the staged files only.
     """
 
     def __init__(
@@ -323,15 +404,13 @@ class ShardedArchiveWriter:
         self._fh = None
         self._shard_offset = 0
         self._closed = False
-        self._head_written = False
         #: Set by :meth:`close`.
         self.report: ShardedWriteReport | None = None
 
     # -- shard lifecycle ---------------------------------------------------
     def _open_shard(self) -> None:
-        name = _shard_name(self._head_path, len(self._shard_paths))
-        path = self._dir / name
-        self._fh = open(path, "wb")
+        path = self._dir / _shard_name(self._head_path, len(self._shard_paths))
+        self._fh = open(_staged(path), "wb")
         self._shard_paths.append(path)
         self._shard_offset = 0
 
@@ -349,7 +428,7 @@ class ShardedArchiveWriter:
             {
                 "name": path.name,
                 "n_bytes": self._shard_offset,
-                "crc32": _file_crc32(path),
+                "crc32": _file_crc32(_staged(path)),
             }
         )
 
@@ -425,11 +504,18 @@ class ShardedArchiveWriter:
             "index": self._index,
         }
         head = json.dumps(record, sort_keys=True).encode("utf-8")
-        with open(self._head_path, "wb") as fh:
+        with open(_staged(self._head_path), "wb") as fh:
             fh.write(_MAGIC)
             fh.write(_HEAD.pack(SHARDED_ARCHIVE_VERSION, len(head)))
             fh.write(head)
-        self._head_written = True
+        for path in [*self._shard_paths, self._head_path]:
+            os.replace(_staged(path), path)
+        # A longer archive published here before leaves shards this head
+        # does not name; they go, so the path holds one archive.
+        idx = len(self._shard_paths)
+        while (stale := self._dir / _shard_name(self._head_path, idx)).exists():
+            stale.unlink()
+            idx += 1
         self._closed = True
         self.report = ShardedWriteReport(
             head_path=self._head_path,
@@ -441,21 +527,13 @@ class ShardedArchiveWriter:
         return self.report
 
     def abort(self) -> None:
-        """Close and delete everything *this writer* wrote.
-
-        The head is only removed if :meth:`close` wrote it this run — a
-        failed re-run over an existing archive must not delete the old
-        head (note that shards this run already opened have overwritten
-        their same-named predecessors; the surviving head at least names
-        what the archive held).
-        """
+        """Close and delete what this writer staged; nothing published at
+        ``head_path`` before — head or shards — is touched."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-        for path in self._shard_paths:
-            path.unlink(missing_ok=True)
-        if self._head_written:
-            self._head_path.unlink(missing_ok=True)
+        for path in [*self._shard_paths, self._head_path]:
+            _staged(path).unlink(missing_ok=True)
         self._closed = True
 
     def __enter__(self) -> "ShardedArchiveWriter":
@@ -803,7 +881,7 @@ class LazyBatchArchive:
         self, key: str, structure: AMRDataset | None = None, decode_workers: int = 1
     ) -> AMRDataset:
         """Restore one entry via the codec registry, reading only it."""
-        comp = self.entry(key)
+        comp = with_structure(self.entry(key), key, self.entry)
         return _entry_decompress(comp, comp.method, structure, decode_workers)
 
     def decompress_level(
@@ -811,7 +889,7 @@ class LazyBatchArchive:
         decode_workers: int = 1,
     ):
         """Restore a single AMR level of one entry (partial read)."""
-        comp = self.entry(key)
+        comp = with_structure(self.entry(key), key, self.entry)
         return _entry_decompress_level(comp, comp.method, level, structure, decode_workers)
 
     # -- lifecycle ---------------------------------------------------------

@@ -17,9 +17,8 @@ The registry is the single source of truth:
 
 Factories — not instances — are registered so every lookup yields an
 independent codec (compressors carry per-instance config and must be safe
-to hand to worker threads/processes).  The built-in codecs are registered
-at import time, which also makes them resolvable inside process-pool
-workers that merely ``import repro.engine``.
+to hand to worker threads).  The built-in codecs are registered at import
+time.
 """
 
 from __future__ import annotations

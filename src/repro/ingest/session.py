@@ -19,6 +19,15 @@ in global submission order — into a
 :class:`~repro.engine.archive.ShardedArchiveWriter`, so shard layout and
 manifest are deterministic for a given submission sequence.
 
+Multi-field steps
+-----------------
+:meth:`IngestSession.submit_step` takes the fields of one step as a
+``{field: AMRDataset}`` mapping.  They share one AMR structure, so only
+the first field (sorted order) stores the masks; every other entry is
+written mask-less with ``meta["structure"]`` naming that first entry, and
+the read side (:func:`repro.engine.archive.with_structure`) follows the
+reference.  Each field still joins its own ``(name, field)`` chain.
+
 Temporal loop
 -------------
 A delta step encodes ``cur_t − rec_{t−1}`` (:mod:`repro.ingest.delta`).
@@ -41,10 +50,10 @@ entries.
 Failure
 -------
 Any failure — encoder exception, writer error, bad submission — aborts
-the session: in-flight work is cancelled, every file written so far is
-removed (a pre-existing archive head survives, matching the writer's
-abort semantics), and an :class:`IngestError` naming the failed entry is
-raised with the original exception chained.
+the session: in-flight work is cancelled, every file staged so far is
+removed (an archive already published at the head path survives whole —
+the writer only replaces it at ``close()``), and an :class:`IngestError`
+naming the failed entry is raised with the original exception chained.
 """
 
 from __future__ import annotations
@@ -52,19 +61,25 @@ from __future__ import annotations
 import copy
 import time
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
 from repro.amr.hierarchy import AMRDataset
 from repro.amr.io import load_dataset
+from repro.amr.reconstruct import check_same_structure
 from repro.core.container import (
     CompressedDataset,
     StreamingCompression,
     resolve_global_eb,
 )
 from repro.engine import registry
-from repro.engine.archive import ShardedArchiveWriter, ShardedWriteReport
+from repro.engine.archive import (
+    STRUCTURE_META_KEY,
+    ShardedArchiveWriter,
+    ShardedWriteReport,
+)
 from repro.engine.registry import supports_kwarg
 from repro.ingest.config import IngestConfig
 from repro.ingest.delta import accumulate, hierarchy_signature, residual_dataset
@@ -159,11 +174,14 @@ class _TemporalStream:
     their parts collected instead, for one whole-entry decode at the end.
     """
 
-    def __init__(self, inner, temporal: dict | None, *, delta: bool, track=None):
+    def __init__(
+        self, inner, temporal: dict | None, *, delta: bool, track=None, structure=None
+    ):
         self._inner = inner
         self._temporal = temporal
         self._delta = delta
         self._track = track
+        self._structure = structure
         self._levels: list = []
         self._parts: dict[str, bytes] = {}
         self.method = inner.method
@@ -213,6 +231,8 @@ class _TemporalStream:
     @property
     def meta(self) -> dict:
         meta = dict(self._inner.meta)
+        if self._structure is not None:
+            meta[STRUCTURE_META_KEY] = self._structure
         if self._temporal is not None:
             meta["temporal"] = self._temporal
         if self._delta:
@@ -294,6 +314,71 @@ class IngestSession:
         ``keyframe_interval > 1``.
         """
         self._check_open()
+        return self._submit(
+            dataset, key, codec, error_bound, mode, per_level_scale, codec_options
+        )
+
+    def submit_step(
+        self,
+        fields: Mapping,
+        *,
+        codec: str | None = None,
+        error_bound=None,
+        mode: str | None = None,
+        per_level_scale=None,
+        codec_options: dict | None = None,
+    ) -> list[str]:
+        """Queue one step's fields — a ``{field: AMRDataset}`` mapping on
+        one AMR structure — and return their keys in sorted field order.
+
+        The masks are stored once, in the first entry; the others
+        reference it (see the module docstring).  ``error_bound`` may be a
+        ``{field: bound}`` mapping (fields it leaves out take the session
+        default); the other keywords apply to every field as in
+        :meth:`submit`.  A step that is empty, or whose fields do not
+        share one structure, fails before any of it is encoded.
+        """
+        self._check_open()
+        names = sorted(fields)
+        bounds = (
+            error_bound
+            if isinstance(error_bound, Mapping)
+            else dict.fromkeys(names, error_bound)
+        )
+        try:
+            if not names:
+                raise ValueError("a step needs at least one field")
+            if unknown := sorted(set(bounds) - set(names)):
+                raise ValueError(f"error_bound names fields not in the step: {unknown}")
+            for name in names:
+                if not isinstance(fields[name], AMRDataset):
+                    raise TypeError(
+                        f"field {name!r} must be an AMRDataset, got {type(fields[name])!r}"
+                    )
+            for name in names[1:]:
+                try:
+                    check_same_structure(fields[names[0]], fields[name])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"field {name!r} does not share the structure of "
+                        f"{names[0]!r}: {exc}"
+                    ) from exc
+        except Exception as exc:
+            self._fail(exc, index=self._n_submitted)
+        keys: list[str] = []
+        for name in names:
+            keys.append(
+                self._submit(
+                    fields[name], None, codec, bounds.get(name), mode, per_level_scale,
+                    codec_options, structure=keys[0] if keys else None,
+                )
+            )
+        return keys
+
+    def _submit(
+        self, dataset, key, codec, error_bound, mode, per_level_scale, codec_options,
+        structure: str | None = None,
+    ) -> str:
         cfg = self.config
         codec_name = codec if codec is not None else cfg.codec
         eb = cfg.error_bound if error_bound is None else error_bound
@@ -309,6 +394,11 @@ class IngestSession:
                 options = copy.deepcopy(cfg.codec_options)
             else:
                 options = {}
+            if structure is not None:
+                # Entry ``structure`` holds this step's masks.
+                options = registry.validate_codec_options(
+                    codec_name, {**options, "store_masks": False}
+                )
             entry_args = self._plan_entry(dataset, key, cfg)
         except Exception as exc:
             self._fail(exc, key=key, index=self._n_submitted)
@@ -319,7 +409,7 @@ class IngestSession:
 
         args = (
             dataset, key, index, chain, is_keyframe, temporal, track_rec,
-            codec_name, options, eb, use_mode, pls,
+            codec_name, options, eb, use_mode, pls, structure,
             chain.tail if chain is not None else None,
         )
         if self._pool is None:
@@ -452,7 +542,7 @@ class IngestSession:
     # -- encode (worker side) ----------------------------------------------
     def _encode(
         self, dataset, key, index, chain, is_keyframe, temporal, track_rec,
-        codec_name, options, eb, mode, pls, wait_for,
+        codec_name, options, eb, mode, pls, structure, wait_for,
     ) -> _Entry:
         if wait_for is not None:
             # Chain serialization: step t needs the reconstruction after
@@ -490,7 +580,7 @@ class IngestSession:
             inner = StreamingCompression.from_dataset(inner)
         stream = _TemporalStream(
             inner, temporal, delta=not is_keyframe,
-            track=(codec, dataset) if track_rec else None,
+            track=(codec, dataset) if track_rec else None, structure=structure,
         )
         if self._pool is not None:
             # Pipelined mode: do the encode work *here*, in the

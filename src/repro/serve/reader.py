@@ -22,8 +22,10 @@ amortizable:
 Every request returns its data *and* a :class:`RequestStats` — bytes
 fetched vs bytes served, cache hits/misses, latency — and
 :meth:`ArchiveReader.stats` aggregates the same across the reader's
-lifetime.  Blobs must carry their masks (the default): a serving layer
-has no original dataset to pass as ``structure``.
+lifetime.  Blobs must carry their masks (the default) or name the entry
+that does (a multi-field ingest step; that entry's mask units are fetched
+and cached under *its* key, once for every field): a serving layer has no
+original dataset to pass as ``structure``.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.container import PartIntegrityError
+from repro.core.container import MASK_PREFIX, PartIntegrityError
 from repro.core.plan import check_level_indices, level_box, normalize_region, region_slices
 from repro.engine import LazyBatchArchive, codec_for_method, default_shard_opener
+from repro.engine.archive import STRUCTURE_META_KEY, with_structure
 from repro.serve.breaker import CircuitBreaker, breaking_opener
 from repro.serve.cache import DecodedBrickCache
 from repro.serve.opener import FetchStats, RetryPolicy, retrying_opener
@@ -107,6 +110,8 @@ class _EntryState:
 
     comp: object
     codec: object
+    #: The entry's own part store (``comp.parts`` may add a holder's masks).
+    parts: object
 
 
 class ArchiveReader:
@@ -211,7 +216,8 @@ class ArchiveReader:
             self._archive.close()
             raise
         self._entries: dict[str, _EntryState] = {}
-        self._entries_lock = threading.Lock()
+        # Re-entrant: resolving an entry's structure holder resolves an entry.
+        self._entries_lock = threading.RLock()
         self._stats_lock = threading.Lock()
         self._closed = False
         self.n_requests = 0
@@ -247,9 +253,10 @@ class ArchiveReader:
                 raise RuntimeError("ArchiveReader is closed")
             state = self._entries.get(key)
             if state is None:
-                comp = self._archive.entry(key)
+                raw = self._archive.entry(key)
+                comp = with_structure(raw, key, lambda holder: self._entry(holder).comp)
                 codec = codec_for_method(comp.method).codec_for(comp)
-                state = _EntryState(comp=comp, codec=codec)
+                state = _EntryState(comp=comp, codec=codec, parts=raw.parts)
                 self._entries[key] = state
             return state
 
@@ -276,7 +283,16 @@ class ArchiveReader:
         the first failure degradation cannot paper over: only units with a
         level-space ``box`` (bricks) can be replaced by fill values;
         layouts, masks, grid streams and any other box-less unit are
-        load-bearing for the whole level."""
+        load-bearing for the whole level.  Mask units an entry takes from
+        its structure holder run as the holder's: its parts, its cache key."""
+        holder = state.comp.meta.get(STRUCTURE_META_KEY)
+        masks = [u for u in plan_units if u.key.startswith(MASK_PREFIX)] if holder else []
+        if masks:
+            own = [u for u in plan_units if not u.key.startswith(MASK_PREFIX)]
+            modes = (pstats, deadline, allow_partial)
+            results = self._execute_cached(holder, self._entry(holder), level, masks, *modes)
+            results.update(self._execute_cached(key, state, level, own, *modes))
+            return results
         preloaded = {}
         if self.cache is not None:
             for unit in plan_units:
@@ -284,7 +300,7 @@ class ArchiveReader:
                 if hit is not None:
                     preloaded[unit.key] = hit
         results, _ = self._pipeline.execute(
-            state.comp.parts,
+            state.parts,
             plan_units,
             preloaded,
             deadline=deadline,

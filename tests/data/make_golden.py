@@ -15,7 +15,10 @@ older one, so the fixtures split in two:
   ``CompressedDataset.to_bytes`` (same payload bytes as the fixture it
   came from, v5 framing);
 * ``golden_ingest_delta.rpbt`` + shards / ``golden_ingest_delta.json`` —
-  a 3-step temporal-delta series through ``IngestSession``.
+  a 3-step temporal-delta series through ``IngestSession``;
+* ``golden_ingest_step.rpbt`` + shard / ``golden_ingest_step.json`` — one
+  two-field step through ``IngestSession.submit_step``: the second entry
+  stores no masks and names the first in ``meta["structure"]``.
 
 **Frozen** (written by retired writers; never regenerated — they are the
 proof that stored archives stay readable, and only their *read* side is
@@ -61,6 +64,14 @@ def entry_v5_expectations() -> dict:
     }
 
 
+def _file_record(path: Path) -> dict:
+    return {
+        "name": path.name,
+        "n_bytes": path.stat().st_size,
+        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+    }
+
+
 #: Keyframe cadence of the ingest fixture: 3 steps -> kf, delta, kf.
 INGEST_KF_INTERVAL = 2
 INGEST_STEPS = 3
@@ -101,19 +112,8 @@ def ingest_expectations() -> dict:
         "roi": [[s.start, s.stop] for s in INGEST_ROI],
         "keys": keys,
         "temporal": [row["temporal"] for row in report.entries],
-        "head": {
-            "name": head_path.name,
-            "n_bytes": head_path.stat().st_size,
-            "sha256": hashlib.sha256(head_path.read_bytes()).hexdigest(),
-        },
-        "shards": [
-            {
-                "name": path.name,
-                "n_bytes": path.stat().st_size,
-                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-            }
-            for path in report.write.shard_paths
-        ],
+        "head": _file_record(head_path),
+        "shards": [_file_record(path) for path in report.write.shard_paths],
         "reconstructed": {},
     }
     with ArchiveReader(head_path) as reader:
@@ -135,6 +135,51 @@ def ingest_expectations() -> dict:
     return expected
 
 
+def step_expectations() -> dict:
+    """Write and record the multi-field step fixture.
+
+    ``golden_ingest_step.rpbt`` (+ shard) holds the two analytic fields of
+    ``tests.helpers.golden_step_fields`` written as one
+    ``IngestSession.submit_step``: entry ``golden/golden_aux/t0000`` (first
+    in sorted field order) stores the masks, ``golden/golden_field/t0000``
+    stores none and carries ``"structure": "golden/golden_aux/t0000"``.
+    Pins that meta key and — via recorded per-level sums — its resolution
+    on the read side.
+    """
+    from repro.ingest import IngestSession
+    from repro.serve.reader import ArchiveReader
+    from tests.helpers import golden_step_fields
+
+    head_path = HERE / "golden_ingest_step.rpbt"
+    with IngestSession(
+        head_path, error_bound=EB, mode=MODE, meta={"fixture": "golden-step"}
+    ) as session:
+        keys = session.submit_step(golden_step_fields())
+    expected: dict = {
+        "eb": EB,
+        "mode": MODE,
+        "keys": keys,
+        "structure": keys[0],
+        "head": _file_record(head_path),
+        "shards": [_file_record(path) for path in session.report.write.shard_paths],
+        "reconstructed": {},
+    }
+    with ArchiveReader(head_path) as reader:
+        for key in keys:
+            rows = []
+            for level in range(len(reader.entry_shapes(key))):
+                lvl, _stats = reader.read_level(key, level)
+                rows.append(
+                    {
+                        "level": level,
+                        "n_points": int(lvl.mask.sum()),
+                        "sum": float(lvl.data[lvl.mask].sum(dtype=np.float64)),
+                    }
+                )
+            expected["reconstructed"][key] = rows
+    return expected
+
+
 def main() -> None:
     expected = entry_v5_expectations()
     (HERE / "golden_entry_v5.json").write_text(json.dumps(expected, indent=2) + "\n")
@@ -143,6 +188,10 @@ def main() -> None:
     (HERE / "golden_ingest_delta.json").write_text(json.dumps(expected, indent=2) + "\n")
     names = [rec["name"] for rec in expected["shards"]]
     print(f"wrote golden_ingest_delta.rpbt + {names} and golden_ingest_delta.json")
+    expected = step_expectations()
+    (HERE / "golden_ingest_step.json").write_text(json.dumps(expected, indent=2) + "\n")
+    names = [rec["name"] for rec in expected["shards"]]
+    print(f"wrote golden_ingest_step.rpbt + {names} and golden_ingest_step.json")
 
 
 if __name__ == "__main__":

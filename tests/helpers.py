@@ -197,6 +197,24 @@ def golden_timestep_series(steps: int = 3, n: int = 8) -> list:
     return series
 
 
+def golden_step_fields() -> dict:
+    """Two analytic fields on :func:`golden_dataset`'s structure (no RNG):
+    the multi-field step of the ``golden_ingest_step`` fixture.  ``aux``
+    is the base field scaled by 0.5 in float32 — same masks, own values."""
+    base = golden_dataset()
+    aux = AMRDataset(
+        levels=[
+            AMRLevel(data=lvl.data * np.float32(0.5), mask=lvl.mask.copy(), level=lvl.level)
+            for lvl in base.levels
+        ],
+        name=base.name,
+        field="golden_aux",
+        ratio=base.ratio,
+        box_size=base.box_size,
+    )
+    return {"aux": aux, "field": base}
+
+
 def reserialize_stream(blob: bytes, replace: dict) -> bytes:
     """An SZ stream re-serialised with some sections swapped out.
 

@@ -38,10 +38,9 @@ from repro.core.container import (
 )
 from repro.engine import (
     BatchArchive,
-    CompressionEngine,
-    CompressionJob,
     LazyBatchArchive,
     ShardedArchiveWriter,
+    get_codec,
 )
 from repro.ingest import IngestConfig, IngestError, IngestSession
 from tests.helpers import two_level_dataset
@@ -128,11 +127,10 @@ class TestShardedRoundtripProperty:
 def compressed_batch() -> BatchArchive:
     """Two real codec outputs — the shard contents exercised below."""
     ds = two_level_dataset(n=16, fine_fraction=0.3, seed=7)
-    jobs = [
-        CompressionJob(ds, codec=c, error_bound=1e-3, mode="abs", label=f"toy/{c}")
-        for c in ("tac", "1d")
-    ]
-    return CompressionEngine().run_to_archive(jobs, suite="shards")
+    archive = BatchArchive(meta={"suite": "shards"})
+    for c in ("tac", "1d"):
+        archive.add(f"toy/{c}", get_codec(c).compress(ds, 1e-3, mode="abs"))
+    return archive
 
 
 @pytest.fixture
@@ -385,20 +383,18 @@ class TestMmapSource:
 
 
 class TestSessionStreamedBatch:
-    def test_session_matches_run_to_archive(self, tmp_path):
+    def test_session_matches_codec_compress(self, tmp_path):
         datasets = [two_level_dataset(n=16, fine_fraction=0.25, seed=s) for s in range(3)]
-        jobs = [
-            CompressionJob(ds, codec="tac", error_bound=1e-3, label=f"f{i}/tac")
-            for i, ds in enumerate(datasets)
-        ]
-        reference = CompressionEngine(max_workers=1).run_to_archive(jobs, batch="ref")
+        reference = BatchArchive(meta={"batch": "ref"})
+        for i, ds in enumerate(datasets):
+            reference.add(f"f{i}/tac", get_codec("tac").compress(ds, 1e-3))
         head = tmp_path / "streamed.rpbt"
         config = IngestConfig(error_bound=1e-3, shard_size=1, max_inflight=6, workers=3)
         with IngestSession(head, config, meta={"batch": "ref"}) as session:
-            for job in jobs:
-                session.submit(job.dataset, key=job.label)
-        assert session.report.n_entries == len(jobs)
-        assert len(session.report.write.shard_paths) == len(jobs)
+            for i, ds in enumerate(datasets):
+                session.submit(ds, key=f"f{i}/tac")
+        assert session.report.n_entries == len(datasets)
+        assert len(session.report.write.shard_paths) == len(datasets)
         with LazyBatchArchive.open(head, verify_shards=True) as lazy:
             assert lazy.meta == {"batch": "ref"}
             for key in reference.keys():
@@ -431,6 +427,46 @@ class TestSessionStreamedBatch:
         assert head.read_bytes() == before
         with LazyBatchArchive.open(head) as lazy:
             assert lazy.decompress("a/1d").n_levels == 2
+
+
+    def test_failed_rerun_midway_leaves_the_old_archive_whole(self, tmp_path, capsys):
+        """A re-run that dies after it began writing shards must not have
+        overwritten the shards the surviving head points at."""
+        from repro.cli import main
+        from tests.test_ingest import archive_entries
+
+        datasets = [two_level_dataset(n=16, fine_fraction=0.25, seed=s) for s in range(3)]
+        head = tmp_path / "arch.rpbt"
+        config = IngestConfig(error_bound=1e-3, shard_size=1)
+        with IngestSession(head, config) as session:
+            for i, ds in enumerate(datasets):
+                session.submit(ds, key=f"f{i}")
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        before = archive_entries(head)
+        with pytest.raises(IngestError, match="bad"):
+            with IngestSession(head, config) as session:
+                session.submit(datasets[2], key="other")  # shard 0 of the re-run
+                session.submit(str(tmp_path / "missing.npz"), key="bad")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+        assert main(["scrub", str(head)]) == 0
+        assert "scrub clean" in capsys.readouterr().out
+        assert archive_entries(head) == before
+
+    def test_successful_rerun_replaces_the_archive_completely(self, tmp_path):
+        datasets = [two_level_dataset(n=16, fine_fraction=0.25, seed=s) for s in range(3)]
+        head = tmp_path / "arch.rpbt"
+        with IngestSession(head, error_bound=1e-3, shard_size=1) as session:
+            for i, ds in enumerate(datasets):
+                session.submit(ds, key=f"f{i}")
+        assert len(list(tmp_path.iterdir())) == 4
+        with IngestSession(head, error_bound=1e-3, shard_size=1) as session:
+            session.submit(datasets[1], key="only")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "arch.rpbt", "arch.shard-0000.rpsh",
+        ]
+        with LazyBatchArchive.open(head, verify_shards=True) as lazy:
+            assert lazy.keys() == ["only"]
+            assert lazy.decompress("only").n_levels == 2
 
 
 class _FailingSink:

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -184,6 +185,41 @@ class TestBatchCommand:
         assert load_dataset(out).name == "Run1_Z10"
 
 
+    def test_duplicate_labels_get_unique_suffixes(self, dataset_file, tmp_path, capsys):
+        """Two inputs with one stem and field: the second key gets ``#1``."""
+        from repro.engine import LazyBatchArchive
+
+        other = tmp_path / "b" / dataset_file.name
+        other.parent.mkdir()
+        other.write_bytes(dataset_file.read_bytes())
+        archive = tmp_path / "dup.rpbt"
+        assert main(["batch", str(dataset_file), str(other), "-o", str(archive)]) == 0
+        assert "2 entries" in capsys.readouterr().out
+        with LazyBatchArchive.open(archive) as lazy:
+            assert lazy.keys() == ["z10/baryon_density/tac", "z10/baryon_density/tac#1"]
+            first, second = (lazy.decompress(key) for key in lazy.keys())
+        for a, b in zip(first.levels, second.levels):
+            assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("flag", ["--stream", "--profile", "--executor=thread"])
+    def test_engine_era_flags_are_gone(self, flag, dataset_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", str(dataset_file), "-o", str(tmp_path / "x.rpbt"), flag])
+        assert exit_info.value.code == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_failed_batch_writes_nothing(self, dataset_file, tmp_path, capsys):
+        # Labelled from its metadata record, then fails to load in the worker.
+        bad = tmp_path / "bad.npz"
+        with np.load(dataset_file) as arrays:
+            np.savez(bad, __meta__=arrays["__meta__"])
+        archive = tmp_path / "half.rpbt"
+        assert main(["batch", str(dataset_file), str(bad), "-o", str(archive)]) == 1
+        assert "no archive written" in capsys.readouterr().err
+        assert not list(tmp_path.glob("half.*"))
+
+
 class TestShardedBatchCommand:
     @pytest.fixture
     def second_file(self, tmp_path):
@@ -197,7 +233,7 @@ class TestShardedBatchCommand:
         head = tmp_path / "batch.rpbt"
         assert main([
             "batch", str(dataset_file), str(second_file), "-o", str(head),
-            "--eb", "1e-3", "--workers", "2", "--stream", "--shard-size", "1K",
+            "--eb", "1e-3", "--workers", "2", "--shard-size", "1K",
         ]) == 0
         out = capsys.readouterr().out
         assert "payload shard(s)" in out and "(head)" in out
@@ -214,15 +250,18 @@ class TestShardedBatchCommand:
         assert "shard batch.shard-0000.rpsh" in out
 
     def test_streamed_entries_bitwise_match_monolithic(self, dataset_file, tmp_path):
-        from repro.engine import BatchArchive
+        """The CLI's sharded entries are the codec's own bytes, i.e. what a
+        monolithic ``BatchArchive`` of the same inputs holds."""
+        from repro.engine import BatchArchive, get_codec
 
-        mono = tmp_path / "mono.rpbt"
         head = tmp_path / "sharded.rpbt"
-        assert main(["batch", str(dataset_file), "-o", str(mono), "--eb", "1e-3"]) == 0
-        assert main([
-            "batch", str(dataset_file), "-o", str(head), "--eb", "1e-3", "--stream",
-        ]) == 0
-        a = BatchArchive.load(mono)
+        assert main(["batch", str(dataset_file), "-o", str(head), "--eb", "1e-3"]) == 0
+        a = BatchArchive()
+        a.add(
+            "z10/baryon_density/tac",
+            get_codec("tac").compress(load_dataset(dataset_file), 1e-3),
+        )
+        a = BatchArchive.from_bytes(a.to_bytes())
         b = BatchArchive.load(head)
         assert a.keys() == b.keys()
         for key in a.keys():
@@ -231,7 +270,7 @@ class TestShardedBatchCommand:
     def test_decompress_and_extract_from_sharded(self, dataset_file, tmp_path, capsys):
         head = tmp_path / "sharded.rpbt"
         assert main([
-            "batch", str(dataset_file), "-o", str(head), "--eb", "1e-3", "--stream",
+            "batch", str(dataset_file), "-o", str(head), "--eb", "1e-3",
         ]) == 0
         capsys.readouterr()
         back = tmp_path / "back.npz"
@@ -381,7 +420,7 @@ class TestInspectCommand:
         capsys.readouterr()
         assert main(["inspect", str(batch)]) == 0
         out = capsys.readouterr().out
-        assert "batch archive v2" in out
+        assert "batch archive v3" in out
         assert "z10/baryon_density/tac" in out
 
     def test_inspect_unknown_key(self, dataset_file, tmp_path, capsys):
@@ -397,7 +436,7 @@ class TestServeCommand:
     def archive_file(self, dataset_file, tmp_path):
         path = tmp_path / "batch.rpbt"
         assert main([
-            "batch", str(dataset_file), "-o", str(path), "--method", "tac", "--stream",
+            "batch", str(dataset_file), "-o", str(path), "--method", "tac",
         ]) == 0
         return path
 
@@ -472,7 +511,7 @@ class TestScrubCommand:
     def archive_file(self, dataset_file, tmp_path):
         path = tmp_path / "batch.rpbt"
         assert main([
-            "batch", str(dataset_file), "-o", str(path), "--method", "tac", "--stream",
+            "batch", str(dataset_file), "-o", str(path), "--method", "tac",
         ]) == 0
         return path
 
@@ -516,12 +555,56 @@ class TestScrubCommand:
         assert "no entry" in capsys.readouterr().err
 
 
+class TestStructureReference:
+    """``inspect`` / ``scrub`` on the fields of a multi-field ingest step."""
+
+    @pytest.fixture
+    def step_file(self, tmp_path):
+        from repro.ingest import IngestSession
+        from tests.helpers import two_level_dataset
+
+        base = two_level_dataset(n=16, fine_fraction=0.3, seed=4)
+        fields = {
+            name: dataclasses.replace(base, field=name) for name in ("density", "temperature")
+        }
+        head = tmp_path / "step.rpbt"
+        with IngestSession(head, error_bound=1e-3) as session:
+            keys = session.submit_step(fields)
+        return head, keys
+
+    def test_inspect_prints_the_reference_from_metadata(self, step_file, capsys):
+        head, (holder, field) = step_file
+        # _check_no_payload_reads runs inside: the line costs no payload read.
+        assert main(["inspect", str(head)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("structure -> ") == 1
+        assert f"structure -> {holder}" in out.split(f"{field}:")[1]
+
+    def test_scrub_reports_a_dangling_reference(self, step_file, tmp_path, capsys):
+        from repro.engine import LazyBatchArchive, ShardedArchiveWriter
+
+        head, (_holder, field) = step_file
+        assert main(["scrub", str(head)]) == 0
+        orphan = tmp_path / "orphan.rpbt"
+        with LazyBatchArchive.open(head) as archive, ShardedArchiveWriter(orphan) as writer:
+            writer.add_entry(field, archive.entry(field))
+        capsys.readouterr()
+        report = tmp_path / "scrub.json"
+        assert main(["scrub", str(orphan), "--json", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert "BAD structure" in captured.out and "does not hold" in captured.out
+        assert "scrub found damage" in captured.err
+        (row,) = json.loads(report.read_text())["entries"]
+        assert [bad["part"] for bad in row["bad"]] == ["structure"]
+        assert row["checked"] == row["n_parts"]  # its own parts are intact
+
+
 class TestVerifyFlag:
     @pytest.fixture
     def archive_file(self, dataset_file, tmp_path):
         path = tmp_path / "batch.rpbt"
         assert main([
-            "batch", str(dataset_file), "-o", str(path), "--method", "tac", "--stream",
+            "batch", str(dataset_file), "-o", str(path), "--method", "tac",
         ]) == 0
         return path
 
@@ -586,16 +669,6 @@ class TestProfileFlag:
         assert "preprocess" in out
         assert "compress" in out
         assert "% " in out or "%" in out
-
-    def test_batch_profile_aggregates_jobs(self, dataset_file, second_file, tmp_path, capsys):
-        out_path = tmp_path / "prof.batch"
-        assert main([
-            "batch", str(dataset_file), str(second_file),
-            "-o", str(out_path), "--eb", "1e-3", "--profile",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "profile" in out
-        assert "compress" in out
 
     def test_no_profile_by_default(self, dataset_file, tmp_path, capsys):
         archive = tmp_path / "noprof.tac"

@@ -374,6 +374,40 @@ class TestDegradedReads:
                 with pytest.raises(PartIntegrityError):
                     read(reader)
 
+    def test_damaged_holder_mask_fails_every_field_that_references_it(self, tmp_path):
+        """The fields of a multi-field step read their masks from the
+        step's first entry: its mask part is load-bearing for all of them,
+        degraded or not — and the other level's reads are untouched."""
+        from repro.ingest import IngestSession
+
+        base = two_level_dataset(n=16, seed=5)
+        fields = {
+            name: AMRDataset(
+                levels=[
+                    AMRLevel(data=lvl.data * np.float32(scale), mask=lvl.mask, level=lvl.level)
+                    for lvl in base.levels
+                ],
+                name="toy", field=name,
+            )
+            for name, scale in (("a", 1.0), ("b", 2.0), ("c", 3.0))
+        }
+        step = tmp_path / "step.rpbt"
+        with IngestSession(
+            step, error_bound=1e-3, mode="abs", codec_options={"brick_size": 4}
+        ) as session:
+            holder, *others = session.submit_step(fields)
+        rule = FaultRule("bitflip", match=f"{holder}/mask/L{BRICK_LEVEL}")
+        for key in (holder, *others):
+            reader, _plan = chaos_reader(step, archive_part_spans(step), [rule])
+            with reader:
+                for degraded in (False, True):
+                    with pytest.raises(PartIntegrityError, match="mask/L1"):
+                        reader.read_level(key, BRICK_LEVEL, degraded=degraded)
+                    with pytest.raises(PartIntegrityError, match="mask/L1"):
+                        reader.read_region(key, BRICK_LEVEL, ((0, 3),) * 3, degraded=degraded)
+                lvl, stats = reader.read_level(key, 0, degraded=True)
+                assert stats.errors == [] and np.array_equal(lvl.mask, base.levels[0].mask)
+
     @pytest.mark.parametrize("key, level, part", ENTRIES)
     def test_clean_degraded_read_is_exact(self, head, spans, key, level, part):
         with LazyBatchArchive.open(head) as lazy:

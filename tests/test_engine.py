@@ -1,12 +1,12 @@
-"""Engine, registry, and batch-archive unit tests.
+"""Registry, batch-archive, and many-entry session unit tests.
 
-The concurrency contracts under test:
+The concurrency contracts under test (the session is the one way from
+many datasets to one archive):
 
-* serial (``max_workers=1``) and parallel (``max_workers=4``) runs are
-  **bit-identical**, including TAC's within-job level parallelism;
-* one failing job surfaces its exception in its own ``JobResult`` and the
-  rest of the batch completes;
-* timing records aggregate across jobs (sum of per-job spans).
+* serial (``workers=1``) and pipelined (``workers=4``) sessions write
+  **bit-identical** entries, including TAC's within-entry level
+  parallelism;
+* a failing entry aborts the session with its cause chained.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from repro.core.container import CompressedDataset, resolve_global_eb
 from repro.core.tac import TACCompressor
 from repro.engine import (
     BatchArchive,
-    CompressionEngine,
-    CompressionJob,
     codec_for_method,
     codec_names,
     get_codec,
@@ -28,21 +26,38 @@ from repro.engine import (
     unregister,
 )
 from repro.amr.io import save_dataset
-from repro.utils.timer import TimingRecord
+from repro.ingest import IngestConfig, IngestError, IngestSession
 from tests.helpers import assert_error_bounded, two_level_dataset
+from tests.test_ingest import archive_entries
 
 EB = 1e-3
 
 
 @pytest.fixture(scope="module")
 def batch_jobs():
-    """Four two-level fields × two codecs = 8 independent jobs."""
+    """Four two-level fields × two codecs = 8 independent ``(label, dataset,
+    codec)`` jobs."""
     datasets = [two_level_dataset(n=16, fine_fraction=0.3, seed=s) for s in range(4)]
     return [
-        CompressionJob(ds, codec=codec, error_bound=EB, label=f"f{i}/{codec}")
+        (f"f{i}/{codec}", ds, codec)
         for i, ds in enumerate(datasets)
         for codec in ("tac", "1d")
     ]
+
+
+def run_session(head, jobs, **config) -> IngestSession:
+    """Every job through one session; returns it closed (report set)."""
+    with IngestSession(head, IngestConfig(error_bound=EB, **config)) as session:
+        for label, dataset, codec in jobs:
+            session.submit(dataset, key=label, codec=codec)
+    return session
+
+
+def build_archive(jobs, **meta) -> BatchArchive:
+    archive = BatchArchive(meta=dict(meta))
+    for label, dataset, codec in jobs:
+        archive.add(label, get_codec(codec).compress(dataset, EB))
+    return archive
 
 
 # ----------------------------------------------------------------------
@@ -62,32 +77,34 @@ class TestRegistry:
         codec = get_codec("tac", unit_block=8)
         assert codec.config.unit_block == 8
 
-    def test_brick_size_flows_through_job_codec_options(self):
-        """Engine plumbing for the GSP brick knob: a job's codec_options
+    def test_brick_size_flows_through_job_codec_options(self, tmp_path):
+        """Plumbing for the GSP brick knob: a submission's codec_options
         reach the TAC factory, and the resulting archive entry carries the
         brick layout accordingly — an edge at least the level's is the one
         stream the retired ``brick_size=None`` spelling used to select, and
-        that spelling fails its own job, naming the replacement."""
+        that spelling fails its own entry, naming the replacement."""
         from repro.core.density import Strategy
         from tests.helpers import golden_gsp_dataset
 
         ds = golden_gsp_dataset()
+        head = tmp_path / "bricks.rpbt"
 
-        def job(label, brick_size):
-            return CompressionJob(
-                ds, codec="tac", error_bound=1e-3, mode="abs", label=label,
-                codec_options={"brick_size": brick_size, "force_strategy": Strategy.GSP},
-            )
+        def options(brick_size):
+            return {"brick_size": brick_size, "force_strategy": Strategy.GSP}
 
-        batch = CompressionEngine(max_workers=2).run(
-            [job("bricked", 4), job("one-stream", 16), job("legacy", None)]
-        )
-        bricked, one_stream, legacy = batch
-        assert bricked.compressed.meta["levels"][0]["bricks"]["size"] == 4
-        assert any(name.startswith("L0/b") for name in bricked.compressed.parts)
-        assert one_stream.compressed.meta["levels"][0]["bricks"]["n"] == 1
-        assert "L0/b0" in one_stream.compressed.parts
-        assert legacy.compressed is None and "at least the level's edge" in str(legacy.error)
+        with IngestSession(head, error_bound=1e-3, mode="abs") as session:
+            session.submit(ds, key="bricked", codec_options=options(4))
+            session.submit(ds, key="one-stream", codec_options=options(16))
+        entries = archive_entries(head)
+        parts, meta = entries["bricked"]
+        assert meta["levels"][0]["bricks"]["size"] == 4
+        assert any(name.startswith("L0/b") for name in parts)
+        parts, meta = entries["one-stream"]
+        assert meta["levels"][0]["bricks"]["n"] == 1
+        assert "L0/b0" in parts
+        with pytest.raises(IngestError, match="at least the level's edge"):
+            with IngestSession(tmp_path / "legacy.rpbt", mode="abs") as session:
+                session.submit(ds, key="legacy", codec_options=options(None))
 
     def test_method_resolution_prefers_plain_tac(self):
         codec = codec_for_method("tac")
@@ -119,153 +136,87 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# engine determinism
+# session determinism (the contracts the engine used to carry)
 # ----------------------------------------------------------------------
 class TestEngineDeterminism:
-    def test_parallel_bit_identical_to_serial(self, batch_jobs):
-        serial = CompressionEngine(max_workers=1).run(batch_jobs)
-        parallel = CompressionEngine(max_workers=4).run(batch_jobs)
-        assert [r.label for r in serial] == [r.label for r in parallel]
-        for a, b in zip(serial, parallel):
-            assert a.ok and b.ok
-            assert a.compressed.to_bytes() == b.compressed.to_bytes()
+    def test_parallel_bit_identical_to_serial(self, batch_jobs, tmp_path):
+        serial = run_session(tmp_path / "serial.rpbt", batch_jobs)
+        parallel = run_session(
+            tmp_path / "parallel.rpbt", batch_jobs, max_inflight=8, workers=4
+        )
+        assert archive_entries(serial.report.head_path) == archive_entries(
+            parallel.report.head_path
+        )
+        # ... and both are what the codec writes on its own.
+        reference = build_archive(batch_jobs)
+        for key, (parts, _meta) in archive_entries(serial.report.head_path).items():
+            assert parts == reference.get(key).parts
 
-    def test_level_parallel_tac_bit_identical(self, batch_jobs):
-        serial = CompressionEngine(max_workers=1).run(batch_jobs)
-        nested = CompressionEngine(max_workers=4, level_workers=4).run(batch_jobs)
-        for a, b in zip(serial, nested):
-            assert a.compressed.to_bytes() == b.compressed.to_bytes()
+    def test_level_parallel_tac_bit_identical(self, batch_jobs, tmp_path):
+        serial = run_session(tmp_path / "serial.rpbt", batch_jobs)
+        nested = run_session(
+            tmp_path / "nested.rpbt", batch_jobs, max_inflight=8, workers=4, level_workers=4
+        )
+        assert archive_entries(serial.report.head_path) == archive_entries(
+            nested.report.head_path
+        )
 
-    def test_process_executor_bit_identical(self, batch_jobs):
-        serial = CompressionEngine(max_workers=1).run(batch_jobs[:2])
-        procs = CompressionEngine(max_workers=2, executor="process").run(batch_jobs[:2])
-        for a, b in zip(serial, procs):
-            assert a.compressed.to_bytes() == b.compressed.to_bytes()
-
-    def test_results_keep_submission_order(self, batch_jobs):
-        batch = CompressionEngine(max_workers=4).run(batch_jobs)
-        assert [r.index for r in batch] == list(range(len(batch_jobs)))
-        assert [r.label for r in batch] == [j.label for j in batch_jobs]
+    def test_results_keep_submission_order(self, batch_jobs, tmp_path):
+        session = run_session(tmp_path / "order.rpbt", batch_jobs, max_inflight=8, workers=4)
+        rows = session.report.entries
+        assert [row["index"] for row in rows] == list(range(len(batch_jobs)))
+        assert [row["key"] for row in rows] == [label for label, _ds, _codec in batch_jobs]
 
     def test_path_inputs_load_in_workers_bit_identical(self, tmp_path):
         ds = two_level_dataset(n=16, fine_fraction=0.3, seed=1)
         path = tmp_path / "toy.npz"
         save_dataset(ds, path)
-        direct = CompressionEngine().run(
-            [CompressionJob(ds, codec="tac", error_bound=EB)]
-        )
-        via_path = CompressionEngine(max_workers=2).run(
-            [CompressionJob(path, codec="tac", error_bound=EB)]
-        )
-        assert via_path.results[0].label == "toy/tac"
-        assert (
-            direct.results[0].compressed.to_bytes()
-            == via_path.results[0].compressed.to_bytes()
-        )
+        with IngestSession(
+            tmp_path / "both.rpbt", error_bound=EB, max_inflight=4, workers=2
+        ) as session:
+            keys = [session.submit(ds, key="direct"), session.submit(path)]
+        assert keys == ["direct", "toy"]
+        entries = archive_entries(session.report.head_path)
+        assert entries["direct"] == entries["toy"]
 
     def test_duplicate_labels_get_unique_suffixes(self):
-        ds = two_level_dataset(n=8)
-        jobs = [CompressionJob(ds, codec="1d", error_bound=EB) for _ in range(3)]
-        batch = CompressionEngine().run(jobs)
-        labels = [r.label for r in batch]
-        assert len(set(labels)) == 3
-        assert labels[0] == jobs[0].resolved_label()
+        """The suffixing lives where ``repro batch`` makes its labels
+        (``tests/test_cli.py`` drives the command line)."""
+        from repro.cli import _unique_labels
+
+        assert _unique_labels(["a", "b", "a", "a"]) == ["a", "b", "a#1", "a#2"]
 
 
 # ----------------------------------------------------------------------
-# failure isolation
+# failure (aborts the session; nothing is isolated, nothing is left)
 # ----------------------------------------------------------------------
 class TestFailureIsolation:
-    def test_one_bad_job_does_not_poison_the_batch(self):
-        good = two_level_dataset(n=8)
-        jobs = [
-            CompressionJob(good, codec="1d", error_bound=EB, label="ok-1"),
-            # zMesh rejects per-level bounds -> deterministic ValueError.
-            CompressionJob(
-                good, codec="zmesh", error_bound=EB,
-                per_level_scale=[2.0, 1.0], label="bad",
-            ),
-            CompressionJob(good, codec="1d", error_bound=EB, label="ok-2"),
-        ]
-        for workers in (1, 4):
-            batch = CompressionEngine(max_workers=workers).run(jobs)
-            assert [r.ok for r in batch] == [True, False, True]
-            failed = batch.results[1]
-            assert isinstance(failed.error, ValueError)
-            assert "per-level" in str(failed.error)
-            assert failed.compressed is None
-            assert {r.label for r in batch.ok} == {"ok-1", "ok-2"}
-
-    def test_missing_path_input_fails_only_its_job(self, tmp_path):
-        jobs = [
-            CompressionJob(two_level_dataset(n=8), codec="1d", error_bound=EB),
-            CompressionJob(tmp_path / "nope.npz", codec="1d", error_bound=EB),
-        ]
-        batch = CompressionEngine(max_workers=2).run(jobs)
-        assert [r.ok for r in batch] == [True, False]
-        assert isinstance(batch.results[1].error, FileNotFoundError)
-
-    def test_raise_errors_chains_the_cause(self):
-        jobs = [
-            CompressionJob(
-                two_level_dataset(n=8), codec="zmesh",
-                error_bound=EB, per_level_scale=[2.0, 1.0],
-            )
-        ]
-        with pytest.raises(RuntimeError, match="failed") as excinfo:
-            CompressionEngine().run(jobs, raise_errors=True)
+    def test_raise_errors_chains_the_cause(self, tmp_path):
+        # zMesh rejects per-level bounds -> deterministic ValueError.
+        with pytest.raises(IngestError, match="failed") as excinfo:
+            with IngestSession(tmp_path / "bad.rpbt", codec="zmesh") as session:
+                session.submit(two_level_dataset(n=8), per_level_scale=[2.0, 1.0])
         assert isinstance(excinfo.value.__cause__, ValueError)
-
-    def test_to_archive_refuses_partial_batches(self):
-        jobs = [
-            CompressionJob(two_level_dataset(n=8), codec="1d", error_bound=EB),
-            CompressionJob(
-                two_level_dataset(n=8), codec="zmesh",
-                error_bound=EB, per_level_scale=[2.0, 1.0],
-            ),
-        ]
-        batch = CompressionEngine().run(jobs)
-        with pytest.raises(RuntimeError):
-            batch.to_archive()
+        assert "per-level" in str(excinfo.value.__cause__)
+        assert not list(tmp_path.iterdir())
 
     def test_invalid_engine_parameters(self):
         with pytest.raises(ValueError):
-            CompressionEngine(max_workers=0)
+            IngestConfig(workers=0)
         with pytest.raises(ValueError):
-            CompressionEngine(executor="fork-bomb")
+            IngestConfig(max_inflight=0)
         with pytest.raises(ValueError):
-            CompressionEngine(level_workers=-1)
+            IngestConfig(level_workers=-1)
 
 
 # ----------------------------------------------------------------------
-# timing aggregation
+# timing
 # ----------------------------------------------------------------------
 class TestTimingAggregation:
-    def test_batch_timings_sum_per_job_spans(self, batch_jobs):
-        batch = CompressionEngine(max_workers=2).run(batch_jobs)
-        merged = batch.timings()
-        assert isinstance(merged, TimingRecord)
-        assert merged.get("compress") > 0.0
-        for span, total in merged.spans.items():
-            by_hand = sum(r.timings.get(span) for r in batch.ok)
-            assert total == pytest.approx(by_hand)
-
-    def test_wall_and_per_job_seconds_recorded(self, batch_jobs):
-        batch = CompressionEngine(max_workers=2).run(batch_jobs)
-        assert batch.wall_seconds > 0.0
-        assert all(r.wall_seconds > 0.0 for r in batch.ok)
-
-    def test_summary_rows_cover_success_and_failure(self):
-        jobs = [
-            CompressionJob(two_level_dataset(n=8), codec="1d", error_bound=EB),
-            CompressionJob(
-                two_level_dataset(n=8), codec="zmesh",
-                error_bound=EB, per_level_scale=[2.0, 1.0],
-            ),
-        ]
-        rows = CompressionEngine().run(jobs).summary_rows()
-        assert rows[0]["error"] is None and rows[0]["ratio"] > 0
-        assert rows[1]["error"] is not None and rows[1]["ratio"] is None
+    def test_wall_and_per_job_seconds_recorded(self, batch_jobs, tmp_path):
+        session = run_session(tmp_path / "wall.rpbt", batch_jobs, max_inflight=4, workers=2)
+        assert session.report.wall_seconds > 0.0
+        assert all(row["wall_seconds"] > 0.0 for row in session.report.entries)
 
 
 # ----------------------------------------------------------------------
@@ -273,17 +224,15 @@ class TestTimingAggregation:
 # ----------------------------------------------------------------------
 class TestBatchArchive:
     def test_roundtrip_and_registry_decompression(self, batch_jobs):
-        batch = CompressionEngine(max_workers=2).run(batch_jobs)
-        archive = batch.to_archive(purpose="test")
+        archive = build_archive(batch_jobs, purpose="test")
         blob = archive.to_bytes()
         loaded = BatchArchive.from_bytes(blob)
         assert loaded.keys() == sorted(archive.keys())
         assert loaded.meta == {"purpose": "test"}
         assert loaded.to_bytes() == blob  # byte-stable re-serialization
 
-        job = batch_jobs[0]
-        restored = loaded.decompress(job.label)
-        original = job.dataset
+        label, original, _codec = batch_jobs[0]
+        restored = loaded.decompress(label)
         eb_abs = EB * resolve_global_eb(original, 1.0, "rel")
         for orig, back in zip(original.levels, restored.levels):
             assert np.array_equal(orig.mask, back.mask)
@@ -303,7 +252,7 @@ class TestBatchArchive:
             BatchArchive.from_bytes(b"junkjunkjunk")
 
     def test_save_load_and_accounting(self, tmp_path, batch_jobs):
-        archive = CompressionEngine().run(batch_jobs[:2]).to_archive()
+        archive = build_archive(batch_jobs[:2])
         path = tmp_path / "batch.rpbt"
         n = archive.save(path)
         assert path.stat().st_size == n

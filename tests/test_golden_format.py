@@ -28,7 +28,8 @@ The fixtures for container v1–v4 are *frozen*: their writers are retired
 their read side is tested.  The write path is pinned by
 ``golden_entry_v5.rpam`` (both ``to_bytes`` and a file-backed
 ``StreamingContainerWriter`` must regenerate it) and by the
-``golden_ingest_delta`` session replay.
+``golden_ingest_delta`` and ``golden_ingest_step`` session replays (the
+latter pins the ``structure`` entry-meta key of a multi-field step).
 
 If a format change is intentional, bump the container version, keep
 readers for every older version, and only then regenerate the fixtures.
@@ -647,3 +648,73 @@ class TestGoldenIngestDelta:
         assert len(stats) == 2  # keyframe + delta
         assert float(data.sum(dtype=np.float64)) == expected_ingest["roi_sum"]
         assert int(np.count_nonzero(data)) == expected_ingest["roi_nonzero"]
+
+
+class TestGoldenIngestStep:
+    """The multi-field step fixture: two analytic fields on one structure
+    written by one ``IngestSession.submit_step``.  Pins the one wire
+    addition — the mask-less second entry and its ``meta["structure"]``
+    reference — on the write side (session replay regenerates the bytes)
+    and on the read side (the reference resolves; recorded per-level sums)."""
+
+    @pytest.fixture(scope="class")
+    def expected_step(self) -> dict:
+        return json.loads((DATA / "golden_ingest_step.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def head_path(self) -> Path:
+        return DATA / "golden_ingest_step.rpbt"
+
+    def test_fixture_integrity(self, expected_step, head_path):
+        for record in (expected_step["head"], *expected_step["shards"]):
+            blob = (DATA / record["name"]).read_bytes()
+            assert len(blob) == record["n_bytes"]
+            assert hashlib.sha256(blob).hexdigest() == record["sha256"]
+        assert is_batch_archive(head_path.read_bytes())
+
+    def test_structure_reference_is_stored_once(self, expected_step, head_path):
+        holder, field = expected_step["keys"]
+        assert holder == expected_step["structure"]
+        with LazyBatchArchive.open(head_path, verify_shards=True) as lazy:
+            assert lazy.keys() == expected_step["keys"]
+            assert "structure" not in lazy.entry(holder).meta
+            assert {"mask/L0", "mask/L1"} <= set(lazy.entry(holder).parts)
+            assert lazy.entry(field).meta["structure"] == holder
+            assert not [n for n in lazy.entry(field).parts if n.startswith("mask/")]
+
+    def test_session_replay_regenerates_fixture_bytes(
+        self, expected_step, head_path, tmp_path
+    ):
+        from repro.ingest import IngestSession
+        from tests.helpers import golden_step_fields
+
+        head = tmp_path / head_path.name
+        with IngestSession(
+            head, error_bound=expected_step["eb"], mode=expected_step["mode"],
+            meta={"fixture": "golden-step"},
+        ) as session:
+            keys = session.submit_step(golden_step_fields())
+        assert keys == expected_step["keys"]
+        assert head.read_bytes() == head_path.read_bytes()
+        for path, record in zip(session.report.write.shard_paths, expected_step["shards"]):
+            assert path.name == record["name"]
+            assert path.read_bytes() == (DATA / record["name"]).read_bytes()
+
+    def test_reconstructions_match_recorded_stats_and_bound(
+        self, expected_step, head_path
+    ):
+        from tests.helpers import golden_step_fields
+
+        fields = golden_step_fields()
+        with LazyBatchArchive.open(head_path) as lazy:
+            for key, name in zip(expected_step["keys"], sorted(fields)):
+                restored = lazy.decompress(key)  # no structure= from the caller
+                for record in expected_step["reconstructed"][key]:
+                    lvl = restored.levels[record["level"]]
+                    want = fields[name].levels[record["level"]]
+                    assert np.array_equal(lvl.mask, want.mask)
+                    assert int(lvl.mask.sum()) == record["n_points"]
+                    assert float(lvl.data[lvl.mask].sum(dtype=np.float64)) == record["sum"]
+                    assert_error_bounded(
+                        want.data[want.mask], lvl.data[lvl.mask], expected_step["eb"]
+                    )

@@ -36,7 +36,7 @@ from repro.core.container import (
     resolve_global_eb,
 )
 from repro.core.tac import TACCompressor
-from repro.engine import CompressionEngine, CompressionJob, register, unregister
+from repro.engine import register, unregister
 from repro.engine.archive import LazyBatchArchive, ShardedArchiveWriter
 from repro.engine.registry import config_schema, validate_codec_options
 from repro.ingest import (
@@ -434,7 +434,7 @@ class TestSessionContract:
 # ----------------------------------------------------------------------
 class _MutatingCodec:
     """Fake codec whose compress() mutates its (nested) options in place —
-    the shared-by-reference leak vector the engine deep-copy guards."""
+    the shared-by-reference leak vector the session's deep copy guards."""
 
     method_name = "mut"
 
@@ -458,20 +458,15 @@ class _MutatingCodec:
 
 
 class TestCodecOptionsSafety:
-    def test_engine_jobs_do_not_share_option_objects(self):
+    def test_session_entries_do_not_share_option_objects(self, tmp_path):
         register("mut-codec", _MutatingCodec, description="test only")
         try:
             shared = {"knobs": ["a", "b"]}
             ds = two_level_dataset(n=16, seed=0)
-            jobs = [
-                CompressionJob(
-                    ds, codec="mut-codec", error_bound=EB,
-                    label=f"j{i}", codec_options=shared,
-                )
-                for i in range(3)
-            ]
-            batch = CompressionEngine(max_workers=1).run(jobs)
-            assert all(res.error is None for res in batch.results)
+            with IngestSession(tmp_path / "m.rpbt", codec="mut-codec") as session:
+                for i in range(3):
+                    session.submit(ds, key=f"j{i}", codec_options=shared)
+            assert session.report.n_entries == 3
             # The caller's dict came through unmutated...
             assert shared == {"knobs": ["a", "b"]}
         finally:

@@ -742,6 +742,55 @@ class TestOneReadPath:
             _data, groups = groups_read("no-block")
             assert _payloads(parts.accessed()) == {"L0/layout", "L0/g0"}
 
+    @pytest.mark.parametrize("codec_name", ["tac", "zmesh"])
+    def test_maskless_field_of_a_step_reads_like_any_other(self, codec_name, tmp_path):
+        """A field that takes its masks from the step's first entry: every
+        box is the slice of its full decode, through the reader, the lazy
+        archive, and the codec handed the masks as ``structure=``."""
+        from repro.engine import LazyBatchArchive
+        from repro.engine.archive import with_structure
+        from repro.ingest import IngestSession
+
+        rho = clustered_dataset()
+        temp = AMRDataset(
+            levels=[
+                AMRLevel(data=lvl.data * np.float32(1.5), mask=lvl.mask, level=lvl.level)
+                for lvl in rho.levels
+            ],
+            name=rho.name, field="temp",
+        )
+        options = (
+            {"force_strategy": Strategy.GSP, "unit_block": 4, "brick_size": 4}
+            if codec_name == "tac" else {}
+        )
+        with IngestSession(
+            tmp_path / "step.rpbt", codec=codec_name, codec_options=options,
+            error_bound=EB, mode="abs",
+        ) as session:
+            _holder, key = session.submit_step({"rho": rho, "temp": temp})
+        codec = get_codec(codec_name)
+        with LazyBatchArchive.open(tmp_path / "step.rpbt") as archive, ArchiveReader(
+            tmp_path / "step.rpbt"
+        ) as reader:
+            assert not any(name.startswith(MASK_PREFIX) for name in archive.entry(key).parts)
+            full = archive.decompress(key)
+            for level, lvl in enumerate(full.levels):
+                assert np.array_equal(lvl.mask, temp.levels[level].mask)
+                _assert_levels_equal(lvl, archive.decompress_level(key, level))
+                _assert_levels_equal(lvl, reader.read_level(key, level)[0])
+                scale = 16 // lvl.shape[0]
+                for named in READ_BOXES.values():
+                    box = tuple((lo // scale, hi // scale) for lo, hi in named)
+                    expected = lvl.data[tuple(slice(lo, hi) for lo, hi in box)]
+                    view = with_structure(archive.entry(key), key, archive.entry)
+                    for data in (
+                        reader.read_region(key, level, box)[0],
+                        reader.read_region(key, level, box, degraded=True)[0],
+                        codec.decompress_region(view, level, box),
+                        codec.decompress_region(archive.entry(key), level, box, structure=temp),
+                    ):
+                        assert np.array_equal(data, expected)
+
     def test_bogus_level_is_one_value_error_everywhere(self, case):
         n_levels = len(case.full.levels)
         box = READ_BOXES["brick-aligned"]

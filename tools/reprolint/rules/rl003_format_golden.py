@@ -1,7 +1,8 @@
 """RL003 — format-bump-without-golden.
 
 The containers in this repo are byte-exact wire formats: ``_MAGIC``,
-``*_VERSION``, ``*_FMT`` strings and ``struct.Struct`` layouts in
+``*_VERSION``, ``*_FMT`` strings, ``*_META_KEY`` entry-metadata keys
+readers dispatch on, and ``struct.Struct`` layouts in
 ``core/``, ``sz/``, and ``engine/`` define what an archive written today
 must look like forever.  Historically every version bump has had to land
 with a golden fixture (``tests/data/golden_*``) so decoder drift is
@@ -43,7 +44,7 @@ INVENTORY_PATH = "tests/data/golden_inventory.json"
 
 #: Constant names that define wire format when assigned at module level.
 _NAME_RE = re.compile(
-    r"(^_?MAGIC$|_MAGIC$|^VERSION$|_VERSIONS?$|_FMT$|_FORMAT$)"
+    r"(^_?MAGIC$|_MAGIC$|^VERSION$|_VERSIONS?$|_FMT$|_FORMAT$|_META_KEY$)"
 )
 
 
