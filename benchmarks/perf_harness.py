@@ -190,6 +190,39 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
         int(np.count_nonzero(brick_counts)),
         brick_counts.nbytes,
     )
+    # The same build on a histogram the length limit bites: the residuals
+    # of a 64³ stream (262 144 symbols) with a heavy (Cauchy) tail, ~970
+    # present symbols whose raw tree is deeper than 16, so the Kraft repair
+    # runs.  The row above never reaches it.
+    from repro.sz.huffman import _tree_depths
+
+    tail = np.rint(np.random.default_rng(4).standard_cauchy(1 << 18)).astype(np.int64)
+    skewed_counts = np.bincount(np.clip(tail, -4096, 4096) + 4096, minlength=8193)
+    assert _tree_depths(skewed_counts[skewed_counts > 0]).max() > 16, (
+        "huffman_code_lengths_skewed premise broken: no Kraft repair to time"
+    )
+    ops["huffman_code_lengths_skewed"] = op_entry(
+        time_op(lambda: huffman_code_lengths(skewed_counts), max(repeats, 50)),
+        int(np.count_nonzero(skewed_counts)),
+        skewed_counts.nbytes,
+    )
+
+    # The bit-pack alone, on what encode_many hands it for one batch of a
+    # bricked level: 64 streams of 4096 symbols (16³ bricks), each under its
+    # own table, as uint32 codes and uint8 lengths.
+    from repro.sz.bitstream import pack_codes
+
+    brick_rng = np.random.default_rng(3)
+    spread = brick_rng.uniform(0.5, 24, size=(64, 1))
+    rows = np.rint(brick_rng.standard_normal((64, 4096)) * spread).astype(np.int64) + 4096
+    tables = [HuffmanCodec.from_symbols(row, alphabet_size=8193) for row in rows]
+    brick_codes = np.stack([table.codes[row] for table, row in zip(tables, rows)])
+    brick_lengths = np.stack([table.lengths[row] for table, row in zip(tables, rows)])
+    ops["huffman_pack_bricks"] = op_entry(
+        time_op(lambda: pack_codes(brick_codes, brick_lengths), max(repeats, 10)),
+        rows.size,
+        brick_codes.nbytes + brick_lengths.nbytes,
+    )
 
     # Chunked decode windows: force the over-limit path (one window per
     # contiguous lane chunk) so the big-payload fast path — previously a
@@ -536,6 +569,8 @@ GROUP_OPS = {
         "huffman_decode_ragged",
         "huffman_table_build",
         "huffman_code_lengths",
+        "huffman_code_lengths_skewed",
+        "huffman_pack_bricks",
         "huffman_decode_chunked_window",
     ),
     "blocks": ("gather_blocks", "scatter_blocks", "block_counts"),

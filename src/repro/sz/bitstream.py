@@ -6,9 +6,12 @@ arbitrary bit offsets during table-driven decoding.  Both are implemented
 with whole-array NumPy operations — no per-symbol Python loop — following
 the vectorization idioms of the HPC guides:
 
-* **pack**: for bit position ``j`` within a codeword (at most ``max_len``
-  iterations, typically <= 18) scatter the ``j``-th bit of every codeword
-  into a flat boolean bit array at ``offset + j``, then ``np.packbits``.
+* **pack**: work at word resolution, never per bit.  Adjacent codewords
+  are merged pairwise into chunks of at most 64 bits (4 codes at the
+  default ``max_len = 16``), one prefix sum over the chunks gives every
+  chunk's start bit, and each chunk is split at its start's offset within
+  a 64-bit output word into a head for that word and a carry for the
+  next.  Byte-swapping the words gives MSB-first bytes.
 * **peek**: gather four consecutive bytes at ``offset // 8``, combine into a
   big-endian ``uint32`` and shift/mask to expose ``width`` bits.
 
@@ -33,9 +36,10 @@ def pack_codes(
     Parameters
     ----------
     codes:
-        ``uint32``/``uint64`` array; the lowest ``lengths[i]`` bits of
-        ``codes[i]`` form the codeword (most significant code bit first).
-        A 2-D array is a batch of streams, one per row.
+        Unsigned (or non-negative) integer array; the lowest ``lengths[i]``
+        bits of ``codes[i]`` form the codeword (most significant code bit
+        first) and higher bits are ignored.  A 2-D array is a batch of
+        streams, one per row.
     lengths:
         Per-codeword bit lengths (``> 0`` for every emitted symbol).
 
@@ -47,10 +51,15 @@ def pack_codes(
         input both are lists with one entry per row, and row ``i``'s entry
         equals ``pack_codes(codes[i], lengths[i])``.
     """
-    codes = np.asarray(codes, dtype=np.uint64)
-    lengths = np.asarray(lengths, dtype=np.int64)
+    # No widening here: the Huffman encoder hands over uint32 codes and
+    # uint8 lengths; ``_pack_rows`` masks the codes in their own dtype and
+    # widens them once, in its first merge.
+    codes = np.asarray(codes)
+    lengths = np.asarray(lengths)
     if codes.shape != lengths.shape:
         raise ValueError("codes and lengths must have identical shapes")
+    if codes.dtype.kind != "u":
+        codes = codes.astype(np.uint64)
     if codes.ndim == 2:
         return _pack_rows(codes, lengths)
     buffers, total_bits = _pack_rows(codes[None], lengths[None])
@@ -58,48 +67,74 @@ def pack_codes(
 
 
 def _pack_rows(codes: np.ndarray, lengths: np.ndarray) -> tuple[list[bytes], list[int]]:
-    """Pack every row of a 2-D code array in one flat pass."""
-    n_rows = codes.shape[0]
+    """Pack every row of a 2-D code array in one flat pass of 64-bit words.
+
+    NumPy defines an unsigned shift by the type's width or more as 0
+    (pinned by ``tests/test_sz_bitstream.py``); the masks of codes as wide
+    as their dtype, the zero-length chunks and the chunks that start on a
+    word boundary rely on it.
+    """
+    n_rows, n_cols = codes.shape
     if codes.size == 0:
         return [b"\x00" * _PEEK_PAD] * n_rows, [0] * n_rows
     if lengths.min() <= 0:
         raise ValueError("all codeword lengths must be positive")
     max_len = int(lengths.max())
     if max_len > 57:
-        # 57 bits keeps offset+j arithmetic within exact float64/int64 range
-        # and far exceeds any length-limited Huffman code we build.
+        # 57 = 64 - 7: a codeword at any bit phase of its first byte lies
+        # within one byte-aligned 64-bit load, the widest read a word-at-a-
+        # time bit reader makes; and it far exceeds any length-limited
+        # Huffman code we build.
         raise ValueError(f"codeword length {max_len} exceeds supported maximum 57")
 
-    row_bits = lengths.sum(axis=1)
-    if n_rows > 1:
-        # Every row starts on a byte boundary: a pseudo-code of zero bits
-        # (possibly none) closes each row's last byte.  A lone row needs
-        # none — np.packbits zero-pads the final partial byte itself.
-        pad = (-row_bits) % 8
-        lengths = np.concatenate([lengths, pad[:, None]], axis=1)
-        codes = np.concatenate([codes, np.zeros((n_rows, 1), dtype=codes.dtype)], axis=1)
-    lengths = lengths.ravel()
-    ends = np.cumsum(lengths)
-    total_bits = int(ends[-1])
+    # ``depth`` pairwise merges of adjacent codes make chunks of
+    # ``2**depth`` codes, each at most 64 bits (so chunk lengths fit uint8).
+    # Rows are padded with zero-length codes to a whole number of chunks.
+    depth = (64 // max_len).bit_length() - 1
+    lens = lengths.astype(np.uint8, copy=False)
+    width = -(-n_cols >> depth) << depth
+    if width != n_cols:
+        lens = np.pad(lens, ((0, 0), (0, width - n_cols)))
+        codes = np.pad(codes, ((0, 0), (0, width - n_cols)))
+    # Drop the bits above each length, still in the codes' own dtype (a
+    # shift past its width is 0, so the mask is all ones there).
+    one = codes.dtype.type(1)
+    chunks = np.left_shift(one, lens, dtype=codes.dtype)
+    chunks -= one
+    chunks &= codes
+    for _ in range(depth):
+        low = lens[:, 1::2]
+        merged = chunks[:, ::2].astype(np.uint64)
+        merged <<= low
+        merged |= chunks[:, 1::2]
+        chunks = merged
+        lens = lens[:, ::2] + low
 
-    # One flat pass over the output bits: global bit position ``p`` belongs
-    # to the symbol whose codeword covers it, and its in-codeword shift from
-    # the LSB is ``ends[sym] - 1 - p``.  ``np.repeat`` expands the per-symbol
-    # quantities to bit granularity, so the whole batch packs in a handful
-    # of whole-array operations — O(total_bits), independent of ``max_len``
-    # and of the row count.  int32 arithmetic halves the bandwidth of the
-    # two big repeats whenever both the codes and the bit offsets fit
-    # (always, for length-limited codes on batches under 2**31 bits).
-    dtype = np.int32 if (max_len <= 31 and total_bits <= np.iinfo(np.int32).max) else np.int64
-    shifts = np.repeat(ends.astype(dtype, copy=False), lengths)
-    shifts -= 1
-    shifts -= np.arange(total_bits, dtype=dtype)
-    bitvals = np.repeat(codes.ravel().astype(dtype), lengths)
-    bitvals >>= shifts
-    bitvals &= 1
-    packed = np.packbits(bitvals.astype(np.uint8)).tobytes()
+    # The one prefix sum, over chunks; every row starts on a byte boundary.
+    row_bits = lengths.sum(axis=1, dtype=np.int64)
+    stops = np.cumsum((row_bits + 7) >> 3)
+    starts = np.cumsum(lens, axis=1, dtype=np.uint64)
+    starts -= lens
+    starts[1:] += (stops[:-1, None] << 3).astype(np.uint64)
+    chunks = chunks.astype(np.uint64, copy=False).ravel()
+    lens = lens.ravel()
+    starts = starts.ravel()
+    # Left-align every chunk in its own word, then split it where it lands
+    # in the output: the head goes into word ``start >> 6`` shifted right by
+    # the start's offset ``start & 63``, the rest carries into the next word.
+    chunks <<= np.uint64(64) - lens
+    offsets = starts & np.uint64(63)
+    heads = chunks >> offsets
+    chunks <<= np.uint64(64) - offsets  # no carry when the offset is 0
+    # The chunks' bits are disjoint, so summing into a word is ORing into it
+    # (and ``np.add.at`` is the fast unbuffered scatter).
+    word = (starts >> np.uint64(6)).view(np.int64)
+    words = np.zeros(int(word[-1]) + 2, dtype=np.uint64)
+    np.add.at(words, word, heads)
+    np.add.at(words[1:], word, chunks)
+    packed = words.astype(">u8").tobytes()
     tail = b"\x00" * _PEEK_PAD
-    stops = np.cumsum((row_bits + 7) >> 3).tolist()
+    stops = stops.tolist()
     return (
         [packed[start:stop] + tail for start, stop in zip([0] + stops, stops)],
         row_bits.tolist(),

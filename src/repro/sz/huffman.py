@@ -35,8 +35,8 @@ a pure-NumPy implementation fast:
    fixed cost dwarfs 4096 symbols of work.  :func:`encode_many` encodes
    the rows of a 2-D symbol array at once — lengths and codewords come
    from the stacked per-stream tables (``table[row, symbol]``), all rows
-   go through one bit-pack (each starting on a byte boundary) and one
-   row-wise ``cumsum`` yields every block offset.
+   go through one word-level bit-pack (each starting on a byte boundary)
+   and one segment sum per block yields every block offset.
    :meth:`HuffmanCodec.encode` is the batch of one.
 
 5. **An exact O(n) table build.**  What cannot be shared between streams
@@ -69,17 +69,18 @@ from repro.sz.bitstream import (
     window_words,
 )
 
-#: Default cap on codeword length.  The decode table has ``2**longest_code``
-#: entries of 12 bytes (int32 symbol + int64 length), so the cap bounds it
-#: at 65536 entries (768 KB); the 16³-brick streams of a bricked level
-#: have 8–13-bit longest codes (12 typically), i.e. 48 KB tables.
+#: Default cap on codeword length.  A cached decode table has
+#: ``2**longest_code`` entries of 3 bytes (uint16 symbol + uint8 length for
+#: the usual 8193-symbol alphabet), so the cap bounds it at 65536 entries
+#: (192 KB); the 16³-brick streams of a bricked level have 8–13-bit longest
+#: codes (12 typically), i.e. 12 KB tables.
 DEFAULT_MAX_LEN = 16
 
 #: Bound on the decoder-codec LRU cache (:meth:`HuffmanCodec.cached`).  A
 #: cached codec holds its code lengths (1 byte per alphabet symbol, 8 KB at
 #: the default radius) plus its ``2**longest_code``-entry decode table, so
-#: the cache tops out at 32 × (8 KB + 768 KB) ≈ 25 MB when every code
-#: reaches ``max_len=16`` and stays near 2 MB on brick streams.
+#: the cache tops out at 32 × (8 KB + 192 KB) ≈ 6 MB when every code
+#: reaches ``max_len=16`` and stays near 0.6 MB on brick streams.
 DECODE_CACHE_SIZE = 32
 
 #: Bounds on the adaptive decode block size.
@@ -193,20 +194,35 @@ def _limit_lengths(raw: np.ndarray, max_len: int) -> np.ndarray:
 
     Clamping overlong codes can push the Kraft sum above 1 (an over-full,
     undecodable tree).  We restore validity by repeatedly lengthening the
-    deepest still-extendable code, which removes code space in the smallest
-    possible increments; the result is always decodable, at a negligible
-    compression cost only for pathologically skewed histograms.
+    deepest still-extendable code (the first-indexed among equals), which
+    removes code space in the smallest possible increments; the result is
+    always decodable, at a negligible compression cost only for
+    pathologically skewed histograms.
+
+    That loop has a closed form: a lengthened code stays the deepest
+    extendable one, so codes go to ``max_len`` one at a time in (length
+    descending, index ascending) order, each freeing ``2**(max_len - L) - 1``
+    units of ``2**-max_len``, and the last one moves only as far as the
+    remaining excess needs.  (``tests/helpers.py::loop_limit_lengths`` is
+    the loop, the oracle of a property test.)
     """
     lengths = np.minimum(raw, max_len)
     scale = 1 << max_len
-    kraft = int(np.sum(scale >> lengths.astype(np.int64)))
-    while kraft > scale:
-        extendable = np.flatnonzero(lengths < max_len)
-        if extendable.size == 0:  # pragma: no cover - guarded by caller
-            raise ValueError("cannot satisfy Kraft inequality within max_len")
-        deepest = extendable[np.argmax(lengths[extendable])]
-        kraft -= scale >> int(lengths[deepest] + 1)
-        lengths[deepest] += 1
+    excess = int(np.sum(scale >> lengths)) - scale
+    if excess <= 0:
+        return lengths
+    extendable = np.flatnonzero(lengths < max_len)
+    order = extendable[np.lexsort((extendable, -lengths[extendable]))]
+    freed = np.cumsum((scale >> lengths[order]) - 1)
+    k = int(np.searchsorted(freed, excess))
+    if k == order.size:  # pragma: no cover - guarded by caller
+        raise ValueError("cannot satisfy Kraft inequality within max_len")
+    lengths[order[:k]] = max_len
+    # The k-th code, at length L, frees 2**(max_len - L) - 2**(max_len - L')
+    # by moving to L'; it stops at the first L' that covers what is left.
+    left = excess - (int(freed[k - 1]) if k else 0)
+    room = (scale >> int(lengths[order[k]])) - left
+    lengths[order[k]] = max_len - (room.bit_length() - 1)
     return lengths
 
 
@@ -387,7 +403,7 @@ def encode_many(codecs, symbols: np.ndarray, block_size: int | None = None) -> l
     several rows (shared-table levels).  Code lengths and codewords are
     gathered through the stacked per-codec tables (``table[row, symbol]``),
     all rows are bit-packed together and the block offsets come from one
-    row-wise ``cumsum``, so ``result[i]`` equals
+    sum per block, so ``result[i]`` equals
     ``codecs[i].encode(symbols[i], block_size)`` — :meth:`HuffmanCodec.encode`
     is the batch of one.
     """
@@ -400,7 +416,7 @@ def encode_many(codecs, symbols: np.ndarray, block_size: int | None = None) -> l
         raise ValueError("codecs of one encode batch must share an alphabet size")
     if n and (symbols.min() < 0 or symbols.max() >= alphabet):
         raise ValueError("symbol out of alphabet range")
-    block = int(block_size) if block_size else default_block_size(n)
+    block = default_block_size(n) if block_size is None else int(block_size)
     if block <= 0:
         raise ValueError("block_size must be positive")
     if n == 0:
@@ -413,13 +429,15 @@ def encode_many(codecs, symbols: np.ndarray, block_size: int | None = None) -> l
         index = symbols + np.array([base_of[id(codec)] for codec in codecs])[:, None]
         length_table = np.concatenate([codec.lengths for codec in tables.values()])
         code_table = np.concatenate([codec.codes for codec in tables.values()])
-    sym_lengths = length_table[index].astype(np.int64)
+    sym_lengths = length_table[index]
     if sym_lengths.min() == 0:
         raise ValueError("attempted to encode a symbol with no codeword")
     payloads, total_bits = pack_codes(code_table[index], sym_lengths)
-    starts = np.cumsum(sym_lengths, axis=1)
-    starts -= sym_lengths
-    block_offsets = np.ascontiguousarray(starts[:, ::block])
+    # Block offsets need the bits of each block, not a prefix sum over the
+    # symbols: one segment sum per block, then a prefix sum over the blocks.
+    block_bits = np.add.reduceat(sym_lengths, np.arange(0, n, block), axis=1, dtype=np.int64)
+    block_offsets = np.cumsum(block_bits, axis=1)
+    block_offsets -= block_bits
     return [
         HuffmanEncoded(payload, bits, offsets, n, block)
         for payload, bits, offsets in zip(payloads, total_bits, block_offsets)

@@ -234,6 +234,64 @@ def reserialize_stream(blob: bytes, replace: dict) -> bytes:
     return stream.serialize(parsed.header, sections)
 
 
+def bitwise_pack_rows(codes, lengths) -> tuple[list[bytes], list[int]]:
+    """Reference packer: the per-bit ``repro.sz.bitstream._pack_rows`` that
+    the 64-bit word packer replaced, kept as the oracle its property test
+    holds it to.  Every codeword is expanded to one array element per bit
+    (``np.repeat``) and the bits go through ``np.packbits``; rows of a 2-D
+    batch each start on a byte boundary."""
+    codes = np.asarray(codes, dtype=np.uint64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n_rows = codes.shape[0]
+    if codes.size == 0:
+        return [b"\x00" * 4] * n_rows, [0] * n_rows
+    max_len = int(lengths.max())
+    row_bits = lengths.sum(axis=1)
+    if n_rows > 1:
+        # A pseudo-code of zero bits (possibly none) closes each row's last
+        # byte; a lone row leans on np.packbits' own zero fill.
+        pad = (-row_bits) % 8
+        lengths = np.concatenate([lengths, pad[:, None]], axis=1)
+        codes = np.concatenate([codes, np.zeros((n_rows, 1), dtype=codes.dtype)], axis=1)
+    lengths = lengths.ravel()
+    ends = np.cumsum(lengths)
+    total_bits = int(ends[-1])
+    # Global bit ``p`` belongs to the codeword covering it, at shift
+    # ``ends[sym] - 1 - p`` from that codeword's LSB.
+    dtype = np.int32 if (max_len <= 31 and total_bits <= np.iinfo(np.int32).max) else np.int64
+    shifts = np.repeat(ends.astype(dtype, copy=False), lengths)
+    shifts -= 1
+    shifts -= np.arange(total_bits, dtype=dtype)
+    bitvals = np.repeat(codes.ravel().astype(dtype), lengths)
+    bitvals >>= shifts
+    bitvals &= 1
+    packed = np.packbits(bitvals.astype(np.uint8)).tobytes()
+    stops = np.cumsum((row_bits + 7) >> 3).tolist()
+    return (
+        [packed[start:stop] + b"\x00" * 4 for start, stop in zip([0] + stops, stops)],
+        row_bits.tolist(),
+    )
+
+
+def loop_limit_lengths(raw, max_len: int) -> np.ndarray:
+    """Reference Kraft repair: the loop ``repro.sz.huffman._limit_lengths``
+    ran before its closed form, kept as the oracle the closed form is held
+    to.  Clamp to ``max_len``, then lengthen the deepest still-extendable
+    code (first index among equals) one bit at a time until the Kraft sum
+    fits."""
+    lengths = np.minimum(np.asarray(raw, dtype=np.int64), max_len)
+    scale = 1 << max_len
+    kraft = int(np.sum(scale >> lengths))
+    while kraft > scale:
+        extendable = np.flatnonzero(lengths < max_len)
+        if extendable.size == 0:
+            raise ValueError("cannot satisfy Kraft inequality within max_len")
+        deepest = extendable[np.argmax(lengths[extendable])]
+        kraft -= scale >> int(lengths[deepest] + 1)
+        lengths[deepest] += 1
+    return lengths
+
+
 def heap_code_lengths(counts, max_len: int = 16) -> np.ndarray:
     """Reference Huffman code lengths: the binary-heap tree build.
 
@@ -242,10 +300,9 @@ def heap_code_lengths(counts, max_len: int = 16) -> np.ndarray:
     the property tests hold the merge to (same tree, so same lengths, on
     every histogram).  Heap entries are ``(count, tie, node)`` with leaf
     ties the present-symbol index and merged-node ties the creation order.
+    The Kraft repair is the reference loop :func:`loop_limit_lengths`.
     """
     import heapq
-
-    from repro.sz.huffman import _limit_lengths
 
     counts = np.asarray(counts, dtype=np.int64)
     present = np.flatnonzero(counts)
@@ -273,7 +330,7 @@ def heap_code_lengths(counts, max_len: int = 16) -> np.ndarray:
         else:
             depth_of[node] = max(depth, 1)
     raw = np.array([depth_of[int(s)] for s in present], dtype=np.int64)
-    lengths[present] = _limit_lengths(raw, max_len)
+    lengths[present] = loop_limit_lengths(raw, max_len)
     return lengths
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sz.bitstream import as_peekable, pack_codes, peek_bits, unpack_to_bits
+from tests.helpers import bitwise_pack_rows
 
 
 class TestPackCodes:
@@ -82,11 +83,14 @@ class TestPackRows:
         for row in range(4):
             assert (buffers[row], totals[row]) == pack_codes(codes[row], lengths[row])
 
-    def test_wide_codes_take_the_int64_path(self, rng):
+    def test_wide_codes_pack_one_per_chunk(self, rng):
+        # Codes over 32 bits leave no room to merge a pair into one word.
         codes, lengths = self.random_rows(rng, 5, 40, max_len=40)
+        lengths[0, 0] = 40
         buffers, totals = pack_codes(codes, lengths)
         for row in range(5):
             assert (buffers[row], totals[row]) == pack_codes(codes[row], lengths[row])
+        assert (buffers, totals) == bitwise_pack_rows(codes, lengths)
 
     def test_empty_rows(self):
         buffers, totals = pack_codes(np.zeros((3, 0), np.uint64), np.zeros((3, 0), np.int64))
@@ -96,6 +100,74 @@ class TestPackRows:
     def test_rejects_zero_length_in_any_row(self):
         with pytest.raises(ValueError, match="positive"):
             pack_codes(np.ones((2, 2), np.uint64), np.array([[1, 2], [0, 3]]))
+
+
+def _widen_to_multiple(row: np.ndarray, cap: int, multiple: int) -> None:
+    """Lengthen codes of ``row`` (each up to ``cap``) until its bit total is
+    a multiple of ``multiple``, as far as the row has room."""
+    short = -int(row.sum()) % multiple
+    for i in range(row.size):
+        grow = min(short, cap - int(row[i]))
+        row[i] += grow
+        short -= grow
+
+
+class TestWordPacker:
+    """The 64-bit word packer against the per-bit packer it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_rows=st.integers(1, 70),
+        n_cols=st.one_of(st.just(1), st.integers(1, 300)),
+        # Longest codes 16 / 24 / 40 / 57 merge 2 / 1 / 0 / 0 times; 1, 5 and
+        # 9 reach the deeper merges (up to 64 one-bit codes per chunk).
+        cap=st.sampled_from([1, 5, 9, 16, 24, 40, 57]),
+        align=st.sampled_from([None, 8, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_bitwise_packer(self, n_rows, n_cols, cap, align, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, cap + 1, size=(n_rows, n_cols))
+        lengths[:, rng.integers(n_cols)] = cap
+        if align:
+            for row in lengths:
+                _widen_to_multiple(row, cap, align)
+        # Garbage above every code's length: the packer must ignore it.
+        codes = rng.integers(0, 2**64, size=(n_rows, n_cols), dtype=np.uint64)
+        want = bitwise_pack_rows(codes, lengths)
+        assert pack_codes(codes, lengths) == want
+        narrow = pack_codes(codes.astype(np.uint32), lengths.astype(np.uint8))
+        assert narrow == bitwise_pack_rows(codes.astype(np.uint32), lengths)
+        if n_rows == 1:
+            assert pack_codes(codes[0], lengths[0]) == (want[0][0], want[1][0])
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [[16, 16, 16, 16]] * 3,  # every row one whole word
+            [[8]] * 5,  # single-symbol rows of one byte
+            [[57, 7]] * 2,  # one word, the longest code first
+            [[1] * 64] * 2,  # one-bit codes: 64 to a chunk
+            [[1] * 7] * 3,  # rows one bit short of a byte
+            [[24, 24, 16], [16, 24, 24]],  # 64-bit rows, merged in pairs
+        ],
+    )
+    def test_rows_on_byte_and_word_boundaries(self, lengths, rng):
+        lengths = np.array(lengths)
+        codes = rng.integers(0, 2**64, size=lengths.shape, dtype=np.uint64)
+        assert pack_codes(codes, lengths) == bitwise_pack_rows(codes, lengths)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+    def test_numpy_shifts_past_the_width_are_zero(self, dtype):
+        # The packer's masks, zero-length chunks and word-aligned chunks
+        # rely on this definition (C leaves such shifts undefined).
+        bits = np.dtype(dtype).itemsize * 8
+        values = np.full(1000, 0b1011, dtype=dtype)
+        for shift in (bits, bits + 1):
+            by = np.full(1000, shift, dtype=dtype)
+            assert not (values << by).any()
+            assert not (values >> by).any()
+            assert not (dtype(1) << by).any()
 
 
 class TestPeekBits:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.sz.huffman import (
     DECODE_CACHE_SIZE,
     HuffmanCodec,
+    _limit_lengths,
+    _tree_depths,
     canonical_codes,
     decode_many,
     decode_table_cache_clear,
@@ -16,7 +18,7 @@ from repro.sz.huffman import (
     encode_many,
     huffman_code_lengths,
 )
-from tests.helpers import heap_code_lengths
+from tests.helpers import heap_code_lengths, loop_limit_lengths
 
 
 def kraft_sum(lengths: np.ndarray) -> float:
@@ -147,6 +149,11 @@ class TestCodecRoundTrip:
         codec = HuffmanCodec.from_counts(np.array([1, 1]))
         with pytest.raises(ValueError, match="alphabet"):
             codec.encode(np.array([5]))
+
+    def test_rejects_zero_block_size(self):
+        codec = HuffmanCodec.from_counts(np.array([1, 1]))
+        with pytest.raises(ValueError, match="block_size"):
+            codec.encode(np.array([0, 1, 1]), block_size=0)
 
     def test_rejects_symbol_without_code(self):
         codec = HuffmanCodec.from_counts(np.array([1, 0, 1]))
@@ -389,6 +396,38 @@ class TestTwoQueueBuild:
     def test_weights_beyond_int64_do_not_wrap(self):
         counts = np.full(4, 2**62, dtype=np.int64)
         assert huffman_code_lengths(counts).tolist() == [2, 2, 2, 2]
+
+
+class TestKraftRepair:
+    """The closed-form Kraft repair ≡ the lengthen-the-deepest loop."""
+
+    @given(
+        max_len=st.integers(2, 24),
+        n_present=st.integers(2, 8193),
+        shape=st.floats(0.2, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pareto_histograms(self, max_len, n_present, shape, seed):
+        n_present = min(n_present, 1 << max_len)
+        rng = np.random.default_rng(seed)
+        tail = rng.pareto(shape, size=n_present) * rng.uniform(1, 1e4)
+        counts = np.minimum(tail, 2**40).astype(np.int64) + 1
+        raw = _tree_depths(counts)
+        assert np.array_equal(_limit_lengths(raw, max_len), loop_limit_lengths(raw, max_len))
+
+    def test_last_code_moves_part_of_the_way(self):
+        # Clamped to 3 bits the Kraft sum is 10/8: the 2-bit code goes to 3
+        # (frees 1/8), then the 1-bit code to 2 covers the last 1/8 — it
+        # stops short of max_len.
+        raw = np.array([1, 2, 3, 4, 5, 5])
+        want = loop_limit_lengths(raw, 3)
+        assert want.tolist() == [2, 3, 3, 3, 3, 3]
+        assert np.array_equal(_limit_lengths(raw, 3), want)
+
+    def test_no_repair_needed_returns_the_depths(self):
+        raw = np.array([1, 2, 3, 3])
+        assert _limit_lengths(raw, 16).tolist() == [1, 2, 3, 3]
 
 
 class TestEncodeMany:
