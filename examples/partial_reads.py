@@ -1,4 +1,4 @@
-"""Partial and parallel reads: the container-v2 / lazy-decompression tour.
+"""Partial and parallel reads: the lazy-decompression tour.
 
 A post-hoc analysis workflow rarely wants a whole snapshot back — it
 wants one field, one AMR level, or one spatial region.  This example
@@ -19,23 +19,23 @@ from pathlib import Path
 import numpy as np
 
 from repro import (
-    BatchArchive,
     LazyBatchArchive,
     LazyCompressedDataset,
+    ShardedArchiveWriter,
     get_codec,
     make_dataset,
 )
 
 
 def main() -> None:
-    # -- build a two-field batch archive --------------------------------
-    archive = BatchArchive()
-    for field in ("baryon_density", "temperature"):
-        dataset = make_dataset("Run1_Z2", scale=8, field=field)
-        archive.add(f"Run1_Z2/{field}", get_codec("tac").compress(dataset, 1e-4))
+    # -- build a two-field batch archive (a head plus payload shards) ---
     path = Path(tempfile.mkdtemp()) / "run1_z2.rpbt"
-    size = archive.save(path)
-    print(f"archive: {len(archive)} entries, {size} bytes -> {path}")
+    with ShardedArchiveWriter(path) as writer:
+        for field in ("baryon_density", "temperature"):
+            dataset = make_dataset("Run1_Z2", scale=8, field=field)
+            writer.add_entry(f"Run1_Z2/{field}", get_codec("tac").compress(dataset, 1e-4))
+    report = writer.report
+    print(f"archive: {report.n_entries} entries, {report.total_bytes()} bytes -> {path}")
 
     # -- open lazily: header only, no payload bytes ----------------------
     lazy = LazyBatchArchive.open(path)
@@ -74,7 +74,7 @@ def main() -> None:
     )
 
     # The other field's payloads were never touched by any of the above —
-    # that is the random-access property of the v2 archive index.
+    # that is the random-access property of the archive's entry index.
     lazy.close()
 
     # 4. Brick-chunked GSP levels: dense levels (the ones GSP pads) are

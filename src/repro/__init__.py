@@ -12,7 +12,7 @@ Compression for Three-Dimensional Adaptive Mesh Refinement Simulations"
   level densities.
 * :mod:`repro.baselines` — the 1D, zMesh, and 3D comparison baselines.
 * :mod:`repro.engine` — the codec registry and the multi-entry batch
-  archive (monolithic and sharded).
+  archive (written sharded; older monolithic archives stay readable).
 * :mod:`repro.ingest` — :class:`~repro.ingest.IngestSession`, the one way
   from many snapshots, fields or timesteps to one sharded archive.
 * :mod:`repro.analysis` — PSNR/rate-distortion plus the cosmology-specific
@@ -40,7 +40,6 @@ from repro.core import (
     TACConfig,
 )
 from repro.engine import (
-    BatchArchive,
     LazyBatchArchive,
     ShardedArchiveWriter,
     get_codec,
@@ -65,7 +64,6 @@ __all__ = [
     "Naive1DCompressor",
     "ZMeshCompressor",
     "Uniform3DCompressor",
-    "BatchArchive",
     "ShardedArchiveWriter",
     "get_codec",
     "register_codec",

@@ -43,6 +43,7 @@ from __future__ import annotations
 import io
 import json
 import mmap as _mmap_module
+import os
 import struct
 import threading
 import zlib
@@ -183,8 +184,9 @@ def collapse_part_sizes(
     whose name ends in a decimal run (``L0/b12``, ``L1/g3``) group under
     their stem when the stem has at least ``min_group`` members, rendered
     as ``"L0/b* x64"``-style labels; everything else keeps one row per
-    part.  Shared Huffman tables (``L<idx>/table``, one per level in
-    shared-table mode) vary in the *middle* of the name, so they group
+    part.  Shared Huffman tables (``L<idx>/table``, one per level of a
+    blob stored in the retired shared-table layout) vary in the *middle*
+    of the name, so they group
     under ``"L*/table"`` instead — already at two members, since a blob
     never holds more than one per level.  Rows come back sorted by label.
     """
@@ -419,6 +421,7 @@ class _BytesSource:
 
     def __init__(self, buf):
         self._view = memoryview(buf)
+        self.size = len(self._view)
 
     def read_at(self, offset: int, length: int) -> bytes:
         _check_span(offset, length, self.label)
@@ -439,6 +442,7 @@ class _FileSource:
         self._owns = owns
         self._lock = threading.Lock()
         self.label = label
+        self.size = fh.seek(0, os.SEEK_END)
 
     def read_at(self, offset: int, length: int) -> bytes:
         _check_span(offset, length, self.label)
@@ -470,6 +474,7 @@ class _MmapSource:
         with open(path, "rb") as fh:
             self._mm = _mmap_module.mmap(fh.fileno(), 0, access=_mmap_module.ACCESS_READ)
         self._view = memoryview(self._mm)
+        self.size = len(self._view)
 
     def read_at(self, offset: int, length: int) -> bytes:
         _check_span(offset, length, self.label)

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import MASK_PREFIX, inflate_mask, unpack_mask_box
-from repro.sz.compressor import BATCH_VALUES, SharedTableResolver, SZCompressor
+from repro.sz.compressor import BATCH_VALUES, SZCompressor
 from repro.utils.timer import TimingRecord, timed
 from repro.utils.validation import check_positive_int
 
@@ -58,7 +58,7 @@ class DecodeUnit:
     ----------
     key:
         Unique identifier inside the plan (conventionally the payload
-        part's name, e.g. ``"L0/g2"`` or ``"L1/grid"``).
+        part's name, e.g. ``"L0/g2"`` or ``"L1/b7"``).
     level:
         AMR level this unit serves (used to filter plans to level
         subsets); ``-1`` marks a unit every level depends on (a merged
@@ -77,11 +77,12 @@ class DecodeUnit:
         when the unit serves the whole level (monolithic streams, layout
         records, masks).  A unit with a box is the only kind a degraded
         read may replace by fill values; a box-less one is load-bearing.
-    sz_blob, sz_tables:
+    sz_blob:
         Set when the unit's result is exactly one SZ stream's array: a
-        getter for the stream's bytes and its shared-table resolver (or
-        ``None``).  :func:`execute_plan` decodes such units in lockstep
-        batches (:meth:`repro.sz.compressor.SZCompressor.decompress_many`).
+        getter for the stream's bytes, in the one stream format the decoder
+        reads (a codec adapts a retired layout inside the getter).
+        :func:`execute_plan` decodes such units in lockstep batches
+        (:meth:`repro.sz.compressor.SZCompressor.decompress_many`).
     sz_shape:
         The stream's decoded shape when the blob's metadata tells it (a
         brick, a padded grid), else ``None``.  Only a scheduling hint:
@@ -95,7 +96,6 @@ class DecodeUnit:
     decode: Callable[[], object] | None
     box: tuple[tuple[int, int], ...] | None = None
     sz_blob: Callable[[], bytes] | None = None
-    sz_tables: SharedTableResolver | None = None
     sz_shape: tuple[int, ...] | None = None
 
 
@@ -156,10 +156,7 @@ def _stream_job(units: list[DecodeUnit], errors: dict | None) -> dict:
     if len(units) == 1:
         (unit,) = units
         assert unit.sz_blob is not None
-        fetch, tables = unit.sz_blob, unit.sz_tables
-        return _closure_job(
-            unit.key, lambda: _SZ_DECODER.decompress(fetch(), shared_tables=tables), errors
-        )
+        return _closure_job(unit.key, lambda: _SZ_DECODER.decompress(unit.sz_blob()), errors)
     fetched: list[DecodeUnit] = []
     blobs: list[bytes] = []
     for unit in units:
@@ -174,11 +171,7 @@ def _stream_job(units: list[DecodeUnit], errors: dict | None) -> dict:
             fetched.append(unit)
     failed: dict[int, Exception] = {}
     try:
-        arrays = _SZ_DECODER.decompress_many(
-            blobs,
-            shared_tables=[unit.sz_tables for unit in fetched],
-            errors=None if errors is None else failed,
-        )
+        arrays = _SZ_DECODER.decompress_many(blobs, errors=None if errors is None else failed)
     except Exception as exc:
         # Not stream damage (that is attributed per stream): the whole
         # item failed, and every member reports why.

@@ -19,6 +19,7 @@ masks — all counted in the compressed size.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -62,8 +63,8 @@ from repro.core.plan import (
     mask_units,
     region_slices,
 )
-from repro.sz.compressor import SharedTableResolver, SZCompressor, SZConfig
-from repro.sz.stream import peek_header
+from repro.sz import lossless, stream
+from repro.sz.compressor import SZCompressor, SZConfig
 from repro.utils.timer import TimingRecord, timed
 from repro.utils.validation import check_positive_int
 
@@ -103,7 +104,7 @@ class TACConfig:
         part + one decode unit per brick, so ROI reads decode only the
         bricks they touch).  An edge at least the padded grid's gives
         one stream.  Blobs stored before the brick format existed (format
-        1, one ``L<idx>/grid`` part) stay readable.
+        1, one ``L<idx>/grid`` part) are read as one brick of it.
     store_masks:
         Include packed validity masks in the output parts.
     sz:
@@ -380,9 +381,9 @@ class TACCompressor(PlanExecutorMixin):
     ) -> DecompressionPlan:
         """Independent decode units for ``box`` of ``levels`` of a TAC blob.
 
-        One unit per brick of a format-2 GSP/ZF grid the box touches (index
-        arithmetic), one per block-strategy group, one per layout record,
-        legacy grid and stored mask — all from the metadata alone.  Which
+        One unit per brick of a GSP/ZF grid the box touches (index
+        arithmetic), one per block-strategy group, one per layout record
+        and stored mask — all from the metadata alone.  Which
         groups have a block inside a box only the level's layout tells, so
         with a box the group units are the plan's second stage (``refine``),
         planned once the layout unit has decoded.
@@ -390,7 +391,7 @@ class TACCompressor(PlanExecutorMixin):
         wanted = None if levels is None else set(levels)
         units: list[DecodeUnit] = []
         staged = []
-        for level_meta in comp.meta["levels"]:
+        for level_meta in map(_bricked, comp.meta["levels"]):
             idx = level_meta["level"]
             if wanted is not None and idx not in wanted:
                 continue
@@ -420,11 +421,8 @@ class TACCompressor(PlanExecutorMixin):
                     )
                 else:
                     staged.append(partial(self._group_units, comp, idx, resolver, box))
-            elif level_meta.get("bricks"):
-                units.extend(self._brick_units(comp, idx, level_meta, resolver, box))
             else:
-                # Legacy format 1: the level is one monolithic stream.
-                units.append(self._stream_unit(comp, idx, f"L{idx}/grid", resolver))
+                units.extend(self._brick_units(comp, idx, level_meta, resolver, box))
         if not staged:
             return DecompressionPlan(units)
         return DecompressionPlan(units, lambda results: [u for s in staged for u in s(results)])
@@ -441,24 +439,24 @@ class TACCompressor(PlanExecutorMixin):
         """The unit decoding part ``name``, one SZ stream of level ``idx``
         (of decoded ``shape``, where the metadata tells it).
 
-        Shared-table levels append the ``L<idx>/table`` part to every
-        stream's ``part_names`` (prefetch/ROI accounting dedups the repeat
-        name).
+        A level in the retired shared-table layout appends its
+        ``L<idx>/table`` part to every stream's ``part_names``
+        (prefetch/ROI accounting dedups the repeat name), and its fetch
+        rewrites the stream into an ordinary one.
         """
-        extra = (resolver.part_name,) if resolver is not None else ()
+
+        def fetch() -> bytes:
+            blob = comp.parts[name]
+            return blob if resolver is None else resolver.ordinary(blob)
+
+        extra = () if resolver is None else (resolver.part_name,)
         return DecodeUnit(
-            key=name,
-            level=idx,
-            part_names=(name,) + extra,
-            decode=None,
-            box=box,
-            sz_blob=lambda: comp.parts[name],
-            sz_tables=resolver,
-            sz_shape=shape,
+            key=name, level=idx, part_names=(name, *extra), decode=None, box=box,
+            sz_blob=fetch, sz_shape=shape,
         )
 
     def _brick_units(self, comp, idx: int, level_meta: dict, resolver, box) -> list[DecodeUnit]:
-        """One unit per brick of a format-2 level that ``box`` touches.
+        """One unit per brick of a GSP/ZF level that ``box`` touches.
 
         Each unit's ``box`` is the brick's padded-grid box *clipped to the
         level extents* — what a degraded read fills when the brick is lost.
@@ -475,7 +473,7 @@ class TACCompressor(PlanExecutorMixin):
             )
             units.append(
                 self._stream_unit(
-                    comp, idx, f"L{idx}/b{brick_idx}", resolver, clipped,
+                    comp, idx, _brick_name(level_meta, brick_idx), resolver, clipped,
                     tuple(hi - lo for lo, hi in bbox),
                 )
             )
@@ -499,7 +497,7 @@ class TACCompressor(PlanExecutorMixin):
                     key=f"L{idx}/dtype",
                     level=idx,
                     part_names=(first,),
-                    decode=lambda: peek_header(comp.parts[first]).dtype,
+                    decode=lambda: stream.peek_header(comp.parts[first]).dtype,
                 )
             )
         return units
@@ -507,7 +505,7 @@ class TACCompressor(PlanExecutorMixin):
     def _level_meta(self, comp: CompressedDataset, idx: int) -> dict:
         for level_meta in comp.meta["levels"]:
             if level_meta["level"] == idx:
-                return level_meta
+                return _bricked(level_meta)
         raise ValueError(f"blob holds no metadata for level {idx}")
 
     def assemble(self, comp, level: int, results: dict, structure, box) -> AMRLevel:
@@ -555,11 +553,8 @@ def _assemble_box(level_meta: dict, results: dict, box, mask_of_box) -> AMRLevel
         window = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.float32)
     elif strategy not in (Strategy.GSP.value, Strategy.ZF.value):
         window = _stitch_groups(level, results, box)
-    elif level_meta.get("bricks"):
-        window = _stitch_bricks(level_meta, level, results, box)
     else:
-        # The decoded grid stays the read's (a cache may hold it).
-        window = results[f"L{level}/grid"][region_slices(box)].copy()
+        window = _stitch_bricks(level_meta, results, box)
     # The window is this call's own: a box cut out of a larger bounding
     # window is copied, which lets that go before the mask is fetched, and
     # the cells outside the mask are zeroed in place.
@@ -578,15 +573,78 @@ def _encoder_rec(lvl: AMRLevel, level_meta: dict, results: dict) -> AMRLevel:
     return _assemble_box(level_meta, results, level_box(lvl.shape), lambda: lvl.mask)
 
 
+class SharedTableResolver:
+    """Reads a level of the retired shared-table layout at fetch time.
+
+    Such a level stores its Huffman code lengths once, in an ``RPHT`` part
+    (``L<idx>/table``), and each stream carries a ``SEC_TABLE_REF`` section
+    naming it.  :meth:`ordinary` turns a fetched stream into the one format
+    the SZ decoder reads: the reference, checked against the table's id and
+    alphabet, becomes a ``SEC_CODE_LENGTHS`` section holding the table's
+    code lengths.  The table part is fetched and parsed at most once — the
+    result is memoized under a lock, so concurrent decode workers share one
+    fetch.
+    """
+
+    def __init__(self, parts, part_name: str):
+        self._parts, self.part_name = parts, part_name
+        self._lock = threading.Lock()
+        self._table: dict | None = None
+
+    def ordinary(self, blob: bytes) -> bytes:
+        """``blob`` with its table reference replaced by the code lengths
+        (empty and lossless-fallback streams carry none and pass through)."""
+        parsed = stream.parse(blob)
+        if stream.SEC_TABLE_REF not in parsed.sections:
+            return blob
+        ref = stream.unpack_table_ref(parsed.sections[stream.SEC_TABLE_REF][1])
+        with self._lock:
+            if self._table is None:
+                if self.part_name not in self._parts:
+                    raise ValueError(f"blob holds no shared-table part {self.part_name!r}")
+                self._table = stream.unpack_shared_table(self._parts[self.part_name])
+            table = self._table
+        if (ref["table_id"], ref["alphabet"]) != (table["table_id"], table["alphabet"]):
+            raise ValueError(
+                f"stream references shared table id={ref['table_id']:#010x} "
+                f"alphabet={ref['alphabet']} but part {self.part_name!r} holds "
+                f"id={table['table_id']:#010x} alphabet={table['alphabet']}"
+            )
+        lengths = table["code_lengths"].tobytes()
+        sections = [
+            (stream.SEC_CODE_LENGTHS, lossless.CODEC_RAW, lengths)
+            if tag == stream.SEC_TABLE_REF
+            else (tag, codec, payload)
+            for tag, (codec, payload) in parsed.sections.items()
+        ]
+        return stream.serialize(parsed.header, sections)
+
+
+def _bricked(level_meta: dict) -> dict:
+    """A format-1 GSP/ZF level — one ``L<idx>/grid`` stream of the padded
+    grid — as the one-brick format-2 level it is; any other level as is."""
+    if "bricks" in level_meta or level_meta["strategy"] not in (
+        Strategy.GSP.value, Strategy.ZF.value
+    ):
+        return level_meta
+    edge = max(level_meta["padded_shape"])
+    return {**level_meta, "bricks": {"size": edge, "part": "grid"}}
+
+
+def _brick_name(level_meta: dict, brick_idx: int) -> str:
+    """The part holding brick ``brick_idx`` of a (viewed) format-2 level."""
+    return f"L{level_meta['level']}/" + level_meta["bricks"].get("part", f"b{brick_idx}")
+
+
 def _touched_bricks(level_meta: dict, box):
-    """``(flat index, padded-grid box)`` of every brick of a format-2 level
+    """``(flat index, padded-grid box)`` of every brick of a GSP/ZF level
     that ``box`` touches."""
     return bricks_touching(
         tuple(level_meta["padded_shape"]), int(level_meta["bricks"]["size"]), box
     )
 
 
-def _stitch_bricks(level_meta: dict, idx: int, results: dict, box) -> np.ndarray:
+def _stitch_bricks(level_meta: dict, results: dict, box) -> np.ndarray:
     """Stitch the decoded bricks ``box`` touches into its brick-aligned
     bounding window and return the window's ``box`` part.
 
@@ -602,7 +660,7 @@ def _stitch_bricks(level_meta: dict, idx: int, results: dict, box) -> np.ndarray
     )
     window = None
     for brick_idx, bbox in _touched_bricks(level_meta, box):
-        decoded = results.get(f"L{idx}/b{brick_idx}")
+        decoded = results.get(_brick_name(level_meta, brick_idx))
         if decoded is None:
             continue
         if window is None:

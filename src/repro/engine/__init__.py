@@ -2,9 +2,9 @@
 
 * :mod:`repro.engine.registry` — every dataset-level compressor behind
   one ``Codec`` protocol with ``register()`` / ``get_codec(name)``;
-* :mod:`repro.engine.archive` — ``BatchArchive`` packs many compressed
-  datasets into one manifest-carrying container; the sharded writer and
-  the lazy reader live there too.
+* :mod:`repro.engine.archive` — many compressed datasets in one
+  manifest-carrying archive: ``ShardedArchiveWriter`` writes it (a head
+  plus payload shards), ``LazyBatchArchive`` reads every version.
 
 Many datasets become one archive through
 :class:`repro.ingest.IngestSession`.
@@ -12,7 +12,6 @@ Many datasets become one archive through
 
 from repro.engine.archive import (
     DEFAULT_SHARD_SIZE,
-    BatchArchive,
     LazyBatchArchive,
     ShardedArchiveWriter,
     ShardedWriteReport,
@@ -39,7 +38,6 @@ from repro.engine.registry import (
 register_codec = register
 
 __all__ = [
-    "BatchArchive",
     "Codec",
     "CodecSpec",
     "DEFAULT_SHARD_SIZE",

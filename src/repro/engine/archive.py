@@ -2,7 +2,7 @@
 
 A production pipeline compresses whole snapshots — several fields, often
 several timesteps — and wants one artifact per batch, not a directory of
-loose blobs.  :class:`BatchArchive` packs any number of
+loose blobs.  An archive holds any number of
 :class:`~repro.core.container.CompressedDataset` entries (each the output
 of any registry codec) behind a JSON manifest that records per-entry
 method, sizes, and accounting, so an archive can be inspected without
@@ -12,27 +12,26 @@ Wire format (all integers little-endian)::
 
     b"RPBT" | u8 version | u64 head_len | JSON head | entry blobs
 
-Version 1 (read-only) length-prefixes each entry blob; version 2 (what
-:meth:`BatchArchive.to_bytes` writes) instead records an entry index
-(``key → offset/length`` relative to the payload region) in the head, so
-one entry is reachable with a single seek.  :class:`LazyBatchArchive`
-builds on that for true random access: open a file or buffer, read the
-head, and serve any entry as a
-:class:`~repro.core.container.LazyCompressedDataset` without parsing its
-siblings.  Keys are sorted on serialization, so equal archives serialize
-to equal bytes.
-
-**Version 3 is the sharded layout**: the ``RPBT`` file becomes a
-manifest-only *head shard* — JSON head, zero payload bytes — whose entry
-index points into external *payload shards* (``<stem>.shard-NNNN.rpsh``
-files next to the head today; the shard records carry plain names
-resolved through a pluggable opener, which is the object-storage seam).
-Payload shards are raw concatenations of container blobs, each written
-in one pass by :class:`~repro.core.container.StreamingContainerWriter`,
-so :class:`ShardedArchiveWriter` streams an arbitrarily large batch with
+**Version 3, the sharded layout, is the one written**: the ``RPBT`` file
+is a manifest-only *head shard* — JSON head, zero payload bytes — whose
+entry index points into external *payload shards*
+(``<stem>.shard-NNNN.rpsh`` files next to the head today; the shard
+records carry plain names resolved through a pluggable opener, which is
+the object-storage seam).  Payload shards are raw concatenations of
+container blobs, each written in one pass by
+:class:`~repro.core.container.StreamingContainerWriter`, so
+:class:`ShardedArchiveWriter` streams an arbitrarily large batch with
 peak memory bounded by one entry.  The head records per-shard sizes and
 CRC-32s, so a damaged or missing shard names itself instead of decoding
-garbage.
+garbage.  Keys are sorted in the head, so equal batches write equal
+bytes.
+
+The monolithic versions are read-only: version 1 length-prefixes each
+entry blob, version 2 records an entry index (``key → offset/length``
+relative to the payload region) in the head.  :class:`LazyBatchArchive`
+reads all three: open a file or buffer, read the head, and serve any
+entry as a :class:`~repro.core.container.LazyCompressedDataset` without
+parsing its siblings.
 """
 
 from __future__ import annotations
@@ -44,13 +43,12 @@ import struct
 import threading
 import zlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.amr.hierarchy import AMRDataset
 from repro.core.container import (
     MASK_PREFIX,
-    CompressedDataset,
     ContainerIOError,
     LazyCompressedDataset,
     StreamingCompression,
@@ -61,9 +59,7 @@ from repro.core.container import (
 from repro.engine import registry
 
 _MAGIC = b"RPBT"
-#: Wire version written for monolithic archives.
-ARCHIVE_VERSION = 2
-#: Wire version of sharded (head + payload shards) archives.
+#: Wire version of sharded (head + payload shards) archives, the one written.
 SHARDED_ARCHIVE_VERSION = 3
 _SUPPORTED_VERSIONS = (1, 2, 3)
 _HEAD = struct.Struct("<BQ")
@@ -141,196 +137,6 @@ def with_structure(entry, key: str, lookup):
     view = copy.copy(entry)
     view.parts = _SharedMaskParts(entry.parts, holder.parts)
     return view
-
-
-def _entry_decompress(comp, method: str, structure, decode_workers: int) -> AMRDataset:
-    """Registry-routed decompression shared by eager and lazy archives."""
-    codec = registry.codec_for_method(method)
-    kwargs = registry.decode_kwargs(codec, decode_workers)
-    return codec.decompress(comp, structure=structure, **kwargs)
-
-
-def _entry_decompress_level(comp, method: str, level: int, structure, decode_workers: int):
-    """Registry-routed partial read shared by eager and lazy archives."""
-    codec = registry.codec_for_method(method)
-    if not registry.supports_partial_decode(codec):
-        raise TypeError(
-            f"codec for method {method!r} does not support partial "
-            "decompression; use decompress() for the whole entry"
-        )
-    return codec.decompress_level(
-        comp, level, structure=structure, decode_workers=decode_workers
-    )
-
-
-@dataclass
-class BatchArchive:
-    """An ordered set of named compressed datasets plus batch metadata.
-
-    Attributes
-    ----------
-    entries:
-        Mapping from entry key (e.g. ``"Run1_Z10/baryon_density/tac"``)
-        to its compressed dataset.
-    meta:
-        Free-form JSON-able batch metadata (pipeline provenance etc.).
-    version:
-        Wire version the archive was read from (:meth:`to_bytes` always
-        writes :data:`ARCHIVE_VERSION`).
-    """
-
-    entries: dict[str, CompressedDataset] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-    version: int = ARCHIVE_VERSION
-
-    # -- container protocol ------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
-
-    def keys(self) -> list[str]:
-        return list(self.entries)
-
-    def get(self, key: str) -> CompressedDataset:
-        if key not in self.entries:
-            raise KeyError(f"no entry {key!r}; archive holds {self.keys()}")
-        return self.entries[key]
-
-    def add(self, key: str, comp: CompressedDataset) -> None:
-        """Add one entry; keys are unique within an archive."""
-        if not key:
-            raise ValueError("entry key must be a non-empty string")
-        if key in self.entries:
-            raise ValueError(f"duplicate archive key {key!r}")
-        self.entries[key] = comp
-
-    # -- inspection --------------------------------------------------------
-    def manifest(self) -> list[dict]:
-        """One JSON-able record per entry (sorted by key)."""
-        rows = []
-        for key in sorted(self.entries):
-            comp = self.entries[key]
-            rows.append(
-                {
-                    "key": key,
-                    "method": comp.method,
-                    "dataset": comp.dataset_name,
-                    "original_bytes": comp.original_bytes,
-                    "compressed_bytes": comp.compressed_bytes(),
-                    "n_values": comp.n_values,
-                    "n_parts": len(comp.parts),
-                }
-            )
-        return rows
-
-    def total_compressed_bytes(self) -> int:
-        return sum(c.compressed_bytes() for c in self.entries.values())
-
-    def total_original_bytes(self) -> int:
-        return sum(c.original_bytes for c in self.entries.values())
-
-    def ratio(self) -> float:
-        compressed = self.total_compressed_bytes()
-        return self.total_original_bytes() / compressed if compressed else float("inf")
-
-    # -- decompression -----------------------------------------------------
-    def decompress(
-        self, key: str, structure: AMRDataset | None = None, decode_workers: int = 1
-    ) -> AMRDataset:
-        """Restore one entry via the codec registry.
-
-        The entry's recorded ``method`` picks the codec
-        (:func:`repro.engine.registry.codec_for_method`), so an archive is
-        self-describing: no caller-side name→compressor map needed.
-        ``decode_workers > 1`` parallelizes the entry's decode units
-        (bit-identical to serial).
-        """
-        comp = self.get(key)
-        return _entry_decompress(comp, comp.method, structure, decode_workers)
-
-    def decompress_level(
-        self, key: str, level: int, structure: AMRDataset | None = None,
-        decode_workers: int = 1,
-    ):
-        """Restore a single AMR level of one entry (partial read)."""
-        comp = self.get(key)
-        return _entry_decompress_level(comp, comp.method, level, structure, decode_workers)
-
-    def decompress_all(self) -> dict[str, AMRDataset]:
-        """Restore every entry, keyed like :attr:`entries`."""
-        return {key: self.decompress(key) for key in self.entries}
-
-    # -- serialization -----------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize as a monolithic (v2) archive; equal archives yield
-        equal bytes (keys are sorted)."""
-        keys = sorted(self.entries)
-        blobs = [self.entries[key].to_bytes() for key in keys]
-        index = {}
-        offset = 0
-        for key, blob in zip(keys, blobs):
-            index[key] = [offset, len(blob)]
-            offset += len(blob)
-        record = {
-            "version": ARCHIVE_VERSION,
-            "keys": keys,
-            "meta": self.meta,
-            "manifest": self.manifest(),
-            "index": index,
-        }
-        head = json.dumps(record, sort_keys=True).encode("utf-8")
-        return b"".join([_MAGIC, _HEAD.pack(ARCHIVE_VERSION, len(head)), head, *blobs])
-
-    @classmethod
-    def _materialized(cls, lazy: "LazyBatchArchive") -> "BatchArchive":
-        archive = cls(meta=dict(lazy.meta), version=lazy.version)
-        for key in lazy.keys():
-            archive.add(key, lazy.entry(key).materialize())
-        return archive
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "BatchArchive":
-        with LazyBatchArchive.open(blob) as lazy:
-            archive = cls._materialized(lazy)
-            if lazy.payload_end != len(blob):
-                raise ValueError("trailing bytes after last archive entry")
-        return archive
-
-    # -- file helpers ------------------------------------------------------
-    def save(self, path) -> int:
-        """Write the archive to ``path``; returns the byte count."""
-        data = self.to_bytes()
-        with open(path, "wb") as fh:
-            fh.write(data)
-        return len(data)
-
-    def save_sharded(
-        self, path, shard_size: int = DEFAULT_SHARD_SIZE
-    ) -> "ShardedWriteReport":
-        """Write this archive as a v3 head shard plus payload shards.
-
-        Entries are streamed in sorted-key order (mirroring
-        :meth:`to_bytes` determinism: equal archives produce byte-equal
-        shard sets).  Returns the writer's report (head path, shard
-        paths, sizes).
-        """
-        with ShardedArchiveWriter(path, shard_size=shard_size, meta=self.meta) as writer:
-            for key in sorted(self.entries):
-                writer.add_entry(key, self.entries[key])
-        return writer.report
-
-    @classmethod
-    def load(cls, path) -> "BatchArchive":
-        """Read an archive from ``path`` — monolithic or a v3 head shard
-        (whose entries are materialized from the payload shards)."""
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[4:5] == bytes([SHARDED_ARCHIVE_VERSION]) and blob[:4] == _MAGIC:
-            with LazyBatchArchive.open(path) as lazy:
-                return cls._materialized(lazy)
-        return cls.from_bytes(blob)
 
 
 def _shard_name(head_path: Path, idx: int) -> str:
@@ -682,7 +488,9 @@ class LazyBatchArchive:
     fetched on demand — one job's output is reachable without parsing (or
     even reading) its siblings.  Version-2 archives locate entries from
     the head's index; version-1 archives are scanned once, 8 bytes per
-    entry, to recover the same index.
+    entry, to recover the same index.  Either index is checked before it
+    is trusted: every entry lies inside the payload region, and the last
+    one ends the archive.
 
     Version-3 (sharded) heads carry no payload at all: the entry index
     points into payload shards, resolved lazily — and pluggably, via
@@ -691,10 +499,6 @@ class LazyBatchArchive:
     lives in are ever opened.  ``mmap=True`` maps path-backed sources
     read-only, giving lock-free concurrent part reads.
     """
-
-    #: Offset one past the last entry of a monolithic archive — what a
-    #: complete blob's length equals (``None`` for sharded heads).
-    payload_end: int | None = None
 
     def __init__(
         self,
@@ -750,7 +554,7 @@ class LazyBatchArchive:
     def _parse_head(
         cls, src, source, mmap: bool, shard_opener, verify_shards: bool
     ) -> "LazyBatchArchive":
-        version, head_len = read_fixed_header(src, 0, _MAGIC, "BatchArchive")
+        version, head_len = read_fixed_header(src, 0, _MAGIC, "batch archive")
         if version not in _SUPPORTED_VERSIONS:
             raise ValueError(f"unsupported batch-archive version {version}")
         head_off = 4 + _HEAD.size
@@ -758,22 +562,29 @@ class LazyBatchArchive:
         head.setdefault("version", version)
         payload_base = head_off + head_len
         index: dict[str, tuple] = {}
-        if version == 1:
-            offset = payload_base
-            for key in head["keys"]:
-                (length,) = _LEN.unpack(src.read_at(offset, _LEN.size))
-                index[key] = (offset + _LEN.size, length)
-                offset += _LEN.size + length
-        elif version == 2:
-            for key in head["keys"]:
-                entry_off, length = head["index"][key]
-                index[key] = (payload_base + entry_off, length)
         if version != SHARDED_ARCHIVE_VERSION:
-            archive = cls(src, head, index)
-            archive.payload_end = max(
-                (lo + n for lo, n in index.values()), default=payload_base
-            )
-            return archive
+            # v1 length-prefixes entries back to back (walked once, 8 bytes
+            # an entry); v2 indexes them.  Either way ``end`` is one past
+            # the furthest entry, which must be the archive's last byte.
+            end = payload_base
+            for key in head["keys"]:
+                if version == 1:
+                    (length,) = _LEN.unpack(src.read_at(end, _LEN.size))
+                    lo = end + _LEN.size
+                else:
+                    entry_off, length = head["index"][key]
+                    lo = payload_base + entry_off
+                if lo < payload_base or length < 0 or lo + length > src.size:
+                    raise ValueError(
+                        f"archive entry {key!r} ({length} bytes at offset {lo}) lies "
+                        f"outside the payload region [{payload_base}, {src.size}) "
+                        "(corrupt index)"
+                    )
+                index[key] = (lo, length)
+                end = max(end, lo + length)
+            if end != src.size:
+                raise ValueError(f"{src.size - end} trailing bytes after last archive entry")
+            return cls(src, head, index)
         # v3: manifest-only head; entries live in payload shards.
         label = getattr(src, "label", "<memory>")
         if shard_opener is None:
@@ -880,9 +691,12 @@ class LazyBatchArchive:
     def decompress(
         self, key: str, structure: AMRDataset | None = None, decode_workers: int = 1
     ) -> AMRDataset:
-        """Restore one entry via the codec registry, reading only it."""
+        """Restore one entry via the codec its recorded ``method`` names,
+        reading only it."""
         comp = with_structure(self.entry(key), key, self.entry)
-        return _entry_decompress(comp, comp.method, structure, decode_workers)
+        codec = registry.codec_for_method(comp.method)
+        kwargs = registry.decode_kwargs(codec, decode_workers)
+        return codec.decompress(comp, structure=structure, **kwargs)
 
     def decompress_level(
         self, key: str, level: int, structure: AMRDataset | None = None,
@@ -890,7 +704,15 @@ class LazyBatchArchive:
     ):
         """Restore a single AMR level of one entry (partial read)."""
         comp = with_structure(self.entry(key), key, self.entry)
-        return _entry_decompress_level(comp, comp.method, level, structure, decode_workers)
+        codec = registry.codec_for_method(comp.method)
+        if not registry.supports_partial_decode(codec):
+            raise TypeError(
+                f"codec for method {comp.method!r} does not support partial "
+                "decompression; use decompress() for the whole entry"
+            )
+        return codec.decompress_level(
+            comp, level, structure=structure, decode_workers=decode_workers
+        )
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

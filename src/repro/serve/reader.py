@@ -146,9 +146,9 @@ class ArchiveReader:
         Default failure mode for requests: ``True`` turns a corrupt,
         timed-out, or unreachable *brick* into ``fill_value`` cells plus
         a structured :attr:`RequestStats.errors` report instead of
-        failing the whole request.  Load-bearing units (layouts, shared
-        tables, legacy single-stream levels) still fail loudly — there
-        is nothing partial to serve without them.
+        failing the whole request.  Load-bearing units (layouts, masks)
+        still fail loudly — there is nothing partial to serve without
+        them.
     fill_value:
         What degraded requests write into failed bricks' boxes.
     breaker_threshold / breaker_cooldown:

@@ -36,10 +36,9 @@ that regime is ``eb`` plus a small number of ULPs (pinned by
 from __future__ import annotations
 
 import math
-import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -141,52 +140,7 @@ _SECTION_LABELS = {
     stream.SEC_SIGNS: "signs",
     stream.SEC_ZERO_MASK: "zero_mask",
     stream.SEC_META: "meta",
-    stream.SEC_TABLE_REF: "table_ref",
 }
-
-
-class SharedTableResolver:
-    """Resolves ``SEC_TABLE_REF`` sections against a level's table part.
-
-    Fetches and parses the table part lazily (at most once — the result is
-    memoized under a lock, so concurrent decode workers share one fetch) and
-    verifies each stream's reference checksum/alphabet against it before
-    handing the code lengths to :meth:`HuffmanCodec.cached`.
-    """
-
-    def __init__(self, parts: Mapping[str, bytes], part_name: str):
-        self._parts = parts
-        self._part_name = part_name
-        self._lock = threading.Lock()
-        self._table: dict | None = None
-
-    @property
-    def part_name(self) -> str:
-        return self._part_name
-
-    def table(self) -> dict:
-        """The parsed shared table (fetching the part on first use)."""
-        with self._lock:
-            if self._table is None:
-                try:
-                    part = self._parts[self._part_name]
-                except KeyError:
-                    raise ValueError(
-                        f"blob holds no shared-table part {self._part_name!r}"
-                    ) from None
-                self._table = stream.unpack_shared_table(part)
-            return self._table
-
-    def resolve(self, ref: dict) -> dict:
-        """Validate a stream's table reference and return the parsed table."""
-        table = self.table()
-        if ref["table_id"] != table["table_id"] or ref["alphabet"] != table["alphabet"]:
-            raise ValueError(
-                f"stream references shared table id={ref['table_id']:#010x} "
-                f"alphabet={ref['alphabet']} but part {self._part_name!r} holds "
-                f"id={table['table_id']:#010x} alphabet={table['alphabet']}"
-            )
-        return table
 
 
 #: Values one batch may hold (64 bricks of 16³), on either side: the
@@ -235,7 +189,6 @@ class _Member:
     #: SEC_META record, or ``None`` for streams stored without the
     #: predict/quantize/Huffman pipeline (empty, lossless fallback).
     meta: dict | None
-    tables: SharedTableResolver | None
 
 
 @dataclass
@@ -271,9 +224,7 @@ class StreamBatch:
         return [(member.index, values) for member, values in zip(members, arrays)]
 
 
-def stream_batches(
-    blobs: Sequence[bytes], shared_tables=None, errors: dict | None = None
-) -> list[StreamBatch]:
+def stream_batches(blobs: Sequence[bytes], errors: dict | None = None) -> list[StreamBatch]:
     """Parse ``blobs`` and partition them into lockstep decode batches.
 
     Streams share a batch when they agree on shape, dtype, predictor,
@@ -284,18 +235,14 @@ def stream_batches(
     each keeps its members in caller order.  A blob that does not parse is
     recorded in ``errors`` (``index → exception``) when given, else raises.
     """
-    if shared_tables is None or isinstance(shared_tables, SharedTableResolver):
-        shared_tables = [shared_tables] * len(blobs)
-    if len(shared_tables) != len(blobs):
-        raise ValueError("need one shared-table resolver (or None) per blob")
     members: list[_Member] = []
     keys: list[tuple] = []
-    for index, (blob, tables) in enumerate(zip(blobs, shared_tables)):
+    for index, blob in enumerate(blobs):
         try:
             parsed = stream.parse(blob)
             header = parsed.header
             if header.flags & (stream.FLAG_EMPTY | stream.FLAG_LOSSLESS_FALLBACK):
-                members.append(_Member(index, parsed, None, tables))
+                members.append(_Member(index, parsed, None))
                 keys.append((index,))  # a batch of its own
                 continue
             meta = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
@@ -304,7 +251,7 @@ def stream_batches(
                 raise
             errors[index] = exc
             continue
-        members.append(_Member(index, parsed, meta, tables))
+        members.append(_Member(index, parsed, meta))
         keys.append(
             (
                 header.shape,
@@ -379,22 +326,10 @@ def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
         n_blocks = -(-n_symbols // block_size) if n_symbols else 0
         for member in members:
             parsed = member.parsed
-            if stream.SEC_TABLE_REF in parsed.sections:
-                if member.tables is None:
-                    raise ValueError(
-                        "stream was written in shared-table mode (SEC_TABLE_REF) "
-                        "but no shared-table resolver was provided"
-                    )
-                ref = stream.unpack_table_ref(parsed.section(stream.SEC_TABLE_REF)[1])
-                lengths = member.tables.resolve(ref)["code_lengths"]
-            else:
-                codec_tag, payload = parsed.section(stream.SEC_CODE_LENGTHS)
-                lengths = np.frombuffer(
-                    lossless.decompress_bytes(codec_tag, payload), dtype=np.uint8
-                )
+            codec_tag, payload = parsed.section(stream.SEC_CODE_LENGTHS)
+            lengths = np.frombuffer(lossless.decompress_bytes(codec_tag, payload), dtype=np.uint8)
             # Shared LRU codec: the hundreds of per-group streams in one TAC
-            # blob frequently repeat code-length tables (and in shared-table
-            # mode reference the same table by construction).
+            # blob frequently repeat code-length tables.
             codecs.append(HuffmanCodec.cached(lengths, member.meta["max_len"]))
             codec_tag, payload = parsed.section(stream.SEC_BLOCK_OFFSETS)
             deltas = lossless.unpack_int_array(codec_tag, payload, np.int64, n_blocks)
@@ -787,32 +722,21 @@ class SZCompressor:
     # ------------------------------------------------------------------
     # decompression
     # ------------------------------------------------------------------
-    def decompress(
-        self,
-        blob: bytes,
-        timings: TimingRecord | None = None,
-        shared_tables: SharedTableResolver | None = None,
-    ) -> np.ndarray:
-        """Reconstruct the array stored in ``blob``.
-
-        ``shared_tables`` supplies the level's shared Huffman table for
-        streams written with ``SEC_TABLE_REF``; per-stream blobs ignore it.
-        """
-        return self.decompress_many([blob], timings, shared_tables)[0]
+    def decompress(self, blob: bytes, timings: TimingRecord | None = None) -> np.ndarray:
+        """Reconstruct the array stored in ``blob``."""
+        return self.decompress_many([blob], timings)[0]
 
     def decompress_many(
         self,
         blobs: Sequence[bytes],
         timings: TimingRecord | None = None,
-        shared_tables=None,
         errors: dict[int, Exception] | None = None,
     ) -> list:
         """Reconstruct every blob; ``result[i]`` is ``decompress(blobs[i])``.
 
         Streams that can share a lockstep pass (:func:`stream_batches`) are
         decoded together — bit-identical to one call per blob, at a fraction
-        of the fixed cost when the streams are small.  ``shared_tables`` is
-        one resolver for all blobs or a sequence with one entry per blob.
+        of the fixed cost when the streams are small.
 
         With ``errors`` given, a damaged blob (:data:`STREAM_DAMAGE` while
         parsing or decoding) is recorded there (``index → exception``) and
@@ -820,7 +744,7 @@ class SZCompressor:
         the first failure raises.
         """
         out: list = [None] * len(blobs)
-        for batch in stream_batches(blobs, shared_tables, errors):
+        for batch in stream_batches(blobs, errors):
             for index, values in batch.decode(timings, errors):
                 out[index] = values
         return out

@@ -251,9 +251,10 @@ def parse(blob: bytes) -> Stream:
 # The code lengths are stored once, in their own container part, and each
 # stream carries only a fixed-size reference: the table's checksum id plus
 # the alphabet size, so a decode against the wrong (or corrupted) table
-# fails loudly instead of producing garbage.  Such streams need a resolver
-# at decode time; stored archives read forever (the reference writer lives
-# in ``tests/helpers.py``).
+# fails loudly instead of producing garbage.  The decoder never sees such a
+# stream: the TAC reader rewrites each one into an ordinary stream as it is
+# fetched (``repro.core.tac.SharedTableResolver``), so stored archives read
+# forever (the reference writer lives in ``tests/helpers.py``).
 
 TABLE_MAGIC = b"RPHT"
 TABLE_VERSION = 1

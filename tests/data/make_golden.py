@@ -11,7 +11,8 @@ older one, so the fixtures split in two:
 ``tests/test_golden_format.py`` replays both constructions):
 
 * ``golden_entry_v5.rpam`` / ``golden_entry_v5.json`` — the ``golden/tac``
-  entry of the frozen v2 archive, re-serialized by
+  entry of the frozen v2 archive (read through ``LazyBatchArchive``),
+  re-serialized by
   ``CompressedDataset.to_bytes`` (same payload bytes as the fixture it
   came from, v5 framing);
 * ``golden_ingest_delta.rpbt`` + shards / ``golden_ingest_delta.json`` —
@@ -20,10 +21,12 @@ older one, so the fixtures split in two:
   two-field step through ``IngestSession.submit_step``: the second entry
   stores no masks and names the first in ``meta["structure"]``.
 
-**Frozen** (written by retired writers; never regenerated — they are the
-proof that stored archives stay readable, and only their *read* side is
-tested): ``golden_batch.rpbt`` (archive v1 / container v1),
-``golden_batch_v2.rpbt`` (v2 / v2), ``golden_batch_v3.rpbt`` + shards
+**Frozen** (written by retired writers; never regenerated by the library —
+they are the proof that stored archives stay readable):
+``golden_batch.rpbt`` (archive v1 / container v1) and
+``golden_batch_v2.rpbt`` (v2 / v2) — both reproduced byte for byte by the
+reference writers ``tests/helpers.py::legacy_archive_bytes`` around
+``legacy_container_bytes`` — ``golden_batch_v3.rpbt`` + shards
 (sharded, container v3), ``golden_batch_v4.rpbt`` + shards and
 ``golden_entry_v4.rpam`` (container v4), and the v2-framed
 ``golden_gsp_{legacy,bricks,shared}.rpbt`` — whose *part* bytes (GSP
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import BatchArchive
+from repro.engine import LazyBatchArchive
 
 HERE = Path(__file__).parent
 EB = 1e-3
@@ -50,7 +53,8 @@ V3_SHARD_SIZE = 2048
 
 def entry_v5_expectations() -> dict:
     """Write the v5 container fixture and record it."""
-    comp = BatchArchive.from_bytes((HERE / "golden_batch_v2.rpbt").read_bytes()).get("golden/tac")
+    with LazyBatchArchive.open(HERE / "golden_batch_v2.rpbt") as archive:
+        comp = archive.entry("golden/tac").materialize()
     blob = comp.to_bytes()
     path = HERE / "golden_entry_v5.rpam"
     path.write_bytes(blob)

@@ -369,10 +369,34 @@ def legacy_container_bytes(comp, version: int) -> bytes:
 
 
 def legacy_archive_bytes(blobs: dict, version: int, meta: dict | None = None) -> bytes:
-    """Monolithic batch archive (v1 length-prefixed / v2 indexed) around
-    already-serialized entry blobs of any container version."""
+    """Reference writer of the read-only monolithic batch archive (v1
+    length-prefixed / v2 indexed; the retired ``BatchArchive.to_bytes``
+    body) around already-serialized entry blobs of any container version.
+
+    The manifest is computed from the blobs that parse — what the retired
+    writer recorded, so ``golden_batch{,_v2}.rpbt`` regenerate byte for
+    byte; a hostile test's unparseable blob gets no manifest row."""
+    from repro.core.container import LazyCompressedDataset
+
     keys = sorted(blobs)
-    record = {"version": version, "keys": keys, "meta": meta or {}, "manifest": []}
+    manifest = []
+    for key in keys:
+        try:
+            entry = LazyCompressedDataset.open(blobs[key])
+        except ValueError:
+            continue
+        manifest.append(
+            {
+                "key": key,
+                "method": entry.method,
+                "dataset": entry.dataset_name,
+                "original_bytes": entry.original_bytes,
+                "compressed_bytes": entry.compressed_bytes(),
+                "n_values": entry.n_values,
+                "n_parts": len(entry.parts),
+            }
+        )
+    record = {"version": version, "keys": keys, "meta": meta or {}, "manifest": manifest}
     if version == 2:
         sizes = [len(blobs[key]) for key in keys]
         record["index"] = {k: [sum(sizes[:i]), sizes[i]] for i, k in enumerate(keys)}
@@ -381,6 +405,19 @@ def legacy_archive_bytes(blobs: dict, version: int, meta: dict | None = None) ->
     for key in keys:
         out += (struct.pack("<Q", len(blobs[key])) if version == 1 else b"") + blobs[key]
     return out
+
+
+def write_archive(path, entries: dict, **writer_options):
+    """Write ``{key: comp}`` (keys in sorted order) as a sharded archive
+    headed at ``path`` through the one archive writer; returns the head
+    path.  ``writer_options`` go to ``ShardedArchiveWriter`` (``shard_size``,
+    ``meta``)."""
+    from repro.engine import ShardedArchiveWriter
+
+    with ShardedArchiveWriter(path, **writer_options) as writer:
+        for key in sorted(entries):
+            writer.add_entry(key, entries[key])
+    return writer.report.head_path
 
 
 def rpht_table(code_lengths, max_len: int, zlib_level: int = 1) -> bytes:

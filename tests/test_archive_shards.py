@@ -6,8 +6,9 @@ The write-path counterpart of ``tests/test_container_v2.py``:
   :class:`ShardedArchiveWriter` (head shard + N payload shards) reads
   back entry-identical via :class:`LazyBatchArchive`, in any access
   order, for any shard-roll size;
-* the sharded form is bit-identical to the monolithic archive (same part
-  names, same part bytes, same decompressed values);
+* the sharded form is bit-identical to the read-only monolithic archive
+  and to the in-memory entries (same part names, same part bytes, same
+  decompressed values);
 * error contracts — a missing payload shard, a truncated shard, and a
   checksum mismatch all fail loudly with the shard name, the entry key,
   and the archive in the message;
@@ -37,13 +38,13 @@ from repro.core.container import (
     stream_dataset,
 )
 from repro.engine import (
-    BatchArchive,
     LazyBatchArchive,
     ShardedArchiveWriter,
+    codec_for_method,
     get_codec,
 )
 from repro.ingest import IngestConfig, IngestError, IngestSession
-from tests.helpers import two_level_dataset
+from tests.helpers import legacy_archive_bytes, two_level_dataset, write_archive
 
 
 def make_entry(key: str, parts: dict[str, bytes]) -> CompressedDataset:
@@ -89,12 +90,12 @@ class TestShardedRoundtripProperty:
     @settings(max_examples=30, deadline=None)
     @given(entries=batches(), shard_size=st.integers(1, 400), data=st.data())
     def test_roundtrip_any_shard_size_any_order(self, entries, shard_size, data):
-        archive = BatchArchive(meta={"suite": "property"})
-        for key, parts in entries.items():
-            archive.add(key, make_entry(key, parts))
         with tempfile.TemporaryDirectory() as tmp:
             head = Path(tmp) / "prop.rpbt"
-            report = archive.save_sharded(head, shard_size=shard_size)
+            with ShardedArchiveWriter(head, shard_size=shard_size) as writer:
+                for key, parts in entries.items():
+                    writer.add_entry(key, make_entry(key, parts))
+            report = writer.report
             assert report.n_entries == len(entries)
             assert len(report.shard_paths) >= 1
             order = data.draw(st.permutations(sorted(entries)))
@@ -109,37 +110,36 @@ class TestShardedRoundtripProperty:
     @settings(max_examples=15, deadline=None)
     @given(entries=batches(), shard_size=st.integers(1, 200))
     def test_sharded_matches_monolithic(self, entries, shard_size):
-        archive = BatchArchive(meta={"suite": "property"})
-        for key, parts in entries.items():
-            archive.add(key, make_entry(key, parts))
-        mono = BatchArchive.from_bytes(archive.to_bytes())
+        comps = {key: make_entry(key, parts) for key, parts in entries.items()}
+        blobs = {key: comp.to_bytes() for key, comp in comps.items()}
         with tempfile.TemporaryDirectory() as tmp:
-            head = Path(tmp) / "prop.rpbt"
-            archive.save_sharded(head, shard_size=shard_size)
-            back = BatchArchive.load(head)
-        assert back.keys() == mono.keys()
-        for key in mono.keys():
-            assert back.get(key).parts == mono.get(key).parts
-            assert back.get(key).meta == mono.get(key).meta
+            head = write_archive(Path(tmp) / "prop.rpbt", comps, shard_size=shard_size)
+            with LazyBatchArchive.open(head) as back, LazyBatchArchive.open(
+                legacy_archive_bytes(blobs, 2)
+            ) as mono:
+                assert back.keys() == mono.keys()
+                for key in mono.keys():
+                    a, b = back.entry(key), mono.entry(key)
+                    assert {n: a.parts[n] for n in a.parts} == {n: b.parts[n] for n in b.parts}
+                    assert a.meta == b.meta
 
 
 @pytest.fixture(scope="module")
-def compressed_batch() -> BatchArchive:
+def compressed_batch() -> dict:
     """Two real codec outputs — the shard contents exercised below."""
     ds = two_level_dataset(n=16, fine_fraction=0.3, seed=7)
-    archive = BatchArchive(meta={"suite": "shards"})
-    for c in ("tac", "1d"):
-        archive.add(f"toy/{c}", get_codec(c).compress(ds, 1e-3, mode="abs"))
-    return archive
+    return {f"toy/{c}": get_codec(c).compress(ds, 1e-3, mode="abs") for c in ("tac", "1d")}
 
 
 @pytest.fixture
 def sharded(tmp_path, compressed_batch):
     """One head + one-entry-per-shard layout on disk."""
     head = tmp_path / "batch.rpbt"
-    report = compressed_batch.save_sharded(head, shard_size=1)
-    assert len(report.shard_paths) == len(compressed_batch)
-    return head, report
+    with ShardedArchiveWriter(head, shard_size=1, meta={"suite": "shards"}) as writer:
+        for key in sorted(compressed_batch):
+            writer.add_entry(key, compressed_batch[key])
+    assert len(writer.report.shard_paths) == len(compressed_batch)
+    return head, writer.report
 
 
 class TestShardErrorContracts:
@@ -196,8 +196,6 @@ class TestShardErrorContracts:
         blob = head.read_bytes()
         with pytest.raises(ValueError, match="shard_opener"):
             LazyBatchArchive.open(blob)
-        with pytest.raises(ValueError, match="sharded"):
-            BatchArchive.from_bytes(blob)
 
     def test_custom_shard_opener_resolves_relocated_shards(self, sharded):
         """The object-storage seam: shards can live anywhere the opener
@@ -237,17 +235,16 @@ class TestShardErrorContracts:
 
 
 class TestShardedBitIdentity:
-    def test_parts_and_values_match_monolithic(self, sharded, compressed_batch):
+    def test_parts_and_values_match_the_entries_written(self, sharded, compressed_batch):
         head, _report = sharded
         with LazyBatchArchive.open(head, verify_shards=True) as lazy:
-            for key in compressed_batch.keys():
+            for key, reference in compressed_batch.items():
                 entry = lazy.entry(key)
-                reference = compressed_batch.get(key)
                 assert list(entry.parts) == list(reference.parts)
                 for name in reference.parts:
                     assert entry.parts[name] == reference.parts[name]
                 a = lazy.decompress(key)
-                b = compressed_batch.decompress(key)
+                b = codec_for_method(reference.method).decompress(reference)
                 for la, lb in zip(a.levels, b.levels):
                     assert np.array_equal(la.data, lb.data)
                     assert np.array_equal(la.mask, lb.mask)
@@ -259,11 +256,13 @@ class TestShardedBitIdentity:
         head_b = tmp_path / "b" / "batch.rpbt"
         head_a.parent.mkdir()
         head_b.parent.mkdir()
-        ra = compressed_batch.save_sharded(head_a, shard_size=4096)
-        rb = compressed_batch.save_sharded(head_b, shard_size=4096)
+        write_archive(head_a, compressed_batch, shard_size=4096)
+        write_archive(head_b, dict(reversed(compressed_batch.items())), shard_size=4096)
         assert head_a.read_bytes() == head_b.read_bytes()
-        assert [p.name for p in ra.shard_paths] == [p.name for p in rb.shard_paths]
-        for pa, pb in zip(ra.shard_paths, rb.shard_paths):
+        shards_a = sorted(head_a.parent.glob("*.rpsh"))
+        shards_b = sorted(head_b.parent.glob("*.rpsh"))
+        assert shards_a and [p.name for p in shards_a] == [p.name for p in shards_b]
+        for pa, pb in zip(shards_a, shards_b):
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_partial_decode_reads_one_shard(self, sharded):
@@ -303,7 +302,7 @@ class TestStreamingWriterMemory:
         lazy.close()
 
     def test_streamed_bytes_equal_eager(self, tmp_path, compressed_batch):
-        comp = compressed_batch.get("toy/tac")
+        comp = compressed_batch["toy/tac"]
         path = tmp_path / "entry.rpam"
         total = stream_dataset(comp, path)
         assert path.read_bytes() == comp.to_bytes()
@@ -337,13 +336,13 @@ class TestMmapSource:
     def test_mmap_reads_match_file_reads(self, sharded, compressed_batch):
         head, _report = sharded
         with LazyBatchArchive.open(head, mmap=True) as lazy:
-            for key in compressed_batch.keys():
+            for key, comp in compressed_batch.items():
                 entry = lazy.entry(key)
-                for name, payload in compressed_batch.get(key).parts.items():
+                for name, payload in comp.parts.items():
                     assert entry.parts[name] == payload
 
     def test_concurrent_lockfree_reads(self, tmp_path, compressed_batch):
-        comp = compressed_batch.get("toy/tac")
+        comp = compressed_batch["toy/tac"]
         path = tmp_path / "entry.rpam"
         path.write_bytes(comp.to_bytes())
         with LazyCompressedDataset.open(path, mmap=True) as lazy:
@@ -385,9 +384,9 @@ class TestMmapSource:
 class TestSessionStreamedBatch:
     def test_session_matches_codec_compress(self, tmp_path):
         datasets = [two_level_dataset(n=16, fine_fraction=0.25, seed=s) for s in range(3)]
-        reference = BatchArchive(meta={"batch": "ref"})
-        for i, ds in enumerate(datasets):
-            reference.add(f"f{i}/tac", get_codec("tac").compress(ds, 1e-3))
+        reference = {
+            f"f{i}/tac": get_codec("tac").compress(ds, 1e-3) for i, ds in enumerate(datasets)
+        }
         head = tmp_path / "streamed.rpbt"
         config = IngestConfig(error_bound=1e-3, shard_size=1, max_inflight=6, workers=3)
         with IngestSession(head, config, meta={"batch": "ref"}) as session:
@@ -397,9 +396,9 @@ class TestSessionStreamedBatch:
         assert len(session.report.write.shard_paths) == len(datasets)
         with LazyBatchArchive.open(head, verify_shards=True) as lazy:
             assert lazy.meta == {"batch": "ref"}
-            for key in reference.keys():
+            for key, comp in reference.items():
                 entry = lazy.entry(key)
-                for name, payload in reference.get(key).parts.items():
+                for name, payload in comp.parts.items():
                     assert entry.parts[name] == payload
 
     def test_failed_entry_aborts_and_cleans_up(self, tmp_path):

@@ -151,7 +151,7 @@ class TestBatchCommand:
             assert np.max(np.abs(a.values() - b.values())) <= eb_abs * 1.001
 
     def test_batch_matches_single_compress_bitwise(self, dataset_file, tmp_path):
-        from repro.engine import BatchArchive
+        from repro.engine import LazyBatchArchive
         from repro.core.container import CompressedDataset
 
         single = tmp_path / "single.tac"
@@ -163,7 +163,8 @@ class TestBatchCommand:
             "batch", str(dataset_file), "-o", str(archive),
             "--eb", "1e-3", "--workers", "2",
         ]) == 0
-        entry = BatchArchive.load(archive).get("z10/baryon_density/tac")
+        with LazyBatchArchive.open(archive) as lazy:
+            entry = lazy.entry("z10/baryon_density/tac").materialize()
         assert entry.to_bytes() == CompressedDataset.from_bytes(
             single.read_bytes()
         ).to_bytes()
@@ -250,22 +251,15 @@ class TestShardedBatchCommand:
         assert "shard batch.shard-0000.rpsh" in out
 
     def test_streamed_entries_bitwise_match_monolithic(self, dataset_file, tmp_path):
-        """The CLI's sharded entries are the codec's own bytes, i.e. what a
-        monolithic ``BatchArchive`` of the same inputs holds."""
-        from repro.engine import BatchArchive, get_codec
+        """The CLI's sharded entries are the codec's own bytes."""
+        from repro.engine import LazyBatchArchive, get_codec
 
         head = tmp_path / "sharded.rpbt"
         assert main(["batch", str(dataset_file), "-o", str(head), "--eb", "1e-3"]) == 0
-        a = BatchArchive()
-        a.add(
-            "z10/baryon_density/tac",
-            get_codec("tac").compress(load_dataset(dataset_file), 1e-3),
-        )
-        a = BatchArchive.from_bytes(a.to_bytes())
-        b = BatchArchive.load(head)
-        assert a.keys() == b.keys()
-        for key in a.keys():
-            assert a.get(key).parts == b.get(key).parts
+        comp = get_codec("tac").compress(load_dataset(dataset_file), 1e-3)
+        with LazyBatchArchive.open(head) as lazy:
+            assert lazy.keys() == ["z10/baryon_density/tac"]
+            assert lazy.entry("z10/baryon_density/tac").materialize().parts == comp.parts
 
     def test_decompress_and_extract_from_sharded(self, dataset_file, tmp_path, capsys):
         head = tmp_path / "sharded.rpbt"

@@ -5,7 +5,8 @@ Contracts under test:
 * ``to_bytes`` writes v5 and ``to_bytes → from_bytes → to_bytes`` is
   byte-stable; v1–v4 blobs (built by the test-only reference encoder
   ``tests.helpers.legacy_container_bytes``) parse to the same parts and
-  re-serialize as v5 — mixed-version batch archives included;
+  re-serialize as v5 — mixed-version batch archives included, read
+  through :class:`LazyBatchArchive`;
 * :class:`LazyCompressedDataset` opens bytes, files, and archive members
   without reading any payload, serves parts on demand, and logs every
   fetch (the accounting partial-decode proofs rely on);
@@ -28,8 +29,13 @@ from repro.core.container import (
     make_source,
     pack_mask,
 )
-from repro.engine import BatchArchive, LazyBatchArchive
-from tests.helpers import legacy_archive_bytes, legacy_container_bytes, two_level_dataset
+from repro.engine import LazyBatchArchive
+from tests.helpers import (
+    legacy_archive_bytes,
+    legacy_container_bytes,
+    two_level_dataset,
+    write_archive,
+)
 
 
 @pytest.fixture(scope="module")
@@ -204,85 +210,131 @@ class TestLazyCompressedDataset:
 
 
 class TestArchiveVersions:
+    """The read-only monolithic archives (v1 / v2, from the reference
+    writer ``tests.helpers.legacy_archive_bytes``) next to the entries
+    they were built from."""
+
     @pytest.fixture(scope="class")
-    def archive(self) -> BatchArchive:
+    def entries(self) -> dict:
         ds = two_level_dataset(n=8, fine_fraction=0.3, seed=3)
         from repro.engine import get_codec
 
-        archive = BatchArchive(meta={"purpose": "v2-test"})
-        for codec_name in ("tac", "1d"):
-            comp = get_codec(codec_name).compress(ds, 1e-3, mode="abs")
-            archive.add(f"toy/{codec_name}", comp)
-        return archive
-
-    def test_v2_roundtrip_byte_stable(self, archive):
-        blob = archive.to_bytes()
-        back = BatchArchive.from_bytes(blob)
-        assert back.version == 2
-        assert back.to_bytes() == blob
-
-    def test_v1_archive_reads_and_migrates(self, archive):
-        blob = legacy_archive_bytes(
-            {key: legacy_container_bytes(comp, 1) for key, comp in archive.entries.items()},
-            1,
-            archive.meta,
-        )
-        back = BatchArchive.from_bytes(blob)
-        assert back.version == 1  # what was read
-        assert {k: c.parts for k, c in back.entries.items()} == {
-            k: c.parts for k, c in archive.entries.items()
+        return {
+            f"toy/{name}": get_codec(name).compress(ds, 1e-3, mode="abs")
+            for name in ("tac", "1d")
         }
-        assert back.to_bytes() == archive.to_bytes()  # re-serializes as v2 / v5
 
-    def test_mixed_entry_versions(self, archive):
-        tac = archive.get("toy/tac")
+    @staticmethod
+    def _archive(entries, version: int) -> bytes:
+        """A v``version`` archive of container-v``version`` entries."""
+        blobs = {key: legacy_container_bytes(comp, version) for key, comp in entries.items()}
+        return legacy_archive_bytes(blobs, version, {"purpose": "v2-test"})
+
+    def test_v2_reads_back_the_entries(self, entries):
+        with LazyBatchArchive.open(self._archive(entries, 2)) as lazy:
+            assert lazy.version == 2
+            assert lazy.meta == {"purpose": "v2-test"}
+            for key, comp in entries.items():
+                assert lazy.entry(key).materialize().parts == comp.parts
+
+    def test_v1_archive_reads_and_migrates(self, entries, tmp_path):
+        """Its entries re-written through the one archive writer are the
+        bytes the fresh entries write (container v5, sharded v3)."""
+        for sub in ("fresh", "migrated"):
+            (tmp_path / sub).mkdir()
+        fresh = write_archive(tmp_path / "fresh" / "a.rpbt", entries)
+        with LazyBatchArchive.open(self._archive(entries, 1)) as lazy:
+            assert lazy.version == 1  # what was read
+            assert {k: lazy.entry(k).materialize().parts for k in lazy.keys()} == {
+                k: c.parts for k, c in entries.items()
+            }
+            migrated = write_archive(
+                tmp_path / "migrated" / "a.rpbt", {k: lazy.entry(k) for k in lazy.keys()}
+            )
+        for path in [fresh, *fresh.parent.glob("*.rpsh")]:
+            assert (migrated.parent / path.name).read_bytes() == path.read_bytes()
+
+    def test_mixed_entry_versions(self, entries):
+        tac = entries["toy/tac"]
         blobs = {
             "toy/tac": legacy_container_bytes(tac, 1),
-            "toy/1d": legacy_container_bytes(archive.get("toy/1d"), 3),
+            "toy/1d": legacy_container_bytes(entries["toy/1d"], 3),
             "toy/v5": tac.to_bytes(),
         }
         blob = legacy_archive_bytes(blobs, 2)
-        back = BatchArchive.from_bytes(blob)
         with LazyBatchArchive.open(blob) as lazy:
             versions = {key: lazy.entry(key).container_version for key in lazy.keys()}
             assert versions == {"toy/tac": 1, "toy/1d": 3, "toy/v5": 5}
             for key in lazy.keys():
-                assert lazy.entry(key).materialize().parts == back.get(key).parts
-        assert back.get("toy/v5").parts == back.get("toy/tac").parts
+                reference = entries["toy/1d" if key == "toy/1d" else "toy/tac"]
+                assert lazy.entry(key).materialize().parts == reference.parts
         with pytest.raises(ValueError, match="trailing"):
-            BatchArchive.from_bytes(blob + b"x")
+            LazyBatchArchive.open(blob + b"x")
 
-    def test_lazy_open_both_versions(self, archive):
+    def test_lazy_open_both_versions(self, entries):
+        from repro.engine import codec_for_method
+
         for version in (1, 2):
-            blob = legacy_archive_bytes(
-                {
-                    key: legacy_container_bytes(comp, version)
-                    for key, comp in archive.entries.items()
-                },
-                version,
-            )
-            eager = BatchArchive.from_bytes(blob)
-            with LazyBatchArchive.open(blob) as lazy:
+            with LazyBatchArchive.open(self._archive(entries, version)) as lazy:
                 assert lazy.version == version
-                assert sorted(lazy.keys()) == sorted(eager.keys())
+                assert sorted(lazy.keys()) == sorted(entries)
                 entry = lazy.entry("toy/tac")
                 assert entry.container_version == version
-                assert entry.part_sizes() == eager.get("toy/tac").part_sizes()
+                assert entry.part_sizes() == entries["toy/tac"].part_sizes()
                 restored = lazy.decompress("toy/tac")
-                reference = eager.decompress("toy/tac")
+                reference = codec_for_method("tac").decompress(entries["toy/tac"])
                 for a, b in zip(reference.levels, restored.levels):
                     assert np.array_equal(a.data, b.data)
 
-    def test_lazy_missing_entry(self, archive):
-        with LazyBatchArchive.open(archive.to_bytes()) as lazy:
+    @staticmethod
+    def _reindexed(blob: bytes, key: str, offset_delta: int = 0, length_delta: int = 0) -> bytes:
+        """``blob`` (a v2 archive) with one index row moved or stretched."""
+        import json
+        import struct
+
+        head_len = struct.unpack_from("<Q", blob, 5)[0]
+        record = json.loads(blob[13 : 13 + head_len])
+        offset, length = record["index"][key]
+        record["index"][key] = [offset + offset_delta, length + length_delta]
+        head = json.dumps(record, sort_keys=True).encode("utf-8")
+        return blob[:5] + struct.pack("<Q", len(head)) + head + blob[13 + head_len :]
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda blob: blob + b"junk", "4 trailing bytes after last archive entry"),
+            (
+                lambda blob: TestArchiveVersions._reindexed(blob, "toy/1d", length_delta=10**9),
+                "archive entry 'toy/1d'",
+            ),
+            (
+                # The first entry's offset is 0, so this one is -5.
+                lambda blob: TestArchiveVersions._reindexed(blob, "toy/1d", offset_delta=-5),
+                "archive entry 'toy/1d'",
+            ),
+        ],
+        ids=["trailing-junk", "length-past-end", "negative-offset"],
+    )
+    def test_damaged_monolithic_archive_fails_at_open(self, entries, mutate, message):
+        """The parser checks a v1/v2 index before trusting it: every entry
+        inside the payload region, nothing after the last one."""
+        blob = self._archive(entries, 2)
+        with LazyBatchArchive.open(blob) as lazy:  # the intact archive opens
+            assert lazy.entry("toy/tac").materialize().parts == entries["toy/tac"].parts
+        assert self._reindexed(blob, "toy/tac") == blob
+        with pytest.raises(ValueError, match=message):
+            LazyBatchArchive.open(mutate(blob))
+
+    def test_lazy_missing_entry(self, entries):
+        with LazyBatchArchive.open(self._archive(entries, 2)) as lazy:
             with pytest.raises(KeyError, match="no entry"):
                 lazy.entry("nope")
 
     def test_lazy_rejects_foreign_blobs(self):
-        with pytest.raises(ValueError, match="not a BatchArchive"):
+        with pytest.raises(ValueError, match="not a batch archive"):
             LazyBatchArchive.open(b"junkjunkjunkjunk")
 
-    def test_partial_reads_reject_non_partial_codecs(self, archive):
+    def test_partial_reads_reject_non_partial_codecs(self, tmp_path):
         """A Codec-protocol-only downstream codec fails with a clear
         error on decompress_level and degrades to serial on workers."""
         from repro.amr.hierarchy import AMRDataset
@@ -309,28 +361,29 @@ class TestArchiveVersions:
                 return AMRDataset(levels=[lvl], name="blob")
 
         try:
-            stored = BatchArchive(meta={})
-            stored.add(
-                "x",
-                CompressedDataset(
-                    method="blobonly", dataset_name="x",
-                    meta={"shapes": [[4, 4, 4]]},
-                ),
+            head = write_archive(
+                tmp_path / "blobonly.rpbt",
+                {
+                    "x": CompressedDataset(
+                        method="blobonly", dataset_name="x",
+                        meta={"shapes": [[4, 4, 4]]},
+                    )
+                },
             )
-            # decode_workers degrades to the serial path, no TypeError.
-            restored = stored.decompress("x", decode_workers=4)
-            assert restored.n_levels == 1
-            with pytest.raises(TypeError, match="partial"):
-                stored.decompress_level("x", 0)
+            with LazyBatchArchive.open(head) as stored:
+                # decode_workers degrades to the serial path, no TypeError.
+                restored = stored.decompress("x", decode_workers=4)
+                assert restored.n_levels == 1
+                with pytest.raises(TypeError, match="partial"):
+                    stored.decompress_level("x", 0)
         finally:
             unregister("blobonly")
 
-    def test_entry_sizes_match_manifest(self, archive):
-        blob = archive.to_bytes()
-        with LazyBatchArchive.open(blob) as lazy:
+    def test_entry_sizes_match_manifest(self, entries):
+        with LazyBatchArchive.open(self._archive(entries, 2)) as lazy:
             sizes = lazy.entry_sizes()
-            for key in archive.keys():
-                assert sizes[key] == len(archive.get(key).to_bytes())
+            for key, comp in entries.items():
+                assert sizes[key] == len(legacy_container_bytes(comp, 2))
 
 
 class TestCollapsePartSizes:

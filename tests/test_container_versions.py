@@ -27,7 +27,7 @@ from repro.core.container import (
     PartIntegrityError,
 )
 from repro.core.tac import TACCompressor
-from repro.engine import BatchArchive, LazyBatchArchive
+from repro.engine import LazyBatchArchive
 from tests.helpers import legacy_archive_bytes, legacy_container_bytes, two_level_dataset
 
 VERSIONS = (1, 2, 3, 4, 5)
@@ -80,9 +80,9 @@ def read_lazy_at_offset(blob, tmp_path):
 
 def read_archive_entry(blob, tmp_path):
     archive = legacy_archive_bytes({"a/first": blob_of_filler(), "k/entry": blob}, 2)
-    eager = surface(BatchArchive.from_bytes(archive).get("k/entry"))
     with LazyBatchArchive.open(archive) as lazy:
         entry = lazy.entry("k/entry")
+        eager = surface(entry.materialize())
         assert surface(entry) == eager
         return entry.container_version, eager
 

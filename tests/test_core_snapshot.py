@@ -13,7 +13,7 @@ import pytest
 from repro.amr.reconstruct import max_level_errors
 from repro.cli import main
 from repro.core.container import MASK_PREFIX, ContainerIOError
-from repro.engine import BatchArchive, LazyBatchArchive, ShardedArchiveWriter, get_codec
+from repro.engine import LazyBatchArchive, ShardedArchiveWriter, get_codec
 from repro.engine.archive import STRUCTURE_META_KEY, with_structure
 from repro.ingest import IngestError, IngestSession, read_timestep_level
 from repro.serve import ArchiveReader
@@ -116,16 +116,18 @@ class TestSnapshotRoundTrip:
         """Materialized (eager) entries keep the reference, and the one
         resolver follows it over plain part dicts too."""
         head, keys, _report = step_archive
-        archive = BatchArchive.load(head)
+        with LazyBatchArchive.open(head) as archive:
+            eager = {k: archive.entry(k).materialize() for k in archive.keys()}
         key = keys["velocity_x"]
-        assert archive.get(key).meta[STRUCTURE_META_KEY] == keys[min(keys)]
-        view = with_structure(archive.get(key), key, archive.get)
-        restored = get_codec("tac").decompress(view)
+        assert eager[key].meta[STRUCTURE_META_KEY] == keys[min(keys)]
+        view = with_structure(eager[key], key, eager.__getitem__)
+        tac = get_codec("tac")
+        restored = tac.decompress(view)
         assert restored.total_points() == snapshot_fields["velocity_x"].total_points()
-        # The eager archive itself is unchanged: it still wants the masks handed in.
+        # The eager entry itself is unchanged: it still wants the masks handed in.
         with pytest.raises(ValueError, match="structure"):
-            archive.decompress(key)
-        explicit = archive.decompress(key, structure=snapshot_fields["velocity_x"])
+            tac.decompress(eager[key])
+        explicit = tac.decompress(eager[key], structure=snapshot_fields["velocity_x"])
         assert np.array_equal(explicit.levels[1].data, restored.levels[1].data)
 
     def test_cli_reads_a_maskless_field(self, snapshot_fields, step_archive, tmp_path, capsys):

@@ -18,7 +18,7 @@ from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import ContainerIOError, PartIntegrityError
 from repro.core.tac import TACCompressor
 from repro.engine import default_shard_opener, get_codec
-from repro.engine.archive import BatchArchive, LazyBatchArchive
+from repro.engine.archive import LazyBatchArchive
 from repro.faults import FaultPlan, FaultRule, archive_part_spans, faulty_opener
 from repro.serve import (
     ArchiveReader,
@@ -32,7 +32,7 @@ from repro.serve import (
     retrying_opener,
 )
 from repro.sz import stream
-from tests.helpers import reserialize_stream, smooth_cube, two_level_dataset
+from tests.helpers import reserialize_stream, smooth_cube, two_level_dataset, write_archive
 
 KEY = "toy/tac"
 #: Level 1 of the toy dataset is brick-chunked (8 bricks of 4³); level 0
@@ -65,16 +65,12 @@ def dense_dataset(n: int = 16) -> AMRDataset:
 def shard_dir(tmp_path_factory):
     tac = TACCompressor(brick_size=4)
     comp = tac.compress(two_level_dataset(n=16, seed=5), 1e-3, mode="abs")
-    archive = BatchArchive()
-    archive.add(KEY, comp)
-    archive.add(
-        ZMESH[0], get_codec("zmesh").compress(two_level_dataset(n=16, seed=5), 1e-3, mode="abs")
-    )
+    zmesh = get_codec("zmesh").compress(two_level_dataset(n=16, seed=5), 1e-3, mode="abs")
     delegated = get_codec("tac-hybrid").compress(dense_dataset(), 1e-3, mode="abs")
     assert delegated.meta["delegated"] == "baseline_3d"
-    archive.add(DELEGATED[0], delegated)
     root = tmp_path_factory.mktemp("degraded")
-    archive.save_sharded(root / "arch.rpbt", shard_size=4096)
+    entries = {KEY: comp, ZMESH[0]: zmesh, DELEGATED[0]: delegated}
+    write_archive(root / "arch.rpbt", entries, shard_size=4096)
     return root
 
 
@@ -333,9 +329,7 @@ class TestDegradedReads:
             comp.parts[name] = reserialize_stream(
                 comp.parts[name], {stream.SEC_CODE_LENGTHS: bytes([1]) * 8193}
             )
-        archive = BatchArchive()
-        archive.add(KEY, comp)
-        archive.save_sharded(tmp_path / "bad.rpbt", shard_size=4096)
+        write_archive(tmp_path / "bad.rpbt", {KEY: comp}, shard_size=4096)
         with ArchiveReader(tmp_path / "bad.rpbt", cache_bytes=0, fill_value=-1.0) as reader:
             lvl, stats = reader.read_level(KEY, BRICK_LEVEL, degraded=True)
             assert [row["unit"] for row in stats.errors] == bad

@@ -17,7 +17,8 @@ import pytest
 from repro.core.container import CompressedDataset, resolve_global_eb
 from repro.core.tac import TACCompressor
 from repro.engine import (
-    BatchArchive,
+    LazyBatchArchive,
+    ShardedArchiveWriter,
     codec_for_method,
     codec_names,
     get_codec,
@@ -27,7 +28,7 @@ from repro.engine import (
 )
 from repro.amr.io import save_dataset
 from repro.ingest import IngestConfig, IngestError, IngestSession
-from tests.helpers import assert_error_bounded, two_level_dataset
+from tests.helpers import assert_error_bounded, two_level_dataset, write_archive
 from tests.test_ingest import archive_entries
 
 EB = 1e-3
@@ -53,11 +54,9 @@ def run_session(head, jobs, **config) -> IngestSession:
     return session
 
 
-def build_archive(jobs, **meta) -> BatchArchive:
-    archive = BatchArchive(meta=dict(meta))
-    for label, dataset, codec in jobs:
-        archive.add(label, get_codec(codec).compress(dataset, EB))
-    return archive
+def build_entries(jobs) -> dict:
+    """``{label: comp}`` — every job through its codec, no session."""
+    return {label: get_codec(codec).compress(dataset, EB) for label, dataset, codec in jobs}
 
 
 # ----------------------------------------------------------------------
@@ -148,9 +147,9 @@ class TestEngineDeterminism:
             parallel.report.head_path
         )
         # ... and both are what the codec writes on its own.
-        reference = build_archive(batch_jobs)
+        reference = build_entries(batch_jobs)
         for key, (parts, _meta) in archive_entries(serial.report.head_path).items():
-            assert parts == reference.get(key).parts
+            assert parts == reference[key].parts
 
     def test_level_parallel_tac_bit_identical(self, batch_jobs, tmp_path):
         serial = run_session(tmp_path / "serial.rpbt", batch_jobs)
@@ -220,43 +219,49 @@ class TestTimingAggregation:
 
 
 # ----------------------------------------------------------------------
-# batch archive
+# batch archive (the one writer, read back lazily)
 # ----------------------------------------------------------------------
 class TestBatchArchive:
-    def test_roundtrip_and_registry_decompression(self, batch_jobs):
-        archive = build_archive(batch_jobs, purpose="test")
-        blob = archive.to_bytes()
-        loaded = BatchArchive.from_bytes(blob)
-        assert loaded.keys() == sorted(archive.keys())
-        assert loaded.meta == {"purpose": "test"}
-        assert loaded.to_bytes() == blob  # byte-stable re-serialization
-
-        label, original, _codec = batch_jobs[0]
-        restored = loaded.decompress(label)
+    def test_roundtrip_and_registry_decompression(self, batch_jobs, tmp_path):
+        entries = build_entries(batch_jobs)
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+        head = write_archive(tmp_path / "a" / "batch.rpbt", entries, meta={"purpose": "test"})
+        again = write_archive(tmp_path / "b" / "batch.rpbt", entries, meta={"purpose": "test"})
+        assert head.read_bytes() == again.read_bytes()  # deterministic head
+        with LazyBatchArchive.open(head) as loaded:
+            assert loaded.keys() == sorted(entries)
+            assert loaded.meta == {"purpose": "test"}
+            label, original, _codec = batch_jobs[0]
+            restored = loaded.decompress(label)
         eb_abs = EB * resolve_global_eb(original, 1.0, "rel")
         for orig, back in zip(original.levels, restored.levels):
             assert np.array_equal(orig.mask, back.mask)
             assert_error_bounded(orig.values(), back.values(), eb_abs)
 
-    def test_duplicate_and_missing_keys(self):
-        archive = BatchArchive()
+    def test_duplicate_and_missing_keys(self, tmp_path):
         comp = CompressedDataset(method="tac", dataset_name="x")
-        archive.add("a", comp)
-        with pytest.raises(ValueError, match="duplicate"):
-            archive.add("a", comp)
-        with pytest.raises(KeyError, match="no entry"):
-            archive.get("b")
+        with ShardedArchiveWriter(tmp_path / "dup.rpbt") as writer:
+            writer.add_entry("a", comp)
+            with pytest.raises(ValueError, match="duplicate"):
+                writer.add_entry("a", comp)
+        with LazyBatchArchive.open(tmp_path / "dup.rpbt") as archive:
+            with pytest.raises(KeyError, match="no entry"):
+                archive.entry("b")
 
     def test_rejects_foreign_blobs(self):
-        with pytest.raises(ValueError, match="not a BatchArchive"):
-            BatchArchive.from_bytes(b"junkjunkjunk")
+        with pytest.raises(ValueError, match="not a batch archive"):
+            LazyBatchArchive.open(b"junkjunkjunk")
 
-    def test_save_load_and_accounting(self, tmp_path, batch_jobs):
-        archive = build_archive(batch_jobs[:2])
-        path = tmp_path / "batch.rpbt"
-        n = archive.save(path)
-        assert path.stat().st_size == n
-        loaded = BatchArchive.load(path)
-        assert loaded.total_compressed_bytes() == archive.total_compressed_bytes()
-        assert loaded.ratio() == pytest.approx(archive.ratio())
-        assert len(loaded.manifest()) == 2
+    def test_manifest_accounting(self, tmp_path, batch_jobs):
+        entries = build_entries(batch_jobs[:2])
+        head = write_archive(tmp_path / "batch.rpbt", entries)
+        with LazyBatchArchive.open(head) as loaded:
+            manifest = loaded.manifest()
+        assert len(manifest) == 2
+        assert sum(row["compressed_bytes"] for row in manifest) == sum(
+            comp.compressed_bytes() for comp in entries.values()
+        )
+        assert sum(row["original_bytes"] for row in manifest) == sum(
+            comp.original_bytes for comp in entries.values()
+        )

@@ -14,7 +14,7 @@ import pytest
 from repro.core.container import PartIntegrityError
 from repro.core.tac import TACCompressor
 from repro.engine import default_shard_opener
-from repro.engine.archive import BatchArchive, LazyBatchArchive
+from repro.engine.archive import LazyBatchArchive
 from repro.faults import (
     FAULT_KINDS,
     FaultInjectingSource,
@@ -24,7 +24,7 @@ from repro.faults import (
     faulty_opener,
 )
 from repro.serve import RetryPolicy, retrying_opener
-from tests.helpers import two_level_dataset
+from tests.helpers import legacy_archive_bytes, two_level_dataset, write_archive
 
 
 class MemSource:
@@ -252,11 +252,8 @@ class TestFaultInjectingSource:
 def sharded_archive(tmp_path_factory):
     tac = TACCompressor(brick_size=4)
     comp = tac.compress(two_level_dataset(n=16, seed=3), 1e-3, mode="abs")
-    archive = BatchArchive()
-    archive.add("toy/tac", comp)
     head = tmp_path_factory.mktemp("faults") / "arch.rpbt"
-    archive.save_sharded(head, shard_size=4096)
-    return head
+    return write_archive(head, {"toy/tac": comp}, shard_size=4096)
 
 
 class TestArchiveComposition:
@@ -272,10 +269,8 @@ class TestArchiveComposition:
     def test_monolithic_archive_has_no_spans(self, tmp_path):
         tac = TACCompressor(brick_size=4)
         comp = tac.compress(two_level_dataset(n=16, seed=3), 1e-3, mode="abs")
-        archive = BatchArchive()
-        archive.add("toy/tac", comp)
         mono = tmp_path / "mono.rpbt"
-        mono.write_bytes(archive.to_bytes())
+        mono.write_bytes(legacy_archive_bytes({"toy/tac": comp.to_bytes()}, 2))
         assert archive_part_spans(mono) == {}
 
     def test_transient_fault_absorbed_by_retry(self, sharded_archive):

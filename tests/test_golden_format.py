@@ -7,25 +7,27 @@ checked-in batch archives holding the fully analytic
 codecs (``tests/data/make_golden.py`` regenerates them).  The assertions
 pin the container contract future refactors must keep:
 
-* the bytes parse (no silent format break for existing stored archives);
-* parse → re-serialize *migrates* to the one written format (archive v2,
-  container v5) with identical parts and metadata, and that form is
-  byte-stable from then on;
+* the bytes parse through the one archive parser,
+  :class:`~repro.engine.LazyBatchArchive` (no silent format break for
+  existing stored archives);
+* the reference writers in ``tests/helpers.py`` (``legacy_archive_bytes``
+  around ``legacy_container_bytes``) regenerate both fixtures byte for
+  byte from their parsed entries;
 * the manifest matches what was recorded at fixture-creation time;
 * every entry still decompresses to the recorded values and honours the
   recorded error bound against the analytically regenerated original;
-* the lazy readers (:class:`~repro.engine.LazyBatchArchive`,
-  :class:`~repro.core.container.LazyCompressedDataset`) see the same
-  entries and decode to the same values as the eager path.
+* lazy entries (:class:`~repro.core.container.LazyCompressedDataset`)
+  and their materialized copies hold the same parts and decode to the
+  same values.
 
 ``tests/data/golden_batch_v3.rpbt`` plus its two
 ``golden_batch_v3.shard-NNNN.rpsh`` files pin wire version 3, the
 sharded streaming layout: the head is manifest-only, entries live in the
 payload shards (container v3 blobs; ``golden_batch_v4`` holds v4 ones).
 
-The fixtures for container v1–v4 are *frozen*: their writers are retired
-(``tests/data/golden_inventory.json`` → ``_retired_writers``), so only
-their read side is tested.  The write path is pinned by
+The fixtures for container v1–v4 and archive v1/v2 are *frozen*: their
+library writers are retired (``tests/data/golden_inventory.json`` →
+``_retired_writers``), so the library only reads them.  The write path is pinned by
 ``golden_entry_v5.rpam`` (both ``to_bytes`` and a file-backed
 ``StreamingContainerWriter`` must regenerate it) and by the
 ``golden_ingest_delta`` and ``golden_ingest_step`` session replays (the
@@ -44,8 +46,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.engine import BatchArchive, LazyBatchArchive, is_batch_archive
-from tests.helpers import assert_error_bounded, golden_dataset
+from repro.engine import LazyBatchArchive, codec_for_method, is_batch_archive
+from tests.helpers import (
+    assert_error_bounded,
+    golden_dataset,
+    legacy_archive_bytes,
+    legacy_container_bytes,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,6 +60,20 @@ FIXTURES = {
     1: "golden_batch",
     2: "golden_batch_v2",
 }
+
+
+def materialized(source) -> dict:
+    """``{key: CompressedDataset}`` of a stored archive, read through the
+    one archive parser."""
+    with LazyBatchArchive.open(source) as lazy:
+        return {key: lazy.entry(key).materialize() for key in lazy.keys()}
+
+
+def decoded(comp):
+    return codec_for_method(comp.method).decompress(comp)
+
+
+V2_FIXTURE = DATA / "golden_batch_v2.rpbt"
 
 
 @pytest.fixture(scope="module", params=sorted(FIXTURES), ids=lambda v: f"v{v}")
@@ -81,35 +102,33 @@ class TestGoldenFormat:
         assert not is_batch_archive(b"PK\x03\x04whatever")
 
     def test_stored_wire_versions_reported(self, golden_blob, fixture_version):
-        assert BatchArchive.from_bytes(golden_blob).version == fixture_version
         with LazyBatchArchive.open(golden_blob) as lazy:
             assert lazy.version == fixture_version
             for key in lazy.keys():
                 assert lazy.entry(key).container_version == fixture_version
 
-    def test_reserialization_migrates_then_is_byte_stable(self, golden_blob):
-        archive = BatchArchive.from_bytes(golden_blob)
-        migrated = archive.to_bytes()
-        back = BatchArchive.from_bytes(migrated)
-        assert back.version == 2
-        assert back.manifest() == archive.manifest()
-        for key in archive.keys():
-            assert back.get(key).parts == archive.get(key).parts
-            assert back.get(key).meta == archive.get(key).meta
-        with LazyBatchArchive.open(migrated) as lazy:
-            assert {lazy.entry(key).container_version for key in lazy.keys()} == {5}
-        assert back.to_bytes() == migrated
+    def test_reference_writer_regenerates_fixture_bytes(self, golden_blob, fixture_version):
+        """The retired monolithic writer lives on in ``tests/helpers.py``:
+        from the parsed entries it rebuilds the stored archive exactly."""
+        with LazyBatchArchive.open(golden_blob) as lazy:
+            meta = lazy.meta
+        blobs = {
+            key: legacy_container_bytes(comp, fixture_version)
+            for key, comp in materialized(golden_blob).items()
+        }
+        assert legacy_archive_bytes(blobs, fixture_version, meta) == golden_blob
 
     def test_manifest_matches_record(self, golden_blob, expected):
-        archive = BatchArchive.from_bytes(golden_blob)
-        assert archive.keys() == expected["keys"]
-        assert archive.manifest() == expected["manifest"]
-        assert archive.meta["fixture"] == "golden"
+        with LazyBatchArchive.open(golden_blob) as archive:
+            assert archive.keys() == expected["keys"]
+            assert archive.manifest() == expected["manifest"]
+            assert archive.meta["fixture"] == "golden"
 
     def test_entries_decompress_to_recorded_values(self, golden_blob, expected):
-        archive = BatchArchive.from_bytes(golden_blob)
+        with LazyBatchArchive.open(golden_blob) as archive:
+            restored_by_key = {key: archive.decompress(key) for key in expected["decompressed"]}
         for key, level_stats in expected["decompressed"].items():
-            restored = archive.decompress(key)
+            restored = restored_by_key[key]
             assert restored.n_levels == len(level_stats)
             for lvl, stats in zip(restored.levels, level_stats):
                 assert lvl.level == stats["level"]
@@ -124,22 +143,21 @@ class TestGoldenFormat:
                 assert float(values.max()) == pytest.approx(stats["max"], rel=1e-10)
 
     def test_entries_honour_recorded_error_bound(self, golden_blob, expected):
-        archive = BatchArchive.from_bytes(golden_blob)
         original = golden_dataset()
         assert expected["mode"] == "abs"
-        for key in archive.keys():
-            restored = archive.decompress(key)
+        for comp in materialized(golden_blob).values():
+            restored = decoded(comp)
             for orig, back in zip(original.levels, restored.levels):
                 assert np.array_equal(orig.mask, back.mask)
                 assert_error_bounded(orig.values(), back.values(), expected["eb"])
 
     def test_both_fixture_versions_hold_identical_payloads(self):
         """v1 and v2 differ only in framing — parts and meta are equal."""
-        v1 = BatchArchive.from_bytes((DATA / "golden_batch.rpbt").read_bytes())
-        v2 = BatchArchive.from_bytes((DATA / "golden_batch_v2.rpbt").read_bytes())
-        assert v1.keys() == v2.keys()
-        for key in v1.keys():
-            a, b = v1.get(key), v2.get(key)
+        v1 = materialized(DATA / "golden_batch.rpbt")
+        v2 = materialized(V2_FIXTURE)
+        assert list(v1) == list(v2)
+        for key in v1:
+            a, b = v1[key], v2[key]
             assert a.meta == b.meta
             assert list(a.parts) == list(b.parts)
             for name in a.parts:
@@ -148,12 +166,11 @@ class TestGoldenFormat:
 
 class TestGoldenLazyReaders:
     def test_lazy_archive_matches_eager(self, golden_blob, expected):
-        eager = BatchArchive.from_bytes(golden_blob)
+        eager = materialized(golden_blob)
         with LazyBatchArchive.open(golden_blob) as lazy:
-            assert lazy.keys() == eager.keys()
-            assert lazy.manifest() == eager.manifest()
+            assert lazy.keys() == list(eager)
             for key in lazy.keys():
-                a = eager.decompress(key)
+                a = decoded(eager[key])
                 b = lazy.decompress(key)
                 for la, lb in zip(a.levels, b.levels):
                     assert np.array_equal(la.data, lb.data)
@@ -166,7 +183,7 @@ class TestGoldenLazyReaders:
         with LazyBatchArchive.open(golden_blob) as lazy:
             key = "golden/tac"
             entry = lazy.entry(key)
-            eager_entry = BatchArchive.from_bytes(golden_blob).get(key)
+            eager_entry = materialized(golden_blob)[key]
             assert entry.part_sizes() == eager_entry.part_sizes()
             codec_for_method(entry.method).decompress(entry)
             # Decoding went through this entry's logged store, and the
@@ -188,7 +205,7 @@ class TestGoldenLazyReaders:
         path.write_bytes(golden_blob)
         with LazyBatchArchive.open(path) as lazy:
             restored = lazy.decompress("golden/1d")
-            eager = BatchArchive.from_bytes(golden_blob).decompress("golden/1d")
+            eager = decoded(materialized(golden_blob)["golden/1d"])
             for la, lb in zip(eager.levels, restored.levels):
                 assert np.array_equal(la.data, lb.data)
 
@@ -226,13 +243,12 @@ class TestGoldenShardedV3:
             ]
 
     def test_payloads_identical_to_v2_fixture(self, head_path):
-        v2 = BatchArchive.from_bytes((DATA / "golden_batch_v2.rpbt").read_bytes())
-        with LazyBatchArchive.open(head_path) as lazy:
-            assert lazy.keys() == v2.keys()
-            assert lazy.manifest() == v2.manifest()
-            for key in v2.keys():
+        v2 = materialized(V2_FIXTURE)
+        with LazyBatchArchive.open(head_path) as lazy, LazyBatchArchive.open(V2_FIXTURE) as mono:
+            assert lazy.keys() == list(v2)
+            assert lazy.manifest() == mono.manifest()
+            for key, reference in v2.items():
                 entry = lazy.entry(key)
-                reference = v2.get(key)
                 assert entry.meta == reference.meta
                 assert list(entry.parts) == list(reference.parts)
                 for name in reference.parts:
@@ -250,12 +266,12 @@ class TestGoldenShardedV3:
                         orig.values(), back.values(), expected_v3["eb"]
                     )
 
-    def test_eager_load_materializes_from_shards(self, head_path):
-        eager = BatchArchive.load(head_path)
-        v2 = BatchArchive.from_bytes((DATA / "golden_batch_v2.rpbt").read_bytes())
-        assert eager.keys() == v2.keys()
-        for key in v2.keys():
-            assert eager.get(key).parts == v2.get(key).parts
+    def test_entries_materialize_from_shards(self, head_path):
+        eager = materialized(head_path)
+        v2 = materialized(V2_FIXTURE)
+        assert list(eager) == list(v2)
+        for key, reference in v2.items():
+            assert eager[key].parts == reference.parts
 
 
 class TestGoldenContainerV4:
@@ -297,12 +313,11 @@ class TestGoldenContainerV4:
                     entry.parts[name]  # every part passes its CRC
 
     def test_payloads_identical_to_v2_fixture(self, head_path):
-        v2 = BatchArchive.from_bytes((DATA / "golden_batch_v2.rpbt").read_bytes())
+        v2 = materialized(V2_FIXTURE)
         with LazyBatchArchive.open(head_path) as lazy:
-            assert lazy.keys() == v2.keys()
-            for key in v2.keys():
+            assert lazy.keys() == list(v2)
+            for key, reference in v2.items():
                 entry = lazy.entry(key)
-                reference = v2.get(key)
                 assert list(entry.parts) == list(reference.parts)
                 for name in reference.parts:
                     assert entry.parts[name] == reference.parts[name]
@@ -343,8 +358,7 @@ class TestGoldenContainerV5:
 
     @pytest.fixture(scope="class")
     def source_entry(self, expected_v5):
-        blob = (DATA / expected_v5["source"]).read_bytes()
-        return BatchArchive.from_bytes(blob).get(expected_v5["key"])
+        return materialized(DATA / expected_v5["source"])[expected_v5["key"]]
 
     def test_fixture_integrity(self, expected_v5):
         blob = (DATA / expected_v5["name"]).read_bytes()

@@ -45,14 +45,13 @@ from repro.core.layout import blocks_in_region, deserialize_layout, layout_shape
 from repro.core.plan import PlanExecutorMixin, level_mask, normalize_region
 from repro.core.tac import TACCompressor
 from repro.engine import (
-    BatchArchive,
     codec_names,
     default_shard_opener,
     get_codec,
     supports_partial_decode,
 )
 from repro.serve import ArchiveReader
-from tests.helpers import retired_tac_layout, smooth_cube, two_level_dataset
+from tests.helpers import retired_tac_layout, smooth_cube, two_level_dataset, write_archive
 
 EB = 1e-3
 
@@ -655,9 +654,7 @@ class TestOneReadPath:
         comp = codec.compress(make_dataset(), EB, mode="abs")
         if name in RETIRED_LAYOUTS:
             comp = retired_tac_layout(comp, **RETIRED_LAYOUTS[name])
-        archive = BatchArchive()
-        archive.add(ENTRY, comp)
-        archive.save_sharded(root / "archive.rpbt")
+        write_archive(root / "archive.rpbt", {ENTRY: comp})
         return SimpleNamespace(
             name=name, codec=codec, comp=comp, blob=comp.to_bytes(),
             head=root / "archive.rpbt", full=codec.decompress(comp),
@@ -817,9 +814,7 @@ def test_warm_roi_read_allocates_the_window_not_the_level(tmp_path):
     )
     tac = TACCompressor(force_strategy=Strategy.ZF, brick_size=16)
     comp = tac.compress(ds, 1e-2, mode="abs")
-    archive = BatchArchive()
-    archive.add(ENTRY, comp)
-    archive.save_sharded(tmp_path / "big.rpbt")
+    write_archive(tmp_path / "big.rpbt", {ENTRY: comp})
     roi = ((40, 72), (41, 73), (42, 74))
     with ArchiveReader(tmp_path / "big.rpbt") as reader:
         reader.read_region(ENTRY, 0, roi)
@@ -846,9 +841,7 @@ def test_cold_roi_read_peak_repeats_whatever_order_the_windows_land_in(tmp_path)
     )
     tac = TACCompressor(force_strategy=Strategy.ZF, brick_size=16)
     comp = tac.compress(ds, 1e-3, mode="abs")
-    archive = BatchArchive()
-    archive.add(ENTRY, comp)
-    archive.save_sharded(tmp_path / "cold.rpbt")
+    write_archive(tmp_path / "cold.rpbt", {ENTRY: comp})
     roi = ((9, 41), (10, 42), (11, 43))
     expected = tac.decompress(comp).levels[0].data[9:41, 10:42, 11:43]
 
@@ -938,9 +931,7 @@ class TestLevelMaskBox:
         tac = TACCompressor(force_strategy=Strategy.GSP, brick_size=4)
         comp = tac.compress(ds, EB, mode="abs")
         full = tac.decompress(comp)
-        archive = BatchArchive()
-        archive.add(ENTRY, comp)
-        archive.save_sharded(tmp_path / "odd.rpbt")
+        write_archive(tmp_path / "odd.rpbt", {ENTRY: comp})
         with ArchiveReader(tmp_path / "odd.rpbt", degraded=degraded) as reader:
             for level, box in ((0, ((1, 7), (2, 12), (5, 11))), (1, ((0, 6), (1, 4), (2, 5)))):
                 slices = tuple(slice(lo, hi) for lo, hi in box)

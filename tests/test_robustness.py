@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.baselines.zmesh import level_traversal_keys, zmesh_order
 from repro.core.container import CompressedDataset, LazyCompressedDataset
 from repro.core.tac import TACCompressor
-from repro.engine import BatchArchive, LazyBatchArchive
+from repro.engine import LazyBatchArchive
 from repro.sz import stream
 from repro.sz.compressor import SZCompressor
 from tests.helpers import (
@@ -245,8 +245,6 @@ class TestPartIndexBounds:
             with pytest.raises(ValueError) as lazily:
                 lazy.entry("a/bad")
         assert type(eager.value) is type(lazily.value) is ValueError
-        with pytest.raises(ValueError):
-            BatchArchive.from_bytes(archive)
 
     @pytest.mark.parametrize("case", ["v2-offset-into-head", "v2-offset-before-blob"])
     def test_negative_offset_rejected_without_a_known_length(self, case):

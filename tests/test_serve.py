@@ -39,7 +39,7 @@ from repro.core.container import (
 from repro.core.plan import DecodeUnit, DecompressionPlan, execute_plan
 from repro.core.tac import TACCompressor
 from repro.baselines.zmesh import ZMeshCompressor
-from repro.engine import LazyBatchArchive, ShardedArchiveWriter, default_shard_opener
+from repro.engine import LazyBatchArchive, default_shard_opener
 from repro.serve import (
     ArchiveReader,
     DeadlineExceeded,
@@ -50,7 +50,7 @@ from repro.serve import (
     retrying_opener,
 )
 from repro.sz.compressor import SZCompressor
-from tests.helpers import two_level_dataset
+from tests.helpers import two_level_dataset, write_archive
 
 EB = 1e-3
 
@@ -87,14 +87,6 @@ class CountingSource:
 
     def close(self) -> None:
         self.closed = True
-
-
-def write_sharded(tmp_path, entries, shard_size=1 << 16):
-    head = tmp_path / "batch.rpbt"
-    with ShardedArchiveWriter(head, shard_size=shard_size) as writer:
-        for key, comp in entries:
-            writer.add_entry(key, comp)
-    return head
 
 
 @pytest.fixture(scope="module")
@@ -522,7 +514,7 @@ class TestOpenClosesSourceOnFailure:
 
     def test_bad_magic(self, monkeypatch):
         opened = self._tracking_make_source(monkeypatch)
-        with pytest.raises(ValueError, match="not a BatchArchive"):
+        with pytest.raises(ValueError, match="not a batch archive"):
             LazyBatchArchive.open(b"XXXX" + b"\0" * 32)
         self._assert_all_closed(opened)
 
@@ -550,7 +542,7 @@ class TestOpenClosesSourceOnFailure:
 
     def test_v3_bytes_without_opener(self, monkeypatch, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head_path = write_sharded(tmp_path, [("k", comp)])
+        head_path = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         opened = self._tracking_make_source(monkeypatch)
         with pytest.raises(ValueError, match="shard_opener"):
             LazyBatchArchive.open(head_path.read_bytes())
@@ -576,7 +568,7 @@ class TestOpenClosesSourceOnFailure:
 
     def test_successful_open_keeps_source(self, monkeypatch, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head_path = write_sharded(tmp_path, [("k", comp)])
+        head_path = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         opened = self._tracking_make_source(monkeypatch)
         with LazyBatchArchive.open(head_path) as arch:
             assert arch.keys() == ["k"]
@@ -592,7 +584,7 @@ class TestOpenClosesSourceOnFailure:
 class TestShardStoreCloseRace:
     def test_entry_after_close_raises(self, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         arch = LazyBatchArchive.open(head)
         arch.close()
         with pytest.raises(ContainerIOError, match="closed"):
@@ -600,7 +592,7 @@ class TestShardStoreCloseRace:
 
     def test_close_is_idempotent(self, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         arch = LazyBatchArchive.open(head)
         arch.entry("k")
         arch.close()
@@ -611,7 +603,7 @@ class TestShardStoreCloseRace:
         closed-check blocks inside the opener while close() sweeps the
         store; its freshly opened source must be closed, not inserted."""
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         inner = default_shard_opener(head.parent)
         in_opener = threading.Event()
         release = threading.Event()
@@ -650,8 +642,8 @@ class TestShardStoreCloseRace:
         every opened source ends up closed and every post-close access
         raises instead of reopening."""
         codec, comp = tac_blob
-        head = write_sharded(
-            tmp_path, [(f"k{i}", comp) for i in range(4)], shard_size=1
+        head = write_archive(
+            tmp_path / "batch.rpbt", {f"k{i}": comp for i in range(4)}, shard_size=1
         )
         for _round in range(5):
             inner = default_shard_opener(head.parent)
@@ -711,7 +703,7 @@ def _source_closed(src) -> bool:
 
 class TestPrefetchPipeline:
     def make_lazy_comp(self, tmp_path, codec, comp, key="k"):
-        head = write_sharded(tmp_path, [(key, comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {key: comp})
         arch = LazyBatchArchive.open(head)
         return arch, arch.entry(key)
 
@@ -954,7 +946,7 @@ class TestPrefetchPipeline:
 class TestArchiveReader:
     def test_region_reads_match_direct_decode(self, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("run/rho/tac", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"run/rho/tac": comp})
         shape1 = tuple(comp.meta["shapes"][1])
         rois = [
             tuple((0, min(6, s)) for s in shape1),
@@ -971,7 +963,7 @@ class TestArchiveReader:
 
     def test_repeat_reads_hit_cache_and_fetch_less(self, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         shape1 = tuple(comp.meta["shapes"][1])
         roi = tuple((0, min(8, s)) for s in shape1)
         with ArchiveReader(head) as reader:
@@ -984,7 +976,7 @@ class TestArchiveReader:
 
     def test_read_level_matches_full_decompress(self, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         full = codec.decompress(comp)
         with ArchiveReader(head) as reader:
             for level in range(len(full.levels)):
@@ -994,7 +986,7 @@ class TestArchiveReader:
 
     def test_concurrent_overlapping_requests(self, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         shape1 = tuple(comp.meta["shapes"][1])
         roi_a = tuple((0, min(8, s)) for s in shape1)
         roi_b = tuple((2, min(10, s)) for s in shape1)
@@ -1013,7 +1005,7 @@ class TestArchiveReader:
 
     def test_cache_disabled_still_correct(self, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         shape1 = tuple(comp.meta["shapes"][1])
         roi = tuple((0, min(6, s)) for s in shape1)
         with ArchiveReader(head, cache_bytes=0) as reader:
@@ -1027,7 +1019,7 @@ class TestArchiveReader:
     def test_flaky_shard_reads_recover(self, tmp_path, tac_blob):
         """Transient OSErrors from the transport are retried invisibly."""
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         inner = default_shard_opener(head.parent)
 
         class Flaky:
@@ -1062,7 +1054,7 @@ class TestArchiveReader:
         codec = ZMeshCompressor()
         ds = two_level_dataset(seed=5)
         comp = codec.compress(ds, EB)
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         shape1 = tuple(comp.meta["shapes"][1])
         roi = tuple((0, min(6, s)) for s in shape1)
         with ArchiveReader(head) as reader:
@@ -1077,7 +1069,7 @@ class TestArchiveReader:
 
     def test_closed_reader_rejects_requests(self, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         reader = ArchiveReader(head)
         reader.close()
         reader.close()  # idempotent
@@ -1086,7 +1078,7 @@ class TestArchiveReader:
 
     def test_fetch_stats_shared_with_opener(self, tmp_path, tac_blob):
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         with ArchiveReader(head) as reader:
             assert isinstance(reader.fetch_stats, FetchStats)
             reader.read_level("k", 0)
@@ -1105,7 +1097,7 @@ class TestArchiveReaderInitFailure:
         """RL002: ArchiveReader.__init__ opens the archive first; a bad
         pipeline parameter afterwards must not leak its shard handles."""
         codec, comp = tac_blob
-        head = write_sharded(tmp_path, [("k", comp)])
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         closed: list[int] = []
         real_close = LazyBatchArchive.close
 

@@ -6,7 +6,9 @@ come from the reference writers in ``tests/helpers.py`` and the frozen
 ``golden_gsp_shared.rpbt``.  The tests pin the three layers:
 
 * the standalone table part format (``RPHT``) and the reference section
-  parse and fail loudly on corruption;
+  parse and fail loudly on corruption; the fetch-time rewrite
+  (:class:`repro.core.tac.SharedTableResolver`) turns a referencing
+  stream into the ordinary one the single-format SZ decoder reads;
 * TAC reads such blobs end-to-end — bit-identical reconstruction against
   the per-stream blob of the same data, pruned ROI reads fetch only the
   table plus the touched bricks, the table part is resolved exactly once
@@ -33,17 +35,17 @@ from repro.core.container import (
     LazyCompressedDataset,
     collapse_part_sizes,
 )
-from repro.core.tac import TACCompressor
-from repro.engine import BatchArchive
+from repro.core.tac import SharedTableResolver, TACCompressor
+from repro.engine import LazyBatchArchive
 from repro.sz import stream
-from repro.sz.compressor import SharedTableResolver, SZCompressor
-from repro.sz.huffman import HuffmanCodec
+from repro.sz.compressor import SZCompressor
 from tests.helpers import (
     golden_gsp_dataset,
     reserialize_stream,
     retired_tac_layout,
     rpht_table,
     shared_table_streams,
+    write_archive,
 )
 
 EB = 1e-3
@@ -112,15 +114,26 @@ class TestTableWireFormat:
             stream.unpack_shared_table(bytes(blob))
 
     def test_resolver_validates_reference(self):
-        lengths = HuffmanCodec.from_counts(np.array([5, 3, 2, 1, 1])).lengths
-        resolver = SharedTableResolver({"t": rpht_table(lengths, max_len=16)}, "t")
-        table_id = stream.shared_table_id(lengths.tobytes())
-        good = {"table_id": table_id, "alphabet": lengths.size}
-        assert np.array_equal(resolver.resolve(good)["code_lengths"], lengths)
-        with pytest.raises(ValueError, match="table id"):
-            resolver.resolve({"table_id": table_id ^ 1, "alphabet": lengths.size})
-        with pytest.raises(ValueError, match="alphabet"):
-            resolver.resolve({"table_id": table_id, "alphabet": lengths.size + 1})
+        sz = SZCompressor()
+        table, (blob,), info = shared_table_streams([sz.compress(np.arange(64.0), 1e-3)])
+        resolver = SharedTableResolver({"t": table}, "t")
+        lengths = stream.unpack_shared_table(table)["code_lengths"]
+        ordinary = stream.parse(resolver.ordinary(blob))
+        assert stream.SEC_TABLE_REF not in ordinary.sections
+        assert ordinary.section(stream.SEC_CODE_LENGTHS)[1] == lengths.tobytes()
+        for ref, message in (
+            ((info["id"] ^ 1, info["alphabet"]), "table id"),
+            ((info["id"], info["alphabet"] + 1), "alphabet"),
+        ):
+            bad = reserialize_stream(blob, {stream.SEC_TABLE_REF: struct.pack("<II", *ref)})
+            with pytest.raises(ValueError, match=message):
+                resolver.ordinary(bad)
+
+    def test_streams_without_a_reference_pass_through(self):
+        sz = SZCompressor()
+        resolver = SharedTableResolver({}, "t")  # never fetched
+        for blob in (sz.compress(np.zeros((0, 4)), 1e-3), sz.compress(np.arange(8.0), 0.0)):
+            assert resolver.ordinary(blob) is blob
 
 
 class TestSZSharedStreams:
@@ -139,14 +152,14 @@ class TestSZSharedStreams:
             sizes = stream.parse(blob).section_sizes()
             assert stream.SEC_CODE_LENGTHS not in sizes
             assert sizes[stream.SEC_TABLE_REF] == 8
-            assert np.array_equal(
-                sz.decompress(blob, shared_tables=resolver), sz.decompress(own)
-            )
+            assert np.array_equal(sz.decompress(resolver.ordinary(blob)), sz.decompress(own))
 
-    def test_shared_blob_without_resolver_fails_loudly(self):
+    def test_shared_blob_without_its_table_fails_loudly(self):
+        """The decoder reads one format: a referencing stream that skipped
+        the fetch-time rewrite has no code lengths to decode with."""
         sz = SZCompressor()
         _table, (blob,), _info = shared_table_streams([sz.compress(self._streams()[0], 1e-3)])
-        with pytest.raises(ValueError, match="no shared-table resolver"):
+        with pytest.raises(ValueError, match=f"missing required section {stream.SEC_CODE_LENGTHS}"):
             sz.decompress(blob)
 
 
@@ -265,9 +278,7 @@ class TestDamagedSharedTable:
         from repro.serve.reader import ArchiveReader
 
         comp, message = damaged
-        archive = BatchArchive()
-        archive.add("gsp/shared", comp)
-        archive.save_sharded(tmp_path / "damaged.rpbt")
+        write_archive(tmp_path / "damaged.rpbt", {"gsp/shared": comp})
         intact = TACCompressor().decompress(golden)
         n_bricks = golden.meta["levels"][0]["bricks"]["n"]
         with ArchiveReader(tmp_path / "damaged.rpbt", degraded=True, fill_value=-7.0) as reader:
@@ -286,11 +297,8 @@ class TestDamagedSharedTable:
 class TestServeSharedTables:
     @pytest.fixture(scope="class")
     def archive_path(self, tmp_path_factory, shared_comp):
-        archive = BatchArchive()
-        archive.add("gsp/shared", shared_comp)
         path = tmp_path_factory.mktemp("serve") / "shared.rpbt"
-        path.write_bytes(archive.to_bytes())
-        return path
+        return write_archive(path, {"gsp/shared": shared_comp})
 
     def test_concurrent_roi_reads_match_serial(self, archive_path, dataset):
         """Satellite stress: many threads resolve the cached shared table
@@ -299,15 +307,14 @@ class TestServeSharedTables:
         from repro.serve.reader import ArchiveReader
 
         tac = TACCompressor(brick_size=4)
-        blob = archive_path.read_bytes()
         rois = [
             (slice(x, x + 8), slice(y, y + 8), slice(0, 16))
             for x in (0, 4, 8) for y in (0, 4, 8)
         ]
         reference = {}
-        for i, roi in enumerate(rois):
-            comp = BatchArchive.from_bytes(blob).get("gsp/shared")
-            reference[i] = tac.decompress_region(comp, 0, roi)
+        with LazyBatchArchive.open(archive_path) as archive:
+            for i, roi in enumerate(rois):
+                reference[i] = tac.decompress_region(archive.entry("gsp/shared"), 0, roi)
 
         results: dict[int, np.ndarray] = {}
         errors: list[BaseException] = []

@@ -12,13 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.plan import DecodeUnit, DecompressionPlan, decode_jobs, execute_plan
+from repro.core.tac import SharedTableResolver
 from repro.sz import compressor as sz_compressor
 from repro.sz import lossless, stream
-from repro.sz.compressor import (
-    SharedTableResolver,
-    SZCompressor,
-    stream_batches,
-)
+from repro.sz.compressor import SZCompressor, stream_batches
 from repro.utils.timer import TimingRecord
 from tests.helpers import reserialize_stream, shared_table_streams, smooth_cube
 
@@ -36,10 +33,10 @@ def fields(shape, count, dtype, seed=0):
     ]
 
 
-def assert_same(batched, blobs, **kwargs):
+def assert_same(batched, blobs):
     assert len(batched) == len(blobs)
     for got, blob in zip(batched, blobs):
-        want = CODEC.decompress(blob, **kwargs)
+        want = CODEC.decompress(blob)
         assert got.dtype == want.dtype
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -111,41 +108,36 @@ class TestEquivalence:
 
 
 class TestSharedTables:
+    """Streams of the retired shared-table layout, rewritten at fetch into
+    ordinary ones, batch like any other stream."""
+
     @pytest.fixture()
     def level(self):
         private = [CODEC.compress(arr, 1e-3, "abs") for arr in fields((16, 16, 16), 6, np.float32)]
         table, blobs, _info = shared_table_streams(private)
-        return blobs, SharedTableResolver({"L0/table": table}, "L0/table")
+        resolver = SharedTableResolver({"L0/table": table}, "L0/table")
+        return private, [resolver.ordinary(blob) for blob in blobs], blobs
 
     def test_lanes_share_one_table(self, level):
-        blobs, resolver = level
-        out = CODEC.decompress_many(blobs, shared_tables=resolver)
-        assert_same(out, blobs, shared_tables=resolver)
+        private, ordinary, _shared = level
+        out = CODEC.decompress_many(ordinary)
+        assert_same(out, ordinary)
+        assert_same(out, private)  # same symbols, so the same reconstruction
 
     def test_shared_and_private_tables_in_one_batch(self, level):
-        blobs, resolver = level
+        _private, ordinary, _shared = level
         private = [CODEC.compress(arr, 1e-3, "abs") for arr in fields((16, 16, 16), 3, np.float32, 9)]
-        mixed = [blobs[0], private[0], blobs[1], private[1], private[2], blobs[2]]
-        resolvers = [resolver, None, resolver, None, None, resolver]
-        assert len(stream_batches(mixed, resolvers)) == 1
-        out = CODEC.decompress_many(mixed, shared_tables=resolvers)
-        for got, blob, res in zip(out, mixed, resolvers):
-            assert np.array_equal(got, CODEC.decompress(blob, shared_tables=res))
+        mixed = [ordinary[0], private[0], ordinary[1], private[1], private[2], ordinary[2]]
+        assert len(stream_batches(mixed)) == 1
+        assert_same(CODEC.decompress_many(mixed), mixed)
 
-    def test_missing_resolver_fails_that_member_only(self, level):
-        blobs, resolver = level
+    def test_unrewritten_stream_fails_that_member_only(self, level):
+        _private, ordinary, shared = level
         errors = {}
-        out = CODEC.decompress_many(
-            blobs[:3], shared_tables=[resolver, None, resolver], errors=errors
-        )
-        assert set(errors) == {1} and "resolver" in str(errors[1])
+        out = CODEC.decompress_many([ordinary[0], shared[1], ordinary[2]], errors=errors)
+        assert set(errors) == {1} and "missing required section" in str(errors[1])
         assert out[1] is None
-        assert np.array_equal(out[2], CODEC.decompress(blobs[2], shared_tables=resolver))
-
-    def test_resolver_count_must_match(self, level):
-        blobs, resolver = level
-        with pytest.raises(ValueError, match="per blob"):
-            CODEC.decompress_many(blobs, shared_tables=[resolver])
+        assert np.array_equal(out[2], CODEC.decompress(ordinary[2]))
 
 
 def _bad_code_lengths(blob):
