@@ -209,11 +209,9 @@ def peek_bits(buf: np.ndarray, bit_offsets: np.ndarray, width: int) -> np.ndarra
     if not 1 <= width <= 24:
         raise ValueError(f"peek width must be in [1, 24], got {width}")
     offsets = np.asarray(bit_offsets, dtype=np.int64)
-    byte_idx = offsets >> 3
     # Clip so the 4-byte gather stays in bounds even for (invalid) offsets
-    # past the payload; those lanes return padding bits and are ignored by
-    # the caller's active mask.
-    byte_idx = np.minimum(byte_idx, buf.size - _PEEK_PAD)
+    # before or past the payload: those read its first or last word.
+    byte_idx = np.clip(offsets >> 3, 0, buf.size - _PEEK_PAD)
     b0 = buf[byte_idx].astype(np.uint32)
     b1 = buf[byte_idx + 1].astype(np.uint32)
     b2 = buf[byte_idx + 2].astype(np.uint32)

@@ -17,7 +17,13 @@ a pure-NumPy implementation fast:
    advances all blocks in lockstep — each round performs one table lookup
    per block as a whole-array gather — turning an O(n) Python loop into
    O(block_size) rounds of vectorized work over ``n/block_size`` lanes.
-   With ``block_size ~ sqrt(n)`` both factors stay small.
+   With ``block_size ~ sqrt(n)`` both factors stay small.  The offsets
+   are also the integrity check: a valid block ends exactly where the
+   next one starts (the last at ``total_bits``), so one comparison after
+   the rounds replaces any per-round test.  It catches unassigned code
+   space and any damage whose bit count is still off at its block's end;
+   damage the code re-synchronises from inside a block decodes wrong
+   unnoticed, which only a checksum (the container's CRC-32) catches.
 
 3. **Lanes from many streams share the rounds.**  The fixed cost of a
    round (a handful of NumPy calls) does not depend on the lane count, so
@@ -56,6 +62,7 @@ size) and are accounted for in the compressed size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -448,15 +455,16 @@ def encode_many(codecs, symbols: np.ndarray, block_size: int | None = None) -> l
 class _LaneTables:
     """Decode tables of a lane span: one table, or several concatenated.
 
-    ``base`` and ``down`` (the ``32 - table_bits`` peek shift) are scalars
-    when every lane decodes under the same table and per-lane arrays when
-    the span mixes streams with different codes.
+    ``down`` (the ``32 - table_bits`` peek shift) is per lane, an array
+    operand being cheaper per round than a scalar one; ``base`` is ``None``
+    when every lane decodes under the same table and per lane when the
+    span mixes streams with different codes.
     """
 
     sym: np.ndarray
     len: np.ndarray
     base: np.ndarray | None
-    down: np.ndarray | np.uint32
+    down: np.ndarray
 
 
 def decode_many(codecs, streams) -> np.ndarray:
@@ -507,26 +515,29 @@ def decode_many(codecs, streams) -> np.ndarray:
     # symbols (the output's type) and int64 lengths (the positions').
     syms = np.concatenate([codec._table_sym for codec in tables.values()], dtype=np.int32)
     lens = np.concatenate([codec._table_len for codec in tables.values()], dtype=np.int64)
-    if len(tables) == 1:
-        lane_tables = _LaneTables(syms, lens, None, np.uint32(32 - codecs[0].table_bits))
-    else:
+    base = None
+    if len(tables) > 1:
         sizes = [codec._table_sym.size for codec in tables.values()]
         base_of = dict(zip(tables, np.cumsum([0] + sizes[:-1]).tolist()))
-        lane_tables = _LaneTables(
-            syms,
-            lens,
-            per_lane([base_of[id(codec)] for codec in codecs]).astype(np.uint32),
-            per_lane([32 - codec.table_bits for codec in codecs]).astype(np.uint32),
-        )
+        base = per_lane([base_of[id(codec)] for codec in codecs]).astype(np.uint32)
+    down = per_lane([32 - codec.table_bits for codec in codecs]).astype(np.uint32)
+    lane_tables = _LaneTables(syms, lens, base, down)
 
     buf = as_peekable(*(e.payload for e in streams))
     offsets = np.stack([e.block_offsets for e in streams]).astype(np.int64)
-    starts = np.cumsum([0] + [len(e.payload) for e in streams[:-1]])
-    offsets += (starts * 8)[:, None]
-    positions = (
-        np.concatenate([offsets[:, :-1].ravel(), offsets[:, -1]])
-        if n_tail else offsets.ravel()
-    )
+    starts = np.cumsum([0] + [len(e.payload) for e in streams[:-1]]) * 8
+    offsets += starts[:, None]
+    # A valid block ends where the next one starts, a stream's last block
+    # at its ``start + total_bits``: the rounds' one integrity check.
+    ends = np.column_stack([offsets[:, 1:], [e.total_bits for e in streams] + starts])
+
+    def lane_order(per_block: np.ndarray) -> np.ndarray:
+        return (
+            np.concatenate([per_block[:, :-1].ravel(), per_block[:, -1]])
+            if n_tail else per_block.ravel()
+        )
+
+    positions, expected = lane_order(offsets), lane_order(ends)
     # Round-major layout: each round writes one contiguous row (a
     # strided column write is ~40% slower per np.take); the stitch at
     # the end transposes back to block-major stream order.
@@ -537,15 +548,13 @@ def decode_many(codecs, streams) -> np.ndarray:
     # with a window over its own byte span, so snapshot-scale streams
     # keep the one-gather fast path.
     if buf.size <= limit:
-        _decode_span(
-            buf, window_words(buf), positions, out, 0, positions.size, tail, n_tail, lane_tables
-        )
+        _decode_span(buf, window_words(buf), positions, expected, out, 0, tail, n_tail, lane_tables)
     elif n_blocks // -(-buf.size // max(limit, 1)) >= _MIN_CHUNK_LANES:
-        _decode_chunked(buf, streams[0].total_bits, positions, out, tail, limit, lane_tables)
+        _decode_chunked(buf, positions, expected, out, tail, limit, lane_tables)
     else:
         # Too few lanes per chunk for the chunked windows to pay off —
         # the whole-stream 4-gather peek keeps a single round schedule.
-        _decode_span(buf, None, positions, out, 0, n_blocks, tail, n_tail, lane_tables)
+        _decode_span(buf, None, positions, expected, out, 0, tail, n_tail, lane_tables)
     # Stitch rounds back into block-major stream order, trimming the
     # ragged tails (the transpose's reshape is the single copy).
     n_full = n_streams * full
@@ -557,8 +566,8 @@ def decode_many(codecs, streams) -> np.ndarray:
 
 def _decode_chunked(
     buf: np.ndarray,
-    total_bits: int,
     offsets: np.ndarray,
+    ends: np.ndarray,
     out: np.ndarray,
     tail: int,
     limit: int,
@@ -570,33 +579,33 @@ def _decode_chunked(
     span ``[i, j)`` only touches payload bytes between its first
     block's start and its last block's end — both known from the
     block-offset table before any decoding.  Each chunk builds a
-    32-bit window over just its byte span (positions rebased to the
-    slice), bounding window memory by ``limit`` while every round
-    stays a single gather.  A single block whose own span exceeds the
-    limit (pathological block sizes) degrades to 4-byte-gather peeks
-    for that chunk alone.
+    32-bit window over just its byte span (positions and ends rebased
+    to the slice), bounding window memory by ``limit`` while every
+    round stays a single gather.  A single block whose own span exceeds
+    the limit (pathological block sizes) degrades to 4-byte-gather
+    peeks for that chunk alone.
     """
     n_blocks = offsets.size
     block = out.shape[0]
-    ends = np.empty(n_blocks, dtype=np.int64)
-    ends[:-1] = offsets[1:]
-    ends[-1] = total_bits
     start = 0
     while start < n_blocks:
-        lo_byte = int(offsets[start]) >> 3
+        # Clamped like peek_bits, so corrupt offsets still get a window of
+        # at least one word.
+        lo_byte = min(max(int(offsets[start]) >> 3, 0), buf.size - 4)
         # Largest j with the span's window (end byte + 4-byte gather
         # slack, rebased to lo_byte) within the limit.
         j = int(np.searchsorted(ends, (lo_byte + limit - 4) * 8, side="right"))
         j = min(max(j, start + 1), n_blocks)
         ragged = int(j == n_blocks and tail < block)
-        positions = offsets[start:j].copy()
-        hi_byte = (int(ends[j - 1]) + 7) >> 3
+        positions, expected = offsets[start:j].copy(), ends[start:j]
+        hi_byte = max((int(ends[j - 1]) + 7) >> 3, lo_byte)
         if j == start + 1 and hi_byte + 4 - lo_byte > limit:
             words = None
         else:
             words = window_words(buf[lo_byte : hi_byte + 4])
             positions -= lo_byte << 3
-        _decode_span(buf, words, positions, out, start, j - start, tail, ragged, tables)
+            expected = expected - (lo_byte << 3)
+        _decode_span(buf, words, positions, expected, out, start, tail, ragged, tables)
         start = j
 
 
@@ -604,14 +613,14 @@ def _decode_span(
     buf: np.ndarray,
     words: np.ndarray | None,
     positions: np.ndarray,
+    expected: np.ndarray,
     out: np.ndarray,
     lane0: int,
-    m0: int,
     tail_rounds: int,
     n_tail: int,
     tables: _LaneTables,
 ) -> None:
-    """Lockstep rounds over the contiguous lane span ``[lane0, lane0+m0)``.
+    """Lockstep rounds over the contiguous lane span that starts at ``lane0``.
 
     Every active lane decodes one symbol per round via whole-array
     gathers.  The schedule is known up front: all lanes run for
@@ -619,52 +628,61 @@ def _decode_span(
     out (the ragged final blocks of its streams) and the remaining
     contiguous prefix runs to the full block length — no per-round
     active-set scan.  Spans without ragged blocks pass ``n_tail == 0``
-    and never shrink.  ``positions`` (advanced in place) must be rebased
-    to ``words``' byte origin when a sliced window is used; ``words is
-    None`` peeks ``buf`` with 4-byte gathers and needs a single table.
+    and never shrink.  ``positions`` (advanced in place) and ``expected``
+    must be rebased to ``words``' byte origin when a sliced window is
+    used; ``words is None`` peeks ``buf`` with 4-byte gathers and needs
+    a single table.
+
+    A round is eight NumPy calls into reused buffers and checks nothing.
+    Integrity comes from the block end offsets, once, after the rounds:
+    each lane must stop exactly at its ``expected`` end.  A lane that
+    peeks unassigned code space gets length 0 and stalls (same
+    position, same peek, every later round), so its last length is 0 too.
     """
+    m0 = positions.size
     table_sym, table_len = tables.sym, tables.len
-    base, down = tables.base, tables.down
-    per_lane = base is not None
-    block = out.shape[0]
-    # Reused per-round scratch (views shrink with the active lane set).
-    byte_idx = np.empty(m0, dtype=np.int64)
-    peeks = np.empty(m0, dtype=np.uint32)
-    phase = np.empty(m0, dtype=np.uint32)
-    lens = np.empty(m0, dtype=np.int64)
-    m = m0
-    pos_v = positions
-    bidx_v, peek_v, ph_v, lens_v = byte_idx, peeks, phase, lens
-    base_v, down_v = base, down
-    for r in range(block):
-        if r == tail_rounds and n_tail:
-            if m == n_tail:
-                break
-            m -= n_tail
-            pos_v = positions[:m]
-            bidx_v, peek_v = byte_idx[:m], peeks[:m]
-            ph_v, lens_v = phase[:m], lens[:m]
-            if per_lane:
-                base_v, down_v = base[:m], down[:m]
-        np.right_shift(pos_v, 3, out=bidx_v)
-        np.bitwise_and(pos_v, 7, out=ph_v, casting="unsafe")
-        if words is not None:
-            # mode="clip" clamps like peek_bits: corrupt/oversized
-            # offsets read the window's final words (and fail the
-            # unassigned-space check below on the zero padding)
-            # instead of raising IndexError.
-            np.take(words, bidx_v, out=peek_v, mode="clip")
-            np.left_shift(peek_v, ph_v, out=peek_v)
-            np.right_shift(peek_v, down_v, out=peek_v)
-            if per_lane:
-                np.add(peek_v, base_v, out=peek_v)
-        else:
-            peek_v[...] = peek_bits(buf, pos_v, 32 - int(down))
-        np.take(table_len, peek_v, out=lens_v)
-        if not int(lens_v.min()):
-            raise ValueError("corrupt Huffman stream (unassigned code space)")
-        np.take(table_sym, peek_v, out=out[r, lane0 : lane0 + m])
-        pos_v += lens_v
+    # Scratch and constant operands (an array operand is cheaper per call
+    # than a scalar one); each phase of the schedule uses a prefix.
+    byte_idx, lens = np.empty(m0, dtype=np.int64), np.empty(m0, dtype=np.int64)
+    peeks, phase = np.empty(m0, dtype=np.uint32), np.empty(m0, dtype=np.uint32)
+    three, seven = np.full(m0, 3, dtype=np.int64), np.full(m0, 7, dtype=np.uint32)
+    # ``pos & 7`` only needs each position's low 32-bit word, and on it
+    # the op runs without a cast to the uint32 phase.
+    low = positions.view(np.uint32)[sys.byteorder == "big" :: 2]
+    shr, shl, band, add = np.right_shift, np.left_shift, np.bitwise_and, np.add
+
+    def rounds(rows: np.ndarray, m: int) -> None:
+        pos, bidx, peek, ph, ln = positions[:m], byte_idx[:m], peeks[:m], phase[:m], lens[:m]
+        lo, by3, by7, down = low[:m], three[:m], seven[:m], tables.down[:m]
+        base = None if tables.base is None else tables.base[:m]
+        for row in rows:
+            if words is None:
+                peek[...] = peek_bits(buf, pos, 32 - int(down[0]))
+            else:
+                shr(pos, by3, out=bidx)
+                band(lo, by7, out=ph)
+                # mode="clip" clamps like peek_bits: corrupt offsets read
+                # the window's final words instead of raising IndexError.
+                words.take(bidx, out=peek, mode="clip")
+                shl(peek, ph, out=peek)
+                shr(peek, down, out=peek)
+                if base is not None:
+                    add(peek, base, out=peek)
+            # Peeks are in range, and "clip" (unlike "raise") writes
+            # straight into ``out`` with no buffered copy.
+            table_len.take(peek, out=ln, mode="clip")
+            table_sym.take(peek, out=row, mode="clip")
+            add(pos, ln, out=pos)
+
+    m = m0 - n_tail
+    rounds(out[: tail_rounds if n_tail else None, lane0 : lane0 + m0], m0)
+    if n_tail and m:
+        rounds(out[tail_rounds:, lane0 : lane0 + m], m)
+    if not (lens.all() and np.array_equal(positions, expected)):
+        raise ValueError(
+            "corrupt Huffman stream (unassigned code space, or a block that "
+            "does not end where the next one starts)"
+        )
 
 
 @lru_cache(maxsize=DECODE_CACHE_SIZE)

@@ -292,6 +292,38 @@ def loop_limit_lengths(raw, max_len: int) -> np.ndarray:
     return lengths
 
 
+def lockstep_decode(codec, encoded) -> np.ndarray:
+    """Reference Huffman decode: the round loop ``repro.sz.huffman._decode_span``
+    ran before its lean rounds, kept as the oracle its property test holds
+    them to.  One lane per block of one stream; each round peeks every
+    active lane with 4-byte gathers, looks the peek up in the codec's dense
+    table and raises on unassigned code space (length 0) in that round; the
+    ragged last block drops out after its ``tail`` rounds."""
+    from repro.sz.bitstream import as_peekable, peek_bits
+
+    n, block = encoded.n_symbols, encoded.block_size
+    if codec._table_sym is None:
+        codec._build_table()
+    positions = np.array(encoded.block_offsets, dtype=np.int64)
+    lanes = positions.size
+    tail = n - block * (lanes - 1)
+    buf = as_peekable(encoded.payload)
+    out = np.zeros((block, lanes), dtype=np.int32)
+    m = lanes
+    for r in range(block):
+        if r == tail:  # only reached when the last block is ragged
+            m -= 1
+            if m == 0:
+                break
+        peeks = peek_bits(buf, positions[:m], codec.table_bits)
+        lens = np.take(codec._table_len, peeks).astype(np.int64)
+        if not int(lens.min()):
+            raise ValueError("corrupt Huffman stream (unassigned code space)")
+        out[r, :m] = np.take(codec._table_sym, peeks)
+        positions[:m] += lens
+    return out.T.ravel()[:n]
+
+
 def heap_code_lengths(counts, max_len: int = 16) -> np.ndarray:
     """Reference Huffman code lengths: the binary-heap tree build.
 

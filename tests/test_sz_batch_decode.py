@@ -163,6 +163,17 @@ def _bad_payload(blob):
     return reserialize_stream(blob, {stream.SEC_PAYLOAD: bytes(raw)})
 
 
+def _flipped_payload_byte(blob):
+    # A lattice brick under a complete code: no unassigned code space, so
+    # only its block end offsets catch the flip.  This one desyncs its lane
+    # to the block's end (about a third of single-byte flips on these
+    # bricks do; the rest re-synchronise and decode wrong silently).
+    parsed = stream.parse(blob)
+    raw = bytearray(lossless.decompress_bytes(*parsed.section(stream.SEC_PAYLOAD)))
+    raw[len(raw) // 2] ^= 0xFF
+    return reserialize_stream(blob, {stream.SEC_PAYLOAD: bytes(raw)})
+
+
 def _bad_outliers(blob):
     return reserialize_stream(blob, {stream.SEC_OUTLIERS: struct.pack("<q", 7) * 3})
 
@@ -188,6 +199,7 @@ class TestCorruptMemberFailsAlone:
             (1, _bad_code_lengths, "Kraft"),
             (2, _bad_offsets, "expected 64 items"),
             (4, _bad_payload, "unassigned code space"),
+            (5, _flipped_payload_byte, "corrupt Huffman stream"),
             (3, _bad_outliers, "items of int64, got 3"),
             (0, _zero_block_size, "block_size"),
             (5, lambda blob: blob[:-3], "overruns"),

@@ -1,10 +1,15 @@
 """Unit and property tests for the canonical length-limited Huffman coder."""
 
+import contextlib
+import dataclasses
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sz import bitstream, huffman
 from repro.sz.huffman import (
     DECODE_CACHE_SIZE,
     HuffmanCodec,
@@ -18,7 +23,7 @@ from repro.sz.huffman import (
     encode_many,
     huffman_code_lengths,
 )
-from tests.helpers import heap_code_lengths, loop_limit_lengths
+from tests.helpers import heap_code_lengths, lockstep_decode, loop_limit_lengths
 
 
 def kraft_sum(lengths: np.ndarray) -> float:
@@ -257,29 +262,23 @@ class TestRaggedTailDecode:
         encoded = codec.encode(symbols, block_size=64)
         assert np.array_equal(codec.decode(encoded), symbols)
 
-    def test_oversized_block_offsets_never_raise_indexerror(self, rng):
-        # Corrupt offsets past the payload must behave like the clamped
-        # peek path: read padding (raising the corrupt-stream ValueError
-        # when that lands in unassigned code space), never IndexError.
+    @pytest.mark.parametrize("offset", ["past", "before"])
+    @pytest.mark.parametrize("limit", [None, 16, 4])
+    def test_out_of_range_block_offsets_raise_valueerror(self, rng, monkeypatch, offset, limit):
+        # Corrupt offsets past or before the payload read its last or first
+        # word, like the clamped 4-byte peek, on every path (limit None: one
+        # window; 16: chunked windows; 4: 4-byte gathers) — and fail the end
+        # offset check, never with an IndexError.
         codec = HuffmanCodec(np.array([3, 3, 3, 3, 3], dtype=np.uint8))
         symbols = rng.integers(0, 5, size=300)
         encoded = codec.encode(symbols, block_size=64)
         bad_offsets = encoded.block_offsets.copy()
-        bad_offsets[2] = encoded.total_bits + 10_000  # way past the buffer
-        corrupted = encoded.__class__(
-            payload=encoded.payload,
-            total_bits=encoded.total_bits,
-            block_offsets=bad_offsets,
-            n_symbols=encoded.n_symbols,
-            block_size=encoded.block_size,
-        )
-        try:
-            decoded = codec.decode(corrupted)
-            assert decoded.shape == (300,)  # garbage tolerated, like peek_bits
-        except ValueError:
-            pass  # corrupt-stream detection is the expected outcome
-        except IndexError:  # pragma: no cover - the regression this pins
-            pytest.fail("decode leaked an IndexError for corrupt offsets")
+        bad_offsets[2] = encoded.total_bits + 10_000 if offset == "past" else -(10**9)
+        if limit is not None:
+            monkeypatch.setattr(bitstream, "WINDOW_WORDS_LIMIT", limit)
+            monkeypatch.setattr(huffman, "_MIN_CHUNK_LANES", 1 if limit == 16 else 1 << 62)
+        with pytest.raises(ValueError, match="corrupt Huffman stream"):
+            codec.decode(dataclasses.replace(encoded, block_offsets=bad_offsets))
 
     def test_corrupt_stream_detected_in_ragged_rounds(self, rng):
         # Sparse depth-3 code leaves unassigned code space; corruption that
@@ -301,6 +300,130 @@ class TestRaggedTailDecode:
         )
         with pytest.raises(ValueError, match="corrupt|unassigned"):
             codec.decode(corrupted)
+
+
+class TestCompleteCodeCorruption:
+    """A complete code (Kraft sum 1) has no unassigned code space, so only
+    the block end offsets can tell a damaged stream from a valid one."""
+
+    @pytest.fixture()
+    def complete(self, rng):
+        symbols = np.clip(rng.geometric(0.2, size=20_000), 1, 60)
+        codec = HuffmanCodec.from_symbols(symbols, alphabet_size=61)
+        assert kraft_sum(codec.lengths) == 1.0
+        return codec, codec.encode(symbols)
+
+    def test_flipped_payload_bytes_raise_unless_the_block_resyncs(self, complete):
+        # A flip is caught when its lane's bit count is still off at the
+        # block's end.  Huffman decoding often re-synchronises first, and
+        # then the block decodes wrong without an error: the check catches
+        # most flips here, not all.
+        codec, encoded = complete
+        flips = range(0, len(encoded.payload) - 4, 97)
+        caught = 0
+        for at in flips:
+            payload = bytearray(encoded.payload)
+            payload[at] ^= 0xFF
+            try:
+                codec.decode(dataclasses.replace(encoded, payload=bytes(payload)))
+            except ValueError as exc:
+                assert "corrupt Huffman stream" in str(exc)
+                caught += 1
+        assert caught >= len(flips) // 2
+
+    def test_interior_offset_shifted_one_bit_raises(self, complete):
+        codec, encoded = complete
+        offsets = encoded.block_offsets.copy()
+        offsets[offsets.size // 2] += 1
+        with pytest.raises(ValueError, match="corrupt Huffman stream"):
+            codec.decode(dataclasses.replace(encoded, block_offsets=offsets))
+
+    def test_wrong_total_bits_raises(self, complete):
+        codec, encoded = complete
+        with pytest.raises(ValueError, match="corrupt Huffman stream"):
+            codec.decode(dataclasses.replace(encoded, total_bits=encoded.total_bits - 1))
+
+
+class TestLeanRoundsMatchReference:
+    """The lean rounds ≡ the reference round loop (``tests.helpers.lockstep_decode``)
+    on every decode path: one window, chunked windows, 4-byte gathers."""
+
+    @staticmethod
+    def _batch(seeds, alphabets, n, block, max_len):
+        codecs, encoded = [], []
+        for seed, alphabet in zip(seeds, alphabets):
+            rng = np.random.default_rng(seed)
+            weights = 1.0 / np.arange(1, alphabet + 1) ** rng.uniform(0.3, 3.0)
+            symbols = rng.choice(alphabet, size=n, p=weights / weights.sum())
+            codecs.append(HuffmanCodec.from_symbols(symbols, alphabet, max_len=max_len))
+            encoded.append(codecs[-1].encode(symbols, block_size=block))
+        return codecs, encoded
+
+    @staticmethod
+    def _route(path, encoded):
+        """Patches that send a decode down ``path``."""
+        if path == "window":
+            return contextlib.nullcontext()
+        stack = contextlib.ExitStack()
+        limit = max(len(e.payload) for e in encoded) // 2
+        stack.enter_context(patch.object(bitstream, "WINDOW_WORDS_LIMIT", limit))
+        lanes = 1 if path == "chunked" else 1 << 62
+        stack.enter_context(patch.object(huffman, "_MIN_CHUNK_LANES", lanes))
+        return stack
+
+    @given(
+        streams=st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 600)), min_size=1, max_size=4
+        ),
+        n=st.integers(1, 2500),
+        block=st.sampled_from([1, 2, 7, 64, 100, "over n"]),
+        max_len=st.sampled_from([10, 12, 16]),
+        path=st.sampled_from(["window", "chunked", "gather"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_valid_streams_bit_for_bit(self, streams, n, block, max_len, path):
+        block = n + 3 if block == "over n" else block
+        codecs, encoded = self._batch(*zip(*streams), n, block, max_len)
+        with self._route(path, encoded):
+            got = decode_many(codecs, encoded)
+        assert got.dtype == np.int32 and got.shape == (len(streams), n)
+        for row, codec, stream in zip(got, codecs, encoded):
+            assert np.array_equal(row, lockstep_decode(codec, stream))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alphabet=st.integers(1, 40),
+        block=st.sampled_from([1, 5, 64]),
+        damage=st.sampled_from(["byte", "offset"]),
+        path=st.sampled_from(["window", "chunked", "gather"]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_streams_fail_whenever_the_reference_does(
+        self, seed, alphabet, block, damage, path, data
+    ):
+        (codec,), (encoded,) = self._batch([seed], [alphabet], 300, block, 16)
+        if damage == "byte":
+            payload = bytearray(encoded.payload)
+            at = data.draw(st.integers(0, len(payload) - 1))
+            payload[at] ^= data.draw(st.integers(1, 255))
+            bad = dataclasses.replace(encoded, payload=bytes(payload))
+        else:
+            offsets = encoded.block_offsets.copy()
+            at = data.draw(st.integers(0, offsets.size - 1))
+            shift = data.draw(st.sampled_from([-9, -1, 1, 3, 10_000]))
+            offsets[at] += shift
+            bad = dataclasses.replace(encoded, block_offsets=offsets)
+        try:
+            want = lockstep_decode(codec, bad)
+        except ValueError:
+            want = None
+        with self._route(path, [bad]):
+            try:
+                got = codec.decode(bad)
+            except ValueError:
+                return  # at least as strict as the reference
+        assert want is not None and np.array_equal(got, want)
 
 
 class TestDecodeTableCache:
