@@ -301,8 +301,10 @@ def _blocks_ops(scale: int, repeats: int) -> dict:
 def _sz_ops(scale: int, repeats: int) -> dict:
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor, SZConfig
+    from repro.sz.huffman import HuffmanCodec, encode_many
     from repro.sz.predictor import lorenzo_forward
     from repro.sz.quantizer import quantize, resolve_error_bound
+    from repro.utils.timer import TimingRecord
 
     n = max(512 // scale, 32)
     field = generate_field("baryon_density", n, seed=42)
@@ -328,6 +330,19 @@ def _sz_ops(scale: int, repeats: int) -> dict:
     lattice = quantize(field, eb_abs)
     ops["sz_predict"] = op_entry(
         time_op(lambda: lorenzo_forward(lattice), repeats), field.size, field.nbytes
+    )
+    # The lossless stage alone — the compressor's `lossless` span — on the
+    # `sz_compress_interp` stream: its Huffman payload and code table (plus
+    # the small block-offset section) through `_payload_sections`, the call
+    # `_encode_symbols` makes.  MB/s is over the bytes the stage codes.
+    codec = SZCompressor(SZConfig(predictor="interp"))
+    symbols, outliers, counts = codec._prepare_symbols([field], [eb_abs], TimingRecord())
+    table = HuffmanCodec.from_counts(counts[0], max_len=codec.config.max_code_len)
+    encoded = encode_many([table], symbols, block_size=codec.config.block_size)[0]
+    ops["sz_lossless_interp"] = op_entry(
+        time_op(lambda: codec._payload_sections(table, encoded, outliers[0]), repeats),
+        field.size,
+        len(encoded.payload) + table.lengths.nbytes,
     )
     ops.update(_brick_ops(scale, repeats))
     return ops
@@ -580,7 +595,7 @@ GROUP_OPS = {
     ),
     "blocks": ("gather_blocks", "scatter_blocks", "block_counts"),
     "sz": tuple(f"sz_{op}_{p}" for op in ("compress", "decompress") for p in ("interp", "lorenzo"))
-    + ("sz_quantize", "sz_predict")
+    + ("sz_quantize", "sz_predict", "sz_lossless_interp")
     + tuple(f"sz_compress_{how}_bricks" for how in ("many", "loop"))
     + ("sz_compress_many_bricks_recon",)
     + tuple(

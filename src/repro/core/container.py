@@ -54,6 +54,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.amr.hierarchy import AMRLevel
+from repro.sz import lossless
 from repro.utils.timer import TimingRecord
 
 _MAGIC = b"RPAM"
@@ -142,11 +143,10 @@ def pack_mask(mask: np.ndarray, level: int = 1) -> bytes:
 
 def inflate_mask(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
     """The packed bits of a :func:`pack_mask` payload (read-only uint8, C
-    scan order, most significant bit first), checked to cover ``shape``."""
-    packed = np.frombuffer(zlib.decompress(payload), dtype=np.uint8)
-    if 8 * packed.size < int(np.prod(shape)):
-        raise ValueError("mask payload shorter than the declared shape")
-    return packed
+    scan order, most significant bit first), checked to be exactly the
+    ``ceil(cells / 8)`` bytes of ``shape`` — and never inflated past them."""
+    nbytes = -(-int(np.prod(shape)) // 8)
+    return np.frombuffer(lossless.decompress_bytes(lossless.CODEC_ZLIB, payload, nbytes), np.uint8)
 
 
 def unpack_mask_box(packed: np.ndarray, shape: tuple[int, int, int], box) -> np.ndarray:

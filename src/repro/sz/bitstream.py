@@ -28,6 +28,11 @@ import numpy as np
 _PEEK_PAD = 4
 
 
+def packed_nbytes(total_bits: int) -> int:
+    """Length of the :func:`pack_codes` buffer of a ``total_bits``-bit stream."""
+    return -(-total_bits // 8) + _PEEK_PAD
+
+
 def pack_codes(
     codes: np.ndarray, lengths: np.ndarray
 ) -> tuple[bytes, int] | tuple[list[bytes], list[int]]:

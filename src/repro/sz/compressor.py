@@ -12,8 +12,9 @@ Pipeline (mirrors SZ's predict → quantize → Huffman → lossless):
 4. **Entropy coding** — residuals inside ``[-radius, radius)`` become
    Huffman symbols; the rare rest go through an escape symbol with exact
    values stored in an outlier section (SZ's "unpredictable data").
-5. **Lossless back end** — DEFLATE over the bit stream and side sections
-   whenever it pays off.
+5. **Lossless back end** — run-length DEFLATE over the bit stream and the
+   code table, LZ77 DEFLATE over the side sections, each whenever it pays
+   off (:mod:`repro.sz.lossless`).
 
 Point-wise-relative mode wraps the same pipeline in a log transform: the
 magnitudes are compressed with an absolute bound of ``ln(1 + eb)`` in log
@@ -43,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.sz import lossless, stream
+from repro.sz.bitstream import packed_nbytes
 from repro.sz.huffman import (
     DEFAULT_MAX_LEN,
     HuffmanCodec,
@@ -76,7 +78,11 @@ class SZConfig:
         Cap on Huffman codeword length (the decode table has
         ``2**longest_code`` entries, so at most ``2**max_code_len``).
     zlib_level:
-        DEFLATE effort for the lossless back end (0 disables it).
+        DEFLATE level of the LZ77-coded sections — block offsets,
+        outliers, the eb == 0 raw array and the pw_rel sign/zero masks —
+        floored at 1 (those sections are always DEFLATEd).  The Huffman
+        payload and code-length table go through run-length DEFLATE,
+        which has no level; ``0`` stores the payload raw instead.
     block_size:
         Huffman decode block length, an integer ``>= 1``; ``None`` picks
         ``~sqrt(n)``.
@@ -275,7 +281,7 @@ def _decode_members(members: list[_Member], timings: TimingRecord | None) -> lis
         if header.flags & stream.FLAG_EMPTY:
             return [np.zeros(header.shape, dtype=header.dtype)]
         codec, payload = first.parsed.section(stream.SEC_RAW)
-        raw = lossless.decompress_bytes(codec, payload)
+        raw = lossless.decompress_bytes(codec, payload, header.size * header.dtype.itemsize)
         return [np.frombuffer(raw, dtype=header.dtype).reshape(header.shape).copy()]
     values = _decode_lattices(members, timings)
     alone = len(members) == 1
@@ -295,14 +301,12 @@ def _undo_log_transform(parsed: stream.Stream, values: np.ndarray) -> np.ndarray
     """pw_rel post-transform: log-space magnitudes → signed values."""
     header = parsed.header
     n = values.size
-    codec, payload = parsed.section(stream.SEC_SIGNS)
-    signs = np.unpackbits(
-        np.frombuffer(lossless.decompress_bytes(codec, payload), dtype=np.uint8)
-    )[:n].astype(bool)
-    codec, payload = parsed.section(stream.SEC_ZERO_MASK)
-    zeros = np.unpackbits(
-        np.frombuffer(lossless.decompress_bytes(codec, payload), dtype=np.uint8)
-    )[:n].astype(bool)
+
+    def mask(tag: int) -> np.ndarray:
+        raw = lossless.decompress_bytes(*parsed.section(tag), -(-n // 8))
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n].astype(bool)
+
+    signs, zeros = mask(stream.SEC_SIGNS), mask(stream.SEC_ZERO_MASK)
     return _from_log_space(values, signs, zeros).reshape(header.shape).astype(header.dtype)
 
 
@@ -325,19 +329,24 @@ def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
         codecs, encoded = [], []
         n_blocks = -(-n_symbols // block_size) if n_symbols else 0
         for member in members:
-            parsed = member.parsed
-            codec_tag, payload = parsed.section(stream.SEC_CODE_LENGTHS)
-            lengths = np.frombuffer(lossless.decompress_bytes(codec_tag, payload), dtype=np.uint8)
+            parsed, total_bits = member.parsed, member.meta["total_bits"]
+            # Every section is inflated to exactly the size the meta implies.
+            alphabet = 2 * member.meta["radius"] + 1
+            lengths = lossless.decompress_bytes(*parsed.section(stream.SEC_CODE_LENGTHS), alphabet)
             # Shared LRU codec: the hundreds of per-group streams in one TAC
             # blob frequently repeat code-length tables.
-            codecs.append(HuffmanCodec.cached(lengths, member.meta["max_len"]))
+            codecs.append(
+                HuffmanCodec.cached(np.frombuffer(lengths, dtype=np.uint8), member.meta["max_len"])
+            )
             codec_tag, payload = parsed.section(stream.SEC_BLOCK_OFFSETS)
             deltas = lossless.unpack_int_array(codec_tag, payload, np.int64, n_blocks)
             codec_tag, payload = parsed.section(stream.SEC_PAYLOAD)
             encoded.append(
                 HuffmanEncoded(
-                    payload=lossless.decompress_bytes(codec_tag, payload),
-                    total_bits=member.meta["total_bits"],
+                    payload=lossless.decompress_bytes(
+                        codec_tag, payload, packed_nbytes(total_bits)
+                    ),
+                    total_bits=total_bits,
                     block_offsets=np.cumsum(deltas),
                     n_symbols=n_symbols,
                     block_size=block_size,
@@ -639,8 +648,11 @@ class SZCompressor:
         return sections, int(outliers[0].size)
 
     def _payload_sections(self, codec: HuffmanCodec, encoded: HuffmanEncoded, outliers: np.ndarray):
+        """A lattice stream's sections, each through the coder
+        :mod:`repro.sz.lossless` names for its kind: run-length DEFLATE for
+        the Huffman table and payload, LZ77 DEFLATE for the side sections."""
         level = self.config.zlib_level
-        c, p = lossless.compress_bytes(codec.lengths.tobytes(), level=max(level, 1))
+        c, p = lossless.compress_runs(codec.lengths.tobytes())
         sections: list[tuple[int, int, bytes]] = [(stream.SEC_CODE_LENGTHS, c, p)]
         # Offsets are monotone; delta encoding makes them byte-cheap.
         deltas = encoded.block_offsets.astype(np.int64)
@@ -648,7 +660,7 @@ class SZCompressor:
         c, p = lossless.pack_int_array(deltas, level=max(level, 1))
         sections.append((stream.SEC_BLOCK_OFFSETS, c, p))
         if level > 0:
-            c, p = lossless.compress_bytes(encoded.payload, level=level)
+            c, p = lossless.compress_runs(encoded.payload)
         else:
             c, p = lossless.CODEC_RAW, encoded.payload
         sections.append((stream.SEC_PAYLOAD, c, p))

@@ -5,6 +5,40 @@ side information losslessly.  We use :mod:`zlib` from the standard library —
 same role, DEFLATE instead of zstd — behind a tiny codec-tagged interface so
 the container can record *which* transform produced each section and so a
 "store raw" fallback is always available when DEFLATE does not pay off.
+
+Which DEFLATE each section gets is fixed per section kind, in code:
+
+* **Huffman payload and code-length table** — :func:`compress_runs`,
+  DEFLATE in zlib's run-length mode (``Z_RLE``: matches at distance 1
+  only).  Huffman output has no repeats for LZ77's match search to find,
+  only runs (of zero bytes at loose bounds), and a code-length table is
+  runs of equal lengths.
+* **Everything else** (block offsets, outliers, the eb == 0 raw array,
+  the pw_rel sign and zero masks) — :func:`compress_bytes`, level-1
+  DEFLATE with the full LZ77 search: these do repeat at distances > 1.
+
+Both write ordinary zlib streams, recorded as :data:`CODEC_ZLIB`, so one
+inflate reads every section either writer ever produced.  Measured on the
+``snap_dense`` data (Run1_Z3 at scale 4, eb 1e-4 rel; times on one core of
+a 2-vCPU Intel Xeon VM), bytes after each coder:
+
+=================  =========  =======================  =====================
+section            raw        level 1 (LZ77)           ``Z_RLE``
+=================  =========  =======================  =====================
+Huffman payload    959 103    927 715 (23.5 ms)        936 495 (9.4 ms)
+code lengths        81 930      2 830                    2 059
+block offsets       36 192     10 175                   11 765
+=================  =========  =======================  =====================
+
+At eb 1e-2 run-length mode is also the *smaller* payload (39 704 vs 51 578
+bytes).  On the 16³ bricks of a 3-step ingest series of the same data
+(eb 1e-4) the code-length tables come to 159 299 bytes under level 1 and
+103 474 under run-length mode.
+
+Every inflate is bounded by the size the stream's header and codec record
+imply (:func:`decompress_bytes`), so a section that inflates past it — a
+DEFLATE bomb — fails after at most that many bytes, not after the
+allocation it asks for.
 """
 
 from __future__ import annotations
@@ -20,6 +54,13 @@ CODEC_ZLIB = 1
 _CODEC_NAMES = {CODEC_RAW: "raw", CODEC_ZLIB: "zlib"}
 
 
+def _smaller(data: bytes, packed: bytes, allow_raw: bool) -> tuple[int, bytes]:
+    """The raw fallback: ``data`` itself when DEFLATE would not shrink it."""
+    if allow_raw and len(packed) >= len(data):
+        return CODEC_RAW, data
+    return CODEC_ZLIB, packed
+
+
 def compress_bytes(data: bytes, *, level: int = 1, allow_raw: bool = True) -> tuple[int, bytes]:
     """Compress ``data`` with DEFLATE; fall back to raw if it would grow.
 
@@ -27,19 +68,46 @@ def compress_bytes(data: bytes, *, level: int = 1, allow_raw: bool = True) -> tu
     """
     if level < 0 or level > 9:
         raise ValueError(f"zlib level must be in [0, 9], got {level}")
-    packed = zlib.compress(data, level)
-    if allow_raw and len(packed) >= len(data):
-        return CODEC_RAW, data
-    return CODEC_ZLIB, packed
+    return _smaller(data, zlib.compress(data, level), allow_raw)
 
 
-def decompress_bytes(codec: int, payload: bytes) -> bytes:
-    """Invert :func:`compress_bytes` given the recorded codec tag."""
+def compress_runs(data: bytes) -> tuple[int, bytes]:
+    """DEFLATE ``data`` in run-length mode (``Z_RLE``); raw if it would grow.
+
+    The output is an ordinary zlib stream (the DEFLATE level does not
+    change run-length output, so there is none to choose).  Returns
+    ``(codec_tag, payload)`` like :func:`compress_bytes`.
+    """
+    packer = zlib.compressobj(1, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE)
+    return _smaller(data, packer.compress(data) + packer.flush(), True)
+
+
+def _inflate(codec: int, payload: bytes, cap: int) -> bytes:
+    """The section's bytes; a DEFLATE section is inflated to at most
+    ``cap + 1`` of them, so more than ``cap`` means an overrun."""
     if codec == CODEC_RAW:
         return payload
-    if codec == CODEC_ZLIB:
-        return zlib.decompress(payload)
-    raise ValueError(f"unknown lossless codec tag {codec!r}")
+    if codec != CODEC_ZLIB:
+        raise ValueError(f"unknown lossless codec tag {codec!r}")
+    inflater = zlib.decompressobj()
+    raw = inflater.decompress(payload, cap + 1)
+    if len(raw) <= cap and not inflater.eof:
+        raise ValueError("truncated DEFLATE section")
+    return raw
+
+
+def decompress_bytes(codec: int, payload: bytes, size: int) -> bytes:
+    """Invert :func:`compress_bytes` / :func:`compress_runs` given the
+    recorded codec tag and the ``size`` in bytes the stream implies.
+
+    A section of any other size raises ``ValueError``; a DEFLATE section is
+    never inflated past ``size + 1`` bytes.
+    """
+    raw = _inflate(codec, payload, size)
+    if len(raw) != size:
+        side = "longer" if len(raw) > size else "shorter"
+        raise ValueError(f"lossless section {side} than the {size} bytes expected")
+    return raw
 
 
 def codec_name(codec: int) -> str:
@@ -48,21 +116,26 @@ def codec_name(codec: int) -> str:
 
 
 def pack_int_array(arr: np.ndarray, *, level: int = 1) -> tuple[int, bytes]:
-    """Serialize an integer array compactly.
+    """Serialize an integer array: its native bytes through
+    :func:`compress_bytes`.
 
-    Values are delta-encoded when that shrinks the byte width (monotone
-    offset tables compress dramatically this way) and then DEFLATEd.  The
-    inverse is :func:`unpack_int_array`; dtype and length travel with the
-    container header, not here.
+    No transform is applied here; callers that want small values pass them
+    (the block offsets travel as deltas).  The inverse is
+    :func:`unpack_int_array`; dtype and length travel with the container
+    header, not here.
     """
     arr = np.ascontiguousarray(arr)
     return compress_bytes(arr.tobytes(), level=level)
 
 
 def unpack_int_array(codec: int, payload: bytes, dtype, count: int) -> np.ndarray:
-    """Invert :func:`pack_int_array` into ``count`` items of ``dtype``."""
-    raw = decompress_bytes(codec, payload)
-    out = np.frombuffer(raw, dtype=dtype)
-    if out.size != count:
-        raise ValueError(f"expected {count} items of {np.dtype(dtype)}, got {out.size}")
-    return out.copy()  # writable, detached from the input buffer
+    """Invert :func:`pack_int_array` into ``count`` items of ``dtype``
+    (inflating at most one byte past them)."""
+    dtype = np.dtype(dtype)
+    nbytes = count * dtype.itemsize
+    raw = _inflate(codec, payload, nbytes)
+    if len(raw) != nbytes:
+        overrun = codec == CODEC_ZLIB and len(raw) > nbytes  # inflate stopped early
+        got = f"more than {count}" if overrun else len(raw) // dtype.itemsize
+        raise ValueError(f"expected {count} items of {dtype}, got {got}")
+    return np.frombuffer(raw, dtype=dtype).copy()  # writable, detached from the input

@@ -300,12 +300,8 @@ def unpack_shared_table(blob: bytes) -> dict:
         raise ValueError(f"unsupported shared-table version {version}")
     if len(blob) != head_size + length:
         raise ValueError("truncated shared Huffman table")
-    raw = lossless.decompress_bytes(codec, blob[head_size:])
+    raw = lossless.decompress_bytes(codec, blob[head_size:], alphabet)
     lengths = np.frombuffer(raw, dtype=np.uint8)
-    if lengths.size != alphabet:
-        raise ValueError(
-            f"shared table stores {lengths.size} code lengths, header says {alphabet}"
-        )
     if shared_table_id(raw) != table_id:
         raise ValueError("shared Huffman table checksum mismatch (corrupt part)")
     return {

@@ -29,9 +29,20 @@ reference writers ``tests/helpers.py::legacy_archive_bytes`` around
 ``legacy_container_bytes`` — ``golden_batch_v3.rpbt`` + shards
 (sharded, container v3), ``golden_batch_v4.rpbt`` + shards and
 ``golden_entry_v4.rpam`` (container v4), and the v2-framed
-``golden_gsp_{legacy,bricks,shared}.rpbt`` — whose *part* bytes (GSP
-grid, brick table, shared Huffman table) stay writer-pinned by
+``golden_gsp_{legacy,bricks,shared}.rpbt`` — whose *parts* (GSP grid,
+brick table, shared Huffman table) stay writer-pinned by
 ``TestGoldenGSPFormats::test_writer_regenerates_fixture_parts``.
+
+Every frozen fixture was written while the SZ Huffman payload and code
+table were level-1 (LZ77) DEFLATE; the writer now codes them in run-length
+mode.  Both are ordinary zlib streams, so the frozen fixtures read as
+before, and they are the proof that LZ77-coded payloads stay readable:
+``golden_gsp_{legacy,bricks}`` are compared with a fresh compress section
+by section once inflated (``tests/helpers.py::assert_same_streams``), not
+byte for byte.  ``golden_gsp_shared``'s reference writer keeps level 1 and
+still matches byte for byte.  The two ingest fixtures above were
+re-emitted with run-length coded sections; each of their sections
+inflates to the bytes it held before.
 """
 
 from __future__ import annotations

@@ -415,12 +415,14 @@ class TestGoldenGSPFormats:
     the shared-table layout on top of it (one ``L<idx>/table`` part per
     level, ``SEC_TABLE_REF`` sections in every stream).  The library
     writes format 2 only; the format-1 and shared-table writers live on
-    as references in ``tests/helpers.py::retired_tac_layout``, which
-    reproduces those two fixtures byte for byte.  The JSON also records a
-    1/8-domain ROI read on the GSP level, so the partial-read *values*
-    are pinned for every format, not just the wire bytes.  The blobs are
-    v2-framed and frozen; the *parts* inside (GSP grid, brick table, RPHT
-    table) stay writer-pinned.
+    as references in ``tests/helpers.py::retired_tac_layout``.  The JSON
+    also records a 1/8-domain ROI read on the GSP level, so the
+    partial-read *values* are pinned for every format, not just the wire
+    bytes.  The blobs are v2-framed and frozen; the *parts* inside (GSP
+    grid, brick table, RPHT table) stay writer-pinned — the shared
+    fixture's byte for byte, the other two's SZ streams section by
+    section once inflated (they predate run-length DEFLATE of the Huffman
+    payload and table).
     """
 
     STEMS = ["golden_gsp_legacy", "golden_gsp_bricks", "golden_gsp_shared"]
@@ -453,9 +455,15 @@ class TestGoldenGSPFormats:
         the checked-in blob, in order, plus its metadata — the two retired
         layouts through their reference writers, so every fixture stays
         reproducible offline.  (Only the container framing around the
-        parts moved on from the fixture's v2.)"""
+        parts moved on from the fixture's v2.)
+
+        The shared fixture's parts come back byte for byte: its reference
+        writer re-codes every stream with level-1 DEFLATE, as the retired
+        writer did.  The other two were written when the Huffman payload
+        and table were LZ77-coded too, so their SZ streams are compared
+        section by section, inflated — the proof those still read."""
         from repro.core.container import CompressedDataset
-        from tests.helpers import golden_gsp_dataset, retired_tac_layout
+        from tests.helpers import assert_same_streams, golden_gsp_dataset, retired_tac_layout
 
         tac = self._codec(stem, expected_gsp)
         comp = retired_tac_layout(
@@ -466,7 +474,10 @@ class TestGoldenGSPFormats:
         stored = CompressedDataset.from_bytes(self._blob(stem))
         assert list(comp.parts) == list(stored.parts)
         for name in stored.parts:
-            assert comp.parts[name] == stored.parts[name], name
+            if stem.endswith("shared"):
+                assert comp.parts[name] == stored.parts[name], name
+            else:
+                assert_same_streams(comp.parts[name], stored.parts[name])
         assert comp.meta == stored.meta
         assert (comp.method, comp.original_bytes, comp.n_values) == (
             stored.method, stored.original_bytes, stored.n_values

@@ -14,10 +14,10 @@ import pytest
 from repro.core.plan import DecodeUnit, DecompressionPlan, decode_jobs, execute_plan
 from repro.core.tac import SharedTableResolver
 from repro.sz import compressor as sz_compressor
-from repro.sz import lossless, stream
+from repro.sz import stream
 from repro.sz.compressor import SZCompressor, stream_batches
 from repro.utils.timer import TimingRecord
-from tests.helpers import reserialize_stream, shared_table_streams, smooth_cube
+from tests.helpers import inflate_section, reserialize_stream, shared_table_streams, smooth_cube
 
 CODEC = SZCompressor()
 
@@ -147,18 +147,14 @@ def _bad_code_lengths(blob):
 
 
 def _bad_offsets(blob):
-    parsed = stream.parse(blob)
-    codec, payload = parsed.section(stream.SEC_BLOCK_OFFSETS)
-    raw = lossless.decompress_bytes(codec, payload)
+    raw = inflate_section(stream.parse(blob), stream.SEC_BLOCK_OFFSETS)
     return reserialize_stream(blob, {stream.SEC_BLOCK_OFFSETS: raw[:-8]})
 
 
 def _bad_payload(blob):
     # The victim is an all-zero brick: one symbol, one 1-bit code, so a
     # set payload bit peeks unassigned code space.
-    parsed = stream.parse(blob)
-    codec, payload = parsed.section(stream.SEC_PAYLOAD)
-    raw = bytearray(lossless.decompress_bytes(codec, payload))
+    raw = bytearray(inflate_section(stream.parse(blob), stream.SEC_PAYLOAD))
     raw[10] ^= 0x10
     return reserialize_stream(blob, {stream.SEC_PAYLOAD: bytes(raw)})
 
@@ -168,8 +164,7 @@ def _flipped_payload_byte(blob):
     # only its block end offsets catch the flip.  This one desyncs its lane
     # to the block's end (about a third of single-byte flips on these
     # bricks do; the rest re-synchronise and decode wrong silently).
-    parsed = stream.parse(blob)
-    raw = bytearray(lossless.decompress_bytes(*parsed.section(stream.SEC_PAYLOAD)))
+    raw = bytearray(inflate_section(stream.parse(blob), stream.SEC_PAYLOAD))
     raw[len(raw) // 2] ^= 0xFF
     return reserialize_stream(blob, {stream.SEC_PAYLOAD: bytes(raw)})
 

@@ -1,9 +1,17 @@
 """Unit tests for the container stream format and the lossless back end."""
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sz import lossless, stream
+from repro.core.container import inflate_mask, pack_mask
+from repro.sim.nyx import generate_field
+from repro.sz import SZCompressor, lossless, stream
+from tests.helpers import inflate_section
 
 
 class TestLossless:
@@ -11,24 +19,24 @@ class TestLossless:
         data = b"abc" * 1000
         codec, payload = lossless.compress_bytes(data, level=1)
         assert codec == lossless.CODEC_ZLIB
-        assert lossless.decompress_bytes(codec, payload) == data
+        assert lossless.decompress_bytes(codec, payload, len(data)) == data
 
     def test_raw_fallback_for_incompressible(self, rng):
         data = rng.integers(0, 256, size=256, dtype=np.uint8).tobytes()
         codec, payload = lossless.compress_bytes(data, level=1)
         if codec == lossless.CODEC_RAW:
             assert payload == data
-        assert lossless.decompress_bytes(codec, payload) == data
+        assert lossless.decompress_bytes(codec, payload, len(data)) == data
 
     def test_raw_disallowed(self, rng):
         data = rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
         codec, payload = lossless.compress_bytes(data, level=1, allow_raw=False)
         assert codec == lossless.CODEC_ZLIB
-        assert lossless.decompress_bytes(codec, payload) == data
+        assert lossless.decompress_bytes(codec, payload, len(data)) == data
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            lossless.decompress_bytes(99, b"")
+            lossless.decompress_bytes(99, b"", 0)
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError, match="level"):
@@ -157,3 +165,207 @@ class TestStreamFormat:
                 radius=1, max_len=2, block_size=3, total_bits=4, n_symbols=5,
                 n_outliers=6, predictor="nope",
             )
+
+
+class TestRunLengthCoder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=600),
+            # Runs of a few byte values: what Huffman payloads at loose
+            # bounds and code-length tables look like.
+            st.lists(
+                st.tuples(st.integers(0, 3), st.integers(1, 300)), max_size=40
+            ).map(lambda runs: b"".join(bytes([v]) * n for v, n in runs)),
+        )
+    )
+    def test_roundtrip_and_raw_fallback(self, data):
+        codec, payload = lossless.compress_runs(data)
+        assert lossless.decompress_bytes(codec, payload, len(data)) == data
+        packer = zlib.compressobj(1, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE)
+        packed = packer.compress(data) + packer.flush()
+        if len(packed) >= len(data):
+            assert (codec, payload) == (lossless.CODEC_RAW, data)
+        else:
+            assert (codec, payload) == (lossless.CODEC_ZLIB, packed)
+
+    def test_incompressible_input_is_stored_raw(self, rng):
+        data = rng.integers(0, 256, size=4096, dtype=np.uint8).tobytes()
+        assert lossless.compress_runs(data) == (lossless.CODEC_RAW, data)
+
+    def test_output_is_a_plain_zlib_stream(self):
+        data = bytes(5000) + b"\x07" * 3000
+        codec, payload = lossless.compress_runs(data)
+        assert codec == lossless.CODEC_ZLIB and zlib.decompress(payload) == data
+
+
+class TestBoundedInflate:
+    """Every inflate stops one byte past the size the stream implies."""
+
+    def test_exact_size_passes_and_any_other_raises(self):
+        data = b"\x01\x02" * 500
+        for codec, payload in (lossless.compress_bytes(data), (lossless.CODEC_RAW, data)):
+            assert lossless.decompress_bytes(codec, payload, len(data)) == data
+            with pytest.raises(ValueError, match="longer than the 999 bytes"):
+                lossless.decompress_bytes(codec, payload, 999)
+            with pytest.raises(ValueError, match="shorter than the 1001 bytes"):
+                lossless.decompress_bytes(codec, payload, 1001)
+
+    def test_truncated_deflate_section_raises(self):
+        data = bytes(range(256)) * 8
+        _codec, payload = lossless.compress_bytes(data, allow_raw=False)
+        with pytest.raises(ValueError, match="truncated"):
+            lossless.decompress_bytes(lossless.CODEC_ZLIB, payload[:-2], len(data))
+
+    def test_int_array_overrun_names_the_count(self):
+        codec, payload = lossless.pack_int_array(np.zeros(100, dtype=np.int64))
+        with pytest.raises(ValueError, match="expected 10 items of int64, got more than 10"):
+            lossless.unpack_int_array(codec, payload, np.int64, 10)
+
+
+#: Inflated bytes of the DEFLATE bombs below (zeros: about 1000:1).
+BOMB_BYTES = 64 << 20
+
+
+@pytest.fixture(scope="module")
+def bomb() -> bytes:
+    packer = zlib.compressobj(1, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE)
+    chunk = bytes(1 << 20)
+    return b"".join(packer.compress(chunk) for _ in range(BOMB_BYTES >> 20)) + packer.flush()
+
+
+def _with_section(blob: bytes, tag: int, payload: bytes) -> bytes:
+    parsed = stream.parse(blob)
+    sections = [
+        (t, *((lossless.CODEC_ZLIB, payload) if t == tag else section))
+        for t, section in parsed.sections.items()
+    ]
+    return stream.serialize(parsed.header, sections)
+
+
+def _peak_while_raising(fn) -> int:
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDeflateBomb:
+    """A section that inflates to far more than its stream implies fails
+    after at most that many bytes, not after the allocation it asks for."""
+
+    @pytest.fixture(scope="class")
+    def blobs(self) -> dict:
+        cube = generate_field("baryon_density", 16, seed=3)
+        eb = 1e-3 * float(np.ptp(cube))
+        spiked = cube.copy()
+        spiked[0, 0, 0] += 1e5 * eb  # an escape-coded residual: an outlier section
+        signed = cube - np.median(cube)
+        signed[:2] = 0.0
+        codec = SZCompressor()
+        return {
+            "lattice": codec.compress(spiked, eb, "abs"),
+            "raw": codec.compress(cube, 0.0, "abs"),
+            "pw_rel": codec.compress(signed, 1e-2, "pw_rel"),
+        }
+
+    @pytest.mark.parametrize(
+        "kind, tag",
+        [
+            ("lattice", stream.SEC_PAYLOAD),
+            ("lattice", stream.SEC_CODE_LENGTHS),
+            ("lattice", stream.SEC_BLOCK_OFFSETS),
+            ("lattice", stream.SEC_OUTLIERS),
+            ("raw", stream.SEC_RAW),
+            ("pw_rel", stream.SEC_SIGNS),
+            ("pw_rel", stream.SEC_ZERO_MASK),
+        ],
+    )
+    def test_bomb_section_raises_within_a_small_peak(self, blobs, bomb, kind, tag):
+        blob = blobs[kind]
+        assert tag in stream.parse(blob).sections
+        hostile = _with_section(blob, tag, bomb)
+        assert len(hostile) < BOMB_BYTES // 200
+        assert _peak_while_raising(lambda: SZCompressor().decompress(hostile)) < 16e6
+
+    def test_bomb_mask_raises_within_a_small_peak(self, bomb):
+        assert _peak_while_raising(lambda: inflate_mask(bomb, (16, 16, 16))) < 16e6
+
+    def test_mask_of_another_shape_raises(self):
+        payload = pack_mask(np.ones((8, 8, 8), dtype=bool))
+        assert inflate_mask(payload, (8, 8, 8)).nbytes == 64
+        with pytest.raises(ValueError, match="longer"):
+            inflate_mask(payload, (4, 4, 4))
+        with pytest.raises(ValueError, match="shorter"):
+            inflate_mask(payload, (8, 8, 9))
+
+
+def _recoded(tag: int, raw: bytes) -> tuple[int, bytes]:
+    """What the coder ``repro.sz.lossless`` names for section kind ``tag``
+    makes of ``raw``: run-length DEFLATE for the Huffman payload and table,
+    level-1 LZ77 for every other section, SEC_META stored as is."""
+    if tag == stream.SEC_META:
+        return lossless.CODEC_RAW, raw
+    if tag in (stream.SEC_PAYLOAD, stream.SEC_CODE_LENGTHS):
+        return lossless.compress_runs(raw)
+    return lossless.compress_bytes(raw, level=1)
+
+
+class TestSectionCoderPolicy:
+    """Recoding every inflated section with its kind's coder gives back the
+    blob's own bytes: the per-kind rule is what the writer does."""
+
+    @pytest.fixture(scope="class")
+    def field(self) -> np.ndarray:
+        return generate_field("baryon_density", 64, seed=5)
+
+    def assert_policy(self, blobs) -> set:
+        seen = set()
+        for blob in blobs:
+            parsed = stream.parse(blob)
+            for tag, section in parsed.sections.items():
+                assert _recoded(tag, inflate_section(parsed, tag)) == section, tag
+                seen.add(tag)
+        return seen
+
+    def test_real_64_cubed_streams(self, field):
+        signed = field - np.median(field)
+        signed[:4] = 0.0
+        codec = SZCompressor()
+        seen = self.assert_policy(
+            [
+                codec.compress(field, 1e-4, "rel"),
+                codec.compress(field, 1e-2, "rel"),
+                SZCompressor(predictor="lorenzo").compress(field, 1e-4, "rel"),
+                codec.compress(signed, 1e-3, "pw_rel"),
+                codec.compress(field, 0.0, "abs"),
+            ]
+        )
+        assert seen == {
+            stream.SEC_CODE_LENGTHS, stream.SEC_BLOCK_OFFSETS, stream.SEC_PAYLOAD,
+            stream.SEC_OUTLIERS, stream.SEC_RAW, stream.SEC_SIGNS,
+            stream.SEC_ZERO_MASK, stream.SEC_META,
+        }
+
+    def test_batch_of_16_cubed_bricks(self, field):
+        bricks = [
+            field[x : x + 16, y : y + 16, z : z + 16]
+            for x in range(0, 64, 16)
+            for y in range(0, 64, 16)
+            for z in range(0, 64, 16)
+        ]
+        eb = 1e-3 * float(np.ptp(field))
+        bricks[0] = bricks[0].copy()
+        bricks[0][0, 0, 0] += 1e5 * eb  # one brick with an outlier section
+        blobs = SZCompressor().compress_many(bricks, eb, "abs")
+        seen = self.assert_policy(blobs)
+        assert {
+            stream.SEC_CODE_LENGTHS, stream.SEC_BLOCK_OFFSETS, stream.SEC_PAYLOAD,
+            stream.SEC_OUTLIERS,
+        } <= seen
+        # At this bound some brick payloads pay for DEFLATE and some do not.
+        codecs = {stream.parse(blob).sections[stream.SEC_PAYLOAD][0] for blob in blobs}
+        assert codecs == {lossless.CODEC_RAW, lossless.CODEC_ZLIB}
