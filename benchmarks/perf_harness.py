@@ -438,7 +438,10 @@ def _brick_ops(scale: int, repeats: int) -> dict:
 
 
 def _codec_ops(scale: int, repeats: int) -> dict:
-    """Compress / decompress / preprocess per registered paper codec."""
+    """Compress / decompress / preprocess per registered paper codec, on
+    Run1_Z3; plus TAC on Run2_T2 (``*_sparse``: a finest level at 0.2 %
+    density in OpST blocks over a dense GSP one), where a cost that follows
+    the bounding grid instead of the stored blocks shows."""
     from repro.engine.registry import get_codec
     from repro.sim.datasets import make_dataset
     from repro.utils.timer import TimingRecord
@@ -462,6 +465,16 @@ def _codec_ops(scale: int, repeats: int) -> dict:
     record = TimingRecord()
     get_codec("tac").compress(dataset, 1e-4, mode="rel", timings=record)
     ops["tac_preprocess"] = op_entry(record.get("preprocess"), n_values, nbytes)
+    sparse = make_dataset("Run2_T2", scale=scale)
+    tac = get_codec("tac")
+    comp = tac.compress(sparse, 1e-4, mode="rel")
+    for op, fn in (
+        ("compress", lambda: tac.compress(sparse, 1e-4, mode="rel")),
+        ("decompress", lambda: tac.decompress(comp)),
+    ):
+        ops[f"tac_{op}_sparse"] = op_entry(
+            time_op(fn, repeats), sparse.total_points(), sparse.original_bytes()
+        )
     return ops
 
 
@@ -469,7 +482,8 @@ def _preprocess_ops(scale: int, repeats: int) -> dict:
     """The two pre-process calls of a TAC compress of Run1_Z3, in isolation:
     ``gsp_pad`` on the dense finest level (L0), ``opst_extract`` on the
     sparse coarse one (L1) — the paper's Fig. 13 quantity per strategy,
-    with the arguments ``TACCompressor._compress_level`` passes."""
+    with the arguments ``TACCompressor._preprocess`` passes (the level's
+    own data and mask)."""
     from repro.core.gsp import gsp_pad
     from repro.core.opst import opst_extract
     from repro.core.tac import default_unit_block
@@ -478,12 +492,11 @@ def _preprocess_ops(scale: int, repeats: int) -> dict:
     dense, sparse = make_dataset("Run1_Z3", scale=scale).levels[:2]
     ops = {}
     for name, fn, lvl in (("gsp_pad", gsp_pad, dense), ("opst_extract", opst_extract, sparse)):
-        data = lvl.masked_data()
         block = default_unit_block(lvl.n)
         ops[name] = op_entry(
-            time_op(lambda: fn(data, lvl.mask, block), repeats),
+            time_op(lambda: fn(lvl.data, lvl.mask, block), repeats),
             lvl.n_points(),
-            lvl.n_points() * data.dtype.itemsize,
+            lvl.n_points() * lvl.data.dtype.itemsize,
         )
     return ops
 
@@ -603,7 +616,7 @@ GROUP_OPS = {
     ),
     "codecs": tuple(
         f"{c}_{op}" for c in ("tac", "1d", "zmesh", "3d") for op in ("compress", "decompress")
-    ) + ("tac_preprocess",),
+    ) + ("tac_preprocess", "tac_compress_sparse", "tac_decompress_sparse"),
     "preprocess": ("gsp_pad", "opst_extract"),
     "ingest": ("tac_compress_iter", "ingest_session_delta"),
     "container": ("container_roundtrip_bricked",),

@@ -68,7 +68,7 @@ class AMRLevel:
 
     def density(self) -> float:
         """Fraction of this level's cells stored here (Table 1's density)."""
-        return float(self.mask.mean()) if self.mask.size else 0.0
+        return self.n_points() / self.mask.size if self.mask.size else 0.0
 
     def n_points(self) -> int:
         """Number of values stored at this level."""
@@ -79,7 +79,9 @@ class AMRLevel:
         return self.data[self.mask]
 
     def masked_data(self) -> np.ndarray:
-        """``data`` with non-stored cells forced to zero (codec input)."""
+        """A level-sized copy of ``data`` with non-stored cells forced to
+        zero (the up-sampled view's input).  Codecs do not need it: the TAC
+        strategies read ``data`` as it is and zero what they keep."""
         return np.where(self.mask, self.data, self.data.dtype.type(0))
 
 

@@ -31,7 +31,6 @@ from repro.core.blocks import (
     box_count,
     canonical_orientation,
     collect_blocks,
-    gather_blocks,
     integral_image,
 )
 
@@ -139,22 +138,22 @@ def _choose_axis(table: np.ndarray, origin, shape) -> int:
 
 
 def akdtree_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockExtraction:
-    """Full AKDTree pre-process: plan full leaves and gather them by shape."""
+    """Full AKDTree pre-process: plan full leaves and gather them by shape.
+
+    ``data`` may hold anything outside ``mask``: each gathered leaf is
+    zeroed there (:meth:`~repro.core.blocks.LevelBlocks.gather`).
+    """
     blocks = collect_blocks(data, mask, block_size)
     block_size = blocks.block_size
-    padded, occ = blocks.data, blocks.occ
+    occ = blocks.occ
     leaves = akdtree_plan(occ)
-    # The k-d grid may be padded beyond the data grid; leaves are clipped by
-    # construction (padding blocks are empty, and empty leaves are dropped),
-    # but their coordinates can still exceed the data padding, so size the
-    # scatter grid to the k-d extent.
+    # The k-d grid is padded to a power-of-two cube of blocks, and the
+    # extraction records that extent as its (scatter) grid.  The leaves
+    # need no grown copy of the level to be gathered from: a full leaf
+    # holds occupied blocks only, and padding blocks are empty, so every
+    # leaf lies inside the level's own block grid.
     kd_side = _next_pow2(max(occ.shape)) * block_size if occ.size else block_size
-    grid_shape = tuple(max(kd_side, dim) for dim in padded.shape)
-    if grid_shape != padded.shape:
-        grown = np.zeros(grid_shape, dtype=padded.dtype)
-        grown[: padded.shape[0], : padded.shape[1], : padded.shape[2]] = padded
-        padded = grown
-    extraction = blocks.extraction(padded.shape)
+    extraction = blocks.extraction(tuple(max(kd_side, dim) for dim in blocks.data.shape))
     if not leaves:
         return extraction
     grouped: dict[tuple[int, int, int], list[tuple[tuple[int, int, int], int]]] = {}
@@ -166,7 +165,7 @@ def akdtree_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> Bloc
     for canonical, entries in sorted(grouped.items()):
         origins = np.asarray([e[0] for e in entries], dtype=np.int32)
         perm_ids = np.asarray([e[1] for e in entries], dtype=np.uint8)
-        extraction.groups[canonical] = gather_blocks(padded, origins, canonical, perm_ids)
+        extraction.groups[canonical] = blocks.gather(origins, canonical, perm_ids)
         extraction.coords[canonical] = origins
         extraction.perms[canonical] = perm_ids
     return extraction

@@ -82,14 +82,28 @@ def block_occupancy(mask: np.ndarray, block: int) -> np.ndarray:
     return block_counts(mask, block) > 0
 
 
+def masked_grid(data: np.ndarray, mask: np.ndarray, block: int) -> np.ndarray:
+    """``data`` zeroed outside ``mask`` and zero-padded to whole unit
+    blocks, in a new C-ordered array — one pass, whatever ``data`` holds
+    outside the mask."""
+    block = check_positive_int(block, name="block")
+    grid = np.zeros(tuple(dim + (-dim) % block for dim in data.shape), dtype=data.dtype)
+    np.copyto(grid[tuple(slice(0, dim) for dim in data.shape)], data, where=mask)
+    return grid
+
+
 @dataclass(frozen=True)
 class LevelBlocks:
     """One level on its unit-block grid — the pre-collection every strategy
     (GSP, NaST, OpST, AKDTree) starts from, made in one pass per level.
 
     ``data`` and ``mask`` are zero-padded to whole unit blocks (the arrays
-    passed in, not copies, when the level already is); ``occ`` is the
-    occupancy grid, True where a block holds any valid cell.
+    passed in, not copies, when the level already is — so ``data`` may hold
+    anything outside the mask, unless collected ``masked``); ``occ`` is the
+    occupancy grid, True where a block holds any valid cell; ``partial``
+    tells whether an occupied block also holds a cell outside the mask
+    (padding included) — when none does, as on a mask refined block by
+    block, every block a strategy gathers is valid throughout.
     """
 
     block_size: int
@@ -97,6 +111,7 @@ class LevelBlocks:
     data: np.ndarray
     mask: np.ndarray
     occ: np.ndarray
+    partial: bool
 
     def extraction(self, padded_shape: tuple[int, int, int] | None = None) -> "BlockExtraction":
         """An empty extraction over this level's (default: padded) grid."""
@@ -106,20 +121,51 @@ class LevelBlocks:
             block_size=self.block_size,
         )
 
+    def gather(
+        self,
+        origins: np.ndarray,
+        shape: tuple[int, int, int],
+        perm_ids: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """:func:`gather_blocks` of the level's occupied blocks, zero
+        outside its mask: the mask is gathered with the same origins and
+        perms, so only the cells of the blocks are ever masked, never the
+        level (and nothing is, when no occupied block is ``partial``)."""
+        values = gather_blocks(self.data, origins, shape, perm_ids)
+        if self.partial:
+            valid = gather_blocks(self.mask, origins, shape, perm_ids)
+            np.putmask(values, ~valid, 0)
+        return values
 
-def collect_blocks(data: np.ndarray, mask: np.ndarray, block_size: int) -> LevelBlocks:
+
+def collect_blocks(
+    data: np.ndarray, mask: np.ndarray, block_size: int, *, masked: bool = False
+) -> LevelBlocks:
     """Pre-collect a level: pad to whole unit blocks, count the valid cells
-    of each, derive occupancy."""
+    of each, derive occupancy.
+
+    ``masked=True`` collects :func:`masked_grid` — a new array, zero
+    outside the mask, for a strategy that writes its grid (GSP, ZF) —
+    instead of the level's own values.
+    """
     block_size = check_positive_int(block_size, name="block_size")
     if data.shape != mask.shape:
         raise ValueError("data and mask shapes differ")
-    mask = pad_to_blocks(np.asarray(mask, dtype=bool), block_size)
+    mask = np.asarray(mask, dtype=bool)
+    if masked:
+        values = masked_grid(data, mask, block_size)
+    else:
+        values = pad_to_blocks(np.asarray(data), block_size)
+    mask = pad_to_blocks(mask, block_size)
+    counts = block_counts(mask, block_size)
+    occ = counts > 0
     return LevelBlocks(
         block_size=block_size,
         orig_shape=data.shape,
-        data=pad_to_blocks(np.asarray(data), block_size),
+        data=values,
         mask=mask,
-        occ=block_occupancy(mask, block_size),
+        occ=occ,
+        partial=bool((occ & (counts < block_size**3)).any()),
     )
 
 
@@ -205,46 +251,16 @@ class BlockExtraction:
         """Scatter one group's sub-blocks (optionally a subset) into ``out``.
 
         ``indices`` restricts the scatter to selected blocks and ``offset``
-        is the padded-grid cell ``out[0, 0, 0]`` stands for — a box read
-        places only the blocks meeting the box, in a window just large
-        enough to hold them.
-
-        Small sub-blocks sharing an orientation are scattered together
-        through one batched fancy-indexed assignment (sub-blocks are
-        disjoint by construction, so write order within a batch is
-        immaterial); memcpy-bound large blocks keep the per-block slice
-        loop (see :data:`_BATCH_VOLUME_LIMIT`).  Only AKDTree groups with
-        mixed orientations need more than one batch; NaST/OpST cube groups
-        always take the single identity-perm pass.
+        is the padded-grid cell ``out[0, 0, 0]`` stands for (see
+        :func:`scatter_blocks`).
         """
-        origin = np.asarray(self.coords[shape], dtype=np.int64) - np.asarray(offset)
-        perm_ids = np.asarray(self.perms[shape])
-        if indices is None:
-            selected = np.arange(stacked.shape[0], dtype=np.int64)
-        else:
-            selected = np.asarray(indices, dtype=np.int64).ravel()
-        if selected.size == 0:
-            return
-        if int(np.prod(shape)) >= _BATCH_VOLUME_LIMIT or selected.size == 1:
-            for idx in selected:
-                idx = int(idx)
-                block = stacked[idx]
-                perm = AXIS_PERMS[int(perm_ids[idx])]
-                if perm != (0, 1, 2):
-                    block = block.transpose(invert_perm(perm))
-                x, y, z = (int(v) for v in origin[idx])
-                sx, sy, sz = block.shape
-                out[x : x + sx, y : y + sy, z : z + sz] = block
-            return
-        for pid in np.unique(perm_ids[selected]):
-            perm = AXIS_PERMS[int(pid)]
-            sel = selected[perm_ids[selected] == pid]
-            blocks = stacked[sel]
-            if perm != (0, 1, 2):
-                inv = invert_perm(perm)
-                blocks = blocks.transpose((0, inv[0] + 1, inv[1] + 1, inv[2] + 1))
-            ix, iy, iz = _batch_index_grids(origin[sel], blocks.shape[1:])
-            out[ix, iy, iz] = blocks
+        scatter_blocks(
+            out,
+            stacked,
+            np.asarray(self.coords[shape], dtype=np.int64) - np.asarray(offset),
+            self.perms[shape],
+            indices,
+        )
 
     def reassemble(self, dtype=None, out: np.ndarray | None = None) -> np.ndarray:
         """Scatter all sub-blocks back into a dense padded grid."""
@@ -271,18 +287,72 @@ class BlockExtraction:
 _BATCH_VOLUME_LIMIT = 512
 
 
-def _batch_index_grids(origins: np.ndarray, shape: tuple[int, int, int]):
+def _batch_index_grids(origins: np.ndarray, shape: tuple[int, int, int], limit=None):
     """Broadcastable per-axis index arrays covering ``shape`` at each origin.
 
     The returned triple fancy-indexes a 3D grid into an ``(m, *shape)``
     gather (or scatter target) in one NumPy call — the batched replacement
-    for a Python loop over per-block slices.
+    for a Python loop over per-block slices.  With ``limit`` (a grid
+    shape) every index is clipped into ``[0, limit)``.
     """
-    sx, sy, sz = shape
-    ix = (origins[:, 0, None] + np.arange(sx, dtype=np.int64))[:, :, None, None]
-    iy = (origins[:, 1, None] + np.arange(sy, dtype=np.int64))[:, None, :, None]
-    iz = (origins[:, 2, None] + np.arange(sz, dtype=np.int64))[:, None, None, :]
-    return ix, iy, iz
+    grids = []
+    for axis, extent in enumerate(shape):
+        index = origins[:, axis, None] + np.arange(extent, dtype=np.int64)
+        if limit is not None:
+            np.clip(index, 0, limit[axis] - 1, out=index)
+        grids.append(index)
+    ix, iy, iz = grids
+    return ix[:, :, None, None], iy[:, None, :, None], iz[:, None, None, :]
+
+
+def scatter_blocks(
+    out: np.ndarray,
+    stacked: np.ndarray,
+    origins: np.ndarray,
+    perm_ids: np.ndarray,
+    indices=None,
+) -> None:
+    """Place stacked sub-blocks (optionally the subset ``indices``) into
+    ``out`` at ``origins`` (cells of ``out``, one row per stacked block),
+    undoing each block's orientation ``perm_ids`` — the inverse of
+    :func:`gather_blocks`.
+
+    Small sub-blocks sharing an orientation are scattered together
+    through one batched fancy-indexed assignment (sub-blocks are
+    disjoint by construction, so write order within a batch is
+    immaterial); memcpy-bound large blocks keep the per-block slice
+    loop (see :data:`_BATCH_VOLUME_LIMIT`).  Only AKDTree groups with
+    mixed orientations need more than one batch; NaST/OpST cube groups
+    always take the single identity-perm pass.
+    """
+    origins = np.asarray(origins, dtype=np.int64)
+    perm_ids = np.asarray(perm_ids)
+    if indices is None:
+        selected = np.arange(stacked.shape[0], dtype=np.int64)
+    else:
+        selected = np.asarray(indices, dtype=np.int64).ravel()
+    if selected.size == 0:
+        return
+    if int(np.prod(stacked.shape[1:])) >= _BATCH_VOLUME_LIMIT or selected.size == 1:
+        for idx in selected:
+            idx = int(idx)
+            block = stacked[idx]
+            perm = AXIS_PERMS[int(perm_ids[idx])]
+            if perm != (0, 1, 2):
+                block = block.transpose(invert_perm(perm))
+            x, y, z = (int(v) for v in origins[idx])
+            sx, sy, sz = block.shape
+            out[x : x + sx, y : y + sy, z : z + sz] = block
+        return
+    for pid in np.unique(perm_ids[selected]):
+        perm = AXIS_PERMS[int(pid)]
+        sel = selected[perm_ids[selected] == pid]
+        blocks = stacked[sel]
+        if perm != (0, 1, 2):
+            inv = invert_perm(perm)
+            blocks = blocks.transpose((0, inv[0] + 1, inv[1] + 1, inv[2] + 1))
+        ix, iy, iz = _batch_index_grids(origins[sel], blocks.shape[1:])
+        out[ix, iy, iz] = blocks
 
 
 def gather_blocks(
@@ -290,6 +360,8 @@ def gather_blocks(
     origins: np.ndarray,
     shape: tuple[int, int, int],
     perm_ids: np.ndarray | None = None,
+    *,
+    clip: bool = False,
 ) -> np.ndarray:
     """Stack sub-blocks of identical canonical ``shape`` into a 4D array.
 
@@ -301,12 +373,17 @@ def gather_blocks(
     identity-perm batch); memcpy-bound large blocks keep the per-block
     slice loop (see :data:`_BATCH_VOLUME_LIMIT`).  Mixed-orientation
     AKDTree groups take one batch per distinct perm.
+
+    ``clip=True`` lets blocks overhang ``data``: every index is clipped
+    into it, so a cell outside reads the nearest cell inside — for a
+    caller that crops such cells away.  It always takes the batched read.
     """
     m = origins.shape[0]
     out = np.empty((m, *shape), dtype=data.dtype)
     if m == 0:
         return out
-    if int(np.prod(shape)) >= _BATCH_VOLUME_LIMIT or m == 1:
+    limit = data.shape if clip else None
+    if not clip and (int(np.prod(shape)) >= _BATCH_VOLUME_LIMIT or m == 1):
         for idx in range(m):
             x, y, z = (int(v) for v in origins[idx])
             perm = AXIS_PERMS[int(perm_ids[idx])] if perm_ids is not None else (0, 1, 2)
@@ -318,7 +395,7 @@ def gather_blocks(
         return out
     origins = np.asarray(origins, dtype=np.int64)
     if perm_ids is None:
-        ix, iy, iz = _batch_index_grids(origins, shape)
+        ix, iy, iz = _batch_index_grids(origins, shape, limit)
         out[...] = data[ix, iy, iz]
         return out
     perm_arr = np.asarray(perm_ids)
@@ -329,7 +406,7 @@ def gather_blocks(
             in_shape = shape
         else:
             in_shape = tuple(shape[perm.index(axis)] for axis in range(3))
-        ix, iy, iz = _batch_index_grids(origins[sel], in_shape)
+        ix, iy, iz = _batch_index_grids(origins[sel], in_shape, limit)
         blocks = data[ix, iy, iz]
         if perm != (0, 1, 2):
             blocks = blocks.transpose((0, perm[0] + 1, perm[1] + 1, perm[2] + 1))

@@ -1100,8 +1100,8 @@ def resolve_global_eb(dataset, error_bound: float, mode: str) -> float:
     lo = np.inf
     hi = -np.inf
     for lvl in dataset.levels:
-        if lvl.n_points():
-            vals = lvl.values()
+        vals = lvl.values()
+        if vals.size:
             lo = min(lo, float(vals.min()))
             hi = max(hi, float(vals.max()))
     if not np.isfinite(lo) or hi <= lo:

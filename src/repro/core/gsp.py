@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.blocks import collect_blocks, pad_to_blocks
+from repro.core.blocks import collect_blocks, masked_grid
 from repro.utils.validation import check_positive_int
 
 #: The six axis-aligned face directions (axis, sign).
@@ -86,6 +86,8 @@ def _slab(axis: int, sign: int, layers: int, block: int) -> list[slice]:
 def _slab_means(values6, valid6, coords, spans) -> np.ndarray:
     """Mean over the valid cells of slab ``spans`` of each block at
     ``coords``, in float64; NaN where the slab holds no valid cell.
+    ``values6`` is zero outside ``valid6``, so a plain sum is the sum of
+    the valid cells.
 
     The sum runs in the order NumPy reduces the same slab of a whole
     ``(nbx, ·, nby, ·, nbz, ·)`` grid over its in-block axes — pairwise
@@ -97,7 +99,7 @@ def _slab_means(values6, valid6, coords, spans) -> np.ndarray:
     """
     cells = _cells(coords, spans)
     valid = valid6[cells]
-    values = np.where(valid, values6[cells], 0).astype(np.float64)
+    values = values6[cells].astype(np.float64)
     n_blocks, lx, ly, lz = values.shape
     _nbx, _, nby, _, nbz, _ = values6.shape
     row = lz * (ly if nbz == 1 else 1) * (lx if nbz == 1 and nby == 1 else 1)
@@ -119,9 +121,10 @@ def gsp_pad(
     Parameters
     ----------
     data, mask:
-        Level values, zero outside ``mask`` (what
-        :meth:`~repro.amr.hierarchy.AMRLevel.masked_data` returns: cells no
-        ghost reaches are copied through as given), and validity mask.
+        Level values and validity mask.  ``data`` may hold anything
+        outside ``mask``: the padded grid is a new array, zero there
+        except where a ghost is written
+        (:func:`~repro.core.blocks.masked_grid`), so the result owns it.
     block_size:
         Unit block edge (Alg. 3 operates block-wise).
     pad_layers:
@@ -133,7 +136,7 @@ def gsp_pad(
         value.
     """
     avg_layers = check_positive_int(avg_layers, name="avg_layers")
-    blocks = collect_blocks(data, mask, block_size)
+    blocks = collect_blocks(data, mask, block_size, masked=True)
     block_size = blocks.block_size
     avg_layers = min(avg_layers, block_size)
     x_layers = block_size if pad_layers is None else min(int(pad_layers), block_size)
@@ -142,9 +145,9 @@ def gsp_pad(
 
     occ = blocks.occ
     nb = occ.shape
-    # The result is written through its block view, so it must own a C-ordered
-    # buffer: zero-padding made one, a level that needed none is copied.
-    padded = np.array(data, order="C") if blocks.data is data else blocks.data
+    # Written through its block view: the masked collection is C-ordered
+    # and this call's own.
+    padded = blocks.data
     padded6 = _block_view(padded, block_size)
     valid6 = _block_view(blocks.mask, block_size)
     # Sums and counts of the ghost values reaching each empty block: one
@@ -197,9 +200,14 @@ def gsp_pad(
 
 
 def zero_fill(data: np.ndarray, mask: np.ndarray, block_size: int) -> GSPResult:
-    """ZF reference: keep the dense grid, leave empty regions at zero."""
+    """ZF reference: keep the dense grid, leave empty regions at zero.
+
+    ``data`` may hold anything outside ``mask``: the grid is masked and
+    padded in one pass (:func:`~repro.core.blocks.masked_grid`), a new
+    array the result owns.
+    """
     block_size = check_positive_int(block_size, name="block_size")
-    values = pad_to_blocks(np.where(mask, data, data.dtype.type(0)), block_size)
+    values = masked_grid(data, mask, block_size)
     return GSPResult(
         padded=values,
         pad_mask=np.zeros_like(values, dtype=bool),

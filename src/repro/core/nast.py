@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocks import BlockExtraction, collect_blocks, gather_blocks
+from repro.core.blocks import BlockExtraction, collect_blocks
 
 
 def nast_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockExtraction:
@@ -20,7 +20,8 @@ def nast_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockEx
     Parameters
     ----------
     data:
-        Level values (3D), zero outside ``mask``.
+        Level values (3D); whatever it holds outside ``mask``, each
+        gathered block is zeroed there.
     mask:
         Validity mask of the level.
     block_size:
@@ -33,7 +34,7 @@ def nast_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockEx
         return extraction
     origins = (origins_blocks * blocks.block_size).astype(np.int32)
     shape = (blocks.block_size,) * 3
-    extraction.groups[shape] = gather_blocks(blocks.data, origins, shape)
+    extraction.groups[shape] = blocks.gather(origins, shape)
     extraction.coords[shape] = origins
     extraction.perms[shape] = np.zeros(origins.shape[0], dtype=np.uint8)
     return extraction

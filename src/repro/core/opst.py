@@ -34,12 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocks import (
-    BlockExtraction,
-    collect_blocks,
-    gather_blocks,
-    integral_image,
-)
+from repro.core.blocks import BlockExtraction, collect_blocks, integral_image
 
 
 def compute_bs(occ: np.ndarray, max_side: int | None = None) -> np.ndarray:
@@ -146,7 +141,11 @@ def opst_plan(occ: np.ndarray) -> list[tuple[tuple[int, int, int], int]]:
 
 
 def opst_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockExtraction:
-    """Full OpST pre-process: plan maximal cubes and gather them by size."""
+    """Full OpST pre-process: plan maximal cubes and gather them by size.
+
+    ``data`` may hold anything outside ``mask``: each gathered cube is
+    zeroed there (:meth:`~repro.core.blocks.LevelBlocks.gather`).
+    """
     blocks = collect_blocks(data, mask, block_size)
     extraction = blocks.extraction()
     cubes = opst_plan(blocks.occ)
@@ -159,7 +158,7 @@ def opst_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockEx
         edge = size * blocks.block_size
         shape = (edge, edge, edge)
         origins = (np.asarray(origins_blocks, dtype=np.int64) * blocks.block_size).astype(np.int32)
-        extraction.groups[shape] = gather_blocks(blocks.data, origins, shape)
+        extraction.groups[shape] = blocks.gather(origins, shape)
         extraction.coords[shape] = origins
         extraction.perms[shape] = np.zeros(origins.shape[0], dtype=np.uint8)
     return extraction

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.akdtree import akdtree_extract
+from repro.core.blocks import gather_blocks, scatter_blocks
 from repro.core.container import (
     MASK_PREFIX,
     CompressedDataset,
@@ -228,6 +229,8 @@ class TACCompressor(PlanExecutorMixin):
             return StreamingCompression.from_dataset(out)
         base_eb = resolve_global_eb(dataset, error_bound, mode)
         scales = _resolve_scales(per_level_scale, dataset.n_levels)
+        # Each level's stored cells, counted once for this compress.
+        counts = [lvl.n_points() for lvl in dataset.levels]
         base_meta = {
             "name": dataset.name,
             "field": dataset.field,
@@ -237,7 +240,9 @@ class TACCompressor(PlanExecutorMixin):
         }
 
         def level_task(lvl: AMRLevel):
-            return self._level_task(lvl, base_eb * scales[lvl.level], want_recon)
+            return self._level_task(
+                lvl, base_eb * scales[lvl.level], counts[lvl.level], want_recon
+            )
 
         def chunks(outputs):
             for lvl, (meta, parts, record, rec) in zip(dataset.levels, outputs):
@@ -255,14 +260,14 @@ class TACCompressor(PlanExecutorMixin):
         return StreamingCompression(
             method=self.method_name,
             dataset_name=dataset.name,
-            original_bytes=dataset.original_bytes(),
-            n_values=dataset.total_points(),
+            original_bytes=sum(counts) * dataset.dtype().itemsize,
+            n_values=sum(counts),
             chunks=produce(),
             base_meta=base_meta,
         )
 
     def _level_task(
-        self, lvl: AMRLevel, eb_abs: float, want_recon: bool = False
+        self, lvl: AMRLevel, eb_abs: float, n_points: int, want_recon: bool = False
     ) -> tuple[dict, dict, TimingRecord, AMRLevel | None]:
         """One level's complete output: ``(meta, parts, timings, rec)``.
 
@@ -270,7 +275,7 @@ class TACCompressor(PlanExecutorMixin):
         """
         parts: dict[str, bytes] = {}
         record = TimingRecord()
-        meta, rec = self._compress_level(lvl, eb_abs, parts, record, want_recon)
+        meta, rec = self._compress_level(lvl, eb_abs, n_points, parts, record, want_recon)
         if self.config.store_masks:
             parts[f"{MASK_PREFIX}L{lvl.level}"] = pack_mask(lvl.mask)
         return meta, parts, record, rec
@@ -279,21 +284,23 @@ class TACCompressor(PlanExecutorMixin):
         self,
         lvl: AMRLevel,
         eb_abs: float,
+        n_points: int,
         parts: dict[str, bytes],
         timings: TimingRecord,
         want_recon: bool,
     ) -> tuple[dict, AMRLevel | None]:
         """Fill ``parts`` with the level's payloads; returns its metadata
-        and, with ``want_recon``, the level those payloads decode to."""
+        and, with ``want_recon``, the level those payloads decode to.
+        ``n_points`` is the level's stored-cell count."""
         cfg = self.config
-        density = lvl.density()
+        density = n_points / lvl.mask.size if n_points else 0.0  # = lvl.density()
         meta: dict = {
             "level": lvl.level,
             "density": density,
             "eb_abs": eb_abs,
-            "n_points": lvl.n_points(),
+            "n_points": n_points,
         }
-        if lvl.n_points() == 0:
+        if n_points == 0:
             meta["strategy"] = "empty"
             return meta, _encoder_rec(lvl, meta, {}) if want_recon else None
         strategy = cfg.force_strategy or select_strategy(density, cfg.t1, cfg.t2)
@@ -334,9 +341,10 @@ class TACCompressor(PlanExecutorMixin):
             meta["n_groups"] = len(result.groups)
         arrays = list(streams.values())
         with timed(timings, "compress"):
-            # The strategy's arrays are this call's own (cut from the masked
-            # copy), so each is its own destination: the reconstruction
-            # replaces the input in place and no level-sized buffer is added.
+            # The strategy's arrays are this call's own (gathered blocks, or
+            # the grid GSP/ZF masked into a new array), so each is its own
+            # destination: the reconstruction replaces the input in place
+            # and no level-sized buffer is added.
             blobs = self.codec.compress_many(
                 arrays, eb_abs, mode="abs", recon=arrays if want_recon else None
             )
@@ -348,9 +356,15 @@ class TACCompressor(PlanExecutorMixin):
     def _preprocess(self, lvl: AMRLevel, strategy: Strategy, block: int, timings: TimingRecord):
         """The strategy's dense arrays for one level — the padded grid of
         GSP/ZF, the shape groups of OpST/AKDTree/NaST — timed as
-        ``"preprocess"``; the masked copy they are cut from dies here."""
+        ``"preprocess"``.
+
+        Each strategy reads the level's ``data`` as it is and zeroes what
+        it keeps outside the mask: a block strategy the blocks it gathers,
+        GSP/ZF the grid they mask into a new array.  No level-sized masked
+        copy is made for a level stored in a few blocks.
+        """
         cfg = self.config
-        data = lvl.masked_data()
+        data = lvl.data
         with timed(timings, "preprocess"):
             if strategy is Strategy.GSP:
                 return gsp_pad(
@@ -538,23 +552,34 @@ class TACCompressor(PlanExecutorMixin):
 
 
 def _assemble_box(level_meta: dict, results: dict, box, mask_of_box) -> AMRLevel:
-    """Stitch → crop → mask: ``box`` of the level ``level_meta`` describes,
-    from its decoded streams in ``results``.
+    """``box`` of the level ``level_meta`` describes, from its decoded
+    streams in ``results``, zero outside the mask ``mask_of_box()``.
 
     The one assembly of a TAC level — the reader's, and the encoder's when
     it hands out its own reconstruction (``results`` then holds the arrays
-    the SZ encoder reconstructed in place).  ``mask_of_box()`` is called
-    only once the stitched window has been copied and dropped, so the mask
-    is never unpacked next to it.
+    the SZ encoder reconstructed in place).  The mask is applied where the
+    non-zero cells are, in the order that keeps the peak low:
+
+    * a block strategy (OpST/AKDTree/NaST) unpacks the box's mask first and
+      masks each sub-block before scattering it — only cells inside blocks
+      can be non-zero, so the rest of the window is never touched again;
+    * GSP/ZF (dense by selection) stitch → crop → mask: ``mask_of_box()``
+      is called only once the stitched window has been copied and dropped,
+      so the mask is never unpacked next to it.
+
+    ``results`` may be shared (a caching reader freezes its arrays): every
+    array masked here is a new one.
     """
     level = level_meta["level"]
     strategy = level_meta["strategy"]
-    if strategy == "empty":
-        window = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.float32)
-    elif strategy not in (Strategy.GSP.value, Strategy.ZF.value):
-        window = _stitch_groups(level, results, box)
-    else:
-        window = _stitch_bricks(level_meta, results, box)
+    if strategy not in (Strategy.GSP.value, Strategy.ZF.value):
+        mask = mask_of_box()
+        if strategy == "empty":
+            data = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.float32)
+        else:
+            data = _stitch_groups(level, results, box, mask)
+        return AMRLevel(data=data, mask=mask, level=level)
+    window = _stitch_bricks(level_meta, results, box)
     # The window is this call's own: a box cut out of a larger bounding
     # window is copied, which lets that go before the mask is fetched, and
     # the cells outside the mask are zeroed in place.
@@ -671,25 +696,37 @@ def _stitch_bricks(level_meta: dict, results: dict, box) -> np.ndarray:
     return window[region_slices(box, lo)]
 
 
-def _stitch_groups(idx: int, results: dict, box) -> np.ndarray:
-    """Scatter the blocks meeting ``box`` into their bounding window and
-    return the window's ``box`` part (a block may overhang the box)."""
+def _stitch_groups(idx: int, results: dict, box, mask: np.ndarray) -> np.ndarray:
+    """Scatter the blocks meeting ``box`` into their bounding window, each
+    zeroed outside ``mask`` (``box`` of the level's mask) first, and return
+    the window's ``box`` part as an array of its own.
+
+    A block may overhang the box: its mask cells are read at its origin
+    with the indices clipped into the box, and the cells outside the box
+    that this misreads are cropped with the window.
+    """
     extraction = results[f"L{idx}/layout"]
-    lo = np.array([b[0] for b in box], dtype=np.int64)
-    hi = np.array([b[1] for b in box], dtype=np.int64)
+    box_lo = np.array([b[0] for b in box], dtype=np.int64)
+    box_hi = np.array([b[1] for b in box], dtype=np.int64)
+    lo, hi = box_lo, box_hi
     hits = []
     for group_idx, shape in enumerate(layout_shapes(extraction)):
         selected = blocks_in_region(extraction, shape, box)
         if selected.size:
             origins = extraction.coords[shape][selected].astype(np.int64)
+            ends = origins + block_extents(extraction, shape)[selected]
             lo = np.minimum(lo, origins.min(axis=0))
-            hi = np.maximum(hi, (origins + block_extents(extraction, shape)[selected]).max(axis=0))
-            hits.append((shape, selected, results[f"L{idx}/g{group_idx}"]))
-    dtype = hits[0][2].dtype if hits else results[f"L{idx}/dtype"]
+            hi = np.maximum(hi, ends.max(axis=0))
+            inside = bool((origins >= box_lo).all() and (ends <= box_hi).all())
+            hits.append((shape, selected, origins, inside, results[f"L{idx}/g{group_idx}"]))
+    dtype = hits[0][-1].dtype if hits else results[f"L{idx}/dtype"]
     window = np.zeros(tuple(hi - lo), dtype=dtype)
-    for shape, selected, stacked in hits:
-        extraction.scatter_group(shape, stacked, window, indices=selected, offset=lo)
-    return window[region_slices(box, lo)]
+    for shape, selected, origins, inside, stacked in hits:
+        perm_ids = extraction.perms[shape][selected]
+        valid = gather_blocks(mask, origins - box_lo, shape, perm_ids, clip=not inside)
+        blocks = np.where(valid, stacked[selected], dtype.type(0))
+        scatter_blocks(window, blocks, origins - lo, perm_ids)
+    return np.ascontiguousarray(window[region_slices(box, lo)])
 
 
 def _resolve_scales(per_level_scale, n_levels: int) -> list[float]:

@@ -3,7 +3,8 @@
 Paper: OpST's time grows roughly linearly with density (its partial BS
 updates scale with ``maxSide``, which tracks density) while AKDTree's is
 flat; the curves cross around 50%, which fixes the T1 threshold.  We time
-only the pre-process (empty-region removal), not the compression.
+only the pre-process (empty-region removal, including the zeroing of the
+non-stored cells inside the gathered blocks), not the compression.
 
 To isolate density as the variable (the paper's levels all live on 512³/256³
 grids), we synthesize masks of controlled density on ONE fixed grid by

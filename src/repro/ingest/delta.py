@@ -62,8 +62,8 @@ def hierarchy_signature(dataset: AMRDataset) -> tuple:
 def residual_dataset(cur: AMRDataset, rec: AMRDataset) -> AMRDataset:
     """``cur − rec`` level by level (same hierarchy required).
 
-    Cells outside a level's mask are zero in both operands, so the
-    residual stays a valid tree-based dataset on the shared masks.
+    The residual lives on the shared masks, a valid tree-based dataset;
+    whatever its cells outside them hold, no codec reads them.
     """
     levels = []
     for c, r in zip(cur.levels, rec.levels):

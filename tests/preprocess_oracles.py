@@ -1,19 +1,131 @@
-"""Cell-resolution reference implementations of the TAC pre-processes.
+"""Reference implementations of the TAC pre-processes and level assembly.
 
 ``gsp_pad_cells`` and ``opst_plan_full`` are the implementations
 ``repro.core.gsp.gsp_pad`` and ``repro.core.opst.opst_plan`` had before
 they moved onto the unit-block grid, kept verbatim as oracles: the fast
 versions must reproduce them bit for bit (``test_preprocess_oracles.py``),
 which is what keeps blobs, goldens and compression ratios where they are.
+
+``masked_cube_extract`` and ``assemble_putmask`` are the two paths that
+paid for a level's whole bounding cube before the block strategies masked
+only their blocks: mask the cube, then extract; stitch, then mask the
+window.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.blocks import integral_image, pad_to_blocks
+from repro.amr.hierarchy import AMRLevel
+from repro.core.akdtree import _next_pow2, akdtree_plan
+from repro.core.blocks import (
+    BlockExtraction,
+    canonical_orientation,
+    collect_blocks,
+    gather_blocks,
+    integral_image,
+    pad_to_blocks,
+)
+from repro.core.density import Strategy
 from repro.core.gsp import GSPResult
+from repro.core.layout import block_extents, blocks_in_region, layout_shapes
 from repro.core.opst import _box, compute_bs  # the integral-image query, unchanged
+from repro.core.opst import opst_plan
+from repro.core.plan import region_slices
+from repro.core.tac import _stitch_bricks
+
+
+def masked_cube_extract(strategy: str, data, mask, block_size: int) -> BlockExtraction:
+    """OpST / AKDTree / NaST extraction of ``np.where(mask, data, 0)`` —
+    the level-sized masked copy — with AKDTree gathering from a copy of the
+    level grown to its k-d grid."""
+    data = np.where(mask, data, data.dtype.type(0))
+    blocks = collect_blocks(data, mask, block_size)
+    block_size = blocks.block_size
+    padded, occ = blocks.data, blocks.occ
+    if strategy == "nast":
+        extraction = blocks.extraction()
+        origins_blocks = np.argwhere(occ)
+        if origins_blocks.size == 0:
+            return extraction
+        origins = (origins_blocks * block_size).astype(np.int32)
+        shape = (block_size,) * 3
+        extraction.groups[shape] = gather_blocks(padded, origins, shape)
+        extraction.coords[shape] = origins
+        extraction.perms[shape] = np.zeros(origins.shape[0], dtype=np.uint8)
+        return extraction
+    if strategy == "opst":
+        extraction = blocks.extraction()
+        by_size: dict[int, list] = {}
+        for origin, size in opst_plan(occ):
+            by_size.setdefault(size, []).append(origin)
+        for size, origins_blocks in sorted(by_size.items()):
+            edge = size * block_size
+            shape = (edge, edge, edge)
+            origins = (np.asarray(origins_blocks, dtype=np.int64) * block_size).astype(np.int32)
+            extraction.groups[shape] = gather_blocks(padded, origins, shape)
+            extraction.coords[shape] = origins
+            extraction.perms[shape] = np.zeros(origins.shape[0], dtype=np.uint8)
+        return extraction
+    assert strategy == "akdtree", strategy
+    leaves = akdtree_plan(occ)
+    kd_side = _next_pow2(max(occ.shape)) * block_size if occ.size else block_size
+    grid_shape = tuple(max(kd_side, dim) for dim in padded.shape)
+    if grid_shape != padded.shape:
+        grown = np.zeros(grid_shape, dtype=padded.dtype)
+        grown[: padded.shape[0], : padded.shape[1], : padded.shape[2]] = padded
+        padded = grown
+    extraction = blocks.extraction(padded.shape)
+    grouped: dict = {}
+    for origin_blocks, shape_blocks in leaves:
+        cell_shape = tuple(int(s) * block_size for s in shape_blocks)
+        canonical, perm_id = canonical_orientation(cell_shape)
+        origin_cells = tuple(int(o) * block_size for o in origin_blocks)
+        grouped.setdefault(canonical, []).append((origin_cells, perm_id))
+    for canonical, entries in sorted(grouped.items()):
+        origins = np.asarray([e[0] for e in entries], dtype=np.int32)
+        perm_ids = np.asarray([e[1] for e in entries], dtype=np.uint8)
+        extraction.groups[canonical] = gather_blocks(padded, origins, canonical, perm_ids)
+        extraction.coords[canonical] = origins
+        extraction.perms[canonical] = perm_ids
+    return extraction
+
+
+def assemble_putmask(level_meta: dict, results: dict, box, mask_of_box) -> AMRLevel:
+    """Stitch the blocks (or bricks) meeting ``box`` into their bounding
+    window, crop, then zero the whole window outside the mask."""
+    level = level_meta["level"]
+    strategy = level_meta["strategy"]
+    if strategy == "empty":
+        window = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.float32)
+    elif strategy not in (Strategy.GSP.value, Strategy.ZF.value):
+        window = _stitch_groups_unmasked(level, results, box)
+    else:
+        window = _stitch_bricks(level_meta, results, box)
+    data = np.ascontiguousarray(window)
+    del window
+    mask = mask_of_box()
+    np.putmask(data, ~mask, 0)
+    return AMRLevel(data=data, mask=mask, level=level)
+
+
+def _stitch_groups_unmasked(idx: int, results: dict, box) -> np.ndarray:
+    extraction = results[f"L{idx}/layout"]
+    lo = np.array([b[0] for b in box], dtype=np.int64)
+    hi = np.array([b[1] for b in box], dtype=np.int64)
+    hits = []
+    for group_idx, shape in enumerate(layout_shapes(extraction)):
+        selected = blocks_in_region(extraction, shape, box)
+        if selected.size:
+            origins = extraction.coords[shape][selected].astype(np.int64)
+            lo = np.minimum(lo, origins.min(axis=0))
+            hi = np.maximum(hi, (origins + block_extents(extraction, shape)[selected]).max(axis=0))
+            hits.append((shape, selected, results[f"L{idx}/g{group_idx}"]))
+    dtype = hits[0][2].dtype if hits else results[f"L{idx}/dtype"]
+    window = np.zeros(tuple(hi - lo), dtype=dtype)
+    for shape, selected, stacked in hits:
+        extraction.scatter_group(shape, stacked, window, indices=selected, offset=lo)
+    return window[region_slices(box, lo)]
 
 _FACES = [(axis, sign) for axis in range(3) for sign in (+1, -1)]
 
