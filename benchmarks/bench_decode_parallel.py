@@ -1,9 +1,9 @@
-"""Decode-path benchmark: serial vs parallel, full vs partial reads.
+"""Decode-path benchmark: full vs partial reads.
 
 Not a paper figure — measures the read-side seam the container-v2/plan
 refactor opened: one Run1_Z2 field compressed with TAC, then decompressed
 
-* fully, serial vs ``decode_workers=4`` (asserted bit-identical);
+* fully (``decompress``), the reference the partial reads are held to;
 * one level only (``decompress_level``), with the lazy reader's
   part-access log proving *strictly less* SZ decode work than the full
   decode — the acceptance criterion of the partial-read API;
@@ -36,32 +36,20 @@ def _payload_parts(accessed):
     return {name for name in accessed if not name.startswith(MASK_PREFIX)}
 
 
-def bench_decode_serial_vs_parallel(benchmark, compressed_blob, results_dir):
+def bench_decode_full_vs_partial(benchmark, compressed_blob, results_dir):
     tac, blob = compressed_blob
 
-    def compare():
+    def full_read():
         lazy = LazyCompressedDataset.open(blob)
         t0 = time.perf_counter()
-        serial = tac.decompress(lazy)
-        t_serial = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        parallel = tac.decompress(lazy, decode_workers=4)
-        t_parallel = time.perf_counter() - t0
-        for a, b in zip(serial.levels, parallel.levels):
-            assert np.array_equal(a.data, b.data), "parallel decode diverged"
-        return serial, t_serial, t_parallel
+        full = tac.decompress(lazy)
+        return lazy, full, time.perf_counter() - t0
 
-    full, t_serial, t_parallel = benchmark.pedantic(compare, rounds=1, iterations=1)
-    speedup = t_serial / t_parallel if t_parallel else float("inf")
-    benchmark.extra_info["serial_s"] = round(t_serial, 4)
-    benchmark.extra_info["parallel_s"] = round(t_parallel, 4)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-
-    # -- partial reads, with access-count proof of less decode work ------
-    lazy_full = LazyCompressedDataset.open(blob)
-    tac.decompress(lazy_full)
+    lazy_full, full, t_full = benchmark.pedantic(full_read, rounds=1, iterations=1)
+    benchmark.extra_info["full_s"] = round(t_full, 4)
     full_payloads = _payload_parts(lazy_full.parts.accessed())
 
+    # -- partial reads, with access-count proof of less decode work ------
     lazy_level = LazyCompressedDataset.open(blob)
     t0 = time.perf_counter()
     level0 = tac.decompress_level(lazy_level, 0)
@@ -85,9 +73,7 @@ def bench_decode_serial_vs_parallel(benchmark, compressed_blob, results_dir):
 
     text = (
         f"== decode_parallel: TAC read path (Run1_Z2, scale {SCALE}) ==\n"
-        f"full serial    : {t_serial:.4f}s ({len(full_payloads)} payload parts)\n"
-        f"full parallel  : {t_parallel:.4f}s (4 decode workers, bit-identical)\n"
-        f"speedup        : {speedup:.2f}x\n"
+        f"full           : {t_full:.4f}s ({len(full_payloads)} payload parts)\n"
         f"level 0 only   : {t_level:.4f}s ({len(level_payloads)} payload parts"
         f" — strict subset of full)\n"
         f"ROI {n // 4}:{3 * n // 4}^3     : {t_roi:.4f}s"

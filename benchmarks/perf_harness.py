@@ -441,7 +441,10 @@ def _codec_ops(scale: int, repeats: int) -> dict:
     """Compress / decompress / preprocess per registered paper codec, on
     Run1_Z3; plus TAC on Run2_T2 (``*_sparse``: a finest level at 0.2 %
     density in OpST blocks over a dense GSP one), where a cost that follows
-    the bounding grid instead of the stored blocks shows."""
+    the bounding grid instead of the stored blocks shows.
+    ``tac_compress_sparse_lw2`` is the same compress at ``level_workers=2``,
+    next to the serial row: the level pool pays on Run2_T2 at scale 1,
+    where both levels carry tens of ms, and costs at smaller scales."""
     from repro.engine.registry import get_codec
     from repro.sim.datasets import make_dataset
     from repro.utils.timer import TimingRecord
@@ -469,10 +472,14 @@ def _codec_ops(scale: int, repeats: int) -> dict:
     tac = get_codec("tac")
     comp = tac.compress(sparse, 1e-4, mode="rel")
     for op, fn in (
-        ("compress", lambda: tac.compress(sparse, 1e-4, mode="rel")),
-        ("decompress", lambda: tac.decompress(comp)),
+        ("tac_compress_sparse", lambda: tac.compress(sparse, 1e-4, mode="rel")),
+        ("tac_decompress_sparse", lambda: tac.decompress(comp)),
+        (
+            "tac_compress_sparse_lw2",
+            lambda: tac.compress(sparse, 1e-4, mode="rel", level_workers=2),
+        ),
     ):
-        ops[f"tac_{op}_sparse"] = op_entry(
+        ops[op] = op_entry(
             time_op(fn, repeats), sparse.total_points(), sparse.original_bytes()
         )
     return ops
@@ -616,7 +623,12 @@ GROUP_OPS = {
     ),
     "codecs": tuple(
         f"{c}_{op}" for c in ("tac", "1d", "zmesh", "3d") for op in ("compress", "decompress")
-    ) + ("tac_preprocess", "tac_compress_sparse", "tac_decompress_sparse"),
+    ) + (
+        "tac_preprocess",
+        "tac_compress_sparse",
+        "tac_decompress_sparse",
+        "tac_compress_sparse_lw2",
+    ),
     "preprocess": ("gsp_pad", "opst_extract"),
     "ingest": ("tac_compress_iter", "ingest_session_delta"),
     "container": ("container_roundtrip_bricked",),

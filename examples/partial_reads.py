@@ -1,4 +1,4 @@
-"""Partial and parallel reads: the lazy-decompression tour.
+"""Partial reads: the lazy-decompression tour.
 
 A post-hoc analysis workflow rarely wants a whole snapshot back — it
 wants one field, one AMR level, or one spatial region.  This example
@@ -44,8 +44,8 @@ def main() -> None:
     entry = lazy.entry("Run1_Z2/baryon_density")
     tac = get_codec("tac")
 
-    # 1. Full decompression, parallel decode units (bit-identical).
-    full = tac.decompress(entry, decode_workers=4)
+    # 1. Full decompression: every decode unit, in lockstep SZ batches.
+    full = tac.decompress(entry)
     print(
         f"full decode    : {full.n_levels} levels, "
         f"read {len(entry.parts.accessed())}/{len(entry.parts)} parts"

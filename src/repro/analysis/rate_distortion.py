@@ -44,26 +44,19 @@ def rd_point(
     mode: str = "rel",
     per_level_scale=None,
     include_masks: bool = False,
-    decode_workers: int = 1,
 ) -> RDPoint:
     """Compress/decompress once and measure rate + distortion.
 
     Distortion is evaluated on the merged uniform grid (the paper's
     post-analysis view).  ``include_masks=False`` reports paper-style rates
     (the AMR layout is simulation metadata shared by every method).
-    ``decode_workers`` parallelizes the decompression's decode units —
-    bit-identical output, so the distortion numbers cannot move; only
-    ``decompress_seconds`` does.
     """
     ct = TimingRecord()
     comp = compressor.compress(
         dataset, error_bound, mode=mode, per_level_scale=per_level_scale, timings=ct
     )
     dt = TimingRecord()
-    kwargs = {"timings": dt}
-    if decode_workers != 1:
-        kwargs["decode_workers"] = decode_workers
-    recon = compressor.decompress(comp, **kwargs)
+    recon = compressor.decompress(comp, timings=dt)
     original_u, recon_u = uniform_pair(dataset, recon)
     return RDPoint(
         method=compressor.method_name,
@@ -85,7 +78,6 @@ def rd_sweep(
     mode: str = "rel",
     per_level_scale=None,
     include_masks: bool = False,
-    decode_workers: int = 1,
 ) -> list[RDPoint]:
     """Rate-distortion curve for one compressor over a bound ladder."""
     return [
@@ -96,7 +88,6 @@ def rd_sweep(
             mode=mode,
             per_level_scale=per_level_scale,
             include_masks=include_masks,
-            decode_workers=decode_workers,
         )
         for eb in error_bounds
     ]

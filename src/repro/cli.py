@@ -51,7 +51,6 @@ from repro.engine import (
     codec_names,
     get_codec,
     is_batch_archive,
-    decode_kwargs,
     supports_partial_decode,
 )
 from repro.engine.archive import STRUCTURE_META_KEY, with_structure
@@ -115,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="entry to extract from a batch archive (defaults to its only entry)",
     )
-    p_dec.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel decode units within the entry (bit-identical to serial)",
-    )
 
     p_ext = sub.add_parser(
         "extract",
@@ -137,10 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument(
         "--region", default=None,
         help='ROI in level-grid cells as "x0:x1,y0:y1,z0:z1" (needs one --level)',
-    )
-    p_ext.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel decode units (bit-identical to serial)",
     )
 
     p_ins = sub.add_parser(
@@ -516,7 +507,7 @@ def cmd_decompress(args) -> int:
     if err is not None:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    dataset = codec.decompress(entry, **decode_kwargs(codec, args.workers))
+    dataset = codec.decompress(entry)
     save_dataset(dataset, args.output)
     print(dataset.summary())
     print(f"wrote {args.output}")
@@ -573,11 +564,11 @@ def cmd_extract(args) -> int:
 
     if args.region is not None:
         level = args.level[0]
-        data = codec.decompress_region(entry, level, region, decode_workers=args.workers)
+        data = codec.decompress_region(entry, level, region)
         np.savez_compressed(args.output, data=data, level=np.int64(level))
         print(f"region {args.region} of level {level}: shape {data.shape}")
     elif args.level is not None:
-        levels = codec.decompress_levels(entry, args.level, decode_workers=args.workers)
+        levels = codec.decompress_levels(entry, args.level)
         arrays = {}
         for lvl in levels:
             arrays[f"data_{lvl.level}"] = lvl.data
@@ -586,7 +577,7 @@ def cmd_extract(args) -> int:
         for lvl in levels:
             print(f"level {lvl.level}: grid {lvl.n}^3, {lvl.n_points()} values")
     else:
-        dataset = codec.decompress(entry, **decode_kwargs(codec, args.workers))
+        dataset = codec.decompress(entry)
         save_dataset(dataset, args.output)
         print(dataset.summary())
     parts = entry.parts

@@ -462,9 +462,9 @@ class _MmapSource:
     """Byte source over a memory-mapped file: no seek, no lock.
 
     ``_FileSource`` serializes every ``seek+read`` pair behind a lock, so
-    concurrent part fetches (``decode_workers > 1``, parallel shard reads)
-    contend on one file position.  A private read-only mapping has no
-    position at all — reads are plain slices out of the page cache and any
+    concurrent part fetches (the read service's I/O pool, parallel shard
+    reads) contend on one file position.  A private read-only mapping has
+    no position at all — reads are plain slices out of the page cache and any
     number of threads can fetch parts at once.  The ROADMAP's "async /
     mmap I/O" read-path item.
     """

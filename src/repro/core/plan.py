@@ -16,13 +16,14 @@ is the same three steps, and a codec supplies exactly two of them:
   unit, so their plan has a second stage
   (:attr:`DecompressionPlan.refine`) that runs once the layout is decoded.
   A level's stored mask is one more unit;
-* an executor **runs** the plan: :func:`execute_plan` decodes units
-  serially or across a thread pool (``decode_workers``, bit-identical to
-  serial — units are pure and results merge by unit key); units that are
-  exactly one SZ stream are fetched and decoded in lockstep batches
+* an executor **runs** the plan: :func:`execute_plan` decodes its work
+  items in order on the caller's thread; units that are exactly one SZ
+  stream are fetched and decoded in lockstep batches
   (:func:`decode_jobs`), so a level of hundreds of small bricks costs a
   few decode passes, not hundreds.  The read service substitutes its
-  cache + prefetch pipeline for this step and nothing else;
+  cache + prefetch pipeline for this step and nothing else — units are
+  pure and results merge by unit key, so its concurrent decode is
+  bit-identical to the serial one;
 * the codec **assembles**: :meth:`~PlanExecutorMixin.assemble` stitches
   the unit results into exactly ``data[box]`` (and its mask), touching
   only the window the box covers.
@@ -36,7 +37,6 @@ of the four.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -47,7 +47,6 @@ from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import MASK_PREFIX, inflate_mask, unpack_mask_box
 from repro.sz.compressor import BATCH_VALUES, SZCompressor
 from repro.utils.timer import TimingRecord, timed
-from repro.utils.validation import check_positive_int
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,9 @@ class DecodeUnit:
         payload is touched.
     decode:
         Pure closure performing the decode; must not share mutable state
-        with other units (that is what makes parallel execution
-        bit-identical to serial).  ``None`` for an SZ-stream unit, which
-        declares ``sz_blob`` instead.
+        with other units (that is what makes the read service's
+        concurrent decode bit-identical to serial).  ``None`` for an
+        SZ-stream unit, which declares ``sz_blob`` instead.
     box:
         Half-open ``((x0, x1), (y0, y1), (z0, z1))`` region of the unit's
         level that this unit covers, in level-grid cells, or ``None``
@@ -142,11 +141,11 @@ def _closure_job(key: str, decode: Callable[[], object], errors: dict | None) ->
 def _stream_job(units: list[DecodeUnit], errors: dict | None) -> dict:
     """Fetch and decode SZ-stream ``units`` together.
 
-    The blobs are fetched here, on the thread that decodes them, so I/O
-    and integrity checks of one work item overlap the decode of another
-    and only this item's compressed bytes are resident.  A fetch failure
-    stays that unit's alone, and a failing batch attributes the failure
-    to the stream that caused it.
+    The blobs are fetched here, when the item runs, so only this item's
+    compressed bytes are resident.  Fetch overlaps decode only in the read
+    service's pipeline, whose I/O pool stages later items' windows while
+    this one decodes.  A fetch failure stays that unit's alone, and a
+    failing batch attributes the failure to the stream that caused it.
 
     An item of one stream goes through ``decompress``, the batch-of-one
     entry point — same kernel; it is the call per-stream instrumentation
@@ -196,8 +195,7 @@ def decode_jobs(
     left out instead.  A closure unit is one item.  SZ-stream units that
     declare the same ``sz_shape`` share an item up to
     :data:`~repro.sz.compressor.BATCH_VALUES` decoded values — the batch,
-    not the brick, is what ``decode_workers`` and the read service's
-    decode pool parallelise over.
+    not the brick, is what the read service's decode pool distributes.
     """
     jobs: list[tuple[list[DecodeUnit], Callable[[], dict]]] = []
     open_items: dict[tuple[int, ...], list[DecodeUnit]] = {}
@@ -218,44 +216,24 @@ def decode_jobs(
 
 
 def execute_plan(
-    plan: DecompressionPlan,
-    decode_workers: int = 1,
-    preloaded: dict[str, object] | None = None,
-    errors: dict[str, Exception] | None = None,
+    plan: DecompressionPlan, errors: dict[str, Exception] | None = None
 ) -> dict[str, object]:
     """Run every unit and return ``{unit.key: decoded}``.
 
-    ``decode_workers > 1`` decodes concurrently in a thread pool (the hot
-    loops release the GIL inside NumPy/zlib).  The work items are units
-    with a ``decode`` closure and *batches* of SZ-stream units, not single
-    streams.  Units are pure and results are keyed, so the outcome is
-    identical to the serial path regardless of completion order.
-
-    ``preloaded`` is the cache seam: units whose key it already holds are
-    neither fetched nor decoded — their stored result is carried into the
-    output — so a decoded-brick cache can satisfy part of a plan and pay
-    I/O + decode only for the misses.
+    The work items of :func:`decode_jobs` — units with a ``decode``
+    closure and *batches* of SZ-stream units — run in order on the
+    caller's thread.  A thread pool here bought nothing: every item is
+    already one lockstep NumPy pass, and on two cores two workers were
+    never 1.1× faster than one on any read measured, and mostly slower.
 
     ``errors`` is the degraded-read seam: when given, a unit whose fetch or
     decode raises is recorded there (``unit.key → exception``) and omitted
     from the results instead of aborting the whole plan.  When ``None``
     (the default) the first failure propagates, as ever.
     """
-    decode_workers = check_positive_int(decode_workers, name="decode_workers")
-    units = plan.units
     results: dict[str, object] = {}
-    if preloaded:
-        results = {u.key: preloaded[u.key] for u in units if u.key in preloaded}
-        units = [unit for unit in units if unit.key not in preloaded]
-
-    jobs = [run for _members, run in decode_jobs(units, errors)]
-    if decode_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=decode_workers) as pool:
-            decoded = list(pool.map(lambda run: run(), jobs))
-    else:
-        decoded = [run() for run in jobs]
-    for part in decoded:
-        results.update(part)
+    for _members, run in decode_jobs(plan.units, errors):
+        results.update(run())
     return results
 
 
@@ -404,8 +382,7 @@ class PlanExecutorMixin:
 
     # -- derived API -------------------------------------------------------
     def _read(
-        self, comp, levels, region, structure, decode_workers: int,
-        timings: TimingRecord | None = None,
+        self, comp, levels, region, structure, timings: TimingRecord | None = None
     ) -> list[AMRLevel]:
         codec = self.codec_for(comp)
         shapes = [tuple(shape) for shape in comp.meta["shapes"]]
@@ -413,10 +390,9 @@ class PlanExecutorMixin:
         box = None if region is None else normalize_region(region, shapes[indices[0]])
         plan = codec.build_decode_plan(comp, levels=indices, box=box)
         with timed(timings, "decompress"):
-            results = execute_plan(plan, decode_workers)
+            results = execute_plan(plan)
             if plan.refine is not None:
-                more = DecompressionPlan(plan.refine(results))
-                results.update(execute_plan(more, decode_workers))
+                results.update(execute_plan(DecompressionPlan(plan.refine(results))))
         with timed(timings, "postprocess"):
             return [
                 codec.assemble(comp, idx, results, structure, box or level_box(shapes[idx]))
@@ -428,15 +404,12 @@ class PlanExecutorMixin:
         comp,
         structure: AMRDataset | None = None,
         timings: TimingRecord | None = None,
-        decode_workers: int = 1,
     ) -> AMRDataset:
-        """Rebuild the dataset: every level's units in one plan execution
-        (``decode_workers > 1`` decodes them concurrently), assembled in
-        level order.  Masks come from the blob or ``structure``."""
+        """Rebuild the dataset: every level's units in one plan execution,
+        assembled in level order.  Masks come from the blob or
+        ``structure``."""
         meta = comp.meta
-        levels = self._read(
-            comp, range(len(meta["shapes"])), None, structure, decode_workers, timings
-        )
+        levels = self._read(comp, range(len(meta["shapes"])), None, structure, timings)
         return AMRDataset(
             levels=levels,
             name=meta["name"],
@@ -446,20 +419,16 @@ class PlanExecutorMixin:
         )
 
     def decompress_levels(
-        self, comp, levels: Sequence[int], structure=None, decode_workers: int = 1
+        self, comp, levels: Sequence[int], structure=None
     ) -> list[AMRLevel]:
         """Decode and assemble only ``levels`` (order preserved)."""
-        return self._read(comp, levels, None, structure, decode_workers)
+        return self._read(comp, levels, None, structure)
 
-    def decompress_level(
-        self, comp, level: int, structure=None, decode_workers: int = 1
-    ) -> AMRLevel:
+    def decompress_level(self, comp, level: int, structure=None) -> AMRLevel:
         """Decode and assemble one level."""
-        return self.decompress_levels(comp, [level], structure, decode_workers)[0]
+        return self.decompress_levels(comp, [level], structure)[0]
 
-    def decompress_region(
-        self, comp, level: int, region, structure=None, decode_workers: int = 1
-    ) -> np.ndarray:
+    def decompress_region(self, comp, level: int, region, structure=None) -> np.ndarray:
         """One level's data restricted to ``region`` (masked-out cells zero).
 
         Identical to ``decompress(comp).levels[level].data[region]``, but
@@ -467,7 +436,7 @@ class PlanExecutorMixin:
         it touches, the groups with a block inside it; a monolithic
         stream decodes whole and is sliced.
         """
-        return self._read(comp, [level], region, structure, decode_workers)[0].data
+        return self._read(comp, [level], region, structure)[0].data
 
 
 def check_level_indices(levels: Sequence[int], n_levels: int) -> list[int]:

@@ -25,7 +25,6 @@ from repro.engine.registry import (
     all_specs,
     codec_for_method,
     codec_names,
-    decode_kwargs,
     get_codec,
     get_spec,
     register,
@@ -48,7 +47,6 @@ __all__ = [
     "all_specs",
     "codec_for_method",
     "codec_names",
-    "decode_kwargs",
     "default_shard_opener",
     "get_codec",
     "get_spec",

@@ -688,20 +688,13 @@ class LazyBatchArchive:
             src = self._source
         return LazyCompressedDataset._parse(src, offset, owns_source=False, length=length)
 
-    def decompress(
-        self, key: str, structure: AMRDataset | None = None, decode_workers: int = 1
-    ) -> AMRDataset:
+    def decompress(self, key: str, structure: AMRDataset | None = None) -> AMRDataset:
         """Restore one entry via the codec its recorded ``method`` names,
         reading only it."""
         comp = with_structure(self.entry(key), key, self.entry)
-        codec = registry.codec_for_method(comp.method)
-        kwargs = registry.decode_kwargs(codec, decode_workers)
-        return codec.decompress(comp, structure=structure, **kwargs)
+        return registry.codec_for_method(comp.method).decompress(comp, structure=structure)
 
-    def decompress_level(
-        self, key: str, level: int, structure: AMRDataset | None = None,
-        decode_workers: int = 1,
-    ):
+    def decompress_level(self, key: str, level: int, structure: AMRDataset | None = None):
         """Restore a single AMR level of one entry (partial read)."""
         comp = with_structure(self.entry(key), key, self.entry)
         codec = registry.codec_for_method(comp.method)
@@ -710,9 +703,7 @@ class LazyBatchArchive:
                 f"codec for method {comp.method!r} does not support partial "
                 "decompression; use decompress() for the whole entry"
             )
-        return codec.decompress_level(
-            comp, level, structure=structure, decode_workers=decode_workers
-        )
+        return codec.decompress_level(comp, level, structure=structure)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

@@ -71,17 +71,12 @@ class PartialCodec(Codec, Protocol):
 
     def codec_for(self, comp: CompressedDataset): ...
 
-    def decompress_level(
-        self, comp: CompressedDataset, level: int, structure=None, decode_workers: int = 1
-    ): ...
+    def decompress_level(self, comp: CompressedDataset, level: int, structure=None): ...
 
-    def decompress_levels(
-        self, comp: CompressedDataset, levels, structure=None, decode_workers: int = 1
-    ): ...
+    def decompress_levels(self, comp: CompressedDataset, levels, structure=None): ...
 
     def decompress_region(
-        self, comp: CompressedDataset, level: int, region, structure=None,
-        decode_workers: int = 1,
+        self, comp: CompressedDataset, level: int, region, structure=None
     ): ...
 
 
@@ -93,10 +88,9 @@ def supports_partial_decode(codec) -> bool:
 def supports_kwarg(call, name: str) -> bool:
     """Whether ``call`` accepts keyword argument ``name``.
 
-    Capability detection for optional codec knobs (``level_workers`` on
-    compress, ``decode_workers`` on decompress): any registered codec that
-    grows the keyword gets it forwarded — no isinstance special-cases
-    against built-in classes.
+    Capability detection for optional encoder knobs (``level_workers``,
+    ``want_recon``): any registered codec that grows the keyword gets it
+    forwarded — no isinstance special-cases against built-in classes.
     """
     try:
         signature = inspect.signature(call)
@@ -111,15 +105,6 @@ def supports_kwarg(call, name: str) -> bool:
         ):
             return True
     return False
-
-
-def decode_kwargs(codec, decode_workers: int) -> dict:
-    """``decompress`` kwargs forwarding ``decode_workers`` only when
-    supported, so downstream codecs without parallel decode degrade to
-    their (bit-identical anyway) serial path instead of a TypeError."""
-    if decode_workers != 1 and supports_kwarg(codec.decompress, "decode_workers"):
-        return {"decode_workers": decode_workers}
-    return {}
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ them as a pipeline:
 
 Units already satisfied by a decoded-brick cache are skipped entirely
 (``preloaded``), and eager in-memory ``parts`` dicts degrade to a plain
-(optionally parallel) decode with no fetch stage.
+serial decode on the request's thread, with no fetch stage.
 """
 
 from __future__ import annotations
@@ -192,7 +192,6 @@ class PrefetchPipeline:
         self._decode_pool = ThreadPoolExecutor(
             max_workers=decode_workers, thread_name_prefix="serve-decode"
         )
-        self._decode_workers = decode_workers
         self._closed = False
 
     # -- execution ---------------------------------------------------------
@@ -246,13 +245,8 @@ class PrefetchPipeline:
             return results, stats
         stats.n_decoded += len(pending)
         if not (hasattr(parts, "spans") and hasattr(parts, "prefetch")):
-            plan = DecompressionPlan(list(pending))
-            results.update(
-                execute_plan(
-                    plan, self._decode_workers,
-                    errors=stats.unit_errors if allow_partial else None,
-                )
-            )
+            errors = stats.unit_errors if allow_partial else None
+            results.update(execute_plan(DecompressionPlan(pending), errors=errors))
             return results, stats
 
         window_plan = _plan_windows(parts.spans(), pending, self.max_gap, allow_partial)

@@ -130,7 +130,9 @@ class ArchiveReader:
     cache_bytes:
         Decoded-brick LRU budget (0 disables caching).
     io_workers / decode_workers:
-        Pool sizes for the fetch and decode stages of each request.
+        Pool sizes for the fetch and decode stages of the prefetch
+        pipeline that serves region and level requests; a full
+        :meth:`decompress` decodes on the calling thread.
     request_workers:
         Threads serving :meth:`submit`\\ ed requests concurrently.
     coalesce_gap:
@@ -205,7 +207,6 @@ class ArchiveReader:
             self._pipeline = PrefetchPipeline(
                 io_workers=io_workers, decode_workers=decode_workers, max_gap=coalesce_gap
             )
-            self._decode_workers = decode_workers
             self._requests = ThreadPoolExecutor(
                 max_workers=request_workers, thread_name_prefix="serve-request"
             )
@@ -439,9 +440,9 @@ class ArchiveReader:
         return self._serve(key, level, None, deadline, degraded)
 
     def decompress(self, key: str):
-        """Full-entry restore (no brick caching)."""
+        """Full-entry restore on the calling thread (no brick caching)."""
         state = self._entry(key)
-        return state.codec.decompress(state.comp, decode_workers=self._decode_workers)
+        return state.codec.decompress(state.comp)
 
     # -- concurrent front-end ----------------------------------------------
     def submit(self, key: str, level: int, region=None, *, deadline=None, degraded=None):

@@ -306,7 +306,7 @@ class TestExtractCommand:
     def test_extract_level_matches_full_decompress(self, dataset_file, archive, tmp_path, capsys):
         out = tmp_path / "lvl0.npz"
         assert main([
-            "extract", str(archive), "-o", str(out), "--level", "0", "--workers", "2",
+            "extract", str(archive), "-o", str(out), "--level", "0",
         ]) == 0
         stdout = capsys.readouterr().out
         assert "parts read" in stdout
@@ -382,17 +382,14 @@ class TestExtractCommand:
         assert captured.err.startswith("error: ") and told in captured.err
         assert "Traceback" not in captured.err and not out.exists()
 
-    def test_decompress_with_workers_matches_serial(self, archive, tmp_path):
-        serial = tmp_path / "s.npz"
-        parallel = tmp_path / "p.npz"
-        assert main(["decompress", str(archive), "-o", str(serial)]) == 0
-        assert main([
-            "decompress", str(archive), "-o", str(parallel), "--workers", "4",
-        ]) == 0
-        a = load_dataset(serial)
-        b = load_dataset(parallel)
-        for la, lb in zip(a.levels, b.levels):
-            assert np.array_equal(la.data, lb.data)
+    @pytest.mark.parametrize("verb", ["decompress", "extract"])
+    def test_read_verbs_have_no_workers_option(self, archive, tmp_path, verb, capsys):
+        """Reads decode on one thread; ``--workers`` belongs to ``batch`` /
+        ``ingest``, where it sizes the encoder pool."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, str(archive), "-o", str(tmp_path / "x.npz"), "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestInspectCommand:

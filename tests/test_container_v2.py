@@ -335,8 +335,8 @@ class TestArchiveVersions:
             LazyBatchArchive.open(b"junkjunkjunkjunk")
 
     def test_partial_reads_reject_non_partial_codecs(self, tmp_path):
-        """A Codec-protocol-only downstream codec fails with a clear
-        error on decompress_level and degrades to serial on workers."""
+        """A Codec-protocol-only downstream codec restores whole entries
+        and fails with a clear error on decompress_level."""
         from repro.amr.hierarchy import AMRDataset
         from repro.core.container import CompressedDataset
         from repro.engine import register, unregister
@@ -371,8 +371,7 @@ class TestArchiveVersions:
                 },
             )
             with LazyBatchArchive.open(head) as stored:
-                # decode_workers degrades to the serial path, no TypeError.
-                restored = stored.decompress("x", decode_workers=4)
+                restored = stored.decompress("x")
                 assert restored.n_levels == 1
                 with pytest.raises(TypeError, match="partial"):
                     stored.decompress_level("x", 0)

@@ -1,4 +1,4 @@
-"""Partial/parallel decompression: the plan/execute read-path contracts.
+"""Partial decompression: the plan/execute read-path contracts.
 
 The acceptance bar for the random-access refactor:
 
@@ -6,7 +6,9 @@ The acceptance bar for the random-access refactor:
   are **bit-identical** to slicing a full ``decompress`` — for every TAC
   strategy (OpST/AKDTree/NaST/GSP/ZF), every registry baseline, and the
   delegated hybrid;
-* ``decode_workers > 1`` is bit-identical to serial;
+* the read service's concurrent decode (``ArchiveReader`` over its
+  ``PrefetchPipeline``, two decode workers) is bit-identical to
+  ``codec.decompress`` on every level and a region of each;
 * partial reads provably do *less* decode work: the lazy reader's
   part-access log shows a single-level decode touching a strict subset
   of the payload parts, and an ROI decode skipping non-intersecting
@@ -77,21 +79,26 @@ def _assert_levels_equal(a: AMRLevel, b: AMRLevel):
     assert np.array_equal(a.data, b.data)
 
 
+def _assert_concurrent_reads_match(codec, comp, root):
+    """Every level, and ``REGION`` of each, served by a reader whose
+    pipeline decodes on two workers equals ``codec.decompress``'s."""
+    full = codec.decompress(comp)
+    head = write_archive(root / "archive.rpbt", {ENTRY: comp})
+    with ArchiveReader(head, decode_workers=2, cache_bytes=0) as reader:
+        for idx, lvl in enumerate(full.levels):
+            _assert_levels_equal(lvl, reader.read_level(ENTRY, idx)[0])
+            region, _stats = reader.read_region(ENTRY, idx, REGION)
+            assert np.array_equal(region, lvl.data[REGION])
+
+
 # ----------------------------------------------------------------------
 # TAC: every strategy
 # ----------------------------------------------------------------------
 class TestTACPartialDecode:
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
-    def test_parallel_decode_bit_identical(self, dataset, strategy):
+    def test_concurrent_reader_decode_bit_identical(self, dataset, strategy, tmp_path):
         tac = TACCompressor(force_strategy=strategy)
-        comp = tac.compress(dataset, EB, mode="abs")
-        serial = tac.decompress(comp)
-        parallel = tac.decompress(comp, decode_workers=4)
-        for a, b in zip(serial.levels, parallel.levels):
-            _assert_levels_equal(a, b)
-        region_serial = tac.decompress_region(comp, 0, REGION)
-        region_parallel = tac.decompress_region(comp, 0, REGION, decode_workers=4)
-        assert np.array_equal(region_serial, region_parallel)
+        _assert_concurrent_reads_match(tac, tac.compress(dataset, EB, mode="abs"), tmp_path)
 
     def test_levels_subset_order_preserved(self, dataset):
         tac = TACCompressor()
@@ -169,16 +176,8 @@ class TestGSPBrickPartialDecode:
         return tac, tac.compress(dataset, EB, mode="abs")
 
     @pytest.mark.parametrize("strategy", [Strategy.GSP, Strategy.ZF], ids=lambda s: s.value)
-    def test_parallel_brick_decode_bit_identical(self, dataset, strategy):
-        tac, comp = self._compressed(dataset, strategy)
-        serial = tac.decompress(comp)
-        parallel = tac.decompress(comp, decode_workers=4)
-        for a, b in zip(serial.levels, parallel.levels):
-            _assert_levels_equal(a, b)
-        assert np.array_equal(
-            tac.decompress_region(comp, 0, REGION),
-            tac.decompress_region(comp, 0, REGION, decode_workers=4),
-        )
+    def test_concurrent_reader_brick_decode_bit_identical(self, dataset, strategy, tmp_path):
+        _assert_concurrent_reads_match(*self._compressed(dataset, strategy), tmp_path)
 
     def test_brick_plan_units_carry_boxes(self, dataset):
         tac, comp = self._compressed(dataset, Strategy.GSP)
@@ -476,17 +475,15 @@ class TestRegistryPartialDecode:
         assert supports_partial_decode(get_codec(name))
 
     @pytest.mark.parametrize("name", CODECS)
-    def test_partial_bit_identical_to_full(self, dataset, name):
+    def test_partial_bit_identical_to_full(self, dataset, name, tmp_path):
         codec = get_codec(name)
         comp = codec.compress(dataset, EB, mode="abs")
         full = codec.decompress(comp)
-        parallel = codec.decompress(comp, decode_workers=4)
-        for a, b in zip(full.levels, parallel.levels):
-            _assert_levels_equal(a, b)
         for idx, lvl in enumerate(codec.decompress_levels(comp, range(dataset.n_levels))):
             _assert_levels_equal(full.levels[idx], lvl)
-            region = codec.decompress_region(comp, idx, REGION, decode_workers=2)
+            region = codec.decompress_region(comp, idx, REGION)
             assert np.array_equal(region, full.levels[idx].data[REGION])
+        _assert_concurrent_reads_match(codec, comp, tmp_path)
 
     def test_hybrid_delegation_forwards_partial_reads(self):
         """A dense dataset delegates to the 3D baseline; the partial API

@@ -13,10 +13,10 @@ Three regression suites for bugs fixed in this change set:
   the end of the blob.
 
 Plus contracts for the serving stack built on top: span coalescing,
-prefetch staging, the ``execute_plan`` preload seam, the decoded-brick
-LRU, retrying openers, the prefetch pipeline, and the ``ArchiveReader``
-front-end (bit-identical to direct decode, cache hits on repeats,
-correct under concurrency, monolithic codecs through the same path).
+prefetch staging, the decoded-brick LRU, retrying openers, the prefetch
+pipeline, and the ``ArchiveReader`` front-end (bit-identical to direct
+decode, cache hits on repeats, correct under concurrency, monolithic
+codecs through the same path).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.core.container import (
     coalesce_spans,
     make_source,
 )
-from repro.core.plan import DecodeUnit, DecompressionPlan, execute_plan
+from repro.core.plan import DecodeUnit, execute_plan
 from repro.core.tac import TACCompressor
 from repro.baselines.zmesh import ZMeshCompressor
 from repro.engine import LazyBatchArchive, default_shard_opener
@@ -224,45 +224,6 @@ class TestPartStorePrefetch:
         src, store = self.make_store()
         assert store.spans()["c"] == (64, 16)
         assert src.reads == []
-
-
-# ---------------------------------------------------------------------------
-# execute_plan preload seam
-# ---------------------------------------------------------------------------
-
-
-class TestExecutePlanPreloaded:
-    def make_units(self, calls):
-        def unit(key):
-            return DecodeUnit(
-                key=key,
-                level=0,
-                part_names=(key,),
-                decode=lambda key=key: calls.append(key) or key.upper(),
-            )
-
-        return [unit("a"), unit("b"), unit("c")]
-
-    def test_preloaded_units_skip_decode(self):
-        calls: list[str] = []
-        plan = DecompressionPlan(self.make_units(calls))
-        results = execute_plan(plan, preloaded={"b": "cached"})
-        assert results == {"a": "A", "b": "cached", "c": "C"}
-        assert calls == ["a", "c"]
-
-    def test_preloaded_keys_outside_plan_ignored(self):
-        calls: list[str] = []
-        plan = DecompressionPlan(self.make_units(calls))
-        results = execute_plan(plan, preloaded={"zz": "stale"})
-        assert "zz" not in results
-        assert sorted(calls) == ["a", "b", "c"]
-
-    def test_all_preloaded_decodes_nothing(self):
-        calls: list[str] = []
-        plan = DecompressionPlan(self.make_units(calls))
-        results = execute_plan(plan, preloaded={"a": 1, "b": 2, "c": 3})
-        assert results == {"a": 1, "b": 2, "c": 3}
-        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ come from the reference writers in ``tests/helpers.py`` and the frozen
 * TAC reads such blobs end-to-end — bit-identical reconstruction against
   the per-stream blob of the same data, pruned ROI reads fetch only the
   table plus the touched bricks, the table part is resolved exactly once
-  no matter how many decode workers share it, and a damaged table or
-  reference costs a degraded read exactly its level's streams;
-* the serving layer (:class:`repro.serve.reader.ArchiveReader`) resolves
-  the cached table concurrently without tearing.
+  per read, and a damaged table or reference costs a degraded read
+  exactly its level's streams;
+* the serving layer (:class:`repro.serve.reader.ArchiveReader`) decodes
+  on its pipeline's workers bit-identically to the serial codec, and
+  resolves the cached table concurrently without tearing.
 """
 
 from __future__ import annotations
@@ -182,13 +183,6 @@ class TestTACSharedMode:
             assert table["table_id"] == info["id"]
             assert table["alphabet"] == info["alphabet"]
 
-    def test_decode_workers_match_serial(self, shared_comp):
-        tac = TACCompressor(brick_size=4)
-        serial = tac.decompress(shared_comp, decode_workers=1)
-        threaded = tac.decompress(shared_comp, decode_workers=4)
-        for a, b in zip(serial.levels, threaded.levels):
-            assert np.array_equal(a.data, b.data)
-
     def test_default_config_reader_decodes_shared_blob(self, shared_comp, dataset):
         """Reading never depends on the writer's config: the resolver comes
         from the blob's level meta."""
@@ -202,7 +196,7 @@ class TestTACSharedMode:
     def test_roi_fetches_table_plus_touched_bricks_only(self, shared_comp):
         tac = TACCompressor(brick_size=4)
         lazy = LazyCompressedDataset.open(shared_comp.to_bytes())
-        region = tac.decompress_region(lazy, 0, ROI, decode_workers=4)
+        region = tac.decompress_region(lazy, 0, ROI)
         full = tac.decompress(shared_comp)
         assert np.array_equal(region, full.levels[0].data[ROI])
 
@@ -214,7 +208,7 @@ class TestTACSharedMode:
         # fetches); the payload reads are exactly the table + the bricks.
         assert accessed - {"L0/bricks"} == bricks | {"L0/table"}
         assert len(bricks) == 8  # 1/8-domain ROI on the 4^3 brick grid
-        # The table part is fetched exactly once, not once per worker.
+        # The table part is fetched exactly once, not once per brick.
         assert lazy.parts.access_counts["L0/table"] == 1
 
     def test_collapse_groups_table_parts(self, shared_comp):
@@ -299,6 +293,16 @@ class TestServeSharedTables:
     def archive_path(self, tmp_path_factory, shared_comp):
         path = tmp_path_factory.mktemp("serve") / "shared.rpbt"
         return write_archive(path, {"gsp/shared": shared_comp})
+
+    def test_pipeline_decode_workers_match_serial(self, archive_path, shared_comp):
+        from repro.serve.reader import ArchiveReader
+
+        serial = TACCompressor(brick_size=4).decompress(shared_comp)
+        with ArchiveReader(archive_path, decode_workers=2, cache_bytes=0) as reader:
+            for idx, lvl in enumerate(serial.levels):
+                threaded, _stats = reader.read_level("gsp/shared", idx)
+                assert np.array_equal(threaded.data, lvl.data)
+                assert np.array_equal(threaded.mask, lvl.mask)
 
     def test_concurrent_roi_reads_match_serial(self, archive_path, dataset):
         """Satellite stress: many threads resolve the cached shared table

@@ -253,10 +253,9 @@ class TestPlanExecution:
         ]
         return DecompressionPlan(units), parts, fetched
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_matches_unit_decode(self, plan, workers):
+    def test_matches_unit_decode(self, plan):
         plan, parts, fetched = plan
-        results = execute_plan(plan, workers)
+        results = execute_plan(plan)
         assert sorted(fetched) == sorted(parts)  # each blob fetched exactly once
         for unit in plan.units:
             assert np.array_equal(results[unit.key], CODEC.decompress(parts[unit.key]))
