@@ -697,6 +697,47 @@ class TestPrefetchPipeline:
         assert set(results) == set(full)
         arch.close()
 
+    @staticmethod
+    def closure_units(calls):
+        def unit(key):
+            return DecodeUnit(
+                key=key,
+                level=0,
+                part_names=(key,),
+                decode=lambda key=key: calls.append(key) or key.upper(),
+            )
+
+        return [unit("a"), unit("b"), unit("c")]
+
+    def test_preloaded_units_skip_decode(self):
+        calls: list[str] = []
+        with PrefetchPipeline() as pipeline:
+            results, stats = pipeline.execute(
+                {}, self.closure_units(calls), preloaded={"b": "cached"}
+            )
+        assert results == {"a": "A", "b": "cached", "c": "C"}
+        assert calls == ["a", "c"]
+        assert stats.n_preloaded == 1 and stats.n_decoded == 2
+
+    def test_preloaded_keys_outside_plan_ignored(self):
+        calls: list[str] = []
+        with PrefetchPipeline() as pipeline:
+            results, stats = pipeline.execute(
+                {}, self.closure_units(calls), preloaded={"zz": "stale"}
+            )
+        assert "zz" not in results
+        assert sorted(calls) == ["a", "b", "c"]
+        assert stats.n_preloaded == 0
+
+    def test_all_preloaded_decodes_nothing(self):
+        calls: list[str] = []
+        with PrefetchPipeline() as pipeline:
+            results, stats = pipeline.execute(
+                {}, self.closure_units(calls), preloaded={"a": 1, "b": 2, "c": 3}
+            )
+        assert results == {"a": 1, "b": 2, "c": 3}
+        assert calls == [] and stats.n_decoded == 0
+
     def test_eager_parts_degrade_to_plain_decode(self, tac_blob):
         codec, comp = tac_blob  # eager dict-backed parts
         plan = codec.build_decode_plan(comp, levels=[0])

@@ -7,6 +7,7 @@ over every stream kind — and that a bad member fails alone.
 """
 
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -259,6 +260,25 @@ class TestPlanExecution:
         assert sorted(fetched) == sorted(parts)  # each blob fetched exactly once
         for unit in plan.units:
             assert np.array_equal(results[unit.key], CODEC.decompress(parts[unit.key]))
+
+    def test_runs_in_plan_order_on_the_callers_thread(self, plan):
+        """No pool: closure units and SZ batches run one after another on
+        the thread that called ``execute_plan``, in plan order."""
+        plan, _parts, fetched = plan
+        seen = []
+
+        def closure(key):
+            def decode():
+                seen.append((key, threading.get_ident()))
+                return key
+
+            return DecodeUnit(key, 0, (key,), decode)
+
+        units = [closure("a"), *plan.units[:5], closure("b"), *plan.units[5:]]
+        results = execute_plan(DecompressionPlan(units))
+        assert seen == [("a", threading.get_ident()), ("b", threading.get_ident())]
+        assert fetched == [f"p{i}" for i in range(7)]
+        assert list(results)[:1] == ["a"] and len(results) == 9
 
     def test_fetch_and_decode_failures_stay_per_unit(self, plan):
         plan, parts, _fetched = plan
