@@ -233,9 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--io-workers", type=int, default=4, help="shard fetch pool size"
     )
     p_srv.add_argument(
-        "--decode-workers", type=int, default=2, help="brick decode pool size"
-    )
-    p_srv.add_argument(
         "--gap", type=int, default=4096,
         help="coalesce part fetches closer than this many bytes",
     )
@@ -872,8 +869,12 @@ def cmd_serve(args) -> int:
 
     from repro.serve import ArchiveReader
 
-    if args.requests < 1 or args.rois < 1 or args.threads < 1:
-        print("serve: --requests, --rois, and --threads must be >= 1", file=sys.stderr)
+    if min(args.requests, args.rois, args.threads, args.io_workers) < 1:
+        print("serve: --requests, --rois, --threads, and --io-workers must be >= 1",
+              file=sys.stderr)
+        return 2
+    if args.gap < 0:
+        print(f"serve: --gap must be >= 0, got {args.gap}", file=sys.stderr)
         return 2
     if not 0.0 < args.roi_frac <= 1.0:
         print(f"serve: --roi-frac must be in (0, 1], got {args.roi_frac}",
@@ -904,7 +905,6 @@ def cmd_serve(args) -> int:
         shard_opener=shard_opener,
         cache_bytes=args.cache_bytes,
         io_workers=args.io_workers,
-        decode_workers=args.decode_workers,
         request_workers=args.threads,
         coalesce_gap=args.gap,
         default_deadline=args.deadline,

@@ -195,7 +195,7 @@ def decode_jobs(
     left out instead.  A closure unit is one item.  SZ-stream units that
     declare the same ``sz_shape`` share an item up to
     :data:`~repro.sz.compressor.BATCH_VALUES` decoded values — the batch,
-    not the brick, is what the read service's decode pool distributes.
+    not the brick, is the read service's unit of decode work.
     """
     jobs: list[tuple[list[DecodeUnit], Callable[[], dict]]] = []
     open_items: dict[tuple[int, ...], list[DecodeUnit]] = {}

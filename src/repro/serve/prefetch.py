@@ -15,15 +15,15 @@ them as a pipeline:
 3. the units are cut into the plan's work items
    (:func:`repro.core.plan.decode_jobs`) once, before anything lands: a
    closure unit each, SZ streams in lockstep decode batches.  An item
-   goes to the decode pool — one task per batch, not per brick — when the
-   last window holding a part of its members has landed, while the
-   windows of later items are still in flight, overlapping network with
-   CPU.  Which streams decode together is therefore a property of the
+   runs on the request's own thread — one pass per batch, not per brick —
+   once the last window holding a part of its members has landed, while
+   the I/O pool fetches the windows of later items, overlapping network
+   with CPU.  Which streams decode together is therefore a property of the
    plan, not of the order fetches happen to complete in.
 
 Units already satisfied by a decoded-brick cache are skipped entirely
 (``preloaded``), and eager in-memory ``parts`` dicts degrade to a plain
-serial decode on the request's thread, with no fetch stage.
+serial decode, with no fetch stage.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_right
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from concurrent.futures import TimeoutError as _FuturesTimeout
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from repro.core.container import coalesce_spans
@@ -43,15 +43,21 @@ from repro.core.plan import DecompressionPlan, decode_jobs, execute_plan
 #: megabytes of unrequested payload.
 DEFAULT_COALESCE_GAP = 4096
 
+#: Requests of one pipeline that may decode at once; the rest wait on
+#: their own threads.  There is no decode pool — a batch is one NumPy pass
+#: a second thread cannot split — but decode is mostly GIL-bound: 4
+#: request threads decoding at once on 2 cores made cold ROIs 1.4× slower.
+DECODE_SLOTS = 2
+
 
 class DeadlineExceeded(TimeoutError):
     """A request's deadline expired before its fetches/decodes finished.
 
-    Raised instead of hanging on a stalled source: the deadline is
-    checked whenever the pipeline waits on a fetch window and before
-    every decode-result collection, so a read against a dead store
-    fails in bounded time even though the blocked I/O thread itself
-    cannot be interrupted.
+    Raised instead of hanging on a stalled source: the deadline bounds
+    every wait and is checked before every work item starts, so a read
+    against a dead store fails in bounded time.  Neither a blocked I/O
+    thread nor a running item can be interrupted: a request overruns by
+    at most one item of up to ``BATCH_VALUES`` decoded values.
     """
 
 
@@ -104,10 +110,10 @@ class PipelineStats:
     unit_errors: dict = field(default_factory=dict)
     #: Whether the request's deadline expired mid-flight.
     deadline_hit: bool = False
-    #: Fetch/decode futures that outlived a deadline — ``cancel()`` found
-    #: them already running, so they were reaped on completion instead:
-    #: exception retrieved, late-staged payloads discarded.  Incremented
-    #: from pool threads, possibly *after* execute() has returned.
+    #: Fetches still outstanding when the request gave up that ``cancel()``
+    #: could not stop: reaped on completion instead (exception retrieved,
+    #: late-staged payloads discarded).  Incremented from I/O pool
+    #: threads, possibly *after* execute() has returned.
     n_stragglers: int = 0
 
     def overlapped(self) -> bool:
@@ -166,11 +172,11 @@ def _plan_windows(spans: dict, units, max_gap: int, isolate: bool = False) -> _W
 
 
 class PrefetchPipeline:
-    """Overlap coalesced part fetches with decode across two pools.
+    """Overlap coalesced part fetches with decode on the request's thread.
 
-    One pipeline is shared by all of a reader's requests: the pools are
-    created once and each :meth:`execute` call schedules its own windows
-    and units onto them.  Safe to call from multiple request threads —
+    One pipeline is shared by all of a reader's requests: the I/O pool and
+    decode slots are created once and each :meth:`execute` call schedules
+    its own windows onto them.  Safe to call from multiple request threads —
     all per-call state is local, and the staged hand-off inside
     :class:`~repro.core.container.LazyPartStore` is lock-protected.
     """
@@ -178,20 +184,17 @@ class PrefetchPipeline:
     def __init__(
         self,
         io_workers: int = 4,
-        decode_workers: int = 2,
         max_gap: int = DEFAULT_COALESCE_GAP,
     ):
-        if io_workers < 1 or decode_workers < 1:
-            raise ValueError("io_workers and decode_workers must be >= 1")
+        if io_workers < 1:
+            raise ValueError(f"io_workers must be >= 1, got {io_workers}")
         if max_gap < 0:
             raise ValueError(f"max_gap must be non-negative, got {max_gap}")
         self.max_gap = int(max_gap)
         self._io_pool = ThreadPoolExecutor(
             max_workers=io_workers, thread_name_prefix="serve-io"
         )
-        self._decode_pool = ThreadPoolExecutor(
-            max_workers=decode_workers, thread_name_prefix="serve-decode"
-        )
+        self._decode_slots = threading.BoundedSemaphore(DECODE_SLOTS)
         self._closed = False
 
     # -- execution ---------------------------------------------------------
@@ -211,16 +214,18 @@ class PrefetchPipeline:
         lazy stores (``spans``/``prefetch``), eager dicts decode
         directly.  ``preloaded`` results (cache hits) skip both stages.
 
-        ``deadline`` bounds the request in wall time: it is enforced at
-        every fetch-window wait and every decode-result collection, so a
-        stalled source raises :class:`DeadlineExceeded` instead of
-        hanging (in-flight I/O threads finish in the background; their
-        results are discarded).  Eager in-memory part dicts have no
-        fetch stage and are not deadline-checked.
+        ``deadline`` bounds the request in wall time: it bounds every
+        fetch-window and decode-slot wait and is checked before every work
+        item starts, so a stalled source raises :class:`DeadlineExceeded`
+        instead of hanging (in-flight I/O threads finish in the
+        background; their results are discarded).  A running item keeps
+        its results.  Eager in-memory part dicts have no fetch stage and
+        are not deadline-checked.
 
         ``allow_partial=True`` turns failures into casualties instead of
         aborts: a unit whose fetch window failed, whose decode raised, or
-        whose budget ran out is recorded in ``stats.unit_errors`` (key →
+        whose item had not started in budget is recorded in
+        ``stats.unit_errors`` (key →
         exception) and omitted from the results — the caller decides how
         to degrade.  A window fetch that failed with an aggregated
         ``bad_parts`` attribute (CRC failures during prefetch stage the
@@ -246,7 +251,8 @@ class PrefetchPipeline:
         stats.n_decoded += len(pending)
         if not (hasattr(parts, "spans") and hasattr(parts, "prefetch")):
             errors = stats.unit_errors if allow_partial else None
-            results.update(execute_plan(DecompressionPlan(pending), errors=errors))
+            with self._decode_slots:
+                results.update(execute_plan(DecompressionPlan(pending), errors=errors))
             return results, stats
 
         window_plan = _plan_windows(parts.spans(), pending, self.max_gap, allow_partial)
@@ -263,25 +269,19 @@ class PrefetchPipeline:
                     stats.last_fetch_end = now
             return names
 
-        def decode(run) -> dict:
-            now = time.perf_counter()
-            with time_lock:
-                if stats.first_decode_start is None:
-                    stats.first_decode_start = now
-            return run()
-
         fetch_futures = {
             self._io_pool.submit(fetch, names): idx
             for idx, names in enumerate(window_plan.window_names)
             if names
         }
+        in_flight = set(fetch_futures)
         failed = stats.unit_errors
         errors = {} if allow_partial else None
         # The work items are the plan's, fixed before any window lands:
         # closure units one by one, SZ streams in batches.  Each waits for
         # the windows of its own members (none when every part is an eager
-        # sibling or the part list is empty) and is then one decode task —
-        # so how many lockstep passes a request costs, and what they
+        # sibling or the part list is empty) and then runs here as one
+        # pass — so how many lockstep passes a request costs, and what they
         # allocate, does not depend on the order fetches complete in.
         items = decode_jobs(pending, errors)
         waiting = [
@@ -292,26 +292,27 @@ class PrefetchPipeline:
         for item, windows in enumerate(waiting):
             for idx in windows:
                 by_window.setdefault(idx, []).append(item)
-        unsubmitted = set(range(len(items)))
-        decode_futures: list[tuple[list, Future]] = []
+        unstarted = set(range(len(items)))
+        ready = deque(item for item, windows in enumerate(waiting) if not windows)
 
-        def submit(item: int) -> None:
-            """Hand ``item`` to the decode pool; members that failed while it
+        def run(item: int) -> None:
+            """Decode ``item`` on this thread; members that failed while it
             waited (their window was lost) are left out."""
-            unsubmitted.discard(item)
-            members, run = items[item]
+            unstarted.discard(item)
+            members, job = items[item]
             alive = [unit for unit in members if unit.key not in failed]
-            jobs = [(members, run)] if len(alive) == len(members) else decode_jobs(alive, errors)
-            for members, run in jobs:
-                decode_futures.append((members, self._decode_pool.submit(decode, run)))
-
-        for item, windows in enumerate(waiting):
-            if not windows:
-                submit(item)
+            jobs = [(members, job)] if len(alive) == len(members) else decode_jobs(alive, errors)
+            for members, job in jobs:
+                if stats.first_decode_start is None:
+                    stats.first_decode_start = time.perf_counter()
+                results.update(job())
+                for unit in members:
+                    if errors and unit.key in errors:
+                        failed.setdefault(unit.key, errors[unit.key])
 
         def reap_fetch_straggler(future) -> None:
-            # Runs on the I/O pool when a cancelled-but-already-running
-            # fetch finally lands: retrieve its exception (a worker crash
+            # Runs when a fetch the request could not cancel lands (at once,
+            # if it already had): retrieve its exception (a worker crash
             # must not vanish into the pool) and drop whatever it staged
             # after the request moved on — nobody will ever read it.
             future.exception()
@@ -319,27 +320,43 @@ class PrefetchPipeline:
             with time_lock:
                 stats.n_stragglers += 1
 
-        def reap_decode_straggler(future) -> None:
-            # Decode stragglers consume their own staged parts, so only
-            # the exception needs retrieving.
-            future.exception()
-            with time_lock:
-                stats.n_stragglers += 1
+        def stop_fetching() -> None:
+            for future in in_flight:
+                if not future.cancel():
+                    future.add_done_callback(reap_fetch_straggler)
 
         def deadline_error() -> DeadlineExceeded:
-            n_submitted = len(pending) - sum(len(items[item][0]) for item in unsubmitted)
+            n_started = len(pending) - sum(len(items[item][0]) for item in unstarted)
             return DeadlineExceeded(
                 f"request deadline of {deadline.seconds:.3f}s expired with "
                 f"{len(in_flight)} fetch window(s) outstanding and "
-                f"{n_submitted} decode(s) submitted"
+                f"{n_started} of {len(pending)} decode(s) started"
             )
 
-        in_flight = set(fetch_futures)
         try:
-            while in_flight:
-                timeout = None if deadline is None else max(0.0, deadline.remaining())
+            while ready or in_flight:
+                if deadline is not None and deadline.expired():
+                    # The budget is gone: what ran keeps its results.
+                    stats.deadline_hit = True
+                    if not allow_partial:
+                        raise deadline_error()
+                    stop_fetching()
+                    for item in unstarted:
+                        for unit in items[item][0]:
+                            failed.setdefault(unit.key, deadline_error())
+                    break
+                budget = None if deadline is None else max(0.0, deadline.remaining())
+                if ready:
+                    # Other requests may hold every decode slot; a timeout
+                    # lands on the deadline check above.
+                    if self._decode_slots.acquire(timeout=budget):
+                        try:
+                            run(ready.popleft())
+                        finally:
+                            self._decode_slots.release()
+                    continue
                 done, in_flight = wait(
-                    in_flight, timeout=timeout, return_when=FIRST_COMPLETED
+                    in_flight, timeout=budget, return_when=FIRST_COMPLETED
                 )
                 for future in done:
                     idx = fetch_futures[future]
@@ -358,45 +375,15 @@ class PrefetchPipeline:
                                     not bad or bad & set(unit.part_names)
                                 ):
                                     failed.setdefault(unit.key, exc)
-                if deadline is not None and (not done or deadline.expired()):
-                    # The budget is gone — waiting on a stalled fetch, or as
-                    # a window landed.  Nothing more is submitted.
-                    stats.deadline_hit = True
-                    for future in in_flight:
-                        if not future.cancel():
-                            future.add_done_callback(reap_fetch_straggler)
-                    if not allow_partial:
-                        raise deadline_error()
-                    for item in unsubmitted:
-                        for unit in items[item][0]:
-                            failed.setdefault(unit.key, deadline_error())
-                    break
-                for future in done:
-                    idx = fetch_futures[future]
                     for item in by_window.get(idx, ()):
                         waiting[item].discard(idx)
                         if not waiting[item]:
-                            submit(item)
-            for members, future in decode_futures:
-                timeout = None if deadline is None else max(0.0, deadline.remaining())
-                try:
-                    results.update(future.result(timeout=timeout))
-                except _FuturesTimeout:
-                    stats.deadline_hit = True
-                    if not future.cancel():
-                        future.add_done_callback(reap_decode_straggler)
-                    if not allow_partial:
-                        raise deadline_error() from None
-                    for unit in members:
-                        failed.setdefault(unit.key, deadline_error())
-                    continue
-                for unit in members:
-                    if errors and unit.key in errors:
-                        failed.setdefault(unit.key, errors[unit.key])
+                            ready.append(item)
         except Exception:
-            # A failed fetch or decode abandons the request: drop anything
-            # staged for it so the entry's store does not accrete payloads
-            # no one will read.
+            # A failed fetch or decode abandons the request: stop its
+            # fetches and drop anything staged for it so the entry's store
+            # does not accrete payloads no one will read.
+            stop_fetching()
             parts.discard_staged()
             raise
         if failed:
@@ -411,7 +398,6 @@ class PrefetchPipeline:
             return
         self._closed = True
         self._io_pool.shutdown(wait=True)
-        self._decode_pool.shutdown(wait=True)
 
     def __enter__(self) -> "PrefetchPipeline":
         return self

@@ -129,10 +129,11 @@ class ArchiveReader:
         disable retries.
     cache_bytes:
         Decoded-brick LRU budget (0 disables caching).
-    io_workers / decode_workers:
-        Pool sizes for the fetch and decode stages of the prefetch
-        pipeline that serves region and level requests; a full
-        :meth:`decompress` decodes on the calling thread.
+    io_workers:
+        Fetch pool size of the prefetch pipeline that serves region and
+        level requests.  Decode always runs on the request's own thread
+        (the caller's, or a ``request_workers`` thread for
+        :meth:`submit`), overlapping the fetches still in flight.
     request_workers:
         Threads serving :meth:`submit`\\ ed requests concurrently.
     coalesce_gap:
@@ -170,7 +171,6 @@ class ArchiveReader:
         retry: RetryPolicy | None = None,
         cache_bytes: int = 256 * 1024 * 1024,
         io_workers: int = 4,
-        decode_workers: int = 2,
         request_workers: int = 4,
         coalesce_gap: int = DEFAULT_COALESCE_GAP,
         default_deadline: float | None = None,
@@ -204,9 +204,7 @@ class ArchiveReader:
         )
         try:
             self.cache = DecodedBrickCache(cache_bytes) if cache_bytes else None
-            self._pipeline = PrefetchPipeline(
-                io_workers=io_workers, decode_workers=decode_workers, max_gap=coalesce_gap
-            )
+            self._pipeline = PrefetchPipeline(io_workers=io_workers, max_gap=coalesce_gap)
             self._requests = ThreadPoolExecutor(
                 max_workers=request_workers, thread_name_prefix="serve-request"
             )

@@ -465,7 +465,7 @@ class TestPipelineErrorPropagation:
         with LazyBatchArchive.open(head, shard_opener=opener) as lazy:
             entry = lazy.entry(KEY)
             units = tac.build_decode_plan(entry, levels=[BRICK_LEVEL]).units
-            with PrefetchPipeline(io_workers=2, decode_workers=2) as pipeline:
+            with PrefetchPipeline(io_workers=2) as pipeline:
                 with pytest.raises(ContainerIOError, match="injected transient fault"):
                     pipeline.execute(entry.parts, units)
                 # Same pipeline, same store, fault budget spent: the next
@@ -482,7 +482,7 @@ class TestPipelineErrorPropagation:
         with LazyBatchArchive.open(head, shard_opener=opener) as lazy:
             entry = lazy.entry(KEY)
             units = tac.build_decode_plan(entry, levels=[BRICK_LEVEL]).units
-            with PrefetchPipeline(io_workers=2, decode_workers=2) as pipeline:
+            with PrefetchPipeline(io_workers=2) as pipeline:
                 results, stats = pipeline.execute(
                     entry.parts, units, allow_partial=True
                 )

@@ -81,10 +81,10 @@ def _assert_levels_equal(a: AMRLevel, b: AMRLevel):
 
 def _assert_concurrent_reads_match(codec, comp, root):
     """Every level, and ``REGION`` of each, served by a reader whose
-    pipeline decodes on two workers equals ``codec.decompress``'s."""
+    pipeline fetches on its I/O pool equals ``codec.decompress``'s."""
     full = codec.decompress(comp)
     head = write_archive(root / "archive.rpbt", {ENTRY: comp})
-    with ArchiveReader(head, decode_workers=2, cache_bytes=0) as reader:
+    with ArchiveReader(head, cache_bytes=0) as reader:
         for idx, lvl in enumerate(full.levels):
             _assert_levels_equal(lvl, reader.read_level(ENTRY, idx)[0])
             region, _stats = reader.read_region(ENTRY, idx, REGION)

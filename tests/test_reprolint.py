@@ -1,5 +1,5 @@
 """Tests for tools/reprolint: the framework (suppressions, fingerprints,
-baseline, CLI exit codes) and each rule's fire/clean contract.
+CLI exit codes) and each rule's fire/clean contract.
 
 The RL001 and RL002 true-positive fixtures are minimized reproductions of
 the PR 6 serve-layer bugs (the ``_ShardStore`` close-vs-open race and the
@@ -15,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from tools.reprolint.baseline import Baseline
 from tools.reprolint.cli import main as lint_main
-from tools.reprolint.core import Finding, parse_suppressions
+from tools.reprolint.core import parse_suppressions
 from tools.reprolint.engine import lint_paths
 from tools.reprolint.rules import all_rules
 
@@ -596,7 +595,7 @@ class TestRL005:
 
 
 # ---------------------------------------------------------------------------
-# suppressions, fingerprints, baseline, CLI
+# suppressions, fingerprints, CLI
 # ---------------------------------------------------------------------------
 
 
@@ -653,37 +652,6 @@ class TestFingerprints:
         assert findings[0].fingerprint() != findings[1].fingerprint()
 
 
-class TestBaselineRoundTrip:
-    def test_partition_and_staleness(self, tmp_path):
-        old = Finding("RL005", "a.py", 3, 0, "old finding")
-        kept = Finding("RL005", "b.py", 7, 0, "kept finding")
-        baseline = Baseline()
-        baseline.write(tmp_path / "bl.json", [old, kept])
-
-        reloaded = Baseline.load(tmp_path / "bl.json")
-        fresh = Finding("RL005", "c.py", 1, 0, "fresh finding")
-        new, baselined, stale = reloaded.partition([kept, fresh])
-        assert new == [fresh]
-        assert baselined == [kept]
-        assert stale == [old.fingerprint()]
-
-    def test_rewrite_preserves_justifications(self, tmp_path):
-        finding = Finding("RL005", "a.py", 3, 0, "msg")
-        baseline = Baseline()
-        baseline.write(tmp_path / "bl.json", [finding])
-        data = json.loads((tmp_path / "bl.json").read_text())
-        data["findings"][finding.fingerprint()]["justification"] = "because reasons"
-        (tmp_path / "bl.json").write_text(json.dumps(data))
-
-        reloaded = Baseline.load(tmp_path / "bl.json")
-        reloaded.write(tmp_path / "bl.json", [finding])
-        data = json.loads((tmp_path / "bl.json").read_text())
-        assert data["findings"][finding.fingerprint()]["justification"] == "because reasons"
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "nope.json").entries == {}
-
-
 class TestCLIExitCodes:
     def _seed_violation(self, root: Path) -> None:
         write(
@@ -700,7 +668,6 @@ class TestCLIExitCodes:
     def _argv(self, root: Path, *extra: str) -> list[str]:
         return [
             "--root", str(root),
-            "--baseline", str(root / "baseline.json"),
             "--rules", "RL005",
             "src",
         ] + list(extra)
@@ -708,36 +675,37 @@ class TestCLIExitCodes:
     def test_zero_on_clean_tree(self, tmp_path, capsys):
         write(tmp_path, "src/repro/core/ok.py", "X = 1\n")
         assert lint_main(self._argv(tmp_path)) == 0
-        assert "0 new" in capsys.readouterr().out
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_nonzero_on_seeded_violation(self, tmp_path, capsys):
         self._seed_violation(tmp_path)
         assert lint_main(self._argv(tmp_path)) == 1
         out = capsys.readouterr().out
-        assert "RL005" in out and "bad.py" in out
+        assert "RL005" in out and "bad.py" in out and "1 finding(s)" in out
 
-    def test_zero_after_update_baseline_then_one_when_stale(self, tmp_path, capsys):
+    def test_fixing_the_violation_clears_the_gate(self, tmp_path):
         self._seed_violation(tmp_path)
-        assert lint_main(self._argv(tmp_path, "--update-baseline")) == 0
-        assert lint_main(self._argv(tmp_path)) == 0
-        # Fixing the violation turns the row stale: the gate must demand
-        # the baseline shrink too.
-        write(tmp_path, "src/repro/core/bad.py", "X = 1\n")
         assert lint_main(self._argv(tmp_path)) == 1
-        assert "stale" in capsys.readouterr().out
+        write(tmp_path, "src/repro/core/bad.py", "X = 1\n")
+        assert lint_main(self._argv(tmp_path)) == 0
 
-    def test_no_baseline_flag_reports_everything(self, tmp_path):
+    @pytest.mark.parametrize(
+        "option", [["--baseline", "bl.json"], ["--no-baseline"], ["--update-baseline"]]
+    )
+    def test_baseline_options_are_gone(self, tmp_path, option):
+        # Nothing is grandfathered: a finding is fixed or suppressed inline.
         self._seed_violation(tmp_path)
-        assert lint_main(self._argv(tmp_path, "--update-baseline")) == 0
-        assert lint_main(self._argv(tmp_path, "--no-baseline")) == 1
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main(self._argv(tmp_path, *option))
+        assert excinfo.value.code == 2
 
     def test_json_report_written(self, tmp_path):
         self._seed_violation(tmp_path)
         report = tmp_path / "report.json"
         assert lint_main(self._argv(tmp_path, "--json", str(report))) == 1
         data = json.loads(report.read_text())
-        assert data["new"] and data["new"][0]["rule"] == "RL005"
-        assert {"files", "rules", "baselined", "stale"} <= set(data)
+        assert set(data) == {"files", "rules", "findings"}
+        assert [f["rule"] for f in data["findings"]] == ["RL005"]
 
     def test_unknown_rule_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -768,12 +736,9 @@ class TestRegistry:
 
 
 class TestRepoIsClean:
-    def test_repo_lint_has_no_new_findings(self):
-        """The committed tree must lint clean against the committed
-        baseline — the same gate CI enforces."""
+    def test_repo_lint_has_no_findings(self):
+        """The committed tree must lint clean — the same gate CI enforces;
+        there is no baseline to grandfather a finding."""
         root = Path(__file__).resolve().parents[1]
         result = lint_paths(root)
-        baseline = Baseline.load(root / "tools" / "reprolint" / "baseline.json")
-        new, _baselined, stale = baseline.partition(result.findings)
-        assert new == [], [f.render() for f in new]
-        assert stale == []
+        assert result.findings == [], [f.render() for f in result.findings]

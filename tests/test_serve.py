@@ -49,6 +49,7 @@ from repro.serve import (
     RetryPolicy,
     retrying_opener,
 )
+from repro.serve.prefetch import DECODE_SLOTS
 from repro.sz.compressor import SZCompressor
 from tests.helpers import two_level_dataset, write_archive
 
@@ -673,7 +674,7 @@ class TestPrefetchPipeline:
         arch, lazy = self.make_lazy_comp(tmp_path, codec, comp)
         plan = codec.build_decode_plan(lazy, levels=[1])
         expected = execute_plan(codec.build_decode_plan(comp, levels=[1]))
-        with PrefetchPipeline(io_workers=2, decode_workers=2) as pipeline:
+        with PrefetchPipeline(io_workers=2) as pipeline:
             results, stats = pipeline.execute(lazy.parts, plan.units)
         assert set(results) == set(expected)
         for unit_key, value in expected.items():
@@ -763,58 +764,97 @@ class TestPrefetchPipeline:
             )
             for i in range(4)
         ]
-        with PrefetchPipeline(io_workers=2, decode_workers=2, max_gap=0) as pipeline:
+        with PrefetchPipeline(io_workers=2, max_gap=0) as pipeline:
             results, stats = pipeline.execute(store, units)
         assert len(results) == 4
         assert stats.n_fetches == 4
         assert stats.overlapped(), "decode never overlapped in-flight fetches"
 
-    def test_each_stream_batch_is_its_own_decode_task(self):
-        """A landing's SZ streams go to the decode pool batch by batch —
-        fetched on the pool threads — and a deadline fails only the batch
-        still running."""
+    def test_each_stream_batch_decodes_on_the_calling_thread(self):
+        """A landing's SZ streams decode batch by batch on the request's own
+        thread — their blobs are taken there too — while the I/O pool only
+        fetches windows."""
         sz = SZCompressor()
         rng = np.random.default_rng(7)
         blobs = {
-            "fast0": sz.compress(rng.random((8, 8, 8)), 1e-3),
-            "fast1": sz.compress(rng.random((8, 8, 8)), 1e-3),
-            "slow0": sz.compress(rng.random((4, 4, 4)), 1e-3),
-            "slow1": sz.compress(rng.random((4, 4, 4)), 1e-3),
+            "big0": sz.compress(rng.random((8, 8, 8)), 1e-3),
+            "big1": sz.compress(rng.random((8, 8, 8)), 1e-3),
+            "small0": sz.compress(rng.random((4, 4, 4)), 1e-3),
+            "small1": sz.compress(rng.random((4, 4, 4)), 1e-3),
         }
         index, offset = {}, 0
         for name, blob in blobs.items():
             index[name] = (offset, len(blob))
             offset += len(blob)
         store = LazyPartStore(CountingSource(b"".join(blobs.values())), index)
-        fetch_threads = []
+        taken_on = []
 
         def getter(name):
-            def fetch():
-                fetch_threads.append(threading.current_thread().name)
-                if name.startswith("slow"):
-                    time.sleep(0.6)
+            def take():
+                taken_on.append(threading.get_ident())
                 return store[name]
 
-            return fetch
+            return take
 
         units = [
             DecodeUnit(
                 name, 0, (name,), None, sz_blob=getter(name),
-                sz_shape=(8, 8, 8) if name.startswith("fast") else (4, 4, 4),
+                sz_shape=(8, 8, 8) if name.startswith("big") else (4, 4, 4),
             )
             for name in blobs
         ]
-        with PrefetchPipeline(io_workers=1, decode_workers=2) as pipeline:
-            results, stats = pipeline.execute(
-                store, units, deadline=0.3, allow_partial=True
-            )
-        assert all(name.startswith("serve-decode") for name in fetch_threads)
-        assert set(results) == {"fast0", "fast1"}
-        np.testing.assert_array_equal(results["fast1"], sz.decompress(blobs["fast1"]))
-        assert set(stats.unit_errors) == {"slow0", "slow1"}
-        assert all(
-            isinstance(exc, DeadlineExceeded) for exc in stats.unit_errors.values()
-        )
+        with PrefetchPipeline(io_workers=1) as pipeline:
+            results, stats = pipeline.execute(store, units)
+        assert taken_on == [threading.get_ident()] * len(blobs)
+        assert stats.n_fetches == 1 and stats.unit_errors == {}
+        for name, blob in blobs.items():
+            np.testing.assert_array_equal(results[name], sz.decompress(blob))
+
+    def test_concurrent_requests_share_the_decode_slots(self):
+        """Requests decode on their own threads, but no more than
+        DECODE_SLOTS of one pipeline's requests decode at once."""
+        lock = threading.Lock()
+        active, peak = [0], [0]
+
+        def decode():
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0.03)
+            with lock:
+                active[0] -= 1
+            return threading.get_ident()
+
+        with PrefetchPipeline(io_workers=2) as pipeline:
+
+            def request(i):
+                store = LazyPartStore(CountingSource(bytes(64)), {"p": (0, 32)})
+                unit = DecodeUnit(key=f"u{i}", level=0, part_names=("p",), decode=decode)
+                return threading.get_ident(), pipeline.execute(store, [unit])[0]
+
+            n = 4 * DECODE_SLOTS
+            with ThreadPoolExecutor(max_workers=2 * DECODE_SLOTS) as clients:
+                outs = list(clients.map(request, range(n)))
+        assert [results for _ident, results in outs] == [
+            {f"u{i}": ident} for i, (ident, _results) in enumerate(outs)
+        ]
+        assert 1 <= peak[0] <= DECODE_SLOTS
+
+    def test_waiting_for_a_decode_slot_respects_the_deadline(self):
+        store = LazyPartStore(CountingSource(bytes(64)), {"a": (0, 32)})
+        units = [DecodeUnit(key="a", level=0, part_names=("a",), decode=lambda: store["a"])]
+        with PrefetchPipeline(io_workers=1) as pipeline:
+            for _ in range(DECODE_SLOTS):  # other requests hold every slot
+                pipeline._decode_slots.acquire()
+            t0 = time.perf_counter()
+            results, stats = pipeline.execute(store, units, deadline=0.2, allow_partial=True)
+            wall = time.perf_counter() - t0
+            for _ in range(DECODE_SLOTS):
+                pipeline._decode_slots.release()
+        assert results == {} and stats.deadline_hit
+        assert isinstance(stats.unit_errors["a"], DeadlineExceeded)
+        assert 0.15 < wall < 0.8
+        assert store._staged == {}
 
     @staticmethod
     def _windowed_streams(per_window: int = 3, n_windows: int = 4):
@@ -882,7 +922,7 @@ class TestPrefetchPipeline:
                 expected = [[u.key for u in members] for members, _run in decode_jobs(units)]
                 assert [len(item) for item in expected] == [len(arrays)]  # one batch
             planned.clear(), ran.clear()
-            with PrefetchPipeline(io_workers=4, decode_workers=2, max_gap=0) as pipeline:
+            with PrefetchPipeline(io_workers=4, max_gap=0) as pipeline:
                 results, stats = pipeline.execute(store, units)
             assert stats.n_fetches == len(starts)
             assert planned == [expected] and ran == expected
@@ -906,7 +946,7 @@ class TestPrefetchPipeline:
             )
             for name in arrays
         ]
-        with PrefetchPipeline(io_workers=4, decode_workers=2, max_gap=0) as pipeline:
+        with PrefetchPipeline(io_workers=4, max_gap=0) as pipeline:
             results, stats = pipeline.execute(store, units, allow_partial=True)
         lost = {"b3", "b4", "b5"}
         assert set(stats.unit_errors) == lost
@@ -928,7 +968,7 @@ class TestPrefetchPipeline:
             DecodeUnit(key="a", level=0, part_names=("a",), decode=lambda: store["a"]),
             DecodeUnit(key="b", level=0, part_names=("b",), decode=fail),
         ]
-        with PrefetchPipeline(io_workers=1, decode_workers=1) as pipeline:
+        with PrefetchPipeline(io_workers=1) as pipeline:
             with pytest.raises(RuntimeError, match="blew up"):
                 pipeline.execute(store, units)
         assert store._staged == {}  # nothing left behind for the next request
@@ -1171,7 +1211,7 @@ class TestDeadlineStragglers:
         units = [
             DecodeUnit(key="a", level=0, part_names=("a",), decode=lambda: store["a"])
         ]
-        with PrefetchPipeline(io_workers=1, decode_workers=1, max_gap=0) as pipeline:
+        with PrefetchPipeline(io_workers=1, max_gap=0) as pipeline:
             results, stats = pipeline.execute(
                 store, units, deadline=0.3, allow_partial=True
             )
@@ -1185,22 +1225,62 @@ class TestDeadlineStragglers:
         assert stats.n_stragglers == 1
         assert store._staged == {}, "straggler left staged payloads behind"
 
-    def test_decode_straggler_is_reaped_after_deadline(self):
-        gate = threading.Event()
-        src = CountingSource(bytes(512))
-        store = LazyPartStore(src, {"a": (0, 32)})
+    DEADLINE = 0.2
 
-        def slow_decode():
-            if not gate.wait(timeout=10):
-                raise RuntimeError("test gate never opened")
+    def _slow_first_item(self):
+        """Three one-part windows: ``a`` lands at once and its item decodes
+        for 0.5 s; ``b`` and ``c`` land 0.1 s in, while ``a`` is running."""
+
+        class LaterWindowsLag(CountingSource):
+            def read_at(self, offset, length):
+                if offset:
+                    time.sleep(0.1)
+                return super().read_at(offset, length)
+
+        store = LazyPartStore(
+            LaterWindowsLag(bytes(1024)), {"a": (0, 32), "b": (256, 32), "c": (512, 32)}
+        )
+        span = {}
+
+        def slow_a():
+            span["start"] = time.perf_counter()
+            time.sleep(0.5)
+            span["end"] = time.perf_counter()
             return store["a"]
 
-        units = [DecodeUnit(key="a", level=0, part_names=("a",), decode=slow_decode)]
-        with PrefetchPipeline(io_workers=1, decode_workers=1, max_gap=0) as pipeline:
+        units = [DecodeUnit(key="a", level=0, part_names=("a",), decode=slow_a)] + [
+            DecodeUnit(key=k, level=0, part_names=(k,), decode=lambda k=k: store[k])
+            for k in "bc"
+        ]
+        return store, units, span
+
+    def test_running_item_finishes_and_the_rest_fail_when_partial(self):
+        """A deadline cannot interrupt a running item: it finishes and keeps
+        its result, every item not yet started fails with DeadlineExceeded,
+        and the request overruns the deadline by at most that one item."""
+        store, units, span = self._slow_first_item()
+        with PrefetchPipeline(io_workers=3, max_gap=0) as pipeline:
+            t0 = time.perf_counter()
             results, stats = pipeline.execute(
-                store, units, deadline=0.3, allow_partial=True
+                store, units, deadline=self.DEADLINE, allow_partial=True
             )
-            assert results == {}
-            assert stats.deadline_hit
-            gate.set()
-        assert stats.n_stragglers == 1
+            wall = time.perf_counter() - t0
+        assert span["start"] - t0 < self.DEADLINE, "slow item never started in time"
+        assert results == {"a": bytes(32)}
+        assert stats.deadline_hit
+        assert set(stats.unit_errors) == {"b", "c"}
+        assert all(isinstance(e, DeadlineExceeded) for e in stats.unit_errors.values())
+        assert wall <= self.DEADLINE + (span["end"] - span["start"]) + 0.1
+        assert store._staged == {}
+
+    def test_running_item_finishes_then_the_request_raises(self):
+        store, units, span = self._slow_first_item()
+        with PrefetchPipeline(io_workers=3, max_gap=0) as pipeline:
+            t0 = time.perf_counter()
+            with pytest.raises(DeadlineExceeded, match="1 of 3 decode"):
+                pipeline.execute(store, units, deadline=self.DEADLINE)
+            raised = time.perf_counter()
+        assert span["start"] - t0 < self.DEADLINE, "slow item never started in time"
+        assert raised >= span["end"], "raised while the running item was interrupted"
+        assert raised - t0 <= self.DEADLINE + (span["end"] - span["start"]) + 0.1
+        assert store._staged == {}

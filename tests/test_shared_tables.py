@@ -294,11 +294,11 @@ class TestServeSharedTables:
         path = tmp_path_factory.mktemp("serve") / "shared.rpbt"
         return write_archive(path, {"gsp/shared": shared_comp})
 
-    def test_pipeline_decode_workers_match_serial(self, archive_path, shared_comp):
+    def test_pipeline_level_reads_match_serial(self, archive_path, shared_comp):
         from repro.serve.reader import ArchiveReader
 
         serial = TACCompressor(brick_size=4).decompress(shared_comp)
-        with ArchiveReader(archive_path, decode_workers=2, cache_bytes=0) as reader:
+        with ArchiveReader(archive_path, cache_bytes=0) as reader:
             for idx, lvl in enumerate(serial.levels):
                 threaded, _stats = reader.read_level("gsp/shared", idx)
                 assert np.array_equal(threaded.data, lvl.data)
@@ -322,7 +322,7 @@ class TestServeSharedTables:
 
         results: dict[int, np.ndarray] = {}
         errors: list[BaseException] = []
-        with ArchiveReader(archive_path, decode_workers=2, request_workers=4) as reader:
+        with ArchiveReader(archive_path, request_workers=4) as reader:
             barrier = threading.Barrier(len(rois))
 
             def worker(i, roi):

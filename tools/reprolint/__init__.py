@@ -20,10 +20,9 @@ actually bitten this codebase are semantic and repo-specific:
 The framework is a plugin registry (:mod:`tools.reprolint.rules`), a
 per-file AST dispatch engine (:mod:`tools.reprolint.engine`), inline
 ``# reprolint: disable=RULE`` suppressions
-(:mod:`tools.reprolint.core`), and a committed baseline for grandfathered
-findings (:mod:`tools.reprolint.baseline`).  ``repro lint`` (or
+(:mod:`tools.reprolint.core`).  ``repro lint`` (or
 ``python -m tools.reprolint``) runs it; exit status is non-zero exactly
-when there are findings outside the baseline (or stale baseline rows).
+when there are findings — nothing is grandfathered.
 """
 
 from tools.reprolint.core import Finding, ParsedModule

@@ -1,7 +1,8 @@
 """Command-line front end: ``python -m tools.reprolint`` / ``repro lint``.
 
-Exit status: 0 when every finding is baselined (or there are none),
-1 when there are new findings or stale baseline rows, 2 on usage errors.
+Exit status: 0 when there are no findings, 1 when there are any, 2 on
+usage errors.  There is no baseline to grandfather a finding: fix it, or
+suppress it inline with a ``# reprolint: disable=RULE`` comment.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from tools.reprolint.baseline import DEFAULT_BASELINE, Baseline
 from tools.reprolint.engine import DEFAULT_PATHS, lint_paths
 from tools.reprolint.rules import all_rules
 
@@ -41,22 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RL001,RL002",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to the current findings and exit 0",
     )
     parser.add_argument(
         "--json",
@@ -114,30 +98,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
 
-    baseline_path = args.baseline or (root / DEFAULT_BASELINE)
-    baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
-
-    if args.update_baseline:
-        baseline.write(baseline_path, result.findings)
-        print(
-            f"reprolint: baseline updated with {len(result.findings)} finding(s) "
-            f"at {baseline_path}"
-        )
-        return 0
-
-    new, baselined, stale = baseline.partition(result.findings)
-
-    for finding in new:
+    for finding in result.findings:
         print(finding.render())
-    for fingerprint in stale:
-        row = baseline.entries[fingerprint]
-        print(
-            f"{row['path']}: stale baseline entry {fingerprint} "
-            f"({row['rule']} {row['message']}) — remove it from the baseline"
-        )
     summary = (
         f"reprolint: {result.n_files} file(s), {len(result.rules_run)} rule(s): "
-        f"{len(new)} new, {len(baselined)} baselined, {len(stale)} stale"
+        f"{len(result.findings)} finding(s)"
     )
     print(summary)
 
@@ -147,13 +112,11 @@ def main(argv: list[str] | None = None) -> int:
             {
                 "files": result.n_files,
                 "rules": result.rules_run,
-                "new": [f.to_json() for f in new],
-                "baselined": [f.to_json() for f in baselined],
-                "stale": stale,
+                "findings": [f.to_json() for f in result.findings],
             },
         )
 
-    return 1 if new or stale else 0
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -3,7 +3,8 @@ and inline suppressions.
 
 A :class:`Finding` is identified by a *fingerprint* that deliberately
 excludes line numbers — ``(rule, path, context, message, ordinal)`` — so
-a committed baseline survives unrelated edits to the same file.  The
+a finding keeps its identity in JSON reports across unrelated edits to
+the same file.  The
 ``ordinal`` disambiguates repeated identical findings in one context
 (two leak-prone raises in one function) by their source order.
 
@@ -50,7 +51,7 @@ class Finding:
     ordinal: int = 0
 
     def fingerprint(self) -> str:
-        """Line-number-free stable identity (what the baseline keys on)."""
+        """Line-number-free stable identity (the JSON report's key)."""
         raw = "|".join(
             (self.rule, self.path, self.context, self.message, str(self.ordinal))
         )

@@ -51,7 +51,7 @@ def collect_files(root: Path, paths: Sequence[str]) -> list[Path]:
 
 @dataclass
 class LintResult:
-    """Everything one run produced, pre-baseline."""
+    """Everything one run produced."""
 
     findings: list[Finding] = field(default_factory=list)
     n_files: int = 0
