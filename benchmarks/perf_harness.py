@@ -589,6 +589,75 @@ def _container_ops(scale: int, repeats: int) -> dict:
     }
 
 
+class _PassThroughSource:
+    """Forwards reads to a local source without declaring itself local, so
+    the read service treats it like object storage (I/O-pool fetches)."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.label = inner.label
+
+    def read_at(self, offset: int, length: int) -> bytes:
+        return self._inner.read_at(offset, length)
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+def _serve_ops(scale: int, repeats: int) -> dict:
+    """Cold ROI reads through the read service, timed from the
+    ``ArchiveReader`` constructor to the data (the reader is closed
+    outside the timed region).
+
+    A ``brick_size=16`` ingest of Run1_Z3; one unaligned 32³ ROI of level 0
+    touches 27 bricks.  The grid divisor is capped at 8, so that level 0
+    (at least 64³) holds such an ROI at smoke scale too.  ``serve_cold_roi`` is a default
+    reader over local shard files; ``serve_cold_roi_pool`` reads the same
+    shards through a non-local pass-through opener, which fetches on the
+    prefetch pipeline's I/O pool.
+    """
+    import shutil
+    import tempfile
+
+    from repro.engine import default_shard_opener
+    from repro.ingest import IngestConfig, IngestSession
+    from repro.serve import ArchiveReader
+    from repro.sim.datasets import make_dataset
+
+    dataset = make_dataset("Run1_Z3", scale=min(scale, 8))
+    roi = ((17, 49), (31, 63), (1, 33))
+    workdir = Path(tempfile.mkdtemp(prefix="serve_bench_"))
+    try:
+        cfg = IngestConfig(error_bound=1e-4, mode="rel", codec_options={"brick_size": 16})
+        with IngestSession(workdir / "series.rpbt", cfg) as session:
+            (key,) = session.extend([dataset])
+        head = workdir / "series.rpbt"
+        local = default_shard_opener(workdir)
+
+        def cold_read(shard_opener) -> dict:
+            readers = []
+
+            def run():
+                reader = ArchiveReader(head, shard_opener=shard_opener)
+                readers.append(reader)
+                return reader.read_region(key, 0, roi)[0]
+
+            try:
+                nbytes = run().nbytes
+                seconds = time_op(run, max(repeats, 5))
+            finally:
+                for reader in readers:
+                    reader.close()
+            return op_entry(seconds, nbytes // dataset.levels[0].data.itemsize, nbytes)
+
+        return {
+            "serve_cold_roi": cold_read(None),
+            "serve_cold_roi_pool": cold_read(lambda name: _PassThroughSource(local(name))),
+        }
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 OP_GROUPS = {
     "huffman": _huffman_ops,
     "blocks": _blocks_ops,
@@ -597,6 +666,7 @@ OP_GROUPS = {
     "preprocess": _preprocess_ops,
     "ingest": _ingest_ops,
     "container": _container_ops,
+    "serve": _serve_ops,
 }
 
 
@@ -632,6 +702,7 @@ GROUP_OPS = {
     "preprocess": ("gsp_pad", "opst_extract"),
     "ingest": ("tac_compress_iter", "ingest_session_delta"),
     "container": ("container_roundtrip_bricked",),
+    "serve": ("serve_cold_roi", "serve_cold_roi_pool"),
 }
 
 

@@ -876,6 +876,9 @@ def cmd_serve(args) -> int:
     if args.gap < 0:
         print(f"serve: --gap must be >= 0, got {args.gap}", file=sys.stderr)
         return 2
+    if args.deadline is not None and args.deadline <= 0:
+        print(f"serve: --deadline must be > 0, got {args.deadline}", file=sys.stderr)
+        return 2
     if not 0.0 < args.roi_frac <= 1.0:
         print(f"serve: --roi-frac must be in (0, 1], got {args.roi_frac}",
               file=sys.stderr)

@@ -418,6 +418,9 @@ class _BytesSource:
     """Random-access byte source over an in-memory buffer (zero-copy view)."""
 
     label = "<memory>"
+    #: In-process read (a memory copy or a local file read): cheaper than
+    #: handing it to another thread.  Sources without the flag are remote.
+    local = True
 
     def __init__(self, buf):
         self._view = memoryview(buf)
@@ -436,6 +439,8 @@ class _BytesSource:
 
 class _FileSource:
     """Random-access byte source over a seekable file (thread-safe)."""
+
+    local = True
 
     def __init__(self, fh, owns: bool, label: str = "<file>"):
         self._fh = fh
@@ -468,6 +473,8 @@ class _MmapSource:
     number of threads can fetch parts at once.  The ROADMAP's "async /
     mmap I/O" read-path item.
     """
+
+    local = True
 
     def __init__(self, path):
         self.label = str(path)
@@ -583,6 +590,11 @@ class LazyPartStore(Mapping):
         self._staged: dict[str, bytes] = {}
         self.access_counts: dict[str, int] = {}
         self.bytes_read = 0
+
+    @property
+    def local(self) -> bool:
+        """Whether the byte source is in-process (see ``_BytesSource.local``)."""
+        return getattr(self._source, "local", False)
 
     @property
     def verifies_integrity(self) -> bool:

@@ -158,6 +158,7 @@ class _BreakerSource:
         self._breaker = breaker
         self._name = name
         self.label = getattr(inner, "label", name)
+        self.local = getattr(inner, "local", False)
 
     def read_at(self, offset: int, length: int) -> bytes:
         self._breaker.check(self._name)

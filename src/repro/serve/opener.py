@@ -171,6 +171,7 @@ class RetryingSource:
         self._policy = policy
         self._stats = stats
         self.label = getattr(inner, "label", "<source>")
+        self.local = getattr(inner, "local", False)
 
     def read_at(self, offset: int, length: int) -> bytes:
         payload, retries = _call_with_retry(

@@ -1,4 +1,4 @@
-"""Prefetching executor: pipeline part fetches ahead of brick decode.
+"""Prefetching executor: coalesced part fetches feeding brick decode.
 
 ``DecompressionPlan.part_names()`` enumerates the I/O set of a plan (of
 each stage, when it has two) before any payload is touched, and every
@@ -10,16 +10,23 @@ them as a pipeline:
 1. the request's part spans are grouped into **coalesced fetch windows**
    (:func:`repro.core.container.coalesce_spans` — adjacent parts merge
    into one ranged read);
-2. each window is fetched on a dedicated I/O pool and staged into the
-   entry's :class:`~repro.core.container.LazyPartStore`;
+2. each window is fetched and staged into the entry's
+   :class:`~repro.core.container.LazyPartStore`.  Where a window is read
+   depends on the store's byte source: a **local** one (an in-memory
+   blob, a local file or mapping — ``LazyPartStore.local``) is read on
+   the request's own thread, in plan order, because a memory copy costs
+   less than handing it to another thread; any other source (object
+   storage, anything without a ``local`` flag) is fetched on a dedicated
+   I/O pool;
 3. the units are cut into the plan's work items
    (:func:`repro.core.plan.decode_jobs`) once, before anything lands: a
    closure unit each, SZ streams in lockstep decode batches.  An item
    runs on the request's own thread — one pass per batch, not per brick —
-   once the last window holding a part of its members has landed, while
-   the I/O pool fetches the windows of later items, overlapping network
-   with CPU.  Which streams decode together is therefore a property of the
-   plan, not of the order fetches happen to complete in.
+   as soon as the last window holding a part of its members has landed.
+   With a pooled source the I/O pool meanwhile fetches the windows of
+   later items, overlapping network with CPU.  Which streams decode
+   together is therefore a property of the plan, not of the order
+   fetches happen to complete in.
 
 Units already satisfied by a decoded-brick cache are skipped entirely
 (``preloaded``), and eager in-memory ``parts`` dicts degrade to a plain
@@ -34,6 +41,7 @@ from bisect import bisect_right
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.container import coalesce_spans
 from repro.core.plan import DecompressionPlan, decode_jobs, execute_plan
@@ -54,10 +62,13 @@ class DeadlineExceeded(TimeoutError):
     """A request's deadline expired before its fetches/decodes finished.
 
     Raised instead of hanging on a stalled source: the deadline bounds
-    every wait and is checked before every work item starts, so a read
-    against a dead store fails in bounded time.  Neither a blocked I/O
-    thread nor a running item can be interrupted: a request overruns by
-    at most one item of up to ``BATCH_VALUES`` decoded values.
+    every wait and is checked before every fetch window and every work
+    item starts, so a read against a dead store fails in bounded time.
+    Neither a blocked I/O thread, a local window read nor a running item
+    can be interrupted: a request overruns by at most one item of up to
+    ``BATCH_VALUES`` decoded values, or one local window read.  Sources
+    that can stall are not local, so their fetches keep the bounded pool
+    waits.
     """
 
 
@@ -101,8 +112,10 @@ class PipelineStats:
     n_decoded: int = 0
     n_preloaded: int = 0
     #: perf_counter timestamps proving overlap: decode of ready units
-    #: starts (first_decode_start) before the last window lands
+    #: starts (first_decode_start) before the last pooled window lands
     #: (last_fetch_end) whenever the request spans several windows.
+    #: Windows of a local store are read on the request's thread and
+    #: leave ``last_fetch_end`` unset.
     first_decode_start: float | None = None
     last_fetch_end: float | None = None
     #: Units that failed under ``allow_partial=True`` (key → exception);
@@ -117,7 +130,10 @@ class PipelineStats:
     n_stragglers: int = 0
 
     def overlapped(self) -> bool:
-        """Whether any decode started while fetches were still in flight."""
+        """Whether any decode started while I/O-pool fetches were still in
+        flight.  Always ``False`` for a request whose windows were all read
+        on its own thread (a local store): those reads interleave with
+        decode but never run beside it."""
         return (
             self.first_decode_start is not None
             and self.last_fetch_end is not None
@@ -172,11 +188,14 @@ def _plan_windows(spans: dict, units, max_gap: int, isolate: bool = False) -> _W
 
 
 class PrefetchPipeline:
-    """Overlap coalesced part fetches with decode on the request's thread.
+    """Feed coalesced part fetches to decode on the request's thread.
 
-    One pipeline is shared by all of a reader's requests: the I/O pool and
-    decode slots are created once and each :meth:`execute` call schedules
-    its own windows onto them.  Safe to call from multiple request threads —
+    Windows of a local store are read on the request's thread between its
+    decode items; any other store's windows are fetched on the I/O pool,
+    overlapping the decode.  One pipeline is shared by all of a reader's
+    requests: the I/O pool (started on first use) and decode slots are
+    created once and each :meth:`execute` call schedules its own windows
+    onto them.  Safe to call from multiple request threads —
     all per-call state is local, and the staged hand-off inside
     :class:`~repro.core.container.LazyPartStore` is lock-protected.
     """
@@ -212,15 +231,20 @@ class PrefetchPipeline:
 
         ``parts`` is the entry's part mapping; prefetch only happens for
         lazy stores (``spans``/``prefetch``), eager dicts decode
-        directly.  ``preloaded`` results (cache hits) skip both stages.
+        directly.  A lazy store whose ``local`` flag is set has its
+        windows read here, in plan order, each item running as soon as
+        its windows have landed; any other store's windows go to the I/O
+        pool.  Staging, CRC checks and failure handling are the same on
+        both paths.  ``preloaded`` results (cache hits) skip both stages.
 
         ``deadline`` bounds the request in wall time: it bounds every
-        fetch-window and decode-slot wait and is checked before every work
-        item starts, so a stalled source raises :class:`DeadlineExceeded`
-        instead of hanging (in-flight I/O threads finish in the
-        background; their results are discarded).  A running item keeps
-        its results.  Eager in-memory part dicts have no fetch stage and
-        are not deadline-checked.
+        pooled fetch-window and decode-slot wait and is checked before
+        every fetch window and every work item starts, so a stalled source
+        raises :class:`DeadlineExceeded` instead of hanging (in-flight I/O
+        threads finish in the background; their results are discarded).
+        A running item or local window read keeps its results.  Eager
+        in-memory part dicts have no fetch stage and are not
+        deadline-checked.
 
         ``allow_partial=True`` turns failures into casualties instead of
         aborts: a unit whose fetch window failed, whose decode raised, or
@@ -259,20 +283,25 @@ class PrefetchPipeline:
         stats.n_parts += sum(len(names) for names in window_plan.window_names)
         time_lock = threading.Lock()
 
-        def fetch(names: list[str]):
+        def fetch(names: list[str], pooled: bool = False) -> None:
             n_reads, nbytes = parts.prefetch(names, max_gap=self.max_gap)
             now = time.perf_counter()
             with time_lock:
                 stats.n_fetches += n_reads
                 stats.bytes_fetched += nbytes
-                if stats.last_fetch_end is None or now > stats.last_fetch_end:
+                if pooled and (stats.last_fetch_end is None or now > stats.last_fetch_end):
                     stats.last_fetch_end = now
-            return names
 
-        fetch_futures = {
-            self._io_pool.submit(fetch, names): idx
-            for idx, names in enumerate(window_plan.window_names)
-            if names
+        # A local store's windows are read here, in plan order: a memory
+        # copy or a page-cache read costs less than handing it to a pool
+        # thread and waking this one.  Any other source is fetched on the
+        # I/O pool, overlapping its latency with this thread's decode.
+        to_fetch = [idx for idx, names in enumerate(window_plan.window_names) if names]
+        local = getattr(parts, "local", False)
+        queued = deque(to_fetch if local else ())
+        fetch_futures = {} if local else {
+            self._io_pool.submit(fetch, window_plan.window_names[idx], True): idx
+            for idx in to_fetch
         }
         in_flight = set(fetch_futures)
         failed = stats.unit_errors
@@ -310,6 +339,29 @@ class PrefetchPipeline:
                     if errors and unit.key in errors:
                         failed.setdefault(unit.key, errors[unit.key])
 
+        def land(idx: int, outcome) -> None:
+            """Window ``idx`` is done: ``outcome()`` re-raises its failure.
+            Its items stop waiting on it; in degraded mode a failure first
+            becomes a casualty of every unit that reads a lost part."""
+            try:
+                outcome()
+            except Exception as exc:
+                if not allow_partial:
+                    raise
+                # Prefetch staged every good part before raising: a unit
+                # touching none of the bad ones has, in effect, landed.
+                bad = set(getattr(exc, "bad_parts", None) or ())
+                for item in by_window.get(idx, ()):
+                    for unit in items[item][0]:
+                        if idx in window_plan.unit_windows.get(unit.key, ()) and (
+                            not bad or bad & set(unit.part_names)
+                        ):
+                            failed.setdefault(unit.key, exc)
+            for item in by_window.get(idx, ()):
+                waiting[item].discard(idx)
+                if not waiting[item]:
+                    ready.append(item)
+
         def reap_fetch_straggler(future) -> None:
             # Runs when a fetch the request could not cancel lands (at once,
             # if it already had): retrieve its exception (a worker crash
@@ -321,6 +373,7 @@ class PrefetchPipeline:
                 stats.n_stragglers += 1
 
         def stop_fetching() -> None:
+            queued.clear()
             for future in in_flight:
                 if not future.cancel():
                     future.add_done_callback(reap_fetch_straggler)
@@ -329,21 +382,21 @@ class PrefetchPipeline:
             n_started = len(pending) - sum(len(items[item][0]) for item in unstarted)
             return DeadlineExceeded(
                 f"request deadline of {deadline.seconds:.3f}s expired with "
-                f"{len(in_flight)} fetch window(s) outstanding and "
+                f"{len(in_flight) + len(queued)} fetch window(s) outstanding and "
                 f"{n_started} of {len(pending)} decode(s) started"
             )
 
         try:
-            while ready or in_flight:
+            while ready or queued or in_flight:
                 if deadline is not None and deadline.expired():
                     # The budget is gone: what ran keeps its results.
                     stats.deadline_hit = True
                     if not allow_partial:
                         raise deadline_error()
-                    stop_fetching()
                     for item in unstarted:
                         for unit in items[item][0]:
                             failed.setdefault(unit.key, deadline_error())
+                    stop_fetching()
                     break
                 budget = None if deadline is None else max(0.0, deadline.remaining())
                 if ready:
@@ -355,30 +408,15 @@ class PrefetchPipeline:
                         finally:
                             self._decode_slots.release()
                     continue
+                if queued:
+                    idx = queued.popleft()
+                    land(idx, partial(fetch, window_plan.window_names[idx]))
+                    continue
                 done, in_flight = wait(
                     in_flight, timeout=budget, return_when=FIRST_COMPLETED
                 )
                 for future in done:
-                    idx = fetch_futures[future]
-                    try:
-                        future.result()
-                    except Exception as exc:
-                        if not allow_partial:
-                            raise
-                        # Prefetch staged every good part before raising:
-                        # a unit touching none of the bad ones has, in
-                        # effect, landed.
-                        bad = set(getattr(exc, "bad_parts", None) or ())
-                        for item in by_window.get(idx, ()):
-                            for unit in items[item][0]:
-                                if idx in window_plan.unit_windows.get(unit.key, ()) and (
-                                    not bad or bad & set(unit.part_names)
-                                ):
-                                    failed.setdefault(unit.key, exc)
-                    for item in by_window.get(idx, ()):
-                        waiting[item].discard(idx)
-                        if not waiting[item]:
-                            ready.append(item)
+                    land(fetch_futures[future], future.result)
         except Exception:
             # A failed fetch or decode abandons the request: stop its
             # fetches and drop anything staged for it so the entry's store

@@ -14,9 +14,11 @@ amortizable:
 * every request consults the decoded-brick cache *before any part
   fetch* — an overlapping ROI pays I/O and SZ decode only for the bricks
   (and the mask) no earlier request touched;
-* misses are fetched through coalesced ranged reads pipelined ahead of
-  decode (:class:`~repro.serve.prefetch.PrefetchPipeline`), and the
-  shard opener retries transient failures with backoff
+* misses are fetched through coalesced ranged reads
+  (:class:`~repro.serve.prefetch.PrefetchPipeline`) — on the request's
+  thread for local files, pipelined ahead of decode on an I/O pool for
+  any other source — and the shard opener retries transient failures
+  with backoff
   (:func:`~repro.serve.opener.retrying_opener`).
 
 Every request returns its data *and* a :class:`RequestStats` — bytes
@@ -130,10 +132,12 @@ class ArchiveReader:
     cache_bytes:
         Decoded-brick LRU budget (0 disables caching).
     io_workers:
-        Fetch pool size of the prefetch pipeline that serves region and
-        level requests.  Decode always runs on the request's own thread
-        (the caller's, or a ``request_workers`` thread for
-        :meth:`submit`), overlapping the fetches still in flight.
+        Fetch pool size of the prefetch pipeline, used only for non-local
+        byte sources (e.g. object storage behind a ``shard_opener``):
+        their windows are fetched on the pool while the request decodes.
+        Local files and in-memory blobs are read on the request's own
+        thread, which is also where every request decodes (the caller's,
+        or a ``request_workers`` thread for :meth:`submit`).
     request_workers:
         Threads serving :meth:`submit`\\ ed requests concurrently.
     coalesce_gap:
@@ -141,7 +145,8 @@ class ArchiveReader:
         ranged read.
     default_deadline:
         Wall-time budget (seconds) applied to every request that does
-        not pass its own ``deadline``; ``None`` means unbounded.  An
+        not pass its own ``deadline``; ``None`` means unbounded, and a
+        non-positive value is rejected.  An
         expired deadline raises
         :class:`~repro.serve.prefetch.DeadlineExceeded` — or, in
         degraded mode, fills the late bricks.
@@ -203,6 +208,8 @@ class ArchiveReader:
             source, mmap=mmap, shard_opener=opener, verify_shards=verify_shards
         )
         try:
+            if default_deadline is not None and default_deadline <= 0:
+                raise ValueError(f"default_deadline must be positive, got {default_deadline}")
             self.cache = DecodedBrickCache(cache_bytes) if cache_bytes else None
             self._pipeline = PrefetchPipeline(io_workers=io_workers, max_gap=coalesce_gap)
             self._requests = ThreadPoolExecutor(

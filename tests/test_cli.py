@@ -469,6 +469,13 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_serve_non_positive_deadline_fails_cleanly(self, archive_file, capsys, value):
+        # It used to run every request, fail them all and exit 1.
+        assert main(["serve", str(archive_file), "--deadline", value]) == 2
+        err = capsys.readouterr().err
+        assert "--deadline must be > 0" in err and "Traceback" not in err
+
     def test_serve_decode_workers_option_is_gone(self, archive_file):
         # Decode runs on the request threads; there is no decode pool to size.
         with pytest.raises(SystemExit) as excinfo:

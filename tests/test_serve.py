@@ -14,7 +14,8 @@ Three regression suites for bugs fixed in this change set:
 
 Plus contracts for the serving stack built on top: span coalescing,
 prefetch staging, the decoded-brick LRU, retrying openers, the prefetch
-pipeline, and the ``ArchiveReader`` front-end (bit-identical to direct
+pipeline (local stores read on the request thread, any other store on
+its I/O pool), and the ``ArchiveReader`` front-end (bit-identical to direct
 decode, cache hits on repeats, correct under concurrency, monolithic
 codecs through the same path).
 """
@@ -49,7 +50,9 @@ from repro.serve import (
     RetryPolicy,
     retrying_opener,
 )
+from repro.serve.breaker import CircuitBreaker, breaking_opener
 from repro.serve.prefetch import DECODE_SLOTS
+from repro.sim.datasets import make_dataset
 from repro.sz.compressor import SZCompressor
 from tests.helpers import two_level_dataset, write_archive
 
@@ -1130,6 +1133,123 @@ class TestArchiveReader:
 
 
 # ---------------------------------------------------------------------------
+# local sources are read on the request thread, others on the I/O pool
+# ---------------------------------------------------------------------------
+
+
+class PassThroughSource:
+    """Forwards reads to a local source but does not declare itself local,
+    as an object-storage source would not."""
+
+    def __init__(self, inner, delay: float = 0.0):
+        self._inner = inner
+        self._delay = delay
+        self.label = inner.label
+
+    def read_at(self, offset: int, length: int) -> bytes:
+        time.sleep(self._delay)
+        return self._inner.read_at(offset, length)
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+def _new_threads(before: set) -> list[str]:
+    return sorted(t.name for t in set(threading.enumerate()) - before)
+
+
+class TestLocalFetchesInline:
+    #: Unaligned to the 8³ bricks on every axis: 27 bricks in several windows.
+    ROI = ((3, 19), (5, 21), (9, 25))
+
+    @pytest.fixture(scope="class")
+    def bricked(self, tmp_path_factory):
+        comp = TACCompressor(brick_size=8).compress(
+            make_dataset("Run1_Z3", scale=16), EB, mode="abs"
+        )
+        head = write_archive(tmp_path_factory.mktemp("inline") / "batch.rpbt", {"k": comp})
+        return head, TACCompressor(brick_size=8).decompress_region(comp, 0, self.ROI)
+
+    def read(self, head, shard_opener=None, **options):
+        before = set(threading.enumerate())
+        with ArchiveReader(head, shard_opener=shard_opener, **options) as reader:
+            data, stats = reader.read_region("k", 0, self.ROI)
+            return data, stats, _new_threads(before)
+
+    def pass_through(self, head, delay: float = 0.0):
+        inner = default_shard_opener(head.parent)
+        return lambda name: PassThroughSource(inner(name), delay)
+
+    def test_local_sources_declare_it_and_wrappers_pass_it_through(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(bytes(64))
+        sources = [make_source(bytes(64)), make_source(path), make_source(path, mmap=True)]
+        breaker = CircuitBreaker()
+        for src in sources:
+            retrying = retrying_opener(lambda _name, src=src: src, stats=FetchStats())
+            wrapped = breaking_opener(retrying, breaker)("s")
+            assert src.local and wrapped.local and LazyPartStore(wrapped, {}).local
+            src.close()
+        assert not LazyPartStore(PassThroughSource(make_source(bytes(8))), {}).local
+        assert not LazyPartStore(CountingSource(bytes(8)), {}).local
+
+    def test_default_reader_fetches_on_the_request_thread(self, bricked):
+        head, expected = bricked
+        data, stats, started = self.read(head)
+        np.testing.assert_array_equal(data, expected)
+        assert not [name for name in started if name.startswith("serve-io")]
+        assert stats.n_fetches > 1 and not stats.overlapped
+
+    def test_inline_and_pooled_reads_fetch_the_same(self, bricked):
+        head, expected = bricked
+        for gap in (0, 4096):
+            local, local_stats, _ = self.read(head, coalesce_gap=gap)
+            pooled, pooled_stats, _ = self.read(
+                head, self.pass_through(head), coalesce_gap=gap
+            )
+            np.testing.assert_array_equal(local, pooled)
+            np.testing.assert_array_equal(local, expected)
+            for field_name in ("n_fetches", "bytes_fetched", "n_parts_fetched"):
+                assert getattr(local_stats, field_name) == getattr(pooled_stats, field_name)
+
+    def test_pass_through_reader_fetches_on_the_pool_and_overlaps(self, bricked):
+        head, expected = bricked
+        data, stats, started = self.read(
+            head, self.pass_through(head, delay=0.01), coalesce_gap=0, io_workers=1
+        )
+        np.testing.assert_array_equal(data, expected)
+        assert started == ["serve-io_0"]
+        assert stats.n_fetches > 1 and stats.overlapped
+
+    def test_deadline_expiring_mid_request_fails_unstarted_items(self):
+        """A local store checks the deadline before every window too: the
+        windows after a slow item are never read, and their items fail."""
+        store = LazyPartStore(
+            make_source(bytes(1024)), {"a": (0, 32), "b": (256, 32), "c": (512, 32)}
+        )
+
+        def slow_a():
+            time.sleep(0.3)
+            return store["a"]
+
+        units = [DecodeUnit(key="a", level=0, part_names=("a",), decode=slow_a)] + [
+            DecodeUnit(key=k, level=0, part_names=(k,), decode=lambda k=k: store[k])
+            for k in "bc"
+        ]
+        before = set(threading.enumerate())
+        with PrefetchPipeline(io_workers=2, max_gap=0) as pipeline:
+            results, stats = pipeline.execute(store, units, deadline=0.1, allow_partial=True)
+            started = _new_threads(before)
+            with pytest.raises(DeadlineExceeded, match="2 fetch window"):
+                pipeline.execute(store, units, deadline=0.1)
+        assert results == {"a": bytes(32)} and stats.deadline_hit
+        assert set(stats.unit_errors) == {"b", "c"}
+        assert all(isinstance(e, DeadlineExceeded) for e in stats.unit_errors.values())
+        assert stats.n_fetches == 1 and store.bytes_read == 64  # `a`, once per request
+        assert started == [] and store._staged == {}
+
+
+# ---------------------------------------------------------------------------
 # lifecycle regressions surfaced by reprolint (RL001/RL002/RL004)
 # ---------------------------------------------------------------------------
 
@@ -1150,6 +1270,22 @@ class TestArchiveReaderInitFailure:
         monkeypatch.setattr(LazyBatchArchive, "close", spy_close)
         with pytest.raises(ValueError, match="io_workers"):
             ArchiveReader(head, io_workers=0)
+        assert closed, "archive opened by __init__ was not closed on failure"
+
+    @pytest.mark.parametrize("deadline", [-1, 0])
+    def test_non_positive_default_deadline_is_rejected(
+        self, tmp_path, tac_blob, monkeypatch, deadline
+    ):
+        """It used to be accepted, and then every request failed."""
+        codec, comp = tac_blob
+        head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
+        closed: list[int] = []
+        real_close = LazyBatchArchive.close
+        monkeypatch.setattr(
+            LazyBatchArchive, "close", lambda self: closed.append(id(self)) or real_close(self)
+        )
+        with pytest.raises(ValueError, match="default_deadline"):
+            ArchiveReader(head, default_deadline=deadline)
         assert closed, "archive opened by __init__ was not closed on failure"
 
 
