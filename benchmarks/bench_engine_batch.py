@@ -3,7 +3,7 @@
 Not a paper figure — measures the scaling seam built on TAC's level-wise
 decomposition: a 4-field synthetic snapshot batch through one
 :class:`repro.ingest.IngestSession` with 1 worker (synchronous) vs 4
-workers x 2 level-workers (pipelined).  The session contract says the
+workers (pipelined).  The session contract says the
 pipelined path must write *byte-identical* entries, so this bench asserts
 that too: any speedup that changes bytes is a bug, not a win.
 """
@@ -28,10 +28,10 @@ def batch_fields():
     return [make_dataset("Run1_Z2", scale=SCALE, field=field) for field in BATCH_FIELDS]
 
 
-def run_session(head, datasets, workers: int, level_workers: int = 1):
+def run_session(head, datasets, workers: int):
     """Each field its own entry (one chain each, so they encode concurrently)."""
     with IngestSession(
-        head, error_bound=1e-4, workers=workers, level_workers=level_workers,
+        head, error_bound=1e-4, workers=workers,
         max_inflight=2 * workers if workers > 1 else 1,
     ) as session:
         session.extend(datasets)
@@ -67,9 +67,7 @@ def bench_engine_serial_vs_parallel(benchmark, batch_fields, results_dir, tmp_pa
         serial = run_session(tmp_path / "serial.rpbt", batch_fields, workers=1)
         t_serial = time.perf_counter() - t0
         t0 = time.perf_counter()
-        parallel = run_session(
-            tmp_path / "parallel.rpbt", batch_fields, workers=4, level_workers=2
-        )
+        parallel = run_session(tmp_path / "parallel.rpbt", batch_fields, workers=4)
         t_parallel = time.perf_counter() - t0
         assert entry_bytes(serial.head_path) == entry_bytes(parallel.head_path), (
             "pipelined session wrote different entry bytes"
@@ -84,7 +82,7 @@ def bench_engine_serial_vs_parallel(benchmark, batch_fields, results_dir, tmp_pa
     text = (
         f"== engine_batch: session workers 1 vs 4 (4 fields, scale {SCALE}) ==\n"
         f"serial  : {t_serial:.3f}s\n"
-        f"parallel: {t_parallel:.3f}s (4 workers x 2 level-workers)\n"
+        f"parallel: {t_parallel:.3f}s (4 workers)\n"
         f"speedup : {speedup:.2f}x (entries byte-identical)\n"
     )
     print("\n" + text)

@@ -345,7 +345,37 @@ def _sz_ops(scale: int, repeats: int) -> dict:
         len(encoded.payload) + table.lengths.nbytes,
     )
     ops.update(_brick_ops(scale, repeats))
+    ops.update(_brick64_ops(repeats))
     return ops
+
+
+def _brick64_ops(repeats: int) -> dict:
+    """``sz_compress_many_64``: the eight 64³ bricks of one 128³ field
+    (views of it, as TAC hands over a GSP level's bricks) through one
+    ``compress_many`` call.  A 64³ brick holds ``BATCH_VALUES`` values, so
+    every brick is a batch of its own: the regime where a call's batches,
+    not its members, are the unit of work.  The size is fixed at every
+    ``--scale`` — a smaller brick is a different regime."""
+    from repro.sim.nyx import generate_field
+    from repro.sz import SZCompressor
+
+    n, brick = 128, 64
+    field = generate_field("baryon_density", n, seed=42)
+    codec = SZCompressor()
+    eb_abs = 1e-3 * float(field.max() - field.min())
+    bricks = [
+        field[x : x + brick, y : y + brick, z : z + brick]
+        for x in range(0, n, brick)
+        for y in range(0, n, brick)
+        for z in range(0, n, brick)
+    ]
+    return {
+        "sz_compress_many_64": op_entry(
+            time_op(lambda: codec.compress_many(bricks, eb_abs, "abs"), repeats),
+            field.size,
+            field.nbytes,
+        ),
+    }
 
 
 def _brick_ops(scale: int, repeats: int) -> dict:
@@ -441,10 +471,7 @@ def _codec_ops(scale: int, repeats: int) -> dict:
     """Compress / decompress / preprocess per registered paper codec, on
     Run1_Z3; plus TAC on Run2_T2 (``*_sparse``: a finest level at 0.2 %
     density in OpST blocks over a dense GSP one), where a cost that follows
-    the bounding grid instead of the stored blocks shows.
-    ``tac_compress_sparse_lw2`` is the same compress at ``level_workers=2``,
-    next to the serial row: the level pool pays on Run2_T2 at scale 1,
-    where both levels carry tens of ms, and costs at smaller scales."""
+    the bounding grid instead of the stored blocks shows."""
     from repro.engine.registry import get_codec
     from repro.sim.datasets import make_dataset
     from repro.utils.timer import TimingRecord
@@ -474,10 +501,6 @@ def _codec_ops(scale: int, repeats: int) -> dict:
     for op, fn in (
         ("tac_compress_sparse", lambda: tac.compress(sparse, 1e-4, mode="rel")),
         ("tac_decompress_sparse", lambda: tac.decompress(comp)),
-        (
-            "tac_compress_sparse_lw2",
-            lambda: tac.compress(sparse, 1e-4, mode="rel", level_workers=2),
-        ),
     ):
         ops[op] = op_entry(
             time_op(fn, repeats), sparse.total_points(), sparse.original_bytes()
@@ -687,7 +710,7 @@ GROUP_OPS = {
     "sz": tuple(f"sz_{op}_{p}" for op in ("compress", "decompress") for p in ("interp", "lorenzo"))
     + ("sz_quantize", "sz_predict", "sz_lossless_interp")
     + tuple(f"sz_compress_{how}_bricks" for how in ("many", "loop"))
-    + ("sz_compress_many_bricks_recon",)
+    + ("sz_compress_many_bricks_recon", "sz_compress_many_64")
     + tuple(
         f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
     ),
@@ -697,7 +720,6 @@ GROUP_OPS = {
         "tac_preprocess",
         "tac_compress_sparse",
         "tac_decompress_sparse",
-        "tac_compress_sparse_lw2",
     ),
     "preprocess": ("gsp_pad", "opst_extract"),
     "ingest": ("tac_compress_iter", "ingest_session_delta"),

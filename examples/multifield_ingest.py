@@ -42,7 +42,7 @@ def main(scale: int = 8) -> None:
         t0 = time.perf_counter()
         with IngestSession(
             tmp / "step.rpbt", error_bound=1e-4, max_inflight=8, workers=4,
-            level_workers=2, meta={"pipeline": "example", "snapshot": "Run1_Z2"},
+            meta={"pipeline": "example", "snapshot": "Run1_Z2"},
         ) as session:
             keys = session.submit_step(fields, error_bound=bounds)
         t_parallel = time.perf_counter() - t0
@@ -52,7 +52,7 @@ def main(scale: int = 8) -> None:
             tmp / "step.shard-0000.rpsh"
         ).read_bytes()
         print(f"serial   : {t_serial:.3f}s")
-        print(f"parallel : {t_parallel:.3f}s (4 workers x 2 level-workers)")
+        print(f"parallel : {t_parallel:.3f}s (4 workers)")
         print(f"outputs  : {'byte-identical' if identical else 'DIVERGED (bug!)'}")
 
         print(f"\narchive  : {report.n_entries} entries, {report.write.total_bytes()} bytes, "

@@ -153,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument("inputs", nargs="+", type=Path, help="AMR .npz files")
     _add_session_arguments(p_batch, method_choices)
-    p_batch.add_argument(
-        "--level-workers", type=int, default=1,
-        help="parallel AMR levels inside each TAC entry",
-    )
 
     p_ing = sub.add_parser(
         "ingest",
@@ -731,7 +727,6 @@ def cmd_batch(args) -> int:
     return _run_session(
         args, "repro batch", zip(args.inputs, labels),
         max_inflight=2 * args.workers if pipelined else 1,
-        level_workers=args.level_workers,
     )
 
 

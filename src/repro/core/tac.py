@@ -20,7 +20,6 @@ masks — all counted in the compressed size.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -157,7 +156,6 @@ class TACCompressor(PlanExecutorMixin):
         mode: str = "rel",
         per_level_scale=None,
         timings: TimingRecord | None = None,
-        level_workers: int = 1,
     ) -> CompressedDataset:
         """Compress a dataset level by level under ``error_bound``:
         :meth:`compress_iter` collected into one eager dataset.
@@ -168,8 +166,7 @@ class TACCompressor(PlanExecutorMixin):
         """
         timings = timings if timings is not None else TimingRecord()
         out = self.compress_iter(
-            dataset, error_bound, mode, per_level_scale,
-            timings=timings, level_workers=level_workers,
+            dataset, error_bound, mode, per_level_scale, timings=timings
         ).collect()
         out.timings = timings
         return out
@@ -181,7 +178,6 @@ class TACCompressor(PlanExecutorMixin):
         mode: str = "rel",
         per_level_scale=None,
         timings: TimingRecord | None = None,
-        level_workers: int = 1,
         want_recon: bool = False,
     ) -> StreamingCompression:
         """Compress level by level, yielding each level's parts as produced.
@@ -194,12 +190,10 @@ class TACCompressor(PlanExecutorMixin):
         memory and its output is byte-identical to
         ``compress(...).to_bytes()``.
 
-        ``level_workers > 1`` compresses the levels concurrently in a
-        thread pool (the paper's level-wise decomposition makes them
-        independent, and the hot loops release the GIL inside NumPy/zlib).
-        Each level produces its parts and metadata in isolation and the
-        chunks are yielded in level order, so the output is bit-identical
-        to the serial path — at the cost of the one-level memory bound.
+        Each level's SZ streams are encoded by one
+        :meth:`~repro.sz.compressor.SZCompressor.compress_many` call, whose
+        batches the caller's thread and the codec's helper threads share;
+        the levels themselves are compressed one after another.
 
         ``want_recon=True`` sets each chunk's ``rec`` to the level a reader
         will decode from its parts, bit for bit — built from the
@@ -212,7 +206,6 @@ class TACCompressor(PlanExecutorMixin):
         (without a ``rec``).
         """
         timings = timings if timings is not None else TimingRecord()
-        level_workers = check_positive_int(level_workers, name="level_workers")
         cfg = self.config
         if cfg.adaptive_baseline and dataset.finest_density() >= cfg.t2:
             if per_level_scale is not None:
@@ -239,23 +232,15 @@ class TACCompressor(PlanExecutorMixin):
             "shapes": [list(lvl.shape) for lvl in dataset.levels],
         }
 
-        def level_task(lvl: AMRLevel):
-            return self._level_task(
-                lvl, base_eb * scales[lvl.level], counts[lvl.level], want_recon
-            )
-
-        def chunks(outputs):
-            for lvl, (meta, parts, record, rec) in zip(dataset.levels, outputs):
-                for span, seconds in record.spans.items():
-                    timings.add(span, seconds)
-                yield LevelChunk(level=lvl.level, meta=meta, parts=parts, rec=rec)
-
         def produce():
-            if level_workers > 1 and dataset.n_levels > 1:
-                with ThreadPoolExecutor(max_workers=level_workers) as pool:
-                    yield from chunks(pool.map(level_task, dataset.levels))
-            else:
-                yield from chunks(map(level_task, dataset.levels))
+            for lvl in dataset.levels:
+                parts: dict[str, bytes] = {}
+                meta, rec = self._compress_level(
+                    lvl, base_eb * scales[lvl.level], counts[lvl.level], parts, timings, want_recon
+                )
+                if cfg.store_masks:
+                    parts[f"{MASK_PREFIX}L{lvl.level}"] = pack_mask(lvl.mask)
+                yield LevelChunk(level=lvl.level, meta=meta, parts=parts, rec=rec)
 
         return StreamingCompression(
             method=self.method_name,
@@ -265,20 +250,6 @@ class TACCompressor(PlanExecutorMixin):
             chunks=produce(),
             base_meta=base_meta,
         )
-
-    def _level_task(
-        self, lvl: AMRLevel, eb_abs: float, n_points: int, want_recon: bool = False
-    ) -> tuple[dict, dict, TimingRecord, AMRLevel | None]:
-        """One level's complete output: ``(meta, parts, timings, rec)``.
-
-        The single source of per-level part production.
-        """
-        parts: dict[str, bytes] = {}
-        record = TimingRecord()
-        meta, rec = self._compress_level(lvl, eb_abs, n_points, parts, record, want_recon)
-        if self.config.store_masks:
-            parts[f"{MASK_PREFIX}L{lvl.level}"] = pack_mask(lvl.mask)
-        return meta, parts, record, rec
 
     def _compress_level(
         self,

@@ -88,9 +88,9 @@ def supports_partial_decode(codec) -> bool:
 def supports_kwarg(call, name: str) -> bool:
     """Whether ``call`` accepts keyword argument ``name``.
 
-    Capability detection for optional encoder knobs (``level_workers``,
-    ``want_recon``): any registered codec that grows the keyword gets it
-    forwarded — no isinstance special-cases against built-in classes.
+    Capability detection for optional encoder keywords (``want_recon``):
+    any registered codec that grows the keyword gets it forwarded — no
+    isinstance special-cases against built-in classes.
     """
     try:
         signature = inspect.signature(call)

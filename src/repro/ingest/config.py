@@ -48,9 +48,6 @@ class IngestConfig:
     workers:
         Encoder thread-pool width (effective when ``max_inflight > 1``;
         independent chains encode concurrently, one chain stays serial).
-    level_workers:
-        Within-entry level parallelism for codecs that support it
-        (bit-identical output; ``> 1`` gives up the one-level bound).
     """
 
     codec: str = "tac"
@@ -62,13 +59,11 @@ class IngestConfig:
     keyframe_interval: int = 1
     max_inflight: int = 1
     workers: int = 1
-    level_workers: int = 1
 
     def __post_init__(self):
         check_positive_int(self.shard_size, name="shard_size")
         check_positive_int(self.keyframe_interval, name="keyframe_interval")
         check_positive_int(self.max_inflight, name="max_inflight")
         check_positive_int(self.workers, name="workers")
-        check_positive_int(self.level_workers, name="level_workers")
         validated = registry.validate_codec_options(self.codec, self.codec_options)
         object.__setattr__(self, "codec_options", validated)

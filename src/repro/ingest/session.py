@@ -571,8 +571,6 @@ class IngestSession:
         )
         level_wise = hasattr(codec, "compress_iter")
         encode = codec.compress_iter if level_wise else codec.compress
-        if self.config.level_workers > 1 and supports_kwarg(encode, "level_workers"):
-            kwargs["level_workers"] = self.config.level_workers
         if track_rec and supports_kwarg(encode, "want_recon"):
             kwargs["want_recon"] = True
         inner = encode(source, use_eb, mode=use_mode, **kwargs)

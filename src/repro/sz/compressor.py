@@ -36,10 +36,13 @@ that regime is ``eb`` plus a small number of ULPs (pinned by
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -149,16 +152,31 @@ _SECTION_LABELS = {
 }
 
 
-#: Values one batch may hold (64 bricks of 16³), on either side: the
-#: streams one lockstep decode pass reconstructs, the arrays one encode
-#: pass predicts and packs.  Below it the per-call overhead is spread over
-#: too few lanes; above it the batch's window, symbol and reconstruction
-#: arrays (≈ 30 bytes per value) fall out of cache and the gathers slow
-#: down again.  Measured on 512 × 16³ streams: batches of 8 / 16 / 32 / 64 /
+#: Values one batch may hold (64 bricks of 16³): the streams one lockstep
+#: decode pass reconstructs, and — divided among the
+#: :data:`ENCODE_THREADS` that drain an encode — the arrays one encode
+#: pass predicts and packs, so the batches in flight together hold this
+#: many values.  Below it the per-call overhead is spread over too few
+#: lanes; above it the batch's window, symbol and reconstruction arrays
+#: (≈ 30 bytes per value) fall out of cache and the gathers slow down
+#: again.  Measured on 512 × 16³ streams: batches of 8 / 16 / 32 / 64 /
 #: 128 / 256 / 512 decode in about 190 / 165 / 135 / 135 / 135 / 160 /
 #: 185 ms and encode (eb 1e-4 rel) in about 280 / 255 / 255 / 265 / 300 /
-#: 300 / 310 ms.  A single stream larger than this is a batch of its own.
+#: 300 / 310 ms.  A single stream larger than its share is a batch of its
+#: own.
 BATCH_VALUES = 1 << 18
+
+#: Threads one :meth:`SZCompressor.compress_many` call encodes on: the
+#: caller plus ``ENCODE_THREADS - 1`` process-wide ``sz-encode`` helpers.
+#: The CPU affinity count, capped at 2 — the only width measured (a
+#: 2-core host).  Each thread's batches hold ``BATCH_VALUES //
+#: ENCODE_THREADS`` values, so a wider drain also means smaller batches:
+#: 16 bricks of 16³ at 4 threads, 8 (slower, see above) at 8, and at 64
+#: every brick a batch of one, the per-stream path the batched encode
+#: replaced.  Raise the cap only with a measurement on more cores.
+ENCODE_THREADS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 #: What parsing or decoding a damaged stream raises (the parser contract is
@@ -168,22 +186,71 @@ BATCH_VALUES = 1 << 18
 STREAM_DAMAGE = (ValueError, zlib.error)
 
 
-def _batches(keys: Sequence, sizes: Sequence[int]) -> list[list[int]]:
+def _batches(keys: Sequence, sizes: Sequence[int], threads: int = 1) -> list[list[int]]:
     """Indices of equal ``keys`` grouped into batches, in first-seen order.
 
-    A batch holds at most :data:`BATCH_VALUES` values (``sizes[i]`` per
-    member, equal within a key) but always at least one member; members
+    A batch holds at most ``BATCH_VALUES // threads`` values (``sizes[i]``
+    per member, equal within a key) but always at least one member; members
     keep their order within a batch.
     """
+    budget = BATCH_VALUES // threads
     batches: list[list[int]] = []
     open_batches: dict = {}
     for index, (key, size) in enumerate(zip(keys, sizes)):
         batch = open_batches.get(key)
-        if batch is None or (len(batch) + 1) * size > BATCH_VALUES:
+        if batch is None or (len(batch) + 1) * size > budget:
             batch = open_batches[key] = []
             batches.append(batch)
         batch.append(index)
     return batches
+
+
+@functools.cache
+def _helpers() -> ThreadPoolExecutor:
+    """The process-wide ``sz-encode`` pool: ``ENCODE_THREADS - 1`` helper
+    threads (at least one), sized when first used and started on demand.
+    A drain is correct with any pool size — helpers it cannot get stay
+    queued and are cancelled — and with any pool: first calls that race
+    may each build one, and every one of them works."""
+    return ThreadPoolExecutor(max(ENCODE_THREADS - 1, 1), thread_name_prefix="sz-encode")
+
+
+def _drain(jobs: Sequence[Callable[[], None]], threads: int) -> None:
+    """Run every job once, on the calling thread and up to ``threads - 1``
+    helpers that claim jobs in order from a shared index.
+
+    The caller runs jobs too and, once none is left, cancels the helpers
+    still queued: it waits only on helpers that started, so a drain called
+    from a busy pool (ingest workers, concurrent callers) cannot deadlock.
+    After a failure no job is claimed; the first failed job's error is
+    raised — every earlier job was claimed before it and ran to its end, so
+    that is the error a serial loop raises.
+    """
+    claims = itertools.count()  # next() on it is atomic under the GIL
+    errors: dict[int, BaseException] = {}
+
+    def work() -> None:
+        while not errors:
+            index = next(claims)
+            if index >= len(jobs):
+                return
+            try:
+                jobs[index]()
+            except BaseException as exc:  # re-raised on the caller's thread
+                errors[index] = exc
+
+    helpers = []
+    for _ in range(min(threads, len(jobs)) - 1):
+        try:
+            helpers.append(_helpers().submit(work))
+        except RuntimeError:  # interpreter shutdown: the caller drains alone
+            break
+    work()
+    for helper in helpers:
+        if not helper.cancel():
+            helper.result()
+    if errors:
+        raise errors[min(errors)]
 
 
 @dataclass
@@ -446,7 +513,7 @@ class SZCompressor:
         """
         mode = ErrorMode(mode)
         timings = TimingRecord()
-        arr, header = self._open(data, error_bound, mode)
+        arr, header = self._open(self._check(data, error_bound), error_bound, mode)
         if recon is not None:
             _check_destination(recon, arr.shape, arr.dtype)
         if arr.size == 0:
@@ -471,12 +538,22 @@ class SZCompressor:
         """Compress every array; ``result[i]`` is ``compress(arrays[i], ...)``.
 
         Arrays of one shape and dtype are predicted, histogrammed and
-        entropy-coded together, up to :data:`BATCH_VALUES` values per pass
-        — byte-identical to one call per array, at a fraction of the fixed
-        cost when the arrays are small.  A group of one (and every
-        ``pw_rel`` stream) goes through :meth:`compress_with_stats`.  Any
-        array that :meth:`compress` would reject raises the same error
-        here, and nothing is returned.
+        entropy-coded together — byte-identical to one call per array, at a
+        fraction of the fixed cost when the arrays are small.  The batches
+        are encoded on the caller's thread and :data:`ENCODE_THREADS`
+        ``- 1`` shared helper threads, each batch holding at most
+        ``BATCH_VALUES // ENCODE_THREADS`` values; a batch of one (and every
+        ``pw_rel`` stream) goes through :meth:`compress_with_stats`.
+        ``timings`` gets the batches' spans in batch order.
+
+        A failing array raises the error :meth:`compress` raises for it, and
+        nothing is returned.  The input checks (dtype, dimensionality,
+        finiteness, the bound, each ``recon`` destination) run on every
+        array before anything is encoded, so such a rejection writes no
+        destination.  An error of the encode itself — a bound too small for
+        an array's magnitude overflows the lattice — comes after other
+        batches, earlier or (on another thread) later ones, may have written
+        their destinations.
 
         ``recon`` is one destination array per input (see
         :meth:`compress_with_stats`): ``recon[i]`` ends up bit-identical to
@@ -484,73 +561,113 @@ class SZCompressor:
         same bytes either way.  ``recon[i]`` may be ``arrays[i]`` itself —
         a member's destination is written only after its batch's predict
         stage has consumed the batch's inputs — but must not overlap any
-        other input.  Every destination is checked before anything is
-        encoded.
+        other input.
         """
         mode = ErrorMode(mode)
         arrays = list(arrays)
-        keys = [(np.shape(arr), getattr(arr, "dtype", None)) for arr in arrays]
         dests = [None] * len(arrays) if recon is None else list(recon)
         if len(dests) != len(arrays):
             raise ValueError(
                 f"need one recon destination per array: {len(arrays)} arrays, {len(dests)} given"
             )
-        if recon is not None:
-            for arr, dest in zip(arrays, dests):
-                _check_destination(dest, np.shape(arr), np.asarray(arr).dtype)
+        # Checked in place: a non-contiguous member is copied only by the
+        # batch that encodes it, so no more than the batches in flight
+        # hold copies.
+        checked = []
+        for data, dest in zip(arrays, dests):
+            checked.append(self._check(data, error_bound))
+            if recon is not None:
+                _check_destination(dest, checked[-1].shape, checked[-1].dtype)
+        keys = [
+            index if mode is ErrorMode.PW_REL else (arr.shape, arr.dtype)
+            for index, arr in enumerate(checked)
+        ]
+        threads = ENCODE_THREADS
+        batches = _batches(keys, [arr.size for arr in checked], threads)
+        records = [TimingRecord() for _ in batches]
         out: list = [None] * len(arrays)
-        record = timings if timings is not None else TimingRecord()
-        for batch in _batches(keys, [math.prod(shape) for shape, _dtype in keys]):
-            if len(batch) == 1 or mode is ErrorMode.PW_REL:
-                for index in batch:
-                    out[index], stats = self.compress_with_stats(
-                        arrays[index], error_bound, mode, dests[index]
-                    )
-                    for span, seconds in stats.timings.spans.items():
-                        record.add(span, seconds)
+
+        def encode(batch: list[int], record: TimingRecord) -> None:
+            blobs = self._encode_batch(
+                [checked[i] for i in batch], [dests[i] for i in batch], error_bound, mode, record
+            )
+            for index, blob in zip(batch, blobs):
+                out[index] = blob
+
+        _drain([functools.partial(encode, *job) for job in zip(batches, records)], threads)
+        if timings is not None:
+            for record in records:
+                for span, seconds in record.spans.items():
+                    timings.add(span, seconds)
+        return out
+
+    def _encode_batch(
+        self,
+        arrays: list[np.ndarray],
+        dests: list,
+        error_bound: float,
+        mode: ErrorMode,
+        record: TimingRecord,
+    ) -> list[bytes]:
+        """The blobs of one batch of :meth:`_check`-ed arrays of one shape
+        and dtype, timed into the batch's own ``record``: a lone member goes
+        through :meth:`compress_with_stats` (which checks it again), the
+        others share one lattice pass."""
+        if len(arrays) == 1:
+            blob, stats = self.compress_with_stats(arrays[0], error_bound, mode, dests[0])
+            for span, seconds in stats.timings.spans.items():
+                record.add(span, seconds)
+            return [blob]
+        out: list = [None] * len(arrays)
+        slots: list[int] = []  # members that reach the lattice pipeline,
+        arrs: list[np.ndarray] = []  # their arrays ...
+        headers: list[stream.StreamHeader] = []  # ... and headers
+        for slot, checked in enumerate(arrays):
+            arr, header = self._open(checked, error_bound, mode)
+            if arr.size == 0:
+                out[slot] = self._compress_empty(arr, header, record)[0]
                 continue
-            # One batch at a time keeps the working set (symbols plus a
-            # histogram per member) to a single batch.
-            slots: list[int] = []  # members that reach the lattice pipeline,
-            arrs: list[np.ndarray] = []  # their arrays ...
-            headers: list[stream.StreamHeader] = []  # ... and headers
-            for index in batch:
-                arr, header = self._open(arrays[index], error_bound, mode)
-                if arr.size == 0:
-                    out[index] = self._compress_empty(arr, header, record)[0]
-                    continue
-                header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
-                if header.eb_abs == 0.0:
-                    out[index] = self._compress_lossless(arr, header, record, dests[index])[0]
-                    continue
-                slots.append(index)
-                arrs.append(arr)
-                headers.append(header)
-            # Array-likes of one raw key may open to different dtypes.
-            opened = [(arr.shape, arr.dtype) for arr in arrs]
-            for group in _batches(opened, [arr.size for arr in arrs]):
-                rows = self._prepare_symbols(
-                    [arrs[i] for i in group],
-                    [headers[i].eb_abs for i in group],
-                    record,
-                    None if recon is None else [dests[slots[i]] for i in group],
-                )
-                for i, sections in zip(group, self._encode_symbols(*rows, record)):
-                    out[slots[i]] = stream.serialize(headers[i], sections)
+            header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
+            if header.eb_abs == 0.0:
+                out[slot] = self._compress_lossless(arr, header, record, dests[slot])[0]
+                continue
+            slots.append(slot)
+            arrs.append(arr)
+            headers.append(header)
+        if slots:
+            rows = self._prepare_symbols(
+                arrs,
+                [header.eb_abs for header in headers],
+                record,
+                None if dests[0] is None else [dests[slot] for slot in slots],
+            )
+            for slot, header, sections in zip(slots, headers, self._encode_symbols(*rows, record)):
+                out[slot] = stream.serialize(header, sections)
         return out
 
     # -- pipelines -------------------------------------------------------
-    def _open(
-        self, data, error_bound: float, mode: ErrorMode
-    ) -> tuple[np.ndarray, stream.StreamHeader]:
-        """Every per-stream input check, and the stream's header-to-be."""
-        arr = ensure_ndarray(data, name="data")
+    def _check(self, data, error_bound: float) -> np.ndarray:
+        """Every per-stream input check; ``data`` as an array of its stored
+        dtype, not yet made contiguous (a view of a float array)."""
+        arr = ensure_ndarray(data, name="data", contiguous=False)
         check_finite(arr, name="data")
         if arr.ndim not in SUPPORTED_NDIM and arr.size:
             raise ValueError(f"supported dimensionalities are {SUPPORTED_NDIM}, got {arr.ndim}")
-        eb_user = check_error_bound(error_bound, allow_zero=True)
+        check_error_bound(error_bound, allow_zero=True)
+        return arr
+
+    def _open(
+        self, arr: np.ndarray, error_bound: float, mode: ErrorMode
+    ) -> tuple[np.ndarray, stream.StreamHeader]:
+        """A :meth:`_check`-ed array made contiguous, and its stream's
+        header-to-be."""
+        arr = np.ascontiguousarray(arr)
         return arr, stream.StreamHeader(
-            mode=mode.value, dtype=arr.dtype, shape=arr.shape, eb_user=eb_user, eb_abs=0.0
+            mode=mode.value,
+            dtype=arr.dtype,
+            shape=arr.shape,
+            eb_user=float(error_bound),
+            eb_abs=0.0,
         )
 
     def _prepare_symbols(

@@ -19,12 +19,14 @@ def ensure_ndarray(
     name: str = "data",
     dtypes: tuple = _FLOAT_DTYPES,
     allow_empty: bool = True,
+    contiguous: bool = True,
 ) -> np.ndarray:
     """Coerce ``data`` to a C-contiguous ndarray of an accepted float dtype.
 
     Integer/other inputs are up-cast to ``float64`` (mirrors how SZ treats
     non-float input); float inputs keep their dtype.  Returns a contiguous
-    array (a view when already contiguous, a copy otherwise).
+    array (a view when already contiguous, a copy otherwise), or with
+    ``contiguous=False`` the array in whatever layout it has.
     """
     arr = np.asarray(data)
     if arr.dtype not in dtypes:
@@ -39,7 +41,7 @@ def ensure_ndarray(
             )
     if not allow_empty and arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    return np.ascontiguousarray(arr)
+    return np.ascontiguousarray(arr) if contiguous else arr
 
 
 def check_finite(arr: np.ndarray, *, name: str = "data") -> None:

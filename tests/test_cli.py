@@ -123,11 +123,19 @@ class TestBatchCommand:
         assert main(["make", "Run2_T2", "-o", str(path), "--scale", "16"]) == 0
         return path
 
+    def test_level_workers_flag_is_gone(self, dataset_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", str(dataset_file), "-o", str(tmp_path / "x.rpbt"),
+                  "--level-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--level-workers" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
     def test_batch_compress_info_extract(self, dataset_file, second_file, tmp_path, capsys):
         archive = tmp_path / "batch.rpbt"
         assert main([
             "batch", str(dataset_file), str(second_file), "-o", str(archive),
-            "--eb", "1e-3", "--workers", "4", "--level-workers", "2",
+            "--eb", "1e-3", "--workers", "4",
         ]) == 0
         out = capsys.readouterr().out
         assert "2 entries" in out and "ratio" in out

@@ -17,6 +17,7 @@ from repro.core.container import CompressedDataset
 from repro.core.tac import TACCompressor
 from repro.engine.archive import ShardedArchiveWriter
 from repro.ingest import IngestConfig, IngestSession
+from repro.sz import compressor as sz_compressor
 from repro.sz.compressor import SZCompressor
 from tests.test_ingest import EB, archive_entries, timestep_series
 from tests.test_partial_decode import READ_CASES, RETIRED_LAYOUTS
@@ -36,13 +37,14 @@ def assert_same_level(rec, decoded):
 
 
 class TestLevelChunkRec:
-    @pytest.mark.parametrize("level_workers", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
         "variant", [{}, {"per_level_scale": (0.5, 2.0)}, {"store_masks": False}],
         ids=["default", "per-level-scale", "no-stored-masks"],
     )
     @pytest.mark.parametrize("name", TAC_CASES)
-    def test_rec_is_the_decode_of_the_chunk(self, name, variant, level_workers):
+    def test_rec_is_the_decode_of_the_chunk(self, name, variant, threads, monkeypatch):
+        monkeypatch.setattr(sz_compressor, "ENCODE_THREADS", threads)
         make_codec, make_dataset, _registry = READ_CASES[name]
         variant = dict(variant)
         codec = make_codec()
@@ -50,7 +52,7 @@ class TestLevelChunkRec:
             config = dataclasses.replace(codec.config, store_masks=variant.pop("store_masks"))
             codec = TACCompressor(config)
         dataset = make_dataset()
-        kwargs = dict(mode="abs", level_workers=level_workers, **variant)
+        kwargs = dict(mode="abs", **variant)
 
         plain = list(codec.compress_iter(dataset, EB, **kwargs))
         stream = codec.compress_iter(dataset, EB, want_recon=True, **kwargs)

@@ -28,6 +28,7 @@ from repro.engine import (
 )
 from repro.amr.io import save_dataset
 from repro.ingest import IngestConfig, IngestError, IngestSession
+from repro.sz import compressor as sz_compressor
 from tests.helpers import assert_error_bounded, two_level_dataset, write_archive
 from tests.test_ingest import archive_entries
 
@@ -151,10 +152,13 @@ class TestEngineDeterminism:
         for key, (parts, _meta) in archive_entries(serial.report.head_path).items():
             assert parts == reference[key].parts
 
-    def test_level_parallel_tac_bit_identical(self, batch_jobs, tmp_path):
+    def test_nested_encode_drains_bit_identical(self, batch_jobs, tmp_path, monkeypatch):
+        """Four session workers, each draining its SZ batches on 4 threads
+        through the shared helpers: no deadlock, serial bytes."""
         serial = run_session(tmp_path / "serial.rpbt", batch_jobs)
+        monkeypatch.setattr(sz_compressor, "ENCODE_THREADS", 4)
         nested = run_session(
-            tmp_path / "nested.rpbt", batch_jobs, max_inflight=8, workers=4, level_workers=4
+            tmp_path / "nested.rpbt", batch_jobs, max_inflight=8, workers=4
         )
         assert archive_entries(serial.report.head_path) == archive_entries(
             nested.report.head_path
@@ -204,8 +208,8 @@ class TestFailureIsolation:
             IngestConfig(workers=0)
         with pytest.raises(ValueError):
             IngestConfig(max_inflight=0)
-        with pytest.raises(ValueError):
-            IngestConfig(level_workers=-1)
+        with pytest.raises(TypeError):
+            IngestConfig(level_workers=2)  # the level pool is gone
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from repro.ingest import (
     temporal_chain,
 )
 from repro.serve.reader import ArchiveReader
+from repro.sz import compressor as sz_compressor
 from tests.helpers import assert_error_bounded, two_level_dataset
 
 EB = 1e-3
@@ -95,14 +97,14 @@ class TestCompressIterParity:
     @given(
         brick=st.sampled_from([None, 8]),
         seed=st.integers(min_value=0, max_value=3),
-        level_workers=st.sampled_from([1, 2]),
+        threads=st.sampled_from([1, 2]),
     )
-    def test_chunked_output_is_byte_identical(self, brick, seed, level_workers):
+    def test_chunked_output_is_byte_identical(self, brick, seed, threads):
         ds = two_level_dataset(n=16, fine_fraction=0.3, seed=seed)
         options = {} if brick is None else {"brick_size": brick}
         eager = TACCompressor(**options).compress(ds, EB)
-        stream = TACCompressor(**options).compress_iter(ds, EB, level_workers=level_workers)
-        streamed = stream.collect()
+        with mock.patch.object(sz_compressor, "ENCODE_THREADS", threads):
+            streamed = TACCompressor(**options).compress_iter(ds, EB).collect()
         assert list(streamed.parts) == list(eager.parts)
         for name in eager.parts:
             assert streamed.parts[name] == eager.parts[name], name
@@ -115,17 +117,16 @@ class TestCompressIterParity:
         levels = [c.level for c in TACCompressor().compress_iter(ds, EB)]
         assert levels == [0, 1]
 
-    def test_session_level_workers_match_serial_entries(self, tmp_path):
+    def test_session_entries_do_not_depend_on_encode_threads(self, tmp_path, monkeypatch):
         series = timestep_series(3)
         heads = {}
-        for level_workers in (1, 2):
-            head = tmp_path / f"lw{level_workers}.rpbt"
-            cfg = IngestConfig(
-                error_bound=EB, keyframe_interval=2, level_workers=level_workers
-            )
+        for threads in (1, 2):
+            monkeypatch.setattr(sz_compressor, "ENCODE_THREADS", threads)
+            head = tmp_path / f"t{threads}.rpbt"
+            cfg = IngestConfig(error_bound=EB, keyframe_interval=2)
             with IngestSession(head, cfg) as session:
                 session.extend(series)
-            heads[level_workers] = archive_entries(head)
+            heads[threads] = archive_entries(head)
         assert heads[1].keys() == heads[2].keys()
         for key in heads[1]:
             s_parts, s_meta = heads[1][key]

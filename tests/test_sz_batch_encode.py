@@ -2,9 +2,15 @@
 
 The batch kernels are the only encode path (``compress`` is the batch of
 one), so these tests pin that a stream's bytes do not depend on what it was
-batched with — over every stream kind — and that a bad member raises what
-``compress`` raises for it.
+batched with — over every stream kind — nor on how many threads drained
+the batches, and that a bad member raises what ``compress`` raises for it.
+Every test runs at one encode thread unless it sets its own count, so no
+result depends on the host's CPU count.
 """
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +25,17 @@ from tests.helpers import smooth_cube, two_level_dataset
 from tests.test_sz_batch_decode import fields
 
 CODEC = SZCompressor()
+
+
+@pytest.fixture(autouse=True)
+def threads(monkeypatch):
+    """Sets the encode thread count (``ENCODE_THREADS``); 1 by default."""
+
+    def use(count: int) -> None:
+        monkeypatch.setattr(sz_compressor, "ENCODE_THREADS", count)
+
+    use(1)
+    return use
 
 
 def assert_same_blobs(codec, arrays, error_bound, mode):
@@ -129,11 +146,15 @@ class TestEquivalence:
         arrays.insert(4, np.full((16, 16, 16), 7.0, np.float32))
         assert_same_blobs(CODEC, arrays, 1e-3, "rel")
 
-    def test_value_budget_splits_batches(self, monkeypatch, passes):
+    @pytest.mark.parametrize("count, want", [(1, [64, 6]), (2, [32, 32, 6])])
+    def test_value_budget_splits_batches(self, monkeypatch, passes, threads, count, want):
+        threads(count)
         arrays = fields((16, 16, 16), 70, np.float32)
         blobs = CODEC.compress_many(arrays, 1e-3, "abs")
-        assert passes == [64, 6]  # 64 × 4096 values fill the budget
+        # 64 × 4096 values fill the budget, which the threads share.
+        assert sorted(passes, reverse=True) == want
         assert blobs[::23] == [CODEC.compress(arr, 1e-3, "abs") for arr in arrays[::23]]
+        threads(1)
         monkeypatch.setattr(sz_compressor, "BATCH_VALUES", 3 * 4096)
         del passes[:]
         CODEC.compress_many(arrays[:8], 1e-3, "abs")
@@ -205,6 +226,33 @@ class TestBadMembers:
         assert str(batch.value) == str(single.value)
         assert "1e+30" in str(single.value)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_rejected_member_leaves_aliased_destinations_untouched(self, threads, count):
+        threads(count)
+        a, b = fields((64, 64, 64), 2, np.float32)
+        b[10, 20, 30] = np.nan
+        before = a.copy()
+        with pytest.raises(ValueError, match="non-finite"):
+            CODEC.compress_many([a, b], 1e-2, "abs", recon=[a, b])
+        assert np.array_equal(a, before)  # no batch was encoded
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_lattice_overflow_with_aliased_recon(self, threads, count):
+        """The overflow is found by the encode, not the input checks: other
+        members' destinations may be written (at 2 threads a later one's
+        too), but the error is the serial one and the member that overflows
+        keeps its values."""
+        threads(count)
+        a, b, c = fields((64, 64, 64), 3, np.float32)  # a batch each
+        b[3, 4, 5] = 1e30
+        before = b.copy()
+        with pytest.raises(ValueError) as single:
+            CODEC.compress(b, 1e-3, "abs")
+        with pytest.raises(ValueError) as batch:
+            CODEC.compress_many([a, b, c], 1e-3, "abs", recon=[a, b, c])
+        assert str(batch.value) == str(single.value)
+        assert np.array_equal(b, before)
+
     def test_bad_error_bound(self):
         for bad in (-1.0, float("nan")):
             with pytest.raises(ValueError) as single:
@@ -214,12 +262,108 @@ class TestBadMembers:
             assert str(batch.value) == str(single.value)
 
 
+def mixed_members() -> list:
+    """Shapes, dtypes, an empty, a constant and a zero member, with more
+    16³ members than one batch holds at 2 threads."""
+    arrays = (
+        fields((16, 16, 16), 40, np.float32)
+        + fields((9, 7, 5), 3, np.float64, seed=1)
+        + fields((64, 64, 64), 2, np.float32, seed=2)
+        + fields((4100,), 2, np.float32, seed=3)
+    )
+    arrays.insert(5, np.zeros((0, 4), np.float32))
+    arrays.insert(7, np.full((16, 16, 16), 7.0, np.float32))
+    arrays.insert(41, np.zeros((9, 7, 5)))
+    return arrays
+
+
+class TestDrain:
+    """The batches of one call are drained by the caller and its helpers."""
+
+    @pytest.mark.parametrize("mode, eb", [("abs", 1e-3), ("rel", 1e-4), ("pw_rel", 1e-2)])
+    def test_bytes_and_recon_identical_at_1_2_and_4_threads(self, threads, mode, eb):
+        results = {}
+        for count in (1, 2, 4):
+            threads(count)
+            dests = [np.empty_like(arr) for arr in mixed_members()]
+            blobs = CODEC.compress_many(mixed_members(), eb, mode, recon=dests)
+            results[count] = blobs, dests
+        serial, serial_dests = results[1]
+        assert serial[::9] == [CODEC.compress(arr, eb, mode) for arr in mixed_members()[::9]]
+        for blobs, dests in (results[2], results[4]):
+            assert blobs == serial
+            for dest, want in zip(dests, serial_dests):
+                assert np.array_equal(dest, want, equal_nan=True)
+
+    def test_concurrent_callers_finish_with_identical_bytes(self, threads):
+        """The deadlock and lost-update guard: four callers share the
+        helpers, with thread switches forced far more often than usual."""
+        threads(2)
+        arrays = fields((64, 64, 64), 3, np.float32) + fields((16, 16, 16), 70, np.float32)
+        want = CODEC.compress_many(arrays, 1e-3, "abs")
+        got: dict = {}
+
+        def call(slot: int) -> None:
+            got[slot] = CODEC.compress_many(arrays, 1e-3, "abs")
+
+        callers = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers), "a drain deadlocked"
+        assert got == {k: want for k in range(4)}
+
+    def test_failing_member_raises_the_serial_error(self, monkeypatch, threads):
+        monkeypatch.setattr(sz_compressor, "BATCH_VALUES", 16)
+        threads(2)  # 8 values per batch: every member is a batch of its own
+        arrays = [np.full(8, 1.0 + k) for k in range(12)]
+        arrays[5], arrays[9] = np.full(8, 1e30), np.full(8, 3e30)
+        with pytest.raises(ValueError) as single:
+            CODEC.compress(arrays[5], 1e-3, "abs")
+        for _ in range(3):
+            with pytest.raises(ValueError) as batch:
+                CODEC.compress_many(arrays, 1e-3, "abs")
+            assert str(batch.value) == str(single.value)
+        good = arrays[:5] + arrays[6:9]
+        assert_same_blobs(CODEC, good, 1e-3, "abs")  # the next call still works
+
+    def test_caller_drains_alone_once_the_helpers_are_shut_down(self, monkeypatch, threads):
+        """At interpreter exit (an ``atexit`` hook) the helper pool refuses
+        work; the caller then encodes every batch itself."""
+        closed = ThreadPoolExecutor(1)
+        closed.shutdown()
+        monkeypatch.setattr(sz_compressor, "_helpers", lambda: closed)
+        arrays = fields((16, 16, 16), 70, np.float32)
+        want = CODEC.compress_many(arrays, 1e-3, "abs")
+        threads(2)
+        assert CODEC.compress_many(arrays, 1e-3, "abs") == want
+
+    def test_timing_keys_survive_the_merge(self, monkeypatch, threads):
+        monkeypatch.setattr(sz_compressor, "BATCH_VALUES", 4 * 4096)
+        arrays = fields((16, 16, 16), 12, np.float32)
+        records = {}
+        for count in (1, 2):
+            threads(count)
+            records[count] = TimingRecord()
+            CODEC.compress_many(arrays, 1e-3, "abs", timings=records[count])
+        for record in records.values():
+            assert set(record.spans) == {"predict", "encode", "lossless"}
+            assert all(seconds > 0 for seconds in record.spans.values())
+
+
 class TestTAC:
-    def test_level_workers_bytes_equal_serial(self):
+    def test_drained_levels_equal_serial_bytes(self, threads):
         dataset = two_level_dataset(n=32, fine_fraction=0.8)
         codec = TACCompressor(brick_size=16)
         serial = codec.compress(dataset, 1e-3).to_bytes()
-        assert codec.compress(dataset, 1e-3, level_workers=2).to_bytes() == serial
+        threads(2)
+        assert codec.compress(dataset, 1e-3).to_bytes() == serial
 
     def test_bricked_level_is_batched_and_equals_per_brick_calls(self, passes):
         dataset = two_level_dataset(n=32, fine_fraction=0.8)

@@ -75,6 +75,12 @@ class TestValidation:
         out = ensure_ndarray(base[:, ::2])
         assert out.flags.c_contiguous
 
+    def test_ensure_ndarray_keeps_the_layout_when_asked(self):
+        view = np.zeros((4, 4), dtype=np.float32)[:, ::2]
+        assert ensure_ndarray(view, contiguous=False) is view
+        upcast = ensure_ndarray(np.arange(4)[::2], contiguous=False)
+        assert upcast.dtype == np.float64 and upcast.tolist() == [0.0, 2.0]
+
     def test_ensure_ndarray_empty_flag(self):
         with pytest.raises(ValueError, match="empty"):
             ensure_ndarray(np.zeros(0), allow_empty=False)
