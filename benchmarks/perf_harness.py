@@ -393,6 +393,9 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     encode with ``recon=`` destinations aliasing the sources (bricks of a
     copy of the field, as an ingest session's encoder passes them): what
     handing out the encoder's own reconstruction costs on top.
+    ``sz_compress_many_bricks_pw_rel`` is the batched encode under a
+    point-wise relative bound (eb 1e-2): each brick goes to log space on its
+    own, then the bricks share the lattice passes.
     """
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor
@@ -458,6 +461,11 @@ def _brick_ops(scale: int, repeats: int) -> dict:
         ),
         "sz_compress_many_bricks_recon": op_entry(
             time_op(compress_recon, repeats), n_values, n_values * 4
+        ),
+        "sz_compress_many_bricks_pw_rel": op_entry(
+            time_op(lambda: codec.compress_many(bricks, 1e-2, "pw_rel"), repeats),
+            n_values,
+            n_values * 4,
         ),
         "sz_compress_loop_bricks": op_entry(
             time_op(compress_loop, repeats), n_values, n_values * 4
@@ -710,7 +718,7 @@ GROUP_OPS = {
     "sz": tuple(f"sz_{op}_{p}" for op in ("compress", "decompress") for p in ("interp", "lorenzo"))
     + ("sz_quantize", "sz_predict", "sz_lossless_interp")
     + tuple(f"sz_compress_{how}_bricks" for how in ("many", "loop"))
-    + ("sz_compress_many_bricks_recon", "sz_compress_many_64")
+    + ("sz_compress_many_bricks_recon", "sz_compress_many_bricks_pw_rel", "sz_compress_many_64")
     + tuple(
         f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
     ),

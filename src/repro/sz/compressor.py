@@ -377,6 +377,17 @@ def _undo_log_transform(parsed: stream.Stream, values: np.ndarray) -> np.ndarray
     return _from_log_space(values, signs, zeros).reshape(header.shape).astype(header.dtype)
 
 
+def _to_log_space(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pw_rel pre-transform, inverted by :func:`_from_log_space`: float64
+    log-magnitudes of ``values``' shape (0 at exact zeros), and the flat
+    sign / exact-zero masks."""
+    flat = values.astype(np.float64, copy=False)
+    zeros = flat == 0.0
+    signs = np.signbit(flat) & ~zeros
+    logs = np.where(zeros, 0.0, np.log(np.where(zeros, 1.0, np.abs(flat))))
+    return logs, signs.ravel(), zeros.ravel()
+
+
 def _from_log_space(logs: np.ndarray, signs: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     """Flat float64 values from reconstructed log-magnitudes and the flat
     sign / exact-zero masks — the one expression both the decoder and the
@@ -502,7 +513,8 @@ class SZCompressor:
         mode: ErrorMode | str = ErrorMode.ABS,
         recon: np.ndarray | None = None,
     ) -> tuple[bytes, CompressionStats]:
-        """Compress and also return byte-level accounting.
+        """Compress — a batch of one — and also return byte-level
+        accounting, read back from the finished blob.
 
         ``recon`` is a destination array of the stream's shape and dtype,
         filled with exactly what ``decompress(blob)`` returns — the
@@ -512,20 +524,23 @@ class SZCompressor:
         or dtype raises ``ValueError`` before anything is encoded.
         """
         mode = ErrorMode(mode)
-        timings = TimingRecord()
-        arr, header = self._open(self._check(data, error_bound), error_bound, mode)
+        arr = self._check(data, error_bound, mode)
         if recon is not None:
             _check_destination(recon, arr.shape, arr.dtype)
-        if arr.size == 0:
-            return self._compress_empty(arr, header, timings)
-        if mode is ErrorMode.PW_REL:
-            return self._compress_pw_rel(arr, header, timings, recon)
-        header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
-        if header.eb_abs == 0.0:
-            return self._compress_lossless(arr, header, timings, recon)
-        sections, n_outliers = self._encode_lattice(arr, header.eb_abs, timings, recon)
-        blob = stream.serialize(header, sections)
-        return blob, self._stats(arr, blob, header, dict((t, len(p)) for t, _c, p in sections), n_outliers, timings)
+        timings = TimingRecord()
+        (blob,) = self._encode_batch([arr], [recon], error_bound, mode, timings)
+        parsed = stream.parse(blob)
+        meta = parsed.sections.get(stream.SEC_META)
+        return blob, CompressionStats(
+            original_bytes=arr.nbytes,
+            compressed_bytes=len(blob),
+            n_values=arr.size,
+            eb_abs=parsed.header.eb_abs,
+            mode=mode.value,
+            section_bytes={_SECTION_LABELS[tag]: n for tag, n in parsed.section_sizes().items()},
+            n_outliers=stream.unpack_meta(meta[1])["n_outliers"] if meta else 0,
+            timings=timings,
+        )
 
     def compress_many(
         self,
@@ -542,9 +557,9 @@ class SZCompressor:
         fraction of the fixed cost when the arrays are small.  The batches
         are encoded on the caller's thread and :data:`ENCODE_THREADS`
         ``- 1`` shared helper threads, each batch holding at most
-        ``BATCH_VALUES // ENCODE_THREADS`` values; a batch of one (and every
-        ``pw_rel`` stream) goes through :meth:`compress_with_stats`.
-        ``timings`` gets the batches' spans in batch order.
+        ``BATCH_VALUES // ENCODE_THREADS`` values; a batch of one goes
+        through :meth:`compress_with_stats`, the entry point the benchmark
+        tracer times.  ``timings`` gets the batches' spans in batch order.
 
         A failing array raises the error :meth:`compress` raises for it, and
         nothing is returned.  The input checks (dtype, dimensionality,
@@ -575,22 +590,32 @@ class SZCompressor:
         # hold copies.
         checked = []
         for data, dest in zip(arrays, dests):
-            checked.append(self._check(data, error_bound))
+            checked.append(self._check(data, error_bound, mode))
             if recon is not None:
                 _check_destination(dest, checked[-1].shape, checked[-1].dtype)
-        keys = [
-            index if mode is ErrorMode.PW_REL else (arr.shape, arr.dtype)
-            for index, arr in enumerate(checked)
-        ]
         threads = ENCODE_THREADS
-        batches = _batches(keys, [arr.size for arr in checked], threads)
+        batches = _batches(
+            [(arr.shape, arr.dtype) for arr in checked], [arr.size for arr in checked], threads
+        )
         records = [TimingRecord() for _ in batches]
         out: list = [None] * len(arrays)
 
         def encode(batch: list[int], record: TimingRecord) -> None:
-            blobs = self._encode_batch(
-                [checked[i] for i in batch], [dests[i] for i in batch], error_bound, mode, record
-            )
+            if len(batch) == 1:
+                blob, stats = self.compress_with_stats(
+                    checked[batch[0]], error_bound, mode, dests[batch[0]]
+                )
+                for span, seconds in stats.timings.spans.items():
+                    record.add(span, seconds)
+                blobs = [blob]
+            else:
+                blobs = self._encode_batch(
+                    [checked[i] for i in batch],
+                    [dests[i] for i in batch],
+                    error_bound,
+                    mode,
+                    record,
+                )
             for index, blob in zip(batch, blobs):
                 out[index] = blob
 
@@ -610,43 +635,72 @@ class SZCompressor:
         record: TimingRecord,
     ) -> list[bytes]:
         """The blobs of one batch of :meth:`_check`-ed arrays of one shape
-        and dtype, timed into the batch's own ``record``: a lone member goes
-        through :meth:`compress_with_stats` (which checks it again), the
-        others share one lattice pass."""
-        if len(arrays) == 1:
-            blob, stats = self.compress_with_stats(arrays[0], error_bound, mode, dests[0])
-            for span, seconds in stats.timings.spans.items():
-                record.add(span, seconds)
-            return [blob]
+        and dtype, timed into the batch's own ``record`` — the one place
+        that picks each member's stream kind.  An empty member is a header
+        alone; one whose bound resolves to 0 (eb == 0, a constant member of
+        a ``rel`` call) is stored verbatim; the others share one lattice
+        pass, a ``pw_rel`` member in log space at ``log1p(eb)`` with its
+        sign and zero masks appended."""
         out: list = [None] * len(arrays)
-        slots: list[int] = []  # members that reach the lattice pipeline,
-        arrs: list[np.ndarray] = []  # their arrays ...
-        headers: list[stream.StreamHeader] = []  # ... and headers
-        for slot, checked in enumerate(arrays):
-            arr, header = self._open(checked, error_bound, mode)
-            if arr.size == 0:
-                out[slot] = self._compress_empty(arr, header, record)[0]
-                continue
-            header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
-            if header.eb_abs == 0.0:
-                out[slot] = self._compress_lossless(arr, header, record, dests[slot])[0]
-                continue
-            slots.append(slot)
-            arrs.append(arr)
-            headers.append(header)
-        if slots:
-            rows = self._prepare_symbols(
-                arrs,
-                [header.eb_abs for header in headers],
-                record,
-                None if dests[0] is None else [dests[slot] for slot in slots],
+        level = max(self.config.zlib_level, 1)
+        lattice: list[tuple] = []  # (slot, header, array predicted, pw_rel masks or None)
+        for slot, (checked, dest) in enumerate(zip(arrays, dests)):
+            arr = np.ascontiguousarray(checked)
+            header = stream.StreamHeader(
+                mode=mode.value,
+                dtype=arr.dtype,
+                shape=arr.shape,
+                eb_user=float(error_bound),
+                eb_abs=0.0,
             )
-            for slot, header, sections in zip(slots, headers, self._encode_symbols(*rows, record)):
-                out[slot] = stream.serialize(header, sections)
+            if arr.size == 0:
+                header.flags |= stream.FLAG_EMPTY
+                out[slot] = stream.serialize(header, [])
+                continue
+            if mode is ErrorMode.PW_REL:
+                header.eb_abs = float(np.log1p(header.eb_user))
+            else:
+                header.eb_abs = resolve_error_bound(arr, header.eb_user, mode)
+            if header.eb_abs == 0.0:
+                header.flags |= stream.FLAG_LOSSLESS_FALLBACK
+                if dest is not None:
+                    dest[...] = arr
+                with timed(record, "lossless"):
+                    codec, payload = lossless.compress_bytes(arr.tobytes(), level=level)
+                out[slot] = stream.serialize(header, [(stream.SEC_RAW, codec, payload)])
+                continue
+            masks = None
+            if mode is ErrorMode.PW_REL:
+                with timed(record, "transform"):
+                    arr, *masks = _to_log_space(arr)
+            lattice.append((slot, header, arr, masks))
+        if not lattice:
+            return out
+        slots, headers, arrs, masks = zip(*lattice)
+        # The predictor hands out into the destinations; a pw_rel member's
+        # goes to a log-space scratch first, mapped back below.
+        targets = None
+        if dests[0] is not None:
+            targets = [
+                dests[slot] if mask is None else np.empty_like(arr)
+                for slot, arr, mask in zip(slots, arrs, masks)
+            ]
+        rows = self._prepare_symbols(arrs, [h.eb_abs for h in headers], record, targets)
+        for i, sections in enumerate(self._encode_symbols(*rows, record)):
+            if masks[i] is not None:
+                if targets is not None:
+                    with timed(record, "transform"):
+                        logs = targets[i]
+                        dests[slots[i]][...] = _from_log_space(logs, *masks[i]).reshape(logs.shape)
+                with timed(record, "lossless"):
+                    for tag, bits in zip((stream.SEC_SIGNS, stream.SEC_ZERO_MASK), masks[i]):
+                        c, p = lossless.compress_bytes(np.packbits(bits).tobytes(), level=level)
+                        sections.append((tag, c, p))
+            out[slots[i]] = stream.serialize(headers[i], sections)
         return out
 
     # -- pipelines -------------------------------------------------------
-    def _check(self, data, error_bound: float) -> np.ndarray:
+    def _check(self, data, error_bound: float, mode: ErrorMode) -> np.ndarray:
         """Every per-stream input check; ``data`` as an array of its stored
         dtype, not yet made contiguous (a view of a float array)."""
         arr = ensure_ndarray(data, name="data", contiguous=False)
@@ -654,25 +708,13 @@ class SZCompressor:
         if arr.ndim not in SUPPORTED_NDIM and arr.size:
             raise ValueError(f"supported dimensionalities are {SUPPORTED_NDIM}, got {arr.ndim}")
         check_error_bound(error_bound, allow_zero=True)
+        if mode is ErrorMode.PW_REL and error_bound >= 1.0:
+            raise ValueError("pw_rel error bound must be < 1 (100% relative error)")
         return arr
-
-    def _open(
-        self, arr: np.ndarray, error_bound: float, mode: ErrorMode
-    ) -> tuple[np.ndarray, stream.StreamHeader]:
-        """A :meth:`_check`-ed array made contiguous, and its stream's
-        header-to-be."""
-        arr = np.ascontiguousarray(arr)
-        return arr, stream.StreamHeader(
-            mode=mode.value,
-            dtype=arr.dtype,
-            shape=arr.shape,
-            eb_user=float(error_bound),
-            eb_abs=0.0,
-        )
 
     def _prepare_symbols(
         self,
-        arrs: list[np.ndarray],
+        arrs: Sequence[np.ndarray],
         ebs: list[float],
         timings: TimingRecord,
         recon: Sequence[np.ndarray] | None = None,
@@ -754,16 +796,6 @@ class SZCompressor:
                 for codec, enc, outl in zip(codecs, encoded, outliers)
             ]
 
-    def _encode_lattice(
-        self, arr: np.ndarray, eb_abs: float, timings: TimingRecord, recon: np.ndarray | None = None
-    ):
-        """Steps 2–5 for a plain (abs-bounded) array; returns sections."""
-        symbols, outliers, counts = self._prepare_symbols(
-            [arr], [eb_abs], timings, None if recon is None else [recon]
-        )
-        sections = self._encode_symbols(symbols, outliers, counts, timings)[0]
-        return sections, int(outliers[0].size)
-
     def _payload_sections(self, codec: HuffmanCodec, encoded: HuffmanEncoded, outliers: np.ndarray):
         """A lattice stream's sections, each through the coder
         :mod:`repro.sz.lossless` names for its kind: run-length DEFLATE for
@@ -796,58 +828,6 @@ class SZCompressor:
         sections.append((stream.SEC_META, lossless.CODEC_RAW, meta))
         return sections
 
-    def _compress_empty(self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord):
-        """Zero-size array: a header and no sections."""
-        header.flags |= stream.FLAG_EMPTY
-        blob = stream.serialize(header, [])
-        return blob, self._stats(arr, blob, header, {}, 0, timings)
-
-    def _compress_lossless(
-        self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord, recon=None
-    ):
-        """eb == 0 (or zero value range in rel mode): store verbatim + DEFLATE."""
-        header.flags |= stream.FLAG_LOSSLESS_FALLBACK
-        if recon is not None:
-            recon[...] = arr
-        with timed(timings, "lossless"):
-            codec, payload = lossless.compress_bytes(
-                arr.tobytes(), level=max(self.config.zlib_level, 1)
-            )
-        blob = stream.serialize(header, [(stream.SEC_RAW, codec, payload)])
-        return blob, self._stats(arr, blob, header, {stream.SEC_RAW: len(payload)}, 0, timings)
-
-    def _compress_pw_rel(
-        self, arr: np.ndarray, header: stream.StreamHeader, timings: TimingRecord, recon=None
-    ):
-        """Point-wise relative bound via the standard log-space reduction."""
-        eb_user = header.eb_user
-        if eb_user <= 0:
-            return self._compress_lossless(arr, header, timings, recon)
-        if eb_user >= 1.0:
-            raise ValueError("pw_rel error bound must be < 1 (100% relative error)")
-        with timed(timings, "transform"):
-            flat = arr.astype(np.float64, copy=False)
-            zero_mask = flat == 0.0
-            signs = np.signbit(flat) & ~zero_mask
-            mags = np.abs(flat)
-            logs = np.where(zero_mask, 0.0, np.log(np.where(zero_mask, 1.0, mags)))
-        eb_abs = float(np.log1p(eb_user))
-        header.eb_abs = eb_abs
-        log_recon = None if recon is None else np.empty_like(logs)
-        sections, n_outliers = self._encode_lattice(logs, eb_abs, timings, log_recon)
-        if recon is not None:
-            with timed(timings, "transform"):
-                recon[...] = _from_log_space(
-                    log_recon, signs.ravel(), zero_mask.ravel()
-                ).reshape(arr.shape)
-        level = max(self.config.zlib_level, 1)
-        c, p = lossless.compress_bytes(np.packbits(signs.ravel()).tobytes(), level=level)
-        sections.append((stream.SEC_SIGNS, c, p))
-        c, p = lossless.compress_bytes(np.packbits(zero_mask.ravel()).tobytes(), level=level)
-        sections.append((stream.SEC_ZERO_MASK, c, p))
-        blob = stream.serialize(header, sections)
-        return blob, self._stats(arr, blob, header, dict((t, len(p)) for t, _c, p in sections), n_outliers, timings)
-
     # ------------------------------------------------------------------
     # decompression
     # ------------------------------------------------------------------
@@ -877,19 +857,6 @@ class SZCompressor:
             for index, values in batch.decode(timings, errors):
                 out[index] = values
         return out
-
-    # ------------------------------------------------------------------
-    def _stats(self, arr, blob, header, raw_sections, n_outliers, timings) -> CompressionStats:
-        return CompressionStats(
-            original_bytes=arr.nbytes,
-            compressed_bytes=len(blob),
-            n_values=arr.size,
-            eb_abs=header.eb_abs,
-            mode=header.mode,
-            section_bytes={_SECTION_LABELS.get(t, str(t)): s for t, s in raw_sections.items()},
-            n_outliers=n_outliers,
-            timings=timings,
-        )
 
 
 # Convenience module-level API -------------------------------------------

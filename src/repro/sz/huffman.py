@@ -282,10 +282,6 @@ class HuffmanEncoded:
     n_symbols: int
     block_size: int
 
-    def metadata_bytes(self) -> int:
-        """Bytes of side information (block offsets) before serialization."""
-        return self.block_offsets.size * 8
-
 
 class HuffmanCodec:
     """Encoder/decoder for a fixed canonical code.

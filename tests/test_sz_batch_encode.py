@@ -137,8 +137,9 @@ class TestEquivalence:
         assert_same_blobs(CODEC, arrays, 0.0, "abs")
         assert_same_blobs(CODEC, [arrays[0], np.ones((8, 8, 8), np.float32), arrays[1]], 1e-3, "rel")
         del passes[:]
+        CODEC.compress_many(arrays, 1e-2, "pw_rel")
+        assert passes == [3]  # pw_rel members share one pass, in log space
         assert_same_blobs(CODEC, arrays, 1e-2, "pw_rel")
-        assert set(passes) == {1}  # pw_rel streams never share a pass
 
     def test_shapes_dtypes_empty_and_constant_members_in_one_rel_call(self):
         arrays = fields((16, 16, 16), 6, np.float32) + fields((9, 7, 5), 3, np.float64, seed=1)
@@ -254,12 +255,17 @@ class TestBadMembers:
         assert np.array_equal(b, before)
 
     def test_bad_error_bound(self):
-        for bad in (-1.0, float("nan")):
+        for bad, mode in ((-1.0, "abs"), (float("nan"), "abs"), (1.5, "pw_rel")):
             with pytest.raises(ValueError) as single:
-                CODEC.compress(np.ones(4), bad, "abs")
+                CODEC.compress(np.ones(4), bad, mode)
             with pytest.raises(ValueError) as batch:
-                CODEC.compress_many([np.ones(4), np.zeros(4)], bad, "abs")
+                CODEC.compress_many([np.ones(4), np.zeros(4)], bad, mode)
             assert str(batch.value) == str(single.value)
+        # An empty member is rejected like the others, before any is encoded
+        # (``single`` holds the pw_rel message of the last round).
+        with pytest.raises(ValueError) as batch:
+            CODEC.compress_many([np.zeros((0, 4)), np.ones(4)], 1.5, "pw_rel")
+        assert str(batch.value) == str(single.value)
 
 
 def mixed_members() -> list:

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.sz import SZCompressor, SZConfig, compress, decompress
 from tests.helpers import assert_error_bounded, smooth_cube
+from tests.test_sz_batch_decode import fields
 
 
 @pytest.fixture(scope="module")
@@ -157,9 +158,10 @@ class TestPwRel:
         out = codec.decompress(codec.compress(data, 0.1, mode="pw_rel"))
         assert np.array_equal(np.sign(out), np.sign(data))
 
-    def test_pw_rel_bound_ge_one_rejected(self, codec):
+    @pytest.mark.parametrize("data", [np.array([1.0]), np.zeros((0, 4))], ids=["value", "empty"])
+    def test_pw_rel_bound_ge_one_rejected(self, codec, data):
         with pytest.raises(ValueError, match="pw_rel"):
-            codec.compress(np.array([1.0]), 1.5, mode="pw_rel")
+            codec.compress(data, 1.5, mode="pw_rel")
 
     def test_pw_rel_zero_bound_is_lossless(self, codec, rng):
         data = rng.standard_normal(50)
@@ -178,10 +180,41 @@ class TestStats:
         assert stats.bit_rate == pytest.approx(8 * len(blob) / data.size)
         assert sum(stats.section_bytes.values()) <= len(blob)
 
-    def test_stats_sections_labelled(self, codec, rng):
-        data = rng.standard_normal(500).astype(np.float32)
-        _, stats = codec.compress_with_stats(data, 1e-3, mode="abs")
-        assert {"huffman_table", "payload", "meta"} <= set(stats.section_bytes)
+    LATTICE = ["huffman_table", "block_offsets", "payload"]
+
+    @pytest.mark.parametrize(
+        "kind, eb, mode, sections, eb_abs, n_outliers, spans",
+        [
+            ("empty", 1e-3, "abs", [], 0.0, 0, set()),
+            ("spiky", 0.0, "abs", ["raw"], 0.0, 0, {"lossless"}),
+            ("spiky", 1e-3, "abs", LATTICE + ["outliers", "meta"], 1e-3, 5,
+             {"predict", "encode", "lossless"}),
+            ("spiky", 1e-2, "pw_rel", LATTICE + ["meta", "signs", "zero_mask"],
+             float(np.log1p(1e-2)), 0, {"transform", "predict", "encode", "lossless"}),
+            ("spiky", 0.0, "pw_rel", ["raw"], 0.0, 0, {"lossless"}),
+        ],
+        ids=["empty", "lossless", "lattice-outliers", "pw_rel", "pw_rel-lossless"],
+    )
+    def test_stats_sections_labelled(
+        self, codec, kind, eb, mode, sections, eb_abs, n_outliers, spans
+    ):
+        """Every stream kind's stats: section labels in blob order, the
+        resolved bound, the outlier count and the spans that ran."""
+        if kind == "empty":
+            data = np.zeros((0, 4), np.float32)
+        else:
+            (data,) = fields((16, 16, 16), 1, np.float32)
+            data[3, 4, 5] += 1e4  # residuals far outside the radius
+            data[::5, 2, 7] -= 3e3
+        blob, stats = codec.compress_with_stats(data, eb, mode=mode)
+        assert list(stats.section_bytes) == sections
+        assert stats.eb_abs == eb_abs and stats.mode == mode
+        assert stats.n_outliers == n_outliers
+        assert set(stats.timings.spans) == spans
+        assert (stats.compressed_bytes, stats.original_bytes, stats.n_values) == (
+            len(blob), data.nbytes, data.size,
+        )
+        assert sum(stats.section_bytes.values()) < len(blob)
 
     def test_module_level_api(self, rng):
         data = rng.standard_normal(100).astype(np.float32)

@@ -142,8 +142,7 @@ class TestBadDestinations:
         def refuse(*args, **kwargs):
             raise AssertionError("a destination was checked after encoding began")
 
-        for name in ("_prepare_symbols", "_compress_lossless", "_compress_empty"):
-            monkeypatch.setattr(SZCompressor, name, refuse)
+        monkeypatch.setattr(SZCompressor, "_encode_batch", refuse)
 
     @pytest.mark.parametrize(
         "bad",
