@@ -212,6 +212,38 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
         skewed_counts.nbytes,
     )
 
+    # The encoder's table build for one batch of a bricked level: the
+    # histograms of 32 real 16³ bricks (a 64³ field at eb 1e-3 of its
+    # range: 3-80 present symbols each, 23 on average, in a 343-symbol
+    # window),
+    # through the batched builder, and next to it the per-row build it
+    # replaced (one ``from_counts`` + ``.codes`` per brick).
+    from repro.sim.nyx import generate_field
+    from repro.sz import SZCompressor
+    from repro.sz.huffman import code_tables
+    from repro.utils.timer import TimingRecord
+
+    cube = generate_field("baryon_density", 64, seed=42)
+    bricks = [
+        np.ascontiguousarray(cube[x : x + 16, y : y + 16, z : z + 16])
+        for x in range(0, 64, 16) for y in range(0, 64, 16) for z in range(0, 32, 16)
+    ]
+    eb_brick = 1e-3 * float(cube.max() - cube.min())
+    *_, batch_counts = SZCompressor()._prepare_symbols(bricks, [eb_brick] * 32, TimingRecord())
+    ops["huffman_code_tables_bricks"] = op_entry(
+        time_op(lambda: code_tables(batch_counts), max(repeats, 50)),
+        int(np.count_nonzero(batch_counts)),
+        batch_counts.nbytes,
+    )
+    ops["huffman_code_tables_bricks_loop"] = op_entry(
+        time_op(
+            lambda: [HuffmanCodec.from_counts(row).codes for row in batch_counts],
+            max(repeats, 50),
+        ),
+        int(np.count_nonzero(batch_counts)),
+        batch_counts.nbytes,
+    )
+
     # The bit-pack alone, on what encode_many hands it for one batch of a
     # bricked level: 64 streams of 4096 symbols (16³ bricks), each under its
     # own table, as uint32 codes and uint8 lengths.
@@ -301,7 +333,7 @@ def _blocks_ops(scale: int, repeats: int) -> dict:
 def _sz_ops(scale: int, repeats: int) -> dict:
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor, SZConfig
-    from repro.sz.huffman import HuffmanCodec, encode_many
+    from repro.sz.huffman import code_tables, encode_many
     from repro.sz.predictor import lorenzo_forward
     from repro.sz.quantizer import quantize, resolve_error_bound
     from repro.utils.timer import TimingRecord
@@ -337,12 +369,13 @@ def _sz_ops(scale: int, repeats: int) -> dict:
     # `_encode_symbols` makes.  MB/s is over the bytes the stage codes.
     codec = SZCompressor(SZConfig(predictor="interp"))
     symbols, outliers, counts = codec._prepare_symbols([field], [eb_abs], TimingRecord())
-    table = HuffmanCodec.from_counts(counts[0], max_len=codec.config.max_code_len)
-    encoded = encode_many([table], symbols, block_size=codec.config.block_size)[0]
+    tables = code_tables(counts, max_len=codec.config.max_code_len)
+    encoded = encode_many(tables, symbols, block_size=codec.config.block_size)[0]
+    lengths = tables.row_lengths(0)
     ops["sz_lossless_interp"] = op_entry(
-        time_op(lambda: codec._payload_sections(table, encoded, outliers[0]), repeats),
+        time_op(lambda: codec._payload_sections(lengths, encoded, outliers[0]), repeats),
         field.size,
-        len(encoded.payload) + table.lengths.nbytes,
+        len(encoded.payload) + lengths.nbytes,
     )
     ops.update(_brick_ops(scale, repeats))
     ops.update(_brick64_ops(repeats))
@@ -711,6 +744,8 @@ GROUP_OPS = {
         "huffman_table_build",
         "huffman_code_lengths",
         "huffman_code_lengths_skewed",
+        "huffman_code_tables_bricks",
+        "huffman_code_tables_bricks_loop",
         "huffman_pack_bricks",
         "huffman_decode_chunked_window",
     ),

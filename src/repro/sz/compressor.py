@@ -52,6 +52,7 @@ from repro.sz.huffman import (
     DEFAULT_MAX_LEN,
     HuffmanCodec,
     HuffmanEncoded,
+    code_tables,
     decode_many,
     encode_many,
 )
@@ -781,27 +782,29 @@ class SZCompressor:
         self,
         symbols: np.ndarray,
         outliers: list[np.ndarray],
-        counts: Sequence[np.ndarray],
+        counts: np.ndarray,
         timings: TimingRecord,
     ) -> list[list[tuple[int, int, bytes]]]:
         """Steps 4–5 for the rows of ``symbols``: entropy coding + lossless
-        back end; returns each stream's sections."""
+        back end; returns each stream's sections.  The batch's code tables
+        are built together; only the tree merge runs per row."""
         cfg = self.config
         with timed(timings, "encode"):
-            codecs = [HuffmanCodec.from_counts(row, max_len=cfg.max_code_len) for row in counts]
-            encoded = encode_many(codecs, symbols, block_size=cfg.block_size)
+            tables = code_tables(counts, cfg.max_code_len)
+            encoded = encode_many(tables, symbols, block_size=cfg.block_size)
         with timed(timings, "lossless"):
             return [
-                self._payload_sections(codec, enc, outl)
-                for codec, enc, outl in zip(codecs, encoded, outliers)
+                self._payload_sections(tables.row_lengths(row), enc, outl)
+                for row, (enc, outl) in enumerate(zip(encoded, outliers))
             ]
 
-    def _payload_sections(self, codec: HuffmanCodec, encoded: HuffmanEncoded, outliers: np.ndarray):
+    def _payload_sections(self, code_lengths: np.ndarray, encoded: HuffmanEncoded, outliers: np.ndarray):
         """A lattice stream's sections, each through the coder
         :mod:`repro.sz.lossless` names for its kind: run-length DEFLATE for
-        the Huffman table and payload, LZ77 DEFLATE for the side sections."""
+        the Huffman table (``code_lengths``, one byte per alphabet symbol)
+        and payload, LZ77 DEFLATE for the side sections."""
         level = self.config.zlib_level
-        c, p = lossless.compress_runs(codec.lengths.tobytes())
+        c, p = lossless.compress_runs(code_lengths.tobytes())
         sections: list[tuple[int, int, bytes]] = [(stream.SEC_CODE_LENGTHS, c, p)]
         # Offsets are monotone; delta encoding makes them byte-cheap.
         deltas = encoded.block_offsets.astype(np.int64)
@@ -818,7 +821,7 @@ class SZCompressor:
             sections.append((stream.SEC_OUTLIERS, c, p))
         meta = stream.pack_meta(
             radius=self.config.radius,
-            max_len=codec.max_len,
+            max_len=self.config.max_code_len,
             block_size=encoded.block_size,
             total_bits=encoded.total_bits,
             n_symbols=encoded.n_symbols,

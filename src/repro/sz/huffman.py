@@ -40,20 +40,23 @@ a pure-NumPy implementation fast:
    bit-packs them and takes a prefix sum, each a few NumPy calls whose
    fixed cost dwarfs 4096 symbols of work.  :func:`encode_many` encodes
    the rows of a 2-D symbol array at once — lengths and codewords come
-   from the stacked per-stream tables (``table[row, symbol]``), all rows
-   go through one word-level bit-pack (each starting on a byte boundary)
-   and one segment sum per block yields every block offset.
+   from the batch's :class:`CodeTables` (``table[row, symbol - lo]``), all
+   rows go through one word-level bit-pack (each starting on a byte
+   boundary) and one segment sum per block yields every block offset.
    :meth:`HuffmanCodec.encode` is the batch of one.
 
-5. **An exact O(n) table build.**  What cannot be shared between streams
-   is the code itself, so the build is made cheap instead: after one
-   stable argsort of the present counts, :func:`huffman_code_lengths`
-   runs the two-queue merge, which pops nodes in the same
-   ``(count, tie)`` order as a binary heap would (see
-   :func:`_tree_depths` for the argument), hence builds the same tree
+5. **The code tables of a batch are built together.**  The code itself
+   differs per stream, but building it is mostly fixed-cost NumPy calls
+   too (scan, sort, Kraft check, canonical assignment), so
+   :func:`code_tables` runs each of them once over the whole batch, in a
+   window of the alphabet no wider than the symbols the batch uses.  What
+   stays per stream is the tree: the two-queue merge, which pops nodes in
+   the same ``(count, tie)`` order as a binary heap would (see
+   :func:`_merge_depths` for the argument), hence builds the same tree
    and the same lengths as the heap version it replaced — kept in
-   ``tests/helpers.py`` as the reference of a property test — without
-   the ~2n heap operations on tuples.
+   ``tests/helpers.py`` as the reference of a property test — in O(n)
+   after the batch's one sort.  :meth:`HuffmanCodec.from_counts` is the
+   batch of one.
 
 The offsets cost 8 bytes per block (< 0.5% overhead for the default block
 size) and are accounted for in the compressed size.
@@ -124,76 +127,195 @@ def huffman_code_lengths(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> 
     ``uint8`` array of code lengths (0 for absent symbols) satisfying the
     Kraft inequality ``sum(2**-len) <= 1``.
     """
-    return _code_lengths(counts, max_len)[0]
+    return _row_tables(counts, max_len).row_lengths(0)
 
 
-def _code_lengths(counts: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`huffman_code_lengths` plus the present-symbol indices it found
-    (the one scan of the alphabet an encoder-side table build makes)."""
+@dataclass(frozen=True)
+class CodeTables:
+    """The canonical codes of a batch of streams over one alphabet.
+
+    Row ``i`` holds stream ``i``'s code lengths (0: no code) and codewords
+    for the symbols ``lo .. lo + width - 1``, the batch's occupied window;
+    no row has a code for a symbol outside it.  Keeping the tables
+    window-wide keeps a batch's tables small: a 16³-brick batch occupies a
+    few hundred of the 8193 symbols.
+    """
+
+    lengths: np.ndarray  # (n_rows, width) uint8
+    codes: np.ndarray  # (n_rows, width) uint32
+    lo: int
+    alphabet: int
+
+    def row_lengths(self, row: int) -> np.ndarray:
+        """Stream ``row``'s code lengths over the whole alphabet."""
+        return self._widen(self.lengths[row])
+
+    def row_codes(self, row: int) -> np.ndarray:
+        """Stream ``row``'s codewords over the whole alphabet (0 where absent)."""
+        return self._widen(self.codes[row])
+
+    def _widen(self, window: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.alphabet, dtype=window.dtype)
+        out[self.lo : self.lo + window.size] = window
+        return out
+
+
+def code_tables(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> CodeTables:
+    """Build the length-limited canonical code of every row of ``counts``.
+
+    ``counts`` is an ``(n_rows, alphabet)`` histogram, one stream per row;
+    row ``i`` of the result is the code :meth:`HuffmanCodec.from_counts`
+    builds for ``counts[i]`` (that is the batch of one).  The batch shares
+    every step but the tree merge: one scan for the occupied column window
+    and one ``nonzero`` on it, one stable sort by (row, count), then the
+    merge per row, the Kraft repair only on rows whose tree is deeper than
+    ``max_len``, and the canonical codewords of all rows at once.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2:
+        raise ValueError("counts must be two-dimensional (one histogram per row)")
+    n_rows, alphabet = counts.shape
+    occupied = np.flatnonzero(counts.any(axis=0))
+    lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
+    window = counts[:, lo:hi]  # no row has a symbol outside it
+    if window.size and window.min() < 0:  # a negative count is nonzero: in the window
+        raise ValueError("symbol counts must be non-negative")
+    rows, cols = np.nonzero(window != 0)  # row-major: each row's symbols ascend
+    n_present = np.bincount(rows, minlength=n_rows)
+    if n_present.size and n_present.max() > (1 << max_len):
+        raise ValueError(
+            f"alphabet of {int(n_present[n_present > (1 << max_len)][0])} present "
+            f"symbols cannot fit in max_len={max_len} bits"
+        )
+    weights = window[rows, cols]
+    # Stable, so equal counts keep symbol order: each row's leaf queue.
+    order = np.lexsort((weights, rows))
+    leaves = weights[order].tolist()
+    bounds = [0, *np.cumsum(n_present).tolist()]  # row r: entries bounds[r]:bounds[r+1]
+    depths: list[int] = []
+    for start, end in zip(bounds, bounds[1:]):
+        if end - start == 1:
+            depths.append(1)
+        elif end > start:
+            depths += _merge_depths(leaves[start:end])
+    lens = np.empty(rows.size, dtype=np.int64)
+    lens[order] = depths
+    # A Huffman tree is complete (Kraft sum exactly 1), so clamping breaks
+    # the Kraft inequality exactly on the rows with a code over the cap:
+    # only those go through the repair.
+    over = lens > max_len
+    if over.any():
+        for row in np.unique(rows[over]).tolist():
+            span = slice(bounds[row], bounds[row + 1])
+            lens[span] = _limit_lengths(lens[span], max_len)
+    return _tables(rows, cols + lo, lens, n_rows, alphabet)
+
+
+def _row_tables(counts: np.ndarray, max_len: int) -> CodeTables:
+    """:func:`code_tables` of one histogram."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1:
         raise ValueError("counts must be one-dimensional")
-    if counts.size and counts.min() < 0:
-        raise ValueError("symbol counts must be non-negative")
-    present = np.flatnonzero(counts != 0)  # the bool scan is ~5x the integer one
-    lengths = np.zeros(counts.size, dtype=np.uint8)
-    n_present = present.size
-    if n_present == 1:
-        lengths[present[0]] = 1
-    elif n_present > (1 << max_len):
-        raise ValueError(
-            f"alphabet of {n_present} present symbols cannot fit in "
-            f"max_len={max_len} bits"
-        )
-    elif n_present:
-        lengths[present] = _limit_lengths(_tree_depths(counts[present]), max_len)
-    return lengths, present
+    return code_tables(counts[None], max_len)
+
+
+def _tables(rows, symbols, lens, n_rows: int, alphabet: int) -> CodeTables:
+    """Window-wide tables from the present symbols' ``(row, symbol, length)``
+    in row-major order, with their canonical codewords."""
+    lo = int(symbols.min()) if symbols.size else 0
+    width = int(symbols.max()) + 1 - lo if symbols.size else 0
+    lengths = np.zeros((n_rows, width), dtype=np.uint8)
+    codes = np.zeros((n_rows, width), dtype=np.uint32)
+    lengths[rows, symbols - lo] = lens
+    codes[rows, symbols - lo] = _canonical(rows, lens, n_rows)
+    return CodeTables(lengths, codes, lo, alphabet)
+
+
+def _canonical(rows: np.ndarray, lens: np.ndarray, n_rows: int) -> np.ndarray:
+    """Canonical codewords of present symbols given in row-major order.
+
+    Canonical order is shorter codes first, ties by symbol.  Per row, the
+    first code of each length follows the recurrence
+    ``first[L] = (first[L-1] + hist[L-1]) << 1``, whose closed form
+    ``first[L] = sum(hist[k] << (L - k) for k < L)`` is, scaled by
+    ``2**(width - L)``, an exclusive prefix sum: one ``cumsum`` for every
+    row and length at once.  Within a (row, length) group codes are
+    consecutive in symbol order, so each symbol's code is its group's
+    first plus its rank in the group.
+    """
+    if rows.size == 0:
+        return np.zeros(0, dtype=np.uint32)
+    width = int(lens.max()) + 1
+    group = rows * width + lens
+    hist = np.bincount(group, minlength=n_rows * width).reshape(n_rows, width)
+    scale = width - np.arange(width)
+    scaled = hist << scale
+    first = (np.cumsum(scaled, axis=1) - scaled) >> scale
+    # Stable: a group's members keep symbol order.
+    by_group = np.argsort(group, kind="stable")
+    group_start = np.cumsum(hist.ravel()) - hist.ravel()
+    rank = np.empty(rows.size, dtype=np.int64)
+    rank[by_group] = np.arange(rows.size) - group_start[group[by_group]]
+    return (first.ravel()[group] + rank).astype(np.uint32)
 
 
 def _tree_depths(weights: np.ndarray) -> np.ndarray:
-    """Leaf depths of the Huffman tree over ``weights`` (two or more, all > 0).
+    """Leaf depths of the Huffman tree over ``weights`` (two or more, all > 0),
+    in ``weights``' order: :func:`_merge_depths` after one stable argsort."""
+    order = np.argsort(weights, kind="stable")
+    depths = np.empty(order.size, dtype=np.int64)
+    depths[order] = _merge_depths(weights[order].tolist())
+    return depths
+
+
+def _merge_depths(leaf: list) -> list[int]:
+    """Leaf depths of the Huffman tree over ``leaf``: two or more weights,
+    all > 0, stably sorted; the depths come back in that order.
 
     The tree is the one a binary heap on ``(weight, tie)`` builds when leaf
     ``i`` carries tie ``i`` and the k-th merged node tie ``n + k`` — the
     order that makes the lengths deterministic — but it is found with the
-    two-queue merge instead.  Leaves wait in one queue, stably sorted by
-    weight (so by ``(weight, tie)``); merged nodes join a second queue as
-    they are created.  Every merge joins the two lightest nodes left, so
-    merged weights never decrease and the second queue is sorted by
+    two-queue merge instead.  Leaves wait in one queue, sorted by
+    ``(weight, tie)``; merged nodes join a second queue as they are
+    created.  Every merge joins the two lightest nodes left, so merged
+    weights never decrease and the second queue is sorted by
     ``(weight, tie)`` too, with no sorting.  The heap's next pop is then
     the lighter of the two queue heads, and on equal weights the leaf,
     whose tie is below every merged node's.  Same pops, same tree, same
-    depths — in O(n) after the one argsort.
+    depths — in O(n).
     """
-    order = np.argsort(weights, kind="stable")
-    n = order.size
+    n = len(leaf)
     # Python ints (merged weights cannot wrap); an infinite sentinel ends
     # each queue so the merge loop needs no bounds checks.
-    leaf = weights[order].tolist() + [math.inf]
+    leaf = leaf + [math.inf]
     merged = [math.inf] * n
     parent = [0] * (2 * n - 1)  # nodes: leaves 0..n-1 in queue order, then merges
     i = j = 0  # queue heads
-    for k in range(n - 1):
+    for k in range(n - 1):  # the two pops of a merge, unrolled
         node = n + k
-        weight = 0
-        for _ in range(2):
-            if leaf[i] <= merged[j]:
-                weight += leaf[i]
-                parent[i] = node
-                i += 1
-            else:
-                weight += merged[j]
-                parent[n + j] = node
-                j += 1
+        if leaf[i] <= merged[j]:
+            weight = leaf[i]
+            parent[i] = node
+            i += 1
+        else:
+            weight = merged[j]
+            parent[n + j] = node
+            j += 1
+        if leaf[i] <= merged[j]:
+            weight += leaf[i]
+            parent[i] = node
+            i += 1
+        else:
+            weight += merged[j]
+            parent[n + j] = node
+            j += 1
         merged[k] = weight
     # A parent is created after its children, so one backward sweep from
     # the root (the last node) reaches every merged node after its parent.
     depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, n - 1, -1):
         depth[node] = depth[parent[node]] + 1
-    depths = np.empty(n, dtype=np.int64)
-    depths[order] = [depth[p] + 1 for p in parent[:n]]
-    return depths
+    return [depth[p] + 1 for p in parent[:n]]
 
 
 def _limit_lengths(raw: np.ndarray, max_len: int) -> np.ndarray:
@@ -242,33 +364,8 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     present = np.flatnonzero(lengths != 0)
-    plens = lengths[present]
-    # ``present`` ascends, so a stable sort on the lengths alone yields
-    # the canonical order.
-    order = np.argsort(plens, kind="stable")
-    return _assign_codes(lengths.size, present[order], plens[order])
-
-
-def _assign_codes(alphabet: int, canon_syms: np.ndarray, canon_lens: np.ndarray) -> np.ndarray:
-    """Canonical codewords for symbols already in canonical order."""
-    codes = np.zeros(alphabet, dtype=np.uint32)
-    if canon_syms.size == 0:
-        return codes
-    max_len = int(canon_lens[-1])
-    hist = np.bincount(canon_lens, minlength=max_len + 1)
-    # First canonical code per length via the standard recurrence
-    # ``first[L] = (first[L-1] + hist[L-1]) << 1`` — O(max_len), not O(n).
-    first = np.zeros(max_len + 1, dtype=np.int64)
-    code = 0
-    for length, n_shorter in enumerate(hist[:-1].tolist(), start=1):
-        code = (code + n_shorter) << 1
-        first[length] = code
-    # Within a length group codes are consecutive; the rank of each symbol
-    # inside its group is its sorted position minus the group's start.
-    group_start = np.concatenate(([0], np.cumsum(hist)))[canon_lens]
-    codes[canon_syms] = (first[canon_lens] + np.arange(canon_syms.size) - group_start).astype(
-        np.uint32
-    )
+    codes = np.zeros(lengths.size, dtype=np.uint32)
+    codes[present] = _canonical(np.zeros_like(present), lengths[present], 1)
     return codes
 
 
@@ -295,12 +392,8 @@ class HuffmanCodec:
         lengths = np.asarray(code_lengths, dtype=np.uint8)
         if lengths.ndim != 1:
             raise ValueError("code_lengths must be one-dimensional")
-        self._init(lengths, np.flatnonzero(lengths != 0), max_len)
-
-    def _init(self, lengths: np.ndarray, present: np.ndarray, max_len: int | None) -> None:
-        """Validate and index the code; ``present`` is ``flatnonzero(lengths)``
-        (:meth:`from_counts` already holds it from the histogram scan)."""
         self.lengths = lengths
+        present = np.flatnonzero(lengths != 0)
         plens = lengths[present].astype(np.int64)
         longest = int(plens.max()) if present.size else 0
         self.max_len = int(max_len if max_len is not None else max(longest, 1))
@@ -317,23 +410,33 @@ class HuffmanCodec:
         order = np.argsort(plens, kind="stable")
         self._canon_syms = present[order]
         self._canon_lens = plens[order]
-        self._codes: np.ndarray | None = None
+        self._tables: CodeTables | None = None
         self._table_sym: np.ndarray | None = None
         self._table_len: np.ndarray | None = None
 
     @property
+    def tables(self) -> CodeTables:
+        """The code as the one row of a :class:`CodeTables` (built on first
+        use: encode only)."""
+        if self._tables is None:
+            present = np.flatnonzero(self.lengths != 0)
+            plens = self.lengths[present].astype(np.int64)
+            self._tables = _tables(np.zeros_like(present), present, plens, 1, self.lengths.size)
+        return self._tables
+
+    @property
     def codes(self) -> np.ndarray:
-        """Canonical codewords per symbol (built on first use: encode only)."""
-        if self._codes is None:
-            self._codes = _assign_codes(self.lengths.size, self._canon_syms, self._canon_lens)
-        return self._codes
+        """Canonical codewords per symbol (0 where absent)."""
+        return self.tables.row_codes(0)
 
     # -- construction --------------------------------------------------
     @classmethod
     def from_counts(cls, counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> "HuffmanCodec":
-        """Build an optimal (length-limited) code for the given histogram."""
-        codec = cls.__new__(cls)
-        codec._init(*_code_lengths(counts, max_len), max_len)
+        """Build an optimal (length-limited) code for the given histogram:
+        the one-row :func:`code_tables`."""
+        tables = _row_tables(counts, max_len)
+        codec = cls(tables.row_lengths(0), max_len=max_len)
+        codec._tables = tables
         return codec
 
     @classmethod
@@ -357,17 +460,11 @@ class HuffmanCodec:
         key = np.ascontiguousarray(code_lengths, dtype=np.uint8).tobytes()
         return _cached_decoder(key, int(max_len))
 
-    # -- stats ----------------------------------------------------------
-    def expected_bits(self, counts: np.ndarray) -> int:
-        """Exact payload bit count for encoding the histogram ``counts``."""
-        counts = np.asarray(counts, dtype=np.int64)
-        return int(np.sum(counts * self.lengths[: counts.size].astype(np.int64)))
-
     # -- encode ----------------------------------------------------------
     def encode(self, symbols: np.ndarray, block_size: int | None = None) -> HuffmanEncoded:
         """Encode ``symbols`` (ints in ``[0, alphabet)``) into a bit stream."""
         symbols = np.asarray(symbols, dtype=np.int64).reshape(1, -1)
-        return encode_many([self], symbols, block_size)[0]
+        return encode_many(self.tables, symbols, block_size)[0]
 
     # -- decode ----------------------------------------------------------
     def _build_table(self) -> None:
@@ -399,43 +496,39 @@ class HuffmanCodec:
         return decode_many([self], [encoded])[0]
 
 
-def encode_many(codecs, symbols: np.ndarray, block_size: int | None = None) -> list[HuffmanEncoded]:
+def encode_many(tables: CodeTables, symbols: np.ndarray, block_size: int | None = None) -> list[HuffmanEncoded]:
     """Encode the rows of a 2-D symbol array in one pass.
 
-    ``codecs[i]`` encodes ``symbols[i]``; the same codec object may serve
-    several rows (shared-table levels).  Code lengths and codewords are
-    gathered through the stacked per-codec tables (``table[row, symbol]``),
-    all rows are bit-packed together and the block offsets come from one
-    sum per block, so ``result[i]`` equals
-    ``codecs[i].encode(symbols[i], block_size)`` — :meth:`HuffmanCodec.encode`
-    is the batch of one.
+    Row ``i`` of ``tables`` encodes ``symbols[i]``; a one-row ``tables``
+    (:attr:`HuffmanCodec.tables`) encodes every row.  Code lengths and
+    codewords are gathered straight from the batch's window-wide tables
+    (``table[row, symbol - lo]``), all rows are bit-packed together and
+    the block offsets come from one sum per block, so ``result[i]`` equals
+    the batch of one of row ``i`` — :meth:`HuffmanCodec.encode`.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.ndim != 2 or symbols.shape[0] != len(codecs):
-        raise ValueError("need a 2-D symbol array with one row per codec")
+    n_rows, width = tables.lengths.shape
+    if symbols.ndim != 2 or n_rows not in (1, symbols.shape[0]):
+        raise ValueError("need a 2-D symbol array with one row per table row")
     n_streams, n = symbols.shape
-    alphabet = codecs[0].lengths.size
-    if any(codec.lengths.size != alphabet for codec in codecs):
-        raise ValueError("codecs of one encode batch must share an alphabet size")
-    if n and (symbols.min() < 0 or symbols.max() >= alphabet):
-        raise ValueError("symbol out of alphabet range")
     block = default_block_size(n) if block_size is None else int(block_size)
     if block <= 0:
         raise ValueError("block_size must be positive")
     if n == 0:
         return [HuffmanEncoded(b"", 0, np.zeros(0, dtype=np.int64), 0, block)] * n_streams
-    tables = {id(codec): codec for codec in codecs}
-    if len(tables) == 1:
-        index, length_table, code_table = symbols, codecs[0].lengths, codecs[0].codes
-    else:
-        base_of = dict(zip(tables, range(0, len(tables) * alphabet, alphabet)))
-        index = symbols + np.array([base_of[id(codec)] for codec in codecs])[:, None]
-        length_table = np.concatenate([codec.lengths for codec in tables.values()])
-        code_table = np.concatenate([codec.codes for codec in tables.values()])
-    sym_lengths = length_table[index]
+    low, high = int(symbols.min()), int(symbols.max())
+    if low < 0 or high >= tables.alphabet:
+        raise ValueError("symbol out of alphabet range")
+    # Outside the window no row has a code (and the flat index would land
+    # in a neighbouring row).
+    if low < tables.lo or high >= tables.lo + width:
+        raise ValueError("attempted to encode a symbol with no codeword")
+    shift = np.arange(0, n_streams * width, width)[:, None] if n_rows > 1 else 0
+    index = symbols + (shift - tables.lo)
+    sym_lengths = tables.lengths.ravel()[index]
     if sym_lengths.min() == 0:
         raise ValueError("attempted to encode a symbol with no codeword")
-    payloads, total_bits = pack_codes(code_table[index], sym_lengths)
+    payloads, total_bits = pack_codes(tables.codes.ravel()[index], sym_lengths)
     # Block offsets need the bits of each block, not a prefix sum over the
     # symbols: one segment sum per block, then a prefix sum over the blocks.
     block_bits = np.add.reduceat(sym_lengths, np.arange(0, n, block), axis=1, dtype=np.int64)

@@ -394,6 +394,25 @@ def heap_code_lengths(counts, max_len: int = 16) -> np.ndarray:
     return lengths
 
 
+def naive_canonical_codes(lengths) -> np.ndarray:
+    """Reference canonical assignment: the per-symbol sequential loop."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    codes = np.zeros(lengths.size, dtype=np.uint32)
+    present = np.flatnonzero(lengths)
+    if present.size == 0:
+        return codes
+    order = present[np.lexsort((present, lengths[present]))]
+    code = 0
+    prev_len = int(lengths[order[0]])
+    for sym in order:
+        length = int(lengths[sym])
+        code <<= length - prev_len
+        codes[sym] = code
+        code += 1
+        prev_len = length
+    return codes
+
+
 def legacy_container_bytes(comp, version: int) -> bytes:
     """Reference encoder for the read-only container versions 1-4 (the
     retired ``to_bytes`` body): reader tests build their inputs with it,

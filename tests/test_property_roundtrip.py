@@ -29,7 +29,7 @@ from repro.engine.registry import codec_names, get_codec, get_spec
 from repro.sz.compressor import SZCompressor
 from repro.sz.huffman import HuffmanCodec, canonical_codes, huffman_code_lengths
 
-from tests.helpers import assert_error_bounded, smooth_cube
+from tests.helpers import assert_error_bounded, naive_canonical_codes, smooth_cube
 
 #: Case counts: 120 SZ cases + 24 AMR scenarios × 4 codecs = 216 total,
 #: plus 40 block gather/scatter and 40 Huffman-table bit-identity cases.
@@ -274,25 +274,6 @@ class TestBlockGatherScatterBitIdentity:
         assert np.array_equal(fast, naive), "vectorized scatter diverged from reference"
 
 
-def _naive_canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Reference canonical assignment: the per-symbol sequential loop."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    codes = np.zeros(lengths.size, dtype=np.uint32)
-    present = np.flatnonzero(lengths)
-    if present.size == 0:
-        return codes
-    order = present[np.lexsort((present, lengths[present]))]
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for sym in order:
-        length = int(lengths[sym])
-        code <<= length - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = length
-    return codes
-
-
 def _naive_decode_table(lengths, codes, max_len):
     """Reference dense decode table: one Python slice-fill per symbol."""
     size = 1 << max_len
@@ -345,7 +326,7 @@ class TestHuffmanTableBitIdentity:
             max_len = 16  # the 8-bit cap cannot hold wide uniform alphabets
         lengths = huffman_code_lengths(counts, max_len=max_len)
         fast_codes = canonical_codes(lengths)
-        naive_codes = _naive_canonical_codes(lengths)
+        naive_codes = naive_canonical_codes(lengths)
         assert np.array_equal(fast_codes, naive_codes), "canonical codes diverged"
 
         codec = HuffmanCodec(lengths, max_len=max_len)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 from unittest.mock import patch
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.sz.huffman import (
     _limit_lengths,
     _tree_depths,
     canonical_codes,
+    code_tables,
     decode_many,
     decode_table_cache_clear,
     decode_table_cache_info,
@@ -23,7 +25,12 @@ from repro.sz.huffman import (
     encode_many,
     huffman_code_lengths,
 )
-from tests.helpers import heap_code_lengths, lockstep_decode, loop_limit_lengths
+from tests.helpers import (
+    heap_code_lengths,
+    lockstep_decode,
+    loop_limit_lengths,
+    naive_canonical_codes,
+)
 
 
 def kraft_sum(lengths: np.ndarray) -> float:
@@ -175,7 +182,7 @@ class TestCodecRoundTrip:
         counts = np.bincount(symbols, minlength=32)
         codec = HuffmanCodec.from_counts(counts)
         encoded = codec.encode(symbols)
-        assert codec.expected_bits(counts) == encoded.total_bits
+        assert int(np.sum(counts * codec.lengths.astype(np.int64))) == encoded.total_bits
 
     def test_decoder_from_lengths_only(self, rng):
         # The decoder side reconstructs the code purely from lengths.
@@ -553,15 +560,120 @@ class TestKraftRepair:
         assert _limit_lengths(raw, 16).tolist() == [1, 2, 3, 3]
 
 
+@functools.cache
+def _cauchy_counts() -> np.ndarray:
+    """The harness's ``huffman_code_lengths_skewed`` histogram: a 64³
+    stream's heavy-tailed residuals, ~970 present symbols whose raw tree is
+    deeper than 16 bits, so its row needs the Kraft repair."""
+    tail = np.rint(np.random.default_rng(4).standard_cauchy(1 << 18)).astype(np.int64)
+    return np.bincount(np.clip(tail, -4096, 4096) + 4096, minlength=8193)
+
+
+_BATCH_ROWS = st.one_of(
+    st.just(("zero",)),
+    st.tuples(st.just("one"), st.integers(0, 8192), st.integers(1, 2**40)),
+    st.tuples(
+        st.just("ties"),
+        st.integers(0, 8000),
+        st.lists(st.integers(0, 6), min_size=1, max_size=190),
+    ),
+    st.tuples(
+        st.just("skewed"),
+        st.integers(0, 8000),
+        st.lists(st.integers(0, 40), min_size=2, max_size=60),
+    ),
+    st.just(("cauchy",)),
+)
+
+
+def _batch_row(spec) -> np.ndarray:
+    row = np.zeros(8193, dtype=np.int64)
+    kind, *args = spec
+    if kind == "one":
+        row[args[0]] = args[1]
+    elif kind == "ties":
+        row[args[0] : args[0] + len(args[1])] = args[1]
+    elif kind == "skewed":
+        row[args[0] : args[0] + len(args[1])] = [1 << e for e in args[1]]
+    elif kind == "cauchy":
+        row[:] = _cauchy_counts()
+    return row
+
+
+class TestCodeTables:
+    """Every row of a batched build ≡ the batch of one ≡ the heap reference."""
+
+    @given(
+        specs=st.lists(_BATCH_ROWS, min_size=1, max_size=8),
+        max_len=st.sampled_from([12, 16]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_single_builds(self, specs, max_len):
+        counts = np.stack([_batch_row(spec) for spec in specs])
+        tables = code_tables(counts, max_len)
+        assert tables.alphabet == 8193
+        for i, row in enumerate(counts):
+            codec = HuffmanCodec.from_counts(row, max_len)
+            lengths = tables.row_lengths(i)
+            assert np.array_equal(lengths, heap_code_lengths(row, max_len))
+            assert np.array_equal(lengths, codec.lengths)
+            assert np.array_equal(tables.row_codes(i), codec.codes)
+            assert np.array_equal(tables.row_codes(i), naive_canonical_codes(lengths))
+
+    def test_cauchy_row_takes_the_kraft_repair(self):
+        counts = _cauchy_counts()
+        assert _tree_depths(counts[counts > 0]).max() > 16
+        tables = code_tables(np.stack([counts, np.roll(counts, 3), counts]), 16)
+        for i, row in enumerate((counts, np.roll(counts, 3), counts)):
+            assert np.array_equal(tables.row_lengths(i), heap_code_lengths(row, 16))
+        assert tables.lengths.max() == 16
+
+    def test_tables_span_only_the_occupied_window(self):
+        counts = np.zeros((3, 100), dtype=np.int64)
+        counts[0, 40:43] = [5, 1, 1]
+        counts[2, 50] = 7
+        tables = code_tables(counts)
+        assert (tables.lo, tables.lengths.shape, tables.codes.shape) == (40, (3, 11), (3, 11))
+        assert tables.row_lengths(1).tolist() == [0] * 100
+        assert tables.row_lengths(2)[50] == 1
+
+    def test_all_zero_and_empty_batches(self):
+        tables = code_tables(np.zeros((2, 5), dtype=np.int64))
+        assert tables.lengths.shape == (2, 0)
+        assert tables.row_lengths(1).tolist() == [0] * 5
+        assert tables.row_codes(0).tolist() == [0] * 5
+        assert code_tables(np.zeros((1, 0), dtype=np.int64)).row_lengths(0).size == 0
+
+    def test_bad_rows_raise_what_from_counts_raises(self):
+        cases = [
+            (np.array([1, -1, 0]), 16, "symbol counts must be non-negative"),
+            (np.ones(10, dtype=np.int64), 3, "alphabet of 10 present symbols cannot fit in max_len=3"),
+        ]
+        for bad, max_len, message in cases:
+            with pytest.raises(ValueError, match=message) as single:
+                HuffmanCodec.from_counts(bad, max_len)
+            good = np.zeros_like(bad)
+            good[:2] = 1
+            batch = np.stack([good, bad])
+            with pytest.raises(ValueError) as batched:
+                code_tables(batch, max_len)
+            assert str(batched.value) == str(single.value)
+
+    def test_rejects_non_matrix_counts(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            code_tables(np.ones(4, dtype=np.int64))
+
+
 class TestEncodeMany:
     """Rows of one pass ≡ one ``encode`` per row."""
 
     @pytest.mark.parametrize("block_size", [None, 1, 64, 100])
     def test_rows_equal_single_encodes(self, block_size, rng):
         rows = [np.clip(rng.geometric(p, size=1000) - 1, 0, 40) for p in (0.2, 0.5, 0.8, 0.05)]
-        codecs = [HuffmanCodec.from_symbols(row, alphabet_size=41) for row in rows]
-        batch = encode_many(codecs, np.stack(rows), block_size)
-        for codec, row, got in zip(codecs, rows, batch):
+        counts = np.stack([np.bincount(row, minlength=41) for row in rows])
+        batch = encode_many(code_tables(counts), np.stack(rows), block_size)
+        for row_counts, row, got in zip(counts, rows, batch):
+            codec = HuffmanCodec.from_counts(row_counts)
             want = codec.encode(row, block_size)
             assert (got.payload, got.total_bits, got.n_symbols, got.block_size) == (
                 want.payload, want.total_bits, want.n_symbols, want.block_size
@@ -572,22 +684,22 @@ class TestEncodeMany:
     def test_one_codec_serving_every_row(self, rng):
         rows = rng.integers(0, 9, size=(5, 300))
         codec = HuffmanCodec.from_symbols(rows.ravel(), alphabet_size=9)
-        for row, got in zip(rows, encode_many([codec] * 5, rows)):
+        for row, got in zip(rows, encode_many(codec.tables, rows)):
             assert got.payload == codec.encode(row).payload
 
     def test_member_checks(self):
-        codec = HuffmanCodec(np.array([1, 1, 0], dtype=np.uint8))
-        ok = np.array([[0, 1, 0], [1, 1, 0]])
-        assert len(encode_many([codec, codec], ok)) == 2
+        tables = code_tables(np.array([[1, 1, 0], [0, 1, 1]]))
+        ok = np.array([[0, 1, 0], [1, 2, 1]])
+        assert len(encode_many(tables, ok)) == 2
         with pytest.raises(ValueError, match="no codeword"):
-            encode_many([codec, codec], np.array([[0, 1, 0], [1, 2, 0]]))
+            encode_many(tables, np.array([[0, 1, 0], [1, 0, 1]]))  # in the window
+        with pytest.raises(ValueError, match="no codeword"):
+            encode_many(HuffmanCodec(np.array([0, 1, 1], dtype=np.uint8)).tables, ok)
         with pytest.raises(ValueError, match="out of alphabet range"):
-            encode_many([codec, codec], np.array([[0, 1, 0], [1, 3, 0]]))
-        with pytest.raises(ValueError, match="one row per codec"):
-            encode_many([codec], ok)
-        with pytest.raises(ValueError, match="alphabet size"):
-            encode_many([codec, HuffmanCodec(np.array([1, 1], dtype=np.uint8))], ok)
-        empty = encode_many([codec, codec], np.zeros((2, 0), dtype=np.int64))
+            encode_many(tables, np.array([[0, 1, 0], [1, 3, 0]]))
+        with pytest.raises(ValueError, match="one row per table row"):
+            encode_many(tables, ok[:1])
+        empty = encode_many(tables, np.zeros((2, 0), dtype=np.int64))
         assert [e.n_symbols for e in empty] == [0, 0]
 
 
