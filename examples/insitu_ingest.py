@@ -25,7 +25,12 @@ from tempfile import TemporaryDirectory
 import numpy as np
 
 from repro.core.container import resolve_global_eb
-from repro.ingest import IngestConfig, IngestSession, read_timestep_region
+from repro.ingest import (
+    IngestConfig,
+    IngestSession,
+    read_timestep_level,
+    read_timestep_region,
+)
 from repro.serve.reader import ArchiveReader
 from repro.sim import make_timestep_series
 
@@ -75,15 +80,17 @@ def main(scale: int = 8) -> None:
                 eb_abs = resolve_global_eb(steps[kf_index], EB, MODE)
                 # Delta entries store residuals; the read helpers sum the
                 # chain (keyframe + residuals) transparently.
+                level, stats = read_timestep_level(reader, key, 0)
+                truth = steps[i].levels[0]
+                worst = float(np.abs(truth.data - level.data)[truth.mask].max())
                 roi = (slice(0, 16), slice(0, 16), slice(0, 16))
-                region, stats = read_timestep_region(reader, key, 0, roi)
-                full = steps[i].levels[0].data[roi]
-                worst = float(np.abs(full - region).max())
+                region, _ = read_timestep_region(reader, key, 0, roi)
                 print(
-                    f"  step {i}: ROI err {worst:.3e} <= eb_abs {eb_abs:.3e} "
+                    f"  step {i}: level err {worst:.3e} <= eb_abs {eb_abs:.3e} "
                     f"({len(stats)} chain read(s))"
                 )
                 assert worst <= eb_abs * 1.0001
+                assert np.array_equal(region, level.data[roi])  # ROI = slice
 
 
 if __name__ == "__main__":

@@ -5,14 +5,11 @@ from repro.amr.io import load_dataset, save_dataset
 from repro.amr.reconstruct import (
     check_same_structure,
     max_level_errors,
-    pointwise_errors,
     uniform_pair,
 )
 from repro.amr.upsample import (
     coarsen_mask_all,
-    coarsen_mask_any,
     downsample_mean,
-    downsample_take,
     upsample,
 )
 
@@ -24,11 +21,8 @@ __all__ = [
     "load_dataset",
     "upsample",
     "downsample_mean",
-    "downsample_take",
-    "coarsen_mask_any",
     "coarsen_mask_all",
     "uniform_pair",
-    "pointwise_errors",
     "max_level_errors",
     "check_same_structure",
 ]

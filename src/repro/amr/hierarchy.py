@@ -135,10 +135,6 @@ class AMRDataset:
     def finest(self) -> AMRLevel:
         return self.levels[0]
 
-    @property
-    def coarsest(self) -> AMRLevel:
-        return self.levels[-1]
-
     def upsample_factor(self, level: int) -> int:
         """Up-sampling rate from ``level`` to the finest grid."""
         return self.ratio ** level
@@ -199,17 +195,6 @@ class AMRDataset:
             data_up = upsample(lvl.masked_data(), factor)
             np.copyto(out, data_up, where=mask_up)
         return out
-
-    def with_levels(self, levels: list[AMRLevel], suffix: str = "") -> "AMRDataset":
-        """A copy of this dataset's metadata wrapping new level payloads."""
-        return AMRDataset(
-            levels=levels,
-            name=self.name + suffix,
-            field=self.field,
-            ratio=self.ratio,
-            box_size=self.box_size,
-            meta=dict(self.meta),
-        )
 
     def summary(self) -> str:
         """One-line Table 1-style description."""

@@ -30,20 +30,6 @@ def uniform_pair(original: AMRDataset, decompressed: AMRDataset) -> tuple[np.nda
     return original.to_uniform(), decompressed.to_uniform()
 
 
-def pointwise_errors(original: AMRDataset, decompressed: AMRDataset) -> np.ndarray:
-    """Per-stored-value absolute errors, concatenated finest-first.
-
-    This is the view under which the error bound must hold: each *stored*
-    AMR value is reconstructed within its level's bound.
-    """
-    check_same_structure(original, decompressed)
-    errors = [
-        np.abs(lo.values().astype(np.float64) - ld.values().astype(np.float64))
-        for lo, ld in zip(original.levels, decompressed.levels)
-    ]
-    return np.concatenate(errors) if errors else np.zeros(0)
-
-
 def max_level_errors(original: AMRDataset, decompressed: AMRDataset) -> list[float]:
     """Maximum absolute error per level (finest first)."""
     check_same_structure(original, decompressed)

@@ -53,32 +53,6 @@ def downsample_mean(data: np.ndarray, factor: int) -> np.ndarray:
     return reshaped.mean(axis=axes, dtype=np.float64).astype(arr.dtype)
 
 
-def downsample_take(data: np.ndarray, factor: int) -> np.ndarray:
-    """Down-sample by taking the corner sample of each block (nearest)."""
-    factor = check_positive_int(factor, name="factor")
-    arr = np.asarray(data)
-    if factor == 1:
-        return arr
-    slicer = tuple(slice(None, None, factor) for _ in range(arr.ndim))
-    return arr[slicer]
-
-
-def coarsen_mask_any(mask: np.ndarray, factor: int) -> np.ndarray:
-    """Coarsen a boolean mask: a coarse cell is set if *any* child is set."""
-    factor = check_positive_int(factor, name="factor")
-    arr = np.asarray(mask, dtype=bool)
-    if factor == 1:
-        return arr
-    if any(dim % factor for dim in arr.shape):
-        raise ValueError(f"shape {arr.shape} is not divisible by factor {factor}")
-    new_shape = []
-    for dim in arr.shape:
-        new_shape.extend([dim // factor, factor])
-    reshaped = arr.reshape(new_shape)
-    axes = tuple(range(1, 2 * arr.ndim, 2))
-    return reshaped.any(axis=axes)
-
-
 def coarsen_mask_all(mask: np.ndarray, factor: int) -> np.ndarray:
     """Coarsen a boolean mask: a coarse cell is set iff *all* children are."""
     factor = check_positive_int(factor, name="factor")

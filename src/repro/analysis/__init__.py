@@ -11,11 +11,7 @@ from repro.analysis.halo_finder import (
     match_halo,
 )
 from repro.analysis.metrics import (
-    bit_rate,
-    compression_ratio,
-    max_abs_error,
     mse,
-    nrmse,
     psnr,
     throughput_mb_s,
     value_range,
@@ -24,7 +20,6 @@ from repro.analysis.power_spectrum import (
     PowerSpectrum,
     density_contrast,
     max_error_below_k,
-    passes_criterion,
     power_spectrum,
     relative_error,
 )
@@ -40,18 +35,13 @@ from repro.analysis.rate_distortion import (
 __all__ = [
     "psnr",
     "mse",
-    "nrmse",
-    "max_abs_error",
     "value_range",
-    "compression_ratio",
-    "bit_rate",
     "throughput_mb_s",
     "PowerSpectrum",
     "power_spectrum",
     "density_contrast",
     "relative_error",
     "max_error_below_k",
-    "passes_criterion",
     "Halo",
     "HaloCatalog",
     "HaloComparison",

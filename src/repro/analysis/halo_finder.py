@@ -56,9 +56,6 @@ class HaloCatalog:
             raise ValueError("catalog is empty")
         return self.halos[0]
 
-    def total_mass(self) -> float:
-        return float(sum(h.mass for h in self.halos))
-
 
 def find_halos(
     density: np.ndarray,

@@ -2,9 +2,10 @@
 
 Definitions follow the paper exactly:
 
-* compression ratio = original bytes / compressed bytes;
-* bit-rate = amortized bits per stored value (CR · bit-rate = 32 for
-  single-precision input);
+* compression ratio = original bytes / compressed bytes and bit-rate =
+  amortized bits per stored value (CR · bit-rate = 32 for
+  single-precision input) are a compressed dataset's own ``ratio()`` and
+  ``bit_rate()``;
 * PSNR = ``20·log10(range) − 10·log10(MSE)`` with ``range`` the value range
   of the *original* data.
 """
@@ -42,37 +43,6 @@ def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     if rng == 0.0:
         return float("-inf") if err > 0 else float("inf")
     return 20.0 * np.log10(rng) - 10.0 * np.log10(err)
-
-
-def nrmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Range-normalized RMSE (the quantity PSNR log-scales)."""
-    rng = value_range(original)
-    if rng == 0.0:
-        return 0.0
-    return float(np.sqrt(mse(original, reconstructed))) / rng
-
-
-def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """L∞ error — the quantity an absolute error bound constrains."""
-    a = np.asarray(original, dtype=np.float64)
-    b = np.asarray(reconstructed, dtype=np.float64)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))
-
-
-def compression_ratio(original_bytes: int, compressed_bytes: int) -> float:
-    """CR = original / compressed."""
-    if compressed_bytes <= 0:
-        return float("inf")
-    return original_bytes / compressed_bytes
-
-
-def bit_rate(compressed_bytes: int, n_values: int) -> float:
-    """Amortized bits per value."""
-    if n_values <= 0:
-        return 0.0
-    return 8.0 * compressed_bytes / n_values
 
 
 def throughput_mb_s(n_bytes: int, seconds: float) -> float:

@@ -104,14 +104,3 @@ def max_error_below_k(
     if not in_range.any():
         return 0.0
     return float(err[in_range].max())
-
-
-def passes_criterion(
-    original: PowerSpectrum,
-    other: PowerSpectrum,
-    *,
-    max_k: float = DEFAULT_MAX_K,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> bool:
-    """The paper's accept rule: relative error < 1% for all k < 10."""
-    return max_error_below_k(original, other, max_k) < tolerance

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
+from repro.core.adaptive_eb import _resolve_scales
 from repro.core.container import (
     MASK_PREFIX,
     CompressedDataset,
@@ -100,18 +101,6 @@ class Naive1DCompressor(PlanExecutorMixin):
     def assemble(self, comp, level: int, results: dict, structure, box) -> AMRLevel:
         mask = level_mask(comp, results, structure, level, level_box(comp.meta["shapes"][level]))
         return _scattered(mask, results[f"L{level}/values"], level, box)
-
-
-def _resolve_scales(per_level_scale, n_levels: int) -> list[float]:
-    """Normalize a per-level error-bound multiplier spec."""
-    if per_level_scale is None:
-        return [1.0] * n_levels
-    scales = [float(s) for s in per_level_scale]
-    if len(scales) != n_levels:
-        raise ValueError(f"per_level_scale needs {n_levels} entries, got {len(scales)}")
-    if any(s <= 0 for s in scales):
-        raise ValueError("per_level_scale entries must be positive")
-    return scales
 
 
 def _scattered(mask: np.ndarray, values: np.ndarray, level: int, box) -> AMRLevel:

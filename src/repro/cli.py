@@ -30,6 +30,7 @@ touches a payload byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -852,10 +853,10 @@ def cmd_scrub(args) -> int:
 
 
 def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty list."""
+    """Nearest-rank percentile of a non-empty list: the smallest value
+    with at least ``q`` % of the list at or below it (p0 is the minimum)."""
     ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(round(q / 100 * (len(ordered) - 1)))))
-    return ordered[rank]
+    return ordered[max(0, math.ceil(q * len(ordered) / 100) - 1)]
 
 
 def cmd_serve(args) -> int:

@@ -1,7 +1,7 @@
 """TAC core: pre-process strategies, density filter, hybrid compressor."""
 
 from repro.core.adaptive_eb import suggest_scales, tempered_ratio, volume_upsample_rate
-from repro.core.akdtree import akdtree_extract, akdtree_plan, akdtree_restore
+from repro.core.akdtree import akdtree_extract, akdtree_plan
 from repro.core.blocks import BlockExtraction, block_occupancy, integral_image
 from repro.core.container import (
     CompressedDataset,
@@ -19,12 +19,11 @@ from repro.core.density import (
     DEFAULT_T1,
     DEFAULT_T2,
     Strategy,
-    level_density,
     select_strategy,
     use_3d_baseline,
 )
 from repro.core.gsp import GSPResult, gsp_pad, zero_fill
-from repro.core.nast import nast_extract, nast_restore
+from repro.core.nast import nast_extract
 from repro.core.plan import (
     DecodeUnit,
     DecompressionPlan,
@@ -32,7 +31,7 @@ from repro.core.plan import (
     execute_plan,
     normalize_region,
 )
-from repro.core.opst import compute_bs, opst_extract, opst_plan, opst_restore
+from repro.core.opst import compute_bs, opst_extract, opst_plan
 from repro.core.tac import TACCompressor, TACConfig, default_unit_block
 
 __all__ = [
@@ -53,18 +52,14 @@ __all__ = [
     "normalize_region",
     "select_strategy",
     "use_3d_baseline",
-    "level_density",
     "DEFAULT_T1",
     "DEFAULT_T2",
     "default_unit_block",
     "nast_extract",
-    "nast_restore",
     "opst_extract",
-    "opst_restore",
     "opst_plan",
     "compute_bs",
     "akdtree_extract",
-    "akdtree_restore",
     "akdtree_plan",
     "gsp_pad",
     "zero_fill",

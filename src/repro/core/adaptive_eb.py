@@ -79,3 +79,17 @@ def suggest_scales(
             value = float(max(1, round(value)))
         scales.append(value)
     return scales
+
+
+def _resolve_scales(per_level_scale, n_levels: int) -> list[float]:
+    """Normalize the ``per_level_scale`` argument of the level-wise
+    compressors (TAC, 1D): one positive multiplier per level, 1.0 each when
+    ``None``."""
+    if per_level_scale is None:
+        return [1.0] * n_levels
+    scales = [float(s) for s in per_level_scale]
+    if len(scales) != n_levels:
+        raise ValueError(f"per_level_scale needs {n_levels} entries, got {len(scales)}")
+    if any(s <= 0 for s in scales):
+        raise ValueError("per_level_scale entries must be positive")
+    return scales

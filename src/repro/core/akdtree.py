@@ -169,8 +169,3 @@ def akdtree_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> Bloc
         extraction.coords[canonical] = origins
         extraction.perms[canonical] = perm_ids
     return extraction
-
-
-def akdtree_restore(extraction: BlockExtraction, dtype=None) -> np.ndarray:
-    """Scatter the full leaves back to the original level extents."""
-    return extraction.crop(extraction.reassemble(dtype=dtype))

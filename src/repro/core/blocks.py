@@ -233,12 +233,6 @@ class BlockExtraction:
     def total_cells(self) -> int:
         return sum(arr.size for arr in self.groups.values())
 
-    def metadata_cells(self) -> int:
-        """Metadata entries (coords + perms) — the paper's ~0.1% overhead."""
-        return sum(c.size for c in self.coords.values()) + sum(
-            p.size for p in self.perms.values()
-        )
-
     # -- scatter back ------------------------------------------------------
     def scatter_group(
         self,
@@ -261,23 +255,6 @@ class BlockExtraction:
             self.perms[shape],
             indices,
         )
-
-    def reassemble(self, dtype=None, out: np.ndarray | None = None) -> np.ndarray:
-        """Scatter all sub-blocks back into a dense padded grid."""
-        if out is None:
-            if dtype is None:
-                dtype = next(iter(self.groups.values())).dtype if self.groups else np.float32
-            out = np.zeros(self.padded_shape, dtype=dtype)
-        elif out.shape != self.padded_shape:
-            raise ValueError(f"out shape {out.shape} != padded {self.padded_shape}")
-        for shape, stacked in self.groups.items():
-            self.scatter_group(shape, stacked, out)
-        return out
-
-    def crop(self, arr: np.ndarray) -> np.ndarray:
-        """Trim a padded grid back to the original level extents."""
-        ox, oy, oz = self.orig_shape
-        return arr[:ox, :oy, :oz]
 
 
 #: Per-block cell count below which batched fancy indexing beats a Python

@@ -740,14 +740,9 @@ class LazyPartStore(Mapping):
             return sum(self.access_counts.values())
 
     def accessed(self) -> set[str]:
-        """Names of every part fetched since the last reset."""
+        """Names of every part fetched since the store was opened."""
         with self._log_lock:
             return set(self.access_counts)
-
-    def reset_access_log(self) -> None:
-        with self._log_lock:
-            self.access_counts = {}
-            self.bytes_read = 0
 
 
 def read_fixed_header(src, base: int, magic: bytes, kind: str) -> tuple[int, int]:
@@ -994,15 +989,6 @@ class StreamingContainerWriter:
         self._offset += len(payload)
         self._names.add(name)
         self.largest_part = max(self.largest_part, len(payload))
-
-    def add_parts(self, items) -> None:
-        """Append ``(name, payload)`` pairs from any iterable (e.g. a
-        generator that produces parts one at a time).  Each pair is
-        released before the next is pulled, so a generator source keeps
-        at most one payload alive at a time."""
-        for item in items:
-            self.add_part(item[0], item[1])
-            del item
 
     def set_meta(
         self,

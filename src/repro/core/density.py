@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
 #: Paper's empirically chosen thresholds.
 DEFAULT_T1 = 0.50
 DEFAULT_T2 = 0.60
@@ -31,12 +29,6 @@ class Strategy(str, Enum):
     GSP = "gsp"
     NAST = "nast"
     ZF = "zf"
-
-
-def level_density(mask: np.ndarray) -> float:
-    """Fraction of the level's cells that are stored (valid)."""
-    mask = np.asarray(mask, dtype=bool)
-    return float(mask.mean()) if mask.size else 0.0
 
 
 def select_strategy(

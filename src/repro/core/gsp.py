@@ -56,12 +56,6 @@ class GSPResult:
     block_size: int
     n_padded_blocks: int
 
-    def crop(self, arr: np.ndarray | None = None) -> np.ndarray:
-        """Trim (an array shaped like) the padded grid to original extents."""
-        target = self.padded if arr is None else arr
-        ox, oy, oz = self.orig_shape
-        return target[:ox, :oy, :oz]
-
 
 def _block_view(arr: np.ndarray, block: int) -> np.ndarray:
     """``(nbx, block, nby, block, nbz, block)`` view of a block-padded grid."""
@@ -312,6 +306,7 @@ def serialize_brick_table(table: BrickTable) -> bytes:
     return zlib.compress(raw, 1)
 
 
+# reprolint: disable=RL006  (the one parser of the L<idx>/bricks part; checks outside input)
 def deserialize_brick_table(payload: bytes) -> BrickTable:
     """Invert :func:`serialize_brick_table`."""
     raw = zlib.decompress(payload)

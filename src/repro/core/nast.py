@@ -38,8 +38,3 @@ def nast_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockEx
     extraction.coords[shape] = origins
     extraction.perms[shape] = np.zeros(origins.shape[0], dtype=np.uint8)
     return extraction
-
-
-def nast_restore(extraction: BlockExtraction, dtype=None) -> np.ndarray:
-    """Scatter the stacked unit blocks back to the original level extents."""
-    return extraction.crop(extraction.reassemble(dtype=dtype))

@@ -162,8 +162,3 @@ def opst_extract(data: np.ndarray, mask: np.ndarray, block_size: int) -> BlockEx
         extraction.coords[shape] = origins
         extraction.perms[shape] = np.zeros(origins.shape[0], dtype=np.uint8)
     return extraction
-
-
-def opst_restore(extraction: BlockExtraction, dtype=None) -> np.ndarray:
-    """Scatter the extracted cubes back to the original level extents."""
-    return extraction.crop(extraction.reassemble(dtype=dtype))

@@ -26,6 +26,7 @@ from functools import partial
 import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
+from repro.core.adaptive_eb import _resolve_scales
 from repro.core.akdtree import akdtree_extract
 from repro.core.blocks import gather_blocks, scatter_blocks
 from repro.core.container import (
@@ -36,7 +37,13 @@ from repro.core.container import (
     pack_mask,
     resolve_global_eb,
 )
-from repro.core.density import DEFAULT_T1, DEFAULT_T2, Strategy, select_strategy
+from repro.core.density import (
+    DEFAULT_T1,
+    DEFAULT_T2,
+    Strategy,
+    select_strategy,
+    use_3d_baseline,
+)
 from repro.core.gsp import (
     DEFAULT_BRICK_SIZE,
     BrickTable,
@@ -207,7 +214,7 @@ class TACCompressor(PlanExecutorMixin):
         """
         timings = timings if timings is not None else TimingRecord()
         cfg = self.config
-        if cfg.adaptive_baseline and dataset.finest_density() >= cfg.t2:
+        if cfg.adaptive_baseline and use_3d_baseline(dataset.finest_density(), cfg.t2):
             if per_level_scale is not None:
                 raise ValueError(
                     "the 3D-baseline fallback cannot honour per-level error "
@@ -698,14 +705,3 @@ def _stitch_groups(idx: int, results: dict, box, mask: np.ndarray) -> np.ndarray
         blocks = np.where(valid, stacked[selected], dtype.type(0))
         scatter_blocks(window, blocks, origins - lo, perm_ids)
     return np.ascontiguousarray(window[region_slices(box, lo)])
-
-
-def _resolve_scales(per_level_scale, n_levels: int) -> list[float]:
-    if per_level_scale is None:
-        return [1.0] * n_levels
-    scales = [float(s) for s in per_level_scale]
-    if len(scales) != n_levels:
-        raise ValueError(f"per_level_scale needs {n_levels} entries, got {len(scales)}")
-    if any(s <= 0 for s in scales):
-        raise ValueError("per_level_scale entries must be positive")
-    return scales

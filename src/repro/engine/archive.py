@@ -614,10 +614,6 @@ class LazyBatchArchive:
         """The manifest recorded at write time (no payload reads)."""
         return self._head.get("manifest", [])
 
-    def entry_sizes(self) -> dict[str, int]:
-        """Per-entry stored byte counts straight from the index."""
-        return {key: loc[-1] for key, loc in self._index.items()}
-
     @property
     def is_sharded(self) -> bool:
         return self._shards is not None

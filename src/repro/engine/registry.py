@@ -206,6 +206,7 @@ def register(
     return _do_register(factory)
 
 
+# reprolint: disable=RL006  (the inverse of the public register / register_codec)
 def unregister(name: str) -> None:
     """Remove a codec and all its spellings (primarily for tests)."""
     canonical = _LOOKUP.get(name, name)

@@ -15,7 +15,7 @@ up-sampled coarse noise that the 3:1 tuning suppresses is concentrated).
 
 from __future__ import annotations
 
-from repro.analysis.power_spectrum import max_error_below_k, power_spectrum
+from repro.analysis.power_spectrum import DEFAULT_TOLERANCE, max_error_below_k, power_spectrum
 from repro.baselines.uniform3d import Uniform3DCompressor
 from repro.core.adaptive_eb import suggest_scales
 from repro.core.tac import TACCompressor, TACConfig
@@ -85,5 +85,5 @@ def _row(label: str, ratio: float, spectrum_orig, uniform, ds, max_k: float) -> 
         "method": label,
         "ratio": ratio,
         "ps_max_rel_err": err,
-        "passes_1pct": err < 0.01,
+        "passes_1pct": err < DEFAULT_TOLERANCE,
     }

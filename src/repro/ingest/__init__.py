@@ -13,7 +13,6 @@ from repro.ingest.delta import (
     hierarchy_signature,
     read_timestep_level,
     read_timestep_region,
-    reconstruction_error,
     residual_dataset,
     temporal_chain,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "hierarchy_signature",
     "read_timestep_level",
     "read_timestep_region",
-    "reconstruction_error",
     "residual_dataset",
     "temporal_chain",
 ]

@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import zlib
 
-import numpy as np
-
 from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import pack_mask
 
@@ -153,13 +151,3 @@ def read_timestep_region(reader, key: str, level: int, region, **kwargs):
         stats.append(st)
         out = data if out is None else out + data
     return out, stats
-
-
-def reconstruction_error(cur: AMRDataset, rec: AMRDataset) -> float:
-    """Max absolute pointwise error between a snapshot and its
-    reconstruction (mask-aware; convenience for tests and benchmarks)."""
-    worst = 0.0
-    for c, r in zip(cur.levels, rec.levels):
-        if c.mask.any():
-            worst = max(worst, float(np.abs(c.data[c.mask] - r.data[c.mask]).max()))
-    return worst

@@ -430,6 +430,7 @@ class IngestSession:
         """Submit every snapshot of an iterable; returns their keys."""
         return [self.submit(snapshot) for snapshot in snapshots]
 
+    # reprolint: disable=RL006  (parked seam: the async producer entry point)
     async def extend_async(self, snapshots) -> list[str]:
         """Submit every snapshot of an async iterator; returns their keys.
 

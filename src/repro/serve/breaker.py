@@ -129,11 +129,6 @@ class CircuitBreaker:
                 return True
             return False
 
-    def is_open(self, name: str) -> bool:
-        with self._lock:
-            health = self._shards.get(name)
-            return health is not None and health.opened_at is not None
-
     # -- accounting --------------------------------------------------------
     def snapshot(self) -> dict:
         """Per-shard health rows plus totals (what ``stats()`` reports)."""

@@ -135,8 +135,3 @@ def make_dataset(
             "paper_densities": spec.densities,
         },
     )
-
-
-def make_all(scale: int = 4, field: str = "baryon_density") -> dict[str, AMRDataset]:
-    """Synthesize every Table 1 dataset (in registry order)."""
-    return {name: make_dataset(name, scale=scale, field=field) for name in TABLE1}

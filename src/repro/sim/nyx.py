@@ -82,21 +82,3 @@ def generate_field(
         axis = {"velocity_x": 0, "velocity_y": 1, "velocity_z": 2}[field]
         out = gen.velocities(amplitude=VELOCITY_RMS)[axis]
     return np.ascontiguousarray(out, dtype=dtype)
-
-
-def generate_snapshot(
-    n: int,
-    *,
-    seed: int = 0,
-    box_size: float = 64.0,
-    sigma: float = 1.5,
-    dtype=np.float32,
-    fields: tuple[str, ...] = NYX_FIELDS,
-) -> dict[str, np.ndarray]:
-    """Generate several consistent fields of one synthetic snapshot."""
-    return {
-        field: generate_field(
-            field, n, seed=seed, box_size=box_size, sigma=sigma, dtype=dtype
-        )
-        for field in fields
-    }

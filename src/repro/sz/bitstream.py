@@ -225,10 +225,3 @@ def peek_bits(buf: np.ndarray, bit_offsets: np.ndarray, width: int) -> np.ndarra
     phase = (offsets & 7).astype(np.uint32)
     shifted = word >> (np.uint32(32 - width) - phase)
     return shifted & np.uint32((1 << width) - 1)
-
-
-def unpack_to_bits(buffer: bytes, total_bits: int) -> np.ndarray:
-    """Expand a packed buffer back to a ``uint8`` 0/1 array (testing aid)."""
-    arr = np.frombuffer(buffer, dtype=np.uint8)
-    bits = np.unpackbits(arr)
-    return bits[:total_bits]

@@ -355,20 +355,6 @@ def _limit_lengths(raw: np.ndarray, max_len: int) -> np.ndarray:
     return lengths
 
 
-def canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical codewords for the given code lengths.
-
-    Canonical order: shorter codes first, ties broken by symbol index.  The
-    return value is a ``uint32`` array aligned with ``lengths``; entries for
-    absent symbols (length 0) are 0 and must not be emitted.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    present = np.flatnonzero(lengths != 0)
-    codes = np.zeros(lengths.size, dtype=np.uint32)
-    codes[present] = _canonical(np.zeros_like(present), lengths[present], 1)
-    return codes
-
-
 @dataclass(frozen=True)
 class HuffmanEncoded:
     """A Huffman-encoded symbol stream plus the metadata to decode it."""
@@ -784,8 +770,3 @@ def _cached_decoder(lengths_bytes: bytes, max_len: int) -> HuffmanCodec:
 def decode_table_cache_info():
     """``functools`` cache statistics for :meth:`HuffmanCodec.cached`."""
     return _cached_decoder.cache_info()
-
-
-def decode_table_cache_clear() -> None:
-    """Drop all memoized decoder codecs (testing / memory-pressure hook)."""
-    _cached_decoder.cache_clear()

@@ -39,13 +39,6 @@ class TimingRecord:
         """Seconds accumulated under ``name`` (``default`` if never timed)."""
         return self.spans.get(name, default)
 
-    def merge(self, other: "TimingRecord") -> "TimingRecord":
-        """Return a new record with the spans of both records summed."""
-        merged = TimingRecord(dict(self.spans))
-        for name, seconds in other.spans.items():
-            merged.add(name, seconds)
-        return merged
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(f"{k}={v:.4f}s" for k, v in sorted(self.spans.items()))
         return f"TimingRecord({parts})"

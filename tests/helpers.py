@@ -76,6 +76,21 @@ def two_level_dataset(
     return ds
 
 
+def restore_extraction(extraction, dtype=None) -> np.ndarray:
+    """Reference whole-level scatter: every sub-block of a NaST / OpST /
+    AKDTree extraction put back into a zero grid, cropped to the level's
+    extents — the oracle the strategies' extract round trips are checked
+    against (TAC itself decodes window by window)."""
+    if dtype is None:
+        groups = extraction.groups.values()
+        dtype = next(iter(groups)).dtype if groups else np.float32
+    out = np.zeros(extraction.padded_shape, dtype=dtype)
+    for shape, stacked in extraction.groups.items():
+        extraction.scatter_group(shape, stacked, out)
+    ox, oy, oz = extraction.orig_shape
+    return out[:ox, :oy, :oz]
+
+
 def golden_dataset(n: int = 8) -> AMRDataset:
     """Fully analytic two-level dataset for the golden-format fixture.
 

@@ -1,5 +1,7 @@
 """Unit tests for AMR levels, datasets, and their invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ class TestAMRDataset:
             AMRLevel(data=ds.levels[1].data, mask=bad_coarse, level=1),
         ]
         with pytest.raises(ValueError, match="multiply covered"):
-            ds.with_levels(levels).validate()
+            replace(ds, levels=levels).validate()
 
     def test_validate_catches_hole(self):
         ds = two_level_dataset()
@@ -75,7 +77,7 @@ class TestAMRDataset:
             ds.levels[1],
         ]
         with pytest.raises(ValueError, match="uncovered"):
-            ds.with_levels(levels).validate()
+            replace(ds, levels=levels).validate()
 
     def test_rejects_wrong_level_order(self):
         lvl0 = make_level(8, level=0)
@@ -126,9 +128,3 @@ class TestAMRDataset:
         ds = two_level_dataset()
         text = ds.summary()
         assert "toy2" in text and "2 level" in text
-
-    def test_with_levels_preserves_metadata(self):
-        ds = two_level_dataset()
-        clone = ds.with_levels(ds.levels, suffix="_x")
-        assert clone.name == "toy2_x"
-        assert clone.field == ds.field

@@ -1,5 +1,7 @@
 """Unit tests for up/down-sampling, reconstruction helpers, and AMR IO."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,17 +10,29 @@ from repro.amr.io import load_dataset, save_dataset
 from repro.amr.reconstruct import (
     check_same_structure,
     max_level_errors,
-    pointwise_errors,
     uniform_pair,
 )
-from repro.amr.upsample import (
-    coarsen_mask_all,
-    coarsen_mask_any,
-    downsample_mean,
-    downsample_take,
-    upsample,
-)
+from repro.amr.upsample import coarsen_mask_all, downsample_mean, upsample
 from tests.helpers import two_level_dataset
+
+
+def downsample_take(data: np.ndarray, factor: int) -> np.ndarray:
+    """Reference nearest down-sampling: the corner cell of each block."""
+    return data[::factor, ::factor, ::factor]
+
+
+def coarsen_mask_any(mask: np.ndarray, factor: int) -> np.ndarray:
+    """Reference coarsening: a coarse cell is set if *any* child is set."""
+    n = mask.shape[0] // factor
+    return mask.reshape(n, factor, n, factor, n, factor).any(axis=(1, 3, 5))
+
+
+def pointwise_errors(original, decompressed) -> list:
+    """Reference per-level absolute errors of every stored value."""
+    return [
+        np.abs(lo.values().astype(np.float64) - ld.values().astype(np.float64))
+        for lo, ld in zip(original.levels, decompressed.levels)
+    ]
 
 
 class TestUpsample:
@@ -43,19 +57,20 @@ class TestUpsample:
         with pytest.raises(ValueError, match="divisible"):
             downsample_mean(np.zeros((5, 5, 5)), 2)
 
-    def test_downsample_take_corner(self):
-        data = np.arange(64, dtype=np.float64).reshape(4, 4, 4)
-        taken = downsample_take(data, 2)
-        assert taken[0, 0, 0] == data[0, 0, 0]
-        assert taken[1, 1, 1] == data[2, 2, 2]
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_upsample_corner_samples_are_the_input(self, rng, factor):
+        data = rng.standard_normal((4, 4, 4))
+        assert np.array_equal(downsample_take(upsample(data, factor), factor), data)
 
-    def test_coarsen_any_all(self):
+    def test_coarsen_all(self, rng):
         mask = np.zeros((4, 4, 4), dtype=bool)
         mask[0, 0, 0] = True  # one cell in the first 2x2x2 block
-        assert coarsen_mask_any(mask, 2)[0, 0, 0]
         assert not coarsen_mask_all(mask, 2)[0, 0, 0]
         mask[:2, :2, :2] = True
         assert coarsen_mask_all(mask, 2)[0, 0, 0]
+        mask = rng.random((8, 8, 8)) < 0.8
+        # De Morgan: all children set <=> no child unset.
+        assert np.array_equal(coarsen_mask_all(mask, 2), ~coarsen_mask_any(~mask, 2))
 
     def test_upsample_rejects_bad_factor(self):
         with pytest.raises(ValueError):
@@ -65,7 +80,7 @@ class TestUpsample:
 class TestReconstruct:
     def test_same_structure_accepts_clone(self):
         ds = two_level_dataset()
-        check_same_structure(ds, ds.with_levels(ds.levels))
+        check_same_structure(ds, replace(ds, levels=ds.levels))
 
     def test_same_structure_rejects_mask_change(self):
         ds = two_level_dataset()
@@ -74,20 +89,18 @@ class TestReconstruct:
         flipped[idx] = False
         levels = [AMRLevel(data=ds.levels[0].data, mask=flipped, level=0), ds.levels[1]]
         with pytest.raises(ValueError, match="masks differ"):
-            check_same_structure(ds, ds.with_levels(levels))
+            check_same_structure(ds, replace(ds, levels=levels))
 
     def test_same_structure_rejects_level_count(self):
         ds = two_level_dataset()
-        single = ds.with_levels([ds.levels[0]])
+        single = replace(ds, levels=[ds.levels[0]])
         # Bypass dataset validation by comparing directly.
         with pytest.raises(ValueError, match="level count"):
             check_same_structure(ds, single)
 
-    def test_pointwise_errors_zero_for_identical(self):
+    def test_max_level_errors_zero_for_identical(self):
         ds = two_level_dataset()
-        errors = pointwise_errors(ds, ds.with_levels(ds.levels))
-        assert errors.shape == (ds.total_points(),)
-        assert np.all(errors == 0)
+        assert max_level_errors(ds, replace(ds, levels=ds.levels)) == [0.0, 0.0]
 
     def test_max_level_errors_localized(self):
         ds = two_level_dataset()
@@ -98,13 +111,15 @@ class TestReconstruct:
             AMRLevel(data=perturbed_data, mask=ds.levels[0].mask, level=0),
             ds.levels[1],
         ]
-        errs = max_level_errors(ds, ds.with_levels(levels))
+        perturbed = replace(ds, levels=levels)
+        errs = max_level_errors(ds, perturbed)
         assert errs[0] == pytest.approx(0.5, rel=1e-5)
         assert errs[1] == 0.0
+        assert errs == [float(e.max()) for e in pointwise_errors(ds, perturbed)]
 
     def test_uniform_pair_shapes(self):
         ds = two_level_dataset()
-        a, b = uniform_pair(ds, ds.with_levels(ds.levels))
+        a, b = uniform_pair(ds, replace(ds, levels=ds.levels))
         assert a.shape == b.shape == (ds.finest.n,) * 3
 
 

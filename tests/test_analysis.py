@@ -8,20 +8,11 @@ from repro.analysis.halo_finder import (
     find_halos,
     match_halo,
 )
-from repro.analysis.metrics import (
-    bit_rate,
-    compression_ratio,
-    max_abs_error,
-    mse,
-    nrmse,
-    psnr,
-    throughput_mb_s,
-    value_range,
-)
+from repro.analysis.metrics import mse, psnr, throughput_mb_s, value_range
 from repro.analysis.power_spectrum import (
+    DEFAULT_TOLERANCE,
     density_contrast,
     max_error_below_k,
-    passes_criterion,
     power_spectrum,
     relative_error,
 )
@@ -31,6 +22,7 @@ from repro.analysis.rate_distortion import (
     psnr_at_bitrate,
     rd_sweep,
 )
+from repro.core.container import CompressedDataset
 from repro.core.tac import TACCompressor
 
 
@@ -49,11 +41,11 @@ class TestMetrics:
         with pytest.raises(ValueError):
             mse(np.zeros(3), np.zeros(4))
 
-    def test_nrmse_and_max_error(self):
+    def test_mse_and_psnr_against_the_range(self):
         a = np.array([0.0, 2.0])
         b = np.array([0.0, 1.0])
-        assert max_abs_error(a, b) == 1.0
-        assert nrmse(a, b) == pytest.approx(np.sqrt(0.5) / 2)
+        assert mse(a, b) == 0.5
+        assert psnr(a, b) == pytest.approx(20 * np.log10(2.0) - 10 * np.log10(0.5))
 
     def test_value_range(self):
         assert value_range(np.array([-1.0, 3.0])) == 4.0
@@ -61,9 +53,12 @@ class TestMetrics:
 
     def test_ratio_and_bitrate_product(self):
         # CR * bit-rate == 32 for float32 data.
-        cr = compression_ratio(4000, 100)
-        br = bit_rate(100, 1000)
-        assert cr * br == pytest.approx(32.0)
+        comp = CompressedDataset(
+            method="x", dataset_name="d", parts={"L0/g0": bytes(100)},
+            original_bytes=4000, n_values=1000,
+        )
+        assert comp.ratio() == 40.0
+        assert comp.ratio() * comp.bit_rate() == pytest.approx(32.0)
 
     def test_throughput(self):
         assert throughput_mb_s(10_000_000, 2.0) == pytest.approx(5.0)
@@ -84,8 +79,7 @@ class TestPowerSpectrum:
     def test_identical_fields_zero_error(self, z10_small):
         uniform = z10_small.to_uniform()
         spec = power_spectrum(uniform, box_size=64.0)
-        assert max_error_below_k(spec, spec) == 0.0
-        assert passes_criterion(spec, spec)
+        assert max_error_below_k(spec, spec) == 0.0 < DEFAULT_TOLERANCE
 
     def test_perturbation_raises_error(self, z10_small, rng):
         uniform = z10_small.to_uniform().astype(np.float64)

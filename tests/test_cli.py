@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.amr.io import load_dataset
-from repro.cli import main
+from repro.cli import _percentile, main
 
 
 @pytest.fixture
@@ -708,3 +708,19 @@ class TestLintCommand:
         # enforces the same gate.
         assert main(["lint"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "values,q,expected",
+    [
+        ([3.0, 1.0, 4.0, 2.0], 0, 1.0),  # p0 is the minimum
+        ([3.0, 1.0, 4.0, 2.0], 100, 4.0),  # p100 the maximum
+        ([3.0, 1.0, 4.0, 2.0], 50, 2.0),  # even length: the lower middle
+        ([5.0, 1.0, 3.0], 50, 3.0),  # odd length: the middle
+        ([1.0, 2.0, 3.0, 4.0], 75, 3.0),
+        ([float(v) for v in range(1, 101)], 99, 99.0),
+        ([7.0], 99, 7.0),
+    ],
+)
+def test_serve_percentile_is_nearest_rank(values, q, expected):
+    assert _percentile(values, q) == expected

@@ -171,8 +171,7 @@ class TestLazyCompressedDataset:
         assert lazy.parts.bytes_read == len(sample.parts["L0/g0"])
         assert lazy.parts["L0/g0"] == sample.parts["L0/g0"]
         assert lazy.parts.access_counts["L0/g0"] == 2
-        lazy.parts.reset_access_log()
-        assert lazy.parts.n_reads == 0
+        assert lazy.parts.n_reads == 2
 
     def test_materialize_matches_eager(self, blob):
         lazy = LazyCompressedDataset.open(blob)
@@ -378,11 +377,13 @@ class TestArchiveVersions:
         finally:
             unregister("blobonly")
 
-    def test_entry_sizes_match_manifest(self, entries):
+    def test_indexed_entries_match_manifest(self, entries):
         with LazyBatchArchive.open(self._archive(entries, 2)) as lazy:
-            sizes = lazy.entry_sizes()
-            for key, comp in entries.items():
-                assert sizes[key] == len(legacy_container_bytes(comp, 2))
+            assert [row["key"] for row in lazy.manifest()] == sorted(entries)
+            for row in lazy.manifest():
+                entry = lazy.entry(row["key"])
+                assert entry.compressed_bytes() == row["compressed_bytes"]
+                assert len(entry.parts) == row["n_parts"] == len(entries[row["key"]].parts)
 
 
 class TestCollapsePartSizes:

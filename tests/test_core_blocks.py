@@ -1,7 +1,6 @@
 """Unit tests for unit-block utilities (occupancy, integral image, gather)."""
 
 import numpy as np
-import pytest
 
 from repro.core.blocks import (
     AXIS_PERMS,
@@ -15,6 +14,7 @@ from repro.core.blocks import (
     invert_perm,
     pad_to_blocks,
 )
+from tests.helpers import restore_extraction
 
 
 class TestPadding:
@@ -105,7 +105,7 @@ class TestGatherScatter:
         ext.groups[shape] = stacked
         ext.coords[shape] = origins
         ext.perms[shape] = np.zeros(2, dtype=np.uint8)
-        out = ext.reassemble(dtype=np.float32)
+        out = restore_extraction(ext, dtype=np.float32)
         assert np.array_equal(out[:4, :4, :4], data[:4, :4, :4])
         assert np.array_equal(out[4:, 4:, 4:], data[4:, 4:, 4:])
 
@@ -122,20 +122,13 @@ class TestGatherScatter:
         ext.groups[canonical] = stacked
         ext.coords[canonical] = np.array([[0, 0, 0]], dtype=np.int32)
         ext.perms[canonical] = np.array([perm_id], dtype=np.uint8)
-        out = ext.reassemble(dtype=np.float32)
+        out = restore_extraction(ext, dtype=np.float32)
         assert np.array_equal(out[:2, :4, :8], data[:2, :4, :8])
 
-    def test_metadata_cells_counts_coords_and_perms(self):
+    def test_block_and_cell_counts(self):
+        # ``n_blocks`` is TAC's level meta; ``total_cells`` what tacbench counts.
         ext = BlockExtraction(padded_shape=(4, 4, 4), orig_shape=(4, 4, 4), block_size=2)
-        ext.coords[(2, 2, 2)] = np.zeros((3, 3), dtype=np.int32)
-        ext.perms[(2, 2, 2)] = np.zeros(3, dtype=np.uint8)
-        assert ext.metadata_cells() == 12
-
-    def test_crop(self):
-        ext = BlockExtraction(padded_shape=(8, 8, 8), orig_shape=(5, 6, 7), block_size=4)
-        assert ext.crop(np.zeros((8, 8, 8))).shape == (5, 6, 7)
-
-    def test_reassemble_rejects_bad_out(self):
-        ext = BlockExtraction(padded_shape=(4, 4, 4), orig_shape=(4, 4, 4), block_size=2)
-        with pytest.raises(ValueError, match="out shape"):
-            ext.reassemble(out=np.zeros((2, 2, 2)))
+        ext.groups[(2, 2, 2)] = np.zeros((3, 2, 2, 2), dtype=np.float32)
+        ext.groups[(2, 2, 4)] = np.zeros((1, 2, 2, 4), dtype=np.float32)
+        assert ext.n_blocks() == 4
+        assert ext.total_cells() == 3 * 8 + 16

@@ -4,6 +4,7 @@ adaptive error-bound derivation."""
 import numpy as np
 import pytest
 
+from repro.amr.hierarchy import AMRLevel
 from repro.core.adaptive_eb import suggest_scales, tempered_ratio, volume_upsample_rate
 from repro.core.blocks import BlockExtraction
 from repro.core.container import (
@@ -16,12 +17,12 @@ from repro.core.density import (
     DEFAULT_T1,
     DEFAULT_T2,
     Strategy,
-    level_density,
     select_strategy,
     use_3d_baseline,
 )
 from repro.core.layout import deserialize_layout, serialize_layout
 from repro.core.nast import nast_extract
+from repro.engine import get_codec
 from tests.helpers import random_mask, smooth_cube, two_level_dataset
 
 
@@ -58,11 +59,14 @@ class TestDensityFilter:
     def test_level_density(self):
         mask = np.zeros((4, 4, 4), dtype=bool)
         mask[0] = True
-        assert level_density(mask) == pytest.approx(0.25)
-        assert level_density(np.zeros((0,), dtype=bool)) == 0.0
+        level = AMRLevel(data=np.zeros((4, 4, 4), np.float32), mask=mask, level=0)
+        assert level.density() == pytest.approx(0.25)
+        empty = np.zeros((0, 0, 0), dtype=bool)
+        assert AMRLevel(data=empty.astype(np.float32), mask=empty, level=0).density() == 0.0
 
     def test_baseline_rule(self):
         assert use_3d_baseline(0.64)
+        assert use_3d_baseline(DEFAULT_T2)
         assert not use_3d_baseline(0.23)
 
 
@@ -190,3 +194,20 @@ class TestAdaptiveEB:
     def test_unknown_analysis_rejected(self):
         with pytest.raises(ValueError, match="unknown analysis"):
             suggest_scales(2, "weak_lensing")
+
+    @pytest.mark.parametrize(
+        "scales,message",
+        [
+            ([1.0], "per_level_scale needs 2 entries, got 1"),
+            ([3.0, 0.0], "per_level_scale entries must be positive"),
+            ([-1.0, 1.0], "per_level_scale entries must be positive"),
+        ],
+        ids=["wrong-length", "zero", "negative"],
+    )
+    @pytest.mark.parametrize("codec", ["tac", "1d"])
+    def test_level_wise_compressors_reject_bad_scales(self, codec, scales, message):
+        with pytest.raises(ValueError) as excinfo:
+            get_codec(codec).compress(
+                two_level_dataset(), 1e-3, mode="abs", per_level_scale=scales
+            )
+        assert str(excinfo.value) == message

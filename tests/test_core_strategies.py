@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.akdtree import akdtree_extract, akdtree_plan, akdtree_restore
+from repro.core.akdtree import akdtree_extract, akdtree_plan
 from repro.core.blocks import block_occupancy
-from repro.core.nast import nast_extract, nast_restore
-from repro.core.opst import compute_bs, opst_extract, opst_plan, opst_restore
-from tests.helpers import random_mask, smooth_cube
+from repro.core.nast import nast_extract
+from repro.core.opst import compute_bs, opst_extract, opst_plan
+from tests.helpers import random_mask, restore_extraction, smooth_cube
 
 
 def brute_force_bs(occ: np.ndarray) -> np.ndarray:
@@ -157,21 +157,16 @@ class TestAKDTreePlan:
 
 class TestExtractRestore:
     @pytest.mark.parametrize(
-        "extract,restore",
-        [
-            (nast_extract, nast_restore),
-            (opst_extract, opst_restore),
-            (akdtree_extract, akdtree_restore),
-        ],
+        "extract", [nast_extract, opst_extract, akdtree_extract],
         ids=["nast", "opst", "akdtree"],
     )
     @pytest.mark.parametrize("density", [0.05, 0.4, 0.95])
-    def test_masked_data_roundtrip(self, extract, restore, density, rng):
+    def test_masked_data_roundtrip(self, extract, density, rng):
         n, block = 16, 4
         mask = random_mask((n, n, n), density, seed=int(density * 100), block=2)
         data = np.where(mask, smooth_cube(n), np.float32(0))
         ext = extract(data, mask, block)
-        out = restore(ext, dtype=data.dtype)
+        out = restore_extraction(ext, dtype=data.dtype)
         assert out.shape == data.shape
         assert np.array_equal(np.where(mask, out, 0), data)
 
@@ -201,12 +196,8 @@ class TestExtractRestore:
         n = 10  # not a multiple of block 4
         mask = random_mask((n, n, n), 0.5, seed=9)
         data = np.where(mask, smooth_cube(n), np.float32(0))
-        for extract, restore in (
-            (nast_extract, nast_restore),
-            (opst_extract, opst_restore),
-            (akdtree_extract, akdtree_restore),
-        ):
-            out = restore(extract(data, mask, 4), dtype=data.dtype)
+        for extract in (nast_extract, opst_extract, akdtree_extract):
+            out = restore_extraction(extract(data, mask, 4), dtype=data.dtype)
             assert out.shape == (n, n, n)
             assert np.array_equal(np.where(mask, out, 0), data)
 

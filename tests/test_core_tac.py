@@ -242,7 +242,7 @@ class TestDecodeTableCacheReuse:
         return ds
 
     def test_multi_level_decompress_hits_cache(self):
-        from repro.sz.huffman import decode_table_cache_clear, decode_table_cache_info
+        from repro.sz.huffman import _cached_decoder, decode_table_cache_info
 
         tac = TACCompressor(TACConfig(force_strategy=Strategy.NAST, unit_block=2))
         ds = self._constant_level_dataset()
@@ -250,7 +250,7 @@ class TestDecodeTableCacheReuse:
         n_streams = sum(1 for name in comp.parts if "/g" in name or "/grid" in name)
         assert n_streams >= 2, "need multiple group streams to exercise reuse"
 
-        decode_table_cache_clear()
+        _cached_decoder.cache_clear()
         recon = tac.decompress(comp)
         info = decode_table_cache_info()
         # ≥ 1 hit per reused table: the two constant-7.5 levels share one
@@ -262,11 +262,11 @@ class TestDecodeTableCacheReuse:
             assert_error_bounded(orig.values(), back.values(), comp.meta["levels"][orig.level]["eb_abs"])
 
     def test_repeated_decompress_is_all_hits(self, tac, z10_small):
-        from repro.sz.huffman import decode_table_cache_clear, decode_table_cache_info
+        from repro.sz.huffman import _cached_decoder, decode_table_cache_info
 
         comp = tac.compress(z10_small, 1e-3, mode="rel")
         first = tac.decompress(comp)
-        decode_table_cache_clear()
+        _cached_decoder.cache_clear()
         tac.decompress(comp)
         misses_cold = decode_table_cache_info().misses
         again = tac.decompress(comp)

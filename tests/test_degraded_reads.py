@@ -514,9 +514,9 @@ class TestCircuitBreaker:
     def test_opens_after_consecutive_failures(self):
         breaker, _clock = self.make(threshold=2)
         assert breaker.record_failure("s") is False
-        assert not breaker.is_open("s")
+        assert not breaker.snapshot()["s"]["open"]
         assert breaker.record_failure("s") is True
-        assert breaker.is_open("s")
+        assert breaker.snapshot()["s"]["open"]
         with pytest.raises(CircuitOpenError) as excinfo:
             breaker.check("s")
         assert excinfo.value.shard == "s"
@@ -527,12 +527,12 @@ class TestCircuitBreaker:
         breaker.record_failure("s")
         breaker.record_success("s")
         breaker.record_failure("s")
-        assert not breaker.is_open("s")
+        assert not breaker.snapshot()["s"]["open"]
 
     def test_shards_are_independent(self):
         breaker, _clock = self.make(threshold=1)
         breaker.record_failure("bad")
-        assert breaker.is_open("bad")
+        assert breaker.snapshot()["bad"]["open"]
         breaker.check("good")  # unrelated shard unaffected
 
     def test_half_open_allows_one_trial(self):
@@ -543,7 +543,7 @@ class TestCircuitBreaker:
         with pytest.raises(CircuitOpenError):
             breaker.check("s")  # second concurrent caller still blocked
         breaker.record_success("s")
-        assert not breaker.is_open("s")
+        assert not breaker.snapshot()["s"]["open"]
         breaker.check("s")
 
     def test_failed_trial_reopens_for_a_fresh_cooldown(self):

@@ -379,7 +379,8 @@ class TestGoldenContainerV5:
             path, source_entry.method, source_entry.dataset_name,
             original_bytes=source_entry.original_bytes, n_values=source_entry.n_values,
         ) as writer:
-            writer.add_parts(source_entry.parts.items())
+            for name, payload in source_entry.parts.items():
+                writer.add_part(name, payload)
             writer.set_meta(source_entry.meta)  # sealed after the payloads
         assert path.read_bytes() == (DATA / expected_v5["name"]).read_bytes()
 

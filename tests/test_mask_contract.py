@@ -7,6 +7,8 @@ zeroed there, and decodes to zeros there.  The TAC strategies rely on it —
 they read the level's raw data and zero only the blocks they keep.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def with_junk(dataset: AMRDataset, seed: int = 0) -> AMRDataset:
         picks = rng.integers(0, len(JUNK), int(np.count_nonzero(~lvl.mask)))
         data[~lvl.mask] = np.asarray(JUNK, dtype=data.dtype)[picks]
         levels.append(AMRLevel(data=data, mask=lvl.mask, level=lvl.level))
-    return dataset.with_levels(levels)
+    return replace(dataset, levels=levels)
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +77,12 @@ def test_ingest_chain_ignores_cells_outside_the_mask(t2, tmp_path):
     """A keyframe + delta chain: the residuals of junk levels carry the
     junk, and still write the clean archive's bytes."""
     series = [
-        t2.with_levels(
-            [AMRLevel(data=lvl.data * np.float32(1 + 0.05 * k), mask=lvl.mask, level=lvl.level)
-             for lvl in t2.levels]
+        replace(
+            t2,
+            levels=[
+                AMRLevel(data=lvl.data * np.float32(1 + 0.05 * k), mask=lvl.mask, level=lvl.level)
+                for lvl in t2.levels
+            ],
         )
         for k in range(3)
     ]

@@ -719,22 +719,22 @@ class TestOneReadPath:
     ):
         case = self._build(name, tmp_path)
         n_groups = case.comp.meta["levels"][0]["n_groups"]
-        with ArchiveReader(case.head, cache_bytes=0) as reader:
-            parts = reader._entry(ENTRY).comp.parts
 
-            def groups_read(box_name):
-                parts.reset_access_log()
+        def groups_read(box_name):
+            # A fresh reader per ROI: its part log holds this read alone.
+            with ArchiveReader(case.head, cache_bytes=0) as reader:
                 data, _stats = reader.read_region(ENTRY, 0, READ_BOXES[box_name])
-                return data, {n for n in parts.accessed() if n.startswith("L0/g")}
+                accessed = reader._entry(ENTRY).comp.parts.accessed()
+            return data, {n for n in accessed if n.startswith("L0/g")}, accessed
 
-            _data, groups = groups_read("brick-aligned")
-            assert 0 < len(groups) and (len(groups) < n_groups or n_groups == 1)
-            # Cells 6-7 along x lie in stored blocks but outside the mask.
-            data, groups = groups_read("only-block-padding")
-            assert groups and not data.any()
-            # Nothing to decode: only the first stream's header is peeked.
-            _data, groups = groups_read("no-block")
-            assert _payloads(parts.accessed()) == {"L0/layout", "L0/g0"}
+        _data, groups, _ = groups_read("brick-aligned")
+        assert 0 < len(groups) and (len(groups) < n_groups or n_groups == 1)
+        # Cells 6-7 along x lie in stored blocks but outside the mask.
+        data, groups, _ = groups_read("only-block-padding")
+        assert groups and not data.any()
+        # Nothing to decode: only the first stream's header is peeked.
+        _data, groups, accessed = groups_read("no-block")
+        assert _payloads(accessed) == {"L0/layout", "L0/g0"}
 
     @pytest.mark.parametrize("codec_name", ["tac", "zmesh"])
     def test_maskless_field_of_a_step_reads_like_any_other(self, codec_name, tmp_path):

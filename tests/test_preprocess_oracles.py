@@ -27,7 +27,7 @@ from repro.core.opst import opst_extract, opst_plan
 from repro.core.plan import level_box, region_slices
 from repro.core.tac import TACCompressor, _assemble_box, _encoder_rec
 from repro.serve import ArchiveReader
-from tests.helpers import random_mask, write_archive
+from tests.helpers import random_mask, restore_extraction, write_archive
 from tests.preprocess_oracles import (
     assemble_putmask,
     gsp_pad_cells,
@@ -183,7 +183,7 @@ class TestPreCollection:
         for extract in (nast_extract, opst_extract, akdtree_extract):
             extraction = extract(data, mask, 4)
             assert extraction.orig_shape == (13, 10, 7) and extraction.block_size == 4
-            assert np.array_equal(extraction.crop(extraction.reassemble()), data)
+            assert np.array_equal(restore_extraction(extraction), data)
 
     def test_aligned_level_is_viewed_not_copied(self):
         data, mask = level((16, 16, 16), 4, np.float32, 0)

@@ -595,6 +595,106 @@ class TestRL005:
 
 
 # ---------------------------------------------------------------------------
+# RL006 — test-only public API
+# ---------------------------------------------------------------------------
+
+
+class TestRL006:
+    LIB = """
+    def used():
+        return 1
+
+    def only_tested():
+        return 2
+
+    def _private():
+        return 3
+
+    class Box:
+        def size(self):
+            def nested():
+                return 4
+            return nested()
+
+        def only_tested_method(self):
+            return 5
+    """
+
+    def _repo(self, tmp_path, **extra):
+        write(tmp_path, "src/repro/lib.py", self.LIB)
+        write(tmp_path, "src/repro/app.py", "from repro.lib import Box, used\n\nused(); Box().size()\n")
+        write(
+            tmp_path,
+            "tests/test_lib.py",
+            "from repro.lib import Box, only_tested\n\nonly_tested(); Box().only_tested_method()\n",
+        )
+        for rel, text in extra.items():
+            write(tmp_path, rel, text)
+        return tmp_path
+
+    @staticmethod
+    def flagged(findings) -> list[str]:
+        return sorted(f.context for f in findings if f.rule == "RL006")
+
+    def test_test_only_defs_are_flagged(self, tmp_path):
+        findings = run_rules(self._repo(tmp_path), ["RL006"])
+        assert self.flagged(findings) == ["Box.only_tested_method", "only_tested"]
+        by_name = {f.context: f for f in findings}
+        assert by_name["only_tested"].path == "src/repro/lib.py"
+        assert by_name["only_tested"].line == 4
+        assert "referenced only by tests" in by_name["only_tested"].message
+
+    @pytest.mark.parametrize(
+        "rel,text",
+        [
+            ("src/repro/other.py", "from repro.lib import only_tested\n"),
+            ("examples/demo.py", "import repro.lib as lib\n\nlib.only_tested()\n"),
+            ("benchmarks/bench_lib.py", "from repro import lib\n\nlib.only_tested()\n"),
+            ("tools/report.py", "from repro.lib import only_tested as run\n"),
+            ("src/repro/reg.py", "from repro import lib\n\nTABLE = {'x': lib.only_tested}\n"),
+        ],
+        ids=["src-import", "example-attribute-call", "benchmark", "tool-alias", "registry-dict"],
+    )
+    def test_a_non_test_reference_clears_it(self, tmp_path, rel, text):
+        findings = run_rules(self._repo(tmp_path, **{rel: text}), ["RL006"])
+        assert self.flagged(findings) == ["Box.only_tested_method"]
+
+    def test_registry_dict_in_a_package_init_is_a_caller(self, tmp_path):
+        init = "from repro import lib\n\nREGISTRY = {'x': lib.only_tested}\n"
+        findings = run_rules(self._repo(tmp_path, **{"src/repro/__init__.py": init}), ["RL006"])
+        assert self.flagged(findings) == ["Box.only_tested_method"]
+
+    def test_an_init_re_export_is_not_a_caller(self, tmp_path):
+        init = (
+            "from repro.lib import Box, only_tested\n\n"
+            "__all__ = ['Box', 'only_tested', 'only_tested_method']\n"
+        )
+        findings = run_rules(self._repo(tmp_path, **{"src/repro/__init__.py": init}), ["RL006"])
+        assert self.flagged(findings) == ["Box.only_tested_method", "only_tested"]
+
+    def test_narrow_paths_still_read_every_zone(self, tmp_path):
+        root = self._repo(
+            tmp_path, **{"examples/demo.py": "from repro.lib import only_tested\n"}
+        )
+        assert self.flagged(lint_paths(root, ["src/repro/lib.py"], ["RL006"]).findings) == [
+            "Box.only_tested_method"
+        ]
+        # Only src/ definitions are audited.
+        assert lint_paths(root, ["examples", "tests"], ["RL006"]).findings == []
+
+    def test_inline_suppression_is_honoured(self, tmp_path):
+        lib = self.LIB.replace(
+            "    def only_tested():",
+            "    # reprolint: disable=RL006  (documented seam)\n    def only_tested():",
+        ).replace(
+            "def only_tested_method(self):",
+            "def only_tested_method(self):  # reprolint: disable=RL006  (inverse of size)",
+        )
+        root = self._repo(tmp_path, **{"src/repro/lib.py": lib})
+        assert run_rules(root, ["RL006"]) == []
+
+
+# ---------------------------------------------------------------------------
 # suppressions, fingerprints, CLI
 # ---------------------------------------------------------------------------
 
@@ -712,17 +812,17 @@ class TestCLIExitCodes:
             lint_main(["--root", str(tmp_path), "--rules", "RL999", "src"])
         assert excinfo.value.code == 2
 
-    def test_list_rules_names_all_five(self, capsys):
+    def test_list_rules_names_all_six(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
             assert rule_id in out
 
 
 class TestRegistry:
-    def test_five_rules_registered(self):
+    def test_six_rules_registered(self):
         rules = all_rules()
-        assert set(rules) == {"RL001", "RL002", "RL003", "RL004", "RL005"}
+        assert set(rules) == {"RL001", "RL002", "RL003", "RL004", "RL005", "RL006"}
         for rule_id, cls in rules.items():
             assert cls.rule_id == rule_id
             assert cls.name and cls.description

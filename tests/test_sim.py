@@ -5,7 +5,7 @@ import pytest
 
 from repro.sim.datasets import TABLE1, make_dataset, resolve_scale
 from repro.sim.gaussian_field import FieldGenerator
-from repro.sim.nyx import NYX_FIELDS, generate_field, generate_snapshot, lognormal_density
+from repro.sim.nyx import NYX_FIELDS, generate_field, lognormal_density
 from repro.sim.refinement import build_amr, select_top_blocks
 from tests.helpers import smooth_cube
 
@@ -58,7 +58,7 @@ class TestFieldGenerator:
 
 class TestNyxFields:
     def test_all_fields_generate(self):
-        snap = generate_snapshot(8, seed=1)
+        snap = {name: generate_field(name, 8, seed=1) for name in NYX_FIELDS}
         assert set(snap) == set(NYX_FIELDS)
         for name, arr in snap.items():
             assert arr.shape == (8, 8, 8)

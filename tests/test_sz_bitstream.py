@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz.bitstream import as_peekable, pack_codes, peek_bits, unpack_to_bits
+from repro.sz.bitstream import as_peekable, pack_codes, peek_bits
 from tests.helpers import bitwise_pack_rows
+
+
+def unpack_to_bits(buffer: bytes, total_bits: int) -> np.ndarray:
+    """Reference unpack: the first ``total_bits`` bits, MSB first, as 0/1."""
+    return np.unpackbits(np.frombuffer(buffer, dtype=np.uint8))[:total_bits]
 
 
 class TestPackCodes:

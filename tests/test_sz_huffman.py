@@ -16,10 +16,8 @@ from repro.sz.huffman import (
     HuffmanCodec,
     _limit_lengths,
     _tree_depths,
-    canonical_codes,
     code_tables,
     decode_many,
-    decode_table_cache_clear,
     decode_table_cache_info,
     default_block_size,
     encode_many,
@@ -31,6 +29,9 @@ from tests.helpers import (
     loop_limit_lengths,
     naive_canonical_codes,
 )
+
+#: Drops every memoized decoder codec (the LRU behind ``HuffmanCodec.cached``).
+decode_table_cache_clear = huffman._cached_decoder.cache_clear
 
 
 def kraft_sum(lengths: np.ndarray) -> float:
@@ -102,7 +103,7 @@ class TestCanonicalCodes:
     def test_prefix_free(self, rng):
         counts = rng.integers(0, 100, size=64)
         lengths = huffman_code_lengths(counts)
-        codes = canonical_codes(lengths)
+        codes = HuffmanCodec(lengths).codes
         present = np.flatnonzero(lengths)
         strings = [
             format(int(codes[s]), "b").zfill(int(lengths[s])) for s in present
@@ -114,7 +115,7 @@ class TestCanonicalCodes:
 
     def test_canonical_ordering(self):
         lengths = np.array([2, 1, 2], dtype=np.uint8)
-        codes = canonical_codes(lengths)
+        codes = HuffmanCodec(lengths).codes
         # Symbol 1 (shortest) gets 0; then symbols 0, 2 get 10, 11.
         assert codes[1] == 0b0
         assert codes[0] == 0b10

@@ -28,14 +28,14 @@ class TestTimer:
         assert record.get("loop") >= 0.0
         assert len(record.spans) == 1
 
-    def test_merge(self):
-        a = TimingRecord({"x": 1.0})
-        b = TimingRecord({"x": 2.0, "y": 3.0})
-        merged = a.merge(b)
-        assert merged.get("x") == 3.0
-        assert merged.get("y") == 3.0
-        # Originals untouched.
-        assert a.get("x") == 1.0
+    def test_add_folds_into_existing_spans(self):
+        # How compress_many folds each batch's record into the caller's.
+        record = TimingRecord({"x": 1.0})
+        for name, seconds in TimingRecord({"x": 2.0, "y": 3.0}).spans.items():
+            record.add(name, seconds)
+        assert record.get("x") == 3.0
+        assert record.get("y") == 3.0
+        assert record.total() == 6.0
 
     def test_timed_with_none_is_noop(self):
         with timed(None, "anything"):

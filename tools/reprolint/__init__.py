@@ -15,7 +15,9 @@ actually bitten this codebase are semantic and repo-specific:
 * executor futures whose exceptions vanish — :mod:`RL004
   <tools.reprolint.rules.rl004_unawaited_future>`;
 * nondeterminism inside codec paths, which breaks byte-reproducibility —
-  :mod:`RL005 <tools.reprolint.rules.rl005_nondeterminism>`.
+  :mod:`RL005 <tools.reprolint.rules.rl005_nondeterminism>`;
+* public ``src/`` definitions that only tests reach —
+  :mod:`RL006 <tools.reprolint.rules.rl006_test_only_api>`.
 
 The framework is a plugin registry (:mod:`tools.reprolint.rules`), a
 per-file AST dispatch engine (:mod:`tools.reprolint.engine`), inline

@@ -22,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Invariant-aware static analysis for this repo: lock-guarded "
             "state, resource lifecycles, wire-format golden coverage, "
-            "executor futures, and codec determinism."
+            "executor futures, codec determinism, and test-only public API."
         ),
     )
     parser.add_argument(

@@ -68,6 +68,7 @@ def all_rules() -> dict[str, Type]:
         rl003_format_golden,
         rl004_unawaited_future,
         rl005_nondeterminism,
+        rl006_test_only_api,
     )
 
     return dict(_REGISTRY)
