@@ -3,6 +3,9 @@
 This is the machine-readable perf trajectory of the repo: every op is
 timed at a pinned scale, recorded as ``op → {seconds, mb_per_s,
 n_values}``, and merged into ``BENCH_hotpaths.json`` at the repo root.
+Memory rows (``*_peak_mb``) record ``op → {peak_mb: {threads_1,
+threads_2}, n_values}`` instead: an op's tracemalloc peak in MB at one
+and at two SZ encode threads; the baseline gate skips them.
 Re-running after a change (or in CI's ``perf-smoke`` job) makes speedups
 measurable and regressions loud — the ``--baseline`` mode fails the run
 when any op is slower than a checked-in reference by more than
@@ -28,6 +31,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +66,32 @@ def op_entry(seconds: float, n_values: int, nbytes: int | None = None) -> dict:
     return {
         "seconds": round(float(seconds), 6),
         "mb_per_s": round(nbytes / 1e6 / seconds, 3) if seconds > 0 and nbytes else None,
+        "n_values": int(n_values),
+    }
+
+
+def peak_mb(fn, threads: int) -> float:
+    """The tracemalloc peak of one ``fn()`` in MB, with the SZ encode
+    drained on ``threads`` threads (``ENCODE_THREADS``, restored after).
+    Run it once before, so caches and lazy imports are not counted."""
+    from repro.sz import compressor
+
+    saved = compressor.ENCODE_THREADS
+    compressor.ENCODE_THREADS = threads
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
+    finally:
+        tracemalloc.stop()
+        compressor.ENCODE_THREADS = saved
+
+
+def peak_entry(fn, n_values: int) -> dict:
+    """A memory row: ``fn()``'s tracemalloc peak (MB) at one and at two
+    encode threads, and the op's value count."""
+    return {
+        "peak_mb": {f"threads_{t}": peak_mb(fn, t) for t in (1, 2)},
         "n_values": int(n_values),
     }
 
@@ -116,7 +146,7 @@ def compare_to_baseline(
     """
     failures = []
     for op, entry in sorted(results.items()):
-        if op == META_KEY or not isinstance(entry, dict):
+        if op == META_KEY or not isinstance(entry, dict) or "seconds" not in entry:
             continue
         ref = baseline.get(op)
         if not isinstance(ref, dict) or "seconds" not in ref:
@@ -229,7 +259,10 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
         for x in range(0, 64, 16) for y in range(0, 64, 16) for z in range(0, 32, 16)
     ]
     eb_brick = 1e-3 * float(cube.max() - cube.min())
-    *_, batch_counts = SZCompressor()._prepare_symbols(bricks, [eb_brick] * 32, TimingRecord())
+    sz_codec = SZCompressor()
+    brick_symbols, *_ = sz_codec._prepare_symbols(bricks, [eb_brick] * 32, TimingRecord())
+    alphabet = 2 * sz_codec.config.radius + 1
+    batch_counts = np.stack([np.bincount(row, minlength=alphabet) for row in brick_symbols])
     ops["huffman_code_tables_bricks"] = op_entry(
         time_op(lambda: code_tables(batch_counts), max(repeats, 50)),
         int(np.count_nonzero(batch_counts)),
@@ -333,7 +366,7 @@ def _blocks_ops(scale: int, repeats: int) -> dict:
 def _sz_ops(scale: int, repeats: int) -> dict:
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor, SZConfig
-    from repro.sz.huffman import code_tables, encode_many
+    from repro.sz.huffman import encode_many
     from repro.sz.predictor import lorenzo_forward
     from repro.sz.quantizer import quantize, resolve_error_bound
     from repro.utils.timer import TimingRecord
@@ -368,8 +401,7 @@ def _sz_ops(scale: int, repeats: int) -> dict:
     # the small block-offset section) through `_payload_sections`, the call
     # `_encode_symbols` makes.  MB/s is over the bytes the stage codes.
     codec = SZCompressor(SZConfig(predictor="interp"))
-    symbols, outliers, counts = codec._prepare_symbols([field], [eb_abs], TimingRecord())
-    tables = code_tables(counts, max_len=codec.config.max_code_len)
+    symbols, outliers, tables = codec._prepare_symbols([field], [eb_abs], TimingRecord())
     encoded = encode_many(tables, symbols, block_size=codec.config.block_size)[0]
     lengths = tables.row_lengths(0)
     ops["sz_lossless_interp"] = op_entry(
@@ -429,6 +461,9 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     ``sz_compress_many_bricks_pw_rel`` is the batched encode under a
     point-wise relative bound (eb 1e-2): each brick goes to log space on its
     own, then the bricks share the lattice passes.
+    ``sz_compress_many_bricks_peak_mb`` is a memory row: the tracemalloc
+    peak of the ``sz_compress_many_bricks`` call, at one and at two encode
+    threads — the working set of the batches in flight.
     """
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor
@@ -494,6 +529,9 @@ def _brick_ops(scale: int, repeats: int) -> dict:
         ),
         "sz_compress_many_bricks_recon": op_entry(
             time_op(compress_recon, repeats), n_values, n_values * 4
+        ),
+        "sz_compress_many_bricks_peak_mb": peak_entry(
+            lambda: codec.compress_many(bricks, eb_abs, "abs"), n_values
         ),
         "sz_compress_many_bricks_pw_rel": op_entry(
             time_op(lambda: codec.compress_many(bricks, 1e-2, "pw_rel"), repeats),
@@ -582,6 +620,8 @@ def _ingest_ops(scale: int, repeats: int) -> dict:
     session — generate-free (the series is prebuilt), so the number is
     residual + compress (the encoder hands out the reconstruction the next
     residual needs; nothing is decoded) + accumulate + streamed shard write.
+    ``ingest_session_delta_peak_mb`` is that session's tracemalloc peak, at
+    one and at two encode threads (a memory row).
     """
     import shutil
     import tempfile
@@ -620,6 +660,9 @@ def _ingest_ops(scale: int, repeats: int) -> dict:
             time_op(delta_session, repeats),
             sum(ds.total_points() for ds in series),
             series_bytes,
+        ),
+        "ingest_session_delta_peak_mb": peak_entry(
+            delta_session, sum(ds.total_points() for ds in series)
         ),
     }
 
@@ -754,6 +797,7 @@ GROUP_OPS = {
     + ("sz_quantize", "sz_predict", "sz_lossless_interp")
     + tuple(f"sz_compress_{how}_bricks" for how in ("many", "loop"))
     + ("sz_compress_many_bricks_recon", "sz_compress_many_bricks_pw_rel", "sz_compress_many_64")
+    + ("sz_compress_many_bricks_peak_mb",)
     + tuple(
         f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
     ),
@@ -765,7 +809,7 @@ GROUP_OPS = {
         "tac_decompress_sparse",
     ),
     "preprocess": ("gsp_pad", "opst_extract"),
-    "ingest": ("tac_compress_iter", "ingest_session_delta"),
+    "ingest": ("tac_compress_iter", "ingest_session_delta", "ingest_session_delta_peak_mb"),
     "container": ("container_roundtrip_bricked",),
     "serve": ("serve_cold_roi", "serve_cold_roi_pool"),
 }
@@ -849,6 +893,10 @@ def main(argv=None) -> int:
     path = merge_write(results, args.output, scale=args.scale, repeats=args.repeats)
     width = max(len(op) for op in results)
     for op, entry in sorted(results.items()):
+        if "peak_mb" in entry:
+            peaks = ", ".join(f"{mb} MB at {t}" for t, mb in entry["peak_mb"].items())
+            print(f"{op:<{width}}  peak {peaks}")
+            continue
         rate = f"{entry['mb_per_s']:>10.1f} MB/s" if entry["mb_per_s"] else " " * 15
         print(f"{op:<{width}}  {entry['seconds']:>10.6f}s {rate}")
     print(f"wrote {path} ({len(results)} ops)")

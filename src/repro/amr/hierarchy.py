@@ -66,6 +66,10 @@ class AMRLevel:
         """Grid size per dimension."""
         return self.data.shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
     def density(self) -> float:
         """Fraction of this level's cells stored here (Table 1's density)."""
         return self.n_points() / self.mask.size if self.mask.size else 0.0
@@ -153,11 +157,11 @@ class AMRDataset:
 
     def original_bytes(self) -> int:
         """Uncompressed payload bytes (stored values only)."""
-        itemsize = self.finest.data.dtype.itemsize
+        itemsize = self.dtype().itemsize
         return self.total_points() * itemsize
 
     def dtype(self) -> np.dtype:
-        return self.finest.data.dtype
+        return self.finest.dtype
 
     # -- invariants -----------------------------------------------------------
     def coverage(self) -> np.ndarray:

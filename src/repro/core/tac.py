@@ -205,8 +205,8 @@ class TACCompressor(PlanExecutorMixin):
         ``want_recon=True`` sets each chunk's ``rec`` to the level a reader
         will decode from its parts, bit for bit — built from the
         reconstruction the SZ encoder computed anyway (its predictor is
-        closed-loop), by the same stitch → crop → mask code the reader
-        runs, so nothing is decoded.
+        closed-loop), by the assembly code the reader runs, so nothing is
+        decoded.  A level's ``data`` is read once, by its strategy.
 
         The §4.4 baseline delegation has no level-wise decomposition; that
         regime compresses eagerly and yields the whole entry as one chunk
@@ -248,6 +248,7 @@ class TACCompressor(PlanExecutorMixin):
                 if cfg.store_masks:
                     parts[f"{MASK_PREFIX}L{lvl.level}"] = pack_mask(lvl.mask)
                 yield LevelChunk(level=lvl.level, meta=meta, parts=parts, rec=rec)
+                del rec  # the consumer has it: not pinned while the next level encodes
 
         return StreamingCompression(
             method=self.method_name,
@@ -329,6 +330,12 @@ class TACCompressor(PlanExecutorMixin):
         parts.update(zip(streams, blobs))
         if not want_recon:
             return meta, None
+        if strategy in (Strategy.GSP, Strategy.ZF):
+            # The bricks are views of the padded grid, so it now holds every
+            # brick's reconstruction where a reader's stitch puts it: only
+            # the crop and the mask are left to do.
+            crop = result.padded[region_slices(level_box(lvl.shape))]
+            return meta, _masked_level(lvl.level, crop, lambda: lvl.mask)
         return meta, _encoder_rec(lvl, meta, {**layout, **streams})
 
     def _preprocess(self, lvl: AMRLevel, strategy: Strategy, block: int, timings: TimingRecord):
@@ -534,9 +541,11 @@ def _assemble_box(level_meta: dict, results: dict, box, mask_of_box) -> AMRLevel
     streams in ``results``, zero outside the mask ``mask_of_box()``.
 
     The one assembly of a TAC level — the reader's, and the encoder's when
-    it hands out its own reconstruction (``results`` then holds the arrays
-    the SZ encoder reconstructed in place).  The mask is applied where the
-    non-zero cells are, in the order that keeps the peak low:
+    it hands out its own reconstruction of an empty or block-strategy level
+    (``results`` then holds the arrays the SZ encoder reconstructed in
+    place; of a GSP/ZF level's assembly the encoder needs only the crop →
+    mask, :func:`_masked_level`).  The mask is applied where the non-zero
+    cells are, in the order that keeps the peak low:
 
     * a block strategy (OpST/AKDTree/NaST) unpacks the box's mask first and
       masks each sub-block before scattering it — only cells inside blocks
@@ -557,22 +566,32 @@ def _assemble_box(level_meta: dict, results: dict, box, mask_of_box) -> AMRLevel
         else:
             data = _stitch_groups(level, results, box, mask)
         return AMRLevel(data=data, mask=mask, level=level)
-    window = _stitch_bricks(level_meta, results, box)
-    # The window is this call's own: a box cut out of a larger bounding
-    # window is copied, which lets that go before the mask is fetched, and
-    # the cells outside the mask are zeroed in place.
+    return _masked_level(level, _stitch_bricks(level_meta, results, box), mask_of_box)
+
+
+def _masked_level(level: int, window: np.ndarray, mask_of_box) -> AMRLevel:
+    """Crop → mask, the end of a GSP/ZF level's assembly: ``window`` (the
+    box's part of an array this call may write) as a level of its own,
+    zero outside the mask ``mask_of_box()``.
+
+    A window cut out of a larger array is copied, which lets that array go
+    before the mask is fetched when nothing else holds it (the reader's
+    stitched bounding window); the cells outside the mask are zeroed in
+    place.
+    """
     data = np.ascontiguousarray(window)
     del window
     mask = mask_of_box()
-    np.putmask(data, ~mask, 0)
+    np.copyto(data, 0, where=~mask)
     return AMRLevel(data=data, mask=mask, level=level)
 
 
 def _encoder_rec(lvl: AMRLevel, level_meta: dict, results: dict) -> AMRLevel:
-    """The level a reader decodes from the parts just written for ``lvl``:
-    ``results`` maps each stream's part name to the array the SZ encoder
-    reconstructed in place — where a reader's decode units put the decoded
-    ones — and a block strategy's layout name to the extraction itself."""
+    """The level a reader decodes from the parts just written for ``lvl``
+    (an empty or block-strategy level): ``results`` maps each stream's part
+    name to the array the SZ encoder reconstructed in place — where a
+    reader's decode units put the decoded ones — and the layout name to the
+    extraction itself."""
     return _assemble_box(level_meta, results, level_box(lvl.shape), lambda: lvl.mask)
 
 

@@ -25,6 +25,18 @@ The ingest session exploits that per (name, field) chain:
   keyframe (``mode="abs"``), so a ``rel`` bound keeps meaning "relative
   to the data's range", not the residual's.
 
+Memory: a chain holds its running reconstruction as each level's
+stored-cell values (:func:`stored_values`) — zero is implied everywhere
+else, where a reader's levels are zero too — so a delta step holds less
+than one level set of its own.  The residual is made one level at a time,
+when the codec reads the level's ``data`` (:func:`residual_dataset`), and
+nothing keeps it once the strategy has gathered its arrays from it.  Each
+level's decoded residual is added into the stored values in place
+(:func:`accumulate`) as its chunk streams by.  The values are
+session-owned — gathered from an encoder reconstruction or a decode,
+never the caller's arrays — so the in-place sum writes nothing anyone
+else holds.
+
 On the wire a delta entry is a normal container entry whose metadata
 carries ``meta["temporal"] = {"mode": "delta", "base": <prev key>,
 "keyframe": <keyframe key>, "step": t}`` (keyframes record ``{"mode":
@@ -40,6 +52,8 @@ full reconstruction.
 from __future__ import annotations
 
 import zlib
+
+import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import pack_mask
@@ -57,21 +71,56 @@ def hierarchy_signature(dataset: AMRDataset) -> tuple:
     )
 
 
-def residual_dataset(cur: AMRDataset, rec: AMRDataset) -> AMRDataset:
-    """``cur − rec`` level by level (same hierarchy required).
+class _ResidualLevel(AMRLevel):
+    """``cur − rec`` of one level, ``rec`` given as its stored-cell values
+    (zero elsewhere), computed each time :attr:`data` is read and kept by
+    nobody but the reader: a codec that reads a level once holds its
+    residual only while it gathers from it.  Outside the mask the residual
+    is ``cur − 0``, i.e. ``cur`` itself, bit for bit."""
+
+    def __init__(self, cur: AMRLevel, rec: np.ndarray):
+        if rec.shape != (cur.n_points(),):
+            raise ValueError(
+                f"hierarchy mismatch at level {cur.level}: {cur.n_points()} stored "
+                f"cells vs {rec.size} reconstructed values"
+            )
+        self._cur, self._rec = cur, rec
+        self.mask, self.level = cur.mask, cur.level
+
+    @property
+    def data(self) -> np.ndarray:
+        data = self._cur.data.astype(self.dtype)  # a copy, widened as the sum would
+        data[self.mask] -= self._rec
+        return data
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.mask.shape
+
+    @property
+    def n(self) -> int:
+        return self.mask.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(self._cur.dtype, self._rec.dtype)
+
+
+def residual_dataset(cur: AMRDataset, rec: list[np.ndarray]) -> AMRDataset:
+    """``cur − rec`` level by level, ``rec`` holding each level's running
+    reconstruction as its stored-cell values (:func:`stored_values`; the
+    hierarchy guard keeps the masks equal along a chain).
 
     The residual lives on the shared masks, a valid tree-based dataset;
-    whatever its cells outside them hold, no codec reads them.
+    whatever its cells outside them hold, no codec reads them.  Each
+    level's values are computed when its ``data`` is read, every time it
+    is read, so nothing holds a residual level set: read a level's
+    ``data`` once, and before ``rec`` changes.
     """
-    levels = []
-    for c, r in zip(cur.levels, rec.levels):
-        if c.shape != r.shape:
-            raise ValueError(
-                f"hierarchy mismatch at level {c.level}: {c.shape} vs {r.shape}"
-            )
-        levels.append(AMRLevel(data=c.data - r.data, mask=c.mask, level=c.level))
+    if len(rec) != cur.n_levels:
+        raise ValueError(f"hierarchy mismatch: {cur.n_levels} levels vs {len(rec)}")
     return AMRDataset(
-        levels=levels,
+        levels=[_ResidualLevel(c, r) for c, r in zip(cur.levels, rec)],
         name=cur.name,
         field=cur.field,
         ratio=cur.ratio,
@@ -79,19 +128,23 @@ def residual_dataset(cur: AMRDataset, rec: AMRDataset) -> AMRDataset:
     )
 
 
-def accumulate(rec: AMRDataset, decoded_residual: AMRDataset) -> AMRDataset:
-    """``rec + decoded_residual`` — one closed-loop reconstruction step."""
-    levels = [
-        AMRLevel(data=r.data + d.data, mask=r.mask, level=r.level)
-        for r, d in zip(rec.levels, decoded_residual.levels)
-    ]
-    return AMRDataset(
-        levels=levels,
-        name=rec.name,
-        field=rec.field,
-        ratio=rec.ratio,
-        box_size=rec.box_size,
-    )
+def stored_values(level: AMRLevel) -> np.ndarray:
+    """A reconstructed level as a chain keeps it: its stored-cell values
+    (a new array; zero is implied everywhere else)."""
+    return level.data[level.mask]
+
+
+def accumulate(rec: np.ndarray, decoded_residual: AMRLevel) -> np.ndarray:
+    """``rec + decoded_residual`` at the level's stored cells — one
+    closed-loop reconstruction step of one level, summed base first as a
+    reader sums the two levels — in place in ``rec``, which is returned.
+    A residual of a wider dtype widens the sum into a new array instead,
+    as the reader's sum does."""
+    values = stored_values(decoded_residual)
+    if np.result_type(rec.dtype, values.dtype) != rec.dtype:
+        return rec + values
+    rec += values
+    return rec
 
 
 def temporal_chain(reader, key: str) -> list[str]:

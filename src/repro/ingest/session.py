@@ -37,6 +37,8 @@ decoding: an error-bounded predictor already computes its reconstruction
 level's out (``LevelChunk.rec``) bit-identical to the decode of the parts
 written.  Encoders without ``want_recon`` have the finished entry decoded
 whole instead.  A step followed by a forced keyframe tracks nothing.
+The running reconstruction is the session's own: ``submit`` never writes
+the caller's arrays, and the chain never keeps them.
 
 Memory
 ------
@@ -46,6 +48,17 @@ so the writer-side peak is one *level's* parts, never one entry's.
 ``max_inflight > 1`` overlaps snapshot production, encode, and shard
 write across timesteps, buffering at most ``max_inflight`` encoded
 entries.
+
+Beyond the codec's own working set (one level's strategy arrays and the
+SZ batches in flight), a step holds at most one level set of its own: a
+chain keeps its running reconstruction as stored-cell values (less than
+a level set), a delta step makes its residual one level at a time and
+drops it once the strategy has gathered from it, and each level's
+encoder reconstruction is added into the chain's values as its chunk
+streams by, then dropped.  A keyframe drops the chain's old values
+before it encodes.  ``benchmarks/bench_ingest_stream.py`` gates the
+session peak at under 2x the codec's own (Run1_Z10, scale 8: about
+2.2–2.5 MB against 1.7–2.1 MB).
 
 Failure
 -------
@@ -82,7 +95,12 @@ from repro.engine.archive import (
 )
 from repro.engine.registry import supports_kwarg
 from repro.ingest.config import IngestConfig
-from repro.ingest.delta import accumulate, hierarchy_signature, residual_dataset
+from repro.ingest.delta import (
+    accumulate,
+    hierarchy_signature,
+    residual_dataset,
+    stored_values,
+)
 
 
 class IngestError(RuntimeError):
@@ -147,7 +165,8 @@ class _Chain:
     last_key: str | None = None
     keyframe_key: str | None = None
     eb_abs: float | None = None
-    rec: AMRDataset | None = None
+    #: The running reconstruction, one array of stored-cell values per level.
+    rec: list | None = None
     tail: object | None = None  # last scheduled Future of this chain
 
 
@@ -168,10 +187,13 @@ class _Entry:
 class _TemporalStream:
     """Chunk-stream adapter: stamps temporal metadata, collects the rec loop.
 
-    With ``track`` (the codec and the submitted dataset), each chunk's
-    ``rec`` — the encoder's own reconstruction of that level — is detached
-    as the chunk streams by; chunks of an encoder that hands none out have
-    their parts collected instead, for one whole-entry decode at the end.
+    With ``track`` (the codec, the submitted dataset, and the running
+    reconstruction a delta entry advances — ``None`` for a keyframe), each
+    chunk's ``rec`` — the encoder's own reconstruction of that level — is
+    detached as the chunk streams by: a keyframe keeps its stored-cell
+    values, a delta adds them into the running reconstruction's in place.
+    Chunks of an encoder that hands none out have their parts collected
+    instead, for one whole-entry decode at the end.
     """
 
     def __init__(
@@ -181,6 +203,7 @@ class _TemporalStream:
         self._temporal = temporal
         self._delta = delta
         self._track = track
+        self._base = None if track is None else track[2]
         self._structure = structure
         self._levels: list = []
         self._parts: dict[str, bytes] = {}
@@ -197,17 +220,20 @@ class _TemporalStream:
         if self._track is not None:
             if chunk.rec is None:
                 self._parts.update(chunk.parts)
+            elif self._base is None:
+                self._levels.append(stored_values(chunk.rec))
             else:
-                self._levels.append(chunk.rec)
-                chunk.rec = None
+                self._base[chunk.level] = accumulate(self._base[chunk.level], chunk.rec)
+            chunk.rec = None
         return chunk
 
-    def reconstruction(self) -> AMRDataset | None:
-        """What a reader decodes from the exhausted stream's entry
-        (``None`` when not tracking)."""
+    def reconstruction(self) -> list | None:
+        """What a reader decodes from the chain up to the exhausted stream's
+        entry, as each level's stored-cell values (``None`` when not
+        tracking)."""
         if self._track is None:
             return None
-        codec, structure = self._track
+        codec, structure, base = self._track
         if self._parts:
             comp = CompressedDataset(
                 method=self.method,
@@ -215,14 +241,12 @@ class _TemporalStream:
                 parts=self._parts,
                 meta=self.meta,
             )
-            return codec.decompress(comp, structure=structure)
-        return AMRDataset(
-            levels=self._levels,
-            name=structure.name,
-            field=structure.field,
-            ratio=structure.ratio,
-            box_size=structure.box_size,
-        )
+            decoded = codec.decompress(comp, structure=structure).levels
+            if base is None:
+                return [stored_values(level) for level in decoded]
+            for index, level in enumerate(decoded):
+                base[index] = accumulate(base[index], level)
+        return self._levels if base is None else base
 
     @property
     def exhausted(self) -> bool:
@@ -553,6 +577,7 @@ class IngestSession:
         if isinstance(dataset, (str, Path)):
             dataset = load_dataset(dataset)
         codec = registry.get_codec(codec_name, **options)
+        base = None
         if is_keyframe:
             source, use_eb, use_mode = dataset, eb, mode
             if track_rec:
@@ -560,8 +585,11 @@ class IngestSession:
         else:
             source = residual_dataset(dataset, chain.rec)
             use_eb, use_mode = chain.eb_abs, "abs"
-        if chain is not None and not track_rec:
-            chain.rec = None  # nobody will read it: stop pinning a level set
+            base = chain.rec if track_rec else None
+        if chain is not None and base is None:
+            # A keyframe starts the loop afresh, and a step nobody reads the
+            # reconstruction of ends it: stop pinning a level set here.
+            chain.rec = None
         kwargs: dict = {}
         if pls is not None:
             kwargs["per_level_scale"] = pls
@@ -579,7 +607,7 @@ class IngestSession:
             inner = StreamingCompression.from_dataset(inner)
         stream = _TemporalStream(
             inner, temporal, delta=not is_keyframe,
-            track=(codec, dataset) if track_rec else None, structure=structure,
+            track=(codec, dataset, base) if track_rec else None, structure=structure,
         )
         if self._pool is not None:
             # Pipelined mode: do the encode work *here*, in the
@@ -603,8 +631,7 @@ class IngestSession:
         """Advance the chain's running reconstruction past ``entry``."""
         rec = stream.reconstruction()
         if rec is not None:
-            chain = entry.chain
-            chain.rec = rec if entry.is_keyframe else accumulate(chain.rec, rec)
+            entry.chain.rec = rec
 
     # -- write (caller side) -----------------------------------------------
     def _write(self, entry: _Entry) -> None:

@@ -50,6 +50,7 @@ from repro.sz import lossless, stream
 from repro.sz.bitstream import packed_nbytes
 from repro.sz.huffman import (
     DEFAULT_MAX_LEN,
+    CodeTables,
     HuffmanCodec,
     HuffmanEncoded,
     code_tables,
@@ -586,9 +587,8 @@ class SZCompressor:
             raise ValueError(
                 f"need one recon destination per array: {len(arrays)} arrays, {len(dests)} given"
             )
-        # Checked in place: a non-contiguous member is copied only by the
-        # batch that encodes it, so no more than the batches in flight
-        # hold copies.
+        # Checked in place: a non-contiguous member is not copied; the batch
+        # that encodes it stacks it straight from its view.
         checked = []
         for data, dest in zip(arrays, dests):
             checked.append(self._check(data, error_bound, mode))
@@ -645,8 +645,7 @@ class SZCompressor:
         out: list = [None] * len(arrays)
         level = max(self.config.zlib_level, 1)
         lattice: list[tuple] = []  # (slot, header, array predicted, pw_rel masks or None)
-        for slot, (checked, dest) in enumerate(zip(arrays, dests)):
-            arr = np.ascontiguousarray(checked)
+        for slot, (arr, dest) in enumerate(zip(arrays, dests)):
             header = stream.StreamHeader(
                 mode=mode.value,
                 dtype=arr.dtype,
@@ -722,9 +721,10 @@ class SZCompressor:
     ):
         """Steps 2–3 plus symbol mapping for same-shape arrays.
 
-        Returns ``(symbols, outliers, counts)``: an ``(n_streams, size)``
+        Returns ``(symbols, outliers, tables)``: an ``(n_streams, size)``
         symbol array, each stream's escape-coded residuals in stream order,
-        and an ``(n_streams, alphabet)`` histogram.
+        and the streams' :class:`~repro.sz.huffman.CodeTables` — the
+        histogram they are built from is gone again.
 
         ``recon`` (one destination per array) receives the predictor's own
         reconstructions once it has consumed every input; the float64
@@ -734,8 +734,10 @@ class SZCompressor:
         n_streams = len(arrs)
         if cfg.predictor == "interp":
             with timed(timings, "predict"):
-                # A single (possibly large) stream is only viewed, not copied.
-                stacked = arrs[0][None] if n_streams == 1 else np.stack(arrs, dtype=np.float64)
+                # A single (possibly large) stream is only viewed, not copied;
+                # a batch is stacked in its members' own dtype (the predictor
+                # reads float32 as it is).
+                stacked = arrs[0][None] if n_streams == 1 else np.stack(arrs)
                 if recon is None:
                     residuals = interp_compress(stacked, ebs)
                 else:
@@ -753,6 +755,7 @@ class SZCompressor:
             with timed(timings, "predict"):
                 rows = [lorenzo_forward(lattice).reshape(1, -1) for lattice in lattices]
                 residuals = rows[0] if n_streams == 1 else np.concatenate(rows)
+                del lattices, rows
         with timed(timings, "encode"):
             radius = cfg.radius
             escape = 2 * radius
@@ -770,27 +773,46 @@ class SZCompressor:
             size = symbols.shape[1]
             bounds = np.searchsorted(positions, np.arange(n_streams + 1) * size).tolist()
             outliers = [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-            # One histogram for the batch: row ``i`` counts into its own
-            # ``escape + 1`` bins at offset ``i * (escape + 1)``.
-            alphabet = escape + 1
-            if n_streams > 1:
-                flat = (symbols + np.arange(0, n_streams * alphabet, alphabet)[:, None]).reshape(-1)
-            counts = np.bincount(flat, minlength=n_streams * alphabet)
-        return symbols, outliers, counts.reshape(n_streams, alphabet)
+            del out_of_range
+            tables = self._code_tables(symbols)
+        return symbols, outliers, tables
+
+    def _code_tables(self, symbols: np.ndarray) -> CodeTables:
+        """The code tables of the rows of ``symbols`` (the batch's own
+        array), built together; only the tree merge runs per row.
+
+        A single stream is histogrammed over the whole alphabet.  A batch
+        is histogrammed over the window of symbols it occupies, row ``i``
+        into its own bins at offset ``i * width``: the symbols are shifted
+        to those bins in place and back again, so neither an index copy nor
+        an alphabet-wide table per row is made.
+        """
+        cfg = self.config
+        alphabet = 2 * cfg.radius + 1
+        n_streams = symbols.shape[0]
+        if n_streams == 1:
+            counts = np.bincount(symbols.reshape(-1), minlength=alphabet)[None]
+            return code_tables(counts, cfg.max_code_len)
+        lo = int(symbols.min())
+        width = int(symbols.max()) + 1 - lo
+        shift = np.arange(-lo, n_streams * width - lo, width)[:, None]
+        symbols += shift
+        counts = np.bincount(symbols.reshape(-1), minlength=n_streams * width)
+        symbols -= shift
+        return code_tables(counts.reshape(n_streams, width), cfg.max_code_len, lo, alphabet)
 
     def _encode_symbols(
         self,
         symbols: np.ndarray,
         outliers: list[np.ndarray],
-        counts: np.ndarray,
+        tables: CodeTables,
         timings: TimingRecord,
     ) -> list[list[tuple[int, int, bytes]]]:
-        """Steps 4–5 for the rows of ``symbols``: entropy coding + lossless
-        back end; returns each stream's sections.  The batch's code tables
-        are built together; only the tree merge runs per row."""
+        """Steps 4–5 for the rows of ``symbols``: entropy coding under the
+        batch's ``tables`` + lossless back end; returns each stream's
+        sections."""
         cfg = self.config
         with timed(timings, "encode"):
-            tables = code_tables(counts, cfg.max_code_len)
             encoded = encode_many(tables, symbols, block_size=cfg.block_size)
         with timed(timings, "lossless"):
             return [

@@ -160,24 +160,33 @@ class CodeTables:
         return out
 
 
-def code_tables(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> CodeTables:
+def code_tables(
+    counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN, lo: int = 0, alphabet: int | None = None
+) -> CodeTables:
     """Build the length-limited canonical code of every row of ``counts``.
 
-    ``counts`` is an ``(n_rows, alphabet)`` histogram, one stream per row;
-    row ``i`` of the result is the code :meth:`HuffmanCodec.from_counts`
-    builds for ``counts[i]`` (that is the batch of one).  The batch shares
-    every step but the tree merge: one scan for the occupied column window
-    and one ``nonzero`` on it, one stable sort by (row, count), then the
-    merge per row, the Kraft repair only on rows whose tree is deeper than
-    ``max_len``, and the canonical codewords of all rows at once.
+    ``counts`` is an ``(n_rows, width)`` histogram, one stream per row, of
+    the symbols ``lo .. lo + width - 1`` of an ``alphabet``-symbol alphabet
+    (by default ``lo + width``: the histogram spans it); the symbols
+    outside that window count 0.  Row ``i`` of the result is the code
+    :meth:`HuffmanCodec.from_counts` builds for ``counts[i]`` (that is the
+    batch of one) — the same code whether the histogram is alphabet-wide
+    or a window of it.  The batch shares every step but the tree merge: one
+    scan for the occupied column window and one ``nonzero`` on it, one
+    stable sort by (row, count), then the merge per row, the Kraft repair
+    only on rows whose tree is deeper than ``max_len``, and the canonical
+    codewords of all rows at once.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 2:
         raise ValueError("counts must be two-dimensional (one histogram per row)")
-    n_rows, alphabet = counts.shape
+    n_rows, width = counts.shape
+    alphabet = lo + width if alphabet is None else int(alphabet)
+    if lo < 0 or lo + width > alphabet:
+        raise ValueError(f"window {lo}..{lo + width - 1} is not inside {alphabet} symbols")
     occupied = np.flatnonzero(counts.any(axis=0))
-    lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
-    window = counts[:, lo:hi]  # no row has a symbol outside it
+    first, end = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
+    window = counts[:, first:end]  # no row has a symbol outside it
     if window.size and window.min() < 0:  # a negative count is nonzero: in the window
         raise ValueError("symbol counts must be non-negative")
     rows, cols = np.nonzero(window != 0)  # row-major: each row's symbols ascend
@@ -208,7 +217,7 @@ def code_tables(counts: np.ndarray, max_len: int = DEFAULT_MAX_LEN) -> CodeTable
         for row in np.unique(rows[over]).tolist():
             span = slice(bounds[row], bounds[row + 1])
             lens[span] = _limit_lengths(lens[span], max_len)
-    return _tables(rows, cols + lo, lens, n_rows, alphabet)
+    return _tables(rows, cols + (lo + first), lens, n_rows, alphabet)
 
 
 def _row_tables(counts: np.ndarray, max_len: int) -> CodeTables:
@@ -449,7 +458,8 @@ class HuffmanCodec:
     # -- encode ----------------------------------------------------------
     def encode(self, symbols: np.ndarray, block_size: int | None = None) -> HuffmanEncoded:
         """Encode ``symbols`` (ints in ``[0, alphabet)``) into a bit stream."""
-        symbols = np.asarray(symbols, dtype=np.int64).reshape(1, -1)
+        # A copy: ``encode_many`` builds its index in the array it is given.
+        symbols = np.array(symbols, dtype=np.int64).reshape(1, -1)
         return encode_many(self.tables, symbols, block_size)[0]
 
     # -- decode ----------------------------------------------------------
@@ -491,6 +501,10 @@ def encode_many(tables: CodeTables, symbols: np.ndarray, block_size: int | None 
     (``table[row, symbol - lo]``), all rows are bit-packed together and
     the block offsets come from one sum per block, so ``result[i]`` equals
     the batch of one of row ``i`` — :meth:`HuffmanCodec.encode`.
+
+    The table index is built in place in an ``int64`` ``symbols`` and
+    taken out again before the call returns, so no index-sized copy is
+    made; a caller that shares the array with other threads passes a copy.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     n_rows, width = tables.lengths.shape
@@ -510,11 +524,19 @@ def encode_many(tables: CodeTables, symbols: np.ndarray, block_size: int | None 
     if low < tables.lo or high >= tables.lo + width:
         raise ValueError("attempted to encode a symbol with no codeword")
     shift = np.arange(0, n_streams * width, width)[:, None] if n_rows > 1 else 0
-    index = symbols + (shift - tables.lo)
-    sym_lengths = tables.lengths.ravel()[index]
+    shift = shift - tables.lo
+    if not symbols.flags.writeable:
+        symbols = symbols.copy()
+    symbols += shift  # the index into the flat tables
+    try:
+        sym_lengths = tables.lengths.ravel()[symbols]
+        codes = tables.codes.ravel()[symbols]
+    finally:
+        symbols -= shift
     if sym_lengths.min() == 0:
         raise ValueError("attempted to encode a symbol with no codeword")
-    payloads, total_bits = pack_codes(tables.codes.ravel()[index], sym_lengths)
+    payloads, total_bits = pack_codes(codes, sym_lengths)
+    del codes
     # Block offsets need the bits of each block, not a prefix sum over the
     # symbols: one segment sum per block, then a prefix sum over the blocks.
     block_bits = np.add.reduceat(sym_lengths, np.arange(0, n, block), axis=1, dtype=np.int64)

@@ -144,7 +144,11 @@ def interp_compress(data: np.ndarray, abs_eb, want_recon: bool = False):
     """
     batched = np.ndim(abs_eb) == 1
     ebs = [check_error_bound(float(eb)) for eb in np.atleast_1d(abs_eb)]
-    arr = np.asarray(data, dtype=np.float64)
+    # float32 is read as it is: every expression below widens it to float64
+    # exactly, so the codes are the ones a float64 copy would give.
+    arr = np.asarray(data)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=np.float64)
     if not batched:
         arr = arr[None]
     ndim = arr.ndim - 1
@@ -154,12 +158,14 @@ def interp_compress(data: np.ndarray, abs_eb, want_recon: bool = False):
         raise ValueError(f"expected {n_streams} error bounds, got {len(ebs)}")
     codes = np.empty((n_streams, math.prod(arr.shape[1:])), dtype=np.int64)
     if codes.size == 0:
-        recon = np.zeros_like(arr)
+        recon = np.zeros(arr.shape, dtype=np.float64)
         if not batched:
             codes, recon = codes[0], recon[0]
         return (codes, recon) if want_recon else codes
     pitches = [2.0 * eb for eb in ebs]
-    peaks = np.abs(arr).reshape(n_streams, -1).max(axis=1).tolist()
+    # Per-row |peak| from max and min: no |arr| temporary, no copy of a view.
+    spatial = tuple(range(1, arr.ndim))
+    peaks = np.maximum(arr.max(axis=spatial), -arr.min(axis=spatial)).tolist()
     for eb, pitch, peak in zip(ebs, pitches, peaks):
         if peak / pitch > float(2**62):
             raise ValueError(
@@ -168,7 +174,7 @@ def interp_compress(data: np.ndarray, abs_eb, want_recon: bool = False):
             )
     pitch = np.array(pitches).reshape((n_streams,) + (1,) * ndim)
     anchor_ix, passes = _traversal(arr.shape, ndim)
-    recon = np.zeros_like(arr)
+    recon = np.zeros(arr.shape, dtype=np.float64)
 
     # Anchors: lattice-quantize, delta-code flat within each stream.
     lattice = np.rint(arr[anchor_ix] / pitch).astype(np.int64)

@@ -210,6 +210,87 @@ class TestStreamingWriterMemory:
         assert peak < 3 * chunk_bytes, f"peak {peak} ~ entry total {total}"
 
 
+class TestDeltaStepMemory:
+    """A delta step holds one level set and one SZ batch, and the running
+    reconstruction is the session's own."""
+
+    @staticmethod
+    def _traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_delta_step_peaks_within_one_level_set_of_the_codec(self, tmp_path, monkeypatch):
+        """On one encode thread (deterministic), a delta step's session peak
+        exceeds the codec's own peak on the same snapshot by at most one
+        level set, plus slack for the session's bookkeeping."""
+        monkeypatch.setattr(sz_compressor, "ENCODE_THREADS", 1)
+        series = timestep_series(2, n=64)
+        codec = TACCompressor()
+
+        def drain():
+            for _chunk in codec.compress_iter(series[1], EB):
+                pass
+
+        drain()  # caches and lazy imports filled
+        codec_peak = self._traced_peak(drain)
+        cfg = IngestConfig(error_bound=EB, keyframe_interval=3)
+        with IngestSession(tmp_path / "mem.rpbt", cfg) as session:
+            session.submit(series[0])
+            session_peak = self._traced_peak(lambda: session.submit(series[1]))
+        level_set = sum(lvl.data.nbytes for lvl in series[1].levels)
+        assert session.report.n_deltas == 1
+        assert session_peak - codec_peak <= level_set + (64 << 10)
+
+    @pytest.mark.parametrize("codec", ["tac", "1d"])
+    @pytest.mark.parametrize("overrides", [{}, {"max_inflight": 3, "workers": 2}])
+    def test_submit_never_writes_or_keeps_the_callers_arrays(self, tmp_path, codec, overrides):
+        """Read-only snapshots go through (nothing writes them), and the
+        running reconstruction shares no memory with any of them — the
+        in-place sum writes session-owned arrays only."""
+        series = timestep_series(4)
+        for snapshot in series:
+            for lvl in snapshot.levels:
+                lvl.data.flags.writeable = False
+                lvl.mask.flags.writeable = False
+        cfg = IngestConfig(error_bound=EB, keyframe_interval=5, codec=codec, **overrides)
+        with IngestSession(tmp_path / f"{codec}.rpbt", cfg) as session:
+            session.extend(series)
+            session._drain(max_pending=0)
+            (chain,) = session._chains.values()
+            assert len(chain.rec) == series[0].n_levels
+            for values in chain.rec:
+                assert values.flags.writeable and values.flags.owndata
+                for snapshot in series:
+                    for lvl in snapshot.levels:
+                        assert not np.shares_memory(values, lvl.data)
+        assert session.report.n_deltas == 3
+        for k, snapshot in enumerate(series):
+            want = timestep_series(4)[k]
+            for lvl, ref in zip(snapshot.levels, want.levels):
+                assert np.array_equal(lvl.data, ref.data) and np.array_equal(lvl.mask, ref.mask)
+
+    @pytest.mark.parametrize("codec", ["tac", "1d"])
+    def test_sync_and_pipelined_sessions_write_the_same_bytes(self, tmp_path, codec):
+        """Encoder reconstruction (tac) or whole-entry decode (1d): the chain
+        folds the same values either way, so the bytes do not depend on the
+        mode."""
+        series = timestep_series(5)
+        entries = {}
+        for label, overrides in (("sync", {}), ("async", {"max_inflight": 3, "workers": 2})):
+            head = tmp_path / f"{codec}-{label}.rpbt"
+            cfg = IngestConfig(error_bound=EB, keyframe_interval=3, codec=codec, **overrides)
+            with IngestSession(head, cfg) as session:
+                session.extend(series)
+            entries[label] = archive_entries(head)
+        modes = [row["temporal"]["mode"] for row in session.report.entries]
+        assert modes == ["keyframe", "delta", "delta", "keyframe", "delta"]
+        assert entries["sync"] == entries["async"]
+
+
 # ----------------------------------------------------------------------
 # temporal delta coding
 # ----------------------------------------------------------------------

@@ -22,3 +22,24 @@ def test_rows_of_another_scale_go_to_their_own_file(tmp_path, monkeypatch):
     perf_harness.merge_write({"d": row}, target, scale=4)
     merged = json.loads(target.read_text())
     assert set(merged) == {"a", "d", "_meta"} and merged["_meta"]["repeats"] == 5
+
+
+def test_memory_rows_are_not_timed_against_the_baseline():
+    """A ``*_peak_mb`` row has no seconds: the slowdown gate skips it, even
+    where the baseline holds a timed row of that name."""
+    baseline = {"a_peak_mb": {"seconds": 1.0}, "b": {"seconds": 1.0}}
+    results = {
+        "a_peak_mb": {"peak_mb": {"threads_1": 9.0, "threads_2": 8.0}, "n_values": 1},
+        "b": {"seconds": 5.0, "mb_per_s": None, "n_values": 1},
+    }
+    failures = perf_harness.compare_to_baseline(results, baseline, 2.0)
+    assert [line.split(":")[0] for line in failures] == ["b"]
+
+
+def test_peak_mb_restores_the_encode_threads():
+    from repro.sz import compressor
+
+    before = compressor.ENCODE_THREADS
+    seen = []
+    assert perf_harness.peak_mb(lambda: seen.append(compressor.ENCODE_THREADS), 2) >= 0
+    assert seen == [2] and compressor.ENCODE_THREADS == before

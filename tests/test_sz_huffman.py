@@ -664,6 +664,31 @@ class TestCodeTables:
         with pytest.raises(ValueError, match="two-dimensional"):
             code_tables(np.ones(4, dtype=np.int64))
 
+    @given(
+        specs=st.lists(_BATCH_ROWS, min_size=1, max_size=6),
+        margins=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_window_with_offset_equals_the_alphabet_wide_call(self, specs, margins):
+        """A histogram over any window that holds every occupied symbol, with
+        its offset, builds the alphabet-wide call's tables."""
+        counts = np.stack([_batch_row(spec) for spec in specs])
+        occupied = np.flatnonzero(counts.any(axis=0))
+        first, last = (int(occupied[0]), int(occupied[-1])) if occupied.size else (0, -1)
+        lo = max(first - margins[0], 0)
+        hi = min(last + 1 + margins[1], counts.shape[1])
+        wide = code_tables(counts, 16)
+        window = code_tables(counts[:, lo:hi], 16, lo, counts.shape[1])
+        assert (window.lo, window.alphabet) == (wide.lo, wide.alphabet)
+        assert np.array_equal(window.lengths, wide.lengths)
+        assert np.array_equal(window.codes, wide.codes)
+
+    def test_window_must_lie_inside_the_alphabet(self):
+        with pytest.raises(ValueError, match="not inside"):
+            code_tables(np.ones((1, 4), dtype=np.int64), 16, 6, 8)
+        with pytest.raises(ValueError, match="not inside"):
+            code_tables(np.ones((1, 4), dtype=np.int64), 16, -1)
+
 
 class TestEncodeMany:
     """Rows of one pass ≡ one ``encode`` per row."""
@@ -681,6 +706,23 @@ class TestEncodeMany:
             )
             assert np.array_equal(got.block_offsets, want.block_offsets)
             assert np.array_equal(codec.decode(got), row)
+
+    def test_the_index_is_taken_out_of_the_symbols_again(self, rng):
+        """The index is built in place in an int64 symbol array and the
+        symbols are restored before the call returns; ``encode`` hands it a
+        copy, and a read-only array is copied."""
+        rows = rng.integers(3, 9, size=(3, 200))
+        counts = np.stack([np.bincount(row, minlength=9) for row in rows])
+        tables = code_tables(counts)
+        kept = rows.copy()
+        want = encode_many(tables, kept)
+        assert np.array_equal(rows, kept)
+        rows.flags.writeable = False
+        assert [e.payload for e in encode_many(tables, rows)] == [e.payload for e in want]
+        codec = HuffmanCodec.from_counts(counts[0])
+        with patch.object(huffman, "encode_many", side_effect=huffman.encode_many) as spy:
+            codec.encode(kept[0])
+        assert not np.shares_memory(spy.call_args.args[1], kept)
 
     def test_one_codec_serving_every_row(self, rng):
         rows = rng.integers(0, 9, size=(5, 300))

@@ -116,6 +116,32 @@ class TestBatchedCompress:
         for row, got in zip(data, batch):
             assert np.array_equal(got, interp_compress(row, 1e-2))
 
+    @given(
+        shape=st.sampled_from([(1,), (19,), (6, 7), (9, 8, 5), (2, 3, 4, 5)]),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1e-3, 1.0, 1e4]),
+        eb=st.sampled_from([1e-4, 3e-2, 0.7]),
+        strided=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_float32_equals_its_float64_cast(self, shape, seed, scale, eb, strided):
+        """float32 is read as it is, bit for bit what its float64 cast gives:
+        codes and reconstruction, batched or single, a view or not."""
+        rng = np.random.default_rng(seed)
+        full = rng.standard_normal((3,) + tuple(2 * d for d in shape)) * scale
+        data = full.astype(np.float32)
+        if strided:
+            data = data[(slice(None),) + (slice(None, None, 2),) * len(shape)]
+        else:
+            data = data[(slice(None),) + tuple(slice(0, d) for d in shape)]
+        wide = data.astype(np.float64)
+        codes, recon = interp_compress(data, [eb] * 3, want_recon=True)
+        want_codes, want_recon = interp_compress(wide, [eb] * 3, want_recon=True)
+        assert recon.dtype == np.float64
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(recon.view(np.int64), want_recon.view(np.int64))
+        assert np.array_equal(interp_compress(data[1], eb), want_codes[1])
+
     def test_one_row_batch_keeps_its_axis(self, rng):
         data = rng.standard_normal((6, 6))
         batch = interp_compress(data[None], [1e-2])
@@ -159,6 +185,32 @@ class TestBatchedDecompress:
         assert batch.shape == (len(ebs),) + shape
         for row, eb, got in zip(codes, ebs, batch):
             assert np.array_equal(got, interp_decompress(row, eb, shape))
+
+    @given(
+        shape=st.sampled_from([(1,), (19,), (6, 7), (9, 8, 5), (2, 3, 4, 5)]),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1e-3, 1.0, 1e4]),
+        eb=st.sampled_from([1e-4, 3e-2, 0.7]),
+        strided=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_float32_equals_its_float64_cast(self, shape, seed, scale, eb, strided):
+        """float32 is read as it is, bit for bit what its float64 cast gives:
+        codes and reconstruction, batched or single, a view or not."""
+        rng = np.random.default_rng(seed)
+        full = rng.standard_normal((3,) + tuple(2 * d for d in shape)) * scale
+        data = full.astype(np.float32)
+        if strided:
+            data = data[(slice(None),) + (slice(None, None, 2),) * len(shape)]
+        else:
+            data = data[(slice(None),) + tuple(slice(0, d) for d in shape)]
+        wide = data.astype(np.float64)
+        codes, recon = interp_compress(data, [eb] * 3, want_recon=True)
+        want_codes, want_recon = interp_compress(wide, [eb] * 3, want_recon=True)
+        assert recon.dtype == np.float64
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(recon.view(np.int64), want_recon.view(np.int64))
+        assert np.array_equal(interp_compress(data[1], eb), want_codes[1])
 
     def test_one_row_batch_keeps_its_axis(self, rng):
         codes = interp_compress(rng.standard_normal((6, 6)), 1e-2)
