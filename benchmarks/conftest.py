@@ -1,9 +1,9 @@
-"""Shared fixtures for the per-figure/table benchmark harness.
+"""Shared fixtures for the benchmark harness.
 
-Each ``bench_*`` module reproduces one table or figure of the paper: it runs
-the corresponding :mod:`repro.experiments` module once under
-pytest-benchmark (wall time recorded), prints the result table next to the
-paper's claim, and writes it to ``benchmarks/results/<experiment>.txt``.
+``bench_experiments.py`` reproduces the paper's tables and figures, one
+bench per :mod:`repro.experiments` entry; the other ``bench_*`` modules
+measure the engine, codec and read service.  Results land under
+``benchmarks/results/``.
 
 Run with::
 
@@ -31,26 +31,3 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture
-def report(results_dir):
-    """Print an ExperimentResult and persist it under benchmarks/results/."""
-
-    def _report(result, extra_note: str = ""):
-        text = result.report()
-        if extra_note:
-            text += f"\n{extra_note}"
-        print("\n" + text)
-        (results_dir / f"{result.experiment}.txt").write_text(text + "\n")
-        return result
-
-    return _report
-
-
-def run_experiment(benchmark, runner, report, **kwargs):
-    """Standard shape of a figure/table bench: one timed experiment run."""
-    kwargs.setdefault("scale", SCALE)
-    result = benchmark.pedantic(runner, kwargs=kwargs, rounds=1, iterations=1)
-    report(result)
-    return result

@@ -15,9 +15,9 @@ Three ways in:
 
 * **CLI** — ``PYTHONPATH=src python benchmarks/perf_harness.py
   [--scale 4] [--ops huffman_decode,tac_compress] [--baseline FILE]``;
-* **pytest emitters** — ``bench_sz_codec.py`` / ``bench_table2_throughput.py``
-  call :func:`merge_write` so the pytest-benchmark runs land in the same
-  JSON trajectory;
+* **pytest emitters** — ``bench_sz_codec.py`` and the ``table2`` entry of
+  ``bench_experiments.py`` call :func:`merge_write` so the pytest-benchmark
+  runs land in the same JSON trajectory;
 * **library** — :func:`time_op` + :func:`merge_write` for new benchmarks.
 
 Op workloads are pinned (fixed seeds, scale-derived sizes) so numbers are

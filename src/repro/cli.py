@@ -13,7 +13,8 @@ Commands
 ``serve``       drive concurrent ROI reads through the read service
 ``scrub``       re-read and CRC-check every stored part, bounded memory
 ``codecs``      list the codec registry
-``experiments`` run paper experiments and print their report tables
+``experiments`` run paper experiments, print their reports, judge their claims
+                (exit 1 when a claim is violated)
 
 Codec selection is routed through :mod:`repro.engine.registry` — the CLI
 holds no name→compressor tables of its own, so codecs registered by
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arguments forwarded to tools.reprolint (try 'repro lint -- --help')",
     )
 
-    p_exp = sub.add_parser("experiments", help="run paper experiments")
+    p_exp = sub.add_parser("experiments", help="run paper experiments and check their claims")
     p_exp.add_argument(
         "names", nargs="*", help="experiment ids (default: all paper experiments)"
     )
@@ -1035,11 +1036,13 @@ def cmd_experiments(args) -> int:
     if unknown:
         print(f"error: unknown experiments {unknown}; see --list", file=sys.stderr)
         return 2
+    failed = False
     for name in names:
         result = registry[name](scale=args.scale)
         print(result.report())
         print()
-    return 0
+        failed |= bool(result.verdict[0])
+    return 1 if failed else 0
 
 
 def cmd_lint(args) -> int:

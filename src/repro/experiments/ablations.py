@@ -17,13 +17,22 @@ from repro.core.blocks import block_occupancy
 from repro.core.density import Strategy
 from repro.core.tac import TACCompressor, TACConfig
 from repro.experiments.common import (
+    Claims,
     ExperimentResult,
+    Verdict,
     dataset,
     experiment_scale,
+    rows_by,
     single_level_dataset,
 )
 from repro.experiments.strategies import measure_level_strategy
 from repro.sz.compressor import SZConfig
+
+#: How far interpolation's rate may exceed Lorenzo's; how far the hybrid's
+#: may exceed the best forced strategy's (at reduced scale the GSP/OpST
+#: crossover sits slightly above T2 = 60 %); how many more leaves adaptive
+#: splitting may make than fixed splitting.
+PREDICTOR_TOLERANCE, HYBRID_TOLERANCE, SPLIT_TOLERANCE = 1.1, 1.3, 1.2
 
 
 def run_block_size(scale: int | None = None, error_bound: float = 5e-4) -> ExperimentResult:
@@ -49,6 +58,13 @@ def run_block_size(scale: int | None = None, error_bound: float = 5e-4) -> Exper
             }
         )
     return result
+
+
+def check_block_size(result: ExperimentResult) -> Verdict:
+    """Enforced — the sweep has at least two block sizes."""
+    claims = Claims([], {})
+    claims.require(len(result.rows) >= 2, f"{len(result.rows)} block sizes")
+    return claims
 
 
 def run_predictor(scale: int | None = None, error_bound: float = 5e-4) -> ExperimentResult:
@@ -78,6 +94,18 @@ def run_predictor(scale: int | None = None, error_bound: float = 5e-4) -> Experi
     return result
 
 
+def check_predictor(result: ExperimentResult) -> Verdict:
+    """Enforced — interp, then Lorenzo; interp's rate within :data:`PREDICTOR_TOLERANCE`."""
+    interp, lorenzo = result.rows
+    claims = Claims([], {})
+    claims.require(
+        (interp["predictor"], lorenzo["predictor"]) == ("interp", "lorenzo")
+        and interp["bit_rate"] <= lorenzo["bit_rate"] * PREDICTOR_TOLERANCE,
+        f"{interp['predictor']} {interp['bit_rate']:.4g} vs {lorenzo['bit_rate']:.4g} b/v",
+    )
+    return claims
+
+
 def run_thresholds(scale: int | None = None, error_bound: float = 5e-4) -> ExperimentResult:
     """Force each strategy on every level vs the density-driven hybrid."""
     scale = experiment_scale(scale)
@@ -104,6 +132,18 @@ def run_thresholds(scale: int | None = None, error_bound: float = 5e-4) -> Exper
                 }
             )
     return result
+
+
+def check_thresholds(result: ExperimentResult) -> Verdict:
+    """Enforced — per dataset, the hybrid's rate is within
+    :data:`HYBRID_TOLERANCE` of the best forced strategy's."""
+    claims = Claims([], {})
+    for ds, rows in rows_by(result, "dataset").items():
+        rate = {r["strategy"]: r["bit_rate"] for r in rows}
+        best = min(v for k, v in rate.items() if k != "hybrid")
+        hybrid = rate.get("hybrid", float("nan"))
+        claims.require(hybrid <= best * HYBRID_TOLERANCE, f"{ds}: {hybrid:.4g} vs best {best:.4g}")
+    return claims
 
 
 def run_split_rule(scale: int | None = None) -> ExperimentResult:
@@ -137,6 +177,16 @@ def run_split_rule(scale: int | None = None) -> ExperimentResult:
     return result
 
 
+def check_split_rule(result: ExperimentResult) -> Verdict:
+    """Enforced — 0 < adaptive leaves <= fixed leaves x :data:`SPLIT_TOLERANCE`."""
+    claims = Claims([], {})
+    for row in result.rows:
+        adaptive, fixed = row["adaptive_leaves"], row["fixed_leaves"]
+        holds = 0 < adaptive <= fixed * SPLIT_TOLERANCE
+        claims.require(holds, f"{row['level']}: {adaptive} adaptive vs {fixed} fixed leaves")
+    return claims
+
+
 def run_gsp_layers(scale: int | None = None, error_bound: float = 2e-3) -> ExperimentResult:
     """GSP padding depth (Alg. 3's x/y parameters) on a dense level."""
     scale = experiment_scale(scale)
@@ -163,3 +213,21 @@ def run_gsp_layers(scale: int | None = None, error_bound: float = 2e-3) -> Exper
             }
         )
     return result
+
+
+def check_gsp_layers(result: ExperimentResult) -> Verdict:
+    """Enforced — zero fill, then at least three padding depths.  Recorded
+    deviation ``padding_not_below_zero_fill`` — the claim fails on rate here.
+    """
+    zero_fill, *padded = result.rows
+    claims = Claims([], {})
+    claims.require(zero_fill["config"] == "zero_fill" and len(padded) >= 3, "zero fill, 3+ depths")
+    base = zero_fill["bit_rate"]
+    worst = max(padded, key=lambda r: r["bit_rate"])
+    claims.deviation(
+        "padding_not_below_zero_fill",
+        worst["bit_rate"] > base,
+        f"{sum(r['bit_rate'] > base for r in padded)}/{len(padded)} depths above zero fill's "
+        f"{base:.4g} b/v, up to {worst['config']} {worst['bit_rate']:.4g}",
+    )
+    return claims

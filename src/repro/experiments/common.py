@@ -1,8 +1,10 @@
 """Shared infrastructure for the per-figure/table experiment modules.
 
 Every experiment module exposes ``run(scale=...) -> ExperimentResult`` with
-plain-dict rows, so the same code feeds the pytest-benchmark harness (which
-writes ``benchmarks/results/<experiment>.txt``), ``repro experiments`` and
+plain-dict rows and ``check(result) -> (violations, deviations)``, the one
+statement of its claims (:class:`Claims`).  An :class:`Experiment` pairs
+the two, so the same code feeds the pytest-benchmark harness (which writes
+``benchmarks/results/<experiment>.txt``), ``repro experiments``, tier-1 and
 interactive use.  Dataset synthesis is cached
 per (name, scale, field) because several experiments share inputs.
 
@@ -16,15 +18,24 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
+from repro.baselines.uniform3d import Uniform3DCompressor
+from repro.core.adaptive_eb import suggest_scales
+from repro.core.tac import TACCompressor, TACConfig
 from repro.engine.registry import get_codec, get_spec
 from repro.sim.datasets import make_dataset
 
 #: Default grid divisor for experiments (paper grids / 4).
 DEFAULT_SCALE = int(os.environ.get("REPRO_SCALE", "4"))
+
+
+#: A check's verdict: the claims violated, and each named deviation mapped
+#: to its measured numbers.
+Verdict = tuple[list[str], dict[str, str]]
 
 
 def experiment_scale(scale: int | None = None) -> int:
@@ -33,9 +44,9 @@ def experiment_scale(scale: int | None = None) -> int:
 
 
 @lru_cache(maxsize=32)
-def dataset(name: str, scale: int, field_name: str = "baryon_density") -> AMRDataset:
+def dataset(name: str, scale: int) -> AMRDataset:
     """Cached synthetic dataset (experiments share inputs heavily)."""
-    return make_dataset(name, scale=scale, field=field_name)
+    return make_dataset(name, scale=scale)
 
 
 def single_level_dataset(level: AMRLevel, name: str, template: AMRDataset) -> AMRDataset:
@@ -55,14 +66,13 @@ def single_level_dataset(level: AMRLevel, name: str, template: AMRDataset) -> AM
     )
 
 
-def make_methods(adaptive_baseline: bool = False) -> dict[str, object]:
+def make_methods() -> dict[str, object]:
     """The paper's four comparison methods, fresh from the codec registry.
 
     Keys are the archive method names (``tac``, ``baseline_1d``, ``zmesh``,
     ``baseline_3d``) so result tables keep their historical column labels.
     """
-    names = ("tac-hybrid" if adaptive_baseline else "tac", "1d", "zmesh", "3d")
-    return {get_spec(name).method_name: get_codec(name) for name in names}
+    return {get_spec(name).method_name: get_codec(name) for name in ("tac", "1d", "zmesh", "3d")}
 
 
 @dataclass
@@ -74,6 +84,8 @@ class ExperimentResult:
     rows: list[dict] = field(default_factory=list)
     notes: str = ""
     paper_claim: str = ""
+    #: Set by :class:`Experiment` once its check has judged the rows.
+    verdict: Verdict | None = None
 
     def table(self, float_fmt: str = "{:.4g}") -> str:
         """Render rows as a fixed-width text table."""
@@ -94,14 +106,68 @@ class ExperimentResult:
         return "\n".join(lines)
 
     def report(self) -> str:
-        """Full printable report (header, claim, table, notes)."""
+        """Full printable report (header, claim, table, notes, verdict)."""
         parts = [f"== {self.experiment}: {self.title} =="]
         if self.paper_claim:
             parts.append(f"paper: {self.paper_claim}")
         parts.append(self.table())
         if self.notes:
             parts.append(f"notes: {self.notes}")
+        if self.verdict is not None:
+            violations, deviations = self.verdict
+            parts.append(
+                f"check: {'FAIL' if violations else 'ok'}"
+                + "".join(f"; violation: {v}" for v in violations)
+                + "".join(f"; deviation {name}: {what}" for name, what in deviations.items())
+            )
         return "\n".join(parts)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A registry entry: the run that measures a claim and the check that judges it."""
+
+    run: Callable[..., ExperimentResult]
+    check: Callable[[ExperimentResult], Verdict]
+
+    def __call__(self, **kwargs) -> ExperimentResult:
+        """Run, then record the check's verdict on the result (its report's last line)."""
+        result = self.run(**kwargs)
+        result.verdict = self.check(result)
+        return result
+
+
+class Claims(NamedTuple):
+    """A check's verdict, built one claim at a time: ``Claims([], {})``.
+
+    ``require`` enforces a claim.  ``deviation`` records a paper claim this
+    reproduction does not meet, mapped to its measured numbers; once the
+    claim holds it is a violation, so the record cannot outlive its reason.
+    """
+
+    violations: list[str]
+    deviations: dict[str, str]
+
+    def require(self, holds: bool, message: str) -> None:
+        if not holds:  # NaN comparisons are False, so they fail too
+            self.violations.append(message)
+
+    def deviation(self, name: str, deviates: bool, measured: str) -> None:
+        if deviates:
+            self.deviations[name] = measured
+        else:
+            self.violations.append(
+                f"deviation {name} no longer deviates ({measured}): "
+                "enforce the paper's claim and drop the deviation"
+            )
+
+
+def rows_by(result: ExperimentResult, key: str) -> dict[str, list[dict]]:
+    """``result.rows`` grouped by ``row[key]``, in first-seen order."""
+    groups: dict[str, list[dict]] = {}
+    for row in result.rows:
+        groups.setdefault(row[key], []).append(row)
+    return groups
 
 
 def match_ratio_error_bound(
@@ -136,6 +202,35 @@ def match_ratio_error_bound(
         else:
             hi_eb = mid
     return float(np.sqrt(lo_eb * hi_eb))
+
+
+#: Matched-CR studies (Fig. 19, Table 3): the rows' compression ratios
+#: spread by at most this factor.
+MATCHED_CR = 1.05
+
+
+def matched_cr_study(ds: AMRDataset, reference_eb: float, tuned: str, analysis: str):
+    """Yield ``(method, ratio, uniform reconstruction)`` for the 3D baseline
+    at ``reference_eb``, then for TAC with a uniform bound (``tac_1to1``) and
+    with §4.5's per-level bounds for ``analysis`` (``tuned``), each bisected
+    to the baseline's compression ratio."""
+    baseline = Uniform3DCompressor()
+    comp = baseline.compress(ds, reference_eb, mode="rel")
+    target = comp.ratio(include_masks=False)
+    yield "baseline_3d", target, baseline.decompress_uniform(comp)
+    tac = TACCompressor(TACConfig())
+    for label, scales in (("tac_1to1", None), (tuned, suggest_scales(ds.n_levels, analysis))):
+        eb = match_ratio_error_bound(tac, ds, target, per_level_scale=scales)
+        blob = tac.compress(ds, eb, mode="rel", per_level_scale=scales)
+        yield label, blob.ratio(include_masks=False), tac.decompress(blob).to_uniform()
+
+
+def require_matched_cr(claims: Claims, result: ExperimentResult, tuned: str) -> None:
+    """Enforce a matched-CR study's rows: 3D, TAC(1:1), ``tuned``, at :data:`MATCHED_CR`."""
+    methods = tuple(r["method"] for r in result.rows)
+    claims.require(methods == ("baseline_3d", "tac_1to1", tuned), f"rows {methods}")
+    spread = max(r["ratio"] for r in result.rows) / min(r["ratio"] for r in result.rows)
+    claims.require(spread <= MATCHED_CR, f"CR spread x{spread:.3f}, need <= x{MATCHED_CR}")
 
 
 def _fmt(value, float_fmt: str) -> str:

@@ -11,11 +11,12 @@ from __future__ import annotations
 from repro.core.density import Strategy
 from repro.experiments.common import (
     ExperimentResult,
+    Verdict,
     dataset,
     experiment_scale,
     single_level_dataset,
 )
-from repro.experiments.strategies import measure_level_strategy
+from repro.experiments.strategies import check_strategy_pair, run_strategy_pair
 
 #: The error bound quoted in the figure caption.
 PAPER_ERROR_BOUND = 4.8e-4
@@ -30,20 +31,10 @@ def run(scale: int | None = None, error_bound: float = PAPER_ERROR_BOUND) -> Exp
         title="NaST vs OpST on z10 fine level (baryon density)",
         paper_claim="OpST beats NaST on BOTH ratio (241.1 vs 233.8) and PSNR (77.8 vs 76.9 dB)",
     )
-    for strategy in (Strategy.NAST, Strategy.OPST):
-        row = measure_level_strategy(fine, strategy, error_bound, mode="rel")
-        result.rows.append(
-            {
-                "strategy": row["strategy"],
-                "density": row["density"],
-                "ratio": row["ratio"],
-                "psnr_db": row["psnr"],
-                "bit_rate": row["bit_rate"],
-            }
-        )
-    nast, opst = result.rows
-    result.notes = (
-        f"OpST wins ratio: {opst['ratio'] > nast['ratio']}, "
-        f"OpST wins PSNR: {opst['psnr_db'] > nast['psnr_db']}"
-    )
-    return result
+    return run_strategy_pair(result, fine, (Strategy.NAST, Strategy.OPST), error_bound)
+
+
+def check(result: ExperimentResult) -> Verdict:
+    """OpST beats NaST on ratio and does not lose on PSNR; the PSNR tie is
+    deviation ``opst_psnr_tied_with_nast`` (:func:`.strategies.check_strategy_pair`)."""
+    return check_strategy_pair(result, 1.0, "opst_psnr_tied_with_nast")

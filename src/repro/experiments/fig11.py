@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from repro.core.density import Strategy
 from repro.experiments.common import (
+    Claims,
     ExperimentResult,
+    Verdict,
     dataset,
     experiment_scale,
     single_level_dataset,
@@ -32,6 +34,9 @@ PANELS = (
 )
 
 DEFAULT_ERROR_BOUNDS = (2e-3, 5e-4, 1e-4)
+
+#: "Near-identical": OpST's bit-rate is within this share of AKDTree's.
+OPST_AKDTREE_REL = 0.35
 
 
 def run(scale: int | None = None, error_bounds=DEFAULT_ERROR_BOUNDS) -> ExperimentResult:
@@ -55,3 +60,13 @@ def run(scale: int | None = None, error_bounds=DEFAULT_ERROR_BOUNDS) -> Experime
                 row[f"{strategy.value}_psnr"] = metrics["psnr"]
             result.rows.append(row)
     return result
+
+
+def check(result: ExperimentResult) -> Verdict:
+    """Enforced — OpST ~= AKDTree on every row (:data:`OPST_AKDTREE_REL`)."""
+    claims = Claims([], {})
+    for row in result.rows:
+        opst, akd = row["opst_bitrate"], row["akdtree_bitrate"]
+        where = f"{row['panel']} eb {row['eb']:g}: OpST {opst:.4g} vs AKDTree {akd:.4g}"
+        claims.require(abs(opst - akd) <= OPST_AKDTREE_REL * akd, where)
+    return claims

@@ -11,14 +11,18 @@ from __future__ import annotations
 from repro.core.density import Strategy
 from repro.experiments.common import (
     ExperimentResult,
+    Verdict,
     dataset,
     experiment_scale,
     single_level_dataset,
 )
-from repro.experiments.strategies import measure_level_strategy
+from repro.experiments.strategies import check_strategy_pair, run_strategy_pair
 
 #: The error bound quoted in the figure caption.
 PAPER_ERROR_BOUND = 6.7e-3
+
+#: GSP's ratio may trail ZF's by at most this factor.
+RATIO_TOLERANCE = 0.98
 
 
 def run(scale: int | None = None, error_bound: float = PAPER_ERROR_BOUND) -> ExperimentResult:
@@ -30,20 +34,11 @@ def run(scale: int | None = None, error_bound: float = PAPER_ERROR_BOUND) -> Exp
         title="ZF vs GSP on z10 coarse level (77% density)",
         paper_claim="GSP beats ZF on BOTH ratio (161.3 vs 156.7) and PSNR (33.5 vs 32.8 dB)",
     )
-    for strategy in (Strategy.ZF, Strategy.GSP):
-        row = measure_level_strategy(coarse, strategy, error_bound, mode="rel")
-        result.rows.append(
-            {
-                "strategy": row["strategy"],
-                "density": row["density"],
-                "ratio": row["ratio"],
-                "psnr_db": row["psnr"],
-                "bit_rate": row["bit_rate"],
-            }
-        )
-    zf, gsp = result.rows
-    result.notes = (
-        f"GSP wins ratio: {gsp['ratio'] > zf['ratio']}, "
-        f"GSP wins PSNR: {gsp['psnr_db'] > zf['psnr_db']}"
-    )
-    return result
+    return run_strategy_pair(result, coarse, (Strategy.ZF, Strategy.GSP), error_bound)
+
+
+def check(result: ExperimentResult) -> Verdict:
+    """GSP beats ZF's ratio times :data:`RATIO_TOLERANCE` and does not lose on
+    PSNR; the PSNR tie is deviation ``gsp_psnr_tied_with_zf``
+    (:func:`.strategies.check_strategy_pair`)."""
+    return check_strategy_pair(result, RATIO_TOLERANCE, "gsp_psnr_tied_with_zf")

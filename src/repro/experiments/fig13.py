@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.amr.hierarchy import AMRLevel
 from repro.core.density import Strategy
-from repro.experiments.common import ExperimentResult, dataset, experiment_scale
+from repro.experiments.common import Claims, ExperimentResult, Verdict, dataset, experiment_scale
 from repro.experiments.strategies import preprocess_time
 
 DEFAULT_DENSITIES = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95)
@@ -67,52 +67,34 @@ def run(
                 "akdtree_seconds": preprocess_time(level, Strategy.AKDTREE, repeats=repeats),
             }
         )
-    opst, akd = _seconds(result)
-    _violations, deviations = check(result)
-    result.notes = (
-        f"OpST low->high density: {opst[0] * 1e3:.1f}ms -> {opst[-1] * 1e3:.1f}ms; "
-        f"AKDTree spread: {akd.min() * 1e3:.1f}-{akd.max() * 1e3:.1f}ms"
-        + "".join(f"; deviation {name}: {what}" for name, what in deviations.items())
-    )
     return result
 
 
-def _seconds(result: ExperimentResult) -> tuple[np.ndarray, np.ndarray]:
-    rows = result.rows
-    return (
-        np.array([r["opst_seconds"] for r in rows]),
-        np.array([r["akdtree_seconds"] for r in rows]),
-    )
-
-
-def check(result: ExperimentResult) -> tuple[list[str], dict[str, str]]:
-    """Fig. 13's claims held against ``result``: ``(violations, deviations)``.
-
-    Enforced — OpST's time grows with density (:data:`OPST_GROWTH`).
+def check(result: ExperimentResult) -> Verdict:
+    """Enforced — density is the only variable (one grid, rows in density
+    order) and OpST's time grows with it (:data:`OPST_GROWTH`).
     Recorded deviation ``akdtree_below_opst_peak`` — the paper has AKDTree
     flat and below OpST's peak; since the block-resolution pre-process
-    made OpST ~20x cheaper, AKDTree is the slower of the two here.  A
-    deviation maps its name to the measured numbers; one that stops
-    deviating is a violation, so the ledger cannot outlive its reason.
+    made OpST ~20x cheaper, AKDTree is the slower of the two here.
     """
-    opst, akd = _seconds(result)
-    density = np.array([r["density"] for r in result.rows])
-    violations: list[str] = []
-    deviations: dict[str, str] = {}
-    growth = float(opst[density >= 0.3].mean() / opst[0])
-    if not growth > OPST_GROWTH:  # NaN (no row at density >= 0.3) fails too
-        violations.append(
-            f"OpST time should grow with density: x{growth:.2f}, need > x{OPST_GROWTH}"
-        )
-    measured = (
-        f"AKDTree peaks at {akd.max() * 1e3:.1f}ms against OpST's {opst.max() * 1e3:.1f}ms "
-        f"and is the slower at {int((akd > opst).sum())} of {len(opst)} densities"
+    keys = ("opst_seconds", "akdtree_seconds", "density")
+    opst, akd, density = (np.array([r[key] for r in result.rows]) for key in keys)
+    claims = Claims([], {})
+    claims.require(
+        len({r["grid"] for r in result.rows}) == 1
+        and list(density) == sorted(density)
+        and min(opst.min(), akd.min()) > 0,
+        "rows should share one grid, in density order, with positive times",
     )
-    if akd.max() < opst.max():
-        violations.append(
-            f"deviation akdtree_below_opst_peak no longer deviates ({measured}): "
-            "enforce the paper's claim and drop the deviation"
-        )
-    else:
-        deviations["akdtree_below_opst_peak"] = measured
-    return violations, deviations
+    growth = float(opst[density >= 0.3].mean() / opst[0])
+    claims.require(
+        growth > OPST_GROWTH,  # NaN (no row at density >= 0.3) fails too
+        f"OpST time should grow with density: x{growth:.2f}, need > x{OPST_GROWTH}",
+    )
+    claims.deviation(
+        "akdtree_below_opst_peak",
+        akd.max() >= opst.max(),
+        f"AKDTree peaks at {akd.max() * 1e3:.1f}ms against OpST's {opst.max() * 1e3:.1f}ms "
+        f"and is the slower at {int((akd > opst).sum())} of {len(opst)} densities",
+    )
+    return claims

@@ -11,13 +11,26 @@ from __future__ import annotations
 
 from repro.analysis.rate_distortion import crossover_bitrate, rd_sweep
 from repro.experiments.common import (
+    Claims,
     ExperimentResult,
+    Verdict,
     dataset,
     experiment_scale,
     make_methods,
+    rows_by,
 )
 
 DATASETS = ("Run1_Z10", "Run1_Z5", "Run1_Z3", "Run1_Z2")
+
+#: Caps on TAC's sweep-total bit-rate over 1D's.  Where the finest level is
+#: dense the paper concedes ground to 3D-style compression (§4.4), so only a
+#: loose cap applies there.
+TAC_VS_1D_CAP, TAC_VS_1D_CAP_DENSE = 1.02, 1.25
+DENSE_FINEST = ("Run1_Z3", "Run1_Z2")
+
+#: zMesh's sweep-total bit-rate is at least this share of 1D's.
+ZMESH_VS_1D_FLOOR = 0.97
+
 DEFAULT_ERROR_BOUNDS = (5e-3, 2e-3, 1e-3, 5e-4, 2e-4, 1e-4)
 
 
@@ -52,3 +65,22 @@ def run(scale: int | None = None, error_bounds=DEFAULT_ERROR_BOUNDS, datasets=DA
         crossovers.append(f"{name}: {'none' if rate is None else f'{rate:.2f} b/v'}")
     result.notes = "TAC overtakes 3D baseline at " + "; ".join(crossovers)
     return result
+
+
+def check(result: ExperimentResult) -> Verdict:
+    """Enforced per dataset — every rate and PSNR is positive, and over the
+    sweep TAC/1D is within :data:`TAC_VS_1D_CAP` (:data:`TAC_VS_1D_CAP_DENSE`
+    on :data:`DENSE_FINEST`) and zMesh/1D above :data:`ZMESH_VS_1D_FLOOR`.
+    """
+    claims = Claims([], {})
+    for name, rows in rows_by(result, "dataset").items():
+        claims.require(
+            all(v > 0 for r in rows for k, v in r.items() if k.endswith(("_bitrate", "_psnr"))),
+            f"{name}: every bit-rate and PSNR should be positive",
+        )
+        total = {m: sum(r[f"{m}_bitrate"] for r in rows) for m in ("tac", "baseline_1d", "zmesh")}
+        tac, zmesh = total["tac"] / total["baseline_1d"], total["zmesh"] / total["baseline_1d"]
+        cap = TAC_VS_1D_CAP_DENSE if name in DENSE_FINEST else TAC_VS_1D_CAP
+        claims.require(tac <= cap, f"{name}: TAC/1D bit-rate {tac:.3f}, cap {cap}")
+        claims.require(zmesh >= ZMESH_VS_1D_FLOOR, f"{name}: zMesh/1D bit-rate {zmesh:.3f}")
+    return claims

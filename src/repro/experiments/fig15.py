@@ -7,7 +7,7 @@ whole bit-rate range (TAC top-left in all three panels).
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, experiment_scale
+from repro.experiments.common import Claims, ExperimentResult, Verdict, experiment_scale
 from repro.experiments.fig14 import DEFAULT_ERROR_BOUNDS
 from repro.experiments.fig14 import run as _run_rd
 
@@ -23,3 +23,27 @@ def run(scale: int | None = None, error_bounds=DEFAULT_ERROR_BOUNDS) -> Experime
         paper_claim="TAC dominates all baselines on every Run 2 dataset",
         rows=inner.rows,
     )
+
+
+def check(result: ExperimentResult) -> Verdict:
+    """Enforced — TAC's bit-rate is below 3D's on every row.  Recorded
+    deviation ``tac_not_below_1d_and_zmesh`` — the rest of "all baselines".
+    """
+    claims = Claims([], {})
+    for row in result.rows:
+        tac, base = row["tac_bitrate"], row["baseline_3d_bitrate"]
+        where = f"{row['dataset']} eb {row['eb']:g}"
+        claims.require(tac < base, f"{where}: TAC {tac:.4g} vs 3D {base:.4g}")
+    ratios = {
+        m: [r["tac_bitrate"] / r[f"{m}_bitrate"] for r in result.rows]
+        for m in ("baseline_1d", "zmesh")
+    }
+    claims.deviation(
+        "tac_not_below_1d_and_zmesh",
+        max(max(v) for v in ratios.values()) >= 1.0,
+        "; ".join(
+            f"TAC/{m} bit-rate up to {max(v):.3f}, >= 1 on {sum(x >= 1 for x in v)}/{len(v)} rows"
+            for m, v in ratios.items()
+        ),
+    )
+    return claims

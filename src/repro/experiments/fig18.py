@@ -9,7 +9,9 @@ motivating the tempering step of the adaptive error-bound tuning (§4.5).
 from __future__ import annotations
 
 from repro.experiments.common import (
+    Claims,
     ExperimentResult,
+    Verdict,
     dataset,
     experiment_scale,
     single_level_dataset,
@@ -42,10 +44,18 @@ def run(scale: int | None = None, error_bounds=DEFAULT_ERROR_BOUNDS) -> Experime
                 "coarse_bitrate": coarse_m["bit_rate"],
             }
         )
-    first, last = result.rows[0], result.rows[-1]
-    result.notes = (
-        "slope flattens: fine "
-        f"{first['fine_bitrate']:.2f}->{last['fine_bitrate']:.2f} b/v over "
-        f"{first['eb_rel']:g}->{last['eb_rel']:g}"
-    )
     return result
+
+
+def check(result: ExperimentResult) -> Verdict:
+    """Enforced for both levels — bit-rate rises as the bound tightens, and
+    flattens at loose bounds: the loosest step buys less rate than the tightest.
+    """
+    rows = sorted(result.rows, key=lambda r: -r["eb_rel"])  # loose -> tight
+    claims = Claims([], {})
+    for level in ("fine", "coarse"):
+        rate = [r[f"{level}_bitrate"] for r in rows]
+        claims.require(rate == sorted(rate), f"{level} bit-rate should rise as eb tightens: {rate}")
+        loose, tight = rate[1] - rate[0], rate[-1] - rate[-2]
+        claims.require(loose < tight, f"{level} loose step {loose:.3f} vs tight {tight:.3f} b/v")
+    return claims

@@ -7,7 +7,7 @@ the paper's divided by ``scale``.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, dataset, experiment_scale
+from repro.experiments.common import Claims, ExperimentResult, Verdict, dataset, experiment_scale
 from repro.sim.datasets import TABLE1
 
 
@@ -37,3 +37,14 @@ def run(scale: int | None = None) -> ExperimentResult:
             }
         )
     return result
+
+
+def check(result: ExperimentResult) -> Verdict:
+    """Enforced — all seven datasets, each with the paper's level count."""
+    claims = Claims([], {})
+    claims.require(len(result.rows) == len(TABLE1), f"{len(result.rows)} rows, Table 1 has 7")
+    for row in result.rows:
+        paper = row["paper_grids"].count("/") + 1
+        levels = row["levels"]
+        claims.require(levels == paper, f"{row['dataset']}: {levels} levels, not {paper}")
+    return claims

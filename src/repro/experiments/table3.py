@@ -16,17 +16,20 @@ from repro.analysis.halo_finder import (
     compare_biggest_halo,
     find_halos,
 )
-from repro.baselines.uniform3d import Uniform3DCompressor
-from repro.core.adaptive_eb import suggest_scales
-from repro.core.tac import TACCompressor, TACConfig
 from repro.experiments.common import (
+    Claims,
     ExperimentResult,
+    Verdict,
     dataset,
     experiment_scale,
-    match_ratio_error_bound,
+    matched_cr_study,
+    require_matched_cr,
 )
 
 DEFAULT_REFERENCE_EB = 2e-3
+
+#: The biggest-halo distortions, each ordered 3D > TAC(1:1) > TAC(2:1).
+DIFFS = ("rel_mass_diff", "cell_diff")
 
 
 def resolve_threshold(uniform, *, min_cells: int = DEFAULT_MIN_CELLS) -> float:
@@ -59,34 +62,36 @@ def run(scale: int | None = None, reference_eb: float = DEFAULT_REFERENCE_EB) ->
         ),
     )
 
-    baseline = Uniform3DCompressor()
-    comp = baseline.compress(ds, reference_eb, mode="rel")
-    target_ratio = comp.ratio(include_masks=False)
-    cmp_res = compare_biggest_halo(
-        uniform_orig, baseline.decompress_uniform(comp), threshold_factor=threshold
-    )
-    result.rows.append(_row("baseline_3d", target_ratio, cmp_res))
-
-    tac = TACCompressor(TACConfig())
-    for label, scales in (
-        ("tac_1to1", None),
-        ("tac_2to1", suggest_scales(ds.n_levels, "halo_finder")),
-    ):
-        eb = match_ratio_error_bound(tac, ds, target_ratio, per_level_scale=scales)
-        blob = tac.compress(ds, eb, mode="rel", per_level_scale=scales)
-        recon = tac.decompress(blob)
-        cmp_res = compare_biggest_halo(
-            uniform_orig, recon.to_uniform(), threshold_factor=threshold
-        )
-        result.rows.append(_row(label, blob.ratio(include_masks=False), cmp_res))
-
-    base, tuned = result.rows[0], result.rows[-1]
+    for label, ratio, uniform in matched_cr_study(ds, reference_eb, "tac_2to1", "halo_finder"):
+        cmp_res = compare_biggest_halo(uniform_orig, uniform, threshold_factor=threshold)
+        result.rows.append(_row(label, ratio, cmp_res))
     result.notes = (
         f"halo threshold factor {threshold:g} (paper: 81.66; relaxed when the "
-        "scaled grid's density tail is too thin); TAC(2:1) beats 3D baseline "
-        f"on mass diff: {tuned['rel_mass_diff'] <= base['rel_mass_diff']}"
+        "scaled grid's density tail is too thin)"
     )
     return result
+
+
+def check(result: ExperimentResult) -> Verdict:
+    """Enforced — 3D, TAC(1:1), TAC(2:1) at matched CR, every row finds the
+    biggest halo, and neither TAC row's mass or cell diff exceeds 3D's.
+    Recorded deviation ``tac21_not_below_tac11`` — the paper's 2:1-over-1:1
+    ordering is inverted here.
+    """
+    claims = Claims([], {})
+    require_matched_cr(claims, result, "tac_2to1")
+    claims.require(all(r["matched"] for r in result.rows), "every row should find the biggest halo")
+    base, even, tuned = result.rows
+    for row in (even, tuned):
+        for diff in DIFFS:
+            what = f"{row['method']} {diff} {row[diff]:.4g} vs 3D {base[diff]:.4g}"
+            claims.require(row[diff] <= base[diff], what)
+    claims.deviation(
+        "tac21_not_below_tac11",
+        any(tuned[d] > even[d] for d in DIFFS),
+        "; ".join(f"{d} TAC(2:1) {tuned[d]:.4g} vs TAC(1:1) {even[d]:.4g}" for d in DIFFS),
+    )
+    return claims
 
 
 def _row(label: str, ratio: float, cmp_res) -> dict:

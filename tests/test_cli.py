@@ -664,10 +664,23 @@ class TestExperimentsCommand:
         assert main(["experiments", "fig07", "--scale", "8"]) == 0
         out = capsys.readouterr().out
         assert "OpST" in out or "opst" in out
+        assert "\ncheck: ok" in out
 
     def test_unknown_experiment(self, capsys):
         assert main(["experiments", "fig99"]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    def test_a_violated_claim_fails_the_run(self, monkeypatch, capsys):
+        from repro.experiments import PAPER_EXPERIMENTS, Experiment, ExperimentResult
+
+        def run(scale=None):
+            return ExperimentResult(experiment="fig07", title="t", rows=[{"a": 1}])
+
+        monkeypatch.setitem(
+            PAPER_EXPERIMENTS, "fig07", Experiment(run, lambda result: (["broken"], {"d": "m"}))
+        )
+        assert main(["experiments", "fig07"]) == 1
+        assert "\ncheck: FAIL; violation: broken; deviation d: m\n" in capsys.readouterr().out
 
 
 class TestProfileFlag:
