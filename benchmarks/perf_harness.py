@@ -712,26 +712,33 @@ class _PassThroughSource:
 
 
 def _serve_ops(scale: int, repeats: int) -> dict:
-    """Cold ROI reads through the read service, timed from the
-    ``ArchiveReader`` constructor to the data (the reader is closed
-    outside the timed region).
+    """ROI reads through the read service.
 
     A ``brick_size=16`` ingest of Run1_Z3; one unaligned 32³ ROI of level 0
     touches 27 bricks.  The grid divisor is capped at 8, so that level 0
-    (at least 64³) holds such an ROI at smoke scale too.  ``serve_cold_roi`` is a default
-    reader over local shard files; ``serve_cold_roi_pool`` reads the same
-    shards through a non-local pass-through opener, which fetches on the
-    prefetch pipeline's I/O pool.
+    (at least 64³) holds such an ROI at smoke scale too.
+
+    Cold reads are timed from the ``ArchiveReader`` constructor to the data
+    (the reader is closed outside the timed region): ``serve_cold_roi`` is
+    a default reader over local shard files; ``serve_cold_roi_pool`` reads
+    the same shards through a non-local pass-through opener, which fetches
+    on the prefetch pipeline's I/O pool.  ``serve_warm_roi`` is the same
+    ROI of the last step of a 3-step delta chain through one long-lived
+    default reader (``read_timestep_region``), after an untimed read has
+    filled its cache: 81 cached bricks, no fetch and no decode — plan,
+    cache lookup, assembly and the chain sum.
     """
     import shutil
     import tempfile
 
     from repro.engine import default_shard_opener
-    from repro.ingest import IngestConfig, IngestSession
+    from repro.ingest import IngestConfig, IngestSession, read_timestep_region
     from repro.serve import ArchiveReader
     from repro.sim.datasets import make_dataset
+    from repro.sim.timesteps import make_timestep_series
 
-    dataset = make_dataset("Run1_Z3", scale=min(scale, 8))
+    scale = min(scale, 8)
+    dataset = make_dataset("Run1_Z3", scale=scale)
     roi = ((17, 49), (31, 63), (1, 33))
     workdir = Path(tempfile.mkdtemp(prefix="serve_bench_"))
     try:
@@ -757,10 +764,26 @@ def _serve_ops(scale: int, repeats: int) -> dict:
                     reader.close()
             return op_entry(seconds, nbytes // dataset.levels[0].data.itemsize, nbytes)
 
-        return {
+        rows = {
             "serve_cold_roi": cold_read(None),
             "serve_cold_roi_pool": cold_read(lambda name: _PassThroughSource(local(name))),
         }
+        chain_cfg = IngestConfig(
+            error_bound=1e-4, mode="rel", keyframe_interval=3, codec_options={"brick_size": 16}
+        )
+        with IngestSession(workdir / "chain.rpbt", chain_cfg) as session:
+            *_, last = session.extend(make_timestep_series("Run1_Z3", steps=3, scale=scale))
+        with ArchiveReader(workdir / "chain.rpbt") as reader:
+
+            def warm_read():
+                return read_timestep_region(reader, last, 0, roi)[0]
+
+            nbytes = warm_read().nbytes
+            rows["serve_warm_roi"] = op_entry(
+                time_op(warm_read, max(repeats, 20)), nbytes // dataset.levels[0].data.itemsize,
+                nbytes,
+            )
+        return rows
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -811,7 +834,7 @@ GROUP_OPS = {
     "preprocess": ("gsp_pad", "opst_extract"),
     "ingest": ("tac_compress_iter", "ingest_session_delta", "ingest_session_delta_peak_mb"),
     "container": ("container_roundtrip_bricked",),
-    "serve": ("serve_cold_roi", "serve_cold_roi_pool"),
+    "serve": ("serve_cold_roi", "serve_cold_roi_pool", "serve_warm_roi"),
 }
 
 

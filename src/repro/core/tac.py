@@ -382,10 +382,12 @@ class TACCompressor(PlanExecutorMixin):
 
         One unit per brick of a GSP/ZF grid the box touches (index
         arithmetic), one per block-strategy group, one per layout record
-        and stored mask — all from the metadata alone.  Which
-        groups have a block inside a box only the level's layout tells, so
-        with a box the group units are the plan's second stage (``refine``),
-        planned once the layout unit has decoded.
+        and stored mask — all from the metadata alone.  A brick's unit is
+        built once per blob, the first time a plan touches it, and kept
+        on the blob (:func:`_plan_memo`), so a warm re-read plans by
+        lookup.  Which groups have a block inside a box only the level's
+        layout tells, so with a box the group units are the plan's second
+        stage (``refine``), planned once the layout unit has decoded.
         """
         wanted = None if levels is None else set(levels)
         units: list[DecodeUnit] = []
@@ -398,12 +400,8 @@ class TACCompressor(PlanExecutorMixin):
             strategy = level_meta["strategy"]
             if strategy == "empty":
                 continue
-            info = level_meta.get("shared_table")
-            # One memoizing resolver per level and plan: however many units
-            # (or decode workers) share the table part, it is fetched and
-            # parsed once.
-            resolver = SharedTableResolver(comp.parts, info["part"]) if info else None
             if strategy not in (Strategy.GSP.value, Strategy.ZF.value):
+                resolver = _resolver(comp, level_meta)
                 layout_name = f"L{idx}/layout"
                 units.append(
                     DecodeUnit(
@@ -415,75 +413,23 @@ class TACCompressor(PlanExecutorMixin):
                 )
                 if box is None:
                     units.extend(
-                        self._stream_unit(comp, idx, f"L{idx}/g{g}", resolver)
+                        _stream_unit(comp.parts, idx, f"L{idx}/g{g}", resolver)
                         for g in range(level_meta["n_groups"])
                     )
                 else:
                     staged.append(partial(self._group_units, comp, idx, resolver, box))
             else:
-                units.extend(self._brick_units(comp, idx, level_meta, resolver, box))
+                units.extend(_brick_units(comp, idx, level_meta, box))
         if not staged:
             return DecompressionPlan(units)
         return DecompressionPlan(units, lambda results: [u for s in staged for u in s(results)])
-
-    def _stream_unit(
-        self,
-        comp,
-        idx: int,
-        name: str,
-        resolver: SharedTableResolver | None,
-        box=None,
-        shape: tuple[int, ...] | None = None,
-    ) -> DecodeUnit:
-        """The unit decoding part ``name``, one SZ stream of level ``idx``
-        (of decoded ``shape``, where the metadata tells it).
-
-        A level in the retired shared-table layout appends its
-        ``L<idx>/table`` part to every stream's ``part_names``
-        (prefetch/ROI accounting dedups the repeat name), and its fetch
-        rewrites the stream into an ordinary one.
-        """
-
-        def fetch() -> bytes:
-            blob = comp.parts[name]
-            return blob if resolver is None else resolver.ordinary(blob)
-
-        extra = () if resolver is None else (resolver.part_name,)
-        return DecodeUnit(
-            key=name, level=idx, part_names=(name, *extra), decode=None, box=box,
-            sz_blob=fetch, sz_shape=shape,
-        )
-
-    def _brick_units(self, comp, idx: int, level_meta: dict, resolver, box) -> list[DecodeUnit]:
-        """One unit per brick of a GSP/ZF level that ``box`` touches.
-
-        Each unit's ``box`` is the brick's padded-grid box *clipped to the
-        level extents* — what a degraded read fills when the brick is lost.
-        A brick wholly inside the block padding covers nothing visible, so
-        no box inside the level (the whole level included) selects it.
-        The serialized ``L<idx>/bricks`` table part is wire
-        self-description, not a read dependency.
-        """
-        shape = tuple(comp.meta["shapes"][idx])
-        units = []
-        for brick_idx, bbox in _touched_bricks(level_meta, box or level_box(shape)):
-            clipped = tuple(
-                (min(lo, dim), min(hi, dim)) for (lo, hi), dim in zip(bbox, shape)
-            )
-            units.append(
-                self._stream_unit(
-                    comp, idx, _brick_name(level_meta, brick_idx), resolver, clipped,
-                    tuple(hi - lo for lo, hi in bbox),
-                )
-            )
-        return units
 
     def _group_units(self, comp, idx: int, resolver, box, results: dict) -> list[DecodeUnit]:
         """The group streams of level ``idx`` with a block inside ``box``,
         given the level's decoded layout in ``results``."""
         extraction = results[f"L{idx}/layout"]
         units = [
-            self._stream_unit(comp, idx, f"L{idx}/g{group_idx}", resolver)
+            _stream_unit(comp.parts, idx, f"L{idx}/g{group_idx}", resolver)
             for group_idx, shape in enumerate(layout_shapes(extraction))
             if blocks_in_region(extraction, shape, box).size
         ]
@@ -519,6 +465,7 @@ class TACCompressor(PlanExecutorMixin):
             results,
             box,
             lambda: level_mask(comp, results, structure, level, box),
+            _entry_dtype(comp),
         )
 
     # ------------------------------------------------------------------
@@ -536,7 +483,9 @@ class TACCompressor(PlanExecutorMixin):
         return result, record.get("preprocess")
 
 
-def _assemble_box(level_meta: dict, results: dict, box, mask_of_box) -> AMRLevel:
+def _assemble_box(
+    level_meta: dict, results: dict, box, mask_of_box, dtype: np.dtype | None = None
+) -> AMRLevel:
     """``box`` of the level ``level_meta`` describes, from its decoded
     streams in ``results``, zero outside the mask ``mask_of_box()``.
 
@@ -552,7 +501,8 @@ def _assemble_box(level_meta: dict, results: dict, box, mask_of_box) -> AMRLevel
       can be non-zero, so the rest of the window is never touched again;
     * GSP/ZF (dense by selection) stitch → crop → mask: ``mask_of_box()``
       is called only once the stitched window has been copied and dropped,
-      so the mask is never unpacked next to it.
+      so the mask is never unpacked next to it.  ``dtype`` is the level's
+      (the entry head's), which a box whose every brick was lost takes.
 
     ``results`` may be shared (a caching reader freezes its arrays): every
     array masked here is a new one.
@@ -566,7 +516,7 @@ def _assemble_box(level_meta: dict, results: dict, box, mask_of_box) -> AMRLevel
         else:
             data = _stitch_groups(level, results, box, mask)
         return AMRLevel(data=data, mask=mask, level=level)
-    return _masked_level(level, _stitch_bricks(level_meta, results, box), mask_of_box)
+    return _masked_level(level, _stitch_bricks(level_meta, results, box, dtype), mask_of_box)
 
 
 def _masked_level(level: int, window: np.ndarray, mask_of_box) -> AMRLevel:
@@ -584,6 +534,15 @@ def _masked_level(level: int, window: np.ndarray, mask_of_box) -> AMRLevel:
     mask = mask_of_box()
     np.copyto(data, 0, where=~mask)
     return AMRLevel(data=data, mask=mask, level=level)
+
+
+def _entry_dtype(comp) -> np.dtype:
+    """The dtype of an entry's stored values, from the one record of it the
+    entry head carries: ``original_bytes = n_values × itemsize``.  A head
+    that counts no values tells none, and gets an empty level's float32."""
+    if not comp.n_values:
+        return np.dtype(np.float32)
+    return np.dtype(f"f{comp.original_bytes // comp.n_values}")
 
 
 def _encoder_rec(lvl: AMRLevel, level_meta: dict, results: dict) -> AMRLevel:
@@ -642,6 +601,100 @@ class SharedTableResolver:
         return stream.serialize(parsed.header, sections)
 
 
+def _plan_memo(comp) -> dict:
+    """The plan pieces a TAC blob's metadata fixes, built on first touch
+    and kept on the blob: ``(level, brick index) →`` that brick's
+    :class:`DecodeUnit`, ``("table", level) →`` the level's
+    :class:`SharedTableResolver`.
+
+    Nothing is built when an entry opens; the memo grows by one small unit
+    per brick a read touches.  What it holds captures the blob's part
+    store, never the blob, so a dropped blob is freed at once (no blob ↔
+    unit cycle).  Threads racing on a first touch build equal units and
+    one of them is kept, so no lock is needed.
+    """
+    try:
+        return comp._tac_plan_memo
+    except AttributeError:
+        return vars(comp).setdefault("_tac_plan_memo", {})
+
+
+def _resolver(comp, level_meta: dict) -> SharedTableResolver | None:
+    """The one resolver of a level in the retired shared-table layout per
+    blob and level (``None`` for any other level): however many units,
+    plans and decode workers share the table part, it is fetched and
+    parsed once."""
+    info = level_meta.get("shared_table")
+    if not info:
+        return None
+    memo, key = _plan_memo(comp), ("table", level_meta["level"])
+    resolver = memo.get(key)
+    if resolver is None:
+        resolver = memo.setdefault(key, SharedTableResolver(comp.parts, info["part"]))
+    return resolver
+
+
+def _stream_unit(
+    parts,
+    idx: int,
+    name: str,
+    resolver: SharedTableResolver | None,
+    box=None,
+    shape: tuple[int, ...] | None = None,
+) -> DecodeUnit:
+    """The unit decoding part ``name`` of the part store ``parts``, one SZ
+    stream of level ``idx`` (of decoded ``shape``, where the metadata
+    tells it).
+
+    A level in the retired shared-table layout appends its
+    ``L<idx>/table`` part to every stream's ``part_names``
+    (prefetch/ROI accounting dedups the repeat name), and its fetch
+    rewrites the stream into an ordinary one.
+    """
+
+    def fetch() -> bytes:
+        blob = parts[name]
+        return blob if resolver is None else resolver.ordinary(blob)
+
+    extra = () if resolver is None else (resolver.part_name,)
+    return DecodeUnit(
+        key=name, level=idx, part_names=(name, *extra), decode=None, box=box,
+        sz_blob=fetch, sz_shape=shape,
+    )
+
+
+def _brick_units(comp, idx: int, level_meta: dict, box) -> list[DecodeUnit]:
+    """One unit per brick of a GSP/ZF level that ``box`` touches, each
+    built once per blob (:func:`_plan_memo`): a plan is the brick index
+    arithmetic and one lookup per brick.
+
+    Each unit's ``box`` is the brick's padded-grid box *clipped to the
+    level extents* — what a degraded read fills when the brick is lost.
+    A brick wholly inside the block padding covers nothing visible, so
+    no box inside the level (the whole level included) selects it.
+    The serialized ``L<idx>/bricks`` table part is wire
+    self-description, not a read dependency.
+    """
+    memo = _plan_memo(comp)
+    shape = tuple(comp.meta["shapes"][idx])
+    units = []
+    for brick_idx, bbox in _touched_bricks(level_meta, box or level_box(shape)):
+        unit = memo.get((idx, brick_idx))
+        if unit is None:
+            clipped = tuple(
+                (min(lo, dim), min(hi, dim)) for (lo, hi), dim in zip(bbox, shape)
+            )
+            unit = memo.setdefault(
+                (idx, brick_idx),
+                _stream_unit(
+                    comp.parts, idx, _brick_name(level_meta, brick_idx),
+                    _resolver(comp, level_meta), clipped, tuple(hi - lo for lo, hi in bbox),
+                ),
+            )
+        units.append(unit)
+    return units
+
+
 def _bricked(level_meta: dict) -> dict:
     """A format-1 GSP/ZF level — one ``L<idx>/grid`` stream of the padded
     grid — as the one-brick format-2 level it is; any other level as is."""
@@ -666,31 +719,48 @@ def _touched_bricks(level_meta: dict, box):
     )
 
 
-def _stitch_bricks(level_meta: dict, results: dict, box) -> np.ndarray:
+def _stitch_bricks(level_meta: dict, results: dict, box, dtype: np.dtype) -> np.ndarray:
     """Stitch the decoded bricks ``box`` touches into its brick-aligned
     bounding window and return the window's ``box`` part.
 
-    Bricks absent from ``results`` (a degraded read's casualties) leave
-    zeros; a brick *part* missing from the blob already failed loudly
-    inside its decode unit.
+    Along each axis the box meets a run of bricks, whose slices of the
+    window are computed once per axis; a brick's slice is the product of
+    its three.  Bricks absent from ``results`` (a degraded read's
+    casualties) leave zeros, in the decoded bricks' dtype, or in ``dtype``
+    when every touched brick was lost; a brick *part* missing from the
+    blob already failed loudly inside its decode unit.
     """
     size = int(level_meta["bricks"]["size"])
-    lo = tuple((b_lo // size) * size for b_lo, _hi in box)
-    hi = tuple(
-        min(-(-b_hi // size) * size, dim)
-        for (_lo, b_hi), dim in zip(box, level_meta["padded_shape"])
-    )
+    padded = level_meta["padded_shape"]
+    _, ny, nz = (-(-int(dim) // size) for dim in padded)
+    xs, ys, zs = spans = [
+        _brick_spans(lo, hi, size, int(dim)) for (lo, hi), dim in zip(box, padded)
+    ]
+    shape = tuple(axis[-1][1].stop for axis in spans)
     window = None
-    for brick_idx, bbox in _touched_bricks(level_meta, box):
-        decoded = results.get(_brick_name(level_meta, brick_idx))
-        if decoded is None:
-            continue
-        if window is None:
-            window = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=decoded.dtype)
-        window[region_slices(bbox, lo)] = decoded
+    for i, in_x in xs:
+        for j, in_y in ys:
+            for k, in_z in zs:
+                decoded = results.get(_brick_name(level_meta, (i * ny + j) * nz + k))
+                if decoded is None:
+                    continue
+                if window is None:
+                    window = np.zeros(shape, dtype=decoded.dtype)
+                window[in_x, in_y, in_z] = decoded
     if window is None:  # every touched brick lost
-        window = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=np.float32)
-    return window[region_slices(box, lo)]
+        window = np.zeros(shape, dtype=dtype)
+    return window[tuple(slice(lo % size, lo % size + hi - lo) for lo, hi in box)]
+
+
+def _brick_spans(lo: int, hi: int, size: int, dim: int) -> list[tuple[int, slice]]:
+    """``(brick coordinate, the brick's slice of the window)`` of every
+    brick of edge ``size`` that ``[lo, hi)`` meets along an axis of ``dim``
+    padded cells; the window starts at the first of them."""
+    first = lo // size
+    return [
+        (c, slice((c - first) * size, min((c + 1) * size, dim) - first * size))
+        for c in range(first, -(-hi // size))
+    ]
 
 
 def _stitch_groups(idx: int, results: dict, box, mask: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ which is what keeps blobs, goldens and compression ratios where they are.
 ``masked_cube_extract`` and ``assemble_putmask`` are the two paths that
 paid for a level's whole bounding cube before the block strategies masked
 only their blocks: mask the cube, then extract; stitch, then mask the
-window.
+window.  ``stitch_bricks_window`` is the GSP/ZF stitch before the bricks'
+window slices were computed per axis: one ``bricks_touching`` box and
+slice tuple per brick.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.core.layout import block_extents, blocks_in_region, layout_shapes
 from repro.core.opst import _box, compute_bs  # the integral-image query, unchanged
 from repro.core.opst import opst_plan
 from repro.core.plan import region_slices
-from repro.core.tac import _stitch_bricks
+from repro.core.tac import _brick_name, _touched_bricks
 
 
 def masked_cube_extract(strategy: str, data, mask, block_size: int) -> BlockExtraction:
@@ -101,12 +103,38 @@ def assemble_putmask(level_meta: dict, results: dict, box, mask_of_box) -> AMRLe
     elif strategy not in (Strategy.GSP.value, Strategy.ZF.value):
         window = _stitch_groups_unmasked(level, results, box)
     else:
-        window = _stitch_bricks(level_meta, results, box)
+        window = stitch_bricks_window(level_meta, results, box)
     data = np.ascontiguousarray(window)
     del window
     mask = mask_of_box()
     np.putmask(data, ~mask, 0)
     return AMRLevel(data=data, mask=mask, level=level)
+
+
+def stitch_bricks_window(level_meta: dict, results: dict, box) -> np.ndarray:
+    """Stitch the decoded bricks ``box`` touches into its brick-aligned
+    bounding window and return the window's ``box`` part (a view).
+
+    Bricks absent from ``results`` leave zeros; when every touched brick
+    is absent the window is float32, whatever the level's dtype.
+    """
+    size = int(level_meta["bricks"]["size"])
+    lo = tuple((b_lo // size) * size for b_lo, _hi in box)
+    hi = tuple(
+        min(-(-b_hi // size) * size, dim)
+        for (_lo, b_hi), dim in zip(box, level_meta["padded_shape"])
+    )
+    window = None
+    for brick_idx, bbox in _touched_bricks(level_meta, box):
+        decoded = results.get(_brick_name(level_meta, brick_idx))
+        if decoded is None:
+            continue
+        if window is None:
+            window = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=decoded.dtype)
+        window[region_slices(bbox, lo)] = decoded
+    if window is None:  # every touched brick lost
+        window = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=np.float32)
+    return window[region_slices(box, lo)]
 
 
 def _stitch_groups_unmasked(idx: int, results: dict, box) -> np.ndarray:

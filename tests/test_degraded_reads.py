@@ -16,6 +16,7 @@ import pytest
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import ContainerIOError, PartIntegrityError
+from repro.core.density import Strategy
 from repro.core.tac import TACCompressor
 from repro.engine import default_shard_opener, get_codec
 from repro.engine.archive import LazyBatchArchive
@@ -343,6 +344,37 @@ class TestDegradedReads:
             np.testing.assert_array_equal(lvl.data[~filled], baseline[~filled])
             with pytest.raises(ValueError, match="Kraft"):
                 reader.read_level(KEY, BRICK_LEVEL)
+
+    @pytest.mark.parametrize("strategy", [Strategy.ZF, Strategy.GSP])
+    def test_a_box_whose_every_brick_is_lost_keeps_the_level_dtype(self, tmp_path, strategy):
+        # The decoded bricks carry a level's dtype; with none decoded the
+        # box takes it from the entry head (original_bytes / n_values).
+        n = 32
+        dataset = AMRDataset(
+            levels=[
+                AMRLevel(
+                    data=smooth_cube(n, seed=7, dtype=np.float64),
+                    mask=np.ones((n,) * 3, dtype=bool),
+                    level=0,
+                )
+            ],
+            name="f64",
+        )
+        comp = TACCompressor(brick_size=16, force_strategy=strategy).compress(
+            dataset, 1e-3, mode="abs"
+        )
+        comp.parts["L0/b0"] = reserialize_stream(
+            comp.parts["L0/b0"], {stream.SEC_CODE_LENGTHS: bytes([1]) * 8193}
+        )
+        write_archive(tmp_path / "f64.rpbt", {KEY: comp})
+        with ArchiveReader(tmp_path / "f64.rpbt", cache_bytes=0, degraded=True) as reader:
+            healthy, stats = reader.read_region(KEY, 0, ((16, 32),) * 3)
+            assert stats.errors == [] and healthy.dtype == np.float64
+            lost, stats = reader.read_region(KEY, 0, ((1, 15),) * 3)
+            assert [row["unit"] for row in stats.errors] == ["L0/b0"]
+            assert lost.dtype == np.float64 and lost.shape == (14,) * 3 and not lost.any()
+            part_lost, stats = reader.read_region(KEY, 0, ((8, 24),) * 3)
+            assert part_lost.dtype == np.float64 and len(stats.errors) == 1
 
     @pytest.mark.parametrize(
         "key, level, part",

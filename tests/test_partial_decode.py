@@ -24,9 +24,11 @@ The acceptance bar for the random-access refactor:
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +37,7 @@ import pytest
 from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import (
     MASK_PREFIX,
+    CompressedDataset,
     LazyCompressedDataset,
     inflate_mask,
     pack_mask,
@@ -178,6 +181,31 @@ class TestGSPBrickPartialDecode:
     @pytest.mark.parametrize("strategy", [Strategy.GSP, Strategy.ZF], ids=lambda s: s.value)
     def test_concurrent_reader_brick_decode_bit_identical(self, dataset, strategy, tmp_path):
         _assert_concurrent_reads_match(*self._compressed(dataset, strategy), tmp_path)
+
+    def test_brick_units_are_built_once_per_blob_on_first_touch(self, dataset):
+        tac, comp = self._compressed(dataset, Strategy.GSP)
+        lazy = LazyCompressedDataset.open(comp.to_bytes())
+        box = normalize_region(REGION, (16, 16, 16))
+
+        def bricks(blob, box):
+            plan = tac.build_decode_plan(blob, levels=[0], box=box)
+            return [u for u in plan.units if u.key.startswith("L0/b")]
+
+        first = bricks(lazy, box)
+        assert 0 < len(first) < 64
+        assert lazy.parts.accessed() == set()  # planning still reads no payload
+        again = bricks(lazy, box)
+        assert all(a is b for a, b in zip(first, again)) and len(again) == len(first)
+        # A wider box reuses the touched units and builds only the rest.
+        whole = bricks(lazy, None)
+        assert len(whole) == 64 and {id(u) for u in first} <= {id(u) for u in whole}
+        # Another blob of the same bytes has its own units, equal in all
+        # but their fetch closures.
+        other = bricks(LazyCompressedDataset.open(comp.to_bytes()), box)
+        assert [(u.key, u.box, u.sz_shape) for u in other] == [
+            (u.key, u.box, u.sz_shape) for u in first
+        ]
+        assert not {id(u) for u in other} & {id(u) for u in first}
 
     def test_brick_plan_units_carry_boxes(self, dataset):
         tac, comp = self._compressed(dataset, Strategy.GSP)
@@ -824,6 +852,40 @@ def test_warm_roi_read_allocates_the_window_not_the_level(tmp_path):
     assert peak < 2 * 1024 * 1024
     assert stats.cache_misses == 0 and stats.cache_hits == 27 + 1  # bricks + mask
     assert np.array_equal(data, tac.decompress(comp).levels[0].data[40:72, 41:73, 42:74])
+
+
+def test_read_blobs_and_readers_are_freed_without_the_cycle_collector(tmp_path):
+    """The decode units kept on a blob hold its part store, not the blob:
+    a blob read through ``decompress_region``, and a reader after
+    ``read_region``, die as soon as they are dropped — with the cycle
+    collector off — so a compress → read loop holds one blob at a time."""
+    tac = TACCompressor(brick_size=4)
+    comp = tac.compress(two_level_dataset(n=16, seed=5), EB, mode="abs")
+    blob = comp.to_bytes()
+    write_archive(tmp_path / "a.rpbt", {ENTRY: comp})
+    box = ((1, 7), (2, 8), (3, 6))
+    gc.collect()
+    gc.disable()
+    try:
+        for read in (
+            lambda: CompressedDataset.from_bytes(blob),
+            lambda: LazyCompressedDataset.open(blob),
+        ):
+            blob_read = read()
+            for level in (0, 1):
+                tac.decompress_region(blob_read, level, box)
+            assert tac.build_decode_plan(blob_read, levels=[1], box=box).units
+            ref = weakref.ref(blob_read)
+            del blob_read
+            assert ref() is None
+        with ArchiveReader(tmp_path / "a.rpbt") as reader:
+            for level in (0, 1):
+                reader.read_region(ENTRY, level, box)
+            refs = [weakref.ref(reader), weakref.ref(reader._entry(ENTRY).comp)]
+        del reader
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_cold_roi_read_peak_repeats_whatever_order_the_windows_land_in(tmp_path):

@@ -43,3 +43,17 @@ def test_peak_mb_restores_the_encode_threads():
     seen = []
     assert perf_harness.peak_mb(lambda: seen.append(compressor.ENCODE_THREADS), 2) >= 0
     assert seen == [2] and compressor.ENCODE_THREADS == before
+
+
+def test_every_gated_op_is_one_the_suite_names():
+    """CI's perf-smoke gate times what the baseline holds: each of its rows
+    is an op of ``GROUP_OPS``, so ``--ops`` can select it and a renamed op
+    cannot silently drop out of the gate."""
+    baseline_path = perf_harness.REPO_ROOT / "benchmarks" / "baselines" / "perf_smoke_baseline.json"
+    gated = set(json.loads(baseline_path.read_text())) - {perf_harness.META_KEY}
+    known = {op for names in perf_harness.GROUP_OPS.values() for op in names}
+    assert gated <= known
+    assert perf_harness.GROUP_OPS["serve"] == (
+        "serve_cold_roi", "serve_cold_roi_pool", "serve_warm_roi"
+    )
+    assert "serve_warm_roi" in gated

@@ -2,7 +2,8 @@
 
 ``gsp_pad`` and ``opst_plan`` work on the unit-block grid; the block
 strategies read raw level data and mask only the blocks they gather; the
-assembly masks each sub-block, not the window.  The implementations they
+assembly masks each sub-block, not the window, and stitches GSP/ZF
+bricks by per-axis slices.  The implementations they
 replaced live on in ``tests/preprocess_oracles.py``.  Equality here is
 *bit* equality — padded grids, pad masks, cube lists and their order,
 stacked groups, assembled levels — because every blob, golden fixture and
@@ -25,7 +26,15 @@ from repro.core.layout import deserialize_layout, layout_shapes, serialize_layou
 from repro.core.nast import nast_extract
 from repro.core.opst import opst_extract, opst_plan
 from repro.core.plan import level_box, region_slices
-from repro.core.tac import TACCompressor, _assemble_box, _encoder_rec
+from repro.core.tac import (
+    TACCompressor,
+    _assemble_box,
+    _brick_name,
+    _bricked,
+    _encoder_rec,
+    _stitch_bricks,
+    _touched_bricks,
+)
 from repro.serve import ArchiveReader
 from tests.helpers import random_mask, restore_extraction, write_archive
 from tests.preprocess_oracles import (
@@ -33,6 +42,7 @@ from tests.preprocess_oracles import (
     gsp_pad_cells,
     masked_cube_extract,
     opst_plan_full,
+    stitch_bricks_window,
 )
 from tests.test_partial_decode import clustered_dataset
 
@@ -405,6 +415,76 @@ class TestAssemblyAgainstTheWindowMask:
             assemble_putmask(meta, results, level_box(mask.shape), lambda: mask),
             results,
         )
+
+
+@st.composite
+def bricked_levels(draw):
+    """A GSP/ZF level's metadata (format 2, or format 1's one ``grid``
+    brick), its mask, and decoded bricks — some lost — of a drawn dtype:
+    level extents that are and are not brick multiples, a padded grid up
+    to two bricks past them, so the edge bricks are clipped."""
+    shape = tuple(draw(st.integers(1, 20)) for _ in range(3))
+    size = draw(st.sampled_from([2, 3, 4, 8]))
+    padded = tuple(dim + draw(st.integers(0, 2 * size)) for dim in shape)
+    meta = {"level": 0, "strategy": draw(st.sampled_from(["gsp", "zf"])), "padded_shape": padded}
+    meta = _bricked(meta) if draw(st.booleans()) else {**meta, "bricks": {"size": size}}
+    dtype = np.dtype(draw(st.sampled_from([np.float32, np.float64])))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    lost = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    results = {}
+    for brick_idx, bbox in _touched_bricks(meta, level_box(padded)):
+        if rng.random() >= lost:
+            decoded = wild_values(tuple(hi - lo for lo, hi in bbox), dtype, seed + brick_idx)
+            decoded.setflags(write=False)
+            results[_brick_name(meta, brick_idx)] = decoded
+    mask = random_mask(shape, 0.6, seed=seed)
+    return meta, shape, mask, results, dtype
+
+
+def draw_brick_box(data, shape, size):
+    """A box inside one brick (clipped to the level)."""
+    box = []
+    for dim in shape:
+        start = size * data.draw(st.integers(0, (dim - 1) // size))
+        lo = data.draw(st.integers(start, min(start + size, dim) - 1))
+        box.append((lo, data.draw(st.integers(lo + 1, min(start + size, dim)))))
+    return tuple(box)
+
+
+class TestStitchAgainstThePerBrickWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(level=bricked_levels(), data=st.data())
+    def test_per_axis_stitch_is_the_per_brick_one(self, level, data):
+        meta, shape, mask, results, dtype = level
+        size = int(meta["bricks"]["size"])
+        boxes = [
+            level_box(shape),
+            draw_box(data, shape),
+            draw_brick_box(data, shape, size),
+            tuple((data.draw(st.integers(0, dim - 1)), dim) for dim in shape),  # edge bricks
+        ]
+        for box in boxes:
+            fast = _stitch_bricks(meta, results, box, dtype)
+            oracle = stitch_bricks_window(meta, results, box)
+            assert fast.shape == oracle.shape
+            assert not any(np.shares_memory(fast, value) for value in results.values())
+            touched = [_brick_name(meta, i) for i, _bbox in _touched_bricks(meta, box)]
+            if not any(name in results for name in touched):
+                # The one intended difference: the window fell back to float32.
+                assert fast.dtype == dtype and not fast.any() and not oracle.any()
+                continue
+            assert fast.dtype == oracle.dtype == dtype
+            assert fast.tobytes() == oracle.tobytes()
+
+            def mask_of_box(box=box):
+                return mask[region_slices(box)]
+
+            assert_same_level(
+                _assemble_box(meta, results, box, mask_of_box, dtype),
+                assemble_putmask(meta, results, box, mask_of_box),
+                results,
+            )
 
 
 def test_warm_reread_of_an_opst_level_leaves_the_cached_units_alone(tmp_path):
