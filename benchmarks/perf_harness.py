@@ -250,6 +250,7 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
     # replaced (one ``from_counts`` + ``.codes`` per brick).
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor
+    from repro.sz import compressor
     from repro.sz.huffman import code_tables
     from repro.utils.timer import TimingRecord
 
@@ -261,7 +262,7 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
     eb_brick = 1e-3 * float(cube.max() - cube.min())
     sz_codec = SZCompressor()
     brick_symbols, *_ = sz_codec._prepare_symbols(bricks, [eb_brick] * 32, TimingRecord())
-    alphabet = 2 * sz_codec.config.radius + 1
+    alphabet = 2 * compressor.RADIUS + 1
     batch_counts = np.stack([np.bincount(row, minlength=alphabet) for row in brick_symbols])
     ops["huffman_code_tables_bricks"] = op_entry(
         time_op(lambda: code_tables(batch_counts), max(repeats, 50)),
@@ -402,7 +403,7 @@ def _sz_ops(scale: int, repeats: int) -> dict:
     # `_encode_symbols` makes.  MB/s is over the bytes the stage codes.
     codec = SZCompressor(SZConfig(predictor="interp"))
     symbols, outliers, tables = codec._prepare_symbols([field], [eb_abs], TimingRecord())
-    encoded = encode_many(tables, symbols, block_size=codec.config.block_size)[0]
+    encoded = encode_many(tables, symbols)[0]
     lengths = tables.row_lengths(0)
     ops["sz_lossless_interp"] = op_entry(
         time_op(lambda: codec._payload_sections(lengths, encoded, outliers[0]), repeats),

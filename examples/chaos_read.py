@@ -74,7 +74,7 @@ def main(scale: int = 8) -> None:
         with ArchiveReader(
             head,
             shard_opener=opener,
-            retry=RetryPolicy(attempts=4, base_delay=0.01, jitter=0.2),
+            retry=RetryPolicy(attempts=4, base_delay=0.01),
             default_deadline=30.0,
             degraded=True,
             fill_value=FILL,

@@ -7,8 +7,9 @@ All six fields of a Nyx dump live on the same AMR grids, and every
 :class:`repro.ingest.IngestSession` is the one way from many datasets to
 one archive: ``submit_step`` takes the step's ``{field: AMRDataset}``
 mapping, stores each level's mask *once* (in the first entry; the others
-name it in ``meta["structure"]``), applies per-field error bounds, and
-fans the fields over a worker pool — byte-identical to the serial run.
+name it in ``meta["structure"]``), resolves the session's relative bound
+against each field's own value range, and fans the fields over a worker
+pool — byte-identical to the serial run.
 Any one field reads back on its own through the lazy archive: its parts
 plus the holder's masks, nothing else.
 """
@@ -29,14 +30,11 @@ def main(scale: int = 8) -> None:
     print(f"step: {structure.n_levels} levels, "
           f"{structure.total_points()} points/field, {len(fields)} fields")
 
-    # Velocities tolerate a looser bound than the density analyses need.
-    bounds = {f"velocity_{ax}": 1e-3 for ax in "xyz"}
-
     with TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         t0 = time.perf_counter()
         with IngestSession(tmp / "serial.rpbt", error_bound=1e-4) as session:
-            session.submit_step(fields, error_bound=bounds)
+            session.submit_step(fields)
         t_serial = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -44,7 +42,7 @@ def main(scale: int = 8) -> None:
             tmp / "step.rpbt", error_bound=1e-4, max_inflight=8, workers=4,
             meta={"pipeline": "example", "snapshot": "Run1_Z2"},
         ) as session:
-            keys = session.submit_step(fields, error_bound=bounds)
+            keys = session.submit_step(fields)
         t_parallel = time.perf_counter() - t0
         report = session.report
 
@@ -63,10 +61,7 @@ def main(scale: int = 8) -> None:
 
         # How much did storing the masks once save vs six independent entries?
         with IngestSession(tmp / "each.rpbt", error_bound=1e-4) as session:
-            each = [
-                session.submit(fields[name], error_bound=bounds.get(name))
-                for name in sorted(fields)
-            ]
+            each = [session.submit(fields[name]) for name in sorted(fields)]
         saved = session.report.write.total_bytes() - report.write.total_bytes()
         print(f"masks stored once save {saved / 1e3:.1f} kB vs {len(each)} independent entries")
 

@@ -59,7 +59,7 @@ def main(scale: int = 8) -> None:
 
         # -- partial read: one entry, one shard ------------------------
         key = keys[0]
-        with LazyBatchArchive.open(head, mmap=True, verify_shards=True) as archive:
+        with LazyBatchArchive.open(head, verify_shards=True) as archive:
             entry = archive.entry(key)
             codec = codec_for_method(entry.method)
             level = codec.decompress_level(entry, 1)

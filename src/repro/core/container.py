@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import io
 import json
-import mmap as _mmap_module
 import os
 import struct
 import threading
@@ -463,47 +462,10 @@ class _FileSource:
             self._fh.close()
 
 
-class _MmapSource:
-    """Byte source over a memory-mapped file: no seek, no lock.
-
-    ``_FileSource`` serializes every ``seek+read`` pair behind a lock, so
-    concurrent part fetches (the read service's I/O pool, parallel shard
-    reads) contend on one file position.  A private read-only mapping has
-    no position at all — reads are plain slices out of the page cache and any
-    number of threads can fetch parts at once.  The ROADMAP's "async /
-    mmap I/O" read-path item.
-    """
-
-    local = True
-
-    def __init__(self, path):
-        self.label = str(path)
-        with open(path, "rb") as fh:
-            self._mm = _mmap_module.mmap(fh.fileno(), 0, access=_mmap_module.ACCESS_READ)
-        self._view = memoryview(self._mm)
-        self.size = len(self._view)
-
-    def read_at(self, offset: int, length: int) -> bytes:
-        _check_span(offset, length, self.label)
-        end = offset + length
-        if end > len(self._view):
-            raise ValueError(
-                f"read past end of mapped file {self.label!r} (corrupt or truncated blob)"
-            )
-        return bytes(self._view[offset:end])
-
-    def close(self) -> None:
-        self._view.release()
-        self._mm.close()
-
-
-def make_source(source, *, mmap: bool = False):
+def make_source(source):
     """Wrap bytes / memoryview / path / seekable binary file for random access.
 
-    ``mmap=True`` maps path sources read-only (lock-free concurrent reads;
-    ignored for in-memory buffers, which are already lock-free, and
-    rejected for raw file objects whose lifetime we do not own).  Open
-    failures raise :class:`ContainerIOError` carrying the path, so a
+    Open failures raise :class:`ContainerIOError` carrying the path, so a
     missing or unreadable container names itself instead of surfacing a
     bare :class:`OSError` from deep inside a lazy read.
     """
@@ -511,20 +473,12 @@ def make_source(source, *, mmap: bool = False):
         return _BytesSource(source)
     if isinstance(source, (str, Path)):
         try:
-            if mmap:
-                return _MmapSource(source)
             return _FileSource(open(source, "rb"), owns=True, label=str(source))
         except OSError as exc:
             raise ContainerIOError(
                 f"cannot open container file {str(source)!r}: {exc}"
             ) from exc
-        except ValueError as exc:  # e.g. mmap of an empty file
-            raise ContainerIOError(
-                f"cannot map container file {str(source)!r}: {exc}"
-            ) from exc
     if hasattr(source, "seek") and hasattr(source, "read"):
-        if mmap:
-            raise TypeError("mmap=True requires a path source, not an open file object")
         return _FileSource(source, owns=False)
     raise TypeError(f"cannot open {type(source).__name__!r} as a byte source")
 
@@ -855,13 +809,9 @@ class LazyCompressedDataset(_SizeAccounting):
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def open(cls, source, offset: int = 0, *, mmap: bool = False) -> "LazyCompressedDataset":
-        """Open a blob lazily; ``offset`` locates it inside a larger stream.
-
-        ``mmap=True`` serves parts through a lock-free memory mapping
-        (path sources only).
-        """
-        src = make_source(source, mmap=mmap)
+    def open(cls, source, offset: int = 0) -> "LazyCompressedDataset":
+        """Open a blob lazily; ``offset`` locates it inside a larger stream."""
+        src = make_source(source)
         try:
             return cls._parse(src, offset)
         except Exception:

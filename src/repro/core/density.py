@@ -31,23 +31,19 @@ class Strategy(str, Enum):
     ZF = "zf"
 
 
-def select_strategy(
-    density: float, t1: float = DEFAULT_T1, t2: float = DEFAULT_T2
-) -> Strategy:
+def select_strategy(density: float) -> Strategy:
     """Choose the pre-process strategy for one level by its density."""
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    if not 0.0 < t1 <= t2 <= 1.0:
-        raise ValueError(f"thresholds must satisfy 0 < t1 <= t2 <= 1, got {t1}, {t2}")
-    if density < t1:
+    if density < DEFAULT_T1:
         return Strategy.OPST
-    if density < t2:
+    if density < DEFAULT_T2:
         return Strategy.AKDTREE
     return Strategy.GSP
 
 
-def use_3d_baseline(finest_density: float, t2: float = DEFAULT_T2) -> bool:
+def use_3d_baseline(finest_density: float) -> bool:
     """Dataset-scope rule of §4.4: fall back to the 3D baseline when the
-    finest level is denser than ``t2`` (the up-sampling redundancy is then
-    negligible and whole-domain locality wins)."""
-    return finest_density >= t2
+    finest level is denser than ``DEFAULT_T2`` (the up-sampling redundancy
+    is then negligible and whole-domain locality wins)."""
+    return finest_density >= DEFAULT_T2

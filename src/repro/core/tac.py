@@ -9,7 +9,7 @@ as ``per_level_scale``; see :mod:`repro.core.adaptive_eb` for suggested
 values).
 
 With ``adaptive_baseline=True`` the §4.4 dataset-scope rule is applied:
-when the finest level is denser than ``t2``, the whole dataset is handed to
+when the finest level is denser than ``DEFAULT_T2``, the whole dataset is handed to
 the 3D baseline (up-sample + merge), which wins in exactly that regime.
 
 The output is a :class:`repro.core.container.CompressedDataset` whose parts
@@ -37,13 +37,7 @@ from repro.core.container import (
     pack_mask,
     resolve_global_eb,
 )
-from repro.core.density import (
-    DEFAULT_T1,
-    DEFAULT_T2,
-    Strategy,
-    select_strategy,
-    use_3d_baseline,
-)
+from repro.core.density import Strategy, select_strategy, use_3d_baseline
 from repro.core.gsp import (
     DEFAULT_BRICK_SIZE,
     BrickTable,
@@ -96,13 +90,13 @@ class TACConfig:
     unit_block:
         Unit-block edge in cells; ``None`` chooses per level via
         :func:`default_unit_block`.
-    t1, t2:
-        Density thresholds of the strategy filter (§3.4).
     adaptive_baseline:
         Apply the §4.4 rule (3D baseline when the finest level is dense).
     force_strategy:
-        Override the density filter with one strategy for every level
-        (used by the Fig. 7/11/12 strategy studies).
+        Override the density filter — its thresholds are the paper's
+        fixed :data:`~repro.core.density.DEFAULT_T1` /
+        :data:`~repro.core.density.DEFAULT_T2` (§3.4) — with one strategy
+        for every level (used by the Fig. 7/11/12 strategy studies).
     pad_layers / avg_layers:
         GSP slab thickness / neighbour averaging depth (Alg. 3's x and y).
     brick_size:
@@ -119,8 +113,6 @@ class TACConfig:
     """
 
     unit_block: int | None = None
-    t1: float = DEFAULT_T1
-    t2: float = DEFAULT_T2
     adaptive_baseline: bool = False
     force_strategy: Strategy | None = None
     pad_layers: int | None = None
@@ -138,8 +130,6 @@ class TACConfig:
                 "a brick_size at least the level's edge gives one stream per level"
             )
         check_positive_int(self.brick_size, name="brick_size")
-        if not 0.0 < self.t1 <= self.t2 <= 1.0:
-            raise ValueError(f"need 0 < t1 <= t2 <= 1, got t1={self.t1}, t2={self.t2}")
 
 
 class TACCompressor(PlanExecutorMixin):
@@ -214,7 +204,7 @@ class TACCompressor(PlanExecutorMixin):
         """
         timings = timings if timings is not None else TimingRecord()
         cfg = self.config
-        if cfg.adaptive_baseline and use_3d_baseline(dataset.finest_density(), cfg.t2):
+        if cfg.adaptive_baseline and use_3d_baseline(dataset.finest_density()):
             if per_level_scale is not None:
                 raise ValueError(
                     "the 3D-baseline fallback cannot honour per-level error "
@@ -282,7 +272,7 @@ class TACCompressor(PlanExecutorMixin):
         if n_points == 0:
             meta["strategy"] = "empty"
             return meta, _encoder_rec(lvl, meta, {}) if want_recon else None
-        strategy = cfg.force_strategy or select_strategy(density, cfg.t1, cfg.t2)
+        strategy = cfg.force_strategy or select_strategy(density)
         block = cfg.unit_block or default_unit_block(lvl.n)
         meta["strategy"] = strategy.value
         meta["unit_block"] = block

@@ -30,7 +30,6 @@ from repro.engine.registry import (
     register,
     supports_kwarg,
     supports_partial_decode,
-    unregister,
 )
 
 #: Top-level-friendly alias (``from repro import register_codec``).
@@ -55,5 +54,4 @@ __all__ = [
     "register_codec",
     "supports_kwarg",
     "supports_partial_decode",
-    "unregister",
 ]

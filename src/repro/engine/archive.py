@@ -374,8 +374,8 @@ class _ShardStore:
         self._closed = False
 
     def source(self, shard_idx: int, key: str):
-        # Concurrent entry() calls are part of the contract (mmap mode
-        # exists for them): a per-shard lock serializes first-open so
+        # Concurrent entry() calls are part of the contract (the read
+        # service makes them): a per-shard lock serializes first-open so
         # racing threads never double-open (and leak) the same shard,
         # while different shards still open — and CRC-verify — in
         # parallel.
@@ -463,7 +463,7 @@ class _ShardStore:
             src.close()
 
 
-def default_shard_opener(base_dir, *, mmap: bool = False):
+def default_shard_opener(base_dir):
     """``name → byte source`` opener binding shard names to files under
     ``base_dir`` (what :meth:`LazyBatchArchive.open` builds for path
     sources).  Public so serving layers can wrap it — retry/backoff,
@@ -475,7 +475,7 @@ def default_shard_opener(base_dir, *, mmap: bool = False):
         candidate = Path(name)
         if candidate.is_absolute() or ".." in candidate.parts:
             raise ValueError(f"refusing non-local shard name {name!r}")
-        return make_source(base_dir / candidate, mmap=mmap)
+        return make_source(base_dir / candidate)
 
     return opener
 
@@ -496,8 +496,7 @@ class LazyBatchArchive:
     points into payload shards, resolved lazily — and pluggably, via
     ``shard_opener`` — so the manifest of a petabyte batch is readable
     from the head file alone, and only the shards an entry actually
-    lives in are ever opened.  ``mmap=True`` maps path-backed sources
-    read-only, giving lock-free concurrent part reads.
+    lives in are ever opened.
     """
 
     def __init__(
@@ -519,7 +518,6 @@ class LazyBatchArchive:
         cls,
         source,
         *,
-        mmap: bool = False,
         shard_opener=None,
         verify_shards: bool = False,
     ) -> "LazyBatchArchive":
@@ -527,9 +525,6 @@ class LazyBatchArchive:
 
         Parameters
         ----------
-        mmap:
-            Serve path-backed reads (head and default-resolved shards)
-            through lock-free memory mappings.
         shard_opener:
             ``name → byte source`` callable for resolving a v3 head's
             payload shards.  Defaults to files next to the head (which
@@ -538,11 +533,9 @@ class LazyBatchArchive:
             Check each payload shard's recorded size and CRC-32 the
             first time it is opened (reads the whole shard once).
         """
-        # make_source enforces the mmap contract: loud TypeError for file
-        # objects, documented no-op for in-memory buffers.
-        src = make_source(source, mmap=mmap)
+        src = make_source(source)
         try:
-            return cls._parse_head(src, source, mmap, shard_opener, verify_shards)
+            return cls._parse_head(src, source, shard_opener, verify_shards)
         except Exception:
             # Head parsing failed (bad magic, unsupported version,
             # truncated/corrupt JSON, v3-from-bytes without an opener):
@@ -552,7 +545,7 @@ class LazyBatchArchive:
 
     @classmethod
     def _parse_head(
-        cls, src, source, mmap: bool, shard_opener, verify_shards: bool
+        cls, src, source, shard_opener, verify_shards: bool
     ) -> "LazyBatchArchive":
         version, head_len = read_fixed_header(src, 0, _MAGIC, "batch archive")
         if version not in _SUPPORTED_VERSIONS:
@@ -593,7 +586,7 @@ class LazyBatchArchive:
                     "a sharded (v3) archive head opened from bytes needs an "
                     "explicit shard_opener to locate its payload shards"
                 )
-            shard_opener = default_shard_opener(Path(source).parent, mmap=mmap)
+            shard_opener = default_shard_opener(Path(source).parent)
         for key in head["keys"]:
             shard_idx, entry_off, length = head["index"][key]
             index[key] = (shard_idx, entry_off, length)

@@ -136,7 +136,6 @@ class CodecSpec:
     method_name: str
     aliases: tuple[str, ...] = ()
     description: str = ""
-    supports_per_level_eb: bool = True
     config_cls: type | None = None
 
 
@@ -152,9 +151,7 @@ def register(
     method_name: str | None = None,
     aliases: tuple[str, ...] | list[str] = (),
     description: str = "",
-    supports_per_level_eb: bool = True,
     config_cls: type | None = None,
-    replace: bool = False,
 ):
     """Register a codec factory under ``name`` (and ``aliases``).
 
@@ -167,7 +164,7 @@ def register(
     ``method_name`` defaults to the factory's ``method_name`` attribute
     (every codec class in this package carries one); it is what stored
     archives record, so :func:`codec_for_method` can route decompression.
-    Re-registering an existing spelling raises unless ``replace=True``.
+    Re-registering an existing spelling raises.
     """
 
     def _do_register(fac: Callable[..., Codec]) -> Callable[..., Codec]:
@@ -183,19 +180,13 @@ def register(
             method_name=resolved_method,
             aliases=tuple(aliases),
             description=description,
-            supports_per_level_eb=supports_per_level_eb,
             config_cls=config_cls,
         )
         spellings = (name, *spec.aliases)
         for spelling in spellings:
             claimed = _LOOKUP.get(spelling)
-            if claimed is not None and claimed != name and not replace:
-                raise ValueError(
-                    f"codec name {spelling!r} already registered (by {claimed!r}); "
-                    "pass replace=True to override"
-                )
-        if name in _SPECS and not replace:
-            raise ValueError(f"codec {name!r} already registered; pass replace=True")
+            if claimed is not None:
+                raise ValueError(f"codec name {spelling!r} already registered (by {claimed!r})")
         _SPECS[name] = spec
         for spelling in spellings:
             _LOOKUP[spelling] = name
@@ -204,17 +195,6 @@ def register(
     if factory is None:
         return _do_register
     return _do_register(factory)
-
-
-# reprolint: disable=RL006  (the inverse of the public register / register_codec)
-def unregister(name: str) -> None:
-    """Remove a codec and all its spellings (primarily for tests)."""
-    canonical = _LOOKUP.get(name, name)
-    spec = _SPECS.pop(canonical, None)
-    if spec is None:
-        raise KeyError(f"no codec registered as {name!r}")
-    for spelling in (spec.name, *spec.aliases):
-        _LOOKUP.pop(spelling, None)
 
 
 def get_spec(name: str) -> CodecSpec:
@@ -363,12 +343,10 @@ register(
     "zmesh",
     ZMeshCompressor,
     description="zMesh level-interleaved reordering baseline [Luo'21]",
-    supports_per_level_eb=False,
 )
 register(
     "3d",
     Uniform3DCompressor,
     aliases=("baseline_3d", "uniform3d"),
     description="up-sample + merge 3D baseline (paper §2.3.2)",
-    supports_per_level_eb=False,
 )

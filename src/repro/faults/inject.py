@@ -1,7 +1,7 @@
 """Fault mechanisms: byte-source wrappers that apply a plan's decisions.
 
 :class:`FaultInjectingSource` sits between a reader and any ``read_at``
-/ ``close`` byte source (file, mmap, memory, object-storage client) and
+/ ``close`` byte source (file, memory, object-storage client) and
 consults a shared :class:`~repro.faults.plan.FaultPlan` on every read.
 :func:`faulty_opener` lifts that onto the archive ``shard_opener`` seam,
 so the whole serving stack — ``retrying_opener`` backoff, CRC

@@ -11,7 +11,6 @@ cannot reconfigure the session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.engine import registry
 from repro.engine.archive import DEFAULT_SHARD_SIZE
@@ -25,12 +24,12 @@ class IngestConfig:
     Attributes
     ----------
     codec:
-        Registry spelling of the default codec (per-submit overridable).
+        Registry spelling of the codec every entry is written with.
     codec_options:
         Keyword options for the codec factory, validated against the
         codec's config schema here (unknown keys raise ``ValueError``).
-    error_bound / mode / per_level_scale:
-        Default compression parameters, forwarded to the codec.
+    error_bound / mode:
+        Compression parameters, forwarded to the codec.
     shard_size:
         Payload-shard roll-over threshold in bytes.
     keyframe_interval:
@@ -54,7 +53,6 @@ class IngestConfig:
     codec_options: dict = field(default_factory=dict)
     error_bound: float = 1e-4
     mode: str = "rel"
-    per_level_scale: Sequence[float] | None = None
     shard_size: int = DEFAULT_SHARD_SIZE
     keyframe_interval: int = 1
     max_inflight: int = 1

@@ -176,7 +176,6 @@ class _Entry:
 
     key: str
     index: int
-    codec: str
     temporal: dict | None
     stream: object | None = None  # StreamingCompression-like
     chain: _Chain | None = None
@@ -316,64 +315,35 @@ class IngestSession:
         self.report: IngestReport | None = None
 
     # -- public surface ----------------------------------------------------
-    def submit(
-        self,
-        dataset,
-        *,
-        key: str | None = None,
-        codec: str | None = None,
-        error_bound: float | None = None,
-        mode: str | None = None,
-        per_level_scale=None,
-        codec_options: dict | None = None,
-    ) -> str:
+    def submit(self, dataset, *, key: str | None = None) -> str:
         """Queue one snapshot (an :class:`AMRDataset` or an ``.npz`` path)
         for compression and return its archive key.
 
-        Per-call keywords override the session config for this entry
-        only.  Path submissions load inside the worker and are always
-        written as independent keyframes (no temporal state to diff
-        against); in-memory submissions join their ``(name, field)``
-        chain and participate in delta coding when the session's
-        ``keyframe_interval > 1``.
+        Every entry is written with the session config's codec, codec
+        options, error bound and mode.  Path submissions load inside the
+        worker and are always written as independent keyframes (no
+        temporal state to diff against); in-memory submissions join their
+        ``(name, field)`` chain and participate in delta coding when the
+        session's ``keyframe_interval > 1``.
         """
         self._check_open()
-        return self._submit(
-            dataset, key, codec, error_bound, mode, per_level_scale, codec_options
-        )
+        return self._submit(dataset, key)
 
-    def submit_step(
-        self,
-        fields: Mapping,
-        *,
-        codec: str | None = None,
-        error_bound=None,
-        mode: str | None = None,
-        per_level_scale=None,
-        codec_options: dict | None = None,
-    ) -> list[str]:
+    def submit_step(self, fields: Mapping) -> list[str]:
         """Queue one step's fields — a ``{field: AMRDataset}`` mapping on
         one AMR structure — and return their keys in sorted field order.
 
         The masks are stored once, in the first entry; the others
-        reference it (see the module docstring).  ``error_bound`` may be a
-        ``{field: bound}`` mapping (fields it leaves out take the session
-        default); the other keywords apply to every field as in
-        :meth:`submit`.  A step that is empty, or whose fields do not
-        share one structure, fails before any of it is encoded.
+        reference it (see the module docstring).  Every field is written
+        with the session config, as in :meth:`submit`.  A step that is
+        empty, or whose fields do not share one structure, fails before
+        any of it is encoded.
         """
         self._check_open()
         names = sorted(fields)
-        bounds = (
-            error_bound
-            if isinstance(error_bound, Mapping)
-            else dict.fromkeys(names, error_bound)
-        )
         try:
             if not names:
                 raise ValueError("a step needs at least one field")
-            if unknown := sorted(set(bounds) - set(names)):
-                raise ValueError(f"error_bound names fields not in the step: {unknown}")
             for name in names:
                 if not isinstance(fields[name], AMRDataset):
                     raise TypeError(
@@ -391,37 +361,17 @@ class IngestSession:
             self._fail(exc, index=self._n_submitted)
         keys: list[str] = []
         for name in names:
-            keys.append(
-                self._submit(
-                    fields[name], None, codec, bounds.get(name), mode, per_level_scale,
-                    codec_options, structure=keys[0] if keys else None,
-                )
-            )
+            keys.append(self._submit(fields[name], None, structure=keys[0] if keys else None))
         return keys
 
-    def _submit(
-        self, dataset, key, codec, error_bound, mode, per_level_scale, codec_options,
-        structure: str | None = None,
-    ) -> str:
+    def _submit(self, dataset, key, structure: str | None = None) -> str:
         cfg = self.config
-        codec_name = codec if codec is not None else cfg.codec
-        eb = cfg.error_bound if error_bound is None else error_bound
-        use_mode = cfg.mode if mode is None else mode
-        pls = cfg.per_level_scale if per_level_scale is None else per_level_scale
-
         try:
-            if codec_options is not None:
-                # Validation deep-copies, so later caller-side mutation of
-                # the dict cannot leak into an in-flight entry.
-                options = registry.validate_codec_options(codec_name, codec_options)
-            elif codec_name == cfg.codec:
-                options = copy.deepcopy(cfg.codec_options)
-            else:
-                options = {}
+            options = copy.deepcopy(cfg.codec_options)
             if structure is not None:
                 # Entry ``structure`` holds this step's masks.
                 options = registry.validate_codec_options(
-                    codec_name, {**options, "store_masks": False}
+                    cfg.codec, {**options, "store_masks": False}
                 )
             entry_args = self._plan_entry(dataset, key, cfg)
         except Exception as exc:
@@ -432,8 +382,7 @@ class IngestSession:
         self._keys.add(key)
 
         args = (
-            dataset, key, index, chain, is_keyframe, temporal, track_rec,
-            codec_name, options, eb, use_mode, pls, structure,
+            dataset, key, index, chain, is_keyframe, temporal, track_rec, options, structure,
             chain.tail if chain is not None else None,
         )
         if self._pool is None:
@@ -566,8 +515,8 @@ class IngestSession:
 
     # -- encode (worker side) ----------------------------------------------
     def _encode(
-        self, dataset, key, index, chain, is_keyframe, temporal, track_rec,
-        codec_name, options, eb, mode, pls, structure, wait_for,
+        self, dataset, key, index, chain, is_keyframe, temporal, track_rec, options, structure,
+        wait_for,
     ) -> _Entry:
         if wait_for is not None:
             # Chain serialization: step t needs the reconstruction after
@@ -576,12 +525,13 @@ class IngestSession:
         start = time.perf_counter()
         if isinstance(dataset, (str, Path)):
             dataset = load_dataset(dataset)
-        codec = registry.get_codec(codec_name, **options)
+        cfg = self.config
+        codec = registry.get_codec(cfg.codec, **options)
         base = None
         if is_keyframe:
-            source, use_eb, use_mode = dataset, eb, mode
+            source, use_eb, use_mode = dataset, cfg.error_bound, cfg.mode
             if track_rec:
-                chain.eb_abs = resolve_global_eb(dataset, eb, mode)
+                chain.eb_abs = resolve_global_eb(dataset, cfg.error_bound, cfg.mode)
         else:
             source = residual_dataset(dataset, chain.rec)
             use_eb, use_mode = chain.eb_abs, "abs"
@@ -590,18 +540,13 @@ class IngestSession:
             # A keyframe starts the loop afresh, and a step nobody reads the
             # reconstruction of ends it: stop pinning a level set here.
             chain.rec = None
-        kwargs: dict = {}
-        if pls is not None:
-            kwargs["per_level_scale"] = pls
-
         entry = _Entry(
-            key=key, index=index, codec=codec_name, temporal=temporal,
-            chain=chain, is_keyframe=is_keyframe,
+            key=key, index=index, temporal=temporal, chain=chain, is_keyframe=is_keyframe
         )
         level_wise = hasattr(codec, "compress_iter")
         encode = codec.compress_iter if level_wise else codec.compress
-        if track_rec and supports_kwarg(encode, "want_recon"):
-            kwargs["want_recon"] = True
+        want_recon = track_rec and supports_kwarg(encode, "want_recon")
+        kwargs = {"want_recon": True} if want_recon else {}
         inner = encode(source, use_eb, mode=use_mode, **kwargs)
         if not level_wise:
             inner = StreamingCompression.from_dataset(inner)
@@ -648,7 +593,7 @@ class IngestSession:
             {
                 "key": entry.key,
                 "index": entry.index,
-                "codec": entry.codec,
+                "codec": self.config.codec,
                 "temporal": entry.temporal,
                 "wall_seconds": entry.wall_seconds,
             }

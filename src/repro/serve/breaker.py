@@ -53,29 +53,25 @@ class _ShardHealth:
     trial_in_flight: bool = False
 
 
+#: Consecutive failures that open a shard's circuit.
+FAILURE_THRESHOLD = 5
+
+#: Seconds an open circuit fails fast before it lets one trial call through.
+COOLDOWN = 30.0
+
+
 class CircuitBreaker:
     """Consecutive-failure breaker keyed by shard name, thread-safe.
 
-    ``failure_threshold`` consecutive failures open a shard's circuit;
-    while open, :meth:`check` raises :class:`CircuitOpenError` without
-    touching the store.  After ``cooldown`` seconds one trial call is
-    let through (half-open): its success resets the shard, its failure
-    re-opens the circuit for a fresh cooldown.  ``clock`` is injectable
-    so tests control time.
+    :data:`FAILURE_THRESHOLD` consecutive failures open a shard's
+    circuit; while open, :meth:`check` raises :class:`CircuitOpenError`
+    without touching the store.  After :data:`COOLDOWN` seconds one trial
+    call is let through (half-open): its success resets the shard, its
+    failure re-opens the circuit for a fresh cooldown.  ``clock`` is
+    injectable so tests control time.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        cooldown: float = 30.0,
-        clock=time.monotonic,
-    ):
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
-        if cooldown <= 0:
-            raise ValueError(f"cooldown must be positive, got {cooldown}")
-        self.failure_threshold = int(failure_threshold)
-        self.cooldown = float(cooldown)
+    def __init__(self, clock=time.monotonic):
         self._clock = clock
         self._lock = threading.Lock()
         self._shards: dict[str, _ShardHealth] = {}
@@ -95,10 +91,10 @@ class CircuitBreaker:
             if health.opened_at is None:
                 return
             elapsed = self._clock() - health.opened_at
-            if elapsed >= self.cooldown and not health.trial_in_flight:
+            if elapsed >= COOLDOWN and not health.trial_in_flight:
                 health.trial_in_flight = True  # half-open: one trial through
                 return
-            retry_in = max(0.0, self.cooldown - elapsed)
+            retry_in = max(0.0, COOLDOWN - elapsed)
             raise CircuitOpenError(
                 f"circuit open for shard {name!r} after "
                 f"{health.consecutive_failures} consecutive failure(s); "
@@ -122,7 +118,7 @@ class CircuitBreaker:
             health.consecutive_failures += 1
             health.total_failures += 1
             health.trial_in_flight = False
-            if health.consecutive_failures >= self.failure_threshold:
+            if health.consecutive_failures >= FAILURE_THRESHOLD:
                 if health.opened_at is None:
                     health.n_opens += 1
                 health.opened_at = self._clock()

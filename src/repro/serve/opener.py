@@ -24,7 +24,6 @@ a coalesced prefetch through a retrying source retries per merged range.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -42,62 +41,36 @@ def _is_transient(exc: BaseException) -> bool:
     return isinstance(exc, OSError) and not isinstance(exc, ValueError)
 
 
+#: Cap (seconds) on any one wait between retries.
+MAX_DELAY = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How many times to retry a transient failure, and how patiently.
 
-    ``attempts`` counts total tries (1 = no retries).  Waits grow
-    geometrically from ``base_delay`` by ``multiplier`` per retry, capped
-    at ``max_delay``; ``sleep`` is injectable so tests (and event-loop
-    integrations) never actually block.
-
-    ``jitter`` spreads each wait uniformly over ``±jitter`` of its
-    nominal value, so a fleet of readers that failed together does not
-    retry in lockstep (the thundering-herd fix); ``rng`` is the
-    injectable uniform-[0,1) source behind it.  ``max_elapsed`` bounds
-    the *total* time spent sleeping across all retries: the wait that
-    would cross the budget is clamped to what remains and later waits
-    are dropped, so a caller-facing operation never backs off past its
-    own patience.
+    ``attempts`` counts total tries (1 = no retries).  Waits double from
+    ``base_delay`` per retry, capped at :data:`MAX_DELAY`; ``sleep`` is
+    injectable so tests (and event-loop integrations) never actually
+    block.
     """
 
     attempts: int = 4
     base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.0
-    max_elapsed: float | None = None
     sleep: object = time.sleep
-    rng: object = random.random
 
     def __post_init__(self):
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.max_elapsed is not None and self.max_elapsed < 0:
-            raise ValueError(f"max_elapsed must be >= 0, got {self.max_elapsed}")
+        if self.base_delay < 0:
+            raise ValueError("base_delay must be non-negative")
 
     def delays(self):
-        """The wait before each retry (at most ``attempts - 1`` values)."""
+        """The wait before each retry (``attempts - 1`` values)."""
         delay = self.base_delay
-        budget = self.max_elapsed
         for _ in range(self.attempts - 1):
-            if budget is not None and budget <= 0:
-                return
-            wait = min(delay, self.max_delay)
-            if self.jitter:
-                wait *= 1.0 + self.jitter * (2.0 * self.rng() - 1.0)
-                wait = min(max(0.0, wait), self.max_delay)
-            if budget is not None:
-                wait = min(wait, budget)
-                budget -= wait
-            yield wait
-            delay *= self.multiplier
+            yield min(delay, MAX_DELAY)
+            delay *= 2.0
 
 
 @dataclass

@@ -126,9 +126,14 @@ class ArchiveReader:
         sharded v3 is the intended production shape).
     shard_opener:
         ``name → byte source`` resolver for v3 payload shards (defaults
-        to files next to the head).  It is wrapped with retry/backoff
-        and fetch accounting; pass ``retry=RetryPolicy(attempts=1)`` to
-        disable retries.
+        to files next to the head).  It is wrapped with retry/backoff,
+        fetch accounting and a per-shard circuit breaker
+        (:class:`~repro.serve.breaker.CircuitBreaker`: after
+        :data:`~repro.serve.breaker.FAILURE_THRESHOLD` *consecutive*
+        failures a shard fails fast for
+        :data:`~repro.serve.breaker.COOLDOWN` seconds instead of burning
+        retry budgets); pass ``retry=RetryPolicy(attempts=1)`` to disable
+        retries.
     cache_bytes:
         Decoded-brick LRU budget (0 disables caching).
     io_workers:
@@ -159,18 +164,12 @@ class ArchiveReader:
         them.
     fill_value:
         What degraded requests write into failed bricks' boxes.
-    breaker_threshold / breaker_cooldown:
-        Per-shard circuit breaker: after ``breaker_threshold``
-        *consecutive* failures a shard fails fast for
-        ``breaker_cooldown`` seconds instead of burning retry budgets
-        (``breaker_threshold=0`` disables the breaker).
     """
 
     def __init__(
         self,
         source,
         *,
-        mmap: bool = False,
         shard_opener=None,
         verify_shards: bool = False,
         retry: RetryPolicy | None = None,
@@ -181,31 +180,24 @@ class ArchiveReader:
         default_deadline: float | None = None,
         degraded: bool = False,
         fill_value: float = 0.0,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 30.0,
     ):
         if shard_opener is None and isinstance(source, (str, Path)):
-            shard_opener = default_shard_opener(Path(source).parent, mmap=mmap)
+            shard_opener = default_shard_opener(Path(source).parent)
         self.fetch_stats = FetchStats()
         self.default_deadline = default_deadline
         self.degraded = bool(degraded)
         self.fill_value = fill_value
-        self.breaker = (
-            CircuitBreaker(breaker_threshold, breaker_cooldown)
-            if breaker_threshold
-            else None
-        )
+        self.breaker = CircuitBreaker()
         opener = None
         if shard_opener is not None:
             opener = retrying_opener(
                 shard_opener, policy=retry or RetryPolicy(), stats=self.fetch_stats
             )
-            if self.breaker is not None:
-                # Breaker outside retry: one exhausted retry budget is one
-                # breaker failure, and an open circuit skips the backoff.
-                opener = breaking_opener(opener, self.breaker)
+            # Breaker outside retry: one exhausted retry budget is one
+            # breaker failure, and an open circuit skips the backoff.
+            opener = breaking_opener(opener, self.breaker)
         self._archive = LazyBatchArchive.open(
-            source, mmap=mmap, shard_opener=opener, verify_shards=verify_shards
+            source, shard_opener=opener, verify_shards=verify_shards
         )
         try:
             if default_deadline is not None and default_deadline <= 0:
@@ -484,7 +476,7 @@ class ArchiveReader:
             }
         out["cache"] = self.cache.stats() if self.cache is not None else None
         out["fetch"] = self.fetch_stats.snapshot()
-        out["breaker"] = self.breaker.snapshot() if self.breaker is not None else None
+        out["breaker"] = self.breaker.snapshot()
         return out
 
     # -- lifecycle ---------------------------------------------------------

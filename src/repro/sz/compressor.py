@@ -64,58 +64,36 @@ from repro.utils.timer import TimingRecord, timed
 from repro.utils.validation import check_error_bound, check_finite, ensure_ndarray
 
 
+#: Half-width of the Huffman symbol alphabet: residuals with
+#: ``|d| >= RADIUS`` are escape-coded into the outlier section.  Each
+#: stream records it, and the decoder reads it from there.
+RADIUS = 4096
+
+#: Cap on Huffman codeword length (the decode table has
+#: ``2**longest_code`` entries, so at most ``2**MAX_CODE_LEN``); recorded
+#: per stream as ``max_len``.
+MAX_CODE_LEN = DEFAULT_MAX_LEN
+
+
 @dataclass(frozen=True)
 class SZConfig:
-    """Tunable parameters of the codec.
+    """The codec's one choice.
 
-    Attributes
-    ----------
-    predictor:
-        ``"interp"`` (default) — SZ3-style multilevel interpolation,
-        predicting from reconstructed neighbours (best rate-distortion,
-        the behaviour the paper's SZ exhibits); ``"lorenzo"`` — dual-quant
-        N-D Lorenzo (fastest, exact integer pipeline).
-    radius:
-        Half-width of the Huffman symbol alphabet; residuals with
-        ``|d| >= radius`` are escape-coded.  Larger radii enlarge the code
-        table, smaller ones shift load to the outlier channel.
-    max_code_len:
-        Cap on Huffman codeword length (the decode table has
-        ``2**longest_code`` entries, so at most ``2**max_code_len``).
-    zlib_level:
-        DEFLATE level of the LZ77-coded sections — block offsets,
-        outliers, the eb == 0 raw array and the pw_rel sign/zero masks —
-        floored at 1 (those sections are always DEFLATEd).  The Huffman
-        payload and code-length table go through run-length DEFLATE,
-        which has no level; ``0`` stores the payload raw instead.
-    block_size:
-        Huffman decode block length, an integer ``>= 1``; ``None`` picks
-        ``~sqrt(n)``.
+    ``predictor`` is ``"interp"`` (default) — SZ3-style multilevel
+    interpolation, predicting from reconstructed neighbours (best
+    rate-distortion, the behaviour the paper's SZ exhibits) — or
+    ``"lorenzo"`` — dual-quant N-D Lorenzo (fastest, exact integer
+    pipeline).  The alphabet (:data:`RADIUS`), the code-length cap
+    (:data:`MAX_CODE_LEN`), the decode block length (``~sqrt(n)``, picked
+    by :func:`~repro.sz.huffman.encode_many` and recorded per stream) and
+    the DEFLATE of every section (:mod:`repro.sz.lossless`) are fixed.
     """
 
     predictor: str = "interp"
-    radius: int = 4096
-    max_code_len: int = DEFAULT_MAX_LEN
-    zlib_level: int = 1
-    block_size: int | None = None
 
     def __post_init__(self):
         if self.predictor not in ("interp", "lorenzo"):
             raise ValueError(f"predictor must be 'interp' or 'lorenzo', got {self.predictor!r}")
-        if self.radius < 2:
-            raise ValueError("radius must be at least 2")
-        if not 2 <= self.max_code_len <= 24:
-            raise ValueError("max_code_len must be in [2, 24]")
-        if 2 * self.radius + 1 > (1 << self.max_code_len):
-            raise ValueError(
-                f"alphabet 2*radius+1={2 * self.radius + 1} cannot fit in "
-                f"max_code_len={self.max_code_len} bits"
-            )
-        block = self.block_size
-        if block is not None and (
-            isinstance(block, bool) or not isinstance(block, (int, np.integer)) or block < 1
-        ):
-            raise ValueError(f"block_size must be None or an integer >= 1, got {block!r}")
 
 
 @dataclass
@@ -643,7 +621,6 @@ class SZCompressor:
         pass, a ``pw_rel`` member in log space at ``log1p(eb)`` with its
         sign and zero masks appended."""
         out: list = [None] * len(arrays)
-        level = max(self.config.zlib_level, 1)
         lattice: list[tuple] = []  # (slot, header, array predicted, pw_rel masks or None)
         for slot, (arr, dest) in enumerate(zip(arrays, dests)):
             header = stream.StreamHeader(
@@ -666,7 +643,7 @@ class SZCompressor:
                 if dest is not None:
                     dest[...] = arr
                 with timed(record, "lossless"):
-                    codec, payload = lossless.compress_bytes(arr.tobytes(), level=level)
+                    codec, payload = lossless.compress_bytes(arr.tobytes())
                 out[slot] = stream.serialize(header, [(stream.SEC_RAW, codec, payload)])
                 continue
             masks = None
@@ -694,7 +671,7 @@ class SZCompressor:
                         dests[slots[i]][...] = _from_log_space(logs, *masks[i]).reshape(logs.shape)
                 with timed(record, "lossless"):
                     for tag, bits in zip((stream.SEC_SIGNS, stream.SEC_ZERO_MASK), masks[i]):
-                        c, p = lossless.compress_bytes(np.packbits(bits).tobytes(), level=level)
+                        c, p = lossless.compress_bytes(np.packbits(bits).tobytes())
                         sections.append((tag, c, p))
             out[slots[i]] = stream.serialize(headers[i], sections)
         return out
@@ -730,9 +707,8 @@ class SZCompressor:
         reconstructions once it has consumed every input; the float64
         working copy is gone again before the symbols are mapped.
         """
-        cfg = self.config
         n_streams = len(arrs)
-        if cfg.predictor == "interp":
+        if self.config.predictor == "interp":
             with timed(timings, "predict"):
                 # A single (possibly large) stream is only viewed, not copied;
                 # a batch is stacked in its members' own dtype (the predictor
@@ -757,7 +733,7 @@ class SZCompressor:
                 residuals = rows[0] if n_streams == 1 else np.concatenate(rows)
                 del lattices, rows
         with timed(timings, "encode"):
-            radius = cfg.radius
+            radius = RADIUS
             escape = 2 * radius
             # `residuals` is freshly materialized by the predictor, so the
             # symbol shift happens in place; escape masking reuses the
@@ -787,19 +763,18 @@ class SZCompressor:
         to those bins in place and back again, so neither an index copy nor
         an alphabet-wide table per row is made.
         """
-        cfg = self.config
-        alphabet = 2 * cfg.radius + 1
+        alphabet = 2 * RADIUS + 1
         n_streams = symbols.shape[0]
         if n_streams == 1:
             counts = np.bincount(symbols.reshape(-1), minlength=alphabet)[None]
-            return code_tables(counts, cfg.max_code_len)
+            return code_tables(counts, MAX_CODE_LEN)
         lo = int(symbols.min())
         width = int(symbols.max()) + 1 - lo
         shift = np.arange(-lo, n_streams * width - lo, width)[:, None]
         symbols += shift
         counts = np.bincount(symbols.reshape(-1), minlength=n_streams * width)
         symbols -= shift
-        return code_tables(counts.reshape(n_streams, width), cfg.max_code_len, lo, alphabet)
+        return code_tables(counts.reshape(n_streams, width), MAX_CODE_LEN, lo, alphabet)
 
     def _encode_symbols(
         self,
@@ -811,9 +786,8 @@ class SZCompressor:
         """Steps 4–5 for the rows of ``symbols``: entropy coding under the
         batch's ``tables`` + lossless back end; returns each stream's
         sections."""
-        cfg = self.config
         with timed(timings, "encode"):
-            encoded = encode_many(tables, symbols, block_size=cfg.block_size)
+            encoded = encode_many(tables, symbols)
         with timed(timings, "lossless"):
             return [
                 self._payload_sections(tables.row_lengths(row), enc, outl)
@@ -825,25 +799,21 @@ class SZCompressor:
         :mod:`repro.sz.lossless` names for its kind: run-length DEFLATE for
         the Huffman table (``code_lengths``, one byte per alphabet symbol)
         and payload, LZ77 DEFLATE for the side sections."""
-        level = self.config.zlib_level
         c, p = lossless.compress_runs(code_lengths.tobytes())
         sections: list[tuple[int, int, bytes]] = [(stream.SEC_CODE_LENGTHS, c, p)]
         # Offsets are monotone; delta encoding makes them byte-cheap.
         deltas = encoded.block_offsets.astype(np.int64)
         deltas[1:] -= encoded.block_offsets[:-1]
-        c, p = lossless.pack_int_array(deltas, level=max(level, 1))
+        c, p = lossless.pack_int_array(deltas)
         sections.append((stream.SEC_BLOCK_OFFSETS, c, p))
-        if level > 0:
-            c, p = lossless.compress_runs(encoded.payload)
-        else:
-            c, p = lossless.CODEC_RAW, encoded.payload
+        c, p = lossless.compress_runs(encoded.payload)
         sections.append((stream.SEC_PAYLOAD, c, p))
         if outliers.size:
-            c, p = lossless.pack_int_array(outliers, level=max(level, 1))
+            c, p = lossless.pack_int_array(outliers)
             sections.append((stream.SEC_OUTLIERS, c, p))
         meta = stream.pack_meta(
-            radius=self.config.radius,
-            max_len=self.config.max_code_len,
+            radius=RADIUS,
+            max_len=MAX_CODE_LEN,
             block_size=encoded.block_size,
             total_bits=encoded.total_bits,
             n_symbols=encoded.n_symbols,

@@ -51,24 +51,21 @@ import numpy as np
 CODEC_RAW = 0
 CODEC_ZLIB = 1
 
-_CODEC_NAMES = {CODEC_RAW: "raw", CODEC_ZLIB: "zlib"}
 
-
-def _smaller(data: bytes, packed: bytes, allow_raw: bool) -> tuple[int, bytes]:
+def _smaller(data: bytes, packed: bytes) -> tuple[int, bytes]:
     """The raw fallback: ``data`` itself when DEFLATE would not shrink it."""
-    if allow_raw and len(packed) >= len(data):
+    if len(packed) >= len(data):
         return CODEC_RAW, data
     return CODEC_ZLIB, packed
 
 
-def compress_bytes(data: bytes, *, level: int = 1, allow_raw: bool = True) -> tuple[int, bytes]:
-    """Compress ``data`` with DEFLATE; fall back to raw if it would grow.
+def compress_bytes(data: bytes) -> tuple[int, bytes]:
+    """Compress ``data`` with level-1 DEFLATE; fall back to raw if it would
+    grow.
 
     Returns ``(codec_tag, payload)``.
     """
-    if level < 0 or level > 9:
-        raise ValueError(f"zlib level must be in [0, 9], got {level}")
-    return _smaller(data, zlib.compress(data, level), allow_raw)
+    return _smaller(data, zlib.compress(data, 1))
 
 
 def compress_runs(data: bytes) -> tuple[int, bytes]:
@@ -79,7 +76,7 @@ def compress_runs(data: bytes) -> tuple[int, bytes]:
     ``(codec_tag, payload)`` like :func:`compress_bytes`.
     """
     packer = zlib.compressobj(1, zlib.DEFLATED, zlib.MAX_WBITS, 8, zlib.Z_RLE)
-    return _smaller(data, packer.compress(data) + packer.flush(), True)
+    return _smaller(data, packer.compress(data) + packer.flush())
 
 
 def _inflate(codec: int, payload: bytes, cap: int) -> bytes:
@@ -110,12 +107,7 @@ def decompress_bytes(codec: int, payload: bytes, size: int) -> bytes:
     return raw
 
 
-def codec_name(codec: int) -> str:
-    """Human-readable name for a codec tag (for stats/reporting)."""
-    return _CODEC_NAMES.get(codec, f"unknown({codec})")
-
-
-def pack_int_array(arr: np.ndarray, *, level: int = 1) -> tuple[int, bytes]:
+def pack_int_array(arr: np.ndarray) -> tuple[int, bytes]:
     """Serialize an integer array: its native bytes through
     :func:`compress_bytes`.
 
@@ -125,7 +117,7 @@ def pack_int_array(arr: np.ndarray, *, level: int = 1) -> tuple[int, bytes]:
     header, not here.
     """
     arr = np.ascontiguousarray(arr)
-    return compress_bytes(arr.tobytes(), level=level)
+    return compress_bytes(arr.tobytes())
 
 
 def unpack_int_array(codec: int, payload: bytes, dtype, count: int) -> np.ndarray:

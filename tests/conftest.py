@@ -34,3 +34,13 @@ def z3_small() -> AMRDataset:
 def t3_small() -> AMRDataset:
     """Run2_T3 at the smallest scale: three levels, sparse finest."""
     return make_dataset("Run2_T3", scale=8)
+
+
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """A private copy of the codec registry: whatever a test registers is
+    gone again when it ends."""
+    from repro.engine import registry
+
+    monkeypatch.setattr(registry, "_SPECS", dict(registry._SPECS))
+    monkeypatch.setattr(registry, "_LOOKUP", dict(registry._LOOKUP))

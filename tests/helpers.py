@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import re
 import struct
@@ -514,18 +515,18 @@ def write_archive(path, entries: dict, **writer_options):
     return writer.report.head_path
 
 
-def rpht_table(code_lengths, max_len: int, zlib_level: int = 1) -> bytes:
+def rpht_table(code_lengths, max_len: int) -> bytes:
     """Reference writer of an ``RPHT`` shared-Huffman-table part (the
     retired ``pack_shared_table``): ``<4sBBIIBQ`` head + code lengths."""
     from repro.sz import lossless
 
     raw = np.ascontiguousarray(code_lengths, dtype=np.uint8).tobytes()
-    codec, payload = lossless.compress_bytes(raw, level=zlib_level)
+    codec, payload = lossless.compress_bytes(raw)
     head = ("<4sBBIIBQ", b"RPHT", 1, max_len, len(raw), zlib.crc32(raw), codec, len(payload))
     return struct.pack(*head) + payload
 
 
-def shared_table_streams(blobs: list, zlib_level: int = 1):
+def shared_table_streams(blobs: list):
     """Reference writer of the retired shared-table level: per-stream SZ
     ``blobs`` re-coded under one Huffman table built from their summed
     symbol histogram.  Returns ``(table part, blobs, {id, alphabet})``:
@@ -564,18 +565,18 @@ def shared_table_streams(blobs: list, zlib_level: int = 1):
         deltas = np.diff(enc.block_offsets, prepend=0)
         sections = [
             (stream.SEC_TABLE_REF, lossless.CODEC_RAW, struct.pack("<II", *info.values())),
-            (stream.SEC_BLOCK_OFFSETS, *lossless.pack_int_array(deltas, level=max(zlib_level, 1))),
-            (stream.SEC_PAYLOAD, *lossless.compress_bytes(enc.payload, level=zlib_level)),
+            (stream.SEC_BLOCK_OFFSETS, *lossless.pack_int_array(deltas)),
+            (stream.SEC_PAYLOAD, *lossless.compress_bytes(enc.payload)),
         ]
         if stream.SEC_OUTLIERS in parsed.sections:
             sections.append((stream.SEC_OUTLIERS, *parsed.section(stream.SEC_OUTLIERS)))
         meta = stream.pack_meta(**{**meta, "total_bits": enc.total_bits})
         sections.append((stream.SEC_META, lossless.CODEC_RAW, meta))
         out[slot] = stream.serialize(parsed.header, sections)
-    return rpht_table(code.lengths, code.max_len, max(zlib_level, 1)), out, info
+    return rpht_table(code.lengths, code.max_len), out, info
 
 
-def retired_tac_layout(comp, *, shared: bool = False, format1: bool = False, zlib_level: int = 1):
+def retired_tac_layout(comp, *, shared: bool = False, format1: bool = False):
     """A TAC blob rewritten into a layout only readers still know —
     ``shared``: every level's streams under one ``L<idx>/table`` part
     (:func:`shared_table_streams`); ``format1``: a one-brick GSP/ZF level
@@ -591,10 +592,20 @@ def retired_tac_layout(comp, *, shared: bool = False, format1: bool = False, zli
         stream_name = rf"L{idx}/(b\d+|g\d+|grid)"
         slots = [i for i, (n, _p) in enumerate(items) if re.fullmatch(stream_name, n)]
         if shared and slots:
-            table, blobs, info = shared_table_streams([items[i][1] for i in slots], zlib_level)
+            table, blobs, info = shared_table_streams([items[i][1] for i in slots])
             if table is not None:
                 for i, blob in zip(slots, blobs):
                     items[i] = items[i][0], blob
                 items.insert(slots[0], (f"L{idx}/table", table))
                 level["shared_table"] = {"part": f"L{idx}/table", **info}
     return dataclasses.replace(comp, parts=dict(items), meta=meta)
+
+
+def pin_block_size(monkeypatch, block) -> None:
+    """SZ encodes in Huffman decode blocks of ``block`` symbols (``None``:
+    the kernel's ``~sqrt(n)`` default) — the kernel's own ``block_size=``
+    argument, bound where the compressor calls it."""
+    from repro.sz import compressor, huffman
+
+    encode = functools.partial(huffman.encode_many, block_size=block)
+    monkeypatch.setattr(compressor, "encode_many", encode)

@@ -14,8 +14,8 @@ The write-path counterpart of ``tests/test_container_v2.py``:
   and the archive in the message;
 * the streaming writer's peak memory is bounded by the largest single
   part (asserted with ``tracemalloc``), not the dataset;
-* the mmap-backed source serves lock-free concurrent reads identical to
-  the file-backed source.
+* concurrent reads of one file-backed entry, and racing ``entry()``
+  calls on one archive, serve the stored bytes and open each shard once.
 """
 
 from __future__ import annotations
@@ -334,20 +334,12 @@ class TestStreamingWriterMemory:
             CompressedDataset.from_bytes(path.read_bytes())
 
 
-class TestMmapSource:
-    def test_mmap_reads_match_file_reads(self, sharded, compressed_batch):
-        head, _report = sharded
-        with LazyBatchArchive.open(head, mmap=True) as lazy:
-            for key, comp in compressed_batch.items():
-                entry = lazy.entry(key)
-                for name, payload in comp.parts.items():
-                    assert entry.parts[name] == payload
-
-    def test_concurrent_lockfree_reads(self, tmp_path, compressed_batch):
+class TestConcurrentReads:
+    def test_concurrent_file_reads(self, tmp_path, compressed_batch):
         comp = compressed_batch["toy/tac"]
         path = tmp_path / "entry.rpam"
         path.write_bytes(comp.to_bytes())
-        with LazyCompressedDataset.open(path, mmap=True) as lazy:
+        with LazyCompressedDataset.open(path) as lazy:
             names = list(comp.parts) * 8
             with ThreadPoolExecutor(max_workers=8) as pool:
                 fetched = list(pool.map(lambda n: lazy.parts[n], names))
@@ -372,15 +364,6 @@ class TestMmapSource:
             assert all(entry.n_values > 0 for entry in entries)
         assert sorted(opens) == sorted(set(opens)), f"shard double-opened: {opens}"
         assert len(opens) == len(report.shard_paths)
-
-    def test_mmap_rejects_file_objects(self, tmp_path):
-        from repro.core.container import make_source
-
-        path = tmp_path / "x.bin"
-        path.write_bytes(b"RPAMxxxx")
-        with open(path, "rb") as fh:
-            with pytest.raises(TypeError, match="path source"):
-                make_source(fh, mmap=True)
 
 
 class TestSessionStreamedBatch:

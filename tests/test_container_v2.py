@@ -333,12 +333,12 @@ class TestArchiveVersions:
         with pytest.raises(ValueError, match="not a batch archive"):
             LazyBatchArchive.open(b"junkjunkjunkjunk")
 
-    def test_partial_reads_reject_non_partial_codecs(self, tmp_path):
+    def test_partial_reads_reject_non_partial_codecs(self, tmp_path, scratch_registry):
         """A Codec-protocol-only downstream codec restores whole entries
         and fails with a clear error on decompress_level."""
         from repro.amr.hierarchy import AMRDataset
         from repro.core.container import CompressedDataset
-        from repro.engine import register, unregister
+        from repro.engine import register
 
         @register("blobonly", method_name="blobonly", description="test only")
         class BlobOnlyCodec:
@@ -359,23 +359,20 @@ class TestArchiveVersions:
                 )
                 return AMRDataset(levels=[lvl], name="blob")
 
-        try:
-            head = write_archive(
-                tmp_path / "blobonly.rpbt",
-                {
-                    "x": CompressedDataset(
-                        method="blobonly", dataset_name="x",
-                        meta={"shapes": [[4, 4, 4]]},
-                    )
-                },
-            )
-            with LazyBatchArchive.open(head) as stored:
-                restored = stored.decompress("x")
-                assert restored.n_levels == 1
-                with pytest.raises(TypeError, match="partial"):
-                    stored.decompress_level("x", 0)
-        finally:
-            unregister("blobonly")
+        head = write_archive(
+            tmp_path / "blobonly.rpbt",
+            {
+                "x": CompressedDataset(
+                    method="blobonly", dataset_name="x",
+                    meta={"shapes": [[4, 4, 4]]},
+                )
+            },
+        )
+        with LazyBatchArchive.open(head) as stored:
+            restored = stored.decompress("x")
+            assert restored.n_levels == 1
+            with pytest.raises(TypeError, match="partial"):
+                stored.decompress_level("x", 0)
 
     def test_indexed_entries_match_manifest(self, entries):
         with LazyBatchArchive.open(self._archive(entries, 2)) as lazy:

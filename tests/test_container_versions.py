@@ -66,7 +66,7 @@ def read_lazy_bytes(blob, tmp_path):
 def read_lazy_file(blob, tmp_path):
     path = tmp_path / "blob.rpam"
     path.write_bytes(blob)
-    with LazyCompressedDataset.open(path, mmap=True) as lazy:
+    with LazyCompressedDataset.open(path) as lazy:
         return lazy.container_version, surface(lazy)
 
 

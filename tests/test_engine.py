@@ -24,7 +24,6 @@ from repro.engine import (
     get_codec,
     get_spec,
     register,
-    unregister,
 )
 from repro.amr.io import save_dataset
 from repro.ingest import IngestConfig, IngestError, IngestSession
@@ -35,29 +34,30 @@ from tests.test_ingest import archive_entries
 EB = 1e-3
 
 
+#: TAC encodes level-wise (``compress_iter``); ``1d`` has no
+#: ``compress_iter`` and goes through ``StreamingCompression.from_dataset``.
+CODECS = pytest.mark.parametrize("codec", ["tac", "1d"])
+
+
 @pytest.fixture(scope="module")
 def batch_jobs():
-    """Four two-level fields × two codecs = 8 independent ``(label, dataset,
-    codec)`` jobs."""
-    datasets = [two_level_dataset(n=16, fine_fraction=0.3, seed=s) for s in range(4)]
+    """Four two-level fields = 4 independent ``(label, dataset)`` jobs."""
     return [
-        (f"f{i}/{codec}", ds, codec)
-        for i, ds in enumerate(datasets)
-        for codec in ("tac", "1d")
+        (f"f{seed}", two_level_dataset(n=16, fine_fraction=0.3, seed=seed)) for seed in range(4)
     ]
 
 
-def run_session(head, jobs, **config) -> IngestSession:
-    """Every job through one session; returns it closed (report set)."""
-    with IngestSession(head, IngestConfig(error_bound=EB, **config)) as session:
-        for label, dataset, codec in jobs:
-            session.submit(dataset, key=label, codec=codec)
+def run_session(head, jobs, codec="tac", **config) -> IngestSession:
+    """Every job through one ``codec`` session; returns it closed (report set)."""
+    with IngestSession(head, IngestConfig(codec=codec, error_bound=EB, **config)) as session:
+        for label, dataset in jobs:
+            session.submit(dataset, key=label)
     return session
 
 
-def build_entries(jobs) -> dict:
-    """``{label: comp}`` — every job through its codec, no session."""
-    return {label: get_codec(codec).compress(dataset, EB) for label, dataset, codec in jobs}
+def build_entries(jobs, codec="tac") -> dict:
+    """``{label: comp}`` — every job through ``codec``, no session."""
+    return {label: get_codec(codec).compress(dataset, EB) for label, dataset in jobs}
 
 
 # ----------------------------------------------------------------------
@@ -77,34 +77,33 @@ class TestRegistry:
         codec = get_codec("tac", unit_block=8)
         assert codec.config.unit_block == 8
 
-    def test_brick_size_flows_through_job_codec_options(self, tmp_path):
-        """Plumbing for the GSP brick knob: a submission's codec_options
+    def test_brick_size_flows_through_session_codec_options(self, tmp_path):
+        """Plumbing for the GSP brick knob: a session's codec_options
         reach the TAC factory, and the resulting archive entry carries the
         brick layout accordingly — an edge at least the level's is the one
         stream the retired ``brick_size=None`` spelling used to select, and
-        that spelling fails its own entry, naming the replacement."""
+        that spelling fails the session, naming the replacement."""
         from repro.core.density import Strategy
         from tests.helpers import golden_gsp_dataset
 
         ds = golden_gsp_dataset()
-        head = tmp_path / "bricks.rpbt"
 
-        def options(brick_size):
-            return {"brick_size": brick_size, "force_strategy": Strategy.GSP}
+        def entry(brick_size):
+            head = tmp_path / f"b{brick_size}" / "bricks.rpbt"
+            head.parent.mkdir()
+            options = {"brick_size": brick_size, "force_strategy": Strategy.GSP}
+            with IngestSession(head, error_bound=1e-3, mode="abs", codec_options=options) as s:
+                key = s.submit(ds)
+            return archive_entries(head)[key]
 
-        with IngestSession(head, error_bound=1e-3, mode="abs") as session:
-            session.submit(ds, key="bricked", codec_options=options(4))
-            session.submit(ds, key="one-stream", codec_options=options(16))
-        entries = archive_entries(head)
-        parts, meta = entries["bricked"]
+        parts, meta = entry(4)
         assert meta["levels"][0]["bricks"]["size"] == 4
         assert any(name.startswith("L0/b") for name in parts)
-        parts, meta = entries["one-stream"]
+        parts, meta = entry(16)
         assert meta["levels"][0]["bricks"]["n"] == 1
         assert "L0/b0" in parts
         with pytest.raises(IngestError, match="at least the level's edge"):
-            with IngestSession(tmp_path / "legacy.rpbt", mode="abs") as session:
-                session.submit(ds, key="legacy", codec_options=options(None))
+            entry(None)
 
     def test_method_resolution_prefers_plain_tac(self):
         codec = codec_for_method("tac")
@@ -121,54 +120,53 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register("tac", TACCompressor)
 
-    def test_register_decorator_and_unregister(self):
+    def test_register_decorator(self, scratch_registry):
         @register("fake-codec", method_name="fake", description="test only")
         class FakeCodec:
             method_name = "fake"
 
-        try:
-            assert isinstance(get_codec("fake-codec"), FakeCodec)
-            assert get_spec("fake-codec").description == "test only"
-        finally:
-            unregister("fake-codec")
-        with pytest.raises(KeyError):
-            get_codec("fake-codec")
+        assert isinstance(get_codec("fake-codec"), FakeCodec)
+        assert get_spec("fake-codec").description == "test only"
+        with pytest.raises(ValueError, match="already registered"):
+            register("fake", FakeCodec, aliases=("fake-codec",))
+        assert "fake" not in codec_names(include_aliases=True)
 
 
 # ----------------------------------------------------------------------
 # session determinism (the contracts the engine used to carry)
 # ----------------------------------------------------------------------
 class TestEngineDeterminism:
-    def test_parallel_bit_identical_to_serial(self, batch_jobs, tmp_path):
-        serial = run_session(tmp_path / "serial.rpbt", batch_jobs)
+    @CODECS
+    def test_parallel_bit_identical_to_serial(self, batch_jobs, tmp_path, codec):
+        serial = run_session(tmp_path / "serial.rpbt", batch_jobs, codec)
         parallel = run_session(
-            tmp_path / "parallel.rpbt", batch_jobs, max_inflight=8, workers=4
+            tmp_path / "parallel.rpbt", batch_jobs, codec, max_inflight=8, workers=4
         )
         assert archive_entries(serial.report.head_path) == archive_entries(
             parallel.report.head_path
         )
         # ... and both are what the codec writes on its own.
-        reference = build_entries(batch_jobs)
+        reference = build_entries(batch_jobs, codec)
         for key, (parts, _meta) in archive_entries(serial.report.head_path).items():
             assert parts == reference[key].parts
 
-    def test_nested_encode_drains_bit_identical(self, batch_jobs, tmp_path, monkeypatch):
+    @CODECS
+    def test_nested_encode_drains_bit_identical(self, batch_jobs, tmp_path, monkeypatch, codec):
         """Four session workers, each draining its SZ batches on 4 threads
         through the shared helpers: no deadlock, serial bytes."""
-        serial = run_session(tmp_path / "serial.rpbt", batch_jobs)
+        serial = run_session(tmp_path / "serial.rpbt", batch_jobs, codec)
         monkeypatch.setattr(sz_compressor, "ENCODE_THREADS", 4)
-        nested = run_session(
-            tmp_path / "nested.rpbt", batch_jobs, max_inflight=8, workers=4
-        )
+        nested = run_session(tmp_path / "nested.rpbt", batch_jobs, codec, max_inflight=8, workers=4)
         assert archive_entries(serial.report.head_path) == archive_entries(
             nested.report.head_path
         )
 
-    def test_results_keep_submission_order(self, batch_jobs, tmp_path):
-        session = run_session(tmp_path / "order.rpbt", batch_jobs, max_inflight=8, workers=4)
+    @CODECS
+    def test_results_keep_submission_order(self, batch_jobs, tmp_path, codec):
+        session = run_session(tmp_path / "order.rpbt", batch_jobs, codec, max_inflight=8, workers=4)
         rows = session.report.entries
         assert [row["index"] for row in rows] == list(range(len(batch_jobs)))
-        assert [row["key"] for row in rows] == [label for label, _ds, _codec in batch_jobs]
+        assert [row["key"] for row in rows] == [label for label, _ds in batch_jobs]
 
     def test_path_inputs_load_in_workers_bit_identical(self, tmp_path):
         ds = two_level_dataset(n=16, fine_fraction=0.3, seed=1)
@@ -195,12 +193,15 @@ class TestEngineDeterminism:
 # ----------------------------------------------------------------------
 class TestFailureIsolation:
     def test_raise_errors_chains_the_cause(self, tmp_path):
-        # zMesh rejects per-level bounds -> deterministic ValueError.
+        # A retired brick spelling fails inside the codec factory ->
+        # deterministic ValueError.
         with pytest.raises(IngestError, match="failed") as excinfo:
-            with IngestSession(tmp_path / "bad.rpbt", codec="zmesh") as session:
-                session.submit(two_level_dataset(n=8), per_level_scale=[2.0, 1.0])
+            with IngestSession(
+                tmp_path / "bad.rpbt", codec_options={"brick_size": None}
+            ) as session:
+                session.submit(two_level_dataset(n=8))
         assert isinstance(excinfo.value.__cause__, ValueError)
-        assert "per-level" in str(excinfo.value.__cause__)
+        assert "brick_size" in str(excinfo.value.__cause__)
         assert not list(tmp_path.iterdir())
 
     def test_invalid_engine_parameters(self):
@@ -216,8 +217,9 @@ class TestFailureIsolation:
 # timing
 # ----------------------------------------------------------------------
 class TestTimingAggregation:
-    def test_wall_and_per_job_seconds_recorded(self, batch_jobs, tmp_path):
-        session = run_session(tmp_path / "wall.rpbt", batch_jobs, max_inflight=4, workers=2)
+    @CODECS
+    def test_wall_and_per_job_seconds_recorded(self, batch_jobs, tmp_path, codec):
+        session = run_session(tmp_path / "wall.rpbt", batch_jobs, codec, max_inflight=4, workers=2)
         assert session.report.wall_seconds > 0.0
         assert all(row["wall_seconds"] > 0.0 for row in session.report.entries)
 
@@ -236,7 +238,7 @@ class TestBatchArchive:
         with LazyBatchArchive.open(head) as loaded:
             assert loaded.keys() == sorted(entries)
             assert loaded.meta == {"purpose": "test"}
-            label, original, _codec = batch_jobs[0]
+            label, original = batch_jobs[0]
             restored = loaded.decompress(label)
         eb_abs = EB * resolve_global_eb(original, 1.0, "rel")
         for orig, back in zip(original.levels, restored.levels):

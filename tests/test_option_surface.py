@@ -1,0 +1,82 @@
+"""The settable values of the public configs and constructors, pinned.
+
+Every option a caller can set is code to keep, document and test.  This
+file names each settable value of the thirteen surfaces below, so a new
+option shows up in review as a one-line diff here.  The subject a call
+acts on (the dataset, the source, the directory, the codec's name and
+factory) is not counted as an option.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.core.container import LazyCompressedDataset, make_source
+from repro.core.tac import TACConfig
+from repro.engine import LazyBatchArchive, default_shard_opener, register
+from repro.ingest import IngestConfig, IngestSession
+from repro.serve import ArchiveReader, CircuitBreaker, RetryPolicy
+from repro.sz import SZConfig
+
+SUBJECTS = {"self", "source", "dataset", "fields", "base_dir", "name", "factory"}
+
+CENSUS = [
+    ("SZConfig", SZConfig, ["predictor"]),
+    (
+        "TACConfig",
+        TACConfig,
+        [
+            "unit_block", "adaptive_baseline", "force_strategy", "pad_layers",
+            "avg_layers", "brick_size", "store_masks", "sz",
+        ],
+    ),
+    (
+        "IngestConfig",
+        IngestConfig,
+        [
+            "codec", "codec_options", "error_bound", "mode", "shard_size",
+            "keyframe_interval", "max_inflight", "workers",
+        ],
+    ),
+    ("IngestSession.submit", IngestSession.submit, ["key"]),
+    ("IngestSession.submit_step", IngestSession.submit_step, []),
+    (
+        "ArchiveReader",
+        ArchiveReader,
+        [
+            "shard_opener", "verify_shards", "retry", "cache_bytes", "io_workers",
+            "request_workers", "coalesce_gap", "default_deadline", "degraded",
+            "fill_value",
+        ],
+    ),
+    ("LazyBatchArchive.open", LazyBatchArchive.open, ["shard_opener", "verify_shards"]),
+    ("LazyCompressedDataset.open", LazyCompressedDataset.open, ["offset"]),
+    ("default_shard_opener", default_shard_opener, []),
+    ("make_source", make_source, []),
+    ("RetryPolicy", RetryPolicy, ["attempts", "base_delay", "sleep"]),
+    ("CircuitBreaker", CircuitBreaker, ["clock"]),
+    ("register", register, ["method_name", "aliases", "description", "config_cls"]),
+]
+
+
+def settable(surface) -> list[str]:
+    """The names a caller can set on ``surface``, in declaration order."""
+    if dataclasses.is_dataclass(surface):
+        names = [f.name for f in dataclasses.fields(surface)]
+    else:
+        names = list(inspect.signature(surface).parameters)
+    return [name for name in names if name not in SUBJECTS]
+
+
+@pytest.mark.parametrize(
+    "surface, expected", [row[1:] for row in CENSUS], ids=[row[0] for row in CENSUS]
+)
+def test_settable_values_are_pinned(surface, expected):
+    assert settable(surface) == expected
+
+
+def test_census_total():
+    assert sum(len(settable(surface)) for _label, surface, _names in CENSUS) == 39

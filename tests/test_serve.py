@@ -51,6 +51,8 @@ from repro.serve import (
     retrying_opener,
 )
 from repro.serve.breaker import CircuitBreaker, breaking_opener
+from repro.serve import opener as opener_mod
+from repro.serve.opener import MAX_DELAY
 from repro.serve.prefetch import DECODE_SLOTS
 from repro.sim.datasets import make_dataset
 from repro.sz.compressor import SZCompressor
@@ -158,11 +160,6 @@ class TestNegativeSpanRejection:
         path = tmp_path / "blob.bin"
         path.write_bytes(self.payload)
         self._check(make_source(path))
-
-    def test_mmap_source(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        path.write_bytes(self.payload)
-        self._check(make_source(path, mmap=True))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +300,7 @@ class TestDecodedBrickCache:
 class TestRetryingOpener:
     def recording_policy(self, attempts=4):
         waits: list[float] = []
-        policy = RetryPolicy(
-            attempts=attempts, base_delay=0.01, multiplier=2.0, sleep=waits.append
-        )
+        policy = RetryPolicy(attempts=attempts, base_delay=0.01, sleep=waits.append)
         return policy, waits
 
     def test_flaky_open_recovers_with_backoff(self):
@@ -374,75 +369,26 @@ class TestRetryingOpener:
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="attempts"):
             RetryPolicy(attempts=0)
-        with pytest.raises(ValueError, match="multiplier"):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(ValueError, match="max_elapsed"):
-            RetryPolicy(max_elapsed=-1.0)
+        with pytest.raises(ValueError, match="base_delay"):
+            RetryPolicy(base_delay=-0.1)
 
-    def test_jitter_spreads_delays_deterministically(self):
-        # rng is injectable: a fixed sequence gives exact expected waits.
-        rolls = iter([0.0, 0.5, 1.0])
-        policy = RetryPolicy(
-            attempts=4, base_delay=0.1, multiplier=2.0, max_delay=10.0,
-            jitter=0.5, rng=lambda: next(rolls),
-        )
-        waits = list(policy.delays())
-        # rng=0.0 → ×(1-jitter), rng=0.5 → ×1, rng=1.0 → ×(1+jitter)
-        assert waits == pytest.approx([0.05, 0.2, 0.6])
-
-    def test_jitter_never_exceeds_max_delay(self):
-        policy = RetryPolicy(
-            attempts=5, base_delay=1.0, multiplier=4.0, max_delay=2.0,
-            jitter=1.0, rng=lambda: 1.0,
-        )
-        assert all(wait <= 2.0 for wait in policy.delays())
-
-    def test_zero_jitter_keeps_exact_geometric_backoff(self):
-        policy = RetryPolicy(attempts=4, base_delay=0.01, multiplier=2.0)
+    def test_backoff_doubles_up_to_max_delay(self):
+        policy = RetryPolicy(attempts=4, base_delay=0.01)
         assert list(policy.delays()) == pytest.approx([0.01, 0.02, 0.04])
+        policy = RetryPolicy(attempts=5, base_delay=1.0)
+        assert list(policy.delays()) == [1.0, MAX_DELAY, MAX_DELAY, MAX_DELAY]
 
-    def test_max_elapsed_clamps_and_truncates(self):
-        # Nominal waits 0.1, 0.2, 0.4, 0.8; a 0.25s budget yields 0.1 then
-        # the clamped remainder 0.15, then nothing.
-        policy = RetryPolicy(
-            attempts=5, base_delay=0.1, multiplier=2.0, max_elapsed=0.25
-        )
-        waits = list(policy.delays())
-        assert waits == pytest.approx([0.1, 0.15])
-        assert sum(waits) <= 0.25
+    def test_many_attempts_wait_at_the_cap(self):
+        """Past ~1024 doublings the nominal wait overflows to inf; the
+        cap still holds (and a zero base stays zero)."""
+        waits = list(RetryPolicy(attempts=2000, base_delay=0.01).delays())
+        assert len(waits) == 1999 and waits[-1] == MAX_DELAY
+        assert set(RetryPolicy(attempts=2000, base_delay=0.0).delays()) == {0.0}
 
-    def test_max_elapsed_zero_disables_retries(self):
-        waits: list[float] = []
-        policy = RetryPolicy(attempts=5, max_elapsed=0.0, sleep=waits.append)
-        calls = {"n": 0}
-
-        def opener(name):
-            calls["n"] += 1
-            raise OSError("still down")
-
-        wrapped = retrying_opener(opener, policy=policy)
-        with pytest.raises(ContainerIOError, match="still failing"):
-            wrapped("s")
-        assert calls["n"] == 1 and waits == []
-
-    def test_max_elapsed_bounds_total_sleep_under_retry(self):
-        slept: list[float] = []
-        policy = RetryPolicy(
-            attempts=8, base_delay=0.1, multiplier=2.0, max_elapsed=0.5,
-            sleep=slept.append,
-        )
-
-        def opener(name):
-            raise OSError("down")
-
-        wrapped = retrying_opener(opener, policy=policy)
-        with pytest.raises(ContainerIOError):
-            wrapped("s")
-        assert sum(slept) <= 0.5 + 1e-9
+    def test_max_delay_is_read_when_waits_are_drawn(self, monkeypatch):
+        policy = RetryPolicy(attempts=5, base_delay=0.01)
+        monkeypatch.setattr(opener_mod, "MAX_DELAY", 0.03)
+        assert list(policy.delays()) == pytest.approx([0.01, 0.02, 0.03, 0.03])
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +403,8 @@ class TestOpenClosesSourceOnFailure:
         opened: list[object] = []
         real = module.make_source
 
-        def tracked(source, *, mmap=False):
-            src = real(source, mmap=mmap)
+        def tracked(source):
+            src = real(source)
             opened.append(src)
             src_close = src.close
 
@@ -650,13 +596,10 @@ class TestShardStoreCloseRace:
 
 
 def _source_closed(src) -> bool:
-    """Whether a file/mmap-backed source has released its handle."""
+    """Whether a file-backed source has released its handle."""
     fh = getattr(src, "_fh", None)
     if fh is not None:
         return fh.closed
-    mm = getattr(src, "_mmap", None)
-    if mm is not None:
-        return mm.closed
     closed = getattr(src, "closed", None)
     return bool(closed)
 
@@ -1183,7 +1126,7 @@ class TestLocalFetchesInline:
     def test_local_sources_declare_it_and_wrappers_pass_it_through(self, tmp_path):
         path = tmp_path / "blob.bin"
         path.write_bytes(bytes(64))
-        sources = [make_source(bytes(64)), make_source(path), make_source(path, mmap=True)]
+        sources = [make_source(bytes(64)), make_source(path)]
         breaker = CircuitBreaker()
         for src in sources:
             retrying = retrying_opener(lambda _name, src=src: src, stats=FetchStats())

@@ -19,9 +19,10 @@ from repro.core.density import Strategy
 from repro.core.gsp import gsp_pad
 from repro.core.tac import TACCompressor
 from repro.sz import compressor as sz_compressor
+from repro.sz import lossless, stream
 from repro.sz.compressor import SZCompressor
 from repro.utils.timer import TimingRecord
-from tests.helpers import smooth_cube, two_level_dataset
+from tests.helpers import pin_block_size, smooth_cube, two_level_dataset
 from tests.test_sz_batch_decode import fields
 
 CODEC = SZCompressor()
@@ -177,9 +178,14 @@ class TestEquivalence:
         arrays = [[[1, 2], [3, 4]], np.arange(4).reshape(2, 2), [[0.5, 1.5], [2.5, 3.5]]]
         assert_same_blobs(CODEC, arrays, 1e-2, "abs")
 
-    def test_custom_block_size_and_raw_payloads(self):
-        codec = SZCompressor(block_size=100, zlib_level=0)
-        assert_same_blobs(codec, fields((16, 16, 16), 4, np.float32), 1e-3, "abs")
+    def test_custom_block_size_and_raw_payloads(self, monkeypatch):
+        pin_block_size(monkeypatch, 100)
+        noise = np.random.default_rng(3).standard_normal((4, 16, 16, 16)).astype(np.float32)
+        blobs = assert_same_blobs(CODEC, list(noise), 1e-3, "abs")
+        for blob in blobs:
+            parsed = stream.parse(blob)
+            assert parsed.section(stream.SEC_PAYLOAD)[0] == lossless.CODEC_RAW
+            assert stream.unpack_meta(parsed.section(stream.SEC_META)[1])["block_size"] == 100
 
     def test_timings_keys_match_single_compress(self):
         arrays = fields((8, 8, 8), 3, np.float32)

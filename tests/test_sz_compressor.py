@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.sz import SZCompressor, SZConfig, compress, decompress
-from tests.helpers import assert_error_bounded, smooth_cube
+from repro.sz import SZCompressor, SZConfig, compress, decompress, lossless, stream
+from repro.sz import compressor as sz_compressor
+from tests.helpers import assert_error_bounded, pin_block_size, smooth_cube
 from tests.test_sz_batch_decode import fields
 
 
@@ -19,34 +20,53 @@ def codec() -> SZCompressor:
 class TestConfig:
     def test_rejects_conflicting_init(self):
         with pytest.raises(TypeError):
-            SZCompressor(SZConfig(), radius=128)
-
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            SZConfig(radius=1)
+            SZCompressor(SZConfig(), predictor="lorenzo")
 
     def test_rejects_bad_predictor(self):
         with pytest.raises(ValueError, match="predictor"):
             SZConfig(predictor="magic")
 
-    def test_rejects_alphabet_overflow(self):
-        with pytest.raises(ValueError, match="alphabet"):
-            SZConfig(radius=2**20, max_code_len=16)
-
-    @pytest.mark.parametrize("bad", [-5, 0, 2.5, True, "64"])
-    def test_rejects_bad_block_size_at_construction(self, bad):
-        with pytest.raises(ValueError, match="block_size"):
-            SZConfig(block_size=bad)
-
     @pytest.mark.parametrize("block", [None, 1, 100, np.int64(64)])
-    def test_accepts_block_size(self, block):
-        codec = SZCompressor(block_size=block)
+    def test_any_block_size_roundtrips(self, block, monkeypatch):
+        pin_block_size(monkeypatch, block)
+        codec = SZCompressor()
         data = smooth_cube(8)
-        assert_error_bounded(data, codec.decompress(codec.compress(data, 1e-3)), 1e-3)
+        blob = codec.compress(data, 1e-3)
+        if block is not None:
+            meta = stream.unpack_meta(stream.parse(blob).section(stream.SEC_META)[1])
+            assert meta["block_size"] == block
+        assert_error_bounded(data, codec.decompress(blob), 1e-3)
 
     def test_kwargs_init(self):
-        codec = SZCompressor(radius=128, zlib_level=0)
-        assert codec.config.radius == 128
+        codec = SZCompressor(predictor="lorenzo")
+        assert codec.config.predictor == "lorenzo"
+
+
+class TestStreamCarriesItsParameters:
+    """A stream records its radius, code-length cap and Huffman block size;
+    the decoder reads them back from the stream, never from the encoder's
+    module constants."""
+
+    @pytest.mark.parametrize(
+        "radius, max_code_len, block",
+        [(2, 4, None), (64, 8, 16), (512, 12, 1), (1 << 16, 24, 100)],
+        ids=["r2-len4", "r64-len8-b16", "r512-len12-b1", "r65536-len24-b100"],
+    )
+    def test_decodes_after_the_constants_change(self, radius, max_code_len, block, monkeypatch):
+        monkeypatch.setattr(sz_compressor, "RADIUS", radius)
+        monkeypatch.setattr(sz_compressor, "MAX_CODE_LEN", max_code_len)
+        pin_block_size(monkeypatch, block)
+        rng = np.random.default_rng(radius)
+        data = smooth_cube(8) + rng.normal(scale=0.05, size=(8, 8, 8)).astype(np.float32)
+        codec = SZCompressor()
+        blob = codec.compress(data, 1e-3)
+        meta = stream.unpack_meta(stream.parse(blob).section(stream.SEC_META)[1])
+        assert (meta["radius"], meta["max_len"]) == (radius, max_code_len)
+        if block is not None:
+            assert meta["block_size"] == block
+        monkeypatch.undo()
+        assert (sz_compressor.RADIUS, sz_compressor.MAX_CODE_LEN) != (radius, max_code_len)
+        assert_error_bounded(data, SZCompressor().decompress(blob), 1e-3)
 
 
 class TestRoundTripAbs:
@@ -84,12 +104,13 @@ class TestRoundTripAbs:
         out = codec.decompress(codec.compress(data, 1e-3, mode="abs"))
         assert_error_bounded(data, out, 1e-3)
 
-    def test_outlier_heavy_data(self, rng):
-        # Spiky data forces heavy use of the escape channel.
-        codec = SZCompressor(radius=4)
+    def test_outlier_heavy_data(self, codec, rng):
+        # Spiky data: residuals far past RADIUS force heavy use of the
+        # escape channel.
         data = rng.standard_normal(2000).astype(np.float32) * 1e6
-        out = codec.decompress(codec.compress(data, 1.0, mode="abs"))
-        assert_error_bounded(data, out, 1.0)
+        blob, stats = codec.compress_with_stats(data, 1.0, mode="abs")
+        assert stats.n_outliers > data.size // 2
+        assert_error_bounded(data, codec.decompress(blob), 1.0)
 
     def test_smooth_data_compresses_well(self, codec):
         data = smooth_cube(32)
@@ -134,11 +155,12 @@ class TestSpecialPaths:
         assert stats.eb_abs == pytest.approx(expected_abs)
         assert_error_bounded(data, codec.decompress(blob), expected_abs)
 
-    def test_zlib_disabled_still_roundtrips(self, rng):
-        codec = SZCompressor(zlib_level=0)
+    def test_incompressible_payload_is_stored_raw(self, codec, rng):
+        # Huffman output of white noise does not shrink under DEFLATE.
         data = rng.standard_normal((9, 9, 9)).astype(np.float32)
-        out = codec.decompress(codec.compress(data, 1e-3, mode="abs"))
-        assert_error_bounded(data, out, 1e-3)
+        blob = codec.compress(data, 1e-3, mode="abs")
+        assert stream.parse(blob).section(stream.SEC_PAYLOAD)[0] == lossless.CODEC_RAW
+        assert_error_bounded(data, codec.decompress(blob), 1e-3)
 
 
 class TestPwRel:

@@ -53,8 +53,10 @@ class TestReconIsTheDecode:
         assert_recon_is_the_decode(SZCompressor(predictor=predictor), arrays, 1e-3, mode)
 
     @pytest.mark.parametrize("predictor", ["interp", "lorenzo"])
-    def test_every_value_an_outlier(self, predictor):
-        codec = SZCompressor(predictor=predictor, radius=2, max_code_len=4)
+    def test_every_value_an_outlier(self, predictor, monkeypatch):
+        monkeypatch.setattr(sz_compressor, "RADIUS", 2)
+        monkeypatch.setattr(sz_compressor, "MAX_CODE_LEN", 4)
+        codec = SZCompressor(predictor=predictor)
         rng = np.random.default_rng(1)
         arrays = [rng.normal(scale=50.0, size=(8, 8, 8)).astype(np.float32) for _ in range(3)]
         assert_recon_is_the_decode(codec, arrays, 1e-3, "abs")

@@ -17,30 +17,20 @@ from tests.helpers import inflate_section
 class TestLossless:
     def test_zlib_roundtrip(self):
         data = b"abc" * 1000
-        codec, payload = lossless.compress_bytes(data, level=1)
+        codec, payload = lossless.compress_bytes(data)
         assert codec == lossless.CODEC_ZLIB
         assert lossless.decompress_bytes(codec, payload, len(data)) == data
 
     def test_raw_fallback_for_incompressible(self, rng):
         data = rng.integers(0, 256, size=256, dtype=np.uint8).tobytes()
-        codec, payload = lossless.compress_bytes(data, level=1)
+        codec, payload = lossless.compress_bytes(data)
         if codec == lossless.CODEC_RAW:
             assert payload == data
-        assert lossless.decompress_bytes(codec, payload, len(data)) == data
-
-    def test_raw_disallowed(self, rng):
-        data = rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
-        codec, payload = lossless.compress_bytes(data, level=1, allow_raw=False)
-        assert codec == lossless.CODEC_ZLIB
         assert lossless.decompress_bytes(codec, payload, len(data)) == data
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             lossless.decompress_bytes(99, b"", 0)
-
-    def test_bad_level_rejected(self):
-        with pytest.raises(ValueError, match="level"):
-            lossless.compress_bytes(b"x", level=11)
 
     def test_int_array_roundtrip(self, rng):
         arr = rng.integers(-(2**40), 2**40, size=500).astype(np.int64)
@@ -53,11 +43,6 @@ class TestLossless:
         codec, payload = lossless.pack_int_array(np.arange(10, dtype=np.int64))
         with pytest.raises(ValueError, match="expected"):
             lossless.unpack_int_array(codec, payload, np.int64, 11)
-
-    def test_codec_names(self):
-        assert lossless.codec_name(lossless.CODEC_RAW) == "raw"
-        assert lossless.codec_name(lossless.CODEC_ZLIB) == "zlib"
-        assert "unknown" in lossless.codec_name(42)
 
 
 class TestStreamFormat:
@@ -166,6 +151,17 @@ class TestStreamFormat:
                 n_outliers=6, predictor="nope",
             )
 
+    @pytest.mark.parametrize("max_len", [0, 1, 25, 255])
+    def test_meta_max_len_outside_decoder_range_rejected(self, max_len):
+        # No writer produces these: the encoder's cap is a module constant
+        # in [2, 24], so a record outside it is hostile input.
+        raw = stream.pack_meta(
+            radius=8, max_len=max_len, block_size=64, total_bits=4, n_symbols=5,
+            n_outliers=0, predictor="interp",
+        )
+        with pytest.raises(ValueError, match="max_len"):
+            stream.unpack_meta(raw)
+
 
 class TestRunLengthCoder:
     @settings(max_examples=150, deadline=None)
@@ -213,7 +209,7 @@ class TestBoundedInflate:
 
     def test_truncated_deflate_section_raises(self):
         data = bytes(range(256)) * 8
-        _codec, payload = lossless.compress_bytes(data, allow_raw=False)
+        payload = zlib.compress(data, 1)
         with pytest.raises(ValueError, match="truncated"):
             lossless.decompress_bytes(lossless.CODEC_ZLIB, payload[:-2], len(data))
 
@@ -311,7 +307,7 @@ def _recoded(tag: int, raw: bytes) -> tuple[int, bytes]:
         return lossless.CODEC_RAW, raw
     if tag in (stream.SEC_PAYLOAD, stream.SEC_CODE_LENGTHS):
         return lossless.compress_runs(raw)
-    return lossless.compress_bytes(raw, level=1)
+    return lossless.compress_bytes(raw)
 
 
 class TestSectionCoderPolicy:
