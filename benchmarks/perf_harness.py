@@ -403,12 +403,11 @@ def _sz_ops(scale: int, repeats: int) -> dict:
     # `_encode_symbols` makes.  MB/s is over the bytes the stage codes.
     codec = SZCompressor(SZConfig(predictor="interp"))
     symbols, outliers, tables = codec._prepare_symbols([field], [eb_abs], TimingRecord())
-    encoded = encode_many(tables, symbols)[0]
-    lengths = tables.row_lengths(0)
+    encoded = encode_many(tables, symbols)
     ops["sz_lossless_interp"] = op_entry(
-        time_op(lambda: codec._payload_sections(lengths, encoded, outliers[0]), repeats),
+        time_op(lambda: codec._payload_sections(tables, encoded, outliers), repeats),
         field.size,
-        len(encoded.payload) + lengths.nbytes,
+        len(encoded[0].payload) + tables.row_lengths(0).nbytes,
     )
     ops.update(_brick_ops(scale, repeats))
     ops.update(_brick64_ops(repeats))
@@ -444,6 +443,31 @@ def _brick64_ops(repeats: int) -> dict:
     }
 
 
+def stream_bytes_entry(blobs: list[bytes]) -> dict:
+    """Mean bytes per SZ stream of ``blobs``, by what they hold: the Huffman
+    payload, the header with its section table and meta record, the block
+    offsets, the code lengths, the outliers.  Informational: no
+    ``seconds``, so the ``--baseline`` gate skips it."""
+    from repro.sz import stream
+    from repro.sz.compressor import section_bytes
+
+    names = ("payload", "header_table_meta", "block_offsets", "code_lengths", "outliers")
+    parts = dict.fromkeys(names, 0)
+    for blob in blobs:
+        sizes = section_bytes(stream.parse(blob))
+        parts["payload"] += sizes.get("payload", 0)
+        parts["header_table_meta"] += sizes["framing"] + sizes.get("meta", 0)
+        parts["block_offsets"] += sizes.get("block_offsets", 0)
+        parts["code_lengths"] += sizes.get("huffman_table", 0)
+        parts["outliers"] += sizes.get("outliers", 0)
+    n = max(len(blobs), 1)
+    return {
+        "bytes_per_stream": {name: round(total / n, 1) for name, total in parts.items()},
+        "n_streams": len(blobs),
+        "n_bytes": sum(map(len, blobs)),
+    }
+
+
 def _brick_ops(scale: int, repeats: int) -> dict:
     """Many small streams: batched passes vs one call per stream.
 
@@ -465,6 +489,8 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     ``sz_compress_many_bricks_peak_mb`` is a memory row: the tracemalloc
     peak of the ``sz_compress_many_bricks`` call, at one and at two encode
     threads — the working set of the batches in flight.
+    ``sz_brick_stream_bytes`` is a byte row (:func:`stream_bytes_entry`):
+    what each stream of that call spends on its payload and on framing.
     """
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor
@@ -534,6 +560,7 @@ def _brick_ops(scale: int, repeats: int) -> dict:
         "sz_compress_many_bricks_peak_mb": peak_entry(
             lambda: codec.compress_many(bricks, eb_abs, "abs"), n_values
         ),
+        "sz_brick_stream_bytes": stream_bytes_entry(blobs),
         "sz_compress_many_bricks_pw_rel": op_entry(
             time_op(lambda: codec.compress_many(bricks, 1e-2, "pw_rel"), repeats),
             n_values,
@@ -821,7 +848,7 @@ GROUP_OPS = {
     + ("sz_quantize", "sz_predict", "sz_lossless_interp")
     + tuple(f"sz_compress_{how}_bricks" for how in ("many", "loop"))
     + ("sz_compress_many_bricks_recon", "sz_compress_many_bricks_pw_rel", "sz_compress_many_64")
-    + ("sz_compress_many_bricks_peak_mb",)
+    + ("sz_compress_many_bricks_peak_mb", "sz_brick_stream_bytes")
     + tuple(
         f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
     ),
@@ -920,6 +947,10 @@ def main(argv=None) -> int:
         if "peak_mb" in entry:
             peaks = ", ".join(f"{mb} MB at {t}" for t, mb in entry["peak_mb"].items())
             print(f"{op:<{width}}  peak {peaks}")
+            continue
+        if "bytes_per_stream" in entry:
+            parts = ", ".join(f"{name} {b}" for name, b in entry["bytes_per_stream"].items())
+            print(f"{op:<{width}}  B/stream: {parts}")
             continue
         rate = f"{entry['mb_per_s']:>10.1f} MB/s" if entry["mb_per_s"] else " " * 15
         print(f"{op:<{width}}  {entry['seconds']:>10.6f}s {rate}")

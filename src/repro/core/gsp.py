@@ -27,8 +27,6 @@ Fig. 12.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,38 +218,8 @@ def zero_fill(data: np.ndarray, mask: np.ndarray, block_size: int) -> GSPResult:
 # compressed bricks — one container part and one decode unit per brick —
 # makes the decoded byte count proportional to the brick-aligned ROI
 # volume.  The brick grid is regular (C-order flat indexing, ragged final
-# brick per axis), so the "region index" is pure arithmetic; the small
-# serialized :class:`BrickTable` travels in the blob as its own part so
-# the layout is self-describing and inspectable without the level meta.
-
-_BRICK_TABLE = struct.Struct("<H3I3II")
-_BRICK_TABLE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class BrickTable:
-    """Geometry of a brick-chunked padded grid (regular tiling).
-
-    ``padded_shape`` is the block-padded grid the bricks tile;
-    ``orig_shape`` the level extents the decoder crops back to;
-    ``brick_size`` the brick edge (final brick per axis may be ragged).
-    """
-
-    padded_shape: tuple[int, int, int]
-    orig_shape: tuple[int, int, int]
-    brick_size: int
-
-    def grid(self) -> tuple[int, int, int]:
-        """Bricks per axis."""
-        return tuple(-(-dim // self.brick_size) for dim in self.padded_shape)
-
-    def n_bricks(self) -> int:
-        gx, gy, gz = self.grid()
-        return gx * gy * gz
-
-    def boxes(self) -> list[tuple[tuple[int, int], ...]]:
-        """Half-open padded-grid box of every brick, flat C order."""
-        return brick_boxes(self.padded_shape, self.brick_size)
+# brick per axis), so the "region index" is pure arithmetic on the brick
+# edge and padded shape the level meta records.
 
 
 def brick_boxes(
@@ -293,30 +261,3 @@ def bricks_touching(
         for j, sy in spans[1]
         for k, sz in spans[2]
     ]
-
-
-def serialize_brick_table(table: BrickTable) -> bytes:
-    """Pack a brick table into the blob's ``L<idx>/bricks`` part."""
-    raw = _BRICK_TABLE.pack(
-        _BRICK_TABLE_VERSION,
-        *table.padded_shape,
-        *table.orig_shape,
-        table.brick_size,
-    )
-    return zlib.compress(raw, 1)
-
-
-# reprolint: disable=RL006  (the one parser of the L<idx>/bricks part; checks outside input)
-def deserialize_brick_table(payload: bytes) -> BrickTable:
-    """Invert :func:`serialize_brick_table`."""
-    raw = zlib.decompress(payload)
-    if len(raw) != _BRICK_TABLE.size:
-        raise ValueError("brick table record has the wrong length")
-    version, px, py, pz, ox, oy, oz, brick_size = _BRICK_TABLE.unpack(raw)
-    if version != _BRICK_TABLE_VERSION:
-        raise ValueError(f"unsupported brick table version {version}")
-    return BrickTable(
-        padded_shape=(px, py, pz),
-        orig_shape=(ox, oy, oz),
-        brick_size=int(brick_size),
-    )

@@ -40,10 +40,9 @@ from repro.core.container import (
 from repro.core.density import Strategy, select_strategy, use_3d_baseline
 from repro.core.gsp import (
     DEFAULT_BRICK_SIZE,
-    BrickTable,
+    brick_boxes,
     bricks_touching,
     gsp_pad,
-    serialize_brick_table,
     zero_fill,
 )
 from repro.core.layout import (
@@ -64,7 +63,7 @@ from repro.core.plan import (
     mask_units,
     region_slices,
 )
-from repro.sz import lossless, stream
+from repro.sz import stream
 from repro.sz.compressor import SZCompressor, SZConfig
 from repro.utils.timer import TimingRecord, timed
 from repro.utils.validation import check_positive_int
@@ -280,24 +279,19 @@ class TACCompressor(PlanExecutorMixin):
         layout = {}  # the decoded layout record a reader's assembly works from
         if strategy in (Strategy.GSP, Strategy.ZF):
             # Strategy format 2: chunk the padded grid into independently
-            # compressed bricks — one part per brick plus the brick table,
-            # so an ROI read decodes only the bricks it touches.
-            table = BrickTable(
-                padded_shape=result.padded.shape,
-                orig_shape=lvl.shape,
-                brick_size=cfg.brick_size,
-            )
-            parts[f"L{lvl.level}/bricks"] = serialize_brick_table(table)
+            # compressed bricks — one part per brick, its geometry in the
+            # level meta — so an ROI read decodes only the bricks it touches.
+            boxes = brick_boxes(result.padded.shape, cfg.brick_size)
             streams = {
                 f"L{lvl.level}/b{brick_idx}": result.padded[region_slices(box)]
-                for brick_idx, box in enumerate(table.boxes())
+                for brick_idx, box in enumerate(boxes)
             }
             meta["padded_shape"] = list(result.padded.shape)
             meta["strategy_format"] = 2
             meta["bricks"] = {
                 "size": cfg.brick_size,
-                "grid": list(table.grid()),
-                "n": table.n_bricks(),
+                "grid": [-(-dim // cfg.brick_size) for dim in result.padded.shape],
+                "n": len(boxes),
             }
         else:
             parts[f"L{lvl.level}/layout"] = serialize_layout(result)
@@ -552,9 +546,9 @@ class SharedTableResolver:
     naming it.  :meth:`ordinary` turns a fetched stream into the one format
     the SZ decoder reads: the reference, checked against the table's id and
     alphabet, becomes a ``SEC_CODE_LENGTHS`` section holding the table's
-    code lengths.  The table part is fetched and parsed at most once — the
-    result is memoized under a lock, so concurrent decode workers share one
-    fetch.
+    code lengths, and the stream is written again (version 2).  The table
+    part is fetched, parsed and packed at most once — the result is
+    memoized under a lock, so concurrent decode workers share one fetch.
     """
 
     def __init__(self, parts, part_name: str):
@@ -573,7 +567,9 @@ class SharedTableResolver:
             if self._table is None:
                 if self.part_name not in self._parts:
                     raise ValueError(f"blob holds no shared-table part {self.part_name!r}")
-                self._table = stream.unpack_shared_table(self._parts[self.part_name])
+                table = stream.unpack_shared_table(self._parts[self.part_name])
+                table["section"] = stream.pack_code_lengths(table["code_lengths"])
+                self._table = table
             table = self._table
         if (ref["table_id"], ref["alphabet"]) != (table["table_id"], table["alphabet"]):
             raise ValueError(
@@ -581,9 +577,8 @@ class SharedTableResolver:
                 f"alphabet={ref['alphabet']} but part {self.part_name!r} holds "
                 f"id={table['table_id']:#010x} alphabet={table['alphabet']}"
             )
-        lengths = table["code_lengths"].tobytes()
         sections = [
-            (stream.SEC_CODE_LENGTHS, lossless.CODEC_RAW, lengths)
+            (stream.SEC_CODE_LENGTHS, *table["section"])
             if tag == stream.SEC_TABLE_REF
             else (tag, codec, payload)
             for tag, (codec, payload) in parsed.sections.items()
@@ -662,8 +657,6 @@ def _brick_units(comp, idx: int, level_meta: dict, box) -> list[DecodeUnit]:
     level extents* — what a degraded read fills when the brick is lost.
     A brick wholly inside the block padding covers nothing visible, so
     no box inside the level (the whole level included) selects it.
-    The serialized ``L<idx>/bricks`` table part is wire
-    self-description, not a read dependency.
     """
     memo = _plan_memo(comp)
     shape = tuple(comp.meta["shapes"][idx])

@@ -129,7 +129,17 @@ _SECTION_LABELS = {
     stream.SEC_SIGNS: "signs",
     stream.SEC_ZERO_MASK: "zero_mask",
     stream.SEC_META: "meta",
+    stream.SEC_TABLE_REF: "table_ref",
 }
+
+
+def section_bytes(parsed: stream.Stream) -> dict[str, int]:
+    """Bytes per section kind of a parsed stream, as stored (either
+    version), plus ``framing``: header and section table.  The values sum
+    to the blob's length."""
+    sizes = {_SECTION_LABELS[tag]: n for tag, n in parsed.section_sizes().items()}
+    sizes["framing"] = parsed.framing
+    return sizes
 
 
 #: Values one batch may hold (64 bricks of 16³): the streams one lockstep
@@ -282,11 +292,13 @@ def stream_batches(blobs: Sequence[bytes], errors: dict | None = None) -> list[S
 
     Streams share a batch when they agree on shape, dtype, predictor,
     symbol count, Huffman block size and radius — then their Huffman lanes
-    run the same rounds and their reconstructions the same traversal — up
-    to :data:`BATCH_VALUES` decoded values per batch.  Batches are
-    independent work items (callers may decode them on different threads);
-    each keeps its members in caller order.  A blob that does not parse is
-    recorded in ``errors`` (``index → exception``) when given, else raises.
+    run the same rounds, their block offsets unpack together and their
+    reconstructions take the same traversal — up to :data:`BATCH_VALUES`
+    decoded values per batch.  Batches are independent work items (callers
+    may decode them on different threads); each keeps its members in
+    caller order.  A blob that does not parse, or whose codec-parameter
+    record disagrees with its header, is recorded in ``errors`` (``index →
+    exception``) when given, else raises.
     """
     members: list[_Member] = []
     keys: list[tuple] = []
@@ -299,6 +311,13 @@ def stream_batches(blobs: Sequence[bytes], errors: dict | None = None) -> list[S
                 keys.append((index,))  # a batch of its own
                 continue
             meta = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
+            if meta["n_symbols"] != header.size:
+                raise ValueError(
+                    f"codec-parameter record counts {meta['n_symbols']} symbols "
+                    f"for {header.size} values"
+                )
+            if meta["total_bits"] < meta["n_symbols"]:
+                raise ValueError("codec-parameter record holds fewer bits than symbols")
         except STREAM_DAMAGE as exc:
             if errors is None:
                 raise
@@ -383,33 +402,34 @@ def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
     meta = members[0].meta
     shape = members[0].parsed.header.shape
     n_symbols, block_size = meta["n_symbols"], meta["block_size"]
+    alphabet = 2 * meta["radius"] + 1
     with timed(timings, "decode"):
-        codecs, encoded = [], []
-        n_blocks = -(-n_symbols // block_size) if n_symbols else 0
+        codecs, payloads = [], []
         for member in members:
-            parsed, total_bits = member.parsed, member.meta["total_bits"]
+            parsed = member.parsed
             # Every section is inflated to exactly the size the meta implies.
-            alphabet = 2 * member.meta["radius"] + 1
-            lengths = lossless.decompress_bytes(*parsed.section(stream.SEC_CODE_LENGTHS), alphabet)
+            lengths = stream.unpack_code_lengths(parsed.section(stream.SEC_CODE_LENGTHS), alphabet)
             # Shared LRU codec: the hundreds of per-group streams in one TAC
             # blob frequently repeat code-length tables.
-            codecs.append(
-                HuffmanCodec.cached(np.frombuffer(lengths, dtype=np.uint8), member.meta["max_len"])
-            )
-            codec_tag, payload = parsed.section(stream.SEC_BLOCK_OFFSETS)
-            deltas = lossless.unpack_int_array(codec_tag, payload, np.int64, n_blocks)
+            codecs.append(HuffmanCodec.cached(lengths, member.meta["max_len"]))
             codec_tag, payload = parsed.section(stream.SEC_PAYLOAD)
-            encoded.append(
-                HuffmanEncoded(
-                    payload=lossless.decompress_bytes(
-                        codec_tag, payload, packed_nbytes(total_bits)
-                    ),
-                    total_bits=total_bits,
-                    block_offsets=np.cumsum(deltas),
-                    n_symbols=n_symbols,
-                    block_size=block_size,
+            payloads.append(
+                lossless.decompress_bytes(
+                    codec_tag, payload, packed_nbytes(member.meta["total_bits"])
                 )
             )
+        # The batch shares its block count: every member's offsets unpack
+        # in one pass.
+        total_bits = [member.meta["total_bits"] for member in members]
+        offsets = stream.unpack_block_offsets(
+            [member.parsed.sections.get(stream.SEC_BLOCK_OFFSETS) for member in members],
+            -(-n_symbols // block_size),
+            total_bits,
+        )
+        encoded = [
+            HuffmanEncoded(payload, bits, row, n_symbols, block_size)
+            for payload, bits, row in zip(payloads, total_bits, offsets)
+        ]
         symbols = decode_many(codecs, encoded)
     with timed(timings, "reconstruct"):
         radius = meta["radius"]
@@ -517,7 +537,7 @@ class SZCompressor:
             n_values=arr.size,
             eb_abs=parsed.header.eb_abs,
             mode=mode.value,
-            section_bytes={_SECTION_LABELS[tag]: n for tag, n in parsed.section_sizes().items()},
+            section_bytes=section_bytes(parsed),
             n_outliers=stream.unpack_meta(meta[1])["n_outliers"] if meta else 0,
             timings=timings,
         )
@@ -789,39 +809,40 @@ class SZCompressor:
         with timed(timings, "encode"):
             encoded = encode_many(tables, symbols)
         with timed(timings, "lossless"):
-            return [
-                self._payload_sections(tables.row_lengths(row), enc, outl)
-                for row, (enc, outl) in enumerate(zip(encoded, outliers))
-            ]
+            return self._payload_sections(tables, encoded, outliers)
 
-    def _payload_sections(self, code_lengths: np.ndarray, encoded: HuffmanEncoded, outliers: np.ndarray):
-        """A lattice stream's sections, each through the coder
+    def _payload_sections(
+        self, tables: CodeTables, encoded: list[HuffmanEncoded], outliers: list[np.ndarray]
+    ) -> list[list[tuple[int, int, bytes]]]:
+        """Each lattice stream's sections, each through the coder
         :mod:`repro.sz.lossless` names for its kind: run-length DEFLATE for
-        the Huffman table (``code_lengths``, one byte per alphabet symbol)
-        and payload, LZ77 DEFLATE for the side sections."""
-        c, p = lossless.compress_runs(code_lengths.tobytes())
-        sections: list[tuple[int, int, bytes]] = [(stream.SEC_CODE_LENGTHS, c, p)]
-        # Offsets are monotone; delta encoding makes them byte-cheap.
-        deltas = encoded.block_offsets.astype(np.int64)
-        deltas[1:] -= encoded.block_offsets[:-1]
-        c, p = lossless.pack_int_array(deltas)
-        sections.append((stream.SEC_BLOCK_OFFSETS, c, p))
-        c, p = lossless.compress_runs(encoded.payload)
-        sections.append((stream.SEC_PAYLOAD, c, p))
-        if outliers.size:
-            c, p = lossless.pack_int_array(outliers)
-            sections.append((stream.SEC_OUTLIERS, c, p))
-        meta = stream.pack_meta(
-            radius=RADIUS,
-            max_len=MAX_CODE_LEN,
-            block_size=encoded.block_size,
-            total_bits=encoded.total_bits,
-            n_symbols=encoded.n_symbols,
-            n_outliers=int(outliers.size),
-            predictor=self.config.predictor,
-        )
-        sections.append((stream.SEC_META, lossless.CODEC_RAW, meta))
-        return sections
+        the Huffman table (the row's occupied window of ``tables``) and
+        payload, LZ77 DEFLATE for the outliers; the block offsets of the
+        whole batch are bit-packed together."""
+        offsets = stream.pack_block_offsets(np.stack([enc.block_offsets for enc in encoded]))
+        out = []
+        for row, (enc, outl, packed) in enumerate(zip(encoded, outliers, offsets)):
+            c, p = stream.pack_code_lengths(tables.lengths[row], tables.lo)
+            sections: list[tuple[int, int, bytes]] = [(stream.SEC_CODE_LENGTHS, c, p)]
+            if packed is not None:
+                sections.append((stream.SEC_BLOCK_OFFSETS, lossless.CODEC_RAW, packed))
+            c, p = lossless.compress_runs(enc.payload)
+            sections.append((stream.SEC_PAYLOAD, c, p))
+            if outl.size:
+                c, p = lossless.pack_int_array(outl)
+                sections.append((stream.SEC_OUTLIERS, c, p))
+            meta = stream.pack_meta(
+                radius=RADIUS,
+                max_len=MAX_CODE_LEN,
+                block_size=enc.block_size,
+                total_bits=enc.total_bits,
+                n_symbols=enc.n_symbols,
+                n_outliers=int(outl.size),
+                predictor=self.config.predictor,
+            )
+            sections.append((stream.SEC_META, lossless.CODEC_RAW, meta))
+            out.append(sections)
+        return out
 
     # ------------------------------------------------------------------
     # decompression

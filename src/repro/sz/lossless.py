@@ -13,27 +13,32 @@ Which DEFLATE each section gets is fixed per section kind, in code:
   only).  Huffman output has no repeats for LZ77's match search to find,
   only runs (of zero bytes at loose bounds), and a code-length table is
   runs of equal lengths.
-* **Everything else** (block offsets, outliers, the eb == 0 raw array,
-  the pw_rel sign and zero masks) — :func:`compress_bytes`, level-1
-  DEFLATE with the full LZ77 search: these do repeat at distances > 1.
+* **Outliers, the eb == 0 raw array, the pw_rel sign and zero masks** —
+  :func:`compress_bytes`, level-1 DEFLATE with the full LZ77 search: these
+  do repeat at distances > 1.
+* **Block offsets** — none: :mod:`repro.sz.stream` bit-packs them
+  (frame of reference), which leaves nothing for DEFLATE to find.
 
 Both write ordinary zlib streams, recorded as :data:`CODEC_ZLIB`, so one
 inflate reads every section either writer ever produced.  Measured on the
 ``snap_dense`` data (Run1_Z3 at scale 4, eb 1e-4 rel; times on one core of
-a 2-vCPU Intel Xeon VM), bytes after each coder:
+a 2-vCPU Intel Xeon VM), bytes after each coder, the last column what the
+version-2 stream stores:
 
-=================  =========  =======================  =====================
-section            raw        level 1 (LZ77)           ``Z_RLE``
-=================  =========  =======================  =====================
-Huffman payload    959 103    927 715 (23.5 ms)        936 495 (9.4 ms)
-code lengths        81 930      2 830                    2 059
-block offsets       36 192     10 175                   11 765
-=================  =========  =======================  =====================
+=================  =========  ================  ================  ===================
+section            raw        level 1 (LZ77)    ``Z_RLE``         stream version 2
+=================  =========  ================  ================  ===================
+Huffman payload    959 103    927 715 (23.5 ms) 936 495 (9.4 ms)  936 495 (``Z_RLE``)
+code lengths        81 930      2 830             2 059             1 865 (window)
+block offsets       36 192     10 175            11 765             6 699 (packed)
+=================  =========  ================  ================  ===================
 
 At eb 1e-2 run-length mode is also the *smaller* payload (39 704 vs 51 578
-bytes).  On the 16³ bricks of a 3-step ingest series of the same data
-(eb 1e-4) the code-length tables come to 159 299 bytes under level 1 and
-103 474 under run-length mode.
+bytes).  On the 1 542 16³ bricks of a 3-step ingest series of the same data
+(eb 1e-4, tacbench's ``ingest_series``) version 1 stored 103 474 bytes of
+run-length coded, alphabet-wide code lengths and 198 466 bytes of level-1
+DEFLATEd int64 offset deltas; version 2 stores 68 490 bytes of windowed
+code lengths and 85 252 bytes of packed offsets.
 
 Every inflate is bounded by the size the stream's header and codec record
 imply (:func:`decompress_bytes`), so a section that inflates past it — a

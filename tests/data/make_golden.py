@@ -43,6 +43,13 @@ byte for byte.  ``golden_gsp_shared``'s reference writer keeps level 1 and
 still matches byte for byte.  The two ingest fixtures above were
 re-emitted with run-length coded sections; each of their sections
 inflates to the bytes it held before.
+
+Every frozen fixture also holds SZ streams of version 1 (fixed-width
+framing, alphabet-wide code lengths, DEFLATEd int64 block offsets); the
+writer now writes version 2 (varint framing, windowed code lengths,
+bit-packed offsets) and reads both.  The ingest fixtures were re-emitted
+once more for it: same payload bits, same reconstructions (their recorded
+sums did not move), fewer bytes.
 """
 
 from __future__ import annotations

@@ -253,19 +253,59 @@ def reserialize_stream(blob: bytes, replace: dict) -> bytes:
 def inflate_section(parsed, tag: int) -> bytes:
     """Section ``tag`` of a parsed SZ stream, inflated with no size bound
     (the decoder bounds every inflate by the size the stream implies; test
-    code reads streams it made itself)."""
-    from repro.sz import lossless
+    code reads streams it made itself).  A code-length section keeps its
+    window prefix (two varints) in front of the inflated lengths."""
+    from repro.sz import lossless, stream
 
     codec, payload = parsed.section(tag)
-    return zlib.decompress(payload) if codec == lossless.CODEC_ZLIB else payload
+    at = window_prefix_length(payload) if tag == stream.SEC_CODE_LENGTHS else 0
+    prefix, payload = payload[:at], payload[at:]
+    return prefix + (zlib.decompress(payload) if codec == lossless.CODEC_ZLIB else payload)
+
+
+def window_prefix_length(section: bytes) -> int:
+    """Bytes of a code-length section's window prefix (``lo`` and count,
+    two varints) ahead of its coded lengths."""
+    from repro.sz import stream
+
+    return stream._read_varints(section, 0, 2)[1]
+
+
+def stream_content(parsed) -> dict:
+    """What each section of a parsed SZ stream decodes to, whatever its
+    framing: the meta record as a dict, the alphabet-wide code lengths,
+    the absolute block offsets, every other section inflated."""
+    from repro.sz import stream
+
+    content = {}
+    meta = None
+    if stream.SEC_META in parsed.sections:
+        meta = content[stream.SEC_META] = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
+    for tag in parsed.sections:
+        if tag == stream.SEC_CODE_LENGTHS:
+            lengths = stream.unpack_code_lengths(parsed.section(tag), 2 * meta["radius"] + 1)
+            content[tag] = lengths.tobytes()
+        elif tag != stream.SEC_META:
+            content[tag] = inflate_section(parsed, tag)
+    if meta is not None:
+        offsets = stream.unpack_block_offsets(
+            [parsed.sections.get(stream.SEC_BLOCK_OFFSETS)],
+            -(-meta["n_symbols"] // meta["block_size"]),
+            [meta["total_bits"]],
+        )
+        content[stream.SEC_BLOCK_OFFSETS] = offsets[0].tolist()
+    return content
 
 
 def assert_same_streams(fresh: bytes, stored: bytes) -> None:
     """``fresh`` holds what ``stored`` holds, section by section: a part
-    that is an SZ stream must have the same header, the same section tags
-    in the same order and the same bytes once each section is inflated —
-    how a blob written before the lossless coders changed is compared with
-    a fresh compress.  Any other part must be byte-identical."""
+    that is an SZ stream must have the same header fields, the same section
+    tags in the same order and the same content once each section is
+    decoded — the meta record, the full code-length array, the absolute
+    block offsets, and the inflated payload, outliers and masks — how a
+    blob written before the lossless coders or the stream framing changed
+    is compared with a fresh compress.  Any other part must be
+    byte-identical."""
     from repro.sz import stream
 
     if not (fresh.startswith(stream.MAGIC) and stored.startswith(stream.MAGIC)):
@@ -274,8 +314,38 @@ def assert_same_streams(fresh: bytes, stored: bytes) -> None:
     a, b = stream.parse(fresh), stream.parse(stored)
     assert a.header == b.header
     assert list(a.sections) == list(b.sections)
-    for tag in b.sections:
-        assert inflate_section(a, tag) == inflate_section(b, tag), f"section {tag}"
+    mine, theirs = stream_content(a), stream_content(b)
+    assert list(mine) == list(theirs)
+    for tag in theirs:
+        assert mine[tag] == theirs[tag], f"section {tag}"
+
+
+def v1_stream_bytes(header, sections) -> bytes:
+    """Reference writer of the retired version-1 SZ stream framing: a
+    fixed-width header, then ``(tag u8, codec u8, length u64, bytes)`` per
+    ``(tag, codec, payload)`` section, whose contents the caller gives in
+    their version-1 form (:func:`v1_meta`, alphabet-wide code lengths,
+    int64 offset deltas)."""
+    from repro.sz import stream
+
+    mode, dtype = stream._MODE_CODES[header.mode], stream._DTYPE_CODES[np.dtype(header.dtype)]
+    head = (stream.MAGIC, 1, header.flags, mode, dtype, len(header.shape))
+    out = bytearray(struct.pack("<4sBBBBB", *head))
+    out += struct.pack(f"<{len(header.shape)}Q", *header.shape)
+    out += struct.pack("<dd", header.eb_user, header.eb_abs)
+    out += struct.pack("<B", len(sections))
+    for tag, codec, payload in sections:
+        out += struct.pack("<BBQ", tag, codec, len(payload)) + payload
+    return bytes(out)
+
+
+def v1_meta(meta: dict) -> bytes:
+    """A codec-parameter record in its version-1 fixed-width layout."""
+    from repro.sz import stream
+
+    predictor = stream._PREDICTOR_CODES[meta["predictor"]]
+    fields = (meta["radius"], meta["max_len"], predictor, meta["block_size"], meta["total_bits"])
+    return struct.pack("<IBBIQQQ", *fields, meta["n_symbols"], meta["n_outliers"])
 
 
 def bitwise_pack_rows(codes, lengths) -> tuple[list[bytes], list[int]]:
@@ -529,37 +599,40 @@ def rpht_table(code_lengths, max_len: int) -> bytes:
 def shared_table_streams(blobs: list):
     """Reference writer of the retired shared-table level: per-stream SZ
     ``blobs`` re-coded under one Huffman table built from their summed
-    symbol histogram.  Returns ``(table part, blobs, {id, alphabet})``:
-    each lattice stream trades its ``SEC_CODE_LENGTHS`` for a
-    ``SEC_TABLE_REF``; empty and lossless-fallback streams pass through
-    (``table part`` is ``None`` when there is nothing else)."""
+    symbol histogram, in the version-1 stream framing that layout was
+    written in (:func:`v1_stream_bytes`).  Returns ``(table part, blobs,
+    {id, alphabet})``: each lattice stream trades its ``SEC_CODE_LENGTHS``
+    for a ``SEC_TABLE_REF``; empty and lossless-fallback streams only
+    change framing (``table part`` is ``None`` when there is nothing
+    else)."""
     from repro.sz import lossless, stream
     from repro.sz.huffman import HuffmanCodec, HuffmanEncoded
 
     lattice = {}
+    out = []
     for slot, blob in enumerate(blobs):
         parsed = stream.parse(blob)
         if stream.SEC_META not in parsed.sections:
+            sections = [(tag, *section) for tag, section in parsed.sections.items()]
+            out.append(v1_stream_bytes(parsed.header, sections))
             continue
-        meta = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
-        lengths = inflate_section(parsed, stream.SEC_CODE_LENGTHS)
-        n_blocks = -(-meta["n_symbols"] // meta["block_size"])
-        offsets = lossless.unpack_int_array(
-            *parsed.section(stream.SEC_BLOCK_OFFSETS), np.int64, n_blocks
-        ).cumsum()
-        payload = inflate_section(parsed, stream.SEC_PAYLOAD)
+        out.append(None)  # re-coded below
+        content = stream_content(parsed)
+        meta = content[stream.SEC_META]
         encoded = HuffmanEncoded(
-            payload, meta["total_bits"], offsets, meta["n_symbols"], meta["block_size"]
+            content[stream.SEC_PAYLOAD], meta["total_bits"],
+            np.array(content[stream.SEC_BLOCK_OFFSETS], dtype=np.int64),
+            meta["n_symbols"], meta["block_size"],
         )
-        own = HuffmanCodec.cached(np.frombuffer(lengths, dtype=np.uint8), meta["max_len"])
+        lengths = np.frombuffer(content[stream.SEC_CODE_LENGTHS], dtype=np.uint8)
+        own = HuffmanCodec.cached(lengths, meta["max_len"])
         lattice[slot] = parsed, meta, own.decode(encoded)
     if not lattice:
-        return None, list(blobs), None
+        return None, out, None
     alphabet = 2 * meta["radius"] + 1
     counts = sum(np.bincount(syms, minlength=alphabet) for _p, _m, syms in lattice.values())
     code = HuffmanCodec.from_counts(counts, max_len=meta["max_len"])
     info = {"id": zlib.crc32(code.lengths.tobytes()), "alphabet": alphabet}
-    out = list(blobs)
     for slot, (parsed, meta, symbols) in lattice.items():
         enc = code.encode(symbols, meta["block_size"])
         deltas = np.diff(enc.block_offsets, prepend=0)
@@ -570,14 +643,16 @@ def shared_table_streams(blobs: list):
         ]
         if stream.SEC_OUTLIERS in parsed.sections:
             sections.append((stream.SEC_OUTLIERS, *parsed.section(stream.SEC_OUTLIERS)))
-        meta = stream.pack_meta(**{**meta, "total_bits": enc.total_bits})
+        meta = v1_meta({**meta, "total_bits": enc.total_bits})
         sections.append((stream.SEC_META, lossless.CODEC_RAW, meta))
-        out[slot] = stream.serialize(parsed.header, sections)
+        out[slot] = v1_stream_bytes(parsed.header, sections)
     return rpht_table(code.lengths, code.max_len), out, info
 
 
 def retired_tac_layout(comp, *, shared: bool = False, format1: bool = False):
-    """A TAC blob rewritten into a layout only readers still know —
+    """A TAC blob rewritten into a layout only readers still know: every
+    bricked level gets back the ``L<idx>/bricks`` table part the retired
+    writers stored ahead of its bricks (:func:`serialize_brick_table`), and
     ``shared``: every level's streams under one ``L<idx>/table`` part
     (:func:`shared_table_streams`); ``format1``: a one-brick GSP/ZF level
     as the single ``L<idx>/grid`` stream, brick table and brick meta gone."""
@@ -585,6 +660,14 @@ def retired_tac_layout(comp, *, shared: bool = False, format1: bool = False):
     items = list(comp.parts.items())
     for level in meta["levels"]:
         idx = level["level"]
+        if level.get("bricks"):
+            table = BrickTable(
+                tuple(level["padded_shape"]),
+                tuple(comp.meta["shapes"][idx]),
+                level["bricks"]["size"],
+            )
+            first = [n for n, _p in items].index(f"L{idx}/b0")
+            items.insert(first, (f"L{idx}/bricks", serialize_brick_table(table)))
         if format1 and level.get("bricks"):
             assert level.pop("bricks")["n"] == 1 and level.pop("strategy_format") == 2
             grid = {f"L{idx}/b0": f"L{idx}/grid"}
@@ -609,3 +692,61 @@ def pin_block_size(monkeypatch, block) -> None:
 
     encode = functools.partial(huffman.encode_many, block_size=block)
     monkeypatch.setattr(compressor, "encode_many", encode)
+
+
+# -- the retired ``L<idx>/bricks`` part ---------------------------------------
+# The TAC writer stored a bricked level's geometry twice: in the level meta
+# (what every reader uses) and as this 17-byte part.  The part is no longer
+# written; frozen fixtures still hold it, and these are its writer and parser.
+
+_BRICK_TABLE = struct.Struct("<H3I3II")
+_BRICK_TABLE_VERSION = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class BrickTable:
+    """Geometry of a brick-chunked padded grid (regular tiling), as the
+    ``L<idx>/bricks`` part records it: ``padded_shape`` is the block-padded
+    grid the bricks tile, ``orig_shape`` the level extents, ``brick_size``
+    the brick edge (the final brick per axis may be ragged)."""
+
+    padded_shape: tuple[int, int, int]
+    orig_shape: tuple[int, int, int]
+    brick_size: int
+
+    def grid(self) -> tuple[int, int, int]:
+        """Bricks per axis."""
+        return tuple(-(-dim // self.brick_size) for dim in self.padded_shape)
+
+    def n_bricks(self) -> int:
+        gx, gy, gz = self.grid()
+        return gx * gy * gz
+
+    def boxes(self) -> list[tuple[tuple[int, int], ...]]:
+        """Half-open padded-grid box of every brick, flat C order."""
+        from repro.core.gsp import brick_boxes
+
+        return brick_boxes(self.padded_shape, self.brick_size)
+
+
+def serialize_brick_table(table: BrickTable) -> bytes:
+    """The ``L<idx>/bricks`` part of ``table``."""
+    raw = _BRICK_TABLE.pack(
+        _BRICK_TABLE_VERSION, *table.padded_shape, *table.orig_shape, table.brick_size
+    )
+    return zlib.compress(raw, 1)
+
+
+def deserialize_brick_table(payload: bytes) -> BrickTable:
+    """Invert :func:`serialize_brick_table`."""
+    raw = zlib.decompress(payload)
+    if len(raw) != _BRICK_TABLE.size:
+        raise ValueError("brick table record has the wrong length")
+    version, px, py, pz, ox, oy, oz, brick_size = _BRICK_TABLE.unpack(raw)
+    if version != _BRICK_TABLE_VERSION:
+        raise ValueError(f"unsupported brick table version {version}")
+    return BrickTable(
+        padded_shape=(px, py, pz),
+        orig_shape=(ox, oy, oz),
+        brick_size=int(brick_size),
+    )

@@ -5,16 +5,14 @@ import pytest
 
 import zlib
 
-from repro.core.gsp import (
+from repro.core.gsp import brick_boxes, bricks_touching, gsp_pad, zero_fill
+from tests.helpers import (
     BrickTable,
-    brick_boxes,
-    bricks_touching,
     deserialize_brick_table,
-    gsp_pad,
+    random_mask,
     serialize_brick_table,
-    zero_fill,
+    smooth_cube,
 )
-from tests.helpers import random_mask, smooth_cube
 
 
 def crop(result, arr=None) -> np.ndarray:

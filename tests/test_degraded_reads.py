@@ -329,7 +329,8 @@ class TestDegradedReads:
         bad = ["L1/b2", "L1/b5"]
         for name in bad:
             comp.parts[name] = reserialize_stream(
-                comp.parts[name], {stream.SEC_CODE_LENGTHS: bytes([1]) * 8193}
+                comp.parts[name],
+                {stream.SEC_CODE_LENGTHS: stream._varints(0, 8193) + bytes([1]) * 8193},
             )
         write_archive(tmp_path / "bad.rpbt", {KEY: comp}, shard_size=4096)
         with ArchiveReader(tmp_path / "bad.rpbt", cache_bytes=0, fill_value=-1.0) as reader:

@@ -45,7 +45,7 @@ from repro.core.container import (
     unpack_mask_box,
 )
 from repro.core.density import Strategy
-from repro.core.gsp import brick_boxes, deserialize_brick_table
+from repro.core.gsp import brick_boxes
 from repro.core.layout import blocks_in_region, deserialize_layout, layout_shapes
 from repro.core.plan import PlanExecutorMixin, level_mask, normalize_region
 from repro.core.tac import TACCompressor
@@ -289,20 +289,21 @@ class TestGSPBrickPartialDecode:
         roi = (slice(2, 7), slice(3, 9), slice(1, 5))
         tac.decompress_region(lazy, 0, roi)
 
-        table = deserialize_brick_table(comp.parts["L0/bricks"])
-        boxes = brick_boxes(table.padded_shape, table.brick_size)
+        level = comp.meta["levels"][0]
+        padded_shape, size = tuple(level["padded_shape"]), level["bricks"]["size"]
+        boxes = brick_boxes(padded_shape, size)
+        assert len(boxes) == level["bricks"]["n"] == int(np.prod(level["bricks"]["grid"]))
         decoded_cells = 0
         for name in lazy.parts.accessed():
             if name.startswith("L0/b") and name != "L0/bricks":
                 box = boxes[int(name[len("L0/b"):])]
                 decoded_cells += int(np.prod([hi - lo for lo, hi in box]))
-        size = table.brick_size
         aligned = [
             (spec.start // size * size, -(-spec.stop // size) * size) for spec in roi
         ]
         aligned_volume = int(np.prod([hi - lo for lo, hi in aligned]))
         assert 0 < decoded_cells <= aligned_volume
-        assert decoded_cells < int(np.prod(table.padded_shape))
+        assert decoded_cells < int(np.prod(padded_shape))
 
     def test_mixin_region_read_is_the_codecs_region_read(self, dataset):
         """`PlanExecutorMixin.decompress_region` is the only region reader:

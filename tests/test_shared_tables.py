@@ -121,7 +121,8 @@ class TestTableWireFormat:
         lengths = stream.unpack_shared_table(table)["code_lengths"]
         ordinary = stream.parse(resolver.ordinary(blob))
         assert stream.SEC_TABLE_REF not in ordinary.sections
-        assert ordinary.section(stream.SEC_CODE_LENGTHS)[1] == lengths.tobytes()
+        section = ordinary.section(stream.SEC_CODE_LENGTHS)
+        assert stream.unpack_code_lengths(section, lengths.size).tobytes() == lengths.tobytes()
         for ref, message in (
             ((info["id"] ^ 1, info["alphabet"]), "table id"),
             ((info["id"], info["alphabet"] + 1), "alphabet"),

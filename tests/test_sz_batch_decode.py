@@ -142,14 +142,13 @@ class TestSharedTables:
 
 
 def _bad_code_lengths(blob):
-    return reserialize_stream(
-        blob, {stream.SEC_CODE_LENGTHS: bytes([1]) * 8193}  # Kraft sum ≫ 1
-    )
+    window = stream._varints(0, 8193) + bytes([1]) * 8193  # Kraft sum ≫ 1
+    return reserialize_stream(blob, {stream.SEC_CODE_LENGTHS: window})
 
 
 def _bad_offsets(blob):
-    raw = inflate_section(stream.parse(blob), stream.SEC_BLOCK_OFFSETS)
-    return reserialize_stream(blob, {stream.SEC_BLOCK_OFFSETS: raw[:-8]})
+    raw = stream.parse(blob).section(stream.SEC_BLOCK_OFFSETS)[1]
+    return reserialize_stream(blob, {stream.SEC_BLOCK_OFFSETS: raw[:-1]})
 
 
 def _bad_payload(blob):
@@ -193,7 +192,7 @@ class TestCorruptMemberFailsAlone:
         "victim, corrupt, match",
         [
             (1, _bad_code_lengths, "Kraft"),
-            (2, _bad_offsets, "expected 64 items"),
+            (2, _bad_offsets, "block offsets section holds"),
             (4, _bad_payload, "unassigned code space"),
             (5, _flipped_payload_byte, "corrupt Huffman stream"),
             (3, _bad_outliers, "items of int64, got 3"),

@@ -1,5 +1,7 @@
 """Unit + property tests for the end-to-end SZ compressor."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,28 +202,29 @@ class TestStats:
         assert stats.n_values == data.size
         assert stats.ratio == pytest.approx(data.nbytes / len(blob))
         assert stats.bit_rate == pytest.approx(8 * len(blob) / data.size)
-        assert sum(stats.section_bytes.values()) <= len(blob)
+        assert sum(stats.section_bytes.values()) == len(blob)
 
     LATTICE = ["huffman_table", "block_offsets", "payload"]
 
     @pytest.mark.parametrize(
         "kind, eb, mode, sections, eb_abs, n_outliers, spans",
         [
-            ("empty", 1e-3, "abs", [], 0.0, 0, set()),
-            ("spiky", 0.0, "abs", ["raw"], 0.0, 0, {"lossless"}),
-            ("spiky", 1e-3, "abs", LATTICE + ["outliers", "meta"], 1e-3, 5,
+            ("empty", 1e-3, "abs", ["framing"], 0.0, 0, set()),
+            ("spiky", 0.0, "abs", ["raw", "framing"], 0.0, 0, {"lossless"}),
+            ("spiky", 1e-3, "abs", LATTICE + ["outliers", "meta", "framing"], 1e-3, 5,
              {"predict", "encode", "lossless"}),
-            ("spiky", 1e-2, "pw_rel", LATTICE + ["meta", "signs", "zero_mask"],
+            ("spiky", 1e-2, "pw_rel", LATTICE + ["meta", "signs", "zero_mask", "framing"],
              float(np.log1p(1e-2)), 0, {"transform", "predict", "encode", "lossless"}),
-            ("spiky", 0.0, "pw_rel", ["raw"], 0.0, 0, {"lossless"}),
+            ("spiky", 0.0, "pw_rel", ["raw", "framing"], 0.0, 0, {"lossless"}),
         ],
         ids=["empty", "lossless", "lattice-outliers", "pw_rel", "pw_rel-lossless"],
     )
     def test_stats_sections_labelled(
         self, codec, kind, eb, mode, sections, eb_abs, n_outliers, spans
     ):
-        """Every stream kind's stats: section labels in blob order, the
-        resolved bound, the outlier count and the spans that ran."""
+        """Every stream kind's stats: section labels in blob order, then
+        the framing, summing to the blob; the resolved bound, the outlier
+        count and the spans that ran."""
         if kind == "empty":
             data = np.zeros((0, 4), np.float32)
         else:
@@ -236,7 +239,26 @@ class TestStats:
         assert (stats.compressed_bytes, stats.original_bytes, stats.n_values) == (
             len(blob), data.nbytes, data.size,
         )
-        assert sum(stats.section_bytes.values()) < len(blob)
+        assert sum(stats.section_bytes.values()) == len(blob)
+
+    def test_section_bytes_sum_to_the_blob_in_either_framing(self, codec):
+        """The byte breakdown sums to the blob for a version-2 stream and
+        for the version-1 streams of a frozen fixture, the table labelled
+        ``huffman_table`` in both."""
+        from repro.core.container import CompressedDataset
+        from repro.sz.compressor import section_bytes
+
+        (data,) = fields((16, 16, 16), 1, np.float32)
+        fixture = CompressedDataset.from_bytes(
+            (Path(__file__).parent / "data" / "golden_gsp_bricks.rpbt").read_bytes()
+        )
+        v1 = [blob for blob in fixture.parts.values() if blob.startswith(stream.MAGIC)]
+        blobs = [codec.compress(data, 1e-3, "abs"), *v1]
+        assert {blob[4] for blob in blobs} == {1, 2}
+        for blob in blobs:
+            sizes = section_bytes(stream.parse(blob))
+            assert sum(sizes.values()) == len(blob)
+            assert {"huffman_table", "payload", "framing"} <= set(sizes)
 
     def test_module_level_api(self, rng):
         data = rng.standard_normal(100).astype(np.float32)

@@ -1,17 +1,26 @@
 """Unit tests for the container stream format and the lossless back end."""
 
+import dataclasses
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.container import inflate_mask, pack_mask
+from repro.core.container import CompressedDataset, inflate_mask, pack_mask
 from repro.sim.nyx import generate_field
 from repro.sz import SZCompressor, lossless, stream
-from tests.helpers import inflate_section
+from tests.helpers import (
+    inflate_section,
+    reserialize_stream,
+    stream_content,
+    window_prefix_length,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestLossless:
@@ -231,11 +240,15 @@ def bomb() -> bytes:
 
 
 def _with_section(blob: bytes, tag: int, payload: bytes) -> bytes:
+    """``blob`` with section ``tag``'s DEFLATEd bytes replaced by ``payload``
+    (a code-length section keeps its window prefix)."""
     parsed = stream.parse(blob)
-    sections = [
-        (t, *((lossless.CODEC_ZLIB, payload) if t == tag else section))
-        for t, section in parsed.sections.items()
-    ]
+    sections = []
+    for t, (codec, data) in parsed.sections.items():
+        if t == tag:
+            prefix = data[: window_prefix_length(data)] if t == stream.SEC_CODE_LENGTHS else b""
+            codec, data = lossless.CODEC_ZLIB, prefix + payload
+        sections.append((t, codec, data))
     return stream.serialize(parsed.header, sections)
 
 
@@ -301,11 +314,16 @@ class TestDeflateBomb:
 
 def _recoded(tag: int, raw: bytes) -> tuple[int, bytes]:
     """What the coder ``repro.sz.lossless`` names for section kind ``tag``
-    makes of ``raw``: run-length DEFLATE for the Huffman payload and table,
-    level-1 LZ77 for every other section, SEC_META stored as is."""
-    if tag == stream.SEC_META:
+    makes of ``raw``: run-length DEFLATE for the Huffman payload and table
+    (after its window prefix), level-1 LZ77 for every other section,
+    SEC_META and the bit-packed block offsets stored as they are."""
+    if tag in (stream.SEC_META, stream.SEC_BLOCK_OFFSETS):
         return lossless.CODEC_RAW, raw
-    if tag in (stream.SEC_PAYLOAD, stream.SEC_CODE_LENGTHS):
+    if tag == stream.SEC_CODE_LENGTHS:
+        at = window_prefix_length(raw)
+        codec, packed = lossless.compress_runs(raw[at:])
+        return codec, raw[:at] + packed
+    if tag == stream.SEC_PAYLOAD:
         return lossless.compress_runs(raw)
     return lossless.compress_bytes(raw)
 
@@ -365,3 +383,185 @@ class TestSectionCoderPolicy:
         # At this bound some brick payloads pay for DEFLATE and some do not.
         codecs = {stream.parse(blob).sections[stream.SEC_PAYLOAD][0] for blob in blobs}
         assert codecs == {lossless.CODEC_RAW, lossless.CODEC_ZLIB}
+
+
+class TestVarints:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=12))
+    def test_roundtrip(self, values):
+        raw = stream._varints(*values)
+        offset, back = 0, []
+        for _ in values:
+            value, offset = stream._read_varint(raw, offset)
+            back.append(value)
+        assert back == values and offset == len(raw)
+
+    def test_small_values_take_one_byte(self):
+        assert stream._varints(0, 127, 128) == b"\x00\x7f\x80\x01"
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            (b"", "truncated varint"),
+            (b"\x80\x80", "truncated varint"),
+            (b"\x80" * 10 + b"\x01", "longer than 10 bytes"),
+            (b"\xff" * 9 + b"\x7f", "exceeds 64 bits"),
+        ],
+    )
+    def test_malformed_varints_raise(self, raw, match):
+        with pytest.raises(ValueError, match=match):
+            stream._read_varint(raw, 0)
+
+    def test_negative_or_wide_values_are_not_written(self):
+        for value in (-1, 2**64):
+            with pytest.raises(ValueError, match="outside"):
+                stream._varints(value)
+
+
+#: One stream's block offsets: ``n`` block bit counts (each >= 1; the last
+#: one only sets ``total_bits``), drawn from narrow or wide ranges.
+_block_counts = st.integers(1, 40).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.integers(1, 300), st.integers(1, 2**48)), min_size=n, max_size=n),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+class TestBlockOffsets:
+    """Frame-of-reference block offsets: the minimum, a bit width and the
+    packed per-block bit counts of every block but the last."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_block_counts)
+    def test_roundtrip(self, rows):
+        counts = np.array(rows, dtype=np.int64)
+        offsets = np.cumsum(counts, axis=1) - counts
+        totals = counts.sum(axis=1).tolist()
+        packed = stream.pack_block_offsets(offsets)
+        if counts.shape[1] == 1:
+            assert packed == [None] * len(rows)
+        sections = [None if p is None else (lossless.CODEC_RAW, p) for p in packed]
+        back = stream.unpack_block_offsets(sections, counts.shape[1], totals)
+        assert np.array_equal(back, offsets)
+
+    def test_width_follows_the_spread_not_the_magnitude(self):
+        offsets = np.cumsum([[0] + [10_000] * 63], axis=1)  # equal counts
+        (packed,) = stream.pack_block_offsets(offsets)
+        assert packed == stream._varints(10_000) + bytes([1]) + bytes(8)
+
+    def test_single_block_stream_stores_none(self):
+        blob = SZCompressor().compress(np.linspace(0, 1, 8), 1e-3, "abs")
+        parsed = stream.parse(blob)
+        assert stream.SEC_BLOCK_OFFSETS not in parsed.sections
+        assert np.allclose(SZCompressor().decompress(blob), np.linspace(0, 1, 8), atol=1e-3)
+
+
+class TestHostileV2:
+    """Every malformed version-2 stream raises ``ValueError`` and nothing
+    else, after allocating no more than its own few kilobytes imply."""
+
+    @pytest.fixture(scope="class")
+    def good(self):
+        cube = generate_field("baryon_density", 16, seed=3)
+        blob = SZCompressor().compress(cube, 1e-3 * float(np.ptp(cube)), "abs")
+        parsed = stream.parse(blob)
+        return blob, parsed, stream.unpack_meta(parsed.section(stream.SEC_META)[1])
+
+    def assert_rejected(self, blob: bytes, match: str) -> None:
+        def decode():
+            SZCompressor().decompress(blob)
+
+        assert _peak_while_raising(decode) < 4e6
+        with pytest.raises(ValueError, match=match):
+            decode()
+
+    def _offsets(self, good, base: int, width: int, data: bytes) -> bytes:
+        section = stream._varints(base) + bytes([width]) + data
+        return reserialize_stream(good[0], {stream.SEC_BLOCK_OFFSETS: section})
+
+    @pytest.mark.parametrize(
+        "tail, match",
+        [
+            (b"\x80", "truncated varint"),
+            (b"\x80" * 10 + b"\x01", "longer than 10 bytes"),
+        ],
+    )
+    def test_bad_varint_in_the_header(self, tail, match):
+        self.assert_rejected(stream.MAGIC + bytes([stream.VERSION, 0]) + tail, match)
+
+    def test_truncated_section_length(self, good):
+        head = stream.serialize(good[1].header, [])[:-1]  # without its section count
+        hostile = head + b"\x01" + bytes([stream.SEC_PAYLOAD]) + b"\x80"
+        self.assert_rejected(hostile, "truncated varint")
+
+    def test_section_length_overruns_the_blob(self, good):
+        head = stream.serialize(good[1].header, [])[:-1]
+        hostile = head + b"\x01" + bytes([stream.SEC_PAYLOAD]) + stream._varints(2**62)
+        self.assert_rejected(hostile + b"\x00" * 16, "section 3 overruns the blob")
+
+    @pytest.mark.parametrize("width", [0, 65, 255])
+    def test_bit_width_outside_1_to_64(self, good, width):
+        self.assert_rejected(self._offsets(good, 10, width, b""), f"bit width {width} outside")
+
+    def test_packed_offsets_of_the_wrong_size(self, good):
+        self.assert_rejected(self._offsets(good, 10, 8, bytes(62)), "holds 62 bytes, not the 63")
+
+    @pytest.mark.parametrize("base", ["total", 2**63])
+    def test_packed_offsets_past_total_bits(self, good, base):
+        _blob, _parsed, meta = good
+        base = meta["total_bits"] if base == "total" else base
+        self.assert_rejected(self._offsets(good, base, 1, bytes(8)), "total more bits")
+
+    def test_code_length_window_past_the_alphabet(self, good):
+        window = stream._varints(8000, 500) + bytes([3]) * 500
+        hostile = reserialize_stream(good[0], {stream.SEC_CODE_LENGTHS: window})
+        self.assert_rejected(hostile, "runs past the 8193-symbol alphabet")
+
+    def test_a_claim_of_2_to_the_40_values(self, good):
+        blob, parsed, meta = good
+        sections = [(tag, *section) for tag, section in parsed.sections.items()]
+        claim = {**meta, "n_symbols": 2**40, "total_bits": 2**40, "block_size": 2**20}
+        sections[-1] = (stream.SEC_META, lossless.CODEC_RAW, stream.pack_meta(**claim))
+        header = dataclasses.replace(parsed.header, shape=(2**14, 2**13, 2**13))
+        self.assert_rejected(stream.serialize(header, sections), "lossless section shorter")
+
+    def test_unknown_kind_bits(self, good):
+        blob = bytearray(good[0])
+        blob[5] |= 0x40
+        self.assert_rejected(bytes(blob), "kind bits")
+
+
+class TestFramingVersions:
+    """Version 2 is written, version 1 is read into the same form."""
+
+    @pytest.fixture(scope="class")
+    def v1_streams(self) -> list[bytes]:
+        fixture = CompressedDataset.from_bytes((DATA / "golden_gsp_bricks.rpbt").read_bytes())
+        return [blob for blob in fixture.parts.values() if blob.startswith(stream.MAGIC)]
+
+    def test_v1_transcodes_to_v2_of_the_same_content(self, v1_streams):
+        """(A fresh compress holds the same content too: the golden test
+        ``test_writer_regenerates_fixture_parts`` compares it.)"""
+        codec = SZCompressor()
+        assert v1_streams and {blob[4] for blob in v1_streams} == {1}
+        for blob in v1_streams:
+            v2 = stream.serialize(*_header_and_sections(blob))
+            assert v2[4] == stream.VERSION and len(v2) < len(blob)
+            assert stream_content(stream.parse(v2)) == stream_content(stream.parse(blob))
+            assert np.array_equal(codec.decompress(v2), codec.decompress(blob))
+            assert stream.serialize(*_header_and_sections(v2)) == v2
+
+    def test_eb_user_is_stored_only_when_it_differs(self):
+        cube = generate_field("baryon_density", 8, seed=1)
+        codec = SZCompressor()
+        same, other = codec.compress(cube, 1e-3, "abs"), codec.compress(cube, 1e-3, "rel")
+        assert not same[5] & 0x20 and other[5] & 0x20
+        assert stream.parse(same).header.eb_user == stream.parse(same).header.eb_abs == 1e-3
+        assert stream.parse(other).header.eb_user == 1e-3
+
+
+def _header_and_sections(blob: bytes):
+    parsed = stream.parse(blob)
+    return parsed.header, [(tag, *section) for tag, section in parsed.sections.items()]
