@@ -197,19 +197,18 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
         time_op(lambda: codec_r.decode(enc_r), repeats), ragged.size, ragged.size * 8
     )
 
+    from repro.sz.huffman import decode_tables
+
     def table_build():
-        fresh = HuffmanCodec(codec.lengths, max_len=codec.max_len)
-        fresh._build_table()
-        return fresh
+        return decode_tables([(0, codec.lengths)], codec.max_len)
 
     # Throughput is over the dense decode table the op materializes
     # (sym + len arrays, 2**longest_code entries each — what the decoder
     # really builds, not 2**max_len) so mb_per_s is real and the baseline
     # gate covers this op.
     built = table_build()
-    table_nbytes = built._table_sym.nbytes + built._table_len.nbytes
     ops["huffman_table_build"] = op_entry(
-        time_op(table_build, max(repeats, 10)), built._table_sym.size, table_nbytes
+        time_op(table_build, max(repeats, 10)), built.sym.size, built.sym.nbytes + built.len.nbytes
     )
 
     # The encoder's table build, on a brick-like histogram: ~150 present
@@ -491,6 +490,8 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     threads — the working set of the batches in flight.
     ``sz_brick_stream_bytes`` is a byte row (:func:`stream_bytes_entry`):
     what each stream of that call spends on its payload and on framing.
+    ``huffman_decode_tables_bricks_27`` times the decode-table build of the
+    27-brick pass alone (:func:`~repro.sz.huffman.decode_tables`).
     """
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor
@@ -547,8 +548,27 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     for rec, one in zip(own[:27], blobs[:27]):
         assert np.array_equal(rec, codec.decompress(one))
 
+    # The decode tables of one cold ROI read's worth of bricks (the first
+    # 27 streams, one lockstep pass), built from their code-length windows.
+    from repro.sz import stream
+    from repro.sz.huffman import decode_tables
+
+    windows, max_lens = [], []
+    for blob in blobs[:27]:
+        parsed = stream.parse(blob)
+        meta = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
+        section = parsed.section(stream.SEC_CODE_LENGTHS)
+        windows.append(stream.unpack_code_lengths(section, 2 * meta["radius"] + 1))
+        max_lens.append(meta["max_len"])
+    tables = decode_tables(windows, max_lens)
+
     n_values = len(bricks) * brick**3
     return {
+        "huffman_decode_tables_bricks_27": op_entry(
+            time_op(lambda: decode_tables(windows, max_lens), max(repeats, 50)),
+            tables.sym.size,
+            tables.sym.nbytes + tables.len.nbytes,
+        ),
         "sz_compress_many_bricks": op_entry(
             time_op(lambda: codec.compress_many(bricks, eb_abs, "abs"), repeats),
             n_values,
@@ -849,6 +869,7 @@ GROUP_OPS = {
     + tuple(f"sz_compress_{how}_bricks" for how in ("many", "loop"))
     + ("sz_compress_many_bricks_recon", "sz_compress_many_bricks_pw_rel", "sz_compress_many_64")
     + ("sz_compress_many_bricks_peak_mb", "sz_brick_stream_bytes")
+    + ("huffman_decode_tables_bricks_27",)
     + tuple(
         f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
     ),

@@ -3,9 +3,8 @@
 The natural unit of reuse when many readers request overlapping ROIs is
 the decoded 64³ brick (or group stream): payload fetch *and* SZ decode
 are both paid once, and every later request whose plan covers the same
-``(entry, level, unit)`` is served from memory.  This mirrors the bet
-that paid off for ``HuffmanCodec.cached`` (PR 3) — there the reused
-artifact was the decode table, here it is the decoded data itself.
+``(entry, level, unit)`` is served from memory.  Decode tables are not
+worth caching (a 16³ brick's Huffman code is nearly always its own).
 
 The cache is byte-bounded, not entry-bounded: decoded bricks vary from
 kilobytes (clipped edge bricks) to megabytes, so a count bound would

@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -51,10 +50,10 @@ from repro.sz.bitstream import packed_nbytes
 from repro.sz.huffman import (
     DEFAULT_MAX_LEN,
     CodeTables,
-    HuffmanCodec,
     HuffmanEncoded,
     code_tables,
     decode_many,
+    decode_tables,
     encode_many,
 )
 from repro.sz.interp import interp_compress, interp_decompress
@@ -169,13 +168,6 @@ ENCODE_THREADS = min(
 )
 
 
-#: What parsing or decoding a damaged stream raises (the parser contract is
-#: ``ValueError``; a damaged DEFLATE section surfaces as ``zlib.error``).
-#: Anything else — a ``MemoryError`` on a batch's working set, a bug — is not
-#: a property of one stream and propagates.
-STREAM_DAMAGE = (ValueError, zlib.error)
-
-
 def _batches(keys: Sequence, sizes: Sequence[int], threads: int = 1) -> list[list[int]]:
     """Indices of equal ``keys`` grouped into batches, in first-seen order.
 
@@ -273,7 +265,7 @@ class StreamBatch:
         members = self.members
         try:
             arrays = _decode_members(members, timings)
-        except STREAM_DAMAGE as exc:
+        except ValueError as exc:
             if len(members) > 1:
                 return [
                     pair
@@ -318,7 +310,7 @@ def stream_batches(blobs: Sequence[bytes], errors: dict | None = None) -> list[S
                 )
             if meta["total_bits"] < meta["n_symbols"]:
                 raise ValueError("codec-parameter record holds fewer bits than symbols")
-        except STREAM_DAMAGE as exc:
+        except ValueError as exc:
             if errors is None:
                 raise
             errors[index] = exc
@@ -404,14 +396,13 @@ def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
     n_symbols, block_size = meta["n_symbols"], meta["block_size"]
     alphabet = 2 * meta["radius"] + 1
     with timed(timings, "decode"):
-        codecs, payloads = [], []
+        windows, payloads = [], []
         for member in members:
             parsed = member.parsed
             # Every section is inflated to exactly the size the meta implies.
-            lengths = stream.unpack_code_lengths(parsed.section(stream.SEC_CODE_LENGTHS), alphabet)
-            # Shared LRU codec: the hundreds of per-group streams in one TAC
-            # blob frequently repeat code-length tables.
-            codecs.append(HuffmanCodec.cached(lengths, member.meta["max_len"]))
+            windows.append(
+                stream.unpack_code_lengths(parsed.section(stream.SEC_CODE_LENGTHS), alphabet)
+            )
             codec_tag, payload = parsed.section(stream.SEC_PAYLOAD)
             payloads.append(
                 lossless.decompress_bytes(
@@ -430,7 +421,8 @@ def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
             HuffmanEncoded(payload, bits, row, n_symbols, block_size)
             for payload, bits, row in zip(payloads, total_bits, offsets)
         ]
-        symbols = decode_many(codecs, encoded)
+        max_lens = [member.meta["max_len"] for member in members]
+        symbols = decode_many(decode_tables(windows, max_lens), encoded)
     with timed(timings, "reconstruct"):
         radius = meta["radius"]
         escape = 2 * radius
@@ -863,10 +855,12 @@ class SZCompressor:
         decoded together — bit-identical to one call per blob, at a fraction
         of the fixed cost when the streams are small.
 
-        With ``errors`` given, a damaged blob (:data:`STREAM_DAMAGE` while
-        parsing or decoding) is recorded there (``index → exception``) and
-        its result is ``None``; the other blobs still decode.  Without it
-        the first failure raises.
+        With ``errors`` given, a damaged blob (``ValueError`` while parsing
+        or decoding, the parser contract) is recorded there (``index →
+        exception``) and its result is ``None``; the other blobs still
+        decode.  Without it the first failure raises.  Anything else — a
+        ``MemoryError`` on a batch's working set, a bug — is not a property
+        of one stream and propagates.
         """
         out: list = [None] * len(blobs)
         for batch in stream_batches(blobs, errors):

@@ -30,10 +30,13 @@ a pure-NumPy implementation fast:
    a 4096-symbol stream — 64 lanes × 64 rounds — is almost pure call
    overhead.  :func:`decode_many` therefore decodes a *set* of streams
    with the same symbol count and block size in one schedule: their
-   payloads sit behind one bit window, their decode tables are
-   concatenated, every lane carries its stream's table base and peek
-   shift, and all lanes of all streams advance in the same rounds.
-   :meth:`HuffmanCodec.decode` is the batch of one.
+   payloads sit behind one bit window, every lane carries its stream's
+   table base and peek shift, and all lanes of all streams advance in the
+   same rounds.  Their decode tables are built together too, in a few
+   NumPy calls per pass (:func:`decode_tables`), and kept no longer than
+   the pass: on 16³ bricks nearly every stream has a code of its own, so
+   a cache of tables would mostly miss.  :meth:`HuffmanCodec.decode` is
+   the batch of one.
 
 4. **Rows of many streams share the encode passes.**  The encoder has
    the mirror-image problem: per stream it gathers lengths and codewords,
@@ -68,8 +71,10 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -81,19 +86,11 @@ from repro.sz.bitstream import (
     window_words,
 )
 
-#: Default cap on codeword length.  A cached decode table has
-#: ``2**longest_code`` entries of 3 bytes (uint16 symbol + uint8 length for
-#: the usual 8193-symbol alphabet), so the cap bounds it at 65536 entries
-#: (192 KB); the 16³-brick streams of a bricked level have 8–13-bit longest
-#: codes (12 typically), i.e. 12 KB tables.
+#: Default cap on codeword length.  A stream's decode table has
+#: ``2**longest_code`` entries of 12 bytes (int32 symbol, int64 length) in
+#: its pass's table, so the cap bounds it at 65536; the 16³-brick streams of
+#: a bricked level have 8–13-bit longest codes (12 typically).
 DEFAULT_MAX_LEN = 16
-
-#: Bound on the decoder-codec LRU cache (:meth:`HuffmanCodec.cached`).  A
-#: cached codec holds its code lengths (1 byte per alphabet symbol, 8 KB at
-#: the default radius) plus its ``2**longest_code``-entry decode table, so
-#: the cache tops out at 32 × (8 KB + 192 KB) ≈ 6 MB when every code
-#: reaches ``max_len=16`` and stays near 0.6 MB on brick streams.
-DECODE_CACHE_SIZE = 32
 
 #: Bounds on the adaptive decode block size.
 _MIN_BLOCK = 64
@@ -399,17 +396,7 @@ class HuffmanCodec:
         kraft = float(np.sum(np.ldexp(1.0, -plens)))
         if kraft > 1.0 + 1e-12:
             raise ValueError(f"code lengths violate the Kraft inequality (sum={kraft})")
-        #: Longest code present: decode peeks this many bits, so the dense
-        #: table has ``2**table_bits`` entries however high ``max_len`` is.
-        self.table_bits = max(longest, 1)
-        # Canonical order (by length, ties by symbol): ``present`` ascends,
-        # so a stable sort on the lengths alone yields it.
-        order = np.argsort(plens, kind="stable")
-        self._canon_syms = present[order]
-        self._canon_lens = plens[order]
         self._tables: CodeTables | None = None
-        self._table_sym: np.ndarray | None = None
-        self._table_len: np.ndarray | None = None
 
     @property
     def tables(self) -> CodeTables:
@@ -442,21 +429,6 @@ class HuffmanCodec:
         counts = np.bincount(np.asarray(symbols, dtype=np.int64), minlength=alphabet_size)
         return cls.from_counts(counts, max_len=max_len)
 
-    @classmethod
-    def cached(cls, code_lengths: np.ndarray, max_len: int) -> "HuffmanCodec":
-        """A shared decoder codec with its decode table already built.
-
-        One TAC blob holds hundreds of small per-group SZ streams, and many
-        of them (near-constant residual blocks especially) carry identical
-        code-length tables — rebuilding the dense ``2**max_len``-entry
-        decode table for each is pure waste.  Codecs returned here are
-        memoized in a bounded LRU (:data:`DECODE_CACHE_SIZE` entries) keyed
-        on the raw length bytes; treat them as immutable.  Inspect with
-        :func:`decode_table_cache_info`.
-        """
-        key = np.ascontiguousarray(code_lengths, dtype=np.uint8).tobytes()
-        return _cached_decoder(key, int(max_len))
-
     # -- encode ----------------------------------------------------------
     def encode(self, symbols: np.ndarray, block_size: int | None = None) -> HuffmanEncoded:
         """Encode ``symbols`` (ints in ``[0, alphabet)``) into a bit stream."""
@@ -465,33 +437,9 @@ class HuffmanCodec:
         return encode_many(self.tables, symbols, block_size)[0]
 
     # -- decode ----------------------------------------------------------
-    def _build_table(self) -> None:
-        """Materialize the dense ``2**table_bits`` peek → (symbol, len) table.
-
-        Canonical codes occupy a single contiguous run of code space
-        starting at 0 (each code's ``[lo, hi)`` table interval abuts the
-        previous one), so the whole table is two ``np.repeat`` fills — no
-        per-symbol Python loop.  Any unassigned slack past the Kraft sum
-        stays zero (length 0 marks undecodable space).
-        """
-        width = self.table_bits
-        size = 1 << width
-        # Stored in the narrowest types that hold them (3 bytes an entry for
-        # the usual 8193-symbol alphabet): a decoder cache of per-brick
-        # tables outlives every read.  ``decode_many`` widens the tables of
-        # one pass to the types its gathers and ``positions += lens`` want.
-        table_sym = np.zeros(size, dtype=np.min_scalar_type(max(self.lengths.size - 1, 0)))
-        table_len = np.zeros(size, dtype=np.uint8)
-        spans = np.int64(1) << (width - self._canon_lens)
-        used = int(spans.sum())
-        table_sym[:used] = np.repeat(self._canon_syms.astype(table_sym.dtype), spans)
-        table_len[:used] = np.repeat(self._canon_lens.astype(np.uint8), spans)
-        self._table_sym = table_sym
-        self._table_len = table_len
-
     def decode(self, encoded: HuffmanEncoded) -> np.ndarray:
         """Decode a stream produced by :meth:`encode` back to symbols."""
-        return decode_many([self], [encoded])[0]
+        return decode_many(decode_tables([(0, self.lengths)], self.max_len), [encoded])[0]
 
 
 def encode_many(tables: CodeTables, symbols: np.ndarray, block_size: int | None = None) -> list[HuffmanEncoded]:
@@ -550,14 +498,115 @@ def encode_many(tables: CodeTables, symbols: np.ndarray, block_size: int | None 
     ]
 
 
+_memo_lock = threading.Lock()
+_memo_counts = [0, 0]  # hits, misses
+
+
+@dataclass(frozen=True)
+class DecodeTables:
+    """The dense decode tables of one pass, concatenated.
+
+    Stream ``i`` peeks ``bits[i]`` bits and looks the peek up at
+    ``base[i] + peek`` in ``sym`` (int32, the output's type) and ``len``
+    (int64, the positions'); length 0 marks unassigned code space.
+    Streams with the same code share one table, hence one base.
+    """
+
+    sym: np.ndarray
+    len: np.ndarray
+    base: np.ndarray  # int64 per stream
+    bits: np.ndarray  # int64 per stream
+
+    def of_stream(self, i: int) -> "DecodeTables":
+        """Stream ``i``'s table alone, as the pass of one stream."""
+        at, bits = int(self.base[i]), self.bits[i : i + 1]
+        span = slice(at, at + (1 << int(bits[0])))
+        return DecodeTables(self.sym[span], self.len[span], np.zeros(1, np.int64), bits)
+
+
+def decode_tables(windows: Sequence, max_len: int | Sequence[int]) -> DecodeTables:
+    """Build a pass's decode tables from each stream's code-length window.
+
+    ``windows[i]`` is ``(lo, lengths)``: stream ``i``'s code gives symbol
+    ``lo + j`` a ``lengths[j]``-bit code (0: none); ``max_len`` caps the
+    lengths, one for every stream or one per stream.  Identical windows
+    share one table.  The build is a handful of NumPy calls for the whole
+    pass, not per stream: one stable sort of the present symbols by
+    (table, length) is canonical order (ties by symbol, as ``lo + j``
+    ascends), a code of length ``L`` in a ``B``-bit table covers
+    ``2**(B - L)`` consecutive entries, and each table closes with one
+    zero-length *gap* entry spanning its unassigned code space, so every
+    table fills exactly ``2**B`` entries and the whole pass is one
+    ``np.repeat`` by span.  ``B`` is the table's longest code (at least 1).
+
+    A window whose longest code is over its ``max_len``, whose table would
+    peek more than 24 bits, or whose Kraft sum is above 1 (checked exactly,
+    in integers) raises ``ValueError``.
+    """
+    tables: dict = {}  # (lo, window bytes) -> table, in first-use order
+    owners = np.array(
+        [
+            tables.setdefault((int(lo), np.asarray(lengths, dtype=np.uint8).tobytes()), len(tables))
+            for lo, lengths in windows
+        ],
+        dtype=np.int64,
+    )
+    n_tables = len(tables)
+    with _memo_lock:
+        _memo_counts[0] += owners.size - n_tables
+        _memo_counts[1] += n_tables
+    sizes = np.array([len(window) for _lo, window in tables], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    flat = np.frombuffer(b"".join(window for _lo, window in tables), dtype=np.uint8)
+    present = np.flatnonzero(flat)
+    table = np.searchsorted(ends, present, side="right")
+    lens = flat[present].astype(np.int64)
+    order = np.argsort(table << 8 | lens, kind="stable")
+    table, lens = table[order], lens[order]
+    los = np.array([lo for lo, _window in tables], dtype=np.int64)
+    syms = (present[order] - (ends - sizes)[table] + los[table]).astype(np.int32)
+    counts = np.bincount(table, minlength=n_tables)
+    last = np.cumsum(counts)  # one past each table's codes
+    longest = np.zeros(n_tables, dtype=np.int64)
+    np.maximum.at(longest, table, lens)
+    limits = np.broadcast_to(np.asarray(max_len, dtype=np.int64), owners.shape)
+    if np.any(longest[owners] > limits):
+        raise ValueError("code length exceeds declared max_len")
+    bits = np.maximum(longest, 1)
+    if bits.max() > 24:
+        # Phase 7 + width must fit the 32-bit window (and peek_bits' gather).
+        raise ValueError("peek width must be in [1, 24]")
+    spans = np.left_shift(1, bits[table] - lens)
+    covered = np.concatenate([[0], np.cumsum(spans)])
+    used = covered[last] - covered[last - counts]
+    size = np.left_shift(1, bits)
+    if np.any(used > size):
+        raise ValueError("code lengths violate the Kraft inequality")
+    # Table t's codes, then its gap entry: code k of the sorted order sits
+    # after the gap entries of the tables before its own.
+    entry_sym = np.zeros(lens.size + n_tables, dtype=np.int32)
+    entry_len = np.zeros(lens.size + n_tables, dtype=np.int64)
+    entry_span = np.empty(lens.size + n_tables, dtype=np.int64)
+    at = np.arange(lens.size) + table
+    entry_sym[at], entry_len[at], entry_span[at] = syms, lens, spans
+    entry_span[last + np.arange(n_tables)] = size - used
+    base = np.cumsum(size) - size
+    return DecodeTables(
+        np.repeat(entry_sym, entry_span),
+        np.repeat(entry_len, entry_span),
+        base[owners],
+        bits[owners],
+    )
+
+
 @dataclass(frozen=True)
 class _LaneTables:
     """Decode tables of a lane span: one table, or several concatenated.
 
-    ``down`` (the ``32 - table_bits`` peek shift) is per lane, an array
-    operand being cheaper per round than a scalar one; ``base`` is ``None``
-    when every lane decodes under the same table and per lane when the
-    span mixes streams with different codes.
+    ``down`` (the ``32 - bits`` peek shift) is per lane, an array operand
+    being cheaper per round than a scalar one; ``base`` is ``None`` when
+    every lane decodes under the same table and per lane when the span
+    mixes streams with different codes.
     """
 
     sym: np.ndarray
@@ -566,14 +615,14 @@ class _LaneTables:
     down: np.ndarray
 
 
-def decode_many(codecs, streams) -> np.ndarray:
+def decode_many(tables: DecodeTables, streams) -> np.ndarray:
     """Decode streams of equal symbol count and block size in one pass.
 
-    ``codecs[i]`` decodes ``streams[i]``; the same codec object may serve
-    several streams (shared-table levels) and then contributes its table
-    once.  Returns an ``(n_streams, n_symbols)`` int32 array.  All lanes
-    of all streams advance in the same ``block_size`` lockstep rounds, so
-    the per-round call overhead is paid once per batch, not per stream.
+    ``tables`` (:func:`decode_tables`) holds stream ``i``'s table at
+    ``tables.base[i]``.  Returns an ``(n_streams, n_symbols)`` int32 array.
+    All lanes of all streams advance in the same ``block_size`` lockstep
+    rounds, so the per-round call overhead is paid once per batch, not per
+    stream.
     """
     n_streams = len(streams)
     n, block = streams[0].n_symbols, streams[0].block_size
@@ -586,13 +635,12 @@ def decode_many(codecs, streams) -> np.ndarray:
     n_blocks = -(-n // block)
     if any(e.block_offsets.size != n_blocks for e in streams):
         raise ValueError("block offset table does not match symbol count")
-    if max(codec.table_bits for codec in codecs) > 24:
-        # Phase 7 + width must fit the 32-bit window (and peek_bits' gather).
-        raise ValueError("peek width must be in [1, 24]")
     limit = bitstream.WINDOW_WORDS_LIMIT
     if n_streams > 1 and sum(len(e.payload) for e in streams) + 4 > limit:
         # Only single streams get the chunked-window treatment.
-        return np.concatenate([decode_many([c], [e]) for c, e in zip(codecs, streams)])
+        return np.concatenate(
+            [decode_many(tables.of_stream(i), [e]) for i, e in enumerate(streams)]
+        )
 
     # Every lane is one block.  The ragged last block of each stream (if
     # any) goes to the end of the lane order, so that after ``tail``
@@ -602,25 +650,12 @@ def decode_many(codecs, streams) -> np.ndarray:
     full = n_blocks - 1 if n_tail else n_blocks  # whole blocks per stream
 
     def per_lane(per_stream) -> np.ndarray:
-        values = np.asarray(per_stream)
-        lanes = np.repeat(values, full)
-        return np.concatenate([lanes, values]) if n_tail else lanes
+        lanes = np.repeat(per_stream, full)
+        return np.concatenate([lanes, per_stream]) if n_tail else lanes
 
-    tables: dict[int, HuffmanCodec] = {id(codec): codec for codec in codecs}
-    for codec in tables.values():
-        if codec._table_sym is None:
-            codec._build_table()
-    # The pass's own copy of the tables: concatenated, and widened to int32
-    # symbols (the output's type) and int64 lengths (the positions').
-    syms = np.concatenate([codec._table_sym for codec in tables.values()], dtype=np.int32)
-    lens = np.concatenate([codec._table_len for codec in tables.values()], dtype=np.int64)
-    base = None
-    if len(tables) > 1:
-        sizes = [codec._table_sym.size for codec in tables.values()]
-        base_of = dict(zip(tables, np.cumsum([0] + sizes[:-1]).tolist()))
-        base = per_lane([base_of[id(codec)] for codec in codecs]).astype(np.uint32)
-    down = per_lane([32 - codec.table_bits for codec in codecs]).astype(np.uint32)
-    lane_tables = _LaneTables(syms, lens, base, down)
+    base = per_lane(tables.base).astype(np.uint32) if tables.base.any() else None
+    down = per_lane(32 - tables.bits).astype(np.uint32)
+    lane_tables = _LaneTables(tables.sym, tables.len, base, down)
 
     buf = as_peekable(*(e.payload for e in streams))
     offsets = np.stack([e.block_offsets for e in streams]).astype(np.int64)
@@ -784,13 +819,12 @@ def _decode_span(
         )
 
 
-@lru_cache(maxsize=DECODE_CACHE_SIZE)
-def _cached_decoder(lengths_bytes: bytes, max_len: int) -> HuffmanCodec:
-    codec = HuffmanCodec(np.frombuffer(lengths_bytes, dtype=np.uint8), max_len=max_len)
-    codec._build_table()
-    return codec
+_MemoInfo = namedtuple("DecodeTableMemoInfo", "hits misses")
 
 
 def decode_table_cache_info():
-    """``functools`` cache statistics for :meth:`HuffmanCodec.cached`."""
-    return _cached_decoder.cache_info()
+    """Process-wide counts of the pass memo of :func:`decode_tables`:
+    ``misses`` tables built, ``hits`` streams served by a table built
+    earlier in the same pass."""
+    with _memo_lock:
+        return _MemoInfo(*_memo_counts)

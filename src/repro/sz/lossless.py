@@ -86,13 +86,17 @@ def compress_runs(data: bytes) -> tuple[int, bytes]:
 
 def _inflate(codec: int, payload: bytes, cap: int) -> bytes:
     """The section's bytes; a DEFLATE section is inflated to at most
-    ``cap + 1`` of them, so more than ``cap`` means an overrun."""
+    ``cap + 1`` of them, so more than ``cap`` means an overrun.  A damaged
+    one raises ``ValueError``, like every other damage a stream can hold."""
     if codec == CODEC_RAW:
         return payload
     if codec != CODEC_ZLIB:
         raise ValueError(f"unknown lossless codec tag {codec!r}")
     inflater = zlib.decompressobj()
-    raw = inflater.decompress(payload, cap + 1)
+    try:
+        raw = inflater.decompress(payload, cap + 1)
+    except zlib.error as exc:
+        raise ValueError(f"damaged DEFLATE section ({exc})") from None
     if len(raw) <= cap and not inflater.eof:
         raise ValueError("truncated DEFLATE section")
     return raw

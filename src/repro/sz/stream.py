@@ -278,9 +278,11 @@ def pack_code_lengths(lengths: np.ndarray, lo: int = 0) -> tuple[int, bytes]:
     return codec, _varints(lo + first, end - first) + packed
 
 
-def unpack_code_lengths(section: tuple[int, bytes], alphabet: int) -> np.ndarray:
-    """The ``alphabet`` uint8 code lengths a SEC_CODE_LENGTHS section
-    stores; a window past the alphabet raises ``ValueError``."""
+def unpack_code_lengths(section: tuple[int, bytes], alphabet: int) -> tuple[int, np.ndarray]:
+    """``(lo, window)``: the uint8 code lengths of symbols ``lo ..
+    lo + window.size - 1`` a SEC_CODE_LENGTHS section stores (every other
+    symbol of the ``alphabet`` has none); a window past the alphabet raises
+    ``ValueError``."""
     codec, raw = section
     (lo, count), offset = _read_varints(raw, 0, 2)
     if lo + count > alphabet:
@@ -288,9 +290,7 @@ def unpack_code_lengths(section: tuple[int, bytes], alphabet: int) -> np.ndarray
             f"code-length window {lo}..{lo + count - 1} runs past the {alphabet}-symbol alphabet"
         )
     window = lossless.decompress_bytes(codec, raw[offset:], count)
-    lengths = np.zeros(alphabet, dtype=np.uint8)
-    lengths[lo : lo + count] = np.frombuffer(window, dtype=np.uint8)
-    return lengths
+    return lo, np.frombuffer(window, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,9 @@ def stream_content(parsed) -> dict:
         meta = content[stream.SEC_META] = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
     for tag in parsed.sections:
         if tag == stream.SEC_CODE_LENGTHS:
-            lengths = stream.unpack_code_lengths(parsed.section(tag), 2 * meta["radius"] + 1)
+            lo, window = stream.unpack_code_lengths(parsed.section(tag), 2 * meta["radius"] + 1)
+            lengths = np.zeros(2 * meta["radius"] + 1, dtype=np.uint8)
+            lengths[lo : lo + window.size] = window
             content[tag] = lengths.tobytes()
         elif tag != stream.SEC_META:
             content[tag] = inflate_section(parsed, tag)
@@ -406,18 +408,46 @@ def loop_limit_lengths(raw, max_len: int) -> np.ndarray:
     return lengths
 
 
+def oracle_decode_table(lengths) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference decode table of one code: ``(symbols, lengths, bits)``.
+
+    This is the per-codec build ``repro.sz.huffman`` ran before
+    :func:`~repro.sz.huffman.decode_tables` built a whole pass's tables at
+    once, kept as the oracle that builder is held to.  ``lengths`` is the
+    code's alphabet-wide code lengths; the table has ``2**bits`` entries,
+    ``bits`` the longest code (at least 1).  Canonical codes occupy one
+    contiguous run of code space from 0, so the table is two ``np.repeat``
+    fills; the slack past the Kraft sum stays zero (length 0 marks
+    undecodable space).
+    """
+    lengths = np.asarray(lengths, dtype=np.uint8)
+    present = np.flatnonzero(lengths)
+    plens = lengths[present].astype(np.int64)
+    bits = max(int(plens.max()) if present.size else 0, 1)
+    # Canonical order (by length, ties by symbol): ``present`` ascends, so
+    # a stable sort on the lengths alone yields it.
+    order = np.argsort(plens, kind="stable")
+    spans = np.int64(1) << (bits - plens[order])
+    used = int(spans.sum())
+    table_sym = np.zeros(1 << bits, dtype=np.int32)
+    table_len = np.zeros(1 << bits, dtype=np.int64)
+    table_sym[:used] = np.repeat(present[order], spans)
+    table_len[:used] = np.repeat(plens[order], spans)
+    return table_sym, table_len, bits
+
+
 def lockstep_decode(codec, encoded) -> np.ndarray:
     """Reference Huffman decode: the round loop ``repro.sz.huffman._decode_span``
     ran before its lean rounds, kept as the oracle its property test holds
     them to.  One lane per block of one stream; each round peeks every
     active lane with 4-byte gathers, looks the peek up in the codec's dense
-    table and raises on unassigned code space (length 0) in that round; the
-    ragged last block drops out after its ``tail`` rounds."""
+    table (:func:`oracle_decode_table`) and raises on unassigned code space
+    (length 0) in that round; the ragged last block drops out after its
+    ``tail`` rounds."""
     from repro.sz.bitstream import as_peekable, peek_bits
 
     n, block = encoded.n_symbols, encoded.block_size
-    if codec._table_sym is None:
-        codec._build_table()
+    table_sym, table_len, bits = oracle_decode_table(codec.lengths)
     positions = np.array(encoded.block_offsets, dtype=np.int64)
     lanes = positions.size
     tail = n - block * (lanes - 1)
@@ -429,11 +459,11 @@ def lockstep_decode(codec, encoded) -> np.ndarray:
             m -= 1
             if m == 0:
                 break
-        peeks = peek_bits(buf, positions[:m], codec.table_bits)
-        lens = np.take(codec._table_len, peeks).astype(np.int64)
+        peeks = peek_bits(buf, positions[:m], bits)
+        lens = np.take(table_len, peeks)
         if not int(lens.min()):
             raise ValueError("corrupt Huffman stream (unassigned code space)")
-        out[r, :m] = np.take(codec._table_sym, peeks)
+        out[r, :m] = np.take(table_sym, peeks)
         positions[:m] += lens
     return out.T.ravel()[:n]
 
@@ -625,7 +655,7 @@ def shared_table_streams(blobs: list):
             meta["n_symbols"], meta["block_size"],
         )
         lengths = np.frombuffer(content[stream.SEC_CODE_LENGTHS], dtype=np.uint8)
-        own = HuffmanCodec.cached(lengths, meta["max_len"])
+        own = HuffmanCodec(lengths, max_len=meta["max_len"])
         lattice[slot] = parsed, meta, own.decode(encoded)
     if not lattice:
         return None, out, None

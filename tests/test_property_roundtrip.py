@@ -27,7 +27,7 @@ from repro.core.blocks import AXIS_PERMS, BlockExtraction, gather_blocks, invert
 from repro.core.container import CompressedDataset, resolve_global_eb
 from repro.engine.registry import codec_names, get_codec, get_spec
 from repro.sz.compressor import SZCompressor
-from repro.sz.huffman import HuffmanCodec, huffman_code_lengths
+from repro.sz.huffman import HuffmanCodec, decode_tables, huffman_code_lengths
 
 from tests.helpers import assert_error_bounded, naive_canonical_codes, smooth_cube
 
@@ -331,12 +331,13 @@ class TestHuffmanTableBitIdentity:
         naive_codes = naive_canonical_codes(lengths)
         assert np.array_equal(codec.codes, naive_codes), "canonical codes diverged"
 
-        codec._build_table()
+        tables = decode_tables([(0, lengths)], max_len)
         # The table is as wide as the longest code present, never wider.
-        assert codec.table_bits == max(int(lengths.max()), 1) <= max_len
-        ref_sym, ref_len = _naive_decode_table(lengths, naive_codes, codec.table_bits)
-        assert np.array_equal(codec._table_sym, ref_sym), "decode table syms diverged"
-        assert np.array_equal(codec._table_len, ref_len), "decode table lens diverged"
+        bits = int(tables.bits[0])
+        assert bits == max(int(lengths.max()), 1) <= max_len
+        ref_sym, ref_len = _naive_decode_table(lengths, naive_codes, bits)
+        assert np.array_equal(tables.sym, ref_sym), "decode table syms diverged"
+        assert np.array_equal(tables.len, ref_len), "decode table lens diverged"
 
 
 # ----------------------------------------------------------------------

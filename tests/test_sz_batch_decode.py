@@ -15,7 +15,7 @@ import pytest
 from repro.core.plan import DecodeUnit, DecompressionPlan, decode_jobs, execute_plan
 from repro.core.tac import SharedTableResolver
 from repro.sz import compressor as sz_compressor
-from repro.sz import stream
+from repro.sz import lossless, stream
 from repro.sz.compressor import SZCompressor, stream_batches
 from repro.utils.timer import TimingRecord
 from tests.helpers import inflate_section, reserialize_stream, shared_table_streams, smooth_cube
@@ -227,6 +227,31 @@ class TestCorruptMemberFailsAlone:
         out = CODEC.decompress_many(blobs, errors=errors)
         assert set(errors) == {1, 4}
         assert [arr is None for arr in out] == [False, True, False, False, True, False]
+
+
+def test_damaged_deflate_code_lengths_fail_their_member_only():
+    # A code-length section recorded as DEFLATE whose bytes do not inflate:
+    # a ValueError recorded under that member's index, the other 26 members
+    # of its 27-brick batch still decode.
+    blobs = [CODEC.compress(arr, 1e-3, "abs") for arr in fields((16, 16, 16), 27, np.float32)]
+    assert len(stream_batches(blobs)) == 1
+    victim = 13
+    parsed = stream.parse(blobs[victim])
+    sections = [(tag, *section) for tag, section in parsed.sections.items()]
+    sections = [
+        (tag, lossless.CODEC_ZLIB, stream._varints(4000, 90) + b"garbage")
+        if tag == stream.SEC_CODE_LENGTHS else (tag, codec, payload)
+        for tag, codec, payload in sections
+    ]
+    blobs[victim] = stream.serialize(parsed.header, sections)
+    errors = {}
+    out = CODEC.decompress_many(blobs, errors=errors)
+    assert set(errors) == {victim} and isinstance(errors[victim], ValueError)
+    assert "DEFLATE" in str(errors[victim])
+    assert out[victim] is None
+    for index, blob in enumerate(blobs):
+        if index != victim:
+            assert np.array_equal(out[index], CODEC.decompress(blob))
 
 
 class TestPlanExecution:

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from repro.sz import bitstream, huffman
 from repro.sz.huffman import (
-    DECODE_CACHE_SIZE,
     HuffmanCodec,
     _limit_lengths,
     _tree_depths,
     code_tables,
     decode_many,
     decode_table_cache_info,
+    decode_tables,
     default_block_size,
     encode_many,
     huffman_code_lengths,
@@ -28,10 +28,14 @@ from tests.helpers import (
     lockstep_decode,
     loop_limit_lengths,
     naive_canonical_codes,
+    oracle_decode_table,
 )
 
-#: Drops every memoized decoder codec (the LRU behind ``HuffmanCodec.cached``).
-decode_table_cache_clear = huffman._cached_decoder.cache_clear
+
+def pass_tables(codecs):
+    """The decode tables of one pass whose stream ``i`` is coded by
+    ``codecs[i]`` (alphabet-wide windows)."""
+    return decode_tables([(0, c.lengths) for c in codecs], [c.max_len for c in codecs])
 
 
 def kraft_sum(lengths: np.ndarray) -> float:
@@ -393,7 +397,7 @@ class TestLeanRoundsMatchReference:
         block = n + 3 if block == "over n" else block
         codecs, encoded = self._batch(*zip(*streams), n, block, max_len)
         with self._route(path, encoded):
-            got = decode_many(codecs, encoded)
+            got = decode_many(pass_tables(codecs), encoded)
         assert got.dtype == np.int32 and got.shape == (len(streams), n)
         for row, codec, stream in zip(got, codecs, encoded):
             assert np.array_equal(row, lockstep_decode(codec, stream))
@@ -434,39 +438,161 @@ class TestLeanRoundsMatchReference:
         assert want is not None and np.array_equal(got, want)
 
 
-class TestDecodeTableCache:
-    def test_cached_returns_shared_instance(self, rng):
-        decode_table_cache_clear()
-        lengths = huffman_code_lengths(np.array([5, 3, 2, 1, 1]))
-        a = HuffmanCodec.cached(lengths, 16)
-        b = HuffmanCodec.cached(lengths.copy(), 16)
-        assert a is b
-        assert decode_table_cache_info().hits == 1
-        assert a._table_sym is not None  # table prebuilt on insert
+def oracle_pass_tables(windows):
+    """The pass tables as the per-codec oracle builds them: one table per
+    distinct window, concatenated in first-appearance order."""
+    tables, owners, bits_of = {}, [], {}
+    for lo, window in windows:
+        key = (lo, np.asarray(window, dtype=np.uint8).tobytes())
+        if key not in tables:
+            lengths = np.zeros(lo + len(window), dtype=np.uint8)
+            lengths[lo:] = window
+            tables[key] = oracle_decode_table(lengths)
+        owners.append(key)
+    sizes = [sym.size for sym, _len, _bits in tables.values()]
+    start = dict(zip(tables, np.cumsum([0] + sizes[:-1]).tolist()))
+    sym = np.concatenate([sym for sym, _len, _bits in tables.values()])
+    lens = np.concatenate([lens for _sym, lens, _bits in tables.values()])
+    return sym, lens, [start[k] for k in owners], [tables[k][2] for k in owners]
 
-    def test_cache_key_includes_max_len(self):
-        decode_table_cache_clear()
-        lengths = huffman_code_lengths(np.array([5, 3, 2, 1, 1]))
-        a = HuffmanCodec.cached(lengths, 16)
-        b = HuffmanCodec.cached(lengths, 12)
-        assert a is not b
-        assert decode_table_cache_info().misses == 2
 
-    def test_cached_codec_decodes_correctly(self, rng):
-        decode_table_cache_clear()
-        symbols = rng.integers(0, 9, size=2048)
-        enc_codec = HuffmanCodec.from_symbols(symbols, alphabet_size=9)
-        encoded = enc_codec.encode(symbols)
-        dec = HuffmanCodec.cached(enc_codec.lengths, enc_codec.max_len)
-        assert np.array_equal(dec.decode(encoded), symbols)
+@st.composite
+def code_windows(draw):
+    """One stream's ``(lo, window)``: a Huffman code, an incomplete code, a
+    one-symbol code, an empty or all-zero window, or a version-1
+    alphabet-wide window."""
+    kind = draw(st.sampled_from(["huffman", "incomplete", "one", "empty", "v1"]))
+    lo = draw(st.integers(0, 40))
+    if kind == "empty":
+        return lo, np.zeros(draw(st.integers(0, 3)), dtype=np.uint8)
+    if kind == "one":
+        window = np.zeros(draw(st.integers(1, 4)), dtype=np.uint8)
+        window[draw(st.integers(0, window.size - 1))] = 1
+        return lo, window
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    width = draw(st.integers(2, 300))
+    counts = np.where(rng.random(width) < 0.7, rng.geometric(0.05, width), 0)
+    counts[[0, -1]] = 1 + rng.integers(0, 9, 2)
+    window = huffman_code_lengths(counts, max_len=draw(st.sampled_from([8, 12, 16])))
+    if kind == "incomplete":
+        window[int(rng.integers(0, width))] = 0  # frees that code's space
+    if kind == "v1":
+        wide = np.zeros(8193, dtype=np.uint8)
+        wide[lo : lo + width] = window
+        return 0, wide
+    return lo, window
 
-    def test_cache_is_bounded_lru(self):
-        decode_table_cache_clear()
-        assert decode_table_cache_info().maxsize == DECODE_CACHE_SIZE
-        for fill in range(DECODE_CACHE_SIZE + 5):
-            counts = np.ones(fill + 2, dtype=np.int64)
-            HuffmanCodec.cached(huffman_code_lengths(counts), 16)
-        assert decode_table_cache_info().currsize == DECODE_CACHE_SIZE
+
+class TestDecodeTables:
+    """``decode_tables`` ≡ the per-codec oracle tables, concatenated."""
+
+    @given(
+        windows=st.lists(code_windows(), min_size=1, max_size=6),
+        repeats=st.lists(st.integers(0, 5), max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pass_tables_equal_the_oracle(self, windows, repeats):
+        # Repeated windows share one table, hence one base.
+        windows = windows + [windows[r % len(windows)] for r in repeats]
+        got = decode_tables(windows, 16)
+        sym, lens, base, bits = oracle_pass_tables(windows)
+        assert got.sym.dtype == np.int32 and got.len.dtype == np.int64
+        assert np.array_equal(got.sym, sym) and np.array_equal(got.len, lens)
+        assert got.base.tolist() == base and got.bits.tolist() == bits
+
+    def test_one_symbol_code_closes_with_a_gap_entry(self):
+        got = decode_tables([(7, np.array([0, 1], dtype=np.uint8))], 16)
+        assert got.sym.tolist() == [8, 0] and got.len.tolist() == [1, 0]
+        assert got.bits.tolist() == [1]
+
+    @given(
+        windows=st.lists(
+            st.tuples(st.integers(0, 9), st.binary(max_size=40)), min_size=1, max_size=4
+        ),
+        max_len=st.integers(2, 30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_window_builds_the_oracle_or_raises_valueerror(self, windows, max_len):
+        windows = [(lo, np.frombuffer(raw, dtype=np.uint8)) for lo, raw in windows]
+        try:
+            got = decode_tables(windows, max_len)
+        except ValueError:
+            return
+        sym, lens, base, bits = oracle_pass_tables(windows)
+        assert np.array_equal(got.sym, sym) and np.array_equal(got.len, lens)
+        assert got.base.tolist() == base and got.bits.tolist() == bits
+
+    @pytest.mark.parametrize(
+        "window, max_len, match",
+        [
+            ([1, 1, 1], 16, "Kraft"),
+            ([2, 2, 2, 2, 3], 16, "Kraft"),
+            ([1, 2, 17, 17], 16, "max_len"),
+            ([1, 2, 3] + list(range(4, 26)) + [25], 30, "peek width"),
+            ([255, 1], 24, "max_len"),
+        ],
+    )
+    def test_hostile_window_raises_valueerror(self, window, max_len, match):
+        good = (0, huffman_code_lengths(np.array([5, 3, 2, 1, 1])))
+        with pytest.raises(ValueError, match=match):
+            decode_tables([good, (3, np.array(window, dtype=np.uint8)), good], max_len)
+
+    def test_each_stream_is_checked_against_its_own_max_len(self):
+        window = (0, np.array([1, 2, 3, 3], dtype=np.uint8))
+        assert decode_tables([window, window], [3, 4]).bits.tolist() == [3, 3]
+        with pytest.raises(ValueError, match="max_len"):
+            decode_tables([window, window], [3, 2])
+
+    def test_memo_counts_tables_built_and_streams_served(self):
+        a = (0, huffman_code_lengths(np.array([5, 3, 2, 1, 1])))
+        b = (4, huffman_code_lengths(np.array([1, 1])))
+        before = decode_table_cache_info()
+        decode_tables([a, b, a, a, (0, a[1].copy())], 16)
+        after = decode_table_cache_info()
+        assert after.misses - before.misses == 2
+        assert after.hits - before.hits == 3
+
+    def test_memo_counts_are_exact_under_concurrent_passes(self):
+        import threading
+
+        windows = [(0, huffman_code_lengths(np.arange(1, 9)))] * 3 + [(2, np.ones(2, np.uint8))]
+        n_threads, n_passes = 4, 50
+        start = threading.Barrier(n_threads)
+
+        def worker():
+            start.wait()
+            for _ in range(n_passes):
+                decode_tables(windows, 16)
+
+        before = decode_table_cache_info()
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        after = decode_table_cache_info()
+        assert after.misses - before.misses == n_threads * n_passes * 2
+        assert after.hits - before.hits == n_threads * n_passes * 2
+
+    def test_bricks_sharing_one_16_bit_code_build_one_table(self):
+        import tracemalloc
+
+        counts = np.array([1 << 20] + [1] * 17, dtype=np.int64)
+        counts[:16] = 1 << np.arange(20, 4, -1)
+        lengths = huffman_code_lengths(counts, max_len=16)
+        assert lengths.max() == 16
+        windows = [(4090, lengths.copy()) for _ in range(27)]
+        decode_tables(windows, 16)  # lazy imports and caches are not counted
+        tracemalloc.start()
+        try:
+            got = decode_tables(windows, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = 12 << 16  # int32 symbol + int64 length an entry
+        assert got.sym.size == 1 << 16 and not got.base.any()
+        assert peak < 1.5 * table_bytes  # 27 tables would take 27×
 
 
 class TestTwoQueueBuild:
@@ -848,60 +974,6 @@ class TestChunkedWindowDecode:
             codec.decode(corrupted)
 
 
-class TestDecodeCacheThreadSafety:
-    """`HuffmanCodec.cached` under concurrent decodes racing `cache_clear`.
-
-    A cleared LRU must never corrupt in-flight decodes: evicted codecs
-    stay alive through the references their callers hold, and re-inserts
-    build fresh (equivalent) tables.  Every thread's every decode must be
-    bit-exact while the main thread hammers `decode_table_cache_clear`.
-    """
-
-    def test_cache_clear_racing_decodes_is_bit_exact(self, rng):
-        import threading
-
-        n_streams, n_iters = 6, 40
-        streams = []
-        for i in range(n_streams):
-            symbols = rng.integers(0, 40 + i, size=4096)
-            enc_codec = HuffmanCodec.from_symbols(symbols, alphabet_size=40 + i)
-            streams.append((enc_codec.lengths, enc_codec.max_len,
-                            enc_codec.encode(symbols), symbols))
-
-        errors: list[str] = []
-        start = threading.Barrier(n_streams + 1)
-
-        def worker(idx: int) -> None:
-            lengths, max_len, encoded, expected = streams[idx]
-            start.wait()
-            for _ in range(n_iters):
-                dec = HuffmanCodec.cached(lengths, max_len)
-                got = dec.decode(encoded)
-                if not np.array_equal(got, expected):
-                    errors.append(f"stream {idx} decoded wrong under cache_clear race")
-                    return
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_streams)]
-        for t in threads:
-            t.start()
-        start.wait()
-        for _ in range(200):
-            decode_table_cache_clear()
-        for t in threads:
-            t.join()
-        assert not errors, errors
-
-    def test_clear_then_cached_rebuilds_equivalent_codec(self, rng):
-        symbols = rng.integers(0, 16, size=2048)
-        enc_codec = HuffmanCodec.from_symbols(symbols, alphabet_size=16)
-        encoded = enc_codec.encode(symbols)
-        before = HuffmanCodec.cached(enc_codec.lengths, enc_codec.max_len)
-        decode_table_cache_clear()
-        after = HuffmanCodec.cached(enc_codec.lengths, enc_codec.max_len)
-        assert before is not after  # cleared entry really was dropped
-        assert np.array_equal(before.decode(encoded), after.decode(encoded))
-
-
 class TestDecodeMany:
     """Lanes of many streams share the lockstep rounds."""
 
@@ -921,8 +993,9 @@ class TestDecodeMany:
     def test_mixed_tables_match_single_decodes(self, rng, n, block):
         # Alphabets from 2 to 600 symbols: table widths from 1 bit upward.
         codecs, encoded, symbols = self._streams(rng, n, block, [2, 600, 9, 64, 3])
-        assert len({codec.table_bits for codec in codecs}) > 2
-        out = decode_many(codecs, encoded)
+        tables = pass_tables(codecs)
+        assert len(set(tables.bits.tolist())) > 2
+        out = decode_many(tables, encoded)
         assert out.dtype == np.int32 and out.shape == symbols.shape
         assert np.array_equal(out, symbols)
         for row, codec, stream in zip(out, codecs, encoded):
@@ -932,20 +1005,29 @@ class TestDecodeMany:
         syms = rng.integers(0, 40, size=(6, 900))
         codec = HuffmanCodec.from_symbols(syms.ravel(), alphabet_size=40)
         encoded = [codec.encode(row, block_size=32) for row in syms]
-        assert np.array_equal(decode_many([codec] * 6, encoded), syms)
+        tables = pass_tables([codec] * 6)
+        assert tables.sym.size == 1 << int(tables.bits[0]) and not tables.base.any()
+        assert np.array_equal(decode_many(tables, encoded), syms)
 
     def test_over_limit_batch_decodes_stream_by_stream(self, rng, monkeypatch):
         from repro.sz import bitstream
 
         codecs, encoded, symbols = self._streams(rng, 3000, 16, [30, 200, 30])
+        # Streams 3 and 4 reuse the tables of 1 and 0: each stream decodes
+        # under its own table's slice of the pass table, shared or not.
+        codecs, encoded = codecs + codecs[1::-1], encoded + encoded[1::-1]
+        symbols = np.concatenate([symbols, symbols[1::-1]])
+        tables = pass_tables(codecs)
+        assert tables.base.tolist()[3:] == tables.base.tolist()[1::-1]
+        assert len(set(tables.bits.tolist())) > 1
         monkeypatch.setattr(bitstream, "WINDOW_WORDS_LIMIT", len(encoded[0].payload) + 8)
-        assert np.array_equal(decode_many(codecs, encoded), symbols)
+        assert np.array_equal(decode_many(tables, encoded), symbols)
 
     def test_rejects_mixed_geometry(self, rng):
         codecs, encoded, _ = self._streams(rng, 500, 16, [8, 8])
         other = codecs[0].encode(rng.integers(0, 2, size=400), block_size=16)
         with pytest.raises(ValueError, match="share n_symbols"):
-            decode_many(codecs, [encoded[0], other])
+            decode_many(pass_tables(codecs), [encoded[0], other])
 
     def test_corrupt_lane_fails_the_pass(self, rng):
         codec = HuffmanCodec(np.array([3, 3, 3, 3, 3], dtype=np.uint8))
@@ -958,15 +1040,14 @@ class TestDecodeMany:
             block_size=good[1].block_size,
         )
         with pytest.raises(ValueError, match="unassigned"):
-            decode_many([codec] * 3, [good[0], bad, good[2]])
+            decode_many(pass_tables([codec] * 3), [good[0], bad, good[2]])
 
     def test_table_is_as_wide_as_the_longest_code(self):
         lengths = huffman_code_lengths(np.array([50, 30, 10, 5, 5]), max_len=16)
-        codec = HuffmanCodec(lengths, max_len=16)
-        assert codec.table_bits == int(lengths.max()) < 16
-        codec._build_table()
-        assert codec._table_sym.size == codec._table_len.size == 1 << codec.table_bits
-        assert HuffmanCodec(np.zeros(4, dtype=np.uint8)).table_bits == 1
+        tables = decode_tables([(0, lengths)], 16)
+        assert tables.bits.tolist() == [int(lengths.max())] and lengths.max() < 16
+        assert tables.sym.size == tables.len.size == 1 << int(lengths.max())
+        assert decode_tables([(0, np.zeros(4, dtype=np.uint8))], 16).bits.tolist() == [1]
 
     def test_overlong_peek_width_is_rejected(self):
         lengths = np.array([1] + list(range(2, 26)) + [25], dtype=np.uint8)

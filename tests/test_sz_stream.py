@@ -216,6 +216,14 @@ class TestBoundedInflate:
             with pytest.raises(ValueError, match="shorter than the 1001 bytes"):
                 lossless.decompress_bytes(codec, payload, 1001)
 
+    @pytest.mark.parametrize("payload", [b"garbage", b"x\x9c\xff\xff\xff\xff", b""])
+    def test_damaged_deflate_section_raises_valueerror(self, payload):
+        # The parser contract: zlib's own error never escapes.
+        with pytest.raises(ValueError):
+            lossless.decompress_bytes(lossless.CODEC_ZLIB, payload, 64)
+        with pytest.raises(ValueError):
+            lossless.unpack_int_array(lossless.CODEC_ZLIB, payload, np.int64, 8)
+
     def test_truncated_deflate_section_raises(self):
         data = bytes(range(256)) * 8
         payload = zlib.compress(data, 1)
