@@ -12,9 +12,11 @@ against the running *reconstruction* — every reconstructed step honors
 the keyframe's absolute error bound, with no drift along the chain.
 
 The read side resolves delta chains transparently:
-``read_timestep_level`` / ``read_timestep_region`` sum keyframe +
-residuals through any ``ArchiveReader``, and an ROI read of a chain is
-bit-identical to slicing the full reconstruction.
+``read_timestep_level`` / ``read_timestep_region`` read keyframe +
+residuals as one ``ArchiveReader.read_chain`` request (each decoded brick
+summed across the chain and cached under it, the box assembled once),
+and an ROI read of a chain is bit-identical to slicing the full
+reconstruction.
 """
 
 import sys
@@ -79,7 +81,8 @@ def main(scale: int = 8) -> None:
                     kf_index = i
                 eb_abs = resolve_global_eb(steps[kf_index], EB, MODE)
                 # Delta entries store residuals; the read helpers sum the
-                # chain (keyframe + residuals) transparently.
+                # chain (keyframe + residuals) per decoded brick, in one
+                # request with one RequestStats per chain entry.
                 level, stats = read_timestep_level(reader, key, 0)
                 truth = steps[i].levels[0]
                 worst = float(np.abs(truth.data - level.data)[truth.mask].max())
@@ -87,7 +90,7 @@ def main(scale: int = 8) -> None:
                 region, _ = read_timestep_region(reader, key, 0, roi)
                 print(
                     f"  step {i}: level err {worst:.3e} <= eb_abs {eb_abs:.3e} "
-                    f"({len(stats)} chain read(s))"
+                    f"({len(stats)}-entry chain)"
                 )
                 assert worst <= eb_abs * 1.0001
                 assert np.array_equal(region, level.data[roi])  # ROI = slice

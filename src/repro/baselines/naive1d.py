@@ -37,6 +37,8 @@ class Naive1DCompressor(PlanExecutorMixin):
     """Per-level 1D compression (the paper's 1D baseline)."""
 
     method_name = "baseline_1d"
+    #: A level's values are scattered into its mask, nothing computed.
+    sums_per_unit = True
 
     def __init__(self, sz: SZConfig | None = None, store_masks: bool = True):
         self.codec = SZCompressor(sz or SZConfig())
@@ -92,7 +94,8 @@ class Naive1DCompressor(PlanExecutorMixin):
                     key=name,
                     level=idx,
                     part_names=(name,),
-                    decode=lambda name=name: self.codec.decompress(comp.parts[name]),
+                    decode=None,
+                    sz_blob=lambda name=name: comp.parts[name],
                 )
             )
             units.extend(mask_units(comp, idx))

@@ -43,6 +43,8 @@ class Uniform3DCompressor(PlanExecutorMixin):
     """Up-sample + merge + 3D compression (the paper's 3D baseline)."""
 
     method_name = "baseline_3d"
+    #: Coarse levels are averages of the grid, so a chain sums levels.
+    sums_per_unit = False
 
     def __init__(self, sz: SZConfig | None = None, store_masks: bool = True):
         self.codec = SZCompressor(sz or SZConfig())

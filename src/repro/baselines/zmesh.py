@@ -85,6 +85,8 @@ class ZMeshCompressor(PlanExecutorMixin):
     """zMesh re-ordering + single-stream 1D compression."""
 
     method_name = "zmesh"
+    #: The stream is permuted and scattered, nothing computed.
+    sums_per_unit = True
 
     def __init__(self, sz: SZConfig | None = None, store_masks: bool = True):
         self.codec = SZCompressor(sz or SZConfig())

@@ -81,7 +81,9 @@ class DecodeUnit:
         getter for the stream's bytes, in the one stream format the decoder
         reads (a codec adapts a retired layout inside the getter).
         :func:`execute_plan` decodes such units in lockstep batches
-        (:meth:`repro.sz.compressor.SZCompressor.decompress_many`).
+        (:meth:`repro.sz.compressor.SZCompressor.decompress_many`), and
+        they are the value units a delta-chain read sums across its
+        entries (every other unit is structure: masks, layouts).
     sz_shape:
         The stream's decoded shape when the blob's metadata tells it (a
         brick, a padded grid), else ``None``.  Only a scheduling hint:
@@ -351,6 +353,16 @@ class PlanExecutorMixin:
     plan → execute → assemble sequence, so a partial read is bit-identical
     to slicing a full one — only the set of decoded units shrinks.
     """
+
+    #: Whether a delta chain of this codec's blobs may be summed per decoded
+    #: value unit and assembled once (the read service's chain reads).  True
+    #: only when :meth:`assemble` copies unit values into the box and zeroes
+    #: the rest, so the assembly of the units' sum is the sum of the
+    #: assemblies bit for bit.  An assembly that computes (the 3D baseline
+    #: averages children into coarse levels) keeps it false, and its chains
+    #: sum assembled levels, as its writer's closed loop folds them.  A
+    #: property of the format, not an option.
+    sums_per_unit = False
 
     # -- hooks -------------------------------------------------------------
     def build_decode_plan(

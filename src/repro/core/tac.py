@@ -135,6 +135,8 @@ class TACCompressor(PlanExecutorMixin):
     """The TAC hybrid compressor (public entry point of this package)."""
 
     method_name = "tac"
+    #: Bricks and groups are copied into the box, nothing computed.
+    sums_per_unit = True
 
     def __init__(self, config: TACConfig | None = None, **kwargs):
         if config is not None and kwargs:

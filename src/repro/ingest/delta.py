@@ -43,10 +43,16 @@ carries ``meta["temporal"] = {"mode": "delta", "base": <prev key>,
 "keyframe", "step": t}``), and each of its level metas is tagged
 ``"temporal": "delta"``.  Readers that ignore the tag decode the raw
 residual; :func:`read_timestep_region` / :func:`read_timestep_level`
-resolve the chain through :meth:`ArchiveReader.entry_meta` and sum
-base-first.  The sum is elementwise, so an ROI read of the sum equals
-the sum of ROI reads — region reads stay bit-identical to slicing a
-full reconstruction.
+resolve the chain through :meth:`ArchiveReader.entry_meta` and read it
+as one request (:meth:`ArchiveReader.read_chain`): the box is planned
+once, from the latest entry, each decoded unit (brick, group, stream) is
+summed base first across the chain and cached under the chain, and the
+box is assembled once.  The sum is elementwise and an assembly only
+copies values, so the assembly of the sum is the sum of the assemblies,
+and an ROI read of the sum equals the sum of ROI reads — region reads
+stay bit-identical to slicing a full reconstruction.  A codec whose
+assembly computes (the 3D baseline averages children into coarse
+levels) sums assembled boxes instead, as its writer folded them.
 """
 
 from __future__ import annotations
@@ -174,20 +180,13 @@ def read_timestep_level(reader, key: str, level: int, **kwargs):
 
     Returns ``(level, stats_list)`` — an :class:`AMRLevel` like
     :meth:`ArchiveReader.read_level`, plus one
-    :class:`~repro.serve.reader.RequestStats` per chain entry read.
-    Summation runs base-first in the stored dtype, matching the
-    write-side closed loop bit for bit.  The mask comes from ``key``'s
-    own entry (the hierarchy guard keeps it constant along a chain).
+    :class:`~repro.serve.reader.RequestStats` per chain entry.  The chain
+    is one request (:meth:`ArchiveReader.read_chain`): summation runs base
+    first in the stored dtype, matching the write-side closed loop bit for
+    bit, and the mask comes from ``key``'s own entry (the hierarchy guard
+    keeps it constant along a chain).
     """
-    out = None
-    stats = []
-    for entry_key in temporal_chain(reader, key):
-        lvl, st = reader.read_level(entry_key, level, **kwargs)
-        stats.append(st)
-        out = lvl if out is None else AMRLevel(
-            data=out.data + lvl.data, mask=lvl.mask, level=lvl.level
-        )
-    return out, stats
+    return reader.read_chain(temporal_chain(reader, key), level, **kwargs)
 
 
 def read_timestep_region(reader, key: str, level: int, region, **kwargs):
@@ -197,10 +196,5 @@ def read_timestep_region(reader, key: str, level: int, region, **kwargs):
     sum is elementwise, so it commutes with slicing — while reading only
     the payloads each chain entry needs for the ROI.
     """
-    out = None
-    stats = []
-    for entry_key in temporal_chain(reader, key):
-        data, st = reader.read_region(entry_key, level, region, **kwargs)
-        stats.append(st)
-        out = data if out is None else out + data
-    return out, stats
+    lvl, stats = reader.read_chain(temporal_chain(reader, key), level, region, **kwargs)
+    return lvl.data, stats

@@ -3,8 +3,10 @@
 The natural unit of reuse when many readers request overlapping ROIs is
 the decoded 64³ brick (or group stream): payload fetch *and* SZ decode
 are both paid once, and every later request whose plan covers the same
-``(entry, level, unit)`` is served from memory.  Decode tables are not
-worth caching (a 16³ brick's Huffman code is nearly always its own).
+``(chain, level, unit)`` is served from memory.  A delta chain's summed
+unit is cached under the chain, next to each entry's own decoded unit
+under the entry's chain of one.  Decode tables are not worth caching (a
+16³ brick's Huffman code is nearly always its own).
 
 The cache is byte-bounded, not entry-bounded: decoded bricks vary from
 kilobytes (clipped edge bricks) to megabytes, so a count bound would
@@ -19,7 +21,10 @@ import sys
 import threading
 from collections import OrderedDict
 
-#: Cache keys are ``(entry_key, level, unit_key)``.
+#: Cache keys are ``(chain, level, unit_key)``: ``chain`` is the tuple of
+#: entry keys whose units are summed, base first — ``(entry_key,)`` for an
+#: entry's own decoded unit, ``(keyframe, delta, ...)`` for a delta chain's
+#: sum (see :meth:`repro.serve.reader.ArchiveReader.read_chain`).
 CacheKey = tuple
 
 
@@ -32,7 +37,7 @@ def _nbytes(value) -> int:
 
 
 class DecodedBrickCache:
-    """LRU mapping ``(entry, level, unit) → decoded array``, byte-bounded.
+    """LRU mapping ``(chain, level, unit) → decoded array``, byte-bounded.
 
     ``get``/``put`` are safe from any number of threads.  A value larger
     than the whole budget is simply not cached (it would evict everything

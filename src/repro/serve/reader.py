@@ -11,6 +11,9 @@ amortizable:
 * every request — a box of a level, or the level itself, which is the box
   that covers it — is the codec's own plan for that box, so only the units
   the box needs are looked up, fetched, decoded and stitched;
+* a request reads a chain of entries, base first (an entry's own read is
+  its chain of one): a temporal-delta chain is planned once, summed per
+  decoded unit and assembled once (:meth:`ArchiveReader.read_chain`);
 * every request consults the decoded-brick cache *before any part
   fetch* — an overlapping ROI pays I/O and SZ decode only for the bricks
   (and the mask) no earlier request touched;
@@ -40,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.amr.hierarchy import AMRLevel
 from repro.core.container import MASK_PREFIX, PartIntegrityError
 from repro.core.plan import check_level_indices, level_box, normalize_region, region_slices
 from repro.engine import LazyBatchArchive, codec_for_method, default_shard_opener
@@ -65,9 +69,33 @@ def _error_kind(exc: BaseException) -> str:
     return "io"
 
 
+def _entry_units(state, level: int, box, keys: list[str], stage) -> list:
+    """The units named ``keys`` of entry ``state``'s plan for ``box`` of
+    ``level``: its first stage, or with ``stage`` (the tip's first-stage
+    results) its second, planned from the tip's layout — a chain shares
+    one structure."""
+    plan = state.codec.build_decode_plan(state.comp, levels=[level], box=box)
+    if stage is None:
+        units = plan.units
+    else:
+        units = plan.refine(stage) if plan.refine is not None else []
+    by_key = {unit.key: unit for unit in units}
+    missing = [key for key in keys if key not in by_key]
+    if missing:
+        raise ValueError(
+            f"chain entry holds no units {missing} of level {level}: the entries "
+            "of a chain must share one structure"
+        )
+    return [by_key[key] for key in keys]
+
+
 @dataclass
 class RequestStats:
-    """Accounting for one served request."""
+    """Accounting for one served request — of one entry of it, for a
+    chain read (:meth:`ArchiveReader.read_chain`): there the chain's last
+    entry carries the request's ``seconds`` and ``bytes_served`` (0 on the
+    others) and the cache hits of the chain's summed units, and each entry
+    what it fetched and decoded itself."""
 
     key: str
     level: int
@@ -82,10 +110,10 @@ class RequestStats:
     overlapped: bool
     #: Whether this request ran in degraded mode (fill-on-failure).
     degraded: bool = False
-    #: One row per failed unit in a degraded request: the level-space
-    #: box that holds fill values instead of data, why, and the failure
-    #: class (``integrity`` / ``timeout`` / ``io``).  Empty on clean
-    #: requests.
+    #: One row per unit this entry lost in a degraded request: the entry,
+    #: the unit, the level-space box that holds fill values instead of
+    #: data, why, and the failure class (``integrity`` / ``timeout`` /
+    #: ``io``).  Empty on clean requests.
     errors: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -258,17 +286,18 @@ class ArchiveReader:
                 self._entries[key] = state
             return state
 
-    def _record(self, stats: RequestStats) -> RequestStats:
+    def _record(self, stats: list[RequestStats]) -> None:
+        """Count one request: the per-entry ``stats`` of one chain read."""
         with self._stats_lock:
             self.n_requests += 1
-            self.bytes_fetched += stats.bytes_fetched
-            self.bytes_served += stats.bytes_served
-            self.request_seconds += stats.seconds
-        return stats
+            for entry in stats:
+                self.bytes_fetched += entry.bytes_fetched
+                self.bytes_served += entry.bytes_served
+                self.request_seconds += entry.seconds
 
     def _execute_cached(
         self,
-        key: str,
+        chain: tuple[str, ...],
         state: _EntryState,
         level: int,
         plan_units,
@@ -276,25 +305,26 @@ class ArchiveReader:
         deadline: Deadline | None = None,
         allow_partial: bool = False,
     ) -> dict:
-        """Results of ``plan_units``: cache hits first, the misses through
-        the pipeline (accounted in ``pstats``) and into the cache.  Raises
-        the first failure degradation cannot paper over: only units with a
-        level-space ``box`` (bricks) can be replaced by fill values;
-        layouts, masks, grid streams and any other box-less unit are
-        load-bearing for the whole level.  Mask units an entry takes from
-        its structure holder run as the holder's: its parts, its cache key."""
+        """Results of ``plan_units`` of the entry ``state`` — cached under
+        ``(chain, level, unit key)``, its chain of one: cache hits first, the
+        misses through the pipeline (accounted in ``pstats``) and into the
+        cache.  Raises the first failure degradation cannot paper over: only
+        units with a level-space ``box`` (bricks) can be replaced by fill
+        values; layouts, masks, grid streams and any other box-less unit are
+        load-bearing for the whole level.  Mask units an entry takes from its
+        structure holder run as the holder's: its parts, its cache key."""
         holder = state.comp.meta.get(STRUCTURE_META_KEY)
         masks = [u for u in plan_units if u.key.startswith(MASK_PREFIX)] if holder else []
         if masks:
             own = [u for u in plan_units if not u.key.startswith(MASK_PREFIX)]
             modes = (pstats, deadline, allow_partial)
-            results = self._execute_cached(holder, self._entry(holder), level, masks, *modes)
-            results.update(self._execute_cached(key, state, level, own, *modes))
+            results = self._execute_cached((holder,), self._entry(holder), level, masks, *modes)
+            results.update(self._execute_cached(chain, state, level, own, *modes))
             return results
         preloaded = {}
         if self.cache is not None:
             for unit in plan_units:
-                hit = self.cache.get((key, level, unit.key))
+                hit = self.cache.get((chain, level, unit.key))
                 if hit is not None:
                     preloaded[unit.key] = hit
         results, _ = self._pipeline.execute(
@@ -320,35 +350,116 @@ class ArchiveReader:
                     # assembly may hand one out as is: freeze them.
                     if isinstance(decoded, np.ndarray):
                         decoded.setflags(write=False)
-                        self.cache.put((key, level, unit.key), decoded)
+                        self.cache.put((chain, level, unit.key), decoded)
         return results
 
-    def _degrade_fill(
-        self, data: np.ndarray, request_box, plan_units, unit_errors: dict
-    ) -> list[dict]:
-        """Write ``fill_value`` into every failed unit's box of ``data``
-        (the level's ``request_box``) and return the structured error
-        report (one row per failed unit, boxes in level space, clipped to
-        the request)."""
-        boxes = {u.key: u.box for u in plan_units}
+    def _chain_results(self, chain, states, level, box, units, stage, pstats, *modes) -> dict:
+        """Results of the tip's ``units`` for the sum of the entries
+        ``chain``: the tip's structural units (masks, layouts, the dtype
+        probe) as its own; each value unit — one SZ stream's array (a brick,
+        a group, a 1D or zMesh stream) — under the chain's cache key, and on
+        a miss every entry's own unit (cached under its chain of one, so
+        other steps of the chain reuse it) summed base first in the stored
+        dtype, as the writer's closed loop summed them.  A unit any entry
+        lost is left out, so it is lost for the chain, and never cached.
+
+        ``stage`` is ``None`` for the plan's first stage, else the results
+        the second stage (``refine``) is planned from: the tip's layout.
+        """
+        if len(chain) == 1:
+            return self._execute_cached(chain, states[0], level, units, pstats[0], *modes)
+        structural = [u for u in units if u.sz_blob is None]
+        results = self._execute_cached(
+            chain[-1:], states[-1], level, structural, pstats[-1], *modes
+        )
+        misses = []
+        for unit in units:
+            if unit.sz_blob is None:
+                continue
+            hit = None if self.cache is None else self.cache.get((chain, level, unit.key))
+            if hit is None:
+                misses.append(unit)
+            else:
+                results[unit.key] = hit
+                pstats[-1].n_preloaded += 1
+        if not misses:
+            return results
+        keys = [unit.key for unit in misses]
+        last = len(chain) - 1
+        decoded = [
+            self._execute_cached(
+                (key,),
+                state,
+                level,
+                misses if i == last else _entry_units(state, level, box, keys, stage),
+                stats,
+                *modes,
+            )
+            for i, (key, state, stats) in enumerate(zip(chain, states, pstats))
+        ]
+        for ukey in keys:
+            arrays = [own.get(ukey) for own in decoded]
+            if any(array is None for array in arrays):
+                continue
+            total = arrays[0]
+            for array in arrays[1:]:
+                if array.shape != total.shape:
+                    raise ValueError(
+                        f"chain {chain!r} disagrees on unit {ukey!r} of level {level}: "
+                        f"shapes {total.shape} and {array.shape}"
+                    )
+                total = total + array
+            if self.cache is not None:
+                total.setflags(write=False)
+                self.cache.put((chain, level, ukey), total)
+            results[ukey] = total
+        return results
+
+    def _assemble_chain(self, chain, states, level, box, request_box, pstats, *modes):
+        """The tip codec's assembly of ``request_box`` from the chain's
+        summed units (:meth:`_chain_results`), and the tip's plan units."""
+        tip = states[-1]
+        plan = tip.codec.build_decode_plan(tip.comp, levels=[level], box=box)
+        units = plan.units
+        results = self._chain_results(chain, states, level, box, units, None, pstats, *modes)
+        if plan.refine is not None:
+            # Second stage (the groups the decoded layout puts in the box):
+            # same request, same deadline, same accounting.
+            more = plan.refine(results)
+            results.update(
+                self._chain_results(chain, states, level, box, more, results, pstats, *modes)
+            )
+            units = units + more
+        return tip.codec.assemble(tip.comp, level, results, None, request_box), units
+
+    def _degrade_fill(self, data: np.ndarray, request_box, units, chain, pstats) -> list[list]:
+        """Write ``fill_value`` into the box of every unit any chain entry
+        lost (``data`` is the level's ``request_box``) and return each
+        entry's structured error report: one row per unit it lost, naming
+        the entry, boxes in level space, clipped to the request."""
+        boxes = {u.key: u.box for u in units}
         origin = [lo for lo, _hi in request_box]
-        report = []
-        for ukey in sorted(unit_errors):
-            exc = unit_errors[ukey]
-            clipped = tuple(
-                (max(ulo, blo), min(uhi, bhi))
-                for (ulo, uhi), (blo, bhi) in zip(boxes[ukey], request_box)
-            )
-            data[region_slices(clipped, origin)] = self.fill_value
-            report.append(
-                {
-                    "unit": ukey,
-                    "box": [list(b) for b in clipped],
-                    "kind": _error_kind(exc),
-                    "error": str(exc),
-                }
-            )
-        return report
+        reports = []
+        for key, stats in zip(chain, pstats):
+            report = []
+            for ukey in sorted(stats.unit_errors):
+                exc = stats.unit_errors[ukey]
+                clipped = tuple(
+                    (max(ulo, blo), min(uhi, bhi))
+                    for (ulo, uhi), (blo, bhi) in zip(boxes[ukey], request_box)
+                )
+                data[region_slices(clipped, origin)] = self.fill_value
+                report.append(
+                    {
+                        "entry": key,
+                        "unit": ukey,
+                        "box": [list(b) for b in clipped],
+                        "kind": _error_kind(exc),
+                        "error": str(exc),
+                    }
+                )
+            reports.append(report)
+        return reports
 
     def _resolve_modes(self, deadline, degraded) -> tuple[Deadline | None, bool]:
         if deadline is None:
@@ -358,56 +469,96 @@ class ArchiveReader:
         return Deadline.coerce(deadline), bool(degraded)
 
     # -- serving -----------------------------------------------------------
-    def _serve(self, key: str, level: int, region, deadline, degraded):
-        """One box of one level — ``region=None`` is the box that covers
-        the level — as ``(AMRLevel over the box, RequestStats)``.
+    def _serve(self, chain: tuple[str, ...], level: int, region, deadline, degraded):
+        """One box of one level of the sum of the entries ``chain``, base
+        first — ``region=None`` is the box that covers the level — as
+        ``(AMRLevel over the box, [RequestStats per entry])``.
 
-        The single read path: the codec's plan for the box, the decoded-
-        brick cache consulted per unit before any fetch, the misses
-        through the prefetch pipeline, the codec's assembly of exactly the
-        box, then fill values over a degraded request's lost bricks.
+        The single read path; an entry's own read is its chain of one.  One
+        deadline covers the whole chain.  The tip's plan for the box, its
+        units looked up under the chain's cache key before any fetch, the
+        misses decoded per entry and summed (:meth:`_chain_results`), the
+        tip codec's assembly of exactly the box, then fill values over the
+        box of every unit any entry lost.  A chain whose codecs do not sum
+        per unit (:attr:`~repro.core.plan.PlanExecutorMixin.sums_per_unit`:
+        the 3D baseline averages in its assembly) sums its entries'
+        assembled boxes instead, each its own chain of one.
         """
         t0 = time.perf_counter()
-        deadline, degraded = self._resolve_modes(deadline, degraded)
-        state = self._entry(key)
-        comp, codec = state.comp, state.codec
-        shapes = comp.meta["shapes"]
+        modes = self._resolve_modes(deadline, degraded)
+        states = [self._entry(key) for key in chain]
+        tip = states[-1]
+        shapes = tip.comp.meta["shapes"]
         (level,) = check_level_indices([level], len(shapes))
         shape = tuple(shapes[level])
         box = None if region is None else normalize_region(region, shape)
         request_box = box or level_box(shape)
-        plan = codec.build_decode_plan(comp, levels=[level], box=box)
-        units, pstats = plan.units, PipelineStats()
-        results = self._execute_cached(key, state, level, units, pstats, deadline, degraded)
-        if plan.refine is not None:
-            # Second stage (the groups the decoded layout puts in the box):
-            # same request, same deadline, same accounting.
-            more = plan.refine(results)
-            results.update(
-                self._execute_cached(key, state, level, more, pstats, deadline, degraded)
+        pstats = [PipelineStats() for _ in chain]
+        per_unit = getattr(tip.codec, "sums_per_unit", False) and all(
+            type(state.codec) is type(tip.codec) for state in states
+        )
+        if per_unit or len(chain) == 1:
+            lvl, units = self._assemble_chain(
+                chain, states, level, box, request_box, pstats, *modes
             )
-            units = units + more
-        lvl = codec.assemble(comp, level, results, None, request_box)
-        errors = []
-        if pstats.unit_errors:
-            errors = self._degrade_fill(lvl.data, request_box, units, pstats.unit_errors)
-        return lvl, self._record(
+        else:
+            levels, units = [], []
+            for key, state, stats in zip(chain, states, pstats):
+                entry_lvl, entry_units = self._assemble_chain(
+                    (key,), [state], level, box, request_box, [stats], *modes
+                )
+                levels.append(entry_lvl)
+                units += entry_units
+            data = levels[0].data
+            for entry_lvl in levels[1:]:
+                data = data + entry_lvl.data
+            lvl = AMRLevel(data=data, mask=levels[-1].mask, level=level)
+        reports = [[] for _ in chain]
+        if any(stats.unit_errors for stats in pstats):
+            reports = self._degrade_fill(lvl.data, request_box, units, chain, pstats)
+        seconds = time.perf_counter() - t0
+        last = len(chain) - 1
+        stats = [
             RequestStats(
                 key=key,
                 level=level,
                 box=box,
-                seconds=time.perf_counter() - t0,
-                bytes_fetched=pstats.bytes_fetched,
-                bytes_served=int(lvl.data.nbytes),
-                cache_hits=pstats.n_preloaded,
-                cache_misses=pstats.n_decoded,
-                n_parts_fetched=pstats.n_parts,
-                n_fetches=pstats.n_fetches,
-                overlapped=pstats.overlapped(),
-                degraded=degraded,
-                errors=errors,
+                seconds=seconds if i == last else 0.0,
+                bytes_fetched=p.bytes_fetched,
+                bytes_served=int(lvl.data.nbytes) if i == last else 0,
+                cache_hits=p.n_preloaded,
+                cache_misses=p.n_decoded,
+                n_parts_fetched=p.n_parts,
+                n_fetches=p.n_fetches,
+                overlapped=p.overlapped(),
+                degraded=modes[1],
+                errors=report,
             )
-        )
+            for i, (key, p, report) in enumerate(zip(chain, pstats, reports))
+        ]
+        self._record(stats)
+        return lvl, stats
+
+    def read_chain(self, chain, level: int, region=None, *, deadline=None, degraded=None):
+        """One box of one level of the sum of the entries ``chain`` (entry
+        keys, base first: a keyframe and its deltas, see
+        :func:`repro.ingest.delta.temporal_chain`), plus one
+        :class:`RequestStats` per entry.
+
+        ``region=None`` reads the whole level.  Summation runs base first
+        in the stored dtype, as the writer's closed loop summed, so the
+        result is bit-identical to summing each entry's read.  The chain is
+        one request: one ``deadline`` budget, and in degraded mode a unit
+        lost in any entry is ``fill_value`` over its box, reported in the
+        stats of the entry that lost it.  The tip's stats carry the
+        request's ``seconds`` and ``bytes_served``; every entry's carry
+        what it fetched and decoded, and the tip's ``cache_hits`` count
+        the chain's summed units served from the cache.
+        """
+        chain = tuple(chain)
+        if not chain:
+            raise ValueError("a chain needs at least one entry key")
+        return self._serve(chain, level, region, deadline, degraded)
 
     def read_region(
         self, key: str, level: int, region, *, deadline=None, degraded=None
@@ -425,7 +576,7 @@ class ArchiveReader:
         in ``stats.errors`` — fault-free re-reads of the same ROI are
         bit-identical to the non-degraded path.
         """
-        lvl, stats = self._serve(key, level, region, deadline, degraded)
+        lvl, (stats,) = self._serve((key,), level, region, deadline, degraded)
         return lvl.data, stats
 
     def read_level(self, key: str, level: int, *, deadline=None, degraded=None):
@@ -434,7 +585,8 @@ class ArchiveReader:
         ``deadline``/``degraded`` behave exactly as in
         :meth:`read_region` (the request box is the whole level).
         """
-        return self._serve(key, level, None, deadline, degraded)
+        lvl, (stats,) = self._serve((key,), level, None, deadline, degraded)
+        return lvl, stats
 
     def decompress(self, key: str):
         """Full-entry restore on the calling thread (no brick caching)."""

@@ -615,6 +615,26 @@ def write_archive(path, entries: dict, **writer_options):
     return writer.report.head_path
 
 
+def oracle_timestep_read(reader, key: str, level: int, region=None, **kwargs):
+    """The per-entry chain read that delta reads replaced: every entry of
+    ``key``'s temporal chain served as its own request (``read_level`` /
+    ``read_region``), the assembled boxes summed base first.  Returns
+    ``(data, [RequestStats per entry])``; the oracle of
+    :meth:`repro.serve.ArchiveReader.read_chain`'s per-unit sum."""
+    from repro.ingest import temporal_chain
+
+    out, stats = None, []
+    for entry_key in temporal_chain(reader, key):
+        if region is None:
+            lvl, entry_stats = reader.read_level(entry_key, level, **kwargs)
+            data = lvl.data
+        else:
+            data, entry_stats = reader.read_region(entry_key, level, region, **kwargs)
+        stats.append(entry_stats)
+        out = data if out is None else out + data
+    return out, stats
+
+
 def rpht_table(code_lengths, max_len: int) -> bytes:
     """Reference writer of an ``RPHT`` shared-Huffman-table part (the
     retired ``pack_shared_table``): ``<4sBBIIBQ`` head + code lengths."""

@@ -175,7 +175,7 @@ class TestServedSteps:
             assert stats.cache_misses == 0 and stats.bytes_fetched == 0
             masks = [k for k in reader.cache._entries if k[2].startswith(MASK_PREFIX)]
             assert sorted(masks) == [
-                (keys[min(keys)], idx, f"{MASK_PREFIX}L{idx}") for idx in range(n_levels)
+                ((keys[min(keys)],), idx, f"{MASK_PREFIX}L{idx}") for idx in range(n_levels)
             ]
 
 

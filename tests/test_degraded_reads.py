@@ -472,8 +472,8 @@ class TestCachePurityUnderDegradation:
             _lvl, stats = reader.read_level(KEY, BRICK_LEVEL, degraded=True)
             assert [row["unit"] for row in stats.errors] == ["L1/b0"]
             # The failed brick must be absent; its healthy siblings cached.
-            assert reader.cache.get((KEY, BRICK_LEVEL, "L1/b0")) is None
-            assert reader.cache.get((KEY, BRICK_LEVEL, "L1/b1")) is not None
+            assert reader.cache.get(((KEY,), BRICK_LEVEL, "L1/b0")) is None
+            assert reader.cache.get(((KEY,), BRICK_LEVEL, "L1/b1")) is not None
 
             # Re-read with the fault budget exhausted: the brick decodes
             # cleanly now, and the result is bit-identical — proof no fill
@@ -481,7 +481,7 @@ class TestCachePurityUnderDegradation:
             lvl2, stats2 = reader.read_level(KEY, BRICK_LEVEL, degraded=True)
             assert stats2.errors == []
             np.testing.assert_array_equal(lvl2.data, baseline)
-            assert reader.cache.get((KEY, BRICK_LEVEL, "L1/b0")) is not None
+            assert reader.cache.get(((KEY,), BRICK_LEVEL, "L1/b0")) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,6 @@ def test_every_gated_op_is_one_the_suite_names():
     known = {op for names in perf_harness.GROUP_OPS.values() for op in names}
     assert gated <= known
     assert perf_harness.GROUP_OPS["serve"] == (
-        "serve_cold_roi", "serve_cold_roi_pool", "serve_warm_roi"
+        "serve_cold_roi", "serve_cold_roi_pool", "serve_chain_cold_roi", "serve_warm_roi"
     )
-    assert "serve_warm_roi" in gated
+    assert {"serve_warm_roi", "serve_chain_cold_roi"} <= gated
