@@ -30,10 +30,7 @@ def batch_fields():
 
 def run_session(head, datasets, workers: int):
     """Each field its own entry (one chain each, so they encode concurrently)."""
-    with IngestSession(
-        head, error_bound=1e-4, workers=workers,
-        max_inflight=2 * workers if workers > 1 else 1,
-    ) as session:
+    with IngestSession(head, error_bound=1e-4, workers=workers) as session:
         session.extend(datasets)
     return session.report
 

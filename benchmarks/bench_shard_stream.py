@@ -103,9 +103,7 @@ def bench_shard_stream_engine(benchmark, batch_jobs, results_dir, tmp_path):
                 writer.add_entry(label, batch[label])
         t_eager = time.perf_counter() - t0
         t0 = time.perf_counter()
-        with IngestSession(
-            tmp_path / "streamed.rpbt", error_bound=1e-4, max_inflight=4, workers=2
-        ) as session:
+        with IngestSession(tmp_path / "streamed.rpbt", error_bound=1e-4, workers=2) as session:
             keys = [session.submit(ds, key=label) for label, ds in batch_jobs.items()]
         t_stream = time.perf_counter() - t0
         assert sorted(keys) == sorted(batch)

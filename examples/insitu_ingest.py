@@ -55,8 +55,7 @@ def main(scale: int = 8) -> None:
             error_bound=EB,
             mode=MODE,
             keyframe_interval=KEYFRAME_EVERY,
-            max_inflight=4,  # overlap encode of step t+1 with write of t
-            workers=2,
+            workers=2,  # overlap encode of step t+1 with write of t
         )
         t0 = time.perf_counter()
         with IngestSession(head, config, meta={"run": "Run1_Z10"}) as session:

@@ -39,7 +39,7 @@ def main(scale: int = 8) -> None:
 
         t0 = time.perf_counter()
         with IngestSession(
-            tmp / "step.rpbt", error_bound=1e-4, max_inflight=8, workers=4,
+            tmp / "step.rpbt", error_bound=1e-4, workers=4,
             meta={"pipeline": "example", "snapshot": "Run1_Z2"},
         ) as session:
             keys = session.submit_step(fields)

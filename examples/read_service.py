@@ -30,7 +30,7 @@ def main(scale: int = 8) -> None:
     with TemporaryDirectory() as tmp:
         head = Path(tmp) / "snapshot.rpbt"
         with IngestSession(
-            head, error_bound=1e-4, shard_size=256 * 1024, max_inflight=4, workers=2,
+            head, error_bound=1e-4, shard_size=256 * 1024, workers=2,
             meta={"run": "Run1_Z10"},
         ) as session:
             session.extend(make_dataset("Run1_Z10", scale=scale, field=f) for f in fields)

@@ -5,13 +5,12 @@ Commands
 ``make``        synthesize a Table 1 dataset to an ``.npz`` file
 ``info``        summarize an AMR ``.npz`` or a batch archive
 ``compress``    compress an AMR ``.npz`` with any registered codec
-``decompress``  restore an AMR ``.npz`` from a compressed/batch archive
-``extract``     partial decompression: one entry, level subset, or ROI
+``decompress``  restore one stored entry, a level subset of it, or an ROI
 ``inspect``     per-part breakdown of a blob/archive (no payload decode)
 ``batch``       compress many ``.npz`` files into one sharded archive
 ``ingest``      stream a snapshot series into a sharded archive (in-situ)
 ``serve``       drive concurrent ROI reads through the read service
-``scrub``       re-read and CRC-check every stored part, bounded memory
+``scrub``       re-read and CRC-check every shard and stored part, bounded memory
 ``codecs``      list the codec registry
 ``experiments`` run paper experiments, print their reports, judge their claims
                 (exit 1 when a claim is violated)
@@ -22,10 +21,13 @@ downstream code are immediately usable here.  Single-dataset archives use
 :meth:`repro.core.container.CompressedDataset.to_bytes`; ``batch`` and
 ``ingest`` drive one :class:`repro.ingest.IngestSession` (``batch`` is
 ``ingest`` without temporal deltas) and write a sharded archive.  The
-read-side verbs (``decompress``/``extract``/``inspect``) go through the
-lazy readers, so a batch archive's entries are located by index — one
-entry is served without parsing its siblings — and ``inspect`` never
-touches a payload byte.
+read-side verbs open their input through :func:`_open_input`, so a batch
+archive's entries are located by index — one entry is served without
+parsing its siblings — and ``inspect`` never touches a payload byte.  A
+missing input, an input of the wrong kind, or a bad option value exits 2
+with one ``error:`` line (:class:`UsageError`); exit 1 means the work
+itself failed (``scrub`` found damage, a claim was violated, an input's
+head does not parse: :class:`DamagedInput`).
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ import argparse
 import math
 import sys
 import time
+import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.amr.io import load_dataset, peek_meta, save_dataset
+from repro.core.container import _MAGIC as BLOB_MAGIC
 from repro.core.container import (
     ContainerIOError,
     LazyCompressedDataset,
@@ -77,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("info", help="summarize an AMR .npz or batch archive")
     p_info.add_argument("path", type=Path)
-    p_info.add_argument(
-        "--verify", action="store_true",
-        help="re-read every payload shard and report per-shard CRC pass/fail "
-             "(exit 1 on any failure; checks all shards, never fail-fast)",
-    )
 
     p_comp = sub.add_parser("compress", help="compress an AMR .npz file")
     p_comp.add_argument("path", type=Path)
@@ -108,30 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the codec's stage timings (preprocess / compress)",
     )
 
-    p_dec = sub.add_parser("decompress", help="restore an AMR .npz from an archive")
+    p_dec = sub.add_parser(
+        "decompress",
+        help="restore an AMR .npz, a level subset, or an ROI from a blob or archive",
+    )
     p_dec.add_argument("path", type=Path)
     p_dec.add_argument("-o", "--output", required=True, type=Path)
     p_dec.add_argument(
-        "--key",
-        default=None,
-        help="entry to extract from a batch archive (defaults to its only entry)",
-    )
-
-    p_ext = sub.add_parser(
-        "extract",
-        help="partial decompression: a level subset or region of one entry",
-    )
-    p_ext.add_argument("path", type=Path)
-    p_ext.add_argument("-o", "--output", required=True, type=Path)
-    p_ext.add_argument(
         "--key", default=None,
         help="entry of a batch archive (defaults to its only entry)",
     )
-    p_ext.add_argument(
+    p_dec.add_argument(
         "--level", type=int, action="append", default=None,
         help="AMR level to decode (repeatable; omit for all levels)",
     )
-    p_ext.add_argument(
+    p_dec.add_argument(
         "--region", default=None,
         help='ROI in level-grid cells as "x0:x1,y0:y1,z0:z1" (needs one --level)',
     )
@@ -143,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("path", type=Path)
     p_ins.add_argument(
         "--key", default=None, help="restrict to one batch-archive entry"
-    )
-    p_ins.add_argument(
-        "--verify", action="store_true",
-        help="also re-read every payload shard and report per-shard CRC "
-             "pass/fail (exit 1 on any failure)",
     )
 
     p_batch = sub.add_parser(
@@ -187,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--keyframe-interval", type=int, default=1, metavar="K",
         help="temporal delta cadence: K>1 stores closed-loop residuals "
              "between keyframes (1 = every snapshot independent)",
-    )
-    p_ing.add_argument(
-        "--max-inflight", type=int, default=1,
-        help="snapshots in flight at once (1 = synchronous, strict "
-             "one-level memory bound; >1 overlaps encode and write)",
     )
 
     p_srv = sub.add_parser(
@@ -262,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scrub = sub.add_parser(
         "scrub",
-        help="re-read every stored part and check its CRC-32, bounded memory",
+        help="re-read every payload shard and stored part and check their "
+             "CRC-32s, bounded memory (exit 1 on any damage; never fail-fast)",
     )
     p_scrub.add_argument("path", type=Path)
     p_scrub.add_argument(
@@ -311,7 +293,8 @@ def _add_session_arguments(parser, method_choices) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="encoder threads (ingest: when --max-inflight > 1)",
+        help="encoder threads (1 = synchronous, strict one-level memory bound; "
+             "N > 1 overlaps encode and write, buffering at most 2N entries)",
     )
 
 
@@ -349,6 +332,71 @@ def _build_codec(method: str, predictor: str = "interp", brick_size: int | None 
     return get_codec(method, **options)
 
 
+class UsageError(Exception):
+    """A missing or wrong-kind input, or a bad option value: ``main``
+    prints ``error: <message>`` and exits 2."""
+
+
+class DamagedInput(Exception):
+    """An input of the right kind whose head does not parse (truncated or
+    corrupt): ``main`` prints ``error: <message>`` and exits 1, as for any
+    work that failed."""
+
+
+#: What the first four bytes of a read verb's input say it is.
+_NPZ, _BLOB, _ARCHIVE = "an AMR .npz dataset", "a compressed dataset", "a batch archive"
+_KINDS = {b"PK\x03\x04": _NPZ, BLOB_MAGIC: _BLOB}
+
+
+def _input_kind(path: Path, kinds: tuple[str, ...]) -> str:
+    """Which of ``kinds`` the file at ``path`` is, by its leading bytes."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    kind = _ARCHIVE if is_batch_archive(magic) else _KINDS.get(magic)
+    if kind not in kinds:
+        raise UsageError(
+            f"{path} is {kind or 'of no known kind'}, not {' or '.join(kinds)}"
+        )
+    return kind
+
+
+@contextmanager
+def _open_input(path: Path, kinds: tuple[str, ...], key: str | None = None):
+    """Open what is at ``path``, one of ``kinds``; yield ``(source, keys)``.
+
+    ``source`` is the loaded dataset of an ``.npz``, a lazy single blob,
+    or a lazy batch archive, closed on exit.  ``keys`` lists the archive
+    entries to visit, ``--key`` alone or all of them, and is ``None`` for
+    the other kinds, which take no ``--key``.
+    """
+    kind = _input_kind(path, kinds)
+    if key is not None and kind != _ARCHIVE:
+        raise UsageError("--key only applies to batch archives")
+    opener = {_NPZ: load_dataset, _BLOB: LazyCompressedDataset.open,
+              _ARCHIVE: LazyBatchArchive.open}[kind]
+    try:
+        source = opener(path)
+    except KeyError as exc:
+        if kind == _NPZ:  # a zip without the dataset's ``__meta__`` record
+            raise UsageError(f"{path} is a zip file, not {_NPZ}") from None
+        raise DamagedInput(f"{path} is damaged: missing {exc}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DamagedInput(f"{path} is damaged: {exc}") from None
+    if kind == _NPZ:
+        yield source, None
+        return
+    with source:
+        if kind == _BLOB:
+            yield source, None
+            return
+        if key is not None and key not in source.keys():
+            raise UsageError(f"no entry {key!r}; archive holds {source.keys()}")
+        yield source, source.keys() if key is None else [key]
+
+
 def cmd_make(args) -> int:
     dataset = make_dataset(args.name, scale=args.scale, field=args.field, seed=args.seed)
     save_dataset(dataset, args.output)
@@ -357,56 +405,31 @@ def cmd_make(args) -> int:
     return 0
 
 
-def _report_shard_verification(archive) -> int:
-    """Print ``verify_shards`` rows (never fail-fast); returns #failed."""
-    rows = archive.verify_shards()
-    if not rows:
-        print("verify: monolithic archive, no payload shards to check")
-        return 0
-    failed = 0
-    for row in rows:
-        if row["ok"]:
-            print(f"verify: shard {row['name']}: {row['n_bytes']} B  ok")
-        else:
-            failed += 1
-            print(f"verify: shard {row['name']}: FAILED: {row['error']}")
-    print(f"verify: {len(rows) - failed}/{len(rows)} shard(s) passed")
-    return failed
-
-
 def cmd_info(args) -> int:
-    with open(args.path, "rb") as fh:
-        head = fh.read(4)
-    if is_batch_archive(head):
-        with LazyBatchArchive.open(args.path) as archive:
-            manifest = archive.manifest()
-            original = sum(row["original_bytes"] for row in manifest)
-            compressed = sum(row["compressed_bytes"] for row in manifest)
-            ratio = original / compressed if compressed else float("inf")
-            kind = "sharded batch archive" if archive.is_sharded else "batch archive"
-            print(f"{kind}: {len(archive)} entries, "
-                  f"ratio {ratio:.2f}x "
-                  f"({original} -> {compressed} bytes)")
-            for shard in archive.shards():
-                print(f"  shard {shard['name']}: {shard['n_bytes']} B "
-                      f"crc32 {shard['crc32']:#010x}")
-            for row in manifest:
-                print(f"  {row['key']:40s} {row['method']:12s} "
-                      f"{row['compressed_bytes']:>10d} B  {row['n_values']} values")
-            if args.verify:
-                return 1 if _report_shard_verification(archive) else 0
-        return 0
-    if args.verify:
-        print("error: --verify only applies to batch archives", file=sys.stderr)
-        return 2
-    dataset = load_dataset(args.path)
-    print(dataset.summary())
-    print(f"field       : {dataset.field}")
-    print(f"stored      : {dataset.total_points()} values "
-          f"({dataset.original_bytes() / 1e6:.2f} MB)")
-    for lvl in dataset.levels:
-        print(f"  level {lvl.level}: grid {lvl.n}^3, density {lvl.density():.4%}, "
-              f"{lvl.n_points()} values")
+    with _open_input(args.path, (_NPZ, _ARCHIVE)) as (source, keys):
+        if keys is None:
+            print(source.summary())
+            print(f"field       : {source.field}")
+            print(f"stored      : {source.total_points()} values "
+                  f"({source.original_bytes() / 1e6:.2f} MB)")
+            for lvl in source.levels:
+                print(f"  level {lvl.level}: grid {lvl.n}^3, density {lvl.density():.4%}, "
+                      f"{lvl.n_points()} values")
+            return 0
+        manifest = source.manifest()
+        original = sum(row["original_bytes"] for row in manifest)
+        compressed = sum(row["compressed_bytes"] for row in manifest)
+        ratio = original / compressed if compressed else float("inf")
+        kind = "sharded batch archive" if source.is_sharded else "batch archive"
+        print(f"{kind}: {len(source)} entries, "
+              f"ratio {ratio:.2f}x "
+              f"({original} -> {compressed} bytes)")
+        for shard in source.shards():
+            print(f"  shard {shard['name']}: {shard['n_bytes']} B "
+                  f"crc32 {shard['crc32']:#010x}")
+        for row in manifest:
+            print(f"  {row['key']:40s} {row['method']:12s} "
+                  f"{row['compressed_bytes']:>10d} B  {row['n_values']} values")
     return 0
 
 
@@ -426,23 +449,19 @@ def cmd_compress(args) -> int:
     # Flag validation precedes the dataset load — a typo must error
     # instantly, not after reading a multi-GB snapshot.
     if args.brick_size is not None and args.brick_size <= 0:
-        print(
-            "error: --brick-size must be >= 1 (the single-stream layout that 0 "
-            "selected is retired; an edge at least the level's gives one stream)",
-            file=sys.stderr,
+        raise UsageError(
+            "--brick-size must be >= 1 (the single-stream layout that 0 "
+            "selected is retired; an edge at least the level's gives one stream)"
         )
-        return 2
     dataset = load_dataset(args.path)
     try:
         compressor = _build_codec(args.method, args.predictor, args.brick_size)
     except TypeError:
         # A codec whose factory takes no `sz` config / `brick_size` knob.
-        print(
-            f"error: codec {args.method!r} does not accept the requested "
-            "--predictor/--brick-size overrides",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(
+            f"codec {args.method!r} does not accept the requested "
+            "--predictor/--brick-size overrides"
+        ) from None
     kwargs = {}
     if args.level_scale is not None:
         kwargs["per_level_scale"] = args.level_scale
@@ -456,55 +475,6 @@ def cmd_compress(args) -> int:
         print(f"  {label:16s} {size} B")
     if args.profile:
         _print_profile(compressed.timings)
-    print(f"wrote {args.output}")
-    return 0
-
-
-def _open_lazy_entry(path: Path, key: str | None):
-    """A lazy view of one stored entry (single blob or archive member).
-
-    Returns ``(entry, err)``: on success ``err`` is ``None``; on a usage
-    error the message is returned and the caller exits 2.  The entry keeps
-    its source open — read what you need, then let it go.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if is_batch_archive(head):
-        archive = LazyBatchArchive.open(path)
-        if key is None:
-            if len(archive) != 1:
-                return None, (
-                    f"batch archive holds {len(archive)} entries; "
-                    f"pick one with --key {archive.keys()}"
-                )
-            key = archive.keys()[0]
-        if key not in archive:
-            return None, f"no entry {key!r}; archive holds {archive.keys()}"
-        return with_structure(archive.entry(key), key, archive.entry), None
-    if key is not None:
-        return None, "--key only applies to batch archives"
-    return LazyCompressedDataset.open(path), None
-
-
-def _resolve_codec(entry):
-    try:
-        return codec_for_method(entry.method), None
-    except KeyError:
-        return None, f"unknown archive method {entry.method!r}"
-
-
-def cmd_decompress(args) -> int:
-    entry, err = _open_lazy_entry(args.path, args.key)
-    if err is not None:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    codec, err = _resolve_codec(entry)
-    if err is not None:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    dataset = codec.decompress(entry)
-    save_dataset(dataset, args.output)
-    print(dataset.summary())
     print(f"wrote {args.output}")
     return 0
 
@@ -523,39 +493,43 @@ def _parse_region(spec: str):
     return tuple(region)
 
 
-def cmd_extract(args) -> int:
-    entry, err = _open_lazy_entry(args.path, args.key)
-    if err is not None:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    codec, err = _resolve_codec(entry)
-    if err is not None:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    wants_partial = args.level is not None or args.region is not None
-    if wants_partial and not supports_partial_decode(codec):
-        print(
-            f"error: codec for method {entry.method!r} has no partial-decode "
-            "support; run plain `decompress`",
-            file=sys.stderr,
-        )
-        return 2
+def cmd_decompress(args) -> int:
+    with _open_input(args.path, (_BLOB, _ARCHIVE), args.key) as (source, keys):
+        if keys is None:
+            return _decompress_entry(source, args)
+        if len(keys) != 1:
+            raise UsageError(
+                f"batch archive holds {len(keys)} entries; pick one with --key {keys}"
+            )
+        return _decompress_entry(with_structure(source.entry(keys[0]), keys[0], source.entry), args)
 
-    if args.region is not None and (not args.level or len(args.level) != 1):
-        print("error: --region needs exactly one --level", file=sys.stderr)
-        return 2
-    # A level or region the entry does not have is a usage error, told
-    # before anything is decoded (the read path would raise the same).
-    shapes = entry.meta["shapes"]
+
+def _decompress_entry(entry, args) -> int:
+    """Decode all of ``entry``, its ``--level`` subset, or its ``--region``."""
     try:
-        if args.level is not None:
-            check_level_indices(args.level, len(shapes))
-        if args.region is not None:
-            region = _parse_region(args.region)
-            normalize_region(region, shapes[args.level[0]])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        codec = codec_for_method(entry.method)
+    except KeyError:
+        raise UsageError(f"unknown archive method {entry.method!r}") from None
+    if args.level is not None or args.region is not None:
+        if not supports_partial_decode(codec):
+            raise UsageError(
+                f"codec for method {entry.method!r} has no partial-decode "
+                "support; omit --level and --region"
+            )
+        if args.region is not None and (not args.level or len(args.level) != 1):
+            raise UsageError("--region needs exactly one --level")
+        # A level or region the entry does not have is a usage error, told
+        # before anything is decoded (the read path would raise the same).
+        # Only partial decoders store ``shapes``; a whole decode needs none.
+        shapes = entry.meta["shapes"]
+        try:
+            if args.level is not None:
+                check_level_indices(args.level, len(shapes))
+            if args.region is not None:
+                region = _parse_region(args.region)
+                normalize_region(region, shapes[args.level[0]])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     if args.region is not None:
         level = args.level[0]
@@ -615,39 +589,24 @@ def _print_entry_breakdown(entry, indent: str = "") -> None:
 
 
 def cmd_inspect(args) -> int:
-    with open(args.path, "rb") as fh:
-        head = fh.read(4)
-    if is_batch_archive(head):
-        with LazyBatchArchive.open(args.path) as archive:
-            keys = [args.key] if args.key is not None else archive.keys()
-            if args.key is not None and args.key not in archive:
-                print(f"error: no entry {args.key!r}; archive holds "
-                      f"{archive.keys()}", file=sys.stderr)
-                return 2
-            print(f"batch archive v{archive.version}: {len(archive)} entries")
-            if archive.is_sharded:
-                entry_shards = archive.entry_shards()
-                for shard in archive.shards():
-                    members = sum(1 for name in entry_shards.values() if name == shard["name"])
-                    print(f"shard {shard['name']}: {shard['n_bytes']} B, "
-                          f"{members} entr{'y' if members == 1 else 'ies'}, "
-                          f"crc32 {shard['crc32']:#010x}")
-            for key in keys:
-                entry = archive.entry(key)
-                print(f"{key}:")
-                _print_entry_breakdown(entry, indent="  ")
-                _check_no_payload_reads(entry)
-            if args.verify:
-                # Verification re-reads payload bytes by design; it runs
-                # after the zero-payload-read promise has been enforced.
-                return 1 if _report_shard_verification(archive) else 0
-        return 0
-    if args.verify:
-        print("error: --verify only applies to batch archives", file=sys.stderr)
-        return 2
-    with LazyCompressedDataset.open(args.path) as entry:
-        _print_entry_breakdown(entry)
-        _check_no_payload_reads(entry)
+    with _open_input(args.path, (_BLOB, _ARCHIVE), args.key) as (source, keys):
+        if keys is None:
+            _print_entry_breakdown(source)
+            _check_no_payload_reads(source)
+            return 0
+        print(f"batch archive v{source.version}: {len(source)} entries")
+        if source.is_sharded:
+            entry_shards = source.entry_shards()
+            for shard in source.shards():
+                members = sum(1 for name in entry_shards.values() if name == shard["name"])
+                print(f"shard {shard['name']}: {shard['n_bytes']} B, "
+                      f"{members} entr{'y' if members == 1 else 'ies'}, "
+                      f"crc32 {shard['crc32']:#010x}")
+        for key in keys:
+            entry = source.entry(key)
+            print(f"{key}:")
+            _print_entry_breakdown(entry, indent="  ")
+            _check_no_payload_reads(entry)
     return 0
 
 
@@ -709,37 +668,24 @@ def _run_session(args, tool: str, submissions, **config) -> int:
     return 0
 
 
-def _missing_inputs(paths) -> bool:
-    missing = [str(p) for p in paths if not p.is_file()]
-    if missing:
-        print(f"error: input file(s) not found: {missing}", file=sys.stderr)
-    return bool(missing)
-
-
 def cmd_batch(args) -> int:
     """``repro batch``: ``ingest`` without deltas — every file its own entry."""
-    if _missing_inputs(args.inputs):
-        return 2
+    for path in args.inputs:
+        _input_kind(path, (_NPZ,))
     # Submissions carry paths, not arrays: workers load in parallel.  Only
     # the cheap metadata record is read up front, for the label.
     labels = _unique_labels(
         [f"{path.stem}/{peek_meta(path)['field']}/{args.method}" for path in args.inputs]
     )
-    pipelined = args.workers > 1 and len(args.inputs) > 1
-    return _run_session(
-        args, "repro batch", zip(args.inputs, labels),
-        max_inflight=2 * args.workers if pipelined else 1,
-    )
+    return _run_session(args, "repro batch", zip(args.inputs, labels))
 
 
 def cmd_ingest(args) -> int:
     """``repro ingest``: snapshot series → sharded archive via IngestSession."""
     if args.sim is None and not args.inputs:
-        print("error: give snapshot files or --sim NAME", file=sys.stderr)
-        return 2
+        raise UsageError("give snapshot files or --sim NAME")
     if args.sim is not None and args.inputs:
-        print("error: --sim and file inputs are mutually exclusive", file=sys.stderr)
-        return 2
+        raise UsageError("--sim and file inputs are mutually exclusive")
     if args.sim is not None:
         from repro.sim import make_timestep_series
 
@@ -749,15 +695,15 @@ def cmd_ingest(args) -> int:
             refresh_every=args.refresh_every,
         )
     else:
-        if _missing_inputs(args.inputs):
-            return 2
+        for path in args.inputs:
+            _input_kind(path, (_NPZ,))
         # Load lazily, one snapshot per submit: in-memory submissions join
         # their (name, field) chain, so file series delta-code too — and
         # peak memory stays one snapshot, not the series.
         snapshots = (load_dataset(path) for path in args.inputs)
     return _run_session(
         args, "repro ingest", ((snapshot, None) for snapshot in snapshots),
-        keyframe_interval=args.keyframe_interval, max_inflight=args.max_inflight,
+        keyframe_interval=args.keyframe_interval,
     )
 
 
@@ -790,36 +736,25 @@ def _scrub_entry(key: str, entry) -> dict:
 def cmd_scrub(args) -> int:
     import json as json_mod
 
-    with open(args.path, "rb") as fh:
-        head = fh.read(4)
     shard_rows: list[dict] = []
     entry_rows: list[dict] = []
-    if is_batch_archive(head):
-        with LazyBatchArchive.open(args.path) as archive:
-            if args.key is not None and args.key not in archive:
-                print(f"error: no entry {args.key!r}; archive holds "
-                      f"{archive.keys()}", file=sys.stderr)
-                return 2
-            keys = [args.key] if args.key is not None else archive.keys()
+    with _open_input(args.path, (_BLOB, _ARCHIVE), args.key) as (source, keys):
+        if keys is None:
+            entry_rows.append(_scrub_entry(source.dataset_name, source))
+        else:
             # Whole-shard CRCs first (chunked reads, bounded memory),
             # then the per-part walk — both run to completion so one bad
             # byte early on does not hide later damage.
-            shard_rows = archive.verify_shards()
+            shard_rows = source.verify_shards()
             for key in keys:
-                entry = archive.entry(key)
+                entry = source.entry(key)
                 row = _scrub_entry(key, entry)
                 try:
-                    with_structure(entry, key, archive.entry)
+                    with_structure(entry, key, source.entry)
                 except ContainerIOError as exc:
                     # A reference nobody can follow loses the entry's masks.
                     row["bad"].append({"part": STRUCTURE_META_KEY, "error": str(exc)})
                 entry_rows.append(row)
-    else:
-        if args.key is not None:
-            print("error: --key only applies to batch archives", file=sys.stderr)
-            return 2
-        with LazyCompressedDataset.open(args.path) as entry:
-            entry_rows.append(_scrub_entry(entry.dataset_name, entry))
 
     for row in shard_rows:
         status = "ok" if row["ok"] else f"FAILED: {row['error']}"
@@ -866,20 +801,14 @@ def cmd_serve(args) -> int:
 
     from repro.serve import ArchiveReader
 
-    if min(args.requests, args.rois, args.threads, args.io_workers) < 1:
-        print("serve: --requests, --rois, --threads, and --io-workers must be >= 1",
-              file=sys.stderr)
-        return 2
-    if args.gap < 0:
-        print(f"serve: --gap must be >= 0, got {args.gap}", file=sys.stderr)
-        return 2
-    if args.deadline is not None and args.deadline <= 0:
-        print(f"serve: --deadline must be > 0, got {args.deadline}", file=sys.stderr)
-        return 2
+    if min(args.requests, args.rois) < 1:
+        raise UsageError("--requests and --rois must be >= 1")
     if not 0.0 < args.roi_frac <= 1.0:
-        print(f"serve: --roi-frac must be in (0, 1], got {args.roi_frac}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--roi-frac must be in (0, 1], got {args.roi_frac}")
+    # The reader opens its own handle; this one checks the kind, the head
+    # and --key, so the reader's ValueError below is an option's.
+    with _open_input(args.path, (_ARCHIVE,), args.key) as (_archive, keys):
+        pass
     plan = None
     shard_opener = None
     if args.chaos:
@@ -889,8 +818,7 @@ def cmd_serve(args) -> int:
         try:
             plan = FaultPlan.parse(args.chaos, seed=args.chaos_seed)
         except ValueError as exc:
-            print(f"serve: bad --chaos spec: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"bad --chaos spec: {exc}") from None
         spans = archive_part_spans(args.path)
         if not spans:
             print("serve: note: archive has no payload shards; --chaos rules "
@@ -900,21 +828,20 @@ def cmd_serve(args) -> int:
         )
     chaos_mode = plan is not None or args.deadline is not None
     rng = random.Random(args.seed)
-    with ArchiveReader(
-        args.path,
-        shard_opener=shard_opener,
-        cache_bytes=args.cache_bytes,
-        io_workers=args.io_workers,
-        request_workers=args.threads,
-        coalesce_gap=args.gap,
-        default_deadline=args.deadline,
-        degraded=args.degraded,
-    ) as reader:
-        keys = [args.key] if args.key else reader.keys()
-        if args.key and args.key not in reader.keys():
-            print(f"serve: no entry {args.key!r}; archive holds {reader.keys()}",
-                  file=sys.stderr)
-            return 2
+    try:
+        reader = ArchiveReader(
+            args.path,
+            shard_opener=shard_opener,
+            cache_bytes=args.cache_bytes,
+            io_workers=args.io_workers,
+            request_workers=args.threads,
+            coalesce_gap=args.gap,
+            default_deadline=args.deadline,
+            degraded=args.degraded,
+        )
+    except ValueError as exc:  # --threads / --io-workers / --gap / --deadline
+        raise UsageError(str(exc)) from None
+    with reader:
         # A pool of ROIs per entry; requests cycle through the pool, so
         # overlap (and therefore cache reuse) is built into the workload.
         rois: list[tuple[str, int, tuple]] = []
@@ -922,8 +849,7 @@ def cmd_serve(args) -> int:
             shapes = reader.entry_shapes(key)
             level = args.level if args.level is not None else len(shapes) - 1
             if not 0 <= level < len(shapes):
-                print(f"serve: entry {key!r} has no level {level}", file=sys.stderr)
-                return 2
+                raise UsageError(f"entry {key!r} has no level {level}")
             shape = shapes[level]
             for _ in range(args.rois):
                 box = []
@@ -935,26 +861,22 @@ def cmd_serve(args) -> int:
         requests = [rois[i % len(rois)] for i in range(args.requests)]
         rng.shuffle(requests)
         t0 = time.perf_counter()
+        futures = [reader.submit(*request) for request in requests]
+        results = []
         failures: list[tuple[tuple, Exception]] = []
-        if chaos_mode:
-            # Under injected faults or a deadline some requests are
-            # *expected* to fail; collect per-request outcomes instead of
-            # letting the first failure abort the run.
-            futures = [reader.submit(*request) for request in requests]
-            results = []
-            for request, future in zip(requests, futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    failures.append((request, exc))
-        else:
-            results = reader.read_many(requests)
+        for request, future in zip(requests, futures):
+            try:
+                results.append(future.result())
+            except Exception as exc:
+                failures.append((request, exc))
         wall = time.perf_counter() - t0
         stats = reader.stats()
 
-    if not results:
-        print(f"serve: all {len(failures)} request(s) failed; first failure: "
-              f"{failures[0][1]}", file=sys.stderr)
+    # Under injected faults or a deadline some requests are *expected* to
+    # fail and are reported; otherwise any failure fails the run.
+    if failures and not (chaos_mode and results):
+        print(f"serve: {len(failures)} of {len(requests)} request(s) failed; "
+              f"first failure: {failures[0][1]}", file=sys.stderr)
         return 1
     latencies = [req_stats.seconds for _data, req_stats in results]
     report = {
@@ -1034,8 +956,7 @@ def cmd_experiments(args) -> int:
     names = args.names or list(PAPER_EXPERIMENTS)
     unknown = [n for n in names if n not in registry]
     if unknown:
-        print(f"error: unknown experiments {unknown}; see --list", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown experiments {unknown}; see --list")
     failed = False
     for name in names:
         result = registry[name](scale=args.scale)
@@ -1054,11 +975,7 @@ def cmd_lint(args) -> int:
     """
     root = Path(__file__).resolve().parents[2]
     if not (root / "tools" / "reprolint").is_dir():
-        print(
-            "error: tools/reprolint not found; 'repro lint' needs a repo checkout",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError("tools/reprolint not found; 'repro lint' needs a repo checkout")
     if str(root) not in sys.path:
         sys.path.insert(0, str(root))
     from tools.reprolint.cli import main as lint_main
@@ -1073,14 +990,14 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "lint":
         # Forwarded verbatim: argparse's REMAINDER would reject leading
         # optionals ('repro lint --list-rules') before reaching them.
-        return cmd_lint(argparse.Namespace(command="lint", lint_args=argv[1:]))
-    args = build_parser().parse_args(argv)
+        args = argparse.Namespace(command="lint", lint_args=argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     handler = {
         "make": cmd_make,
         "info": cmd_info,
         "compress": cmd_compress,
         "decompress": cmd_decompress,
-        "extract": cmd_extract,
         "inspect": cmd_inspect,
         "batch": cmd_batch,
         "ingest": cmd_ingest,
@@ -1090,7 +1007,11 @@ def main(argv: list[str] | None = None) -> int:
         "codecs": cmd_codecs,
         "experiments": cmd_experiments,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (UsageError, DamagedInput) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -683,17 +683,6 @@ class LazyBatchArchive:
         comp = with_structure(self.entry(key), key, self.entry)
         return registry.codec_for_method(comp.method).decompress(comp, structure=structure)
 
-    def decompress_level(self, key: str, level: int, structure: AMRDataset | None = None):
-        """Restore a single AMR level of one entry (partial read)."""
-        comp = with_structure(self.entry(key), key, self.entry)
-        codec = registry.codec_for_method(comp.method)
-        if not registry.supports_partial_decode(codec):
-            raise TypeError(
-                f"codec for method {comp.method!r} does not support partial "
-                "decompression; use decompress() for the whole entry"
-            )
-        return codec.decompress_level(comp, level, structure=structure)
-
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
         if self._shards is not None:

@@ -60,7 +60,7 @@ class PartialCodec(Codec, Protocol):
     derives ``decompress`` and the three partial reads from the pair, and
     the read service (:class:`repro.serve.ArchiveReader`) drives the same
     pair with its cache and prefetch pipeline in between.  All built-ins
-    qualify; consumers (the CLI's ``extract``, lazy archives)
+    qualify; consumers (``repro decompress --level`` / ``--region``)
     feature-detect with :func:`supports_partial_decode` instead of
     assuming it.
     """

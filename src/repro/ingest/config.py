@@ -38,15 +38,13 @@ class IngestConfig:
         ``k > 1`` writes a keyframe every ``k`` steps and residuals
         against the running reconstruction in between.  A hierarchy
         change forces a keyframe regardless.
-    max_inflight:
-        Snapshots allowed in flight at once.  ``1`` runs the pipeline
-        synchronously on the caller's thread — the strict one-level
-        memory bound.  ``> 1`` overlaps
-        snapshot production with encode/write at the cost of buffering
-        up to that many encoded entries.
     workers:
-        Encoder thread-pool width (effective when ``max_inflight > 1``;
-        independent chains encode concurrently, one chain stays serial).
+        Encoder thread-pool width.  ``1`` runs the pipeline synchronously
+        on the caller's thread — the strict one-level memory bound.
+        ``w > 1`` starts a pool of ``w`` encoders that overlaps snapshot
+        production with encode/write, buffering at most ``2 * w`` encoded
+        entries; independent chains encode concurrently, one chain stays
+        serial.
     """
 
     codec: str = "tac"
@@ -55,13 +53,11 @@ class IngestConfig:
     mode: str = "rel"
     shard_size: int = DEFAULT_SHARD_SIZE
     keyframe_interval: int = 1
-    max_inflight: int = 1
     workers: int = 1
 
     def __post_init__(self):
         check_positive_int(self.shard_size, name="shard_size")
         check_positive_int(self.keyframe_interval, name="keyframe_interval")
-        check_positive_int(self.max_inflight, name="max_inflight")
         check_positive_int(self.workers, name="workers")
         validated = registry.validate_codec_options(self.codec, self.codec_options)
         object.__setattr__(self, "codec_options", validated)

@@ -42,12 +42,12 @@ the caller's arrays, and the chain never keeps them.
 
 Memory
 ------
-``max_inflight=1`` (default) runs synchronously: each entry's parts flow
+``workers=1`` (default) runs synchronously: each entry's parts flow
 level-by-level from ``compress_iter`` straight into its container entry,
 so the writer-side peak is one *level's* parts, never one entry's.
-``max_inflight > 1`` overlaps snapshot production, encode, and shard
-write across timesteps, buffering at most ``max_inflight`` encoded
-entries.
+``workers=w > 1`` overlaps snapshot production, encode, and shard write
+across timesteps on a pool of ``w`` encoders, buffering at most ``2 * w``
+encoded entries.
 
 Beyond the codec's own working set (one level's strategy arrays and the
 SZ batches in flight), a step holds at most one level set of its own: a
@@ -301,7 +301,7 @@ class IngestSession:
             self._closed = False
             self._start = time.perf_counter()
             self._pool = None
-            if self.config.max_inflight > 1:
+            if self.config.workers > 1:
                 from concurrent.futures import ThreadPoolExecutor
 
                 self._pool = ThreadPoolExecutor(max_workers=self.config.workers)
@@ -396,7 +396,7 @@ class IngestSession:
             if chain is not None:
                 chain.tail = future
             self._pending.append((future, key, index))
-            self._drain(max_pending=self.config.max_inflight)
+            self._drain(max_pending=2 * self.config.workers)
         return key
 
     def extend(self, snapshots) -> list[str]:

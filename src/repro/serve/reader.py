@@ -58,6 +58,7 @@ from repro.serve.prefetch import (
     PipelineStats,
     PrefetchPipeline,
 )
+from repro.utils.validation import check_positive_int
 
 
 def _error_kind(exc: BaseException) -> str:
@@ -230,6 +231,7 @@ class ArchiveReader:
         try:
             if default_deadline is not None and default_deadline <= 0:
                 raise ValueError(f"default_deadline must be positive, got {default_deadline}")
+            check_positive_int(request_workers, name="request_workers")
             self.cache = DecodedBrickCache(cache_bytes) if cache_bytes else None
             self._pipeline = PrefetchPipeline(io_workers=io_workers, max_gap=coalesce_gap)
             self._requests = ThreadPoolExecutor(

@@ -268,7 +268,8 @@ class TestShardedBitIdentity:
     def test_partial_decode_reads_one_shard(self, sharded):
         head, _report = sharded
         with LazyBatchArchive.open(head) as lazy:
-            level = lazy.decompress_level("toy/tac", 1)
+            entry = lazy.entry("toy/tac")
+            level = codec_for_method(entry.method).decompress_level(entry, 1)
             assert level.n_points() > 0
 
 
@@ -373,7 +374,7 @@ class TestSessionStreamedBatch:
             f"f{i}/tac": get_codec("tac").compress(ds, 1e-3) for i, ds in enumerate(datasets)
         }
         head = tmp_path / "streamed.rpbt"
-        config = IngestConfig(error_bound=1e-3, shard_size=1, max_inflight=6, workers=3)
+        config = IngestConfig(error_bound=1e-3, shard_size=1, workers=3)
         with IngestSession(head, config, meta={"batch": "ref"}) as session:
             for i, ds in enumerate(datasets):
                 session.submit(ds, key=f"f{i}/tac")
@@ -389,7 +390,7 @@ class TestSessionStreamedBatch:
     def test_failed_entry_aborts_and_cleans_up(self, tmp_path):
         good = two_level_dataset(n=16, fine_fraction=0.25, seed=0)
         head = tmp_path / "doomed.rpbt"
-        config = IngestConfig(error_bound=1e-3, shard_size=1, max_inflight=4, workers=2)
+        config = IngestConfig(error_bound=1e-3, shard_size=1, workers=2)
         with pytest.raises(IngestError, match="bad/tac"):
             with IngestSession(head, config) as session:
                 session.submit(good, key="good/tac")

@@ -19,6 +19,65 @@ def dataset_file(tmp_path):
     return path
 
 
+#: A wrong-kind input per verb: what it cannot read.
+WRONG_KIND = {
+    "batch": "tac", "decompress": "npz", "info": "tac", "ingest": "tac", "inspect": "npz",
+    "scrub": "npz", "serve": "tac",
+}
+READ_VERBS = ["decompress", "info", "inspect", "scrub", "serve"]
+
+
+def output_args(verb, out):
+    return ["-o", str(out)] if verb in ("batch", "decompress", "ingest") else []
+
+
+@pytest.mark.parametrize("case", ["missing", "wrong kind"])
+@pytest.mark.parametrize("verb", sorted(WRONG_KIND))
+def test_missing_or_wrong_kind_input_is_one_error_line(verb, case, dataset_file, tmp_path, capsys):
+    """Exit 2 and one ``error:`` line, never a traceback — so exit 1 keeps
+    its meaning (``scrub`` found damage)."""
+    blob = tmp_path / "z10.tac"
+    assert main(["compress", str(dataset_file), "-o", str(blob)]) == 0
+    inputs = {"npz": dataset_file, "tac": blob}
+    path = tmp_path / "nope.rpbt" if case == "missing" else inputs[WRONG_KIND[verb]]
+    out = tmp_path / "out.npz"
+    capsys.readouterr()
+    assert main([verb, str(path), *output_args(verb, out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not out.exists()
+
+
+def test_an_npz_that_is_no_amr_dataset_is_a_wrong_kind(dataset_file, tmp_path, capsys):
+    """A level subset written by ``decompress --level`` is a zip, but has
+    no dataset record: ``info`` names it, exit 2."""
+    blob, levels = tmp_path / "z10.tac", tmp_path / "l0.npz"
+    assert main(["compress", str(dataset_file), "-o", str(blob)]) == 0
+    assert main(["decompress", str(blob), "-o", str(levels), "--level", "0"]) == 0
+    capsys.readouterr()
+    assert main(["info", str(levels)]) == 2
+    assert capsys.readouterr().err == f"error: {levels} is a zip file, not an AMR .npz dataset\n"
+
+
+@pytest.mark.parametrize("verb, kind", [
+    (verb, kind) for verb in READ_VERBS for kind in ("archive", "blob")
+    if kind == "archive" or verb not in ("info", "serve")  # they read no blobs
+])
+def test_a_truncated_input_is_damage_in_one_error_line(verb, kind, dataset_file, tmp_path, capsys):
+    """The right kind whose head does not parse: exit 1, as for any failed
+    work (for ``scrub``: damage found), and one ``error:`` line."""
+    whole = tmp_path / ("z10.rpbt" if kind == "archive" else "z10.tac")
+    assert main(["batch" if kind == "archive" else "compress",
+                 str(dataset_file), "-o", str(whole)]) == 0
+    path = tmp_path / f"cut-{whole.name}"
+    path.write_bytes(whole.read_bytes()[:20])
+    out = tmp_path / "out.npz"
+    capsys.readouterr()
+    assert main([verb, str(path), *output_args(verb, out)]) == 1
+    assert capsys.readouterr().err == f"error: {path} is damaged: short read (corrupt or truncated file)\n"
+    assert not out.exists()
+
+
 class TestMakeInfo:
     def test_make_writes_loadable_dataset(self, dataset_file):
         ds = load_dataset(dataset_file)
@@ -109,11 +168,11 @@ class TestCompressDecompress:
         assert exit_info.value.code == 2
         assert "--shared-tables" in capsys.readouterr().err
 
-    def test_decompress_garbage_fails_cleanly(self, tmp_path):
+    def test_decompress_garbage_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.tac"
         bad.write_bytes(b"junk")
-        with pytest.raises(ValueError):
-            main(["decompress", str(bad), "-o", str(tmp_path / "out.npz")])
+        assert main(["decompress", str(bad), "-o", str(tmp_path / "out.npz")]) == 2
+        assert "is of no known kind" in capsys.readouterr().err
 
 
 class TestBatchCommand:
@@ -229,6 +288,26 @@ class TestBatchCommand:
         assert not list(tmp_path.glob("half.*"))
 
 
+class TestIngestCommand:
+    def test_workers_alone_start_the_encoder_pool(self, tmp_path, monkeypatch):
+        """``--workers N`` alone pipelines the session, buffering ``2N``
+        entries."""
+        from repro.ingest import IngestSession
+
+        bounds = []
+        real_drain = IngestSession._drain
+
+        def spy_drain(self, max_pending):
+            bounds.append(max_pending)
+            real_drain(self, max_pending)
+
+        monkeypatch.setattr(IngestSession, "_drain", spy_drain)
+        assert main([
+            "ingest", "--sim", "Run1_Z10", "--steps", "2", "--scale", "16",
+            "--keyframe-interval", "2", "-o", str(tmp_path / "s.rpbt"), "--workers", "2",
+        ]) == 0
+        assert bounds == [4, 4, 0]
+
 class TestShardedBatchCommand:
     @pytest.fixture
     def second_file(self, tmp_path):
@@ -269,7 +348,7 @@ class TestShardedBatchCommand:
             assert lazy.keys() == ["z10/baryon_density/tac"]
             assert lazy.entry("z10/baryon_density/tac").materialize().parts == comp.parts
 
-    def test_decompress_and_extract_from_sharded(self, dataset_file, tmp_path, capsys):
+    def test_decompress_whole_and_one_level_from_sharded(self, dataset_file, tmp_path, capsys):
         head = tmp_path / "sharded.rpbt"
         assert main([
             "batch", str(dataset_file), "-o", str(head), "--eb", "1e-3",
@@ -281,7 +360,7 @@ class TestShardedBatchCommand:
         assert restored.name == "Run1_Z10"
         extracted = tmp_path / "lvl.npz"
         assert main([
-            "extract", str(head), "--key", "z10/baryon_density/tac",
+            "decompress", str(head), "--key", "z10/baryon_density/tac",
             "--level", "1", "-o", str(extracted),
         ]) == 0
         out = capsys.readouterr().out
@@ -302,7 +381,10 @@ class TestShardedBatchCommand:
             assert name in out
 
 
-class TestExtractCommand:
+class TestPartialDecompress:
+    """``decompress --level`` / ``--region``: a level subset or an ROI of
+    one entry, decoding only the parts it needs."""
+
     @pytest.fixture
     def archive(self, dataset_file, tmp_path):
         path = tmp_path / "z10.tac"
@@ -311,10 +393,10 @@ class TestExtractCommand:
         ]) == 0
         return path
 
-    def test_extract_level_matches_full_decompress(self, dataset_file, archive, tmp_path, capsys):
+    def test_level_matches_full_decompress(self, dataset_file, archive, tmp_path, capsys):
         out = tmp_path / "lvl0.npz"
         assert main([
-            "extract", str(archive), "-o", str(out), "--level", "0",
+            "decompress", str(archive), "-o", str(out), "--level", "0",
         ]) == 0
         stdout = capsys.readouterr().out
         assert "parts read" in stdout
@@ -329,10 +411,10 @@ class TestExtractCommand:
         assert np.array_equal(data, reference.levels[0].data)
         assert np.array_equal(mask, reference.levels[0].mask)
 
-    def test_extract_region_matches_sliced_full(self, archive, tmp_path):
+    def test_region_matches_sliced_full(self, archive, tmp_path):
         out = tmp_path / "roi.npz"
         assert main([
-            "extract", str(archive), "-o", str(out),
+            "decompress", str(archive), "-o", str(out),
             "--level", "0", "--region", "2:10,0:7,5:16",
         ]) == 0
         full = tmp_path / "full.npz"
@@ -345,26 +427,26 @@ class TestExtractCommand:
             data, reference.levels[0].data[2:10, 0:7, 5:16]
         )
 
-    def test_extract_from_batch_archive_key(self, dataset_file, tmp_path):
+    def test_level_from_batch_archive_key(self, dataset_file, tmp_path):
         batch = tmp_path / "b.rpbt"
         assert main(["batch", str(dataset_file), "-o", str(batch), "--eb", "1e-3"]) == 0
         out = tmp_path / "lvl1.npz"
         assert main([
-            "extract", str(batch), "-o", str(out),
+            "decompress", str(batch), "-o", str(out),
             "--key", "z10/baryon_density/tac", "--level", "1",
         ]) == 0
         assert "data_1" in np.load(out)
 
-    def test_extract_region_needs_one_level(self, archive, tmp_path, capsys):
+    def test_region_needs_one_level(self, archive, tmp_path, capsys):
         assert main([
-            "extract", str(archive), "-o", str(tmp_path / "x.npz"),
+            "decompress", str(archive), "-o", str(tmp_path / "x.npz"),
             "--region", "0:4,0:4,0:4",
         ]) == 2
         assert "--level" in capsys.readouterr().err
 
-    def test_extract_bad_region_spec(self, archive, tmp_path, capsys):
+    def test_bad_region_spec(self, archive, tmp_path, capsys):
         assert main([
-            "extract", str(archive), "-o", str(tmp_path / "x.npz"),
+            "decompress", str(archive), "-o", str(tmp_path / "x.npz"),
             "--level", "0", "--region", "0:4,0:4",
         ]) == 2
         assert "region" in capsys.readouterr().err
@@ -379,26 +461,16 @@ class TestExtractCommand:
             (["--level", "9", "--region", "0:4,0:4,0:4"], "level indices [9] out of range"),
         ],
     )
-    def test_extract_of_a_level_or_region_the_entry_lacks_is_a_usage_error(
+    def test_a_level_or_region_the_entry_lacks_is_a_usage_error(
         self, archive, tmp_path, capsys, request_args, told
     ):
         """``error: ...`` and exit 2, not a ValueError traceback — and
         nothing written."""
         out = tmp_path / "x.npz"
-        assert main(["extract", str(archive), "-o", str(out), *request_args]) == 2
+        assert main(["decompress", str(archive), "-o", str(out), *request_args]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and told in captured.err
         assert "Traceback" not in captured.err and not out.exists()
-
-    @pytest.mark.parametrize("verb", ["decompress", "extract"])
-    def test_read_verbs_have_no_workers_option(self, archive, tmp_path, verb, capsys):
-        """Reads decode on one thread; ``--workers`` belongs to ``batch`` /
-        ``ingest``, where it sizes the encoder pool."""
-        with pytest.raises(SystemExit) as exit_info:
-            main([verb, str(archive), "-o", str(tmp_path / "x.npz"), "--workers", "2"])
-        assert exit_info.value.code == 2
-        assert "--workers" in capsys.readouterr().err
-
 
 class TestInspectCommand:
     def test_inspect_single_blob(self, dataset_file, tmp_path, capsys):
@@ -470,19 +542,21 @@ class TestServeCommand:
         assert "roi-frac" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--threads", "0"), ("--io-workers", "0"), ("--gap", "-1")]
+        "flag, value, told",
+        [
+            ("--threads", "0", "request_workers must be a positive integer"),
+            ("--io-workers", "0", "io_workers must be >= 1"),
+            ("--gap", "-1", "max_gap must be non-negative"),
+            ("--deadline", "-1", "default_deadline must be positive"),
+            ("--deadline", "0", "default_deadline must be positive"),
+        ],
     )
-    def test_serve_bad_pool_or_gap_fails_cleanly(self, archive_file, capsys, flag, value):
+    def test_serve_bad_reader_option_fails_cleanly(self, archive_file, capsys, flag, value, told):
+        """The reader's own check, told as one ``error:`` line before any
+        request runs."""
         assert main(["serve", str(archive_file), flag, value]) == 2
         err = capsys.readouterr().err
-        assert flag in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("value", ["-1", "0"])
-    def test_serve_non_positive_deadline_fails_cleanly(self, archive_file, capsys, value):
-        # It used to run every request, fail them all and exit 1.
-        assert main(["serve", str(archive_file), "--deadline", value]) == 2
-        err = capsys.readouterr().err
-        assert "--deadline must be > 0" in err and "Traceback" not in err
+        assert err == f"error: {told}, got {value if flag != '--deadline' else float(value)}\n"
 
     def test_serve_decode_workers_option_is_gone(self, archive_file):
         # Decode runs on the request threads; there is no decode pool to size.
@@ -577,6 +651,29 @@ class TestScrubCommand:
         assert main(["scrub", str(archive_file), "--key", "nope"]) == 2
         assert "no entry" in capsys.readouterr().err
 
+    def test_scrub_reports_every_damaged_shard(self, dataset_file, tmp_path, capsys):
+        """No fail-fast: every shard is checked and each damaged one is
+        reported, then every entry's parts are walked."""
+        second = tmp_path / "t2.npz"
+        assert main(["make", "Run2_T2", "-o", str(second), "--scale", "16"]) == 0
+        head = tmp_path / "two.rpbt"
+        assert main([
+            "batch", str(dataset_file), str(second), "-o", str(head), "--shard-size", "1K",
+        ]) == 0
+        shards = sorted(tmp_path.glob("two.shard-*.rpsh"))
+        assert len(shards) == 2
+        for shard in shards:
+            blob = bytearray(shard.read_bytes())
+            blob[len(blob) // 2] ^= 0xFF
+            shard.write_bytes(bytes(blob))
+        capsys.readouterr()
+        report_path = tmp_path / "scrub.json"
+        assert main(["scrub", str(head), "--json", str(report_path)]) == 1
+        assert capsys.readouterr().out.count("FAILED") == len(shards)
+        report = json.loads(report_path.read_text())
+        assert [row["ok"] for row in report["shards"]] == [False, False]
+        assert len(report["entries"]) == 2 and all(row["bad"] for row in report["entries"])
+
 
 class TestStructureReference:
     """``inspect`` / ``scrub`` on the fields of a multi-field ingest step."""
@@ -620,41 +717,6 @@ class TestStructureReference:
         (row,) = json.loads(report.read_text())["entries"]
         assert [bad["part"] for bad in row["bad"]] == ["structure"]
         assert row["checked"] == row["n_parts"]  # its own parts are intact
-
-
-class TestVerifyFlag:
-    @pytest.fixture
-    def archive_file(self, dataset_file, tmp_path):
-        path = tmp_path / "batch.rpbt"
-        assert main([
-            "batch", str(dataset_file), "-o", str(path), "--method", "tac",
-        ]) == 0
-        return path
-
-    def test_info_verify_clean(self, archive_file, capsys):
-        assert main(["info", str(archive_file), "--verify"]) == 0
-        out = capsys.readouterr().out
-        assert "shard(s) passed" in out
-
-    def test_inspect_verify_clean(self, archive_file, capsys):
-        assert main(["inspect", str(archive_file), "--verify"]) == 0
-        assert "shard(s) passed" in capsys.readouterr().out
-
-    def test_info_verify_detects_damage_checks_all_shards(
-        self, archive_file, capsys
-    ):
-        for shard in archive_file.parent.glob("*.rpsh"):
-            blob = bytearray(shard.read_bytes())
-            blob[len(blob) // 2] ^= 0xFF
-            shard.write_bytes(bytes(blob))
-        assert main(["info", str(archive_file), "--verify"]) == 1
-        out = capsys.readouterr().out
-        # Every shard is reported, not just the first failure.
-        assert out.count("FAILED") == len(list(archive_file.parent.glob("*.rpsh")))
-
-    def test_verify_on_npz_is_a_usage_error(self, dataset_file, capsys):
-        assert main(["info", str(dataset_file), "--verify"]) == 2
-        assert "--verify" in capsys.readouterr().err
 
 
 class TestExperimentsCommand:

@@ -29,7 +29,8 @@ from repro.core.container import (
     make_source,
     pack_mask,
 )
-from repro.engine import LazyBatchArchive
+from repro.cli import main
+from repro.engine import LazyBatchArchive, codec_for_method, supports_partial_decode
 from tests.helpers import (
     legacy_archive_bytes,
     legacy_container_bytes,
@@ -333,9 +334,10 @@ class TestArchiveVersions:
         with pytest.raises(ValueError, match="not a batch archive"):
             LazyBatchArchive.open(b"junkjunkjunkjunk")
 
-    def test_partial_reads_reject_non_partial_codecs(self, tmp_path, scratch_registry):
-        """A Codec-protocol-only downstream codec restores whole entries
-        and fails with a clear error on decompress_level."""
+    def test_partial_reads_reject_non_partial_codecs(self, tmp_path, scratch_registry, capsys):
+        """A Codec-protocol-only downstream codec restores whole entries,
+        through ``repro decompress`` too, and a level read of it is a usage
+        error naming the method."""
         from repro.amr.hierarchy import AMRDataset
         from repro.core.container import CompressedDataset
         from repro.engine import register
@@ -351,7 +353,7 @@ class TestArchiveVersions:
                 import numpy as _np
                 from repro.amr.hierarchy import AMRLevel
 
-                shape = tuple(comp.meta["shapes"][0])
+                shape = (comp.meta["edge"],) * 3  # no partial-decode ``shapes``
                 lvl = AMRLevel(
                     data=_np.zeros(shape, dtype=_np.float32),
                     mask=_np.ones(shape, dtype=bool),
@@ -364,15 +366,20 @@ class TestArchiveVersions:
             {
                 "x": CompressedDataset(
                     method="blobonly", dataset_name="x",
-                    meta={"shapes": [[4, 4, 4]]},
+                    meta={"edge": 4},
                 )
             },
         )
         with LazyBatchArchive.open(head) as stored:
             restored = stored.decompress("x")
             assert restored.n_levels == 1
-            with pytest.raises(TypeError, match="partial"):
-                stored.decompress_level("x", 0)
+        assert not supports_partial_decode(codec_for_method("blobonly"))
+        out = tmp_path / "x.npz"
+        assert main(["decompress", str(head), "-o", str(out)]) == 0
+        out.unlink()
+        assert main(["decompress", str(head), "-o", str(out), "--level", "0"]) == 2
+        assert "'blobonly' has no partial-decode support" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_indexed_entries_match_manifest(self, entries):
         with LazyBatchArchive.open(self._archive(entries, 2)) as lazy:

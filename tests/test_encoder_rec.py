@@ -116,16 +116,16 @@ class TestSessionClosesTheLoopOnTheEncoder:
             return real(self, key, proxy)
 
         monkeypatch.setattr(ShardedArchiveWriter, "add_entry_stream", spy)
-        series = timestep_series(4)
+        series = timestep_series(6)  # more than 2 * workers: submits block
         entries = {}
-        for label, overrides in (("sync", {}), ("async", {"max_inflight": 3, "workers": 2})):
+        for label, overrides in (("sync", {}), ("async", {"workers": 2})):
             head = tmp_path / f"{label}.rpbt"
             cfg = IngestConfig(error_bound=EB, keyframe_interval=3, **overrides)
             with IngestSession(head, cfg) as session:
                 session.extend(series)
             entries[label] = archive_entries(head)
         assert entries["sync"] == entries["async"]
-        assert len(seen) == 2 * 4 * series[0].n_levels and all(rec is None for rec in seen)
+        assert len(seen) == 2 * 6 * series[0].n_levels and all(rec is None for rec in seen)
 
 
 class _StreamProxy:

@@ -140,7 +140,7 @@ class TestEngineDeterminism:
     def test_parallel_bit_identical_to_serial(self, batch_jobs, tmp_path, codec):
         serial = run_session(tmp_path / "serial.rpbt", batch_jobs, codec)
         parallel = run_session(
-            tmp_path / "parallel.rpbt", batch_jobs, codec, max_inflight=8, workers=4
+            tmp_path / "parallel.rpbt", batch_jobs, codec, workers=4
         )
         assert archive_entries(serial.report.head_path) == archive_entries(
             parallel.report.head_path
@@ -156,14 +156,14 @@ class TestEngineDeterminism:
         through the shared helpers: no deadlock, serial bytes."""
         serial = run_session(tmp_path / "serial.rpbt", batch_jobs, codec)
         monkeypatch.setattr(sz_compressor, "ENCODE_THREADS", 4)
-        nested = run_session(tmp_path / "nested.rpbt", batch_jobs, codec, max_inflight=8, workers=4)
+        nested = run_session(tmp_path / "nested.rpbt", batch_jobs, codec, workers=4)
         assert archive_entries(serial.report.head_path) == archive_entries(
             nested.report.head_path
         )
 
     @CODECS
     def test_results_keep_submission_order(self, batch_jobs, tmp_path, codec):
-        session = run_session(tmp_path / "order.rpbt", batch_jobs, codec, max_inflight=8, workers=4)
+        session = run_session(tmp_path / "order.rpbt", batch_jobs, codec, workers=4)
         rows = session.report.entries
         assert [row["index"] for row in rows] == list(range(len(batch_jobs)))
         assert [row["key"] for row in rows] == [label for label, _ds in batch_jobs]
@@ -173,7 +173,7 @@ class TestEngineDeterminism:
         path = tmp_path / "toy.npz"
         save_dataset(ds, path)
         with IngestSession(
-            tmp_path / "both.rpbt", error_bound=EB, max_inflight=4, workers=2
+            tmp_path / "both.rpbt", error_bound=EB, workers=2
         ) as session:
             keys = [session.submit(ds, key="direct"), session.submit(path)]
         assert keys == ["direct", "toy"]
@@ -207,8 +207,8 @@ class TestFailureIsolation:
     def test_invalid_engine_parameters(self):
         with pytest.raises(ValueError):
             IngestConfig(workers=0)
-        with pytest.raises(ValueError):
-            IngestConfig(max_inflight=0)
+        with pytest.raises(TypeError):
+            IngestConfig(max_inflight=4)  # workers sizes the buffer: 2 per worker
         with pytest.raises(TypeError):
             IngestConfig(level_workers=2)  # the level pool is gone
 
@@ -219,7 +219,7 @@ class TestFailureIsolation:
 class TestTimingAggregation:
     @CODECS
     def test_wall_and_per_job_seconds_recorded(self, batch_jobs, tmp_path, codec):
-        session = run_session(tmp_path / "wall.rpbt", batch_jobs, codec, max_inflight=4, workers=2)
+        session = run_session(tmp_path / "wall.rpbt", batch_jobs, codec, workers=2)
         assert session.report.wall_seconds > 0.0
         assert all(row["wall_seconds"] > 0.0 for row in session.report.entries)
 

@@ -153,11 +153,12 @@ class TestCompressIterParity:
         assert entries[keys[1]][1]["temporal"]["mode"] == "delta"
 
     def test_async_pipeline_matches_sync(self, tmp_path):
-        series = timestep_series(4)
+        # Longer than the pool's buffer (2 * workers), so submits block.
+        series = timestep_series(6)
         heads = {}
         for label, overrides in (
             ("sync", {}),
-            ("async", {"max_inflight": 3, "workers": 2}),
+            ("async", {"workers": 2}),
         ):
             head = tmp_path / f"{label}.rpbt"
             cfg = IngestConfig(error_bound=EB, keyframe_interval=2, **overrides)
@@ -165,6 +166,24 @@ class TestCompressIterParity:
                 session.extend(series)
             heads[label] = archive_entries(head)
         assert heads["sync"] == heads["async"]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_workers_start_the_pool_and_bound_its_buffer(self, tmp_path, monkeypatch, workers):
+        """``workers=1`` encodes on the caller's thread; ``w > 1`` starts a
+        pool of ``w`` and keeps at most ``2 * w`` entries in flight."""
+        bounds = []
+        real_drain = IngestSession._drain
+
+        def spy_drain(self, max_pending):
+            bounds.append(max_pending)
+            real_drain(self, max_pending)
+
+        monkeypatch.setattr(IngestSession, "_drain", spy_drain)
+        with IngestSession(tmp_path / "w.rpbt", error_bound=EB, workers=workers) as session:
+            assert (session._pool is None) == (workers == 1)
+            session.extend(timestep_series(2))
+        # Each pooled submit drains down to the bound; close drains to 0.
+        assert bounds == ([] if workers == 1 else [2 * workers] * 2) + [0]
 
 
 # ----------------------------------------------------------------------
@@ -246,12 +265,12 @@ class TestDeltaStepMemory:
         assert session_peak - codec_peak <= level_set + (64 << 10)
 
     @pytest.mark.parametrize("codec", ["tac", "1d"])
-    @pytest.mark.parametrize("overrides", [{}, {"max_inflight": 3, "workers": 2}])
+    @pytest.mark.parametrize("overrides", [{}, {"workers": 2}])
     def test_submit_never_writes_or_keeps_the_callers_arrays(self, tmp_path, codec, overrides):
         """Read-only snapshots go through (nothing writes them), and the
         running reconstruction shares no memory with any of them — the
         in-place sum writes session-owned arrays only."""
-        series = timestep_series(4)
+        series = timestep_series(6)  # more than 2 * workers: the buffer fills
         for snapshot in series:
             for lvl in snapshot.levels:
                 lvl.data.flags.writeable = False
@@ -267,9 +286,9 @@ class TestDeltaStepMemory:
                 for snapshot in series:
                     for lvl in snapshot.levels:
                         assert not np.shares_memory(values, lvl.data)
-        assert session.report.n_deltas == 3
+        assert session.report.n_deltas == 4
         for k, snapshot in enumerate(series):
-            want = timestep_series(4)[k]
+            want = timestep_series(6)[k]
             for lvl, ref in zip(snapshot.levels, want.levels):
                 assert np.array_equal(lvl.data, ref.data) and np.array_equal(lvl.mask, ref.mask)
 
@@ -280,7 +299,7 @@ class TestDeltaStepMemory:
         mode."""
         series = timestep_series(5)
         entries = {}
-        for label, overrides in (("sync", {}), ("async", {"max_inflight": 3, "workers": 2})):
+        for label, overrides in (("sync", {}), ("async", {"workers": 2})):
             head = tmp_path / f"{codec}-{label}.rpbt"
             cfg = IngestConfig(error_bound=EB, keyframe_interval=3, codec=codec, **overrides)
             with IngestSession(head, cfg) as session:
@@ -492,7 +511,7 @@ class TestSessionContract:
             )
 
     def test_extend_async_backpressures_producer(self, tmp_path):
-        series = timestep_series(3)
+        series = timestep_series(6)  # more than 2 * workers: submits block
 
         async def produce():
             for snapshot in series:
@@ -501,13 +520,13 @@ class TestSessionContract:
 
         async def main():
             head = tmp_path / "async.rpbt"
-            cfg = IngestConfig(error_bound=EB, keyframe_interval=2, max_inflight=2)
+            cfg = IngestConfig(error_bound=EB, keyframe_interval=2, workers=2)
             with IngestSession(head, cfg) as session:
                 keys = await session.extend_async(produce())
             return head, keys
 
         head, keys = asyncio.run(main())
-        assert len(keys) == 3
+        assert len(keys) == 6
         assert set(archive_entries(head)) == set(keys)
 
 
@@ -598,5 +617,5 @@ class TestSessionInitFailure:
 
         monkeypatch.setattr(cf, "ThreadPoolExecutor", BoomPool)
         with pytest.raises(RuntimeError, match="no threads available"):
-            IngestSession(tmp_path / "batch.rpbt", workers=2, max_inflight=4)
+            IngestSession(tmp_path / "batch.rpbt", workers=2)
         assert aborted, "writer was not aborted when __init__ failed"

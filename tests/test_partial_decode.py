@@ -799,13 +799,13 @@ class TestOneReadPath:
             full = archive.decompress(key)
             for level, lvl in enumerate(full.levels):
                 assert np.array_equal(lvl.mask, temp.levels[level].mask)
-                _assert_levels_equal(lvl, archive.decompress_level(key, level))
+                view = with_structure(archive.entry(key), key, archive.entry)
+                _assert_levels_equal(lvl, codec.decompress_level(view, level))
                 _assert_levels_equal(lvl, reader.read_level(key, level)[0])
                 scale = 16 // lvl.shape[0]
                 for named in READ_BOXES.values():
                     box = tuple((lo // scale, hi // scale) for lo, hi in named)
                     expected = lvl.data[tuple(slice(lo, hi) for lo, hi in box)]
-                    view = with_structure(archive.entry(key), key, archive.entry)
                     for data in (
                         reader.read_region(key, level, box)[0],
                         reader.read_region(key, level, box, degraded=True)[0],
