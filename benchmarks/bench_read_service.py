@@ -36,7 +36,7 @@ from benchmarks.conftest import SCALE
 from benchmarks.perf_harness import merge_write, op_entry
 from repro.core.tac import TACCompressor
 from repro.engine import ShardedArchiveWriter, default_shard_opener
-from repro.serve import ArchiveReader
+from repro.serve import ArchiveReader, prefetch
 from repro.sim.datasets import make_dataset
 
 #: Brick edge: small enough that smoke-scale levels still split into
@@ -64,7 +64,7 @@ class _ThrottledSource:
         self._src.close()
 
 
-def bench_read_service_overlapping_rois(benchmark, results_dir):
+def bench_read_service_overlapping_rois(benchmark, results_dir, monkeypatch):
     dataset = make_dataset("Run1_Z10", scale=SCALE, field="baryon_density")
     tac = TACCompressor(brick_size=BRICK_SIZE)
     comp = tac.compress(dataset, 1e-4, mode="rel")
@@ -138,14 +138,14 @@ def bench_read_service_overlapping_rois(benchmark, results_dir):
         finally:
             reader.close()
 
-        # Overlap demonstration: slow I/O, cache off, per-part windows.
+        # Overlap demonstration: slow I/O, cache off, per-part windows
+        # (a coalescing gap of 0) on the default I/O pool.
         slow_opener = default_shard_opener(head.parent)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
         with ArchiveReader(
             head,
             shard_opener=lambda name: _ThrottledSource(slow_opener(name), 0.003),
             cache_bytes=0,
-            io_workers=2,
-            coalesce_gap=0,
         ) as throttled:
             _data, slow = throttled.read_region(*pool[0])
         assert slow.n_fetches > 1, "premise: throttled read spans several windows"

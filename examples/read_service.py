@@ -6,11 +6,13 @@ Once a batch lives in a sharded archive, analysis traffic is many small
 overlapping region reads, not full restores.  ``repro.serve.ArchiveReader``
 is the layer built for that: one reader amortizes open/plan costs, keeps
 a byte-bounded LRU of *decoded* bricks, coalesces each request's part
-fetches into ranged reads pipelined ahead of decode, and retries
-transient shard I/O with backoff.  Every request returns its data plus a
-stats record — bytes fetched vs bytes served, cache hits, whether decode
-overlapped in-flight fetches — and the reader aggregates the same over
-its lifetime.
+fetches into ranged reads, and retries transient shard I/O with backoff.
+Local shard files, as here, are read on the request's own thread; a
+remote store behind a custom ``shard_opener`` is fetched on a fixed I/O
+pool ahead of decode.  Every request returns its data plus a stats
+record — bytes fetched vs bytes served, cache hits, whether decode
+overlapped pooled fetches — and the reader aggregates the same over its
+lifetime.
 """
 
 import random

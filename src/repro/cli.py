@@ -63,6 +63,7 @@ from repro.engine import (
 from repro.engine.archive import STRUCTURE_META_KEY, with_structure
 from repro.sim.datasets import TABLE1, make_dataset
 from repro.sz.compressor import SZConfig
+from repro.utils.validation import check_error_bound
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,13 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--cache-bytes", type=_parse_cache_size, default=256 * 1024**2, metavar="SIZE",
         help="decoded-brick cache budget (e.g. 64M; 0 disables the cache)",
-    )
-    p_srv.add_argument(
-        "--io-workers", type=int, default=4, help="shard fetch pool size"
-    )
-    p_srv.add_argument(
-        "--gap", type=int, default=4096,
-        help="coalesce part fetches closer than this many bytes",
     )
     p_srv.add_argument("--seed", type=int, default=0, help="ROI placement seed")
     p_srv.add_argument(
@@ -445,9 +439,19 @@ def _print_profile(record, indent: str = "") -> None:
         print(f"{indent}  {name:16s} {seconds:9.4f}s {share:5.1f}%")
 
 
+def _check_eb(eb: float) -> None:
+    """``--eb`` as the user gave it — not the absolute bound a ``rel``
+    bound resolves to — checked before any dataset loads."""
+    try:
+        check_error_bound(eb, allow_zero=True)
+    except ValueError as exc:
+        raise UsageError(f"--eb: {exc}") from None
+
+
 def cmd_compress(args) -> int:
     # Flag validation precedes the dataset load — a typo must error
     # instantly, not after reading a multi-GB snapshot.
+    _check_eb(args.eb)
     if args.brick_size is not None and args.brick_size <= 0:
         raise UsageError(
             "--brick-size must be >= 1 (the single-stream layout that 0 "
@@ -630,17 +634,29 @@ def _unique_labels(labels: list[str]) -> list[str]:
     return out
 
 
-def _run_session(args, tool: str, submissions, **config) -> int:
+def _session_config(args, **config):
+    """The ``IngestConfig`` of ``batch`` / ``ingest``, built before any
+    input loads: a bad option value is a :class:`UsageError`."""
+    from repro.ingest import IngestConfig
+
+    _check_eb(args.eb)
+    try:
+        return IngestConfig(
+            codec=args.method, error_bound=args.eb, mode=args.mode,
+            shard_size=args.shard_size, workers=args.workers, **config,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _run_session(args, tool: str, config, submissions) -> int:
     """Drive one IngestSession over ``(dataset or path, key or None)``
     pairs and print what it wrote — the body of ``batch`` and ``ingest``."""
-    from repro.ingest import IngestConfig, IngestError, IngestSession
+    from repro.ingest import IngestError, IngestSession
 
     session = IngestSession(
         args.output,
-        IngestConfig(
-            codec=args.method, error_bound=args.eb, mode=args.mode,
-            shard_size=args.shard_size, workers=args.workers, **config,
-        ),
+        config,
         meta={"tool": tool, "method": args.method, "eb": args.eb, "mode": args.mode},
     )
     try:
@@ -670,6 +686,7 @@ def _run_session(args, tool: str, submissions, **config) -> int:
 
 def cmd_batch(args) -> int:
     """``repro batch``: ``ingest`` without deltas — every file its own entry."""
+    config = _session_config(args)
     for path in args.inputs:
         _input_kind(path, (_NPZ,))
     # Submissions carry paths, not arrays: workers load in parallel.  Only
@@ -677,7 +694,7 @@ def cmd_batch(args) -> int:
     labels = _unique_labels(
         [f"{path.stem}/{peek_meta(path)['field']}/{args.method}" for path in args.inputs]
     )
-    return _run_session(args, "repro batch", zip(args.inputs, labels))
+    return _run_session(args, "repro batch", config, zip(args.inputs, labels))
 
 
 def cmd_ingest(args) -> int:
@@ -686,6 +703,7 @@ def cmd_ingest(args) -> int:
         raise UsageError("give snapshot files or --sim NAME")
     if args.sim is not None and args.inputs:
         raise UsageError("--sim and file inputs are mutually exclusive")
+    config = _session_config(args, keyframe_interval=args.keyframe_interval)
     if args.sim is not None:
         from repro.sim import make_timestep_series
 
@@ -702,8 +720,7 @@ def cmd_ingest(args) -> int:
         # peak memory stays one snapshot, not the series.
         snapshots = (load_dataset(path) for path in args.inputs)
     return _run_session(
-        args, "repro ingest", ((snapshot, None) for snapshot in snapshots),
-        keyframe_interval=args.keyframe_interval,
+        args, "repro ingest", config, ((snapshot, None) for snapshot in snapshots)
     )
 
 
@@ -833,13 +850,11 @@ def cmd_serve(args) -> int:
             args.path,
             shard_opener=shard_opener,
             cache_bytes=args.cache_bytes,
-            io_workers=args.io_workers,
             request_workers=args.threads,
-            coalesce_gap=args.gap,
             default_deadline=args.deadline,
             degraded=args.degraded,
         )
-    except ValueError as exc:  # --threads / --io-workers / --gap / --deadline
+    except ValueError as exc:  # --threads / --deadline
         raise UsageError(str(exc)) from None
     with reader:
         # A pool of ROIs per entry; requests cycle through the pool, so
@@ -899,7 +914,6 @@ def cmd_serve(args) -> int:
         report["failure_kinds"] = sorted({type(exc).__name__ for _req, exc in failures})
         report["degraded_requests"] = len(degraded_rows)
         report["fill_boxes"] = sum(len(req_stats.errors) for req_stats in degraded_rows)
-        report["breaker"] = stats["breaker"]
         if plan is not None:
             report["chaos"] = {
                 "spec": args.chaos,

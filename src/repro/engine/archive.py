@@ -397,8 +397,8 @@ class _ShardStore:
                 src = self._opener(name)
             except ContainerIOError as exc:
                 if type(exc) is not ContainerIOError:
-                    # A typed subclass (CircuitOpenError, PartIntegrityError)
-                    # carries dispatchable meaning; re-wrapping would bury it.
+                    # A typed subclass (PartIntegrityError) carries
+                    # dispatchable meaning; re-wrapping would bury it.
                     raise
                 raise ContainerIOError(
                     f"archive {self._label}: payload shard {name!r} (needed for "

@@ -7,35 +7,25 @@ Production plumbing on top of :class:`~repro.engine.LazyBatchArchive`:
   :class:`FetchStats`, :class:`RetryingSource`);
 * :mod:`repro.serve.cache` — bounded thread-safe LRU of decoded bricks
   (:class:`DecodedBrickCache`);
-* :mod:`repro.serve.breaker` — per-shard consecutive-failure circuit
-  breaker (:class:`CircuitBreaker`, :func:`breaking_opener`,
-  :class:`CircuitOpenError`);
-* :mod:`repro.serve.prefetch` — coalesced fetch windows pipelined ahead
-  of decode with per-request deadlines (:class:`PrefetchPipeline`,
-  :class:`PipelineStats`, :class:`Deadline`, :class:`DeadlineExceeded`);
+* :mod:`repro.serve.prefetch` — coalesced fetch windows feeding decode
+  with per-request deadlines (:class:`PrefetchPipeline`,
+  :class:`PipelineStats`, :class:`Deadline`, :class:`DeadlineExceeded`):
+  local files and blobs are read on the request's thread, any other
+  source on a fixed I/O pool (``prefetch.IO_WORKERS``) that a deadline
+  can abandon;
 * :mod:`repro.serve.reader` — the :class:`ArchiveReader` front-end
   serving concurrent ROI requests with per-request stats
   (:class:`RequestStats`), including ``degraded=True`` fill-on-failure
   reads.
 """
 
-from repro.serve.breaker import CircuitBreaker, CircuitOpenError, breaking_opener
 from repro.serve.cache import DecodedBrickCache
 from repro.serve.opener import FetchStats, RetryingSource, RetryPolicy, retrying_opener
-from repro.serve.prefetch import (
-    DEFAULT_COALESCE_GAP,
-    Deadline,
-    DeadlineExceeded,
-    PipelineStats,
-    PrefetchPipeline,
-)
+from repro.serve.prefetch import Deadline, DeadlineExceeded, PipelineStats, PrefetchPipeline
 from repro.serve.reader import ArchiveReader, RequestStats
 
 __all__ = [
     "ArchiveReader",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "DEFAULT_COALESCE_GAP",
     "Deadline",
     "DeadlineExceeded",
     "DecodedBrickCache",
@@ -45,6 +35,5 @@ __all__ = [
     "RequestStats",
     "RetryPolicy",
     "RetryingSource",
-    "breaking_opener",
     "retrying_opener",
 ]

@@ -17,7 +17,7 @@ them as a pipeline:
    the request's own thread, in plan order, because a memory copy costs
    less than handing it to another thread; any other source (object
    storage, anything without a ``local`` flag) is fetched on a dedicated
-   I/O pool;
+   I/O pool, so a deadline can abandon a stalled fetch;
 3. the units are cut into the plan's work items
    (:func:`repro.core.plan.decode_jobs`) once, before anything lands: a
    closure unit each, SZ streams in lockstep decode batches.  An item
@@ -46,10 +46,17 @@ from functools import partial
 from repro.core.container import coalesce_spans
 from repro.core.plan import DecompressionPlan, decode_jobs, execute_plan
 
-#: Default fetch-window gap: parts closer than this many bytes merge into
-#: one ranged read.  4 KiB bridges part-index padding without dragging in
-#: megabytes of unrequested payload.
-DEFAULT_COALESCE_GAP = 4096
+#: Fetch-window gap: parts closer than this many bytes merge into one
+#: ranged read.  4 KiB bridges part-index padding without dragging in
+#: megabytes of unrequested payload.  Read per request.
+COALESCE_GAP = 4096
+
+#: Threads of a pipeline's I/O pool, which fetches the windows of non-local
+#: sources; read when the pipeline is built.  The pool is what lets a
+#: deadline abandon a stalled remote read (a read on the request thread
+#: cannot be interrupted), and fetching windows concurrently keeps a
+#: degraded read's losses to the stalled window alone.
+IO_WORKERS = 4
 
 #: Requests of one pipeline that may decode at once; the rest wait on
 #: their own threads.  There is no decode pool — a batch is one NumPy pass
@@ -191,27 +198,20 @@ class PrefetchPipeline:
     """Feed coalesced part fetches to decode on the request's thread.
 
     Windows of a local store are read on the request's thread between its
-    decode items; any other store's windows are fetched on the I/O pool,
-    overlapping the decode.  One pipeline is shared by all of a reader's
-    requests: the I/O pool (started on first use) and decode slots are
-    created once and each :meth:`execute` call schedules its own windows
-    onto them.  Safe to call from multiple request threads —
-    all per-call state is local, and the staged hand-off inside
-    :class:`~repro.core.container.LazyPartStore` is lock-protected.
+    decode items; any other store's windows are fetched on the I/O pool
+    (:data:`IO_WORKERS` threads), overlapping the decode, in windows
+    coalesced over gaps of up to :data:`COALESCE_GAP` bytes.  One pipeline
+    is shared by all of a reader's requests: the I/O pool (its threads
+    started on first use) and decode slots are created once and each
+    :meth:`execute` call schedules its own windows onto them.  Safe to call
+    from multiple request threads — all per-call state is local, and the
+    staged hand-off inside :class:`~repro.core.container.LazyPartStore` is
+    lock-protected.
     """
 
-    def __init__(
-        self,
-        io_workers: int = 4,
-        max_gap: int = DEFAULT_COALESCE_GAP,
-    ):
-        if io_workers < 1:
-            raise ValueError(f"io_workers must be >= 1, got {io_workers}")
-        if max_gap < 0:
-            raise ValueError(f"max_gap must be non-negative, got {max_gap}")
-        self.max_gap = int(max_gap)
+    def __init__(self):
         self._io_pool = ThreadPoolExecutor(
-            max_workers=io_workers, thread_name_prefix="serve-io"
+            max_workers=IO_WORKERS, thread_name_prefix="serve-io"
         )
         self._decode_slots = threading.BoundedSemaphore(DECODE_SLOTS)
         self._closed = False
@@ -279,12 +279,13 @@ class PrefetchPipeline:
                 results.update(execute_plan(DecompressionPlan(pending), errors=errors))
             return results, stats
 
-        window_plan = _plan_windows(parts.spans(), pending, self.max_gap, allow_partial)
+        gap = COALESCE_GAP
+        window_plan = _plan_windows(parts.spans(), pending, gap, allow_partial)
         stats.n_parts += sum(len(names) for names in window_plan.window_names)
         time_lock = threading.Lock()
 
         def fetch(names: list[str], pooled: bool = False) -> None:
-            n_reads, nbytes = parts.prefetch(names, max_gap=self.max_gap)
+            n_reads, nbytes = parts.prefetch(names, max_gap=gap)
             now = time.perf_counter()
             with time_lock:
                 stats.n_fetches += n_reads

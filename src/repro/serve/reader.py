@@ -48,16 +48,9 @@ from repro.core.container import MASK_PREFIX, PartIntegrityError
 from repro.core.plan import check_level_indices, level_box, normalize_region, region_slices
 from repro.engine import LazyBatchArchive, codec_for_method, default_shard_opener
 from repro.engine.archive import STRUCTURE_META_KEY, with_structure
-from repro.serve.breaker import CircuitBreaker, breaking_opener
 from repro.serve.cache import DecodedBrickCache
 from repro.serve.opener import FetchStats, RetryPolicy, retrying_opener
-from repro.serve.prefetch import (
-    DEFAULT_COALESCE_GAP,
-    Deadline,
-    DeadlineExceeded,
-    PipelineStats,
-    PrefetchPipeline,
-)
+from repro.serve.prefetch import Deadline, DeadlineExceeded, PipelineStats, PrefetchPipeline
 from repro.utils.validation import check_positive_int
 
 
@@ -155,28 +148,18 @@ class ArchiveReader:
         sharded v3 is the intended production shape).
     shard_opener:
         ``name → byte source`` resolver for v3 payload shards (defaults
-        to files next to the head).  It is wrapped with retry/backoff,
-        fetch accounting and a per-shard circuit breaker
-        (:class:`~repro.serve.breaker.CircuitBreaker`: after
-        :data:`~repro.serve.breaker.FAILURE_THRESHOLD` *consecutive*
-        failures a shard fails fast for
-        :data:`~repro.serve.breaker.COOLDOWN` seconds instead of burning
-        retry budgets); pass ``retry=RetryPolicy(attempts=1)`` to disable
-        retries.
+        to files next to the head).  It is wrapped with retry/backoff and
+        fetch accounting (:func:`~repro.serve.opener.retrying_opener`);
+        pass ``retry=RetryPolicy(attempts=1)`` to disable retries.  Local
+        files and in-memory blobs are read on the request's own thread;
+        any other source's fetch windows go to the pipeline's I/O pool
+        (:data:`~repro.serve.prefetch.IO_WORKERS` threads), so a deadline
+        can abandon a stalled fetch.
     cache_bytes:
         Decoded-brick LRU budget (0 disables caching).
-    io_workers:
-        Fetch pool size of the prefetch pipeline, used only for non-local
-        byte sources (e.g. object storage behind a ``shard_opener``):
-        their windows are fetched on the pool while the request decodes.
-        Local files and in-memory blobs are read on the request's own
-        thread, which is also where every request decodes (the caller's,
-        or a ``request_workers`` thread for :meth:`submit`).
     request_workers:
-        Threads serving :meth:`submit`\\ ed requests concurrently.
-    coalesce_gap:
-        Adjacent part spans closer than this many bytes merge into one
-        ranged read.
+        Threads serving :meth:`submit`\\ ed requests concurrently.  Every
+        request decodes on its own thread (the caller's, or one of these).
     default_deadline:
         Wall-time budget (seconds) applied to every request that does
         not pass its own ``deadline``; ``None`` means unbounded, and a
@@ -203,9 +186,7 @@ class ArchiveReader:
         verify_shards: bool = False,
         retry: RetryPolicy | None = None,
         cache_bytes: int = 256 * 1024 * 1024,
-        io_workers: int = 4,
         request_workers: int = 4,
-        coalesce_gap: int = DEFAULT_COALESCE_GAP,
         default_deadline: float | None = None,
         degraded: bool = False,
         fill_value: float = 0.0,
@@ -216,15 +197,11 @@ class ArchiveReader:
         self.default_deadline = default_deadline
         self.degraded = bool(degraded)
         self.fill_value = fill_value
-        self.breaker = CircuitBreaker()
         opener = None
         if shard_opener is not None:
             opener = retrying_opener(
                 shard_opener, policy=retry or RetryPolicy(), stats=self.fetch_stats
             )
-            # Breaker outside retry: one exhausted retry budget is one
-            # breaker failure, and an open circuit skips the backoff.
-            opener = breaking_opener(opener, self.breaker)
         self._archive = LazyBatchArchive.open(
             source, shard_opener=opener, verify_shards=verify_shards
         )
@@ -233,7 +210,7 @@ class ArchiveReader:
                 raise ValueError(f"default_deadline must be positive, got {default_deadline}")
             check_positive_int(request_workers, name="request_workers")
             self.cache = DecodedBrickCache(cache_bytes) if cache_bytes else None
-            self._pipeline = PrefetchPipeline(io_workers=io_workers, max_gap=coalesce_gap)
+            self._pipeline = PrefetchPipeline()
             self._requests = ThreadPoolExecutor(
                 max_workers=request_workers, thread_name_prefix="serve-request"
             )
@@ -630,7 +607,6 @@ class ArchiveReader:
             }
         out["cache"] = self.cache.stats() if self.cache is not None else None
         out["fetch"] = self.fetch_stats.snapshot()
-        out["breaker"] = self.breaker.snapshot()
         return out
 
     # -- lifecycle ---------------------------------------------------------

@@ -59,6 +59,34 @@ def test_an_npz_that_is_no_amr_dataset_is_a_wrong_kind(dataset_file, tmp_path, c
     assert capsys.readouterr().err == f"error: {levels} is a zip file, not an AMR .npz dataset\n"
 
 
+BAD_OPTIONS = {
+    "compress --eb -1": "--eb: error bound must be >= 0, got -1.0",
+    "batch --eb -1": "--eb: error bound must be >= 0, got -1.0",
+    "ingest --eb -1": "--eb: error bound must be >= 0, got -1.0",
+    "ingest --eb nan": "--eb: error bound must be finite, got nan",
+    "batch --workers 0": "workers must be a positive integer, got 0",
+    "ingest --workers 0": "workers must be a positive integer, got 0",
+    "ingest --keyframe-interval 0": "keyframe_interval must be a positive integer, got 0",
+}
+
+
+@pytest.mark.parametrize("command", list(BAD_OPTIONS))
+def test_a_bad_option_value_is_one_error_line(command, dataset_file, tmp_path, capsys, monkeypatch):
+    """The value as typed (not a ``rel`` bound's resolved absolute one),
+    told before any dataset loads or encodes: exit 2, nothing written."""
+
+    def no_load(*_args, **_kwargs):
+        raise AssertionError("the dataset loaded before the option was checked")
+
+    monkeypatch.setattr("repro.cli.load_dataset", no_load)
+    monkeypatch.setattr("repro.cli.peek_meta", no_load)
+    verb, *option = command.split()
+    out = tmp_path / ("out.tac" if verb == "compress" else "out.rpbt")
+    assert main([verb, str(dataset_file), "-o", str(out), *option]) == 2
+    assert capsys.readouterr().err == f"error: {BAD_OPTIONS[command]}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("verb, kind", [
     (verb, kind) for verb in READ_VERBS for kind in ("archive", "blob")
     if kind == "archive" or verb not in ("info", "serve")  # they read no blobs
@@ -545,8 +573,6 @@ class TestServeCommand:
         "flag, value, told",
         [
             ("--threads", "0", "request_workers must be a positive integer"),
-            ("--io-workers", "0", "io_workers must be >= 1"),
-            ("--gap", "-1", "max_gap must be non-negative"),
             ("--deadline", "-1", "default_deadline must be positive"),
             ("--deadline", "0", "default_deadline must be positive"),
         ],

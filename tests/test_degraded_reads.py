@@ -1,4 +1,4 @@
-"""Graceful degradation: deadlines, fill-value reads, circuit breaking.
+"""Graceful degradation: deadlines, fill-value reads, recovered shards.
 
 Every scenario drives the real serving stack (``ArchiveReader`` over a
 sharded v4 archive) through the deterministic fault harness
@@ -6,7 +6,8 @@ sharded v4 archive) through the deterministic fault harness
 a stalled shard raises :class:`DeadlineExceeded` in bounded time, a
 corrupt brick degrades to fill values with an exact error report, a
 fault-free re-read is bit-identical, fill values never enter the
-decoded-brick cache, and a repeatedly-failing shard trips its breaker.
+decoded-brick cache, and a shard that failed many reads in a row is read
+again as soon as it is back.
 """
 
 import time
@@ -23,16 +24,12 @@ from repro.engine.archive import LazyBatchArchive
 from repro.faults import FaultPlan, FaultRule, archive_part_spans, faulty_opener
 from repro.serve import (
     ArchiveReader,
-    CircuitBreaker,
-    CircuitOpenError,
     Deadline,
     DeadlineExceeded,
     PrefetchPipeline,
     RetryPolicy,
-    breaking_opener,
-    retrying_opener,
 )
-from repro.serve import breaker as breaker_mod
+from repro.serve import prefetch
 from repro.sz import stream
 from tests.helpers import reserialize_stream, smooth_cube, two_level_dataset, write_archive
 
@@ -179,15 +176,15 @@ class TestDeadlineEnforcement:
             with pytest.raises(DeadlineExceeded):
                 reader.read_level(KEY, BRICK_LEVEL)
 
-    def test_warm_read_needs_no_io_slot(self, head, spans, baseline):
+    def test_warm_read_needs_no_io_slot(self, head, spans, baseline, monkeypatch):
         # Planning reads metadata only, so a request whose units are all
         # cached never queues behind another request's stalled fetch.
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 1)
         reader, _plan = chaos_reader(
             head,
             spans,
             [FaultRule("latency", match="*/L1/b0", delay=1.0, times=1)],
             cache_bytes=1 << 20,
-            io_workers=1,
         )
         with reader:
             far = ((4, 8),) * 3
@@ -491,15 +488,16 @@ class TestCachePurityUnderDegradation:
 
 class TestPipelineErrorPropagation:
     def test_failed_fetch_fails_request_with_original_exception(
-        self, head, spans
+        self, head, spans, monkeypatch
     ):
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 2)
         plan = FaultPlan([FaultRule("oserror", match="*/L1/b*", times=1)])
         opener = faulty_opener(default_shard_opener(head.parent), plan, spans)
         tac = TACCompressor(brick_size=4)
         with LazyBatchArchive.open(head, shard_opener=opener) as lazy:
             entry = lazy.entry(KEY)
             units = tac.build_decode_plan(entry, levels=[BRICK_LEVEL]).units
-            with PrefetchPipeline(io_workers=2) as pipeline:
+            with PrefetchPipeline() as pipeline:
                 with pytest.raises(ContainerIOError, match="injected transient fault"):
                     pipeline.execute(entry.parts, units)
                 # Same pipeline, same store, fault budget spent: the next
@@ -509,14 +507,15 @@ class TestPipelineErrorPropagation:
         assert {unit.key for unit in units} <= set(results)
         assert stats.unit_errors == {}
 
-    def test_partial_mode_records_error_instead_of_raising(self, head, spans):
+    def test_partial_mode_records_error_instead_of_raising(self, head, spans, monkeypatch):
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 2)
         plan = FaultPlan([FaultRule("oserror", match="*/L1/b0", times=1)])
         opener = faulty_opener(default_shard_opener(head.parent), plan, spans)
         tac = TACCompressor(brick_size=4)
         with LazyBatchArchive.open(head, shard_opener=opener) as lazy:
             entry = lazy.entry(KEY)
             units = tac.build_decode_plan(entry, levels=[BRICK_LEVEL]).units
-            with PrefetchPipeline(io_workers=2) as pipeline:
+            with PrefetchPipeline() as pipeline:
                 results, stats = pipeline.execute(
                     entry.parts, units, allow_partial=True
                 )
@@ -527,134 +526,26 @@ class TestPipelineErrorPropagation:
 
 
 # ---------------------------------------------------------------------------
-# circuit breaker
+# a shard that comes back
 # ---------------------------------------------------------------------------
 
 
-class TestCircuitBreaker:
-    def make(self, monkeypatch, threshold=2, cooldown=10.0):
-        monkeypatch.setattr(breaker_mod, "FAILURE_THRESHOLD", threshold)
-        monkeypatch.setattr(breaker_mod, "COOLDOWN", cooldown)
-        clock = {"t": 0.0}
-        return CircuitBreaker(clock=lambda: clock["t"]), clock
-
-    def test_default_opens_on_the_fifth_failure_for_thirty_seconds(self):
-        clock = {"t": 0.0}
-        breaker = CircuitBreaker(clock=lambda: clock["t"])
-        assert [breaker.record_failure("s") for _ in range(5)] == [False] * 4 + [True]
-        clock["t"] = 29.0
-        with pytest.raises(CircuitOpenError) as excinfo:
-            breaker.check("s")
-        assert excinfo.value.retry_in == pytest.approx(1.0)
-        clock["t"] = 30.0
-        breaker.check("s")  # the half-open trial
-
-    def test_opens_after_consecutive_failures(self, monkeypatch):
-        breaker, _clock = self.make(monkeypatch, threshold=2)
-        assert breaker.record_failure("s") is False
-        assert not breaker.snapshot()["s"]["open"]
-        assert breaker.record_failure("s") is True
-        assert breaker.snapshot()["s"]["open"]
-        with pytest.raises(CircuitOpenError) as excinfo:
-            breaker.check("s")
-        assert excinfo.value.shard == "s"
-        assert excinfo.value.retry_in == pytest.approx(10.0)
-
-    def test_success_resets_the_streak(self, monkeypatch):
-        breaker, _clock = self.make(monkeypatch, threshold=2)
-        breaker.record_failure("s")
-        breaker.record_success("s")
-        breaker.record_failure("s")
-        assert not breaker.snapshot()["s"]["open"]
-
-    def test_shards_are_independent(self, monkeypatch):
-        breaker, _clock = self.make(monkeypatch, threshold=1)
-        breaker.record_failure("bad")
-        assert breaker.snapshot()["bad"]["open"]
-        breaker.check("good")  # unrelated shard unaffected
-
-    def test_half_open_allows_one_trial(self, monkeypatch):
-        breaker, clock = self.make(monkeypatch, threshold=1, cooldown=10.0)
-        breaker.record_failure("s")
-        clock["t"] = 11.0
-        breaker.check("s")  # the single half-open trial slot
-        with pytest.raises(CircuitOpenError):
-            breaker.check("s")  # second concurrent caller still blocked
-        breaker.record_success("s")
-        assert not breaker.snapshot()["s"]["open"]
-        breaker.check("s")
-
-    def test_failed_trial_reopens_for_a_fresh_cooldown(self, monkeypatch):
-        breaker, clock = self.make(monkeypatch, threshold=1, cooldown=10.0)
-        breaker.record_failure("s")
-        clock["t"] = 11.0
-        breaker.check("s")
-        breaker.record_failure("s")
-        with pytest.raises(CircuitOpenError) as excinfo:
-            breaker.check("s")
-        assert excinfo.value.retry_in == pytest.approx(10.0)
-
-    def test_snapshot_reports_health(self, monkeypatch):
-        breaker, _clock = self.make(monkeypatch, threshold=2)
-        breaker.record_failure("s")
-        breaker.record_failure("s")
-        breaker.record_success("other")
-        snap = breaker.snapshot()
-        assert snap["s"] == {
-            "open": True,
-            "consecutive_failures": 2,
-            "total_failures": 2,
-            "total_successes": 0,
-            "n_opens": 1,
-        }
-        assert snap["other"]["total_successes"] == 1
-
-    def test_breaking_opener_fails_fast_once_open(self, monkeypatch):
-        breaker, _clock = self.make(monkeypatch, threshold=2)
-        calls = {"n": 0}
-
-        def opener(name):
-            calls["n"] += 1
-            raise OSError("down")
-
-        wrapped = breaking_opener(opener, breaker)
-        for _ in range(2):
-            with pytest.raises(OSError):
-                wrapped("s")
-        with pytest.raises(CircuitOpenError):
-            wrapped("s")
-        assert calls["n"] == 2  # the open circuit never touched the opener
-
-    def test_circuit_open_error_is_never_retried(self):
-        waits: list[float] = []
-        calls = {"n": 0}
-
-        def opener(name):
-            calls["n"] += 1
-            raise CircuitOpenError("open", shard="s")
-
-        wrapped = retrying_opener(
-            opener, policy=RetryPolicy(attempts=4, sleep=waits.append)
-        )
-        with pytest.raises(CircuitOpenError):
-            wrapped("s")
-        assert calls["n"] == 1 and waits == []
-
-    def test_reader_trips_breaker_on_persistent_shard_failure(self, head, monkeypatch):
-        monkeypatch.setattr(breaker_mod, "FAILURE_THRESHOLD", 2)
-
-        def opener(name):
-            raise OSError("shard store is down")
-
-        reader = ArchiveReader(
-            head, shard_opener=opener, retry=RetryPolicy(attempts=1), cache_bytes=0
-        )
-        with reader:
-            for _ in range(3):
-                with pytest.raises((ContainerIOError, OSError)):
-                    reader.read_level(KEY, BRICK_LEVEL)
-            snap = reader.stats()["breaker"]
-            assert any(health["open"] for health in snap.values())
-            # Once open, the failure surfaces as the breaker's fast-fail.
-            with pytest.raises(CircuitOpenError):
+def test_recovered_local_shard_is_read_at_once(tmp_path):
+    """A shard file missing for many reads in a row is read by the very next
+    request once it is back: no read fails for a shard that is there."""
+    comp = TACCompressor(brick_size=4).compress(two_level_dataset(n=16, seed=5), 1e-3, mode="abs")
+    head = write_archive(tmp_path / "arch.rpbt", {KEY: comp})
+    (shard,) = tmp_path.glob("arch.shard-*.rpsh")
+    with ArchiveReader(head, cache_bytes=0) as clean:
+        expected, _stats = clean.read_level(KEY, BRICK_LEVEL)
+    no_wait = RetryPolicy(sleep=lambda _delay: None)
+    with ArchiveReader(head, retry=no_wait, cache_bytes=0) as reader:
+        moved = shard.rename(tmp_path / "away")
+        for _ in range(6):
+            with pytest.raises(ContainerIOError, match=shard.name):
                 reader.read_level(KEY, BRICK_LEVEL)
+        moved.rename(shard)
+        lvl, stats = reader.read_level(KEY, BRICK_LEVEL)
+    assert stats.errors == []
+    np.testing.assert_array_equal(lvl.data, expected.data)
+    np.testing.assert_array_equal(lvl.mask, expected.mask)

@@ -1,7 +1,7 @@
 """The settable values of the public configs and constructors, pinned.
 
 Every option a caller can set is code to keep, document and test.  This
-file names each settable value of the thirteen surfaces below, and every
+file names each settable value of the twelve surfaces below, and every
 argument of every ``repro`` verb, so a new option shows up in review as a
 one-line diff here.  The subject a call acts on (the dataset, the source,
 the directory, the codec's name and factory) is not counted as an option.
@@ -20,7 +20,7 @@ from repro.core.container import LazyCompressedDataset, make_source
 from repro.core.tac import TACConfig
 from repro.engine import LazyBatchArchive, default_shard_opener, register
 from repro.ingest import IngestConfig, IngestSession
-from repro.serve import ArchiveReader, CircuitBreaker, RetryPolicy
+from repro.serve import ArchiveReader, RetryPolicy
 from repro.sz import SZConfig
 
 SUBJECTS = {"self", "source", "dataset", "fields", "base_dir", "name", "factory"}
@@ -49,9 +49,8 @@ CENSUS = [
         "ArchiveReader",
         ArchiveReader,
         [
-            "shard_opener", "verify_shards", "retry", "cache_bytes", "io_workers",
-            "request_workers", "coalesce_gap", "default_deadline", "degraded",
-            "fill_value",
+            "shard_opener", "verify_shards", "retry", "cache_bytes", "request_workers",
+            "default_deadline", "degraded", "fill_value",
         ],
     ),
     ("LazyBatchArchive.open", LazyBatchArchive.open, ["shard_opener", "verify_shards"]),
@@ -59,7 +58,6 @@ CENSUS = [
     ("default_shard_opener", default_shard_opener, []),
     ("make_source", make_source, []),
     ("RetryPolicy", RetryPolicy, ["attempts", "base_delay", "sleep"]),
-    ("CircuitBreaker", CircuitBreaker, ["clock"]),
     ("register", register, ["method_name", "aliases", "description", "config_cls"]),
 ]
 
@@ -81,7 +79,7 @@ def test_settable_values_are_pinned(surface, expected):
 
 
 def test_census_total():
-    assert sum(len(settable(surface)) for _label, surface, _names in CENSUS) == 38
+    assert sum(len(settable(surface)) for _label, surface, _names in CENSUS) == 35
 
 
 #: Each verb's arguments, positionals by name and options by their long
@@ -103,8 +101,8 @@ CLI_CENSUS = {
     ],
     "serve": [
         "path", "--key", "--level", "--requests", "--rois", "--roi-frac", "--threads",
-        "--cache-bytes", "--io-workers", "--gap", "--seed", "--json", "--chaos", "--chaos-seed",
-        "--deadline", "--degraded",
+        "--cache-bytes", "--seed", "--json", "--chaos", "--chaos-seed", "--deadline",
+        "--degraded",
     ],
     "scrub": ["path", "--key", "--json"],
     "codecs": ["--schema"],
@@ -137,4 +135,4 @@ def test_cli_arguments_are_pinned(verb):
 def test_cli_census_total():
     surface = cli_arguments()
     assert list(surface) == list(CLI_CENSUS)
-    assert len(surface) == 12 and sum(map(len, surface.values())) == 68
+    assert len(surface) == 12 and sum(map(len, surface.values())) == 66

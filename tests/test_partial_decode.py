@@ -55,7 +55,7 @@ from repro.engine import (
     get_codec,
     supports_partial_decode,
 )
-from repro.serve import ArchiveReader
+from repro.serve import ArchiveReader, prefetch
 from tests.helpers import retired_tac_layout, smooth_cube, two_level_dataset, write_archive
 
 EB = 1e-3
@@ -889,7 +889,7 @@ def test_read_blobs_and_readers_are_freed_without_the_cycle_collector(tmp_path):
         gc.enable()
 
 
-def test_cold_roi_read_peak_repeats_whatever_order_the_windows_land_in(tmp_path):
+def test_cold_roi_read_peak_repeats_whatever_order_the_windows_land_in(tmp_path, monkeypatch):
     """A cold 32³ ROI is one decode batch of 27 bricks, cut by the plan:
     with shard reads delayed in a different shuffled order on every repeat
     the bytes are identical and the ``tracemalloc`` peaks agree within 3 %
@@ -919,14 +919,15 @@ def test_cold_roi_read_peak_repeats_whatever_order_the_windows_land_in(tmp_path)
         def close(self):
             self.source.close()
 
+    # A coalescing gap of 0: a window per z-run of bricks, nine of them in flight.
+    monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
+
     def cold_read(seed):
         plain = default_shard_opener(tmp_path)
         rng = random.Random(seed)
-        # coalesce_gap=0: a window per z-run of bricks, nine of them in flight.
         with ArchiveReader(
             tmp_path / "cold.rpbt",
             shard_opener=lambda name: Delayed(plain(name), rng),
-            coalesce_gap=0,
         ) as reader:
             data, stats = reader.read_region(ENTRY, 0, roi)
         assert stats.cache_misses == 27 + 1 and stats.n_fetches >= 9

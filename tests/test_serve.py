@@ -50,8 +50,8 @@ from repro.serve import (
     RetryPolicy,
     retrying_opener,
 )
-from repro.serve.breaker import CircuitBreaker, breaking_opener
 from repro.serve import opener as opener_mod
+from repro.serve import prefetch
 from repro.serve.opener import MAX_DELAY
 from repro.serve.prefetch import DECODE_SLOTS
 from repro.sim.datasets import make_dataset
@@ -615,12 +615,13 @@ class TestPrefetchPipeline:
         arch = LazyBatchArchive.open(head)
         return arch, arch.entry(key)
 
-    def test_matches_plain_execute(self, tmp_path, tac_blob):
+    def test_matches_plain_execute(self, tmp_path, tac_blob, monkeypatch):
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 2)
         codec, comp = tac_blob
         arch, lazy = self.make_lazy_comp(tmp_path, codec, comp)
         plan = codec.build_decode_plan(lazy, levels=[1])
         expected = execute_plan(codec.build_decode_plan(comp, levels=[1]))
-        with PrefetchPipeline(io_workers=2) as pipeline:
+        with PrefetchPipeline() as pipeline:
             results, stats = pipeline.execute(lazy.parts, plan.units)
         assert set(results) == set(expected)
         for unit_key, value in expected.items():
@@ -693,9 +694,11 @@ class TestPrefetchPipeline:
         assert stats.n_fetches == 0 and stats.bytes_fetched == 0
         assert set(results) == {unit.key for unit in plan.units}
 
-    def test_decode_overlaps_inflight_fetches(self):
+    def test_decode_overlaps_inflight_fetches(self, monkeypatch):
         """With several slow windows and instant decodes, the first decode
         must start before the last window lands."""
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 2)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
         payload = bytes(1024)
         src = CountingSource(payload, delay=0.03)
         # Four well-separated parts → four windows.
@@ -710,16 +713,17 @@ class TestPrefetchPipeline:
             )
             for i in range(4)
         ]
-        with PrefetchPipeline(io_workers=2, max_gap=0) as pipeline:
+        with PrefetchPipeline() as pipeline:
             results, stats = pipeline.execute(store, units)
         assert len(results) == 4
         assert stats.n_fetches == 4
         assert stats.overlapped(), "decode never overlapped in-flight fetches"
 
-    def test_each_stream_batch_decodes_on_the_calling_thread(self):
+    def test_each_stream_batch_decodes_on_the_calling_thread(self, monkeypatch):
         """A landing's SZ streams decode batch by batch on the request's own
         thread — their blobs are taken there too — while the I/O pool only
         fetches windows."""
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 1)
         sz = SZCompressor()
         rng = np.random.default_rng(7)
         blobs = {
@@ -749,16 +753,17 @@ class TestPrefetchPipeline:
             )
             for name in blobs
         ]
-        with PrefetchPipeline(io_workers=1) as pipeline:
+        with PrefetchPipeline() as pipeline:
             results, stats = pipeline.execute(store, units)
         assert taken_on == [threading.get_ident()] * len(blobs)
         assert stats.n_fetches == 1 and stats.unit_errors == {}
         for name, blob in blobs.items():
             np.testing.assert_array_equal(results[name], sz.decompress(blob))
 
-    def test_concurrent_requests_share_the_decode_slots(self):
+    def test_concurrent_requests_share_the_decode_slots(self, monkeypatch):
         """Requests decode on their own threads, but no more than
         DECODE_SLOTS of one pipeline's requests decode at once."""
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 2)
         lock = threading.Lock()
         active, peak = [0], [0]
 
@@ -771,7 +776,7 @@ class TestPrefetchPipeline:
                 active[0] -= 1
             return threading.get_ident()
 
-        with PrefetchPipeline(io_workers=2) as pipeline:
+        with PrefetchPipeline() as pipeline:
 
             def request(i):
                 store = LazyPartStore(CountingSource(bytes(64)), {"p": (0, 32)})
@@ -786,10 +791,11 @@ class TestPrefetchPipeline:
         ]
         assert 1 <= peak[0] <= DECODE_SLOTS
 
-    def test_waiting_for_a_decode_slot_respects_the_deadline(self):
+    def test_waiting_for_a_decode_slot_respects_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 1)
         store = LazyPartStore(CountingSource(bytes(64)), {"a": (0, 32)})
         units = [DecodeUnit(key="a", level=0, part_names=("a",), decode=lambda: store["a"])]
-        with PrefetchPipeline(io_workers=1) as pipeline:
+        with PrefetchPipeline() as pipeline:
             for _ in range(DECODE_SLOTS):  # other requests hold every slot
                 pipeline._decode_slots.acquire()
             t0 = time.perf_counter()
@@ -805,7 +811,7 @@ class TestPrefetchPipeline:
     @staticmethod
     def _windowed_streams(per_window: int = 3, n_windows: int = 4):
         """SZ brick streams laid out in ``n_windows`` runs separated by gaps
-        (one fetch window each at ``max_gap=0``), their units, and the
+        (one fetch window each at a coalescing gap of 0), their units, and the
         offset of every window."""
         sz = SZCompressor()
         rng = np.random.default_rng(11)
@@ -824,8 +830,10 @@ class TestPrefetchPipeline:
         """Windows landing in any order, any distance apart: the streams
         are cut into the same decode batches, once, before anything lands,
         and the results are bit-identical."""
-        import repro.serve.prefetch as prefetch_mod
         from repro.core.plan import decode_jobs
+
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 4)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
 
         sz, arrays, payload, index, starts = self._windowed_streams()
 
@@ -852,7 +860,7 @@ class TestPrefetchPipeline:
 
             return [(members, partial(recorded, members, run)) for members, run in jobs]
 
-        monkeypatch.setattr(prefetch_mod, "decode_jobs", recording_jobs)
+        monkeypatch.setattr(prefetch, "decode_jobs", recording_jobs)
         expected = None
         for seed in range(4):
             order = list(np.random.default_rng(seed).permutation(len(starts)))
@@ -868,14 +876,16 @@ class TestPrefetchPipeline:
                 expected = [[u.key for u in members] for members, _run in decode_jobs(units)]
                 assert [len(item) for item in expected] == [len(arrays)]  # one batch
             planned.clear(), ran.clear()
-            with PrefetchPipeline(io_workers=4, max_gap=0) as pipeline:
+            with PrefetchPipeline() as pipeline:
                 results, stats = pipeline.execute(store, units)
             assert stats.n_fetches == len(starts)
             assert planned == [expected] and ran == expected
             for name, arr in arrays.items():
                 np.testing.assert_array_equal(results[name], sz.decompress(sz.compress(arr, 1e-3)))
 
-    def test_item_with_a_lost_window_decodes_its_surviving_members(self):
+    def test_item_with_a_lost_window_decodes_its_surviving_members(self, monkeypatch):
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 4)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
         sz, arrays, payload, index, starts = self._windowed_streams()
 
         class OneBadWindow(CountingSource):
@@ -892,7 +902,7 @@ class TestPrefetchPipeline:
             )
             for name in arrays
         ]
-        with PrefetchPipeline(io_workers=4, max_gap=0) as pipeline:
+        with PrefetchPipeline() as pipeline:
             results, stats = pipeline.execute(store, units, allow_partial=True)
         lost = {"b3", "b4", "b5"}
         assert set(stats.unit_errors) == lost
@@ -902,7 +912,8 @@ class TestPrefetchPipeline:
         )
         assert store._staged == {}
 
-    def test_failed_fetch_discards_staged(self):
+    def test_failed_fetch_discards_staged(self, monkeypatch):
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 1)
         src = CountingSource(bytes(512), fail_first=0)
         index = {"a": (0, 32), "b": (256, 32)}
         store = LazyPartStore(src, index)
@@ -914,7 +925,7 @@ class TestPrefetchPipeline:
             DecodeUnit(key="a", level=0, part_names=("a",), decode=lambda: store["a"]),
             DecodeUnit(key="b", level=0, part_names=("b",), decode=fail),
         ]
-        with PrefetchPipeline(io_workers=1) as pipeline:
+        with PrefetchPipeline() as pipeline:
             with pytest.raises(RuntimeError, match="blew up"):
                 pipeline.execute(store, units)
         assert store._staged == {}  # nothing left behind for the next request
@@ -1127,10 +1138,8 @@ class TestLocalFetchesInline:
         path = tmp_path / "blob.bin"
         path.write_bytes(bytes(64))
         sources = [make_source(bytes(64)), make_source(path)]
-        breaker = CircuitBreaker()
         for src in sources:
-            retrying = retrying_opener(lambda _name, src=src: src, stats=FetchStats())
-            wrapped = breaking_opener(retrying, breaker)("s")
+            wrapped = retrying_opener(lambda _name, src=src: src, stats=FetchStats())("s")
             assert src.local and wrapped.local and LazyPartStore(wrapped, {}).local
             src.close()
         assert not LazyPartStore(PassThroughSource(make_source(bytes(8))), {}).local
@@ -1143,30 +1152,31 @@ class TestLocalFetchesInline:
         assert not [name for name in started if name.startswith("serve-io")]
         assert stats.n_fetches > 1 and not stats.overlapped
 
-    def test_inline_and_pooled_reads_fetch_the_same(self, bricked):
+    def test_inline_and_pooled_reads_fetch_the_same(self, bricked, monkeypatch):
         head, expected = bricked
         for gap in (0, 4096):
-            local, local_stats, _ = self.read(head, coalesce_gap=gap)
-            pooled, pooled_stats, _ = self.read(
-                head, self.pass_through(head), coalesce_gap=gap
-            )
+            monkeypatch.setattr(prefetch, "COALESCE_GAP", gap)
+            local, local_stats, _ = self.read(head)
+            pooled, pooled_stats, _ = self.read(head, self.pass_through(head))
             np.testing.assert_array_equal(local, pooled)
             np.testing.assert_array_equal(local, expected)
             for field_name in ("n_fetches", "bytes_fetched", "n_parts_fetched"):
                 assert getattr(local_stats, field_name) == getattr(pooled_stats, field_name)
 
-    def test_pass_through_reader_fetches_on_the_pool_and_overlaps(self, bricked):
+    def test_pass_through_reader_fetches_on_the_pool_and_overlaps(self, bricked, monkeypatch):
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 1)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
         head, expected = bricked
-        data, stats, started = self.read(
-            head, self.pass_through(head, delay=0.01), coalesce_gap=0, io_workers=1
-        )
+        data, stats, started = self.read(head, self.pass_through(head, delay=0.01))
         np.testing.assert_array_equal(data, expected)
         assert started == ["serve-io_0"]
         assert stats.n_fetches > 1 and stats.overlapped
 
-    def test_deadline_expiring_mid_request_fails_unstarted_items(self):
+    def test_deadline_expiring_mid_request_fails_unstarted_items(self, monkeypatch):
         """A local store checks the deadline before every window too: the
         windows after a slow item are never read, and their items fail."""
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 2)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
         store = LazyPartStore(
             make_source(bytes(1024)), {"a": (0, 32), "b": (256, 32), "c": (512, 32)}
         )
@@ -1180,7 +1190,7 @@ class TestLocalFetchesInline:
             for k in "bc"
         ]
         before = set(threading.enumerate())
-        with PrefetchPipeline(io_workers=2, max_gap=0) as pipeline:
+        with PrefetchPipeline() as pipeline:
             results, stats = pipeline.execute(store, units, deadline=0.1, allow_partial=True)
             started = _new_threads(before)
             with pytest.raises(DeadlineExceeded, match="2 fetch window"):
@@ -1200,7 +1210,7 @@ class TestLocalFetchesInline:
 class TestArchiveReaderInitFailure:
     def test_failed_init_closes_opened_archive(self, tmp_path, tac_blob, monkeypatch):
         """RL002: ArchiveReader.__init__ opens the archive first; a bad
-        pipeline parameter afterwards must not leak its shard handles."""
+        request-pool parameter afterwards must not leak its shard handles."""
         codec, comp = tac_blob
         head = write_archive(tmp_path / "batch.rpbt", {"k": comp})
         closed: list[int] = []
@@ -1211,8 +1221,8 @@ class TestArchiveReaderInitFailure:
             return real_close(self)
 
         monkeypatch.setattr(LazyBatchArchive, "close", spy_close)
-        with pytest.raises(ValueError, match="io_workers"):
-            ArchiveReader(head, io_workers=0)
+        with pytest.raises(ValueError, match="request_workers"):
+            ArchiveReader(head, request_workers=0)
         assert closed, "archive opened by __init__ was not closed on failure"
 
     @pytest.mark.parametrize("deadline", [-1, 0])
@@ -1280,17 +1290,19 @@ class TestDeadlineStragglers:
 
         return LazyPartStore(GatedSource(), {"a": (0, 32)})
 
-    def test_fetch_straggler_is_reaped_after_deadline(self):
+    def test_fetch_straggler_is_reaped_after_deadline(self, monkeypatch):
         """RL004 shape: cancel() on a running fetch is a no-op — the
         straggler must still have its exception retrieved and its
         late-staged payloads discarded once it lands."""
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 1)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
         gate = threading.Event()
         started = threading.Event()
         store = self._gated_store(gate, started)
         units = [
             DecodeUnit(key="a", level=0, part_names=("a",), decode=lambda: store["a"])
         ]
-        with PrefetchPipeline(io_workers=1, max_gap=0) as pipeline:
+        with PrefetchPipeline() as pipeline:
             results, stats = pipeline.execute(
                 store, units, deadline=0.3, allow_partial=True
             )
@@ -1333,12 +1345,14 @@ class TestDeadlineStragglers:
         ]
         return store, units, span
 
-    def test_running_item_finishes_and_the_rest_fail_when_partial(self):
+    def test_running_item_finishes_and_the_rest_fail_when_partial(self, monkeypatch):
         """A deadline cannot interrupt a running item: it finishes and keeps
         its result, every item not yet started fails with DeadlineExceeded,
         and the request overruns the deadline by at most that one item."""
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 3)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
         store, units, span = self._slow_first_item()
-        with PrefetchPipeline(io_workers=3, max_gap=0) as pipeline:
+        with PrefetchPipeline() as pipeline:
             t0 = time.perf_counter()
             results, stats = pipeline.execute(
                 store, units, deadline=self.DEADLINE, allow_partial=True
@@ -1352,9 +1366,11 @@ class TestDeadlineStragglers:
         assert wall <= self.DEADLINE + (span["end"] - span["start"]) + 0.1
         assert store._staged == {}
 
-    def test_running_item_finishes_then_the_request_raises(self):
+    def test_running_item_finishes_then_the_request_raises(self, monkeypatch):
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 3)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
         store, units, span = self._slow_first_item()
-        with PrefetchPipeline(io_workers=3, max_gap=0) as pipeline:
+        with PrefetchPipeline() as pipeline:
             t0 = time.perf_counter()
             with pytest.raises(DeadlineExceeded, match="1 of 3 decode"):
                 pipeline.execute(store, units, deadline=self.DEADLINE)
