@@ -61,7 +61,9 @@ def test_an_npz_that_is_no_amr_dataset_is_a_wrong_kind(dataset_file, tmp_path, c
 
 BAD_OPTIONS = {
     "compress --eb -1": "--eb: error bound must be >= 0, got -1.0",
+    "compress --eb inf": "--eb: error bound must be finite, got inf",
     "batch --eb -1": "--eb: error bound must be >= 0, got -1.0",
+    "batch --eb nan": "--eb: error bound must be finite, got nan",
     "ingest --eb -1": "--eb: error bound must be >= 0, got -1.0",
     "ingest --eb nan": "--eb: error bound must be finite, got nan",
     "batch --workers 0": "workers must be a positive integer, got 0",
@@ -589,6 +591,15 @@ class TestServeCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", str(archive_file), "--decode-workers", "2"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--io-workers", "4"), ("--gap", "0")])
+    def test_serve_io_pool_options_are_gone(self, archive_file, capsys, flag, value):
+        # The fetch pool's size and the coalescing gap are module constants
+        # (prefetch.IO_WORKERS / prefetch.COALESCE_GAP), not options.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(archive_file), flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_serve_chaos_transient_faults_absorbed(self, archive_file, tmp_path, capsys):
         stats_path = tmp_path / "chaos.json"

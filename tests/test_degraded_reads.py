@@ -549,3 +549,53 @@ def test_recovered_local_shard_is_read_at_once(tmp_path):
     assert stats.errors == []
     np.testing.assert_array_equal(lvl.data, expected.data)
     np.testing.assert_array_equal(lvl.mask, expected.mask)
+
+
+class RemoteShard:
+    """A shard source that declares no ``local`` (as an object store would
+    not), so its windows are fetched on the I/O pool; every read fails
+    while ``down["read"]`` is set."""
+
+    def __init__(self, inner, down: dict):
+        self._inner = inner
+        self._down = down
+        self.label = inner.label
+
+    def read_at(self, offset: int, length: int) -> bytes:
+        if self._down["read"]:
+            raise OSError(f"{self.label}: connection reset")
+        return self._inner.read_at(offset, length)
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+@pytest.mark.parametrize("fails", ["open", "read"])
+def test_recovered_remote_shard_is_read_at_once(tmp_path, fails):
+    """The pool path keeps no memory of a shard's failures either: a
+    non-local shard that failed six opens (or six window reads) in a row
+    serves the next request once it answers again."""
+    comp = TACCompressor(brick_size=4).compress(two_level_dataset(n=16, seed=5), 1e-3, mode="abs")
+    head = write_archive(tmp_path / "arch.rpbt", {KEY: comp})
+    (shard,) = tmp_path.glob("arch.shard-*.rpsh")
+    with ArchiveReader(head, cache_bytes=0) as clean:
+        expected, _stats = clean.read_level(KEY, BRICK_LEVEL)
+    down = {"open": False, "read": False}
+    inner = default_shard_opener(tmp_path)
+
+    def opener(name):
+        if down["open"]:
+            raise FileNotFoundError(f"{name}: no such object")
+        return RemoteShard(inner(name), down)
+
+    no_wait = RetryPolicy(sleep=lambda _delay: None)
+    with ArchiveReader(head, shard_opener=opener, retry=no_wait, cache_bytes=0) as reader:
+        down[fails] = True
+        for _ in range(6):
+            with pytest.raises(ContainerIOError, match=shard.name):
+                reader.read_level(KEY, BRICK_LEVEL)
+        down[fails] = False
+        lvl, stats = reader.read_level(KEY, BRICK_LEVEL)
+    assert stats.errors == [] and stats.n_fetches > 0
+    np.testing.assert_array_equal(lvl.data, expected.data)
+    np.testing.assert_array_equal(lvl.mask, expected.mask)

@@ -719,6 +719,49 @@ class TestPrefetchPipeline:
         assert stats.n_fetches == 4
         assert stats.overlapped(), "decode never overlapped in-flight fetches"
 
+    @staticmethod
+    def _four_separated_parts(delay: float = 0.0):
+        """A non-local store of four 64-byte parts 192 bytes apart, and one
+        decode unit per part."""
+        store = LazyPartStore(
+            CountingSource(bytes(1024), delay=delay),
+            {f"p{i}": (i * 256, 64) for i in range(4)},
+        )
+        units = [
+            DecodeUnit(key=f"p{i}", level=0, part_names=(f"p{i}",),
+                       decode=lambda i=i: store[f"p{i}"])
+            for i in range(4)
+        ]
+        return store, units
+
+    def test_pool_size_is_read_when_the_pipeline_is_built(self, monkeypatch):
+        """IO_WORKERS sizes the pool once: raising it afterwards starts no
+        second fetch thread for the pipeline already built."""
+        monkeypatch.setattr(prefetch, "IO_WORKERS", 1)
+        monkeypatch.setattr(prefetch, "COALESCE_GAP", 0)
+        store, units = self._four_separated_parts(delay=0.02)
+        before = set(threading.enumerate())
+        with PrefetchPipeline() as pipeline:
+            monkeypatch.setattr(prefetch, "IO_WORKERS", 4)
+            results, stats = pipeline.execute(store, units)
+            started = _new_threads(before)
+        assert results == {f"p{i}": bytes(64) for i in range(4)}
+        assert stats.n_fetches == 4
+        assert started == ["serve-io_0"]
+
+    def test_coalescing_gap_is_read_per_request(self, monkeypatch):
+        """One pipeline, two requests: the gap in force when each request
+        plans its windows decides how many windows it fetches."""
+        store, units = self._four_separated_parts()
+        with PrefetchPipeline() as pipeline:
+            counts = []
+            for gap in (0, 192, 191):
+                monkeypatch.setattr(prefetch, "COALESCE_GAP", gap)
+                results, stats = pipeline.execute(store, units)
+                assert results == {f"p{i}": bytes(64) for i in range(4)}
+                counts.append(stats.n_fetches)
+        assert counts == [4, 1, 4]
+
     def test_each_stream_batch_decodes_on_the_calling_thread(self, monkeypatch):
         """A landing's SZ streams decode batch by batch on the request's own
         thread — their blobs are taken there too — while the I/O pool only
