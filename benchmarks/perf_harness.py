@@ -793,9 +793,9 @@ def _serve_ops(scale: int, repeats: int) -> dict:
     a default reader over local shard files; ``serve_cold_roi_pool`` reads
     the same shards through a non-local pass-through opener, which fetches
     on the prefetch pipeline's I/O pool.  ``serve_chain_cold_roi`` is the
-    same ROI of the last step of a 3-step delta chain
-    (``read_timestep_region``) through a fresh default reader: three
-    entries' bricks fetched and decoded, summed, assembled.
+    same ROI of the last step of a 3-step delta chain (``read_region`` of
+    its key) through a fresh default reader: three entries' bricks fetched
+    and decoded, summed, assembled.
     ``serve_warm_roi`` is that chain read through one long-lived default
     reader, after an untimed read has filled its cache: every unit cached,
     no fetch and no decode.
@@ -808,7 +808,7 @@ def _serve_ops(scale: int, repeats: int) -> dict:
     import tempfile
 
     from repro.engine import default_shard_opener
-    from repro.ingest import IngestConfig, IngestSession, read_timestep_region
+    from repro.ingest import IngestConfig, IngestSession
     from repro.serve import ArchiveReader
     from repro.sim.datasets import make_dataset
     from repro.sim.timesteps import make_timestep_series
@@ -857,7 +857,7 @@ def _serve_ops(scale: int, repeats: int) -> dict:
             *_, last = session.extend(make_timestep_series("Run1_Z3", steps=3, scale=scale))
 
         def chain_read(reader):
-            return read_timestep_region(reader, last, 0, roi)[0]
+            return reader.read_region(last, 0, roi)[0]
 
         rows["serve_chain_cold_roi"] = cold_read(chain_head, chain_read)
         with ArchiveReader(chain_head) as reader:

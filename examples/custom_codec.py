@@ -13,7 +13,8 @@ any 1D–4D float array.  This example shows:
 * writing a custom dataset-level codec and registering it into
   :mod:`repro.engine.registry`, which makes it usable everywhere codecs
   are looked up by name — ``get_codec``, ``IngestSession``, archive
-  decompression, and the CLI.
+  decompression (a temporal-delta key restores its timestep, whatever
+  the codec), and the CLI.
 """
 
 import tempfile
@@ -37,6 +38,7 @@ from repro import (
 )
 from repro.core.container import MASK_PREFIX, pack_mask, unpack_mask
 from repro.ingest import IngestSession
+from repro.sim import make_timestep_series
 
 
 def demo_error_modes() -> None:
@@ -145,7 +147,7 @@ class LosslessZlibCodec:
 
 def demo_registry_extension() -> None:
     print("\n=== registering a custom codec ===")
-    dataset = make_dataset("Run1_Z10", scale=16)
+    dataset, later = make_timestep_series("Run1_Z10", steps=2, scale=16)
 
     # By-name lookup works immediately, including as an ingest session's codec.
     codec = get_codec("lossless-zlib")
@@ -155,18 +157,25 @@ def demo_registry_extension() -> None:
     with TemporaryDirectory() as tmp:
         for name in ("tac", "lossless-zlib"):
             head = Path(tmp) / f"{name}.rpbt"
-            with IngestSession(head, codec=name, error_bound=1e-3) as session:
-                key = session.submit(dataset, key=name)
-            rows = {row["key"]: row for row in session.report.manifest()}
-            ratio = rows[key]["original_bytes"] / rows[key]["compressed_bytes"]
-            print(f"  session[{key:13s}]: ratio {ratio:.2f}x")
+            # Two steps, the second a closed-loop residual against the first.
+            with IngestSession(
+                head, codec=name, error_bound=1e-3, keyframe_interval=2
+            ) as session:
+                keys = session.extend([dataset, later])
+            ratio = session.report.ratio()
+            print(f"  session[{name:13s}]: ratio {ratio:.2f}x over {len(keys)} steps")
 
         # Archives written by the custom codec are self-describing: the
-        # registry routes decompression by the recorded method name.
+        # registry routes decompression by the recorded method name, and a
+        # delta key restores its step (keyframe + residual, summed).
         with LazyBatchArchive.open(head) as archive:
-            restored = archive.decompress("lossless-zlib")
+            restored = archive.decompress(keys[0])
+            step = archive.decompress(keys[1])
     assert np.array_equal(restored.finest.data, dataset.finest.data)
-    print("  lossless entry restored bit-exact from the sharded archive")
+    worst = float(np.abs(step.finest.data - later.finest.data).max())
+    assert worst <= np.spacing(np.abs(later.finest.data).max())
+    print(f"  lossless keyframe restored bit-exact, delta step within {worst:.1e} "
+          "(the sum's rounding) from the sharded archive")
 
 
 if __name__ == "__main__":

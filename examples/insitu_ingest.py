@@ -11,9 +11,9 @@ payload shard, so no whole compressed snapshot is ever held), and with
 against the running *reconstruction* — every reconstructed step honors
 the keyframe's absolute error bound, with no drift along the chain.
 
-The read side resolves delta chains transparently:
-``read_timestep_level`` / ``read_timestep_region`` read keyframe +
-residuals as one ``ArchiveReader.read_chain`` request (each decoded brick
+The read side resolves delta chains transparently: every read of a key
+returns its timestep.  ``ArchiveReader.read_level`` / ``read_region`` of
+a delta key read keyframe + residuals as one request (each decoded brick
 summed across the chain and cached under it, the box assembled once),
 and an ROI read of a chain is bit-identical to slicing the full
 reconstruction.
@@ -27,12 +27,7 @@ from tempfile import TemporaryDirectory
 import numpy as np
 
 from repro.core.container import resolve_global_eb
-from repro.ingest import (
-    IngestConfig,
-    IngestSession,
-    read_timestep_level,
-    read_timestep_region,
-)
+from repro.ingest import IngestConfig, IngestSession
 from repro.serve.reader import ArchiveReader
 from repro.sim import make_timestep_series
 
@@ -79,17 +74,17 @@ def main(scale: int = 8) -> None:
                 if i % KEYFRAME_EVERY == 0:
                     kf_index = i
                 eb_abs = resolve_global_eb(steps[kf_index], EB, MODE)
-                # Delta entries store residuals; the read helpers sum the
+                # Delta entries store residuals; a read of the key sums the
                 # chain (keyframe + residuals) per decoded brick, in one
-                # request with one RequestStats per chain entry.
-                level, stats = read_timestep_level(reader, key, 0)
+                # request whose RequestStats names the chain it summed.
+                level, stats = reader.read_level(key, 0)
                 truth = steps[i].levels[0]
                 worst = float(np.abs(truth.data - level.data)[truth.mask].max())
                 roi = (slice(0, 16), slice(0, 16), slice(0, 16))
-                region, _ = read_timestep_region(reader, key, 0, roi)
+                region, _ = reader.read_region(key, 0, roi)
                 print(
                     f"  step {i}: level err {worst:.3e} <= eb_abs {eb_abs:.3e} "
-                    f"({len(stats)}-entry chain)"
+                    f"({len(stats.chain)}-entry chain)"
                 )
                 assert worst <= eb_abs * 1.0001
                 assert np.array_equal(region, level.data[roi])  # ROI = slice

@@ -11,7 +11,10 @@ name it in ``meta["structure"]``), resolves the session's relative bound
 against each field's own value range, and fans the fields over a worker
 pool — byte-identical to the serial run.
 Any one field reads back on its own through the lazy archive: its parts
-plus the holder's masks, nothing else.
+plus the holder's masks, nothing else.  A key always reads as its
+timestep — in a series with ``keyframe_interval > 1`` the archive follows
+a delta entry's chain to its keyframe the way it follows the mask
+reference here.
 """
 
 import sys
@@ -66,7 +69,8 @@ def main(scale: int = 8) -> None:
         print(f"masks stored once save {saved / 1e3:.1f} kB vs {len(each)} independent entries")
 
         # A different process restores one field via the registry alone —
-        # no structure= argument: the archive follows the reference.
+        # no structure= argument: the archive follows the reference (and a
+        # delta key's temporal chain, were there one).
         with LazyBatchArchive.open(tmp / "step.rpbt") as archive:
             key = keys[sorted(fields).index("temperature")]
             print(f"\n{key}: structure -> {archive.entry(key).meta['structure']}")

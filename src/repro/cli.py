@@ -5,7 +5,8 @@ Commands
 ``make``        synthesize a Table 1 dataset to an ``.npz`` file
 ``info``        summarize an AMR ``.npz`` or a batch archive
 ``compress``    compress an AMR ``.npz`` with any registered codec
-``decompress``  restore one stored entry, a level subset of it, or an ROI
+``decompress``  restore one stored timestep (a delta key sums its chain), a level
+                subset of it, or an ROI
 ``inspect``     per-part breakdown of a blob/archive (no payload decode)
 ``batch``       compress many ``.npz`` files into one sharded archive
 ``ingest``      stream a snapshot series into a sharded archive (in-situ)
@@ -500,62 +501,89 @@ def _parse_region(spec: str):
 def cmd_decompress(args) -> int:
     with _open_input(args.path, (_BLOB, _ARCHIVE), args.key) as (source, keys):
         if keys is None:
-            return _decompress_entry(source, args)
+            codec, region = _check_request(source, args)
+            if region is not None:
+                result = codec.decompress_region(source, args.level[0], region)
+            elif args.level is not None:
+                result = codec.decompress_levels(source, args.level)
+            else:
+                result = codec.decompress(source)
+            parts = source.parts
+            return _save(args, result, f"{len(parts.accessed())}/{len(parts)} ({parts.bytes_read} "
+                                       f"of {source.compressed_bytes()} payload bytes)")
         if len(keys) != 1:
             raise UsageError(
                 f"batch archive holds {len(keys)} entries; pick one with --key {keys}"
             )
-        return _decompress_entry(with_structure(source.entry(keys[0]), keys[0], source.entry), args)
+        (key,) = keys
+        _codec, region = _check_request(with_structure(source.entry(key), key, source.entry), args)
+        if args.level is None:
+            # A delta key restores its timestep: the archive sums its chain.
+            return _save(args, source.decompress(key))
+    # A level subset or an ROI of an archive key is a read-service request:
+    # the key's timestep, its chain planned and summed once per level.
+    from repro.serve import ArchiveReader
+
+    with ArchiveReader(args.path, cache_bytes=0, request_workers=1) as reader:
+        if region is not None:
+            result, stats = reader.read_region(key, args.level[0], region)
+        else:
+            read = [reader.read_level(key, level) for level in args.level]
+            result, stats = [lvl for lvl, _stats in read], read[-1][1]
+        fetched = reader.stats()["bytes_fetched"]
+    return _save(args, result, f"{fetched} payload bytes, chain {' + '.join(stats.chain)}")
 
 
-def _decompress_entry(entry, args) -> int:
-    """Decode all of ``entry``, its ``--level`` subset, or its ``--region``."""
+def _check_request(entry, args):
+    """The codec that reads ``entry`` and the ``--region`` as slices
+    (``None`` without one), after checking the request against the entry:
+    a level or region it does not have is a usage error, told before
+    anything is decoded."""
     try:
         codec = codec_for_method(entry.method)
     except KeyError:
         raise UsageError(f"unknown archive method {entry.method!r}") from None
-    if args.level is not None or args.region is not None:
-        if not supports_partial_decode(codec):
-            raise UsageError(
-                f"codec for method {entry.method!r} has no partial-decode "
-                "support; omit --level and --region"
-            )
-        if args.region is not None and (not args.level or len(args.level) != 1):
-            raise UsageError("--region needs exactly one --level")
-        # A level or region the entry does not have is a usage error, told
-        # before anything is decoded (the read path would raise the same).
-        # Only partial decoders store ``shapes``; a whole decode needs none.
-        shapes = entry.meta["shapes"]
-        try:
-            if args.level is not None:
-                check_level_indices(args.level, len(shapes))
-            if args.region is not None:
-                region = _parse_region(args.region)
-                normalize_region(region, shapes[args.level[0]])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    if args.level is None and args.region is None:
+        return codec, None
+    if not supports_partial_decode(codec):
+        raise UsageError(
+            f"codec for method {entry.method!r} has no partial-decode "
+            "support; omit --level and --region"
+        )
+    if args.region is not None and (not args.level or len(args.level) != 1):
+        raise UsageError("--region needs exactly one --level")
+    # Only partial decoders store ``shapes``; a whole decode needs none.
+    shapes = entry.meta["shapes"]
+    try:
+        check_level_indices(args.level, len(shapes))
+        if args.region is None:
+            return codec, None
+        region = _parse_region(args.region)
+        normalize_region(region, shapes[args.level[0]])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return codec, region
 
-    if args.region is not None:
-        level = args.level[0]
-        data = codec.decompress_region(entry, level, region)
-        np.savez_compressed(args.output, data=data, level=np.int64(level))
-        print(f"region {args.region} of level {level}: shape {data.shape}")
-    elif args.level is not None:
-        levels = codec.decompress_levels(entry, args.level)
+
+def _save(args, result, parts_read: str | None = None) -> int:
+    """Write what ``decompress`` restored — an ROI array, a list of levels
+    or a whole dataset — and report it."""
+    if isinstance(result, np.ndarray):
+        np.savez_compressed(args.output, data=result, level=np.int64(args.level[0]))
+        print(f"region {args.region} of level {args.level[0]}: shape {result.shape}")
+    elif isinstance(result, list):
         arrays = {}
-        for lvl in levels:
+        for lvl in result:
             arrays[f"data_{lvl.level}"] = lvl.data
             arrays[f"mask_{lvl.level}"] = np.packbits(lvl.mask.ravel())
         np.savez_compressed(args.output, **arrays)
-        for lvl in levels:
+        for lvl in result:
             print(f"level {lvl.level}: grid {lvl.n}^3, {lvl.n_points()} values")
     else:
-        dataset = codec.decompress(entry)
-        save_dataset(dataset, args.output)
-        print(dataset.summary())
-    parts = entry.parts
-    print(f"parts read  : {len(parts.accessed())}/{len(parts)} "
-          f"({parts.bytes_read} of {entry.compressed_bytes()} payload bytes)")
+        save_dataset(result, args.output)
+        print(result.summary())
+    if parts_read is not None:
+        print(f"parts read  : {parts_read}")
     print(f"wrote {args.output}")
     return 0
 
@@ -565,6 +593,11 @@ def _print_entry_breakdown(entry, indent: str = "") -> None:
     print(f"{indent}dataset     : {entry.dataset_name}")
     if STRUCTURE_META_KEY in entry.meta:
         print(f"{indent}structure -> {entry.meta[STRUCTURE_META_KEY]}")
+    temporal = entry.meta.get("temporal") or {}
+    if temporal.get("mode") == "delta":  # a residual: reads sum it onto its base
+        print(f"{indent}temporal -> delta of {temporal['base']} (keyframe {temporal['keyframe']})")
+    elif temporal:
+        print(f"{indent}temporal -> {temporal['mode']}")
     print(f"{indent}stored      : {entry.n_values} values, "
           f"{entry.original_bytes} -> {entry.compressed_bytes()} B "
           f"(ratio {entry.ratio():.2f}x)")

@@ -139,6 +139,23 @@ def with_structure(entry, key: str, lookup):
     return view
 
 
+def temporal_chain(key: str, meta_of) -> list[str]:
+    """The keys whose sum is the timestep stored under ``key``, keyframe
+    first — the one place a ``temporal`` record (:mod:`repro.ingest.delta`)
+    is resolved, ``meta_of(entry_key)`` supplying each entry's metadata.
+    An entry without deltas is its own chain of one."""
+    chain = [key]
+    temporal = meta_of(key).get("temporal")
+    while temporal and temporal.get("mode") == "delta":
+        base = temporal["base"]
+        if base in chain:
+            raise ValueError(f"temporal chain of {key!r} loops at {base!r}")
+        chain.append(base)
+        temporal = meta_of(base).get("temporal")
+    chain.reverse()
+    return chain
+
+
 def _shard_name(head_path: Path, idx: int) -> str:
     return f"{head_path.stem}.shard-{idx:04d}.rpsh"
 
@@ -678,10 +695,24 @@ class LazyBatchArchive:
         return LazyCompressedDataset._parse(src, offset, owns_source=False, length=length)
 
     def decompress(self, key: str, structure: AMRDataset | None = None) -> AMRDataset:
-        """Restore one entry via the codec its recorded ``method`` names,
-        reading only it."""
-        comp = with_structure(self.entry(key), key, self.entry)
-        return registry.codec_for_method(comp.method).decompress(comp, structure=structure)
+        """Restore the timestep stored under ``key``, reading only the
+        entries of its temporal chain (:func:`temporal_chain`).
+
+        Each entry decodes whole, through the codec its recorded
+        ``method`` names, and the chain's levels are summed base first in
+        the stored dtype — the sum an ingest session's closed loop keeps,
+        so a delta key restores its step, not its residual.  Any codec
+        qualifies: only ``decompress`` is called.
+        """
+        restored = None
+        for entry_key in temporal_chain(key, lambda k: self.entry(k).meta):
+            comp = with_structure(self.entry(entry_key), entry_key, self.entry)
+            step = registry.codec_for_method(comp.method).decompress(comp, structure=structure)
+            if restored is not None:
+                for base, lvl in zip(restored.levels, step.levels):
+                    lvl.data = base.data + lvl.data
+            restored = step
+        return restored
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

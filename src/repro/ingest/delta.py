@@ -41,17 +41,18 @@ On the wire a delta entry is a normal container entry whose metadata
 carries ``meta["temporal"] = {"mode": "delta", "base": <prev key>,
 "keyframe": <keyframe key>, "step": t}`` (keyframes record ``{"mode":
 "keyframe", "step": t}``), and each of its level metas is tagged
-``"temporal": "delta"``.  Readers that ignore the tag decode the raw
-residual; :func:`read_timestep_region` / :func:`read_timestep_level`
-resolve the chain through :meth:`ArchiveReader.entry_meta` and read it
-as one request (:meth:`ArchiveReader.read_chain`): the box is planned
-once, from the latest entry, each decoded unit (brick, group, stream) is
-summed base first across the chain and cached under the chain, and the
-box is assembled once.  The sum is elementwise and an assembly only
-copies values, so the assembly of the sum is the sum of the assemblies,
-and an ROI read of the sum equals the sum of ROI reads — region reads
-stay bit-identical to slicing a full reconstruction.  A codec whose
-assembly computes (the 3D baseline averages children into coarse
+``"temporal": "delta"``.  Every read of a key returns its timestep: the
+archive resolves the chain (:func:`repro.engine.archive.temporal_chain`)
+and sums it base first — :meth:`LazyBatchArchive.decompress
+<repro.engine.archive.LazyBatchArchive.decompress>` entry by entry, the
+read service (:class:`~repro.serve.reader.ArchiveReader`) as one request:
+the box is planned once, from the latest entry, each decoded unit (brick,
+group, stream) is summed base first across the chain and cached under the
+chain, and the box is assembled once.  The sum is elementwise and an
+assembly only copies values, so the assembly of the sum is the sum of the
+assemblies, and an ROI read of the sum equals the sum of ROI reads —
+region reads stay bit-identical to slicing a full reconstruction.  A codec
+whose assembly computes (the 3D baseline averages children into coarse
 levels) sums assembled boxes instead, as its writer folded them.
 """
 
@@ -153,48 +154,7 @@ def accumulate(rec: np.ndarray, decoded_residual: AMRLevel) -> np.ndarray:
     return rec
 
 
-def temporal_chain(reader, key: str) -> list[str]:
-    """Entry keys from the keyframe to ``key`` inclusive, base-first.
-
-    ``reader`` is anything with an ``entry_meta(key) -> dict`` (the read
-    service's :class:`~repro.serve.reader.ArchiveReader`, or a lazy
-    archive wrapped accordingly).  Entries without a ``temporal`` record,
-    and keyframes, are their own chain of one.
-    """
-    chain = [key]
-    seen = {key}
-    temporal = reader.entry_meta(key).get("temporal")
-    while temporal and temporal.get("mode") == "delta":
-        base = temporal["base"]
-        if base in seen:
-            raise ValueError(f"temporal chain of {key!r} loops at {base!r}")
-        chain.append(base)
-        seen.add(base)
-        temporal = reader.entry_meta(base).get("temporal")
-    chain.reverse()
-    return chain
-
-
-def read_timestep_level(reader, key: str, level: int, **kwargs):
-    """Reconstruct one level of (possibly delta-coded) entry ``key``.
-
-    Returns ``(level, stats_list)`` — an :class:`AMRLevel` like
-    :meth:`ArchiveReader.read_level`, plus one
-    :class:`~repro.serve.reader.RequestStats` per chain entry.  The chain
-    is one request (:meth:`ArchiveReader.read_chain`): summation runs base
-    first in the stored dtype, matching the write-side closed loop bit for
-    bit, and the mask comes from ``key``'s own entry (the hierarchy guard
-    keeps it constant along a chain).
-    """
-    return reader.read_chain(temporal_chain(reader, key), level, **kwargs)
-
-
 def read_timestep_region(reader, key: str, level: int, region, **kwargs):
-    """Reconstruct one ROI of (possibly delta-coded) entry ``key``.
-
-    Bit-identical to ``read_timestep_level(...)[0][region]`` — the chain
-    sum is elementwise, so it commutes with slicing — while reading only
-    the payloads each chain entry needs for the ROI.
-    """
-    lvl, stats = reader.read_chain(temporal_chain(reader, key), level, region, **kwargs)
-    return lvl.data, stats
+    """``reader.read_region(key, level, region, **kwargs)``, kept for the
+    benchmark workloads that call it."""
+    return reader.read_region(key, level, region, **kwargs)

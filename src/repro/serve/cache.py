@@ -24,7 +24,7 @@ from collections import OrderedDict
 #: Cache keys are ``(chain, level, unit_key)``: ``chain`` is the tuple of
 #: entry keys whose units are summed, base first — ``(entry_key,)`` for an
 #: entry's own decoded unit, ``(keyframe, delta, ...)`` for a delta chain's
-#: sum (see :meth:`repro.serve.reader.ArchiveReader.read_chain`).
+#: sum (see :meth:`repro.serve.reader.ArchiveReader.read_region`).
 CacheKey = tuple
 
 

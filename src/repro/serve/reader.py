@@ -11,9 +11,10 @@ amortizable:
 * every request — a box of a level, or the level itself, which is the box
   that covers it — is the codec's own plan for that box, so only the units
   the box needs are looked up, fetched, decoded and stitched;
-* a request reads a chain of entries, base first (an entry's own read is
-  its chain of one): a temporal-delta chain is planned once, summed per
-  decoded unit and assembled once (:meth:`ArchiveReader.read_chain`);
+* a request reads the timestep stored under its key — the key's
+  temporal chain, base first (:func:`~repro.engine.archive.temporal_chain`;
+  an entry without deltas is its chain of one): a delta chain is planned
+  once, summed per decoded unit and assembled once;
 * every request consults the decoded-brick cache *before any part
   fetch* — an overlapping ROI pays I/O and SZ decode only for the bricks
   (and the mask) no earlier request touched;
@@ -43,11 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.amr.hierarchy import AMRLevel
 from repro.core.container import MASK_PREFIX, PartIntegrityError
 from repro.core.plan import check_level_indices, level_box, normalize_region, region_slices
 from repro.engine import LazyBatchArchive, codec_for_method, default_shard_opener
-from repro.engine.archive import STRUCTURE_META_KEY, with_structure
+from repro.engine.archive import STRUCTURE_META_KEY, temporal_chain, with_structure
 from repro.serve.cache import DecodedBrickCache
 from repro.serve.opener import FetchStats, RetryPolicy, retrying_opener
 from repro.serve.prefetch import Deadline, DeadlineExceeded, PipelineStats, PrefetchPipeline
@@ -85,13 +85,13 @@ def _entry_units(state, level: int, box, keys: list[str], stage) -> list:
 
 @dataclass
 class RequestStats:
-    """Accounting for one served request — of one entry of it, for a
-    chain read (:meth:`ArchiveReader.read_chain`): there the chain's last
-    entry carries the request's ``seconds`` and ``bytes_served`` (0 on the
-    others) and the cache hits of the chain's summed units, and each entry
-    what it fetched and decoded itself."""
+    """Accounting for one served request: what every entry of the key's
+    temporal chain fetched and decoded, summed, plus the cache hits of the
+    chain's summed units."""
 
     key: str
+    #: The entries the request summed, base first (``(key,)`` without deltas).
+    chain: tuple
     level: int
     box: tuple | None
     seconds: float
@@ -104,15 +104,16 @@ class RequestStats:
     overlapped: bool
     #: Whether this request ran in degraded mode (fill-on-failure).
     degraded: bool = False
-    #: One row per unit this entry lost in a degraded request: the entry,
-    #: the unit, the level-space box that holds fill values instead of
-    #: data, why, and the failure class (``integrity`` / ``timeout`` /
+    #: One row per unit a chain entry lost in a degraded request: the
+    #: entry, the unit, the level-space box that holds fill values instead
+    #: of data, why, and the failure class (``integrity`` / ``timeout`` /
     #: ``io``).  Empty on clean requests.
     errors: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "key": self.key,
+            "chain": list(self.chain),
             "level": self.level,
             "box": [list(b) for b in self.box] if self.box else None,
             "seconds": round(self.seconds, 6),
@@ -140,6 +141,10 @@ class _EntryState:
 
 class ArchiveReader:
     """Serve concurrent partial reads from a batch archive.
+
+    Every read of a key returns the timestep stored under it: a
+    temporal-delta entry's chain is summed onto its keyframe
+    (:mod:`repro.ingest.delta`), never served as the residual it stores.
 
     Parameters
     ----------
@@ -243,11 +248,10 @@ class ArchiveReader:
         return [tuple(shape) for shape in state.comp.meta["shapes"]]
 
     def entry_meta(self, key: str) -> dict:
-        """One entry's metadata record (reads metadata only).
-
-        This is how temporal-delta chains are resolved: an ingest-written
-        entry carries ``meta["temporal"]`` naming its base and keyframe
-        keys (see :mod:`repro.ingest.delta`).
+        """One entry's metadata record (reads metadata only): an
+        ingest-written entry's ``meta["temporal"]`` names its base and
+        keyframe keys (see :mod:`repro.ingest.delta`), which every read of
+        the key resolves.
         """
         return self._entry(key).comp.meta
 
@@ -265,14 +269,12 @@ class ArchiveReader:
                 self._entries[key] = state
             return state
 
-    def _record(self, stats: list[RequestStats]) -> None:
-        """Count one request: the per-entry ``stats`` of one chain read."""
+    def _record(self, stats: RequestStats) -> None:
         with self._stats_lock:
             self.n_requests += 1
-            for entry in stats:
-                self.bytes_fetched += entry.bytes_fetched
-                self.bytes_served += entry.bytes_served
-                self.request_seconds += entry.seconds
+            self.bytes_fetched += stats.bytes_fetched
+            self.bytes_served += stats.bytes_served
+            self.request_seconds += stats.seconds
 
     def _execute_cached(
         self,
@@ -411,16 +413,15 @@ class ArchiveReader:
             units = units + more
         return tip.codec.assemble(tip.comp, level, results, None, request_box), units
 
-    def _degrade_fill(self, data: np.ndarray, request_box, units, chain, pstats) -> list[list]:
+    def _degrade_fill(self, data: np.ndarray, request_box, units, chain, pstats) -> list:
         """Write ``fill_value`` into the box of every unit any chain entry
-        lost (``data`` is the level's ``request_box``) and return each
-        entry's structured error report: one row per unit it lost, naming
+        lost (``data`` is the level's ``request_box``) and return the
+        structured error report: one row per unit an entry lost, naming
         the entry, boxes in level space, clipped to the request."""
         boxes = {u.key: u.box for u in units}
         origin = [lo for lo, _hi in request_box]
-        reports = []
+        report = []
         for key, stats in zip(chain, pstats):
-            report = []
             for ukey in sorted(stats.unit_errors):
                 exc = stats.unit_errors[ukey]
                 clipped = tuple(
@@ -437,8 +438,7 @@ class ArchiveReader:
                         "error": str(exc),
                     }
                 )
-            reports.append(report)
-        return reports
+        return report
 
     def _resolve_modes(self, deadline, degraded) -> tuple[Deadline | None, bool]:
         if deadline is None:
@@ -448,24 +448,23 @@ class ArchiveReader:
         return Deadline.coerce(deadline), bool(degraded)
 
     # -- serving -----------------------------------------------------------
-    def _serve(self, chain: tuple[str, ...], level: int, region, deadline, degraded):
-        """One box of one level of the sum of the entries ``chain``, base
-        first — ``region=None`` is the box that covers the level — as
-        ``(AMRLevel over the box, [RequestStats per entry])``.
-
-        The single read path; an entry's own read is its chain of one.  One
-        deadline covers the whole chain.  The tip's plan for the box, its
-        units looked up under the chain's cache key before any fetch, the
-        misses decoded per entry and summed (:meth:`_chain_results`), the
-        tip codec's assembly of exactly the box, then fill values over the
-        box of every unit any entry lost.  A chain whose codecs do not sum
-        per unit (:attr:`~repro.core.plan.PlanExecutorMixin.sums_per_unit`:
-        the 3D baseline averages in its assembly) sums its entries'
-        assembled boxes instead, each its own chain of one.
+    def _serve(self, key: str, level: int, region, deadline, degraded):
+        """The single read path: one box of one level of the timestep stored
+        under ``key`` (``region=None`` covers the level), as ``(AMRLevel
+        over the box, RequestStats)``.  The key's temporal chain is summed
+        base first in the stored dtype, as the writer's closed loop summed,
+        under one deadline: the tip's plan for the box, its units looked up
+        under the chain's cache key before any fetch, the misses decoded per
+        entry and summed (:meth:`_chain_results`), the tip codec's assembly
+        of exactly the box, then fill values over the box of every unit any
+        entry lost.  A chain whose codecs do not sum per unit
+        (:attr:`~repro.core.plan.PlanExecutorMixin.sums_per_unit`: the 3D
+        baseline averages in its assembly) sums its entries' assembled boxes.
         """
         t0 = time.perf_counter()
         modes = self._resolve_modes(deadline, degraded)
-        states = [self._entry(key) for key in chain]
+        chain = tuple(temporal_chain(key, self.entry_meta))
+        states = [self._entry(k) for k in chain]
         tip = states[-1]
         shapes = tip.comp.meta["shapes"]
         (level,) = check_level_indices([level], len(shapes))
@@ -481,96 +480,73 @@ class ArchiveReader:
                 chain, states, level, box, request_box, pstats, *modes
             )
         else:
-            levels, units = [], []
-            for key, state, stats in zip(chain, states, pstats):
+            lvl, units = None, []
+            for entry_key, state, stats in zip(chain, states, pstats):
                 entry_lvl, entry_units = self._assemble_chain(
-                    (key,), [state], level, box, request_box, [stats], *modes
+                    (entry_key,), [state], level, box, request_box, [stats], *modes
                 )
-                levels.append(entry_lvl)
                 units += entry_units
-            data = levels[0].data
-            for entry_lvl in levels[1:]:
-                data = data + entry_lvl.data
-            lvl = AMRLevel(data=data, mask=levels[-1].mask, level=level)
-        reports = [[] for _ in chain]
+                if lvl is not None:
+                    entry_lvl.data = lvl.data + entry_lvl.data
+                lvl = entry_lvl
+        errors: list = []
         if any(stats.unit_errors for stats in pstats):
-            reports = self._degrade_fill(lvl.data, request_box, units, chain, pstats)
-        seconds = time.perf_counter() - t0
-        last = len(chain) - 1
-        stats = [
-            RequestStats(
-                key=key,
-                level=level,
-                box=box,
-                seconds=seconds if i == last else 0.0,
-                bytes_fetched=p.bytes_fetched,
-                bytes_served=int(lvl.data.nbytes) if i == last else 0,
-                cache_hits=p.n_preloaded,
-                cache_misses=p.n_decoded,
-                n_parts_fetched=p.n_parts,
-                n_fetches=p.n_fetches,
-                overlapped=p.overlapped(),
-                degraded=modes[1],
-                errors=report,
-            )
-            for i, (key, p, report) in enumerate(zip(chain, pstats, reports))
-        ]
+            errors = self._degrade_fill(lvl.data, request_box, units, chain, pstats)
+        stats = RequestStats(
+            key=key,
+            chain=chain,
+            level=level,
+            box=box,
+            seconds=time.perf_counter() - t0,
+            bytes_fetched=sum(p.bytes_fetched for p in pstats),
+            bytes_served=int(lvl.data.nbytes),
+            cache_hits=sum(p.n_preloaded for p in pstats),
+            cache_misses=sum(p.n_decoded for p in pstats),
+            n_parts_fetched=sum(p.n_parts for p in pstats),
+            n_fetches=sum(p.n_fetches for p in pstats),
+            overlapped=any(p.overlapped() for p in pstats),
+            degraded=modes[1],
+            errors=errors,
+        )
         self._record(stats)
         return lvl, stats
-
-    def read_chain(self, chain, level: int, region=None, *, deadline=None, degraded=None):
-        """One box of one level of the sum of the entries ``chain`` (entry
-        keys, base first: a keyframe and its deltas, see
-        :func:`repro.ingest.delta.temporal_chain`), plus one
-        :class:`RequestStats` per entry.
-
-        ``region=None`` reads the whole level.  Summation runs base first
-        in the stored dtype, as the writer's closed loop summed, so the
-        result is bit-identical to summing each entry's read.  The chain is
-        one request: one ``deadline`` budget, and in degraded mode a unit
-        lost in any entry is ``fill_value`` over its box, reported in the
-        stats of the entry that lost it.  The tip's stats carry the
-        request's ``seconds`` and ``bytes_served``; every entry's carry
-        what it fetched and decoded, and the tip's ``cache_hits`` count
-        the chain's summed units served from the cache.
-        """
-        chain = tuple(chain)
-        if not chain:
-            raise ValueError("a chain needs at least one entry key")
-        return self._serve(chain, level, region, deadline, degraded)
 
     def read_region(
         self, key: str, level: int, region, *, deadline=None, degraded=None
     ) -> tuple[np.ndarray, RequestStats]:
-        """One entry-level ROI plus its request accounting.
+        """One ROI of one level of the timestep stored under ``key``, plus
+        its request accounting.
 
-        Bit-identical to ``codec.decompress_region`` on the same blob —
-        it is the same plan and the same assembly; the decoded-brick
-        cache is consulted per plan unit before any part fetch, and only
-        the units the ROI needs are planned at all.
+        Bit-identical to the same slice of :meth:`decompress` — the same
+        plan and the same assembly, and the chain sum is elementwise, so it
+        commutes with slicing; the decoded-brick cache is consulted per plan
+        unit before any part fetch, and only the units the ROI needs are
+        planned at all.
 
         ``deadline`` (seconds) and ``degraded`` override the reader's
-        defaults per request.  A degraded request never fails on a bad
-        *brick*: the brick's box is served as ``fill_value`` and reported
-        in ``stats.errors`` — fault-free re-reads of the same ROI are
-        bit-identical to the non-degraded path.
+        defaults per request; one deadline covers the whole chain.  A
+        degraded request never fails on a bad *brick*: the brick's box is
+        served as ``fill_value`` (lost in any chain entry, it is lost for
+        the step) and reported in ``stats.errors`` — fault-free re-reads of
+        the same ROI are bit-identical to the non-degraded path.
         """
-        lvl, (stats,) = self._serve((key,), level, region, deadline, degraded)
+        lvl, stats = self._serve(key, level, region, deadline, degraded)
         return lvl.data, stats
 
     def read_level(self, key: str, level: int, *, deadline=None, degraded=None):
-        """One whole reconstructed level plus its request accounting.
+        """One whole reconstructed level of the timestep stored under
+        ``key``, plus its request accounting.
 
         ``deadline``/``degraded`` behave exactly as in
         :meth:`read_region` (the request box is the whole level).
         """
-        lvl, (stats,) = self._serve((key,), level, None, deadline, degraded)
-        return lvl, stats
+        return self._serve(key, level, None, deadline, degraded)
 
     def decompress(self, key: str):
-        """Full-entry restore on the calling thread (no brick caching)."""
-        state = self._entry(key)
-        return state.codec.decompress(state.comp)
+        """The whole timestep stored under ``key``, restored on the calling
+        thread (:meth:`~repro.engine.archive.LazyBatchArchive.decompress`;
+        no brick caching)."""
+        return self._archive.decompress(key)
 
     # -- concurrent front-end ----------------------------------------------
     def submit(self, key: str, level: int, region=None, *, deadline=None, degraded=None):

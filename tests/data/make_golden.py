@@ -113,7 +113,7 @@ def ingest_expectations() -> dict:
     reconstruction stats and a pinned ROI read — the read-side chain
     summation.
     """
-    from repro.ingest import IngestConfig, IngestSession, read_timestep_level, read_timestep_region
+    from repro.ingest import IngestConfig, IngestSession
     from repro.serve.reader import ArchiveReader
     from tests.helpers import golden_timestep_series
 
@@ -142,7 +142,7 @@ def ingest_expectations() -> dict:
         for key in keys:
             rows = []
             for level in range(len(series[0].levels)):
-                lvl, _stats = read_timestep_level(reader, key, level)
+                lvl, _stats = reader.read_level(key, level)
                 rows.append(
                     {
                         "level": level,
@@ -151,7 +151,7 @@ def ingest_expectations() -> dict:
                     }
                 )
             expected["reconstructed"][key] = rows
-        roi, _stats = read_timestep_region(reader, keys[1], 0, INGEST_ROI)
+        roi, _stats = reader.read_region(keys[1], 0, INGEST_ROI)
         expected["roi_sum"] = float(roi.sum(dtype=np.float64))
         expected["roi_nonzero"] = int(np.count_nonzero(roi))
     return expected

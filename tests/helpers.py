@@ -615,24 +615,30 @@ def write_archive(path, entries: dict, **writer_options):
     return writer.report.head_path
 
 
-def oracle_timestep_read(reader, key: str, level: int, region=None, **kwargs):
-    """The per-entry chain read that delta reads replaced: every entry of
-    ``key``'s temporal chain served as its own request (``read_level`` /
-    ``read_region``), the assembled boxes summed base first.  Returns
-    ``(data, [RequestStats per entry])``; the oracle of
-    :meth:`repro.serve.ArchiveReader.read_chain`'s per-unit sum."""
-    from repro.ingest import temporal_chain
+def oracle_timestep_read(archive, key: str, level: int, region=None) -> np.ndarray:
+    """One level (or its ``region``) of the timestep stored under ``key``,
+    read without the read service: the key's temporal chain walked here
+    from each entry's ``meta["temporal"]``, every entry decoded alone
+    through its own codec (``LazyBatchArchive.entry`` + ``with_structure``
+    + ``decompress_level`` / ``decompress_region``), the boxes summed base
+    first.  ``archive`` is an open :class:`repro.engine.LazyBatchArchive`;
+    the oracle of every chain read."""
+    from repro.engine import codec_for_method
+    from repro.engine.archive import with_structure
 
-    out, stats = None, []
-    for entry_key in temporal_chain(reader, key):
+    chain = [key]
+    while (archive.entry(chain[-1]).meta.get("temporal") or {}).get("mode") == "delta":
+        chain.append(archive.entry(chain[-1]).meta["temporal"]["base"])
+    out = None
+    for entry_key in reversed(chain):
+        comp = with_structure(archive.entry(entry_key), entry_key, archive.entry)
+        codec = codec_for_method(comp.method)
         if region is None:
-            lvl, entry_stats = reader.read_level(entry_key, level, **kwargs)
-            data = lvl.data
+            data = codec.decompress_level(comp, level).data
         else:
-            data, entry_stats = reader.read_region(entry_key, level, region, **kwargs)
-        stats.append(entry_stats)
+            data = codec.decompress_region(comp, level, region)
         out = data if out is None else out + data
-    return out, stats
+    return out
 
 
 def rpht_table(code_lengths, max_len: int) -> bytes:

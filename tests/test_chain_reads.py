@@ -1,14 +1,15 @@
-"""Delta-chain reads: one request per chain, summed per decoded unit.
+"""Delta-chain reads: one request per key, summed per decoded unit.
 
-``ArchiveReader.read_chain`` plans a box once, from the chain's latest
-entry, sums each decoded value unit (brick, group, 1D or zMesh stream)
-base first across the chain, caches the sum under the chain, and
-assembles the box once.  The contracts pinned here:
+``ArchiveReader.read_region`` / ``read_level`` of a delta key read its
+temporal chain: the box is planned once, from the chain's latest entry,
+each decoded value unit (brick, group, 1D or zMesh stream) is summed base
+first across the chain, the sum cached under the chain, and the box
+assembled once.  The contracts pinned here:
 
-* bit-identity with the per-entry loop it replaced
-  (``tests/helpers.py::oracle_timestep_read``) for every codec an ingest
-  session chains, both dtypes, region and full-level reads, GSP and OpST
-  levels, chains of one to four entries, cold and warm;
+* bit-identity with every entry decoded alone through its codec and
+  summed (``tests/helpers.py::oracle_timestep_read``) for every codec an
+  ingest session chains, both dtypes, region and full-level reads, GSP and
+  OpST levels, chains of one to four entries, cold and warm;
 * which codecs sum per unit is a property of the codec, not an option;
 * the cache: summed units are read-only, a chain of one is an entry's own
   read, and an entry's units serve every chain that holds it;
@@ -30,15 +31,10 @@ from hypothesis import strategies as st
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import MASK_PREFIX
-from repro.engine import codec_names, default_shard_opener, get_codec
+from repro.engine import LazyBatchArchive, codec_names, default_shard_opener, get_codec
+from repro.engine.archive import temporal_chain
 from repro.faults import FaultPlan, FaultRule, archive_part_spans, faulty_opener
-from repro.ingest import (
-    IngestConfig,
-    IngestSession,
-    read_timestep_level,
-    read_timestep_region,
-    temporal_chain,
-)
+from repro.ingest import IngestConfig, IngestSession
 from repro.serve import ArchiveReader, DeadlineExceeded, RetryPolicy
 from tests.helpers import oracle_timestep_read, two_level_dataset
 
@@ -97,29 +93,29 @@ def chains(tmp_path_factory):
 
 
 # ----------------------------------------------------------------------
-# bit-identity with the per-entry loop
+# bit-identity with the per-entry decode
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("codec", CHAINED_CODECS)
 def test_chain_reads_match_the_per_entry_loop(chains, codec, dtype):
     head, keys = chains(codec, dtype)
-    with ArchiveReader(head, cache_bytes=0) as oracle, ArchiveReader(head) as reader:
+    with LazyBatchArchive.open(head) as oracle, ArchiveReader(head) as reader:
         if codec == "tac":
             strategies = {lm["strategy"] for lm in reader.entry_meta(keys[-1])["levels"]}
             assert strategies == {"opst", "gsp"}
         for length, key in enumerate(keys, start=1):
-            assert len(temporal_chain(reader, key)) == length
+            assert len(temporal_chain(key, reader.entry_meta)) == length
             for level in (0, 1):
-                want_full, _ = oracle_timestep_read(oracle, key, level)
-                want_roi, _ = oracle_timestep_read(oracle, key, level, ROI)
+                want_full = oracle_timestep_read(oracle, key, level)
+                want_roi = oracle_timestep_read(oracle, key, level, ROI)
                 assert want_full.dtype == np.dtype(dtype)
                 for _pass in ("cold", "warm"):
-                    full, stats = read_timestep_level(reader, key, level)
-                    assert len(stats) == length
+                    full, stats = reader.read_level(key, level)
+                    assert len(stats.chain) == length
                     assert full.data.dtype == want_full.dtype
                     assert full.data.tobytes() == want_full.tobytes()
-                    roi, stats = read_timestep_region(reader, key, level, ROI)
-                    assert len(stats) == length
+                    roi, stats = reader.read_region(key, level, ROI)
+                    assert len(stats.chain) == length
                     assert roi.dtype == want_roi.dtype
                     assert roi.tobytes() == want_roi.tobytes()
 
@@ -127,7 +123,7 @@ def test_chain_reads_match_the_per_entry_loop(chains, codec, dtype):
 @pytest.fixture(scope="module")
 def tac_chain(chains):
     head, keys = chains("tac", np.float32)
-    with ArchiveReader(head, cache_bytes=0) as oracle, ArchiveReader(head) as reader:
+    with LazyBatchArchive.open(head) as oracle, ArchiveReader(head) as reader:
         yield head, keys, reader, oracle
 
 
@@ -146,8 +142,8 @@ def test_drawn_boxes_match_the_per_entry_loop(tac_chain, level, step, bounds):
         (min(lo, extent - 1), min(max(hi, min(lo, extent - 1) + 1), extent))
         for lo, hi in bounds
     )
-    want, _ = oracle_timestep_read(oracle, keys[step], level, region)
-    got, _ = read_timestep_region(reader, keys[step], level, region)
+    want = oracle_timestep_read(oracle, keys[step], level, region)
+    got, _ = reader.read_region(keys[step], level, region)
     assert got.tobytes() == want.tobytes()
 
 
@@ -186,8 +182,8 @@ def test_summed_units_are_cached_read_only(tmp_path):
     head = tmp_path / "chain.rpbt"
     keys = write_chain(head, steps=3)
     with ArchiveReader(head) as reader:
-        read_timestep_region(reader, keys[2], 1, ROI)
-        read_timestep_level(reader, keys[2], 0)
+        reader.read_region(keys[2], 1, ROI)
+        reader.read_level(keys[2], 0)
         cached = dict(reader.cache._entries)
         summed = {key: value for key, (value, _size) in cached.items() if len(key[0]) == 3}
         assert {key[0] for key in summed} == {tuple(keys)}
@@ -206,34 +202,36 @@ def test_a_chain_of_one_is_the_entrys_own_read(tmp_path):
         want, _stats = reader.read_region(keys[0], 1, ROI)
         n_entries = len(reader.cache)
         assert {key[0] for key in reader.cache._entries} == {(keys[0],)}
-        got, stats = read_timestep_region(reader, keys[0], 1, ROI)
+        got, stats = reader.read_region(keys[0], 1, ROI)
         assert len(reader.cache) == n_entries
         assert got.tobytes() == want.tobytes()
-        (only,) = stats
-        assert only.cache_misses == 0 and only.bytes_fetched == 0
+        assert stats.chain == (keys[0],)
+        assert stats.cache_misses == 0 and stats.bytes_fetched == 0
 
 
 def test_an_earlier_step_reuses_the_entry_units_a_later_step_cached(tmp_path):
     head = tmp_path / "chain.rpbt"
     keys = write_chain(head, steps=3)
     with ArchiveReader(head) as reader:
-        _data, cold = read_timestep_region(reader, keys[2], 1, ROI)
-        assert all(entry.cache_misses > 0 for entry in cold)
+        reader.read_region(keys[2], 1, ROI)
+        # Every entry decoded its own bricks, cached under its chain of one.
+        own = {key: sum(1 for ck in reader.cache._entries if ck[0] == (key,)) for key in keys}
+        assert all(count > 0 for count in own.values())
+        bricks = own[keys[0]]
         hits = reader.cache.hits
-        data, stats = read_timestep_region(reader, keys[1], 1, ROI)
-        assert [entry.key for entry in stats] == keys[:2]
+        data, stats = reader.read_region(keys[1], 1, ROI)
+        assert stats.chain == tuple(keys[:2])
         # Only the tip's own mask decodes: the later step's read used its own.
-        assert [entry.cache_misses for entry in stats] == [0, 1]
-        bricks = cold[0].cache_misses
-        assert all(entry.cache_hits >= bricks for entry in stats)
+        assert stats.cache_misses == 1
+        assert stats.cache_hits >= 2 * bricks
         assert reader.cache.hits - hits >= 2 * bricks
-        with ArchiveReader(head, cache_bytes=0) as oracle:
-            want, _ = oracle_timestep_read(oracle, keys[1], 1, ROI)
+        with LazyBatchArchive.open(head) as oracle:
+            want = oracle_timestep_read(oracle, keys[1], 1, ROI)
         assert data.tobytes() == want.tobytes()
-        # The warm re-read of the same step is its summed units: one hit each.
-        _data, warm = read_timestep_region(reader, keys[1], 1, ROI)
-        assert [entry.cache_hits for entry in warm[:-1]] == [0]
-        assert warm[-1].cache_misses == 0
+        # The warm re-read of the same step is its summed units (and the
+        # tip's mask), one hit each: no entry's own units are looked up.
+        _data, warm = reader.read_region(keys[1], 1, ROI)
+        assert warm.cache_misses == 0 and warm.cache_hits == bricks + 1
 
 
 def test_concurrent_chain_reads_share_one_cache(tac_chain):
@@ -243,12 +241,12 @@ def test_concurrent_chain_reads_share_one_cache(tac_chain):
     head, keys, _reader, oracle = tac_chain
     boxes = [((0, 6), (1, 8), (0, 5)), ((2, 8), (0, 4), (3, 8)), ((0, 8),) * 3]
     jobs = [(key, level, box) for key in keys for level in (0, 1) for box in boxes]
-    want = {job: oracle_timestep_read(oracle, *job)[0].tobytes() for job in jobs}
+    want = {job: oracle_timestep_read(oracle, *job).tobytes() for job in jobs}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ArchiveReader(head) as reader, ThreadPoolExecutor(8) as pool:
-            futures = [(job, pool.submit(read_timestep_region, reader, *job)) for job in jobs * 3]
+            futures = [(job, pool.submit(reader.read_region, *job)) for job in jobs * 3]
             for job, future in futures:
                 assert future.result(timeout=60)[0].tobytes() == want[job]
             for value, _size in reader.cache._entries.values():
@@ -275,18 +273,18 @@ def chaos_reader(head, spans, rules, **kwargs):
 @pytest.mark.parametrize("region", [None, ((0, 6), (1, 8), (0, 3))], ids=["level", "box"])
 def test_a_unit_lost_in_one_delta_is_fill_over_its_box(chain_head, region):
     head, keys, spans = chain_head
-    with ArchiveReader(head, cache_bytes=0) as clean_reader:
-        clean, _ = oracle_timestep_read(clean_reader, keys[2], 1, region)
+    with LazyBatchArchive.open(head) as archive:
+        clean = oracle_timestep_read(archive, keys[2], 1, region)
     rule = FaultRule("bitflip", match=f"{keys[1]}/L1/b0", times=1)
     with chaos_reader(head, spans, [rule], cache_bytes=64 << 20, fill_value=-1.0) as reader:
         if region is None:
-            lvl, stats = read_timestep_level(reader, keys[2], 1, degraded=True)
+            lvl, stats = reader.read_level(keys[2], 1, degraded=True)
             data, request_box = lvl.data, ((0, 8),) * 3
         else:
-            data, stats = read_timestep_region(reader, keys[2], 1, region, degraded=True)
+            data, stats = reader.read_region(keys[2], 1, region, degraded=True)
             request_box = region
-        assert [entry.errors for entry in (stats[0], stats[2])] == [[], []]
-        (row,) = stats[1].errors
+        # One row, naming the delta that lost the unit (checked below).
+        (row,) = stats.errors
         lost = np.zeros(data.shape, dtype=bool)
         origin = [lo for lo, _hi in request_box]
         lost[tuple(slice(lo - o, hi - o) for (lo, hi), o in zip(row["box"], origin))] = True
@@ -298,12 +296,12 @@ def test_a_unit_lost_in_one_delta_is_fill_over_its_box(chain_head, region):
         assert reader.cache.get((chain, 1, "L1/b0")) is None
         # The fault fired once: a re-read is exact, and now cached.
         again, stats = (
-            read_timestep_level(reader, keys[2], 1, degraded=True)
+            reader.read_level(keys[2], 1, degraded=True)
             if region is None
-            else read_timestep_region(reader, keys[2], 1, region, degraded=True)
+            else reader.read_region(keys[2], 1, region, degraded=True)
         )
         again = again.data if region is None else again
-        assert all(entry.errors == [] for entry in stats)
+        assert stats.errors == []
         assert again.tobytes() == clean.tobytes()
         assert reader.cache.get((chain, 1, "L1/b0")) is not None
 
@@ -316,7 +314,7 @@ def test_a_chain_shares_one_deadline(chain_head):
     with chaos_reader(head, spans, rules, cache_bytes=0) as reader:
         t0 = time.perf_counter()
         with pytest.raises(DeadlineExceeded, match="deadline"):
-            read_timestep_level(reader, keys[2], 1, deadline=0.25)
+            reader.read_level(keys[2], 1, deadline=0.25)
         assert time.perf_counter() - t0 < 0.6
 
 
@@ -325,8 +323,8 @@ def test_a_degraded_chain_fills_what_one_deadline_cannot_fetch(chain_head):
     rules = [FaultRule("latency", match="*/L1/b0", delay=0.15, times=3)]
     with chaos_reader(head, spans, rules, cache_bytes=0, fill_value=-1.0) as reader:
         t0 = time.perf_counter()
-        _lvl, stats = read_timestep_level(reader, keys[2], 1, deadline=0.25, degraded=True)
+        _lvl, stats = reader.read_level(keys[2], 1, deadline=0.25, degraded=True)
         assert time.perf_counter() - t0 < 0.6
-        rows = [row for entry in stats for row in entry.errors]
+        rows = stats.errors
         assert rows and {row["kind"] for row in rows} == {"timeout"}
         assert {row["entry"] for row in rows} <= set(keys[1:])

@@ -338,6 +338,23 @@ class TestIngestCommand:
         ]) == 0
         assert bounds == [4, 4, 0]
 
+    def test_inspect_prints_each_entrys_temporal_record(self, tmp_path, capsys):
+        head = tmp_path / "s.rpbt"
+        assert main([
+            "ingest", "--sim", "Run1_Z10", "--steps", "3", "--scale", "16",
+            "--keyframe-interval", "3", "-o", str(head),
+        ]) == 0
+        capsys.readouterr()
+        # _check_no_payload_reads runs inside: the line costs no payload read.
+        assert main(["inspect", str(head)]) == 0
+        out = capsys.readouterr().out
+        keys = [f"Run1_Z10/baryon_density/t000{t}" for t in range(3)]
+        blocks = [out.split(f"{key}:")[1] for key in keys]
+        assert "  temporal -> keyframe\n" in blocks[0].split(f"{keys[1]}:")[0]
+        assert f"  temporal -> delta of {keys[0]} (keyframe {keys[0]})\n" in blocks[1]
+        assert f"  temporal -> delta of {keys[1]} (keyframe {keys[0]})\n" in blocks[2]
+        assert out.count("temporal -> ") == 3
+
 class TestShardedBatchCommand:
     @pytest.fixture
     def second_file(self, tmp_path):

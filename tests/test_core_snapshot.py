@@ -15,7 +15,7 @@ from repro.cli import main
 from repro.core.container import MASK_PREFIX, ContainerIOError
 from repro.engine import LazyBatchArchive, ShardedArchiveWriter, get_codec
 from repro.engine.archive import STRUCTURE_META_KEY, with_structure
-from repro.ingest import IngestError, IngestSession, read_timestep_level
+from repro.ingest import IngestError, IngestSession
 from repro.serve import ArchiveReader
 from repro.sim.datasets import make_dataset
 from repro.sim.nyx import NYX_FIELDS
@@ -267,7 +267,7 @@ class TestStepsInASeries:
             bounds = [lvl["eb_abs"] for lvl in reader.entry_meta(keys[0][1])["levels"]]
             for k, step in enumerate(series):
                 for idx, original in enumerate(step["velocity_x"].levels):
-                    lvl, _stats = read_timestep_level(reader, keys[k][1], idx)
+                    lvl, _stats = reader.read_level(keys[k][1], idx)
                     assert np.array_equal(lvl.mask, original.mask)
                     err = np.abs(lvl.data[lvl.mask] - original.data[original.mask]).max()
                     assert err <= bounds[idx] * 1.001 + 1e-9

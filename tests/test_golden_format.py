@@ -643,7 +643,6 @@ class TestGoldenIngestDelta:
     def test_reconstructions_match_recorded_stats_and_bound(
         self, expected_ingest, head_path
     ):
-        from repro.ingest import read_timestep_level
         from repro.serve.reader import ArchiveReader
         from tests.helpers import golden_timestep_series
 
@@ -651,7 +650,7 @@ class TestGoldenIngestDelta:
         with ArchiveReader(head_path) as reader:
             for key, snapshot in zip(expected_ingest["keys"], series):
                 for record in expected_ingest["reconstructed"][key]:
-                    lvl, _stats = read_timestep_level(reader, key, record["level"])
+                    lvl, _stats = reader.read_level(key, record["level"])
                     assert int(lvl.mask.sum()) == record["n_points"]
                     got = float(lvl.data[lvl.mask].sum(dtype=np.float64))
                     assert got == record["sum"]  # bit-stable chain sum
@@ -663,15 +662,12 @@ class TestGoldenIngestDelta:
                     )
 
     def test_pinned_roi_read(self, expected_ingest, head_path):
-        from repro.ingest import read_timestep_region
         from repro.serve.reader import ArchiveReader
 
         roi = tuple(slice(lo, hi) for lo, hi in expected_ingest["roi"])
         with ArchiveReader(head_path) as reader:
-            data, stats = read_timestep_region(
-                reader, expected_ingest["keys"][1], 0, roi
-            )
-        assert len(stats) == 2  # keyframe + delta
+            data, stats = reader.read_region(expected_ingest["keys"][1], 0, roi)
+        assert len(stats.chain) == 2  # keyframe + delta
         assert float(data.sum(dtype=np.float64)) == expected_ingest["roi_sum"]
         assert int(np.count_nonzero(data)) == expected_ingest["roi_nonzero"]
 

@@ -38,16 +38,13 @@ from repro.core.container import (
 )
 from repro.core.tac import TACCompressor
 from repro.engine import register
-from repro.engine.archive import LazyBatchArchive, ShardedArchiveWriter
+from repro.engine.archive import LazyBatchArchive, ShardedArchiveWriter, temporal_chain
 from repro.engine.registry import config_schema, validate_codec_options
 from repro.ingest import (
     IngestConfig,
     IngestError,
     IngestSession,
     hierarchy_signature,
-    read_timestep_level,
-    read_timestep_region,
-    temporal_chain,
 )
 from repro.serve.reader import ArchiveReader
 from repro.sz import compressor as sz_compressor
@@ -349,7 +346,7 @@ class TestTemporalDelta:
             for i, key in enumerate(keys):
                 eb_abs = resolve_global_eb(series[kf_for[i]], EB, "rel")
                 for level_idx in range(len(series[i].levels)):
-                    lvl, _stats = read_timestep_level(reader, key, level_idx)
+                    lvl, _stats = reader.read_level(key, level_idx)
                     want = series[i].levels[level_idx]
                     mask = want.mask
                     assert_error_bounded(
@@ -385,9 +382,9 @@ class TestTemporalDelta:
     def test_temporal_chain_walk(self, delta_archive):
         head, keys, _series, _report = delta_archive
         with ArchiveReader(head) as reader:
-            assert temporal_chain(reader, keys[2]) == keys[:3]
-            assert temporal_chain(reader, keys[0]) == [keys[0]]
-            assert temporal_chain(reader, keys[4]) == keys[3:]
+            assert temporal_chain(keys[2], reader.entry_meta) == keys[:3]
+            assert temporal_chain(keys[0], reader.entry_meta) == [keys[0]]
+            assert temporal_chain(keys[4], reader.entry_meta) == keys[3:]
 
     def test_deltas_compress_better_than_keyframes(self, tmp_path):
         series = timestep_series(5)
@@ -437,10 +434,10 @@ class TestDeltaReads:
         roi = (slice(2, 10), slice(0, 8), slice(4, 12))
         with ArchiveReader(head) as reader:
             for key in keys:
-                full, _ = read_timestep_level(reader, key, 0)
-                region, stats = read_timestep_region(reader, key, 0, roi)
+                full, _ = reader.read_level(key, 0)
+                region, stats = reader.read_region(key, 0, roi)
                 np.testing.assert_array_equal(region, full.data[roi])
-                assert len(stats) == len(temporal_chain(reader, key))
+                assert len(stats.chain) == len(temporal_chain(key, reader.entry_meta))
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.core.density import Strategy
 from repro.core.tac import TACCompressor
 from repro.engine import get_codec
 from repro.ingest import IngestConfig, IngestSession
-from repro.ingest.delta import read_timestep_level
 from repro.serve import ArchiveReader
 from repro.sim.datasets import make_dataset
 from tests.test_ingest import archive_entries
@@ -98,6 +97,6 @@ def test_ingest_chain_ignores_cells_outside_the_mask(t2, tmp_path):
         with ArchiveReader(head) as reader:
             last = reader.keys()[-1]
             assert_zero_outside(
-                read_timestep_level(reader, last, level)[0] for level in range(t2.n_levels)
+                reader.read_level(last, level)[0] for level in range(t2.n_levels)
             )
     assert archives["junk"] == archives["clean"]
