@@ -6,8 +6,8 @@ n_values}``, and merged into ``BENCH_hotpaths.json`` at the repo root.
 Memory rows (``*_peak_mb``) record ``op → {peak_mb: {threads_1,
 threads_2}, n_values}`` instead: an op's tracemalloc peak in MB at one
 and at two SZ encode threads; the baseline gate skips them.  The
-``serve_*`` rows time a median of many reads instead of a best-of and
-add its ``range_s`` (fastest, slowest).
+``serve_*`` rows and the 27-brick decode rows time a median of many calls
+instead of a best-of and add its ``range_s`` (fastest, slowest).
 Re-running after a change (or in CI's ``perf-smoke`` job) makes speedups
 measurable and regressions loud — the ``--baseline`` mode fails the run
 when any op is slower than a checked-in reference by more than
@@ -514,6 +514,12 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     what each stream of that call spends on its payload and on framing.
     ``huffman_decode_tables_bricks_27`` times the decode-table build of the
     27-brick pass alone (:func:`~repro.sz.huffman.decode_tables`).
+    The two 27-brick decode rows are the median of at least 30 calls with
+    their ``range_s``, like the ``serve_*`` rows: their best-of is bimodal
+    per process.  ``sz_decompress_many_bricks_peak_mb`` and
+    ``sz_decompress_many_bricks_27_peak_mb`` are memory rows: the
+    tracemalloc peak of the batched decode of every brick and of 27 — the
+    decoder's working set (the encode-thread count does not touch it).
     """
     from repro.sim.nyx import generate_field
     from repro.sz import SZCompressor
@@ -542,20 +548,25 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     for many, one in zip(codec.decompress_many(blobs[:27]), blobs[:27]):
         assert np.array_equal(many, codec.decompress(one))
 
-    def decode_pair(suffix: str, subset: list) -> dict:
+    def decode_pair(suffix: str, subset: list, timer) -> dict:
         n_values = len(subset) * brick**3
         return {
-            f"sz_decompress_many_bricks{suffix}": op_entry(
-                time_op(lambda: codec.decompress_many(subset), repeats),
-                n_values,
-                n_values * 4,
+            f"sz_decompress_many_bricks{suffix}": timer(
+                lambda: codec.decompress_many(subset), n_values
             ),
-            f"sz_decompress_loop_bricks{suffix}": op_entry(
-                time_op(lambda: [codec.decompress(blob) for blob in subset], repeats),
-                n_values,
-                n_values * 4,
+            f"sz_decompress_many_bricks{suffix}_peak_mb": peak_entry(
+                lambda: codec.decompress_many(subset), n_values
+            ),
+            f"sz_decompress_loop_bricks{suffix}": timer(
+                lambda: [codec.decompress(blob) for blob in subset], n_values
             ),
         }
+
+    def best_of(fn, n_values: int) -> dict:
+        return op_entry(time_op(fn, repeats), n_values, n_values * 4)
+
+    def median_of(fn, n_values: int) -> dict:
+        return spread_entry(time_spread(fn, max(30, repeats)), n_values, n_values * 4)
 
     scratch = field.copy()
     own = cut(scratch)
@@ -611,8 +622,8 @@ def _brick_ops(scale: int, repeats: int) -> dict:
         "sz_compress_loop_bricks": op_entry(
             time_op(compress_loop, repeats), n_values, n_values * 4
         ),
-        **decode_pair("", blobs),
-        **decode_pair("_27", blobs[:27]),
+        **decode_pair("", blobs, best_of),
+        **decode_pair("_27", blobs[:27], median_of),
     }
 
 
@@ -908,7 +919,8 @@ GROUP_OPS = {
     + ("huffman_decode_tables_bricks_27",)
     + tuple(
         f"sz_decompress_{how}_bricks{suffix}" for how in ("many", "loop") for suffix in ("", "_27")
-    ),
+    )
+    + ("sz_decompress_many_bricks_peak_mb", "sz_decompress_many_bricks_27_peak_mb"),
     "codecs": tuple(
         f"{c}_{op}" for c in ("tac", "1d", "zmesh", "3d") for op in ("compress", "decompress")
     ) + (
