@@ -147,11 +147,12 @@ def section_bytes(parsed: stream.Stream) -> dict[str, int]:
 #: pass predicts and packs, so the batches in flight together hold this
 #: many values.  Below it the per-call overhead is spread over too few
 #: lanes; above it the batch's window, symbol and reconstruction arrays
-#: (≈ 30 bytes per value) fall out of cache and the gathers slow down
-#: again.  Measured on 512 × 16³ streams: batches of 8 / 16 / 32 / 64 /
-#: 128 / 256 / 512 decode in about 190 / 165 / 135 / 135 / 135 / 160 /
-#: 185 ms and encode (eb 1e-4 rel) in about 280 / 255 / 255 / 265 / 300 /
-#: 300 / 310 ms.  A single stream larger than its share is a batch of its
+#: fall out of cache and the gathers slow down again (a 64-brick batch
+#: peaks at 30 bytes per value to encode and 14 to decode, tracemalloc).
+#: Measured on 512 × 16³ streams: batches of 8 / 16 / 32 / 64 / 128 /
+#: 256 / 512 decode in about 190 / 165 / 135 / 135 / 135 / 160 / 185 ms
+#: and encode (eb 1e-4 rel) in about 280 / 255 / 255 / 265 / 300 / 300 /
+#: 310 ms.  A single stream larger than its share is a batch of its
 #: own.
 BATCH_VALUES = 1 << 18
 
@@ -393,61 +394,77 @@ def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
     """Float64 reconstructions of same-key lattice streams, stream-major."""
     meta = members[0].meta
     shape = members[0].parsed.header.shape
-    n_symbols, block_size = meta["n_symbols"], meta["block_size"]
-    alphabet = 2 * meta["radius"] + 1
     with timed(timings, "decode"):
-        windows, payloads = [], []
-        for member in members:
-            parsed = member.parsed
-            # Every section is inflated to exactly the size the meta implies.
-            windows.append(
-                stream.unpack_code_lengths(parsed.section(stream.SEC_CODE_LENGTHS), alphabet)
-            )
-            codec_tag, payload = parsed.section(stream.SEC_PAYLOAD)
-            payloads.append(
-                lossless.decompress_bytes(
-                    codec_tag, payload, packed_nbytes(member.meta["total_bits"])
-                )
-            )
-        # The batch shares its block count: every member's offsets unpack
-        # in one pass.
-        total_bits = [member.meta["total_bits"] for member in members]
-        offsets = stream.unpack_block_offsets(
-            [member.parsed.sections.get(stream.SEC_BLOCK_OFFSETS) for member in members],
-            -(-n_symbols // block_size),
-            total_bits,
-        )
-        encoded = [
-            HuffmanEncoded(payload, bits, row, n_symbols, block_size)
-            for payload, bits, row in zip(payloads, total_bits, offsets)
-        ]
-        max_lens = [member.meta["max_len"] for member in members]
-        symbols = decode_many(decode_tables(windows, max_lens), encoded)
+        symbols = _decode_symbols(members)
     with timed(timings, "reconstruct"):
         radius = meta["radius"]
         escape = 2 * radius
-        # Escape positions are found on the compact int32 symbol stream;
-        # the widening to int64 doubles as the shift's working copy.
-        residuals = symbols.astype(np.int64)
-        residuals -= radius
-        for row, member in enumerate(members):
-            if member.meta["n_outliers"]:
-                codec_tag, payload = member.parsed.section(stream.SEC_OUTLIERS)
-                outliers = lossless.unpack_int_array(
-                    codec_tag, payload, np.int64, member.meta["n_outliers"]
-                )
+        counts = [member.meta["n_outliers"] for member in members]
+        # Escapes are found on the symbols before the shift; a stream holds
+        # one per outlier.
+        patches = []
+        if any(counts) or (symbols.size and int(symbols.max()) >= escape):
+            for row, (member, count) in enumerate(zip(members, counts)):
+                if count:
+                    codec_tag, payload = member.parsed.section(stream.SEC_OUTLIERS)
+                    outliers = lossless.unpack_int_array(codec_tag, payload, np.int64, count)
                 positions = np.flatnonzero(symbols[row] == escape)
-                if positions.size != outliers.size:
+                if positions.size != count:
                     raise ValueError("outlier count mismatch (corrupt stream)")
-                residuals[row, positions] = outliers
-        ebs = [member.parsed.header.eb_abs for member in members]
+                if count:
+                    patches.append((row, positions, outliers))
+        # The residuals are the symbols shifted by the radius, in place on
+        # decode_many's own int32 array (|residual| <= radius <= 2**20):
+        # the reconstruction's codes cost 4 bytes per value.  Outliers may
+        # be any int64 and the Lorenzo kernel is int64-only, so those
+        # batches widen first.
+        residuals = symbols
+        if patches or meta["predictor"] == "lorenzo":
+            residuals = symbols.astype(np.int64)
         del symbols  # not needed by the reconstruction, whose peak is this function's
+        residuals -= radius
+        for row, positions, outliers in patches:
+            residuals[row, positions] = outliers
+        ebs = [member.parsed.header.eb_abs for member in members]
         if meta["predictor"] == "interp":
             return interp_decompress(residuals, ebs, shape)
         return [
             dequantize(lorenzo_inverse(row.reshape(shape)), eb, dtype=np.float64)
             for row, eb in zip(residuals, ebs)
         ]
+
+
+def _decode_symbols(members: list[_Member]) -> np.ndarray:
+    """The ``(n_streams, n_symbols)`` int32 Huffman symbols of same-key
+    lattice streams, one lockstep pass; the array is the caller's own."""
+    meta = members[0].meta
+    n_symbols, block_size = meta["n_symbols"], meta["block_size"]
+    alphabet = 2 * meta["radius"] + 1
+    windows, payloads = [], []
+    for member in members:
+        parsed = member.parsed
+        # Every section is inflated to exactly the size the meta implies.
+        windows.append(
+            stream.unpack_code_lengths(parsed.section(stream.SEC_CODE_LENGTHS), alphabet)
+        )
+        codec_tag, payload = parsed.section(stream.SEC_PAYLOAD)
+        payloads.append(
+            lossless.decompress_bytes(codec_tag, payload, packed_nbytes(member.meta["total_bits"]))
+        )
+    # The batch shares its block count: every member's offsets unpack in
+    # one pass.
+    total_bits = [member.meta["total_bits"] for member in members]
+    offsets = stream.unpack_block_offsets(
+        [member.parsed.sections.get(stream.SEC_BLOCK_OFFSETS) for member in members],
+        -(-n_symbols // block_size),
+        total_bits,
+    )
+    encoded = [
+        HuffmanEncoded(payload, bits, row, n_symbols, block_size)
+        for payload, bits, row in zip(payloads, total_bits, offsets)
+    ]
+    max_lens = [member.meta["max_len"] for member in members]
+    return decode_many(decode_tables(windows, max_lens), encoded)
 
 
 def _check_destination(dest, shape: tuple[int, ...], dtype) -> None:

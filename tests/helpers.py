@@ -641,6 +641,72 @@ def oracle_timestep_read(archive, key: str, level: int, region=None) -> np.ndarr
     return out
 
 
+def oracle_lattice_decode(blobs) -> list[np.ndarray]:
+    """Reference decode of lattice SZ streams: the reconstruct stage as it
+    ran before its residuals stayed int32 and its passes ran in chunks of
+    streams.  Each :func:`repro.sz.compressor.stream_batches` batch's
+    Huffman symbols are widened to one int64 residual copy and patched
+    with every stream's outliers; interpolation batches then run each pass
+    over the whole batch with float64 prediction and scratch arrays,
+    Lorenzo streams through the integer kernel.  pw_rel streams leave log
+    space as the codec does.  Every blob must hold a lattice stream."""
+    from repro.sz import interp, lossless, stream
+    from repro.sz.compressor import _decode_symbols, _undo_log_transform, stream_batches
+    from repro.sz.predictor import lorenzo_inverse
+    from repro.sz.quantizer import ErrorMode, dequantize
+
+    out: list = [None] * len(blobs)
+    for batch in stream_batches(blobs):
+        members = batch.members
+        meta = members[0].meta
+        shape = members[0].parsed.header.shape
+        symbols = _decode_symbols(members)
+        radius = meta["radius"]
+        residuals = symbols.astype(np.int64)
+        residuals -= radius
+        for row, member in enumerate(members):
+            if member.meta["n_outliers"]:
+                codec_tag, payload = member.parsed.section(stream.SEC_OUTLIERS)
+                outliers = lossless.unpack_int_array(
+                    codec_tag, payload, np.int64, member.meta["n_outliers"]
+                )
+                positions = np.flatnonzero(symbols[row] == 2 * radius)
+                assert positions.size == outliers.size
+                residuals[row, positions] = outliers
+        ebs = np.array([member.parsed.header.eb_abs for member in members])
+        if meta["predictor"] == "interp":
+            full = (len(members),) + shape
+            pitch = (2.0 * ebs).reshape((len(members),) + (1,) * len(shape))
+            anchor_ix, passes = interp._traversal(full, len(shape))
+            values = np.zeros(full, dtype=np.float64)
+            anchor_shape = values[anchor_ix].shape
+            cursor = int(np.prod(anchor_shape[1:]))
+            lattice = np.cumsum(residuals[:, :cursor], axis=1)
+            values[anchor_ix] = lattice.astype(np.float64).reshape(anchor_shape) * pitch
+            for new_ix, left_ix, right_ix, axis in passes:
+                pred = interp._predict(values, new_ix, left_ix, right_ix, axis)
+                n_new = int(np.prod(pred.shape[1:]))
+                scratch = residuals[:, cursor : cursor + n_new].astype(np.float64)
+                scratch = scratch.reshape(pred.shape)
+                cursor += n_new
+                scratch *= pitch
+                pred += scratch
+                values[new_ix] = pred
+            assert cursor == residuals.shape[1]
+        else:
+            values = [
+                dequantize(lorenzo_inverse(row.reshape(shape)), eb, dtype=np.float64)
+                for row, eb in zip(residuals, ebs)
+            ]
+        for member, lattice in zip(members, values):
+            header = member.parsed.header
+            if header.mode == ErrorMode.PW_REL.value:
+                out[member.index] = _undo_log_transform(member.parsed, lattice)
+            else:
+                out[member.index] = lattice.astype(header.dtype)
+    return out
+
+
 def rpht_table(code_lengths, max_len: int) -> bytes:
     """Reference writer of an ``RPHT`` shared-Huffman-table part (the
     retired ``pack_shared_table``): ``<4sBBIIBQ`` head + code lengths."""
