@@ -405,13 +405,12 @@ def _decode_lattices(members: list[_Member], timings: TimingRecord | None):
         patches = []
         if any(counts) or (symbols.size and int(symbols.max()) >= escape):
             for row, (member, count) in enumerate(zip(members, counts)):
-                if count:
-                    codec_tag, payload = member.parsed.section(stream.SEC_OUTLIERS)
-                    outliers = lossless.unpack_int_array(codec_tag, payload, np.int64, count)
                 positions = np.flatnonzero(symbols[row] == escape)
                 if positions.size != count:
                     raise ValueError("outlier count mismatch (corrupt stream)")
                 if count:
+                    codec_tag, payload = member.parsed.section(stream.SEC_OUTLIERS)
+                    outliers = lossless.unpack_int_array(codec_tag, payload, np.int64, count)
                     patches.append((row, positions, outliers))
         # The residuals are the symbols shifted by the radius, in place on
         # decode_many's own int32 array (|residual| <= radius <= 2**20):
