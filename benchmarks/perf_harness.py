@@ -317,22 +317,14 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
     )
 
     # Chunked decode windows: force the over-limit path (one window per
-    # contiguous lane chunk) so the big-payload fast path — previously a
-    # 4-gather peek fallback — is tracked alongside the single-window
-    # decode it must stay close to.  block_size=32 gives the many-lane
-    # shape snapshot-scale streams have: at the harness floor of 50 000
-    # symbols the 2-chunk split still leaves >= 780 lanes per chunk, so
-    # the lanes-per-chunk guard routes to the chunked path at *every*
-    # --scale (asserted below — this op must never silently time the
-    # 4-gather fallback instead).
+    # contiguous lane chunk) so the big-payload path is tracked alongside
+    # the single-window decode it must stay close to.  block_size=32 gives
+    # the many-lane shape snapshot-scale streams have: at the harness floor
+    # of 50 000 symbols the 2-chunk split still leaves >= 780 lanes per
+    # chunk.
     from repro.sz import bitstream
-    from repro.sz.huffman import _MIN_CHUNK_LANES
 
     enc_many = codec.encode(symbols, block_size=32)
-    assert enc_many.block_offsets.size // 2 >= _MIN_CHUNK_LANES, (
-        "huffman_decode_chunked_window premise broken: the lanes-per-chunk "
-        "guard would route this op to the unwindowed fallback"
-    )
 
     def decode_chunked():
         saved = bitstream.WINDOW_WORDS_LIMIT

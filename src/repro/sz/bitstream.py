@@ -162,10 +162,11 @@ def as_peekable(*buffers: bytes | np.ndarray) -> np.ndarray:
     return np.concatenate(arrays + [np.zeros(_PEEK_PAD, dtype=np.uint8)])
 
 
-#: Above this payload size (bytes) :func:`window_words` is skipped and the
-#: decoder falls back to per-round 4-byte gathers — the window array costs
-#: 4 bytes per payload byte, which is fine for group-stream-sized payloads
-#: but not for multi-hundred-MB monolithic streams.
+#: Above this payload size (bytes) the decoder builds :func:`window_words`
+#: per contiguous chunk of blocks, each over at most this many bytes — the
+#: window array costs 4 bytes per payload byte, which is fine for
+#: group-stream-sized payloads but not for multi-hundred-MB monolithic
+#: streams.  A lone block wider than the limit peeks with 4-byte gathers.
 WINDOW_WORDS_LIMIT = 256 * 1024 * 1024
 
 

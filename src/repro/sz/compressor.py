@@ -148,7 +148,7 @@ def section_bytes(parsed: stream.Stream) -> dict[str, int]:
 #: many values.  Below it the per-call overhead is spread over too few
 #: lanes; above it the batch's window, symbol and reconstruction arrays
 #: fall out of cache and the gathers slow down again (a 64-brick batch
-#: peaks at 30 bytes per value to encode and 14 to decode, tracemalloc).
+#: peaks at 25 bytes per value to encode and 14 to decode, tracemalloc).
 #: Measured on 512 × 16³ streams: batches of 8 / 16 / 32 / 64 / 128 /
 #: 256 / 512 decode in about 190 / 165 / 135 / 135 / 135 / 160 / 185 ms
 #: and encode (eb 1e-4 rel) in about 280 / 255 / 255 / 265 / 300 / 300 /
@@ -742,12 +742,10 @@ class SZCompressor:
                 # a batch is stacked in its members' own dtype (the predictor
                 # reads float32 as it is).
                 stacked = arrs[0][None] if n_streams == 1 else np.stack(arrs)
-                if recon is None:
-                    residuals = interp_compress(stacked, ebs)
-                else:
-                    residuals, values = interp_compress(stacked, ebs, want_recon=True)
+                residuals, values = interp_compress(stacked, ebs)
+                if recon is not None:
                     _hand_out(recon, values)
-                    del values
+                del values
         else:
             with timed(timings, "quantize"):
                 lattices = [quantize(arr, eb) for arr, eb in zip(arrs, ebs)]

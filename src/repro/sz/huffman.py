@@ -96,12 +96,6 @@ DEFAULT_MAX_LEN = 16
 _MIN_BLOCK = 64
 _MAX_BLOCK = 8192
 
-#: Minimum lanes per chunk for the chunked-window decode of over-limit
-#: payloads.  Chunking a stream into k contiguous lane spans multiplies the
-#: lockstep round count by k; below this many lanes per round the fixed
-#: per-round cost dominates and the whole-stream 4-gather peek is faster.
-_MIN_CHUNK_LANES = 512
-
 
 def default_block_size(n_symbols: int) -> int:
     """Balanced block size: rounds ~ lanes ~ sqrt(n), clamped to sane bounds."""
@@ -680,15 +674,15 @@ def decode_many(tables: DecodeTables, streams) -> np.ndarray:
     # is a single gather plus two shifts.  A single stream too large to
     # window in one array is decoded in contiguous lane chunks, each
     # with a window over its own byte span, so snapshot-scale streams
-    # keep the one-gather fast path.
+    # keep the one-gather fast path.  Chunking multiplies the rounds, but
+    # an encoder-written payload over the limit holds >= 2**27 codes of
+    # <= 16 bits, so its blocks are 8192 codes and <= 16 KiB long and a
+    # full chunk runs ~16 000 lanes; a foreign block size still decodes,
+    # in more rounds.
     if buf.size <= limit:
         _decode_span(buf, window_words(buf), positions, expected, out, 0, tail, n_tail, lane_tables)
-    elif n_blocks // -(-buf.size // max(limit, 1)) >= _MIN_CHUNK_LANES:
-        _decode_chunked(buf, positions, expected, out, tail, limit, lane_tables)
     else:
-        # Too few lanes per chunk for the chunked windows to pay off —
-        # the whole-stream 4-gather peek keeps a single round schedule.
-        _decode_span(buf, None, positions, expected, out, 0, tail, n_tail, lane_tables)
+        _decode_chunked(buf, positions, expected, out, tail, limit, lane_tables)
     # Stitch rounds back into block-major stream order, trimming the
     # ragged tails (the transpose's reshape is the single copy).
     n_full = n_streams * full

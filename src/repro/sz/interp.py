@@ -10,8 +10,8 @@ neighbours*, with the prediction residual quantized at ``2*eb``.  Every
 point's error stays independently ``<= eb`` and code magnitudes track the
 field's local interpolation error, not accumulated rounding.
 
-Traversal (shared verbatim by compressor and decompressor — determinism is
-what makes the scheme work):
+Traversal (one sweep, :func:`_sweep`, runs it for compressor and
+decompressor alike — determinism is what makes the scheme work):
 
 * **anchors** — the stride-``2**L`` corner grid, quantized to the value
   lattice directly; anchor lattice indices are delta-coded in flat order
@@ -41,15 +41,19 @@ import numpy as np
 
 from repro.utils.validation import check_error_bound
 
-#: Values one decode pass holds in its prediction and scratch arrays (8
-#: bytes each): a batch of streams runs each pass in chunks of streams
-#: that stay under it, so those temporaries no longer grow with the batch
-#: (a stream larger than it is a chunk of its own).  Measured on 16³
-#: bricks, whose largest pass is 2 048 values per stream, at 2**13 /
-#: 2**14 / 2**15 / 2**16 / unchunked: a 27-brick decode peaks at 1.62 /
-#: 1.71 / 1.97 / 2.33 / 2.33 MB (tracemalloc) and 512 bricks at 11.9 /
-#: 12.0 / 12.2 / 12.7 / 13.8 MB, while the 27-brick reconstruct takes
-#: 1.0-1.1 ms at every setting (fastest of 150 calls, 2-core host).
+#: Values one pass holds in its prediction and scratch arrays (8 bytes
+#: each), encoding or decoding: a batch of streams runs each pass in
+#: chunks of streams that stay under it, so those temporaries do not grow
+#: with the batch (a stream larger than it is a chunk of its own).
+#: Measured on 16³ bricks, whose largest pass is 2 048 values per stream,
+#: at 2**13 / 2**14 / 2**15 / 2**16 / unchunked: a 27-brick decode peaks
+#: at 1.62 / 1.71 / 1.97 / 2.33 / 2.33 MB (tracemalloc) and 512 bricks at
+#: 11.9 / 12.0 / 12.2 / 12.7 / 13.8 MB, while the 27-brick reconstruct
+#: takes 1.0-1.1 ms at every setting (fastest of 150 calls, 2-core host).
+#: A 64-brick float32 ``compress_many`` at one encode thread peaks at
+#: 6.42 MB at every chunked setting (24.5 B per value, the Huffman
+#: encode's peak) and at 7.44 MB unchunked, in 15-16 ms either way
+#: (median of 15 calls).
 PASS_VALUES = 1 << 14
 
 
@@ -105,19 +109,6 @@ def _predict(recon: np.ndarray, new_ix, left_ix, right_ix, axis: int) -> np.ndar
     return pred
 
 
-def _refine(recon: np.ndarray, codes: np.ndarray, pitch, new_ix, left_ix, right_ix, axis) -> None:
-    """One decode pass over ``recon``, a chunk of streams: each new point
-    is its prediction plus its dequantized code (``codes``, one row per
-    stream).  The dequantization runs in one scratch buffer that is added
-    onto the owned prediction in place; both are gone on return, before
-    the next chunk's are made."""
-    pred = _predict(recon, new_ix, left_ix, right_ix, axis)
-    scratch = codes.astype(np.float64).reshape(pred.shape)
-    scratch *= pitch
-    pred += scratch
-    recon[new_ix] = pred
-
-
 def _traversal(full: tuple[int, ...], ndim: int):
     """``(anchor index, passes)`` for a batch of ``ndim``-D streams.
 
@@ -141,87 +132,111 @@ def _traversal(full: tuple[int, ...], ndim: int):
     return tuple(anchor_ix), passes
 
 
-def _check_ndim(ndim: int) -> None:
+def _sweep(codes: np.ndarray, abs_eb, shape: tuple[int, ...], data=None) -> np.ndarray:
+    """The traversal over a batch of streams of ``shape``, one per row of
+    ``codes``; returns the float64 reconstruction, with its stream axis.
+
+    ``data`` given, the sweep encodes it: each point's code is its rounded
+    ``(x - pred) / pitch``, stored into ``codes``.  Without it, the sweep
+    decodes: the codes are read.  Everything else is one set of
+    expressions, which is what keeps the two directions bit-identical.
+    Each pass runs over chunks of streams whose prediction and scratch
+    arrays hold at most :data:`PASS_VALUES` values (or one stream's
+    worth), both freed before the next chunk's are made; since every
+    float operation is elementwise (each stream's pitch broadcasts down
+    its row), no chunking changes a bit.
+    """
+    n_streams, ndim = codes.shape[0], len(shape)
+    ebs = np.atleast_1d(np.asarray(abs_eb, dtype=np.float64))
+    for eb in ebs:
+        check_error_bound(float(eb))
     if ndim not in (1, 2, 3, 4):
         raise ValueError(f"interpolation predictor supports 1-4D, got {ndim}D")
+    if ebs.size != n_streams:
+        raise ValueError(f"expected {n_streams} error bounds, got {ebs.size}")
+    full = (n_streams,) + shape
+    recon = np.zeros(full, dtype=np.float64)
+    if recon.size == 0:
+        return recon
+    size = recon[0].size
+    if codes.shape[1] != size:
+        raise ValueError(f"expected {size} codes for shape {shape}, got {codes.shape[1]}")
+    pitch = (2.0 * ebs).reshape((n_streams,) + (1,) * ndim)
+    if data is not None:
+        # Per-row |peak| from max and min: no |data| temporary, no copy of a view.
+        axes = tuple(range(1, data.ndim))
+        peaks = np.maximum(data.max(axis=axes), -data.min(axis=axes)).tolist()
+        for eb, peak in zip(ebs.tolist(), peaks):
+            width = 2.0 * eb
+            if peak / width > float(2**62):
+                raise ValueError(
+                    f"error bound {eb:g} is too small for data of magnitude "
+                    f"{peak / width * width:g}; lattice index would overflow int64"
+                )
+    anchor_ix, passes = _traversal(full, ndim)
+
+    # Anchors: lattice-quantized, delta-coded flat within each stream.
+    anchor_shape = recon[anchor_ix].shape
+    cursor = math.prod(anchor_shape[1:])
+    if data is None:
+        lattice = np.cumsum(codes[:, :cursor], axis=1, dtype=np.int64)
+    else:
+        lattice = np.rint(data[anchor_ix] / pitch).astype(np.int64).reshape(n_streams, cursor)
+        codes[:, :cursor] = np.diff(lattice, prepend=np.int64(0), axis=1)
+    recon[anchor_ix] = lattice.astype(np.float64).reshape(anchor_shape) * pitch
+
+    for new_ix, left_ix, right_ix, axis in passes:
+        n_new = math.prod(recon[(0,) + new_ix[1:]].shape)
+        step = max(PASS_VALUES // n_new, 1)
+        for lo in range(0, n_streams, step):
+            rows = slice(lo, lo + step)
+            part, own = recon[rows], codes[rows, cursor : cursor + n_new]
+            pred = _predict(part, new_ix, left_ix, right_ix, axis)
+            if data is None:
+                scratch = own.astype(np.float64).reshape(pred.shape)
+            else:
+                # One scratch buffer carries diff -> code -> dequantized residual.
+                scratch = data[rows][new_ix] - pred
+                scratch /= pitch[rows]
+                np.rint(scratch, out=scratch)
+                own[...] = scratch.reshape(own.shape)
+            scratch *= pitch[rows]
+            pred += scratch
+            part[new_ix] = pred
+            del pred, scratch
+        cursor += n_new
+    if cursor != size:
+        raise ValueError("code stream length mismatch (corrupt stream)")
+    return recon
 
 
-def interp_compress(data: np.ndarray, abs_eb, want_recon: bool = False):
-    """Quantization-code stream for ``data`` under absolute bound ``abs_eb``.
+def interp_compress(data: np.ndarray, abs_eb):
+    """Quantization codes and reconstruction of ``data`` under absolute
+    bound ``abs_eb``: ``(codes, recon)``.
 
-    The returned int64 stream concatenates anchor delta codes and per-pass
+    The int64 code stream concatenates anchor delta codes and per-pass
     residual codes in traversal order; :func:`interp_decompress` consumes
-    the same order.
+    the same order.  ``recon`` is the float64 reconstruction the traversal
+    fills pass by pass (later predictions consume earlier
+    reconstructions), which is what :func:`interp_decompress` rebuilds
+    from ``codes``: both run :func:`_sweep`, so the two are bit-identical.
 
     With ``abs_eb`` a sequence, ``data`` is a batch of same-shape streams
-    along a leading stream axis, one bound per stream, and the result has
-    one row of codes per stream.  The traversal runs once for the whole
-    batch and every float operation stays elementwise (each stream's pitch
-    broadcasts down its row, anchors are delta-coded within their row), so
-    row ``i`` is bit-identical to compressing ``data[i]`` on its own.
-
-    ``want_recon=True`` returns ``(codes, recon)``: the float64
-    reconstruction the traversal filled pass by pass (later predictions
-    consume earlier reconstructions), which is what
-    :func:`interp_decompress` rebuilds from ``codes`` — same expressions,
-    same order, so the two are bit-identical.
+    along a leading stream axis, one bound per stream, and both results
+    keep that axis: row ``i`` is bit-identical to compressing ``data[i]``
+    on its own.
     """
     batched = np.ndim(abs_eb) == 1
-    ebs = [check_error_bound(float(eb)) for eb in np.atleast_1d(abs_eb)]
-    # float32 is read as it is: every expression below widens it to float64
-    # exactly, so the codes are the ones a float64 copy would give.
+    # float32 is read as it is: every expression of the sweep widens it to
+    # float64 exactly, so the codes are the ones a float64 copy would give.
     arr = np.asarray(data)
     if arr.dtype != np.float32:
         arr = np.asarray(arr, dtype=np.float64)
     if not batched:
         arr = arr[None]
-    ndim = arr.ndim - 1
-    _check_ndim(ndim)
-    n_streams = arr.shape[0]
-    if len(ebs) != n_streams:
-        raise ValueError(f"expected {n_streams} error bounds, got {len(ebs)}")
-    codes = np.empty((n_streams, math.prod(arr.shape[1:])), dtype=np.int64)
-    if codes.size == 0:
-        recon = np.zeros(arr.shape, dtype=np.float64)
-        if not batched:
-            codes, recon = codes[0], recon[0]
-        return (codes, recon) if want_recon else codes
-    pitches = [2.0 * eb for eb in ebs]
-    # Per-row |peak| from max and min: no |arr| temporary, no copy of a view.
-    spatial = tuple(range(1, arr.ndim))
-    peaks = np.maximum(arr.max(axis=spatial), -arr.min(axis=spatial)).tolist()
-    for eb, pitch, peak in zip(ebs, pitches, peaks):
-        if peak / pitch > float(2**62):
-            raise ValueError(
-                f"error bound {eb:g} is too small for data of magnitude "
-                f"{peak / pitch * pitch:g}; lattice index would overflow int64"
-            )
-    pitch = np.array(pitches).reshape((n_streams,) + (1,) * ndim)
-    anchor_ix, passes = _traversal(arr.shape, ndim)
-    recon = np.zeros(arr.shape, dtype=np.float64)
-
-    # Anchors: lattice-quantize, delta-code flat within each stream.
-    lattice = np.rint(arr[anchor_ix] / pitch).astype(np.int64)
-    cursor = lattice.size // n_streams
-    codes[:, :cursor] = np.diff(lattice.reshape(n_streams, -1), prepend=np.int64(0), axis=1)
-    recon[anchor_ix] = lattice.astype(np.float64) * pitch
-
-    for new_ix, left_ix, right_ix, axis in passes:
-        pred = _predict(recon, new_ix, left_ix, right_ix, axis)
-        # One scratch buffer carries diff → code → dequantized residual;
-        # `pred` is then reused in place as the reconstruction values.
-        scratch = arr[new_ix] - pred
-        scratch /= pitch
-        np.rint(scratch, out=scratch)
-        n_new = scratch.size // n_streams
-        codes[:, cursor : cursor + n_new] = scratch.reshape(n_streams, -1)
-        cursor += n_new
-        scratch *= pitch
-        pred += scratch
-        recon[new_ix] = pred
-    if not batched:
-        codes, recon = codes[0], recon[0]
-    return (codes, recon) if want_recon else codes
+    codes = np.empty((arr.shape[0], math.prod(arr.shape[1:])), dtype=np.int64)
+    recon = _sweep(codes, abs_eb, arr.shape[1:], arr)
+    return (codes, recon) if batched else (codes[0], recon[0])
 
 
 def interp_decompress(codes: np.ndarray, abs_eb, shape: tuple[int, ...]) -> np.ndarray:
@@ -233,52 +248,15 @@ def interp_decompress(codes: np.ndarray, abs_eb, shape: tuple[int, ...]) -> np.n
 
     A 2-D ``codes`` array is a batch of same-shape streams, one per row,
     with ``abs_eb`` the matching sequence of bounds; the result then has
-    a leading stream axis.  The traversal runs once for the whole batch
-    and every float operation stays elementwise (each stream's pitch
-    broadcasts down its row), so row ``i`` is bit-identical to decoding
-    ``codes[i]`` on its own.  That is also why each pass may run over the
-    batch in chunks of streams: a pass's prediction and scratch arrays
-    hold at most :data:`PASS_VALUES` values (or one stream's worth).
+    a leading stream axis, and row ``i`` is bit-identical to decoding
+    ``codes[i]`` on its own.
     """
     codes = np.asarray(codes)
     if codes.dtype not in (np.int32, np.int64):
         codes = np.asarray(codes, dtype=np.int64)
     batched = codes.ndim == 2
-    ebs = np.atleast_1d(np.asarray(abs_eb, dtype=np.float64))
-    for eb in ebs:
-        check_error_bound(float(eb))
     shape = tuple(int(dim) for dim in shape)
-    ndim = len(shape)
-    _check_ndim(ndim)
-    if not batched:
-        codes = codes.reshape(1, -1)
-    n_streams = codes.shape[0]
-    if ebs.size != n_streams:
-        raise ValueError(f"expected {n_streams} error bounds, got {ebs.size}")
-    size = int(np.prod(shape)) if shape else 0
-    if size == 0:
-        recon = np.zeros((n_streams,) + shape, dtype=np.float64)
-        return recon if batched else recon[0]
-    if codes.shape[1] != size:
-        raise ValueError(f"expected {size} codes for shape {shape}, got {codes.shape[1]}")
-    full = (n_streams,) + shape
-    pitch = (2.0 * ebs).reshape((n_streams,) + (1,) * ndim)
-    anchor_ix, passes = _traversal(full, ndim)
-
-    recon = np.zeros(full, dtype=np.float64)
-    anchor_shape = recon[anchor_ix].shape
-    cursor = int(np.prod(anchor_shape[1:]))
-    lattice = np.cumsum(codes[:, :cursor], axis=1, dtype=np.int64)
-    recon[anchor_ix] = lattice.astype(np.float64).reshape(anchor_shape) * pitch
-
-    for new_ix, left_ix, right_ix, axis in passes:
-        n_new = math.prod(recon[(0,) + new_ix[1:]].shape)
-        step = max(PASS_VALUES // n_new, 1)
-        for lo in range(0, n_streams, step):
-            chunk = slice(lo, lo + step)
-            part = codes[chunk, cursor : cursor + n_new]
-            _refine(recon[chunk], part, pitch[chunk], new_ix, left_ix, right_ix, axis)
-        cursor += n_new
-    if cursor != size:
-        raise ValueError("code stream length mismatch (corrupt stream)")
+    recon = _sweep(codes if batched else codes.reshape(1, -1), abs_eb, shape)
     return recon if batched else recon[0]
+
+

@@ -707,6 +707,41 @@ def oracle_lattice_decode(blobs) -> list[np.ndarray]:
     return out
 
 
+def oracle_interp_compress(data, ebs) -> tuple[np.ndarray, np.ndarray]:
+    """Reference interpolation encode of a batch of same-shape streams (a
+    leading stream axis, one bound per stream): the encoder as it ran
+    before its passes ran in chunks of streams.  Each pass's prediction
+    and scratch arrays span the whole batch.  Returns ``(codes, recon)``,
+    int64 codes one row per stream and the float64 reconstruction."""
+    from repro.sz import interp
+
+    arr = np.asarray(data)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=np.float64)
+    n_streams, ndim = arr.shape[0], arr.ndim - 1
+    pitch = np.array([2.0 * eb for eb in ebs]).reshape((n_streams,) + (1,) * ndim)
+    anchor_ix, passes = interp._traversal(arr.shape, ndim)
+    codes = np.empty((n_streams, arr[0].size), dtype=np.int64)
+    recon = np.zeros(arr.shape, dtype=np.float64)
+    lattice = np.rint(arr[anchor_ix] / pitch).astype(np.int64)
+    cursor = lattice.size // n_streams
+    codes[:, :cursor] = np.diff(lattice.reshape(n_streams, -1), prepend=np.int64(0), axis=1)
+    recon[anchor_ix] = lattice.astype(np.float64) * pitch
+    for new_ix, left_ix, right_ix, axis in passes:
+        pred = interp._predict(recon, new_ix, left_ix, right_ix, axis)
+        scratch = arr[new_ix] - pred
+        scratch /= pitch
+        np.rint(scratch, out=scratch)
+        n_new = scratch.size // n_streams
+        codes[:, cursor : cursor + n_new] = scratch.reshape(n_streams, -1)
+        cursor += n_new
+        scratch *= pitch
+        pred += scratch
+        recon[new_ix] = pred
+    assert cursor == codes.shape[1]
+    return codes, recon
+
+
 def rpht_table(code_lengths, max_len: int) -> bytes:
     """Reference writer of an ``RPHT`` shared-Huffman-table part (the
     retired ``pack_shared_table``): ``<4sBBIIBQ`` head + code lengths."""

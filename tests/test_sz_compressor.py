@@ -83,6 +83,31 @@ class TestRoundTripAbs:
         assert out.shape == shape and out.dtype == np.float32
         assert_error_bounded(data, out, eb)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("predictor", ["interp", "lorenzo"])
+    @pytest.mark.parametrize("shape", [(64,), (16, 16, 16)])
+    def test_bound_holds_at_the_rounding_edge(self, predictor, dtype, shape, batched):
+        """Zeros with every odd cell of the last axis at ``eb * (1 + 5e-7)``:
+        each such cell is predicted as 0 (Lorenzo: each is quantized on its
+        own) and its residual sits just past half the pitch, so it rounds up
+        to ``2 * eb`` and errs by ``0.9999995 * eb``.  A pitch loosened by
+        one part in a million rounds it down instead, to an error of
+        ``1.0000005 * eb``: this test, not only the goldens, holds the pitch
+        at exactly ``2 * eb``."""
+        eb = 2.0**-10  # 2 * eb is exact in float32
+        data = np.zeros(shape, dtype=dtype)
+        data[..., 1::2] = eb * (1 + 5e-7)
+        assert eb < data.max() < eb * (1 + 1e-6)
+        codec = SZCompressor(predictor=predictor)
+        if batched:
+            blobs = codec.compress_many([data] * 3, eb, "abs")
+        else:
+            blobs = [codec.compress(data, eb, "abs")]
+        for out in codec.decompress_many(blobs):
+            error = np.abs(out.astype(np.float64) - data.astype(np.float64)).max()
+            assert eb * (1 - 1e-6) < error <= eb * (1 + 1e-9)
+
     def test_float64_preserved(self, codec, rng):
         data = rng.standard_normal((10, 10, 10))
         out = codec.decompress(codec.compress(data, 1e-6, mode="abs"))

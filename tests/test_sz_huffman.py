@@ -279,8 +279,9 @@ class TestRaggedTailDecode:
     def test_out_of_range_block_offsets_raise_valueerror(self, rng, monkeypatch, offset, limit):
         # Corrupt offsets past or before the payload read its last or first
         # word, like the clamped 4-byte peek, on every path (limit None: one
-        # window; 16: chunked windows; 4: 4-byte gathers) — and fail the end
-        # offset check, never with an IndexError.
+        # window; 16: chunked windows; 4, below one block's span: each block
+        # a chunk of 4-byte gathers) — and fail the end offset check, never
+        # with an IndexError.
         codec = HuffmanCodec(np.array([3, 3, 3, 3, 3], dtype=np.uint8))
         symbols = rng.integers(0, 5, size=300)
         encoded = codec.encode(symbols, block_size=64)
@@ -288,7 +289,6 @@ class TestRaggedTailDecode:
         bad_offsets[2] = encoded.total_bits + 10_000 if offset == "past" else -(10**9)
         if limit is not None:
             monkeypatch.setattr(bitstream, "WINDOW_WORDS_LIMIT", limit)
-            monkeypatch.setattr(huffman, "_MIN_CHUNK_LANES", 1 if limit == 16 else 1 << 62)
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
             codec.decode(dataclasses.replace(encoded, block_offsets=bad_offsets))
 
@@ -358,7 +358,8 @@ class TestCompleteCodeCorruption:
 
 class TestLeanRoundsMatchReference:
     """The lean rounds ≡ the reference round loop (``tests.helpers.lockstep_decode``)
-    on every decode path: one window, chunked windows, 4-byte gathers."""
+    on every decode path: one window, chunked windows, and per-block 4-byte
+    gathers (a window limit below one block's span)."""
 
     @staticmethod
     def _batch(seeds, alphabets, n, block, max_len):
@@ -376,12 +377,10 @@ class TestLeanRoundsMatchReference:
         """Patches that send a decode down ``path``."""
         if path == "window":
             return contextlib.nullcontext()
-        stack = contextlib.ExitStack()
-        limit = max(len(e.payload) for e in encoded) // 2
-        stack.enter_context(patch.object(bitstream, "WINDOW_WORDS_LIMIT", limit))
-        lanes = 1 if path == "chunked" else 1 << 62
-        stack.enter_context(patch.object(huffman, "_MIN_CHUNK_LANES", lanes))
-        return stack
+        # A window needs 4 bytes past its last peek, so at a limit of 4 any
+        # block of one bit or more is wider than the window.
+        limit = max(len(e.payload) for e in encoded) // 2 if path == "chunked" else 4
+        return patch.object(bitstream, "WINDOW_WORDS_LIMIT", limit)
 
     @given(
         streams=st.lists(
@@ -892,13 +891,11 @@ class TestBlockSizeHeuristic:
 class TestChunkedWindowDecode:
     """Over-limit payloads decode through per-chunk windows, bit-identically.
 
-    `WINDOW_WORDS_LIMIT` bounds the one-gather window array; payloads past
-    it used to fall back to 4-gather byte peeks for the *whole* stream.
-    Now contiguous lane chunks each build a window over their own byte
-    span (positions rebased), so the fast path survives at any size —
-    unless the lanes-per-chunk guard says the round-count multiplication
-    would cost more, in which case the old fallback still runs.  Either
-    way the output must be identical to the unlimited-window decode.
+    `WINDOW_WORDS_LIMIT` bounds the one-gather window array; past it,
+    contiguous lane chunks each build a window over their own byte span
+    (positions rebased), so the fast path survives at any size.  Only a
+    lone block wider than the limit peeks with 4-byte gathers.  Either way
+    the output must be identical to the unlimited-window decode.
     """
 
     def _roundtrip_with_limit(self, monkeypatch, symbols, block_size, limit):
@@ -927,20 +924,6 @@ class TestChunkedWindowDecode:
         # degrades to 4-gather peeks and still decodes exactly.
         symbols = rng.integers(0, 32, size=1000)
         self._roundtrip_with_limit(monkeypatch, symbols, 4096, 8)
-
-    def test_lane_guard_uses_whole_stream_fallback(self, rng, monkeypatch):
-        # Few lanes + tiny limit: chunking would multiply rounds with no
-        # lanes to amortize them; the guard must route to the whole-stream
-        # peek fallback, which is also bit-identical.
-        from repro.sz import bitstream
-        from repro.sz.huffman import _MIN_CHUNK_LANES
-
-        symbols = rng.integers(0, 32, size=2048)
-        codec = HuffmanCodec.from_symbols(symbols, alphabet_size=32)
-        encoded = codec.encode(symbols, block_size=256)  # 8 lanes
-        assert encoded.block_offsets.size < _MIN_CHUNK_LANES
-        monkeypatch.setattr(bitstream, "WINDOW_WORDS_LIMIT", 32)
-        assert np.array_equal(codec.decode(encoded), symbols)
 
     def test_chunked_matches_unchunked_bit_exactly(self, rng, monkeypatch):
         from repro.sz import bitstream

@@ -10,14 +10,16 @@ from tests.helpers import smooth_cube
 
 
 def roundtrip(data: np.ndarray, eb: float) -> np.ndarray:
-    codes = interp_compress(data, eb)
-    return interp_decompress(codes, eb, data.shape)
+    codes, recon = interp_compress(data, eb)
+    out = interp_decompress(codes, eb, data.shape)
+    assert out.tobytes() == recon.tobytes()
+    return out
 
 
 class TestInterpRoundTrip:
     def test_code_count_equals_size(self, rng):
         data = rng.standard_normal((9, 7, 5))
-        assert interp_compress(data, 1e-3).size == data.size
+        assert interp_compress(data, 1e-3)[0].size == data.size
 
     @pytest.mark.parametrize(
         "shape",
@@ -33,12 +35,12 @@ class TestInterpRoundTrip:
         data = smooth_cube(32, dtype=np.float64)
         # Bound above the cube's noise floor (0.01): residuals then reflect
         # interpolation error, which is tiny for a smooth field.
-        codes = interp_compress(data, 2e-2)
+        codes, _ = interp_compress(data, 2e-2)
         assert np.mean(np.abs(codes) <= 2) > 0.5
 
     def test_constant_field_codes_nearly_all_zero(self):
         data = np.full((16, 16, 16), 5.0)
-        codes = interp_compress(data, 1e-3)
+        codes, _ = interp_compress(data, 1e-3)
         # One anchor carries the value; everything else is zero residual.
         assert np.count_nonzero(codes) <= 1
 
@@ -52,8 +54,8 @@ class TestInterpRoundTrip:
             assert np.allclose(batch[b], single)
 
     def test_empty_array(self):
-        codes = interp_compress(np.zeros((0,)), 1e-3)
-        assert codes.size == 0
+        codes, recon = interp_compress(np.zeros((0,)), 1e-3)
+        assert codes.size == 0 and recon.shape == (0,)
         out = interp_decompress(codes, 1e-3, (0,))
         assert out.shape == (0,)
 
@@ -71,14 +73,13 @@ class TestInterpRoundTrip:
 
     def test_deterministic(self, rng):
         data = rng.standard_normal((12, 12, 12))
-        a = interp_compress(data, 1e-3)
-        b = interp_compress(data, 1e-3)
-        assert np.array_equal(a, b)
+        (a, a_recon), (b, b_recon) = interp_compress(data, 1e-3), interp_compress(data, 1e-3)
+        assert np.array_equal(a, b) and a_recon.tobytes() == b_recon.tobytes()
 
     def test_tighter_bound_larger_codes(self):
         data = smooth_cube(16, dtype=np.float64)
-        loose = np.abs(interp_compress(data, 1e-2)).sum()
-        tight = np.abs(interp_compress(data, 1e-4)).sum()
+        loose = np.abs(interp_compress(data, 1e-2)[0]).sum()
+        tight = np.abs(interp_compress(data, 1e-4)[0]).sum()
         assert tight > loose
 
     @settings(max_examples=30, deadline=None)
@@ -104,17 +105,19 @@ class TestBatchedCompress:
     def test_rows_are_identical_to_single_compresses(self, shape, rng):
         ebs = [1e-3, 2.5e-2, 7e-5, 1e-3]
         data = rng.standard_normal((len(ebs),) + shape) * 10
-        batch = interp_compress(data, ebs)
+        batch, recon = interp_compress(data, ebs)
         assert batch.shape == (len(ebs), int(np.prod(shape)))
-        assert batch.dtype == np.int64
-        for row, eb, got in zip(data, ebs, batch):
-            assert np.array_equal(got, interp_compress(row, eb))
+        assert batch.dtype == np.int64 and recon.shape == data.shape
+        for row, eb, got, got_recon in zip(data, ebs, batch, recon):
+            want, want_recon = interp_compress(row, eb)
+            assert np.array_equal(got, want)
+            assert got_recon.tobytes() == want_recon.tobytes()
 
     def test_float32_rows(self, rng):
         data = (rng.standard_normal((3, 9, 10, 11)) * 100).astype(np.float32)
-        batch = interp_compress(data, [1e-2] * 3)
+        batch, _ = interp_compress(data, [1e-2] * 3)
         for row, got in zip(data, batch):
-            assert np.array_equal(got, interp_compress(row, 1e-2))
+            assert np.array_equal(got, interp_compress(row, 1e-2)[0])
 
     @given(
         shape=st.sampled_from([(1,), (19,), (6, 7), (9, 8, 5), (2, 3, 4, 5)]),
@@ -135,21 +138,22 @@ class TestBatchedCompress:
         else:
             data = data[(slice(None),) + tuple(slice(0, d) for d in shape)]
         wide = data.astype(np.float64)
-        codes, recon = interp_compress(data, [eb] * 3, want_recon=True)
-        want_codes, want_recon = interp_compress(wide, [eb] * 3, want_recon=True)
+        codes, recon = interp_compress(data, [eb] * 3)
+        want_codes, want_recon = interp_compress(wide, [eb] * 3)
         assert recon.dtype == np.float64
         assert np.array_equal(codes, want_codes)
         assert np.array_equal(recon.view(np.int64), want_recon.view(np.int64))
-        assert np.array_equal(interp_compress(data[1], eb), want_codes[1])
+        assert np.array_equal(interp_compress(data[1], eb)[0], want_codes[1])
 
     def test_one_row_batch_keeps_its_axis(self, rng):
         data = rng.standard_normal((6, 6))
-        batch = interp_compress(data[None], [1e-2])
-        assert batch.shape == (1, 36)
-        assert np.array_equal(batch[0], interp_compress(data, 1e-2))
+        batch, recon = interp_compress(data[None], [1e-2])
+        assert batch.shape == (1, 36) and recon.shape == (1, 6, 6)
+        assert np.array_equal(batch[0], interp_compress(data, 1e-2)[0])
 
     def test_empty_streams(self):
-        assert interp_compress(np.zeros((3, 0, 4)), [1e-3] * 3).shape == (3, 0)
+        codes, recon = interp_compress(np.zeros((3, 0, 4)), [1e-3] * 3)
+        assert codes.shape == (3, 0) and recon.shape == (3, 0, 4)
 
     def test_rejects_mismatched_bounds_and_rank(self):
         with pytest.raises(ValueError, match="error bounds"):
@@ -167,7 +171,7 @@ class TestBatchedCompress:
             interp_compress(data[1], 1e-3)
         assert str(batch.value) == str(single.value)
         # The same magnitudes under a bound that fits them are fine.
-        assert interp_compress(data, [1e-3, 1e20, 1e-3]).shape == (3, 2)
+        assert interp_compress(data, [1e-3, 1e20, 1e-3])[0].shape == (3, 2)
 
 
 class TestBatchedDecompress:
@@ -179,7 +183,7 @@ class TestBatchedDecompress:
     def test_rows_are_bit_identical_to_single_decodes(self, shape, rng):
         ebs = [1e-3, 2.5e-2, 7e-5, 1e-3]
         codes = np.stack(
-            [interp_compress(rng.standard_normal(shape) * 10, eb) for eb in ebs]
+            [interp_compress(rng.standard_normal(shape) * 10, eb)[0] for eb in ebs]
         )
         batch = interp_decompress(codes, ebs, shape)
         assert batch.shape == (len(ebs),) + shape
@@ -205,15 +209,15 @@ class TestBatchedDecompress:
         else:
             data = data[(slice(None),) + tuple(slice(0, d) for d in shape)]
         wide = data.astype(np.float64)
-        codes, recon = interp_compress(data, [eb] * 3, want_recon=True)
-        want_codes, want_recon = interp_compress(wide, [eb] * 3, want_recon=True)
+        codes, recon = interp_compress(data, [eb] * 3)
+        want_codes, want_recon = interp_compress(wide, [eb] * 3)
         assert recon.dtype == np.float64
         assert np.array_equal(codes, want_codes)
         assert np.array_equal(recon.view(np.int64), want_recon.view(np.int64))
-        assert np.array_equal(interp_compress(data[1], eb), want_codes[1])
+        assert np.array_equal(interp_compress(data[1], eb)[0], want_codes[1])
 
     def test_one_row_batch_keeps_its_axis(self, rng):
-        codes = interp_compress(rng.standard_normal((6, 6)), 1e-2)
+        codes, _ = interp_compress(rng.standard_normal((6, 6)), 1e-2)
         batch = interp_decompress(codes[None], [1e-2], (6, 6))
         assert batch.shape == (1, 6, 6)
         assert np.array_equal(batch[0], interp_decompress(codes, 1e-2, (6, 6)))

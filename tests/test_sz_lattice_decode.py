@@ -3,10 +3,12 @@
 A lattice batch's Huffman symbols become its residuals in place (int32);
 only a batch that carries outliers, or a Lorenzo batch, widens to int64.
 Each interpolation pass runs over chunks of streams of at most
-``interp.PASS_VALUES`` values.  These tests hold that route to the int64,
-whole-batch reconstruct it replaced (``tests/helpers.py::
-oracle_lattice_decode``) bit for bit, bound its working set, and reach the
-stage's two integrity errors.
+``interp.PASS_VALUES`` values, in the encoder as in the decoder.  These
+tests hold that route to the int64, whole-batch reconstruct it replaced
+(``tests/helpers.py::oracle_lattice_decode``) and the encoder's to the
+whole-batch encode it replaced (``oracle_interp_compress``) bit for bit,
+bound the decode's working set, and reach the stage's two integrity
+errors.
 """
 
 import tracemalloc
@@ -18,7 +20,7 @@ from repro.sim.nyx import generate_field
 from repro.sz import compressor as sz_compressor
 from repro.sz import interp, stream
 from repro.sz.compressor import SZCompressor
-from tests.helpers import oracle_lattice_decode, reserialize_stream
+from tests.helpers import oracle_interp_compress, oracle_lattice_decode, reserialize_stream
 
 BRICK = 16
 
@@ -124,13 +126,35 @@ class TestOracle:
 
 
 class TestInterpCodes:
+    @pytest.mark.parametrize("direction", ["encode", "decode"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [1, 27, 64])
+    @pytest.mark.parametrize("shape", [(300,), (24, 20), (9, 16, 12), (3, 8, 8, 8)])
+    @pytest.mark.parametrize("pass_values", [1 << 6, 1 << 14, 1 << 30])
+    def test_chunked_sweep_matches_the_whole_batch_oracle(
+        self, monkeypatch, direction, dtype, count, shape, pass_values
+    ):
+        """Either direction of the chunked sweep, codes and reconstruction,
+        bit for bit against the encode whose passes spanned the batch."""
+        rng = np.random.default_rng(count * len(shape))
+        data = (np.cumsum(rng.standard_normal((count,) + shape), axis=-1) * 10).astype(dtype)
+        ebs = rng.uniform(1e-3, 1e-1, size=count).tolist()
+        want_codes, want_recon = oracle_interp_compress(data, ebs)
+        monkeypatch.setattr(interp, "PASS_VALUES", pass_values)
+        if direction == "encode":
+            codes, recon = interp.interp_compress(data, ebs)
+            assert codes.dtype == np.int64 and codes.tobytes() == want_codes.tobytes()
+        else:
+            recon = interp.interp_decompress(want_codes, ebs, shape)
+        assert recon.dtype == np.float64 and recon.tobytes() == want_recon.tobytes()
+
     @pytest.mark.parametrize("shape", [(300,), (24, 20), (9, 16, 12), (3, 8, 8, 8)])
     @pytest.mark.parametrize("pass_values", [1, 64, 1 << 40])
     def test_int32_and_int64_codes_decode_alike(self, monkeypatch, shape, pass_values):
         rng = np.random.default_rng(1)
         data = np.cumsum(rng.standard_normal((6,) + shape), axis=-1)
         ebs = [1e-3 * (1 + k) for k in range(6)]
-        codes = interp.interp_compress(data, ebs)
+        codes, _ = interp.interp_compress(data, ebs)
         want = interp.interp_decompress(codes, ebs, shape)
         monkeypatch.setattr(interp, "PASS_VALUES", pass_values)
         for dtype in (np.int32, np.int64, np.float64):
