@@ -5,7 +5,9 @@ timed at a pinned scale, recorded as ``op → {seconds, mb_per_s,
 n_values}``, and merged into ``BENCH_hotpaths.json`` at the repo root.
 Memory rows (``*_peak_mb``) record ``op → {peak_mb: {threads_1,
 threads_2}, n_values}`` instead: an op's tracemalloc peak in MB at one
-and at two SZ encode threads; the baseline gate skips them.  The
+and at two SZ encode threads (``huffman_decode_many_bricks_27_peak_mb``
+holds ``{huffman_pass, decompress_many}``: a decode's Huffman pass and the
+whole call); the baseline gate skips them.  The
 ``serve_*`` rows and the 27-brick decode rows time a median of many calls
 instead of a best-of and add its ``range_s`` (fastest, slowest).
 Re-running after a change (or in CI's ``perf-smoke`` job) makes speedups
@@ -116,6 +118,79 @@ def peak_entry(fn, n_values: int) -> dict:
         "peak_mb": {f"threads_{t}": peak_mb(fn, t) for t in (1, 2)},
         "n_values": int(n_values),
     }
+
+
+def pass_peak_entry(blobs: list[bytes], n_values: int) -> dict:
+    """A memory row of one ``decompress_many(blobs)``: the tracemalloc peak
+    (MB) of its Huffman pass (``compressor._decode_symbols``: the decode
+    tables, the lockstep rounds and the stitch, on top of what the call
+    holds when the pass starts; the largest over its passes) and of the
+    whole call."""
+    from repro.sz import SZCompressor, compressor
+
+    codec = SZCompressor()
+    codec.decompress_many(blobs)  # lazy imports and caches are not counted
+    real, passes = compressor._decode_symbols, []
+
+    def spy(members):
+        tracemalloc.reset_peak()
+        symbols = real(members)
+        passes.append(tracemalloc.get_traced_memory()[1])
+        return symbols
+
+    def whole() -> int:
+        tracemalloc.start()
+        try:
+            codec.decompress_many(blobs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    compressor._decode_symbols = spy
+    try:
+        whole()
+    finally:
+        compressor._decode_symbols = real
+    return {
+        "peak_mb": {
+            "huffman_pass": round(max(passes) / 1e6, 3),
+            "decompress_many": round(whole() / 1e6, 3),
+        },
+        "n_values": int(n_values),
+    }
+
+
+def cut_bricks(grid: np.ndarray, edge: int = 16) -> list[np.ndarray]:
+    """The ``edge``³ bricks of a cube, x-major, as views (as TAC hands them
+    to the SZ codec)."""
+    n = grid.shape[0]
+    return [
+        grid[x : x + edge, y : y + edge, z : z + edge]
+        for x in range(0, n, edge)
+        for y in range(0, n, edge)
+        for z in range(0, n, edge)
+    ]
+
+
+def roi_cold_bricks() -> tuple[list[np.ndarray], float, list[int]]:
+    """tacbench's ``roi_cold`` operating point, pinned whatever ``--scale``:
+    the 512 bricks of 16³ of Run1_Z3's finest level at scale 4 (128³), the
+    absolute bound of 1e-4 of the dataset's value range, and the indices of
+    the 27 bricks one unaligned 32³ ROI touches (bricks 1-3 on each axis)."""
+    from repro.sim import make_dataset
+
+    dataset = make_dataset("Run1_Z3", scale=4)
+    stored = [lvl.data[lvl.mask] for lvl in dataset.levels if lvl.mask.any()]
+    value_range = max(float(v.max()) for v in stored) - min(float(v.min()) for v in stored)
+    grid = dataset.levels[0].data
+    per_axis = grid.shape[0] // 16
+    roi = [
+        (x * per_axis + y) * per_axis + z
+        for x in range(1, 4)
+        for y in range(1, 4)
+        for z in range(1, 4)
+    ]
+    return cut_bricks(grid), 1e-4 * value_range, roi
 
 
 def _load(path: Path) -> dict:
@@ -338,6 +413,12 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
     ops["huffman_decode_chunked_window"] = op_entry(
         time_op(decode_chunked, repeats), n, nbytes
     )
+
+    # One cold ROI read's Huffman pass: its 27 brick streams at roi_cold's
+    # operating point, where 12-bit codes make the decode tables weigh.
+    bricks, eb_roi, roi = roi_cold_bricks()
+    roi_blobs = SZCompressor().compress_many([bricks[i] for i in roi], eb_roi, "abs")
+    ops["huffman_decode_many_bricks_27_peak_mb"] = pass_peak_entry(roi_blobs, 27 * 16**3)
     return ops
 
 
@@ -522,15 +603,7 @@ def _brick_ops(scale: int, repeats: int) -> dict:
     eb_abs = 1e-3 * float(field.max() - field.min())
     brick = 16
 
-    def cut(grid):
-        return [
-            grid[x : x + brick, y : y + brick, z : z + brick]
-            for x in range(0, n, brick)
-            for y in range(0, n, brick)
-            for z in range(0, n, brick)
-        ]
-
-    bricks = cut(field)
+    bricks = cut_bricks(field, brick)
 
     def compress_loop():
         return [codec.compress(b, eb_abs, "abs") for b in bricks]
@@ -561,7 +634,7 @@ def _brick_ops(scale: int, repeats: int) -> dict:
         return spread_entry(time_spread(fn, max(30, repeats)), n_values, n_values * 4)
 
     scratch = field.copy()
-    own = cut(scratch)
+    own = cut_bricks(scratch, brick)
 
     def compress_recon():
         # Every run starts from the field again: the destinations are the
@@ -901,6 +974,7 @@ GROUP_OPS = {
         "huffman_code_tables_bricks_loop",
         "huffman_pack_bricks",
         "huffman_decode_chunked_window",
+        "huffman_decode_many_bricks_27_peak_mb",
     ),
     "blocks": ("gather_blocks", "scatter_blocks", "block_counts"),
     "sz": tuple(f"sz_{op}_{p}" for op in ("compress", "decompress") for p in ("interp", "lorenzo"))
@@ -1006,7 +1080,7 @@ def main(argv=None) -> int:
     width = max(len(op) for op in results)
     for op, entry in sorted(results.items()):
         if "peak_mb" in entry:
-            peaks = ", ".join(f"{mb} MB at {t}" for t, mb in entry["peak_mb"].items())
+            peaks = ", ".join(f"{mb} MB ({t})" for t, mb in entry["peak_mb"].items())
             print(f"{op:<{width}}  peak {peaks}")
             continue
         if "bytes_per_stream" in entry:
