@@ -172,25 +172,114 @@ def cut_bricks(grid: np.ndarray, edge: int = 16) -> list[np.ndarray]:
     ]
 
 
-def roi_cold_bricks() -> tuple[list[np.ndarray], float, list[int]]:
+def roi_cold_level() -> tuple[np.ndarray, float]:
     """tacbench's ``roi_cold`` operating point, pinned whatever ``--scale``:
-    the 512 bricks of 16³ of Run1_Z3's finest level at scale 4 (128³), the
-    absolute bound of 1e-4 of the dataset's value range, and the indices of
-    the 27 bricks one unaligned 32³ ROI touches (bricks 1-3 on each axis)."""
+    Run1_Z3's finest level at scale 4 (128³, 512 bricks of 16³ in an
+    archive) and the absolute bound of 1e-4 of the dataset's value range."""
     from repro.sim import make_dataset
 
     dataset = make_dataset("Run1_Z3", scale=4)
     stored = [lvl.data[lvl.mask] for lvl in dataset.levels if lvl.mask.any()]
     value_range = max(float(v.max()) for v in stored) - min(float(v.min()) for v in stored)
-    grid = dataset.levels[0].data
-    per_axis = grid.shape[0] // 16
-    roi = [
-        (x * per_axis + y) * per_axis + z
-        for x in range(1, 4)
-        for y in range(1, 4)
-        for z in range(1, 4)
+    return dataset.levels[0].data, 1e-4 * value_range
+
+
+def roi_bricks(grid: np.ndarray, edge: int = 16) -> list[np.ndarray]:
+    """The 27 ``edge``³ bricks one unaligned ``2 * edge``³ ROI touches:
+    bricks 1-3 on each axis."""
+    corners = range(edge, 4 * edge, edge)
+    return [
+        grid[x : x + edge, y : y + edge, z : z + edge]
+        for x in corners
+        for y in corners
+        for z in corners
     ]
-    return cut_bricks(grid), 1e-4 * value_range, roi
+
+
+def huffman_passes(blobs: list[bytes]) -> tuple[list, list, list]:
+    """What ``decompress_many(blobs)`` hands the Huffman decoder, merged
+    into one pass: each stream's ``(lo, window)`` code lengths, its
+    ``max_len`` and its :class:`~repro.sz.huffman.HuffmanEncoded`.
+    Recorded from the decoder's own calls, so the streams parse exactly as
+    a read parses them."""
+    from repro.sz import SZCompressor, compressor
+
+    windows, max_lens, streams = [], [], []
+    real_tables, real_many = compressor.decode_tables, compressor.decode_many
+
+    def tables(pass_windows, pass_max_lens):
+        windows.extend(pass_windows)
+        max_lens.extend(pass_max_lens)
+        return real_tables(pass_windows, pass_max_lens)
+
+    def many(pass_tables, pass_streams):
+        streams.extend(pass_streams)
+        return real_many(pass_tables, pass_streams)
+
+    compressor.decode_tables, compressor.decode_many = tables, many
+    try:
+        SZCompressor().decompress_many(blobs)
+    finally:
+        compressor.decode_tables, compressor.decode_many = real_tables, real_many
+    return windows, max_lens, streams
+
+
+def _load_huffman(root: Path):
+    """``root``'s ``src/repro/sz/huffman.py`` as a module of its own, beside
+    this tree's :mod:`repro.sz.huffman` (its imports resolve to this tree's
+    :mod:`repro`)."""
+    import importlib.util
+
+    name = "_against_huffman"
+    path = Path(root) / "src" / "repro" / "sz" / "huffman.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def against(root: Path, reads: int = 30) -> dict:
+    """Interleaved A/B of the Huffman decode pass (``decode_tables`` then
+    ``decode_many``): this tree's :mod:`repro.sz.huffman` against
+    ``root``'s, on identical inputs in one process, ``reads`` calls a side,
+    alternating call by call (which side goes first alternates too).  A
+    per-process median of the same code is bimodal on a shared host;
+    interleaving keeps both sides in one process's mode.
+
+    Cases at ``roi_cold``'s operating point (:func:`roi_cold_level`): one
+    cold ROI read's 27 brick streams, all 512 of the level in one pass, and
+    the level as one 128³ stream.  Both sides must decode the same
+    symbols.  Returns ``case -> {"this": s, "against": s}``, medians.
+    """
+    from repro.sz import SZCompressor, huffman
+
+    other = _load_huffman(root)
+    grid, eb_abs = roi_cold_level()
+    codec = SZCompressor()
+    cases = {
+        "huffman_pass_bricks_27": codec.compress_many(roi_bricks(grid), eb_abs, "abs"),
+        "huffman_pass_bricks_512": codec.compress_many(cut_bricks(grid), eb_abs, "abs"),
+        "huffman_pass_stream_128": [codec.compress(grid, eb_abs, "abs")],
+    }
+    sides = {"this": huffman, "against": other}
+    medians = {}
+    for case, blobs in cases.items():
+        windows, max_lens, streams = huffman_passes(blobs)
+
+        def run(module):
+            return module.decode_many(module.decode_tables(windows, max_lens), streams)
+
+        if not np.array_equal(run(huffman), run(other)):
+            raise AssertionError(f"{case}: the two sides decode different symbols")
+        seconds: dict = {side: [] for side in sides}
+        for i in range(max(1, reads)):
+            for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+                start = time.perf_counter()
+                run(sides[side])
+                seconds[side].append(time.perf_counter() - start)
+        medians[case] = {side: statistics.median(s) for side, s in seconds.items()}
+    return medians
 
 
 def _load(path: Path) -> dict:
@@ -300,12 +389,12 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
         return decode_tables([(0, codec.lengths)], codec.max_len)
 
     # Throughput is over the dense decode table the op materializes
-    # (sym + len arrays, 2**longest_code entries each — what the decoder
-    # really builds, not 2**max_len) so mb_per_s is real and the baseline
-    # gate covers this op.
+    # (2**longest_code packed int32 entries — what the decoder really
+    # builds, not 2**max_len) so mb_per_s is real and the baseline gate
+    # covers this op.
     built = table_build()
     ops["huffman_table_build"] = op_entry(
-        time_op(table_build, max(repeats, 10)), built.sym.size, built.sym.nbytes + built.len.nbytes
+        time_op(table_build, max(repeats, 10)), built.entry.size, built.entry.nbytes
     )
 
     # The encoder's table build, on a brick-like histogram: ~150 present
@@ -416,8 +505,8 @@ def _huffman_ops(scale: int, repeats: int) -> dict:
 
     # One cold ROI read's Huffman pass: its 27 brick streams at roi_cold's
     # operating point, where 12-bit codes make the decode tables weigh.
-    bricks, eb_roi, roi = roi_cold_bricks()
-    roi_blobs = SZCompressor().compress_many([bricks[i] for i in roi], eb_roi, "abs")
+    roi_grid, eb_roi = roi_cold_level()
+    roi_blobs = SZCompressor().compress_many(roi_bricks(roi_grid), eb_roi, "abs")
     ops["huffman_decode_many_bricks_27_peak_mb"] = pass_peak_entry(roi_blobs, 27 * 16**3)
     return ops
 
@@ -648,24 +737,17 @@ def _brick_ops(scale: int, repeats: int) -> dict:
 
     # The decode tables of one cold ROI read's worth of bricks (the first
     # 27 streams, one lockstep pass), built from their code-length windows.
-    from repro.sz import stream
     from repro.sz.huffman import decode_tables
 
-    windows, max_lens = [], []
-    for blob in blobs[:27]:
-        parsed = stream.parse(blob)
-        meta = stream.unpack_meta(parsed.section(stream.SEC_META)[1])
-        section = parsed.section(stream.SEC_CODE_LENGTHS)
-        windows.append(stream.unpack_code_lengths(section, 2 * meta["radius"] + 1))
-        max_lens.append(meta["max_len"])
+    windows, max_lens, _streams = huffman_passes(blobs[:27])
     tables = decode_tables(windows, max_lens)
 
     n_values = len(bricks) * brick**3
     return {
         "huffman_decode_tables_bricks_27": op_entry(
             time_op(lambda: decode_tables(windows, max_lens), max(repeats, 50)),
-            tables.sym.size,
-            tables.sym.nbytes + tables.len.nbytes,
+            tables.entry.size,
+            tables.entry.nbytes,
         ),
         "sz_compress_many_bricks": op_entry(
             time_op(lambda: codec.compress_many(bricks, eb_abs, "abs"), repeats),
@@ -1065,7 +1147,21 @@ def main(argv=None) -> int:
         help="absolute slack in seconds on top of the ratio (shields tiny "
              "smoke-scale ops and cross-machine speed differences)",
     )
+    parser.add_argument(
+        "--against", type=Path, default=None, metavar="DIR",
+        help="only time the Huffman decode pass of this tree against DIR's "
+             "(a checkout of another commit), interleaved in one process, "
+             "and print both medians",
+    )
     args = parser.parse_args(argv)
+
+    if args.against is not None:
+        reads = max(args.repeats, 30)
+        print(f"Huffman decode pass, median of {reads} interleaved calls a side")
+        for case, median in against(args.against, reads).items():
+            this, other = median["this"] * 1e3, median["against"] * 1e3
+            print(f"{case:<24}  this {this:8.3f} ms  against {other:8.3f} ms  ({this / other:.3f}x)")
+        return 0
 
     wanted = {op for op in args.ops.split(",") if op} if args.ops else None
     try:

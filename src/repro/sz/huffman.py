@@ -87,10 +87,19 @@ from repro.sz.bitstream import (
 )
 
 #: Default cap on codeword length.  A stream's decode table has
-#: ``2**longest_code`` entries of 12 bytes (int32 symbol, int64 length) in
-#: its pass's table, so the cap bounds it at 65536; the 16³-brick streams of
-#: a bricked level have 8–13-bit longest codes (12 typically).
+#: ``2**longest_code`` entries of 4 bytes (one int32 ``sym << 5 | len``) in
+#: its pass's table, so the cap bounds it at 65536 entries (256 KB); the
+#: 16³-brick streams of a bricked level have 8–13-bit longest codes (12
+#: typically: 16 KB).
 DEFAULT_MAX_LEN = 16
+
+#: A decode-table entry packs a symbol and its code length into one int32:
+#: ``sym << LEN_BITS | len``.  A length is at most 24 (the peek width
+#: :func:`decode_tables` allows), so it takes 5 bits, and the 26 bits left
+#: below the sign hold any symbol under ``SYM_LIMIT`` — the largest
+#: alphabet a stream may declare (radius 2**20) has 2**21 + 1 symbols.
+LEN_BITS = 5
+SYM_LIMIT = 1 << (31 - LEN_BITS)
 
 #: Bounds on the adaptive decode block size.
 _MIN_BLOCK = 64
@@ -501,13 +510,14 @@ class DecodeTables:
     """The dense decode tables of one pass, concatenated.
 
     Stream ``i`` peeks ``bits[i]`` bits and looks the peek up at
-    ``base[i] + peek`` in ``sym`` (int32, the output's type) and ``len``
-    (int64, the positions'); length 0 marks unassigned code space.
-    Streams with the same code share one table, hence one base.
+    ``base[i] + peek`` in ``entry``: one int32 per slot, the decoded
+    symbol and its code length packed as ``sym << LEN_BITS | len``
+    (4 bytes a slot; see :data:`LEN_BITS` for why both always fit).
+    Length 0 marks unassigned code space.  Streams with the same code
+    share one table, hence one base.
     """
 
-    sym: np.ndarray
-    len: np.ndarray
+    entry: np.ndarray  # int32 per slot
     base: np.ndarray  # int64 per stream
     bits: np.ndarray  # int64 per stream
 
@@ -515,7 +525,7 @@ class DecodeTables:
         """Stream ``i``'s table alone, as the pass of one stream."""
         at, bits = int(self.base[i]), self.bits[i : i + 1]
         span = slice(at, at + (1 << int(bits[0])))
-        return DecodeTables(self.sym[span], self.len[span], np.zeros(1, np.int64), bits)
+        return DecodeTables(self.entry[span], np.zeros(1, np.int64), bits)
 
 
 def decode_tables(windows: Sequence, max_len: int | Sequence[int]) -> DecodeTables:
@@ -534,8 +544,10 @@ def decode_tables(windows: Sequence, max_len: int | Sequence[int]) -> DecodeTabl
     ``np.repeat`` by span.  ``B`` is the table's longest code (at least 1).
 
     A window whose longest code is over its ``max_len``, whose table would
-    peek more than 24 bits, or whose Kraft sum is above 1 (checked exactly,
-    in integers) raises ``ValueError``.
+    peek more than 24 bits, whose Kraft sum is above 1 (checked exactly,
+    in integers), or that gives a code to a symbol outside
+    ``[0, SYM_LIMIT)`` (it would not fit its packed entry) raises
+    ``ValueError``.
     """
     tables: dict = {}  # (lo, window bytes) -> table, in first-use order
     owners = np.array(
@@ -558,7 +570,9 @@ def decode_tables(windows: Sequence, max_len: int | Sequence[int]) -> DecodeTabl
     order = np.argsort(table << 8 | lens, kind="stable")
     table, lens = table[order], lens[order]
     los = np.array([lo for lo, _window in tables], dtype=np.int64)
-    syms = (present[order] - (ends - sizes)[table] + los[table]).astype(np.int32)
+    syms = present[order] - (ends - sizes)[table] + los[table]
+    if syms.size and (syms.min() < 0 or syms.max() >= SYM_LIMIT):
+        raise ValueError(f"symbol outside [0, {SYM_LIMIT}) cannot be packed in a decode-table entry")
     counts = np.bincount(table, minlength=n_tables)
     last = np.cumsum(counts)  # one past each table's codes
     longest = np.zeros(n_tables, dtype=np.int64)
@@ -576,21 +590,16 @@ def decode_tables(windows: Sequence, max_len: int | Sequence[int]) -> DecodeTabl
     size = np.left_shift(1, bits)
     if np.any(used > size):
         raise ValueError("code lengths violate the Kraft inequality")
-    # Table t's codes, then its gap entry: code k of the sorted order sits
-    # after the gap entries of the tables before its own.
-    entry_sym = np.zeros(lens.size + n_tables, dtype=np.int32)
-    entry_len = np.zeros(lens.size + n_tables, dtype=np.int64)
+    # Table t's codes, then its gap entry (0: symbol 0, length 0): code k
+    # of the sorted order sits after the gap entries of the tables before
+    # its own.
+    entry = np.zeros(lens.size + n_tables, dtype=np.int32)
     entry_span = np.empty(lens.size + n_tables, dtype=np.int64)
     at = np.arange(lens.size) + table
-    entry_sym[at], entry_len[at], entry_span[at] = syms, lens, spans
+    entry[at], entry_span[at] = syms << LEN_BITS | lens, spans
     entry_span[last + np.arange(n_tables)] = size - used
     base = np.cumsum(size) - size
-    return DecodeTables(
-        np.repeat(entry_sym, entry_span),
-        np.repeat(entry_len, entry_span),
-        base[owners],
-        bits[owners],
-    )
+    return DecodeTables(np.repeat(entry, entry_span), base[owners], bits[owners])
 
 
 @dataclass(frozen=True)
@@ -603,8 +612,7 @@ class _LaneTables:
     mixes streams with different codes.
     """
 
-    sym: np.ndarray
-    len: np.ndarray
+    entry: np.ndarray
     base: np.ndarray | None
     down: np.ndarray
 
@@ -649,7 +657,7 @@ def decode_many(tables: DecodeTables, streams) -> np.ndarray:
 
     base = per_lane(tables.base).astype(np.uint32) if tables.base.any() else None
     down = per_lane(32 - tables.bits).astype(np.uint32)
-    lane_tables = _LaneTables(tables.sym, tables.len, base, down)
+    lane_tables = _LaneTables(tables.entry, base, down)
 
     buf = as_peekable(*(e.payload for e in streams))
     offsets = np.stack([e.block_offsets for e in streams]).astype(np.int64)
@@ -684,11 +692,13 @@ def decode_many(tables: DecodeTables, streams) -> np.ndarray:
     else:
         _decode_chunked(buf, positions, expected, out, tail, limit, lane_tables)
     # Stitch rounds back into block-major stream order, trimming the
-    # ragged tails (the transpose's reshape is the single copy).
+    # ragged tails, and unpack each entry's symbol on the way: the shift
+    # writes a C-ordered transpose, the single copy, which reshapes freely.
     n_full = n_streams * full
-    symbols = out[:, :n_full].T.reshape(n_streams, full * block)
+    symbols = np.right_shift(out[:, :n_full].T, LEN_BITS, order="C")
+    symbols = symbols.reshape(n_streams, full * block)
     if n_tail:
-        symbols = np.concatenate([symbols, out[:tail, n_full:].T], axis=1)
+        symbols = np.concatenate([symbols, out[:tail, n_full:].T >> LEN_BITS], axis=1)
     return symbols
 
 
@@ -761,19 +771,25 @@ def _decode_span(
     used; ``words is None`` peeks ``buf`` with 4-byte gathers and needs
     a single table.
 
-    A round is eight NumPy calls into reused buffers and checks nothing.
-    Integrity comes from the block end offsets, once, after the rounds:
-    each lane must stop exactly at its ``expected`` end.  A lane that
-    peeks unassigned code space gets length 0 and stalls (same
-    position, same peek, every later round), so its last length is 0 too.
+    A round is eight NumPy calls into reused buffers (nine with per-lane
+    table bases) and checks nothing: five to peek, one ``take`` of the
+    packed entries (:class:`DecodeTables`) straight into the output row,
+    ``& 31`` of that row into the length scratch, and the advance.  The
+    row keeps the whole entry; :func:`decode_many` shifts the symbols
+    out when it stitches the rows.  Integrity comes from the block end
+    offsets, once, after the rounds: each lane must stop exactly at its
+    ``expected`` end.  A lane that peeks unassigned code space gets
+    length 0 and stalls (same position, same peek, every later round), so
+    its last length is 0 too.
     """
     m0 = positions.size
-    table_sym, table_len = tables.sym, tables.len
+    table = tables.entry
     # Scratch and constant operands (an array operand is cheaper per call
     # than a scalar one); each phase of the schedule uses a prefix.
-    byte_idx, lens = np.empty(m0, dtype=np.int64), np.empty(m0, dtype=np.int64)
+    byte_idx, lens = np.empty(m0, dtype=np.int64), np.empty(m0, dtype=np.int32)
     peeks, phase = np.empty(m0, dtype=np.uint32), np.empty(m0, dtype=np.uint32)
     three, seven = np.full(m0, 3, dtype=np.int64), np.full(m0, 7, dtype=np.uint32)
+    len_mask = np.full(m0, (1 << LEN_BITS) - 1, dtype=np.int32)
     # ``pos & 7`` only needs each position's low 32-bit word, and on it
     # the op runs without a cast to the uint32 phase.
     low = positions.view(np.uint32)[sys.byteorder == "big" :: 2]
@@ -781,7 +797,7 @@ def _decode_span(
 
     def rounds(rows: np.ndarray, m: int) -> None:
         pos, bidx, peek, ph, ln = positions[:m], byte_idx[:m], peeks[:m], phase[:m], lens[:m]
-        lo, by3, by7, down = low[:m], three[:m], seven[:m], tables.down[:m]
+        lo, by3, by7, down, mask = low[:m], three[:m], seven[:m], tables.down[:m], len_mask[:m]
         base = None if tables.base is None else tables.base[:m]
         for row in rows:
             if words is None:
@@ -798,8 +814,8 @@ def _decode_span(
                     add(peek, base, out=peek)
             # Peeks are in range, and "clip" (unlike "raise") writes
             # straight into ``out`` with no buffered copy.
-            table_len.take(peek, out=ln, mode="clip")
-            table_sym.take(peek, out=row, mode="clip")
+            table.take(peek, out=row, mode="clip")
+            band(row, mask, out=ln)
             add(pos, ln, out=pos)
 
     m = m0 - n_tail

@@ -38,6 +38,13 @@ def pass_tables(codecs):
     return decode_tables([(0, c.lengths) for c in codecs], [c.max_len for c in codecs])
 
 
+def unpacked(tables) -> tuple[np.ndarray, np.ndarray]:
+    """A pass's ``(symbol, length)`` per table slot, out of its packed
+    int32 entries ``sym << 5 | len``."""
+    assert tables.entry.dtype == np.int32
+    return tables.entry >> 5, tables.entry & 31
+
+
 def kraft_sum(lengths: np.ndarray) -> float:
     present = lengths[lengths > 0].astype(np.int64)
     return float(np.sum(np.ldexp(1.0, -present)))
@@ -496,13 +503,13 @@ class TestDecodeTables:
         windows = windows + [windows[r % len(windows)] for r in repeats]
         got = decode_tables(windows, 16)
         sym, lens, base, bits = oracle_pass_tables(windows)
-        assert got.sym.dtype == np.int32 and got.len.dtype == np.int64
-        assert np.array_equal(got.sym, sym) and np.array_equal(got.len, lens)
+        got_sym, got_len = unpacked(got)
+        assert np.array_equal(got_sym, sym) and np.array_equal(got_len, lens)
         assert got.base.tolist() == base and got.bits.tolist() == bits
 
     def test_one_symbol_code_closes_with_a_gap_entry(self):
         got = decode_tables([(7, np.array([0, 1], dtype=np.uint8))], 16)
-        assert got.sym.tolist() == [8, 0] and got.len.tolist() == [1, 0]
+        assert got.entry.tolist() == [8 << 5 | 1, 0]
         assert got.bits.tolist() == [1]
 
     @given(
@@ -519,7 +526,8 @@ class TestDecodeTables:
         except ValueError:
             return
         sym, lens, base, bits = oracle_pass_tables(windows)
-        assert np.array_equal(got.sym, sym) and np.array_equal(got.len, lens)
+        got_sym, got_len = unpacked(got)
+        assert np.array_equal(got_sym, sym) and np.array_equal(got_len, lens)
         assert got.base.tolist() == base and got.bits.tolist() == bits
 
     @pytest.mark.parametrize(
@@ -536,6 +544,36 @@ class TestDecodeTables:
         good = (0, huffman_code_lengths(np.array([5, 3, 2, 1, 1])))
         with pytest.raises(ValueError, match=match):
             decode_tables([good, (3, np.array(window, dtype=np.uint8)), good], max_len)
+
+    def test_top_of_the_widest_declarable_alphabet_decodes_exactly(self):
+        """A stream may declare radius 2**20: symbols up to 2**21, far
+        inside the 26-bit symbol field of a packed entry."""
+        top = 2 * 2**20  # the alphabet's last symbol
+        counts = np.arange(1, 40) ** 2
+        window = huffman_code_lengths(counts)
+        lo = top + 1 - window.size
+        rng = np.random.default_rng(11)
+        symbols = lo + rng.choice(window.size, size=3000, p=counts / counts.sum())
+        symbols[[0, -1]] = top, lo
+        wide = np.zeros(top + 1, dtype=np.uint8)
+        wide[lo:] = window
+        encoded = HuffmanCodec(wide, max_len=16).encode(symbols, block_size=64)
+        # The windowed and the alphabet-wide form: two tables, two bases.
+        tables = decode_tables([(lo, window), (0, wide)], 16)
+        assert (tables.entry >> 5).max() == top and tables.base.tolist()[0] == 0 < tables.base[1]
+        out = decode_many(tables, [encoded, encoded])
+        assert out.dtype == np.int32 and np.array_equal(out, np.stack([symbols] * 2))
+
+    @pytest.mark.parametrize("lo", [huffman.SYM_LIMIT - 1, 2**31 - 2, -1])
+    def test_symbol_past_the_entry_field_raises_instead_of_wrapping(self, lo):
+        """A public window whose codes reach a symbol the 26-bit field
+        cannot hold (or a negative one) is refused, not packed into a
+        neighbouring symbol."""
+        window = (lo, np.array([1, 1], dtype=np.uint8))
+        with pytest.raises(ValueError, match="cannot be packed"):
+            decode_tables([(0, np.array([1, 1], dtype=np.uint8)), window], 16)
+        top = (huffman.SYM_LIMIT - 2, np.array([1, 1], dtype=np.uint8))
+        assert (decode_tables([top], 16).entry >> 5).tolist() == [2**26 - 2, 2**26 - 1]
 
     def test_each_stream_is_checked_against_its_own_max_len(self):
         window = (0, np.array([1, 2, 3, 3], dtype=np.uint8))
@@ -589,8 +627,8 @@ class TestDecodeTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table_bytes = 12 << 16  # int32 symbol + int64 length an entry
-        assert got.sym.size == 1 << 16 and not got.base.any()
+        table_bytes = 4 << 16  # one int32 ``sym << 5 | len`` an entry
+        assert got.entry.size == 1 << 16 and not got.base.any()
         assert peak < 1.5 * table_bytes  # 27 tables would take 27×
 
 
@@ -989,7 +1027,7 @@ class TestDecodeMany:
         codec = HuffmanCodec.from_symbols(syms.ravel(), alphabet_size=40)
         encoded = [codec.encode(row, block_size=32) for row in syms]
         tables = pass_tables([codec] * 6)
-        assert tables.sym.size == 1 << int(tables.bits[0]) and not tables.base.any()
+        assert tables.entry.size == 1 << int(tables.bits[0]) and not tables.base.any()
         assert np.array_equal(decode_many(tables, encoded), syms)
 
     def test_over_limit_batch_decodes_stream_by_stream(self, rng, monkeypatch):
@@ -1029,7 +1067,7 @@ class TestDecodeMany:
         lengths = huffman_code_lengths(np.array([50, 30, 10, 5, 5]), max_len=16)
         tables = decode_tables([(0, lengths)], 16)
         assert tables.bits.tolist() == [int(lengths.max())] and lengths.max() < 16
-        assert tables.sym.size == tables.len.size == 1 << int(lengths.max())
+        assert tables.entry.size == 1 << int(lengths.max())
         assert decode_tables([(0, np.zeros(4, dtype=np.uint8))], 16).bits.tolist() == [1]
 
     def test_overlong_peek_width_is_rejected(self):

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.sim import make_dataset
 from repro.sim.nyx import generate_field
 from repro.sz import compressor as sz_compressor
 from repro.sz import interp, stream
@@ -179,18 +180,72 @@ class TestInterpCodes:
 PEAK_BYTES_PER_VALUE = 20
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_27_brick_decode_working_set():
     codec = SZCompressor()
     blobs = codec.compress_many(bricks(27, np.float32), ABS_EB, "abs")
     codec.decompress_many(blobs)  # lazy imports and caches are not counted
-    tracemalloc.start()
-    try:
-        codec.decompress_many(blobs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: codec.decompress_many(blobs))
     n_values = 27 * BRICK**3
     assert peak < PEAK_BYTES_PER_VALUE * n_values, f"{peak / n_values:.1f} B/value"
+
+
+#: Bytes of tracemalloc peak per decoded value of one cold ROI read's
+#: decode at tacbench's ``roi_cold`` operating point, where 12-bit codes
+#: make the decode tables weigh: the Huffman pass (tables, rounds, stitch)
+#: and the whole ``decompress_many``.  Tables of an int32 symbol plus an
+#: int64 length an entry peaked at 20.0 B/value in both; packed int32
+#: ``sym << 5 | len`` entries peak at 13.6 and 15.8.
+HUFFMAN_PASS_BYTES_PER_VALUE = 15
+ROI_DECODE_BYTES_PER_VALUE = 18
+
+
+def roi_cold_bricks() -> tuple[list[np.ndarray], float]:
+    """The 27 16³ bricks an unaligned 32³ ROI touches (bricks 1-3 on each
+    axis) of Run1_Z3's finest level at scale 4, and the bound of 1e-4 of
+    the dataset's value range: tacbench's ``roi_cold`` operating point."""
+    dataset = make_dataset("Run1_Z3", scale=4)
+    stored = [lvl.data[lvl.mask] for lvl in dataset.levels if lvl.mask.any()]
+    value_range = max(float(v.max()) for v in stored) - min(float(v.min()) for v in stored)
+    grid = dataset.levels[0].data
+    corners = range(BRICK, 4 * BRICK, BRICK)
+    cut = [
+        grid[x : x + BRICK, y : y + BRICK, z : z + BRICK]
+        for x in corners
+        for y in corners
+        for z in corners
+    ]
+    return cut, 1e-4 * value_range
+
+
+def test_cold_roi_decode_working_set(monkeypatch):
+    codec = SZCompressor()
+    blobs = codec.compress_many(*roi_cold_bricks(), "abs")
+    n_values = 27 * BRICK**3
+    codec.decompress_many(blobs)  # lazy imports and caches are not counted
+    whole = _traced_peak(lambda: codec.decompress_many(blobs))
+    assert whole < ROI_DECODE_BYTES_PER_VALUE * n_values, f"{whole / n_values:.1f} B/value"
+
+    real, pass_peaks = sz_compressor._decode_symbols, []
+
+    def spy(members):
+        tracemalloc.reset_peak()
+        symbols = real(members)
+        pass_peaks.append(tracemalloc.get_traced_memory()[1])
+        return symbols
+
+    monkeypatch.setattr(sz_compressor, "_decode_symbols", spy)
+    _traced_peak(lambda: codec.decompress_many(blobs))
+    (peak,) = pass_peaks  # one batch: 27 streams of one key
+    assert peak < HUFFMAN_PASS_BYTES_PER_VALUE * n_values, f"{peak / n_values:.1f} B/value"
 
 
 def _bad_batch(route: str) -> list[bytes]:
