@@ -224,61 +224,99 @@ def huffman_passes(blobs: list[bytes]) -> tuple[list, list, list]:
     return windows, max_lens, streams
 
 
-def _load_huffman(root: Path):
-    """``root``'s ``src/repro/sz/huffman.py`` as a module of its own, beside
-    this tree's :mod:`repro.sz.huffman` (its imports resolve to this tree's
-    :mod:`repro`)."""
+def _load_module(root: Path, name: str):
+    """``root``'s ``src/repro/sz/<name>.py`` as a module of its own,
+    ``_against_<name>``, beside this tree's (its imports resolve to this
+    tree's :mod:`repro`)."""
     import importlib.util
 
-    name = "_against_huffman"
-    path = Path(root) / "src" / "repro" / "sz" / "huffman.py"
-    spec = importlib.util.spec_from_file_location(name, path)
+    module_name = f"_against_{name}"
+    path = Path(root) / "src" / "repro" / "sz" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(module_name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # a dataclass looks its module up by name
+    sys.modules[module_name] = module  # a dataclass looks its module up by name
     spec.loader.exec_module(module)
     return module
 
 
+def _interleaved(sides: dict, run, reads: int) -> dict:
+    """Median seconds of ``run(side)`` per side, ``reads`` calls a side,
+    alternating call by call (which side goes first alternates too)."""
+    seconds: dict = {side: [] for side in sides}
+    for i in range(max(1, reads)):
+        for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+            start = time.perf_counter()
+            run(sides[side])
+            seconds[side].append(time.perf_counter() - start)
+    return {side: statistics.median(s) for side, s in seconds.items()}
+
+
+def _symbols(interp_module, stack: np.ndarray, ebs: list) -> np.ndarray:
+    """A batch's Huffman symbols as a tree's ``interp_module`` codes it:
+    ``interp_compress`` of the stacked bricks, then the compressor's shift
+    by the radius with escape masking (the same on both sides)."""
+    from repro.sz.compressor import RADIUS
+
+    symbols = interp_module.interp_compress(stack, ebs)[0]
+    symbols += RADIUS
+    symbols[(symbols < 0) | (symbols >= 2 * RADIUS)] = 2 * RADIUS
+    return symbols
+
+
 def against(root: Path, reads: int = 30) -> dict:
-    """Interleaved A/B of the Huffman decode pass (``decode_tables`` then
-    ``decode_many``): this tree's :mod:`repro.sz.huffman` against
-    ``root``'s, on identical inputs in one process, ``reads`` calls a side,
-    alternating call by call (which side goes first alternates too).  A
+    """Interleaved A/B of the SZ passes: this tree's :mod:`repro.sz.huffman`
+    and :mod:`repro.sz.interp` against ``root``'s, on identical inputs in
+    one process, ``reads`` calls a side, alternating call by call.  A
     per-process median of the same code is bimodal on a shared host;
     interleaving keeps both sides in one process's mode.
 
-    Cases at ``roi_cold``'s operating point (:func:`roi_cold_level`): one
-    cold ROI read's 27 brick streams, all 512 of the level in one pass, and
-    the level as one 128³ stream.  Both sides must decode the same
-    symbols.  Returns ``case -> {"this": s, "against": s}``, medians.
+    Cases at ``roi_cold``'s operating point (:func:`roi_cold_level`).  The
+    Huffman decode pass (``decode_tables`` then ``decode_many``): one cold
+    ROI read's 27 brick streams, all 512 of the level in one pass, and the
+    level as one 128³ stream; both sides must decode the same symbols.
+    The encode pass (:func:`_symbols`, then ``encode_many`` under the
+    tables this tree's compressor builds from them): the first 64 bricks
+    (one encode batch) and all 512 in one pass; both sides must give the
+    same symbols and payloads.  Returns ``case -> {"this": s, "against":
+    s}``, medians.
     """
-    from repro.sz import SZCompressor, huffman
+    from repro.sz import SZCompressor, huffman, interp
 
-    other = _load_huffman(root)
+    other_huffman = _load_module(root, "huffman")
+    other_interp = _load_module(root, "interp")
     grid, eb_abs = roi_cold_level()
     codec = SZCompressor()
-    cases = {
+    decode_cases = {
         "huffman_pass_bricks_27": codec.compress_many(roi_bricks(grid), eb_abs, "abs"),
         "huffman_pass_bricks_512": codec.compress_many(cut_bricks(grid), eb_abs, "abs"),
         "huffman_pass_stream_128": [codec.compress(grid, eb_abs, "abs")],
     }
-    sides = {"this": huffman, "against": other}
     medians = {}
-    for case, blobs in cases.items():
+    for case, blobs in decode_cases.items():
         windows, max_lens, streams = huffman_passes(blobs)
 
-        def run(module):
+        def decode(module):
             return module.decode_many(module.decode_tables(windows, max_lens), streams)
 
-        if not np.array_equal(run(huffman), run(other)):
+        if not np.array_equal(decode(huffman), decode(other_huffman)):
             raise AssertionError(f"{case}: the two sides decode different symbols")
-        seconds: dict = {side: [] for side in sides}
-        for i in range(max(1, reads)):
-            for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-                start = time.perf_counter()
-                run(sides[side])
-                seconds[side].append(time.perf_counter() - start)
-        medians[case] = {side: statistics.median(s) for side, s in seconds.items()}
+        medians[case] = _interleaved({"this": huffman, "against": other_huffman}, decode, reads)
+    for count in (64, 512):
+        case = f"encode_pass_bricks_{count}"
+        stack = np.stack(cut_bricks(grid)[:count])
+        ebs = [eb_abs] * count
+        tables = codec._code_tables(_symbols(interp, stack, ebs))
+
+        def encode(modules):
+            interp_module, huffman_module = modules
+            symbols = _symbols(interp_module, stack, ebs)
+            return symbols, [enc.payload for enc in huffman_module.encode_many(tables, symbols)]
+
+        sides = {"this": (interp, huffman), "against": (other_interp, other_huffman)}
+        (this_symbols, this_payloads), (other_symbols, other_payloads) = map(encode, sides.values())
+        if not np.array_equal(this_symbols, other_symbols) or this_payloads != other_payloads:
+            raise AssertionError(f"{case}: the two sides encode different symbols or payloads")
+        medians[case] = _interleaved(sides, encode, reads)
     return medians
 
 
@@ -1149,15 +1187,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--against", type=Path, default=None, metavar="DIR",
-        help="only time the Huffman decode pass of this tree against DIR's "
-             "(a checkout of another commit), interleaved in one process, "
-             "and print both medians",
+        help="only time the Huffman decode pass and the interp + Huffman "
+             "encode pass of this tree against DIR's (a checkout of another "
+             "commit), interleaved in one process, and print both medians",
     )
     args = parser.parse_args(argv)
 
     if args.against is not None:
         reads = max(args.repeats, 30)
-        print(f"Huffman decode pass, median of {reads} interleaved calls a side")
+        print(f"SZ passes, median of {reads} interleaved calls a side")
         for case, median in against(args.against, reads).items():
             this, other = median["this"] * 1e3, median["against"] * 1e3
             print(f"{case:<24}  this {this:8.3f} ms  against {other:8.3f} ms  ({this / other:.3f}x)")

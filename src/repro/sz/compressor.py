@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.sz import lossless, stream
+from repro.sz import huffman, lossless, stream
 from repro.sz.bitstream import packed_nbytes
 from repro.sz.huffman import (
     DEFAULT_MAX_LEN,
@@ -55,8 +55,9 @@ from repro.sz.huffman import (
     decode_many,
     decode_tables,
     encode_many,
+    present_code_tables,
 )
-from repro.sz.interp import interp_compress, interp_decompress
+from repro.sz.interp import interp_decompress, interp_encode
 from repro.sz.predictor import SUPPORTED_NDIM, lorenzo_forward, lorenzo_inverse
 from repro.sz.quantizer import ErrorMode, dequantize, quantize, resolve_error_bound
 from repro.utils.timer import TimingRecord, timed
@@ -148,7 +149,7 @@ def section_bytes(parsed: stream.Stream) -> dict[str, int]:
 #: many values.  Below it the per-call overhead is spread over too few
 #: lanes; above it the batch's window, symbol and reconstruction arrays
 #: fall out of cache and the gathers slow down again (a 64-brick batch
-#: peaks at 25 bytes per value to encode and 14 to decode, tracemalloc).
+#: peaks at 13.4 bytes per value to encode and 14 to decode, tracemalloc).
 #: Measured on 512 × 16³ streams: batches of 8 / 16 / 32 / 64 / 128 /
 #: 256 / 512 decode in about 190 / 165 / 135 / 135 / 135 / 160 / 185 ms
 #: and encode (eb 1e-4 rel) in about 280 / 255 / 255 / 265 / 300 / 300 /
@@ -727,7 +728,8 @@ class SZCompressor:
         """Steps 2–3 plus symbol mapping for same-shape arrays.
 
         Returns ``(symbols, outliers, tables)``: an ``(n_streams, size)``
-        symbol array, each stream's escape-coded residuals in stream order,
+        symbol array (int32 when the interpolation wrote int32 codes, else
+        int64), each stream's escape-coded residuals in stream order (int64),
         and the streams' :class:`~repro.sz.huffman.CodeTables` — the
         histogram they are built from is gone again.
 
@@ -738,11 +740,11 @@ class SZCompressor:
         n_streams = len(arrs)
         if self.config.predictor == "interp":
             with timed(timings, "predict"):
-                # A single (possibly large) stream is only viewed, not copied;
-                # a batch is stacked in its members' own dtype (the predictor
-                # reads float32 as it is).
-                stacked = arrs[0][None] if n_streams == 1 else np.stack(arrs)
-                residuals, values = interp_compress(stacked, ebs)
+                # The batch is stacked straight into float64, the sweep's own
+                # buffer: it reads each value there and overwrites it with its
+                # reconstruction, so the inputs are never written.
+                values = np.stack(arrs, dtype=np.float64)
+                residuals = interp_encode(values, ebs)
                 if recon is not None:
                     _hand_out(recon, values)
                 del values
@@ -762,15 +764,17 @@ class SZCompressor:
             radius = RADIUS
             escape = 2 * radius
             # `residuals` is freshly materialized by the predictor, so the
-            # symbol shift happens in place; escape masking reuses the
-            # in-range mask buffer instead of a second np.where temporary.
+            # symbol shift happens in place, in its dtype; escape masking
+            # reuses the in-range mask buffer instead of a second np.where
+            # temporary.  Only the outliers are widened to int64.
             symbols = residuals
             symbols += radius
             out_of_range = symbols < 0
             out_of_range |= symbols >= escape
             positions = np.flatnonzero(out_of_range)
             flat = symbols.reshape(-1)
-            values = flat[positions] - radius
+            values = flat[positions].astype(np.int64)
+            values -= radius
             flat[positions] = escape
             size = symbols.shape[1]
             bounds = np.searchsorted(positions, np.arange(n_streams + 1) * size).tolist()
@@ -781,26 +785,42 @@ class SZCompressor:
 
     def _code_tables(self, symbols: np.ndarray) -> CodeTables:
         """The code tables of the rows of ``symbols`` (the batch's own
-        array), built together; only the tree merge runs per row.
+        array, read only), built together; only the tree merge runs per row.
 
         A single stream is histogrammed over the whole alphabet.  A batch
-        is histogrammed over the window of symbols it occupies, row ``i``
-        into its own bins at offset ``i * width``: the symbols are shifted
-        to those bins in place and back again, so neither an index copy nor
-        an alphabet-wide table per row is made.
+        is histogrammed over the window of symbols it occupies, in chunks
+        of rows of at most :data:`~repro.sz.huffman.ENCODE_CHUNK_VALUES`
+        symbols (or one row): row ``i`` of a chunk counts into its own bins
+        at offset ``i * width``, through an int64 index of the chunk's own,
+        and each chunk keeps only its present ``(row, symbol, count)``
+        triples, so neither a batch-sized index nor an ``(n_streams,
+        width)`` histogram is made.
         """
         alphabet = 2 * RADIUS + 1
-        n_streams = symbols.shape[0]
+        n_streams, size = symbols.shape
         if n_streams == 1:
             counts = np.bincount(symbols.reshape(-1), minlength=alphabet)[None]
             return code_tables(counts, MAX_CODE_LEN)
         lo = int(symbols.min())
         width = int(symbols.max()) + 1 - lo
-        shift = np.arange(-lo, n_streams * width - lo, width)[:, None]
-        symbols += shift
-        counts = np.bincount(symbols.reshape(-1), minlength=n_streams * width)
-        symbols -= shift
-        return code_tables(counts.reshape(n_streams, width), MAX_CODE_LEN, lo, alphabet)
+        step = min(max(huffman.ENCODE_CHUNK_VALUES // max(size, width), 1), n_streams)
+        shift = np.arange(step)[:, None] * width - lo
+        present, counts = [], []
+        for first in range(0, n_streams, step):
+            chunk = symbols[first : first + step]
+            index = np.add(chunk, shift[: chunk.shape[0]], dtype=np.intp)
+            bins = np.bincount(index.reshape(-1), minlength=chunk.shape[0] * width)
+            del index
+            occupied = np.flatnonzero(bins)
+            present.append(occupied + first * width)
+            counts.append(bins[occupied])
+            del bins
+        rows, columns = np.divmod(np.concatenate(present), width)
+        del present
+        columns += lo
+        return present_code_tables(
+            rows, columns, np.concatenate(counts), n_streams, alphabet, MAX_CODE_LEN
+        )
 
     def _encode_symbols(
         self,

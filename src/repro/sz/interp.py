@@ -50,10 +50,12 @@ from repro.utils.validation import check_error_bound
 #: at 1.62 / 1.71 / 1.97 / 2.33 / 2.33 MB (tracemalloc) and 512 bricks at
 #: 11.9 / 12.0 / 12.2 / 12.7 / 13.8 MB, while the 27-brick reconstruct
 #: takes 1.0-1.1 ms at every setting (fastest of 150 calls, 2-core host).
-#: A 64-brick float32 ``compress_many`` at one encode thread peaks at
-#: 6.42 MB at every chunked setting (24.5 B per value, the Huffman
-#: encode's peak) and at 7.44 MB unchunked, in 15-16 ms either way
-#: (median of 15 calls).
+#: The encode peaks in its sweep: a 64-brick float32 ``compress_many`` at
+#: one encode thread (Run1_Z3's finest level at scale 4, a bound of 1e-4
+#: or 1e-2 of the dataset's range) peaks at 3.42 / 3.50 / 3.77 / 4.29 /
+#: 5.34 MB at those settings (13.0 / 13.4 / 14.4 / 16.4 / 20.4 B per
+#: value: the float64 buffer, the int32 codes and one chunk's pass
+#: arrays), in 16-17 ms at every setting at 1e-2 (median of 31 calls).
 PASS_VALUES = 1 << 14
 
 
@@ -132,21 +134,20 @@ def _traversal(full: tuple[int, ...], ndim: int):
     return tuple(anchor_ix), passes
 
 
-def _sweep(codes: np.ndarray, abs_eb, shape: tuple[int, ...], data=None) -> np.ndarray:
-    """The traversal over a batch of streams of ``shape``, one per row of
-    ``codes``; returns the float64 reconstruction, with its stream axis.
+#: Lattice indices and residuals are written as int32 codes when every
+#: stream's peak ``max |x| / (2 eb)`` is at most this; otherwise as int64.
+#: A code is an anchor delta (at most twice a lattice index) or a residual
+#: ``|x - pred| / (2 eb)`` with ``|pred| <= peak + eb`` (it interpolates
+#: reconstructions), so every code stays within ``2 * CODE32_PEAK + 2 =
+#: 2**30 + 2``: half of int32, which also leaves room for the symbol shift
+#: by the Huffman radius.
+CODE32_PEAK = float(2**29)
 
-    ``data`` given, the sweep encodes it: each point's code is its rounded
-    ``(x - pred) / pitch``, stored into ``codes``.  Without it, the sweep
-    decodes: the codes are read.  Everything else is one set of
-    expressions, which is what keeps the two directions bit-identical.
-    Each pass runs over chunks of streams whose prediction and scratch
-    arrays hold at most :data:`PASS_VALUES` values (or one stream's
-    worth), both freed before the next chunk's are made; since every
-    float operation is elementwise (each stream's pitch broadcasts down
-    its row), no chunking changes a bit.
-    """
-    n_streams, ndim = codes.shape[0], len(shape)
+
+def _bounds(abs_eb, n_streams: int, ndim: int) -> np.ndarray:
+    """The per-stream bounds as a float64 array, after the checks both
+    directions run before any work: each bound, the dimensionality and
+    one bound per stream."""
     ebs = np.atleast_1d(np.asarray(abs_eb, dtype=np.float64))
     for eb in ebs:
         check_error_bound(float(eb))
@@ -154,34 +155,63 @@ def _sweep(codes: np.ndarray, abs_eb, shape: tuple[int, ...], data=None) -> np.n
         raise ValueError(f"interpolation predictor supports 1-4D, got {ndim}D")
     if ebs.size != n_streams:
         raise ValueError(f"expected {n_streams} error bounds, got {ebs.size}")
-    full = (n_streams,) + shape
-    recon = np.zeros(full, dtype=np.float64)
+    return ebs
+
+
+def _code_dtype(values: np.ndarray, ebs: np.ndarray):
+    """int32 when every stream's codes fit it (:data:`CODE32_PEAK`), else
+    int64; raises when a stream's lattice index would overflow int64.  One
+    max and one min per row, no ``|values|`` temporary."""
+    if values.size == 0:
+        return np.int32
+    axes = tuple(range(1, values.ndim))
+    peaks = np.maximum(values.max(axis=axes), -values.min(axis=axes)).tolist()
+    widest = 0.0
+    for eb, peak in zip(ebs.tolist(), peaks):
+        width = 2.0 * eb
+        if peak / width > float(2**62):
+            raise ValueError(
+                f"error bound {eb:g} is too small for data of magnitude "
+                f"{peak / width * width:g}; lattice index would overflow int64"
+            )
+        widest = max(widest, peak / width)
+    return np.int32 if widest <= CODE32_PEAK else np.int64
+
+
+def _sweep(codes: np.ndarray, ebs: np.ndarray, recon: np.ndarray, encode: bool) -> None:
+    """The traversal over a batch of streams, one per row of ``codes`` and
+    one per leading index of the float64 ``recon``, which ends up holding
+    the reconstruction.
+
+    Encoding, ``recon`` starts out holding the values: each point's code
+    is its rounded ``(x - pred) / pitch``, stored into ``codes``, and its
+    reconstruction overwrites ``x``.  Every point is read once, by the pass
+    that predicts it, before that pass writes it, and predictions read only
+    points already reconstructed, so the buffer needs no second copy.
+    Decoding, ``recon`` starts out zeroed and the codes are read.
+    Everything else is one set of expressions, which is what keeps the two
+    directions bit-identical.  Each pass runs over chunks of streams whose
+    prediction and scratch arrays hold at most :data:`PASS_VALUES` values
+    (or one stream's worth), both freed before the next chunk's are made;
+    since every float operation is elementwise (each stream's pitch
+    broadcasts down its row), no chunking changes a bit.
+    """
+    n_streams, ndim = recon.shape[0], recon.ndim - 1
     if recon.size == 0:
-        return recon
+        return
     size = recon[0].size
     if codes.shape[1] != size:
-        raise ValueError(f"expected {size} codes for shape {shape}, got {codes.shape[1]}")
+        raise ValueError(f"expected {size} codes for shape {recon.shape[1:]}, got {codes.shape[1]}")
     pitch = (2.0 * ebs).reshape((n_streams,) + (1,) * ndim)
-    if data is not None:
-        # Per-row |peak| from max and min: no |data| temporary, no copy of a view.
-        axes = tuple(range(1, data.ndim))
-        peaks = np.maximum(data.max(axis=axes), -data.min(axis=axes)).tolist()
-        for eb, peak in zip(ebs.tolist(), peaks):
-            width = 2.0 * eb
-            if peak / width > float(2**62):
-                raise ValueError(
-                    f"error bound {eb:g} is too small for data of magnitude "
-                    f"{peak / width * width:g}; lattice index would overflow int64"
-                )
-    anchor_ix, passes = _traversal(full, ndim)
+    anchor_ix, passes = _traversal(recon.shape, ndim)
 
     # Anchors: lattice-quantized, delta-coded flat within each stream.
     anchor_shape = recon[anchor_ix].shape
     cursor = math.prod(anchor_shape[1:])
-    if data is None:
+    if not encode:
         lattice = np.cumsum(codes[:, :cursor], axis=1, dtype=np.int64)
     else:
-        lattice = np.rint(data[anchor_ix] / pitch).astype(np.int64).reshape(n_streams, cursor)
+        lattice = np.rint(recon[anchor_ix] / pitch).astype(np.int64).reshape(n_streams, cursor)
         codes[:, :cursor] = np.diff(lattice, prepend=np.int64(0), axis=1)
     recon[anchor_ix] = lattice.astype(np.float64).reshape(anchor_shape) * pitch
 
@@ -192,11 +222,11 @@ def _sweep(codes: np.ndarray, abs_eb, shape: tuple[int, ...], data=None) -> np.n
             rows = slice(lo, lo + step)
             part, own = recon[rows], codes[rows, cursor : cursor + n_new]
             pred = _predict(part, new_ix, left_ix, right_ix, axis)
-            if data is None:
+            if not encode:
                 scratch = own.astype(np.float64).reshape(pred.shape)
             else:
                 # One scratch buffer carries diff -> code -> dequantized residual.
-                scratch = data[rows][new_ix] - pred
+                scratch = part[new_ix] - pred
                 scratch /= pitch[rows]
                 np.rint(scratch, out=scratch)
                 own[...] = scratch.reshape(own.shape)
@@ -207,19 +237,39 @@ def _sweep(codes: np.ndarray, abs_eb, shape: tuple[int, ...], data=None) -> np.n
         cursor += n_new
     if cursor != size:
         raise ValueError("code stream length mismatch (corrupt stream)")
-    return recon
+
+
+def interp_encode(values: np.ndarray, abs_eb) -> np.ndarray:
+    """The codes of a batch of same-shape streams, sweeping in place.
+
+    ``values`` is a C-ordered float64 array with a leading stream axis,
+    one bound per stream in ``abs_eb``; it is the sweep's reconstruction
+    buffer, so on return it holds the reconstruction
+    :func:`interp_decompress` rebuilds from the codes.  The codes are
+    int32 when every stream's ``max |x| / (2 eb)`` is at most
+    :data:`CODE32_PEAK`, int64 otherwise.  :func:`interp_compress` is the
+    same encode on a copy of its input.
+    """
+    ebs = _bounds(abs_eb, values.shape[0], values.ndim - 1)
+    codes = np.empty((values.shape[0], values[0].size), dtype=_code_dtype(values, ebs))
+    _sweep(codes, ebs, values, encode=True)
+    return codes
 
 
 def interp_compress(data: np.ndarray, abs_eb):
     """Quantization codes and reconstruction of ``data`` under absolute
     bound ``abs_eb``: ``(codes, recon)``.
 
-    The int64 code stream concatenates anchor delta codes and per-pass
-    residual codes in traversal order; :func:`interp_decompress` consumes
-    the same order.  ``recon`` is the float64 reconstruction the traversal
-    fills pass by pass (later predictions consume earlier
+    The code stream concatenates anchor delta codes and per-pass residual
+    codes in traversal order; :func:`interp_decompress` consumes the same
+    order.  The codes are int32 when the data's ``max |x| / (2 eb)`` is at
+    most :data:`CODE32_PEAK` in every stream, int64 otherwise (the values
+    are the same either way).  ``recon`` is the float64 reconstruction the
+    traversal fills pass by pass (later predictions consume earlier
     reconstructions), which is what :func:`interp_decompress` rebuilds
     from ``codes``: both run :func:`_sweep`, so the two are bit-identical.
+    It is a float64 copy of ``data`` that :func:`interp_encode` sweeps in
+    place; ``data`` itself is never written.
 
     With ``abs_eb`` a sequence, ``data`` is a batch of same-shape streams
     along a leading stream axis, one bound per stream, and both results
@@ -227,15 +277,12 @@ def interp_compress(data: np.ndarray, abs_eb):
     on its own.
     """
     batched = np.ndim(abs_eb) == 1
-    # float32 is read as it is: every expression of the sweep widens it to
-    # float64 exactly, so the codes are the ones a float64 copy would give.
-    arr = np.asarray(data)
-    if arr.dtype != np.float32:
-        arr = np.asarray(arr, dtype=np.float64)
+    # float32 widens to float64 exactly, so the codes are the ones the
+    # float32 values themselves give.
+    recon = np.array(data, dtype=np.float64)
     if not batched:
-        arr = arr[None]
-    codes = np.empty((arr.shape[0], math.prod(arr.shape[1:])), dtype=np.int64)
-    recon = _sweep(codes, abs_eb, arr.shape[1:], arr)
+        recon = recon[None]
+    codes = interp_encode(recon, abs_eb)
     return (codes, recon) if batched else (codes[0], recon[0])
 
 
@@ -255,8 +302,12 @@ def interp_decompress(codes: np.ndarray, abs_eb, shape: tuple[int, ...]) -> np.n
     if codes.dtype not in (np.int32, np.int64):
         codes = np.asarray(codes, dtype=np.int64)
     batched = codes.ndim == 2
+    if not batched:
+        codes = codes.reshape(1, -1)
     shape = tuple(int(dim) for dim in shape)
-    recon = _sweep(codes if batched else codes.reshape(1, -1), abs_eb, shape)
+    ebs = _bounds(abs_eb, codes.shape[0], len(shape))
+    recon = np.zeros((codes.shape[0],) + shape, dtype=np.float64)
+    _sweep(codes, ebs, recon, encode=False)
     return recon if batched else recon[0]
 
 

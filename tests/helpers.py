@@ -742,6 +742,18 @@ def oracle_interp_compress(data, ebs) -> tuple[np.ndarray, np.ndarray]:
     return codes, recon
 
 
+def interp_code_dtype(data, ebs):
+    """The code dtype ``interp_compress`` documents for a batch: int32 when
+    every stream's ``max |x| / (2 eb)`` is at most ``interp.CODE32_PEAK``,
+    int64 otherwise."""
+    from repro.sz import interp
+
+    arr = np.asarray(data, dtype=np.float64)
+    peaks = np.abs(arr).reshape(arr.shape[0], -1).max(axis=1, initial=0.0)
+    fits = all(peak / (2.0 * eb) <= interp.CODE32_PEAK for peak, eb in zip(peaks, ebs))
+    return np.dtype(np.int32 if fits else np.int64)
+
+
 def rpht_table(code_lengths, max_len: int) -> bytes:
     """Reference writer of an ``RPHT`` shared-Huffman-table part (the
     retired ``pack_shared_table``): ``<4sBBIIBQ`` head + code lengths."""

@@ -870,22 +870,40 @@ class TestEncodeMany:
             assert np.array_equal(got.block_offsets, want.block_offsets)
             assert np.array_equal(codec.decode(got), row)
 
-    def test_the_index_is_taken_out_of_the_symbols_again(self, rng):
-        """The index is built in place in an int64 symbol array and the
-        symbols are restored before the call returns; ``encode`` hands it a
-        copy, and a read-only array is copied."""
+    def test_the_callers_symbols_are_read_as_they_are(self, rng):
+        """The symbols are never written and never copied: read-only int32
+        and int64 rows encode alike, and ``encode`` hands over the caller's
+        own array."""
         rows = rng.integers(3, 9, size=(3, 200))
         counts = np.stack([np.bincount(row, minlength=9) for row in rows])
         tables = code_tables(counts)
-        kept = rows.copy()
-        want = encode_many(tables, kept)
-        assert np.array_equal(rows, kept)
-        rows.flags.writeable = False
-        assert [e.payload for e in encode_many(tables, rows)] == [e.payload for e in want]
+        want = [e.payload for e in encode_many(tables, rows)]
+        for dtype in (np.int32, np.int64):
+            frozen = rows.astype(dtype)
+            frozen.flags.writeable = False
+            assert [e.payload for e in encode_many(tables, frozen)] == want
+            assert np.array_equal(frozen, rows)
         codec = HuffmanCodec.from_counts(counts[0])
+        kept = rows[0].copy()
+        kept.flags.writeable = False
         with patch.object(huffman, "encode_many", side_effect=huffman.encode_many) as spy:
-            codec.encode(kept[0])
-        assert not np.shares_memory(spy.call_args.args[1], kept)
+            assert codec.encode(kept).payload == want[0]
+        assert np.shares_memory(spy.call_args.args[1], kept)
+
+    @pytest.mark.parametrize("chunk_values", [1, 200, 450, 1 << 16])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_every_chunking_gives_the_same_streams(self, monkeypatch, rng, chunk_values, shared):
+        """Chunks of rows (one row, two and a half, the whole batch) encode
+        every row as the whole batch does, under per-row tables or one."""
+        rows = rng.integers(2, 30, size=(7, 200)).astype(np.int32)
+        counts = np.stack([np.bincount(row, minlength=30) for row in rows])
+        tables = code_tables(counts.sum(axis=0, keepdims=True) if shared else counts)
+        want = encode_many(tables, rows, 64)
+        monkeypatch.setattr(huffman, "ENCODE_CHUNK_VALUES", chunk_values)
+        got = encode_many(tables, rows, 64)
+        for a, b in zip(got, want):
+            assert (a.payload, a.total_bits, a.n_symbols) == (b.payload, b.total_bits, b.n_symbols)
+            assert np.array_equal(a.block_offsets, b.block_offsets)
 
     def test_one_codec_serving_every_row(self, rng):
         rows = rng.integers(0, 9, size=(5, 300))

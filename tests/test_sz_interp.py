@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sz.interp import interp_compress, interp_decompress
-from tests.helpers import smooth_cube
+from tests.helpers import interp_code_dtype, oracle_interp_compress, smooth_cube
 
 
 def roundtrip(data: np.ndarray, eb: float) -> np.ndarray:
@@ -107,7 +107,8 @@ class TestBatchedCompress:
         data = rng.standard_normal((len(ebs),) + shape) * 10
         batch, recon = interp_compress(data, ebs)
         assert batch.shape == (len(ebs), int(np.prod(shape)))
-        assert batch.dtype == np.int64 and recon.shape == data.shape
+        assert batch.dtype == interp_code_dtype(data, ebs) and recon.shape == data.shape
+        assert np.array_equal(batch, oracle_interp_compress(data, ebs)[0])
         for row, eb, got, got_recon in zip(data, ebs, batch, recon):
             want, want_recon = interp_compress(row, eb)
             assert np.array_equal(got, want)
