@@ -171,12 +171,12 @@ class TestBadDestinations:
 
 def test_recon_adds_nothing_to_the_encode_peak(monkeypatch):
     """The float64 reconstruction of a batch is the sweep's own buffer:
-    handing it out allocates nothing in the sweep, where ``compress_many``
-    peaks (that buffer, the int32 codes and one chunk's pass arrays), and
-    it is released before the entropy stage — pinned on one thread, where
-    the batch's stages are the only allocations.  On two, two half-size
-    batches in flight, at whatever stages, stay within that one-thread
-    peak, ``recon=`` or not."""
+    handing it out allocates nothing, and it is released before the
+    entropy stage, where ``compress_many`` peaks on these noisy fields (the
+    code-table build: their symbols span the whole alphabet) — pinned on
+    one thread, where the batch's stages are the only allocations.  On
+    two, two half-size batches in flight, at whatever stages, stay within
+    that one-thread peak, ``recon=`` or not."""
     codec = SZCompressor()
     sources = fields((16, 16, 16), 64, np.float32)
     codec.compress_many(sources, 1e-3, "abs")  # caches and lazy imports filled
