@@ -840,6 +840,11 @@ def _codec_ops(scale: int, repeats: int) -> dict:
     record = TimingRecord()
     get_codec("tac").compress(dataset, 1e-4, mode="rel", timings=record)
     ops["tac_preprocess"] = op_entry(record.get("preprocess"), n_values, nbytes)
+    # A snapshot write's working set, default 64³ bricks (a memory row).
+    tac = get_codec("tac")
+    ops["tac_compress_peak_mb"] = peak_entry(
+        lambda: tac.compress(dataset, 1e-4, mode="rel"), n_values
+    )
     sparse = make_dataset("Run2_T2", scale=scale)
     tac = get_codec("tac")
     comp = tac.compress(sparse, 1e-4, mode="rel")
@@ -854,19 +859,25 @@ def _codec_ops(scale: int, repeats: int) -> dict:
 
 
 def _preprocess_ops(scale: int, repeats: int) -> dict:
-    """The two pre-process calls of a TAC compress of Run1_Z3, in isolation:
-    ``gsp_pad`` on the dense finest level (L0), ``opst_extract`` on the
-    sparse coarse one (L1) — the paper's Fig. 13 quantity per strategy,
-    with the arguments ``TACCompressor._preprocess`` passes (the level's
-    own data and mask)."""
-    from repro.core.gsp import gsp_pad
+    """The two pre-processes of a TAC compress of Run1_Z3, in isolation:
+    GSP on the dense finest level (L0), ``opst_extract`` on the sparse
+    coarse one (L1) — the paper's Fig. 13 quantity per strategy, with the
+    arguments ``TACCompressor._preprocess`` passes (the level's own data
+    and mask).  The ``gsp_pad`` row is ``gsp_pad`` plus every slab of the
+    padded grid the writer makes as it encodes (default 64³ bricks)."""
+    from repro.core.gsp import DEFAULT_BRICK_SIZE, gsp_pad
     from repro.core.opst import opst_extract
     from repro.core.tac import default_unit_block
     from repro.sim.datasets import make_dataset
 
+    def gsp_level(data, mask, block):
+        result = gsp_pad(data, mask, block)
+        for lo in range(0, result.padded_shape[0], DEFAULT_BRICK_SIZE):
+            result.slab(lo, lo + DEFAULT_BRICK_SIZE)
+
     dense, sparse = make_dataset("Run1_Z3", scale=scale).levels[:2]
     ops = {}
-    for name, fn, lvl in (("gsp_pad", gsp_pad, dense), ("opst_extract", opst_extract, sparse)):
+    for name, fn, lvl in (("gsp_pad", gsp_level, dense), ("opst_extract", opst_extract, sparse)):
         block = default_unit_block(lvl.n)
         ops[name] = op_entry(
             time_op(lambda: fn(lvl.data, lvl.mask, block), repeats),
@@ -888,6 +899,9 @@ def _ingest_ops(scale: int, repeats: int) -> dict:
     residual needs; nothing is decoded) + accumulate + streamed shard write.
     ``ingest_session_delta_peak_mb`` is that session's tracemalloc peak, at
     one and at two encode threads (a memory row).
+    ``ingest_keyframe_peak_mb`` is the peak of a one-step Run1_Z3 session
+    with 16³ bricks, the write of tacbench's ``ingest_series`` peak round: a
+    keyframe that keeps its reconstruction for the next step.
     """
     import shutil
     import tempfile
@@ -918,6 +932,20 @@ def _ingest_ops(scale: int, repeats: int) -> dict:
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 
+    keyframe = next(iter(make_timestep_series("Run1_Z3", steps=3, scale=scale)))
+
+    def keyframe_session():
+        workdir = Path(tempfile.mkdtemp(prefix="ingest_bench_"))
+        try:
+            cfg = IngestConfig(
+                error_bound=1e-4, keyframe_interval=3, codec_options={"brick_size": 16}
+            )
+            with IngestSession(workdir / "series.rpbt", cfg) as session:
+                session.extend([keyframe])
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    keyframe_session()  # imports and caches are not the row's
     return {
         "tac_compress_iter": op_entry(
             time_op(drain_iter, repeats), dataset.total_points(), nbytes
@@ -930,6 +958,7 @@ def _ingest_ops(scale: int, repeats: int) -> dict:
         "ingest_session_delta_peak_mb": peak_entry(
             delta_session, sum(ds.total_points() for ds in series)
         ),
+        "ingest_keyframe_peak_mb": peak_entry(keyframe_session, keyframe.total_points()),
     }
 
 
@@ -1111,11 +1140,17 @@ GROUP_OPS = {
         f"{c}_{op}" for c in ("tac", "1d", "zmesh", "3d") for op in ("compress", "decompress")
     ) + (
         "tac_preprocess",
+        "tac_compress_peak_mb",
         "tac_compress_sparse",
         "tac_decompress_sparse",
     ),
     "preprocess": ("gsp_pad", "opst_extract"),
-    "ingest": ("tac_compress_iter", "ingest_session_delta", "ingest_session_delta_peak_mb"),
+    "ingest": (
+        "tac_compress_iter",
+        "ingest_session_delta",
+        "ingest_session_delta_peak_mb",
+        "ingest_keyframe_peak_mb",
+    ),
     "container": ("container_roundtrip_bricked",),
     "serve": ("serve_cold_roi", "serve_cold_roi_pool", "serve_chain_cold_roi", "serve_warm_roi"),
 }

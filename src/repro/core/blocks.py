@@ -82,24 +82,14 @@ def block_occupancy(mask: np.ndarray, block: int) -> np.ndarray:
     return block_counts(mask, block) > 0
 
 
-def masked_grid(data: np.ndarray, mask: np.ndarray, block: int) -> np.ndarray:
-    """``data`` zeroed outside ``mask`` and zero-padded to whole unit
-    blocks, in a new C-ordered array — one pass, whatever ``data`` holds
-    outside the mask."""
-    block = check_positive_int(block, name="block")
-    grid = np.zeros(tuple(dim + (-dim) % block for dim in data.shape), dtype=data.dtype)
-    np.copyto(grid[tuple(slice(0, dim) for dim in data.shape)], data, where=mask)
-    return grid
-
-
 @dataclass(frozen=True)
 class LevelBlocks:
-    """One level on its unit-block grid — the pre-collection every strategy
-    (GSP, NaST, OpST, AKDTree) starts from, made in one pass per level.
+    """One level on its unit-block grid — the pre-collection the block
+    strategies (NaST, OpST, AKDTree) start from, made in one pass per level.
 
     ``data`` and ``mask`` are zero-padded to whole unit blocks (the arrays
     passed in, not copies, when the level already is — so ``data`` may hold
-    anything outside the mask, unless collected ``masked``); ``occ`` is the
+    anything outside the mask); ``occ`` is the
     occupancy grid, True where a block holds any valid cell; ``partial``
     tells whether an occupied block also holds a cell outside the mask
     (padding included) — when none does, as on a mask refined block by
@@ -138,24 +128,14 @@ class LevelBlocks:
         return values
 
 
-def collect_blocks(
-    data: np.ndarray, mask: np.ndarray, block_size: int, *, masked: bool = False
-) -> LevelBlocks:
+def collect_blocks(data: np.ndarray, mask: np.ndarray, block_size: int) -> LevelBlocks:
     """Pre-collect a level: pad to whole unit blocks, count the valid cells
-    of each, derive occupancy.
-
-    ``masked=True`` collects :func:`masked_grid` — a new array, zero
-    outside the mask, for a strategy that writes its grid (GSP, ZF) —
-    instead of the level's own values.
-    """
+    of each, derive occupancy."""
     block_size = check_positive_int(block_size, name="block_size")
     if data.shape != mask.shape:
         raise ValueError("data and mask shapes differ")
     mask = np.asarray(mask, dtype=bool)
-    if masked:
-        values = masked_grid(data, mask, block_size)
-    else:
-        values = pad_to_blocks(np.asarray(data), block_size)
+    values = pad_to_blocks(np.asarray(data), block_size)
     mask = pad_to_blocks(mask, block_size)
     counts = block_counts(mask, block_size)
     occ = counts > 0

@@ -52,7 +52,6 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.amr.hierarchy import AMRLevel
 from repro.sz import lossless
 from repro.utils.timer import TimingRecord
 
@@ -292,15 +291,19 @@ class LevelChunk:
 
     ``level``/``meta`` are ``None`` for opaque chunks (e.g. the §4.4
     baseline delegation, which emits the whole entry as one group).
-    Part order inside ``parts`` is the wire order.  ``rec`` is the level
-    these parts decode to, when the compressor was asked for it
-    (``compress_iter(want_recon=True)``); it is never written anywhere.
+    Part order inside ``parts`` is the wire order.  ``rec`` is what these
+    parts decode to, when the compressor was asked for it
+    (``compress_iter(want_recon=True)``): the level's stored-cell values,
+    ``level.data[level.mask]`` of the decoded level (zero is implied
+    everywhere else), the form a delta chain keeps.  A bricked GSP/ZF level
+    fills them slab by slab as it encodes, so no level-sized grid is made
+    for them.  They are never written anywhere.
     """
 
     level: int | None
     meta: dict | None
     parts: dict[str, bytes]
-    rec: AMRLevel | None = None
+    rec: np.ndarray | None = None
 
     def nbytes(self) -> int:
         return sum(len(p) for p in self.parts.values())

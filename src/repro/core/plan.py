@@ -45,7 +45,8 @@ import numpy as np
 
 from repro.amr.hierarchy import AMRDataset, AMRLevel
 from repro.core.container import MASK_PREFIX, inflate_mask, unpack_mask_box
-from repro.sz.compressor import BATCH_VALUES, SZCompressor
+from repro.sz import compressor as sz_compressor
+from repro.sz.compressor import SZCompressor
 from repro.utils.timer import TimingRecord, timed
 
 
@@ -199,6 +200,7 @@ def decode_jobs(
     :data:`~repro.sz.compressor.BATCH_VALUES` decoded values — the batch,
     not the brick, is the read service's unit of decode work.
     """
+    budget = sz_compressor.BATCH_VALUES  # read per call: tests patch it
     jobs: list[tuple[list[DecodeUnit], Callable[[], dict]]] = []
     open_items: dict[tuple[int, ...], list[DecodeUnit]] = {}
     for unit in units:
@@ -210,7 +212,7 @@ def decode_jobs(
             jobs.append(([unit], partial(_stream_job, [unit], errors)))
             continue
         members = open_items.get(shape)
-        if members is None or (len(members) + 1) * math.prod(shape) > BATCH_VALUES:
+        if members is None or (len(members) + 1) * math.prod(shape) > budget:
             members = open_items[shape] = []
             jobs.append((members, partial(_stream_job, members, errors)))
         members.append(unit)

@@ -19,6 +19,7 @@ masks — all counted in the compressed size.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -40,6 +41,7 @@ from repro.core.container import (
 from repro.core.density import Strategy, select_strategy, use_3d_baseline
 from repro.core.gsp import (
     DEFAULT_BRICK_SIZE,
+    GSPResult,
     brick_boxes,
     bricks_touching,
     gsp_pad,
@@ -102,9 +104,11 @@ class TACConfig:
         Edge (cells) of the independently-compressed bricks a GSP/ZF
         padded grid is chunked into (strategy format 2: one container
         part + one decode unit per brick, so ROI reads decode only the
-        bricks they touch).  An edge at least the padded grid's gives
-        one stream.  Blobs stored before the brick format existed (format
-        1, one ``L<idx>/grid`` part) are read as one brick of it.
+        bricks they touch).  The writer makes the grid one brick-thick
+        x-slab at a time, so the edge also sets the write's working set.
+        An edge at least the padded grid's gives one stream.  Blobs stored
+        before the brick format existed (format 1, one ``L<idx>/grid``
+        part) are read as one brick of it.
     store_masks:
         Include packed validity masks in the output parts.
     sz:
@@ -188,16 +192,19 @@ class TACCompressor(PlanExecutorMixin):
         memory and its output is byte-identical to
         ``compress(...).to_bytes()``.
 
-        Each level's SZ streams are encoded by one
-        :meth:`~repro.sz.compressor.SZCompressor.compress_many` call, whose
-        batches the caller's thread and the codec's helper threads share;
-        the levels themselves are compressed one after another.
+        A level's SZ streams are encoded by
+        :meth:`~repro.sz.compressor.SZCompressor.compress_many` — one call
+        per level of a block strategy, one per brick slab of a GSP/ZF level
+        — whose batches the caller's thread and the codec's helper threads
+        share; the levels themselves are compressed one after another.
 
-        ``want_recon=True`` sets each chunk's ``rec`` to the level a reader
-        will decode from its parts, bit for bit — built from the
-        reconstruction the SZ encoder computed anyway (its predictor is
-        closed-loop), by the assembly code the reader runs, so nothing is
-        decoded.  A level's ``data`` is read once, by its strategy.
+        ``want_recon=True`` sets each chunk's ``rec`` to the stored-cell
+        values (``level.data[level.mask]``) a reader will decode from its
+        parts, bit for bit — taken from the reconstruction the SZ encoder
+        computed anyway (its predictor is closed-loop), so nothing is
+        decoded: a GSP/ZF level copies them out of each brick slab, a block
+        strategy's level is assembled by the code the reader runs.  A
+        level's ``data`` is read once, by its strategy.
 
         The §4.4 baseline delegation has no level-wise decomposition; that
         regime compresses eagerly and yields the whole entry as one chunk
@@ -258,10 +265,10 @@ class TACCompressor(PlanExecutorMixin):
         parts: dict[str, bytes],
         timings: TimingRecord,
         want_recon: bool,
-    ) -> tuple[dict, AMRLevel | None]:
+    ) -> tuple[dict, np.ndarray | None]:
         """Fill ``parts`` with the level's payloads; returns its metadata
-        and, with ``want_recon``, the level those payloads decode to.
-        ``n_points`` is the level's stored-cell count."""
+        and, with ``want_recon``, the stored-cell values those payloads
+        decode to.  ``n_points`` is the level's stored-cell count."""
         cfg = self.config
         density = n_points / lvl.mask.size if n_points else 0.0  # = lvl.density()
         meta: dict = {
@@ -272,42 +279,26 @@ class TACCompressor(PlanExecutorMixin):
         }
         if n_points == 0:
             meta["strategy"] = "empty"
-            return meta, _encoder_rec(lvl, meta, {}) if want_recon else None
+            return meta, _stored(_encoder_rec(lvl, meta, {})) if want_recon else None
         strategy = cfg.force_strategy or select_strategy(density)
         block = cfg.unit_block or default_unit_block(lvl.n)
         meta["strategy"] = strategy.value
         meta["unit_block"] = block
         result = self._preprocess(lvl, strategy, block, timings)
-        layout = {}  # the decoded layout record a reader's assembly works from
         if strategy in (Strategy.GSP, Strategy.ZF):
-            # Strategy format 2: chunk the padded grid into independently
-            # compressed bricks — one part per brick, its geometry in the
-            # level meta — so an ROI read decodes only the bricks it touches.
-            boxes = brick_boxes(result.padded.shape, cfg.brick_size)
-            streams = {
-                f"L{lvl.level}/b{brick_idx}": result.padded[region_slices(box)]
-                for brick_idx, box in enumerate(boxes)
-            }
-            meta["padded_shape"] = list(result.padded.shape)
-            meta["strategy_format"] = 2
-            meta["bricks"] = {
-                "size": cfg.brick_size,
-                "grid": [-(-dim // cfg.brick_size) for dim in result.padded.shape],
-                "n": len(boxes),
-            }
-        else:
-            parts[f"L{lvl.level}/layout"] = serialize_layout(result)
-            layout = {f"L{lvl.level}/layout": result}
-            streams = {
-                f"L{lvl.level}/g{group_idx}": result.groups[shape]
-                for group_idx, shape in enumerate(layout_shapes(result))
-            }
-            meta["n_blocks"] = result.n_blocks()
-            meta["n_groups"] = len(result.groups)
+            return meta, self._encode_bricks(result, meta, parts, timings, want_recon)
+        parts[f"L{lvl.level}/layout"] = serialize_layout(result)
+        # The decoded layout record a reader's assembly works from.
+        layout = {f"L{lvl.level}/layout": result}
+        streams = {
+            f"L{lvl.level}/g{group_idx}": result.groups[shape]
+            for group_idx, shape in enumerate(layout_shapes(result))
+        }
+        meta["n_blocks"] = result.n_blocks()
+        meta["n_groups"] = len(result.groups)
         arrays = list(streams.values())
         with timed(timings, "compress"):
-            # The strategy's arrays are this call's own (gathered blocks, or
-            # the grid GSP/ZF masked into a new array), so each is its own
+            # The gathered blocks are this call's own, so each is its own
             # destination: the reconstruction replaces the input in place
             # and no level-sized buffer is added.
             blobs = self.codec.compress_many(
@@ -316,23 +307,67 @@ class TACCompressor(PlanExecutorMixin):
         parts.update(zip(streams, blobs))
         if not want_recon:
             return meta, None
-        if strategy in (Strategy.GSP, Strategy.ZF):
-            # The bricks are views of the padded grid, so it now holds every
-            # brick's reconstruction where a reader's stitch puts it: only
-            # the crop and the mask are left to do.
-            crop = result.padded[region_slices(level_box(lvl.shape))]
-            return meta, _masked_level(lvl.level, crop, lambda: lvl.mask)
-        return meta, _encoder_rec(lvl, meta, {**layout, **streams})
+        return meta, _stored(_encoder_rec(lvl, meta, {**layout, **streams}))
+
+    def _encode_bricks(
+        self,
+        padded: GSPResult,
+        meta: dict,
+        parts: dict[str, bytes],
+        timings: TimingRecord,
+        want_recon: bool,
+    ) -> np.ndarray | None:
+        """Strategy format 2: the padded grid of a GSP/ZF level chunked into
+        independently compressed bricks — one part per brick, its geometry
+        in the level meta — so an ROI read decodes only the bricks it
+        touches.  Returns, with ``want_recon``, the level's stored-cell
+        values a reader decodes from those parts.
+
+        The grid is never whole.  It is made one x-slab of bricks at a time,
+        a brick edge thick, so a slab is a contiguous C-order range of the
+        grid, and the stored cells it holds a contiguous run of the level's.
+        The masked values and the ghosts are written into a new slab (timed
+        as ``"preprocess"``), its bricks — views of it — are encoded by one
+        ``compress_many`` with the reconstruction written in place, and the
+        slab's stored cells are copied into the level's values at the
+        slab's offset.  Then the slab goes.
+        """
+        level = meta["level"]
+        size = self.config.brick_size
+        shape = padded.padded_shape
+        grid = [-(-dim // size) for dim in shape]
+        meta["padded_shape"] = list(shape)
+        meta["strategy_format"] = 2
+        meta["bricks"] = {"size": size, "grid": grid, "n": math.prod(grid)}
+        mask = padded.mask
+        ox, oy, oz = mask.shape
+        rec = np.empty(meta["n_points"], dtype=padded.data.dtype) if want_recon else None
+        stored = 0
+        for lo in range(0, shape[0], size):
+            with timed(timings, "preprocess"):
+                slab = padded.slab(lo, lo + size)
+            bricks = [slab[region_slices(box)] for box in brick_boxes(slab.shape, size)]
+            first = lo // size * grid[1] * grid[2]
+            with timed(timings, "compress"):
+                blobs = self.codec.compress_many(
+                    bricks, meta["eb_abs"], mode="abs", recon=bricks if want_recon else None
+                )
+            parts.update((f"L{level}/b{first + i}", blob) for i, blob in enumerate(blobs))
+            if want_recon and lo < ox:
+                values = slab[: ox - lo, :oy, :oz][mask[lo : lo + size]]
+                rec[stored : stored + values.size] = values
+                stored += values.size
+            del slab, bricks  # before the next slab is made
+        return rec
 
     def _preprocess(self, lvl: AMRLevel, strategy: Strategy, block: int, timings: TimingRecord):
-        """The strategy's dense arrays for one level — the padded grid of
-        GSP/ZF, the shape groups of OpST/AKDTree/NaST — timed as
-        ``"preprocess"``.
+        """The strategy's artifact for one level — the block-grid padding
+        of GSP/ZF, whose slabs :meth:`_encode_bricks` writes, the shape
+        groups of OpST/AKDTree/NaST — timed as ``"preprocess"``.
 
         Each strategy reads the level's ``data`` as it is and zeroes what
         it keeps outside the mask: a block strategy the blocks it gathers,
-        GSP/ZF the grid they mask into a new array.  No level-sized masked
-        copy is made for a level stored in a few blocks.
+        GSP/ZF each slab they write.  No level-sized masked copy is made.
         """
         cfg = self.config
         data = lvl.data
@@ -466,6 +501,13 @@ class TACCompressor(PlanExecutorMixin):
         block = block or self.config.unit_block or default_unit_block(lvl.n)
         record = TimingRecord()
         result = self._preprocess(lvl, strategy, block, record)
+        if strategy in (Strategy.GSP, Strategy.ZF):
+            # The padded grid is written slab by slab as the bricks encode:
+            # every slab is part of the pre-process.
+            size = self.config.brick_size
+            with timed(record, "preprocess"):
+                for lo in range(0, result.padded_shape[0], size):
+                    result.slab(lo, lo + size)
         return result, record.get("preprocess")
 
 
@@ -478,9 +520,10 @@ def _assemble_box(
     The one assembly of a TAC level — the reader's, and the encoder's when
     it hands out its own reconstruction of an empty or block-strategy level
     (``results`` then holds the arrays the SZ encoder reconstructed in
-    place; of a GSP/ZF level's assembly the encoder needs only the crop →
-    mask, :func:`_masked_level`).  The mask is applied where the non-zero
-    cells are, in the order that keeps the peak low:
+    place; a GSP/ZF level's encoder copies the stored cells out of each
+    slab it encodes instead, :meth:`TACCompressor._encode_bricks`).  The
+    mask is applied where the non-zero cells are, in the order that keeps
+    the peak low:
 
     * a block strategy (OpST/AKDTree/NaST) unpacks the box's mask first and
       masks each sub-block before scattering it — only cells inside blocks
@@ -529,6 +572,11 @@ def _entry_dtype(comp) -> np.dtype:
     if not comp.n_values:
         return np.dtype(np.float32)
     return np.dtype(f"f{comp.original_bytes // comp.n_values}")
+
+
+def _stored(level: AMRLevel) -> np.ndarray:
+    """A level's stored-cell values, the form ``LevelChunk.rec`` takes."""
+    return level.data[level.mask]
 
 
 def _encoder_rec(lvl: AMRLevel, level_meta: dict, results: dict) -> AMRLevel:

@@ -30,12 +30,16 @@ stored-cell values (:func:`stored_values`) — zero is implied everywhere
 else, where a reader's levels are zero too — so a delta step holds less
 than one level set of its own.  The residual is made one level at a time,
 when the codec reads the level's ``data`` (:func:`residual_dataset`), and
-nothing keeps it once the strategy has gathered its arrays from it.  Each
-level's decoded residual is added into the stored values in place
-(:func:`accumulate`) as its chunk streams by.  The values are
-session-owned — gathered from an encoder reconstruction or a decode,
-never the caller's arrays — so the in-place sum writes nothing anyone
-else holds.
+nothing keeps it once the level is encoded.  The encoder hands each
+level's reconstruction out as its stored-cell values
+(``LevelChunk.rec``): a GSP/ZF level encodes its padded grid one brick
+slab at a time and copies each slab's stored cells into a preallocated
+array, so neither a level-sized grid nor a second copy of the values is
+made.  A delta step adds them into the chain's values in place
+(:func:`accumulate`) as its chunk streams by; a keyframe keeps them as
+they are.  The values are session-owned — filled from an encoder
+reconstruction or gathered from a decode, never the caller's arrays — so
+the in-place sum writes nothing anyone else holds.
 
 On the wire a delta entry is a normal container entry whose metadata
 carries ``meta["temporal"] = {"mode": "delta", "base": <prev key>,
@@ -141,13 +145,12 @@ def stored_values(level: AMRLevel) -> np.ndarray:
     return level.data[level.mask]
 
 
-def accumulate(rec: np.ndarray, decoded_residual: AMRLevel) -> np.ndarray:
-    """``rec + decoded_residual`` at the level's stored cells — one
-    closed-loop reconstruction step of one level, summed base first as a
-    reader sums the two levels — in place in ``rec``, which is returned.
-    A residual of a wider dtype widens the sum into a new array instead,
-    as the reader's sum does."""
-    values = stored_values(decoded_residual)
+def accumulate(rec: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``rec + values``, both a level's stored-cell values (``values`` the
+    decoded residual's) — one closed-loop reconstruction step of one level,
+    summed base first as a reader sums the two levels — in place in
+    ``rec``, which is returned.  A residual of a wider dtype widens the sum
+    into a new array instead, as the reader's sum does."""
     if np.result_type(rec.dtype, values.dtype) != rec.dtype:
         return rec + values
     rec += values

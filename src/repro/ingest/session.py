@@ -34,8 +34,8 @@ A delta step encodes ``cur_t − rec_{t−1}`` (:mod:`repro.ingest.delta`).
 ``rec`` is what a reader will decode, and the session gets it without
 decoding: an error-bounded predictor already computes its reconstruction
 (it predicts from it), so ``compress_iter(want_recon=True)`` hands each
-level's out (``LevelChunk.rec``) bit-identical to the decode of the parts
-written.  Encoders without ``want_recon`` have the finished entry decoded
+level's out (``LevelChunk.rec``, its stored-cell values) bit-identical to
+the decode of the parts written.  Encoders without ``want_recon`` have the finished entry decoded
 whole instead.  A step followed by a forced keyframe tracks nothing.
 The running reconstruction is the session's own: ``submit`` never writes
 the caller's arrays, and the chain never keeps them.
@@ -188,9 +188,10 @@ class _TemporalStream:
 
     With ``track`` (the codec, the submitted dataset, and the running
     reconstruction a delta entry advances — ``None`` for a keyframe), each
-    chunk's ``rec`` — the encoder's own reconstruction of that level — is
-    detached as the chunk streams by: a keyframe keeps its stored-cell
-    values, a delta adds them into the running reconstruction's in place.
+    chunk's ``rec`` — the encoder's own reconstruction of that level, as
+    its stored-cell values — is detached as the chunk streams by: a
+    keyframe keeps it as it is, a delta adds it into the running
+    reconstruction's values in place.
     Chunks of an encoder that hands none out have their parts collected
     instead, for one whole-entry decode at the end.
     """
@@ -220,7 +221,7 @@ class _TemporalStream:
             if chunk.rec is None:
                 self._parts.update(chunk.parts)
             elif self._base is None:
-                self._levels.append(stored_values(chunk.rec))
+                self._levels.append(chunk.rec)
             else:
                 self._base[chunk.level] = accumulate(self._base[chunk.level], chunk.rec)
             chunk.rec = None
@@ -244,7 +245,7 @@ class _TemporalStream:
             if base is None:
                 return [stored_values(level) for level in decoded]
             for index, level in enumerate(decoded):
-                base[index] = accumulate(base[index], level)
+                base[index] = accumulate(base[index], stored_values(level))
         return self._levels if base is None else base
 
     @property

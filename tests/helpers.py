@@ -45,6 +45,15 @@ def random_mask(shape, density: float, seed: int = 0, block: int = 1) -> np.ndar
     return mask[: shape[0], : shape[1], : shape[2]]
 
 
+def padded_grid(result, size: int | None = None) -> np.ndarray:
+    """The whole padded grid of a GSP/ZF result, materialized one x-slab of
+    ``size`` cells at a time (default: one slab) and stacked, as the
+    writer's brick slabs would lay it out."""
+    nx = result.padded_shape[0]
+    size = size or nx
+    return np.concatenate([result.slab(lo, lo + size) for lo in range(0, nx, size)])
+
+
 def two_level_dataset(
     n: int = 16, fine_fraction: float = 0.25, seed: int = 0, dtype=np.float32
 ) -> AMRDataset:

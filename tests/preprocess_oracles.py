@@ -6,6 +6,14 @@ they moved onto the unit-block grid, kept verbatim as oracles: the fast
 versions must reproduce them bit for bit (``test_preprocess_oracles.py``),
 which is what keeps blobs, goldens and compression ratios where they are.
 
+``gsp_pad_grid`` / ``zero_fill_grid`` are GSP and ZF as they were before
+the writer made the padded grid one brick slab at a time: the whole grid
+(masked into a new array, the ghosts broadcast into its block view), with
+the ``pad_mask`` and ``n_padded_blocks`` bookkeeping only tests read.
+``encode_padded_grid`` is that writer's GSP/ZF level encode: every brick
+of the whole grid in one ``compress_many``, the reconstruction cropped and
+masked out of the grid.
+
 ``masked_cube_extract`` and ``assemble_putmask`` are the two paths that
 paid for a level's whole bounding cube before the block strategies masked
 only their blocks: mask the cube, then extract; stitch, then mask the
@@ -15,6 +23,9 @@ slice tuple per brick.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +40,11 @@ from repro.core.blocks import (
     pad_to_blocks,
 )
 from repro.core.density import Strategy
-from repro.core.gsp import GSPResult
+from repro.core.gsp import brick_boxes
 from repro.core.layout import block_extents, blocks_in_region, layout_shapes
 from repro.core.opst import _box, compute_bs  # the integral-image query, unchanged
 from repro.core.opst import opst_plan
-from repro.core.plan import region_slices
+from repro.core.plan import level_box, region_slices
 from repro.core.tac import _brick_name, _touched_bricks
 
 
@@ -158,6 +169,135 @@ def _stitch_groups_unmasked(idx: int, results: dict, box) -> np.ndarray:
 _FACES = [(axis, sign) for axis in range(3) for sign in (+1, -1)]
 
 
+@dataclass
+class PaddedGrid:
+    """Padded grid plus the bookkeeping needed to undo/inspect the padding."""
+
+    padded: np.ndarray          # full (block-padded) grid with ghost shells
+    pad_mask: np.ndarray        # True where a ghost value was written
+    orig_shape: tuple[int, int, int]
+    block_size: int
+    n_padded_blocks: int
+
+
+def _block_view(arr: np.ndarray, block: int) -> np.ndarray:
+    nx, ny, nz = arr.shape
+    return arr.reshape(nx // block, block, ny // block, block, nz // block, block)
+
+
+def _cells(coords, spans) -> tuple:
+    return (coords[0], spans[0], coords[1], spans[1], coords[2], spans[2])
+
+
+def _slab(axis: int, sign: int, layers: int, block: int) -> list[slice]:
+    spans = [slice(None)] * 3
+    spans[axis] = slice(0, layers) if sign < 0 else slice(block - layers, block)
+    return spans
+
+
+def _grid_slab_means(values6, valid6, coords, spans) -> np.ndarray:
+    """Slab means gathered from the block view of the masked grid."""
+    cells = _cells(coords, spans)
+    valid = valid6[cells]
+    values = values6[cells].astype(np.float64)
+    n_blocks, lx, ly, lz = values.shape
+    _nbx, _, nby, _, nbz, _ = values6.shape
+    row = lz * (ly if nbz == 1 else 1) * (lx if nbz == 1 and nby == 1 else 1)
+    rows = values.reshape(n_blocks, -1, row).sum(axis=2)
+    with np.errstate(invalid="ignore"):
+        return np.add.accumulate(rows, axis=1)[:, -1] / valid.sum(axis=(1, 2, 3))
+
+
+def masked_grid(data, mask, block: int) -> np.ndarray:
+    """``data`` zeroed outside ``mask`` and zero-padded to whole unit
+    blocks, in a new C-ordered array."""
+    grid = np.zeros(tuple(dim + (-dim) % block for dim in data.shape), dtype=data.dtype)
+    np.copyto(grid[tuple(slice(0, dim) for dim in data.shape)], data, where=mask)
+    return grid
+
+
+def gsp_pad_grid(data, mask, block_size, *, pad_layers=None, avg_layers=2) -> PaddedGrid:
+    """Ghost-shell padding written into the whole masked grid, with
+    level-resolution accumulators when ``pad_layers`` is thinner than a
+    block."""
+    blocks = collect_blocks(data, mask, block_size)
+    blocks = dataclasses.replace(
+        blocks, data=masked_grid(data, np.asarray(mask, dtype=bool), block_size)
+    )
+    block_size = blocks.block_size
+    avg_layers = min(avg_layers, block_size)
+    x_layers = block_size if pad_layers is None else min(int(pad_layers), block_size)
+    if x_layers <= 0:
+        raise ValueError("pad_layers must be positive")
+    occ = blocks.occ
+    nb = occ.shape
+    padded = blocks.data
+    padded6 = _block_view(padded, block_size)
+    valid6 = _block_view(blocks.mask, block_size)
+    res = 1 if x_layers == block_size else block_size
+    total = np.zeros((nb[0], res, nb[1], res, nb[2], res), dtype=np.float64)
+    count = np.zeros(total.shape, dtype=np.int32)
+    for axis, sign in _FACES:
+        here: list[slice] = [slice(None)] * 3
+        there: list[slice] = [slice(None)] * 3
+        here[axis] = slice(0, nb[axis] - 1) if sign > 0 else slice(1, nb[axis])
+        there[axis] = slice(1, nb[axis]) if sign > 0 else slice(0, nb[axis] - 1)
+        recipients = list(np.nonzero(~occ[tuple(here)] & occ[tuple(there)]))
+        if not recipients[0].size:
+            continue
+        neighbours = list(recipients)
+        recipients[axis] = recipients[axis] + (sign < 0)
+        neighbours[axis] = neighbours[axis] + (sign > 0)
+        means = _grid_slab_means(
+            padded6, valid6, neighbours, _slab(axis, -sign, avg_layers, block_size)
+        )
+        reached = np.isfinite(means)
+        cells = _cells(
+            [idx[reached] for idx in recipients],
+            _slab(axis, sign, x_layers, block_size) if res > 1 else [slice(None)] * 3,
+        )
+        total[cells] += means[reached, None, None, None]
+        count[cells] += 1
+    hit = count > 0
+    ghosts = (total[hit] / count[hit]).astype(data.dtype)
+    if res == 1:
+        bx, _, by, _, bz, _ = np.nonzero(hit)
+        padded6[bx, :, by, :, bz, :] = ghosts[:, None, None, None]
+        pad_mask = hit.reshape(nb).repeat(block_size, 0).repeat(block_size, 1).repeat(block_size, 2)
+    else:
+        pad_mask = hit.reshape(padded.shape)
+        padded[pad_mask] = ghosts
+    return PaddedGrid(
+        padded=padded,
+        pad_mask=pad_mask,
+        orig_shape=data.shape,
+        block_size=block_size,
+        n_padded_blocks=int(hit.any(axis=(1, 3, 5)).sum()),
+    )
+
+
+def zero_fill_grid(data, mask, block_size) -> PaddedGrid:
+    """ZF as the whole masked grid."""
+    values = masked_grid(data, mask, block_size)
+    return PaddedGrid(
+        padded=values,
+        pad_mask=np.zeros_like(values, dtype=bool),
+        orig_shape=data.shape,
+        block_size=block_size,
+        n_padded_blocks=0,
+    )
+
+
+def encode_padded_grid(codec, grid: np.ndarray, mask, eb_abs: float, brick_size: int):
+    """A GSP/ZF level encoded from its whole padded ``grid`` (written):
+    ``(blobs in brick order, stored-cell values of the reconstruction)``."""
+    bricks = [grid[region_slices(box)] for box in brick_boxes(grid.shape, brick_size)]
+    blobs = codec.compress_many(bricks, eb_abs, mode="abs", recon=bricks)
+    crop = np.ascontiguousarray(grid[region_slices(level_box(mask.shape))])
+    np.copyto(crop, 0, where=~mask)
+    return blobs, crop[mask]
+
+
 def _occupancy(mask: np.ndarray, block: int) -> np.ndarray:
     padded = pad_to_blocks(np.asarray(mask, dtype=bool), block)
     nb = [dim // block for dim in padded.shape]
@@ -183,7 +323,7 @@ def _face_slab_means(values, weights, block, avg_layers):
     return out
 
 
-def gsp_pad_cells(data, mask, block_size, *, pad_layers=None, avg_layers=2) -> GSPResult:
+def gsp_pad_cells(data, mask, block_size, *, pad_layers=None, avg_layers=2) -> PaddedGrid:
     """Ghost-shell padding with cell-resolution accumulators."""
     avg_layers = min(avg_layers, block_size)
     x_layers = block_size if pad_layers is None else min(int(pad_layers), block_size)
@@ -234,7 +374,7 @@ def gsp_pad_cells(data, mask, block_size, *, pad_layers=None, avg_layers=2) -> G
     pad_mask = count > 0
     padded = values.astype(np.float64)
     padded[pad_mask] = accum[pad_mask] / count[pad_mask]
-    return GSPResult(
+    return PaddedGrid(
         padded=padded.astype(data.dtype),
         pad_mask=pad_mask,
         orig_shape=data.shape,

@@ -1,4 +1,10 @@
-"""Unit tests for ghost-shell padding and zero filling."""
+"""Unit tests for ghost-shell padding and zero filling.
+
+``gsp_pad`` / ``zero_fill`` return the padding on the unit-block grid; the
+cells are what their slabs hold (``tests.helpers.padded_grid``).  The
+``pad_mask`` / ``n_padded_blocks`` bookkeeping is the grid-building oracle's
+(``tests.preprocess_oracles.gsp_pad_grid``), which each grid must equal.
+"""
 
 import numpy as np
 import pytest
@@ -9,16 +15,29 @@ from repro.core.gsp import brick_boxes, bricks_touching, gsp_pad, zero_fill
 from tests.helpers import (
     BrickTable,
     deserialize_brick_table,
+    padded_grid,
     random_mask,
     serialize_brick_table,
     smooth_cube,
 )
+from tests.preprocess_oracles import gsp_pad_grid, zero_fill_grid
 
 
 def crop(result, arr=None) -> np.ndarray:
-    """``result.padded`` (or an array shaped like it) at the level's extents."""
+    """The padded grid of ``result`` (or an array shaped like it) at the
+    level's extents."""
     ox, oy, oz = result.orig_shape
-    return (result.padded if arr is None else arr)[:ox, :oy, :oz]
+    return (padded_grid(result) if arr is None else arr)[:ox, :oy, :oz]
+
+
+def padded(data, mask, block, **kwargs):
+    """``gsp_pad``'s result, its slab-materialized grid (one block thick
+    slabs) and the grid-building oracle, which must agree bit for bit."""
+    result = gsp_pad(data, mask, block, **kwargs)
+    grid = padded_grid(result, block)
+    oracle = gsp_pad_grid(data, mask, block, **kwargs)
+    assert grid.tobytes() == oracle.padded.tobytes() and grid.dtype == oracle.padded.dtype
+    return result, grid, oracle
 
 
 def level_with_hole(n=12, block=4, value=5.0):
@@ -33,26 +52,28 @@ def level_with_hole(n=12, block=4, value=5.0):
 class TestGSP:
     def test_valid_cells_untouched(self):
         data, mask = level_with_hole()
-        result = gsp_pad(data, mask, 4)
-        assert np.array_equal(crop(result)[mask], data[mask])
+        result, grid, _oracle = padded(data, mask, 4)
+        assert np.array_equal(crop(result, grid)[mask], data[mask])
 
     def test_hole_filled_with_neighbour_average(self):
         data, mask = level_with_hole(value=5.0)
-        result = gsp_pad(data, mask, 4)
-        hole = crop(result)[4:8, 4:8, 4:8]
+        result, grid, _oracle = padded(data, mask, 4)
+        hole = crop(result, grid)[4:8, 4:8, 4:8]
         # All six neighbours carry 5.0, so every pad contribution is 5.0.
         assert np.allclose(hole, 5.0)
 
     def test_pad_mask_marks_hole_only(self):
         data, mask = level_with_hole()
-        result = gsp_pad(data, mask, 4)
-        pad = crop(result, result.pad_mask)
+        result, _grid, oracle = padded(data, mask, 4)
+        pad = crop(result, oracle.pad_mask)
         assert pad[4:8, 4:8, 4:8].all()
         assert not pad[mask].any()
+        assert result.ghost_blocks.tolist() == [[1, 1, 1]]
 
     def test_n_padded_blocks(self):
         data, mask = level_with_hole()
-        assert gsp_pad(data, mask, 4).n_padded_blocks == 1
+        result, _grid, oracle = padded(data, mask, 4)
+        assert oracle.n_padded_blocks == 1 == len(result.ghost_blocks)
 
     def test_isolated_empty_block_stays_zero(self):
         # An empty block with no non-empty neighbours must remain zero.
@@ -60,9 +81,9 @@ class TestGSP:
         mask = np.zeros((n, n, n), dtype=bool)
         mask[:4, :4, :4] = True  # single occupied corner block
         data = np.where(mask, np.float32(3.0), np.float32(0))
-        result = gsp_pad(data, mask, block)
+        _result, grid, _oracle = padded(data, mask, block)
         # The far corner block touches no occupied block.
-        far = result.padded[8:12, 8:12, 8:12]
+        far = grid[8:12, 8:12, 8:12]
         assert np.all(far == 0)
 
     def test_face_neighbour_gets_ghost(self):
@@ -70,9 +91,9 @@ class TestGSP:
         mask = np.zeros((n, n, n), dtype=bool)
         mask[:4, :4, :4] = True
         data = np.where(mask, np.float32(2.0), np.float32(0))
-        result = gsp_pad(data, mask, block)
+        _result, grid, _oracle = padded(data, mask, block)
         # The x-face neighbour of the occupied block is padded with ~2.0.
-        ghost = result.padded[4:8, :4, :4]
+        ghost = grid[4:8, :4, :4]
         assert np.allclose(ghost[ghost != 0], 2.0)
         assert (ghost != 0).any()
 
@@ -84,15 +105,15 @@ class TestGSP:
         data = np.zeros((n, n, n), dtype=np.float32)
         data[:4] = 2.0
         data[8:] = 4.0
-        result = gsp_pad(data, mask, block, pad_layers=None, avg_layers=1)
-        middle = result.padded[4:8]
+        _result, grid, _oracle = padded(data, mask, block, pad_layers=None, avg_layers=1)
+        middle = grid[4:8]
         # Full-depth padding from both faces overlaps everywhere: avg = 3.
         assert np.allclose(middle, 3.0)
 
     def test_thin_pad_layers(self):
         data, mask = level_with_hole()
-        result = gsp_pad(data, mask, 4, pad_layers=1)
-        hole = crop(result)[4:8, 4:8, 4:8]
+        result, grid, _oracle = padded(data, mask, 4, pad_layers=1)
+        hole = crop(result, grid)[4:8, 4:8, 4:8]
         # Only the outermost shell of the hole is padded.
         assert np.allclose(hole[0], 5.0)
         assert np.all(hole[1:3, 1:3, 1:3] == 0)
@@ -109,8 +130,8 @@ class TestGSP:
         mask_partial = mask.copy()
         mask_partial[1:4, :, :] = False  # boundary slab partially valid
         data_partial = np.where(mask_partial, data, np.float32(0))
-        result = gsp_pad(data_partial, mask_partial, block)
-        ghosts = result.padded[result.pad_mask]
+        _result, grid, oracle = padded(data_partial, mask_partial, block)
+        ghosts = grid[oracle.pad_mask]
         if ghosts.size:
             assert np.allclose(ghosts[ghosts != 0], 7.0)
 
@@ -124,18 +145,19 @@ class TestGSP:
     def test_fully_masked_level_is_noop(self):
         data = smooth_cube(8)
         mask = np.ones((8, 8, 8), dtype=bool)
-        result = gsp_pad(data, mask, 4)
-        assert np.array_equal(crop(result), data)
-        assert result.n_padded_blocks == 0
+        result, grid, oracle = padded(data, mask, 4)
+        assert np.array_equal(crop(result, grid), data)
+        assert oracle.n_padded_blocks == 0 == len(result.ghost_blocks)
 
     def test_random_masks_never_touch_valid_cells(self, rng):
         for seed in range(3):
             mask = random_mask((16, 16, 16), 0.7, seed=seed, block=4)
             data = np.where(mask, smooth_cube(16), np.float32(0))
-            result = gsp_pad(data, mask, 4)
-            assert np.array_equal(crop(result)[mask], data[mask])
+            result, grid, oracle = padded(data, mask, 4)
+            assert np.array_equal(crop(result, grid)[mask], data[mask])
             # Ghost values are bounded by the data range (means of values).
-            ghosts = result.padded[result.pad_mask]
+            ghosts = grid[oracle.pad_mask]
+            assert ghosts.size == result.ghosts.size * 4**3
             if ghosts.size:
                 assert ghosts.max() <= data.max() + 1e-5
                 assert ghosts.min() >= data.min() - 1e-5
@@ -145,15 +167,17 @@ class TestZeroFill:
     def test_identity_on_masked_data(self):
         data, mask = level_with_hole()
         result = zero_fill(data, mask, 4)
+        oracle = zero_fill_grid(data, mask, 4)
         assert np.array_equal(crop(result), data)
-        assert result.n_padded_blocks == 0
-        assert not result.pad_mask.any()
+        assert padded_grid(result, 4).tobytes() == oracle.padded.tobytes()
+        assert oracle.n_padded_blocks == 0 == len(result.ghost_blocks)
+        assert not oracle.pad_mask.any()
 
     def test_pads_grid_to_block_multiple(self):
         mask = np.ones((5, 5, 5), dtype=bool)
         data = np.ones((5, 5, 5), dtype=np.float32)
         result = zero_fill(data, mask, 4)
-        assert result.padded.shape == (8, 8, 8)
+        assert result.padded_shape == (8, 8, 8) == padded_grid(result).shape
         assert crop(result).shape == (5, 5, 5)
 
 
@@ -165,8 +189,8 @@ class TestGSPCompressibility:
         mask = random_mask((n, n, n), 0.8, seed=2, block=4)
         base = smooth_cube(n) + np.float32(10.0)  # offset so zeros are cliffs
         data = np.where(mask, base, np.float32(0))
-        zf = zero_fill(data, mask, block).padded
-        gsp = gsp_pad(data, mask, block).padded
+        zf = padded_grid(zero_fill(data, mask, block))
+        gsp = padded(data, mask, block)[1]
         def roughness(f):
             return sum(float(np.abs(np.diff(f, axis=a)).sum()) for a in range(3))
         assert roughness(gsp) < roughness(zf)

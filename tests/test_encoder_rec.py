@@ -1,8 +1,8 @@
 """Encoder-side reconstruction ≡ decode, at the TAC and the session layer.
 
-``compress_iter(want_recon=True)`` hands out, per level, the level a reader
-decodes from the parts just written — built from the SZ encoder's own
-reconstruction by the reader's assembly code, with nothing decoded — and
+``compress_iter(want_recon=True)`` hands out, per level, the stored-cell
+values a reader decodes from the parts just written — taken from the SZ
+encoder's own reconstruction, with nothing decoded — and
 :class:`IngestSession` closes its temporal loop on that.  Bit-identity with
 the decode is what keeps every golden in place and makes a chain readable
 the same whichever way its ``rec`` was obtained.
@@ -29,11 +29,12 @@ TAC_CASES = sorted(
 )
 
 
-def assert_same_level(rec, decoded):
-    assert rec.level == decoded.level
-    assert rec.data.dtype == decoded.data.dtype and rec.data.shape == decoded.data.shape
-    assert np.array_equal(rec.data.view(np.uint32), decoded.data.view(np.uint32))
-    assert rec.mask.dtype == decoded.mask.dtype and np.array_equal(rec.mask, decoded.mask)
+def assert_same_values(chunk, decoded):
+    """``chunk.rec`` is the decoded level's stored-cell values, bit for bit."""
+    assert chunk.level == decoded.level
+    want = decoded.data[decoded.mask]
+    assert chunk.rec.dtype == want.dtype and chunk.rec.shape == want.shape
+    assert chunk.rec.tobytes() == want.tobytes()
 
 
 class TestLevelChunkRec:
@@ -68,8 +69,8 @@ class TestLevelChunkRec:
             assert reference.rec is None
             assert chunk.parts == reference.parts and chunk.meta == reference.meta
             assert list(chunk.parts) == list(reference.parts)  # wire order
-            assert_same_level(
-                chunk.rec, codec.decompress_level(comp, chunk.level, structure=dataset)
+            assert_same_values(
+                chunk, codec.decompress_level(comp, chunk.level, structure=dataset)
             )
 
     def test_delegated_entry_has_no_rec(self):

@@ -57,3 +57,19 @@ def test_every_gated_op_is_one_the_suite_names():
         "serve_cold_roi", "serve_cold_roi_pool", "serve_chain_cold_roi", "serve_warm_roi"
     )
     assert {"serve_warm_roi", "serve_chain_cold_roi"} <= gated
+
+
+def test_write_memory_rows_are_emitted_and_selectable():
+    """``tac_compress_peak_mb`` (a snapshot write, default bricks) and
+    ``ingest_keyframe_peak_mb`` (tacbench's peak ingest round) are memory
+    rows of the groups ``--ops`` selects them through."""
+    assert "tac_compress_peak_mb" in perf_harness.GROUP_OPS["codecs"]
+    assert "ingest_keyframe_peak_mb" in perf_harness.GROUP_OPS["ingest"]
+    rows = perf_harness.run_suite(
+        scale=16, repeats=1, ops={"tac_compress_peak_mb", "ingest_keyframe_peak_mb"}
+    )
+    assert set(rows) == {"tac_compress_peak_mb", "ingest_keyframe_peak_mb"}
+    for row in rows.values():
+        assert "seconds" not in row and row["n_values"] > 0
+        assert set(row["peak_mb"]) == {"threads_1", "threads_2"}
+        assert all(mb > 0 for mb in row["peak_mb"].values())

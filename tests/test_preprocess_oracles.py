@@ -1,9 +1,9 @@
 """The pre-processes and the level assembly against their oracles.
 
-``gsp_pad`` and ``opst_plan`` work on the unit-block grid; the block
-strategies read raw level data and mask only the blocks they gather; the
-assembly masks each sub-block, not the window, and stitches GSP/ZF
-bricks by per-axis slices.  The implementations they
+``gsp_pad`` and ``opst_plan`` work on the unit-block grid, and GSP/ZF
+write their padded grid one slab at a time; the block strategies read raw
+level data and mask only the blocks they gather; the assembly masks each
+sub-block, not the window, and stitches GSP/ZF bricks by per-axis slices.  The implementations they
 replaced live on in ``tests/preprocess_oracles.py``.  Equality here is
 *bit* equality — padded grids, pad masks, cube lists and their order,
 stacked groups, assembled levels — because every blob, golden fixture and
@@ -36,13 +36,15 @@ from repro.core.tac import (
     _touched_bricks,
 )
 from repro.serve import ArchiveReader
-from tests.helpers import random_mask, restore_extraction, write_archive
+from tests.helpers import padded_grid, random_mask, restore_extraction, write_archive
 from tests.preprocess_oracles import (
     assemble_putmask,
     gsp_pad_cells,
+    gsp_pad_grid,
     masked_cube_extract,
     opst_plan_full,
     stitch_bricks_window,
+    zero_fill_grid,
 )
 from tests.test_partial_decode import clustered_dataset
 
@@ -69,11 +71,19 @@ def level(shape, block, dtype, seed, density=0.6, ragged=False):
 
 
 def assert_same_padding(fast, oracle):
-    assert fast.padded.dtype == oracle.padded.dtype
-    assert fast.padded.tobytes() == oracle.padded.tobytes()
-    assert fast.pad_mask.dtype == bool
-    assert np.array_equal(fast.pad_mask, oracle.pad_mask)
-    assert fast.n_padded_blocks == oracle.n_padded_blocks
+    """``fast`` (a ``gsp_pad`` / ``zero_fill`` result) writes ``oracle``'s
+    padded grid, whatever slabs it is materialized in, and reaches the
+    blocks its ``pad_mask`` marks."""
+    block = fast.block_size
+    for size in (None, block, 2 * block + 1):
+        grid = padded_grid(fast, size)
+        assert grid.dtype == oracle.padded.dtype
+        assert grid.tobytes() == oracle.padded.tobytes()
+    assert oracle.pad_mask.dtype == bool
+    nb = tuple(dim // block for dim in oracle.pad_mask.shape)
+    reached = oracle.pad_mask.reshape(nb[0], block, nb[1], block, nb[2], block).any(axis=(1, 3, 5))
+    assert np.array_equal(fast.ghost_blocks, np.argwhere(reached))
+    assert len(fast.ghost_blocks) == oracle.n_padded_blocks
     assert fast.orig_shape == oracle.orig_shape and fast.block_size == oracle.block_size
 
 
@@ -87,9 +97,12 @@ class TestGSPAgainstCellResolution:
         ):
             data, mask = level(shape, block, dtype, seed, ragged=ragged)
             kwargs = {"pad_layers": pad, "avg_layers": avg}
-            assert_same_padding(
-                gsp_pad(data, mask, block, **kwargs), gsp_pad_cells(data, mask, block, **kwargs)
-            )
+            oracle = gsp_pad_cells(data, mask, block, **kwargs)
+            assert_same_padding(gsp_pad(data, mask, block, **kwargs), oracle)
+            grid = gsp_pad_grid(data, mask, block, **kwargs)
+            assert grid.padded.tobytes() == oracle.padded.tobytes()
+            assert np.array_equal(grid.pad_mask, oracle.pad_mask)
+            assert grid.n_padded_blocks == oracle.n_padded_blocks
 
     @pytest.mark.parametrize("pad", [None, 1])
     @pytest.mark.parametrize(
@@ -100,8 +113,9 @@ class TestGSPAgainstCellResolution:
         mask = np.full(shape, bool(fill))
         data = np.where(mask, wild_values(shape, np.float32, 3), np.float32(0))
         fast = gsp_pad(data, mask, 4, pad_layers=pad)
-        assert_same_padding(fast, gsp_pad_cells(data, mask, 4, pad_layers=pad))
-        assert fast.n_padded_blocks == 0 and not fast.pad_mask.any()
+        oracle = gsp_pad_cells(data, mask, 4, pad_layers=pad)
+        assert_same_padding(fast, oracle)
+        assert len(fast.ghost_blocks) == 0 and not oracle.pad_mask.any()
 
     def test_single_block_level(self):
         data, mask = level((5, 6, 7), 8, np.float64, 1, density=1.0, ragged=True)
@@ -116,14 +130,17 @@ class TestGSPAgainstCellResolution:
         mask[0, :4, :4] = True
         data = np.where(mask, np.float64(7.0), 0.0)
         fast = gsp_pad(data, mask, 4, pad_layers=pad, avg_layers=2)
-        assert_same_padding(fast, gsp_pad_cells(data, mask, 4, pad_layers=pad, avg_layers=2))
-        assert not fast.pad_mask[4:, :4, :4].any()  # the x-neighbour got nothing
-        assert fast.pad_mask[:4, 4:, :4].any()  # the y-neighbour did
-        assert np.isfinite(fast.padded).all()
+        oracle = gsp_pad_cells(data, mask, 4, pad_layers=pad, avg_layers=2)
+        assert_same_padding(fast, oracle)
+        assert not oracle.pad_mask[4:, :4, :4].any()  # the x-neighbour got nothing
+        assert oracle.pad_mask[:4, 4:, :4].any()  # the y-neighbour did
+        assert [1, 0, 0] not in fast.ghost_blocks.tolist()
+        assert [0, 1, 0] in fast.ghost_blocks.tolist()
+        assert np.isfinite(padded_grid(fast)).all()
 
     def test_memory_layout_of_the_input_does_not_matter(self):
         data, mask = level((16, 16, 16), 4, np.float64, 0, ragged=True)
-        expected = gsp_pad(data, mask, 4)
+        expected = gsp_pad_cells(data, mask, 4)
         for view in (np.asfortranarray(data), np.repeat(data, 2, axis=2)[:, :, ::2]):
             assert not view.flags.c_contiguous
             assert_same_padding(gsp_pad(view, mask, 4), expected)
@@ -132,7 +149,8 @@ class TestGSPAgainstCellResolution:
         data, mask = level((16, 16, 16), 4, np.float32, 0)
         before = data.copy()
         result = gsp_pad(data, mask, 4)
-        assert result.n_padded_blocks and not np.shares_memory(result.padded, data)
+        grid = padded_grid(result)
+        assert len(result.ghost_blocks) and not np.shares_memory(grid, data)
         assert np.array_equal(data, before)
 
     @pytest.mark.parametrize("shape", [(16, 16, 16), (13, 10, 7)])
@@ -140,7 +158,7 @@ class TestGSPAgainstCellResolution:
         data, mask = level(shape, 4, np.float32, 2, ragged=True)
         junk = with_junk(data, mask, 2)
         assert_same_padding(gsp_pad(junk, mask, 4), gsp_pad_cells(data, mask, 4))
-        assert_same_padding(zero_fill(junk, mask, 4), zero_fill(data, mask, 4))
+        assert_same_padding(zero_fill(junk, mask, 4), zero_fill_grid(data, mask, 4))
 
 
 class TestOpSTAgainstFullRecompute:

@@ -330,6 +330,17 @@ class TestPlanExecution:
         assert set(run()) == {unit.key for unit in members}
         assert len(fetched) == 2  # a job fetches its own members, nobody else's
 
+    def test_patched_budget_splits_the_jobs(self, plan, monkeypatch):
+        """``decode_jobs`` reads ``BATCH_VALUES`` when called, not when
+        ``repro.core.plan`` was imported: a patched budget splits the jobs."""
+        plan, _parts, _fetched = plan
+        bricks = [unit for unit in plan.units if unit.sz_shape == (16, 16, 16)]
+        assert len(bricks) >= 3
+        assert [len(members) for members, _run in decode_jobs(bricks)] == [len(bricks)]
+        monkeypatch.setattr(sz_compressor, "BATCH_VALUES", 2 * 16**3)
+        sizes = [len(members) for members, _run in decode_jobs(bricks)]
+        assert sizes == [2] * (len(bricks) // 2) + [1] * (len(bricks) % 2)
+
     def test_item_of_one_stream_uses_the_per_stream_entry_point(self, plan, monkeypatch):
         """Instrumentation that wraps ``SZCompressor.decompress`` (tacbench's
         span) keeps seeing streams that have no batch-mates."""
